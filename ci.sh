@@ -113,8 +113,12 @@ echo "==> bench_step --check-against (wall-clock regression gate, 10% tolerance)
 cargo run -q --release -p zero-bench --bin bench_step -- --smoke \
     --check-against results/BENCH_step.json
 
-echo "==> bench_matmul --smoke (packed-GEMM bit-exactness gate)"
-cargo run -q --release -p zero-bench --bin bench_matmul -- --smoke
+echo "==> bench_matmul --smoke --check-against (all-variant GEMM bit-exactness + kernel-floor gate)"
+# Every wrapper at the block/attention/decode/large shapes must equal
+# matmul::reference bit for bit; any block-shape row under 0.5x its
+# committed GFLOP/s (a fall back to a scalar chain) fails.
+cargo run -q --release -p zero-bench --bin bench_matmul -- --smoke \
+    --check-against results/BENCH_matmul.json
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

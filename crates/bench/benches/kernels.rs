@@ -1,42 +1,12 @@
-//! Compute-substrate microbenchmarks: the kernels whose GEMM efficiency
-//! curve the throughput model (`zero-sim::PerfModel`) parameterizes.
+//! Compute-substrate microbenchmarks: layernorm, softmax and a whole
+//! transformer block. GEMM is timed by the `bench_matmul` bin at the
+//! shapes the model runs.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion};
 use zero_model::{BlockDims, Layout, ModelConfig};
 use zero_tensor::init::normal_init;
-use zero_tensor::ops::matmul::{sgemm, sgemm_nt};
 use zero_tensor::ops::norm::layernorm_forward;
 use zero_tensor::ops::softmax::causal_softmax_forward;
-
-fn bench_sgemm(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sgemm");
-    for &n in &[64usize, 128, 256] {
-        let flops = 2 * n * n * n;
-        g.throughput(Throughput::Elements(flops as u64));
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let mut a = vec![0.0; n * n];
-            let mut bb = vec![0.0; n * n];
-            normal_init(&mut a, 1.0, 1);
-            normal_init(&mut bb, 1.0, 2);
-            let mut cc = vec![0.0; n * n];
-            b.iter(|| sgemm(&a, &bb, &mut cc, n, n, n));
-        });
-    }
-    g.finish();
-}
-
-fn bench_sgemm_nt(c: &mut Criterion) {
-    // The y = x·W^T layout used by every linear layer.
-    let (t, h, o) = (256usize, 128usize, 512usize);
-    let mut x = vec![0.0; t * h];
-    let mut w = vec![0.0; o * h];
-    normal_init(&mut x, 1.0, 1);
-    normal_init(&mut w, 0.02, 2);
-    let mut y = vec![0.0; t * o];
-    c.bench_function("sgemm_nt_linear_256x128x512", |b| {
-        b.iter(|| sgemm_nt(&x, &w, &mut y, t, h, o));
-    });
-}
 
 fn bench_layernorm(c: &mut Criterion) {
     let (rows, dim) = (512usize, 256usize);
@@ -118,6 +88,6 @@ fn bench_transformer_block(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_sgemm, bench_sgemm_nt, bench_layernorm, bench_causal_softmax, bench_transformer_block
+    targets = bench_layernorm, bench_causal_softmax, bench_transformer_block
 );
 criterion_main!(benches);

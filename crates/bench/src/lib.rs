@@ -1,15 +1,23 @@
 //! # zero-bench
 //!
-//! Criterion benchmark harness for the ZeRO reproduction. The library
-//! itself only hosts shared fixtures; the benches live under `benches/`:
+//! Benchmarks for the ZeRO reproduction. The library itself only hosts
+//! shared fixtures. The measurements of record come from the bins under
+//! `src/bin/`, each writing `results/BENCH_<name>.json`; `ci.sh` re-runs
+//! the first three with `--smoke` and `--check-against` that file:
 //!
-//! * `collectives` — ring all-reduce / reduce-scatter / all-gather
-//!   latency scaling (the §7 primitives).
-//! * `kernels` — GEMM/layernorm/softmax/attention substrate.
-//! * `train_step` — full engine step per ZeRO stage.
-//! * `paper_tables` — one target per paper table/figure, timing the
-//!   regeneration drivers.
-//! * `ablations` — bucket-size (CB), checkpointing, and P_a ablations.
+//! * `bench_matmul` — every GEMM wrapper at the block's real shapes,
+//!   bit-checked against `matmul::reference` before timing.
+//! * `bench_step` — wall-clock per training step by stage, DP degree,
+//!   overlap and offload.
+//! * `bench_serve` — batched serving throughput and the open-loop
+//!   arrival determinism gate.
+//! * `bench_collectives` — per-stage collective volume (measured ≡
+//!   planned) and bytes/s.
+//!
+//! The Criterion targets under `benches/` are exploratory and ungated:
+//! `collectives`, `kernels` (layernorm/softmax/block), `train_step`,
+//! `paper_tables` (one per paper table/figure) and `ablations`
+//! (bucket size, checkpointing, P_a).
 
 use zero_comm::Grid;
 use zero_core::{TrainSetup, ZeroConfig, ZeroStage};

@@ -11,7 +11,7 @@
 //! For a single device both callbacks are the identity.
 
 use zero_tensor::ops::activation::{acc, add, add_bias, bias_grad, dropout_backward, dropout_forward, gelu_backward, gelu_forward};
-use zero_tensor::ops::matmul::{sgemm, sgemm_nt, sgemm_tn};
+use zero_tensor::ops::matmul::{gemm, sgemm, sgemm_nt, Mat, Store};
 use zero_tensor::ops::norm::{layernorm_backward, layernorm_forward};
 use zero_tensor::ops::softmax::{causal_softmax_forward, softmax_backward};
 
@@ -298,7 +298,7 @@ pub fn block_backward_dropout(
     dropout_backward(&mut df2, drop.p, drop.site(2));
     let mut dgelu = vec![0.0; t * ffn];
     sgemm(&df2, &params[off.w_fc2.clone()], &mut dgelu, t, h, ffn);
-    sgemm_tn_into(grads, off.w_fc2.clone(), &df2, &saved.gelu, h, t, ffn);
+    weight_grad(&mut grads[off.w_fc2.clone()], &df2, &saved.gelu, h, t, ffn);
     bias_grad(&df2, &mut grads[off.b_fc2.clone()]);
 
     // GELU.
@@ -309,7 +309,7 @@ pub fn block_backward_dropout(
     let mut dh2 = vec![0.0; t * h];
     sgemm(&dfc1, &params[off.w_fc1.clone()], &mut dh2, t, ffn, h);
     reduce_back(&mut dh2); // f-operator: sum partial dh2 across MP shards
-    sgemm_tn_into(grads, off.w_fc1.clone(), &dfc1, &saved.h2, ffn, t, h);
+    weight_grad(&mut grads[off.w_fc1.clone()], &dfc1, &saved.h2, ffn, t, h);
     bias_grad(&dfc1, &mut grads[off.b_fc1.clone()]);
 
     // LN2 backward: accumulate into dx2.
@@ -345,7 +345,7 @@ pub fn block_backward_dropout(
     let dao = &dao;
     let mut dattn = vec![0.0; t * aw];
     sgemm(dao, &params[off.w_o.clone()], &mut dattn, t, h, aw);
-    sgemm_tn_into(grads, off.w_o.clone(), dao, &saved.attn_out, h, t, aw);
+    weight_grad(&mut grads[off.w_o.clone()], dao, &saved.attn_out, h, t, aw);
     bias_grad(dao, &mut grads[off.b_o.clone()]);
 
     // Attention core backward.
@@ -355,7 +355,7 @@ pub fn block_backward_dropout(
     let mut dh1 = vec![0.0; t * h];
     sgemm(&dqkv, &params[off.w_qkv.clone()], &mut dh1, t, 3 * aw, h);
     reduce_back(&mut dh1); // f-operator
-    sgemm_tn_into(grads, off.w_qkv.clone(), &dqkv, &saved.h1, 3 * aw, t, h);
+    weight_grad(&mut grads[off.w_qkv.clone()], &dqkv, &saved.h1, 3 * aw, t, h);
     bias_grad(&dqkv, &mut grads[off.b_qkv.clone()]);
 
     // LN1 backward.
@@ -382,179 +382,69 @@ pub fn block_backward_dropout(
     }
 }
 
-/// Weight gradient `grads[range] += a^T · b` where `a` is `[t, rows]`
-/// (used transposed) and `b` is `[t, cols]`.
-fn sgemm_tn_into(
-    grads: &mut [f32],
-    range: std::ops::Range<usize>,
-    a: &[f32],
-    b: &[f32],
-    rows: usize,
-    t: usize,
-    cols: usize,
-) {
-    let mut tmp = vec![0.0; rows * cols];
-    sgemm_tn(a, b, &mut tmp, rows, t, cols);
-    acc(&mut grads[range], &tmp);
+/// Weight gradient `dw += dy^T · x` where `dy` is `[t, rows]` (used
+/// transposed), `x` is `[t, cols]` and `dw` is `[rows, cols]`.
+pub(crate) fn weight_grad(dw: &mut [f32], dy: &[f32], x: &[f32], rows: usize, t: usize, cols: usize) {
+    gemm(rows, t, cols, Mat::t(dy, rows), Mat::n(x, cols), dw, cols, Store::Add);
 }
 
 /// Causal multi-head attention forward over local heads.
 ///
 /// Returns `(probs, attn_out)` where `probs` stores `batch·local_heads`
-/// causal maps of `[s, s]` and `attn_out` is `[T, attn_width]`.
+/// causal maps of `[s, s]` and `attn_out` is `[T, attn_width]`. Each head's
+/// Q/K/V are read in place as strided `[s, hd]` windows of `qkv`
+/// (`[T, 3·aw]`, Q | K | V side by side) and its context is written
+/// straight into its columns of `attn_out`.
 fn attention_forward(dims: &BlockDims, qkv: &[f32]) -> (Vec<f32>, Vec<f32>) {
-    use rayon::prelude::*;
     let (b, s, nh, hd) = (dims.batch, dims.seq, dims.local_heads, dims.head_dim);
     let aw = nh * hd;
-    let t = b * s;
+    let row_w = 3 * aw;
     let scale = 1.0 / (hd as f32).sqrt();
     let mut probs = vec![0.0; b * nh * s * s];
-    let mut attn_out = vec![0.0; t * aw];
-    // One (batch, head) map per probs chunk: embarrassingly parallel — the
-    // CPU stand-in for per-head attention kernels running on separate SMs.
-    let contexts: Vec<Vec<f32>> = probs
-        .par_chunks_mut(s * s)
-        .enumerate()
-        .map(|(map, p)| {
-            let (bi, head) = (map / nh, map % nh);
-            let mut q = vec![0.0; s * hd];
-            let mut k = vec![0.0; s * hd];
-            let mut v = vec![0.0; s * hd];
-            let mut scores = vec![0.0; s * s];
-            let mut ctx = vec![0.0; s * hd];
-            gather_head(qkv, &mut q, bi, head, 0, s, nh, hd);
-            gather_head(qkv, &mut k, bi, head, 1, s, nh, hd);
-            gather_head(qkv, &mut v, bi, head, 2, s, nh, hd);
-            // scores = Q · K^T, scaled.
-            sgemm_nt(&q, &k, &mut scores, s, hd, s);
-            scores.iter_mut().for_each(|x| *x *= scale);
-            causal_softmax_forward(&scores, p, 1, s);
-            // ctx = P · V.
-            sgemm(p, &v, &mut ctx, s, s, hd);
-            ctx
-        })
-        .collect();
-    for (map, ctx) in contexts.iter().enumerate() {
-        scatter_head(ctx, &mut attn_out, map / nh, map % nh, s, nh, hd);
+    let mut attn_out = vec![0.0; b * s * aw];
+    let mut scores = vec![0.0; s * s];
+    for (map, p) in probs.chunks_mut(s * s).enumerate() {
+        let (bi, head) = (map / nh, map % nh);
+        let q0 = bi * s * row_w + head * hd;
+        let (q, k, v) = (&qkv[q0..], &qkv[q0 + aw..], &qkv[q0 + 2 * aw..]);
+        // scores = Q · K^T, scaled.
+        gemm(s, hd, s, Mat::n(q, row_w), Mat::t(k, row_w), &mut scores, s, Store::Set);
+        scores.iter_mut().for_each(|x| *x *= scale);
+        causal_softmax_forward(&scores, p, 1, s);
+        // ctx = P · V.
+        let ctx = &mut attn_out[bi * s * aw + head * hd..];
+        gemm(s, s, hd, Mat::n(p, s), Mat::n(v, row_w), ctx, aw, Store::Set);
     }
     (probs, attn_out)
 }
 
-/// Backward of [`attention_forward`]; returns `dqkv` `[T, 3·attn_width]`.
+/// Backward of [`attention_forward`]; returns `dqkv` `[T, 3·attn_width]`,
+/// each head's dQ/dK/dV written straight into its strided window.
 fn attention_backward(dims: &BlockDims, qkv: &[f32], probs: &[f32], dattn: &[f32]) -> Vec<f32> {
-    use rayon::prelude::*;
     let (b, s, nh, hd) = (dims.batch, dims.seq, dims.local_heads, dims.head_dim);
     let aw = nh * hd;
-    let t = b * s;
+    let row_w = 3 * aw;
     let scale = 1.0 / (hd as f32).sqrt();
-    let mut dqkv = vec![0.0; t * 3 * aw];
-    // Per-(batch, head) gradients in parallel; the scatter back into the
-    // interleaved dqkv layout is serial (disjoint but strided regions).
-    let grads: Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> = (0..b * nh)
-        .into_par_iter()
-        .map(|map| {
-            let (bi, head) = (map / nh, map % nh);
-            let mut q = vec![0.0; s * hd];
-            let mut k = vec![0.0; s * hd];
-            let mut v = vec![0.0; s * hd];
-            let mut dctx = vec![0.0; s * hd];
-            let mut dp = vec![0.0; s * s];
-            let mut dscores = vec![0.0; s * s];
-            let mut dq = vec![0.0; s * hd];
-            let mut dk = vec![0.0; s * hd];
-            let mut dv = vec![0.0; s * hd];
-            gather_head(qkv, &mut q, bi, head, 0, s, nh, hd);
-            gather_head(qkv, &mut k, bi, head, 1, s, nh, hd);
-            gather_head(qkv, &mut v, bi, head, 2, s, nh, hd);
-            gather_out(dattn, &mut dctx, bi, head, s, nh, hd);
-            let p = &probs[map * s * s..(map + 1) * s * s];
-            // ctx = P·V ⇒ dP = dctx·V^T, dV = P^T·dctx.
-            sgemm_nt(&dctx, &v, &mut dp, s, hd, s);
-            sgemm_tn(p, &dctx, &mut dv, s, s, hd);
-            // P = softmax(scores) ⇒ dscores (masked entries have P = 0 and
-            // contribute nothing).
-            softmax_backward(p, &dp, &mut dscores, s, s);
-            dscores.iter_mut().for_each(|x| *x *= scale);
-            // scores = Q·K^T ⇒ dQ = dS·K, dK = dS^T·Q.
-            sgemm(&dscores, &k, &mut dq, s, s, hd);
-            sgemm_tn(&dscores, &q, &mut dk, s, s, hd);
-            (dq, dk, dv)
-        })
-        .collect();
-    for (map, (dq, dk, dv)) in grads.iter().enumerate() {
+    let mut dqkv = vec![0.0; b * s * row_w];
+    let mut dp = vec![0.0; s * s];
+    let mut dscores = vec![0.0; s * s];
+    for (map, p) in probs.chunks(s * s).enumerate() {
         let (bi, head) = (map / nh, map % nh);
-        scatter_qkv(dq, &mut dqkv, bi, head, 0, s, nh, hd);
-        scatter_qkv(dk, &mut dqkv, bi, head, 1, s, nh, hd);
-        scatter_qkv(dv, &mut dqkv, bi, head, 2, s, nh, hd);
+        let q0 = bi * s * row_w + head * hd;
+        let (q, k, v) = (&qkv[q0..], &qkv[q0 + aw..], &qkv[q0 + 2 * aw..]);
+        let dctx = &dattn[bi * s * aw + head * hd..];
+        // ctx = P·V ⇒ dP = dctx·V^T, dV = P^T·dctx.
+        gemm(s, hd, s, Mat::n(dctx, aw), Mat::t(v, row_w), &mut dp, s, Store::Set);
+        gemm(s, s, hd, Mat::t(p, s), Mat::n(dctx, aw), &mut dqkv[q0 + 2 * aw..], row_w, Store::Set);
+        // P = softmax(scores) ⇒ dscores (masked entries have P = 0 and
+        // contribute nothing).
+        softmax_backward(p, &dp, &mut dscores, s, s);
+        dscores.iter_mut().for_each(|x| *x *= scale);
+        // scores = Q·K^T ⇒ dQ = dS·K, dK = dS^T·Q.
+        gemm(s, s, hd, Mat::n(&dscores, s), Mat::n(k, row_w), &mut dqkv[q0..], row_w, Store::Set);
+        gemm(s, s, hd, Mat::t(&dscores, s), Mat::n(q, row_w), &mut dqkv[q0 + aw..], row_w, Store::Set);
     }
     dqkv
-}
-
-/// Copies one head's Q/K/V (`which` ∈ {0,1,2}) from `[T, 3·aw]` into a
-/// contiguous `[s, hd]` scratch.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn gather_head(
-    qkv: &[f32],
-    out: &mut [f32],
-    bi: usize,
-    head: usize,
-    which: usize,
-    s: usize,
-    nh: usize,
-    hd: usize,
-) {
-    let aw = nh * hd;
-    let row_w = 3 * aw;
-    let col0 = which * aw + head * hd;
-    for i in 0..s {
-        let src = (bi * s + i) * row_w + col0;
-        out[i * hd..(i + 1) * hd].copy_from_slice(&qkv[src..src + hd]);
-    }
-}
-
-/// Scatter-adds a `[s, hd]` head gradient back into `dqkv`.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn scatter_qkv(
-    src: &[f32],
-    dqkv: &mut [f32],
-    bi: usize,
-    head: usize,
-    which: usize,
-    s: usize,
-    nh: usize,
-    hd: usize,
-) {
-    let aw = nh * hd;
-    let row_w = 3 * aw;
-    let col0 = which * aw + head * hd;
-    for i in 0..s {
-        let dst = (bi * s + i) * row_w + col0;
-        for (d, &v) in dqkv[dst..dst + hd].iter_mut().zip(&src[i * hd..(i + 1) * hd]) {
-            *d += v;
-        }
-    }
-}
-
-/// Writes a head's `[s, hd]` context into the `[T, aw]` output.
-#[inline]
-fn scatter_head(src: &[f32], out: &mut [f32], bi: usize, head: usize, s: usize, nh: usize, hd: usize) {
-    let aw = nh * hd;
-    for i in 0..s {
-        let dst = (bi * s + i) * aw + head * hd;
-        out[dst..dst + hd].copy_from_slice(&src[i * hd..(i + 1) * hd]);
-    }
-}
-
-/// Reads a head's slice of the `[T, aw]` gradient into `[s, hd]` scratch.
-#[inline]
-fn gather_out(dattn: &[f32], out: &mut [f32], bi: usize, head: usize, s: usize, nh: usize, hd: usize) {
-    let aw = nh * hd;
-    for i in 0..s {
-        let src = (bi * s + i) * aw + head * hd;
-        out[i * hd..(i + 1) * hd].copy_from_slice(&dattn[src..src + hd]);
-    }
 }
 
 #[cfg(test)]

@@ -11,10 +11,10 @@
 use zero_tensor::init::normal_init;
 use zero_tensor::ops::embedding::{embedding_backward, embedding_forward};
 use zero_tensor::ops::loss::{cross_entropy_fused, cross_entropy_loss};
-use zero_tensor::ops::matmul::{sgemm, sgemm_nt, sgemm_tn};
+use zero_tensor::ops::matmul::{sgemm, sgemm_nt};
 use zero_tensor::ops::norm::{layernorm_backward, layernorm_forward};
 
-use crate::block::{block_backward_dropout, block_forward_dropout, BlockDims, BlockSaved, Dropout};
+use crate::block::{block_backward_dropout, block_forward_dropout, weight_grad, BlockDims, BlockSaved, Dropout};
 use crate::config::ModelConfig;
 use crate::layout::Layout;
 
@@ -251,11 +251,7 @@ impl Gpt {
         let loss = cross_entropy_fused(&logits, targets, &mut dlogits, t, v);
 
         // dW_head += dlogits^T · lnf_out ; dlnf = dlogits · W_head.
-        let mut dw = vec![0.0; v * h];
-        sgemm_tn(&dlogits, &lnf_out, &mut dw, v, t, h);
-        for (g, d) in grads[off.w_head.clone()].iter_mut().zip(&dw) {
-            *g += d;
-        }
+        weight_grad(&mut grads[off.w_head.clone()], &dlogits, &lnf_out, v, t, h);
         let mut dlnf = vec![0.0; t * h];
         sgemm(&dlogits, w_head, &mut dlnf, t, v, h);
 

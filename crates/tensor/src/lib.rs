@@ -6,7 +6,7 @@
 //! layernorm, softmax, GELU, embedding, cross-entropy).
 //!
 //! The paper's workloads run their FLOPs on V100 tensor cores; here they
-//! run on CPU threads via rayon. ZeRO itself (`zero-core`) is agnostic to
+//! run on the calling rank's CPU thread. ZeRO itself (`zero-core`) is agnostic to
 //! where the FLOPs happen — it only manipulates parameter, gradient and
 //! optimizer-state buffers, which this crate represents exactly
 //! (2 bytes/element fp16, 4 bytes/element fp32).

@@ -1,16 +1,211 @@
-//! Matrix multiplication kernels.
+//! Matrix multiplication: one register-tiled microkernel behind every
+//! entry point.
 //!
-//! These are the FLOP-dominant kernels of transformer training. They are
-//! written as cache-blocked loops parallelized with rayon over output rows —
-//! the CPU stand-in for the GPU GEMMs that dominate the paper's workloads.
-//! All variants accumulate in `f32` over `f32` inputs (the engine converts
-//! fp16 storage to f32 before compute, as tensor cores do).
+//! These are the FLOP-dominant kernels of transformer training — the CPU
+//! stand-in for the GPU GEMMs that dominate the paper's workloads. All
+//! variants accumulate in `f32` over `f32` inputs (the engine converts
+//! fp16 storage to f32 before compute, as tensor cores do). A call runs
+//! on the calling thread only: each rank is a thread, and the ranks
+//! already occupy the cores.
+//!
+//! **Arithmetic contract.** Every output element is the sum of its `k`
+//! products taken in increasing `p`, starting from `+0.0`; the finished
+//! sum is then stored ([`Store::Set`]) or added to C ([`Store::Add`]).
+//! No term is skipped, reassociated or fused, so a non-finite product
+//! always reaches the output (`0 · Inf` is NaN in every variant), and the
+//! result is bit-for-bit that of [`reference`]. Because tiling and packing
+//! change only *where* operands are read from, never the order in which
+//! one element's products are added, every bitwise gate in the repo
+//! (stage/overlap/offload/backend loss equality, serving token equality)
+//! is independent of the tile sizes below.
+//!
+//! **Structure.** [`gemm`] packs `op(A)` into [`MR`]-row panels and
+//! `op(B)` into [`NR`]-column panels (both `k`-major, zero-padded at the
+//! edges, held in grow-only thread-local buffers), then runs one
+//! microkernel per `MR×NR` tile of C: its `MR·NR` accumulators stay in
+//! registers for the whole `k` loop and each step is `MR` broadcasts
+//! against one contiguous `NR`-wide row of the B panel, which LLVM turns
+//! into SIMD multiplies and adds without `unsafe` or intrinsics. Whether
+//! an operand is stored transposed matters only to the pack routine (and
+//! to the unpacked kernel below, which reads operands where they lie);
+//! the strides let callers multiply sub-matrices (one attention head
+//! inside `qkv`) in place. `MR = 2`, `NR = 16` keeps 8 four-lane accumulators,
+//! 4 B vectors and 2 broadcasts inside the 16 baseline SSE registers.
+//!
+//! For `m < MR` (the single-row GEMV of incremental decoding) packing B
+//! would cost as much as the multiply, so those calls go to an unpacked
+//! kernel that keeps `NR` independent in-order dot products in flight.
 
-use rayon::prelude::*;
+use std::cell::RefCell;
 
-/// Minimum per-thread row count before splitting; keeps rayon overhead
-/// negligible for the small matrices used in tests.
-const PAR_ROW_MIN: usize = 8;
+/// Rows of C held in registers by the microkernel.
+pub const MR: usize = 2;
+/// Columns of C held in registers by the microkernel.
+pub const NR: usize = 16;
+
+/// What happens to a finished sum.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Store {
+    /// `c = sum`.
+    Set,
+    /// `c += sum`.
+    Add,
+}
+
+/// A strided matrix operand: element `(r, c)` is `data[r·rs + c·cs]`, one
+/// of the two strides being 1.
+#[derive(Clone, Copy, Debug)]
+pub struct Mat<'a> {
+    data: &'a [f32],
+    rs: usize,
+    cs: usize,
+}
+
+impl<'a> Mat<'a> {
+    /// Used as stored: rows are `ld` apart, element `(r, c)` is `data[r·ld + c]`.
+    pub fn n(data: &'a [f32], ld: usize) -> Self {
+        Mat { data, rs: ld, cs: 1 }
+    }
+
+    /// Used transposed: element `(r, c)` is `data[c·ld + r]`.
+    pub fn t(data: &'a [f32], ld: usize) -> Self {
+        Mat { data, rs: 1, cs: ld }
+    }
+
+    #[inline(always)]
+    fn at(&self, r: usize, c: usize) -> f32 {
+        self.data[r * self.rs + c * self.cs]
+    }
+}
+
+/// Whether `len` elements hold `rows×cols` elements `rs` and `cs` apart.
+fn covers(len: usize, rows: usize, cols: usize, rs: usize, cs: usize) -> bool {
+    rows == 0 || cols == 0 || (rows - 1) * rs + (cols - 1) * cs < len
+}
+
+thread_local! {
+    /// Packed A and B panels, grown on demand and kept for the thread's life.
+    static PANELS: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// `c[m×n] (=|+=) op(a)[m×k] · op(b)[k×n]`, C's rows `ldc` apart. Elements
+/// of `c` outside the `m×n` window are not touched.
+///
+/// # Panics
+/// Panics if an operand is too short for its dimensions and strides.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm(m: usize, k: usize, n: usize, a: Mat<'_>, b: Mat<'_>, c: &mut [f32], ldc: usize, store: Store) {
+    assert!(covers(a.data.len(), m, k, a.rs, a.cs), "gemm: a is too short");
+    assert!(covers(b.data.len(), k, n, b.rs, b.cs), "gemm: b is too short");
+    assert!(ldc >= n && covers(c.len(), m, n, ldc, 1), "gemm: c is too short");
+    if k == 0 {
+        // Empty sums: nothing to read, pack or multiply.
+        if store == Store::Set {
+            (0..m).for_each(|i| c[i * ldc..][..n].fill(0.0));
+        }
+        return;
+    }
+    if m < MR {
+        return (0..m).for_each(|i| few_rows_kernel(k, a, i, b, &mut c[i * ldc..][..n], store));
+    }
+    PANELS.with_borrow_mut(|(ap, bp)| {
+        let (a_len, b_len) = (m.div_ceil(MR) * MR * k, n.div_ceil(NR) * NR * k);
+        ap.resize(ap.len().max(a_len), 0.0);
+        bp.resize(bp.len().max(b_len), 0.0);
+        pack::<MR>(&mut ap[..a_len], a.data, a.rs, a.cs, m, k);
+        pack::<NR>(&mut bp[..b_len], b.data, b.cs, b.rs, n, k);
+        // A B panel stays in L1 while every A panel streams past it.
+        for (j0, b_panel) in (0..n).step_by(NR).zip(bp.chunks(k * NR)) {
+            let nr = NR.min(n - j0);
+            for (i0, a_panel) in (0..m).step_by(MR).zip(ap.chunks(k * MR)) {
+                let acc = microkernel(a_panel, b_panel);
+                for (r, sums) in acc.iter().enumerate().take(m - i0) {
+                    store_row(&mut c[(i0 + r) * ldc + j0..][..nr], sums, store);
+                }
+            }
+        }
+    });
+}
+
+/// The one multiply loop: `acc[r][c] = Σ_p a_panel[p][r] · b_panel[p][c]`,
+/// `p` increasing, from `+0.0`.
+#[inline(always)]
+fn microkernel(a_panel: &[f32], b_panel: &[f32]) -> [[f32; NR]; MR] {
+    let mut acc = [[0.0_f32; NR]; MR];
+    for (a, b) in a_panel.chunks_exact(MR).zip(b_panel.chunks_exact(NR)) {
+        let a: &[f32; MR] = a.try_into().expect("chunks_exact(MR)");
+        let b: &[f32; NR] = b.try_into().expect("chunks_exact(NR)");
+        for (sums, &av) in acc.iter_mut().zip(a) {
+            for (s, &bv) in sums.iter_mut().zip(b) {
+                *s += av * bv;
+            }
+        }
+    }
+    acc
+}
+
+#[inline(always)]
+fn store_row(c_row: &mut [f32], sums: &[f32; NR], store: Store) {
+    match store {
+        Store::Set => c_row.copy_from_slice(&sums[..c_row.len()]),
+        Store::Add => c_row.iter_mut().zip(sums).for_each(|(cv, s)| *cv += s),
+    }
+}
+
+/// Packs `count` length-`k` vectors (rows of `op(A)` or columns of
+/// `op(B)`) into `W`-wide `k`-major panels: `dst[panel][p][lane]`, lanes
+/// past `count` zeroed. Vector `v`'s element `p` is
+/// `src[v·v_stride + p·k_stride]`, one of the strides being 1.
+fn pack<const W: usize>(dst: &mut [f32], src: &[f32], v_stride: usize, k_stride: usize, count: usize, k: usize) {
+    for (v0, panel) in (0..count).step_by(W).zip(dst.chunks_exact_mut(k * W)) {
+        let w = W.min(count - v0);
+        if k_stride == 1 {
+            for lane in 0..w {
+                let vector = &src[(v0 + lane) * v_stride..][..k];
+                for (d, &s) in panel[lane..].iter_mut().step_by(W).zip(vector) {
+                    *d = s;
+                }
+            }
+            if w < W {
+                panel.chunks_exact_mut(W).for_each(|row| row[w..].fill(0.0));
+            }
+        } else {
+            for (row, src_row) in panel.chunks_exact_mut(W).zip(src[v0..].chunks(k_stride)) {
+                row[..w].copy_from_slice(&src_row[..w]);
+                row[w..].fill(0.0);
+            }
+        }
+    }
+}
+
+/// Row `i` of [`gemm`] for `m < MR`: no packing; the row is produced `NR`
+/// outputs at a time, every output its own in-order sum, so `NR`
+/// independent add chains hide the add latency a lone dot product exposes.
+fn few_rows_kernel(k: usize, a: Mat<'_>, i: usize, b: Mat<'_>, c_row: &mut [f32], store: Store) {
+    for (j0, c_row) in (0..).step_by(NR).zip(c_row.chunks_mut(NR)) {
+        let nr = c_row.len();
+        let mut acc = [0.0_f32; NR];
+        if b.rs == 1 {
+            // Column j of op(B) is a contiguous run; lanes past `nr`
+            // repeat the last column and are dropped by the store.
+            let cols: [&[f32]; NR] = std::array::from_fn(|lane| &b.data[(j0 + lane.min(nr - 1)) * b.cs..][..k]);
+            for p in 0..k {
+                let av = a.at(i, p);
+                for (s, col) in acc.iter_mut().zip(&cols) {
+                    *s += av * col[p];
+                }
+            }
+        } else {
+            for p in 0..k {
+                let av = a.at(i, p);
+                for (s, bv) in acc.iter_mut().zip(&b.data[p * b.rs + j0..][..nr]) {
+                    *s += av * bv;
+                }
+            }
+        }
+        store_row(c_row, &acc, store);
+    }
+}
 
 /// `c[m×n] = a[m×k] · b[k×n]` (row-major).
 ///
@@ -20,143 +215,38 @@ pub fn sgemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) 
     assert_eq!(a.len(), m * k, "sgemm: a has wrong length");
     assert_eq!(b.len(), k * n, "sgemm: b has wrong length");
     assert_eq!(c.len(), m * n, "sgemm: c has wrong length");
-    let body = |(row, c_row): (usize, &mut [f32])| {
-        c_row.iter_mut().for_each(|v| *v = 0.0);
-        let a_row = &a[row * k..(row + 1) * k];
-        // ikj loop order: stream through b rows, accumulate into the c row
-        // kept hot in cache.
-        for (p, &a_val) in a_row.iter().enumerate() {
-            if a_val == 0.0 {
-                continue;
-            }
-            let b_row = &b[p * n..(p + 1) * n];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                *cv += a_val * bv;
-            }
-        }
-    };
-    if m >= PAR_ROW_MIN {
-        c.par_chunks_mut(n).enumerate().for_each(body);
-    } else {
-        c.chunks_mut(n).enumerate().for_each(body);
-    }
+    gemm(m, k, n, Mat::n(a, k), Mat::n(b, n), c, n, Store::Set);
 }
 
-/// `c[m×n] += a[m×k] · b[k×n]`.
-pub fn sgemm_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "sgemm_acc: a has wrong length");
-    assert_eq!(b.len(), k * n, "sgemm_acc: b has wrong length");
-    assert_eq!(c.len(), m * n, "sgemm_acc: c has wrong length");
-    let body = |(row, c_row): (usize, &mut [f32])| {
-        let a_row = &a[row * k..(row + 1) * k];
-        for (p, &a_val) in a_row.iter().enumerate() {
-            if a_val == 0.0 {
-                continue;
-            }
-            let b_row = &b[p * n..(p + 1) * n];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                *cv += a_val * bv;
-            }
-        }
-    };
-    if m >= PAR_ROW_MIN {
-        c.par_chunks_mut(n).enumerate().for_each(body);
-    } else {
-        c.chunks_mut(n).enumerate().for_each(body);
-    }
-}
-
-/// `c[m×n] = a[m×k] · b[n×k]^T` — i.e. B is stored row-major as `n×k` and
-/// used transposed. This is the natural layout for `dX = dY · W^T` with W
-/// stored `[out, in]`... here expressed generically.
+/// `c[m×n] = a[m×k] · b[n×k]^T` — B is stored row-major as `n×k` and used
+/// transposed: the layout of `Y = X · W^T` with W stored `[out, in]`.
 pub fn sgemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "sgemm_nt: a has wrong length");
     assert_eq!(b.len(), n * k, "sgemm_nt: b has wrong length");
     assert_eq!(c.len(), m * n, "sgemm_nt: c has wrong length");
-    let body = |(row, c_row): (usize, &mut [f32])| {
-        let a_row = &a[row * k..(row + 1) * k];
-        for (j, cv) in c_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0_f32;
-            for (av, bv) in a_row.iter().zip(b_row) {
-                acc += av * bv;
-            }
-            *cv = acc;
-        }
-    };
-    if m >= PAR_ROW_MIN {
-        c.par_chunks_mut(n).enumerate().for_each(body);
-    } else {
-        c.chunks_mut(n).enumerate().for_each(body);
-    }
+    gemm(m, k, n, Mat::n(a, k), Mat::t(b, k), c, n, Store::Set);
 }
 
 /// `c[m×n] = a[k×m]^T · b[k×n]` — A stored row-major as `k×m`, used
-/// transposed. This is the natural layout for weight gradients
-/// `dW = X^T · dY`.
-///
-/// The transposed operand is packed into an `m×k` panel once per call,
-/// so every output row streams its A coefficients stride-1 instead of
-/// gathering a stride-`m` column per product term. The O(k·m) pack is
-/// amortized over the O(k·m·n) multiply; the per-element accumulation
-/// order is untouched, so results are bit-identical to
-/// [`sgemm_tn_unpacked`] (the baseline kept for the micro-benchmark).
+/// transposed: the layout of weight gradients `dW = X^T · dY`.
 pub fn sgemm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), k * m, "sgemm_tn: a has wrong length");
     assert_eq!(b.len(), k * n, "sgemm_tn: b has wrong length");
     assert_eq!(c.len(), m * n, "sgemm_tn: c has wrong length");
-    let mut panel = vec![0.0_f32; m * k];
-    transpose(a, &mut panel, k, m);
-    let panel = &panel;
-    let body = |(row, c_row): (usize, &mut [f32])| {
-        c_row.iter_mut().for_each(|v| *v = 0.0);
-        // c[row, :] = sum_p panel[row, p] * b[p, :] — stride-1 in panel,
-        // b, and c.
-        let a_row = &panel[row * k..(row + 1) * k];
-        for (p, &a_val) in a_row.iter().enumerate() {
-            if a_val == 0.0 {
-                continue;
-            }
-            let b_row = &b[p * n..(p + 1) * n];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                *cv += a_val * bv;
-            }
-        }
-    };
-    if m >= PAR_ROW_MIN {
-        c.par_chunks_mut(n).enumerate().for_each(body);
-    } else {
-        c.chunks_mut(n).enumerate().for_each(body);
-    }
+    gemm(m, k, n, Mat::t(a, m), Mat::n(b, n), c, n, Store::Set);
 }
 
-/// The pre-packing [`sgemm_tn`] body: reads `a[p·m + row]` directly, a
-/// stride-`m` gather per product term. Kept (not used by the model) as
-/// the before/after baseline for `bench_matmul` and the bit-exactness
-/// test of the packed kernel.
-pub fn sgemm_tn_unpacked(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), k * m, "sgemm_tn: a has wrong length");
-    assert_eq!(b.len(), k * n, "sgemm_tn: b has wrong length");
-    assert_eq!(c.len(), m * n, "sgemm_tn: c has wrong length");
-    let body = |(row, c_row): (usize, &mut [f32])| {
-        c_row.iter_mut().for_each(|v| *v = 0.0);
-        // c[row, :] = sum_p a[p, row] * b[p, :]
+/// The arithmetic contract as a plain triple loop: the `m×n` sums of
+/// `op(a) · op(b)`, row-major, which tests and `bench_matmul` compare every
+/// kernel against bit for bit.
+pub fn reference(m: usize, k: usize, n: usize, a: Mat<'_>, b: Mat<'_>) -> Vec<f32> {
+    let mut sums = vec![0.0_f32; m * n];
+    for (idx, sum) in sums.iter_mut().enumerate() {
         for p in 0..k {
-            let a_val = a[p * m + row];
-            if a_val == 0.0 {
-                continue;
-            }
-            let b_row = &b[p * n..(p + 1) * n];
-            for (cv, &bv) in c_row.iter_mut().zip(b_row) {
-                *cv += a_val * bv;
-            }
+            *sum += a.at(idx / n, p) * b.at(p, idx % n);
         }
-    };
-    if m >= PAR_ROW_MIN {
-        c.par_chunks_mut(n).enumerate().for_each(body);
-    } else {
-        c.chunks_mut(n).enumerate().for_each(body);
     }
+    sums
 }
 
 /// Out-of-place transpose of a row-major `rows×cols` matrix.
@@ -174,94 +264,41 @@ pub fn transpose(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
 mod tests {
     use super::*;
 
-    fn naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-        let mut c = vec![0.0; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for p in 0..k {
-                    acc += a[i * k + p] * b[p * n + j];
-                }
-                c[i * n + j] = acc;
-            }
-        }
-        c
-    }
-
     fn seq(len: usize, scale: f32) -> Vec<f32> {
         (0..len).map(|i| ((i * 7 % 13) as f32 - 6.0) * scale).collect()
     }
 
-    #[test]
-    fn sgemm_matches_naive() {
-        for &(m, k, n) in &[(1, 1, 1), (2, 3, 4), (17, 9, 23), (32, 32, 32)] {
-            let a = seq(m * k, 0.25);
-            let b = seq(k * n, 0.5);
-            let mut c = vec![f32::NAN; m * n];
-            sgemm(&a, &b, &mut c, m, k, n);
-            let want = naive(&a, &b, m, k, n);
-            for (x, y) in c.iter().zip(&want) {
-                assert!((x - y).abs() < 1e-4, "{x} vs {y} at ({m},{k},{n})");
-            }
-        }
+    /// The three wrappers' layouts as `(name, a, b)` operand views of the
+    /// same logical `m×k` and `k×n` matrices.
+    fn variants<'a>(a: &'a [f32], a_t: &'a [f32], b: &'a [f32], b_t: &'a [f32], m: usize, k: usize, n: usize) -> [(&'static str, Mat<'a>, Mat<'a>); 3] {
+        [
+            ("sgemm", Mat::n(a, k), Mat::n(b, n)),
+            ("sgemm_nt", Mat::n(a, k), Mat::t(b_t, k)),
+            ("sgemm_tn", Mat::t(a_t, m), Mat::n(b, n)),
+        ]
     }
 
     #[test]
-    fn sgemm_acc_accumulates() {
-        let (m, k, n) = (5, 4, 6);
-        let a = seq(m * k, 0.1);
-        let b = seq(k * n, 0.2);
-        let mut c = vec![1.0; m * n];
-        sgemm_acc(&a, &b, &mut c, m, k, n);
-        let want: Vec<f32> = naive(&a, &b, m, k, n).iter().map(|v| v + 1.0).collect();
-        for (x, y) in c.iter().zip(&want) {
-            assert!((x - y).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn sgemm_nt_matches_explicit_transpose() {
-        let (m, k, n) = (7, 5, 9);
-        let a = seq(m * k, 0.3);
-        let b_t = seq(n * k, 0.2); // stored n×k
-        let mut b = vec![0.0; k * n];
-        transpose(&b_t, &mut b, n, k);
-        let mut c = vec![0.0; m * n];
-        sgemm_nt(&a, &b_t, &mut c, m, k, n);
-        let want = naive(&a, &b, m, k, n);
-        for (x, y) in c.iter().zip(&want) {
-            assert!((x - y).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn sgemm_tn_matches_explicit_transpose() {
-        let (m, k, n) = (6, 8, 5);
-        let a_t = seq(k * m, 0.15); // stored k×m
-        let b = seq(k * n, 0.25);
-        let mut a = vec![0.0; m * k];
-        transpose(&a_t, &mut a, k, m);
-        let mut c = vec![0.0; m * n];
-        sgemm_tn(&a_t, &b, &mut c, m, k, n);
-        let want = naive(&a, &b, m, k, n);
-        for (x, y) in c.iter().zip(&want) {
-            assert!((x - y).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn packed_tn_is_bitwise_identical_to_unpacked() {
-        // The panel pack only changes *where* A coefficients are read
-        // from, never the accumulation order — bit-exact, not approximate.
-        for &(m, k, n) in &[(1, 1, 1), (6, 8, 5), (17, 33, 9), (32, 64, 32)] {
-            let a = seq(k * m, 0.15);
-            let b = seq(k * n, 0.25);
-            let mut packed = vec![f32::NAN; m * n];
-            let mut unpacked = vec![f32::NAN; m * n];
-            sgemm_tn(&a, &b, &mut packed, m, k, n);
-            sgemm_tn_unpacked(&a, &b, &mut unpacked, m, k, n);
-            for (x, y) in packed.iter().zip(&unpacked) {
-                assert_eq!(x.to_bits(), y.to_bits(), "({m},{k},{n})");
+    fn zero_times_non_finite_reaches_the_output_in_every_variant() {
+        // Row 0 of A is exactly 0 where B holds an Inf (p = 1) and a NaN
+        // (p = 2): IEEE says both products are NaN. A kernel that skips
+        // zero coefficients would hide an overflowed gradient here.
+        for &(m, k, n) in &[(1, 4, 3), (3, 4, 3), (9, 4, 20)] {
+            let mut a = vec![1.0_f32; m * k];
+            a[..k].fill(0.0);
+            let mut b = vec![1.0_f32; k * n];
+            b[n] = f32::INFINITY; // (p = 1, j = 0)
+            b[2 * n + 1] = f32::NAN; // (p = 2, j = 1)
+            let (mut a_t, mut b_t) = (vec![0.0; m * k], vec![0.0; k * n]);
+            transpose(&a, &mut a_t, m, k);
+            transpose(&b, &mut b_t, k, n);
+            for (name, av, bv) in variants(&a, &a_t, &b, &b_t, m, k, n) {
+                for store in [Store::Set, Store::Add] {
+                    let mut c = vec![0.5_f32; m * n];
+                    gemm(m, k, n, av, bv, &mut c, n, store);
+                    assert!(c[0].is_nan() && c[1].is_nan(), "{name} {store:?} ({m},{k},{n}): {:?}", &c[..2]);
+                    assert!(c[2].is_finite(), "{name} {store:?}: clean column poisoned");
+                }
             }
         }
     }

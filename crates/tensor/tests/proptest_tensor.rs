@@ -3,10 +3,19 @@
 
 use proptest::prelude::*;
 use zero_tensor::ops::loss::{cross_entropy_fused, cross_entropy_loss};
-use zero_tensor::ops::matmul::{sgemm, sgemm_nt, sgemm_tn, transpose};
+use zero_tensor::ops::matmul::{gemm, reference, sgemm, sgemm_nt, sgemm_tn, transpose, Mat, Store};
 use zero_tensor::ops::norm::layernorm_forward;
 use zero_tensor::ops::softmax::softmax_forward;
 use zero_tensor::F16;
+
+/// Values whose products round, so a changed summation order shows.
+fn values(len: usize, seed: u64) -> Vec<f32> {
+    (0..len as u64).map(|i| ((i * 2_654_435_761 + seed * 977) % 2001) as f32 / 97.0 - 10.0).collect()
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -61,28 +70,56 @@ proptest! {
     }
 
     #[test]
-    fn transposed_variants_agree(
-        m in 1usize..8, k in 1usize..8, n in 1usize..8, seed in 0u64..100,
+    fn wrappers_are_bitwise_the_reference(
+        m in 1usize..24, k in 0usize..40, n in 1usize..40, seed in 0u64..1000,
     ) {
-        let a: Vec<f32> = (0..m * k).map(|i| ((i as u64 * 13 + seed) % 19) as f32 - 9.0).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| ((i as u64 * 7 + seed) % 23) as f32 - 11.0).collect();
-        let mut want = vec![0.0; m * n];
-        sgemm(&a, &b, &mut want, m, k, n);
-        // sgemm_nt with explicitly transposed B.
-        let mut b_t = vec![0.0; k * n];
-        transpose(&b, &mut b_t, k, n);
-        let mut got = vec![0.0; m * n];
-        sgemm_nt(&a, &b_t, &mut got, m, k, n);
-        for (x, y) in want.iter().zip(&got) {
-            prop_assert!((x - y).abs() < 1e-4);
-        }
-        // sgemm_tn with explicitly transposed A.
-        let mut a_t = vec![0.0; m * k];
+        // One logical product, three storage layouts; every wrapper must
+        // reproduce the in-order sums bit for bit (m < MR, tile edges and
+        // k = 0 included), not merely agree approximately.
+        let a = values(m * k, seed);
+        let b = values(k * n, seed + 1);
+        let (mut a_t, mut b_t) = (vec![0.0; m * k], vec![0.0; k * n]);
         transpose(&a, &mut a_t, m, k);
-        let mut got = vec![0.0; m * n];
+        transpose(&b, &mut b_t, k, n);
+        let want = reference(m, k, n, Mat::n(&a, k), Mat::n(&b, n));
+        let mut got = vec![f32::NAN; m * n];
+        sgemm(&a, &b, &mut got, m, k, n);
+        prop_assert_eq!(bits(&got), bits(&want), "sgemm ({}, {}, {})", m, k, n);
+        sgemm_nt(&a, &b_t, &mut got, m, k, n);
+        prop_assert_eq!(bits(&got), bits(&want), "sgemm_nt ({}, {}, {})", m, k, n);
         sgemm_tn(&a_t, &b, &mut got, m, k, n);
-        for (x, y) in want.iter().zip(&got) {
-            prop_assert!((x - y).abs() < 1e-4);
+        prop_assert_eq!(bits(&got), bits(&want), "sgemm_tn ({}, {}, {})", m, k, n);
+    }
+
+    #[test]
+    fn strided_gemm_is_bitwise_the_reference_and_stays_in_its_window(
+        m in 1usize..24, k in 1usize..40, n in 1usize..40,
+        pads in 0usize..64, layout in 0usize..8, seed in 0u64..1000,
+    ) {
+        let (pad_a, pad_b, pad_c) = (pads % 4, pads / 4 % 4, pads / 16);
+        let (a_trans, b_trans, add) = (layout & 1 != 0, layout & 2 != 0, layout & 4 != 0);
+        // Operands stored with rows longer than the part that is used.
+        let (a_rows, a_cols) = if a_trans { (k, m) } else { (m, k) };
+        let (b_rows, b_cols) = if b_trans { (n, k) } else { (k, n) };
+        let (lda, ldb, ldc) = (a_cols + pad_a, b_cols + pad_b, n + pad_c);
+        let a = values(a_rows * lda, seed);
+        let b = values(b_rows * ldb, seed + 1);
+        let view = |data, ld, trans| if trans { Mat::t(data, ld) } else { Mat::n(data, ld) };
+        let store = if add { Store::Add } else { Store::Set };
+        // C starts non-zero everywhere, so `Add` has something to add to
+        // and a write outside the m×n window is visible.
+        let before = values(m * ldc, seed + 2);
+        let mut got = before.clone();
+        gemm(m, k, n, view(&a, lda, a_trans), view(&b, ldb, b_trans), &mut got, ldc, store);
+        let sums = reference(m, k, n, view(&a, lda, a_trans), view(&b, ldb, b_trans));
+        for (i, (g, b)) in got.iter().zip(&before).enumerate() {
+            let (row, col) = (i / ldc, i % ldc);
+            let want = match (col < n, add) {
+                (false, _) => *b,
+                (true, false) => sums[row * n + col],
+                (true, true) => b + sums[row * n + col],
+            };
+            prop_assert_eq!(g.to_bits(), want.to_bits(), "({}, {}, {}) layout {} pads {} element {}", m, k, n, layout, pads, i);
         }
     }
 

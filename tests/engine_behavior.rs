@@ -406,3 +406,30 @@ fn dropout_masks_differ_across_steps() {
         .count();
     assert!(flips > 0, "expected mask variation to flip some update signs");
 }
+
+#[test]
+fn first_losses_are_pinned_bit_for_bit() {
+    // A kernel change that alters any element's summation order moves
+    // these bit patterns, whatever it does to speed; they may only be
+    // re-captured by a change that means to alter the arithmetic. Stage 2
+    // runs fp16 with activation checkpointing (forward, recompute and
+    // backward GEMMs); stage 3 runs fp32 with overlap.
+    let pinned: [(ZeroConfig, u64, [u32; 5]); 2] = [
+        (
+            ZeroConfig { stage: ZeroStage::Two, initial_loss_scale: 1.0, ..ZeroConfig::default() },
+            11,
+            [0x405e27a6, 0x405e6cda, 0x405d88e4, 0x405e4936, 0x405e5188],
+        ),
+        (
+            ZeroConfig::fp32_exact(ZeroStage::Three).overlapped(),
+            12,
+            [0x405db1ea, 0x405ec222, 0x405bcee1, 0x405efd86, 0x405c5559],
+        ),
+    ];
+    for (zero, seed, want) in pinned {
+        let setup = TrainSetup { model: model(), zero, grid: Grid::new(2, 1), global_batch: 4, seed };
+        let report = run_training(&setup, 5, 0);
+        let got: Vec<u32> = report.losses.iter().map(|l| l.to_bits()).collect();
+        assert_eq!(got, want, "stage {:?} losses {:x?}", setup.zero.stage, got);
+    }
+}
