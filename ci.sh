@@ -120,6 +120,14 @@ echo "==> bench_matmul --smoke --check-against (all-variant GEMM bit-exactness +
 cargo run -q --release -p zero-bench --bin bench_matmul -- --smoke \
     --check-against results/BENCH_matmul.json
 
+echo "==> zero_bench --smoke (the frozen benchmark builds --locked against the crates and stays correct)"
+# zero_bench/ is its own package and may not be edited alongside the crates
+# it measures: an API break against it, or a change that would rewrite its
+# lock file, must fail here rather than in the benchmark pipeline. Every
+# workload's own correctness gates decide the exit code.
+cargo run --release --offline --locked --quiet --manifest-path zero_bench/Cargo.toml -- --smoke \
+    > /dev/null
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

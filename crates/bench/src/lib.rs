@@ -1,9 +1,9 @@
 //! # zero-bench
 //!
-//! Benchmarks for the ZeRO reproduction. The library itself only hosts
-//! shared fixtures. The measurements of record come from the bins under
-//! `src/bin/`, each writing `results/BENCH_<name>.json`; `ci.sh` re-runs
-//! the first three with `--smoke` and `--check-against` that file:
+//! Benchmarks for the ZeRO reproduction: one harness, the bins under
+//! `src/bin/` (the library only hosts their shared fixtures). Each bin
+//! writes `results/BENCH_<name>.json`; `ci.sh` re-runs the first three
+//! with `--smoke` and `--check-against` that file:
 //!
 //! * `bench_matmul` — every GEMM wrapper at the block's real shapes,
 //!   bit-checked against `matmul::reference` before timing.
@@ -14,10 +14,8 @@
 //! * `bench_collectives` — per-stage collective volume (measured ≡
 //!   planned) and bytes/s.
 //!
-//! The Criterion targets under `benches/` are exploratory and ungated:
-//! `collectives`, `kernels` (layernorm/softmax/block), `train_step`,
-//! `paper_tables` (one per paper table/figure) and `ablations`
-//! (bucket size, checkpointing, P_a).
+//! The end-to-end benchmark the PR pipeline gates on is the separate
+//! `zero_bench/` package (see `BENCHMARK.json`), which `ci.sh` smoke-runs.
 
 use zero_comm::Grid;
 use zero_core::{TrainSetup, ZeroConfig, ZeroStage};

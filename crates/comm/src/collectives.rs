@@ -9,6 +9,15 @@
 //! the full world and DP/MP subgroups (§ "ZeRO and MP"). Chunking is
 //! balanced-uneven (no padding): chunk `i` of `total` over `n` ranks has
 //! `total/n + (i < total%n)` elements, and member `i` owns chunk `i`.
+//!
+//! Each ring has one body (`impl Fabric`, run on the progress thread) and
+//! one submission: `start_reduce_scatter_var`, `start_all_gather_var`,
+//! `start_all_gather_quant`, `start_reduce_scatter_qgz`. Everything else
+//! is a spelling of those — the blocking `*_var_in` wrappers are
+//! `start_*(…).wait()`, the fixed-size `*_in` wrappers are `*_var_in` with
+//! [`chunk_range`] counts, and the world-wide `all_reduce` /
+//! `reduce_scatter` / `all_gather` / `broadcast` are `*_in` over
+//! [`Group::world`].
 
 use crate::error::CommError;
 use crate::group::Group;
@@ -161,19 +170,6 @@ impl Communicator {
     ) -> Result<(), CommError> {
         let g = Group::world(self.world_size());
         self.broadcast_in(&g, root, buf, prec)
-    }
-
-    /// Chain reduce to `root` (a global rank); only the root's `buf` holds
-    /// the result afterwards.
-    pub fn reduce(
-        &mut self,
-        root: usize,
-        buf: &mut [f32],
-        op: ReduceOp,
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        let g = Group::world(self.world_size());
-        self.reduce_in(&g, root, buf, op, prec)
     }
 }
 
@@ -359,52 +355,6 @@ impl Fabric {
         }
         Ok(())
     }
-
-    /// Chain reduce within `group` to global rank `root`. Afterwards only
-    /// the root's `buf` holds the reduced result; other members' buffers
-    /// are unchanged.
-    ///
-    /// # Errors
-    /// Returns [`CommError::NotInGroup`] if this rank or `root` is not in
-    /// `group`.
-    pub(crate) fn reduce_in(
-        &mut self,
-        group: &Group,
-        root: usize,
-        buf: &mut [f32],
-        op: ReduceOp,
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        self.begin_op(CollectiveKind::Reduce)?;
-        let n = group.len();
-        if n == 1 {
-            finalize(op, buf, 1);
-            return Ok(());
-        }
-        let idx = member_index(group, self.rank)?;
-        let root_idx = member_index(group, root)?;
-        // Chain: the member farthest *after* the root sends first; partial
-        // sums flow backwards around the ring into the root.
-        let pos = (idx + n - root_idx) % n; // root has pos 0
-        let bytes = prec.bytes() * buf.len() as u64;
-        if pos == 0 {
-            // Root: receive one partial-sum message from its successor.
-            let next = group.members()[(idx + 1) % n];
-            let incoming = self.recv_raw(next)?;
-            apply(op, buf, &incoming);
-            finalize(op, buf, n);
-        } else {
-            let mut work = buf.to_vec();
-            if pos < n - 1 {
-                let next = group.members()[(idx + 1) % n];
-                let incoming = self.recv_raw(next)?;
-                apply(op, &mut work, &incoming);
-            }
-            let prev = group.members()[(idx + n - 1) % n];
-            self.send_raw(prev, work, CollectiveKind::Reduce, bytes)?;
-        }
-        Ok(())
-    }
 }
 
 // ----- public group collectives: submit to the progress thread -----
@@ -531,43 +481,7 @@ impl Communicator {
         Ok(())
     }
 
-    /// Chain reduce within `group` to global rank `root`. Afterwards only
-    /// the root's `buf` holds the reduced result; other members' buffers
-    /// are unchanged.
-    ///
-    /// # Errors
-    /// Returns [`CommError::NotInGroup`] if this rank or `root` is not in
-    /// `group`.
-    pub fn reduce_in(
-        &mut self,
-        group: &Group,
-        root: usize,
-        buf: &mut [f32],
-        op: ReduceOp,
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        let req =
-            Request::Reduce { group: group.clone(), root, data: buf.to_vec(), op, prec };
-        let out = self.submit(Some(CollectiveKind::Reduce), req).wait()?;
-        buf.copy_from_slice(&out);
-        Ok(())
-    }
-
     // ----- non-blocking starts -----
-
-    /// Starts a ring reduce-scatter (balanced chunks) without blocking;
-    /// [`PendingOp::wait`] yields this rank's reduced chunk.
-    pub fn start_reduce_scatter(
-        &mut self,
-        group: &Group,
-        input: &[f32],
-        op: ReduceOp,
-        prec: Precision,
-    ) -> PendingOp {
-        let n = group.len();
-        let counts: Vec<usize> = (0..n).map(|i| chunk_range(input.len(), n, i).len()).collect();
-        self.start_reduce_scatter_var(group, input, op, &counts, prec)
-    }
 
     /// Starts a ring reduce-scatter with explicit per-member counts
     /// without blocking; [`PendingOp::wait`] yields this rank's reduced
@@ -594,20 +508,6 @@ impl Communicator {
             prec,
         };
         self.submit(Some(CollectiveKind::ReduceScatter), req)
-    }
-
-    /// Starts a ring all-gather (balanced chunks over `total` elements)
-    /// without blocking; [`PendingOp::wait`] yields the full buffer.
-    pub fn start_all_gather(
-        &mut self,
-        group: &Group,
-        shard: &[f32],
-        total: usize,
-        prec: Precision,
-    ) -> PendingOp {
-        let n = group.len();
-        let counts: Vec<usize> = (0..n).map(|i| chunk_range(total, n, i).len()).collect();
-        self.start_all_gather_var(group, shard, &counts, prec)
     }
 
     /// Starts a ring all-gather with explicit per-member counts without
@@ -767,21 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_to_root_only() {
-        let results = launch(5, |mut c| {
-            let mut buf = vec![1.0_f32; 4];
-            c.reduce(2, &mut buf, ReduceOp::Sum, Precision::Fp32).unwrap();
-            buf
-        });
-        assert_eq!(results[2], vec![5.0; 4]);
-        for (rank, got) in results.iter().enumerate() {
-            if rank != 2 {
-                assert_eq!(got, &vec![1.0; 4], "non-roots unchanged");
-            }
-        }
-    }
-
-    #[test]
     fn all_reduce_volume_matches_ring_formula() {
         // A ring all-reduce of `len` f32 elements sends 2·len·(n−1)/n
         // elements per rank — the 2Ψ of §7.1.
@@ -891,135 +776,6 @@ mod var_tests {
         for (a, b) in &results {
             assert_eq!(a, b);
         }
-    }
-}
-
-impl Fabric {
-    /// All-to-all within `group` (fabric side): member `i` sends
-    /// `chunks[j]` of its input to member `j` and receives everyone's
-    /// `i`-th chunk, in member order. Equal chunking of `input.len()` over
-    /// the group (balanced like [`chunk_range`]); `out` must match `input`
-    /// length.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub(crate) fn all_to_all_in(
-        &mut self,
-        group: &Group,
-        input: &[f32],
-        out: &mut [f32],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        self.begin_op(CollectiveKind::P2p)?;
-        let n = group.len();
-        assert_eq!(input.len(), out.len(), "all_to_all: length mismatch");
-        let idx = member_index(group, self.rank)?;
-        let total = input.len();
-        // Keep own chunk.
-        let own = chunk_range(total, n, idx);
-        out[own.clone()].copy_from_slice(&input[own]);
-        if n == 1 {
-            return Ok(());
-        }
-        // Pairwise exchange, ordered by offset to avoid deadlock: at each
-        // step s, exchange with partner (idx ^ does not work for non-power
-        // of two), so use send-to-(idx+s), recv-from-(idx-s) rounds.
-        for s in 1..n {
-            let to = group.members()[(idx + s) % n];
-            let from = group.members()[(idx + n - s) % n];
-            let send_chunk = chunk_range(total, n, (idx + s) % n);
-            let bytes = prec.bytes() * send_chunk.len() as u64;
-            self.send_raw(to, input[send_chunk].to_vec(), CollectiveKind::P2p, bytes)?;
-            let incoming = self.recv_raw(from)?;
-            let recv_chunk = chunk_range(total, n, (idx + n - s) % n);
-            assert_eq!(incoming.len(), recv_chunk.len(), "all_to_all: chunk mismatch");
-            out[recv_chunk].copy_from_slice(&incoming);
-        }
-        Ok(())
-    }
-
-    /// Gather within `group` (fabric side): every member's `shard` arrives
-    /// at `root`'s `out` (chunked in member order); non-roots may pass an
-    /// empty `out`.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub(crate) fn gather_in(
-        &mut self,
-        group: &Group,
-        root: usize,
-        shard: &[f32],
-        out: &mut [f32],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        self.begin_op(CollectiveKind::P2p)?;
-        let n = group.len();
-        let idx = member_index(group, self.rank)?;
-        let root_idx = member_index(group, root)?;
-        if idx == root_idx {
-            let total = out.len();
-            let own = chunk_range(total, n, idx);
-            assert_eq!(shard.len(), own.len(), "gather: bad root shard");
-            out[own].copy_from_slice(shard);
-            for j in 0..n {
-                if j == idx {
-                    continue;
-                }
-                let incoming = self.recv_raw(group.members()[j])?;
-                let r = chunk_range(total, n, j);
-                assert_eq!(incoming.len(), r.len(), "gather: bad chunk from {j}");
-                out[r].copy_from_slice(&incoming);
-            }
-        } else {
-            let bytes = prec.bytes() * shard.len() as u64;
-            self.send_raw(root, shard.to_vec(), CollectiveKind::P2p, bytes)?;
-        }
-        Ok(())
-    }
-
-    /// Scatter within `group` (fabric side): `root`'s `input` is chunked
-    /// in member order; member `i` receives chunk `i` into `shard`.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub(crate) fn scatter_in(
-        &mut self,
-        group: &Group,
-        root: usize,
-        input: &[f32],
-        shard: &mut [f32],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        self.begin_op(CollectiveKind::P2p)?;
-        let n = group.len();
-        let idx = member_index(group, self.rank)?;
-        let root_idx = member_index(group, root)?;
-        if idx == root_idx {
-            let total = input.len();
-            for j in 0..n {
-                let r = chunk_range(total, n, j);
-                if j == idx {
-                    assert_eq!(shard.len(), r.len(), "scatter: bad root shard");
-                    shard.copy_from_slice(&input[r]);
-                } else {
-                    let bytes = prec.bytes() * r.len() as u64;
-                    self.send_raw(
-                        group.members()[j],
-                        input[r].to_vec(),
-                        CollectiveKind::P2p,
-                        bytes,
-                    )?;
-                }
-            }
-        } else {
-            let incoming = self.recv_raw(root)?;
-            assert_eq!(incoming.len(), shard.len(), "scatter: bad chunk length");
-            shard.copy_from_slice(&incoming);
-        }
-        Ok(())
     }
 }
 
@@ -1134,9 +890,9 @@ impl Fabric {
         // Mean sums through both phases and divides once at the end.
         let inner = if op == ReduceOp::Mean { ReduceOp::Sum } else { op };
 
-        // Phase 1 — raw intra-node all-to-all, pairwise-ordered to match
-        // `all_to_all_in`. The payload to slot `s` concatenates the chunks
-        // of every slot-`s` owner in node order.
+        // Phase 1 — raw intra-node all-to-all in pairwise rounds (round `d`
+        // sends to slot+d and receives from slot−d). The payload to slot
+        // `s` concatenates the chunks of every slot-`s` owner in node order.
         let col_len: usize = (0..nodes).map(|m| counts[m * g + slot]).sum();
         let mut from_mates: Vec<Option<Vec<f32>>> = vec![None; g];
         for d in 1..g {
@@ -1245,26 +1001,6 @@ impl Communicator {
         self.submit(Some(CollectiveKind::AllGather), req)
     }
 
-    /// Blocking block-quantized ring all-gather (ZeRO++ qwZ); see
-    /// [`Communicator::start_all_gather_quant`].
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub fn all_gather_quant_in(
-        &mut self,
-        group: &Group,
-        shard: &[f32],
-        out: &mut [f32],
-        counts: &[usize],
-        block: usize,
-    ) -> Result<(), CommError> {
-        assert_eq!(counts.iter().sum::<usize>(), out.len(), "all_gather_quant: counts sum");
-        let full = self.start_all_gather_quant(group, shard, counts, block).wait()?;
-        out.copy_from_slice(&full);
-        Ok(())
-    }
-
     /// Starts a two-phase quantized reduce-scatter (ZeRO++ qgZ) without
     /// blocking; [`PendingOp::wait`] yields this rank's reduced chunk
     /// (`counts[idx]` elements). `prec` prices the raw intra-node phase;
@@ -1298,211 +1034,6 @@ impl Communicator {
         };
         self.submit(Some(CollectiveKind::ReduceScatter), req)
     }
-
-    /// Blocking two-phase quantized reduce-scatter (ZeRO++ qgZ); see
-    /// [`Communicator::start_reduce_scatter_qgz`].
-    ///
-    /// # Errors
-    /// [`CommError::NotInGroup`] for a non-member caller and
-    /// [`CommError::InvalidTopology`] if `node_size` does not divide the
-    /// group size.
-    #[allow(clippy::too_many_arguments)]
-    pub fn reduce_scatter_qgz_in(
-        &mut self,
-        group: &Group,
-        input: &[f32],
-        out: &mut [f32],
-        op: ReduceOp,
-        counts: &[usize],
-        node_size: usize,
-        block: usize,
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        if let Some(idx) = group.local_index(self.rank()) {
-            assert_eq!(out.len(), counts[idx], "reduce_scatter_qgz: bad out length");
-        }
-        let chunk = self
-            .start_reduce_scatter_qgz(group, input, op, counts, node_size, block, prec)
-            .wait()?;
-        out.copy_from_slice(&chunk);
-        Ok(())
-    }
-}
-
-impl Communicator {
-    /// All-to-all within `group`: member `i` sends `chunks[j]` of its
-    /// input to member `j` and receives everyone's `i`-th chunk, in
-    /// member order. Equal chunking of `input.len()` over the group
-    /// (balanced like [`chunk_range`]); `out` must match `input` length.
-    ///
-    /// Used by expert-parallel (MoE) layouts; included for completeness
-    /// of the NCCL-substitute surface.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub fn all_to_all_in(
-        &mut self,
-        group: &Group,
-        input: &[f32],
-        out: &mut [f32],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        assert_eq!(input.len(), out.len(), "all_to_all: length mismatch");
-        let req = Request::AllToAll { group: group.clone(), input: input.to_vec(), prec };
-        let data = self.submit(Some(CollectiveKind::P2p), req).wait()?;
-        out.copy_from_slice(&data);
-        Ok(())
-    }
-
-    /// Gather within `group`: every member's `shard` arrives at `root`'s
-    /// `out` (chunked in member order); non-roots may pass an empty `out`.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub fn gather_in(
-        &mut self,
-        group: &Group,
-        root: usize,
-        shard: &[f32],
-        out: &mut [f32],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        let req = Request::Gather {
-            group: group.clone(),
-            root,
-            shard: shard.to_vec(),
-            out_len: out.len(),
-            prec,
-        };
-        let data = self.submit(Some(CollectiveKind::P2p), req).wait()?;
-        out.copy_from_slice(&data);
-        Ok(())
-    }
-
-    /// Scatter within `group`: `root`'s `input` is chunked in member
-    /// order; member `i` receives chunk `i` into `shard`.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub fn scatter_in(
-        &mut self,
-        group: &Group,
-        root: usize,
-        input: &[f32],
-        shard: &mut [f32],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        let req = Request::Scatter {
-            group: group.clone(),
-            root,
-            input: input.to_vec(),
-            shard_len: shard.len(),
-            prec,
-        };
-        let data = self.submit(Some(CollectiveKind::P2p), req).wait()?;
-        shard.copy_from_slice(&data);
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod extra_collective_tests {
-    use super::*;
-    use crate::world::launch;
-
-    #[test]
-    fn all_to_all_transposes_chunks() {
-        for n in [1usize, 2, 3, 4] {
-            let len = 12;
-            let results = launch(n, move |mut c| {
-                // Rank r's chunk j holds value 100·r + j.
-                let input: Vec<f32> = (0..len)
-                    .map(|i| {
-                        let j = (0..n).position(|k| chunk_range(len, n, k).contains(&i)).unwrap();
-                        (100 * c.rank() + j) as f32
-                    })
-                    .collect();
-                let mut out = vec![-1.0; len];
-                let g = Group::world(n);
-                c.all_to_all_in(&g, &input, &mut out, Precision::Fp32).unwrap();
-                out
-            });
-            for (r, got) in results.iter().enumerate() {
-                for j in 0..n {
-                    for i in chunk_range(len, n, j) {
-                        assert_eq!(
-                            got[i],
-                            (100 * j + r) as f32,
-                            "n={n}: rank {r} chunk {j} element {i}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gather_collects_at_root_only() {
-        let n = 4;
-        let len = 10;
-        let results = launch(n, move |mut c| {
-            let shard: Vec<f32> = chunk_range(len, n, c.rank()).map(|i| i as f32).collect();
-            let mut out = if c.rank() == 2 { vec![0.0; len] } else { Vec::new() };
-            let g = Group::world(n);
-            c.gather_in(&g, 2, &shard, &mut out, Precision::Fp32).unwrap();
-            out
-        });
-        let want: Vec<f32> = (0..len).map(|i| i as f32).collect();
-        assert_eq!(results[2], want);
-        assert!(results[0].is_empty() && results[3].is_empty());
-    }
-
-    #[test]
-    fn scatter_distributes_from_root() {
-        let n = 3;
-        let len = 8;
-        let results = launch(n, move |mut c| {
-            let input: Vec<f32> = if c.rank() == 1 {
-                (0..len).map(|i| i as f32 * 3.0).collect()
-            } else {
-                Vec::new()
-            };
-            let my_len = chunk_range(len, n, c.rank()).len();
-            let mut shard = vec![0.0; my_len];
-            let g = Group::world(n);
-            c.scatter_in(&g, 1, &input, &mut shard, Precision::Fp32).unwrap();
-            shard
-        });
-        for (r, got) in results.iter().enumerate() {
-            let want: Vec<f32> = chunk_range(len, n, r).map(|i| i as f32 * 3.0).collect();
-            assert_eq!(got, &want, "rank {r}");
-        }
-    }
-
-    #[test]
-    fn scatter_then_gather_round_trips() {
-        let n = 4;
-        let len = 13; // uneven
-        let results = launch(n, move |mut c| {
-            let g = Group::world(n);
-            let input: Vec<f32> = if c.rank() == 0 {
-                (0..len).map(|i| (i * i) as f32).collect()
-            } else {
-                Vec::new()
-            };
-            let my_len = chunk_range(len, n, c.rank()).len();
-            let mut shard = vec![0.0; my_len];
-            c.scatter_in(&g, 0, &input, &mut shard, Precision::Fp32).unwrap();
-            let mut out = if c.rank() == 0 { vec![0.0; len] } else { Vec::new() };
-            c.gather_in(&g, 0, &shard, &mut out, Precision::Fp32).unwrap();
-            out
-        });
-        let want: Vec<f32> = (0..13).map(|i| (i * i) as f32).collect();
-        assert_eq!(results[0], want);
-    }
 }
 
 #[cfg(test)]
@@ -1527,8 +1058,7 @@ mod compressed_tests {
             let shard = shard_of(&counts, c.rank());
             let mut raw = vec![0.0; total];
             c.all_gather_var_in(&g, &shard, &mut raw, &counts, Precision::Fp16).unwrap();
-            let mut q = vec![0.0; total];
-            c.all_gather_quant_in(&g, &shard, &mut q, &counts, block).unwrap();
+            let q = c.start_all_gather_quant(&g, &shard, &counts, block).wait().unwrap();
             (raw, q)
         });
         // All ranks see bitwise-identical gathered buffers...
@@ -1559,13 +1089,11 @@ mod compressed_tests {
     fn quant_all_gather_wire_volume_matches_formula() {
         let n = 4;
         let counts = [100usize, 37, 64, 9];
-        let total: usize = counts.iter().sum();
         let block = 16;
         let (_, snaps) = launch_with_stats(n, move |mut c| {
             let g = Group::world(n);
             let shard = shard_of(&counts, c.rank());
-            let mut out = vec![0.0; total];
-            c.all_gather_quant_in(&g, &shard, &mut out, &counts, block).unwrap();
+            c.start_all_gather_quant(&g, &shard, &counts, block).wait().unwrap();
         });
         // Rank i forwards every chunk except its successor's.
         for (i, s) in snaps.iter().enumerate() {
@@ -1592,11 +1120,12 @@ mod compressed_tests {
             let mut raw = vec![0.0; counts[c.rank()]];
             c.reduce_scatter_var_in(&g, &input, &mut raw, ReduceOp::Mean, &counts, Precision::Fp16)
                 .unwrap();
-            let mut q = vec![0.0; counts[c.rank()]];
-            c.reduce_scatter_qgz_in(
-                &g, &input, &mut q, ReduceOp::Mean, &counts, node_size, block, Precision::Fp16,
-            )
-            .unwrap();
+            let q = c
+                .start_reduce_scatter_qgz(
+                    &g, &input, ReduceOp::Mean, &counts, node_size, block, Precision::Fp16,
+                )
+                .wait()
+                .unwrap();
             (raw, q)
         });
         for (rank, (raw, q)) in results.iter().enumerate() {
@@ -1619,12 +1148,9 @@ mod compressed_tests {
                 let g = Group::world(n);
                 let input: Vec<f32> =
                     (0..28).map(|i| ((i * (c.rank() + 2)) as f32 * 0.11).sin()).collect();
-                let mut out = vec![0.0; counts[c.rank()]];
-                c.reduce_scatter_qgz_in(
-                    &g, &input, &mut out, ReduceOp::Mean, &counts, 2, 4, Precision::Fp16,
-                )
-                .unwrap();
-                out
+                c.start_reduce_scatter_qgz(&g, &input, ReduceOp::Mean, &counts, 2, 4, Precision::Fp16)
+                    .wait()
+                    .unwrap()
             })
         };
         let a = run();
@@ -1644,10 +1170,10 @@ mod compressed_tests {
         let (_, snaps) = launch_with_stats(n, move |mut c| {
             let g = Group::world(n);
             let input = vec![1.0_f32; total];
-            let mut out = vec![0.0; counts[c.rank()]];
-            c.reduce_scatter_qgz_in(
-                &g, &input, &mut out, ReduceOp::Sum, &counts, node_size, block, Precision::Fp16,
+            c.start_reduce_scatter_qgz(
+                &g, &input, ReduceOp::Sum, &counts, node_size, block, Precision::Fp16,
             )
+            .wait()
             .unwrap();
         });
         let g = node_size;
@@ -1676,11 +1202,9 @@ mod compressed_tests {
         let errs = launch(4, move |mut c| {
             let g = Group::world(4);
             let input = vec![0.0_f32; 8];
-            let mut out = vec![0.0; 2];
-            c.reduce_scatter_qgz_in(
-                &g, &input, &mut out, ReduceOp::Sum, &[2, 2, 2, 2], 3, 4, Precision::Fp32,
-            )
-            .unwrap_err()
+            c.start_reduce_scatter_qgz(&g, &input, ReduceOp::Sum, &[2, 2, 2, 2], 3, 4, Precision::Fp32)
+                .wait()
+                .unwrap_err()
         });
         for (rank, e) in errs.iter().enumerate() {
             assert_eq!(*e, CommError::InvalidTopology { rank, world: 4, node_size: 3 });
@@ -1698,12 +1222,9 @@ mod compressed_tests {
         let results = launch(n, move |mut c| {
             let g = Group::world(n);
             let input: Vec<f32> = (0..total).map(|i| (i + c.rank() * 7) as f32).collect();
-            let mut out = vec![0.0; counts[c.rank()]];
-            c.reduce_scatter_qgz_in(
-                &g, &input, &mut out, ReduceOp::Sum, &counts, n, 4, Precision::Fp32,
-            )
-            .unwrap();
-            out
+            c.start_reduce_scatter_qgz(&g, &input, ReduceOp::Sum, &counts, n, 4, Precision::Fp32)
+                .wait()
+                .unwrap()
         });
         // Integers sum exactly: compare against the analytic reduction.
         let mut offset = 0;

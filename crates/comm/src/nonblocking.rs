@@ -16,9 +16,11 @@
 //! * **Volume accounting** — the same `send_raw` path records the same
 //!   bytes/messages; overlap changes *when*, never *how much*.
 //!
-//! The blocking collectives in `collectives.rs` are thin wrappers that
-//! submit and immediately `wait()`; `start_*` returns the [`PendingOp`] so
-//! the caller can compute while the ring runs.
+//! There is one way to run a collective: `start_*` submits it and returns
+//! the [`PendingOp`]; *when* the caller waits is its own business. The
+//! blocking wrappers in `collectives.rs` are `start_*(…).wait()` for
+//! callers with nothing to overlap; the quantized collectives (qwZ/qgZ)
+//! have no blocking wrapper at all.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -64,14 +66,6 @@ pub(crate) enum Request {
     },
     /// Pipelined broadcast from `root`; the result is the final buffer.
     Broadcast { group: Group, root: usize, data: Vec<f32>, prec: Precision },
-    /// Chain reduce to `root`; non-roots get their input back unchanged.
-    Reduce { group: Group, root: usize, data: Vec<f32>, op: ReduceOp, prec: Precision },
-    /// All-to-all chunk transpose; the result has `input` length.
-    AllToAll { group: Group, input: Vec<f32>, prec: Precision },
-    /// Gather at `root` (result `out_len` elements there, empty elsewhere).
-    Gather { group: Group, root: usize, shard: Vec<f32>, out_len: usize, prec: Precision },
-    /// Scatter from `root`; the result is this rank's `shard_len` chunk.
-    Scatter { group: Group, root: usize, input: Vec<f32>, shard_len: usize, prec: Precision },
     /// Point-to-point send (empty result).
     Send { dst: usize, data: Vec<f32> },
     /// Point-to-point receive of the next payload from `src`.
@@ -99,12 +93,7 @@ impl Request {
                 Some(CollectiveKind::AllGather)
             }
             Request::Broadcast { .. } => Some(CollectiveKind::Broadcast),
-            Request::Reduce { .. } => Some(CollectiveKind::Reduce),
-            Request::AllToAll { .. }
-            | Request::Gather { .. }
-            | Request::Scatter { .. }
-            | Request::Send { .. }
-            | Request::Recv { .. } => Some(CollectiveKind::P2p),
+            Request::Send { .. } | Request::Recv { .. } => Some(CollectiveKind::P2p),
             Request::Barrier | Request::TierMove { .. } => None,
         }
     }
@@ -118,8 +107,8 @@ pub(crate) struct Job {
 
 /// Handle to an in-flight communication op.
 ///
-/// Obtained from `start_reduce_scatter*` / `start_all_gather*` (or
-/// internally by every blocking collective). The op advances on the rank's
+/// Obtained from `start_reduce_scatter_var` / `start_all_gather_var` /
+/// their quantized twins (or internally by every blocking collective). The op advances on the rank's
 /// progress thread regardless of what the holder does; [`PendingOp::wait`]
 /// blocks until the result (or the op's typed failure) arrives.
 ///
@@ -288,25 +277,6 @@ fn exec(fabric: &mut Fabric, req: Request) -> Result<Vec<f32>, CommError> {
         Request::Broadcast { group, root, mut data, prec } => {
             fabric.broadcast_in(&group, root, &mut data, prec)?;
             Ok(data)
-        }
-        Request::Reduce { group, root, mut data, op, prec } => {
-            fabric.reduce_in(&group, root, &mut data, op, prec)?;
-            Ok(data)
-        }
-        Request::AllToAll { group, input, prec } => {
-            let mut out = vec![0.0; input.len()];
-            fabric.all_to_all_in(&group, &input, &mut out, prec)?;
-            Ok(out)
-        }
-        Request::Gather { group, root, shard, out_len, prec } => {
-            let mut out = vec![0.0; out_len];
-            fabric.gather_in(&group, root, &shard, &mut out, prec)?;
-            Ok(out)
-        }
-        Request::Scatter { group, root, input, shard_len, prec } => {
-            let mut shard = vec![0.0; shard_len];
-            fabric.scatter_in(&group, root, &input, &mut shard, prec)?;
-            Ok(shard)
         }
         Request::Send { dst, data } => {
             fabric.send_p2p(dst, data)?;

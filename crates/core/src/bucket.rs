@@ -14,8 +14,8 @@
 //! unit first, embedding last), so the pending region is always one
 //! contiguous flat range growing downward.
 
-/// Accumulates per-unit gradients and fires a flush callback whenever the
-/// fused pending region reaches the capacity.
+/// Accumulates per-unit gradients and reports when the fused pending
+/// region reaches the capacity, so the owner can flush it.
 pub struct GradBucket {
     capacity: usize,
     /// Pending spans in arrival (descending) order; contiguity invariant:
@@ -63,20 +63,15 @@ impl GradBucket {
         self.max_fused
     }
 
-    /// Adds one unit's gradients (flat `range`, matching `data`), flushing
-    /// if the pending region reaches capacity. `flush(range, fused)`
-    /// receives the contiguous flat range and the fused values in flat
-    /// order.
+    /// Adds one unit's gradients (flat `range`, matching `data`). Returns
+    /// true when the pending region has reached capacity — the caller then
+    /// runs [`Self::flush_all`], the one place a flush callback is taken.
     ///
     /// # Panics
     /// Panics if `range`/`data` lengths differ or contiguity (descending,
     /// adjacent) is violated.
-    pub fn push(
-        &mut self,
-        range: std::ops::Range<usize>,
-        data: Vec<f32>,
-        flush: &mut dyn FnMut(std::ops::Range<usize>, &mut [f32]),
-    ) {
+    #[must_use = "a full bucket must be flushed before the next push"]
+    pub fn push(&mut self, range: std::ops::Range<usize>, data: Vec<f32>) -> bool {
         assert_eq!(range.len(), data.len(), "bucket: range/data mismatch");
         if let Some((last, _)) = self.pending.last() {
             assert_eq!(
@@ -86,12 +81,12 @@ impl GradBucket {
         }
         self.pending_elems += data.len();
         self.pending.push((range, data));
-        if self.pending_elems >= self.capacity {
-            self.flush_all(flush);
-        }
+        self.pending_elems >= self.capacity
     }
 
-    /// Flushes whatever is pending (end of backward pass).
+    /// Flushes whatever is pending (a full bucket, or the end of the
+    /// backward pass): `flush(range, fused)` receives the contiguous flat
+    /// range and the fused values in flat order. A no-op when empty.
     pub fn flush_all(&mut self, flush: &mut dyn FnMut(std::ops::Range<usize>, &mut [f32])) {
         if self.pending.is_empty() {
             return;
@@ -118,9 +113,9 @@ mod tests {
         let mut b = GradBucket::new(10);
         let mut flushed: Vec<(std::ops::Range<usize>, Vec<f32>)> = Vec::new();
         let mut cb = |r: std::ops::Range<usize>, d: &mut [f32]| flushed.push((r, d.to_vec()));
-        b.push(20..26, vec![6.0; 6], &mut cb);
-        b.push(14..20, vec![4.0; 6], &mut cb);
-        assert_eq!(flushed.len(), 1, "flush only at capacity");
+        assert!(!b.push(20..26, vec![6.0; 6]), "below capacity");
+        assert!(b.push(14..20, vec![4.0; 6]), "capacity reached");
+        b.flush_all(&mut cb);
         let (r, d) = &flushed[0];
         assert_eq!(*r, 14..26);
         assert_eq!(&d[..6], &[4.0; 6]);
@@ -133,8 +128,8 @@ mod tests {
         let mut b = GradBucket::new(100);
         let mut count = 0;
         let mut cb = |_: std::ops::Range<usize>, _: &mut [f32]| count += 1;
-        b.push(5..8, vec![1.0; 3], &mut cb);
-        b.push(0..5, vec![2.0; 5], &mut cb);
+        assert!(!b.push(5..8, vec![1.0; 3]));
+        assert!(!b.push(0..5, vec![2.0; 5]));
         b.flush_all(&mut cb);
         b.flush_all(&mut cb);
         assert_eq!(count, 1, "one real flush; the empty one is a no-op");
@@ -145,7 +140,8 @@ mod tests {
         let mut b = GradBucket::new(4);
         let mut sizes = Vec::new();
         let mut cb = |r: std::ops::Range<usize>, _: &mut [f32]| sizes.push(r.len());
-        b.push(10..20, vec![0.0; 10], &mut cb);
+        assert!(b.push(10..20, vec![0.0; 10]));
+        b.flush_all(&mut cb);
         assert_eq!(sizes, vec![10]);
         assert_eq!(b.max_fused_elems(), 10);
     }
@@ -154,9 +150,8 @@ mod tests {
     #[should_panic(expected = "descending contiguous")]
     fn non_contiguous_spans_rejected() {
         let mut b = GradBucket::new(100);
-        let mut cb = |_: std::ops::Range<usize>, _: &mut [f32]| {};
-        b.push(10..20, vec![0.0; 10], &mut cb);
-        b.push(0..5, vec![0.0; 5], &mut cb); // gap 5..10
+        let _ = b.push(10..20, vec![0.0; 10]);
+        let _ = b.push(0..5, vec![0.0; 5]); // gap 5..10
     }
 
     #[test]
@@ -164,8 +159,9 @@ mod tests {
         let mut b = GradBucket::new(6);
         let mut got = Vec::new();
         let mut cb = |_: std::ops::Range<usize>, d: &mut [f32]| got = d.to_vec();
-        b.push(3..6, vec![30.0, 31.0, 32.0], &mut cb);
-        b.push(0..3, vec![0.0, 1.0, 2.0], &mut cb);
+        assert!(!b.push(3..6, vec![30.0, 31.0, 32.0]));
+        assert!(b.push(0..3, vec![0.0, 1.0, 2.0]));
+        b.flush_all(&mut cb);
         assert_eq!(got, vec![0.0, 1.0, 2.0, 30.0, 31.0, 32.0]);
     }
 }

@@ -22,12 +22,13 @@
 //! constant-size fused buffers CB for every flat-space collective (§6.2),
 //! and a contiguous checkpoint arena MD (§6.3).
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use zero_comm::{
     CollectiveKind, CommError, Communicator, Grid, Group, PendingOp, Precision, ReduceOp,
 };
-use zero_model::{BlockSaved, Gpt};
+use zero_model::{BlockSaved, Dropout, Gpt};
 use zero_trace::{SpanCategory, StepTimeline, TraceRecorder};
 use zero_optim::{
     apply_clip, clip_coefficient, local_sq_norm, Adam, DynamicLossScaler, Sgd,
@@ -181,11 +182,11 @@ pub struct RankEngine {
     grad_shard: Option<FlatStore>,
 
     bucket: GradBucket,
-    /// In-flight bucket reduce-scatters (overlap mode): issued as backward
-    /// produces them, waited in FIFO order at end-of-backward so gradient
-    /// accumulation order — and therefore the loss — is bitwise identical
-    /// to synchronous execution.
-    inflight_rs: Vec<InflightReduce>,
+    /// In-flight bucket reduce-scatters: issued as backward produces them
+    /// and settled in FIFO order — right after the flush in synchronous
+    /// mode, at end-of-backward under overlap — so gradient accumulation
+    /// order, and therefore the loss, is bitwise identical either way.
+    inflight_rs: VecDeque<InflightReduce>,
     /// The stage-3 prefetch slot: the next unit's parameter all-gather,
     /// issued one layer ahead (overlap mode).
     prefetch: Option<PendingFetch>,
@@ -349,7 +350,7 @@ impl RankEngine {
 
         RankEngine {
             bucket: GradBucket::new(zcfg.bucket_elems),
-            inflight_rs: Vec::new(),
+            inflight_rs: VecDeque::new(),
             prefetch: None,
             plan: PlanCursor::idle(),
             scaler: zcfg.fp16.then(|| DynamicLossScaler::new(zcfg.initial_loss_scale)),
@@ -510,63 +511,64 @@ impl RankEngine {
         self.comm.start_tier_move(t.label, t.bytes, delay)
     }
 
-    // ----- parameter materialization -----
+    // ----- planned collectives -----
 
-    /// Materializes unit `u`'s parameters as an f32 buffer.
-    ///
-    /// Stage 3 all-gathers the pieces from every DP rank's shard (the
-    /// "broadcast … from the data parallel process responsible for that
-    /// partition" of §5.3, realized as a ring all-gather of uneven
-    /// pieces); other stages widen the local slice.
-    fn fetch_unit(&mut self, u: usize) -> Result<Vec<f32>, CommError> {
-        let unit_range = self.gpt.layout().units()[u].range.clone();
-        let len = unit_range.len();
-        self.mem.alloc(MemCategory::Buffers, 4 * len as u64);
-        if self.zcfg.stage.partitions_params() {
-            let prec = self.precision();
-            // Offload: the local shard piece lives in the host tier and
-            // must be fetched up before it can seed the gather. Sync path
-            // blocks on the modeled transfer here (demand = issue).
-            if self.off.params {
-                self.start_tier_op(TierDir::Fetch, "tier-param-fetch")
-                    .wait()?;
+    /// The one place a planned all-gather or reduce-scatter is issued: pops
+    /// the next op off the plan cursor (plan order is issue order, which is
+    /// what the static checks verify), checks it against what the engine is
+    /// about to move, and hands it to the progress thread in the wire
+    /// format the plan chose — raw ring, qwZ int8 blocks, or qgZ two-phase.
+    /// Every caller gets a [`PendingOp`]; when it waits is the only thing
+    /// that distinguishes synchronous from overlapped execution.
+    fn issue(
+        plan: &mut PlanCursor,
+        comm: &mut Communicator,
+        kind: CollectiveKind,
+        group: &Group,
+        data: &[f32],
+        total: usize,
+        prec: Precision,
+    ) -> PendingOp {
+        let op = plan.take(kind, group);
+        assert_eq!(op.total_elems(), total, "planned '{}' size", op.label);
+        match (kind, op.wire) {
+            (CollectiveKind::AllGather, WireFmt::Int8Block { block }) => {
+                comm.start_all_gather_quant(group, data, &op.counts, block)
             }
-            let mut out = vec![0.0; len];
-            if self.comp.hpz && self.sec_stashed[u] {
-                // hpZ refetch: raw all-gather over the node-local
-                // secondary partition — never crosses a node boundary.
-                let op = self.plan.take(CollectiveKind::AllGather, &self.node_group);
-                assert_eq!(op.total_elems(), len, "planned fetch-unit size");
-                let piece = self.read_secondary_piece(&unit_range);
-                self.comm
-                    .all_gather_var_in(&self.node_group, &piece, &mut out, &op.counts, prec)?;
-                return Ok(out);
+            (CollectiveKind::AllGather, _) => {
+                comm.start_all_gather_var(group, data, &op.counts, prec)
             }
-            let op = self.plan.take(CollectiveKind::AllGather, &self.dp_group);
-            assert_eq!(op.total_elems(), len, "planned fetch-unit size");
-            let local = self.part.local_slice_of(self.dp_idx, &unit_range);
-            let piece = self.work.read_vec(local);
-            match op.wire {
-                WireFmt::Int8Block { block } => self.comm.all_gather_quant_in(
-                    &self.dp_group,
-                    &piece,
-                    &mut out,
+            (CollectiveKind::ReduceScatter, WireFmt::QgzInt8 { node_size, block }) => comm
+                .start_reduce_scatter_qgz(
+                    group,
+                    data,
+                    ReduceOp::Mean,
                     &op.counts,
+                    node_size,
                     block,
-                )?,
-                _ => self
-                    .comm
-                    .all_gather_var_in(&self.dp_group, &piece, &mut out, &op.counts, prec)?,
+                    prec,
+                ),
+            (CollectiveKind::ReduceScatter, _) => {
+                comm.start_reduce_scatter_var(group, data, ReduceOp::Mean, &op.counts, prec)
             }
-            if self.comp.hpz {
-                self.sec_stashed[u] = true;
-                self.stash_secondary(&unit_range, &out);
-            }
-            Ok(out)
-        } else {
-            Ok(self.work.read_vec(unit_range))
+            _ => unreachable!("only gathers and reduce-scatters are issued through handles"),
         }
     }
+
+    /// The planned Megatron all-reduce over the MP group, in place.
+    fn mp_all_reduce(
+        plan: &mut PlanCursor,
+        comm: &mut Communicator,
+        mp_group: &Group,
+        buf: &mut [f32],
+        prec: Precision,
+    ) -> Result<(), CommError> {
+        let op = plan.take(CollectiveKind::AllReduce, mp_group);
+        assert_eq!(op.total_elems(), buf.len(), "planned MP all-reduce size");
+        comm.all_reduce_in(mp_group, buf, ReduceOp::Sum, prec)
+    }
+
+    // ----- parameter materialization -----
 
     /// Releases a fetched unit buffer (the stage-3 "discard after use").
     fn release_unit(&mut self, params: Vec<f32>) {
@@ -574,85 +576,77 @@ impl RankEngine {
         drop(params);
     }
 
-    /// True when stage-3 fetches go through the double-buffered prefetch.
+    /// The one thing `overlap` decides for fetches: whether the next
+    /// unit's gather is issued before this unit's is waited (a window of
+    /// one unit ahead through the double-buffered slot) or not at all.
     #[inline]
     fn prefetches(&self) -> bool {
         self.zcfg.overlap && self.zcfg.stage.partitions_params()
     }
 
-    /// Issues unit `u`'s parameter all-gather to the progress thread
-    /// without waiting. The plan op is popped here — plan order is issue
-    /// order, which is what the static checks verify.
+    /// Issues stage-3 unit `u`'s parameter all-gather — "broadcast … from
+    /// the data parallel process responsible for that partition" (§5.3),
+    /// realized as a ring all-gather of uneven pieces — without waiting.
     fn start_fetch(&mut self, u: usize) -> PendingFetch {
         let unit_range = self.gpt.layout().units()[u].range.clone();
         let len = unit_range.len();
         self.mem.alloc(MemCategory::Buffers, 4 * len as u64);
         let prec = self.precision();
-        // Offload prefetch: the shard piece's host→device move rides the
-        // same FIFO as the gather it seeds — issued here (one unit ahead
-        // of use), completed by the progress thread before the ring runs.
+        // Offload: the local shard piece lives in the host tier. Its
+        // host→device move rides the same FIFO as the gather it seeds, so
+        // it completes before the ring runs; it is waited first.
         let tier = self
             .off
             .params
             .then(|| self.start_tier_op(TierDir::Fetch, "tier-param-fetch"));
-        if self.comp.hpz && self.sec_stashed[u] {
-            let op = self.plan.take(CollectiveKind::AllGather, &self.node_group);
-            assert_eq!(op.total_elems(), len, "planned fetch-unit size");
-            self.trace.instant(SpanCategory::Collective, "prefetch-issue");
-            let piece = self.read_secondary_piece(&unit_range);
-            let pending = self
-                .comm
-                .start_all_gather_var(&self.node_group, &piece, &op.counts, prec);
-            return PendingFetch { unit: u, op: pending, len, stash: None, tier };
-        }
-        let op = self.plan.take(CollectiveKind::AllGather, &self.dp_group);
-        assert_eq!(op.total_elems(), len, "planned fetch-unit size");
-        self.trace.instant(SpanCategory::Collective, "prefetch-issue");
-        let local = self.part.local_slice_of(self.dp_idx, &unit_range);
-        let piece = self.work.read_vec(local);
-        let pending = match op.wire {
-            WireFmt::Int8Block { block } => {
-                self.comm.start_all_gather_quant(&self.dp_group, &piece, &op.counts, block)
-            }
-            _ => self.comm.start_all_gather_var(&self.dp_group, &piece, &op.counts, prec),
+        // hpZ: a unit already gathered this step is refetched over the
+        // node-local secondary partition and never crosses a node
+        // boundary; the first touch goes global, on the planned wire.
+        let refetch = self.comp.hpz && self.sec_stashed[u];
+        let (group, piece) = if refetch {
+            (&self.node_group, self.read_secondary_piece(&unit_range))
+        } else {
+            let local = self.part.local_slice_of(self.dp_idx, &unit_range);
+            (&self.dp_group, self.work.read_vec(local))
         };
+        self.trace.instant(SpanCategory::Collective, "prefetch-issue");
+        let (plan, comm) = (&mut self.plan, &mut self.comm);
+        let op = Self::issue(plan, comm, CollectiveKind::AllGather, group, &piece, len, prec);
         // First-touch flags flip at issue time, mirroring the plan
         // builder: any fetch issued after this one sees the stash.
-        let stash = self.comp.hpz.then_some(unit_range);
+        let stash = (self.comp.hpz && !refetch).then_some(unit_range);
         if stash.is_some() {
             self.sec_stashed[u] = true;
         }
-        PendingFetch { unit: u, op: pending, len, stash, tier }
+        PendingFetch { unit: u, op, len, stash, tier }
     }
 
-    /// Prefetch-aware [`Self::fetch_unit`]: takes unit `u` from the
-    /// prefetch slot (or issues it now), then issues `next`'s gather into
-    /// the slot *before* waiting on `u` — so the next unit's communication
-    /// rides under this unit's compute.
+    /// Materializes unit `u`'s parameters as an f32 buffer. Stages below 3
+    /// widen the local slice. Stage 3 takes `u`'s gather from the prefetch
+    /// slot (or issues it now), issues `next`'s into the slot when the
+    /// window is open — so the next unit's communication rides under this
+    /// unit's compute — and then waits `u`'s.
     fn fetch_unit_pf(&mut self, u: usize, next: Option<usize>) -> Result<Vec<f32>, CommError> {
-        if !self.prefetches() {
-            return self.fetch_unit(u);
+        if !self.zcfg.stage.partitions_params() {
+            let unit_range = self.gpt.layout().units()[u].range.clone();
+            self.mem.alloc(MemCategory::Buffers, 4 * unit_range.len() as u64);
+            return Ok(self.work.read_vec(unit_range));
         }
-        let mut cur = match self.prefetch.take() {
+        let cur = match self.prefetch.take() {
             Some(pf) => {
                 assert_eq!(pf.unit, u, "prefetch drift: slot holds a different unit");
                 pf
             }
             None => self.start_fetch(u),
         };
-        if let Some(v) = next {
+        if let Some(v) = next.filter(|_| self.prefetches()) {
             let pf = self.start_fetch(v);
             self.prefetch = Some(pf);
         }
         // The tier fetch ran first on the FIFO; settle it before the
         // gather so transfer failures surface in issue order.
-        if let Some(t) = cur.tier.take() {
-            if let Err(e) = t.wait() {
-                self.mem.free(MemCategory::Buffers, 4 * cur.len as u64);
-                return Err(e);
-            }
-        }
-        match cur.op.wait() {
+        let tier = cur.tier.map_or(Ok(()), |t| t.wait().map(drop));
+        match tier.and_then(|()| cur.op.wait()) {
             Ok(out) => {
                 debug_assert_eq!(out.len(), cur.len);
                 if let Some(range) = cur.stash {
@@ -708,18 +702,20 @@ impl RankEngine {
         self.secondary.as_ref().expect("hpZ secondary store").read_vec(local)
     }
 
-    /// Waits every in-flight bucket reduce-scatter in FIFO (issue) order
-    /// and lands the owner pieces in `grad_shard` — called at the end of
-    /// each micro-batch's backward. FIFO order makes the accumulation
-    /// order identical to the synchronous path.
+    /// Settles every in-flight bucket reduce-scatter in FIFO (issue) order:
+    /// wait, land the owner piece in `grad_shard`, release the fused
+    /// buffer, and — under offload — spill the reduced piece down to the
+    /// host tier, the first point it exists. Synchronous mode calls this
+    /// right after each flush, overlap mode once at end-of-backward; FIFO
+    /// order makes the accumulation order, and so the loss, identical.
     fn drain_inflight(&mut self) -> Result<(), CommError> {
-        if self.inflight_rs.is_empty() {
-            return Ok(());
-        }
-        let span = self.trace.begin(SpanCategory::Wait, "drain-inflight");
         let mut first_err: Option<CommError> = None;
-        for inf in self.inflight_rs.drain(..) {
+        while let Some(inf) = self.inflight_rs.pop_front() {
+            // After an error the remaining handles are dropped unawaited —
+            // their ops still execute on the progress thread, keeping the
+            // SPMD schedule aligned for recovery.
             if first_err.is_none() {
+                let span = self.trace.begin(SpanCategory::Wait, "drain-inflight");
                 match inf.op.wait() {
                     Ok(out) => {
                         let shard = self.grad_shard.as_mut().expect("gradient shard");
@@ -727,17 +723,14 @@ impl RankEngine {
                     }
                     Err(e) => first_err = Some(e),
                 }
+                self.trace.end(span);
             }
-            // After an error the remaining handles are dropped unawaited —
-            // their ops still execute on the progress thread, keeping the
-            // SPMD schedule aligned for recovery.
             self.mem.free(MemCategory::Buffers, inf.bytes);
+            if self.off.grads && first_err.is_none() {
+                first_err = self.start_tier_op(TierDir::Spill, "tier-grad-spill").wait().err();
+            }
         }
-        self.trace.end(span);
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Drops any async state left over from a failed step (handles are
@@ -746,11 +739,9 @@ impl RankEngine {
     fn clear_transients(&mut self) {
         for inf in self.inflight_rs.drain(..) {
             self.mem.free(MemCategory::Buffers, inf.bytes);
-            drop(inf.op);
         }
         if let Some(pf) = self.prefetch.take() {
             self.mem.free(MemCategory::Buffers, 4 * pf.len as u64);
-            drop(pf.op);
         }
         // hpZ first-touch flags reset with each plan, mirroring the
         // builder's per-plan state.
@@ -849,13 +840,10 @@ impl RankEngine {
             self.mem.record_cpu_transfer(c.bytes);
         }
         if c.partitioned {
-            let op = self.plan.take(CollectiveKind::AllGather, &self.mp_group);
-            assert_eq!(op.total_elems(), c.full_len, "planned ckpt-gather size");
-            let mut out = vec![0.0; c.full_len];
             let prec = self.precision();
-            self.comm
-                .all_gather_var_in(&self.mp_group, &slice, &mut out, &op.counts, prec)?;
-            Ok(out)
+            let Self { plan, comm, mp_group, .. } = self;
+            Self::issue(plan, comm, CollectiveKind::AllGather, mp_group, &slice, c.full_len, prec)
+                .wait()
         } else {
             Ok(slice)
         }
@@ -875,10 +863,8 @@ impl RankEngine {
     /// Consumes one unit's freshly computed gradients.
     ///
     /// Stages DDP/1 accumulate into the persistent full gradient buffer.
-    /// Stages 2/3 push into the constant-size bucket; each flush fires one
-    /// reduce-scatter whose owner pieces land in `grad_shard`, after which
-    /// the bucket contents are dropped — "after the reduction we no longer
-    /// need the gradients and their memory can be released" (§5.2).
+    /// Stages 2/3 push into the constant-size bucket and flush it when it
+    /// fills.
     fn dispatch_grads(
         &mut self,
         range: std::ops::Range<usize>,
@@ -893,232 +879,105 @@ impl RankEngine {
         }
         // fp16 gradients: quantize before they enter the fused buffer.
         self.maybe_quantize(&mut g);
-        let prec = self.precision();
-        let overlap = self.zcfg.overlap;
-        let Self {
-            bucket,
-            comm,
-            dp_group,
-            part,
-            grad_shard,
-            dp_idx,
-            mem,
-            plan,
-            inflight_rs,
-            trace,
-            tier,
-            off,
-            ..
-        } = self;
-        let off_grads = off.grads;
-        let grad_shard = grad_shard.as_mut().expect("gradient shard");
-        let mut comm_err: Option<CommError> = None;
-        bucket.push(range, g, &mut |r, fused| {
-            if comm_err.is_some() {
-                return;
-            }
-            trace.instant(SpanCategory::Collective, "bucket-flush");
-            mem.alloc(MemCategory::Buffers, 4 * fused.len() as u64);
-            let op = plan.take(CollectiveKind::ReduceScatter, dp_group);
-            assert_eq!(op.total_elems(), fused.len(), "planned grad-bucket size");
-            let local = part.local_slice_of(*dp_idx, &r);
-            let pending = match op.wire {
-                WireFmt::QgzInt8 { node_size, block } => comm.start_reduce_scatter_qgz(
-                    dp_group,
-                    fused,
-                    ReduceOp::Mean,
-                    &op.counts,
-                    node_size,
-                    block,
-                    prec,
-                ),
-                _ => comm
-                    .start_reduce_scatter_var(dp_group, fused, ReduceOp::Mean, &op.counts, prec),
-            };
-            if overlap {
-                // Deferred: backward keeps computing while the ring runs;
-                // `drain_inflight` waits and applies at end-of-backward.
-                // Offload spills are deferred with it — planned at the
-                // drain, the first point the owner piece exists.
-                inflight_rs.push(InflightReduce { local, op: pending, bytes: 4 * fused.len() as u64 });
-            } else {
-                match pending.wait() {
-                    Ok(out) => grad_shard.add_from(local, &out),
-                    Err(e) => comm_err = Some(e),
-                }
-                mem.free(MemCategory::Buffers, 4 * fused.len() as u64);
-                // Sync spill: the freshly reduced owner piece moves down
-                // to the host tier before backward proceeds.
-                if off_grads && comm_err.is_none() {
-                    let t = plan.take_tier(TierDir::Spill, "tier-grad-spill");
-                    let delay = tier
-                        .as_mut()
-                        .expect("tier store when offload is on")
-                        .record_spill(t.bytes);
-                    if let Err(e) = comm.start_tier_move(t.label, t.bytes, delay).wait() {
-                        comm_err = Some(e);
-                    }
-                }
-            }
-        });
-        match comm_err {
-            Some(e) => Err(e),
-            None => Ok(()),
+        if self.bucket.push(range, g) {
+            self.flush_bucket()?;
         }
+        Ok(())
+    }
+
+    /// Flushes whatever the bucket holds (stages 2/3; a no-op when empty):
+    /// one reduce-scatter of the fused range goes in flight, its owner
+    /// piece destined for `grad_shard`, after which the bucket contents are
+    /// dropped — "after the reduction we no longer need the gradients and
+    /// their memory can be released" (§5.2). Overlap leaves the handle in
+    /// flight so backward keeps computing while the ring runs; synchronous
+    /// mode settles it here.
+    fn flush_bucket(&mut self) -> Result<(), CommError> {
+        let prec = self.precision();
+        let Self { bucket, comm, dp_group, part, dp_idx, mem, plan, inflight_rs, trace, .. } = self;
+        bucket.flush_all(&mut |r, fused| {
+            trace.instant(SpanCategory::Collective, "bucket-flush");
+            let bytes = 4 * fused.len() as u64;
+            mem.alloc(MemCategory::Buffers, bytes);
+            let kind = CollectiveKind::ReduceScatter;
+            let op = Self::issue(plan, comm, kind, dp_group, fused, fused.len(), prec);
+            let local = part.local_slice_of(*dp_idx, &r);
+            inflight_rs.push_back(InflightReduce { local, op, bytes });
+        });
+        if !self.zcfg.overlap {
+            self.drain_inflight()?;
+        }
+        Ok(())
+    }
+
+    /// Walks flat parameter space in constant-size (CB) chunks, charging
+    /// each chunk's staging buffer to the tracker for exactly the duration
+    /// of `f` — on the error path too.
+    fn for_each_chunk(
+        &mut self,
+        mut f: impl FnMut(&mut Self, std::ops::Range<usize>) -> Result<(), CommError>,
+    ) -> Result<(), CommError> {
+        let psi = self.part.total();
+        for start in (0..psi).step_by(self.zcfg.bucket_elems) {
+            let chunk = start..(start + self.zcfg.bucket_elems).min(psi);
+            let bytes = 4 * chunk.len() as u64;
+            self.mem.alloc(MemCategory::Buffers, bytes);
+            let res = f(self, chunk);
+            self.mem.free(MemCategory::Buffers, bytes);
+            res?;
+        }
+        Ok(())
     }
 
     /// End-of-backward gradient reduction for the non-bucketed stages,
     /// staged through constant-size buffers (CB): DDP all-reduces every
     /// chunk in place; stage 1 reduce-scatters so this rank's shard region
     /// of the full buffer holds the averaged values.
-    /// Flushes whatever gradients remain in the bucket (stages 2/3).
-    fn flush_pending_grads(&mut self) -> Result<(), CommError> {
-        if !self.zcfg.stage.partitions_grads() {
-            return Ok(());
-        }
-        let Self {
-            bucket,
-            comm,
-            dp_group,
-            part,
-            grad_shard,
-            dp_idx,
-            mem,
-            zcfg,
-            plan,
-            inflight_rs,
-            trace,
-            tier,
-            off,
-            ..
-        } = self;
-        let off_grads = off.grads;
-        let grad_shard = grad_shard.as_mut().expect("gradient shard");
-        let prec = if zcfg.fp16 { Precision::Fp16 } else { Precision::Fp32 };
-        let overlap = zcfg.overlap;
-        let mut comm_err: Option<CommError> = None;
-        bucket.flush_all(&mut |r, fused| {
-            if comm_err.is_some() {
-                return;
-            }
-            trace.instant(SpanCategory::Collective, "bucket-flush");
-            mem.alloc(MemCategory::Buffers, 4 * fused.len() as u64);
-            let op = plan.take(CollectiveKind::ReduceScatter, dp_group);
-            assert_eq!(op.total_elems(), fused.len(), "planned grad-flush size");
-            let local = part.local_slice_of(*dp_idx, &r);
-            let pending = match op.wire {
-                WireFmt::QgzInt8 { node_size, block } => comm.start_reduce_scatter_qgz(
-                    dp_group,
-                    fused,
-                    ReduceOp::Mean,
-                    &op.counts,
-                    node_size,
-                    block,
-                    prec,
-                ),
-                _ => comm
-                    .start_reduce_scatter_var(dp_group, fused, ReduceOp::Mean, &op.counts, prec),
-            };
-            if overlap {
-                inflight_rs.push(InflightReduce { local, op: pending, bytes: 4 * fused.len() as u64 });
-            } else {
-                match pending.wait() {
-                    Ok(out) => grad_shard.add_from(local, &out),
-                    Err(e) => comm_err = Some(e),
-                }
-                mem.free(MemCategory::Buffers, 4 * fused.len() as u64);
-                if off_grads && comm_err.is_none() {
-                    let t = plan.take_tier(TierDir::Spill, "tier-grad-spill");
-                    let delay = tier
-                        .as_mut()
-                        .expect("tier store when offload is on")
-                        .record_spill(t.bytes);
-                    if let Err(e) = comm.start_tier_move(t.label, t.bytes, delay).wait() {
-                        comm_err = Some(e);
-                    }
-                }
-            }
-        });
-        match comm_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
     fn reduce_full_grads(&mut self) -> Result<(), CommError> {
         if self.zcfg.stage.partitions_grads() {
             // Stages 2/3 already reduced everything through the bucket.
             debug_assert_eq!(self.bucket.pending_elems(), 0);
             return Ok(());
         }
-        let psi = self.part.total();
-        let step = self.zcfg.bucket_elems;
         let prec = self.precision();
-        let full = self.full_grads.as_mut().expect("full gradient buffer");
-        let mut cursor = 0;
-        while cursor < psi {
-            let end = (cursor + step).min(psi);
-            let chunk = cursor..end;
-            self.mem.alloc(MemCategory::Buffers, 4 * chunk.len() as u64);
+        let shard = self.part.shard_range(self.dp_idx);
+        self.for_each_chunk(|this, chunk| {
+            let Self { full_grads, plan, comm, dp_group, part, dp_idx, zcfg, grid, .. } = this;
+            let full = full_grads.as_mut().expect("full gradient buffer");
             let mut staging = full.read_vec(chunk.clone());
-            match self.zcfg.stage {
-                ZeroStage::Ddp => {
-                    match self.zcfg.node_size {
-                        Some(g) => {
-                            assert_eq!(
-                                self.grid.mp_degree(),
-                                1,
-                                "hierarchical all-reduce requires mp = 1"
-                            );
-                            let topo = zero_comm::NodeTopology::new(g);
-                            let rank = self.comm.rank();
-                            let world = self.comm.world_size();
-                            // The hierarchy is three planned ops: node
-                            // reduce-scatter, cross-node all-reduce of the
-                            // owned chunk, node all-gather.
-                            let node_group = topo.node_group(rank);
-                            let cross_group = topo.cross_group(rank, world);
-                            let rs = self.plan.take(CollectiveKind::ReduceScatter, &node_group);
-                            assert_eq!(rs.total_elems(), staging.len(), "planned hier size");
-                            let _ar = self.plan.take(CollectiveKind::AllReduce, &cross_group);
-                            let _ag = self.plan.take(CollectiveKind::AllGather, &node_group);
-                            self.comm
-                                .hierarchical_all_reduce(&topo, &mut staging, ReduceOp::Mean, prec)?;
-                        }
-                        None => {
-                            let op = self.plan.take(CollectiveKind::AllReduce, &self.dp_group);
-                            assert_eq!(op.total_elems(), staging.len(), "planned chunk size");
-                            self.comm
-                                .all_reduce_in(&self.dp_group, &mut staging, ReduceOp::Mean, prec)?;
-                        }
-                    }
-                    full.write_from(chunk.clone(), &staging);
+            match (zcfg.stage, zcfg.node_size) {
+                (ZeroStage::Ddp, Some(g)) => {
+                    assert_eq!(grid.mp_degree(), 1, "hierarchical all-reduce requires mp = 1");
+                    let topo = zero_comm::NodeTopology::new(g);
+                    // The hierarchy is three planned ops: node
+                    // reduce-scatter, cross-node all-reduce of the owned
+                    // chunk, node all-gather.
+                    let node_group = topo.node_group(comm.rank());
+                    let cross_group = topo.cross_group(comm.rank(), comm.world_size());
+                    let rs = plan.take(CollectiveKind::ReduceScatter, &node_group);
+                    assert_eq!(rs.total_elems(), staging.len(), "planned hier size");
+                    let _ar = plan.take(CollectiveKind::AllReduce, &cross_group);
+                    let _ag = plan.take(CollectiveKind::AllGather, &node_group);
+                    comm.hierarchical_all_reduce(&topo, &mut staging, ReduceOp::Mean, prec)?;
+                    full.write_from(chunk, &staging);
                 }
-                ZeroStage::One => {
-                    let op = self.plan.take(CollectiveKind::ReduceScatter, &self.dp_group);
+                (ZeroStage::Ddp, None) => {
+                    let op = plan.take(CollectiveKind::AllReduce, dp_group);
                     assert_eq!(op.total_elems(), staging.len(), "planned chunk size");
-                    let mut out = vec![0.0; op.counts[self.dp_idx]];
-                    self.comm.reduce_scatter_var_in(
-                        &self.dp_group,
-                        &staging,
-                        &mut out,
-                        ReduceOp::Mean,
-                        &op.counts,
-                        prec,
-                    )?;
-                    if !out.is_empty() {
-                        let shard = self.part.shard_range(self.dp_idx);
-                        let lo = shard.start.max(chunk.start);
-                        full.write_from(lo..lo + out.len(), &out);
-                    }
+                    comm.all_reduce_in(dp_group, &mut staging, ReduceOp::Mean, prec)?;
+                    full.write_from(chunk, &staging);
                 }
-                _ => unreachable!(),
+                (ZeroStage::One, _) => {
+                    let kind = CollectiveKind::ReduceScatter;
+                    let out = Self::issue(plan, comm, kind, dp_group, &staging, staging.len(), prec)
+                        .wait()?;
+                    let own = part.local_slice_of(*dp_idx, &chunk);
+                    full.write_from(shard.start + own.start..shard.start + own.end, &out);
+                }
+                _ => unreachable!("stages 2/3 reduce through the bucket"),
             }
-            staging.clear();
-            self.mem.free(MemCategory::Buffers, 4 * chunk.len() as u64);
-            cursor = end;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Reads the reduced gradients covering [`Self::master_range`] as f32:
@@ -1147,54 +1006,31 @@ impl RankEngine {
     /// through CB-sized chunks; stage 3 keeps only the local shard; DDP
     /// wrote the full buffer locally.
     fn publish_params(&mut self) -> Result<(), CommError> {
-        match self.zcfg.stage {
-            ZeroStage::Ddp => {
-                let master = std::mem::take(&mut self.master);
-                self.work.write_from(0..master.len(), &master);
-                self.master = master;
-            }
-            ZeroStage::Three => {
-                let master = std::mem::take(&mut self.master);
-                self.work.write_from(0..master.len(), &master);
-                self.master = master;
-            }
-            ZeroStage::One | ZeroStage::Two => {
-                // First refresh the local shard region from master…
-                let shard = self.part.shard_range(self.dp_idx);
-                let master = std::mem::take(&mut self.master);
-                self.work.write_from(shard.clone(), &master);
-                self.master = master;
-                // …then all-gather the (quantized) shards chunk by chunk.
-                let psi = self.part.total();
-                let step = self.zcfg.bucket_elems;
-                let prec = self.precision();
-                let mut cursor = 0;
-                while cursor < psi {
-                    let end = (cursor + step).min(psi);
-                    let chunk = cursor..end;
-                    self.mem.alloc(MemCategory::Buffers, 4 * chunk.len() as u64);
-                    // Host optimizer: the updated shard chunk is fetched
-                    // up from the host-resident master before the gather.
-                    if self.off.opt_state {
-                        self.start_tier_op(TierDir::Fetch, "tier-publish-fetch")
-                            .wait()?;
-                    }
-                    let op = self.plan.take(CollectiveKind::AllGather, &self.dp_group);
-                    assert_eq!(op.total_elems(), chunk.len(), "planned publish size");
-                    let lo = shard.start.max(chunk.start);
-                    let piece = self
-                        .work
-                        .read_vec(lo..lo + op.counts[self.dp_idx]);
-                    let mut out = vec![0.0; chunk.len()];
-                    self.comm
-                        .all_gather_var_in(&self.dp_group, &piece, &mut out, &op.counts, prec)?;
-                    self.work.write_from(chunk.clone(), &out);
-                    self.mem.free(MemCategory::Buffers, 4 * chunk.len() as u64);
-                    cursor = end;
-                }
-            }
+        // Refresh what this rank owns from master: everything `work`
+        // holds (DDP, stage 3) or the shard region of the full copy.
+        let shard = self.part.shard_range(self.dp_idx);
+        let gathers = matches!(self.zcfg.stage, ZeroStage::One | ZeroStage::Two);
+        let start = if gathers { shard.start } else { 0 };
+        self.work.write_from(start..start + self.master.len(), &self.master);
+        if !gathers {
+            return Ok(());
         }
-        Ok(())
+        // …then all-gather the (quantized) shards chunk by chunk.
+        let prec = self.precision();
+        self.for_each_chunk(|this, chunk| {
+            // Host optimizer: the updated shard chunk is fetched up from
+            // the host-resident master before the gather.
+            if this.off.opt_state {
+                this.start_tier_op(TierDir::Fetch, "tier-publish-fetch").wait()?;
+            }
+            let own = this.part.local_slice_of(this.dp_idx, &chunk);
+            let piece = this.work.read_vec(shard.start + own.start..shard.start + own.end);
+            let Self { plan, comm, dp_group, .. } = this;
+            let kind = CollectiveKind::AllGather;
+            let out = Self::issue(plan, comm, kind, dp_group, &piece, chunk.len(), prec).wait()?;
+            this.work.write_from(chunk, &out);
+            Ok(())
+        })
     }
 
     /// Global gradient norm across the whole grid, counting every logical
@@ -1228,8 +1064,7 @@ impl RankEngine {
             self.comm.all_reduce(&mut buf, ReduceOp::Sum, Precision::Fp32)?;
         } else {
             let Self { comm, mp_group, plan, .. } = self;
-            let _op = plan.take(CollectiveKind::AllReduce, mp_group);
-            comm.all_reduce_in(mp_group, &mut buf, ReduceOp::Sum, Precision::Fp32)?;
+            Self::mp_all_reduce(plan, comm, mp_group, &mut buf, Precision::Fp32)?;
         }
         Ok((buf[0] as f64).sqrt())
     }
@@ -1420,12 +1255,83 @@ impl RankEngine {
             shard.zero_range(0..len);
         }
 
-        let mut loss_sum = 0.0_f32;
-        for &(ids, targets) in micros {
-            loss_sum += self.accumulate_micro(ids, targets, local_batch, scale)?;
+        let res = micros
+            .iter()
+            .try_fold(0.0_f32, |sum, &(ids, targets)| {
+                Ok(sum + self.accumulate_micro(ids, targets, local_batch, scale)?)
+            })
+            .and_then(|sum| self.finish_step(sum / micros.len() as f32, scale, micros.len()));
+        if res.is_err() {
+            // Release what the failed step left in flight now rather than
+            // at the next entry, so the tracker is exact on the error path.
+            self.clear_transients();
         }
-        let loss = loss_sum / micros.len() as f32;
-        self.finish_step(loss, scale, micros.len())
+        res
+    }
+
+    /// Runs one block pass `f` of the model under a compute span named
+    /// `span`, lending it the MP hook: each call is one planned Megatron
+    /// all-reduce. The model's hook is an infallible `FnMut(&mut [f32])`,
+    /// so a communication error is parked (later hook calls become no-ops)
+    /// and surfaced once the pass returns.
+    fn block_pass<T>(
+        &mut self,
+        span: &'static str,
+        f: impl FnOnce(&Gpt, &mut dyn FnMut(&mut [f32])) -> T,
+    ) -> Result<T, CommError> {
+        let prec = self.precision();
+        let Self { gpt, comm, mp_group, plan, trace, .. } = self;
+        let mut err: Option<CommError> = None;
+        let span = trace.begin(SpanCategory::Compute, span);
+        let out = f(gpt, &mut |buf: &mut [f32]| {
+            if err.is_none() {
+                err = Self::mp_all_reduce(plan, comm, mp_group, buf, prec).err();
+            }
+        });
+        trace.end(span);
+        err.map_or(Ok(out), Err)
+    }
+
+    /// Block `l` forward over `x` (span `"block-fwd"`, or `"block-refwd"`
+    /// for a checkpoint recompute), output quantized to the activation
+    /// width.
+    fn block_fwd(
+        &mut self,
+        span: &'static str,
+        l: usize,
+        p: &[f32],
+        x: &[f32],
+        local_batch: usize,
+        drop: Dropout,
+    ) -> Result<(Vec<f32>, BlockSaved), CommError> {
+        let (mut y, saved) = self.block_pass(span, |gpt, hook| {
+            gpt.block_fwd_dropout(l, p, x, local_batch, hook, drop)
+        })?;
+        self.maybe_quantize(&mut y);
+        Ok((y, saved))
+    }
+
+    /// Block `l` backward: releases its saved activations, runs the
+    /// kernel, discards the unit's parameters and dispatches its
+    /// gradients. Returns `dx`.
+    fn block_bwd(
+        &mut self,
+        l: usize,
+        p: Vec<f32>,
+        saved: BlockSaved,
+        dy: &[f32],
+        local_batch: usize,
+        drop: Dropout,
+    ) -> Result<Vec<f32>, CommError> {
+        self.mem.free(MemCategory::Activations, 4 * saved.elems() as u64);
+        let range = self.gpt.layout().units()[1 + l].range.clone();
+        let mut grads = vec![0.0; range.len()];
+        let dx = self.block_pass("block-bwd", |gpt, hook| {
+            gpt.block_bwd_dropout(l, &p, &saved, dy, &mut grads, local_batch, hook, drop)
+        })?;
+        self.release_unit(p);
+        self.dispatch_grads(range, grads)?;
+        Ok(dx)
     }
 
     /// One micro-batch's forward + backward, dispatching gradients into
@@ -1437,19 +1343,9 @@ impl RankEngine {
         local_batch: usize,
         scale: f32,
     ) -> Result<f32, CommError> {
-        // The model's MP hook is an infallible `FnMut(&mut [f32])`, so
-        // errors inside it are parked here and surfaced right after the
-        // block call returns.
-        let mut mp_err: Option<CommError> = None;
         let layers = self.gpt.config().layers;
-        let units: Vec<std::ops::Range<usize>> = self
-            .gpt
-            .layout()
-            .units()
-            .iter()
-            .map(|u| u.range.clone())
-            .collect();
-        let mp_prec = self.precision();
+        let embed_range = self.gpt.layout().units()[0].range.clone();
+        let head_range = self.gpt.layout().units()[1 + layers].range.clone();
         if let Some(arena) = &mut self.arena {
             arena.reset();
         }
@@ -1461,15 +1357,15 @@ impl RankEngine {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(0xD1B5_4A32_D192_ED03);
         let drop_p = self.zcfg.dropout;
-        let drop_for = move |layer: usize| zero_model::Dropout {
+        let drop_for = move |layer: usize| Dropout {
             p: drop_p,
             seed: drop_base ^ (layer as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9),
         };
 
         // ---------- forward ----------
-        // Prefetch window (overlap + stage 3): each fetch issues the next
-        // unit's all-gather before waiting its own, so unit u+1's ring
-        // runs under unit u's compute.
+        // Each fetch names the unit after it: under the prefetch window
+        // that unit's all-gather is issued before this one's is waited, so
+        // unit u+1's ring runs under unit u's compute.
         let p_embed = self.fetch_unit_pf(0, Some(1))?;
         let span = self.trace.begin(SpanCategory::Compute, "embed-fwd");
         let mut x = self.gpt.embed(&p_embed, ids, local_batch);
@@ -1477,6 +1373,7 @@ impl RankEngine {
         self.release_unit(p_embed);
         self.maybe_quantize(&mut x);
 
+        let checkpointing = self.zcfg.checkpoint_activations;
         let interval = self.zcfg.checkpoint_interval.max(1);
         let mut checkpoints: Vec<Checkpoint> = Vec::new();
         let mut saveds: Vec<Option<BlockSaved>> = Vec::new();
@@ -1484,38 +1381,19 @@ impl RankEngine {
             // `2 + l` is the next block — or the head when this is the
             // last block.
             let p = self.fetch_unit_pf(1 + l, Some(2 + l))?;
-            if self.zcfg.checkpoint_activations && l % interval == 0 {
+            if checkpointing && l % interval == 0 {
                 // One checkpoint per segment of `interval` blocks (§3.2's
                 // memory/recompute dial; interval 1 = one per layer).
                 let c = self.store_checkpoint(&x);
                 checkpoints.push(c);
             }
-            let (mut y, saved) = {
-                let Self { gpt, comm, mp_group, plan, trace, .. } = self;
-                let span = trace.begin(SpanCategory::Compute, "block-fwd");
-                let out = gpt.block_fwd_dropout(l, &p, &x, local_batch, &mut |buf: &mut [f32]| {
-                    if mp_err.is_none() {
-                        let op = plan.take(CollectiveKind::AllReduce, mp_group);
-                        assert_eq!(op.total_elems(), buf.len(), "planned MP hook size");
-                        mp_err = comm.all_reduce_in(mp_group, buf, ReduceOp::Sum, mp_prec).err();
-                    }
-                }, drop_for(l));
-                trace.end(span);
-                out
-            };
-            if let Some(e) = mp_err.take() {
-                return Err(e);
-            }
+            let (y, saved) = self.block_fwd("block-fwd", l, &p, &x, local_batch, drop_for(l))?;
             self.release_unit(p);
-            if self.zcfg.checkpoint_activations {
-                drop(saved);
-                saveds.push(None);
-            } else {
+            if !checkpointing {
                 self.mem
                     .alloc(MemCategory::Activations, 4 * saved.elems() as u64);
                 saveds.push(Some(saved));
             }
-            self.maybe_quantize(&mut y);
             x = y;
         }
 
@@ -1523,10 +1401,9 @@ impl RankEngine {
         // The head's fetch chains the prefetch into backward's first
         // block refetch (non-checkpointed mode only: checkpointed
         // segments restart the chain at each recompute).
-        let head_next = (!self.zcfg.checkpoint_activations && layers > 0).then_some(layers);
+        let head_next = (!checkpointing && layers > 0).then_some(layers);
         let p_head = self.fetch_unit_pf(1 + layers, head_next)?;
-        let head_len = units[1 + layers].len();
-        let mut head_grads = vec![0.0; head_len];
+        let mut head_grads = vec![0.0; head_range.len()];
         let span = self.trace.begin(SpanCategory::Compute, "head-fwd-bwd");
         let (loss, mut dy) =
             self.gpt
@@ -1543,10 +1420,10 @@ impl RankEngine {
                 *v *= scale;
             }
         }
-        self.dispatch_grads(units[1 + layers].clone(), head_grads)?;
+        self.dispatch_grads(head_range, head_grads)?;
 
         // ---------- backward through blocks ----------
-        if self.zcfg.checkpoint_activations {
+        if checkpointing {
             // Segment-wise: re-materialize `interval` blocks from their
             // checkpoint (the §8-counted recompute all-reduces), then walk
             // the segment backward.
@@ -1559,72 +1436,16 @@ impl RankEngine {
                 let mut segment: Vec<(Vec<f32>, BlockSaved)> = Vec::new();
                 for l in seg_start..seg_end {
                     let p = self.fetch_unit_pf(1 + l, (l + 1 < seg_end).then(|| 2 + l))?;
-                    let (mut y, saved) = {
-                        let Self { gpt, comm, mp_group, plan, trace, .. } = self;
-                        let span = trace.begin(SpanCategory::Compute, "block-refwd");
-                        let out = gpt.block_fwd_dropout(
-                            l,
-                            &p,
-                            &x_in,
-                            local_batch,
-                            &mut |buf: &mut [f32]| {
-                                if mp_err.is_none() {
-                                    let op = plan.take(CollectiveKind::AllReduce, mp_group);
-                                    assert_eq!(op.total_elems(), buf.len(), "planned MP hook size");
-                                    mp_err = comm
-                                        .all_reduce_in(mp_group, buf, ReduceOp::Sum, mp_prec)
-                                        .err();
-                                }
-                            },
-                            drop_for(l),
-                        );
-                        trace.end(span);
-                        out
-                    };
-                    if let Some(e) = mp_err.take() {
-                        return Err(e);
-                    }
+                    let (y, saved) =
+                        self.block_fwd("block-refwd", l, &p, &x_in, local_batch, drop_for(l))?;
                     self.mem
                         .alloc(MemCategory::Activations, 4 * saved.elems() as u64);
-                    self.maybe_quantize(&mut y);
                     x_in = y;
                     segment.push((p, saved));
                 }
                 for l in (seg_start..seg_end).rev() {
                     let (p, saved) = segment.pop().expect("segment entry");
-                    self.mem
-                        .free(MemCategory::Activations, 4 * saved.elems() as u64);
-                    let block_len = units[1 + l].len();
-                    let mut block_grads = vec![0.0; block_len];
-                    dy = {
-                        let Self { gpt, comm, mp_group, plan, trace, .. } = self;
-                        let span = trace.begin(SpanCategory::Compute, "block-bwd");
-                        let out = gpt.block_bwd_dropout(
-                            l,
-                            &p,
-                            &saved,
-                            &dy,
-                            &mut block_grads,
-                            local_batch,
-                            &mut |buf: &mut [f32]| {
-                                if mp_err.is_none() {
-                                    let op = plan.take(CollectiveKind::AllReduce, mp_group);
-                                    assert_eq!(op.total_elems(), buf.len(), "planned MP hook size");
-                                    mp_err = comm
-                                        .all_reduce_in(mp_group, buf, ReduceOp::Sum, mp_prec)
-                                        .err();
-                                }
-                            },
-                            drop_for(l),
-                        );
-                        trace.end(span);
-                        out
-                    };
-                    if let Some(e) = mp_err.take() {
-                        return Err(e);
-                    }
-                    self.release_unit(p);
-                    self.dispatch_grads(units[1 + l].clone(), block_grads)?;
+                    dy = self.block_bwd(l, p, saved, &dy, local_batch, drop_for(l))?;
                 }
                 seg_end = seg_start;
             }
@@ -1634,65 +1455,24 @@ impl RankEngine {
                 // the head's fetch above.
                 let p = self.fetch_unit_pf(1 + l, (l > 0).then_some(l))?;
                 let saved = saveds[l].take().expect("saved activations for block");
-                self.mem
-                    .free(MemCategory::Activations, 4 * saved.elems() as u64);
-                let block_len = units[1 + l].len();
-                let mut block_grads = vec![0.0; block_len];
-                dy = {
-                    let Self { gpt, comm, mp_group, plan, trace, .. } = self;
-                    let span = trace.begin(SpanCategory::Compute, "block-bwd");
-                    let out = gpt.block_bwd_dropout(
-                        l,
-                        &p,
-                        &saved,
-                        &dy,
-                        &mut block_grads,
-                        local_batch,
-                        &mut |buf: &mut [f32]| {
-                            if mp_err.is_none() {
-                                let op = plan.take(CollectiveKind::AllReduce, mp_group);
-                                assert_eq!(op.total_elems(), buf.len(), "planned MP hook size");
-                                mp_err =
-                                    comm.all_reduce_in(mp_group, buf, ReduceOp::Sum, mp_prec).err();
-                            }
-                        },
-                        drop_for(l),
-                    );
-                    trace.end(span);
-                    out
-                };
-                if let Some(e) = mp_err.take() {
-                    return Err(e);
-                }
-                self.release_unit(p);
-                self.dispatch_grads(units[1 + l].clone(), block_grads)?;
+                dy = self.block_bwd(l, p, saved, &dy, local_batch, drop_for(l))?;
             }
         }
 
         // ---------- embedding backward ----------
-        let embed_len = units[0].len();
-        let mut embed_grads = vec![0.0; embed_len];
+        let mut embed_grads = vec![0.0; embed_range.len()];
         let span = self.trace.begin(SpanCategory::Compute, "embed-bwd");
         self.gpt
             .embed_backward(ids, &dy, &mut embed_grads, local_batch);
         self.trace.end(span);
         drop(dy);
-        self.dispatch_grads(units[0].clone(), embed_grads)?;
+        self.dispatch_grads(embed_range, embed_grads)?;
         // Drain the bucket so the next micro-batch's head-first pushes
-        // start a fresh contiguous descending run, then wait every
-        // reduce-scatter still in flight (the end-of-backward barrier the
-        // tentpole moves the waits to).
-        self.flush_pending_grads()?;
-        let drained = self.inflight_rs.len();
+        // start a fresh contiguous descending run, then settle every
+        // reduce-scatter still in flight (the end-of-backward barrier
+        // overlap moves the waits to; nothing is left in sync mode).
+        self.flush_bucket()?;
         self.drain_inflight()?;
-        // Overlap-mode spills are planned at this drain barrier — the
-        // first point the reduced owner pieces exist — one per in-flight
-        // reduce-scatter (sync mode spilled inline at each flush).
-        if self.off.grads && self.zcfg.overlap {
-            for _ in 0..drained {
-                self.start_tier_op(TierDir::Spill, "tier-grad-spill").wait()?;
-            }
-        }
         debug_assert!(self.prefetch.is_none(), "prefetch slot must drain with backward");
         Ok(loss)
     }
@@ -1788,8 +1568,6 @@ impl RankEngine {
         local_batch: usize,
     ) -> Result<f32, CommError> {
         let layers = self.gpt.config().layers;
-        let mp_prec = self.precision();
-        let mut mp_err: Option<CommError> = None;
         let act_elems = local_batch * self.gpt.config().seq * self.gpt.config().hidden;
         self.clear_transients();
         let eval_plan = CommPlan::eval_pass(self.gpt.layout(), &self.zcfg, self.grid, act_elems);
@@ -1802,26 +1580,8 @@ impl RankEngine {
         self.maybe_quantize(&mut x);
         for l in 0..layers {
             let p = self.fetch_unit_pf(1 + l, Some(2 + l))?;
-            let (mut y, saved) = {
-                let Self { gpt, comm, mp_group, plan, trace, .. } = self;
-                let span = trace.begin(SpanCategory::Compute, "block-fwd");
-                let out = gpt.block_fwd(l, &p, &x, local_batch, &mut |buf: &mut [f32]| {
-                    if mp_err.is_none() {
-                        let op = plan.take(CollectiveKind::AllReduce, mp_group);
-                        assert_eq!(op.total_elems(), buf.len(), "planned MP hook size");
-                        mp_err = comm.all_reduce_in(mp_group, buf, ReduceOp::Sum, mp_prec).err();
-                    }
-                });
-                trace.end(span);
-                out
-            };
-            if let Some(e) = mp_err.take() {
-                return Err(e);
-            }
-            drop(saved);
+            (x, _) = self.block_fwd("block-fwd", l, &p, &x, local_batch, Dropout::OFF)?;
             self.release_unit(p);
-            self.maybe_quantize(&mut y);
-            x = y;
         }
         let p = self.fetch_unit_pf(1 + layers, None)?;
         let span = self.trace.begin(SpanCategory::Compute, "head-loss");

@@ -1433,7 +1433,9 @@ mod tests {
             let mut mirror = BucketMirror::new(cap);
             let mut mirror_flushes: Vec<Range<usize>> = Vec::new();
             for s in &spans {
-                real.push(s.clone(), vec![0.0; s.len()], &mut |r, _| real_flushes.push(r));
+                if real.push(s.clone(), vec![0.0; s.len()]) {
+                    real.flush_all(&mut |r, _| real_flushes.push(r));
+                }
                 if let Some(r) = mirror.push(s) {
                     mirror_flushes.push(r);
                 }

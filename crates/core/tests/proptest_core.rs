@@ -120,7 +120,9 @@ proptest! {
         };
         for r in &ranges {
             let data: Vec<f32> = r.clone().map(|i| i as f32).collect();
-            bucket.push(r.clone(), data, &mut flush);
+            if bucket.push(r.clone(), data) {
+                bucket.flush_all(&mut flush);
+            }
         }
         bucket.flush_all(&mut flush);
         prop_assert!(seen.iter().all(|&s| s), "not all elements flushed");

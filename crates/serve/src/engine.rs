@@ -45,8 +45,8 @@ pub struct ServeConfig {
     /// serving through the identical code path (the bench baseline).
     pub slots: usize,
     /// Double-buffered gather prefetch: issue unit `u+1`'s all-gather
-    /// before computing unit `u` (the training engine's stage-3 shape).
-    /// Off means each gather is synchronous.
+    /// before waiting unit `u`'s (the training engine's stage-3 shape).
+    /// Off means each gather is waited as soon as it is issued.
     pub overlap: bool,
     /// KV backing store: the pre-sized slab or demand-paged blocks with
     /// optional prefix reuse. Greedy outputs are bitwise identical across
@@ -409,49 +409,28 @@ pub fn run_rank(
             }
         }
 
-        // One batch step: walk the units, one prefetch ahead, advancing
-        // every live request by one token.
+        // One batch step: walk the units, advancing every live request by
+        // one token. A gather has one issue site and one wait site; the
+        // only thing `overlap` decides is whether unit u+1's gather is
+        // issued before unit u's is waited (the double buffer: at most two
+        // units materialized at once) or each is waited as it is issued.
         let step_span = trace.begin(SpanCategory::Compute, "serve-step");
         let n_units = units.len();
-        let mut pending_gather: Option<(PendingOp, u64)> = None;
-        let mut cur: Vec<f32>;
-        if cfg.overlap {
-            pending_gather = Some((
-                comm.start_all_gather_var(&groups[0], contrib[0], &ops[0].counts, ops[0].prec),
-                4 * ops[0].total_elems() as u64,
-            ));
-        }
+        let mut issue = |v: usize| -> (PendingOp, u64) {
+            let op = &ops[v];
+            let pend = comm.start_all_gather_var(&groups[v], contrib[v], &op.counts, op.prec);
+            (pend, 4 * op.total_elems() as u64)
+        };
+        let mut ahead: Option<(PendingOp, u64)> = None;
         for u in 0..n_units {
-            // Issue next unit's gather before touching this one (the
-            // double buffer: at most two units materialized at once).
-            let mut next: Option<(PendingOp, u64)> = None;
+            let (pend, cur_bytes) = ahead.take().unwrap_or_else(|| issue(u));
             if cfg.overlap && u + 1 < n_units {
-                let op = &ops[u + 1];
-                next = Some((
-                    comm.start_all_gather_var(&groups[u + 1], contrib[u + 1], &op.counts, op.prec),
-                    4 * op.total_elems() as u64,
-                ));
+                ahead = Some(issue(u + 1));
             }
-            // Materialize unit u.
-            let cur_bytes;
-            if cfg.overlap {
-                let (pend, bytes) = pending_gather.take().expect("gather issued");
-                cur_bytes = bytes;
-                let wspan = trace.begin(SpanCategory::Wait, "gather-wait");
-                cur = pend.wait().expect("serving gather failed");
-                trace.end(wspan);
-            } else {
-                let op = &ops[u];
-                cur_bytes = 4 * op.total_elems() as u64;
-                let mut buf = vec![0.0; op.total_elems()];
-                let wspan = trace.begin(SpanCategory::Wait, "gather-wait");
-                comm.all_gather_var_in(&groups[u], contrib[u], &mut buf, &op.counts, op.prec)
-                    .expect("serving gather failed");
-                trace.end(wspan);
-                cur = buf;
-            }
-            pending_gather = next;
-            let in_flight = pending_gather.as_ref().map(|(_, b)| *b).unwrap_or(0);
+            let wspan = trace.begin(SpanCategory::Wait, "gather-wait");
+            let cur = pend.wait().expect("serving gather failed");
+            trace.end(wspan);
+            let in_flight = ahead.as_ref().map_or(0, |(_, b)| *b);
             transient_peak = transient_peak.max(cur_bytes + in_flight);
 
             // Advance every live request through unit u.

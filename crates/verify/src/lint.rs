@@ -20,12 +20,12 @@
 //!   out-of-range values and corrupts the compressed wire format instead
 //!   of saturating it.
 //! * **`blocking-flush`** — a *blocking* collective wrapper called inside
-//!   a gradient-bucket flush closure (`bucket.push(…)` / `.flush_all(…)`
-//!   call regions). Flush closures are the single code path for both
-//!   synchronous and overlapped execution: they must launch the
-//!   reduce-scatter through the non-blocking `start_*` API (the sync
-//!   mode waits the returned handle inline, the overlap mode parks it),
-//!   so a direct `.reduce_scatter(…)` there silently forfeits
+//!   a gradient-bucket flush closure (a `.flush_all(…)` call region). The
+//!   flush closure is the single code path for both synchronous and
+//!   overlapped execution: it must launch the reduce-scatter through the
+//!   non-blocking `start_*` API and park the handle (sync mode settles it
+//!   right after the flush, overlap mode at end-of-backward), so a direct
+//!   `.reduce_scatter_var_in(…)` there silently forfeits
 //!   backward/communication overlap.
 //! * **`condvar-wait-unlooped`** — a `Condvar` `wait(…)`/`wait_timeout(…)`
 //!   call outside a `while`/`loop` body. Condvar waits wake spuriously
@@ -115,9 +115,6 @@ const COMM_TOKENS: &[&str] = &[
     "recv_raw",
     "barrier",
     "local_index",
-    "all_to_all",
-    "gather_in",
-    "scatter_in",
     "hierarchical_all_reduce",
     // Transport-fabric entry points (trait methods and the socket
     // backend's frame writer): a panic here severs the wire mid-frame
@@ -127,19 +124,23 @@ const COMM_TOKENS: &[&str] = &[
     "write_frame",
 ];
 
-/// Blocking collective entry points (the synchronous wrappers). The
-/// `start_…` variants deliberately do not match: inside a flush closure
-/// the non-blocking launch is exactly what the rule demands, and waiting
-/// the returned handle inline is still legal for synchronous mode.
+/// Blocking collective entry points: every synchronous wrapper
+/// `Communicator` ships (a test below holds this list to the `pub fn`s in
+/// the comm sources, both ways). The `start_…` variants deliberately do
+/// not match: inside a flush closure the non-blocking launch is exactly
+/// what the rule demands.
 const BLOCKING_TOKENS: &[&str] = &[
     ".all_reduce(",
+    ".all_reduce_in(",
     ".reduce_scatter(",
-    ".reduce_scatter_var(",
+    ".reduce_scatter_in(",
+    ".reduce_scatter_var_in(",
     ".all_gather(",
-    ".all_gather_var(",
+    ".all_gather_in(",
+    ".all_gather_var_in(",
     ".broadcast(",
+    ".broadcast_in(",
     ".barrier(",
-    ".all_to_all(",
     ".hierarchical_all_reduce(",
 ];
 
@@ -307,18 +308,15 @@ fn test_region_mask(masked: &str) -> Vec<bool> {
 }
 
 /// Marks lines inside gradient-bucket flush call regions: from a line
-/// containing `bucket.push(` or `.flush_all(` through the paren-matched
-/// end of that call (the flush closure lives inside the argument list).
+/// containing `.flush_all(` through the paren-matched end of that call
+/// (the flush closure lives inside the argument list).
 fn flush_region_mask(masked: &str) -> Vec<bool> {
     let lines: Vec<&str> = masked.lines().collect();
     let mut in_flush = vec![false; lines.len()];
     let mut li = 0;
     while li < lines.len() {
-        let open = ["bucket.push(", ".flush_all("]
-            .iter()
-            .filter_map(|t| lines[li].find(t).map(|p| p + t.len() - 1))
-            .min();
-        let Some(open) = open else {
+        const OPEN: &str = ".flush_all(";
+        let Some(open) = lines[li].find(OPEN).map(|p| p + OPEN.len() - 1) else {
             li += 1;
             continue;
         };
@@ -635,26 +633,55 @@ mod tests {
     #[test]
     fn flags_blocking_collective_in_flush_closure() {
         // A blocking reduce-scatter inside the flush closure forfeits
-        // overlap — the comm-unwrap on the same line fires too.
-        let src = "fn f() {\n  bucket.push(r, g, &mut |r, fused| {\n    \
-                   comm.reduce_scatter_var(g, fused, op, &c, p).unwrap();\n  });\n}\n";
+        // overlap — the comm-unwrap on the same line fires too. These are
+        // the wrappers `Communicator` really ships.
+        let src = "fn f() {\n  bucket.flush_all(&mut |r, fused| {\n    \
+                   comm.reduce_scatter_var_in(g, fused, &mut out, op, &c, p).unwrap();\n  });\n}\n";
         assert_eq!(lint_str(src), vec!["comm-unwrap", "blocking-flush"]);
         let src = "fn f() {\n  bucket.flush_all(&mut |r, fused| {\n    \
-                   let x = comm.all_reduce(g, fused, op);\n  });\n}\n";
+                   let x = comm.all_reduce_in(g, fused, op, p);\n  });\n}\n";
         assert_eq!(lint_str(src), vec!["blocking-flush"]);
     }
 
     #[test]
     fn nonblocking_launch_in_flush_closure_is_clean() {
-        // The start_* launch (and waiting its handle inline, which is
-        // how synchronous mode runs) is exactly what the rule demands.
-        let src = "fn f() {\n  bucket.push(r, g, &mut |r, fused| {\n    \
+        // The start_* launch, its handle parked for the drain, is exactly
+        // what the rule demands.
+        let src = "fn f() {\n  bucket.flush_all(&mut |r, fused| {\n    \
                    let p = comm.start_reduce_scatter_var(g, fused, op, &c, pr);\n    \
-                   let out = p.wait();\n  });\n}\n";
+                   inflight.push_back(p);\n  });\n}\n";
         assert!(lint_str(src).is_empty());
         // Blocking collectives *outside* any flush region stay legal.
-        let src = "fn f() { let x = comm.all_reduce(g, v, op); }\n";
+        let src = "fn f() { let x = comm.all_reduce_in(g, v, op, p); }\n";
         assert!(lint_str(src).is_empty());
+    }
+
+    #[test]
+    fn blocking_tokens_are_the_shipped_blocking_wrappers() {
+        // The list once named methods `Communicator` never had, so a real
+        // blocking wrapper in a flush closure passed. Hold it to the comm
+        // sources both ways: every token names a shipped `pub fn`, and
+        // every shipped collective that is not a `start_*` is listed.
+        let shipped: Vec<String> = [
+            include_str!("../../comm/src/collectives.rs"),
+            include_str!("../../comm/src/hierarchical.rs"),
+            include_str!("../../comm/src/world.rs"),
+        ]
+        .iter()
+        .flat_map(|src| src.lines())
+        .filter_map(|l| l.trim_start().strip_prefix("pub fn "))
+        .filter_map(|l| l.split('(').next())
+        .map(|name| format!(".{name}("))
+        .collect();
+        for t in BLOCKING_TOKENS {
+            assert!(shipped.iter().any(|s| s == t), "{t} names no shipped method");
+        }
+        const SHAPES: &[&str] = &["all_reduce", "reduce_scatter", "all_gather", "broadcast", "barrier"];
+        for s in shipped.iter().filter(|s| !s.starts_with(".start_")) {
+            if SHAPES.iter().any(|k| s.contains(k)) {
+                assert!(BLOCKING_TOKENS.contains(&s.as_str()), "blocking wrapper {s} is not listed");
+            }
+        }
     }
 
     #[test]
@@ -767,11 +794,11 @@ mod tests {
             Fixture {
                 rule: "blocking-flush",
                 positive: "fn f() {\n  bucket.flush_all(&mut |r, fused| {\n    \
-                           let x = comm.all_reduce(g, fused, op);\n  });\n}\n",
+                           let x = comm.all_gather_var_in(g, fused, &mut o, &c, p);\n  });\n}\n",
                 comment_masked: "fn f() {\n  // bucket.flush_all(&mut |r, fused| {\n  \
-                                 //   let x = comm.all_reduce(g, fused, op);\n  // });\n}\n",
+                                 //   let x = comm.all_gather_var_in(g, fused, &mut o, &c, p);\n  // });\n}\n",
                 string_masked: "fn f() {\n  let s = \"bucket.flush_all(\";\n  \
-                                let x = comm.all_reduce(g, fused, op);\n}\n",
+                                let x = comm.all_gather_var_in(g, fused, &mut o, &c, p);\n}\n",
             },
             Fixture {
                 rule: "condvar-wait-unlooped",

@@ -4,7 +4,8 @@
 
 use zero::comm::{launch, Grid};
 use zero::core::{
-    run_training, OptimizerKind, RankEngine, TrainSetup, ZeroConfig, ZeroStage,
+    run_training, CompressionConfig, OptimizerKind, RankEngine, TierConfig, TrainSetup,
+    ZeroConfig, ZeroStage,
 };
 use zero::model::{init_full_params, Gpt, ModelConfig, SyntheticCorpus};
 use zero::optim::{AdamConfig, SgdConfig};
@@ -413,23 +414,60 @@ fn first_losses_are_pinned_bit_for_bit() {
     // these bit patterns, whatever it does to speed; they may only be
     // re-captured by a change that means to alter the arithmetic. Stage 2
     // runs fp16 with activation checkpointing (forward, recompute and
-    // backward GEMMs); stage 3 runs fp32 with overlap.
-    let pinned: [(ZeroConfig, u64, [u32; 5]); 2] = [
+    // backward GEMMs); stage 3 runs fp32 with overlap. The last three rows
+    // pin the synchronous engine paths: stage 3 fp16 with every ZeRO++
+    // lever on two nodes of two (first-touch vs node-local refetch, both
+    // wire formats), stage 3 under an armed tier budget (demand tier
+    // fetches and per-flush spills), and stage 1 with a bucket smaller
+    // than Ψ (chunked gradient reduce-scatter and parameter publish).
+    let two = Grid::new(2, 1);
+    let zeropp = CompressionConfig { qwz: true, hpz: true, qgz: true, node_size: 2, block: 64 };
+    let pinned: [(ZeroConfig, Grid, u64, [u32; 5]); 5] = [
         (
             ZeroConfig { stage: ZeroStage::Two, initial_loss_scale: 1.0, ..ZeroConfig::default() },
+            two,
             11,
             [0x405e27a6, 0x405e6cda, 0x405d88e4, 0x405e4936, 0x405e5188],
         ),
         (
             ZeroConfig::fp32_exact(ZeroStage::Three).overlapped(),
+            two,
             12,
             [0x405db1ea, 0x405ec222, 0x405bcee1, 0x405efd86, 0x405c5559],
         ),
+        (
+            ZeroConfig {
+                stage: ZeroStage::Three,
+                initial_loss_scale: 1.0,
+                compression: zeropp,
+                ..ZeroConfig::default()
+            },
+            Grid::new(4, 1),
+            13,
+            [0x405cc4e1, 0x405c9ccf, 0x405d8818, 0x405d5620, 0x405ee717],
+        ),
+        (
+            ZeroConfig { tier: TierConfig::budgeted(1 << 20), ..ZeroConfig::fp32_exact(ZeroStage::Three) },
+            two,
+            14,
+            [0x405d81d7, 0x405c724f, 0x405e1688, 0x405cc4ba, 0x405a73b4],
+        ),
+        (
+            ZeroConfig {
+                stage: ZeroStage::One,
+                initial_loss_scale: 1.0,
+                bucket_elems: 1000,
+                ..ZeroConfig::default()
+            },
+            two,
+            15,
+            [0x405e3953, 0x405d243e, 0x405c2ff8, 0x405c2058, 0x405d0e62],
+        ),
     ];
-    for (zero, seed, want) in pinned {
-        let setup = TrainSetup { model: model(), zero, grid: Grid::new(2, 1), global_batch: 4, seed };
+    for (zero, grid, seed, want) in pinned {
+        let setup = TrainSetup { model: model(), zero, grid, global_batch: 4, seed };
         let report = run_training(&setup, 5, 0);
         let got: Vec<u32> = report.losses.iter().map(|l| l.to_bits()).collect();
-        assert_eq!(got, want, "stage {:?} losses {:x?}", setup.zero.stage, got);
+        assert_eq!(got, want, "stage {:?} seed {seed} losses {:x?}", setup.zero.stage, got);
     }
 }

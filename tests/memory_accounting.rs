@@ -11,9 +11,9 @@
 //! `d` has `chunk_range(Ψ, N_d, d)` elements, so per-rank values differ by
 //! at most one element's worth).
 
-use zero::comm::Grid;
-use zero::core::{run_training, MemCategory, TrainSetup, ZeroConfig, ZeroStage};
-use zero::model::ModelConfig;
+use zero::comm::{try_launch_with_config, CollectiveKind, FaultPlan, Grid, WorldConfig};
+use zero::core::{run_training, MemCategory, RankEngine, TrainSetup, ZeroConfig, ZeroStage};
+use zero::model::{init_full_params, Gpt, ModelConfig, SyntheticCorpus};
 
 fn model() -> ModelConfig {
     ModelConfig {
@@ -358,4 +358,44 @@ fn checkpoint_interval_trades_checkpoint_memory_for_activation_memory() {
         half.ranks[0].peak_by_category[act],
         every.ranks[0].peak_by_category[act]
     );
+}
+
+#[test]
+fn failed_step_returns_staging_buffers_to_the_tracker() {
+    // A dead peer must not leak `Buffers` in the tracker: the victim's
+    // first stage-3 parameter all-gather (a unit fetch) and first stage-1
+    // gradient reduce-scatter (a CB chunk) each fail the step with the
+    // staging buffer charged, in synchronous and overlapped mode alike.
+    let cases = [
+        (ZeroStage::Three, CollectiveKind::AllGather),
+        (ZeroStage::One, CollectiveKind::ReduceScatter),
+    ];
+    for (stage, kind) in cases {
+        for overlap in [false, true] {
+            let cfg = model();
+            let wcfg = WorldConfig {
+                recv_timeout: std::time::Duration::from_millis(200),
+                faults: FaultPlan::new().with_crash_at_kind(0, kind, 0),
+                ..WorldConfig::default()
+            };
+            let out = try_launch_with_config(2, wcfg, move |comm| {
+                let zcfg = ZeroConfig { stage, overlap, bucket_elems: 1000, ..ZeroConfig::default() };
+                let params = init_full_params(&cfg, 4);
+                let mut engine = RankEngine::new(Gpt::new(cfg), &params, zcfg, Grid::new(2, 1), comm);
+                let corpus = SyntheticCorpus::generate(cfg.vocab, 2000, 1);
+                let (ids, targets) = corpus.rank_batch(0, 2, cfg.seq, 2, engine.dp_rank());
+                let before = engine.memory().live(MemCategory::Buffers);
+                let res = engine.try_train_step(&ids, &targets, 1);
+                (res.is_err(), before, engine.memory().live(MemCategory::Buffers))
+            });
+            for (rank, r) in out.iter().enumerate() {
+                let (failed, before, after) = r.as_ref().expect("no rank panics");
+                assert!(failed, "{stage:?} overlap={overlap} rank {rank}: the step must fail");
+                assert_eq!(
+                    after, before,
+                    "{stage:?} overlap={overlap} rank {rank}: Buffers leaked on the error path"
+                );
+            }
+        }
+    }
 }
