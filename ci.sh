@@ -4,6 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Everything a stage writes outside the tree goes under one scratch root,
+# removed by one EXIT trap — a stage that fails under `set -e` leaks nothing.
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -49,11 +54,10 @@ cargo run -q --release --bin zero-train -- \
     --batch 4 --steps 5 --device-budget 65536 --verify-offload
 
 echo "==> zero-train --trace smoke (emitted Chrome trace must parse)"
-trace_out="$(mktemp -d)/smoke-trace.json"
+trace_out="$scratch/smoke-trace.json"
 cargo run -q --release --bin zero-train -- \
     --stage 3 --dp 2 --steps 2 --batch 4 --overlap --trace "$trace_out"
 test -s "$trace_out" || { echo "trace file missing or empty"; exit 1; }
-rm -rf "$(dirname "$trace_out")"
 
 echo "==> process fabric (socket transport parity + process-world recovery)"
 # Cross-backend contract: same collectives, bitwise-identical results and
@@ -64,12 +68,28 @@ cargo test -q --release -p zero-comm --test process_fabric
 cargo test -q --release --test process_world
 
 echo "==> kill -9 smoke (real process death, bitwise-verified recovery)"
-procworld_dir="$(mktemp -d)"
+procworld_dir="$scratch/procworld"
 cargo run -q --release --bin zero-train -- \
     --fabric process --stage 2 --dp 4 --layers 2 --hidden 16 --heads 2 \
     --seq 8 --vocab 32 --batch 12 --steps 20 --fp32 \
     --run-dir "$procworld_dir" --kill 2@7 --verify-recovery
-rm -rf "$procworld_dir"
+
+echo "==> kill -9 into an indivisible world (batch 8 over 3 survivors: typed refusal, exit 1, no panic)"
+indivisible_dir="$scratch/indivisible"
+mkdir "$indivisible_dir"
+indivisible_status=0
+cargo run -q --release --bin zero-train -- \
+    --fabric process --stage 2 --dp 4 --layers 2 --hidden 16 --heads 2 \
+    --seq 8 --vocab 32 --batch 8 --steps 20 --fp32 \
+    --run-dir "$indivisible_dir" --kill 2@7 \
+    > /dev/null 2> "$indivisible_dir/stderr" || indivisible_status=$?
+if [ "$indivisible_status" -ne 1 ] \
+    || ! grep -q "global batch 8 does not divide evenly over a world of 3 ranks" "$indivisible_dir/stderr" \
+    || grep -q "panicked" "$indivisible_dir/stderr"; then
+    echo "expected exit 1 with the typed indivisible-world message, got exit $indivisible_status:"
+    cat "$indivisible_dir/stderr"
+    exit 1
+fi
 # The trainer's own leak check ran on exit; belt-and-suspenders here.
 # The [-] class keeps the pattern from matching this script's own shell.
 if pgrep -f -- '[-]-zero-worker' > /dev/null 2>&1; then
@@ -77,12 +97,11 @@ if pgrep -f -- '[-]-zero-worker' > /dev/null 2>&1; then
 fi
 
 echo "==> zero-serve smoke (train -> snapshot -> shard-hosted serving)"
-serve_ckpt="$(mktemp -d)"
+serve_ckpt="$scratch/serve-ckpt"
 cargo run -q --release --bin zero-train -- \
     --stage 3 --dp 4 --steps 4 --batch 4 --save "$serve_ckpt"
 cargo run -q --release --bin zero-serve -- --snapshots "$serve_ckpt" --ranks 2 \
     > /dev/null || { echo "snapshot-backed serving failed"; exit 1; }
-rm -rf "$serve_ckpt"
 # >=8 concurrent requests incl. malformed ones that must get typed
 # rejections; trace/traffic must reconcile byte-exactly with the plan.
 cargo run -q --release --bin zero-serve -- --smoke
@@ -91,11 +110,10 @@ echo "==> saturation suite (open-loop load: FIFO fairness, deterministic sheddin
 cargo test -q --release --test saturation
 
 echo "==> bench_serve --smoke (batched vs serial serving, bitwise outputs)"
-serve_json="$(mktemp)"
+serve_json="$scratch/bench-serve.json"
 cargo run -q --release -p zero-bench --bin bench_serve -- --smoke --out "$serve_json"
 python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$serve_json" \
     || { echo "bench_serve smoke JSON does not parse"; exit 1; }
-rm -f "$serve_json"
 
 echo "==> bench_serve --arrivals (open-loop determinism gate vs committed baseline)"
 # Replays the poisson:0.5 schedule and exact-compares every deterministic

@@ -711,32 +711,20 @@ where
         .collect()
 }
 
-/// Like [`launch`] but also returns each rank's traffic snapshot.
+/// Like [`launch`] but also returns each rank's traffic snapshot, taken
+/// once the rank's closure — and with it the rank's communicator — is done.
 pub fn launch_with_stats<F, R>(n: usize, f: F) -> (Vec<R>, Vec<crate::stats::TrafficSnapshot>)
 where
     F: Fn(Communicator) -> R + Send + Sync,
     R: Send,
 {
-    let mut world = World::new(n);
-    let stats: Vec<_> = (0..n).map(|r| world.stats(r)).collect();
-    let comms: Vec<Communicator> = (0..n).map(|r| world.take(r)).collect();
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|c| {
-                let f = &f;
-                s.spawn(move || f(c))
-            })
-            .collect();
-        for (rank, (slot, h)) in results.iter_mut().zip(handles).enumerate() {
-            *slot = Some(h.join().unwrap_or_else(|payload| {
-                panic!("rank panicked: {}", describe_panic(rank, payload))
-            }));
-        }
-    });
-    let snaps = stats.iter().map(|s| s.snapshot()).collect();
-    (results.into_iter().map(|r| r.unwrap()).collect(), snaps)
+    launch(n, |c| {
+        let stats = c.stats.clone();
+        let result = f(c);
+        (result, stats.snapshot())
+    })
+    .into_iter()
+    .unzip()
 }
 
 #[cfg(test)]

@@ -47,8 +47,8 @@ pub use memory::{MemCategory, MemoryTracker, ALL_CATEGORIES, CATEGORY_COUNT, MOD
 pub use metrics::TrainingMetrics;
 pub use partition::Partitioner;
 pub use procworld::{
-    maybe_run_worker, run_supervised_process, KillSpec, ProcessSupervisedReport,
-    ProcessWorldOptions, WorkerCommand, WORKER_SPEC_ENV,
+    maybe_run_worker, run_supervised_process, KillSpec, ProcessWorldOptions, WorkerCommand,
+    WORKER_SPEC_ENV,
 };
 pub use plan::{
     CommPlan, CountSpec, EffectiveCompression, EffectiveOffload, PlanCursor, PlanOp, PlanScope,
@@ -60,7 +60,8 @@ pub use snapshot::{
 pub use store::FlatStore;
 pub use tier::{PageId, TierStats, TierStore};
 pub use supervisor::{
-    resume_from_snapshot, run_supervised, RecoveryReport, SupervisedReport, SupervisorConfig,
+    resume_from_snapshot, run_supervised, RecoveryReport, SuperviseError, SupervisedReport,
+    SupervisorConfig,
 };
 pub use trainer::{
     model_state_bytes, run_training, run_training_on, run_training_world, RankReport, TrainReport,

@@ -1,32 +1,31 @@
-//! Process-world driver: [`crate::supervisor`]'s recovery protocol run
-//! over *real OS processes* on the socket fabric of `zero_comm::process`.
+//! The process fabric's launcher: one supervised round run as *real OS
+//! processes* on the socket fabric of `zero_comm::process`.
 //!
-//! The thread-backed supervisor simulates rank death cooperatively — a
-//! faulted rank returns an error and drops its endpoints. Here every rank
-//! is a spawned child process; `kill -9` actually severs its sockets
-//! mid-step, and the driver must notice (via exit status and missing
-//! result files), roll survivors back to the last CRC-consistent
-//! snapshot, reshard to the shrunken world, and relaunch — producing
-//! losses bitwise identical to a clean thread-backend resume from the
-//! same snapshot. That equivalence is the backend-parity contract.
+//! The recovery protocol and the per-rank round body live in
+//! [`crate::supervisor`] and are shared with the thread fabric; this
+//! module only knows how to start a round of rank processes and collect
+//! what they report. Every rank is a spawned child, so `kill -9` actually
+//! severs its sockets mid-step and the driver must notice through exit
+//! statuses and missing result files — and recovery must still produce
+//! losses bitwise identical to a clean thread-fabric resume from the same
+//! snapshot. That equivalence is the backend-parity contract.
 //!
 //! ## Worker protocol
 //!
 //! The driver writes one *spec file* per rank (a `key=value` text file:
-//! model + ZeRO config with floats as exact bit patterns, fault plan,
-//! fabric timing, socket/snapshot/result paths) and spawns the caller's
-//! worker command with `ZERO_WORKER_SPEC` pointing at it. Any binary
-//! whose `main` (or a test shim) calls [`maybe_run_worker`] first can
-//! host a rank — `zero-train` does, and so do the integration tests by
-//! re-executing themselves.
+//! the [`SupervisorConfig`] with floats as exact bit patterns, the
+//! round's start step and fault plan, fabric timing, socket/restore/
+//! result paths) and spawns the caller's worker command with
+//! `ZERO_WORKER_SPEC` pointing at it. Any binary whose `main` (or a test
+//! shim) calls [`maybe_run_worker`] first can host a rank — `zero-train`
+//! does, and so do the integration tests by re-executing it.
 //!
 //! Workers report through the filesystem, never through pipes: a
 //! per-step `progress` file (the kill watcher's trigger), and an
-//! atomically renamed `result` file carrying bit-exact losses, the eval
-//! loss, any typed comm error (with its self-fault classification), the
-//! per-kind traffic totals, and the count of `snapshot-restore` spans.
-//! A rank that dies — by SIGKILL or panic — simply never renames its
-//! result file, which is exactly how the driver detects death.
+//! atomically renamed `result` file carrying the rank's bit-exact
+//! `RankResult`. A rank that dies — by SIGKILL or panic — simply never
+//! renames its result file, which is exactly how the driver detects
+//! death.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -34,19 +33,19 @@ use std::process::Command;
 use std::time::{Duration, Instant};
 
 use zero_comm::{
-    connect_process_rank, CommError, FaultKind, FaultPlan, FaultSpec, FaultTrigger, Grid,
+    connect_process_rank, FaultKind, FaultPlan, FaultSpec, FaultTrigger, Grid,
     ProcessWorldConfig, RankProcs, ALL_KINDS,
 };
-use zero_model::{init_full_params, Gpt, ModelConfig, SyntheticCorpus};
+use zero_model::ModelConfig;
 use zero_optim::{AdamConfig, LrSchedule, SgdConfig};
-use zero_trace::SpanCategory;
 
 use crate::config::{CompressionConfig, OptimizerKind, TierConfig, ZeroConfig, ZeroStage};
-use crate::engine::RankEngine;
-use crate::snapshot::{reshard, RankSnapshot};
+use crate::snapshot::RankSnapshot;
 use crate::supervisor::{
-    latest_consistent_snapshot, snapshot_dir_for, RecoveryReport, SupervisorConfig,
+    run_rank, supervise, RankFate, RankResult, Round, RunData, SuperviseError, SupervisedReport,
+    SupervisorConfig,
 };
+use crate::trainer::TrainSetup;
 
 /// Environment variable carrying the spec-file path to a worker process.
 pub const WORKER_SPEC_ENV: &str = "ZERO_WORKER_SPEC";
@@ -105,8 +104,7 @@ pub struct ProcessWorldOptions {
     /// (per-round subdirectories are created inside).
     pub run_dir: PathBuf,
     /// Optional SIGKILL injection, applied in the first round only —
-    /// mirroring the thread supervisor, which injects faults only into
-    /// the round they were scripted for.
+    /// like `cfg.faults`, which the supervisor scripts into round 0 alone.
     pub kill: Option<KillSpec>,
     /// Wall-clock budget for one round; children still alive at the
     /// deadline are killed (and the round treated as failed).
@@ -134,308 +132,111 @@ impl ProcessWorldOptions {
     }
 }
 
-/// What [`run_supervised_process`] returns: the same stitched history the
-/// thread supervisor produces, plus the per-rank measurements the parity
-/// tests compare across backends.
-#[derive(Clone, Debug)]
-pub struct ProcessSupervisedReport {
-    /// Per-step mean losses, stitched across recoveries.
-    pub losses: Vec<f32>,
-    /// Final eval loss, averaged over ranks.
-    pub final_eval: f32,
-    /// World size the run finished with.
-    pub final_world: usize,
-    /// One entry per recovery, in order.
-    pub recoveries: Vec<RecoveryReport>,
-    /// Final round, per rank: `(collective-kind name, bytes, messages)`.
-    pub traffic: Vec<Vec<(String, u64, u64)>>,
-    /// Final round, per rank: number of `snapshot-restore` spans the
-    /// rank's timeline recorded (> 0 after a rollback).
-    pub restore_spans: Vec<usize>,
-}
-
-/// Runs `cfg.steps` optimizer steps with every rank a spawned OS process,
-/// recovering from real process death (including injected `kill -9`) by
-/// snapshot rollback + reshard + relaunch.
-///
-/// Faults from `cfg.faults` are injected in the first round only, same as
-/// the thread supervisor; `opts.kill` adds genuine SIGKILL on top.
+/// [`crate::run_supervised`] with every rank a spawned OS process: the
+/// same recovery loop, recovering from real process death (including
+/// injected `kill -9`) as well as from `cfg.faults`; `opts.kill` adds
+/// genuine SIGKILL to round 0.
 ///
 /// # Panics
-/// Panics on unsupported configs (mp > 1, DDP stage), when no consistent
-/// snapshot survives a failure, or when `cfg.max_recoveries` is exceeded.
+/// Panics on an invalid model or ZeRO configuration, or when the scratch
+/// directory cannot be written or the workers cannot be spawned.
 pub fn run_supervised_process(
     cfg: &SupervisorConfig,
     opts: &ProcessWorldOptions,
-) -> ProcessSupervisedReport {
-    assert_eq!(
-        cfg.setup.grid.mp_degree(),
-        1,
-        "process supervisor supports pure data-parallel grids (mp = 1)"
-    );
-    assert!(
-        cfg.setup.zero.stage.partitions_optimizer(),
-        "process supervisor requires sharded optimizer state (ZeRO stages 1-3)"
-    );
-    assert!(cfg.snapshot_every > 0, "snapshot_every must be positive");
-    cfg.setup.model.validate();
-    cfg.setup.zero.validate();
-
-    let mut world = cfg.setup.grid.dp_degree();
-    let mut start_step: u64 = 0;
-    let mut restore_dir: Option<PathBuf> = None;
-    let mut recoveries: Vec<RecoveryReport> = Vec::new();
-    let mut losses: Vec<f32> = Vec::new();
-    let mut round = 0usize;
-
-    loop {
-        assert_eq!(
-            cfg.setup.global_batch % world,
-            0,
-            "global batch {} must divide the surviving world {world}",
-            cfg.setup.global_batch
-        );
-        let plan = if round == 0 {
-            cfg.faults.clone()
-        } else {
-            FaultPlan::new()
-        };
-        let outs = run_process_round(
-            cfg,
-            opts,
-            world,
-            start_step,
-            restore_dir.as_deref(),
-            &plan,
-            round,
-        );
-
-        let mut dead: Vec<usize> = Vec::new();
-        let mut failures: Vec<(usize, String)> = Vec::new();
-        for (rank, out) in outs.iter().enumerate() {
-            match out {
-                RankOutcome::Finished(res) => {
-                    if let Some(msg) = &res.error {
-                        failures.push((rank, msg.clone()));
-                        if res.self_fault {
-                            dead.push(rank);
-                        }
-                    }
-                }
-                RankOutcome::Died(msg) => {
-                    failures.push((rank, msg.clone()));
-                    dead.push(rank);
-                }
-            }
-        }
-
-        if failures.is_empty() {
-            let finished: Vec<&WorkerResult> = outs
-                .iter()
-                .map(|o| match o {
-                    RankOutcome::Finished(res) => res,
-                    RankOutcome::Died(_) => unreachable!("no failures yet a rank died"),
-                })
-                .collect();
-            let completed = finished[0].losses.len();
-            for i in 0..completed {
-                let mean = finished.iter().map(|r| r.losses[i]).sum::<f32>()
-                    / finished.len() as f32;
-                losses.push(mean);
-            }
-            let evals: Vec<f32> = finished.iter().filter_map(|r| r.eval).collect();
-            let final_eval = evals.iter().sum::<f32>() / evals.len().max(1) as f32;
-            return ProcessSupervisedReport {
-                losses,
-                final_eval,
-                final_world: world,
-                recoveries,
-                traffic: finished.iter().map(|r| r.traffic.clone()).collect(),
-                restore_spans: finished.iter().map(|r| r.restore_spans).collect(),
-            };
-        }
-
-        // ----- recovery: identical protocol to the thread supervisor -----
-        let t0 = Instant::now();
-        assert!(
-            recoveries.len() < cfg.max_recoveries,
-            "process supervisor: exceeded {} recoveries; last failures: {failures:?}",
-            cfg.max_recoveries
-        );
-        let new_world = world - dead.len();
-        assert!(
-            new_world > 0,
-            "no surviving ranks to recover with: {failures:?}"
-        );
-
-        let reached = outs
-            .iter()
-            .filter_map(|o| match o {
-                RankOutcome::Finished(res) => Some(start_step + res.losses.len() as u64),
-                RankOutcome::Died(_) => None,
-            })
-            .max()
-            .unwrap_or(start_step);
-
-        let (snap_step, snaps) =
-            latest_consistent_snapshot(&cfg.snapshot_dir, reached, cfg.snapshot_every as u64)
-                .unwrap_or_else(|| {
-                    panic!(
-                        "process supervisor: no consistent snapshot to recover from in {:?}",
-                        cfg.snapshot_dir
-                    )
-                });
-        let bytes_moved = snaps
-            .iter()
-            .map(|s| 4 * (s.master.len() + s.opt_m.len() + s.opt_v.len()) as u64)
-            .sum();
-
-        losses.truncate(snap_step as usize);
-        for step in losses.len() as u64..snap_step {
-            let i = (step - start_step) as usize;
-            let vals: Vec<f32> = outs
-                .iter()
-                .filter_map(|o| match o {
-                    RankOutcome::Finished(res) => res.losses.get(i).copied(),
-                    RankOutcome::Died(_) => None,
-                })
-                .collect();
-            assert!(
-                !vals.is_empty(),
-                "no loss record for step {step} below snapshot step {snap_step}"
-            );
-            losses.push(vals.iter().sum::<f32>() / vals.len() as f32);
-        }
-
-        // Reshard on the driver and hand each survivor its shard on disk.
-        let resharded = reshard(&snaps, new_world);
-        let rdir = opts.run_dir.join(format!("restore-{round}"));
-        std::fs::create_dir_all(&rdir).expect("create restore dir");
-        for shard in &resharded {
-            shard.save(&rdir).expect("write resharded shard");
-        }
-
-        recoveries.push(RecoveryReport {
-            failed_ranks: dead.clone(),
-            failures,
-            old_world: world,
-            new_world,
-            resumed_from_step: snap_step,
-            steps_lost: reached.saturating_sub(snap_step),
-            bytes_moved,
-            wall_time: t0.elapsed(),
-        });
-
-        world = new_world;
-        start_step = snap_step;
-        restore_dir = Some(rdir);
-        round += 1;
-    }
+) -> Result<SupervisedReport, SuperviseError> {
+    supervise(cfg, &mut |round| launch_processes(cfg, opts, round))
 }
 
-/// One rank's fate in one round, from the driver's point of view.
-enum RankOutcome {
-    /// The process exited and renamed a parseable result file into place.
-    Finished(WorkerResult),
-    /// SIGKILL, panic, or a vanished result file: the rank is gone and
-    /// its partial history with it.
-    Died(String),
-}
-
-/// Spawns `world` workers, runs the kill watcher, reaps everyone, and
-/// collects per-rank outcomes.
-fn run_process_round(
+/// Runs one round as processes: writes the rollback shards and one spec
+/// per rank, spawns the workers, runs the kill watcher, reaps everyone,
+/// and reads back each rank's result file.
+fn launch_processes(
     cfg: &SupervisorConfig,
     opts: &ProcessWorldOptions,
-    world: usize,
-    start_step: u64,
-    restore_dir: Option<&Path>,
-    plan: &FaultPlan,
-    round: usize,
-) -> Vec<RankOutcome> {
-    let round_dir = opts.run_dir.join(format!("round-{round}"));
+    round: &Round<'_>,
+) -> Vec<RankFate> {
+    let world = round.world;
+    let round_dir = opts.run_dir.join(format!("round-{}", round.index));
     let sock_dir = round_dir.join("sockets");
     std::fs::create_dir_all(&sock_dir).expect("create fabric socket dir");
+    // Hand each survivor its resharded shard on disk.
+    let restore_dir = round.restore.map(|shards| {
+        let dir = round_dir.join("restore");
+        for shard in shards {
+            shard.save(&dir).expect("write resharded shard");
+        }
+        dir
+    });
+    let round_cfg = SupervisorConfig {
+        setup: TrainSetup { grid: Grid::new(world, 1), ..cfg.setup },
+        faults: round.faults.clone(),
+        ..cfg.clone()
+    };
     let token = zero_comm::process::fresh_token();
 
-    let mut specs = Vec::with_capacity(world);
-    for rank in 0..world {
-        let spec = WorkerSpec {
+    let specs: Vec<WorkerSpec> = (0..world)
+        .map(|rank| WorkerSpec {
+            cfg: round_cfg.clone(),
             rank,
-            world,
+            start_step: round.start_step,
             token,
             socket_dir: sock_dir.clone(),
-            snapshot_dir: cfg.snapshot_dir.clone(),
-            restore_dir: restore_dir.map(Path::to_path_buf),
-            result_path: round_dir.join(format!("result-{rank}.txt")),
-            progress_path: round_dir.join(format!("progress-{rank}.txt")),
-            model: cfg.setup.model,
-            zero: cfg.setup.zero,
-            global_batch: cfg.setup.global_batch,
-            seed: cfg.setup.seed,
-            steps: cfg.steps,
-            start_step,
-            snapshot_every: cfg.snapshot_every,
-            recv_timeout: cfg.recv_timeout,
             heartbeat_interval: opts.heartbeat_interval,
             liveness_timeout: opts.liveness_timeout,
             handshake_timeout: opts.handshake_timeout,
-            faults: plan.clone(),
-        };
-        let spec_path = round_dir.join(format!("spec-{rank}.txt"));
-        std::fs::write(&spec_path, spec.serialize()).expect("write worker spec");
-        specs.push((spec, spec_path));
-    }
-
+            restore_dir: restore_dir.clone(),
+            result_path: round_dir.join(format!("result-{rank}.txt")),
+            progress_path: round_dir.join(format!("progress-{rank}.txt")),
+        })
+        .collect();
     let cmds: Vec<Command> = specs
         .iter()
-        .map(|(_, path)| opts.worker.command(path))
+        .map(|spec| {
+            let spec_path = round_dir.join(format!("spec-{}.txt", spec.rank));
+            std::fs::write(&spec_path, spec.serialize()).expect("write worker spec");
+            opts.worker.command(&spec_path)
+        })
         .collect();
     let mut procs = RankProcs::spawn(cmds).expect("spawn rank processes");
 
     // Kill watcher: poll the victim's progress file and SIGKILL it the
     // moment it has completed `after_step` steps — a genuinely
     // asynchronous death in the middle of the following step.
-    if round == 0 {
-        if let Some(kill) = opts.kill {
-            assert!(kill.rank < world, "kill target outside the world");
-            let progress = specs[kill.rank].0.progress_path.clone();
-            let deadline = Instant::now() + opts.round_timeout;
-            loop {
-                if read_progress(&progress).is_some_and(|done| done >= kill.after_step) {
-                    procs.kill(kill.rank);
-                    break;
-                }
-                // If the fleet already exited (fast failure), stop waiting.
-                if procs.poll() == 0 || Instant::now() >= deadline {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(5));
+    if let (0, Some(kill)) = (round.index, opts.kill) {
+        assert!(kill.rank < world, "kill target outside the world");
+        let deadline = Instant::now() + opts.round_timeout;
+        loop {
+            let progress = read_progress(&specs[kill.rank].progress_path);
+            if progress.is_some_and(|done| done >= kill.after_step) {
+                procs.kill(kill.rank);
+                break;
             }
+            // If the fleet already exited (fast failure), stop waiting.
+            if procs.poll() == 0 || Instant::now() >= deadline {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
         }
     }
 
     procs.wait_all(Instant::now() + opts.round_timeout);
 
-    (0..world)
-        .map(|rank| {
-            let (spec, _) = &specs[rank];
+    specs
+        .iter()
+        .map(|spec| {
+            let rank = spec.rank;
             if procs.died_of_signal(rank) {
-                return RankOutcome::Died(format!("rank {rank}: killed by signal"));
+                return Err(format!("rank {rank}: killed by signal"));
             }
             match std::fs::read_to_string(&spec.result_path) {
-                Ok(text) => match WorkerResult::parse(&text) {
-                    Ok(res) => RankOutcome::Finished(res),
-                    Err(e) => RankOutcome::Died(format!("rank {rank}: bad result file: {e}")),
-                },
+                Ok(text) => RankResult::parse(&text)
+                    .map_err(|e| format!("rank {rank}: bad result file: {e}")),
                 Err(_) => {
                     let status = procs
                         .status(rank)
                         .map(|s| format!("{s}"))
                         .unwrap_or_else(|| "unreaped".into());
-                    RankOutcome::Died(format!(
-                        "rank {rank}: exited ({status}) without a result"
-                    ))
+                    Err(format!("rank {rank}: exited ({status}) without a result"))
                 }
             }
         })
@@ -476,118 +277,38 @@ fn run_worker(text: &str) -> i32 {
             return 2;
         }
     };
-    let mut pcfg = ProcessWorldConfig::new(&spec.socket_dir, spec.world);
-    pcfg.token = spec.token;
-    pcfg.recv_timeout = spec.recv_timeout;
-    pcfg.heartbeat_interval = spec.heartbeat_interval;
-    pcfg.liveness_timeout = spec.liveness_timeout;
-    pcfg.handshake_timeout = spec.handshake_timeout;
-    pcfg.faults = spec.faults.clone();
-    let comm = match connect_process_rank(spec.rank, &pcfg) {
+    let comm = match connect_process_rank(spec.rank, &spec.fabric()) {
         Ok(comm) => comm,
         Err(e) => {
             eprintln!("zero worker rank {}: handshake failed: {e}", spec.rank);
             return 3;
         }
     };
-    let result = run_rank(&spec, comm);
-    match result.write_atomic(&spec.result_path) {
+    let restore = match &spec.restore_dir {
+        Some(dir) => RankSnapshot::load(dir, spec.rank).map(Some),
+        None => Ok(None),
+    };
+    let result = match restore {
+        Ok(shard) => {
+            let data = RunData::new(&spec.cfg);
+            run_rank(&spec.cfg, &data, spec.start_step, shard.as_ref(), comm, |done| {
+                write_atomic(&spec.progress_path, &format!("{done}\n"))
+                    .expect("write progress file");
+            })
+        }
+        // The mesh is already up, so the peers watch this rank leave.
+        Err(e) => RankResult {
+            error: Some(format!("restore shard unreadable: {e}")),
+            self_fault: true,
+            ..RankResult::default()
+        },
+    };
+    match write_atomic(&spec.result_path, &result.serialize()) {
         Ok(()) => 0,
         Err(e) => {
             eprintln!("zero worker rank {}: cannot write result: {e}", spec.rank);
             4
         }
-    }
-}
-
-/// The worker-side mirror of the thread supervisor's per-rank round
-/// closure: restore (or write the step-0 floor), train with snapshot
-/// cadence and per-step progress reporting, then eval.
-fn run_rank(spec: &WorkerSpec, comm: zero_comm::Communicator) -> WorkerResult {
-    let rank = spec.rank;
-    let world = spec.world;
-    let local_batch = spec.global_batch / world;
-    // Same corpus formula as the thread supervisor — the schedule is a
-    // function of the global step, which is what makes cross-backend and
-    // cross-world-size comparisons bitwise meaningful.
-    let corpus = SyntheticCorpus::generate(
-        spec.model.vocab,
-        (spec.global_batch * (spec.model.seq + 1) * (spec.steps + 2)).max(10_000),
-        spec.seed ^ 0x5EED,
-    );
-    let full_params = init_full_params(&spec.model, spec.seed);
-    let gpt = Gpt::new_mp(spec.model, 1);
-    let grid = Grid::new(world, 1);
-    let mut engine = RankEngine::new(gpt, &full_params, spec.zero, grid, comm);
-
-    let finish = |engine: &RankEngine, losses: Vec<f32>, eval, error: Option<CommError>| {
-        let timeline = engine.timeline();
-        let snap = engine.traffic();
-        WorkerResult {
-            losses,
-            eval,
-            self_fault: error.as_ref().is_some_and(|e| e.is_self_fault()),
-            error: error.map(|e| e.to_string()),
-            restore_spans: timeline.count_named(SpanCategory::Checkpoint, "snapshot-restore"),
-            traffic: ALL_KINDS
-                .iter()
-                .map(|&k| (k.name().to_string(), snap.bytes(k), snap.messages(k)))
-                .collect(),
-        }
-    };
-
-    if let Some(rdir) = &spec.restore_dir {
-        let shard = match RankSnapshot::load(rdir, rank) {
-            Ok(shard) => shard,
-            Err(e) => {
-                return WorkerResult {
-                    losses: Vec::new(),
-                    eval: None,
-                    error: Some(format!("restore shard unreadable: {e}")),
-                    self_fault: true,
-                    restore_spans: 0,
-                    traffic: Vec::new(),
-                };
-            }
-        };
-        if let Err(e) = engine.try_restore_snapshot(&shard) {
-            return finish(&engine, Vec::new(), None, Some(e));
-        }
-    } else {
-        engine
-            .save_snapshot()
-            .save(&snapshot_dir_for(&spec.snapshot_dir, 0))
-            .expect("write step-0 snapshot");
-    }
-
-    let mut losses = Vec::new();
-    for step in spec.start_step as usize..spec.steps {
-        let (ids, targets) =
-            corpus.rank_batch(step, spec.global_batch, spec.model.seq, world, rank);
-        match engine.try_train_step(&ids, &targets, local_batch) {
-            Ok(out) => losses.push(out.loss),
-            Err(e) => return finish(&engine, losses, None, Some(e)),
-        }
-        if (step + 1) % spec.snapshot_every == 0 {
-            engine
-                .save_snapshot()
-                .save(&snapshot_dir_for(&spec.snapshot_dir, (step + 1) as u64))
-                .expect("write snapshot shard");
-        }
-        write_atomic(&spec.progress_path, &format!("{}\n", step + 1))
-            .expect("write progress file");
-    }
-
-    let (ids, targets) = corpus.rank_batch(
-        spec.steps + 1,
-        spec.global_batch,
-        spec.model.seq,
-        world,
-        rank,
-    );
-    match engine.try_eval_loss(&ids, &targets, local_batch) {
-        Ok(l) => finish(&engine, losses, Some(l), None),
-        Err(e) => finish(&engine, losses, None, Some(e)),
     }
 }
 
@@ -599,26 +320,19 @@ fn run_rank(spec: &WorkerSpec, comm: zero_comm::Communicator) -> WorkerResult {
 /// exact bit patterns so the worker reconstructs configs bitwise.
 #[derive(Clone, Debug)]
 struct WorkerSpec {
+    /// The run's configuration as this round sees it: the round's fault
+    /// plan, a grid of the round's world.
+    cfg: SupervisorConfig,
     rank: usize,
-    world: usize,
+    start_step: u64,
     token: u64,
     socket_dir: PathBuf,
-    snapshot_dir: PathBuf,
-    restore_dir: Option<PathBuf>,
-    result_path: PathBuf,
-    progress_path: PathBuf,
-    model: ModelConfig,
-    zero: ZeroConfig,
-    global_batch: usize,
-    seed: u64,
-    steps: usize,
-    start_step: u64,
-    snapshot_every: usize,
-    recv_timeout: Duration,
     heartbeat_interval: Duration,
     liveness_timeout: Duration,
     handshake_timeout: Duration,
-    faults: FaultPlan,
+    restore_dir: Option<PathBuf>,
+    result_path: PathBuf,
+    progress_path: PathBuf,
 }
 
 fn f32_hex(v: f32) -> String {
@@ -630,6 +344,19 @@ fn f64_hex(v: f64) -> String {
 }
 
 impl WorkerSpec {
+    /// The round's mesh, as every one of its ranks must describe it.
+    fn fabric(&self) -> ProcessWorldConfig {
+        let mut fabric =
+            ProcessWorldConfig::new(&self.socket_dir, self.cfg.setup.grid.dp_degree());
+        fabric.token = self.token;
+        fabric.recv_timeout = self.cfg.recv_timeout;
+        fabric.faults = self.cfg.faults.clone();
+        fabric.heartbeat_interval = self.heartbeat_interval;
+        fabric.liveness_timeout = self.liveness_timeout;
+        fabric.handshake_timeout = self.handshake_timeout;
+        fabric
+    }
+
     fn serialize(&self) -> String {
         let mut s = String::new();
         let mut kv = |k: &str, v: String| {
@@ -638,24 +365,25 @@ impl WorkerSpec {
             s.push_str(&v);
             s.push('\n');
         };
+        let (cfg, setup) = (&self.cfg, &self.cfg.setup);
         kv("rank", self.rank.to_string());
-        kv("world", self.world.to_string());
+        kv("world", setup.grid.dp_degree().to_string());
         kv("token", self.token.to_string());
         kv("socket_dir", self.socket_dir.display().to_string());
-        kv("snapshot_dir", self.snapshot_dir.display().to_string());
+        kv("snapshot_dir", cfg.snapshot_dir.display().to_string());
         if let Some(r) = &self.restore_dir {
             kv("restore_dir", r.display().to_string());
         }
         kv("result_path", self.result_path.display().to_string());
         kv("progress_path", self.progress_path.display().to_string());
 
-        kv("vocab", self.model.vocab.to_string());
-        kv("seq", self.model.seq.to_string());
-        kv("hidden", self.model.hidden.to_string());
-        kv("layers", self.model.layers.to_string());
-        kv("heads", self.model.heads.to_string());
+        kv("vocab", setup.model.vocab.to_string());
+        kv("seq", setup.model.seq.to_string());
+        kv("hidden", setup.model.hidden.to_string());
+        kv("layers", setup.model.layers.to_string());
+        kv("heads", setup.model.heads.to_string());
 
-        let z = &self.zero;
+        let z = &setup.zero;
         kv(
             "stage",
             match z.stage {
@@ -736,24 +464,19 @@ impl WorkerSpec {
             ),
         }
 
-        kv("global_batch", self.global_batch.to_string());
-        kv("seed", self.seed.to_string());
-        kv("steps", self.steps.to_string());
+        kv("global_batch", setup.global_batch.to_string());
+        kv("seed", setup.seed.to_string());
+        kv("steps", cfg.steps.to_string());
         kv("start_step", self.start_step.to_string());
-        kv("snapshot_every", self.snapshot_every.to_string());
-        kv("recv_timeout_ms", self.recv_timeout.as_millis().to_string());
-        kv(
-            "heartbeat_ms",
-            self.heartbeat_interval.as_millis().to_string(),
-        );
+        kv("snapshot_every", cfg.snapshot_every.to_string());
+        kv("max_recoveries", cfg.max_recoveries.to_string());
+        kv("recv_timeout_ms", cfg.recv_timeout.as_millis().to_string());
+        kv("heartbeat_ms", self.heartbeat_interval.as_millis().to_string());
         kv("liveness_ms", self.liveness_timeout.as_millis().to_string());
-        kv(
-            "handshake_ms",
-            self.handshake_timeout.as_millis().to_string(),
-        );
+        kv("handshake_ms", self.handshake_timeout.as_millis().to_string());
 
-        kv("fault_seed", self.faults.seed().to_string());
-        for f in self.faults.specs() {
+        kv("fault_seed", cfg.faults.seed().to_string());
+        for f in cfg.faults.specs() {
             kv("fault", serialize_fault(f));
         }
         s
@@ -806,27 +529,31 @@ impl WorkerSpec {
         for line in kv.all("fault") {
             faults = faults.with(parse_fault(line)?);
         }
-        Ok(WorkerSpec {
-            rank: kv.req("rank")?,
-            world: kv.req("world")?,
-            token: kv.req("token")?,
-            socket_dir: PathBuf::from(kv.str("socket_dir")?),
-            snapshot_dir: PathBuf::from(kv.str("snapshot_dir")?),
-            restore_dir: kv.get("restore_dir").map(PathBuf::from),
-            result_path: PathBuf::from(kv.str("result_path")?),
-            progress_path: PathBuf::from(kv.str("progress_path")?),
+        let setup = TrainSetup {
             model,
             zero,
+            grid: Grid::new(kv.req("world")?, 1),
             global_batch: kv.req("global_batch")?,
             seed: kv.req("seed")?,
-            steps: kv.req("steps")?,
+        };
+        let mut cfg =
+            SupervisorConfig::new(setup, kv.req("steps")?, PathBuf::from(kv.str("snapshot_dir")?));
+        cfg.snapshot_every = kv.req("snapshot_every")?;
+        cfg.max_recoveries = kv.req("max_recoveries")?;
+        cfg.recv_timeout = Duration::from_millis(kv.req("recv_timeout_ms")?);
+        cfg.faults = faults;
+        Ok(WorkerSpec {
+            cfg,
+            rank: kv.req("rank")?,
             start_step: kv.req("start_step")?,
-            snapshot_every: kv.req("snapshot_every")?,
-            recv_timeout: Duration::from_millis(kv.req("recv_timeout_ms")?),
+            token: kv.req("token")?,
+            socket_dir: PathBuf::from(kv.str("socket_dir")?),
             heartbeat_interval: Duration::from_millis(kv.req("heartbeat_ms")?),
             liveness_timeout: Duration::from_millis(kv.req("liveness_ms")?),
             handshake_timeout: Duration::from_millis(kv.req("handshake_ms")?),
-            faults,
+            restore_dir: kv.get("restore_dir").map(PathBuf::from),
+            result_path: PathBuf::from(kv.str("result_path")?),
+            progress_path: PathBuf::from(kv.str("progress_path")?),
         })
     }
 }
@@ -969,19 +696,9 @@ fn parse_f64_bits(hex: &str) -> Result<f64, String> {
         .map_err(|_| format!("bad f64 bit pattern {hex:?}"))
 }
 
-/// What a worker reports back; floats travel as bit patterns so the
-/// driver's stitched history is bitwise identical to an in-process run.
-#[derive(Clone, Debug)]
-struct WorkerResult {
-    losses: Vec<f32>,
-    eval: Option<f32>,
-    error: Option<String>,
-    self_fault: bool,
-    restore_spans: usize,
-    traffic: Vec<(String, u64, u64)>,
-}
-
-impl WorkerResult {
+/// The result-file codec: floats travel as bit patterns so the driver's
+/// stitched history is bitwise identical to an in-process run.
+impl RankResult {
     fn serialize(&self) -> String {
         let losses: Vec<String> = self.losses.iter().map(|l| f32_hex(*l)).collect();
         let traffic: Vec<String> = self
@@ -1005,7 +722,7 @@ impl WorkerResult {
         s
     }
 
-    fn parse(text: &str) -> Result<WorkerResult, String> {
+    fn parse(text: &str) -> Result<RankResult, String> {
         let kv = Kv::parse(text);
         let losses = kv
             .str("losses")?
@@ -1031,7 +748,7 @@ impl WorkerResult {
                 Ok((name.to_string(), parsed_b, parsed_m))
             })
             .collect::<Result<Vec<_>, String>>()?;
-        Ok(WorkerResult {
+        Ok(RankResult {
             losses,
             eval,
             error: kv.get("error").map(str::to_string),
@@ -1039,10 +756,6 @@ impl WorkerResult {
             restore_spans: kv.req("restore_spans")?,
             traffic,
         })
-    }
-
-    fn write_atomic(&self, path: &Path) -> std::io::Result<()> {
-        write_atomic(path, &self.serialize())
     }
 }
 
@@ -1135,15 +848,7 @@ mod tests {
             total: 50,
             floor: 0.1,
         };
-        WorkerSpec {
-            rank: 2,
-            world: 4,
-            token: 0xDEAD_BEEF_CAFE,
-            socket_dir: PathBuf::from("/tmp/fabric"),
-            snapshot_dir: PathBuf::from("/tmp/snaps"),
-            restore_dir: Some(PathBuf::from("/tmp/restore-0")),
-            result_path: PathBuf::from("/tmp/result-2.txt"),
-            progress_path: PathBuf::from("/tmp/progress-2.txt"),
+        let setup = TrainSetup {
             model: ModelConfig {
                 vocab: 32,
                 seq: 8,
@@ -1152,21 +857,32 @@ mod tests {
                 heads: 2,
             },
             zero,
+            grid: Grid::new(4, 1),
             global_batch: 12,
             seed: 11,
-            steps: 20,
+        };
+        let mut cfg = SupervisorConfig::new(setup, 20, PathBuf::from("/tmp/snaps"));
+        cfg.snapshot_every = 4;
+        cfg.max_recoveries = 2;
+        cfg.recv_timeout = Duration::from_millis(500);
+        cfg.faults = FaultPlan::seeded(99)
+            .with_crash(2, 7)
+            .with_crash_at_kind(1, CollectiveKind::AllGather, 3)
+            .with_hang(0, 40)
+            .with_corruption(1, 25)
+            .with_delay(3, 2, Duration::from_millis(15));
+        WorkerSpec {
+            cfg,
+            rank: 2,
             start_step: 5,
-            snapshot_every: 5,
-            recv_timeout: Duration::from_millis(500),
-            heartbeat_interval: Duration::from_millis(25),
-            liveness_timeout: Duration::from_secs(1),
-            handshake_timeout: Duration::from_secs(20),
-            faults: FaultPlan::seeded(99)
-                .with_crash(2, 7)
-                .with_crash_at_kind(1, CollectiveKind::AllGather, 3)
-                .with_hang(0, 40)
-                .with_corruption(1, 25)
-                .with_delay(3, 2, Duration::from_millis(15)),
+            token: 0xDEAD_BEEF_CAFE,
+            socket_dir: PathBuf::from("/tmp/fabric"),
+            heartbeat_interval: Duration::from_millis(30),
+            liveness_timeout: Duration::from_secs(2),
+            handshake_timeout: Duration::from_secs(10),
+            restore_dir: Some(PathBuf::from("/tmp/restore-0")),
+            result_path: PathBuf::from("/tmp/result-2.txt"),
+            progress_path: PathBuf::from("/tmp/progress-2.txt"),
         }
     }
 
@@ -1175,35 +891,53 @@ mod tests {
         let spec = sample_spec();
         let parsed = WorkerSpec::parse(&spec.serialize()).expect("parse spec");
         assert_eq!(parsed.rank, spec.rank);
-        assert_eq!(parsed.world, spec.world);
-        assert_eq!(parsed.token, spec.token);
-        assert_eq!(parsed.restore_dir, spec.restore_dir);
-        assert_eq!(parsed.model, spec.model);
-        assert_eq!(parsed.zero, spec.zero);
-        assert_eq!(parsed.global_batch, spec.global_batch);
         assert_eq!(parsed.start_step, spec.start_step);
-        assert_eq!(parsed.recv_timeout, spec.recv_timeout);
-        assert_eq!(parsed.faults.seed(), spec.faults.seed());
-        assert_eq!(parsed.faults.specs(), spec.faults.specs());
+        assert_eq!(parsed.token, spec.token);
+        assert_eq!(parsed.socket_dir, spec.socket_dir);
+        assert_eq!(parsed.restore_dir, spec.restore_dir);
+        assert_eq!(parsed.result_path, spec.result_path);
+        assert_eq!(parsed.progress_path, spec.progress_path);
+        let (cfg, want) = (&parsed.cfg, &spec.cfg);
+        assert_eq!(cfg.setup.model, want.setup.model);
+        assert_eq!(cfg.setup.zero, want.setup.zero);
+        assert_eq!(cfg.setup.grid, want.setup.grid);
+        assert_eq!(cfg.setup.global_batch, want.setup.global_batch);
+        assert_eq!(cfg.setup.seed, want.setup.seed);
+        assert_eq!(cfg.steps, want.steps);
+        assert_eq!(cfg.snapshot_every, want.snapshot_every);
+        assert_eq!(cfg.snapshot_dir, want.snapshot_dir);
+        assert_eq!(cfg.max_recoveries, want.max_recoveries);
+        assert_eq!(cfg.recv_timeout, want.recv_timeout);
+        assert_eq!(cfg.faults.seed(), want.faults.seed());
+        assert_eq!(cfg.faults.specs(), want.faults.specs());
+        assert_eq!(parsed.heartbeat_interval, spec.heartbeat_interval);
+        assert_eq!(parsed.liveness_timeout, spec.liveness_timeout);
+        assert_eq!(parsed.handshake_timeout, spec.handshake_timeout);
+        // The mesh every rank dials is derived from the spec alone.
+        let fabric = parsed.fabric();
+        assert_eq!((fabric.world, fabric.token), (4, spec.token));
+        assert_eq!(fabric.recv_timeout, spec.cfg.recv_timeout);
+        assert_eq!(fabric.faults.specs(), spec.cfg.faults.specs());
     }
 
     #[test]
     fn worker_spec_floats_survive_bitwise() {
         let mut spec = sample_spec();
         // Values with no short decimal representation.
-        if let OptimizerKind::Adam(a) = &mut spec.zero.optimizer {
+        let zero = &mut spec.cfg.setup.zero;
+        if let OptimizerKind::Adam(a) = &mut zero.optimizer {
             a.lr = f32::from_bits(0x3a83_126f);
             a.eps = f32::MIN_POSITIVE;
         }
-        spec.zero.dropout = f32::from_bits(0x3e99_999a);
-        spec.zero.clip_grad_norm = Some(f64::from_bits(0x3FB9_9999_9999_999A));
+        zero.dropout = f32::from_bits(0x3e99_999a);
+        zero.clip_grad_norm = Some(f64::from_bits(0x3FB9_9999_9999_999A));
         let parsed = WorkerSpec::parse(&spec.serialize()).expect("parse spec");
-        assert_eq!(parsed.zero, spec.zero);
+        assert_eq!(parsed.cfg.setup.zero, spec.cfg.setup.zero);
     }
 
     #[test]
     fn worker_result_round_trips_bitwise_including_nan_free_extremes() {
-        let res = WorkerResult {
+        let res = RankResult {
             losses: vec![f32::from_bits(0x7f7f_ffff), 1.5e-40, -0.0],
             eval: Some(f32::from_bits(0x0000_0001)),
             error: Some("rank 1 lost peer 2".to_string()),
@@ -1214,7 +948,7 @@ mod tests {
                 ("p2p".into(), 0, 0),
             ],
         };
-        let parsed = WorkerResult::parse(&res.serialize()).expect("parse result");
+        let parsed = RankResult::parse(&res.serialize()).expect("parse result");
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         assert_eq!(bits(&parsed.losses), bits(&res.losses));
         assert_eq!(parsed.eval.map(f32::to_bits), res.eval.map(f32::to_bits));
@@ -1226,7 +960,7 @@ mod tests {
 
     #[test]
     fn empty_loss_list_round_trips() {
-        let res = WorkerResult {
+        let res = RankResult {
             losses: Vec::new(),
             eval: None,
             error: None,
@@ -1234,7 +968,7 @@ mod tests {
             restore_spans: 0,
             traffic: Vec::new(),
         };
-        let parsed = WorkerResult::parse(&res.serialize()).expect("parse result");
+        let parsed = RankResult::parse(&res.serialize()).expect("parse result");
         assert!(parsed.losses.is_empty());
         assert!(parsed.eval.is_none());
         assert!(parsed.error.is_none());

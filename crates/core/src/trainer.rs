@@ -6,8 +6,8 @@
 //! measurements the reproduction's experiments and equivalence tests
 //! consume.
 
-use zero_comm::{Grid, TimingSnapshot, TrafficSnapshot, World, WorldConfig};
-use zero_model::{init_full_params, shard_params, Gpt, ModelConfig, SyntheticCorpus};
+use zero_comm::{launch_with_config, Grid, TimingSnapshot, TrafficSnapshot, WorldConfig};
+use zero_model::{init_full_params, rank_batch, shard_params, Gpt, ModelConfig, SyntheticCorpus};
 
 use crate::config::ZeroConfig;
 use crate::engine::RankEngine;
@@ -26,6 +26,18 @@ pub struct TrainSetup {
     pub global_batch: usize,
     /// Parameter-init and data seed.
     pub seed: u64,
+}
+
+impl TrainSetup {
+    /// The synthetic corpus of a `steps`-step run: long enough for every
+    /// training batch plus the held-out one, seeded from `seed`. A pure
+    /// function of the setup and `steps` — never of the world size or
+    /// fabric — which is what makes losses comparable bit for bit across
+    /// fabrics and across a recovery's shrunken worlds.
+    pub fn corpus(&self, steps: usize) -> SyntheticCorpus {
+        let tokens = self.global_batch * (self.model.seq + 1) * (steps + 2);
+        SyntheticCorpus::generate(self.model.vocab, tokens.max(10_000), self.seed ^ 0x5EED)
+    }
 }
 
 /// Per-rank measurements captured after a run.
@@ -119,12 +131,7 @@ impl TrainReport {
 /// `eval_every` (if nonzero) runs a validation pass on a held-out batch
 /// after every that many steps.
 pub fn run_training(setup: &TrainSetup, steps: usize, eval_every: usize) -> TrainReport {
-    let corpus = SyntheticCorpus::generate(
-        setup.model.vocab,
-        (setup.global_batch * (setup.model.seq + 1) * (steps + 2)).max(10_000),
-        setup.seed ^ 0x5EED,
-    );
-    run_training_on(setup, steps, eval_every, corpus.tokens())
+    run_training_world(setup, steps, eval_every, WorldConfig::default())
 }
 
 /// Like [`run_training`] but over a fabric built from the given
@@ -136,21 +143,12 @@ pub fn run_training_world(
     eval_every: usize,
     world: WorldConfig,
 ) -> TrainReport {
-    let corpus = SyntheticCorpus::generate(
-        setup.model.vocab,
-        (setup.global_batch * (setup.model.seq + 1) * (steps + 2)).max(10_000),
-        setup.seed ^ 0x5EED,
-    );
-    run_training_inner(setup, steps, eval_every, corpus.tokens(), world)
+    run_training_inner(setup, steps, eval_every, setup.corpus(steps).tokens(), world)
 }
 
 /// Like [`run_training`] but over a caller-supplied token stream (e.g. a
 /// [`zero_model::ByteCorpus`] built from real text). Every token must be
 /// `< model.vocab`.
-/// Per-rank results collected by the training driver: losses, skipped
-/// flags, final master params, and the rank's report.
-type RankOutput = (Vec<f32>, Vec<bool>, Vec<f32>, RankReport);
-
 pub fn run_training_on(
     setup: &TrainSetup,
     steps: usize,
@@ -159,6 +157,10 @@ pub fn run_training_on(
 ) -> TrainReport {
     run_training_inner(setup, steps, eval_every, tokens, WorldConfig::default())
 }
+
+/// Per-rank results collected by the training driver: losses, skipped
+/// flags, validation losses, and the rank's report.
+type RankOutput = (Vec<f32>, Vec<bool>, Vec<f32>, RankReport);
 
 fn run_training_inner(
     setup: &TrainSetup,
@@ -169,12 +171,8 @@ fn run_training_inner(
 ) -> TrainReport {
     setup.model.validate();
     setup.zero.validate();
-    let n = setup.grid.world_size();
-    assert_eq!(
-        setup.global_batch % setup.grid.dp_degree(),
-        0,
-        "global batch must divide evenly over DP replicas"
-    );
+    let dp = setup.grid.dp_degree();
+    assert_eq!(setup.global_batch % dp, 0, "global batch must divide evenly over DP replicas");
     assert!(
         tokens.iter().all(|&t| (t as usize) < setup.model.vocab),
         "token stream exceeds the model vocabulary"
@@ -184,95 +182,64 @@ fn run_training_inner(
         "token stream shorter than one sequence"
     );
     let full = init_full_params(&setup.model, setup.seed);
-    let corpus = TokenStream { tokens, seq: setup.model.seq };
+    let local_batch = setup.global_batch / dp;
 
-    let mut world = World::with_config(n, world_cfg);
-    let comms: Vec<_> = (0..n).map(|r| world.take(r)).collect();
-    let setup_ref = &setup;
-    let full_ref = &full;
-    let corpus_ref = &corpus;
+    let outputs: Vec<RankOutput> = launch_with_config(setup.grid.world_size(), world_cfg, |comm| {
+        let rank = comm.rank();
+        let (dp_rank, mp_rank) = setup.grid.coords(rank);
+        let mp = setup.grid.mp_degree();
+        let gpt = Gpt::new_mp(setup.model, mp);
+        let my_params = if mp == 1 {
+            full.clone()
+        } else {
+            shard_params(&setup.model, &full, mp, mp_rank)
+        };
+        let mut engine = RankEngine::new(gpt, &my_params, setup.zero, setup.grid, comm);
+        drop(my_params);
 
-    let mut rank_outputs: Vec<Option<RankOutput>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|comm| {
-                s.spawn(move || {
-                    let rank = comm.rank();
-                    let (dp_rank, mp_rank) = setup_ref.grid.coords(rank);
-                    let mp = setup_ref.grid.mp_degree();
-                    let gpt = Gpt::new_mp(setup_ref.model, mp);
-                    let my_params = if mp == 1 {
-                        full_ref.clone()
-                    } else {
-                        shard_params(&setup_ref.model, full_ref, mp, mp_rank)
-                    };
-                    let mut engine =
-                        RankEngine::new(gpt, &my_params, setup_ref.zero, setup_ref.grid, comm);
-                    drop(my_params);
-
-                    let local_batch = setup_ref.global_batch / setup_ref.grid.dp_degree();
-                    let mut losses = Vec::with_capacity(steps);
-                    let mut skipped = Vec::with_capacity(steps);
-                    let mut val_losses = Vec::new();
-                    for step in 0..steps {
-                        let (ids, targets) = corpus_ref.rank_batch(
-                            step,
-                            setup_ref.global_batch,
-                            setup_ref.model.seq,
-                            setup_ref.grid.dp_degree(),
-                            dp_rank,
-                        );
-                        let out = engine.train_step(&ids, &targets, local_batch);
-                        losses.push(out.loss);
-                        skipped.push(out.skipped);
-                        if eval_every > 0 && (step + 1) % eval_every == 0 {
-                            // Held-out batch: beyond the training range.
-                            let (ids, targets) = corpus_ref.rank_batch(
-                                steps + 1,
-                                setup_ref.global_batch,
-                                setup_ref.model.seq,
-                                setup_ref.grid.dp_degree(),
-                                dp_rank,
-                            );
-                            val_losses.push(engine.eval_loss(&ids, &targets, local_batch));
-                        }
-                    }
-                    let mem = engine.memory();
-                    let mut live = [0u64; CATEGORY_COUNT];
-                    let mut peak = [0u64; CATEGORY_COUNT];
-                    for (i, c) in ALL_CATEGORIES.iter().enumerate() {
-                        live[i] = mem.live(*c);
-                        peak[i] = mem.peak(*c);
-                    }
-                    let report = RankReport {
-                        rank,
-                        peak_device_bytes: mem.peak_device(),
-                        peak_model_state_bytes: mem.peak_model_states(),
-                        live_by_category: live,
-                        peak_by_category: peak,
-                        cpu_transfer_bytes: mem.cpu_transfer_bytes(),
-                        tier: engine.tier_stats(),
-                        tier_time: engine.tier_time(),
-                        traffic: engine.traffic(),
-                        timing: engine.timing(),
-                        timeline: engine.timeline(),
-                        master: engine.master_params().to_vec(),
-                        shard_range: engine.master_range(),
-                    };
-                    (losses, skipped, val_losses, report)
-                })
-            })
-            .collect();
-        for (slot, h) in rank_outputs.iter_mut().zip(handles) {
-            *slot = Some(h.join().expect("rank panicked"));
+        let batch =
+            |index| rank_batch(tokens, index, setup.global_batch, setup.model.seq, dp, dp_rank);
+        let mut losses = Vec::with_capacity(steps);
+        let mut skipped = Vec::with_capacity(steps);
+        let mut val_losses = Vec::new();
+        for step in 0..steps {
+            let (ids, targets) = batch(step);
+            let out = engine.train_step(&ids, &targets, local_batch);
+            losses.push(out.loss);
+            skipped.push(out.skipped);
+            if eval_every > 0 && (step + 1) % eval_every == 0 {
+                // Held-out batch: beyond the training range.
+                let (ids, targets) = batch(steps + 1);
+                val_losses.push(engine.eval_loss(&ids, &targets, local_batch));
+            }
         }
+        let mem = engine.memory();
+        let mut live = [0u64; CATEGORY_COUNT];
+        let mut peak = [0u64; CATEGORY_COUNT];
+        for (i, c) in ALL_CATEGORIES.iter().enumerate() {
+            live[i] = mem.live(*c);
+            peak[i] = mem.peak(*c);
+        }
+        let report = RankReport {
+            rank,
+            peak_device_bytes: mem.peak_device(),
+            peak_model_state_bytes: mem.peak_model_states(),
+            live_by_category: live,
+            peak_by_category: peak,
+            cpu_transfer_bytes: mem.cpu_transfer_bytes(),
+            tier: engine.tier_stats(),
+            tier_time: engine.tier_time(),
+            traffic: engine.traffic(),
+            timing: engine.timing(),
+            timeline: engine.timeline(),
+            master: engine.master_params().to_vec(),
+            shard_range: engine.master_range(),
+        };
+        (losses, skipped, val_losses, report)
     });
 
-    let outputs: Vec<_> = rank_outputs.into_iter().map(|o| o.unwrap()).collect();
     // Average losses over DP replicas (take mp_rank 0 of each replica —
     // MP ranks report identical losses).
-    let dp = setup.grid.dp_degree();
     let steps_run = outputs[0].0.len();
     let mut losses = vec![0.0_f32; steps_run];
     for d in 0..dp {
@@ -305,40 +272,6 @@ pub fn model_state_bytes(report: &RankReport) -> u64 {
         .iter()
         .map(|&c| report.live_by_category[c as usize])
         .sum()
-}
-
-/// A borrowed token stream with the same batch-slicing semantics as
-/// [`SyntheticCorpus::rank_batch`].
-struct TokenStream<'a> {
-    tokens: &'a [u32],
-    seq: usize,
-}
-
-impl TokenStream<'_> {
-    fn rank_batch(
-        &self,
-        index: usize,
-        global_batch: usize,
-        seq: usize,
-        dp: usize,
-        rank: usize,
-    ) -> (Vec<u32>, Vec<u32>) {
-        debug_assert_eq!(seq, self.seq);
-        assert_eq!(global_batch % dp, 0, "batch not divisible by dp");
-        let span = seq + 1;
-        let local = global_batch / dp;
-        let mut ids = Vec::with_capacity(local * seq);
-        let mut targets = Vec::with_capacity(local * seq);
-        for b in 0..local {
-            let global_b = rank * local + b;
-            let start = (index * global_batch * span + global_b * span)
-                % (self.tokens.len() - span);
-            let window = &self.tokens[start..start + span];
-            ids.extend_from_slice(&window[..seq]);
-            targets.extend_from_slice(&window[1..]);
-        }
-        (ids, targets)
-    }
 }
 
 #[cfg(test)]

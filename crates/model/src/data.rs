@@ -74,25 +74,14 @@ impl SyntheticCorpus {
     /// shifted target), wrapping around the corpus. Returns `(ids, targets)`
     /// each of `batch·seq` tokens.
     pub fn batch(&self, index: usize, batch: usize, seq: usize) -> (Vec<u32>, Vec<u32>) {
-        let span = seq + 1;
-        let mut ids = Vec::with_capacity(batch * seq);
-        let mut targets = Vec::with_capacity(batch * seq);
-        for b in 0..batch {
-            let start = (index * batch * span + b * span) % (self.len() - span);
-            let window = &self.tokens[start..start + span];
-            ids.extend_from_slice(&window[..seq]);
-            targets.extend_from_slice(&window[1..]);
-        }
-        (ids, targets)
+        rank_batch(&self.tokens, index, batch, seq, 1, 0)
     }
 
-    /// Slices a *rank's* share of a global batch: the global batch
-    /// `index` is split evenly over `dp` ranks; rank `r` receives
-    /// sequences `r·(batch/dp) .. (r+1)·(batch/dp)`. Data-parallel
-    /// equivalence tests rely on this exact split.
+    /// Slices a *rank's* share of a global batch — see [`rank_batch`].
+    /// Data-parallel equivalence tests rely on this exact split.
     ///
     /// # Panics
-    /// Panics if `dp` does not divide `batch`.
+    /// Panics if `dp` does not divide `global_batch`.
     pub fn rank_batch(
         &self,
         index: usize,
@@ -101,13 +90,42 @@ impl SyntheticCorpus {
         dp: usize,
         rank: usize,
     ) -> (Vec<u32>, Vec<u32>) {
-        assert_eq!(global_batch % dp, 0, "batch {global_batch} not divisible by dp {dp}");
-        let local = global_batch / dp;
-        let (ids, tg) = self.batch(index, global_batch, seq);
-        let a = rank * local * seq;
-        let b = (rank + 1) * local * seq;
-        (ids[a..b].to_vec(), tg[a..b].to_vec())
+        rank_batch(&self.tokens, index, global_batch, seq, dp, rank)
     }
+}
+
+/// The one batch slicer, over any token stream. Global batch `index` is
+/// `global_batch` windows of `seq + 1` tokens (inputs plus the shifted
+/// targets) laid end to end from token `index·global_batch·(seq+1)`,
+/// each wrapping around the stream; it is split evenly over `dp` ranks
+/// and rank `r` receives windows `r·(global_batch/dp) ..
+/// (r+1)·(global_batch/dp)`. Returns `(ids, targets)`, each
+/// `(global_batch/dp)·seq` tokens.
+///
+/// # Panics
+/// Panics if `dp` does not divide `global_batch`, or the stream is not
+/// longer than one window.
+pub fn rank_batch(
+    tokens: &[u32],
+    index: usize,
+    global_batch: usize,
+    seq: usize,
+    dp: usize,
+    rank: usize,
+) -> (Vec<u32>, Vec<u32>) {
+    assert_eq!(global_batch % dp, 0, "batch {global_batch} not divisible by dp {dp}");
+    let span = seq + 1;
+    assert!(tokens.len() > span, "corpus shorter than one sequence");
+    let local = global_batch / dp;
+    let mut ids = Vec::with_capacity(local * seq);
+    let mut targets = Vec::with_capacity(local * seq);
+    for b in rank * local..(rank + 1) * local {
+        let start = (index * global_batch * span + b * span) % (tokens.len() - span);
+        let window = &tokens[start..start + span];
+        ids.extend_from_slice(&window[..seq]);
+        targets.extend_from_slice(&window[1..]);
+    }
+    (ids, targets)
 }
 
 #[cfg(test)]
@@ -227,17 +245,7 @@ impl ByteCorpus {
 
     /// Cuts batch `index` exactly like [`SyntheticCorpus::batch`].
     pub fn batch(&self, index: usize, batch: usize, seq: usize) -> (Vec<u32>, Vec<u32>) {
-        let span = seq + 1;
-        assert!(self.tokens.len() > span, "corpus shorter than one sequence");
-        let mut ids = Vec::with_capacity(batch * seq);
-        let mut targets = Vec::with_capacity(batch * seq);
-        for b in 0..batch {
-            let start = (index * batch * span + b * span) % (self.tokens.len() - span);
-            let window = &self.tokens[start..start + span];
-            ids.extend_from_slice(&window[..seq]);
-            targets.extend_from_slice(&window[1..]);
-        }
-        (ids, targets)
+        rank_batch(&self.tokens, index, batch, seq, 1, 0)
     }
 
     /// Decodes generated tokens back to (lossy) text.

@@ -32,7 +32,7 @@ pub mod layout;
 
 pub use block::{BlockDims, BlockSaved, Dropout};
 pub use config::ModelConfig;
-pub use data::{ByteCorpus, SyntheticCorpus};
+pub use data::{rank_batch, ByteCorpus, SyntheticCorpus};
 pub use generate::{
     argmax, block_step, block_step_kv, embed_step, head_step, GenerateError, Generator,
     IncrementalDecoder, Sampling,

@@ -116,7 +116,7 @@ fn main() {
     // Crash rank 2 in its 8th overflow-check all-reduce: mid-step, after
     // gradients are reduced, before the optimizer update lands.
     sup.faults = FaultPlan::new().with_crash_at_kind(2, CollectiveKind::AllReduce, 7);
-    let report = run_supervised(&sup);
+    let report = run_supervised(&sup).expect("the supervised run survives one crash");
 
     for rec in &report.recoveries {
         println!(

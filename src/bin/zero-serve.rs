@@ -17,36 +17,19 @@
 //! agreement with the single-process decoder and between KV backends,
 //! the 2Ψ/N + ε memory bound) and exits non-zero on any failure.
 
+use zero::cli::Args;
 use zero::comm::CollectiveKind;
 use zero::core::{export_inference_shards, CommPlan, Partitioner, RankSnapshot};
 use zero::model::{argmax, Gpt, IncrementalDecoder, ModelConfig};
 use zero::serve::{serve, Arrivals, KvBackend, LoadConfig, ServeConfig, ServeRequest};
 use zero::trace::SpanCategory;
 
-struct Args(Vec<String>);
-
-impl Args {
-    fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.0
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.0.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    fn maybe<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
-        self.0
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.0.get(i + 1))
-            .and_then(|v| v.parse().ok())
-    }
-
-    fn flag(&self, name: &str) -> bool {
-        self.0.iter().any(|a| a == name)
-    }
-}
+/// Options that take a value, and bare switches (see `--help`).
+const OPTIONS: &[&str] = &[
+    "--snapshots", "--ranks", "--slots", "--requests", "--max-new", "--arrivals", "--slo-steps",
+    "--kv-block", "--layers", "--hidden", "--heads", "--seq", "--vocab", "--seed",
+];
+const SWITCHES: &[&str] = &["--help", "--prefix-reuse", "--no-overlap", "--smoke"];
 
 fn fail(msg: &str) -> ! {
     eprintln!("zero-serve: FAIL: {msg}");
@@ -70,7 +53,7 @@ fn reference_greedy(model: &ModelConfig, params: &[f32], req: &ServeRequest) -> 
 }
 
 fn main() {
-    let args = Args(std::env::args().collect());
+    let args = Args::from_env(OPTIONS, SWITCHES);
     if args.flag("--help") {
         println!(
             "zero-serve: batched inference from stage-3 parameter shards\n\

@@ -9,33 +9,29 @@
 //! Prints per-step losses, then a memory/communication report per rank —
 //! the full ZeRO experience (threads as GPUs) from one command.
 
+use zero::cli::Args;
 use zero::comm::{CollectiveKind, Grid};
 use zero::core::{run_training, TrainSetup, ZeroConfig, ZeroStage};
 use zero::model::ModelConfig;
 use zero::optim::AdamConfig;
 
-struct Args(Vec<String>);
-
-impl Args {
-    fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.0
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.0.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    fn flag(&self, name: &str) -> bool {
-        self.0.iter().any(|a| a == name)
-    }
-}
+/// Options that take a value, and bare switches (see `--help`).
+const OPTIONS: &[&str] = &[
+    "--stage", "--dp", "--mp", "--layers", "--hidden", "--heads", "--seq", "--vocab", "--batch",
+    "--steps", "--lr", "--seed", "--clip", "--node-size", "--quant-block", "--device-budget",
+    "--host-bw", "--host-lat-us", "--fabric", "--kill", "--snapshot-every", "--run-dir",
+    "--text", "--trace", "--save",
+];
+const SWITCHES: &[&str] = &[
+    "--help", "--fp32", "--overlap", "--no-checkpoint", "--pa", "--pa-cpu", "--qwz", "--hpz",
+    "--qgz", "--offload", "--verify-offload", "--verify-recovery",
+];
 
 fn main() {
     // Worker dispatch must come first: when ZERO_WORKER_SPEC is set this
     // process *is* a rank of a process-fabric run and never returns here.
     zero::core::maybe_run_worker();
-    let args = Args(std::env::args().collect());
+    let args = Args::from_env(OPTIONS, SWITCHES);
     if args.flag("--help") {
         println!(
             "zero-train: train a transformer with ZeRO (ranks are threads)\n\
@@ -414,7 +410,10 @@ fn run_process_fabric(args: &Args, setup: TrainSetup, steps: usize) {
         steps
     );
     let t0 = std::time::Instant::now();
-    let report = zero::core::run_supervised_process(&cfg, &opts);
+    let report = zero::core::run_supervised_process(&cfg, &opts).unwrap_or_else(|e| {
+        eprintln!("zero-train: supervised run failed: {e}");
+        std::process::exit(1);
+    });
     let dt = t0.elapsed();
 
     for (i, loss) in report.losses.iter().enumerate() {

@@ -23,6 +23,9 @@
 //! * [`trace`] — per-rank span tracing: step timelines, overlap queries,
 //!   and Chrome trace-event export (`zero-train --trace out.json`).
 //!
+//! [`cli`] is the argument parser the `zero-train` and `zero-serve`
+//! binaries share.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -40,6 +43,8 @@
 //! let report = run_training(&setup, 5, 0);
 //! assert_eq!(report.losses.len(), 5);
 //! ```
+
+pub mod cli;
 
 pub use zero_comm as comm;
 pub use zero_core as core;

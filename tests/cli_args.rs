@@ -1,0 +1,32 @@
+//! Both binaries parse their arguments through `zero::cli::Args`: a value
+//! that does not parse and a flag that does not exist are usage errors
+//! (exit 2, naming the culprit), never a silently applied default.
+
+use std::process::Command;
+
+/// Runs `bin` with `args` and returns its exit code and stderr.
+fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(bin).args(args).output().expect("spawn binary");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn bad_values_and_unknown_flags_exit_2_naming_the_argument() {
+    let train = env!("CARGO_BIN_EXE_zero-train");
+    let serve = env!("CARGO_BIN_EXE_zero-serve");
+    for (bin, args, names) in [
+        // `--steps abc` used to train the default 50 steps.
+        (train, &["--steps", "abc"][..], &["--steps", "abc"][..]),
+        // `--ranks` was never a zero-train flag (it is `--dp`) and used to be dropped.
+        (train, &["--stage", "2", "--ranks", "4"], &["--ranks"]),
+        (train, &["--steps"], &["--steps"]),
+        (serve, &["--slots", "many"], &["--slots", "many"]),
+        (serve, &["--dp", "2"], &["--dp"]),
+    ] {
+        let (code, stderr) = run(bin, args);
+        assert_eq!(code, Some(2), "{bin} {args:?} must be a usage error, stderr: {stderr}");
+        for name in names {
+            assert!(stderr.contains(name), "{bin} {args:?}: stderr must name {name}: {stderr}");
+        }
+    }
+}

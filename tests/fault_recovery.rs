@@ -8,11 +8,10 @@ use std::time::Duration;
 use zero::comm::{CollectiveKind, FaultPlan, Grid};
 use zero::core::supervisor::snapshot_dir_for;
 use zero::core::{
-    resume_from_snapshot, run_supervised, SupervisorConfig, TierConfig, TrainSetup, ZeroConfig,
-    ZeroStage,
+    resume_from_snapshot, run_supervised, SuperviseError, SupervisorConfig, TierConfig,
+    TrainSetup, ZeroConfig, ZeroStage,
 };
 use zero::model::ModelConfig;
-use zero::trace::SpanCategory;
 
 fn unique_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("zero-fault-{tag}-{}", std::process::id()))
@@ -58,7 +57,7 @@ fn killed_rank_recovers_bitwise_identical_to_clean_resume() {
     // op per training step (the overflow flag), so the 0-based 7th fires
     // inside step 7.
     cfg.faults = FaultPlan::new().with_crash_at_kind(2, CollectiveKind::AllReduce, 7);
-    let recovered = run_supervised(&cfg);
+    let recovered = run_supervised(&cfg).expect("supervised run");
 
     assert_eq!(recovered.final_world, 3);
     assert_eq!(recovered.losses.len(), steps);
@@ -110,7 +109,7 @@ fn hung_rank_times_out_and_world_shrinks() {
     let mut cfg = config(&dir, 3, ZeroStage::One, 8);
     cfg.recv_timeout = Duration::from_millis(150);
     cfg.faults = FaultPlan::new().with_hang(1, 40);
-    let report = run_supervised(&cfg);
+    let report = run_supervised(&cfg).expect("supervised run");
     assert_eq!(report.final_world, 2);
     assert_eq!(report.losses.len(), 8);
     assert_eq!(report.recoveries.len(), 1);
@@ -137,7 +136,7 @@ fn corrupted_message_detected_and_rolled_back() {
     std::fs::remove_dir_all(&dir).ok();
     let mut cfg = config(&dir, 3, ZeroStage::Two, 8);
     cfg.faults = FaultPlan::seeded(99).with_corruption(1, 25);
-    let report = run_supervised(&cfg);
+    let report = run_supervised(&cfg).expect("supervised run");
     assert_eq!(report.final_world, 3, "no rank died, world must not shrink");
     assert_eq!(report.losses.len(), 8);
     assert_eq!(report.recoveries.len(), 1);
@@ -147,6 +146,22 @@ fn corrupted_message_detected_and_rolled_back() {
         "some rank must report the corrupt payload: {:?}",
         report.recoveries[0].failures
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A fault the fabric survives can still leave a world the batch does not
+/// split over (8 sequences, 4 ranks, one dies → 3): that is a typed
+/// refusal naming the batch and the surviving world, not a supervisor
+/// panic after the recovery already succeeded.
+#[test]
+fn indivisible_surviving_world_is_a_typed_error() {
+    let dir = unique_dir("indivisible");
+    std::fs::remove_dir_all(&dir).ok();
+    let mut cfg = config(&dir, 4, ZeroStage::Two, 12);
+    cfg.setup.global_batch = 8;
+    cfg.faults = FaultPlan::new().with_crash_at_kind(2, CollectiveKind::AllReduce, 7);
+    let err = run_supervised(&cfg).expect_err("3 survivors cannot split a batch of 8");
+    assert_eq!(err, SuperviseError::IndivisibleWorld { global_batch: 8, world: 3 });
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -168,7 +183,7 @@ fn crash_in_any_collective_phase_recovers() {
         std::fs::remove_dir_all(&dir).ok();
         let mut cfg = config(&dir, 4, ZeroStage::Two, 12);
         cfg.faults = FaultPlan::new().with_crash_at_kind(2, kind, nth);
-        let report = run_supervised(&cfg);
+        let report = run_supervised(&cfg).expect("supervised run");
         assert_eq!(report.final_world, 3, "{tag}: world must shrink by the one dead rank");
         assert_eq!(report.losses.len(), 12, "{tag}: run must complete");
         assert_eq!(report.recoveries.len(), 1, "{tag}");
@@ -188,7 +203,7 @@ fn stage3_crash_recovers() {
     // Stage 3 runs ~11 fabric ops per step here; op 75 lands in step 6,
     // past the step-5 snapshot.
     cfg.faults = FaultPlan::new().with_crash(3, 75);
-    let report = run_supervised(&cfg);
+    let report = run_supervised(&cfg).expect("supervised run");
     assert_eq!(report.final_world, 3);
     assert_eq!(report.losses.len(), 10);
     assert!(report.losses.iter().all(|l| l.is_finite()));
@@ -224,7 +239,7 @@ fn killed_rank_with_offload_prefetch_in_flight_recovers_bitwise_identical() {
     // all-gather past the step-5 snapshot guarantees an open prefetch
     // window (overlap) with its tier fetch already metered.
     cfg.faults = FaultPlan::new().with_crash_at_kind(2, CollectiveKind::AllGather, 50);
-    let recovered = run_supervised(&cfg);
+    let recovered = run_supervised(&cfg).expect("supervised run");
 
     assert_eq!(recovered.final_world, 3);
     assert_eq!(recovered.losses.len(), steps);
@@ -298,7 +313,7 @@ fn run_matrix_case_tiered(case: u64, tier: TierConfig) {
     cfg.snapshot_every = 3;
     cfg.recv_timeout = Duration::from_millis(200);
     cfg.faults = faults;
-    let report = run_supervised(&cfg);
+    let report = run_supervised(&cfg).expect("supervised run");
     assert_eq!(
         report.losses.len(),
         12,
@@ -308,10 +323,10 @@ fn run_matrix_case_tiered(case: u64, tier: TierConfig) {
     if !report.recoveries.is_empty() {
         // The final clean round started from a snapshot restore; the
         // rollback must appear in every surviving rank's trace.
-        assert!(!report.timelines.is_empty(), "case {case}: report must carry timelines");
-        for (rank, tl) in report.timelines.iter().enumerate() {
+        assert!(!report.restore_spans.is_empty(), "case {case}: report must carry span counts");
+        for (rank, spans) in report.restore_spans.iter().enumerate() {
             assert!(
-                tl.count_named(SpanCategory::Checkpoint, "snapshot-restore") > 0,
+                *spans > 0,
                 "case {case} rank {rank}: recovery happened but no snapshot-restore span"
             );
         }

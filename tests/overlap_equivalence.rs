@@ -216,7 +216,7 @@ fn crash_during_inflight_async_reduce_recovers() {
     // Stage 2 runs 4 bucket reduce-scatters per step; the 25th lands in
     // step 6, past the step-5 snapshot, mid-backward.
     cfg.faults = FaultPlan::new().with_crash_at_kind(2, CollectiveKind::ReduceScatter, 25);
-    let report = run_supervised(&cfg);
+    let report = run_supervised(&cfg).expect("supervised run");
     assert_eq!(report.final_world, 3, "world must shrink by the dead rank");
     assert_eq!(report.losses.len(), 12, "run must complete");
     assert_eq!(report.recoveries.len(), 1);
@@ -250,7 +250,7 @@ fn crash_during_inflight_prefetch_recovers() {
     // Stage 3 runs 8 fetch all-gathers per step here; the 50th lands in
     // step 6, past the step-5 snapshot.
     cfg.faults = FaultPlan::new().with_crash_at_kind(3, CollectiveKind::AllGather, 50);
-    let report = run_supervised(&cfg);
+    let report = run_supervised(&cfg).expect("supervised run");
     assert_eq!(report.final_world, 3);
     assert_eq!(report.losses.len(), 10);
     assert!(report.losses.iter().all(|l| l.is_finite()));

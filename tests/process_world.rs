@@ -1,26 +1,24 @@
 //! The process fabric's end-to-end guarantees, exercised with real spawned
 //! rank processes (the `zero-train --zero-worker` re-exec shim):
 //!
-//! * a clean multi-process run is bitwise identical — losses, eval, and
-//!   per-kind communication volumes — to the in-process thread backend;
-//! * the fault matrix's scripted crash cell behaves identically on both
-//!   backends (same dead rank, same rollback point, same stitched losses);
+//! * a clean multi-process run's `SupervisedReport` equals the thread
+//!   fabric's field by field — losses and eval bitwise, per-rank per-kind
+//!   communication volumes exactly;
+//! * the fault matrix's scripted crash cell produces equal reports on both
+//!   fabrics (same dead rank, same rollback point, same stitched losses);
 //! * a rank killed with SIGKILL mid-run is detected, rolled back, and the
 //!   resumed run is bitwise identical to a clean thread-backend resume
 //!   from the same snapshot — with no orphaned worker processes left.
 
 use std::path::{Path, PathBuf};
 
-use zero::comm::{
-    launch_with_stats, CollectiveKind, FaultPlan, Grid, TrafficSnapshot, ALL_KINDS,
-};
+use zero::comm::{CollectiveKind, FaultPlan, Grid};
 use zero::core::supervisor::snapshot_dir_for;
 use zero::core::{
-    resume_from_snapshot, run_supervised, run_supervised_process, KillSpec,
-    ProcessSupervisedReport, ProcessWorldOptions, RankEngine, SupervisorConfig, TrainSetup,
-    WorkerCommand, ZeroConfig, ZeroStage,
+    resume_from_snapshot, run_supervised, run_supervised_process, KillSpec, ProcessWorldOptions,
+    SupervisedReport, SupervisorConfig, TrainSetup, WorkerCommand, ZeroConfig, ZeroStage,
 };
-use zero::model::{init_full_params, Gpt, ModelConfig, SyntheticCorpus};
+use zero::model::ModelConfig;
 
 fn unique_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("zero-procworld-it-{tag}-{}", std::process::id()));
@@ -56,10 +54,10 @@ fn worker() -> WorkerCommand {
     }
 }
 
-fn run_process(dir: &Path, cfg: &SupervisorConfig, kill: Option<KillSpec>) -> ProcessSupervisedReport {
+fn run_process(dir: &Path, cfg: &SupervisorConfig, kill: Option<KillSpec>) -> SupervisedReport {
     let mut opts = ProcessWorldOptions::new(worker(), dir.join("fabric"));
     opts.kill = kill;
-    run_supervised_process(cfg, &opts)
+    run_supervised_process(cfg, &opts).expect("supervised process run")
 }
 
 /// Live `--zero-worker` processes other than our own (orphan check).
@@ -81,49 +79,12 @@ fn leaked_workers() -> usize {
         .count()
 }
 
-/// Runs the worker's exact schedule (train steps + held-out eval) on the
-/// in-process thread backend, returning each rank's traffic snapshot —
-/// the reference the socket fabric's metering must match byte-for-byte.
-fn thread_traffic_reference(setup: &TrainSetup, steps: usize) -> Vec<TrafficSnapshot> {
-    let world = setup.grid.dp_degree();
-    let local_batch = setup.global_batch / world;
-    let corpus = SyntheticCorpus::generate(
-        setup.model.vocab,
-        (setup.global_batch * (setup.model.seq + 1) * (steps + 2)).max(10_000),
-        setup.seed ^ 0x5EED,
-    );
-    let full_params = init_full_params(&setup.model, setup.seed);
-    let (_, stats) = launch_with_stats(world, |comm| {
-        let rank = comm.rank();
-        let gpt = Gpt::new_mp(setup.model, 1);
-        let mut engine = RankEngine::new(gpt, &full_params, setup.zero, setup.grid, comm);
-        for step in 0..steps {
-            let (ids, targets) =
-                corpus.rank_batch(step, setup.global_batch, setup.model.seq, world, rank);
-            engine
-                .try_train_step(&ids, &targets, local_batch)
-                .expect("clean reference step");
-        }
-        let (ids, targets) =
-            corpus.rank_batch(steps + 1, setup.global_batch, setup.model.seq, world, rank);
-        engine
-            .try_eval_loss(&ids, &targets, local_batch)
-            .expect("clean reference eval");
-    });
-    stats
-}
-
-#[test]
-fn clean_run_is_bitwise_identical_across_backends() {
-    let steps = 10;
-    let thread_dir = unique_dir("clean-thread");
-    let proc_dir = unique_dir("clean-proc");
-
-    let thread = run_supervised(&config(&thread_dir, 4, ZeroStage::Two, steps));
-    let process = run_process(&proc_dir, &config(&proc_dir, 4, ZeroStage::Two, steps), None);
-
-    assert!(process.recoveries.is_empty(), "clean run must not recover");
-    assert_eq!(process.final_world, 4);
+/// The backend-parity contract on the unified report: everything but
+/// wall time and failure wording must agree — losses and eval bit for
+/// bit, each recovery's casualties and rollback point, and the final
+/// round's per-rank restore-span counts and per-kind traffic (§7 volume
+/// parity: the socket fabric meters what the channel fabric meters).
+fn assert_reports_match(thread: &SupervisedReport, process: &SupervisedReport) {
     assert_eq!(process.losses.len(), thread.losses.len());
     for (i, (t, p)) in thread.losses.iter().zip(&process.losses).enumerate() {
         assert_eq!(t.to_bits(), p.to_bits(), "step {i}: thread {t} vs process {p}");
@@ -135,29 +96,37 @@ fn clean_run_is_bitwise_identical_across_backends() {
         thread.final_eval,
         process.final_eval
     );
-
-    // §7 volume parity: each rank's measured per-kind traffic on the
-    // socket fabric equals the thread backend running the same schedule.
-    let reference = thread_traffic_reference(&setup(4, ZeroStage::Two), steps);
-    assert_eq!(process.traffic.len(), reference.len());
-    for (rank, (proc_kinds, ref_snap)) in process.traffic.iter().zip(&reference).enumerate() {
-        for kind in ALL_KINDS {
-            let (bytes, msgs) = proc_kinds
-                .iter()
-                .find(|(name, _, _)| name == kind.name())
-                .map(|(_, b, m)| (*b, *m))
-                .unwrap_or((0, 0));
-            assert_eq!(
-                (bytes, msgs),
-                (ref_snap.bytes(kind), ref_snap.messages(kind)),
-                "rank {rank} {}: process fabric metered differently",
-                kind.name()
-            );
-        }
+    assert_eq!(process.final_world, thread.final_world);
+    assert_eq!(process.recoveries.len(), thread.recoveries.len());
+    for (t, p) in thread.recoveries.iter().zip(&process.recoveries) {
+        assert_eq!(p.failed_ranks, t.failed_ranks);
+        assert_eq!((p.old_world, p.new_world), (t.old_world, t.new_world));
+        assert_eq!(p.resumed_from_step, t.resumed_from_step);
+        assert_eq!((p.steps_lost, p.bytes_moved), (t.steps_lost, t.bytes_moved));
+    }
+    assert_eq!(process.restore_spans, thread.restore_spans);
+    assert_eq!(process.traffic.len(), thread.final_world);
+    for (rank, (p, t)) in process.traffic.iter().zip(&thread.traffic).enumerate() {
+        assert_eq!(p, t, "rank {rank}: process fabric metered differently");
         // The schedule actually communicates (a vacuous all-zero pass
         // would also "match").
-        assert!(proc_kinds.iter().any(|(_, b, _)| *b > 0), "rank {rank} moved no bytes");
+        assert!(p.iter().any(|(_, bytes, _)| *bytes > 0), "rank {rank} moved no bytes");
     }
+}
+
+#[test]
+fn clean_run_is_bitwise_identical_across_backends() {
+    let steps = 10;
+    let thread_dir = unique_dir("clean-thread");
+    let proc_dir = unique_dir("clean-proc");
+
+    let thread = run_supervised(&config(&thread_dir, 4, ZeroStage::Two, steps))
+        .expect("supervised thread run");
+    let process = run_process(&proc_dir, &config(&proc_dir, 4, ZeroStage::Two, steps), None);
+
+    assert!(process.recoveries.is_empty(), "clean run must not recover");
+    assert_eq!(process.final_world, 4);
+    assert_reports_match(&thread, &process);
 }
 
 #[test]
@@ -170,23 +139,15 @@ fn scripted_crash_cell_matches_thread_backend() {
     // crashes in its step-7 overflow all-reduce.
     let mut thread_cfg = config(&thread_dir, 4, ZeroStage::Two, steps);
     thread_cfg.faults = FaultPlan::new().with_crash_at_kind(2, CollectiveKind::AllReduce, 7);
-    let thread = run_supervised(&thread_cfg);
+    let thread = run_supervised(&thread_cfg).expect("supervised thread run");
 
     let mut proc_cfg = config(&proc_dir, 4, ZeroStage::Two, steps);
     proc_cfg.faults = FaultPlan::new().with_crash_at_kind(2, CollectiveKind::AllReduce, 7);
     let process = run_process(&proc_dir, &proc_cfg, None);
 
     assert_eq!(process.recoveries.len(), 1);
-    let (t, p) = (&thread.recoveries[0], &process.recoveries[0]);
-    assert_eq!(p.failed_ranks, t.failed_ranks);
-    assert_eq!((p.old_world, p.new_world), (t.old_world, t.new_world));
-    assert_eq!(p.resumed_from_step, t.resumed_from_step);
-    assert_eq!(process.final_world, thread.final_world);
     assert_eq!(process.losses.len(), steps);
-    for (i, (a, b)) in thread.losses.iter().zip(&process.losses).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "step {i}: thread {a} vs process {b}");
-    }
-    assert_eq!(thread.final_eval.to_bits(), process.final_eval.to_bits());
+    assert_reports_match(&thread, &process);
     // Every surviving rank restored from the snapshot (trace evidence).
     assert!(
         process.restore_spans.iter().all(|&n| n >= 1),

@@ -55,11 +55,7 @@ fn external_stream_equals_synthetic_path_for_same_tokens() {
         seed: 9,
     };
     let a = zero::core::run_training(&setup, 3, 0);
-    let tokens = zero::model::SyntheticCorpus::generate(
-        setup.model.vocab,
-        (setup.global_batch * (setup.model.seq + 1) * 5).max(10_000),
-        setup.seed ^ 0x5EED,
-    );
+    let tokens = setup.corpus(3);
     let b = run_training_on(&setup, 3, 0, tokens.tokens());
     assert_eq!(a.losses, b.losses, "the two entry points must agree");
 }
