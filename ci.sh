@@ -106,7 +106,7 @@ cargo run -q --release --bin zero-serve -- --snapshots "$serve_ckpt" --ranks 2 \
 # rejections; trace/traffic must reconcile byte-exactly with the plan.
 cargo run -q --release --bin zero-serve -- --smoke
 
-echo "==> saturation suite (open-loop load: FIFO fairness, deterministic shedding, paged-vs-slab bitwise, prefix-reuse bytes)"
+echo "==> saturation suite (open-loop load: FIFO fairness, deterministic shedding, every KV geometry bitwise, prefix-reuse bytes)"
 cargo test -q --release --test saturation
 
 echo "==> bench_serve --smoke (batched vs serial serving, bitwise outputs)"

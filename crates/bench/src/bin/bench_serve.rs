@@ -130,7 +130,7 @@ struct OpenLoopRow {
     seed: u64,
     ranks: usize,
     slots: usize,
-    /// Paged-KV block positions; 0 means the slab backend.
+    /// KV block positions; 0 means one `seq`-long block per slot.
     kv_block: usize,
     prefix_reuse: bool,
     /// Admission SLO in batch steps; 0 means never shed.
@@ -148,7 +148,7 @@ struct OpenLoopRow {
     prompt_rows: u64,
     /// `prefix_hit_rows / prompt_rows`.
     prefix_hit_rate: f64,
-    /// KV bytes actually allocated over the run (slab: the full arena).
+    /// KV bytes allocated over the run (blocks allocated × block bytes).
     kv_bytes_allocated: u64,
     wall_secs: f64,
     /// Completed (not merely attempted) tokens per second — the number
@@ -482,9 +482,10 @@ fn main() {
     }
 
     // Open-loop section: the committed rows the CI smoke checks against.
-    // Same Poisson schedule through slab and paged+reuse (whose
-    // deterministic admission metrics must agree — the backends differ
-    // only in memory), plus a saturating burst schedule with an SLO.
+    // Same Poisson schedule at the one-block-per-slot geometry and at
+    // block 8 with reuse (whose deterministic admission metrics must
+    // agree — the geometries differ only in memory), plus a saturating
+    // burst schedule with an SLO.
     let mut open_loop = Vec::new();
     if !smoke {
         let base = OpenSpec {
@@ -517,8 +518,8 @@ fn main() {
             );
             open_loop.push(row);
         }
-        // The paged+reuse run must actually reuse prefixes, and its
-        // scheduler-visible outcomes must match the slab run exactly.
+        // The reuse run must actually reuse prefixes, and its
+        // scheduler-visible outcomes must match the first row exactly.
         assert!(open_loop[1].prefix_hit_rows > 0, "shared prefixes must hit the cache");
         assert_eq!(open_loop[0].completed_tokens, open_loop[1].completed_tokens);
         assert_eq!(open_loop[0].admitted, open_loop[1].admitted);

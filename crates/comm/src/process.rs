@@ -151,9 +151,6 @@ pub fn connect_process_rank(
         faults: cfg.faults.clone(),
         link_latency: cfg.link_latency,
         tiered_link: None,
-        // Tier-move delays for process ranks are priced by the caller
-        // (the engine models them from its own `TierConfig`).
-        tier_throttle: None,
     };
     // The latch only matters to the channel backend (it counts sibling
     // threads in one process); a process rank has no in-process siblings,

@@ -76,32 +76,6 @@ impl TieredLink {
     }
 }
 
-/// Modeled bandwidth/latency of the host↔device memory-tier link
-/// (ZeRO-Offload spill/fetch traffic). Applied on the progress thread to
-/// every [`Communicator::start_tier_move`]: the transfer's effective
-/// delay is the max of this throttle's cost and the caller's own modeled
-/// delay, so either layer (comm config or engine tier config) can be the
-/// binding constraint.
-#[derive(Clone, Copy, Debug)]
-pub struct TierThrottle {
-    /// Tier link bandwidth, bytes per second (0 = unthrottled).
-    pub bytes_per_sec: u64,
-    /// Per-transfer latency.
-    pub latency: Duration,
-}
-
-impl TierThrottle {
-    /// The modeled time `bytes` take to cross the tier link.
-    pub fn transfer_time(&self, bytes: u64) -> Duration {
-        let bw = if self.bytes_per_sec == 0 {
-            Duration::ZERO
-        } else {
-            Duration::from_secs_f64(bytes as f64 / self.bytes_per_sec as f64)
-        };
-        self.latency + bw
-    }
-}
-
 /// Fabric-wide configuration: receive timeout, fault script, and modeled
 /// link latency.
 #[derive(Clone, Debug)]
@@ -124,10 +98,6 @@ pub struct WorldConfig {
     /// to `link_latency`. `None` (the default) models no serialization
     /// cost, preserving existing behavior bit for bit.
     pub tiered_link: Option<TieredLink>,
-    /// Modeled host↔device memory-tier link, applied to every
-    /// `start_tier_move`. `None` (the default) leaves the caller's own
-    /// modeled delay as the only cost.
-    pub tier_throttle: Option<TierThrottle>,
 }
 
 impl Default for WorldConfig {
@@ -137,7 +107,6 @@ impl Default for WorldConfig {
             faults: FaultPlan::new(),
             link_latency: Duration::ZERO,
             tiered_link: None,
-            tier_throttle: None,
         }
     }
 }
@@ -160,11 +129,6 @@ impl WorldConfig {
     pub fn with_tiered_link(link: TieredLink) -> WorldConfig {
         assert!(link.node_size > 0, "tiered link node size must be positive");
         WorldConfig { tiered_link: Some(link), ..WorldConfig::default() }
-    }
-
-    /// Default config with a modeled memory-tier link throttle.
-    pub fn with_tier_throttle(throttle: TierThrottle) -> WorldConfig {
-        WorldConfig { tier_throttle: Some(throttle), ..WorldConfig::default() }
     }
 }
 
@@ -440,8 +404,6 @@ pub struct Communicator {
     /// the wait budget of newly submitted ops (FIFO: everything already
     /// queued runs first).
     queued: Arc<AtomicUsize>,
-    /// Modeled memory-tier link for `start_tier_move` delays.
-    tier_throttle: Option<TierThrottle>,
     /// World-shared shutdown accounting: departed on drop so a hung
     /// peer's deadline wait can cancel once every other handle is gone.
     latch: Arc<ShutdownLatch>,
@@ -498,7 +460,6 @@ impl Communicator {
             recv_timeout: config.recv_timeout,
             jobs: jobs_tx,
             queued,
-            tier_throttle: config.tier_throttle,
             latch,
         }
     }
@@ -585,21 +546,17 @@ impl Communicator {
 
     /// Starts a modeled host↔device memory-tier transfer of `bytes`
     /// (ZeRO-Offload traffic). No fabric messages move; the transfer
-    /// occupies this rank's FIFO progress thread for
-    /// `max(delay, throttle cost)` and records a byte-tagged `Tier` span,
-    /// so tier traffic serializes with — and can hide behind compute
-    /// exactly like — the rank's collectives. Waiting the handle returns
-    /// an empty payload.
+    /// occupies this rank's FIFO progress thread for `delay` (the caller
+    /// prices it from its `TierConfig`) and records a byte-tagged `Tier`
+    /// span, so tier traffic serializes with — and can hide behind
+    /// compute exactly like — the rank's collectives. Waiting the handle
+    /// returns an empty payload.
     pub fn start_tier_move(
         &mut self,
         label: &'static str,
         bytes: u64,
         delay: Duration,
     ) -> PendingOp {
-        let delay = match self.tier_throttle {
-            Some(t) => delay.max(t.transfer_time(bytes)),
-            None => delay,
-        };
         self.submit(None, Request::TierMove { bytes, delay, label })
     }
 }

@@ -14,8 +14,8 @@
 //! [`block_step`], [`head_step`] — each taking one *unit's* parameter
 //! slice. [`IncrementalDecoder`] drives them over its private caches; the
 //! shard-hosted serving engine drives the identical code over gathered
-//! unit buffers and a pooled [`KvSlab`](crate::kv::KvSlab), which is what
-//! makes the two paths bitwise-equal (tested).
+//! unit buffers and a pooled [`BlockArena`](crate::kv::BlockArena), which
+//! is what makes the two paths bitwise-equal (tested).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -135,11 +135,11 @@ pub fn block_step(
 }
 
 /// [`block_step`] over any [`KvArena`](crate::kv::KvArena) backing
-/// store: the serving engine passes a pooled slab or a paged block
-/// arena with `slot` naming the request's cache lane; the incremental
-/// decoder passes a contiguous adapter. The kernel reads and writes the
-/// cache strictly row-at-a-time, which is what lets a paged arena with
-/// non-contiguous storage produce bitwise-identical logits.
+/// store: the serving engine passes its paged KV pool with `slot`
+/// naming the request's page table; the incremental decoder passes a
+/// contiguous adapter. The kernel reads and writes the cache strictly
+/// row-at-a-time, which is what lets a paged arena with non-contiguous
+/// storage produce bitwise-identical logits.
 pub fn block_step_kv<A: crate::kv::KvArena>(
     gpt: &Gpt,
     l: usize,

@@ -1,33 +1,26 @@
-//! Pooled key/value-cache storage for batched incremental decoding.
+//! Key/value-cache storage for incremental decoding.
 //!
 //! A serving rank decodes many requests concurrently; each live request
-//! needs one K and one V cache per transformer block. Two backing
-//! strategies live here behind the [`KvArena`] row-access trait:
+//! needs one K and one V cache per transformer block. All of it lives in
+//! one [`BlockArena`]: a single pre-allocated region (the contiguous
+//! memory idea of the paper's §6.3 applied to serving state) carved into
+//! fixed-size *position blocks* that are claimed as a request's decode
+//! position crosses block boundaries. Blocks are reference counted so
+//! shared prompt prefixes can map to shared read-only blocks; the page
+//! tables and prefix-hash cache live with the serving engine
+//! (`zero-serve`), which owns the sharing policy — this type owns
+//! allocation, refcounts, scrubbing, and byte metering. A block as long
+//! as the context window is the classic one-slab-slot-per-request layout;
+//! it is a geometry of this arena, not a second container.
 //!
-//! * [`KvSlab`] — one flat arena of `slots × layers × seq × hidden`
-//!   elements per side, a *slot* per in-flight request. The working set
-//!   is bounded and constant for a given batch capacity (the contiguous
-//!   memory idea of the paper's §6.3 applied to serving state), but every
-//!   slot pays for the full context window whether it uses it or not.
-//! * [`BlockArena`] — fixed-size *position blocks* allocated on demand
-//!   as a request's decode position crosses block boundaries (the paged
-//!   KV-cache design). Blocks are reference counted so shared prompt
-//!   prefixes can map to shared read-only blocks; the page tables and
-//!   prefix-hash cache live with the serving engine (`zero-serve`),
-//!   which owns the sharing policy — this type owns allocation,
-//!   refcounts, scrubbing, and byte metering.
+//! The per-token attention kernel (`block_step_kv`) is generic over the
+//! [`KvArena`] row-access trait, so pooled decoding and the single-request
+//! reference ([`ContigKv`] under `IncrementalDecoder`) execute
+//! bitwise-identical arithmetic — a tested invariant.
 //!
-//! Both implement [`KvArena`], and the per-token attention kernel
-//! (`block_step_kv`) is generic over it, so slab-backed and paged-backed
-//! decoding execute bitwise-identical arithmetic — a tested invariant.
-//!
-//! Correctness under recycling used to rely purely on the decode
-//! discipline (position `t` is written before any later token reads it).
-//! That is still true for append-only positions, but block sharing makes
-//! stale state a real hazard, so both containers now *scrub* recycled
-//! storage (the slab on release, the arena on alloc) and detect double
-//! frees with an O(1) occupancy bitset instead of the old O(slots)
-//! free-list scan.
+//! Block sharing makes stale state a real hazard, so the arena *scrubs*
+//! every block it hands out and detects double frees with an O(1)
+//! occupancy bitset.
 
 /// Row-level access to a K/V cache keyed by (layer, slot, position) —
 /// the interface the shared per-token attention kernel decodes through.
@@ -79,8 +72,7 @@ impl KvArena for ContigKv<'_> {
     }
 }
 
-/// A fixed-word occupancy bitset: O(1) membership instead of the old
-/// O(n) `Vec::contains` scan on every release.
+/// A fixed-word occupancy bitset: O(1) membership on every release.
 #[derive(Clone, Debug)]
 struct Bitset(Vec<u64>);
 
@@ -102,149 +94,9 @@ impl Bitset {
     }
 }
 
-/// A pooled K/V cache arena: `slots` concurrently live requests, each
-/// with `layers` caches of `seq × width` elements per side.
-pub struct KvSlab {
-    layers: usize,
-    slots: usize,
-    seq: usize,
-    width: usize,
-    k: Vec<f32>,
-    v: Vec<f32>,
-    /// Free slot ids (LIFO: the most recently freed slot is reused first,
-    /// which keeps the hot part of the arena small).
-    free: Vec<usize>,
-    /// Occupancy: bit `s` set means slot `s` is handed out.
-    occupied: Bitset,
-}
-
-impl KvSlab {
-    /// Creates a slab for `slots` concurrent requests over a model with
-    /// `layers` blocks, context `seq`, and attention width `width`.
-    ///
-    /// # Panics
-    /// Panics if any dimension is zero.
-    pub fn new(layers: usize, slots: usize, seq: usize, width: usize) -> KvSlab {
-        assert!(layers > 0 && slots > 0 && seq > 0 && width > 0, "empty KV slab");
-        let elems = layers * slots * seq * width;
-        KvSlab {
-            layers,
-            slots,
-            seq,
-            width,
-            k: vec![0.0; elems],
-            v: vec![0.0; elems],
-            free: (0..slots).rev().collect(),
-            occupied: Bitset::new(slots),
-        }
-    }
-
-    /// Total slots (the batch capacity).
-    pub fn capacity(&self) -> usize {
-        self.slots
-    }
-
-    /// Slots currently handed out.
-    pub fn in_use(&self) -> usize {
-        self.slots - self.free.len()
-    }
-
-    /// Context length each slot caches.
-    pub fn seq(&self) -> usize {
-        self.seq
-    }
-
-    /// Bytes the slab arena occupies (both sides).
-    pub fn bytes(&self) -> u64 {
-        2 * 4 * (self.k.len() as u64)
-    }
-
-    /// Claims a free slot, or `None` when the batch is full. The slot's
-    /// rows are zero: recycled slots are scrubbed on release, so a new
-    /// tenant can never observe a previous request's state even if the
-    /// write-before-read decode discipline is violated.
-    pub fn alloc(&mut self) -> Option<usize> {
-        let slot = self.free.pop()?;
-        self.occupied.set(slot);
-        Some(slot)
-    }
-
-    /// Returns `slot` to the pool, scrubbing its rows.
-    ///
-    /// # Panics
-    /// Panics if `slot` is out of range or already free (double free —
-    /// detected by the occupancy bitset in O(1)).
-    pub fn release(&mut self, slot: usize) {
-        assert!(slot < self.slots, "slot {slot} out of range");
-        assert!(self.occupied.get(slot), "double free of slot {slot}");
-        self.occupied.clear(slot);
-        for layer in 0..self.layers {
-            let b = self.base(layer, slot);
-            let n = self.seq * self.width;
-            self.k[b..b + n].fill(0.0);
-            self.v[b..b + n].fill(0.0);
-        }
-        self.free.push(slot);
-    }
-
-    #[inline]
-    fn base(&self, layer: usize, slot: usize) -> usize {
-        debug_assert!(layer < self.layers && slot < self.slots);
-        (layer * self.slots + slot) * self.seq * self.width
-    }
-
-    /// The K cache of (`layer`, `slot`): `seq × width` row-major.
-    pub fn k_cache(&self, layer: usize, slot: usize) -> &[f32] {
-        let b = self.base(layer, slot);
-        &self.k[b..b + self.seq * self.width]
-    }
-
-    /// The V cache of (`layer`, `slot`).
-    pub fn v_cache(&self, layer: usize, slot: usize) -> &[f32] {
-        let b = self.base(layer, slot);
-        &self.v[b..b + self.seq * self.width]
-    }
-
-    /// Mutable K and V caches of (`layer`, `slot`) together.
-    pub fn kv_pair_mut(&mut self, layer: usize, slot: usize) -> (&mut [f32], &mut [f32]) {
-        let b = self.base(layer, slot);
-        let n = self.seq * self.width;
-        (&mut self.k[b..b + n], &mut self.v[b..b + n])
-    }
-
-    /// Writes position `pos` of (`layer`, `slot`)'s K and V rows.
-    ///
-    /// # Panics
-    /// Panics (debug) if `pos ≥ seq` or the rows are not `width` long.
-    pub fn write_row(&mut self, layer: usize, slot: usize, pos: usize, k: &[f32], v: &[f32]) {
-        debug_assert!(pos < self.seq, "cache position {pos} out of range");
-        debug_assert_eq!(k.len(), self.width);
-        debug_assert_eq!(v.len(), self.width);
-        let b = self.base(layer, slot) + pos * self.width;
-        self.k[b..b + self.width].copy_from_slice(k);
-        self.v[b..b + self.width].copy_from_slice(v);
-    }
-}
-
-impl KvArena for KvSlab {
-    fn write_row(&mut self, layer: usize, slot: usize, pos: usize, k: &[f32], v: &[f32]) {
-        KvSlab::write_row(self, layer, slot, pos, k, v);
-    }
-
-    fn k_row(&self, layer: usize, slot: usize, pos: usize) -> &[f32] {
-        let b = self.base(layer, slot) + pos * self.width;
-        &self.k[b..b + self.width]
-    }
-
-    fn v_row(&self, layer: usize, slot: usize, pos: usize) -> &[f32] {
-        let b = self.base(layer, slot) + pos * self.width;
-        &self.v[b..b + self.width]
-    }
-}
-
-/// Byte and operation meters for a [`BlockArena`] — the paged analogue
-/// of `KvSlab::bytes`, split so prefix sharing is measurable: sharing
-/// shows up as *fewer allocations* for the same served tokens.
+/// Byte and operation meters for a [`BlockArena`], split so prefix
+/// sharing is measurable: sharing shows up as *fewer allocations* for the
+/// same served tokens.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BlockArenaStats {
     /// Blocks handed out by `alloc` over the arena's lifetime.
@@ -306,16 +158,6 @@ impl BlockArena {
             live_blocks_peak: 0,
             alloc_ops: 0,
         }
-    }
-
-    /// Positions one block covers.
-    pub fn block_positions(&self) -> usize {
-        self.block_positions
-    }
-
-    /// Total blocks the arena can hold.
-    pub fn capacity(&self) -> usize {
-        self.cap
     }
 
     /// Bytes one block occupies (both sides).
@@ -477,70 +319,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn alloc_release_recycles_slots() {
-        let mut slab = KvSlab::new(2, 3, 4, 8);
-        assert_eq!(slab.capacity(), 3);
-        let a = slab.alloc().unwrap();
-        let b = slab.alloc().unwrap();
-        let c = slab.alloc().unwrap();
-        assert_eq!(slab.in_use(), 3);
-        assert!(slab.alloc().is_none(), "slab exhausted");
-        slab.release(b);
-        assert_eq!(slab.in_use(), 2);
-        // LIFO reuse: the freed slot comes straight back.
-        assert_eq!(slab.alloc(), Some(b));
-        let _ = (a, c);
-    }
-
-    #[test]
-    #[should_panic(expected = "double free")]
-    fn double_free_detected() {
-        let mut slab = KvSlab::new(1, 2, 2, 2);
-        let s = slab.alloc().unwrap();
-        slab.release(s);
-        slab.release(s);
-    }
-
-    #[test]
-    fn rows_land_in_the_right_slot_and_layer() {
-        let mut slab = KvSlab::new(2, 2, 3, 2);
-        let s0 = slab.alloc().unwrap();
-        let s1 = slab.alloc().unwrap();
-        slab.write_row(0, s0, 0, &[1.0, 2.0], &[3.0, 4.0]);
-        slab.write_row(1, s1, 2, &[5.0, 6.0], &[7.0, 8.0]);
-        assert_eq!(&slab.k_cache(0, s0)[..2], &[1.0, 2.0]);
-        assert_eq!(&slab.v_cache(0, s0)[..2], &[3.0, 4.0]);
-        assert_eq!(&slab.k_cache(1, s1)[4..6], &[5.0, 6.0]);
-        // Other cells untouched.
-        assert!(slab.k_cache(1, s0).iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn released_slots_are_scrubbed_before_reuse() {
-        // Regression for the stale-row hazard: rows used to survive a
-        // release, visible to the next tenant that read before writing.
-        let mut slab = KvSlab::new(2, 2, 3, 2);
-        let s = slab.alloc().unwrap();
-        slab.write_row(0, s, 1, &[9.0, 9.0], &[8.0, 8.0]);
-        slab.write_row(1, s, 2, &[7.0, 7.0], &[6.0, 6.0]);
-        slab.release(s);
-        let s2 = slab.alloc().unwrap();
-        assert_eq!(s2, s, "LIFO returns the same slot");
-        assert!(slab.k_cache(0, s2).iter().all(|&x| x == 0.0), "K scrubbed");
-        assert!(slab.v_cache(1, s2).iter().all(|&x| x == 0.0), "V scrubbed");
-    }
-
-    #[test]
-    fn kv_arena_rows_match_the_cache_views() {
-        let mut slab = KvSlab::new(2, 2, 4, 3);
-        let s = slab.alloc().unwrap();
-        KvArena::write_row(&mut slab, 1, s, 2, &[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]);
-        assert_eq!(KvArena::k_row(&slab, 1, s, 2), &[1.0, 2.0, 3.0]);
-        assert_eq!(KvArena::v_row(&slab, 1, s, 2), &[4.0, 5.0, 6.0]);
-        assert_eq!(&slab.k_cache(1, s)[6..9], &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     fn contig_adapter_is_position_indexed() {
         let mut k = vec![0.0; 8];
         let mut v = vec![0.0; 8];
@@ -639,44 +417,6 @@ mod proptests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Arbitrary alloc/release interleavings against a reference
-        /// model: the slab hands out each slot at most once, counts
-        /// match, and a released slot always comes back scrubbed.
-        #[test]
-        fn slab_alloc_release_interleavings(ops in prop::collection::vec(0u8..4, 1..64)) {
-            let (layers, slots, seq, width) = (2usize, 4usize, 3usize, 2usize);
-            let mut slab = KvSlab::new(layers, slots, seq, width);
-            let mut held: Vec<usize> = Vec::new();
-            for (i, op) in ops.iter().enumerate() {
-                if *op < 3 {
-                    // Weighted toward alloc so the slab saturates often.
-                    match slab.alloc() {
-                        Some(s) => {
-                            prop_assert!(!held.contains(&s), "slot {s} double-allocated");
-                            prop_assert!(s < slots);
-                            // A fresh slot is always scrubbed.
-                            for l in 0..layers {
-                                prop_assert!(slab.k_cache(l, s).iter().all(|&x| x == 0.0));
-                                prop_assert!(slab.v_cache(l, s).iter().all(|&x| x == 0.0));
-                            }
-                            // Dirty every row so scrubbing is observable.
-                            let fill = vec![1.0 + i as f32; width];
-                            for l in 0..layers {
-                                for p in 0..seq {
-                                    slab.write_row(l, s, p, &fill, &fill);
-                                }
-                            }
-                            held.push(s);
-                        }
-                        None => prop_assert_eq!(held.len(), slots, "alloc failed below capacity"),
-                    }
-                } else if let Some(pos) = held.pop() {
-                    slab.release(pos);
-                }
-                prop_assert_eq!(slab.in_use(), held.len());
-            }
-        }
 
         /// Block arena under arbitrary alloc/retain/release/reclaim
         /// interleavings: refcounts, occupancy, and the live-block meter

@@ -37,6 +37,6 @@ pub use generate::{
     argmax, block_step, block_step_kv, embed_step, head_step, GenerateError, Generator,
     IncrementalDecoder, Sampling,
 };
-pub use kv::{BlockArena, BlockArenaStats, ContigKv, KvArena, KvSlab};
+pub use kv::{BlockArena, BlockArenaStats, ContigKv, KvArena};
 pub use gpt::{init_full_params, shard_params, Gpt, HeadSaved};
 pub use layout::{Field, Layout, Unit};

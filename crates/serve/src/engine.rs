@@ -29,7 +29,7 @@ use zero_core::{CommPlan, Partitioner, ResolvedOp};
 use zero_model::{argmax, block_step_kv, embed_step, head_step, Gpt, ModelConfig};
 use zero_trace::{SpanCategory, SpanId, StepTimeline};
 
-use crate::paged::{KvBackend, KvMeters, KvPool};
+use crate::paged::{KvBackend, KvMeters, KvPool, PoolActivity};
 use crate::request::{admit, ServeError, ServeOutcome, ServeRequest, ServeResponse};
 
 /// Per-request spans live on their slot's own track so concurrent
@@ -48,9 +48,10 @@ pub struct ServeConfig {
     /// before waiting unit `u`'s (the training engine's stage-3 shape).
     /// Off means each gather is waited as soon as it is issued.
     pub overlap: bool,
-    /// KV backing store: the pre-sized slab or demand-paged blocks with
-    /// optional prefix reuse. Greedy outputs are bitwise identical across
-    /// backends — the decode kernel is generic over the arena.
+    /// KV pool geometry: one `seq`-long block per slot, or smaller
+    /// demand-paged blocks with optional prefix reuse. Greedy outputs are
+    /// bitwise identical at every geometry — the decode kernel only ever
+    /// sees rows.
     pub kv: KvBackend,
     /// Admission SLO in batch steps: a request whose predicted queue
     /// delay exceeds this is shed with [`ServeError::Overloaded`] at
@@ -84,7 +85,7 @@ pub struct RankServeReport {
     /// Peak total parameter bytes: persistent + transient peak. The
     /// quantity the paper's 2Ψ/N claim bounds.
     pub param_bytes_peak: u64,
-    /// Bytes of the KV backing arena (slab window, or paged capacity).
+    /// Bytes of the KV backing arena (capacity, not residency).
     pub kv_arena_bytes: u64,
     /// Deterministic KV meters: bytes actually allocated / peak live,
     /// prefix-reuse hit and copy rows, cache evictions. Compared across
@@ -290,6 +291,14 @@ pub fn run_rank(
         .collect();
 
     let trace = comm.trace();
+    let trace_pool = |act: PoolActivity| {
+        for _ in 0..act.allocs {
+            trace.instant(SpanCategory::Compute, "kv-block-alloc");
+        }
+        for _ in 0..act.evictions {
+            trace.instant(SpanCategory::Compute, "kv-block-evict");
+        }
+    };
 
     // The open-loop delivery queue: request indices in
     // (arrival_step, submission index) order.
@@ -360,12 +369,7 @@ pub fn run_rank(
             trace.end(p.qspan);
             let req = &requests[p.ri];
             let (att, act) = pool.attach_prompt(slot, &req.prompt);
-            for _ in 0..act.allocs {
-                trace.instant(SpanCategory::Compute, "kv-block-alloc");
-            }
-            for _ in 0..act.evictions {
-                trace.instant(SpanCategory::Compute, "kv-block-evict");
-            }
+            trace_pool(act);
             let service = service_steps(req) - att.matched as u64;
             active.push(Active {
                 ri: p.ri,
@@ -400,13 +404,7 @@ pub fn run_rank(
         // Demand-page the KV block covering each live request's current
         // position before the unit walk touches it.
         for a in &active {
-            let act = pool.ensure(a.slot, a.fed);
-            for _ in 0..act.allocs {
-                trace.instant(SpanCategory::Compute, "kv-block-alloc");
-            }
-            for _ in 0..act.evictions {
-                trace.instant(SpanCategory::Compute, "kv-block-evict");
-            }
+            trace_pool(pool.ensure(a.slot, a.fed));
         }
 
         // One batch step: walk the units, advancing every live request by
@@ -751,7 +749,7 @@ mod tests {
     }
 
     #[test]
-    fn paged_kv_serves_bitwise_identically_to_the_slab() {
+    fn every_kv_geometry_serves_the_reference_tokens_bitwise() {
         let m = model();
         let params = init_full_params(&m, 29);
         let requests: Vec<ServeRequest> = (0..6)
@@ -760,27 +758,18 @@ mod tests {
                     .at_step(2 * i as u64)
             })
             .collect();
-        let slab = serve(
-            &m,
-            &shards_of(&params, 2),
-            &requests,
-            &ServeConfig { slots: 2, ..ServeConfig::default() },
-        );
-        for (block, reuse) in [(4, false), (4, true), (3, true)] {
-            let paged = serve(
-                &m,
-                &shards_of(&params, 2),
-                &requests,
-                &ServeConfig {
-                    slots: 2,
-                    kv: KvBackend::Paged { block, prefix_reuse: reuse },
-                    ..ServeConfig::default()
-                },
-            );
-            paged.check_ranks_agree().unwrap();
-            for (a, b) in slab.outcomes().iter().zip(paged.outcomes()) {
-                let (ra, rb) = (a.response().unwrap(), b.response().unwrap());
-                assert_eq!(ra.tokens, rb.tokens, "block={block} reuse={reuse}");
+        for kv in [
+            KvBackend::Slab,
+            KvBackend::Paged { block: 4, prefix_reuse: false },
+            KvBackend::Paged { block: 4, prefix_reuse: true },
+            KvBackend::Paged { block: 3, prefix_reuse: true },
+        ] {
+            let cfg = ServeConfig { slots: 2, kv, ..ServeConfig::default() };
+            let report = serve(&m, &shards_of(&params, 2), &requests, &cfg);
+            report.check_ranks_agree().unwrap();
+            for (req, out) in requests.iter().zip(report.outcomes()) {
+                let resp = out.response().unwrap();
+                assert_eq!(resp.tokens, reference_greedy(&m, &params, req), "{kv:?}");
             }
         }
     }

@@ -21,13 +21,13 @@
 //! which for transformer-shaped models is within ε of the paper's `2/N`
 //! figure — measured and enforced by `bench_serve`.
 //!
-//! KV memory is pooled: either a pre-sized per-slot slab, or — the
-//! production shape — **paged blocks** allocated on demand as each
+//! KV memory is one pool of **paged blocks** allocated on demand as each
 //! request's decode position advances, with hash-verified **prefix
 //! reuse** sharing read-only blocks between requests whose prompts agree
-//! (copy-on-write at the divergence point). See [`paged`]. Greedy outputs
-//! are bitwise identical across every KV backend because the decode
-//! kernel is generic over the arena.
+//! (copy-on-write at the divergence point). The block size is the only
+//! geometry: a `seq`-long block is the per-slot slab. See [`paged`].
+//! Greedy outputs are bitwise identical at every block size because the
+//! decode kernel only ever sees rows.
 //!
 //! ## Scheduling model
 //!
@@ -65,5 +65,5 @@ pub use engine::{
     predicted_queue_delay, serve, serve_with_config, RankServeReport, ServeConfig, ServeReport,
 };
 pub use load::{generate, Arrivals, LoadConfig, SplitMix64};
-pub use paged::{AttachOutcome, KvBackend, KvMeters, KvPool, PagedPool, PoolActivity};
+pub use paged::{AttachOutcome, KvBackend, KvMeters, KvPool, PoolActivity};
 pub use request::{admit, ServeError, ServeOutcome, ServeRequest, ServeResponse};

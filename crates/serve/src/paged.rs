@@ -1,12 +1,15 @@
-//! Paged KV-cache pool with hash-based prefix reuse.
+//! The serving KV pool: page tables over one block arena, with
+//! hash-based prefix reuse.
 //!
-//! The slab backend gives every slot the full `seq × hidden` window up
-//! front; under production load most requests use a fraction of it and
-//! many share a prompt prefix. [`PagedPool`] replaces the slab with
-//! block-granular allocation over a [`BlockArena`]: each slot holds a
-//! *page table* of fixed-size position blocks, allocated on demand as the
-//! request's decode position crosses block boundaries, and freed (or
-//! cached) the moment the request retires.
+//! [`KvPool`] is the only KV store the engine has. Each slot holds a
+//! *page table* of fixed-size position blocks in a [`BlockArena`],
+//! allocated on demand as the request's decode position crosses block
+//! boundaries, and freed (or cached) the moment the request retires. The
+//! [`KvBackend`] a run names is a *geometry* of this pool, resolved once
+//! in [`KvPool::new`]: `Slab` is one `seq`-long block per slot with
+//! nothing shared (every request pays for the full window, the arena is
+//! exactly `slots` windows), `Paged` picks a smaller block so a request
+//! holds only the blocks it has reached, and may turn on prefix reuse.
 //!
 //! **Prefix reuse.** A block whose positions are completely written is
 //! *registered* under the hash of the full token prefix it was computed
@@ -33,15 +36,15 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
-use zero_model::{BlockArena, BlockArenaStats, KvArena, KvSlab, ModelConfig};
+use zero_model::{BlockArena, BlockArenaStats, KvArena, ModelConfig};
 
-/// Which KV backing store the engine uses.
+/// The block geometry of the engine's [`KvPool`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KvBackend {
-    /// One pre-sized `seq`-window slab slot per in-flight request (the
-    /// PR-5 backend; the bench baseline).
+    /// One `seq`-long block per in-flight request, nothing shared:
+    /// `Paged { block: seq, prefix_reuse: false }` (the bench baseline).
     Slab,
-    /// Block-granular paged allocation, optionally with prefix reuse.
+    /// Blocks of `block` positions, optionally with prefix reuse.
     Paged {
         /// Positions per block (clamped to `seq`; must be ≥ 1).
         block: usize,
@@ -51,7 +54,7 @@ pub enum KvBackend {
     },
 }
 
-/// What [`PagedPool::attach_prompt`] resolved for a new request.
+/// What [`KvPool::attach_prompt`] resolved for a new request.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AttachOutcome {
     /// Positions already present in the page table (the prefill skip):
@@ -75,12 +78,11 @@ pub struct PoolActivity {
 /// Lifetime meters of a KV pool, all deterministic across ranks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KvMeters {
-    /// Bytes of backing storage allocated over the run: slab slots
-    /// claimed × per-slot bytes, or paged blocks allocated × block
-    /// bytes. Prefix reuse shows up as strictly fewer allocated bytes
-    /// for the same served tokens.
+    /// Bytes of backing storage allocated over the run: blocks
+    /// allocated × block bytes, at every geometry. Prefix reuse shows up
+    /// as strictly fewer allocated bytes for the same served tokens.
     pub bytes_allocated: u64,
-    /// Peak simultaneously live bytes (slots or refcounted blocks).
+    /// Peak simultaneously live bytes (refcounted blocks × block bytes).
     pub bytes_live_peak: u64,
     /// Prompt positions served by sharing registered blocks.
     pub prefix_hit_rows: u64,
@@ -101,10 +103,10 @@ struct BlockInfo {
     start: usize,
 }
 
-/// Paged KV-cache pool: page tables + prefix registry over a
+/// The engine's KV pool: page tables + prefix registry over a
 /// [`BlockArena`]. Implements [`KvArena`] so the shared per-token
 /// kernel (`block_step_kv`) decodes through it unchanged.
-pub struct PagedPool {
+pub struct KvPool {
     arena: BlockArena,
     block: usize,
     free_slots: Vec<usize>,
@@ -141,23 +143,28 @@ fn prefix_hash(tokens: &[u32]) -> u64 {
     h
 }
 
-impl PagedPool {
-    /// A pool for `slots` concurrent requests over `model`, with blocks
-    /// of `block` positions. The arena is sized at
-    /// `slots × ⌈seq / block⌉` blocks — the worst case with zero
-    /// sharing — so allocation can always succeed once the cache is
-    /// evicted; sharing only ever leaves more room for cached prefixes.
-    /// With prefix reuse one extra block of headroom is added: during a
-    /// copy-on-write the donor block is pinned (it may be referenced by
-    /// no page table at that moment) while the destination allocates, so
-    /// the transient worst case is one block beyond the table capacity.
-    pub fn new(model: &ModelConfig, slots: usize, block: usize, prefix_reuse: bool) -> PagedPool {
+impl KvPool {
+    /// A pool for `slots` concurrent requests over `model` at the
+    /// geometry `backend` names — the one place `Slab` and `Paged` are
+    /// told apart. The arena is sized at `slots × ⌈seq / block⌉` blocks —
+    /// the worst case with zero sharing — so allocation can always
+    /// succeed once the cache is evicted; sharing only ever leaves more
+    /// room for cached prefixes. With prefix reuse one extra block of
+    /// headroom is added: during a copy-on-write the donor block is
+    /// pinned (it may be referenced by no page table at that moment)
+    /// while the destination allocates, so the transient worst case is
+    /// one block beyond the table capacity.
+    pub fn new(model: &ModelConfig, slots: usize, backend: KvBackend) -> KvPool {
+        let (block, prefix_reuse) = match backend {
+            KvBackend::Slab => (model.seq, false),
+            KvBackend::Paged { block, prefix_reuse } => (block, prefix_reuse),
+        };
         assert!(slots > 0, "need at least one slot");
         assert!(block > 0, "block size must be at least one position");
         let block = block.min(model.seq);
         let per_slot = model.seq.div_ceil(block);
         let cap = slots * per_slot + usize::from(prefix_reuse);
-        PagedPool {
+        KvPool {
             arena: BlockArena::new(model.layers, cap, block, model.hidden),
             block,
             free_slots: (0..slots).rev().collect(),
@@ -166,17 +173,12 @@ impl PagedPool {
             tokens: vec![Vec::new(); slots],
             prefix_reuse,
             by_parent: HashMap::new(),
-            info: Vec::new(),
+            info: (0..cap).map(|_| None).collect(),
             cached: VecDeque::new(),
             hit_rows: 0,
             cow_rows: 0,
             evictions: 0,
         }
-    }
-
-    /// Positions per block.
-    pub fn block_positions(&self) -> usize {
-        self.block
     }
 
     /// Bytes of the whole backing arena (capacity, not residency).
@@ -194,15 +196,8 @@ impl PagedPool {
         Some(slot)
     }
 
-    fn info_mut(&mut self, b: usize) -> &mut Option<BlockInfo> {
-        if self.info.len() <= b {
-            self.info.resize_with(b + 1, || None);
-        }
-        &mut self.info[b]
-    }
-
     fn registered(&self, b: usize) -> bool {
-        self.info.get(b).is_some_and(|i| i.is_some())
+        self.info[b].is_some()
     }
 
     /// Allocates a block, evicting cached prefixes only if the arena is
@@ -225,7 +220,7 @@ impl PagedPool {
     }
 
     fn unregister(&mut self, b: usize) {
-        if let Some(info) = self.info_mut(b).take() {
+        if let Some(info) = self.info[b].take() {
             let key = prefix_hash(&info.prefix[..info.start]);
             if let Some(v) = self.by_parent.get_mut(&key) {
                 v.retain(|&x| x != b);
@@ -237,7 +232,7 @@ impl PagedPool {
         debug_assert!(prefix.len() > start);
         debug_assert!(prefix.len() - start <= self.block);
         let key = prefix_hash(&prefix[..start]);
-        *self.info_mut(b) = Some(BlockInfo { prefix, start });
+        self.info[b] = Some(BlockInfo { prefix, start });
         self.by_parent.entry(key).or_default().push(b);
     }
 
@@ -398,7 +393,7 @@ impl PagedPool {
     }
 }
 
-impl KvArena for PagedPool {
+impl KvArena for KvPool {
     fn write_row(&mut self, layer: usize, slot: usize, pos: usize, k: &[f32], v: &[f32]) {
         let b = self.tables[slot][pos / self.block];
         debug_assert_eq!(self.arena.refcount(b), 1, "write into a shared block");
@@ -416,115 +411,6 @@ impl KvArena for PagedPool {
     }
 }
 
-/// The engine's KV backing store: a slab or a paged pool behind one
-/// interface, so the scheduler code is backend-agnostic and the decode
-/// kernel (generic over [`KvArena`]) runs bitwise-identically on both.
-pub enum KvPool {
-    /// Pre-sized full-window slots.
-    Slab(KvSlab),
-    /// Demand-paged blocks with optional prefix reuse (boxed: the pool
-    /// carries page tables and registries the slab variant doesn't).
-    Paged(Box<PagedPool>),
-}
-
-impl KvPool {
-    /// Builds the configured backend for `slots` concurrent requests.
-    pub fn new(model: &ModelConfig, slots: usize, backend: KvBackend) -> KvPool {
-        match backend {
-            KvBackend::Slab => {
-                KvPool::Slab(KvSlab::new(model.layers, slots, model.seq, model.hidden))
-            }
-            KvBackend::Paged { block, prefix_reuse } => {
-                KvPool::Paged(Box::new(PagedPool::new(model, slots, block, prefix_reuse)))
-            }
-        }
-    }
-
-    /// Claims a slot, or `None` when the batch is full.
-    pub fn alloc_slot(&mut self) -> Option<usize> {
-        match self {
-            KvPool::Slab(s) => s.alloc(),
-            KvPool::Paged(p) => p.alloc_slot(),
-        }
-    }
-
-    /// Retires a slot.
-    pub fn release_slot(&mut self, slot: usize) {
-        match self {
-            KvPool::Slab(s) => s.release(slot),
-            KvPool::Paged(p) => p.release_slot(slot),
-        }
-    }
-
-    /// Prefix-reuse resolution for a new request (no-op on the slab).
-    pub fn attach_prompt(&mut self, slot: usize, prompt: &[u32]) -> (AttachOutcome, PoolActivity) {
-        match self {
-            KvPool::Slab(_) => (AttachOutcome::default(), PoolActivity::default()),
-            KvPool::Paged(p) => p.attach_prompt(slot, prompt),
-        }
-    }
-
-    /// Demand-pages the block covering `pos` (no-op on the slab).
-    pub fn ensure(&mut self, slot: usize, pos: usize) -> PoolActivity {
-        match self {
-            KvPool::Slab(_) => PoolActivity::default(),
-            KvPool::Paged(p) => p.ensure(slot, pos),
-        }
-    }
-
-    /// Token bookkeeping for prefix registration (no-op on the slab).
-    pub fn note_token(&mut self, slot: usize, pos: usize, token: u32) {
-        if let KvPool::Paged(p) = self {
-            p.note_token(slot, pos, token);
-        }
-    }
-
-    /// Bytes of the backing arena (slab window or paged capacity).
-    pub fn arena_bytes(&self) -> u64 {
-        match self {
-            KvPool::Slab(s) => s.bytes(),
-            KvPool::Paged(p) => p.arena_bytes(),
-        }
-    }
-
-    /// Deterministic lifetime meters. The slab reports its fixed arena
-    /// as both allocated and peak (every slot is materialized up front —
-    /// exactly the accounting paged allocation improves on).
-    pub fn meters(&self) -> KvMeters {
-        match self {
-            KvPool::Slab(s) => KvMeters {
-                bytes_allocated: s.bytes(),
-                bytes_live_peak: s.bytes(),
-                ..KvMeters::default()
-            },
-            KvPool::Paged(p) => p.meters(),
-        }
-    }
-}
-
-impl KvArena for KvPool {
-    fn write_row(&mut self, layer: usize, slot: usize, pos: usize, k: &[f32], v: &[f32]) {
-        match self {
-            KvPool::Slab(s) => KvArena::write_row(s, layer, slot, pos, k, v),
-            KvPool::Paged(p) => KvArena::write_row(p.as_mut(), layer, slot, pos, k, v),
-        }
-    }
-
-    fn k_row(&self, layer: usize, slot: usize, pos: usize) -> &[f32] {
-        match self {
-            KvPool::Slab(s) => KvArena::k_row(s, layer, slot, pos),
-            KvPool::Paged(p) => KvArena::k_row(p.as_ref(), layer, slot, pos),
-        }
-    }
-
-    fn v_row(&self, layer: usize, slot: usize, pos: usize) -> &[f32] {
-        match self {
-            KvPool::Slab(s) => KvArena::v_row(s, layer, slot, pos),
-            KvPool::Paged(p) => KvArena::v_row(p.as_ref(), layer, slot, pos),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,7 +419,11 @@ mod tests {
         ModelConfig { vocab: 32, seq: 16, hidden: 8, layers: 2, heads: 2 }
     }
 
-    fn fill_positions(pool: &mut PagedPool, slot: usize, tokens: &[u32], from: usize) {
+    fn paged(m: &ModelConfig, slots: usize, block: usize, prefix_reuse: bool) -> KvPool {
+        KvPool::new(m, slots, KvBackend::Paged { block, prefix_reuse })
+    }
+
+    fn fill_positions(pool: &mut KvPool, slot: usize, tokens: &[u32], from: usize) {
         for (pos, &t) in tokens.iter().enumerate().skip(from) {
             pool.ensure(slot, pos);
             let row = vec![t as f32 + pos as f32 * 0.25; 8];
@@ -547,7 +437,7 @@ mod tests {
     #[test]
     fn blocks_page_in_on_demand_and_rows_round_trip() {
         let m = model();
-        let mut pool = PagedPool::new(&m, 2, 4, false);
+        let mut pool = paged(&m, 2, 4, false);
         let s = pool.alloc_slot().unwrap();
         let toks: Vec<u32> = (0..10).collect();
         fill_positions(&mut pool, s, &toks, 0);
@@ -566,7 +456,7 @@ mod tests {
     #[test]
     fn whole_block_prefix_match_shares_read_only_blocks() {
         let m = model();
-        let mut pool = PagedPool::new(&m, 2, 4, true);
+        let mut pool = paged(&m, 2, 4, true);
         let s = pool.alloc_slot().unwrap();
         let prompt: Vec<u32> = (0..9).collect();
         fill_positions(&mut pool, s, &prompt, 0);
@@ -589,7 +479,7 @@ mod tests {
     #[test]
     fn partial_match_copies_at_the_divergence_point() {
         let m = model();
-        let mut pool = PagedPool::new(&m, 2, 4, true);
+        let mut pool = paged(&m, 2, 4, true);
         let s = pool.alloc_slot().unwrap();
         let a: Vec<u32> = vec![1, 2, 3, 4, 5, 6, 7];
         fill_positions(&mut pool, s, &a, 0);
@@ -611,7 +501,7 @@ mod tests {
     #[test]
     fn matching_is_verified_not_just_hashed() {
         let m = model();
-        let mut pool = PagedPool::new(&m, 2, 4, true);
+        let mut pool = paged(&m, 2, 4, true);
         let s = pool.alloc_slot().unwrap();
         fill_positions(&mut pool, s, &[5, 5, 5, 5, 5, 5], 0);
         pool.release_slot(s);
@@ -628,7 +518,7 @@ mod tests {
     fn eviction_recycles_cached_blocks_oldest_first() {
         let m = ModelConfig { vocab: 32, seq: 8, hidden: 4, layers: 1, heads: 1 };
         // 1 slot × ⌈8/4⌉ = 2 blocks total.
-        let mut pool = PagedPool::new(&m, 1, 4, true);
+        let mut pool = paged(&m, 1, 4, true);
         let s = pool.alloc_slot().unwrap();
         for (pos, t) in [1u32, 2, 3, 4, 5, 6, 7, 8].iter().enumerate() {
             pool.ensure(s, pos);
@@ -660,7 +550,7 @@ mod tests {
         let m = model();
         let prompt: Vec<u32> = (0..13).collect();
         let run = |reuse: bool| {
-            let mut pool = PagedPool::new(&m, 2, 4, reuse);
+            let mut pool = paged(&m, 2, 4, reuse);
             for _ in 0..3 {
                 let s = pool.alloc_slot().unwrap();
                 let (out, _) = pool.attach_prompt(s, &prompt);
@@ -678,5 +568,114 @@ mod tests {
             without.bytes_allocated
         );
         assert!(with.prefix_hit_rows > 0);
+    }
+
+    #[test]
+    fn the_slab_geometry_is_one_seq_block_per_slot() {
+        let m = model();
+        let slots = 3;
+        let mut slab = KvPool::new(&m, slots, KvBackend::Slab);
+        let window = (2 * 4 * m.layers * m.seq * m.hidden) as u64;
+        assert_eq!(slab.arena_bytes(), slots as u64 * window, "no donor block without reuse");
+        let seq_block = paged(&m, slots, m.seq, false);
+        assert_eq!(slab.arena_bytes(), seq_block.arena_bytes());
+        // Saturate it: every slot at its last position is the whole arena.
+        for _ in 0..slots {
+            let s = slab.alloc_slot().unwrap();
+            assert_eq!(slab.ensure(s, 0).allocs, 1);
+            assert_eq!(slab.ensure(s, m.seq - 1).allocs, 0, "one block covers the window");
+        }
+        let meters = slab.meters();
+        assert_eq!(meters.bytes_allocated, slots as u64 * window);
+        assert_eq!(meters.bytes_live_peak, slab.arena_bytes());
+    }
+
+    #[test]
+    fn releasing_a_free_slot_is_a_detected_double_free() {
+        for kv in [KvBackend::Slab, KvBackend::Paged { block: 2, prefix_reuse: false }] {
+            let mut pool = KvPool::new(&model(), 2, kv);
+            let s = pool.alloc_slot().unwrap();
+            pool.release_slot(s);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.release_slot(s)))
+                .expect_err("second release must panic");
+            let msg = err.downcast_ref::<String>().expect("assert message");
+            assert!(msg.contains("double free"), "{kv:?}: {msg}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn model() -> ModelConfig {
+        ModelConfig { vocab: 8, seq: 5, hidden: 2, layers: 2, heads: 1 }
+    }
+
+    /// The row a tenant writes at (`layer`, `pos`): distinct per tenant,
+    /// layer and position, and never zero, so scrubbing and misplacement
+    /// are both observable.
+    fn row(tenant: usize, layer: usize, pos: usize) -> [f32; 2] {
+        let x = (1 + tenant * 100 + layer * 10 + pos) as f32;
+        [x, -x]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arbitrary slot alloc/release interleavings against a reference
+        /// model, at the slab geometry and a small-block one: the pool
+        /// hands out each slot at most once, runs dry exactly at
+        /// capacity, a new tenant's rows are always scrubbed, and every
+        /// held slot's rows stay where (layer, slot, pos) put them while
+        /// other slots come and go.
+        #[test]
+        fn slot_alloc_release_interleavings(ops in prop::collection::vec(0u8..4, 1..64)) {
+            let m = model();
+            let slots = 4usize;
+            for kv in [KvBackend::Slab, KvBackend::Paged { block: 2, prefix_reuse: false }] {
+                let mut pool = KvPool::new(&m, slots, kv);
+                // (slot, tenant id) of every live request.
+                let mut held: Vec<(usize, usize)> = Vec::new();
+                for (tenant, op) in ops.iter().enumerate() {
+                    if *op < 3 {
+                        // Weighted toward alloc so the pool saturates often.
+                        match pool.alloc_slot() {
+                            Some(s) => {
+                                prop_assert!(s < slots);
+                                prop_assert!(
+                                    held.iter().all(|&(h, _)| h != s),
+                                    "slot {} double-allocated", s
+                                );
+                                for pos in 0..m.seq {
+                                    pool.ensure(s, pos);
+                                    for l in 0..m.layers {
+                                        prop_assert_eq!(pool.k_row(l, s, pos), &[0.0; 2][..]);
+                                        prop_assert_eq!(pool.v_row(l, s, pos), &[0.0; 2][..]);
+                                        let r = row(tenant, l, pos);
+                                        pool.write_row(l, s, pos, &r, &r);
+                                    }
+                                    pool.note_token(s, pos, 0);
+                                }
+                                held.push((s, tenant));
+                            }
+                            None => prop_assert_eq!(held.len(), slots, "alloc failed below capacity"),
+                        }
+                    } else if let Some((s, _)) = held.pop() {
+                        pool.release_slot(s);
+                    }
+                    for &(s, t) in &held {
+                        for l in 0..m.layers {
+                            for pos in 0..m.seq {
+                                prop_assert_eq!(pool.k_row(l, s, pos), &row(t, l, pos)[..]);
+                                prop_assert_eq!(pool.v_row(l, s, pos), &row(t, l, pos)[..]);
+                            }
+                        }
+                    }
+                }
+                prop_assert!(pool.meters().bytes_live_peak <= pool.arena_bytes());
+            }
+        }
     }
 }

@@ -4,11 +4,8 @@
 //! ZeRO runs start from identical parameters — a precondition for the
 //! convergence-equivalence tests.
 
-use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-use crate::tensor::Tensor;
 
 /// Fills `out` with samples from N(0, std²) using the given seed.
 pub fn normal_init(out: &mut [f32], std: f32, seed: u64) {
@@ -17,23 +14,6 @@ pub fn normal_init(out: &mut [f32], std: f32, seed: u64) {
     for v in out {
         *v = dist.sample_one(&mut rng);
     }
-}
-
-/// GPT-2 style initialization: N(0, 0.02²), scaled residual projections are
-/// the caller's concern.
-pub fn gpt2_init(shape: &[usize], seed: u64) -> Tensor {
-    let mut t = Tensor::zeros(shape);
-    normal_init(t.data_mut(), 0.02, seed);
-    t
-}
-
-/// Xavier/Glorot uniform initialization for a `fan_out × fan_in` matrix.
-pub fn xavier_init(fan_out: usize, fan_in: usize, seed: u64) -> Tensor {
-    let limit = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let dist = rand::distributions::Uniform::new_inclusive(-limit, limit);
-    let data: Vec<f32> = (0..fan_in * fan_out).map(|_| dist.sample(&mut rng)).collect();
-    Tensor::from_vec(data, &[fan_out, fan_in])
 }
 
 /// Box–Muller normal sampler. `rand` 0.8 ships `StandardNormal` only behind
@@ -84,13 +64,5 @@ mod tests {
         let var: f64 = v.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.03, "sample mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "sample variance {var}");
-    }
-
-    #[test]
-    fn xavier_respects_limit() {
-        let t = xavier_init(16, 48, 3);
-        let limit = (6.0 / 64.0_f32).sqrt();
-        assert!(t.data().iter().all(|v| v.abs() <= limit));
-        assert!(t.max_abs() > limit * 0.5, "should use the range");
     }
 }

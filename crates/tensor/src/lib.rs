@@ -1,9 +1,9 @@
 //! # zero-tensor
 //!
-//! Dense tensor substrate for the ZeRO reproduction: an `f32` row-major
-//! [`Tensor`], a from-scratch IEEE binary16 [`F16`] storage type, and the
-//! forward/backward kernels a GPT-2-like transformer needs (GEMM,
-//! layernorm, softmax, GELU, embedding, cross-entropy).
+//! Dense tensor substrate for the ZeRO reproduction: a from-scratch IEEE
+//! binary16 [`F16`] storage type and the forward/backward kernels a
+//! GPT-2-like transformer needs (GEMM, layernorm, softmax, GELU,
+//! embedding, cross-entropy), all over flat row-major `&[f32]` slices.
 //!
 //! The paper's workloads run their FLOPs on V100 tensor cores; here they
 //! run on the calling rank's CPU thread. ZeRO itself (`zero-core`) is agnostic to
@@ -30,7 +30,5 @@
 pub mod f16;
 pub mod init;
 pub mod ops;
-pub mod tensor;
 
 pub use f16::F16;
-pub use tensor::Tensor;

@@ -11,13 +11,13 @@
 //! schedule with continuous batching. `--arrivals` switches from the
 //! legacy closed batch to a seeded open-loop schedule in batch-step time
 //! (`poisson:RATE` or `burst:SIZE@PERIOD`); `--kv-block`/`--prefix-reuse`
-//! select the paged KV backend; `--slo-steps` arms admission control.
+//! set the KV pool's block geometry; `--slo-steps` arms admission control.
 //! `--smoke` runs the gated self-checks (typed rejection of malformed
 //! requests, byte-exact plan/trace/traffic reconciliation, bitwise
-//! agreement with the single-process decoder and between KV backends,
+//! agreement with the single-process decoder and between KV geometries,
 //! the 2Ψ/N + ε memory bound) and exits non-zero on any failure.
 
-use zero::cli::Args;
+use zero::cli::{usage_exit, Args};
 use zero::comm::CollectiveKind;
 use zero::core::{export_inference_shards, CommPlan, Partitioner, RankSnapshot};
 use zero::model::{argmax, Gpt, IncrementalDecoder, ModelConfig};
@@ -68,8 +68,10 @@ fn main() {
                               closed | poisson:RATE | burst:SIZE@PERIOD  [closed]\n\
              --slo-steps N    shed requests whose predicted queue delay\n\
                               exceeds N batch steps (requires arrivals)\n\
-             --kv-block N     paged KV with N-position blocks (0 = slab) [0]\n\
+             --kv-block N     KV blocks of N positions, paged in on demand\n\
+                              (0 = one seq-long block per slot)   [0]\n\
              --prefix-reuse   share prompt-prefix blocks between requests\n\
+                              (needs --kv-block N >= 1)\n\
              --layers/--hidden/--heads/--seq/--vocab\n\
                               model shape (no-snapshot mode)\n\
              --seed N         init/request/schedule seed         [42]\n\
@@ -81,6 +83,18 @@ fn main() {
 
     let smoke = args.flag("--smoke");
     let n: usize = args.get("--ranks", 2usize);
+    let slots: usize = args.get("--slots", 4usize);
+    let kv_block: usize = args.get("--kv-block", 0usize);
+    // Values the engine would only panic on are usage errors here.
+    if n == 0 {
+        usage_exit("--ranks: need at least one serving rank");
+    }
+    if slots == 0 {
+        usage_exit("--slots: need at least one KV slot");
+    }
+    if kv_block == 0 && args.flag("--prefix-reuse") {
+        usage_exit("--prefix-reuse: needs --kv-block N with N >= 1");
+    }
     let seed: u64 = args.get("--seed", 42u64);
     let snap_dir: String = args.get("--snapshots", String::new());
 
@@ -171,9 +185,8 @@ fn main() {
         requests.push(ServeRequest::new(901, vec![1; model.seq], model.seq));
     }
 
-    let kv_block: usize = args.get("--kv-block", 0usize);
     let cfg = ServeConfig {
-        slots: args.get("--slots", 4usize),
+        slots,
         overlap: !args.flag("--no-overlap"),
         kv: if kv_block == 0 {
             KvBackend::Slab
@@ -313,11 +326,12 @@ fn main() {
         fail("serve plan does not gather each unit exactly once");
     }
 
-    // 7. KV-backend equivalence. Without prefix reuse, paged KV is a
-    // pure memory-layout change: the whole schedule — tokens, completion
-    // steps, step count, rejections — must reproduce bit for bit. With
-    // reuse on, prefill skipping may finish requests earlier (that is
-    // the optimization), but the greedy tokens still must not move.
+    // 7. KV-geometry equivalence. Without prefix reuse, the block size
+    // is a pure memory-layout change: the whole schedule — tokens,
+    // completion steps, step count, rejections — must reproduce bit for
+    // bit. With reuse on, prefill skipping may finish requests earlier
+    // (that is the optimization), but the greedy tokens still must not
+    // move.
     let strict_cfg = ServeConfig {
         kv: KvBackend::Paged { block: kv_block.max(8), prefix_reuse: false },
         ..cfg
@@ -327,21 +341,21 @@ fn main() {
         fail(&e);
     }
     if strict.ranks[0].batch_steps != report.ranks[0].batch_steps {
-        fail("paged KV (no reuse) changed the step count");
+        fail("the KV block size (no reuse) changed the step count");
     }
     for (a, b) in report.outcomes().iter().zip(strict.outcomes()) {
         match (a.response(), b.response()) {
             (Some(ra), Some(rb)) => {
                 if ra.tokens != rb.tokens || ra.completion_step != rb.completion_step {
-                    fail(&format!("request {}: paged KV diverged from the slab", ra.id));
+                    fail(&format!("request {}: the KV block size changed the outcome", ra.id));
                 }
             }
             (None, None) => {
                 if a.rejection() != b.rejection() {
-                    fail("paged KV changed a rejection reason");
+                    fail("the KV block size changed a rejection reason");
                 }
             }
-            _ => fail("paged KV changed an outcome's terminal state"),
+            _ => fail("the KV block size changed an outcome's terminal state"),
         }
     }
     let reuse_cfg = ServeConfig {
@@ -362,6 +376,6 @@ fn main() {
 
     println!(
         "smoke OK: rejection typing, plan/trace/traffic reconciliation, bitwise outputs, \
-         memory bound, KV-backend equivalence"
+         memory bound, KV-geometry equivalence"
     );
 }

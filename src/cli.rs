@@ -10,7 +10,9 @@ pub struct Args {
     given: Vec<(String, Option<String>)>,
 }
 
-fn usage_exit(msg: &str) -> ! {
+/// Reports a usage error — an argument the binary cannot run with — and
+/// exits 2.
+pub fn usage_exit(msg: &str) -> ! {
     eprintln!("{msg} (try --help)");
     std::process::exit(2);
 }

@@ -1,6 +1,7 @@
 //! Both binaries parse their arguments through `zero::cli::Args`: a value
-//! that does not parse and a flag that does not exist are usage errors
-//! (exit 2, naming the culprit), never a silently applied default.
+//! that does not parse, a value the engine cannot run with and a flag that
+//! does not exist are usage errors (exit 2, naming the culprit), never a
+//! panic or a silently applied default.
 
 use std::process::Command;
 
@@ -22,9 +23,15 @@ fn bad_values_and_unknown_flags_exit_2_naming_the_argument() {
         (train, &["--steps"], &["--steps"]),
         (serve, &["--slots", "many"], &["--slots", "many"]),
         (serve, &["--dp", "2"], &["--dp"]),
+        // These parse, but used to reach a panic in the engine / partitioner…
+        (serve, &["--slots", "0"], &["--slots"]),
+        (serve, &["--ranks", "0"], &["--ranks"]),
+        // …and this one used to be dropped (served without reuse).
+        (serve, &["--prefix-reuse"], &["--prefix-reuse", "--kv-block"]),
     ] {
         let (code, stderr) = run(bin, args);
         assert_eq!(code, Some(2), "{bin} {args:?} must be a usage error, stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?} panicked: {stderr}");
         for name in names {
             assert!(stderr.contains(name), "{bin} {args:?}: stderr must name {name}: {stderr}");
         }

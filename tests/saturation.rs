@@ -1,7 +1,7 @@
 //! Serving under load: open-loop arrival schedules must drive the engine
 //! into queueing and saturation while preserving every determinism
 //! guarantee — FIFO fairness, identical shedding on every rank, bitwise
-//! token equality across KV backends, and honest latency accounting.
+//! token equality across KV geometries, and honest latency accounting.
 
 use std::time::Instant;
 
@@ -112,37 +112,38 @@ fn shedding_is_deterministic_across_ranks_runs_and_world_sizes() {
     assert_ne!(shed_ids(&run(arrivals, 6, 2, &cfg)), shed);
 }
 
-/// The paged KV backend is a memory optimization, not a model change:
-/// identical greedy tokens across block sizes. With prefix reuse *off*
-/// the schedule itself is also step-for-step identical to the slab; with
-/// reuse *on* prefill skipping legitimately finishes requests earlier
-/// (that's the optimization), so the step count may only shrink — the
-/// tokens still must not move.
+/// The KV geometry is a memory choice, not a model change: identical
+/// greedy tokens at every block size. With prefix reuse *off* the
+/// schedule itself is also step-for-step identical to the one-block-per-
+/// slot (`Slab`) geometry; with reuse *on* prefill skipping legitimately
+/// finishes requests earlier (that's the optimization), so the step count
+/// may only shrink — the tokens still must not move.
 #[test]
-fn paged_kv_is_bitwise_identical_to_the_slab_under_load() {
+fn every_kv_geometry_is_bitwise_identical_under_load() {
     let arrivals = Arrivals::Poisson { rate: 0.5 };
-    let slab = run(arrivals, 3, 2, &ServeConfig { slots: 3, ..ServeConfig::default() });
-    for (block, reuse) in [(4, false), (7, false), (4, true), (16, true)] {
-        let paged = run(
-            arrivals,
-            3,
-            2,
-            &ServeConfig {
-                slots: 3,
-                kv: KvBackend::Paged { block, prefix_reuse: reuse },
-                ..ServeConfig::default()
-            },
-        );
+    let at = |kv: KvBackend| {
+        run(arrivals, 3, 2, &ServeConfig { slots: 3, kv, ..ServeConfig::default() })
+    };
+    let slab = at(KvBackend::Slab);
+    let slab0 = &slab.ranks[0];
+    assert!(slab0.kv_meters.bytes_live_peak <= slab0.kv_arena_bytes);
+    for (block, reuse) in [(4, false), (7, false), (16, false), (4, true), (16, true)] {
+        let paged = at(KvBackend::Paged { block, prefix_reuse: reuse });
         if reuse {
             assert!(
-                paged.ranks[0].batch_steps <= slab.ranks[0].batch_steps,
+                paged.ranks[0].batch_steps <= slab0.batch_steps,
                 "block={block}: prefill skipping can only shorten the schedule"
             );
         } else {
             assert_eq!(
-                paged.ranks[0].batch_steps, slab.ranks[0].batch_steps,
+                paged.ranks[0].batch_steps, slab0.batch_steps,
                 "block={block}: without reuse the schedule must be identical"
             );
+        }
+        if !reuse && block == model().seq {
+            // `Slab` *is* this row: same arena, same meters.
+            assert_eq!(paged.ranks[0].kv_arena_bytes, slab0.kv_arena_bytes);
+            assert_eq!(paged.ranks[0].kv_meters, slab0.kv_meters);
         }
         for (a, b) in slab.outcomes().iter().zip(paged.outcomes()) {
             let (ra, rb) = (a.response().unwrap(), b.response().unwrap());
