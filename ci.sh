@@ -118,7 +118,8 @@ python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$serve_json" \
 echo "==> bench_serve --arrivals (open-loop determinism gate vs committed baseline)"
 # Replays the poisson:0.5 schedule and exact-compares every deterministic
 # field (admitted/shed counts, tokens, batch steps, step percentiles,
-# prefix hits, KV bytes) against the committed open_loop baseline row.
+# prefix hits, prefill rows, KV bytes) against the committed open_loop
+# baseline row.
 cargo run -q --release -p zero-bench --bin bench_serve -- \
     --arrivals poisson:0.5 --check-against results/BENCH_serve.json
 

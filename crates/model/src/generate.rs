@@ -10,12 +10,16 @@
 //! instead of panicking, so a serving rank can reject the request and keep
 //! running (`zero-serve` relies on this).
 //!
-//! The per-token math lives in three free functions — [`embed_step`],
-//! [`block_step`], [`head_step`] — each taking one *unit's* parameter
-//! slice. [`IncrementalDecoder`] drives them over its private caches; the
-//! shard-hosted serving engine drives the identical code over gathered
-//! unit buffers and a pooled [`BlockArena`](crate::kv::BlockArena), which
-//! is what makes the two paths bitwise-equal (tested).
+//! The decode math lives in three free functions — [`embed_rows`],
+//! [`block_rows_kv`], [`head_rows`] — each taking one *unit's* parameter
+//! slice and a [`RowBatch`]: any mix of (slot, position, token) rows, a
+//! whole prompt or one decode row per request. [`IncrementalDecoder`]
+//! drives them one row at a time over its private cache; the shard-hosted
+//! serving engine drives the identical code over gathered unit buffers, a
+//! pooled [`BlockArena`](crate::kv::BlockArena) and every pending row of
+//! every live request at once. A row's arithmetic does not depend on what
+//! else is in its batch, which is what makes the two paths bitwise-equal
+//! (tested).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,177 +79,249 @@ pub enum Sampling {
     },
 }
 
-// ----- the shared per-token unit steps -----
+// ----- the shared row-batch unit steps -----
 
-/// One token's embedding row: token embedding + position embedding, given
-/// the *embed unit's* parameter slice. Validates the token id and the
-/// position so no downstream slice can go out of bounds.
+/// One row of a [`RowBatch`]: `token` fed at position `pos` of cache slot
+/// `slot`.
+#[derive(Clone, Copy, Debug)]
+pub struct Row {
+    /// KV slot the row's request decodes through.
+    pub slot: usize,
+    /// Decoder position (the K/V row this token writes).
+    pub pos: usize,
+    /// The token fed at that position.
+    pub token: u32,
+}
+
+/// A ragged batch of decoder rows and every buffer the unit steps need
+/// to push it through the model, allocated once for `max_rows` rows.
+///
+/// Rows of one slot must be pushed in increasing position with nothing
+/// missing below them in the cache: a row attends to positions `0..=pos`
+/// of its own slot, which are either already cached or written by an
+/// earlier row of the same batch. Rows of different slots are independent,
+/// so a batch may mix a whole prompt of one request with single decode
+/// rows of others. Every row's arithmetic is that of a one-row batch —
+/// layer norm is per row and each GEMM output is its products summed in
+/// increasing `p` whatever `m` is (`matmul.rs`) — so how a token stream is
+/// chunked into batches never changes a bit of its logits or K/V rows.
+pub struct RowBatch {
+    max_rows: usize,
+    rows: Vec<Row>,
+    /// The residual stream, `[rows × hidden]`.
+    x: Vec<f32>,
+    /// Layer-norm output.
+    normed: Vec<f32>,
+    qkv: Vec<f32>,
+    attn: Vec<f32>,
+    /// Attention projection + residual; the head's gathered input rows.
+    mid: Vec<f32>,
+    fc1: Vec<f32>,
+    mean: Vec<f32>,
+    rstd: Vec<f32>,
+    /// One head's attention weights over a row's visible past.
+    weights: Vec<f32>,
+    logits: Vec<f32>,
+}
+
+impl RowBatch {
+    /// An empty batch with room for `max_rows` rows of `cfg`'s shape.
+    pub fn new(cfg: &crate::ModelConfig, max_rows: usize) -> RowBatch {
+        let h = cfg.hidden;
+        let buf = |width: usize| vec![0.0; max_rows * width];
+        RowBatch {
+            max_rows,
+            rows: Vec::with_capacity(max_rows),
+            x: buf(h),
+            normed: buf(h),
+            qkv: buf(3 * h),
+            attn: buf(h),
+            mid: buf(h),
+            fc1: buf(4 * h),
+            mean: buf(1),
+            rstd: buf(1),
+            weights: vec![0.0; cfg.seq],
+            logits: buf(cfg.vocab),
+        }
+    }
+
+    /// Empties the batch (the buffers stay).
+    pub fn clear(&mut self) {
+        self.rows.clear();
+    }
+
+    /// Appends a row.
+    ///
+    /// # Panics
+    /// Panics when the batch already holds `max_rows` rows.
+    pub fn push(&mut self, slot: usize, pos: usize, token: u32) {
+        assert!(self.rows.len() < self.max_rows, "row batch is full");
+        self.rows.push(Row { slot, pos, token });
+    }
+
+    /// The rows pushed since the last [`clear`](Self::clear).
+    pub fn rows(&self) -> &[Row] {
+        &self.rows
+    }
+}
+
+/// Starts a batch's pass through the model: every row's residual becomes
+/// its token embedding + position embedding, given the *embed unit's*
+/// parameter slice. Validates every token id and position first, so no
+/// downstream slice can go out of bounds and a rejected batch has written
+/// nothing.
 ///
 /// # Errors
 /// [`GenerateError::TokenOutOfVocab`] for an id ≥ vocab,
 /// [`GenerateError::ContextExhausted`] for `pos ≥ seq`.
-pub fn embed_step(
-    gpt: &Gpt,
-    embed_params: &[f32],
-    token: u32,
-    pos: usize,
-) -> Result<Vec<f32>, GenerateError> {
+pub fn embed_rows(gpt: &Gpt, embed_params: &[f32], b: &mut RowBatch) -> Result<(), GenerateError> {
     let cfg = gpt.config();
     let h = cfg.hidden;
-    if token as usize >= cfg.vocab {
-        return Err(GenerateError::TokenOutOfVocab { token, vocab: cfg.vocab });
-    }
-    if pos >= cfg.seq {
-        return Err(GenerateError::ContextExhausted { seq: cfg.seq });
+    for r in &b.rows {
+        if r.token as usize >= cfg.vocab {
+            return Err(GenerateError::TokenOutOfVocab { token: r.token, vocab: cfg.vocab });
+        }
+        if r.pos >= cfg.seq {
+            return Err(GenerateError::ContextExhausted { seq: cfg.seq });
+        }
     }
     let emb = gpt.layout().embed_offsets();
-    let tok_row = &embed_params[emb.tok.clone()][token as usize * h..(token as usize + 1) * h];
-    let pos_row = &embed_params[emb.pos.clone()][pos * h..(pos + 1) * h];
-    Ok(tok_row.iter().zip(pos_row).map(|(a, b)| a + b).collect())
+    let (tok, pos) = (&embed_params[emb.tok.clone()], &embed_params[emb.pos.clone()]);
+    for (r, x) in b.rows.iter().zip(b.x.chunks_exact_mut(h)) {
+        let tok_row = &tok[r.token as usize * h..(r.token as usize + 1) * h];
+        let pos_row = &pos[r.pos * h..(r.pos + 1) * h];
+        for ((x, t), p) in x.iter_mut().zip(tok_row).zip(pos_row) {
+            *x = t + p;
+        }
+    }
+    Ok(())
 }
 
-/// One token through block `l`: appends this position's K/V rows to the
-/// caches (each `seq × hidden`, one layer's worth), attends over the
-/// visible past, and returns the block output row. `p` is the *block
-/// unit's* parameter slice.
-///
-/// This is the contiguous-buffer convenience wrapper over
-/// [`block_step_kv`]; both execute the identical arithmetic in the
-/// identical order, so slab-backed, paged, and private-cache decoding
-/// stay bitwise equal (tested in `tests/serving.rs`).
+/// The batch through block `l`: one layer norm and one GEMM per linear
+/// layer over all rows, every row's K/V written to `kv` first, then each
+/// row attends over the visible past of its own slot. `p` is the *block
+/// unit's* parameter slice; the serving engine passes its paged KV pool,
+/// the incremental decoder a [`ContigKv`](crate::kv::ContigKv). The cache
+/// is read and written strictly row-at-a-time, which is what lets a paged
+/// arena with non-contiguous storage produce bitwise-identical logits.
 ///
 /// # Panics
-/// Panics (debug) on cache-length or position inconsistencies — the
-/// callers ([`IncrementalDecoder::feed`] and the serving engine) validate
-/// positions before dispatching compute.
-pub fn block_step(
-    gpt: &Gpt,
-    l: usize,
-    p: &[f32],
-    x: &[f32],
-    k_cache: &mut [f32],
-    v_cache: &mut [f32],
-    pos: usize,
-) -> Vec<f32> {
-    let cfg = gpt.config();
-    debug_assert_eq!(k_cache.len(), cfg.seq * cfg.hidden);
-    debug_assert_eq!(v_cache.len(), cfg.seq * cfg.hidden);
-    let mut kv = crate::kv::ContigKv::new(k_cache, v_cache, cfg.hidden);
-    block_step_kv(gpt, l, p, x, &mut kv, 0, pos)
-}
-
-/// [`block_step`] over any [`KvArena`](crate::kv::KvArena) backing
-/// store: the serving engine passes its paged KV pool with `slot`
-/// naming the request's page table; the incremental decoder passes a
-/// contiguous adapter. The kernel reads and writes the cache strictly
-/// row-at-a-time, which is what lets a paged arena with non-contiguous
-/// storage produce bitwise-identical logits.
-pub fn block_step_kv<A: crate::kv::KvArena>(
-    gpt: &Gpt,
-    l: usize,
-    p: &[f32],
-    x: &[f32],
-    kv: &mut A,
-    slot: usize,
-    pos: usize,
-) -> Vec<f32> {
+/// Panics (debug) on a cache position out of range — callers validate
+/// positions in [`embed_rows`] before dispatching compute.
+pub fn block_rows_kv<A: crate::kv::KvArena>(gpt: &Gpt, l: usize, p: &[f32], kv: &mut A, b: &mut RowBatch) {
+    use zero_tensor::ops::activation::gelu_scalar;
     use zero_tensor::ops::matmul::sgemm_nt;
     use zero_tensor::ops::norm::layernorm_forward;
+    use zero_tensor::ops::vector::dot;
 
     let cfg = gpt.config();
-    let h = cfg.hidden;
+    let (h, ffn) = (cfg.hidden, 4 * cfg.hidden);
     let (nh, hd) = (cfg.heads, cfg.head_dim());
-    debug_assert!(pos < cfg.seq, "cache position out of range");
     let off = gpt.layout().block_offsets(l);
-    let t = pos;
+    let n = b.rows.len();
+    let rows = &b.rows;
+    let x = &mut b.x[..n * h];
+    let normed = &mut b.normed[..n * h];
+    let qkv = &mut b.qkv[..n * 3 * h];
+    let attn = &mut b.attn[..n * h];
+    let mid = &mut b.mid[..n * h];
+    let fc1 = &mut b.fc1[..n * ffn];
+    let (mean, rstd) = (&mut b.mean[..n], &mut b.rstd[..n]);
 
-    // LN1 over a single row.
-    let mut h1 = vec![0.0; h];
-    let (mut mean, mut rstd) = (vec![0.0; 1], vec![0.0; 1]);
-    layernorm_forward(x, &p[off.ln1_g.clone()], &p[off.ln1_b.clone()], &mut h1, &mut mean, &mut rstd, 1, h, 1e-5);
-    // QKV for one token.
-    let mut qkv = vec![0.0; 3 * h];
-    sgemm_nt(&h1, &p[off.w_qkv.clone()], &mut qkv, 1, h, 3 * h);
-    for (v, b) in qkv.iter_mut().zip(&p[off.b_qkv.clone()]) {
-        *v += b;
+    // LN1, then QKV for every row.
+    layernorm_forward(x, &p[off.ln1_g.clone()], &p[off.ln1_b.clone()], normed, mean, rstd, n, h, 1e-5);
+    sgemm_nt(normed, &p[off.w_qkv.clone()], qkv, n, h, 3 * h);
+    for row in qkv.chunks_exact_mut(3 * h) {
+        for (v, bias) in row.iter_mut().zip(&p[off.b_qkv.clone()]) {
+            *v += bias;
+        }
     }
-    // Append K, V to the cache.
-    kv.write_row(l, slot, t, &qkv[h..2 * h], &qkv[2 * h..3 * h]);
-    // Attention over the cache, per head.
+    // Append every row's K, V to the cache before any row attends: a
+    // prompt row sees the rows of its own batch below it.
+    for (r, row) in rows.iter().zip(qkv.chunks_exact(3 * h)) {
+        debug_assert!(r.pos < cfg.seq, "cache position out of range");
+        kv.write_row(l, r.slot, r.pos, &row[h..2 * h], &row[2 * h..]);
+    }
+    // Causal attention over the row's slot, per head.
     let scale = 1.0 / (hd as f32).sqrt();
-    let mut attn = vec![0.0; h];
-    for head in 0..nh {
-        let q = &qkv[head * hd..(head + 1) * hd];
-        let mut weights = vec![0.0; t + 1];
-        for (i, w) in weights.iter_mut().enumerate() {
-            let k = &kv.k_row(l, slot, i)[head * hd..(head + 1) * hd];
-            *w = zero_tensor::ops::vector::dot(q, k) * scale;
-        }
-        // Softmax over the visible past.
-        let max = weights.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-        let mut sum = 0.0;
-        for w in &mut weights {
-            *w = (*w - max).exp();
-            sum += *w;
-        }
-        let inv = 1.0 / sum;
-        let out = &mut attn[head * hd..(head + 1) * hd];
-        for (i, w) in weights.iter().enumerate() {
-            let v = &kv.v_row(l, slot, i)[head * hd..(head + 1) * hd];
-            for (o, &vv) in out.iter_mut().zip(v) {
-                *o += w * inv * vv;
+    attn.fill(0.0);
+    for ((r, row), attn) in rows.iter().zip(qkv.chunks_exact(3 * h)).zip(attn.chunks_exact_mut(h)) {
+        let weights = &mut b.weights[..=r.pos];
+        for head in 0..nh {
+            let q = &row[head * hd..(head + 1) * hd];
+            for (i, w) in weights.iter_mut().enumerate() {
+                let k = &kv.k_row(l, r.slot, i)[head * hd..(head + 1) * hd];
+                *w = dot(q, k) * scale;
+            }
+            // Softmax over the visible past.
+            let max = weights.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+            let mut sum = 0.0;
+            for w in weights.iter_mut() {
+                *w = (*w - max).exp();
+                sum += *w;
+            }
+            let inv = 1.0 / sum;
+            let out = &mut attn[head * hd..(head + 1) * hd];
+            for (i, w) in weights.iter().enumerate() {
+                let v = &kv.v_row(l, r.slot, i)[head * hd..(head + 1) * hd];
+                for (o, &vv) in out.iter_mut().zip(v) {
+                    *o += w * inv * vv;
+                }
             }
         }
     }
     // Projection + residual.
-    let mut ao = vec![0.0; h];
-    sgemm_nt(&attn, &p[off.w_o.clone()], &mut ao, 1, h, h);
-    for ((v, b), xv) in ao.iter_mut().zip(&p[off.b_o.clone()]).zip(x) {
-        *v += b + xv;
+    sgemm_nt(attn, &p[off.w_o.clone()], mid, n, h, h);
+    for (row, x) in mid.chunks_exact_mut(h).zip(x.chunks_exact(h)) {
+        for ((v, bias), xv) in row.iter_mut().zip(&p[off.b_o.clone()]).zip(x) {
+            *v += bias + xv;
+        }
     }
-    // LN2 + MLP + residual.
-    let mut h2 = vec![0.0; h];
-    layernorm_forward(&ao, &p[off.ln2_g.clone()], &p[off.ln2_b.clone()], &mut h2, &mut mean, &mut rstd, 1, h, 1e-5);
-    let ffn = 4 * h;
-    let mut f1 = vec![0.0; ffn];
-    sgemm_nt(&h2, &p[off.w_fc1.clone()], &mut f1, 1, h, ffn);
-    for (v, b) in f1.iter_mut().zip(&p[off.b_fc1.clone()]) {
-        *v += b;
-        *v = zero_tensor::ops::activation::gelu_scalar(*v);
+    // LN2 + MLP + residual, back into the residual stream.
+    layernorm_forward(mid, &p[off.ln2_g.clone()], &p[off.ln2_b.clone()], normed, mean, rstd, n, h, 1e-5);
+    sgemm_nt(normed, &p[off.w_fc1.clone()], fc1, n, h, ffn);
+    for row in fc1.chunks_exact_mut(ffn) {
+        for (v, bias) in row.iter_mut().zip(&p[off.b_fc1.clone()]) {
+            *v = gelu_scalar(*v + bias);
+        }
     }
-    let mut f2 = vec![0.0; h];
-    sgemm_nt(&f1, &p[off.w_fc2.clone()], &mut f2, 1, ffn, h);
-    for ((v, b), av) in f2.iter_mut().zip(&p[off.b_fc2.clone()]).zip(&ao) {
-        *v += b + av;
+    sgemm_nt(fc1, &p[off.w_fc2.clone()], x, n, ffn, h);
+    for (row, mid) in x.chunks_exact_mut(h).zip(mid.chunks_exact(h)) {
+        for ((v, bias), mv) in row.iter_mut().zip(&p[off.b_fc2.clone()]).zip(mid) {
+            *v += bias + mv;
+        }
     }
-    f2
 }
 
-/// One token through the head unit: final layer-norm + LM projection,
-/// returning the `vocab`-length logits row. `head_params` is the *head
-/// unit's* parameter slice.
-pub fn head_step(gpt: &Gpt, head_params: &[f32], x: &[f32]) -> Vec<f32> {
+/// The head unit over the rows `picks` indexes (a request's last row —
+/// no other row's logits are ever read): final layer norm + LM
+/// projection. Returns `picks.len()` logits rows of `vocab` each.
+/// `head_params` is the *head unit's* parameter slice.
+pub fn head_rows<'b>(gpt: &Gpt, head_params: &[f32], picks: &[usize], b: &'b mut RowBatch) -> &'b [f32] {
     use zero_tensor::ops::matmul::sgemm_nt;
     use zero_tensor::ops::norm::layernorm_forward;
 
     let cfg = gpt.config();
     let h = cfg.hidden;
     let hoff = gpt.layout().head_offsets();
-    let mut lnf = vec![0.0; h];
-    let (mut mean, mut rstd) = (vec![0.0; 1], vec![0.0; 1]);
+    let n = picks.len();
+    for (&i, row) in picks.iter().zip(b.mid.chunks_exact_mut(h)) {
+        debug_assert!(i < b.rows.len(), "pick beyond the batch");
+        row.copy_from_slice(&b.x[i * h..(i + 1) * h]);
+    }
     layernorm_forward(
-        x,
+        &b.mid[..n * h],
         &head_params[hoff.lnf_g.clone()],
         &head_params[hoff.lnf_b.clone()],
-        &mut lnf,
-        &mut mean,
-        &mut rstd,
-        1,
+        &mut b.normed[..n * h],
+        &mut b.mean[..n],
+        &mut b.rstd[..n],
+        n,
         h,
         1e-5,
     );
-    let mut logits = vec![0.0; cfg.vocab];
-    sgemm_nt(&lnf, &head_params[hoff.w_head.clone()], &mut logits, 1, h, cfg.vocab);
+    let logits = &mut b.logits[..n * cfg.vocab];
+    sgemm_nt(&b.normed[..n * h], &head_params[hoff.w_head.clone()], logits, n, h, cfg.vocab);
     logits
 }
 
@@ -506,13 +582,14 @@ mod tests {
 
 /// Incremental (KV-cached) decoder: O(context) per token instead of a
 /// full-window re-forward — the standard inference optimization, exact
-/// w.r.t. the full forward pass (verified in tests).
+/// w.r.t. the full forward pass (verified in tests). Each token is a
+/// one-row [`RowBatch`] through the shared unit steps.
 pub struct IncrementalDecoder<'a> {
     gpt: &'a Gpt,
     params: &'a [f32],
-    /// Per block: cached keys and values, `[pos, attn_width]` row-major.
-    k_cache: Vec<Vec<f32>>,
-    v_cache: Vec<Vec<f32>>,
+    /// Cached keys and values of every block, one slot.
+    kv: crate::kv::ContigKv,
+    batch: RowBatch,
     /// Tokens consumed so far (bounded by the position-table length).
     pos: usize,
 }
@@ -527,12 +604,11 @@ impl<'a> IncrementalDecoder<'a> {
         assert_eq!(params.len(), gpt.num_params(), "parameter buffer mismatch");
         assert_eq!(gpt.mp_degree(), 1, "incremental decode is single-process");
         let cfg = gpt.config();
-        let aw = cfg.hidden;
         IncrementalDecoder {
             gpt,
             params,
-            k_cache: vec![vec![0.0; cfg.seq * aw]; cfg.layers],
-            v_cache: vec![vec![0.0; cfg.seq * aw]; cfg.layers],
+            kv: crate::kv::ContigKv::new(cfg.layers, 1, cfg.seq, cfg.hidden),
+            batch: RowBatch::new(cfg, 1),
             pos: 0,
         }
     }
@@ -550,24 +626,15 @@ impl<'a> IncrementalDecoder<'a> {
     /// both previously panicked (an `assert!` and an unchecked slice),
     /// which took down the whole serving rank on one bad request.
     pub fn feed(&mut self, token: u32) -> Result<Vec<f32>, GenerateError> {
-        let cfg = *self.gpt.config();
-        let units = self.gpt.layout().units().to_vec();
-        let t = self.pos;
-
-        let mut x = embed_step(self.gpt, &self.params[units[0].range.clone()], token, t)?;
-        for l in 0..cfg.layers {
-            x = block_step(
-                self.gpt,
-                l,
-                &self.params[units[1 + l].range.clone()],
-                &x,
-                &mut self.k_cache[l],
-                &mut self.v_cache[l],
-                t,
-            );
+        let units = self.gpt.layout().units();
+        let unit = |u: usize| &self.params[units[u].range.clone()];
+        self.batch.clear();
+        self.batch.push(0, self.pos, token);
+        embed_rows(self.gpt, unit(0), &mut self.batch)?;
+        for l in 0..self.gpt.config().layers {
+            block_rows_kv(self.gpt, l, unit(1 + l), &mut self.kv, &mut self.batch);
         }
-        let hu = units.last().unwrap();
-        let logits = head_step(self.gpt, &self.params[hu.range.clone()], &x);
+        let logits = head_rows(self.gpt, unit(units.len() - 1), &[0], &mut self.batch).to_vec();
         self.pos += 1;
         Ok(logits)
     }
@@ -660,5 +727,101 @@ mod incremental_tests {
         let logits = dec.feed(5).unwrap();
         assert_eq!(logits.len(), 16);
         assert_eq!(dec.position(), 1);
+    }
+}
+
+#[cfg(test)]
+mod row_batch_proptests {
+    use super::*;
+    use crate::config::ModelConfig;
+    use crate::gpt::init_full_params;
+    use crate::kv::{ContigKv, KvArena};
+    use proptest::prelude::*;
+
+    fn bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// However each slot's token stream is cut into batches — whole,
+        /// token by token, at random points, sitting a batch out — and
+        /// whatever other slots' rows share those batches, every batch's
+        /// last-row logits and every K/V row are bit for bit what
+        /// `IncrementalDecoder::feed` produces for that stream alone.
+        #[test]
+        fn any_chunking_of_a_token_stream_is_bitwise_the_one_row_decoder(
+            streams in prop::collection::vec(prop::collection::vec(0u32..24, 1..11), 1..4),
+            cuts in prop::collection::vec(0usize..64, 40..41),
+            mode in 0usize..3,
+        ) {
+            let cfg = ModelConfig { vocab: 24, seq: 10, hidden: 16, layers: 2, heads: 2 };
+            let params = init_full_params(&cfg, 6);
+            let gpt = Gpt::new(cfg);
+            let units = gpt.layout().units();
+            let unit = |u: usize| &params[units[u].range.clone()];
+
+            // The reference: one decoder per stream, one row at a time.
+            let mut decoders = Vec::new();
+            let mut want_logits: Vec<Vec<Vec<u32>>> = Vec::new();
+            for stream in &streams {
+                let mut dec = IncrementalDecoder::new(&gpt, &params);
+                want_logits.push(stream.iter().map(|&t| bits(&dec.feed(t).unwrap())).collect());
+                decoders.push(dec);
+            }
+
+            let mut kv = ContigKv::new(cfg.layers, streams.len(), cfg.seq, cfg.hidden);
+            let mut batch = RowBatch::new(&cfg, streams.len() * cfg.seq);
+            let mut fed = vec![0usize; streams.len()];
+            let mut cuts = cuts.into_iter().cycle();
+            while fed.iter().zip(&streams).any(|(f, s)| *f < s.len()) {
+                batch.clear();
+                let mut picks = Vec::new();
+                let mut picked = Vec::new();
+                for (slot, stream) in streams.iter().enumerate() {
+                    let left = stream.len() - fed[slot];
+                    let take = match mode {
+                        0 => left,
+                        1 => left.min(1),
+                        // 0..=left: a slot may sit a batch out.
+                        _ => cuts.next().unwrap() % (left + 1),
+                    };
+                    if take == 0 {
+                        continue;
+                    }
+                    for _ in 0..take {
+                        batch.push(slot, fed[slot], stream[fed[slot]]);
+                        fed[slot] += 1;
+                    }
+                    picks.push(batch.rows().len() - 1);
+                    picked.push(slot);
+                }
+                if picks.is_empty() {
+                    // Every slot sat out: feed one row so the loop ends.
+                    let slot = (0..streams.len()).find(|&s| fed[s] < streams[s].len()).unwrap();
+                    batch.push(slot, fed[slot], streams[slot][fed[slot]]);
+                    fed[slot] += 1;
+                    picks.push(0);
+                    picked.push(slot);
+                }
+                embed_rows(&gpt, unit(0), &mut batch).unwrap();
+                for l in 0..cfg.layers {
+                    block_rows_kv(&gpt, l, unit(1 + l), &mut kv, &mut batch);
+                }
+                let logits = head_rows(&gpt, unit(units.len() - 1), &picks, &mut batch);
+                for (&slot, row) in picked.iter().zip(logits.chunks_exact(cfg.vocab)) {
+                    prop_assert_eq!(&bits(row), &want_logits[slot][fed[slot] - 1], "slot {}", slot);
+                }
+            }
+            for (slot, (stream, dec)) in streams.iter().zip(&decoders).enumerate() {
+                for l in 0..cfg.layers {
+                    for pos in 0..stream.len() {
+                        prop_assert_eq!(bits(kv.k_row(l, slot, pos)), bits(dec.kv.k_row(l, 0, pos)));
+                        prop_assert_eq!(bits(kv.v_row(l, slot, pos)), bits(dec.kv.v_row(l, 0, pos)));
+                    }
+                }
+            }
+        }
     }
 }

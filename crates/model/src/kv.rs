@@ -13,7 +13,7 @@
 //! as the context window is the classic one-slab-slot-per-request layout;
 //! it is a geometry of this arena, not a second container.
 //!
-//! The per-token attention kernel (`block_step_kv`) is generic over the
+//! The row-batch attention kernel (`block_rows_kv`) is generic over the
 //! [`KvArena`] row-access trait, so pooled decoding and the single-request
 //! reference ([`ContigKv`] under `IncrementalDecoder`) execute
 //! bitwise-identical arithmetic — a tested invariant.
@@ -23,7 +23,7 @@
 //! occupancy bitset.
 
 /// Row-level access to a K/V cache keyed by (layer, slot, position) —
-/// the interface the shared per-token attention kernel decodes through.
+/// the interface the shared row-batch attention kernel decodes through.
 /// Implementations must return rows of exactly `width` elements and must
 /// keep a written row readable (bitwise) until the slot is released.
 pub trait KvArena {
@@ -36,39 +36,45 @@ pub trait KvArena {
     fn v_row(&self, layer: usize, slot: usize, pos: usize) -> &[f32];
 }
 
-/// A [`KvArena`] over two plain contiguous `seq × width` buffers (one
-/// request, one layer at a time — the slot and layer indices are
-/// ignored). This is how [`IncrementalDecoder`](crate::IncrementalDecoder)
-/// and any caller holding per-layer `Vec<f32>` caches drive the shared
-/// kernel.
-pub struct ContigKv<'a> {
-    k: &'a mut [f32],
-    v: &'a mut [f32],
+/// A [`KvArena`] over plain contiguous storage, `[layer][slot][pos]` rows
+/// of `width` elements on each side — no paging, no sharing. This is the
+/// cache [`IncrementalDecoder`](crate::IncrementalDecoder) owns (one
+/// slot) and the reference the pooled arenas are tested against.
+pub struct ContigKv {
+    k: Vec<f32>,
+    v: Vec<f32>,
+    slots: usize,
+    seq: usize,
     width: usize,
 }
 
-impl<'a> ContigKv<'a> {
-    /// Wraps one layer's K and V buffers (`seq × width` each).
-    pub fn new(k: &'a mut [f32], v: &'a mut [f32], width: usize) -> ContigKv<'a> {
-        debug_assert_eq!(k.len() % width, 0);
-        debug_assert_eq!(k.len(), v.len());
-        ContigKv { k, v, width }
+impl ContigKv {
+    /// A zeroed cache of `slots` windows of `seq` positions per layer.
+    pub fn new(layers: usize, slots: usize, seq: usize, width: usize) -> ContigKv {
+        let elems = layers * slots * seq * width;
+        ContigKv { k: vec![0.0; elems], v: vec![0.0; elems], slots, seq, width }
+    }
+
+    fn at(&self, layer: usize, slot: usize, pos: usize) -> std::ops::Range<usize> {
+        debug_assert!(slot < self.slots && pos < self.seq);
+        let base = ((layer * self.slots + slot) * self.seq + pos) * self.width;
+        base..base + self.width
     }
 }
 
-impl KvArena for ContigKv<'_> {
-    fn write_row(&mut self, _layer: usize, _slot: usize, pos: usize, k: &[f32], v: &[f32]) {
-        let w = self.width;
-        self.k[pos * w..(pos + 1) * w].copy_from_slice(k);
-        self.v[pos * w..(pos + 1) * w].copy_from_slice(v);
+impl KvArena for ContigKv {
+    fn write_row(&mut self, layer: usize, slot: usize, pos: usize, k: &[f32], v: &[f32]) {
+        let at = self.at(layer, slot, pos);
+        self.k[at.clone()].copy_from_slice(k);
+        self.v[at].copy_from_slice(v);
     }
 
-    fn k_row(&self, _layer: usize, _slot: usize, pos: usize) -> &[f32] {
-        &self.k[pos * self.width..(pos + 1) * self.width]
+    fn k_row(&self, layer: usize, slot: usize, pos: usize) -> &[f32] {
+        &self.k[self.at(layer, slot, pos)]
     }
 
-    fn v_row(&self, _layer: usize, _slot: usize, pos: usize) -> &[f32] {
-        &self.v[pos * self.width..(pos + 1) * self.width]
+    fn v_row(&self, layer: usize, slot: usize, pos: usize) -> &[f32] {
+        &self.v[self.at(layer, slot, pos)]
     }
 }
 
@@ -319,15 +325,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn contig_adapter_is_position_indexed() {
-        let mut k = vec![0.0; 8];
-        let mut v = vec![0.0; 8];
-        let mut kv = ContigKv::new(&mut k, &mut v, 2);
-        kv.write_row(0, 0, 3, &[1.0, 2.0], &[3.0, 4.0]);
-        assert_eq!(kv.k_row(0, 0, 3), &[1.0, 2.0]);
-        assert_eq!(kv.v_row(0, 0, 3), &[3.0, 4.0]);
-        let _ = kv;
-        assert_eq!(&k[6..8], &[1.0, 2.0]);
+    fn contig_cache_is_indexed_by_layer_slot_and_position() {
+        let mut kv = ContigKv::new(2, 3, 4, 2);
+        kv.write_row(1, 2, 3, &[1.0, 2.0], &[3.0, 4.0]);
+        assert_eq!(kv.k_row(1, 2, 3), &[1.0, 2.0]);
+        assert_eq!(kv.v_row(1, 2, 3), &[3.0, 4.0]);
+        // The last row of the last slot of the last layer; nothing else moved.
+        assert_eq!(&kv.k[46..48], &[1.0, 2.0]);
+        assert!(kv.k[..46].iter().all(|&x| x == 0.0));
+        assert_eq!(kv.k_row(0, 2, 3), &[0.0, 0.0]);
     }
 
     #[test]

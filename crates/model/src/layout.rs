@@ -226,23 +226,26 @@ impl Layout {
     pub fn block_offsets(&self, l: usize) -> BlockOffsets {
         let unit = &self.units[1 + l];
         let base = unit.range.start;
-        let rel = |name: &str| {
-            let r = self.field_range(&format!("block{l}.{name}"));
+        // The unit's fields in the order `build_mp` declares them; no name
+        // lookup, so the per-call cost is twelve subtractions.
+        let mut fields = unit.field_indices.iter().map(|&i| &self.fields[i].range);
+        let mut rel = || {
+            let r = fields.next().expect("a block unit has twelve fields");
             r.start - base..r.end - base
         };
         BlockOffsets {
-            ln1_g: rel("ln1_g"),
-            ln1_b: rel("ln1_b"),
-            w_qkv: rel("w_qkv"),
-            b_qkv: rel("b_qkv"),
-            w_o: rel("w_o"),
-            b_o: rel("b_o"),
-            ln2_g: rel("ln2_g"),
-            ln2_b: rel("ln2_b"),
-            w_fc1: rel("w_fc1"),
-            b_fc1: rel("b_fc1"),
-            w_fc2: rel("w_fc2"),
-            b_fc2: rel("b_fc2"),
+            ln1_g: rel(),
+            ln1_b: rel(),
+            w_qkv: rel(),
+            b_qkv: rel(),
+            w_o: rel(),
+            b_o: rel(),
+            ln2_g: rel(),
+            ln2_b: rel(),
+            w_fc1: rel(),
+            b_fc1: rel(),
+            w_fc2: rel(),
+            b_fc2: rel(),
         }
     }
 
@@ -339,8 +342,24 @@ mod tests {
         let layout = Layout::build(&cfg);
         let off = layout.block_offsets(1);
         let unit = &layout.units()[2];
-        let abs = layout.field_range("block1.w_qkv");
-        assert_eq!(off.w_qkv.start + unit.range.start, abs.start);
+        // Every positional offset is the field of that name.
+        for (name, rel) in [
+            ("ln1_g", &off.ln1_g),
+            ("ln1_b", &off.ln1_b),
+            ("w_qkv", &off.w_qkv),
+            ("b_qkv", &off.b_qkv),
+            ("w_o", &off.w_o),
+            ("b_o", &off.b_o),
+            ("ln2_g", &off.ln2_g),
+            ("ln2_b", &off.ln2_b),
+            ("w_fc1", &off.w_fc1),
+            ("b_fc1", &off.b_fc1),
+            ("w_fc2", &off.w_fc2),
+            ("b_fc2", &off.b_fc2),
+        ] {
+            let abs = layout.field_range(&format!("block1.{name}"));
+            assert_eq!(rel.start + unit.range.start..rel.end + unit.range.start, abs, "{name}");
+        }
         let h = cfg.hidden;
         assert_eq!(off.w_qkv.len(), 3 * h * h);
         assert_eq!(off.w_fc1.len(), 4 * h * h);

@@ -34,8 +34,8 @@ pub use block::{BlockDims, BlockSaved, Dropout};
 pub use config::ModelConfig;
 pub use data::{rank_batch, ByteCorpus, SyntheticCorpus};
 pub use generate::{
-    argmax, block_step, block_step_kv, embed_step, head_step, GenerateError, Generator,
-    IncrementalDecoder, Sampling,
+    argmax, block_rows_kv, embed_rows, head_rows, GenerateError, Generator, IncrementalDecoder,
+    Row, RowBatch, Sampling,
 };
 pub use kv::{BlockArena, BlockArenaStats, ContigKv, KvArena};
 pub use gpt::{init_full_params, shard_params, Gpt, HeadSaved};

@@ -1,12 +1,16 @@
 //! Heap allocations on the compute path must not scale with the work: a
 //! block's forward + backward allocates its activations and gradients
-//! (a fixed number of buffers), never per (batch, head) map, and a GEMM
-//! at a shape it has already seen allocates nothing.
+//! (a fixed number of buffers), never per (batch, head) map, a GEMM at a
+//! shape it has already seen allocates nothing, and a decode row batch
+//! runs entirely inside its caller-owned `RowBatch`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use zero_model::{init_full_params, Gpt, ModelConfig};
+use zero_model::{
+    block_rows_kv, embed_rows, head_rows, init_full_params, ContigKv, Gpt, IncrementalDecoder,
+    ModelConfig, RowBatch,
+};
 use zero_tensor::ops::matmul::{sgemm_nt, sgemm_tn};
 
 thread_local! {
@@ -79,4 +83,42 @@ fn repeated_gemm_at_one_shape_allocates_nothing() {
     };
     both();
     assert_eq!(allocations(|| (0..3).for_each(|_| both())), 0);
+}
+
+#[test]
+fn a_steady_state_decode_row_batch_allocates_nothing() {
+    let cfg = ModelConfig { vocab: 64, seq: 32, hidden: 64, layers: 2, heads: 4 };
+    let gpt = Gpt::new(cfg);
+    let params = init_full_params(&cfg, 3);
+    let units = gpt.layout().units();
+    let unit = |u: usize| &params[units[u].range.clone()];
+    let slots = 4;
+    let mut kv = ContigKv::new(cfg.layers, slots, cfg.seq, cfg.hidden);
+    let mut batch = RowBatch::new(&cfg, slots * cfg.seq);
+    // One step of a serving rank: every slot's pending rows through every
+    // unit, the head on each slot's last row.
+    let mut step = |batch: &mut RowBatch, rows_per_slot: std::ops::Range<usize>| {
+        batch.clear();
+        for slot in 0..slots {
+            rows_per_slot.clone().for_each(|pos| batch.push(slot, pos, (slot + pos) as u32));
+        }
+        embed_rows(&gpt, unit(0), batch).unwrap();
+        for l in 0..cfg.layers {
+            block_rows_kv(&gpt, l, unit(1 + l), &mut kv, batch);
+        }
+        let last = rows_per_slot.len();
+        let picks: [usize; 4] = std::array::from_fn(|slot| (slot + 1) * last - 1);
+        std::hint::black_box(head_rows(&gpt, unit(units.len() - 1), &picks, batch));
+    };
+    // The whole-prompt step sizes the GEMM's panels; decode steps follow.
+    step(&mut batch, 0..8);
+    step(&mut batch, 8..9);
+    assert_eq!(allocations(|| step(&mut batch, 9..10)), 0, "one decode row per slot");
+    assert_eq!(allocations(|| step(&mut batch, 10..16)), 0, "a six-row chunk per slot");
+
+    // The single-request decoder is the same kernel at one row: its only
+    // allocation is the logits `Vec` it returns.
+    let mut dec = IncrementalDecoder::new(&gpt, &params);
+    dec.feed(1).unwrap();
+    assert_eq!(allocations(|| drop(dec.feed(2).unwrap())), 1);
 }

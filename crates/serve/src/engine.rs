@@ -7,11 +7,16 @@
 //! virtual clock in **batch steps**: requests become visible when the
 //! clock reaches their `arrival_step`, are SLO-checked and queued (or
 //! shed) at delivery, admitted FIFO into free KV slots, and then each
-//! executed batch step walks the unit list once (gathering each unit from
-//! the shards, one unit prefetched ahead), advancing every live request
-//! by exactly one token. When nothing is live the clock fast-forwards to
-//! the next arrival without executing steps, so `batch_steps` counts only
-//! steps that actually gathered parameters and the traffic reconciliation
+//! executed batch step collects one **ragged row batch** — every prompt
+//! position a newly admitted request has not yet cached, one row for each
+//! decoding request — and walks the unit list once (gathering each unit
+//! from the shards, one unit prefetched ahead), applying each gathered
+//! unit to the whole batch. Every live request emits exactly one token
+//! per step, its first in the step that admitted it, so a request costs
+//! `max_new_tokens` full-model gathers whatever its prompt length. When
+//! nothing is live the clock fast-forwards to the next arrival without
+//! executing steps, so `batch_steps` counts only steps that actually
+//! gathered parameters and the traffic reconciliation
 //! (`batch_steps × plan.rank_bytes`) stays exact. Every scheduling
 //! decision is a pure function of (request list, config), which is what
 //! keeps N ranks in lockstep with zero coordination traffic beyond the
@@ -26,7 +31,7 @@ use zero_comm::{
     launch_with_config, CollectiveKind, Communicator, Group, PendingOp, WorldConfig,
 };
 use zero_core::{CommPlan, Partitioner, ResolvedOp};
-use zero_model::{argmax, block_step_kv, embed_step, head_step, Gpt, ModelConfig};
+use zero_model::{argmax, block_rows_kv, embed_rows, head_rows, Gpt, ModelConfig, RowBatch};
 use zero_trace::{SpanCategory, SpanId, StepTimeline};
 
 use crate::paged::{KvBackend, KvMeters, KvPool, PoolActivity};
@@ -50,8 +55,9 @@ pub struct ServeConfig {
     pub overlap: bool,
     /// KV pool geometry: one `seq`-long block per slot, or smaller
     /// demand-paged blocks with optional prefix reuse. Greedy outputs are
-    /// bitwise identical at every geometry — the decode kernel only ever
-    /// sees rows.
+    /// bitwise identical and the schedule step-identical at every geometry
+    /// — the decode kernel only ever sees rows, and service time does not
+    /// depend on how many of them prefix reuse saved.
     pub kv: KvBackend,
     /// Admission SLO in batch steps: a request whose predicted queue
     /// delay exceeds this is shed with [`ServeError::Overloaded`] at
@@ -121,8 +127,8 @@ impl ServeReport {
     /// ranks fell out of lockstep — returns which rank disagrees. Only
     /// `latency_ns` is wall-clock and legitimately rank-local, so it
     /// alone is excluded from the comparison; every step-indexed metric
-    /// (arrival, admission, completion, queue delay, prefix reuse) must
-    /// agree bit for bit.
+    /// (arrival, admission, completion, queue delay, prefill rows, prefix
+    /// reuse) must agree bit for bit.
     pub fn check_ranks_agree(&self) -> Result<(), String> {
         fn scrubbed(outcomes: &[ServeOutcome]) -> Vec<ServeOutcome> {
             outcomes
@@ -175,11 +181,9 @@ impl ServeReport {
 /// slot-release times: free slots release at `now`, busy slots at their
 /// request's completion step, and each already-queued request occupies
 /// the earliest-releasing slot for its full service time
-/// (`prompt_len − 1 + max_new_tokens` steps — deliberately ignoring
-/// prefix reuse, whose skip depends on cache state at future admission;
-/// the conservative bound sheds slightly early, never late). The
-/// returned delay is a pure function of scheduler state, so every rank
-/// sheds the same requests.
+/// (`max_new_tokens` steps, exactly, at every KV geometry). The returned
+/// delay is therefore the wait the request would actually see, and a pure
+/// function of scheduler state, so every rank sheds the same requests.
 pub fn predicted_queue_delay(
     now: u64,
     free_slots: usize,
@@ -200,10 +204,11 @@ pub fn predicted_queue_delay(
     release - now
 }
 
-/// Steps of service a request consumes once admitted, assuming no prefix
-/// reuse: `prompt_len − 1` prefill steps plus `max_new_tokens` decodes.
+/// Steps of service a request consumes once admitted: one per emitted
+/// token. The whole prompt is fed in the step that emits the first, so
+/// neither the prompt length nor prefix reuse enters.
 fn service_steps(req: &ServeRequest) -> u64 {
-    (req.prompt.len() - 1 + req.max_new_tokens) as u64
+    req.max_new_tokens as u64
 }
 
 /// A delivered, admitted-to-queue request waiting for a slot.
@@ -224,23 +229,19 @@ struct Active {
     ri: usize,
     /// KV slot.
     slot: usize,
-    /// Tokens fed so far (== decoder position).
+    /// Positions cached so far (== next decoder position).
     fed: usize,
     /// Positions skipped at admission via prefix reuse (`fed` started
     /// here instead of 0).
     fed0: usize,
-    /// The token fed at position `fed` during the current step.
-    cur_token: u32,
     /// Tokens emitted so far.
     produced: Vec<u32>,
-    /// Activation row flowing between units within the current step.
-    x: Vec<f32>,
     /// The current step's prefill/decode span.
     span: SpanId,
     /// Step at which the request was admitted.
     admitted_at: u64,
     /// Step at which the request will retire
-    /// (`admitted_at + prompt_len + max_new − 1 − fed0`).
+    /// (`admitted_at + max_new_tokens`).
     completes_at: u64,
     /// Wall-clock enqueue time, inherited from [`Pending`].
     enqueued: Instant,
@@ -312,6 +313,10 @@ pub fn run_rank(
     let mut pending: VecDeque<Pending> = VecDeque::new();
     let mut pool = KvPool::new(model, cfg.slots, cfg.kv);
     let mut active: Vec<Active> = Vec::new();
+    // The step's row batch and, per live request, its last row's index.
+    // `admit` bounds a request to `seq` positions, so this never fills.
+    let mut batch = RowBatch::new(model, cfg.slots * model.seq);
+    let mut last_rows: Vec<usize> = Vec::with_capacity(cfg.slots);
     let mut clock = 0u64; // batch-step time (includes idle fast-forwards)
     let mut steps = 0u64; // executed batch steps only
     let mut transient_peak = 0u64;
@@ -370,18 +375,15 @@ pub fn run_rank(
             let req = &requests[p.ri];
             let (att, act) = pool.attach_prompt(slot, &req.prompt);
             trace_pool(act);
-            let service = service_steps(req) - att.matched as u64;
             active.push(Active {
                 ri: p.ri,
                 slot,
                 fed: att.matched,
                 fed0: att.matched,
-                cur_token: 0,
-                produced: Vec::new(),
-                x: Vec::new(),
+                produced: Vec::with_capacity(req.max_new_tokens),
                 span: SpanId::NULL,
                 admitted_at: clock,
-                completes_at: clock + service,
+                completes_at: clock + service_steps(req),
                 enqueued: p.enqueued,
             });
         }
@@ -401,18 +403,37 @@ pub fn run_rank(
             }
         }
 
-        // Demand-page the KV block covering each live request's current
-        // position before the unit walk touches it.
-        for a in &active {
-            trace_pool(pool.ensure(a.slot, a.fed));
+        // The step's rows: every prompt position a newly admitted request
+        // still has to cache, or the one token a decoding request emitted
+        // last step — demand-paging the KV block under each position
+        // before the unit walk touches it.
+        let step_span = trace.begin(SpanCategory::Compute, "serve-step");
+        batch.clear();
+        last_rows.clear();
+        for a in active.iter_mut() {
+            let prefilling = a.produced.is_empty();
+            a.span = trace.begin_on(
+                TRACK_REQ_BASE + a.slot as u32,
+                SpanCategory::Compute,
+                if prefilling { "prefill" } else { "decode-token" },
+            );
+            let pending = match a.produced.last() {
+                None => &requests[a.ri].prompt[a.fed..],
+                Some(last) => std::slice::from_ref(last),
+            };
+            for &token in pending {
+                trace_pool(pool.ensure(a.slot, a.fed));
+                batch.push(a.slot, a.fed, token);
+                a.fed += 1;
+            }
+            last_rows.push(batch.rows().len() - 1);
         }
 
-        // One batch step: walk the units, advancing every live request by
-        // one token. A gather has one issue site and one wait site; the
+        // One batch step: walk the units, applying each to the whole row
+        // batch. A gather has one issue site and one wait site; the
         // only thing `overlap` decides is whether unit u+1's gather is
         // issued before unit u's is waited (the double buffer: at most two
         // units materialized at once) or each is waited as it is issued.
-        let step_span = trace.begin(SpanCategory::Compute, "serve-step");
         let n_units = units.len();
         let mut issue = |v: usize| -> (PendingOp, u64) {
             let op = &ops[v];
@@ -431,36 +452,24 @@ pub fn run_rank(
             let in_flight = ahead.as_ref().map_or(0, |(_, b)| *b);
             transient_peak = transient_peak.max(cur_bytes + in_flight);
 
-            // Advance every live request through unit u.
-            for a in active.iter_mut() {
-                let req = &requests[a.ri];
-                if u == 0 {
-                    let prefilling = a.fed + 1 < req.prompt.len();
-                    a.span = trace.begin_on(
-                        TRACK_REQ_BASE + a.slot as u32,
-                        SpanCategory::Compute,
-                        if prefilling { "prefill" } else { "decode-token" },
-                    );
-                    a.cur_token = if a.fed < req.prompt.len() {
-                        req.prompt[a.fed]
-                    } else {
-                        *a.produced.last().expect("decode steps follow prefill")
-                    };
-                    a.x = embed_step(&gpt, &cur, a.cur_token, a.fed)
-                        .expect("validated at admission");
-                } else if u < n_units - 1 {
-                    let l = u - 1;
-                    a.x = block_step_kv(&gpt, l, &cur, &a.x, &mut pool, a.slot, a.fed);
-                } else {
-                    let logits = head_step(&gpt, &cur, &a.x);
-                    if a.fed + 1 >= req.prompt.len() {
-                        a.produced.push(argmax(&logits) as u32);
-                    }
-                    pool.note_token(a.slot, a.fed, a.cur_token);
-                    a.fed += 1;
+            // Advance the batch through unit u; the head reads only each
+            // request's last row, which yields its next token.
+            if u == 0 {
+                embed_rows(&gpt, &cur, &mut batch).expect("validated at admission");
+            } else if u < n_units - 1 {
+                block_rows_kv(&gpt, u - 1, &cur, &mut pool, &mut batch);
+            } else {
+                let logits = head_rows(&gpt, &cur, &last_rows, &mut batch);
+                for (a, row) in active.iter_mut().zip(logits.chunks_exact(model.vocab)) {
+                    a.produced.push(argmax(row) as u32);
                     trace.end(a.span);
                 }
             }
+        }
+        // Every row's K/V is final: record its token (which registers
+        // completed blocks for prefix reuse).
+        for r in batch.rows() {
+            pool.note_token(r.slot, r.pos, r.token);
         }
         steps += 1;
         clock += 1;
@@ -484,7 +493,8 @@ pub fn run_rank(
                     completion_step: clock,
                     latency_steps: clock - req.arrival_step,
                     queue_steps: a.admitted_at - req.arrival_step,
-                    prefill_steps: (req.prompt.len() - 1 - a.fed0) as u64,
+                    prefill_steps: 0,
+                    prefill_rows: (req.prompt.len() - a.fed0) as u64,
                     prefix_reused_rows: a.fed0 as u64,
                     decode_steps: req.max_new_tokens as u64,
                     latency_ns: a.enqueued.elapsed().as_nanos() as u64,
@@ -670,14 +680,15 @@ mod tests {
         report.check_ranks_agree().unwrap();
         let responses: Vec<_> = report.outcomes().iter().filter_map(|o| o.response()).collect();
         assert_eq!(responses.len(), 6);
-        // Later requests waited in the queue.
-        assert!(responses.iter().any(|r| r.queue_steps > 0));
-        // Every request takes prompt_len − 1 + max_new steps of service.
-        for r in &responses {
-            assert_eq!(r.prefill_steps, 1);
-            assert_eq!(r.decode_steps, 2);
-            assert_eq!(r.completion_step - r.admitted_step, 3);
-            assert_eq!(r.latency_steps, r.queue_steps + 3);
+        // Every request takes max_new = 2 steps of service — both prompt
+        // rows are fed by the step that emits the first token — so the
+        // three waves of two are admitted at steps 0, 2 and 4.
+        assert_eq!(report.ranks[0].batch_steps, 3 * 2);
+        for (i, r) in responses.iter().enumerate() {
+            assert_eq!(r.queue_steps, 2 * (i as u64 / 2));
+            assert_eq!((r.prefill_steps, r.prefill_rows, r.decode_steps), (0, 2, 2));
+            assert_eq!(r.completion_step - r.admitted_step, 2);
+            assert_eq!(r.latency_steps, r.queue_steps + 2);
         }
     }
 
@@ -695,11 +706,12 @@ mod tests {
         report.check_ranks_agree().unwrap();
         let r0 = report.outcomes()[0].response().unwrap();
         let r1 = report.outcomes()[1].response().unwrap();
-        // Each request runs 3 service steps; only 6 steps execute overall.
-        assert_eq!(report.ranks[0].batch_steps, 6);
-        assert_eq!(r0.completion_step, 3);
+        // Each request runs max_new = 2 service steps; only 2 + 2 = 4
+        // steps execute overall.
+        assert_eq!(report.ranks[0].batch_steps, 4);
+        assert_eq!(r0.completion_step, 2);
         assert_eq!(r1.admitted_step, 500);
-        assert_eq!(r1.completion_step, 503);
+        assert_eq!(r1.completion_step, 502);
         assert_eq!(r1.queue_steps, 0);
         // Traffic still reconciles exactly: only executed steps gather.
         for r in &report.ranks {
@@ -726,23 +738,24 @@ mod tests {
     fn slo_sheds_deterministically_under_burst() {
         let m = model();
         let params = init_full_params(&m, 13);
-        // 1 slot, service = 2 + 4 − 1 = 5 steps; 6 simultaneous arrivals
-        // with a 12-step SLO: positions 0..=2 predict delays 0/5/10 and
-        // queue; every later arrival predicts 15 (shed requests never
+        // 1 slot, service = max_new = 4 steps; 6 simultaneous arrivals
+        // with a 10-step SLO: positions 0..=2 predict delays 0/4/8 and
+        // queue; every later arrival predicts 12 (shed requests never
         // join the queue, so the prediction stops growing) and is shed.
         let requests: Vec<ServeRequest> =
             (0..6).map(|i| ServeRequest::new(i, vec![1, 2], 4)).collect();
-        let cfg = ServeConfig { slots: 1, slo_steps: Some(12), ..ServeConfig::default() };
+        let cfg = ServeConfig { slots: 1, slo_steps: Some(10), ..ServeConfig::default() };
         let report = serve(&m, &shards_of(&params, 2), &requests, &cfg);
         report.check_ranks_agree().unwrap();
         let o = report.outcomes();
         for (i, out) in o.iter().enumerate().take(3) {
-            assert!(out.response().is_some(), "request {i} within SLO");
+            let resp = out.response().unwrap_or_else(|| panic!("request {i} within SLO"));
+            assert_eq!(resp.queue_steps, 4 * i as u64, "the predicted delay is the real one");
         }
         for (i, out) in o.iter().enumerate().skip(3) {
             assert_eq!(
                 out.rejection(),
-                Some(ServeError::Overloaded { predicted_delay_steps: 15, slo_steps: 12 }),
+                Some(ServeError::Overloaded { predicted_delay_steps: 12, slo_steps: 10 }),
                 "request {i} sheds with its exact predicted delay"
             );
         }
@@ -770,6 +783,69 @@ mod tests {
             for (req, out) in requests.iter().zip(report.outcomes()) {
                 let resp = out.response().unwrap();
                 assert_eq!(resp.tokens, reference_greedy(&m, &params, req), "{kv:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn window_filling_prompts_in_every_slot_never_run_the_arena_dry() {
+        let m = model();
+        let params = init_full_params(&m, 23);
+        let slots = 3;
+        // Three waves of `slots` window-filling prompts (`seq` positions,
+        // one new token): each wave is admitted, fed and retired by one
+        // step of slots × seq rows — the row batch's whole capacity — with
+        // every page table at its ⌈seq/block⌉ maximum. Wave 1 fills the
+        // arena and leaves it cached; wave 2 shares 7 positions with a
+        // wave-1 prompt and then diverges (whole-block hits plus a
+        // copy-on-write whose donor is pinned while the copy evicts);
+        // wave 3 repeats wave 1 against whatever survived.
+        let prompt = |family: u32, tail: u32| -> Vec<u32> {
+            (0..m.seq as u32)
+                .map(|i| if i < 7 { family * 5 + i } else { tail + i } % m.vocab as u32)
+                .collect()
+        };
+        let requests: Vec<ServeRequest> = (0..3u64)
+            .flat_map(|wave| {
+                let prompt = &prompt;
+                (0..slots as u64).map(move |s| {
+                    let tail = [0, 11, 0][wave as usize];
+                    ServeRequest::new(wave * 3 + s, prompt(s as u32, tail), 1).at_step(wave)
+                })
+            })
+            .collect();
+        let want: Vec<Vec<u32>> =
+            requests.iter().map(|r| reference_greedy(&m, &params, r)).collect();
+        for block in [1, 3, 8, m.seq] {
+            for prefix_reuse in [false, true] {
+                let kv = KvBackend::Paged { block, prefix_reuse };
+                let cfg = ServeConfig { slots, kv, ..ServeConfig::default() };
+                let report = serve(&m, &shards_of(&params, 2), &requests, &cfg);
+                // Block registration, copy-on-write and eviction meters
+                // are part of what the ranks must agree on.
+                report.check_ranks_agree().unwrap();
+                let r0 = &report.ranks[0];
+                assert_eq!(r0.batch_steps, 3, "{kv:?}: one step per wave");
+                assert!(r0.kv_meters.bytes_live_peak <= r0.kv_arena_bytes, "{kv:?}");
+                let per_slot = m.seq.div_ceil(block);
+                let block_bytes = (2 * 4 * m.layers * block * m.hidden) as u64;
+                assert_eq!(
+                    r0.kv_arena_bytes,
+                    (slots * per_slot + usize::from(prefix_reuse)) as u64 * block_bytes,
+                    "{kv:?}: the sizing rule is unchanged"
+                );
+                let mut reused = 0;
+                for ((req, out), want) in requests.iter().zip(report.outcomes()).zip(&want) {
+                    let resp = out.response().unwrap();
+                    assert_eq!(&resp.tokens, want, "{kv:?} request {}", req.id);
+                    assert_eq!(resp.queue_steps, 0);
+                    assert_eq!(resp.prefill_rows + resp.prefix_reused_rows, m.seq as u64);
+                    reused += resp.prefix_reused_rows;
+                }
+                let meters = r0.kv_meters;
+                assert_eq!(reused, meters.prefix_hit_rows + meters.prefix_cow_rows);
+                assert_eq!(reused > 0, prefix_reuse, "{kv:?}");
+                assert_eq!(meters.evictions > 0, prefix_reuse, "{kv:?}: the arena ran at its limit");
             }
         }
     }

@@ -37,7 +37,8 @@
 //! provable — [`zero_core::CommPlan::serve_step`] is checked by
 //! `zero-verify`) and ranks never need to coordinate about batch
 //! composition. Sharding buys *memory*, batching buys *throughput*: the
-//! per-unit gathers amortize over every live request in the batch.
+//! per-unit gathers amortize over every pending row of every live
+//! request in the batch.
 //!
 //! Load is **open-loop in batch-step time**: the seeded generator
 //! ([`load`]) stamps each request with an `arrival_step`, every rank
@@ -52,9 +53,10 @@
 //! (out-of-vocab tokens, over-length prompts) get a typed
 //! [`ServeError`] and never touch the schedule, so one bad request can
 //! never crash or desynchronize a rank. Termination is never
-//! data-dependent: a request runs exactly `prompt_len − 1 + max_new_tokens`
-//! steps (minus positions skipped via prefix reuse), so every rank
-//! retires it on the same step.
+//! data-dependent: a step feeds every pending row of every live request
+//! (a new request's whole prompt, one row per decoding request) through
+//! each gathered unit, so a request runs exactly `max_new_tokens` steps
+//! and every rank retires it on the same step.
 
 pub mod engine;
 pub mod load;

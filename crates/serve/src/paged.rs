@@ -3,8 +3,9 @@
 //!
 //! [`KvPool`] is the only KV store the engine has. Each slot holds a
 //! *page table* of fixed-size position blocks in a [`BlockArena`],
-//! allocated on demand as the request's decode position crosses block
-//! boundaries, and freed (or cached) the moment the request retires. The
+//! allocated on demand as the request's positions (a whole prompt in its
+//! admission step, then one per step) cross block boundaries, and freed
+//! (or cached) the moment the request retires. The
 //! [`KvBackend`] a run names is a *geometry* of this pool, resolved once
 //! in [`KvPool::new`]: `Slab` is one `seq`-long block per slot with
 //! nothing shared (every request pays for the full window, the arena is
@@ -22,9 +23,11 @@
 //! write at the divergence point. Matches are verified token-by-token
 //! against the stored prefix, so a hash collision can never alias two
 //! different prefixes (the bitwise guarantee does not rest on 64-bit
-//! luck). Shared positions are skipped during prefill, which is where
-//! the throughput win comes from; the skip length is a deterministic
-//! function of scheduler state, so SPMD lockstep is preserved.
+//! luck). Shared positions are rows the admission step does not compute
+//! (and, for whole blocks, never allocates); they do not shorten the
+//! schedule — a request is in service for `max_new_tokens` steps either
+//! way — and the skip length is a deterministic function of scheduler
+//! state, so SPMD lockstep is preserved.
 //!
 //! **Sharing discipline.** A request only ever *writes* positions it
 //! computes itself, and matching is capped at `prompt_len − 1` (the last
@@ -104,8 +107,8 @@ struct BlockInfo {
 }
 
 /// The engine's KV pool: page tables + prefix registry over a
-/// [`BlockArena`]. Implements [`KvArena`] so the shared per-token
-/// kernel (`block_step_kv`) decodes through it unchanged.
+/// [`BlockArena`]. Implements [`KvArena`] so the shared row-batch
+/// kernel (`block_rows_kv`) decodes through it unchanged.
 pub struct KvPool {
     arena: BlockArena,
     block: usize,
@@ -318,7 +321,7 @@ impl KvPool {
     }
 
     /// Ensures the block covering `pos` exists in `slot`'s page table
-    /// (allocating on demand as `fed` crosses a block boundary).
+    /// (allocating on demand as positions cross a block boundary).
     pub fn ensure(&mut self, slot: usize, pos: usize) -> PoolActivity {
         assert!(self.slot_live[slot], "ensure on a free slot");
         let mut act = PoolActivity::default();

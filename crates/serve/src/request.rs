@@ -139,13 +139,18 @@ pub struct ServeResponse {
     /// Batch steps the request waited in the queue
     /// (`admitted_step − arrival_step`).
     pub queue_steps: u64,
-    /// Batch steps spent consuming the prompt (`prompt_len − 1`, minus
-    /// any positions skipped via prefix reuse).
+    /// Batch steps that fed prompt rows without emitting a token. Always
+    /// 0: the step that feeds the prompt also emits the first token, so
+    /// it is counted in `decode_steps`.
     pub prefill_steps: u64,
+    /// Prompt rows computed in the admission step
+    /// (`prompt_len − prefix_reused_rows`).
+    pub prefill_rows: u64,
     /// Prompt positions served from shared or copied prefix-cache blocks
     /// instead of being recomputed (0 without paged prefix reuse).
     pub prefix_reused_rows: u64,
-    /// Batch steps spent emitting tokens (`max_new_tokens`).
+    /// Batch steps spent emitting tokens (`max_new_tokens`) — the
+    /// request's whole service time.
     pub decode_steps: u64,
     /// End-to-end wall-clock latency in nanoseconds, measured from the
     /// request's *enqueue* (arrival) to its completion — not from world

@@ -326,50 +326,39 @@ fn main() {
         fail("serve plan does not gather each unit exactly once");
     }
 
-    // 7. KV-geometry equivalence. Without prefix reuse, the block size
-    // is a pure memory-layout change: the whole schedule — tokens,
-    // completion steps, step count, rejections — must reproduce bit for
-    // bit. With reuse on, prefill skipping may finish requests earlier
-    // (that is the optimization), but the greedy tokens still must not
-    // move.
-    let strict_cfg = ServeConfig {
-        kv: KvBackend::Paged { block: kv_block.max(8), prefix_reuse: false },
-        ..cfg
-    };
-    let strict = serve(&model, &shards, &requests, &strict_cfg);
-    if let Err(e) = strict.check_ranks_agree() {
-        fail(&e);
-    }
-    if strict.ranks[0].batch_steps != report.ranks[0].batch_steps {
-        fail("the KV block size (no reuse) changed the step count");
-    }
-    for (a, b) in report.outcomes().iter().zip(strict.outcomes()) {
-        match (a.response(), b.response()) {
-            (Some(ra), Some(rb)) => {
-                if ra.tokens != rb.tokens || ra.completion_step != rb.completion_step {
-                    fail(&format!("request {}: the KV block size changed the outcome", ra.id));
-                }
-            }
-            (None, None) => {
-                if a.rejection() != b.rejection() {
-                    fail("the KV block size changed a rejection reason");
-                }
-            }
-            _ => fail("the KV block size changed an outcome's terminal state"),
+    // 7. KV-geometry equivalence. The block size and prefix reuse are
+    // pure memory-layout and compute-saving choices: a request is in
+    // service for exactly `max_new_tokens` steps whatever rows reuse
+    // skipped, so the whole schedule — tokens, completion steps, step
+    // count, rejections — must reproduce bit for bit.
+    for prefix_reuse in [false, true] {
+        let other_cfg = ServeConfig {
+            kv: KvBackend::Paged { block: kv_block.max(8), prefix_reuse },
+            ..cfg
+        };
+        let other = serve(&model, &shards, &requests, &other_cfg);
+        if let Err(e) = other.check_ranks_agree() {
+            fail(&e);
         }
-    }
-    let reuse_cfg = ServeConfig {
-        kv: KvBackend::Paged { block: kv_block.max(8), prefix_reuse: true },
-        ..cfg
-    };
-    let reuse = serve(&model, &shards, &requests, &reuse_cfg);
-    if let Err(e) = reuse.check_ranks_agree() {
-        fail(&e);
-    }
-    for (a, b) in report.outcomes().iter().zip(reuse.outcomes()) {
-        if let (Some(ra), Some(rb)) = (a.response(), b.response()) {
-            if ra.tokens != rb.tokens {
-                fail(&format!("request {}: prefix reuse changed the tokens", ra.id));
+        if other.ranks[0].batch_steps != report.ranks[0].batch_steps {
+            fail(&format!("the KV geometry (reuse {prefix_reuse}) changed the step count"));
+        }
+        for (a, b) in report.outcomes().iter().zip(other.outcomes()) {
+            match (a.response(), b.response()) {
+                (Some(ra), Some(rb)) => {
+                    if ra.tokens != rb.tokens || ra.completion_step != rb.completion_step {
+                        fail(&format!(
+                            "request {}: the KV geometry (reuse {prefix_reuse}) changed the outcome",
+                            ra.id
+                        ));
+                    }
+                }
+                (None, None) => {
+                    if a.rejection() != b.rejection() {
+                        fail("the KV geometry changed a rejection reason");
+                    }
+                }
+                _ => fail("the KV geometry changed an outcome's terminal state"),
             }
         }
     }

@@ -3,13 +3,14 @@
 //! guarantee — FIFO fairness, identical shedding on every rank, bitwise
 //! token equality across KV geometries, and honest latency accounting.
 
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use zero::core::Partitioner;
 use zero::model::{init_full_params, ModelConfig};
 use zero::serve::{
-    generate, serve, Arrivals, KvBackend, LoadConfig, ServeConfig, ServeError, ServeRequest,
-    ServeReport,
+    generate, predicted_queue_delay, serve, Arrivals, KvBackend, LoadConfig, ServeConfig,
+    ServeError, ServeRequest, ServeReport,
 };
 
 fn model() -> ModelConfig {
@@ -112,12 +113,10 @@ fn shedding_is_deterministic_across_ranks_runs_and_world_sizes() {
     assert_ne!(shed_ids(&run(arrivals, 6, 2, &cfg)), shed);
 }
 
-/// The KV geometry is a memory choice, not a model change: identical
-/// greedy tokens at every block size. With prefix reuse *off* the
-/// schedule itself is also step-for-step identical to the one-block-per-
-/// slot (`Slab`) geometry; with reuse *on* prefill skipping legitimately
-/// finishes requests earlier (that's the optimization), so the step count
-/// may only shrink — the tokens still must not move.
+/// The KV geometry is a memory choice, not a model change and not a
+/// schedule change: identical greedy tokens, step count and per-request
+/// completion steps at every block size, prefix reuse on or off — reuse
+/// saves rows of compute and KV bytes inside a step, never a step.
 #[test]
 fn every_kv_geometry_is_bitwise_identical_under_load() {
     let arrivals = Arrivals::Poisson { rate: 0.5 };
@@ -129,31 +128,89 @@ fn every_kv_geometry_is_bitwise_identical_under_load() {
     assert!(slab0.kv_meters.bytes_live_peak <= slab0.kv_arena_bytes);
     for (block, reuse) in [(4, false), (7, false), (16, false), (4, true), (16, true)] {
         let paged = at(KvBackend::Paged { block, prefix_reuse: reuse });
-        if reuse {
-            assert!(
-                paged.ranks[0].batch_steps <= slab0.batch_steps,
-                "block={block}: prefill skipping can only shorten the schedule"
-            );
-        } else {
-            assert_eq!(
-                paged.ranks[0].batch_steps, slab0.batch_steps,
-                "block={block}: without reuse the schedule must be identical"
-            );
-        }
+        assert_eq!(
+            paged.ranks[0].batch_steps, slab0.batch_steps,
+            "block={block} reuse={reuse}: the schedule must be identical"
+        );
         if !reuse && block == model().seq {
             // `Slab` *is* this row: same arena, same meters.
             assert_eq!(paged.ranks[0].kv_arena_bytes, slab0.kv_arena_bytes);
             assert_eq!(paged.ranks[0].kv_meters, slab0.kv_meters);
         }
+        let mut reused = 0;
         for (a, b) in slab.outcomes().iter().zip(paged.outcomes()) {
             let (ra, rb) = (a.response().unwrap(), b.response().unwrap());
             assert_eq!(ra.tokens, rb.tokens, "block={block} reuse={reuse}: tokens diverge");
-            if !reuse {
-                assert_eq!(
-                    ra.completion_step, rb.completion_step,
-                    "block={block}: schedule diverges"
-                );
+            assert_eq!(
+                (ra.admitted_step, ra.completion_step),
+                (rb.admitted_step, rb.completion_step),
+                "block={block} reuse={reuse}: schedule diverges"
+            );
+            assert_eq!(rb.prefill_rows + rb.prefix_reused_rows, ra.prefill_rows);
+            reused += rb.prefix_reused_rows;
+        }
+        assert_eq!(reused > 0, reuse, "block={block}: reuse shows up as rows, not steps");
+    }
+}
+
+/// The FIFO schedule replayed without a model: a request occupies a slot
+/// for exactly `max_new_tokens` steps from admission, whatever its prompt
+/// and whatever the KV geometry. Returns the executed step count and, per
+/// request, its queue delay (`None` = shed by the SLO gate).
+fn replay(reqs: &[ServeRequest], slots: usize, slo: Option<u64>) -> (u64, Vec<Option<u64>>) {
+    let (mut clock, mut steps, mut next) = (0u64, 0u64, 0usize);
+    let mut queue: VecDeque<usize> = VecDeque::new();
+    let mut busy: Vec<u64> = Vec::new(); // completion step of each occupied slot
+    let mut queue_steps = vec![None; reqs.len()];
+    loop {
+        // The generator emits requests in arrival order.
+        while next < reqs.len() && reqs[next].arrival_step <= clock {
+            let queued: Vec<u64> = queue.iter().map(|&q| reqs[q].max_new_tokens as u64).collect();
+            let delay = predicted_queue_delay(clock, slots - busy.len(), &busy, &queued);
+            if slo.is_none_or(|slo| delay <= slo) {
+                queue.push_back(next);
             }
+            next += 1;
+        }
+        while busy.len() < slots {
+            let Some(ri) = queue.pop_front() else { break };
+            queue_steps[ri] = Some(clock - reqs[ri].arrival_step);
+            busy.push(clock + reqs[ri].max_new_tokens as u64);
+        }
+        if busy.is_empty() {
+            match reqs.get(next) {
+                Some(r) => clock = r.arrival_step,
+                None => return (steps, queue_steps),
+            }
+            continue;
+        }
+        clock += 1;
+        steps += 1;
+        busy.retain(|&done| done > clock);
+    }
+}
+
+/// The engine's schedule is that replay, exactly: step count, every
+/// admitted request's queue delay and the shed set — below saturation,
+/// saturated, and shedding, at the slab geometry and with prefix reuse
+/// skipping prompt rows.
+#[test]
+fn the_engine_follows_the_max_new_tokens_schedule_exactly() {
+    for (arrivals, slo_steps) in [
+        (Arrivals::Poisson { rate: 0.5 }, None),
+        (Arrivals::Poisson { rate: 1.0 }, None),
+        (Arrivals::Burst { size: 8, period: 10 }, Some(6)),
+    ] {
+        let reqs = generate(&load(arrivals, 5));
+        let (steps, queue_steps) = replay(&reqs, 2, slo_steps);
+        assert_eq!(queue_steps.iter().any(|q| q.is_none()), slo_steps.is_some(), "{arrivals:?}");
+        for kv in [KvBackend::Slab, KvBackend::Paged { block: 4, prefix_reuse: true }] {
+            let cfg = ServeConfig { slots: 2, kv, slo_steps, ..ServeConfig::default() };
+            let report = run(arrivals, 5, 2, &cfg);
+            assert_eq!(report.ranks[0].batch_steps, steps, "{arrivals:?} {kv:?}");
+            let got: Vec<Option<u64>> =
+                report.outcomes().iter().map(|o| o.response().map(|r| r.queue_steps)).collect();
+            assert_eq!(got, queue_steps, "{arrivals:?} {kv:?}");
         }
     }
 }
@@ -209,8 +266,8 @@ fn prefix_reuse_allocates_strictly_fewer_kv_bytes() {
 fn latency_epoch_is_the_request_arrival_not_world_start() {
     let m = model();
     let params = init_full_params(&m, 41);
-    // Request 0 is long (14 service steps); request 1 arrives much later
-    // in step time and is short (3 service steps). With the world-start
+    // Request 0 is long (12 service steps); request 1 arrives much later
+    // in step time and is short (2 service steps). With the world-start
     // epoch, request 1's latency ≈ the whole wall time; with the arrival
     // epoch it is a small fraction.
     let requests = vec![
@@ -222,7 +279,7 @@ fn latency_epoch_is_the_request_arrival_not_world_start() {
     let wall_ns = t0.elapsed().as_nanos() as u64;
     report.check_ranks_agree().unwrap();
     let r1 = report.outcomes()[1].response().unwrap();
-    assert_eq!(report.ranks[0].batch_steps, 17, "14 + 3 executed steps, idle gap skipped");
+    assert_eq!(report.ranks[0].batch_steps, 14, "12 + 2 executed steps, idle gap skipped");
     assert!(
         r1.latency_ns < wall_ns / 2,
         "short late request reports {} ns of {} ns total wall — \
@@ -231,6 +288,6 @@ fn latency_epoch_is_the_request_arrival_not_world_start() {
         wall_ns
     );
     // Step-indexed latency tells the same story deterministically.
-    assert_eq!(r1.latency_steps, 3);
+    assert_eq!(r1.latency_steps, 2);
     assert_eq!(r1.queue_steps, 0);
 }

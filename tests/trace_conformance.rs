@@ -9,9 +9,10 @@
 //!    AND to the communicator's independently metered traffic counters.
 //! 2. **Memory reconciliation** — the `peak-device-bytes` counter track
 //!    equals the `MemoryTracker` peak the report carries.
-//! 3. **Overlap is visible** — with a modeled link latency, overlap mode
-//!    shows compute∩collective intervals where synchronous mode shows
-//!    none; the trace distinguishes the two schedules structurally.
+//! 3. **Overlap is visible** — the trace distinguishes the two schedules
+//!    structurally: an overlap run issues collectives, computes, and only
+//!    then waits them; a synchronous run waits each as it is issued and,
+//!    with a modeled link latency, shows no compute∩collective interval.
 //!
 //! The Chrome export test closes the loop: the emitted JSON re-parses
 //! and carries the schema (`ph`/`ts`/`dur`/`pid`/`cat`) with per-rank
@@ -25,6 +26,7 @@ use zero::core::{
     ZeroStage,
 };
 use zero::model::ModelConfig;
+use zero::trace::{Span, SpanCategory, StepTimeline, TRACK_MAIN};
 use zero_verify::TraceExpectation;
 
 const STAGES: [ZeroStage; 4] =
@@ -200,6 +202,34 @@ fn run_latent(stage: ZeroStage, overlap: bool) -> TrainReport {
     run_training_world(&s, 3, 0, WorldConfig::with_link_latency(Duration::from_micros(200)))
 }
 
+/// Collectives the rank thread left in flight across model compute,
+/// read off the rank's own track in program order: an issue instant
+/// (`bucket-flush`, `prefetch-issue`) followed by a whole compute span
+/// before the next wait span opens. All three events are stamped by the
+/// one thread that performs them, so this is the schedule's shape, not a
+/// measurement of how two threads happened to be scheduled.
+fn issued_across_compute(t: &StepTimeline) -> usize {
+    let on_main = |s: &&Span| s.track == TRACK_MAIN;
+    let issues = t
+        .instants
+        .iter()
+        .filter(|i| i.track == TRACK_MAIN && ["bucket-flush", "prefetch-issue"].contains(&i.name));
+    issues
+        .filter(|issue| {
+            let next_wait = t
+                .spans_in(SpanCategory::Wait)
+                .filter(on_main)
+                .map(|w| w.start_ns)
+                .filter(|&w| w >= issue.ts_ns)
+                .min()
+                .expect("every issued collective is waited");
+            t.spans_in(SpanCategory::Compute)
+                .filter(on_main)
+                .any(|c| c.start_ns >= issue.ts_ns && c.end_ns <= next_wait)
+        })
+        .count()
+}
+
 #[test]
 fn synchronous_schedule_shows_no_compute_collective_overlap() {
     for stage in STAGES {
@@ -213,6 +243,12 @@ fn synchronous_schedule_shows_no_compute_collective_overlap() {
                 r.rank,
                 windows.len()
             );
+            assert_eq!(
+                issued_across_compute(&r.timeline),
+                0,
+                "{stage:?} rank {}: sync run waits each collective as it is issued",
+                r.rank
+            );
         }
     }
 }
@@ -220,33 +256,25 @@ fn synchronous_schedule_shows_no_compute_collective_overlap() {
 #[test]
 fn overlap_schedule_shows_compute_collective_overlap() {
     // Stages 2 and 3 move gradient/parameter traffic while backward (and,
-    // for stage 3 prefetch, forward) compute proceeds; the trace must
-    // expose at least one genuine overlap window on every rank. Overlap
-    // needs both threads actually running concurrently, so under a loaded
-    // test host a single run can miss — retry a few times before calling
-    // the schedule broken.
+    // for stage 3 prefetch, forward) compute proceeds. Whether the
+    // progress thread gets a core inside a given microsecond compute span
+    // is the host's business, so the witness is the span structure: on
+    // every rank, collectives are issued, compute runs, and only then are
+    // they waited — and any window the progress thread did open inside
+    // compute is well-formed.
     for stage in [ZeroStage::Two, ZeroStage::Three] {
-        let mut ok = false;
-        for _attempt in 0..3 {
-            let report = run_latent(stage, true);
-            for r in &report.ranks {
-                for &(start, end) in &r.timeline.compute_collective_overlap() {
-                    assert!(start < end, "degenerate overlap window {start}..{end}");
-                }
+        let report = run_latent(stage, true);
+        for r in &report.ranks {
+            for &(start, end) in &r.timeline.compute_collective_overlap() {
+                assert!(start < end, "degenerate overlap window {start}..{end}");
             }
-            ok = report
-                .ranks
-                .iter()
-                .all(|r| r.timeline.compute_collective_overlap_ns() > 0);
-            if ok {
-                break;
-            }
+            assert!(
+                issued_across_compute(&r.timeline) > 0,
+                "{stage:?} rank {}: overlap run never left a collective in flight \
+                 across compute",
+                r.rank
+            );
         }
-        assert!(
-            ok,
-            "{stage:?}: overlap run recorded no compute∩collective window on \
-             some rank in 3 attempts"
-        );
     }
 }
 
