@@ -199,18 +199,16 @@ fn check_compressed_config(
     Ok(())
 }
 
-/// Runs the full compression sweep and gathers the inter-node ratio
-/// table. Fails if any proof above fails, or if the all-levers stage-3
-/// reduction misses 3.5× on any multi-node world with N ≥ 4.
-pub fn check_compression() -> Result<CompressionReport, String> {
-    let mut report = CompressionReport::default();
-    let layout = Layout::build_mp(&test_model(), 1);
+const STAGES: [ZeroStage; 2] = [ZeroStage::Two, ZeroStage::Three];
+/// (N, G) worlds of the sweep.
+const WORLDS: [(usize, usize); 5] = [(2, 2), (4, 2), (4, 4), (8, 2), (8, 4)];
 
-    let stages = [ZeroStage::Two, ZeroStage::Three];
-    let worlds: &[(usize, usize)] = &[(2, 2), (4, 2), (4, 4), (8, 2), (8, 4)];
-    for &stage in &stages {
-        for &(n, g) in worlds {
-            let grid = Grid::new(n, 1);
+/// The swept configurations: stages 2–3 × [`WORLDS`] × every lever
+/// combination — 80 in all.
+pub fn sweep_configs() -> Vec<(ZeroConfig, Grid)> {
+    let mut out = Vec::new();
+    for stage in STAGES {
+        for (n, g) in WORLDS {
             for levers in 0..8u32 {
                 let comp = CompressionConfig {
                     qwz: levers & 1 != 0,
@@ -219,14 +217,27 @@ pub fn check_compression() -> Result<CompressionReport, String> {
                     node_size: g,
                     block: 64,
                 };
-                check_compressed_config(&cfg(stage, comp), grid, &mut report)?;
+                out.push((cfg(stage, comp), Grid::new(n, 1)));
             }
         }
     }
+    out
+}
+
+/// Runs the full compression sweep and gathers the inter-node ratio
+/// table. Fails if any proof above fails, or if the all-levers stage-3
+/// reduction misses 3.5× on any multi-node world with N ≥ 4.
+pub fn check_compression() -> Result<CompressionReport, String> {
+    let mut report = CompressionReport::default();
+    let layout = Layout::build_mp(&test_model(), 1);
+
+    for (zcfg, grid) in sweep_configs() {
+        check_compressed_config(&zcfg, grid, &mut report)?;
+    }
 
     // Inter-node volume: all levers vs raw, for worlds with ≥ 2 nodes.
-    for &stage in &stages {
-        for &(n, g) in worlds {
+    for stage in STAGES {
+        for (n, g) in WORLDS {
             if n / g < 2 {
                 continue;
             }

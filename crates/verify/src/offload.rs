@@ -289,20 +289,29 @@ fn check_offload_config(
     Ok(())
 }
 
-/// Runs the full offload sweep: stages 1–3 × N ∈ {2,4,8} × sync/overlap
-/// × fp16/fp32 (36 configurations, each at skipped ∈ {false,true}).
-pub fn check_offload() -> Result<OffloadReport, String> {
-    let mut report = OffloadReport::default();
+/// The swept configurations: stages 1–3 × N ∈ {2,4,8} × sync/overlap ×
+/// fp16/fp32 — 36 in all.
+pub fn sweep_configs() -> Vec<(ZeroConfig, Grid)> {
     let tier = TierConfig::budgeted(1 << 30);
+    let mut out = Vec::new();
     for stage in [ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
         for n in [2usize, 4, 8] {
             for overlap in [false, true] {
                 for fp16 in [true, false] {
-                    let grid = Grid::new(n, 1);
-                    check_offload_config(&cfg(stage, overlap, fp16, tier), grid, &mut report)?;
+                    out.push((cfg(stage, overlap, fp16, tier), Grid::new(n, 1)));
                 }
             }
         }
+    }
+    out
+}
+
+/// Runs the full offload sweep: stages 1–3 × N ∈ {2,4,8} × sync/overlap
+/// × fp16/fp32 (36 configurations, each at skipped ∈ {false,true}).
+pub fn check_offload() -> Result<OffloadReport, String> {
+    let mut report = OffloadReport::default();
+    for (zcfg, grid) in sweep_configs() {
+        check_offload_config(&zcfg, grid, &mut report)?;
     }
     if report.windows_proven == 0 {
         return Err("offload sweep proved no open prefetch window anywhere — \

@@ -563,15 +563,9 @@ fn check_serve(n: usize, overlap: bool, report: &mut ScheduleReport) -> Result<(
     Ok(())
 }
 
-/// Runs only the overlap-invariance battery: every overlapped plan is
-/// proven a volume-preserving reordering of its synchronous twin with a
-/// double-buffered prefetch window, across stages 1–3 × N ∈ {2..8},
-/// checkpointed stage 3, and mixed DP×MP grids. This is the same sweep
-/// [`check_all`] embeds, exposed as its own CLI pass so overlap
-/// regressions are attributable at a glance.
-pub fn check_overlap() -> Result<ScheduleReport, String> {
-    let mut report = ScheduleReport::default();
-    let base = |stage: ZeroStage| ZeroConfig {
+/// The sweep's base configuration at one stage.
+fn base(stage: ZeroStage) -> ZeroConfig {
+    ZeroConfig {
         stage,
         fp16: true,
         checkpoint_activations: false,
@@ -579,18 +573,75 @@ pub fn check_overlap() -> Result<ScheduleReport, String> {
         bucket_elems: 512,
         clip_grad_norm: None,
         ..ZeroConfig::default()
+    }
+}
+
+/// The synchronous configurations [`check_all`] proves: every stage ×
+/// N ∈ {2..8}, mixed DP × MP grids, P_a, clipping, and the hierarchical
+/// all-reduce (told apart by `node_size`) — 38 in all.
+pub fn sweep_configs() -> Vec<(ZeroConfig, Grid)> {
+    let mut out = Vec::new();
+    // Stage × N sweep (the acceptance grid), pure data parallelism.
+    for stage in [ZeroStage::Ddp, ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
+        for n in 2..=8 {
+            out.push((base(stage), Grid::new(n, 1)));
+        }
+    }
+    // Mixed DP × MP grids (Megatron-style groups).
+    for stage in [ZeroStage::Two, ZeroStage::Three] {
+        for (dp, mp) in [(2, 2), (4, 2)] {
+            out.push((base(stage), Grid::new(dp, mp)));
+        }
+    }
+    // ZeRO-R: checkpointing with partitioned activations (P_a).
+    let pa = ZeroConfig {
+        checkpoint_activations: true,
+        partition_activations: true,
+        ..base(ZeroStage::Two)
     };
+    for (dp, mp) in [(2, 2), (4, 2)] {
+        out.push((pa, Grid::new(dp, mp)));
+    }
+    // Gradient clipping adds the grad-norm reduction.
+    for stage in [ZeroStage::Ddp, ZeroStage::Three] {
+        out.push((ZeroConfig { clip_grad_norm: Some(1.0), ..base(stage) }, Grid::new(4, 1)));
+    }
+    // Hierarchical (two-level) all-reduce under DDP.
+    for (world, g) in [(4usize, 2usize), (8, 4)] {
+        out.push((ZeroConfig { node_size: Some(g), ..base(ZeroStage::Ddp) }, Grid::new(world, 1)));
+    }
+    out
+}
+
+/// The configurations proven overlap-invariant (each is run both
+/// synchronous and overlapped): stages 1–3 × N ∈ {2..8}, checkpointed
+/// stage 3, and mixed DP × MP stage-3 grids — 25 in all.
+pub fn overlap_pair_configs() -> Vec<(ZeroConfig, Grid)> {
+    let mut out = Vec::new();
     for stage in [ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
         for n in 2..=8 {
-            check_overlap_pair(&base(stage), Grid::new(n, 1), &mut report)?;
+            out.push((base(stage), Grid::new(n, 1)));
         }
     }
     let ckpt3 = ZeroConfig { checkpoint_activations: true, ..base(ZeroStage::Three) };
     for n in [2usize, 4] {
-        check_overlap_pair(&ckpt3, Grid::new(n, 1), &mut report)?;
+        out.push((ckpt3, Grid::new(n, 1)));
     }
     for (dp, mp) in [(2usize, 2usize), (4, 2)] {
-        check_overlap_pair(&base(ZeroStage::Three), Grid::new(dp, mp), &mut report)?;
+        out.push((base(ZeroStage::Three), Grid::new(dp, mp)));
+    }
+    out
+}
+
+/// Runs only the overlap-invariance battery: every overlapped plan is
+/// proven a volume-preserving reordering of its synchronous twin with a
+/// double-buffered prefetch window, over [`overlap_pair_configs`]. This is
+/// the same sweep [`check_all`] embeds, exposed as its own CLI pass so
+/// overlap regressions are attributable at a glance.
+pub fn check_overlap() -> Result<ScheduleReport, String> {
+    let mut report = ScheduleReport::default();
+    for (zcfg, grid) in overlap_pair_configs() {
+        check_overlap_pair(&zcfg, grid, &mut report)?;
     }
     Ok(report)
 }
@@ -602,69 +653,36 @@ pub fn check_overlap() -> Result<ScheduleReport, String> {
 pub fn check_all() -> Result<ScheduleReport, String> {
     let mut report = ScheduleReport::default();
 
-    let base = |stage: ZeroStage| ZeroConfig {
-        stage,
-        fp16: true,
-        checkpoint_activations: false,
-        initial_loss_scale: 1.0,
-        bucket_elems: 512,
-        clip_grad_norm: None,
-        ..ZeroConfig::default()
-    };
-
-    // Stage × N sweep (the acceptance grid), pure data parallelism.
-    for stage in [ZeroStage::Ddp, ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
-        for n in 2..=8 {
-            check_config(&base(stage), Grid::new(n, 1), &mut report)?;
+    for (zcfg, grid) in sweep_configs() {
+        let Some(g) = zcfg.node_size else {
+            check_config(&zcfg, grid, &mut report)?;
+            continue;
+        };
+        // Hierarchical all-reduce: symmetry only — the three-phase volume
+        // is covered empirically by the conformance tests.
+        let layout = Layout::build_mp(&test_model(), 1);
+        for skipped in [false, true] {
+            let plan = CommPlan::train_step(&layout, &zcfg, grid, &shape(skipped));
+            let what = format!("DDP hier world={} g={g}", grid.world_size());
+            let (ops, pairs) = check_symmetry(&plan, &what)?;
+            report.ops_checked += ops;
+            report.pair_checks += pairs;
+            report.plans += 1;
         }
+        report.configs += 1;
     }
 
-    // Mixed DP × MP grids (Megatron-style groups).
-    for stage in [ZeroStage::Two, ZeroStage::Three] {
-        for (dp, mp) in [(2, 2), (4, 2)] {
-            check_config(&base(stage), Grid::new(dp, mp), &mut report)?;
-        }
+    // Overlap-centric execution: the full symmetry + volume battery on
+    // the *overlapped* plan (issue-ordered fetches, non-blocking bucket
+    // reduce-scatters), and each overlapped schedule proven a
+    // volume-preserving reordering of its synchronous twin, with bounded
+    // prefetch depth. (DDP has nothing to reorder: battery only.)
+    for n in 2..=8 {
+        check_config(&base(ZeroStage::Ddp).overlapped(), Grid::new(n, 1), &mut report)?;
     }
-
-    // ZeRO-R: checkpointing with partitioned activations (P_a).
-    let pa = ZeroConfig {
-        checkpoint_activations: true,
-        partition_activations: true,
-        ..base(ZeroStage::Two)
-    };
-    for (dp, mp) in [(2, 2), (4, 2)] {
-        check_config(&pa, Grid::new(dp, mp), &mut report)?;
-    }
-
-    // Gradient clipping adds the grad-norm reduction.
-    for stage in [ZeroStage::Ddp, ZeroStage::Three] {
-        let clip = ZeroConfig { clip_grad_norm: Some(1.0), ..base(stage) };
-        check_config(&clip, Grid::new(4, 1), &mut report)?;
-    }
-
-    // Overlap-centric execution: every stage × N runs the full symmetry +
-    // volume battery on the *overlapped* plan (issue-ordered fetches,
-    // non-blocking bucket reduce-scatters)…
-    for stage in [ZeroStage::Ddp, ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
-        for n in 2..=8 {
-            check_config(&base(stage).overlapped(), Grid::new(n, 1), &mut report)?;
-        }
-    }
-    // …and the overlapped schedule is proven a volume-preserving
-    // reordering of its synchronous twin, with bounded prefetch depth.
-    for stage in [ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
-        for n in 2..=8 {
-            check_overlap_pair(&base(stage), Grid::new(n, 1), &mut report)?;
-        }
-    }
-    let ckpt3 = ZeroConfig { checkpoint_activations: true, ..base(ZeroStage::Three) };
-    for n in [2usize, 4] {
-        check_config(&ckpt3.overlapped(), Grid::new(n, 1), &mut report)?;
-        check_overlap_pair(&ckpt3, Grid::new(n, 1), &mut report)?;
-    }
-    for (dp, mp) in [(2usize, 2usize), (4, 2)] {
-        check_config(&base(ZeroStage::Three).overlapped(), Grid::new(dp, mp), &mut report)?;
-        check_overlap_pair(&base(ZeroStage::Three), Grid::new(dp, mp), &mut report)?;
+    for (zcfg, grid) in overlap_pair_configs() {
+        check_config(&zcfg.overlapped(), grid, &mut report)?;
+        check_overlap_pair(&zcfg, grid, &mut report)?;
     }
 
     // Shard-hosted serving: the stage-3 fetch schedule with no training
@@ -672,23 +690,6 @@ pub fn check_all() -> Result<ScheduleReport, String> {
     for n in 1..=8 {
         for overlap in [false, true] {
             check_serve(n, overlap, &mut report)?;
-        }
-        report.configs += 1;
-    }
-
-    // Hierarchical (two-level) all-reduce under DDP: symmetry only — the
-    // three-phase volume is covered empirically by the conformance tests.
-    for (world, g) in [(4usize, 2usize), (8, 4)] {
-        let hier = ZeroConfig { node_size: Some(g), ..base(ZeroStage::Ddp) };
-        let grid = Grid::new(world, 1);
-        let layout = Layout::build_mp(&test_model(), 1);
-        for skipped in [false, true] {
-            let plan = CommPlan::train_step(&layout, &hier, grid, &shape(skipped));
-            let (ops, pairs) =
-                check_symmetry(&plan, &format!("DDP hier world={world} g={g}"))?;
-            report.ops_checked += ops;
-            report.pair_checks += pairs;
-            report.plans += 1;
         }
         report.configs += 1;
     }

@@ -1,0 +1,228 @@
+//! The schedule pin: every plan the engine can install, for every
+//! configuration the static sweeps cover, reduced to one digest per rank
+//! and compared against a committed table.
+//!
+//! The provers in `zero-verify` check *properties* of a plan (symmetry,
+//! volumes, windows); a refactor of the plan builder can keep every
+//! property and still move an op. This test pins the stream itself: per
+//! rank, `(kind, members, counts, prec, wire, nonblocking)` of every
+//! resolved collective and `(dir, bytes, issue_pos, demand_pos)` of every
+//! tier movement, for `train_step` (skipped and not), `eval_pass` and
+//! `publish_refresh`. A change that means to alter a schedule replaces
+//! `schedule_digests.txt` with the table this test writes next to the
+//! test binaries on a mismatch; a change that does not must leave every
+//! line untouched.
+
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+use zero_comm::Grid;
+use zero_core::{
+    CommPlan, CompressionConfig, StepShape, TierConfig, TierDir, WireFmt, ZeroConfig, ZeroStage,
+};
+use zero_model::{Layout, ModelConfig};
+use zero_verify::{compression, offload, schedule};
+
+const PINNED: &str = include_str!("schedule_digests.txt");
+
+fn model() -> ModelConfig {
+    ModelConfig { vocab: 32, seq: 8, hidden: 16, layers: 2, heads: 2 }
+}
+
+/// FNV-1a over a stream of words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn words(&mut self, ws: &[usize]) {
+        self.word(ws.len() as u64);
+        for &w in ws {
+            self.word(w as u64);
+        }
+    }
+}
+
+/// One rank's digest of one plan: the resolved collective stream, then
+/// the resolved tier stream.
+fn rank_digest(plan: &CommPlan, rank: usize) -> u64 {
+    let mut h = Fnv::new();
+    for op in plan.resolve_for(rank) {
+        h.word(op.kind as u64);
+        h.words(&op.members);
+        h.words(&op.counts);
+        h.word(op.prec.bytes());
+        match op.wire {
+            WireFmt::Raw => h.word(0),
+            WireFmt::Int8Block { block } => h.words(&[1, block]),
+            WireFmt::QgzInt8 { node_size, block } => h.words(&[2, node_size, block]),
+        }
+        h.word(u64::from(op.nonblocking));
+    }
+    h.word(u64::MAX);
+    for t in plan.resolve_tier_for(rank) {
+        h.word(match t.dir {
+            TierDir::Spill => 0,
+            TierDir::Fetch => 1,
+        });
+        h.word(t.bytes);
+        h.words(&[t.issue_pos, t.demand_pos]);
+    }
+    h.0
+}
+
+/// The four installable plans of one configuration, each folded over its
+/// per-rank digests in rank order.
+fn config_line(zcfg: &ZeroConfig, grid: Grid, local_batch: usize) -> String {
+    let m = model();
+    let layout = Layout::build_mp(&m, grid.mp_degree());
+    let act_elems = local_batch * m.seq * m.hidden;
+    // Two micro-batches: the second is where hpZ refetches go node-local
+    // and the bucket restarts its descending run.
+    let shape = |skipped| StepShape { micro_batches: 2, act_elems, skipped };
+    let plans = [
+        CommPlan::train_step(&layout, zcfg, grid, &shape(false)),
+        CommPlan::train_step(&layout, zcfg, grid, &shape(true)),
+        CommPlan::eval_pass(&layout, zcfg, grid, act_elems),
+        CommPlan::publish_refresh(&layout, zcfg, grid),
+    ];
+    let mut line = String::new();
+    for plan in &plans {
+        let mut fold = Fnv::new();
+        for rank in 0..grid.world_size() {
+            fold.word(rank_digest(plan, rank));
+        }
+        write!(line, " {:016x}", fold.0).unwrap();
+    }
+    line
+}
+
+/// Every field a sweep varies, so distinct configurations get distinct
+/// names and a duplicate across sweeps collapses to one line.
+fn name(zcfg: &ZeroConfig, grid: Grid, local_batch: usize) -> String {
+    let c = zcfg.compression;
+    format!(
+        "{}/dp{}mp{}/b{}/{}/ov{}/ck{}pa{}/clip{}/node{}/cb{}/z{}{}{}g{}/tier{}",
+        zcfg.stage.name(),
+        grid.dp_degree(),
+        grid.mp_degree(),
+        local_batch,
+        if zcfg.fp16 { "fp16" } else { "fp32" },
+        u8::from(zcfg.overlap),
+        u8::from(zcfg.checkpoint_activations),
+        u8::from(zcfg.partition_activations),
+        u8::from(zcfg.clip_grad_norm.is_some()),
+        zcfg.node_size.unwrap_or(0),
+        zcfg.bucket_elems,
+        u8::from(c.qwz),
+        u8::from(c.hpz),
+        u8::from(c.qgz),
+        c.node_size,
+        u8::from(zcfg.tier.enabled),
+    )
+}
+
+/// The five configurations whose losses `tests/engine_behavior.rs`
+/// (`first_losses_are_pinned_bit_for_bit`) pins, with their local batch
+/// (global batch 4 over the DP degree).
+fn loss_pinned_configs() -> Vec<(ZeroConfig, Grid, usize)> {
+    let two = Grid::new(2, 1);
+    let zeropp = CompressionConfig { qwz: true, hpz: true, qgz: true, node_size: 2, block: 64 };
+    vec![
+        (ZeroConfig { stage: ZeroStage::Two, initial_loss_scale: 1.0, ..ZeroConfig::default() }, two, 2),
+        (ZeroConfig::fp32_exact(ZeroStage::Three).overlapped(), two, 2),
+        (
+            ZeroConfig {
+                stage: ZeroStage::Three,
+                initial_loss_scale: 1.0,
+                compression: zeropp,
+                ..ZeroConfig::default()
+            },
+            Grid::new(4, 1),
+            1,
+        ),
+        (
+            ZeroConfig { tier: TierConfig::budgeted(1 << 20), ..ZeroConfig::fp32_exact(ZeroStage::Three) },
+            two,
+            2,
+        ),
+        (
+            ZeroConfig {
+                stage: ZeroStage::One,
+                initial_loss_scale: 1.0,
+                bucket_elems: 1000,
+                ..ZeroConfig::default()
+            },
+            two,
+            2,
+        ),
+    ]
+}
+
+fn table() -> String {
+    let mut configs: Vec<(ZeroConfig, Grid, usize)> = Vec::new();
+    // The schedule and compression sweeps prove every configuration both
+    // synchronous and overlapped (`check_overlap_pair`); pin both.
+    let both = schedule::sweep_configs()
+        .into_iter()
+        .chain(schedule::overlap_pair_configs())
+        .chain(compression::sweep_configs());
+    for (zcfg, grid) in both {
+        configs.push((ZeroConfig { overlap: false, ..zcfg }, grid, 2));
+        configs.push((zcfg.overlapped(), grid, 2));
+    }
+    configs.extend(offload::sweep_configs().into_iter().map(|(z, g)| (z, g, 2)));
+    configs.extend(loss_pinned_configs());
+
+    let mut lines: BTreeMap<String, String> = BTreeMap::new();
+    for (zcfg, grid, local_batch) in configs {
+        lines
+            .entry(name(&zcfg, grid, local_batch))
+            .or_insert_with(|| config_line(&zcfg, grid, local_batch));
+    }
+    let mut out = String::from("# config train train-skipped eval publish-refresh\n");
+    for (name, digests) in lines {
+        writeln!(out, "{name}{digests}").unwrap();
+    }
+    out
+}
+
+#[test]
+fn sweeps_have_their_documented_sizes() {
+    assert_eq!(schedule::sweep_configs().len(), 38);
+    assert_eq!(schedule::overlap_pair_configs().len(), 25);
+    assert_eq!(compression::sweep_configs().len(), 80);
+    assert_eq!(offload::sweep_configs().len(), 36);
+}
+
+#[test]
+fn every_schedule_digest_is_unchanged() {
+    let got = table();
+    if got == PINNED {
+        return;
+    }
+    let actual = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("schedule_digests.actual.txt");
+    std::fs::write(&actual, &got).expect("write the actual digest table");
+    let want: BTreeMap<&str, &str> = PINNED.lines().filter_map(|l| l.split_once(' ')).collect();
+    let moved: Vec<&str> = got
+        .lines()
+        .filter_map(|l| l.split_once(' '))
+        .filter(|(name, digests)| want.get(name) != Some(digests))
+        .map(|(name, _)| name)
+        .collect();
+    panic!(
+        "{} schedule digest line(s) differ from crates/verify/tests/schedule_digests.txt \
+         (first: {:?}); the table this build produces is at {}",
+        moved.len().max(1),
+        moved.first(),
+        actual.display()
+    );
+}
