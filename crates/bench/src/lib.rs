@@ -2,8 +2,8 @@
 //!
 //! Benchmarks for the ZeRO reproduction: one harness, the bins under
 //! `src/bin/` (the library only hosts their shared fixtures). Each bin
-//! writes `results/BENCH_<name>.json`; `ci.sh` re-runs the first three
-//! with `--smoke` and `--check-against` that file:
+//! writes `results/BENCH_<name>.json`; `ci.sh` re-runs each with
+//! `--smoke` and `--check-against` that file:
 //!
 //! * `bench_matmul` — every GEMM wrapper at the block's real shapes,
 //!   bit-checked against `matmul::reference` before timing.
@@ -11,8 +11,6 @@
 //!   overlap and offload.
 //! * `bench_serve` — batched serving throughput and the open-loop
 //!   arrival determinism gate.
-//! * `bench_collectives` — per-stage collective volume (measured ≡
-//!   planned) and bytes/s.
 //!
 //! The end-to-end benchmark the PR pipeline gates on is the separate
 //! `zero_bench/` package (see `BENCHMARK.json`), which `ci.sh` smoke-runs.

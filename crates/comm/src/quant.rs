@@ -173,11 +173,6 @@ impl BlockQuantized {
         out
     }
 
-    /// Logical wire bytes of this buffer (see [`quant_wire_bytes`]).
-    pub fn wire_bytes(&self) -> u64 {
-        quant_wire_bytes(self.len, self.block)
-    }
-
     /// Serializes to an f32 stream (`[scales… ‖ zeros… ‖ codes…]`) so the
     /// compressed representation can travel the existing f32 fabric. Int8
     /// codes are exactly representable in f32, so encode/decode round-trips

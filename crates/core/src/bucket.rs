@@ -10,68 +10,51 @@
 //! all-reduce at the partition boundaries to … overlap computation and
 //! communication".
 //!
+//! *Where* the bucket is cut is a schedule decision, taken once by the
+//! plan builder: each planned bucket reduce-scatter names its fused flat
+//! range. [`GradBucket`] is the data side only — it holds the pending
+//! gradients, reports the range they span, and fuses them on request; its
+//! owner flushes when that range is the next planned one.
+//!
 //! Gradients are produced in *reverse* flat order during backward (head
 //! unit first, embedding last), so the pending region is always one
 //! contiguous flat range growing downward.
 
-/// Accumulates per-unit gradients and reports when the fused pending
-/// region reaches the capacity, so the owner can flush it.
+use std::ops::Range;
+
+/// Accumulates per-unit gradients and fuses the pending region into one
+/// flat-ordered buffer.
+#[derive(Default)]
 pub struct GradBucket {
-    capacity: usize,
     /// Pending spans in arrival (descending) order; contiguity invariant:
     /// each new span ends where the previous began.
-    pending: Vec<(std::ops::Range<usize>, Vec<f32>)>,
-    pending_elems: usize,
-    flushes: u64,
-    max_fused: usize,
+    pending: Vec<(Range<usize>, Vec<f32>)>,
 }
 
 impl GradBucket {
-    /// Creates a bucket that flushes at `capacity` elements.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> GradBucket {
-        assert!(capacity > 0, "bucket capacity must be positive");
-        GradBucket {
-            capacity,
-            pending: Vec::new(),
-            pending_elems: 0,
-            flushes: 0,
-            max_fused: 0,
-        }
+    /// Creates an empty bucket.
+    pub fn new() -> GradBucket {
+        GradBucket::default()
     }
 
-    /// Bucket capacity in elements.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// The flat range the pending gradients span (`None` when empty).
+    pub fn span(&self) -> Option<Range<usize>> {
+        let (first, _) = self.pending.first()?;
+        let (last, _) = self.pending.last()?;
+        Some(last.start..first.end)
     }
 
     /// Elements currently pending.
     pub fn pending_elems(&self) -> usize {
-        self.pending_elems
+        self.span().map_or(0, |s| s.len())
     }
 
-    /// Number of flushes fired so far.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
-    }
-
-    /// Largest fused buffer ever assembled (to verify the constant-size
-    /// property: ≤ capacity + largest single unit).
-    pub fn max_fused_elems(&self) -> usize {
-        self.max_fused
-    }
-
-    /// Adds one unit's gradients (flat `range`, matching `data`). Returns
-    /// true when the pending region has reached capacity — the caller then
-    /// runs [`Self::flush_all`], the one place a flush callback is taken.
+    /// Adds one unit's gradients (flat `range`, matching `data`).
     ///
     /// # Panics
     /// Panics if `range`/`data` lengths differ or contiguity (descending,
     /// adjacent) is violated.
-    #[must_use = "a full bucket must be flushed before the next push"]
-    pub fn push(&mut self, range: std::ops::Range<usize>, data: Vec<f32>) -> bool {
+    pub fn push(&mut self, range: Range<usize>, data: Vec<f32>) {
         assert_eq!(range.len(), data.len(), "bucket: range/data mismatch");
         if let Some((last, _)) = self.pending.last() {
             assert_eq!(
@@ -79,28 +62,21 @@ impl GradBucket {
                 "bucket: spans must arrive in descending contiguous order"
             );
         }
-        self.pending_elems += data.len();
         self.pending.push((range, data));
-        self.pending_elems >= self.capacity
     }
 
-    /// Flushes whatever is pending (a full bucket, or the end of the
-    /// backward pass): `flush(range, fused)` receives the contiguous flat
-    /// range and the fused values in flat order. A no-op when empty.
-    pub fn flush_all(&mut self, flush: &mut dyn FnMut(std::ops::Range<usize>, &mut [f32])) {
-        if self.pending.is_empty() {
+    /// Flushes whatever is pending: `flush(range, fused)` receives the
+    /// contiguous flat range and the fused values in flat order. A no-op
+    /// when empty. This is the one place a flush callback is taken.
+    pub fn flush_all(&mut self, flush: &mut dyn FnMut(Range<usize>, &mut [f32])) {
+        let Some(span) = self.span() else {
             return;
-        }
-        let start = self.pending.last().unwrap().0.start;
-        let end = self.pending.first().unwrap().0.end;
-        let mut fused = vec![0.0; end - start];
+        };
+        let mut fused = vec![0.0; span.len()];
         for (r, d) in self.pending.drain(..) {
-            fused[r.start - start..r.end - start].copy_from_slice(&d);
+            fused[r.start - span.start..r.end - span.start].copy_from_slice(&d);
         }
-        self.max_fused = self.max_fused.max(fused.len());
-        self.pending_elems = 0;
-        self.flushes += 1;
-        flush(start..end, &mut fused);
+        flush(span, &mut fused);
     }
 }
 
@@ -109,13 +85,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flushes_when_capacity_reached() {
-        let mut b = GradBucket::new(10);
-        let mut flushed: Vec<(std::ops::Range<usize>, Vec<f32>)> = Vec::new();
-        let mut cb = |r: std::ops::Range<usize>, d: &mut [f32]| flushed.push((r, d.to_vec()));
-        assert!(!b.push(20..26, vec![6.0; 6]), "below capacity");
-        assert!(b.push(14..20, vec![4.0; 6]), "capacity reached");
-        b.flush_all(&mut cb);
+    fn span_grows_downward_and_resets_on_flush() {
+        let mut b = GradBucket::new();
+        assert_eq!(b.span(), None);
+        b.push(20..26, vec![6.0; 6]);
+        assert_eq!(b.span(), Some(20..26));
+        b.push(14..20, vec![4.0; 6]);
+        assert_eq!(b.span(), Some(14..26));
+        assert_eq!(b.pending_elems(), 12);
+        let mut flushed: Vec<(Range<usize>, Vec<f32>)> = Vec::new();
+        b.flush_all(&mut |r, d| flushed.push((r, d.to_vec())));
         let (r, d) = &flushed[0];
         assert_eq!(*r, 14..26);
         assert_eq!(&d[..6], &[4.0; 6]);
@@ -125,43 +104,31 @@ mod tests {
 
     #[test]
     fn flush_all_drains_remainder() {
-        let mut b = GradBucket::new(100);
+        let mut b = GradBucket::new();
         let mut count = 0;
-        let mut cb = |_: std::ops::Range<usize>, _: &mut [f32]| count += 1;
-        assert!(!b.push(5..8, vec![1.0; 3]));
-        assert!(!b.push(0..5, vec![2.0; 5]));
+        let mut cb = |_: Range<usize>, _: &mut [f32]| count += 1;
+        b.push(5..8, vec![1.0; 3]);
+        b.push(0..5, vec![2.0; 5]);
         b.flush_all(&mut cb);
         b.flush_all(&mut cb);
         assert_eq!(count, 1, "one real flush; the empty one is a no-op");
     }
 
     #[test]
-    fn oversized_unit_flushes_alone() {
-        let mut b = GradBucket::new(4);
-        let mut sizes = Vec::new();
-        let mut cb = |r: std::ops::Range<usize>, _: &mut [f32]| sizes.push(r.len());
-        assert!(b.push(10..20, vec![0.0; 10]));
-        b.flush_all(&mut cb);
-        assert_eq!(sizes, vec![10]);
-        assert_eq!(b.max_fused_elems(), 10);
-    }
-
-    #[test]
     #[should_panic(expected = "descending contiguous")]
     fn non_contiguous_spans_rejected() {
-        let mut b = GradBucket::new(100);
-        let _ = b.push(10..20, vec![0.0; 10]);
-        let _ = b.push(0..5, vec![0.0; 5]); // gap 5..10
+        let mut b = GradBucket::new();
+        b.push(10..20, vec![0.0; 10]);
+        b.push(0..5, vec![0.0; 5]); // gap 5..10
     }
 
     #[test]
     fn fused_values_are_in_flat_order() {
-        let mut b = GradBucket::new(6);
+        let mut b = GradBucket::new();
+        b.push(3..6, vec![30.0, 31.0, 32.0]);
+        b.push(0..3, vec![0.0, 1.0, 2.0]);
         let mut got = Vec::new();
-        let mut cb = |_: std::ops::Range<usize>, d: &mut [f32]| got = d.to_vec();
-        assert!(!b.push(3..6, vec![30.0, 31.0, 32.0]));
-        assert!(b.push(0..3, vec![0.0, 1.0, 2.0]));
-        b.flush_all(&mut cb);
+        b.flush_all(&mut |_, d| got = d.to_vec());
         assert_eq!(got, vec![0.0, 1.0, 2.0, 30.0, 31.0, 32.0]);
     }
 }

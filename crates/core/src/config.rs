@@ -19,22 +19,6 @@ pub enum OptimizerKind {
     Sgd(SgdConfig),
 }
 
-impl OptimizerKind {
-    /// Optimizer-state bytes per parameter (excluding the fp32 master).
-    pub fn state_bytes_per_param(&self) -> u64 {
-        match self {
-            OptimizerKind::Adam(_) => 8,
-            OptimizerKind::Sgd(c) if c.momentum != 0.0 => 4,
-            OptimizerKind::Sgd(_) => 0,
-        }
-    }
-
-    /// The paper's K: fp32 master + optimizer state bytes per parameter.
-    pub fn k_multiplier(&self) -> u64 {
-        4 + self.state_bytes_per_param()
-    }
-}
-
 /// The ZeRO-DP optimization stage (§5, Figure 1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ZeroStage {

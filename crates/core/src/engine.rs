@@ -21,6 +21,16 @@
 //! MP-partitioned checkpoints P_a and CPU offload P_a+cpu (§6.1),
 //! constant-size fused buffers CB for every flat-space collective (§6.2),
 //! and a contiguous checkpoint arena MD (§6.3).
+//!
+//! The engine owns the arithmetic and the stores; it owns no schedule.
+//! Every entry point installs the [`CommPlan`] for what it is about to run
+//! and then interprets it: each collective pops its op off the
+//! [`PlanCursor`](crate::plan::PlanCursor), and what the op says decides
+//! which copy of the parameters a fetch reads and over which group,
+//! whether the next unit's fetch goes out before this one is waited,
+//! where the gradient bucket is cut, how far a chunk loop runs, whether a
+//! reduce-scatter is settled at once or left in flight, and which tier
+//! movement goes with it.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -42,7 +52,10 @@ use crate::bucket::GradBucket;
 use crate::config::{ZeroConfig, ZeroStage};
 use crate::memory::{MemCategory, MemoryTracker};
 use crate::partition::Partitioner;
-use crate::plan::{CommPlan, EffectiveCompression, EffectiveOffload, PlanCursor, TierDir, WireFmt};
+use crate::plan::{
+    CommPlan, EffectiveCompression, EffectiveOffload, FetchSource, OpRole, PlanCursor,
+    ResolvedTierOp, TierDir, WireFmt,
+};
 use crate::store::FlatStore;
 use crate::tier::{TierStats, TierStore};
 
@@ -59,15 +72,12 @@ pub struct StepOutcome {
     pub loss_scale: f32,
 }
 
-/// Storage for one activation checkpoint.
+/// Storage for one activation checkpoint: the full activation, or under
+/// P_a only this rank's 1/N_m slice of it.
 struct Checkpoint {
     data: CkptData,
     /// Elements of the full (unpartitioned) activation.
     full_len: usize,
-    /// Whether only this rank's 1/N_m slice is stored (P_a).
-    partitioned: bool,
-    /// Whether the slice lives in CPU memory (P_a+cpu).
-    offloaded: bool,
     /// Logical bytes accounted (for the matching free).
     bytes: u64,
 }
@@ -77,12 +87,47 @@ enum CkptData {
     Arena(ArenaSlot),
 }
 
+/// What a training forward pass keeps for backward.
+#[derive(Default)]
+struct Kept {
+    /// With checkpointing: one checkpoint per segment, in forward order.
+    checkpoints: Vec<Checkpoint>,
+    /// Without: every block's saved activations.
+    saveds: Vec<Option<BlockSaved>>,
+}
+
+/// A planned gather or reduce-scatter handed to the progress thread,
+/// with the tier movement the plan attached to it.
+struct Issued {
+    /// Offload: the host→device fetch seeding the op, submitted to the
+    /// FIFO progress thread right ahead of it (so the modeled transfer
+    /// completes before the ring starts) and waited first.
+    seed: Option<PendingOp>,
+    op: PendingOp,
+    /// Offload: the device→host spill of the op's result, due once the op
+    /// has been waited.
+    spill: Option<ResolvedTierOp>,
+    /// Whether the plan leaves the op in flight past its issue point.
+    nonblocking: bool,
+}
+
+impl Issued {
+    /// Settles the seeding transfer, then the op, so failures surface in
+    /// issue order.
+    fn wait(self) -> Result<Vec<f32>, CommError> {
+        if let Some(seed) = self.seed {
+            seed.wait()?;
+        }
+        self.op.wait()
+    }
+}
+
 /// A bucket flush whose reduce-scatter is in flight on the progress
 /// thread: the handle plus where its owner piece lands when waited.
 struct InflightReduce {
     /// Destination range within `grad_shard` (shard-local coordinates).
     local: std::ops::Range<usize>,
-    op: PendingOp,
+    issued: Issued,
     /// Fused-buffer bytes held until the wait (memory accounting).
     bytes: u64,
 }
@@ -92,17 +137,104 @@ struct InflightReduce {
 struct PendingFetch {
     /// Unit index the gather materializes.
     unit: usize,
-    op: PendingOp,
+    issued: Issued,
     /// Full unit length in elements.
     len: usize,
-    /// hpZ: when this is a global (first-touch) gather, the unit's flat
-    /// range — on completion the rank's secondary slice is stashed into
-    /// the node-local replica. `None` for node-scope refetches.
+    /// When this is a gather of the primary shards, the unit's flat range
+    /// — on completion an hpZ rank stashes its secondary slice into the
+    /// node-local replica. `None` for refetches from that replica.
     stash: Option<std::ops::Range<usize>>,
-    /// Offload: the host→device fetch of this rank's shard piece, issued
-    /// to the FIFO progress thread ahead of the gather (so the modeled
-    /// transfer completes before the ring starts) and waited first.
-    tier: Option<PendingOp>,
+}
+
+/// The rank's end of the schedule: the cursor over the installed plan,
+/// and the two things a planned op is issued to.
+struct Issuer {
+    /// Every engine entry point installs its [`CommPlan`] here, and every
+    /// collective call site pops (and is parameterized by) the next
+    /// planned op — see [`crate::plan`].
+    plan: PlanCursor,
+    comm: Communicator,
+    /// The memory tier: byte meter and modeled host-link clock for every
+    /// spill/fetch the engine issues. `None` when offload is off.
+    tier: Option<TierStore>,
+}
+
+impl Issuer {
+    /// Meters a planned tier movement through the [`TierStore`] (bytes +
+    /// modeled host-link time) and submits the transfer to the FIFO
+    /// progress thread — so a fetch submitted before an all-gather
+    /// completes before that gather starts.
+    fn tier_move(&mut self, t: ResolvedTierOp) -> PendingOp {
+        let store = self.tier.as_mut().expect("tier store when the plan moves tier bytes");
+        let delay = match t.dir {
+            TierDir::Fetch => store.record_fetch(t.bytes),
+            TierDir::Spill => store.record_spill(t.bytes),
+        };
+        self.comm.start_tier_move(t.label, t.bytes, delay)
+    }
+
+    /// The one place a planned all-gather or reduce-scatter is issued: pops
+    /// the next op off the plan cursor (plan order is issue order, which is
+    /// what the static checks verify), checks it against what the engine is
+    /// about to move, submits the tier fetch that seeds it, and hands it to
+    /// the progress thread in the wire format the plan chose — raw ring,
+    /// qwZ int8 blocks, or qgZ two-phase. When the caller waits is the
+    /// only thing that distinguishes synchronous from overlapped execution.
+    fn issue(
+        &mut self,
+        kind: CollectiveKind,
+        group: &Group,
+        data: &[f32],
+        total: usize,
+        prec: Precision,
+    ) -> Issued {
+        let (op, tier) = self.plan.take_riding(kind, group);
+        assert_eq!(op.total_elems(), total, "planned '{}' size", op.label);
+        // A fetch riding the op seeds it and goes first; a spill carries
+        // its result and is the caller's to issue after the wait.
+        let (seed, spill) = match tier {
+            Some(t) if t.dir == TierDir::Fetch => (Some(self.tier_move(t)), None),
+            spill => (None, spill),
+        };
+        let comm = &mut self.comm;
+        let pending = match (kind, op.wire) {
+            (CollectiveKind::AllGather, WireFmt::Int8Block { block }) => {
+                comm.start_all_gather_quant(group, data, &op.counts, block)
+            }
+            (CollectiveKind::AllGather, _) => {
+                comm.start_all_gather_var(group, data, &op.counts, prec)
+            }
+            (CollectiveKind::ReduceScatter, WireFmt::QgzInt8 { node_size, block }) => comm
+                .start_reduce_scatter_qgz(
+                    group,
+                    data,
+                    ReduceOp::Mean,
+                    &op.counts,
+                    node_size,
+                    block,
+                    prec,
+                ),
+            (CollectiveKind::ReduceScatter, _) => {
+                comm.start_reduce_scatter_var(group, data, ReduceOp::Mean, &op.counts, prec)
+            }
+            _ => unreachable!("only gathers and reduce-scatters are issued through handles"),
+        };
+        Issued { seed, op: pending, spill, nonblocking: op.nonblocking }
+    }
+
+    /// A planned all-reduce over `group`, in place: the Megatron hooks,
+    /// DDP's gradient chunks, the overflow flag and the grad norm.
+    fn all_reduce(
+        &mut self,
+        group: &Group,
+        buf: &mut [f32],
+        reduce: ReduceOp,
+        prec: Precision,
+    ) -> Result<(), CommError> {
+        let op = self.plan.take(CollectiveKind::AllReduce, group);
+        assert_eq!(op.total_elems(), buf.len(), "planned '{}' size", op.label);
+        self.comm.all_reduce_in(group, buf, reduce, prec)
+    }
 }
 
 /// The optimizer over the master shard, selected by
@@ -140,34 +272,24 @@ pub struct RankEngine {
     gpt: Gpt,
     zcfg: ZeroConfig,
     grid: Grid,
-    comm: Communicator,
+    /// The plan cursor, the communicator and the memory tier.
+    io: Issuer,
     dp_group: Group,
     mp_group: Group,
     dp_idx: usize,
     mp_idx: usize,
     part: Partitioner,
-    /// Effective ZeRO++ levers for this run (qwZ/hpZ/qgZ after stage and
-    /// topology gating) — resolved identically to the plan builder's.
-    comp: EffectiveCompression,
-    /// Effective tier-offload levers (which state classes live in the
-    /// host tier) — resolved identically to the plan builder's.
-    off: EffectiveOffload,
-    /// The memory tier: byte meter and modeled host-link clock for every
-    /// spill/fetch the engine issues. `None` when offload is off.
-    tier: Option<TierStore>,
     /// hpZ: this rank's intra-node group (`node_size` consecutive ranks);
     /// aliases the DP group when hpZ is off.
     node_group: Group,
+    /// hpZ: this rank's slot within its node (shard index in `sec_part`).
+    node_slot: usize,
     /// hpZ: partition of flat parameter space over the node's G slots.
     sec_part: Partitioner,
     /// hpZ secondary parameter partition: the node-local replica shard
-    /// (≈ 2Ψ/G), populated by each unit's first global all-gather of the
-    /// step and served back by node-scope refetches.
+    /// (≈ 2Ψ/G), populated by each unit's fetch from the primary shards
+    /// and served back by the fetches the plan sources from it.
     secondary: Option<FlatStore>,
-    /// hpZ per-unit first-touch flags, reset at every plan install: once a
-    /// unit's global gather has been issued this step, every later fetch
-    /// of it resolves intra-node over the secondary partition.
-    sec_stashed: Vec<bool>,
 
     /// Working parameters consumed by forward/backward: full flat buffer
     /// (stages DDP/1/2) or this rank's 1/N_d shard (stage 3).
@@ -187,14 +309,9 @@ pub struct RankEngine {
     /// mode, at end-of-backward under overlap — so gradient accumulation
     /// order, and therefore the loss, is bitwise identical either way.
     inflight_rs: VecDeque<InflightReduce>,
-    /// The stage-3 prefetch slot: the next unit's parameter all-gather,
-    /// issued one layer ahead (overlap mode).
+    /// The stage-3 prefetch slot: a parameter all-gather the plan issued
+    /// ahead of its unit's use.
     prefetch: Option<PendingFetch>,
-    /// The declarative schedule the runtime collectives are derived from:
-    /// every engine entry point installs its [`CommPlan`] here, and every
-    /// collective call site pops (and is parameterized by) the next
-    /// planned op — see [`crate::plan`].
-    plan: PlanCursor,
     scaler: Option<DynamicLossScaler>,
     arena: Option<ContiguousArena>,
     mem: MemoryTracker,
@@ -267,14 +384,13 @@ impl RankEngine {
 
         // hpZ secondary partition: the node-local replica shard, priced as
         // device memory (but not a §3 model state — it is a derived cache).
+        // Node groups are G consecutive ranks, so the slot is direct.
+        let node_slot = rank % comp.node_size.max(1);
         let secondary = comp.hpz.then(|| {
-            // Node groups are G consecutive ranks, so the slot is direct.
-            let slot = rank % comp.node_size;
-            let sec = FlatStore::zeros(sec_part.shard_range(slot).len(), zcfg.fp16);
+            let sec = FlatStore::zeros(sec_part.shard_range(node_slot).len(), zcfg.fp16);
             mem.alloc(MemCategory::SecondaryParams, sec.bytes());
             sec
         });
-        let sec_stashed = vec![false; gpt.layout().units().len()];
 
         // Working parameters. Under stage-3 offload the shard's home is
         // the host tier (every use fetches a unit's piece up), so it is
@@ -294,18 +410,10 @@ impl RankEngine {
         // fp32 master copy: full for DDP, shard otherwise. With offload
         // the master and both moments are host-resident (ZeRO-Offload's
         // host optimizer), collapsing into one host category.
-        let (master_cat, mom_cat, var_cat) = if off.opt_state {
-            (
-                MemCategory::HostOptimizerStates,
-                MemCategory::HostOptimizerStates,
-                MemCategory::HostOptimizerStates,
-            )
+        let [master_cat, mom_cat, var_cat] = if off.opt_state {
+            [MemCategory::HostOptimizerStates; 3]
         } else {
-            (
-                MemCategory::MasterParams,
-                MemCategory::Momentum,
-                MemCategory::Variance,
-            )
+            [MemCategory::MasterParams, MemCategory::Momentum, MemCategory::Variance]
         };
         let master: Vec<f32> = if zcfg.stage.partitions_optimizer() {
             initial_params[my_shard].to_vec()
@@ -349,28 +457,28 @@ impl RankEngine {
         };
 
         RankEngine {
-            bucket: GradBucket::new(zcfg.bucket_elems),
+            bucket: GradBucket::new(),
             inflight_rs: VecDeque::new(),
             prefetch: None,
-            plan: PlanCursor::idle(),
+            io: Issuer {
+                plan: PlanCursor::default(),
+                comm,
+                tier: off.any().then(|| TierStore::new(zcfg.tier)),
+            },
             scaler: zcfg.fp16.then(|| DynamicLossScaler::new(zcfg.initial_loss_scale)),
             arena: None,
             gpt,
             zcfg,
             grid,
-            comm,
             dp_group,
             mp_group,
             dp_idx,
             mp_idx,
             part,
-            comp,
-            tier: off.any().then(|| TierStore::new(zcfg.tier)),
-            off,
             node_group,
+            node_slot,
             sec_part,
             secondary,
-            sec_stashed,
             work,
             master,
             opt,
@@ -385,7 +493,7 @@ impl RankEngine {
 
     /// This rank's global id.
     pub fn rank(&self) -> usize {
-        self.comm.rank()
+        self.io.comm.rank()
     }
 
     /// Data-parallel coordinate.
@@ -393,31 +501,21 @@ impl RankEngine {
         self.dp_idx
     }
 
-    /// Model-parallel coordinate.
-    pub fn mp_rank(&self) -> usize {
-        self.mp_idx
-    }
-
     /// The memory tracker (read it after steps for measured footprints).
     pub fn memory(&self) -> &MemoryTracker {
         &self.mem
     }
 
-    /// Which state classes cross the memory tier on this rank.
-    pub fn offload(&self) -> EffectiveOffload {
-        self.off
-    }
-
     /// Byte/op meters for this rank's tier traffic (zero when offload is
     /// off).
     pub fn tier_stats(&self) -> TierStats {
-        self.tier.as_ref().map(|t| t.stats()).unwrap_or_default()
+        self.io.tier.as_ref().map(|t| t.stats()).unwrap_or_default()
     }
 
     /// Modeled wall time this rank's tier transfers would take on the
     /// configured host link.
     pub fn tier_time(&self) -> std::time::Duration {
-        self.tier
+        self.io.tier
             .as_ref()
             .map(|t| t.modeled_time())
             .unwrap_or_default()
@@ -425,14 +523,14 @@ impl RankEngine {
 
     /// Communication counters for this rank.
     pub fn traffic(&self) -> zero_comm::TrafficSnapshot {
-        self.comm.stats().snapshot()
+        self.io.comm.stats().snapshot()
     }
 
     /// Per-kind wait vs in-flight execution timing for this rank's
     /// collectives. Under overlap, wait time shrinks toward zero while
     /// execution time (on the progress thread) stays put.
     pub fn timing(&self) -> zero_comm::TimingSnapshot {
-        self.comm.stats().timing()
+        self.io.comm.stats().timing()
     }
 
     /// This rank's span recorder (shared with the communicator).
@@ -444,11 +542,6 @@ impl RankEngine {
     /// events, and counter samples, ready for querying or Chrome export.
     pub fn timeline(&self) -> StepTimeline {
         self.trace.timeline()
-    }
-
-    /// The flat range of this rank's DP shard.
-    pub fn dp_shard_range(&self) -> std::ops::Range<usize> {
-        self.part.shard_range(self.dp_idx)
     }
 
     /// The flat range covered by [`Self::master_params`]: the DP shard for
@@ -477,11 +570,6 @@ impl RankEngine {
         self.scaler.as_ref().map_or(1.0, |s| s.scale())
     }
 
-    /// The model.
-    pub fn model(&self) -> &Gpt {
-        &self.gpt
-    }
-
     /// The process grid this engine runs on.
     pub fn grid(&self) -> Grid {
         self.grid
@@ -490,82 +578,7 @@ impl RankEngine {
     /// Tears the engine down, returning its communicator — used when
     /// rebuilding an engine in place (e.g. restart-and-resume tests).
     pub fn into_comm(self) -> Communicator {
-        self.comm
-    }
-
-    // ----- tier movement (offload) -----
-
-    /// Pops the next planned tier op, meters it through the [`TierStore`]
-    /// (bytes + modeled host-link time), and submits the transfer to the
-    /// FIFO progress thread. The plan's `issue_pos` anchor is checked by
-    /// the pop — the engine cannot reorder tier traffic against the
-    /// collective stream without panicking. FIFO submission means a fetch
-    /// issued before an all-gather completes before that gather starts.
-    fn start_tier_op(&mut self, dir: TierDir, label: &str) -> PendingOp {
-        let t = self.plan.take_tier(dir, label);
-        let store = self.tier.as_mut().expect("tier store when offload is on");
-        let delay = match dir {
-            TierDir::Fetch => store.record_fetch(t.bytes),
-            TierDir::Spill => store.record_spill(t.bytes),
-        };
-        self.comm.start_tier_move(t.label, t.bytes, delay)
-    }
-
-    // ----- planned collectives -----
-
-    /// The one place a planned all-gather or reduce-scatter is issued: pops
-    /// the next op off the plan cursor (plan order is issue order, which is
-    /// what the static checks verify), checks it against what the engine is
-    /// about to move, and hands it to the progress thread in the wire
-    /// format the plan chose — raw ring, qwZ int8 blocks, or qgZ two-phase.
-    /// Every caller gets a [`PendingOp`]; when it waits is the only thing
-    /// that distinguishes synchronous from overlapped execution.
-    fn issue(
-        plan: &mut PlanCursor,
-        comm: &mut Communicator,
-        kind: CollectiveKind,
-        group: &Group,
-        data: &[f32],
-        total: usize,
-        prec: Precision,
-    ) -> PendingOp {
-        let op = plan.take(kind, group);
-        assert_eq!(op.total_elems(), total, "planned '{}' size", op.label);
-        match (kind, op.wire) {
-            (CollectiveKind::AllGather, WireFmt::Int8Block { block }) => {
-                comm.start_all_gather_quant(group, data, &op.counts, block)
-            }
-            (CollectiveKind::AllGather, _) => {
-                comm.start_all_gather_var(group, data, &op.counts, prec)
-            }
-            (CollectiveKind::ReduceScatter, WireFmt::QgzInt8 { node_size, block }) => comm
-                .start_reduce_scatter_qgz(
-                    group,
-                    data,
-                    ReduceOp::Mean,
-                    &op.counts,
-                    node_size,
-                    block,
-                    prec,
-                ),
-            (CollectiveKind::ReduceScatter, _) => {
-                comm.start_reduce_scatter_var(group, data, ReduceOp::Mean, &op.counts, prec)
-            }
-            _ => unreachable!("only gathers and reduce-scatters are issued through handles"),
-        }
-    }
-
-    /// The planned Megatron all-reduce over the MP group, in place.
-    fn mp_all_reduce(
-        plan: &mut PlanCursor,
-        comm: &mut Communicator,
-        mp_group: &Group,
-        buf: &mut [f32],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        let op = plan.take(CollectiveKind::AllReduce, mp_group);
-        assert_eq!(op.total_elems(), buf.len(), "planned MP all-reduce size");
-        comm.all_reduce_in(mp_group, buf, ReduceOp::Sum, prec)
+        self.io.comm
     }
 
     // ----- parameter materialization -----
@@ -576,77 +589,54 @@ impl RankEngine {
         drop(params);
     }
 
-    /// The one thing `overlap` decides for fetches: whether the next
-    /// unit's gather is issued before this unit's is waited (a window of
-    /// one unit ahead through the double-buffered slot) or not at all.
-    #[inline]
-    fn prefetches(&self) -> bool {
-        self.zcfg.overlap && self.zcfg.stage.partitions_params()
-    }
-
-    /// Issues stage-3 unit `u`'s parameter all-gather — "broadcast … from
-    /// the data parallel process responsible for that partition" (§5.3),
+    /// Issues the next planned parameter fetch — "broadcast … from the
+    /// data parallel process responsible for that partition" (§5.3),
     /// realized as a ring all-gather of uneven pieces — without waiting.
-    fn start_fetch(&mut self, u: usize) -> PendingFetch {
-        let unit_range = self.gpt.layout().units()[u].range.clone();
+    /// The op names the unit and where its pieces come from: the primary
+    /// shards over the DP group, or (hpZ) the node-local secondary copy
+    /// over the node group, never crossing a node boundary.
+    fn start_fetch(&mut self) -> PendingFetch {
+        let (unit, source) = match self.io.plan.next_role() {
+            Some(&OpRole::Fetch { unit, source, .. }) => (unit, source),
+            other => panic!("comm-plan drift: engine needs a parameter fetch, plan has {other:?}"),
+        };
+        let unit_range = self.gpt.layout().units()[unit].range.clone();
         let len = unit_range.len();
         self.mem.alloc(MemCategory::Buffers, 4 * len as u64);
-        let prec = self.precision();
-        // Offload: the local shard piece lives in the host tier. Its
-        // host→device move rides the same FIFO as the gather it seeds, so
-        // it completes before the ring runs; it is waited first.
-        let tier = self
-            .off
-            .params
-            .then(|| self.start_tier_op(TierDir::Fetch, "tier-param-fetch"));
-        // hpZ: a unit already gathered this step is refetched over the
-        // node-local secondary partition and never crosses a node
-        // boundary; the first touch goes global, on the planned wire.
-        let refetch = self.comp.hpz && self.sec_stashed[u];
-        let (group, piece) = if refetch {
-            (&self.node_group, self.read_secondary_piece(&unit_range))
-        } else {
-            let local = self.part.local_slice_of(self.dp_idx, &unit_range);
-            (&self.dp_group, self.work.read_vec(local))
+        let (group, piece) = match source {
+            FetchSource::Secondary => (&self.node_group, self.read_secondary_piece(&unit_range)),
+            FetchSource::Primary => {
+                let local = self.part.local_slice_of(self.dp_idx, &unit_range);
+                (&self.dp_group, self.work.read_vec(local))
+            }
         };
         self.trace.instant(SpanCategory::Collective, "prefetch-issue");
-        let (plan, comm) = (&mut self.plan, &mut self.comm);
-        let op = Self::issue(plan, comm, CollectiveKind::AllGather, group, &piece, len, prec);
-        // First-touch flags flip at issue time, mirroring the plan
-        // builder: any fetch issued after this one sees the stash.
-        let stash = (self.comp.hpz && !refetch).then_some(unit_range);
-        if stash.is_some() {
-            self.sec_stashed[u] = true;
-        }
-        PendingFetch { unit: u, op, len, stash, tier }
+        let prec = self.precision();
+        let issued = self.io.issue(CollectiveKind::AllGather, group, &piece, len, prec);
+        let stash = (source == FetchSource::Primary).then_some(unit_range);
+        PendingFetch { unit, issued, len, stash }
     }
 
     /// Materializes unit `u`'s parameters as an f32 buffer. Stages below 3
     /// widen the local slice. Stage 3 takes `u`'s gather from the prefetch
-    /// slot (or issues it now), issues `next`'s into the slot when the
-    /// window is open — so the next unit's communication rides under this
-    /// unit's compute — and then waits `u`'s.
-    fn fetch_unit_pf(&mut self, u: usize, next: Option<usize>) -> Result<Vec<f32>, CommError> {
+    /// slot (or issues it now), issues the next planned fetch into the
+    /// slot if the plan marks it `ahead` — so the next unit's communication
+    /// rides under this unit's compute — and then waits `u`'s.
+    fn fetch_unit(&mut self, u: usize) -> Result<Vec<f32>, CommError> {
         if !self.zcfg.stage.partitions_params() {
             let unit_range = self.gpt.layout().units()[u].range.clone();
             self.mem.alloc(MemCategory::Buffers, 4 * unit_range.len() as u64);
             return Ok(self.work.read_vec(unit_range));
         }
         let cur = match self.prefetch.take() {
-            Some(pf) => {
-                assert_eq!(pf.unit, u, "prefetch drift: slot holds a different unit");
-                pf
-            }
-            None => self.start_fetch(u),
+            Some(pf) => pf,
+            None => self.start_fetch(),
         };
-        if let Some(v) = next.filter(|_| self.prefetches()) {
-            let pf = self.start_fetch(v);
-            self.prefetch = Some(pf);
+        assert_eq!(cur.unit, u, "comm-plan drift: the plan fetched a unit the engine is not at");
+        if matches!(self.io.plan.next_role(), Some(OpRole::Fetch { ahead: true, .. })) {
+            self.prefetch = Some(self.start_fetch());
         }
-        // The tier fetch ran first on the FIFO; settle it before the
-        // gather so transfer failures surface in issue order.
-        let tier = cur.tier.map_or(Ok(()), |t| t.wait().map(drop));
-        match tier.and_then(|()| cur.op.wait()) {
+        match cur.issued.wait() {
             Ok(out) => {
                 debug_assert_eq!(out.len(), cur.len);
                 if let Some(range) = cur.stash {
@@ -661,62 +651,50 @@ impl RankEngine {
         }
     }
 
-    /// hpZ: this rank's slot within its node (shard index in `sec_part`).
-    /// Node groups are G consecutive ranks, so the slot is direct.
-    #[inline]
-    fn node_slot(&self) -> usize {
-        let slot = self.comm.rank() % self.comp.node_size;
-        debug_assert_eq!(self.node_group.local_index(self.comm.rank()), Some(slot));
-        slot
-    }
-
     /// hpZ: copies this rank's secondary-partition slice of a freshly
-    /// gathered unit into the node-local replica. The gathered buffer is
-    /// bitwise identical on every rank (raw and qwZ alike), so the replica
-    /// stays node-consistent without extra communication. In fp16 mode the
-    /// store rounds dequantized values to fp16 — the replica is exactly
-    /// the fp16 image of what this step's forward saw.
+    /// gathered unit into the node-local replica (a no-op without hpZ).
+    /// The gathered buffer is bitwise identical on every rank (raw and qwZ
+    /// alike), so the replica stays node-consistent without extra
+    /// communication. In fp16 mode the store rounds dequantized values to
+    /// fp16 — the replica is exactly the fp16 image of what this step's
+    /// forward saw.
     fn stash_secondary(&mut self, unit_range: &std::ops::Range<usize>, data: &[f32]) {
-        if self.secondary.is_none() {
+        let Some(secondary) = &mut self.secondary else {
+            return;
+        };
+        let local = self.sec_part.local_slice_of(self.node_slot, unit_range);
+        if local.is_empty() {
             return;
         }
-        let slot = self.node_slot();
-        let sec_range = self.sec_part.shard_range(slot);
-        let lo = sec_range.start.max(unit_range.start);
-        let hi = sec_range.end.min(unit_range.end);
-        if lo >= hi {
-            return;
-        }
-        let local = self.sec_part.local_slice_of(slot, unit_range);
-        self.secondary
-            .as_mut()
-            .expect("hpZ secondary store")
-            .write_from(local, &data[lo - unit_range.start..hi - unit_range.start]);
+        // Where the slice sits within the gathered unit.
+        let at = self.sec_part.shard_range(self.node_slot).start + local.start - unit_range.start;
+        secondary.write_from(local.clone(), &data[at..at + local.len()]);
     }
 
     /// hpZ: this rank's contribution to a node-scope refetch — the
     /// intersection of the unit with its secondary shard.
     fn read_secondary_piece(&self, unit_range: &std::ops::Range<usize>) -> Vec<f32> {
-        let slot = self.node_slot();
-        let local = self.sec_part.local_slice_of(slot, unit_range);
+        let local = self.sec_part.local_slice_of(self.node_slot, unit_range);
         self.secondary.as_ref().expect("hpZ secondary store").read_vec(local)
     }
 
     /// Settles every in-flight bucket reduce-scatter in FIFO (issue) order:
     /// wait, land the owner piece in `grad_shard`, release the fused
-    /// buffer, and — under offload — spill the reduced piece down to the
-    /// host tier, the first point it exists. Synchronous mode calls this
-    /// right after each flush, overlap mode once at end-of-backward; FIFO
-    /// order makes the accumulation order, and so the loss, identical.
+    /// buffer, and issue the spill the plan attached to it — the reduced
+    /// piece going down to the host tier, at the first point it exists.
+    /// Blocking reduce-scatters are settled right after their flush, the
+    /// rest at end-of-backward; FIFO order makes the accumulation order,
+    /// and so the loss, identical.
     fn drain_inflight(&mut self) -> Result<(), CommError> {
         let mut first_err: Option<CommError> = None;
-        while let Some(inf) = self.inflight_rs.pop_front() {
+        while let Some(mut inf) = self.inflight_rs.pop_front() {
             // After an error the remaining handles are dropped unawaited —
             // their ops still execute on the progress thread, keeping the
             // SPMD schedule aligned for recovery.
+            let spill = inf.issued.spill.take();
             if first_err.is_none() {
                 let span = self.trace.begin(SpanCategory::Wait, "drain-inflight");
-                match inf.op.wait() {
+                match inf.issued.wait() {
                     Ok(out) => {
                         let shard = self.grad_shard.as_mut().expect("gradient shard");
                         shard.add_from(inf.local, &out);
@@ -726,8 +704,8 @@ impl RankEngine {
                 self.trace.end(span);
             }
             self.mem.free(MemCategory::Buffers, inf.bytes);
-            if self.off.grads && first_err.is_none() {
-                first_err = self.start_tier_op(TierDir::Spill, "tier-grad-spill").wait().err();
+            if let Some(t) = spill.filter(|_| first_err.is_none()) {
+                first_err = self.io.tier_move(t).wait().err();
             }
         }
         first_err.map_or(Ok(()), Err)
@@ -742,11 +720,6 @@ impl RankEngine {
         }
         if let Some(pf) = self.prefetch.take() {
             self.mem.free(MemCategory::Buffers, 4 * pf.len as u64);
-        }
-        // hpZ first-touch flags reset with each plan, mirroring the
-        // builder's per-plan state.
-        for s in &mut self.sec_stashed {
-            *s = false;
         }
     }
 
@@ -772,90 +745,79 @@ impl RankEngine {
 
     // ----- checkpoints (ZeRO-R: P_a / P_a+cpu / MD) -----
 
-    fn ckpt_store_len(&self, full_len: usize) -> usize {
-        if self.zcfg.partition_activations {
-            zero_comm::chunk_range(full_len, self.mp_group.len(), self.mp_idx).len()
+    /// Sizes the MD arena for a step whose block activations hold
+    /// `act_elems` elements: one checkpoint (this rank's slice of it under
+    /// P_a) per block. Grow-only, so a constant batch allocates once and a
+    /// larger one re-allocates instead of overflowing.
+    fn size_arena(&mut self, act_elems: usize) {
+        let zcfg = &self.zcfg;
+        if !(zcfg.use_arena && zcfg.checkpoint_activations) || zcfg.offload_checkpoints {
+            return;
+        }
+        let slice = if zcfg.partition_activations {
+            zero_comm::chunk_range(act_elems, self.mp_group.len(), self.mp_idx).len()
         } else {
-            full_len
+            act_elems
+        };
+        let cap = slice * self.gpt.config().layers;
+        if self.arena.as_ref().is_none_or(|a| a.capacity() < cap) {
+            self.arena = Some(ContiguousArena::new(cap));
+        }
+    }
+
+    /// Where checkpoints are priced: CPU memory under P_a+cpu.
+    fn ckpt_category(&self) -> MemCategory {
+        if self.zcfg.offload_checkpoints {
+            MemCategory::CpuOffload
+        } else {
+            MemCategory::Checkpoints
         }
     }
 
     fn store_checkpoint(&mut self, x: &[f32]) -> Checkpoint {
         let span = self.trace.begin(SpanCategory::Checkpoint, "ckpt-store");
         let full_len = x.len();
-        let partitioned = self.zcfg.partition_activations;
         let offloaded = self.zcfg.offload_checkpoints;
-        let slice: &[f32] = if partitioned {
+        let slice: &[f32] = if self.zcfg.partition_activations {
             &x[zero_comm::chunk_range(full_len, self.mp_group.len(), self.mp_idx)]
         } else {
             x
         };
         let bytes = self.precision().bytes() * slice.len() as u64;
-        let cat = if offloaded {
-            MemCategory::CpuOffload
-        } else {
-            MemCategory::Checkpoints
-        };
-        self.mem.alloc(cat, bytes);
+        self.mem.alloc(self.ckpt_category(), bytes);
         if offloaded {
             self.mem.record_cpu_transfer(bytes);
         }
-        let data = if self.zcfg.use_arena && !offloaded {
-            if self.arena.is_none() {
-                // Size the arena once: one checkpoint per block.
-                let cap = self.ckpt_store_len(full_len) * self.gpt.config().layers;
-                self.arena = Some(ContiguousArena::new(cap));
-            }
-            CkptData::Arena(self.arena.as_mut().unwrap().store(slice))
-        } else {
-            CkptData::Own(slice.to_vec())
+        let data = match &mut self.arena {
+            Some(arena) if !offloaded => CkptData::Arena(arena.store(slice)),
+            _ => CkptData::Own(slice.to_vec()),
         };
         self.trace.end(span);
-        Checkpoint {
-            data,
-            full_len,
-            partitioned,
-            offloaded,
-            bytes,
-        }
+        Checkpoint { data, full_len, bytes }
     }
 
-    /// Re-materializes a checkpointed activation: P_a all-gathers the
-    /// slices across the MP group (the extra all-gather §8 prices at
-    /// seq·hidden per block); P_a+cpu additionally pays the PCIe
-    /// round-trip, which we meter.
-    fn fetch_checkpoint(&mut self, c: &Checkpoint) -> Result<Vec<f32>, CommError> {
+    /// Re-materializes a checkpointed activation and releases its storage:
+    /// P_a all-gathers the slices across the MP group (the extra
+    /// all-gather §8 prices at seq·hidden per block); P_a+cpu additionally
+    /// pays the PCIe round-trip, which we meter.
+    fn take_checkpoint(&mut self, c: Checkpoint) -> Result<Vec<f32>, CommError> {
         let span = self.trace.begin(SpanCategory::Checkpoint, "ckpt-fetch");
-        let res = self.fetch_checkpoint_inner(c);
-        self.trace.end(span);
-        res
-    }
-
-    fn fetch_checkpoint_inner(&mut self, c: &Checkpoint) -> Result<Vec<f32>, CommError> {
-        let slice: Vec<f32> = match &c.data {
-            CkptData::Own(v) => v.clone(),
-            CkptData::Arena(slot) => self.arena.as_ref().unwrap().slot(slot).to_vec(),
+        let slice: Vec<f32> = match c.data {
+            CkptData::Own(v) => v,
+            CkptData::Arena(slot) => self.arena.as_ref().expect("arena slot").slot(&slot).to_vec(),
         };
-        if c.offloaded {
+        if self.zcfg.offload_checkpoints {
             self.mem.record_cpu_transfer(c.bytes);
         }
-        if c.partitioned {
-            let prec = self.precision();
-            let Self { plan, comm, mp_group, .. } = self;
-            Self::issue(plan, comm, CollectiveKind::AllGather, mp_group, &slice, c.full_len, prec)
-                .wait()
+        let res = if self.zcfg.partition_activations {
+            let (kind, prec) = (CollectiveKind::AllGather, self.precision());
+            self.io.issue(kind, &self.mp_group, &slice, c.full_len, prec).wait()
         } else {
             Ok(slice)
-        }
-    }
-
-    fn free_checkpoint(&mut self, c: Checkpoint) {
-        let cat = if c.offloaded {
-            MemCategory::CpuOffload
-        } else {
-            MemCategory::Checkpoints
         };
-        self.mem.free(cat, c.bytes);
+        self.trace.end(span);
+        self.mem.free(self.ckpt_category(), c.bytes);
+        res
     }
 
     // ----- gradient dispatch (stage-dependent) -----
@@ -863,8 +825,9 @@ impl RankEngine {
     /// Consumes one unit's freshly computed gradients.
     ///
     /// Stages DDP/1 accumulate into the persistent full gradient buffer.
-    /// Stages 2/3 push into the constant-size bucket and flush it when it
-    /// fills.
+    /// Stages 2/3 push into the bucket and flush it once the pending
+    /// gradients span the range of the next planned reduce-scatter — the
+    /// plan drew the constant-size bucket boundaries (§6.2).
     fn dispatch_grads(
         &mut self,
         range: std::ops::Range<usize>,
@@ -879,47 +842,48 @@ impl RankEngine {
         }
         // fp16 gradients: quantize before they enter the fused buffer.
         self.maybe_quantize(&mut g);
-        if self.bucket.push(range, g) {
+        self.bucket.push(range, g);
+        if self.io.plan.next_role() == self.bucket.span().map(OpRole::Span).as_ref() {
             self.flush_bucket()?;
         }
         Ok(())
     }
 
-    /// Flushes whatever the bucket holds (stages 2/3; a no-op when empty):
-    /// one reduce-scatter of the fused range goes in flight, its owner
-    /// piece destined for `grad_shard`, after which the bucket contents are
-    /// dropped — "after the reduction we no longer need the gradients and
-    /// their memory can be released" (§5.2). Overlap leaves the handle in
-    /// flight so backward keeps computing while the ring runs; synchronous
-    /// mode settles it here.
+    /// Flushes the bucket: one reduce-scatter of the fused range goes in
+    /// flight, its owner piece destined for `grad_shard`, after which the
+    /// bucket contents are dropped — "after the reduction we no longer
+    /// need the gradients and their memory can be released" (§5.2). A
+    /// non-blocking op stays in flight so backward keeps computing while
+    /// the ring runs; a blocking one is settled here.
     fn flush_bucket(&mut self) -> Result<(), CommError> {
         let prec = self.precision();
-        let Self { bucket, comm, dp_group, part, dp_idx, mem, plan, inflight_rs, trace, .. } = self;
+        let mut settle = false;
+        let Self { bucket, io, dp_group, part, dp_idx, mem, inflight_rs, trace, .. } = self;
         bucket.flush_all(&mut |r, fused| {
             trace.instant(SpanCategory::Collective, "bucket-flush");
             let bytes = 4 * fused.len() as u64;
             mem.alloc(MemCategory::Buffers, bytes);
             let kind = CollectiveKind::ReduceScatter;
-            let op = Self::issue(plan, comm, kind, dp_group, fused, fused.len(), prec);
+            let issued = io.issue(kind, dp_group, fused, fused.len(), prec);
+            settle = !issued.nonblocking;
             let local = part.local_slice_of(*dp_idx, &r);
-            inflight_rs.push_back(InflightReduce { local, op, bytes });
+            inflight_rs.push_back(InflightReduce { local, issued, bytes });
         });
-        if !self.zcfg.overlap {
+        if settle {
             self.drain_inflight()?;
         }
         Ok(())
     }
 
-    /// Walks flat parameter space in constant-size (CB) chunks, charging
-    /// each chunk's staging buffer to the tracker for exactly the duration
-    /// of `f` — on the error path too.
+    /// Walks the CB chunk ops the plan lists next — each names its range
+    /// of flat parameter space — charging each chunk's staging buffer to
+    /// the tracker for exactly the duration of `f`, on the error path too.
+    /// `f` issues the chunk's op(s).
     fn for_each_chunk(
         &mut self,
         mut f: impl FnMut(&mut Self, std::ops::Range<usize>) -> Result<(), CommError>,
     ) -> Result<(), CommError> {
-        let psi = self.part.total();
-        for start in (0..psi).step_by(self.zcfg.bucket_elems) {
-            let chunk = start..(start + self.zcfg.bucket_elems).min(psi);
+        while let Some(OpRole::Span(chunk)) = self.io.plan.next_role().cloned() {
             let bytes = 4 * chunk.len() as u64;
             self.mem.alloc(MemCategory::Buffers, bytes);
             let res = f(self, chunk);
@@ -932,17 +896,14 @@ impl RankEngine {
     /// End-of-backward gradient reduction for the non-bucketed stages,
     /// staged through constant-size buffers (CB): DDP all-reduces every
     /// chunk in place; stage 1 reduce-scatters so this rank's shard region
-    /// of the full buffer holds the averaged values.
+    /// of the full buffer holds the averaged values. Stages 2/3 already
+    /// reduced everything through the bucket and have no chunk planned.
     fn reduce_full_grads(&mut self) -> Result<(), CommError> {
-        if self.zcfg.stage.partitions_grads() {
-            // Stages 2/3 already reduced everything through the bucket.
-            debug_assert_eq!(self.bucket.pending_elems(), 0);
-            return Ok(());
-        }
+        assert_eq!(self.bucket.pending_elems(), 0, "comm-plan drift: gradients left unflushed");
         let prec = self.precision();
         let shard = self.part.shard_range(self.dp_idx);
         self.for_each_chunk(|this, chunk| {
-            let Self { full_grads, plan, comm, dp_group, part, dp_idx, zcfg, grid, .. } = this;
+            let Self { full_grads, io, dp_group, part, dp_idx, zcfg, grid, .. } = this;
             let full = full_grads.as_mut().expect("full gradient buffer");
             let mut staging = full.read_vec(chunk.clone());
             match (zcfg.stage, zcfg.node_size) {
@@ -952,25 +913,22 @@ impl RankEngine {
                     // The hierarchy is three planned ops: node
                     // reduce-scatter, cross-node all-reduce of the owned
                     // chunk, node all-gather.
-                    let node_group = topo.node_group(comm.rank());
-                    let cross_group = topo.cross_group(comm.rank(), comm.world_size());
-                    let rs = plan.take(CollectiveKind::ReduceScatter, &node_group);
+                    let node_group = topo.node_group(io.comm.rank());
+                    let cross_group = topo.cross_group(io.comm.rank(), io.comm.world_size());
+                    let rs = io.plan.take(CollectiveKind::ReduceScatter, &node_group);
                     assert_eq!(rs.total_elems(), staging.len(), "planned hier size");
-                    let _ar = plan.take(CollectiveKind::AllReduce, &cross_group);
-                    let _ag = plan.take(CollectiveKind::AllGather, &node_group);
-                    comm.hierarchical_all_reduce(&topo, &mut staging, ReduceOp::Mean, prec)?;
+                    let _ar = io.plan.take(CollectiveKind::AllReduce, &cross_group);
+                    let _ag = io.plan.take(CollectiveKind::AllGather, &node_group);
+                    io.comm.hierarchical_all_reduce(&topo, &mut staging, ReduceOp::Mean, prec)?;
                     full.write_from(chunk, &staging);
                 }
                 (ZeroStage::Ddp, None) => {
-                    let op = plan.take(CollectiveKind::AllReduce, dp_group);
-                    assert_eq!(op.total_elems(), staging.len(), "planned chunk size");
-                    comm.all_reduce_in(dp_group, &mut staging, ReduceOp::Mean, prec)?;
+                    io.all_reduce(dp_group, &mut staging, ReduceOp::Mean, prec)?;
                     full.write_from(chunk, &staging);
                 }
                 (ZeroStage::One, _) => {
                     let kind = CollectiveKind::ReduceScatter;
-                    let out = Self::issue(plan, comm, kind, dp_group, &staging, staging.len(), prec)
-                        .wait()?;
+                    let out = io.issue(kind, dp_group, &staging, staging.len(), prec).wait()?;
                     let own = part.local_slice_of(*dp_idx, &chunk);
                     full.write_from(shard.start + own.start..shard.start + own.end, &out);
                 }
@@ -1012,22 +970,15 @@ impl RankEngine {
         let gathers = matches!(self.zcfg.stage, ZeroStage::One | ZeroStage::Two);
         let start = if gathers { shard.start } else { 0 };
         self.work.write_from(start..start + self.master.len(), &self.master);
-        if !gathers {
-            return Ok(());
-        }
-        // …then all-gather the (quantized) shards chunk by chunk.
+        // …then all-gather the (quantized) shards over the planned chunks
+        // (none outside stages 1/2). Under a host optimizer each gather is
+        // seeded by the tier fetch of the updated shard chunk riding it.
         let prec = self.precision();
         self.for_each_chunk(|this, chunk| {
-            // Host optimizer: the updated shard chunk is fetched up from
-            // the host-resident master before the gather.
-            if this.off.opt_state {
-                this.start_tier_op(TierDir::Fetch, "tier-publish-fetch").wait()?;
-            }
             let own = this.part.local_slice_of(this.dp_idx, &chunk);
             let piece = this.work.read_vec(shard.start + own.start..shard.start + own.end);
-            let Self { plan, comm, dp_group, .. } = this;
             let kind = CollectiveKind::AllGather;
-            let out = Self::issue(plan, comm, kind, dp_group, &piece, chunk.len(), prec).wait()?;
+            let out = this.io.issue(kind, &this.dp_group, &piece, chunk.len(), prec).wait()?;
             this.work.write_from(chunk, &out);
             Ok(())
         })
@@ -1058,14 +1009,12 @@ impl RankEngine {
             sq = local_sq_norm(grads);
         }
         let mut buf = [sq as f32];
-        if self.zcfg.stage.partitions_optimizer() {
-            let world_group = Group::world(self.comm.world_size());
-            let _op = self.plan.take(CollectiveKind::AllReduce, &world_group);
-            self.comm.all_reduce(&mut buf, ReduceOp::Sum, Precision::Fp32)?;
+        let group = if self.zcfg.stage.partitions_optimizer() {
+            Group::world(self.io.comm.world_size())
         } else {
-            let Self { comm, mp_group, plan, .. } = self;
-            Self::mp_all_reduce(plan, comm, mp_group, &mut buf, Precision::Fp32)?;
-        }
+            self.mp_group.clone()
+        };
+        self.io.all_reduce(&group, &mut buf, ReduceOp::Sum, Precision::Fp32)?;
         Ok((buf[0] as f64).sqrt())
     }
 
@@ -1090,8 +1039,8 @@ impl RankEngine {
             ),
         };
         let snap = crate::snapshot::RankSnapshot {
-            rank: self.comm.rank() as u32,
-            world: self.comm.world_size() as u32,
+            rank: self.io.comm.rank() as u32,
+            world: self.io.comm.world_size() as u32,
             step: self.step,
             shard_start: range.start as u64,
             shard_end: range.end as u64,
@@ -1135,10 +1084,10 @@ impl RankEngine {
         &mut self,
         snap: &crate::snapshot::RankSnapshot,
     ) -> Result<(), CommError> {
-        assert_eq!(snap.rank as usize, self.comm.rank(), "snapshot rank mismatch");
+        assert_eq!(snap.rank as usize, self.io.comm.rank(), "snapshot rank mismatch");
         assert_eq!(
             snap.world as usize,
-            self.comm.world_size(),
+            self.io.comm.world_size(),
             "snapshot world-size mismatch (resume requires the same grid)"
         );
         let range = self.master_range();
@@ -1170,9 +1119,9 @@ impl RankEngine {
         }
         self.clear_transients();
         let refresh = CommPlan::publish_refresh(self.gpt.layout(), &self.zcfg, self.grid);
-        self.plan.install(&refresh, self.comm.rank(), "publish-refresh");
+        self.io.plan.install(&refresh, self.io.comm.rank(), "publish-refresh");
         self.publish_params()?;
-        self.plan.assert_exhausted("snapshot restore");
+        self.io.plan.assert_exhausted("snapshot restore");
         Ok(())
     }
 
@@ -1243,7 +1192,8 @@ impl RankEngine {
         let act_elems = local_batch * self.gpt.config().seq * self.gpt.config().hidden;
         let prefix =
             CommPlan::step_prefix(self.gpt.layout(), &self.zcfg, self.grid, micros.len(), act_elems);
-        self.plan.install(&prefix, self.comm.rank(), "step-prefix");
+        self.io.plan.install(&prefix, self.io.comm.rank(), "step-prefix");
+        self.size_arena(act_elems);
 
         // Zero persistent gradient storage once per optimizer step.
         if let Some(full) = &mut self.full_grads {
@@ -1280,12 +1230,12 @@ impl RankEngine {
         f: impl FnOnce(&Gpt, &mut dyn FnMut(&mut [f32])) -> T,
     ) -> Result<T, CommError> {
         let prec = self.precision();
-        let Self { gpt, comm, mp_group, plan, trace, .. } = self;
+        let Self { gpt, io, mp_group, trace, .. } = self;
         let mut err: Option<CommError> = None;
         let span = trace.begin(SpanCategory::Compute, span);
         let out = f(gpt, &mut |buf: &mut [f32]| {
             if err.is_none() {
-                err = Self::mp_all_reduce(plan, comm, mp_group, buf, prec).err();
+                err = io.all_reduce(mp_group, buf, ReduceOp::Sum, prec).err();
             }
         });
         trace.end(span);
@@ -1334,6 +1284,47 @@ impl RankEngine {
         Ok(dx)
     }
 
+    /// The forward walk up to the head's input: embed, then every block,
+    /// each unit's parameters fetched right before use and released right
+    /// after. A training pass hands in `keep`, which receives what backward
+    /// needs — one activation checkpoint per segment of
+    /// `checkpoint_interval` blocks (§3.2's memory/recompute dial; interval
+    /// 1 = one per layer), or every block's saved activations without
+    /// checkpointing; evaluation keeps nothing.
+    fn forward(
+        &mut self,
+        ids: &[u32],
+        local_batch: usize,
+        drop_for: impl Fn(usize) -> Dropout,
+        mut keep: Option<&mut Kept>,
+    ) -> Result<Vec<f32>, CommError> {
+        let p_embed = self.fetch_unit(0)?;
+        let span = self.trace.begin(SpanCategory::Compute, "embed-fwd");
+        let mut x = self.gpt.embed(&p_embed, ids, local_batch);
+        self.trace.end(span);
+        self.release_unit(p_embed);
+        self.maybe_quantize(&mut x);
+
+        let checkpointing = self.zcfg.checkpoint_activations;
+        let interval = self.zcfg.checkpoint_interval.max(1);
+        for l in 0..self.gpt.config().layers {
+            let p = self.fetch_unit(1 + l)?;
+            if let Some(kept) = keep.as_deref_mut().filter(|_| checkpointing && l % interval == 0) {
+                let c = self.store_checkpoint(&x);
+                kept.checkpoints.push(c);
+            }
+            let (y, saved) = self.block_fwd("block-fwd", l, &p, &x, local_batch, drop_for(l))?;
+            self.release_unit(p);
+            if let Some(kept) = keep.as_deref_mut().filter(|_| !checkpointing) {
+                self.mem
+                    .alloc(MemCategory::Activations, 4 * saved.elems() as u64);
+                kept.saveds.push(Some(saved));
+            }
+            x = y;
+        }
+        Ok(x)
+    }
+
     /// One micro-batch's forward + backward, dispatching gradients into
     /// the stage-appropriate stores. Returns the micro-batch loss.
     fn accumulate_micro(
@@ -1363,46 +1354,14 @@ impl RankEngine {
         };
 
         // ---------- forward ----------
-        // Each fetch names the unit after it: under the prefetch window
-        // that unit's all-gather is issued before this one's is waited, so
-        // unit u+1's ring runs under unit u's compute.
-        let p_embed = self.fetch_unit_pf(0, Some(1))?;
-        let span = self.trace.begin(SpanCategory::Compute, "embed-fwd");
-        let mut x = self.gpt.embed(&p_embed, ids, local_batch);
-        self.trace.end(span);
-        self.release_unit(p_embed);
-        self.maybe_quantize(&mut x);
-
+        let mut kept = Kept::default();
+        let x = self.forward(ids, local_batch, drop_for, Some(&mut kept))?;
+        let Kept { mut checkpoints, mut saveds } = kept;
         let checkpointing = self.zcfg.checkpoint_activations;
         let interval = self.zcfg.checkpoint_interval.max(1);
-        let mut checkpoints: Vec<Checkpoint> = Vec::new();
-        let mut saveds: Vec<Option<BlockSaved>> = Vec::new();
-        for l in 0..layers {
-            // `2 + l` is the next block — or the head when this is the
-            // last block.
-            let p = self.fetch_unit_pf(1 + l, Some(2 + l))?;
-            if checkpointing && l % interval == 0 {
-                // One checkpoint per segment of `interval` blocks (§3.2's
-                // memory/recompute dial; interval 1 = one per layer).
-                let c = self.store_checkpoint(&x);
-                checkpoints.push(c);
-            }
-            let (y, saved) = self.block_fwd("block-fwd", l, &p, &x, local_batch, drop_for(l))?;
-            self.release_unit(p);
-            if !checkpointing {
-                self.mem
-                    .alloc(MemCategory::Activations, 4 * saved.elems() as u64);
-                saveds.push(Some(saved));
-            }
-            x = y;
-        }
 
         // ---------- head forward + backward (loss gradient is born here) ----------
-        // The head's fetch chains the prefetch into backward's first
-        // block refetch (non-checkpointed mode only: checkpointed
-        // segments restart the chain at each recompute).
-        let head_next = (!checkpointing && layers > 0).then_some(layers);
-        let p_head = self.fetch_unit_pf(1 + layers, head_next)?;
+        let p_head = self.fetch_unit(1 + layers)?;
         let mut head_grads = vec![0.0; head_range.len()];
         let span = self.trace.begin(SpanCategory::Compute, "head-fwd-bwd");
         let (loss, mut dy) =
@@ -1431,11 +1390,10 @@ impl RankEngine {
             while seg_end > 0 {
                 let seg_start = ((seg_end - 1) / interval) * interval;
                 let ck = checkpoints.pop().expect("checkpoint for segment");
-                let mut x_in = self.fetch_checkpoint(&ck)?;
-                self.free_checkpoint(ck);
+                let mut x_in = self.take_checkpoint(ck)?;
                 let mut segment: Vec<(Vec<f32>, BlockSaved)> = Vec::new();
                 for l in seg_start..seg_end {
-                    let p = self.fetch_unit_pf(1 + l, (l + 1 < seg_end).then(|| 2 + l))?;
+                    let p = self.fetch_unit(1 + l)?;
                     let (y, saved) =
                         self.block_fwd("block-refwd", l, &p, &x_in, local_batch, drop_for(l))?;
                     self.mem
@@ -1451,9 +1409,7 @@ impl RankEngine {
             }
         } else {
             for l in (0..layers).rev() {
-                // `l` is block l-1's unit; the last block was issued by
-                // the head's fetch above.
-                let p = self.fetch_unit_pf(1 + l, (l > 0).then_some(l))?;
+                let p = self.fetch_unit(1 + l)?;
                 let saved = saveds[l].take().expect("saved activations for block");
                 dy = self.block_bwd(l, p, saved, &dy, local_batch, drop_for(l))?;
             }
@@ -1467,11 +1423,11 @@ impl RankEngine {
         self.trace.end(span);
         drop(dy);
         self.dispatch_grads(embed_range, embed_grads)?;
-        // Drain the bucket so the next micro-batch's head-first pushes
-        // start a fresh contiguous descending run, then settle every
+        // The last planned bucket ends at element 0, so the embedding's
+        // push flushed it and the next micro-batch's head-first pushes
+        // start a fresh contiguous descending run. Settle every
         // reduce-scatter still in flight (the end-of-backward barrier
         // overlap moves the waits to; nothing is left in sync mode).
-        self.flush_bucket()?;
         self.drain_inflight()?;
         debug_assert!(self.prefetch.is_none(), "prefetch slot must drain with backward");
         Ok(loss)
@@ -1491,30 +1447,30 @@ impl RankEngine {
 
         let local_overflow = self.shard_has_overflow();
         let mut flag = [if local_overflow { 1.0_f32 } else { 0.0 }];
-        let world_group = Group::world(self.comm.world_size());
-        let _op = self.plan.take(CollectiveKind::AllReduce, &world_group);
-        self.comm.all_reduce(&mut flag, ReduceOp::Max, Precision::Fp32)?;
+        let world_group = Group::world(self.io.comm.world_size());
+        self.io.all_reduce(&world_group, &mut flag, ReduceOp::Max, Precision::Fp32)?;
         let overflow = flag[0] > 0.0;
         // The prefix plan ends at the flag — the one data-dependent branch
         // point in the schedule; the rest of the step follows the suffix
         // plan for the observed skip outcome.
-        self.plan.assert_exhausted("after overflow flag");
+        self.io.plan.assert_exhausted("after overflow flag");
 
         let skipped = match &mut self.scaler {
             Some(s) => s.update_traced(overflow, &self.trace),
             None => overflow, // fp32 overflow: skip, nothing to rescale
         };
         let suffix = CommPlan::step_suffix(self.gpt.layout(), &self.zcfg, self.grid, skipped);
-        self.plan.install(&suffix, self.comm.rank(), "step-suffix");
+        self.io.plan.install(&suffix, self.io.comm.rank(), "step-suffix");
 
         let mut grad_norm = None;
         if !skipped {
             let mut g = self.read_grad_shard();
-            // Stage 1 host optimizer: gradients reduced into the full
-            // device buffer, so the owned shard region spills down once
-            // per step (stages 2/3 already spilled bucket by bucket).
-            if self.off.opt_state && !self.zcfg.stage.partitions_grads() {
-                self.start_tier_op(TierDir::Spill, "tier-grad-spill").wait()?;
+            // The one tier movement that rides no collective, when the
+            // plan has it: stage 1's host optimizer reduced gradients into
+            // the full device buffer, so the owned shard region spills
+            // down once per step, here.
+            if let Some(t) = self.io.plan.take_free_tier() {
+                self.io.tier_move(t).wait()?;
             }
             // Undo the loss scale and average over accumulation steps.
             let inv = 1.0 / (scale * n_micro as f32);
@@ -1539,7 +1495,7 @@ impl RankEngine {
             self.trace.end(span);
             self.publish_params()?;
         }
-        self.plan.assert_exhausted("end of step");
+        self.io.plan.assert_exhausted("end of step");
         self.step += 1;
         self.trace.counter("peak-device-bytes", self.mem.peak_device());
         Ok(StepOutcome {
@@ -1567,28 +1523,17 @@ impl RankEngine {
         targets: &[u32],
         local_batch: usize,
     ) -> Result<f32, CommError> {
-        let layers = self.gpt.config().layers;
         let act_elems = local_batch * self.gpt.config().seq * self.gpt.config().hidden;
         self.clear_transients();
         let eval_plan = CommPlan::eval_pass(self.gpt.layout(), &self.zcfg, self.grid, act_elems);
-        self.plan.install(&eval_plan, self.comm.rank(), "eval-pass");
-        let p = self.fetch_unit_pf(0, Some(1))?;
-        let span = self.trace.begin(SpanCategory::Compute, "embed-fwd");
-        let mut x = self.gpt.embed(&p, ids, local_batch);
-        self.trace.end(span);
-        self.release_unit(p);
-        self.maybe_quantize(&mut x);
-        for l in 0..layers {
-            let p = self.fetch_unit_pf(1 + l, Some(2 + l))?;
-            (x, _) = self.block_fwd("block-fwd", l, &p, &x, local_batch, Dropout::OFF)?;
-            self.release_unit(p);
-        }
-        let p = self.fetch_unit_pf(1 + layers, None)?;
+        self.io.plan.install(&eval_plan, self.io.comm.rank(), "eval-pass");
+        let x = self.forward(ids, local_batch, |_| Dropout::OFF, None)?;
+        let p = self.fetch_unit(1 + self.gpt.config().layers)?;
         let span = self.trace.begin(SpanCategory::Compute, "head-loss");
         let loss = self.gpt.head_loss(&p, &x, targets, local_batch);
         self.trace.end(span);
         self.release_unit(p);
-        self.plan.assert_exhausted("end of eval");
+        self.io.plan.assert_exhausted("end of eval");
         Ok(loss)
     }
 }

@@ -51,8 +51,8 @@ pub use procworld::{
     WORKER_SPEC_ENV,
 };
 pub use plan::{
-    CommPlan, CountSpec, EffectiveCompression, EffectiveOffload, PlanCursor, PlanOp, PlanScope,
-    ResolvedOp, ResolvedTierOp, StepShape, TierDir, TierOp, WireFmt,
+    CommPlan, CountSpec, EffectiveCompression, EffectiveOffload, FetchSource, OpRole, PlanCursor,
+    PlanOp, PlanScope, ResolvedOp, ResolvedTierOp, StepShape, TierDir, TierOp, WireFmt,
 };
 pub use snapshot::{
     export_inference_shards, reshard, validate_consistent, RankSnapshot, SnapshotError,

@@ -1,19 +1,22 @@
 //! The declarative communication plan (CommPlan IR).
 //!
-//! ZeRO's §7 analysis argues about *schedules*: which collectives fire, in
-//! what order, over which groups, moving how many bytes per rank. The
-//! engine used to realize that schedule implicitly — each call site
-//! computed its own group and counts — which made the paper's 2Ψ/3Ψ
-//! claims checkable only by running training and metering traffic.
+//! ZeRO's schedule is static: which shard is gathered, reduced or spilled,
+//! when, over which group and in which wire format is fixed by stage,
+//! partition and bucket size before any step runs (§5, §7). [`CommPlan`]
+//! *is* that schedule — built from a layout + [`ZeroConfig`] + [`Grid`]
+//! alone — and this module's `Builder` is the only place a schedule
+//! decision is taken. A [`PlanOp`] carries everything the engine needs to
+//! execute it: kind, scope, counts, precision and wire format; its
+//! [`OpRole`] (which unit a fetch materializes, from which copy, and
+//! whether it goes out ahead of the previous unit's wait; which flat range
+//! a gradient bucket or CB chunk covers); and the tier movement that
+//! rides it ([`TierOp::rides`]).
 //!
-//! This module makes the schedule *first-class*: [`CommPlan`] builds, from
-//! a layout + [`ZeroConfig`] + [`Grid`] alone, the exact ordered list of
-//! collective operations one training step performs. The engine then
-//! **derives its runtime calls from the plan** through a [`PlanCursor`]:
-//! every collective call pops the next planned op, asserts kind and group,
-//! and uses the planned per-member counts as the collective's counts —
-//! the plan is the single source of truth, and any drift between schedule
-//! model and execution fails loudly at the first divergent op.
+//! The engine interprets this stream through a [`PlanCursor`]: it pops the
+//! next op, checks kind and group against what it is about to run, and
+//! reads the rest off the op. It holds no copy of the builder's state, so
+//! conformance is by construction; the cursor still fails loudly on a
+//! kind/group mismatch and on a plan left unfinished.
 //!
 //! Because the plan is pure data, `zero-verify` can *statically* prove,
 //! with zero training steps executed:
@@ -103,6 +106,41 @@ pub enum WireFmt {
     },
 }
 
+/// Where a parameter fetch reads its pieces from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FetchSource {
+    /// Each DP rank's primary shard, gathered over [`PlanScope::Dp`].
+    Primary,
+    /// hpZ: the node-local secondary copy a unit's first fetch of the step
+    /// populated, gathered over [`PlanScope::Node`].
+    Secondary,
+}
+
+/// The schedule decision a planned op carries beyond its bytes — what the
+/// engine reads off the op instead of deriving it again.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum OpRole {
+    /// A buffer the counts fully describe (activations, scalars).
+    Plain,
+    /// A collective over this range of flat parameter space: one fused
+    /// gradient bucket, or one CB chunk of an end-of-step gradient
+    /// reduction or parameter publish. The engine flushes its bucket when
+    /// the pending gradients span the next planned range, and walks chunk
+    /// loops op by op.
+    Span(Range<usize>),
+    /// The stage-3 materialization of one parameter unit.
+    Fetch {
+        /// Index of the unit in the layout.
+        unit: usize,
+        /// Which copy of the parameters seeds the gather.
+        source: FetchSource,
+        /// Issued while the previously fetched unit is still being waited
+        /// and computed on — the open prefetch window. A fetch that is
+        /// not `ahead` is issued on demand, when its unit is needed.
+        ahead: bool,
+    },
+}
+
 /// One planned collective: kind, scope, counts, accounting precision, and
 /// a stable label naming the schedule position it models.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -127,6 +165,8 @@ pub struct PlanOp {
     pub nonblocking: bool,
     /// Wire encoding (ZeRO++ compression lever, or `Raw`).
     pub wire: WireFmt,
+    /// The decision the engine reads off this op.
+    pub role: OpRole,
 }
 
 /// A [`PlanOp`] resolved for one concrete rank: explicit members and
@@ -148,44 +188,14 @@ pub struct ResolvedOp {
     pub nonblocking: bool,
     /// Wire encoding (ZeRO++ compression lever, or `Raw`).
     pub wire: WireFmt,
+    /// The decision the engine reads off this op (see [`PlanOp`]).
+    pub role: OpRole,
 }
 
 impl ResolvedOp {
     /// Total buffer elements (`Σ counts`).
     pub fn total_elems(&self) -> usize {
         self.counts.iter().sum()
-    }
-
-    /// Elements this `rank` *sends* under the ring schedule of
-    /// `zero-comm` — the exact per-rank cost the traffic counters meter.
-    ///
-    /// Ring algebra (n = group size, L = Σ counts, c = counts, i = local
-    /// index): all-gather sends every chunk except `c[(i+1) mod n]`;
-    /// reduce-scatter every chunk except `c[i]`; all-reduce is both phases
-    /// back to back. Single-member groups exchange nothing.
-    ///
-    /// # Panics
-    /// Panics if `rank` is not a member, or the kind is not one of the
-    /// ring collectives the engine plans (AllReduce/ReduceScatter/AllGather).
-    pub fn sent_elems(&self, rank: usize) -> usize {
-        let n = self.members.len();
-        if n == 1 {
-            return 0;
-        }
-        let i = self
-            .members
-            .iter()
-            .position(|&m| m == rank)
-            .unwrap_or_else(|| panic!("rank {rank} not in planned op '{}'", self.label));
-        let total = self.total_elems();
-        match self.kind {
-            CollectiveKind::AllReduce => {
-                (total - self.counts[i]) + (total - self.counts[(i + 1) % n])
-            }
-            CollectiveKind::ReduceScatter => total - self.counts[i],
-            CollectiveKind::AllGather => total - self.counts[(i + 1) % n],
-            other => panic!("plan does not model {other:?} ops"),
-        }
     }
 
     /// Messages this rank sends: `2(n−1)` for all-reduce, `n−1` for the
@@ -197,11 +207,7 @@ impl ResolvedOp {
         if n == 1 {
             return 0;
         }
-        assert!(
-            self.members.contains(&rank),
-            "rank {rank} not in planned op '{}'",
-            self.label
-        );
+        self.member_index(rank);
         if let WireFmt::QgzInt8 { node_size, .. } = self.wire {
             return (node_size - 1) + (n / node_size - 1);
         }
@@ -212,16 +218,37 @@ impl ResolvedOp {
         }
     }
 
-    /// Bytes this rank sends, wire-aware: raw ops cost
-    /// `sent_elems · precision width`; compressed ops cost exactly what
-    /// the `zero-comm` compressed collectives meter.
+    /// Bytes this rank sends — the exact per-rank cost the `zero-comm`
+    /// traffic counters meter, wire-aware.
+    ///
+    /// Raw ring algebra (n = group size, L = Σ counts, c = counts, i =
+    /// local index): all-gather sends every chunk except `c[(i+1) mod n]`;
+    /// reduce-scatter every chunk except `c[i]`; all-reduce is both phases
+    /// back to back. Single-member groups exchange nothing. Compressed ops
+    /// cost exactly what the `zero-comm` compressed collectives meter.
+    ///
+    /// # Panics
+    /// Panics if `rank` is not a member, or the kind is not one of the
+    /// ring collectives the engine plans (AllReduce/ReduceScatter/AllGather).
     pub fn sent_bytes(&self, rank: usize) -> u64 {
         let n = self.members.len();
         if n == 1 {
             return 0;
         }
+        let i = self.member_index(rank);
+        let total = self.total_elems();
         match self.wire {
-            WireFmt::Raw => self.prec.bytes() * self.sent_elems(rank) as u64,
+            WireFmt::Raw => {
+                let elems = match self.kind {
+                    CollectiveKind::AllReduce => {
+                        (total - self.counts[i]) + (total - self.counts[(i + 1) % n])
+                    }
+                    CollectiveKind::ReduceScatter => total - self.counts[i],
+                    CollectiveKind::AllGather => total - self.counts[(i + 1) % n],
+                    other => panic!("plan does not model {other:?} ops"),
+                };
+                self.prec.bytes() * elems as u64
+            }
             WireFmt::Int8Block { block } => {
                 // qwZ ring all-gather of encoded streams: forward every
                 // member's stream except the successor's own.
@@ -231,7 +258,6 @@ impl ResolvedOp {
                     "Int8Block wire only models all-gathers ('{}')",
                     self.label
                 );
-                let i = self.member_index(rank);
                 self.counts
                     .iter()
                     .enumerate()
@@ -240,32 +266,34 @@ impl ResolvedOp {
                     .sum()
             }
             WireFmt::QgzInt8 { node_size, block } => {
-                assert_eq!(
-                    self.kind,
-                    CollectiveKind::ReduceScatter,
-                    "QgzInt8 wire only models reduce-scatters ('{}')",
-                    self.label
-                );
-                let i = self.member_index(rank);
-                let (slot, node) = (i % node_size, i / node_size);
-                let nodes = n / node_size;
-                // Phase 1: raw pairwise intra-node all-to-all — to each
-                // local peer s′, the full column of chunks owned by slot
-                // s′ on any node.
-                let phase1: u64 = (0..node_size)
-                    .filter(|&s| s != slot)
-                    .map(|s| (0..nodes).map(|m| self.counts[m * node_size + s]).sum::<usize>())
-                    .sum::<usize>() as u64
-                    * self.prec.bytes();
-                // Phase 2: quantized pairwise inter-node exchange of this
-                // slot's per-node chunks.
-                let phase2: u64 = (0..nodes)
-                    .filter(|&m| m != node)
-                    .map(|m| quant_wire_bytes(self.counts[m * node_size + slot], block))
-                    .sum();
-                phase1 + phase2
+                self.qgz_sends(i, node_size, block).map(|(_, bytes)| bytes).sum()
             }
         }
+    }
+
+    /// qgZ two-phase all-to-all: every `(partner rank, bytes)` member `i`
+    /// sends. Phase 1 is the raw pairwise intra-node exchange — to each
+    /// local peer s′, the full column of chunks owned by slot s′ on any
+    /// node; phase 2 the quantized pairwise inter-node exchange of this
+    /// slot's per-node chunks.
+    fn qgz_sends(&self, i: usize, node_size: usize, block: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        assert_eq!(
+            self.kind,
+            CollectiveKind::ReduceScatter,
+            "QgzInt8 wire only models reduce-scatters ('{}')",
+            self.label
+        );
+        let (slot, node) = (i % node_size, i / node_size);
+        let nodes = self.members.len() / node_size;
+        let phase1 = (0..node_size).filter(move |&s| s != slot).map(move |s| {
+            let column: usize = (0..nodes).map(|m| self.counts[m * node_size + s]).sum();
+            (self.members[node * node_size + s], self.prec.bytes() * column as u64)
+        });
+        let phase2 = (0..nodes).filter(move |&m| m != node).map(move |m| {
+            let peer = m * node_size + slot;
+            (self.members[peer], quant_wire_bytes(self.counts[peer], block))
+        });
+        phase1.chain(phase2)
     }
 
     /// Bytes this rank pushes across the slow links of a `g`-rank-per-node
@@ -279,44 +307,16 @@ impl ResolvedOp {
         if n == 1 {
             return 0;
         }
-        let node_of = |r: usize| r / g;
+        let i = self.member_index(rank);
+        let crosses = |partner: usize| partner / g != rank / g;
         match self.wire {
-            WireFmt::QgzInt8 { node_size, block } => {
-                let i = self.member_index(rank);
-                let (slot, node) = (i % node_size, i / node_size);
-                let nodes = n / node_size;
-                let mut inter = 0u64;
-                for s in 0..node_size {
-                    if s == slot {
-                        continue;
-                    }
-                    let partner = self.members[node * node_size + s];
-                    if node_of(partner) != node_of(rank) {
-                        let col: usize =
-                            (0..nodes).map(|m| self.counts[m * node_size + s]).sum();
-                        inter += self.prec.bytes() * col as u64;
-                    }
-                }
-                for m in 0..nodes {
-                    if m == node {
-                        continue;
-                    }
-                    let partner = self.members[m * node_size + slot];
-                    if node_of(partner) != node_of(rank) {
-                        inter += quant_wire_bytes(self.counts[m * node_size + slot], block);
-                    }
-                }
-                inter
-            }
-            _ => {
-                let i = self.member_index(rank);
-                let succ = self.members[(i + 1) % n];
-                if node_of(succ) != node_of(rank) {
-                    self.sent_bytes(rank)
-                } else {
-                    0
-                }
-            }
+            WireFmt::QgzInt8 { node_size, block } => self
+                .qgz_sends(i, node_size, block)
+                .filter(|&(partner, _)| crosses(partner))
+                .map(|(_, bytes)| bytes)
+                .sum(),
+            _ if crosses(self.members[(i + 1) % n]) => self.sent_bytes(rank),
+            _ => 0,
         }
     }
 
@@ -341,9 +341,9 @@ pub enum TierDir {
 /// alongside the collective ops: each records *where* in the collective
 /// stream it is issued (`issue_pos`) and where its result is first needed
 /// (`demand_pos`), so the `offload` verify pass can prove the prefetch
-/// window statically — `issue_pos ≤ demand_pos` — and the runtime cursor
-/// can assert the engine issues each movement at exactly the planned
-/// anchor.
+/// window statically — `issue_pos ≤ demand_pos` — and which collective it
+/// rides (`rides`), which is how the runtime cursor hands it to the
+/// engine: together with that op.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TierOp {
     /// Movement direction.
@@ -359,6 +359,11 @@ pub struct TierOp {
     pub issue_pos: usize,
     /// Number of collective ops issued before the engine blocks on it.
     pub demand_pos: usize,
+    /// Index of the collective this movement rides: a fetch seeds that
+    /// all-gather and goes onto the FIFO right before it; a spill carries
+    /// that reduce-scatter's result and leaves once it has been waited.
+    /// `None` for a movement tied to no collective, issued at `issue_pos`.
+    pub rides: Option<usize>,
 }
 
 /// A [`TierOp`] resolved for one concrete rank.
@@ -399,55 +404,11 @@ pub struct CommPlan {
     tier: Vec<TierOp>,
 }
 
-/// Mirrors [`GradBucket`](crate::bucket::GradBucket)'s flush decisions
-/// arithmetically (spans only, no data): push descending-contiguous
-/// ranges, flush the fused span when pending reaches capacity. The
-/// trace-conformance tests pin this mirror to the real bucket.
-struct BucketMirror {
-    capacity: usize,
-    pending: usize,
-    start: usize,
-    end: usize,
-    has: bool,
-}
-
-impl BucketMirror {
-    fn new(capacity: usize) -> BucketMirror {
-        assert!(capacity > 0, "bucket capacity must be positive");
-        BucketMirror { capacity, pending: 0, start: 0, end: 0, has: false }
-    }
-
-    fn take(&mut self) -> Range<usize> {
-        let r = self.start..self.end;
-        self.has = false;
-        self.pending = 0;
-        r
-    }
-
-    /// Pushes one unit's span; returns the fused range if this push
-    /// reached capacity (same trigger as `GradBucket::push`).
-    fn push(&mut self, r: &Range<usize>) -> Option<Range<usize>> {
-        if self.has {
-            assert_eq!(r.end, self.start, "plan bucket: spans must be descending-contiguous");
-        } else {
-            self.end = r.end;
-            self.has = true;
-        }
-        self.start = r.start;
-        self.pending += r.len();
-        (self.pending >= self.capacity).then(|| self.take())
-    }
-
-    /// Drains the remainder (end of backward), if any.
-    fn flush(&mut self) -> Option<Range<usize>> {
-        self.has.then(|| self.take())
-    }
-}
-
 /// Which ZeRO++ levers are actually in effect for a stage/grid — the
 /// config flags gated by the stage that owns the collective each lever
-/// compresses. Shared verbatim by the plan [`Builder`] and the engine so
-/// the two cannot disagree about when a compressed op appears.
+/// compresses. The plan [`Builder`] turns these into per-op wire formats
+/// and fetch sources; the engine only sizes the hpZ secondary store from
+/// them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EffectiveCompression {
     /// Quantized weight all-gather (stage-3 parameter fetches only).
@@ -505,8 +466,9 @@ impl EffectiveCompression {
 /// Which state classes actually cross the memory tier for a stage — the
 /// tier flag gated by the stage that owns each class (§3's taxonomy:
 /// optimizer states partition at stage ≥ 1, gradients at stage ≥ 2,
-/// parameters at stage 3). Shared verbatim by the plan [`Builder`] and
-/// the engine so the two cannot disagree about which tier ops appear.
+/// parameters at stage 3). The plan [`Builder`] turns these into tier ops
+/// riding their collectives; the engine only prices memory residency
+/// (host vs device) from them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EffectiveOffload {
     /// Master params + Adam moments live in the host tier; the optimizer
@@ -554,13 +516,12 @@ impl EffectiveOffload {
 
 /// Internal builder state shared by the plan constructors.
 struct Builder {
+    zcfg: ZeroConfig,
+    /// Flat range of every unit: embed, blocks…, head.
+    units: Vec<Range<usize>>,
     ops: Vec<PlanOp>,
     part: Partitioner,
     prec: Precision,
-    /// Overlap-centric execution: fetches and bucket reduce-scatters are
-    /// issued non-blocking, and stage-3 fetch ops appear in prefetch
-    /// *issue* order (one unit ahead of use).
-    overlap: bool,
     /// Effective ZeRO++ levers for this stage/grid.
     comp: EffectiveCompression,
     /// hpZ secondary partition: the flat space over the G ranks of a node.
@@ -568,43 +529,56 @@ struct Builder {
     /// hpZ: units whose secondary copy is populated at this point of the
     /// step — their re-fetches resolve intra-node. Parameters only change
     /// at the optimizer step, so one global gather per unit per step
-    /// suffices; the engine mirrors this first-touch rule exactly.
+    /// suffices.
     stashed: Vec<bool>,
+    /// The double-buffered prefetch slot: the unit whose gather was issued
+    /// ahead of use, with the index into `tier` of the fetch seeding it
+    /// (whose demand position is stamped when the unit is consumed).
+    slot: Option<(usize, Option<usize>)>,
     /// Effective tier-offload levers for this stage/grid.
     off: EffectiveOffload,
     /// The tier-movement stream being built alongside `ops`.
     tier: Vec<TierOp>,
-    /// Index into `tier` of each unit's in-flight prefetch param fetch,
-    /// until [`Builder::demand_unit`] stamps its demand position.
-    unit_tier_idx: Vec<Option<usize>>,
-    /// Overlap mode: gradient spills recorded at their reduce-scatter but
-    /// issued at the end-of-micro drain (the engine submits a spill only
-    /// once the bucket's reduce-scatter has completed on the FIFO).
-    pending_spills: Vec<Vec<usize>>,
+    /// The gradient bucket (§5.2 bucketization, §6.2 CB): the flat range
+    /// of the gradients backward has produced since the last flush. Unit
+    /// spans arrive descending and contiguous, and the fused range is cut
+    /// whenever it reaches `bucket_elems`, so a fused buffer never exceeds
+    /// that plus one unit. This is the only flush trigger in the system;
+    /// the engine's [`GradBucket`](crate::bucket::GradBucket) fuses
+    /// whatever range the planned reduce-scatter names.
+    bucket: Option<Range<usize>>,
+    /// Overlap mode: gradient spills (counts, reduce-scatter index)
+    /// recorded at their reduce-scatter but issued at the end-of-micro
+    /// drain — a spill can only leave once the bucket's reduce-scatter
+    /// has been waited, and overlap waits them all there.
+    pending_spills: Vec<(Vec<usize>, usize)>,
 }
 
 impl Builder {
     fn new(layout: &Layout, zcfg: &ZeroConfig, grid: Grid) -> Builder {
         let comp = EffectiveCompression::resolve(zcfg, grid);
+        assert!(zcfg.bucket_elems > 0, "bucket capacity must be positive");
         Builder {
+            zcfg: *zcfg,
+            units: layout.units().iter().map(|u| u.range.clone()).collect(),
             ops: Vec::new(),
             part: Partitioner::new(layout.total_params(), grid.dp_degree()),
             prec: if zcfg.fp16 { Precision::Fp16 } else { Precision::Fp32 },
-            overlap: zcfg.overlap,
             comp,
             sec_part: Partitioner::new(layout.total_params(), comp.node_size.max(1)),
             stashed: vec![false; layout.units().len()],
+            slot: None,
+            bucket: None,
             off: EffectiveOffload::resolve(zcfg, grid),
             tier: Vec::new(),
-            unit_tier_idx: vec![None; layout.units().len()],
             pending_spills: Vec::new(),
         }
     }
 
-    /// Pushes a tier movement anchored at the current op position. Sync
-    /// call sites both issue and block here (`demand = issue`); prefetch
-    /// fetches get their demand stamped later by [`Builder::demand_unit`].
-    fn tier_op(&mut self, dir: TierDir, label: &'static str, counts: Vec<usize>) -> usize {
+    /// Pushes a tier movement anchored at the current op position, issued
+    /// and blocked on here (`demand = issue`) unless [`Builder::fetch`]
+    /// later stamps an open window. Returns its index in the tier stream.
+    fn tier_op(&mut self, dir: TierDir, label: &'static str, counts: Vec<usize>, rides: Option<usize>) -> usize {
         let pos = self.ops.len();
         self.tier.push(TierOp {
             dir,
@@ -613,87 +587,96 @@ impl Builder {
             elem_bytes: self.prec.bytes(),
             issue_pos: pos,
             demand_pos: pos,
+            rides,
         });
         self.tier.len() - 1
     }
 
-    /// Marks the point where the engine blocks on unit `u`'s prefetched
-    /// tier fetch (the `fetch_unit_pf` wait). No-op unless a prefetch
-    /// fetch for `u` is outstanding.
-    fn demand_unit(&mut self, u: usize) {
-        if let Some(idx) = self.unit_tier_idx[u].take() {
+    fn op(&mut self, kind: CollectiveKind, scope: PlanScope, counts: CountSpec, prec: Precision, label: &'static str, role: OpRole) {
+        self.ops.push(PlanOp { kind, scope, counts, prec, label, nonblocking: false, wire: WireFmt::Raw, role });
+    }
+
+    /// Pushes an op the engine leaves in flight when overlap is on — a
+    /// parameter fetch or a bucket reduce-scatter (volumes and issue order
+    /// are identical either way; the engine settles a blocking one at
+    /// once).
+    fn op_nb(&mut self, kind: CollectiveKind, scope: PlanScope, counts: Vec<usize>, label: &'static str, wire: WireFmt, role: OpRole) {
+        let (counts, prec, nonblocking) = (CountSpec::Explicit(counts), self.prec, self.zcfg.overlap);
+        self.ops.push(PlanOp { kind, scope, counts, prec, label, nonblocking, wire, role });
+    }
+
+    /// Issues unit `u`'s parameter all-gather (§5.3): the flat-space
+    /// intersections from every DP shard. Under hpZ the *first* fetch of a
+    /// unit in the step is the global gather (qwZ wire if enabled) that
+    /// also populates the node-local secondary copy; every later fetch of
+    /// the same unit resolves inside the node. Returns the index of the
+    /// tier fetch seeding the gather, if the shard lives in the host tier.
+    fn issue_fetch(&mut self, u: usize, ahead: bool) -> Option<usize> {
+        let unit = self.units[u].clone();
+        // The local shard piece of the unit climbs host → device right
+        // before it seeds the all-gather (the FIFO serializes the two,
+        // so both hide behind compute together under overlap).
+        let seed = self.off.params.then(|| {
+            let counts = self.part.intersect_counts(&unit);
+            self.tier_op(TierDir::Fetch, "tier-param-fetch", counts, Some(self.ops.len()))
+        });
+        let (scope, counts, wire, source) = if self.comp.hpz && self.stashed[u] {
+            let node = PlanScope::Node { g: self.comp.node_size };
+            (node, self.sec_part.intersect_counts(&unit), WireFmt::Raw, FetchSource::Secondary)
+        } else {
+            self.stashed[u] = true;
+            let wire = if self.comp.qwz {
+                WireFmt::Int8Block { block: self.comp.block }
+            } else {
+                WireFmt::Raw
+            };
+            (PlanScope::Dp, self.part.intersect_counts(&unit), wire, FetchSource::Primary)
+        };
+        let role = OpRole::Fetch { unit: u, source, ahead };
+        self.op_nb(CollectiveKind::AllGather, scope, counts, "fetch-unit", wire, role);
+        seed
+    }
+
+    /// Stage-3 materialization of unit `u` at the point the engine
+    /// computes on it. `u`'s gather comes out of the prefetch slot, or is
+    /// issued now on demand; with overlap, `next`'s gather is then issued
+    /// into the slot *before* `u`'s is waited, so the next unit's
+    /// communication rides under this unit's compute — the
+    /// double-buffered one-ahead window. Without overlap the slot stays
+    /// empty and every fetch is on demand.
+    fn fetch(&mut self, u: usize, next: Option<usize>) {
+        if !self.zcfg.stage.partitions_params() {
+            return;
+        }
+        let seed = match self.slot.take() {
+            Some((unit, seed)) => {
+                assert_eq!(unit, u, "plan builder: prefetch slot holds a different unit");
+                seed
+            }
+            None => self.issue_fetch(u, false),
+        };
+        if !self.zcfg.overlap {
+            return;
+        }
+        if let Some(v) = next {
+            self.slot = Some((v, self.issue_fetch(v, true)));
+        }
+        // The engine blocks on `u` here: its tier fetch's window closes.
+        if let Some(idx) = seed {
             self.tier[idx].demand_pos = self.ops.len();
         }
     }
 
-    /// Flushes overlap-mode gradient spills at the end-of-micro drain:
-    /// the engine waits each bucket's reduce-scatter there, accumulates,
-    /// and only then submits the spill of the reduced piece.
-    fn drain_spills(&mut self) {
-        let pending = std::mem::take(&mut self.pending_spills);
-        for counts in pending {
-            self.tier_op(TierDir::Spill, "tier-grad-spill", counts);
-        }
+    /// An MP-group collective over one block activation buffer.
+    fn mp_op(&mut self, kind: CollectiveKind, act_elems: usize, label: &'static str) {
+        let counts = CountSpec::Even { total: act_elems };
+        self.op(kind, PlanScope::Mp, counts, self.prec, label, OpRole::Plain);
     }
 
-    fn op(&mut self, kind: CollectiveKind, scope: PlanScope, counts: CountSpec, prec: Precision, label: &'static str) {
-        self.ops.push(PlanOp { kind, scope, counts, prec, label, nonblocking: false, wire: WireFmt::Raw });
-    }
-
-    /// Pushes an op the engine issues through a non-blocking handle when
-    /// overlap is on (the marker is informative: volumes and issue order
-    /// are identical either way).
-    fn op_nb(&mut self, kind: CollectiveKind, scope: PlanScope, counts: CountSpec, prec: Precision, label: &'static str, wire: WireFmt) {
-        let nonblocking = self.overlap;
-        self.ops.push(PlanOp { kind, scope, counts, prec, label, nonblocking, wire });
-    }
-
-    /// Stage-3 parameter materialization of unit `u` (§5.3): all-gather
-    /// the flat-space intersections from every DP shard. Under hpZ the
-    /// *first* fetch of a unit in the step is the global gather (qwZ wire
-    /// if enabled) that also populates the node-local secondary copy;
-    /// every later fetch of the same unit resolves inside the node.
-    fn fetch_unit(&mut self, zcfg: &ZeroConfig, unit: &Range<usize>, u: usize) {
-        if !zcfg.stage.partitions_params() {
-            return;
-        }
-        if self.off.params {
-            // The local shard piece of the unit climbs host → device right
-            // before it seeds the all-gather (the FIFO serializes the two,
-            // so both hide behind compute together under overlap).
-            let counts = self.part.intersect_counts(unit);
-            let idx = self.tier_op(TierDir::Fetch, "tier-param-fetch", counts);
-            if self.prefetches(zcfg) {
-                self.unit_tier_idx[u] = Some(idx);
-            }
-        }
-        if self.comp.hpz && self.stashed[u] {
-            let counts = self.sec_part.intersect_counts(unit);
-            self.op_nb(
-                CollectiveKind::AllGather,
-                PlanScope::Node { g: self.comp.node_size },
-                CountSpec::Explicit(counts),
-                self.prec,
-                "fetch-unit",
-                WireFmt::Raw,
-            );
-            return;
-        }
-        self.stashed[u] = true;
-        let wire = if self.comp.qwz {
-            WireFmt::Int8Block { block: self.comp.block }
-        } else {
-            WireFmt::Raw
-        };
-        let counts = self.part.intersect_counts(unit);
-        self.op_nb(
-            CollectiveKind::AllGather,
-            PlanScope::Dp,
-            CountSpec::Explicit(counts),
-            self.prec,
-            "fetch-unit",
-            wire,
-        );
+    /// A one-element fp32 all-reduce: the overflow flag, the grad norm.
+    fn scalar_all_reduce(&mut self, scope: PlanScope, label: &'static str) {
+        let one = CountSpec::Even { total: 1 };
+        self.op(CollectiveKind::AllReduce, scope, one, Precision::Fp32, label, OpRole::Plain);
     }
 
     /// One block pass's Megatron hooks: two MP all-reduces of the
@@ -701,113 +684,79 @@ impl Builder {
     /// more per recomputed block).
     fn mp_block_pass(&mut self, act_elems: usize) {
         for _ in 0..2 {
-            self.op(
-                CollectiveKind::AllReduce,
-                PlanScope::Mp,
-                CountSpec::Even { total: act_elems },
-                self.prec,
-                "mp-block-allreduce",
-            );
+            self.mp_op(CollectiveKind::AllReduce, act_elems, "mp-block-allreduce");
         }
     }
 
-    /// P_a checkpoint re-materialization: all-gather the 1/N_m slices
-    /// across the MP group (§6.1).
-    fn ckpt_gather(&mut self, act_elems: usize) {
-        self.op(
-            CollectiveKind::AllGather,
-            PlanScope::Mp,
-            CountSpec::Even { total: act_elems },
-            self.prec,
-            "ckpt-gather",
-        );
-    }
-
-    /// Stages 2/3 gradient dispatch: bucket the unit's span, emit one
-    /// reduce-scatter per flush (§5.2 bucketization).
-    fn dispatch_grads(&mut self, zcfg: &ZeroConfig, unit: &Range<usize>, bucket: &mut BucketMirror) {
-        if !zcfg.stage.partitions_grads() {
+    /// Stages 2/3 gradient dispatch: add unit `u`'s span to the bucket and
+    /// emit one reduce-scatter when it reaches capacity.
+    fn dispatch_grads(&mut self, u: usize) {
+        if !self.zcfg.stage.partitions_grads() {
             return;
         }
-        if let Some(r) = bucket.push(unit) {
-            self.grad_flush(&r);
+        let unit = &self.units[u];
+        let end = self.bucket.take().map_or(unit.end, |pending| {
+            assert_eq!(unit.end, pending.start, "plan bucket: spans must be descending-contiguous");
+            pending.end
+        });
+        let fused = unit.start..end;
+        if fused.len() >= self.zcfg.bucket_elems {
+            self.grad_flush(fused);
+        } else {
+            self.bucket = Some(fused);
         }
     }
 
-    fn grad_flush(&mut self, fused: &Range<usize>) {
-        let counts = self.part.intersect_counts(fused);
+    fn grad_flush(&mut self, fused: Range<usize>) {
+        let counts = self.part.intersect_counts(&fused);
         let wire = if self.comp.qgz {
             WireFmt::QgzInt8 { node_size: self.comp.node_size, block: self.comp.block }
         } else {
             WireFmt::Raw
         };
-        self.op_nb(
-            CollectiveKind::ReduceScatter,
-            PlanScope::Dp,
-            CountSpec::Explicit(counts),
-            self.prec,
-            "grad-bucket",
-            wire,
-        );
+        let rs = self.ops.len();
+        let kind = CollectiveKind::ReduceScatter;
+        self.op_nb(kind, PlanScope::Dp, counts.clone(), "grad-bucket", wire, OpRole::Span(fused));
         if self.off.grads {
             // Each rank spills its reduced piece of the bucket to the host
             // optimizer. The spill can only leave once the reduce-scatter
             // has produced it: sync mode spills right here, overlap mode
             // at the end-of-micro drain (where the engine first waits the
             // bucket's reduce-scatter).
-            let counts = self.part.intersect_counts(fused);
-            if self.overlap {
-                self.pending_spills.push(counts);
+            if self.zcfg.overlap {
+                self.pending_spills.push((counts, rs));
             } else {
-                self.tier_op(TierDir::Spill, "tier-grad-spill", counts);
+                self.tier_op(TierDir::Spill, "tier-grad-spill", counts, Some(rs));
             }
         }
     }
 
-    /// True when the plan must list stage-3 fetches in prefetch *issue*
-    /// order (the engine pops a plan op when it hands the all-gather to
-    /// the progress thread, one unit ahead of use).
-    fn prefetches(&self, zcfg: &ZeroConfig) -> bool {
-        self.overlap && zcfg.stage.partitions_params()
+    /// The forward walk of one pass: embed, blocks (two MP all-reduces
+    /// each), head. Each fetch names the unit after it for the prefetch
+    /// window; `head_next` is what the head's fetch chains into (a
+    /// training pass's first backward refetch; nothing for evaluation).
+    fn forward(&mut self, act_elems: usize, head_next: Option<usize>) {
+        let layers = self.units.len() - 2;
+        self.fetch(0, Some(1));
+        for l in 0..layers {
+            // `2 + l` is the next block — or the head after the last one.
+            self.fetch(1 + l, Some(2 + l));
+            self.mp_block_pass(act_elems);
+        }
+        self.fetch(1 + layers, head_next);
     }
 
-    /// One micro-batch's forward + backward comm, mirroring
-    /// `RankEngine::accumulate_micro` op for op.
-    fn micro(&mut self, layout: &Layout, zcfg: &ZeroConfig, act_elems: usize) {
-        let units: Vec<Range<usize>> = layout.units().iter().map(|u| u.range.clone()).collect();
-        let layers = units.len() - 2;
-        let mut bucket = BucketMirror::new(zcfg.bucket_elems);
-        let pf = self.prefetches(zcfg);
+    /// One micro-batch's forward + backward comm.
+    fn micro(&mut self, act_elems: usize) {
+        let zcfg = self.zcfg;
+        let layers = self.units.len() - 2;
 
-        // Forward: embed, blocks (two MP all-reduces each), head. Under
-        // prefetch the first call issues units 0 and 1 back to back, and
-        // each block's call issues the *next* unit before its own MP ops
-        // (the double-buffered one-ahead window).
-        if pf {
-            self.fetch_unit(zcfg, &units[0], 0);
-            self.fetch_unit(zcfg, &units[1], 1);
-            self.demand_unit(0);
-            for l in 0..layers {
-                self.fetch_unit(zcfg, &units[2 + l], 2 + l);
-                self.demand_unit(1 + l);
-                self.mp_block_pass(act_elems);
-            }
-            // The head's call chains the prefetch into backward's first
-            // refetch (non-checkpointed mode refetches block params).
-            if !zcfg.checkpoint_activations && layers > 0 {
-                self.fetch_unit(zcfg, &units[layers], layers);
-            }
-            self.demand_unit(1 + layers);
-        } else {
-            self.fetch_unit(zcfg, &units[0], 0);
-            for l in 0..layers {
-                self.fetch_unit(zcfg, &units[1 + l], 1 + l);
-                self.mp_block_pass(act_elems);
-            }
-            self.fetch_unit(zcfg, &units[1 + layers], 1 + layers);
-        }
+        // Without checkpointing backward refetches block params, last
+        // block first, and the head's fetch opens that chain; checkpointed
+        // segments restart the chain at each recompute.
+        self.forward(act_elems, (!zcfg.checkpoint_activations && layers > 0).then_some(layers));
         // Head forward+backward births the first gradients.
-        self.dispatch_grads(zcfg, &units[1 + layers], &mut bucket);
+        self.dispatch_grads(1 + layers);
 
         // Backward through blocks.
         if zcfg.checkpoint_activations {
@@ -816,140 +765,98 @@ impl Builder {
             while seg_end > 0 {
                 let seg_start = ((seg_end - 1) / interval) * interval;
                 if zcfg.partition_activations {
-                    self.ckpt_gather(act_elems);
+                    // P_a checkpoint re-materialization: all-gather the
+                    // 1/N_m slices across the MP group (§6.1).
+                    self.mp_op(CollectiveKind::AllGather, act_elems, "ckpt-gather");
                 }
                 // Recompute the segment forward (block params are fetched
-                // again; each recomputed block fires its two MP hooks)…
-                // Under prefetch the chain restarts per segment: the first
-                // block issues itself and its successor, later blocks issue
-                // one ahead, the last issues nothing.
+                // again, one ahead within the segment; each recomputed
+                // block fires its two MP hooks)…
                 for l in seg_start..seg_end {
-                    if pf {
-                        if l == seg_start {
-                            self.fetch_unit(zcfg, &units[1 + l], 1 + l);
-                        }
-                        if l + 1 < seg_end {
-                            self.fetch_unit(zcfg, &units[2 + l], 2 + l);
-                        }
-                        self.demand_unit(1 + l);
-                    } else {
-                        self.fetch_unit(zcfg, &units[1 + l], 1 + l);
-                    }
+                    self.fetch(1 + l, (l + 1 < seg_end).then(|| 2 + l));
                     self.mp_block_pass(act_elems);
                 }
                 // …then walk it backward (two MP hooks per block, grads
                 // dispatched head-to-embed).
                 for l in (seg_start..seg_end).rev() {
                     self.mp_block_pass(act_elems);
-                    self.dispatch_grads(zcfg, &units[1 + l], &mut bucket);
+                    self.dispatch_grads(1 + l);
                 }
                 seg_end = seg_start;
             }
         } else {
             for l in (0..layers).rev() {
-                if pf {
-                    // Block `layers-1` was issued by the head's call; each
-                    // block issues its predecessor one ahead.
-                    if l > 0 {
-                        self.fetch_unit(zcfg, &units[l], l);
-                    }
-                    self.demand_unit(1 + l);
-                } else {
-                    self.fetch_unit(zcfg, &units[1 + l], 1 + l);
-                }
+                // Unit `l` is block `l - 1`, this block's predecessor.
+                self.fetch(1 + l, (l > 0).then_some(l));
                 self.mp_block_pass(act_elems);
-                self.dispatch_grads(zcfg, &units[1 + l], &mut bucket);
+                self.dispatch_grads(1 + l);
             }
         }
 
         // Embedding backward, then drain the bucket for the next micro.
-        self.dispatch_grads(zcfg, &units[0], &mut bucket);
-        if let Some(r) = bucket.flush() {
-            self.grad_flush(&r);
+        self.dispatch_grads(0);
+        if let Some(rest) = self.bucket.take() {
+            self.grad_flush(rest);
         }
-        self.drain_spills();
+        // The end-of-micro drain: every reduce-scatter still in flight is
+        // waited and its reduced piece spilled.
+        for (counts, rs) in std::mem::take(&mut self.pending_spills) {
+            self.tier_op(TierDir::Spill, "tier-grad-spill", counts, Some(rs));
+        }
     }
 
-    /// End-of-step gradient reduction for the non-bucketed stages,
-    /// chunked through CB-sized buffers (mirrors `reduce_full_grads`).
-    fn grad_reduce(&mut self, zcfg: &ZeroConfig) {
-        if zcfg.stage.partitions_grads() {
+    /// Flat parameter space in constant-size (CB, §6.2) chunks — the
+    /// staging granularity of every end-of-step flat-space collective.
+    fn chunks(&self) -> impl Iterator<Item = Range<usize>> {
+        let (psi, step) = (self.part.total(), self.zcfg.bucket_elems);
+        (0..psi).step_by(step).map(move |start| start..(start + step).min(psi))
+    }
+
+    /// End-of-step gradient reduction for the non-bucketed stages, chunk
+    /// by chunk: DDP all-reduces (flat or two-level), stage 1
+    /// reduce-scatters each chunk to its shard owners.
+    fn grad_reduce(&mut self) {
+        if self.zcfg.stage.partitions_grads() {
             return;
         }
-        let psi = self.part.total();
-        let step = zcfg.bucket_elems;
-        let mut cursor = 0;
-        while cursor < psi {
-            let end = (cursor + step).min(psi);
-            let chunk = cursor..end;
-            match zcfg.stage {
-                ZeroStage::Ddp => match zcfg.node_size {
-                    Some(g) => {
-                        // Two-level all-reduce: node reduce-scatter,
-                        // cross-node all-reduce of the owned chunk, node
-                        // all-gather.
-                        self.op(
-                            CollectiveKind::ReduceScatter,
-                            PlanScope::Node { g },
-                            CountSpec::Even { total: chunk.len() },
-                            self.prec,
-                            "hier-node-rs",
-                        );
-                        self.op(
-                            CollectiveKind::AllReduce,
-                            PlanScope::Cross { g },
-                            CountSpec::NodeChunk { total: chunk.len() },
-                            self.prec,
-                            "hier-cross-ar",
-                        );
-                        self.op(
-                            CollectiveKind::AllGather,
-                            PlanScope::Node { g },
-                            CountSpec::Even { total: chunk.len() },
-                            self.prec,
-                            "hier-node-ag",
-                        );
-                    }
-                    None => self.op(
-                        CollectiveKind::AllReduce,
-                        PlanScope::Dp,
-                        CountSpec::Even { total: chunk.len() },
-                        self.prec,
-                        "grad-allreduce",
-                    ),
-                },
-                ZeroStage::One => {
-                    let counts = self.part.intersect_counts(&chunk);
-                    self.op(
-                        CollectiveKind::ReduceScatter,
-                        PlanScope::Dp,
-                        CountSpec::Explicit(counts),
-                        self.prec,
-                        "grad-reduce-scatter",
-                    );
+        use CollectiveKind::{AllGather, AllReduce, ReduceScatter};
+        for chunk in self.chunks() {
+            let total = chunk.len();
+            let ops = match (self.zcfg.stage, self.zcfg.node_size) {
+                // Two-level all-reduce: node reduce-scatter, cross-node
+                // all-reduce of the owned chunk, node all-gather.
+                (ZeroStage::Ddp, Some(g)) => vec![
+                    (ReduceScatter, PlanScope::Node { g }, CountSpec::Even { total }, "hier-node-rs"),
+                    (AllReduce, PlanScope::Cross { g }, CountSpec::NodeChunk { total }, "hier-cross-ar"),
+                    (AllGather, PlanScope::Node { g }, CountSpec::Even { total }, "hier-node-ag"),
+                ],
+                (ZeroStage::Ddp, None) => {
+                    vec![(AllReduce, PlanScope::Dp, CountSpec::Even { total }, "grad-allreduce")]
+                }
+                (ZeroStage::One, _) => {
+                    let counts = CountSpec::Explicit(self.part.intersect_counts(&chunk));
+                    vec![(ReduceScatter, PlanScope::Dp, counts, "grad-reduce-scatter")]
                 }
                 _ => unreachable!("stages 2/3 reduce through the bucket"),
+            };
+            for (kind, scope, counts, label) in ops {
+                self.op(kind, scope, counts, self.prec, label, OpRole::Span(chunk.clone()));
             }
-            cursor = end;
         }
     }
 
     /// Stage 1/2 parameter publish: all-gather updated shards chunk by
-    /// chunk (mirrors `publish_params`).
-    fn publish(&mut self, zcfg: &ZeroConfig) {
-        if !matches!(zcfg.stage, ZeroStage::One | ZeroStage::Two) {
+    /// chunk.
+    fn publish(&mut self) {
+        if !matches!(self.zcfg.stage, ZeroStage::One | ZeroStage::Two) {
             return;
         }
-        let psi = self.part.total();
-        let step = zcfg.bucket_elems;
-        let mut cursor = 0;
-        while cursor < psi {
-            let end = (cursor + step).min(psi);
-            let counts = self.part.intersect_counts(&(cursor..end));
+        for chunk in self.chunks() {
+            let counts = self.part.intersect_counts(&chunk);
             if self.off.opt_state {
                 // The host optimizer's freshly updated fp16 shard piece
                 // climbs host → device to seed the publish all-gather.
-                self.tier_op(TierDir::Fetch, "tier-publish-fetch", counts.clone());
+                self.tier_op(TierDir::Fetch, "tier-publish-fetch", counts.clone(), Some(self.ops.len()));
             }
             self.op(
                 CollectiveKind::AllGather,
@@ -957,19 +864,16 @@ impl Builder {
                 CountSpec::Explicit(counts),
                 self.prec,
                 "publish-params",
+                OpRole::Span(chunk),
             );
-            cursor = end;
         }
     }
 
-    /// Seals the builder into a plan, checking the tier mirror is
-    /// balanced: every prefetch fetch got a demand stamp and every
-    /// overlap spill was drained.
+    /// Seals the builder into a plan, checking the walk left nothing
+    /// half-scheduled: the prefetch slot was consumed and every overlap
+    /// spill was drained.
     fn finish(self, grid: Grid) -> CommPlan {
-        debug_assert!(
-            self.unit_tier_idx.iter().all(Option::is_none),
-            "plan builder: a prefetched tier fetch was never demanded"
-        );
+        debug_assert!(self.slot.is_none(), "plan builder: a prefetched unit was never consumed");
         debug_assert!(
             self.pending_spills.is_empty(),
             "plan builder: pending tier spills were never drained"
@@ -993,16 +897,10 @@ impl CommPlan {
         assert!(micro_batches > 0, "need at least one micro-batch");
         let mut b = Builder::new(layout, zcfg, grid);
         for _ in 0..micro_batches {
-            b.micro(layout, zcfg, act_elems);
+            b.micro(act_elems);
         }
-        b.grad_reduce(zcfg);
-        b.op(
-            CollectiveKind::AllReduce,
-            PlanScope::World,
-            CountSpec::Even { total: 1 },
-            Precision::Fp32,
-            "overflow-flag",
-        );
+        b.grad_reduce();
+        b.scalar_all_reduce(PlanScope::World, "overflow-flag");
         b.finish(grid)
     }
 
@@ -1016,9 +914,9 @@ impl CommPlan {
                 // Stage 1: gradients were reduced into the full device
                 // buffer; the optimizer's shard piece spills to the host
                 // before the update (stages 2–3 spilled bucket by bucket
-                // during accumulation).
+                // during accumulation). It rides no collective.
                 let counts = b.part.counts().to_vec();
-                b.tier_op(TierDir::Spill, "tier-grad-spill", counts);
+                b.tier_op(TierDir::Spill, "tier-grad-spill", counts, None);
             }
             if zcfg.clip_grad_norm.is_some() {
                 let scope = if zcfg.stage.partitions_optimizer() {
@@ -1029,15 +927,9 @@ impl CommPlan {
                     // contributions remain to be summed.
                     PlanScope::Mp
                 };
-                b.op(
-                    CollectiveKind::AllReduce,
-                    scope,
-                    CountSpec::Even { total: 1 },
-                    Precision::Fp32,
-                    "grad-norm",
-                );
+                b.scalar_all_reduce(scope, "grad-norm");
             }
-            b.publish(zcfg);
+            b.publish();
         }
         b.finish(grid)
     }
@@ -1052,43 +944,24 @@ impl CommPlan {
         plan.tier.extend(suffix.tier.into_iter().map(|mut t| {
             t.issue_pos += base;
             t.demand_pos += base;
+            t.rides = t.rides.map(|i| i + base);
             t
         }));
         plan
     }
 
-    /// A forward-only evaluation pass (mirrors `try_eval_loss`).
+    /// A forward-only evaluation pass: the forward walk of a micro-batch,
+    /// with nothing for the head's fetch to chain into.
     pub fn eval_pass(layout: &Layout, zcfg: &ZeroConfig, grid: Grid, act_elems: usize) -> CommPlan {
         let mut b = Builder::new(layout, zcfg, grid);
-        let units: Vec<Range<usize>> = layout.units().iter().map(|u| u.range.clone()).collect();
-        let layers = units.len() - 2;
-        if b.prefetches(zcfg) {
-            // Same one-ahead issue order as the forward pass of `micro`;
-            // the head's call has nothing left to chain into.
-            b.fetch_unit(zcfg, &units[0], 0);
-            b.fetch_unit(zcfg, &units[1], 1);
-            b.demand_unit(0);
-            for l in 0..layers {
-                b.fetch_unit(zcfg, &units[2 + l], 2 + l);
-                b.demand_unit(1 + l);
-                b.mp_block_pass(act_elems);
-            }
-            b.demand_unit(1 + layers);
-        } else {
-            b.fetch_unit(zcfg, &units[0], 0);
-            for l in 0..layers {
-                b.fetch_unit(zcfg, &units[1 + l], 1 + l);
-                b.mp_block_pass(act_elems);
-            }
-            b.fetch_unit(zcfg, &units[1 + layers], 1 + layers);
-        }
+        b.forward(act_elems, None);
         b.finish(grid)
     }
 
     /// The standalone parameter re-publish a snapshot restore performs.
     pub fn publish_refresh(layout: &Layout, zcfg: &ZeroConfig, grid: Grid) -> CommPlan {
         let mut b = Builder::new(layout, zcfg, grid);
-        b.publish(zcfg);
+        b.publish();
         b.finish(grid)
     }
 
@@ -1107,7 +980,8 @@ impl CommPlan {
         let ops = layout
             .units()
             .iter()
-            .map(|u| PlanOp {
+            .enumerate()
+            .map(|(unit, u)| PlanOp {
                 kind: CollectiveKind::AllGather,
                 scope: PlanScope::Dp,
                 counts: CountSpec::Explicit(part.intersect_counts(&u.range)),
@@ -1115,6 +989,7 @@ impl CommPlan {
                 label: "serve-fetch-unit",
                 nonblocking: overlap,
                 wire: WireFmt::Raw,
+                role: OpRole::Fetch { unit, source: FetchSource::Primary, ahead: overlap && unit > 0 },
             })
             .collect();
         CommPlan { grid, ops, tier: Vec::new() }
@@ -1232,6 +1107,7 @@ impl CommPlan {
                     label: op.label,
                     nonblocking: op.nonblocking,
                     wire: op.wire,
+                    role: op.role.clone(),
                 }
             })
             .collect()
@@ -1261,61 +1137,75 @@ impl CommPlan {
         self.rank_bytes(rank).iter().sum()
     }
 
-    /// Analytic bytes `rank` pushes across the slow links of a
-    /// `g`-rank-per-node topology executing this plan — the quantity the
-    /// ZeRO++ levers shrink.
-    pub fn rank_inter_node_bytes(&self, rank: usize, g: usize) -> u64 {
-        self.resolve_for(rank)
-            .iter()
-            .map(|op| op.sent_inter_node_bytes(rank, g))
-            .sum()
-    }
-
-    /// [`CommPlan::rank_inter_node_bytes`] summed over every rank: the
-    /// total load on the inter-node fabric per plan execution.
+    /// Analytic bytes all ranks together push across the slow links of a
+    /// `g`-rank-per-node topology executing this plan: the total load on
+    /// the inter-node fabric — the quantity the ZeRO++ levers shrink.
     pub fn total_inter_node_bytes(&self, g: usize) -> u64 {
         (0..self.grid.world_size())
-            .map(|r| self.rank_inter_node_bytes(r, g))
+            .flat_map(|r| self.resolve_for(r).into_iter().map(move |op| (r, op)))
+            .map(|(r, op)| op.sent_inter_node_bytes(r, g))
             .sum()
     }
 }
 
-/// The engine's handle on the current plan: runtime collective calls pop
-/// ops off this cursor, so execution cannot silently diverge from the
-/// declared schedule (and the planned counts drive the actual calls).
+/// The engine's handle on the current plan: every runtime collective pops
+/// its op off this cursor — counts, wire format, [`OpRole`] and the tier
+/// movement riding it all come from the op — so execution cannot diverge
+/// from the declared schedule silently: a collective of the wrong kind or
+/// group, and a plan left unfinished, both panic. The default cursor has
+/// no plan installed.
 #[derive(Debug, Default)]
 pub struct PlanCursor {
-    ops: VecDeque<ResolvedOp>,
-    tier: VecDeque<ResolvedTierOp>,
+    /// The resolved ops, each with the tier movement that rides it.
+    ops: VecDeque<(ResolvedOp, Option<ResolvedTierOp>)>,
+    /// Tier movements that ride no op, in issue order.
+    free_tier: VecDeque<ResolvedTierOp>,
     source: &'static str,
     installed: usize,
     consumed: usize,
 }
 
 impl PlanCursor {
-    /// An empty cursor (no plan installed yet).
-    pub fn idle() -> PlanCursor {
-        PlanCursor::default()
-    }
-
     /// Installs `plan` resolved for `rank`, replacing any leftover ops
     /// (a failed step abandons its plan; the next entry point re-plans).
     pub fn install(&mut self, plan: &CommPlan, rank: usize, source: &'static str) {
-        self.ops = plan.resolve_for(rank).into();
-        self.tier = plan.resolve_tier_for(rank).into();
+        self.ops = plan.resolve_for(rank).into_iter().map(|op| (op, None)).collect();
+        self.free_tier.clear();
+        for (t, resolved) in plan.tier.iter().zip(plan.resolve_tier_for(rank)) {
+            match t.rides {
+                Some(i) => {
+                    let taken = self.ops[i].1.replace(resolved);
+                    assert!(taken.is_none(), "two tier movements ride op {i} of '{source}'");
+                }
+                None => self.free_tier.push_back(resolved),
+            }
+        }
         self.source = source;
         self.installed = self.ops.len();
         self.consumed = 0;
     }
 
-    /// Pops the next planned op, asserting it is a `kind` collective over
-    /// exactly `group`. The returned op's counts parameterize the call.
+    /// The next planned op's role, for the decisions the engine reads
+    /// ahead of issuing it: which unit a fetch materializes and from
+    /// where, whether the next fetch goes out ahead, which flat range
+    /// comes next.
+    pub fn next_role(&self) -> Option<&OpRole> {
+        self.ops.front().map(|(op, _)| &op.role)
+    }
+
+    /// Pops the next planned op together with the tier movement riding
+    /// it, asserting it is a `kind` collective over exactly `group`. The
+    /// returned op's counts parameterize the call.
     ///
     /// # Panics
     /// Panics on schedule drift: the plan is exhausted, or the next op's
     /// kind/group disagree with what the engine is about to execute.
-    pub fn take(&mut self, kind: CollectiveKind, group: &Group) -> ResolvedOp {
-        let op = self.ops.pop_front().unwrap_or_else(|| {
+    pub fn take_riding(
+        &mut self,
+        kind: CollectiveKind,
+        group: &Group,
+    ) -> (ResolvedOp, Option<ResolvedTierOp>) {
+        let (op, tier) = self.ops.pop_front().unwrap_or_else(|| {
             panic!(
                 "comm-plan drift: engine issued {kind:?} over {:?} but the \
                  '{}' plan ({} ops) is exhausted",
@@ -1337,42 +1227,31 @@ impl PlanCursor {
             self.source
         );
         self.consumed += 1;
+        (op, tier)
+    }
+
+    /// [`PlanCursor::take_riding`] for a call site that moves no tier
+    /// bytes.
+    ///
+    /// # Panics
+    /// Panics on schedule drift, or if a tier movement rides the op.
+    pub fn take(&mut self, kind: CollectiveKind, group: &Group) -> ResolvedOp {
+        let (op, tier) = self.take_riding(kind, group);
+        assert!(
+            tier.is_none(),
+            "tier-plan drift at '{}' ({}): a tier movement rides an op issued where none can",
+            op.label,
+            self.source
+        );
         op
     }
 
-    /// Pops the next planned tier movement, asserting direction, label,
-    /// and that the engine is at exactly the planned issue anchor (the
-    /// number of collective ops consumed so far).
-    ///
-    /// # Panics
-    /// Panics on tier-schedule drift.
-    pub fn take_tier(&mut self, dir: TierDir, label: &str) -> ResolvedTierOp {
-        let t = self.tier.pop_front().unwrap_or_else(|| {
-            panic!(
-                "tier-plan drift: engine issued {dir:?} '{label}' but the \
-                 '{}' plan's tier stream is exhausted",
-                self.source
-            )
-        });
-        assert!(
-            t.dir == dir && t.label == label,
-            "tier-plan drift ({}): planned {:?} '{}', engine issued {dir:?} '{label}'",
-            self.source,
-            t.dir,
-            t.label
-        );
-        assert_eq!(
-            t.issue_pos, self.consumed,
-            "tier-plan anchor drift at '{}' ({}): planned issue after {} collective \
-             op(s), engine has consumed {}",
-            t.label, self.source, t.issue_pos, self.consumed
-        );
-        t
-    }
-
-    /// Ops not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.ops.len()
+    /// Pops the tier movement planned at the current position (the number
+    /// of collective ops consumed so far) that rides no op, if there is
+    /// one.
+    pub fn take_free_tier(&mut self) -> Option<ResolvedTierOp> {
+        let due = self.free_tier.front().is_some_and(|t| t.issue_pos == self.consumed);
+        due.then(|| self.free_tier.pop_front()).flatten()
     }
 
     /// Asserts the installed plan was fully consumed — called at the end
@@ -1386,14 +1265,14 @@ impl PlanCursor {
             "comm-plan drift: {} op(s) of '{}' never executed ({context}); next: '{}'",
             self.ops.len(),
             self.source,
-            self.ops.front().map_or("-", |op| op.label)
+            self.ops.front().map_or("-", |(op, _)| op.label)
         );
         assert!(
-            self.tier.is_empty(),
+            self.free_tier.is_empty(),
             "tier-plan drift: {} tier op(s) of '{}' never executed ({context}); next: '{}'",
-            self.tier.len(),
+            self.free_tier.len(),
             self.source,
-            self.tier.front().map_or("-", |t| t.label)
+            self.free_tier.front().map_or("-", |t| t.label)
         );
     }
 }
@@ -1401,7 +1280,6 @@ impl PlanCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bucket::GradBucket;
     use zero_model::{Layout, ModelConfig};
 
     fn tiny() -> ModelConfig {
@@ -1424,28 +1302,84 @@ mod tests {
     }
 
     #[test]
-    fn bucket_mirror_matches_grad_bucket() {
-        // Same spans through both implementations → same flush ranges.
-        let spans = [90..120, 60..90, 40..60, 10..40, 0..10];
-        for cap in [1usize, 25, 64, 1000] {
-            let mut real = GradBucket::new(cap);
-            let mut real_flushes: Vec<Range<usize>> = Vec::new();
-            let mut mirror = BucketMirror::new(cap);
-            let mut mirror_flushes: Vec<Range<usize>> = Vec::new();
-            for s in &spans {
-                if real.push(s.clone(), vec![0.0; s.len()]) {
-                    real.flush_all(&mut |r, _| real_flushes.push(r));
-                }
-                if let Some(r) = mirror.push(s) {
-                    mirror_flushes.push(r);
-                }
+    fn buckets_are_cut_at_capacity_and_never_split_a_unit() {
+        let layout = Layout::build(&tiny());
+        let units: Vec<Range<usize>> = layout.units().iter().map(|u| u.range.clone()).collect();
+        let largest = units.iter().map(|u| u.len()).max().unwrap();
+        let buckets = |bucket_elems: usize| -> Vec<Range<usize>> {
+            let zcfg = ZeroConfig { bucket_elems, ..cfg(ZeroStage::Two) };
+            let plan = CommPlan::step_prefix(&layout, &zcfg, Grid::new(2, 1), 1, 64);
+            let spans = plan.ops().iter().filter_map(|op| match &op.role {
+                OpRole::Span(r) => Some(r.clone()),
+                _ => None,
+            });
+            spans.collect()
+        };
+        // Head first, embed last.
+        let backward: Vec<Range<usize>> = units.iter().rev().cloned().collect();
+        assert_eq!(buckets(1), backward, "every unit reaches capacity alone");
+        assert_eq!(buckets(usize::MAX), vec![0..layout.total_params()], "one end-of-backward drain");
+        for cap in [100, 1000, 3000] {
+            let cut = buckets(cap);
+            assert!(cut.len() > 1, "capacity {cap} must cut");
+            for (k, r) in cut.iter().enumerate() {
+                assert!(units.iter().any(|u| u.start == r.start) && units.iter().any(|u| u.end == r.end));
+                // The constant-size property: under capacity plus the unit
+                // that tipped it over; only the final drain may be short.
+                assert!(r.len() < cap + largest, "capacity {cap}: {r:?}");
+                assert!(r.len() >= cap || k + 1 == cut.len(), "capacity {cap}: {r:?}");
             }
-            real.flush_all(&mut |r, _| real_flushes.push(r));
-            if let Some(r) = mirror.flush() {
-                mirror_flushes.push(r);
-            }
-            assert_eq!(real_flushes, mirror_flushes, "capacity {cap}");
         }
+    }
+
+    #[test]
+    fn planned_roles_name_units_ranges_and_the_prefetch_window() {
+        let layout = Layout::build(&tiny());
+        let grid = Grid::new(2, 1);
+        let units = layout.units();
+        for overlap in [false, true] {
+            let zcfg = ZeroConfig { overlap, bucket_elems: 100, ..cfg(ZeroStage::Three) };
+            let plan = CommPlan::train_step(&layout, &zcfg, grid, &shape());
+            let mut grads_down_to = layout.total_params();
+            let mut first = true;
+            for op in plan.ops() {
+                match &op.role {
+                    OpRole::Fetch { unit, ahead, .. } => {
+                        assert_eq!(op.label, "fetch-unit");
+                        let counts = Partitioner::new(layout.total_params(), 2)
+                            .intersect_counts(&units[*unit].range);
+                        assert_eq!(op.counts, CountSpec::Explicit(counts));
+                        // Only the embed fetch that opens the pass is on
+                        // demand under overlap; nothing is ahead without.
+                        assert_eq!(*ahead, overlap && !first, "unit {unit}");
+                        first = false;
+                    }
+                    OpRole::Span(r) => {
+                        assert_eq!(op.label, "grad-bucket");
+                        assert_eq!(r.end, grads_down_to, "buckets tile Ψ head to embed");
+                        grads_down_to = r.start;
+                    }
+                    OpRole::Plain => assert_ne!(op.kind, CollectiveKind::ReduceScatter),
+                }
+            }
+            assert_eq!(grads_down_to, 0);
+        }
+        // The CB chunk loops of stage 1 tile Ψ front to back, twice: the
+        // gradient reduce-scatters, then the publish all-gathers.
+        let zcfg = ZeroConfig { bucket_elems: 1000, ..cfg(ZeroStage::One) };
+        let plan = CommPlan::train_step(&layout, &zcfg, grid, &shape());
+        let spans: Vec<Range<usize>> = plan
+            .ops()
+            .iter()
+            .filter_map(|op| match &op.role {
+                OpRole::Span(r) => Some(r.clone()),
+                _ => None,
+            })
+            .collect();
+        let psi = layout.total_params();
+        let chunks: Vec<Range<usize>> =
+            (0..psi).step_by(1000).map(|s| s..(s + 1000).min(psi)).collect();
+        assert_eq!(spans, [chunks.clone(), chunks].concat());
     }
 
     #[test]
@@ -1494,7 +1428,7 @@ mod tests {
         let layout = Layout::build(&tiny());
         let grid = Grid::new(2, 1);
         let plan = CommPlan::step_prefix(&layout, &cfg(ZeroStage::Ddp), grid, 1, 64);
-        let mut cur = PlanCursor::idle();
+        let mut cur = PlanCursor::default();
         cur.install(&plan, 0, "test");
         let g = Group::world(2);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1776,22 +1710,46 @@ mod tests {
     }
 
     #[test]
-    fn cursor_enforces_tier_anchor() {
+    fn cursor_hands_tier_moves_out_with_the_op_they_ride() {
         let layout = Layout::build(&tiny());
         let grid = Grid::new(2, 1);
+        let dp = grid.dp_group(0);
+        // Stage 3: every parameter all-gather comes with the fetch that
+        // seeds it, every bucket reduce-scatter with its spill.
         let plan = CommPlan::train_step(&layout, &tiered(ZeroStage::Three, false), grid, &shape());
-        let mut cur = PlanCursor::idle();
+        let mut cur = PlanCursor::default();
         cur.install(&plan, 0, "test");
-        // The first planned movement is the embed fetch at anchor 0.
-        let t = cur.take_tier(TierDir::Fetch, "tier-param-fetch");
-        assert_eq!(t.issue_pos, 0);
-        assert!(t.bytes > 0);
-        // The next fetch anchors after the embed all-gather; taking it
-        // without consuming that op must trip the anchor assert.
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cur.take_tier(TierDir::Fetch, "tier-param-fetch");
+        let mut handed = 0;
+        for op in plan.resolve_for(0) {
+            let group = if op.members.len() == 1 { grid.mp_group(0) } else { Group::world(2) };
+            let (_, tier) = cur.take_riding(op.kind, &group);
+            match (op.kind, tier) {
+                (CollectiveKind::AllGather, Some(t)) => assert_eq!(t.dir, TierDir::Fetch),
+                (CollectiveKind::ReduceScatter, Some(t)) => assert_eq!(t.dir, TierDir::Spill),
+                (kind, tier) => assert!(tier.is_none(), "{kind:?} carries {tier:?}"),
+            }
+            handed += usize::from(op.kind != CollectiveKind::AllReduce);
+            assert!(cur.take_free_tier().is_none(), "stage 3 has no free-standing move");
+        }
+        assert_eq!(handed, plan.tier_ops().len());
+        cur.assert_exhausted("test");
+
+        // Stage 1's end-of-step spill rides nothing: it is handed out by
+        // position, at the head of the suffix, and blocks exhaustion.
+        let suffix = CommPlan::step_suffix(&layout, &tiered(ZeroStage::One, false), grid, false);
+        cur.install(&suffix, 0, "test");
+        let unfinished = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cur.assert_exhausted("spill pending");
         }));
-        assert!(err.is_err());
+        assert!(unfinished.is_err());
+        let spill = cur.take_free_tier().expect("spill due before the first suffix op");
+        assert_eq!((spill.dir, spill.issue_pos), (TierDir::Spill, 0));
+        assert!(cur.take_free_tier().is_none());
+        // A call site that cannot move tier bytes must not swallow one.
+        let swallowed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cur.take(CollectiveKind::AllGather, &dp);
+        }));
+        assert!(swallowed.is_err(), "publish gathers carry their tier fetch");
     }
 
     #[test]

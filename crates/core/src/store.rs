@@ -47,25 +47,11 @@ impl FlatStore {
         self.len() == 0
     }
 
-    /// True for the fp16 variant.
-    pub fn is_fp16(&self) -> bool {
-        matches!(self, FlatStore::F16(_))
-    }
-
     /// Bytes occupied by the storage.
     pub fn bytes(&self) -> u64 {
         match self {
             FlatStore::F32(v) => 4 * v.len() as u64,
             FlatStore::F16(v) => 2 * v.len() as u64,
-        }
-    }
-
-    /// Bytes per element (2 or 4).
-    pub fn bytes_per_elem(&self) -> u64 {
-        if self.is_fp16() {
-            2
-        } else {
-            4
         }
     }
 

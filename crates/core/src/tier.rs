@@ -106,15 +106,6 @@ impl TierStore {
         self.device_bytes
     }
 
-    /// Bytes currently resident in the host tier.
-    pub fn host_bytes(&self) -> u64 {
-        self.pages
-            .iter()
-            .filter(|p| !p.on_device)
-            .map(|p| p.bytes())
-            .sum()
-    }
-
     // ----- the meter/clock face (engine call sites) -----
 
     /// Meters one host → device transfer of `bytes` and returns its

@@ -108,7 +108,7 @@ proptest! {
             ranges.push(hi - len..hi);
             hi -= len;
         }
-        let mut bucket = GradBucket::new(capacity);
+        let mut bucket = GradBucket::new();
         let mut seen = vec![false; total];
         let mut flush = |r: std::ops::Range<usize>, d: &mut [f32]| {
             assert_eq!(r.len(), d.len());
@@ -118,9 +118,11 @@ proptest! {
                 assert_eq!(v, i as f32, "value at {i} scrambled");
             }
         };
+        // The bucket fuses wherever its owner cuts it; cut at `capacity`.
         for r in &ranges {
             let data: Vec<f32> = r.clone().map(|i| i as f32).collect();
-            if bucket.push(r.clone(), data) {
+            bucket.push(r.clone(), data);
+            if bucket.pending_elems() >= capacity {
                 bucket.flush_all(&mut flush);
             }
         }

@@ -79,27 +79,6 @@ impl ModelConfig {
         12 * self.layers * self.hidden * self.hidden
     }
 
-    /// Activation elements checkpointed per block per sample when storing
-    /// one activation (the block input) per transformer layer: seq × hidden.
-    pub fn checkpoint_elems_per_block(&self, batch: usize) -> usize {
-        batch * self.seq * self.hidden
-    }
-
-    /// The paper's total-activation estimate (footnote 3):
-    /// ≈ 12 × hidden × batch × seq × layers elements.
-    pub fn approx_activation_elems(&self, batch: usize) -> usize {
-        12 * self.hidden * batch * self.seq * self.layers
-    }
-
-    /// FLOPs for one forward+backward pass over `batch` samples, using the
-    /// standard 6·Ψ·tokens estimate plus the attention term
-    /// (12·L·s²·h per sample each way).
-    pub fn step_flops(&self, batch: usize) -> f64 {
-        let tokens = (batch * self.seq) as f64;
-        let dense = 6.0 * self.total_params() as f64 * tokens;
-        let attn = 12.0 * (self.layers * self.seq * self.seq * self.hidden) as f64 * batch as f64;
-        dense + attn
-    }
 }
 
 #[cfg(test)]

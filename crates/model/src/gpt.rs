@@ -28,21 +28,6 @@ pub struct Gpt {
     mp_degree: usize,
 }
 
-/// Saved state of the head unit's forward (for backward).
-pub struct HeadSaved {
-    lnf_out: Vec<f32>,
-    lnf_mean: Vec<f32>,
-    lnf_rstd: Vec<f32>,
-    x: Vec<f32>,
-}
-
-impl HeadSaved {
-    /// Saved activation elements.
-    pub fn elems(&self) -> usize {
-        self.lnf_out.len() + self.lnf_mean.len() + self.lnf_rstd.len() + self.x.len()
-    }
-}
-
 impl Gpt {
     /// Single-device model.
     pub fn new(cfg: ModelConfig) -> Gpt {
@@ -201,19 +186,6 @@ impl Gpt {
         dx
     }
 
-    /// Head unit forward: final layernorm → LM head GEMM → mean
-    /// cross-entropy against `targets`. Returns `(loss, saved)`.
-    pub fn head_fwd(
-        &self,
-        params: &[f32],
-        x: &[f32],
-        targets: &[u32],
-        batch: usize,
-    ) -> (f32, HeadSaved) {
-        let (loss, saved, _logits) = self.head_forward_impl(params, x, targets, batch);
-        (loss, saved)
-    }
-
     /// Head unit forward+backward fused (the loss gradient is born here).
     /// Returns `(loss, dx)`; gradients accumulate into `grads`.
     pub fn head_fwd_bwd(
@@ -280,9 +252,12 @@ impl Gpt {
     }
 
     /// Evaluation-only loss (no gradients), for validation perplexity.
+    /// Final layernorm → LM head GEMM → mean cross-entropy against
+    /// `targets`.
     pub fn head_loss(&self, params: &[f32], x: &[f32], targets: &[u32], batch: usize) -> f32 {
-        let (loss, _, _) = self.head_forward_impl(params, x, targets, batch);
-        loss
+        let t = batch * self.cfg.seq;
+        assert_eq!(targets.len(), t, "head: targets length");
+        cross_entropy_loss(&self.head_logits(params, x, batch), targets, t, self.cfg.vocab)
     }
 
     /// Head-unit logits `[batch·seq, vocab]` (no loss, no gradients) —
@@ -309,47 +284,6 @@ impl Gpt {
         let mut logits = vec![0.0; t * v];
         sgemm_nt(&lnf_out, &params[off.w_head.clone()], &mut logits, t, h, v);
         logits
-    }
-
-    fn head_forward_impl(
-        &self,
-        params: &[f32],
-        x: &[f32],
-        targets: &[u32],
-        batch: usize,
-    ) -> (f32, HeadSaved, Vec<f32>) {
-        let (s, h, v) = (self.cfg.seq, self.cfg.hidden, self.cfg.vocab);
-        let t = batch * s;
-        assert_eq!(x.len(), t * h, "head: x length");
-        assert_eq!(targets.len(), t, "head: targets length");
-        let off = self.layout.head_offsets();
-        let mut lnf_out = vec![0.0; t * h];
-        let mut mean = vec![0.0; t];
-        let mut rstd = vec![0.0; t];
-        layernorm_forward(
-            x,
-            &params[off.lnf_g.clone()],
-            &params[off.lnf_b.clone()],
-            &mut lnf_out,
-            &mut mean,
-            &mut rstd,
-            t,
-            h,
-            LN_EPS,
-        );
-        let mut logits = vec![0.0; t * v];
-        sgemm_nt(&lnf_out, &params[off.w_head.clone()], &mut logits, t, h, v);
-        let loss = cross_entropy_loss(&logits, targets, t, v);
-        (
-            loss,
-            HeadSaved {
-                lnf_out,
-                lnf_mean: mean,
-                lnf_rstd: rstd,
-                x: x.to_vec(),
-            },
-            logits,
-        )
     }
 }
 

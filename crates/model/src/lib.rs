@@ -38,5 +38,5 @@ pub use generate::{
     Row, RowBatch, Sampling,
 };
 pub use kv::{BlockArena, BlockArenaStats, ContigKv, KvArena};
-pub use gpt::{init_full_params, shard_params, Gpt, HeadSaved};
+pub use gpt::{init_full_params, shard_params, Gpt};
 pub use layout::{Field, Layout, Unit};

@@ -55,12 +55,6 @@ impl DynamicLossScaler {
         self.scale
     }
 
-    /// 1/S, the factor to apply to gradients before the optimizer.
-    #[inline]
-    pub fn inv_scale(&self) -> f32 {
-        1.0 / self.scale
-    }
-
     /// Number of steps skipped due to overflow so far.
     pub fn skipped_steps(&self) -> u64 {
         self.skipped

@@ -407,11 +407,6 @@ impl StepTimeline {
         self.spans_in(cat).map(|s| s.duration_ns()).sum()
     }
 
-    /// Number of instant events with this name.
-    pub fn instant_count(&self, name: &str) -> usize {
-        self.instants.iter().filter(|i| i.name == name).count()
-    }
-
     /// Largest sampled value of a counter, if it was ever sampled.
     pub fn counter_max(&self, name: &str) -> Option<u64> {
         self.counters.iter().filter(|c| c.name == name).map(|c| c.value).max()

@@ -14,7 +14,12 @@
 //!   synchronous gradient spill anchors right after the reduce-scatter
 //!   that produced its piece; every publish fetch anchors at its publish
 //!   all-gather. Anchors are strictly increasing — the tier stream cannot
-//!   reorder against the collective stream.
+//!   reorder against the collective stream. The engine is handed each
+//!   movement together with the collective it `rides`, so the same
+//!   anchors are proven of that link: a fetch rides the all-gather at its
+//!   anchor, a spill rides an earlier reduce-scatter with byte-identical
+//!   counts (the one right before its anchor when synchronous), and only
+//!   stage 1's end-of-step spill rides nothing.
 //! * **Telescoping volumes.** Per rank and step, gradient-spill bytes
 //!   total exactly `micro_batches · shard` elements for stages 2–3 (the
 //!   buckets tile Ψ each micro-batch) and one `shard` for stage 1 on
@@ -172,6 +177,38 @@ fn check_anchors(
     Ok(())
 }
 
+/// Proves the `rides` link of every tier op consistent with its anchor:
+/// the engine issues a movement with the collective it rides, so this is
+/// what makes the runtime order the planned one.
+fn check_rides(plan: &CommPlan, zcfg: &ZeroConfig, what: &str) -> Result<(), String> {
+    use zero_comm::CollectiveKind::{AllGather, ReduceScatter};
+    for (i, t) in plan.tier_ops().iter().enumerate() {
+        let Some(r) = t.rides else {
+            if t.dir == TierDir::Spill && !zcfg.stage.partitions_grads() {
+                continue;
+            }
+            return Err(format!("{what}: tier op {i} '{}' rides no collective", t.label));
+        };
+        let op = plan
+            .ops()
+            .get(r)
+            .ok_or_else(|| format!("{what}: tier op {i} '{}' rides op {r}, past the stream", t.label))?;
+        let anchored = match t.dir {
+            TierDir::Fetch => op.kind == AllGather && r == t.issue_pos,
+            TierDir::Spill if zcfg.overlap => op.kind == ReduceScatter && r < t.issue_pos,
+            TierDir::Spill => op.kind == ReduceScatter && r + 1 == t.issue_pos,
+        };
+        if !anchored || op.counts != zero_core::CountSpec::Explicit(t.counts.clone()) {
+            return Err(format!(
+                "{what}: tier op {i} '{}' (issued at {}) rides op {r} '{}', which is not \
+                 the collective it seeds or drains",
+                t.label, t.issue_pos, op.label
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Checks one offloaded configuration end to end.
 fn check_offload_config(
     zcfg: &ZeroConfig,
@@ -193,6 +230,7 @@ fn check_offload_config(
         let sh = shape(skipped);
         let plan = CommPlan::train_step(&layout, zcfg, grid, &sh);
         check_symmetry(&plan, &what)?;
+        check_rides(&plan, zcfg, &what)?;
 
         // Offload must not perturb a single collective: the op stream is
         // bitwise identical to the tier-off baseline.

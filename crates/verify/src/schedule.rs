@@ -23,7 +23,9 @@
 //!   *issue* order, and every rank's ops execute on one FIFO progress
 //!   thread — so per-rank completion order equals issue order and the
 //!   pairwise-agreement proof above covers the async schedule verbatim
-//!   (the `nonblocking` flag must also agree between peers). On top,
+//!   (the `nonblocking` flag and the op's role — which unit a fetch
+//!   materializes from which copy, which flat range a bucket or chunk
+//!   covers — must also agree between peers). On top,
 //!   [`check_overlap_pair`]-style invariance is proven: an overlapped
 //!   plan is a pure reordering of its synchronous twin's op multiset
 //!   (identical per-rank bytes *and* messages per kind), fetches keep
@@ -102,6 +104,7 @@ pub(crate) fn check_symmetry(plan: &CommPlan, what: &str) -> Result<(usize, usiz
                     || peer.prec != op.prec
                     || peer.nonblocking != op.nonblocking
                     || peer.wire != op.wire
+                    || peer.role != op.role
                 {
                     return Err(format!(
                         "{what}: op {i} '{}': rank {r} sees {:?} over {:?} \

@@ -233,6 +233,29 @@ fn eval_does_not_mutate_parameters_or_state() {
 }
 
 #[test]
+fn checkpoint_arena_grows_with_the_batch() {
+    // The default config checkpoints activations into the MD arena, which
+    // is sized from the step's activation shape: a larger batch on the
+    // same engine must re-size it, not overflow the first step's.
+    let cfg = model();
+    launch(2, |comm| {
+        let gpt = Gpt::new(cfg);
+        let params = init_full_params(&cfg, 4);
+        let zcfg = ZeroConfig { stage: ZeroStage::Two, ..ZeroConfig::default() };
+        assert!(zcfg.checkpoint_activations && zcfg.use_arena);
+        let mut engine = RankEngine::new(gpt, &params, zcfg, Grid::new(2, 1), comm);
+        let corpus = SyntheticCorpus::generate(cfg.vocab, 5000, 1);
+        let (ids, targets) = corpus.rank_batch(0, 2, cfg.seq, 2, engine.dp_rank());
+        assert!(engine.train_step(&ids, &targets, 1).loss.is_finite());
+        let (ids, targets) = corpus.rank_batch(1, 4, cfg.seq, 2, engine.dp_rank());
+        assert!(engine.train_step(&ids, &targets, 2).loss.is_finite());
+        // …and back down: the grown arena keeps serving smaller batches.
+        let (ids, targets) = corpus.rank_batch(2, 2, cfg.seq, 2, engine.dp_rank());
+        assert!(engine.train_step(&ids, &targets, 1).loss.is_finite());
+    });
+}
+
+#[test]
 fn mixed_precision_trains_close_to_fp32() {
     // The whole point of the fp16 + fp32-master scheme: training quality
     // tracks fp32 closely.
