@@ -13,7 +13,7 @@ echo "==> line budget (non-test lines of crates/{comm,core,serve,bench}/src)"
 # Lines before each file's first #[cfg(test)] — the number ROADMAP tracks.
 # The ceiling is a ratchet: a change that shrinks the code lowers it to
 # what it achieved; a change that needs more has to raise it on purpose.
-line_ceiling=13555
+line_ceiling=13549
 lines=$(find crates/comm/src crates/core/src crates/serve/src crates/bench/src -name '*.rs' \
     -exec awk 'FNR == 1 { live = 1 } /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 } live { n++ } END { print n + 0 }' {} +)
 echo "    $lines non-test lines (ceiling $line_ceiling)"

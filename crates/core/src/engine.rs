@@ -93,7 +93,7 @@ struct Kept {
     /// With checkpointing: one checkpoint per segment, in forward order.
     checkpoints: Vec<Checkpoint>,
     /// Without: every block's saved activations.
-    saveds: Vec<Option<BlockSaved>>,
+    saveds: Vec<BlockSaved>,
 }
 
 /// A planned gather or reduce-scatter handed to the progress thread,
@@ -1196,13 +1196,8 @@ impl RankEngine {
         self.size_arena(act_elems);
 
         // Zero persistent gradient storage once per optimizer step.
-        if let Some(full) = &mut self.full_grads {
-            let len = full.len();
-            full.zero_range(0..len);
-        }
-        if let Some(shard) = &mut self.grad_shard {
-            let len = shard.len();
-            shard.zero_range(0..len);
+        for grads in self.full_grads.iter_mut().chain(&mut self.grad_shard) {
+            grads.zero_range(0..grads.len());
         }
 
         let res = micros
@@ -1309,16 +1304,15 @@ impl RankEngine {
         let interval = self.zcfg.checkpoint_interval.max(1);
         for l in 0..self.gpt.config().layers {
             let p = self.fetch_unit(1 + l)?;
-            if let Some(kept) = keep.as_deref_mut().filter(|_| checkpointing && l % interval == 0) {
-                let c = self.store_checkpoint(&x);
-                kept.checkpoints.push(c);
+            if let (Some(kept), true) = (keep.as_deref_mut(), checkpointing && l % interval == 0) {
+                kept.checkpoints.push(self.store_checkpoint(&x));
             }
             let (y, saved) = self.block_fwd("block-fwd", l, &p, &x, local_batch, drop_for(l))?;
             self.release_unit(p);
-            if let Some(kept) = keep.as_deref_mut().filter(|_| !checkpointing) {
+            if let (Some(kept), false) = (keep.as_deref_mut(), checkpointing) {
                 self.mem
                     .alloc(MemCategory::Activations, 4 * saved.elems() as u64);
-                kept.saveds.push(Some(saved));
+                kept.saveds.push(saved);
             }
             x = y;
         }
@@ -1410,7 +1404,7 @@ impl RankEngine {
         } else {
             for l in (0..layers).rev() {
                 let p = self.fetch_unit(1 + l)?;
-                let saved = saveds[l].take().expect("saved activations for block");
+                let saved = saveds.pop().expect("saved activations for block");
                 dy = self.block_bwd(l, p, saved, &dy, local_batch, drop_for(l))?;
             }
         }

@@ -207,7 +207,7 @@ impl ResolvedOp {
         if n == 1 {
             return 0;
         }
-        self.member_index(rank);
+        let _is_member = self.member_index(rank);
         if let WireFmt::QgzInt8 { node_size, .. } = self.wire {
             return (node_size - 1) + (n / node_size - 1);
         }
@@ -1250,8 +1250,10 @@ impl PlanCursor {
     /// of collective ops consumed so far) that rides no op, if there is
     /// one.
     pub fn take_free_tier(&mut self) -> Option<ResolvedTierOp> {
-        let due = self.free_tier.front().is_some_and(|t| t.issue_pos == self.consumed);
-        due.then(|| self.free_tier.pop_front()).flatten()
+        match self.free_tier.front() {
+            Some(t) if t.issue_pos == self.consumed => self.free_tier.pop_front(),
+            _ => None,
+        }
     }
 
     /// Asserts the installed plan was fully consumed — called at the end
