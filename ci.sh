@@ -13,10 +13,16 @@ echo "==> line budget (non-test lines of crates/{comm,core,serve,bench}/src)"
 # Lines before each file's first #[cfg(test)] — the number ROADMAP tracks.
 # The ceiling is a ratchet: a change that shrinks the code lowers it to
 # what it achieved; a change that needs more has to raise it on purpose.
-line_ceiling=13549
-lines=$(find crates/comm/src crates/core/src crates/serve/src crates/bench/src -name '*.rs' \
-    -exec awk 'FNR == 1 { live = 1 } /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 } live { n++ } END { print n + 0 }' {} +)
-echo "    $lines non-test lines (ceiling $line_ceiling)"
+line_ceiling=13099
+lines=0
+split=""
+for crate in comm core serve bench; do
+    n=$(find "crates/$crate/src" -name '*.rs' \
+        -exec awk 'FNR == 1 { live = 1 } /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 } live { n++ } END { print n + 0 }' {} +)
+    lines=$((lines + n))
+    split="$split $crate $n"
+done
+echo "    $lines non-test lines (ceiling $line_ceiling):$split"
 [ "$lines" -le "$line_ceiling" ] || { echo "line budget exceeded: lower the count or raise the ceiling deliberately"; exit 1; }
 
 echo "==> cargo build --release"
@@ -119,6 +125,9 @@ cargo run -q --release --bin zero-serve -- --smoke
 echo "==> saturation suite (open-loop load: FIFO fairness, deterministic shedding, every KV geometry bitwise, prefix-reuse bytes)"
 cargo test -q --release --test saturation
 
+# The five bench stages share one harness (crates/bench/src/lib.rs): what a
+# run computes is gated exactly, how long it took only at 2x the committed
+# value. Time is judged by alternating zero_bench pairs, not here.
 echo "==> bench_serve --smoke (batched vs serial serving, bitwise outputs)"
 serve_json="$scratch/bench-serve.json"
 cargo run -q --release -p zero-bench --bin bench_serve -- --smoke --out "$serve_json"
@@ -133,19 +142,28 @@ echo "==> bench_serve --arrivals (open-loop determinism gate vs committed baseli
 cargo run -q --release -p zero-bench --bin bench_serve -- \
     --arrivals poisson:0.5 --check-against results/BENCH_serve.json
 
-echo "==> bench_step --smoke (overlap bench path, no results churn)"
+echo "==> bench_serve --arrivals vs a doctored baseline (the gate must be seen to fail)"
+doctored="$scratch/BENCH_serve.doctored.json"
+sed 's/"batch_steps": \([0-9]*\)/"batch_steps": 1\1/' results/BENCH_serve.json > "$doctored"
+if cargo run -q --release -p zero-bench --bin bench_serve -- \
+    --arrivals poisson:0.5 --check-against "$doctored" > /dev/null 2>&1; then
+    echo "bench_serve accepted a baseline whose batch_steps were edited"; exit 1
+fi
+
+echo "==> bench_step --smoke (the case table end to end, offload losses bitwise, no results churn)"
 cargo run -q --release -p zero-bench --bin bench_step -- --smoke
 
-echo "==> bench_step --check-against (wall-clock regression gate, 10% tolerance)"
-# Replays the smoke-restricted configs at the committed baseline's link
-# latency and step count; >10% per-step slowdown on any matching row fails.
+echo "==> bench_step --check-against (loose time, exact bits)"
+# Replays the smoke-restricted cases at the committed link latency and
+# step count: traffic and tier byte counts must equal the committed rows,
+# seconds per step must stay under 2x theirs.
 cargo run -q --release -p zero-bench --bin bench_step -- --smoke \
     --check-against results/BENCH_step.json
 
 echo "==> bench_matmul --smoke --check-against (all-variant GEMM bit-exactness + kernel-floor gate)"
 # Every wrapper at the block/attention/decode/large shapes must equal
-# matmul::reference bit for bit; any block-shape row under 0.5x its
-# committed GFLOP/s (a fall back to a scalar chain) fails.
+# matmul::reference bit for bit; any block-shape row at 2x its committed
+# time (a fall back to a scalar chain) fails.
 cargo run -q --release -p zero-bench --bin bench_matmul -- --smoke \
     --check-against results/BENCH_matmul.json
 

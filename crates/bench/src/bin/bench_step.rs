@@ -1,60 +1,48 @@
-//! Overlap win quantification: `results/BENCH_step.json`.
+//! Training-step ablations: `results/BENCH_step.json`.
 //!
-//! For each ZeRO stage × DP degree, runs the same short training loop
-//! twice — synchronous and overlap-centric — over a fabric with a
-//! modeled per-hop link latency (the sleep sits on each rank's progress
-//! thread, so asynchronous collectives can genuinely hide it, exactly
-//! the §7 situation the overlap engine targets). Records step latency,
-//! tokens/sec, and the per-kind wait-time vs in-flight-time split from
-//! the comm stats: under overlap, wait time collapses while execution
-//! time (on the progress thread) stays put.
+//! A table of cases in three families, every case run by the same runner
+//! into the same [`Row`], every family listed as adjacent (lever off,
+//! lever on) pairs that [`pair`] turns into a speedup:
 //!
-//! A second section runs stage 3 over a modeled **two-tier** link (fast
-//! intra-node, slow shared inter-node) with and without the ZeRO++
-//! compression levers (qwZ + hpZ + qgZ): the quantized / node-local
-//! schedules move ~4× fewer logical bytes across the slow tier, and the
-//! tiered fabric charges serialization by logical bytes, so the
-//! compressed rows show a genuine measured wall-clock win.
+//! * `overlap` — each ZeRO stage × DP degree, synchronous vs overlapped,
+//!   over a fabric with a modeled per-hop link latency. The sleep sits on
+//!   each rank's progress thread, so asynchronous collectives can hide it
+//!   (§7): under overlap, wait time collapses while execution time stays.
+//! * `offload` — stage 3 unconstrained vs with optimizer, gradient and
+//!   parameter shards on a modeled host tier (ZeRO-Offload). Offload moves
+//!   residency, never values: the pair's losses must be bitwise equal, in
+//!   every mode.
+//! * `compression` — stage 3 over a modeled two-tier link, raw vs all
+//!   ZeRO++ levers (qwZ + hpZ + qgZ). The tiered fabric charges
+//!   serialization by logical bytes and the compressed schedule moves ~4×
+//!   fewer across the slow tier. Full runs only.
 //!
-//! A third section prices memory-tier offload (ZeRO-Offload direction):
-//! the same stage-3 config runs unconstrained and with optimizer,
-//! gradient, and parameter shards resident on a modeled host tier
-//! (throttled bandwidth + per-transfer latency). Losses must be bitwise
-//! identical — offload moves residency, never values — and the offloaded
-//! rows join the results file so the regression gate holds the tier path
-//! to the same tolerance as the plain rows.
-//!
-//! `--smoke` runs a single tiny configuration and skips the results
-//! file — CI uses it to prove the bench path end-to-end without
-//! churning the committed baseline.
-//!
-//! `--check-against <path>` replays the (smoke-restricted) configs at
-//! the baseline file's recorded link latency and step count, compares
-//! each measured row's wall-clock against the matching baseline row, and
-//! exits non-zero on a >10% per-step regression. The results file is
-//! never rewritten in this mode.
+//! `--smoke` runs ZeRO-3 at N = 2 only and leaves the results file alone.
+//! `--check-against <path>` replays at a full run's link latency and step
+//! count and compares each row with its committed counterpart: traffic and
+//! tier byte counts exactly, seconds per step loosely (see the crate docs).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde::Serialize;
-use zero_comm::{Grid, TieredLink, WorldConfig, ALL_KINDS};
-use zero_core::{
-    run_training_world, CompressionConfig, TierConfig, TrainReport, TrainSetup, ZeroConfig,
+use zero::comm::{Grid, TieredLink, WorldConfig, ALL_KINDS};
+use zero::core::{
+    run_training_world, CompressionConfig, RankReport, TierConfig, TrainSetup, ZeroConfig,
     ZeroStage,
 };
-use zero_model::ModelConfig;
+use zero::model::ModelConfig;
+use zero_bench::{best_of, nproc, print_row, Harness};
 
-/// Larger than `bench_model()`: overlap is only measurable when per-rank
-/// compute is comparable to the link latency it must hide — a model this
-/// size gives each backward block enough FLOPs to cover an in-flight
-/// reduce-scatter at the modeled latency.
-fn step_model() -> ModelConfig {
-    ModelConfig { vocab: 64, seq: 32, hidden: 128, layers: 4, heads: 4 }
-}
+/// What identifies a row, and what a rerun must reproduce exactly.
+const KEY: &[&str] = &["family", "stage", "nd", "overlap", "offload", "compressed"];
+const EXACT: &[&str] = &["steps", "rank0_comm_bytes", "tier_fetch_bytes", "tier_spill_bytes"];
 
+/// Overlap is only measurable when per-rank compute is comparable to the
+/// link latency it must hide: a model this size gives each backward block
+/// enough FLOPs to cover an in-flight reduce-scatter at the modeled latency.
 fn step_setup(stage: ZeroStage, dp: usize, overlap: bool) -> TrainSetup {
     TrainSetup {
-        model: step_model(),
+        model: ModelConfig { vocab: 64, seq: 32, hidden: 128, layers: 4, heads: 4 },
         zero: ZeroConfig {
             stage,
             fp16: true,
@@ -74,14 +62,80 @@ fn step_setup(stage: ZeroStage, dp: usize, overlap: bool) -> TrainSetup {
     }
 }
 
+/// NVLink-ish inside a node, a congested shared link between nodes — slow
+/// enough that stage-3 inter-node volume is a large share of the step, the
+/// low-bandwidth-cluster regime ZeRO++ targets.
+const TIERED_LINK: TieredLink = TieredLink {
+    node_size: 2,
+    intra_latency: Duration::from_micros(5),
+    intra_bytes_per_sec: 4e9,
+    inter_latency: Duration::from_micros(150),
+    inter_bytes_per_sec: 5e6,
+};
+
+/// PCIe-gen3-ish bandwidth and a small per-transfer latency, no device cap:
+/// the budget *proof* belongs to the tests and the CLI, the bench prices
+/// the link.
+const HOST_TIER: TierConfig = TierConfig {
+    host_bw: 8 << 30,
+    host_lat: Duration::from_micros(10),
+    ..TierConfig::budgeted(u64::MAX)
+};
+
+const ZERO_PP: CompressionConfig =
+    CompressionConfig { qwz: true, hpz: true, qgz: true, node_size: TIERED_LINK.node_size, block: 64 };
+
+/// A case: its family, what to train, and the fabric to train it over.
+type Case = (&'static str, TrainSetup, WorldConfig);
+
+/// The table: which lever each family turns, over which configurations.
+fn cases(smoke: bool, latency: Duration) -> Vec<Case> {
+    use ZeroStage::{Ddp, One, Three, Two};
+    let (stages, dps, wide): (&[ZeroStage], &[usize], usize) =
+        if smoke { (&[Three], &[2], 2) } else { (&[Ddp, One, Two, Three], &[2, 4], 4) };
+    let linked = WorldConfig::with_link_latency(latency);
+    let tiered = WorldConfig::with_tiered_link(TIERED_LINK);
+    let mut cases = Vec::new();
+    // One configuration with the lever off, then on: adjacent, in that order.
+    let mut lever = |family, world: &WorldConfig, stage, nd, overlap, turn: fn(&mut ZeroConfig)| {
+        for on in [false, true] {
+            let mut setup = step_setup(stage, nd, overlap);
+            if on {
+                turn(&mut setup.zero);
+            }
+            cases.push((family, setup, world.clone()));
+        }
+    };
+    for &stage in stages {
+        for &nd in dps {
+            lever("overlap", &linked, stage, nd, false, |z| z.overlap = true);
+        }
+    }
+    for overlap in [false, true] {
+        lever("offload", &linked, Three, wide, overlap, |z| z.tier = HOST_TIER);
+        if !smoke {
+            lever("compression", &tiered, Three, 4, overlap, |z| z.compression = ZERO_PP);
+        }
+    }
+    cases
+}
+
+/// One measured case. The three lever flags say which side of its pair it
+/// is; `nd` is its rank count.
 #[derive(Serialize)]
-struct StepRow {
-    stage: String,
+struct Row {
+    family: &'static str,
+    stage: &'static str,
     nd: usize,
     overlap: bool,
+    offload: bool,
+    compressed: bool,
+    oversubscribed: bool,
     steps: usize,
     secs_per_step: f64,
     tokens_per_sec: f64,
+    /// Rank 0: bytes sent over the whole run.
+    rank0_comm_bytes: u64,
     /// Max over ranks: total blocking wait on collectives, ms per step.
     comm_wait_ms_per_step: f64,
     /// Max over ranks: total progress-thread execution, ms per step.
@@ -95,534 +149,120 @@ struct StepRow {
     trace_overlap_ms_per_step: f64,
     /// Rank 0: distinct compute∩collective overlap windows recorded.
     rank0_overlap_windows: usize,
-}
-
-#[derive(Serialize)]
-struct Speedup {
-    stage: String,
-    nd: usize,
-    sync_secs_per_step: f64,
-    overlapped_secs_per_step: f64,
-    /// sync / overlapped step latency; > 1 means overlap wins.
-    speedup: f64,
-}
-
-/// One stage-3 run over the modeled two-tier link, raw or with all
-/// ZeRO++ levers (qwZ + hpZ + qgZ) on.
-#[derive(Serialize)]
-struct TieredRow {
-    nd: usize,
-    node_size: usize,
-    compressed: bool,
-    overlap: bool,
-    steps: usize,
-    secs_per_step: f64,
-    tokens_per_sec: f64,
-}
-
-/// One stage-3 run with the full model state on the modeled host tier,
-/// paired with its unconstrained twin's step latency. The loss streams of
-/// the pair are gated bitwise-identical before the row is recorded.
-#[derive(Serialize)]
-struct OffloadRow {
-    nd: usize,
-    overlap: bool,
-    steps: usize,
-    secs_per_step: f64,
-    baseline_secs_per_step: f64,
-    /// Rank-0 host→device bytes over the whole run.
+    /// Rank 0: host→device and device→host bytes over the whole run.
     tier_fetch_bytes: u64,
-    /// Rank-0 device→host bytes over the whole run.
     tier_spill_bytes: u64,
-    /// Rank-0 modeled time on the host link, ms per step.
+    /// Rank 0: modeled time on the host link, ms per step.
     tier_time_ms_per_step: f64,
-    /// baseline / offloaded step latency; < 1 means offload costs time.
-    relative_throughput: f64,
 }
 
-/// Wall-clock win of compression on the two-tier fabric.
+/// Runs one case; returns its row and the bit patterns of its losses.
+fn measure(case: &Case, steps: usize, trials: usize) -> (Row, Vec<u32>) {
+    let (family, setup, world) = case;
+    let (secs, report) = best_of(trials, || run_training_world(setup, steps, 0, world.clone()));
+    let per_step_ms = |nanos: u64| nanos as f64 / 1e6 / steps as f64;
+    type Nanos = fn(&RankReport) -> u64;
+    let max_ms = |of: Nanos| per_step_ms(report.ranks.iter().map(of).max().unwrap_or(0));
+    let r0 = &report.ranks[0];
+    let nd = setup.grid.dp_degree();
+    let row = Row {
+        family,
+        stage: setup.zero.stage.name(),
+        nd,
+        overlap: setup.zero.overlap,
+        offload: setup.zero.tier.enabled,
+        compressed: setup.zero.compression.any(),
+        oversubscribed: nd > nproc(),
+        steps,
+        secs_per_step: secs / steps as f64,
+        tokens_per_sec: (setup.global_batch * setup.model.seq * steps) as f64 / secs,
+        rank0_comm_bytes: r0.traffic.total_bytes(),
+        comm_wait_ms_per_step: max_ms(|r| r.timing.total_wait_nanos()),
+        comm_exec_ms_per_step: max_ms(|r| r.timing.total_exec_nanos()),
+        rank0_wait_ms_by_kind: ALL_KINDS.iter().map(|k| per_step_ms(r0.timing.wait_nanos(*k))).collect(),
+        rank0_exec_ms_by_kind: ALL_KINDS.iter().map(|k| per_step_ms(r0.timing.exec_nanos(*k))).collect(),
+        trace_overlap_ms_per_step: max_ms(|r| r.timeline.compute_collective_overlap_ns()),
+        rank0_overlap_windows: r0.timeline.compute_collective_overlap().len(),
+        tier_fetch_bytes: r0.tier.fetch_bytes,
+        tier_spill_bytes: r0.tier.spill_bytes,
+        tier_time_ms_per_step: r0.tier_time.as_secs_f64() * 1e3 / steps as f64,
+    };
+    print_row(&row);
+    (row, report.losses.iter().map(|l| l.to_bits()).collect())
+}
+
+/// `other` against `base`, the same configuration with the family's lever
+/// off; the remaining fields are `other`'s. `speedup > 1`: the lever wins.
 #[derive(Serialize)]
-struct CompressionSpeedup {
+struct Pair {
+    family: &'static str,
+    stage: &'static str,
     nd: usize,
-    node_size: usize,
     overlap: bool,
-    raw_secs_per_step: f64,
-    compressed_secs_per_step: f64,
-    /// raw / compressed step latency; > 1 means compression wins.
+    base_secs_per_step: f64,
+    other_secs_per_step: f64,
     speedup: f64,
 }
 
-/// The modeled two-tier link parameters, recorded for reproducibility.
-#[derive(Serialize)]
-struct TieredLinkSpec {
-    node_size: usize,
-    intra_latency_us: u64,
-    intra_gbytes_per_sec: f64,
-    inter_latency_us: u64,
-    inter_mbytes_per_sec: f64,
+fn pair(base: &Row, other: &Row) -> Pair {
+    Pair {
+        family: other.family,
+        stage: other.stage,
+        nd: other.nd,
+        overlap: other.overlap,
+        base_secs_per_step: base.secs_per_step,
+        other_secs_per_step: other.secs_per_step,
+        speedup: base.secs_per_step / other.secs_per_step,
+    }
 }
 
 #[derive(Serialize)]
 struct BenchStep {
+    nproc: usize,
     link_latency_us: u64,
     steps: usize,
     global_batch: usize,
-    rows: Vec<StepRow>,
-    speedups: Vec<Speedup>,
-    offload_rows: Vec<OffloadRow>,
-    tiered_link: TieredLinkSpec,
-    compression_rows: Vec<TieredRow>,
-    compression_speedups: Vec<CompressionSpeedup>,
-}
-
-/// The subset of a previously written `BENCH_step.json` that
-/// `--check-against` compares; extra fields in the file are ignored so
-/// older baselines stay loadable.
-struct BaselineRow {
-    stage: String,
-    nd: usize,
-    overlap: bool,
-    secs_per_step: f64,
-}
-
-struct BaselineOffloadRow {
-    nd: usize,
-    overlap: bool,
-    secs_per_step: f64,
-}
-
-struct Baseline {
-    link_latency_us: u64,
-    steps: usize,
-    rows: Vec<BaselineRow>,
-    offload_rows: Vec<BaselineOffloadRow>,
-}
-
-fn load_baseline(path: &str) -> Option<Baseline> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let v = serde_json::from_str(&text).ok()?;
-    let rows = v
-        .get("rows")?
-        .as_array()?
-        .iter()
-        .map(|r| {
-            Some(BaselineRow {
-                stage: r.get("stage")?.as_str()?.to_string(),
-                nd: r.get("nd")?.as_u64()? as usize,
-                overlap: r.get("overlap")?.as_bool()?,
-                secs_per_step: r.get("secs_per_step")?.as_f64()?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    // Optional so baselines written before the offload section stay
-    // loadable; their tier path simply goes ungated until regenerated.
-    let offload_rows = v
-        .get("offload_rows")
-        .and_then(|rows| rows.as_array())
-        .map(|rows| {
-            rows.iter()
-                .map(|r| {
-                    Some(BaselineOffloadRow {
-                        nd: r.get("nd")?.as_u64()? as usize,
-                        overlap: r.get("overlap")?.as_bool()?,
-                        secs_per_step: r.get("secs_per_step")?.as_f64()?,
-                    })
-                })
-                .collect::<Option<Vec<_>>>()
-        })
-        .unwrap_or(Some(Vec::new()))?;
-    Some(Baseline {
-        link_latency_us: v.get("link_latency_us")?.as_u64()?,
-        steps: v.get("steps")?.as_u64()? as usize,
-        rows,
-        offload_rows,
-    })
-}
-
-/// The modeled two-tier fabric: NVLink-ish inside a node, a congested
-/// shared link between nodes — slow enough that stage-3 inter-node
-/// volume is a large share of the step, which is exactly the
-/// low-bandwidth-cluster regime ZeRO++ targets.
-fn tiered_link() -> TieredLink {
-    TieredLink {
-        node_size: 2,
-        intra_latency: Duration::from_micros(5),
-        intra_bytes_per_sec: 4e9,
-        inter_latency: Duration::from_micros(150),
-        inter_bytes_per_sec: 5e6,
-    }
-}
-
-/// Stage 3 with (or without) the modeled host tier: PCIe-gen3-ish
-/// bandwidth and a small per-transfer latency, no device cap (the budget
-/// *proof* belongs to the tests and the CLI; the bench prices the link).
-fn offload_setup(dp: usize, offload: bool, overlap: bool) -> TrainSetup {
-    let mut setup = step_setup(ZeroStage::Three, dp, overlap);
-    if offload {
-        setup.zero.tier = TierConfig {
-            enabled: true,
-            device_budget: u64::MAX,
-            host_bw: 8 << 30,
-            host_lat: Duration::from_micros(10),
-            depth: 1,
-        };
-    }
-    setup
-}
-
-fn comp_setup(dp: usize, compressed: bool, overlap: bool) -> TrainSetup {
-    let mut setup = step_setup(ZeroStage::Three, dp, overlap);
-    if compressed {
-        setup.zero.compression = CompressionConfig {
-            qwz: true,
-            hpz: true,
-            qgz: true,
-            node_size: tiered_link().node_size,
-            block: 64,
-        };
-    }
-    setup
-}
-
-fn run_one(stage: ZeroStage, nd: usize, overlap: bool, steps: usize, latency: Duration) -> (f64, TrainReport) {
-    let setup = step_setup(stage, nd, overlap);
-    let t0 = Instant::now();
-    let report = run_training_world(&setup, steps, 0, WorldConfig::with_link_latency(latency));
-    (t0.elapsed().as_secs_f64(), report)
+    /// The two-tier link of the `compression` family, as its `Debug` text.
+    tiered_link: String,
+    rows: Vec<Row>,
+    pairs: Vec<Pair>,
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = argv.iter().any(|a| a == "--smoke");
-    let check_path = argv
-        .iter()
-        .position(|a| a == "--check-against")
-        .map(|i| argv.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--check-against needs a baseline file path");
-            std::process::exit(2);
-        }));
-    let baseline: Option<Baseline> = check_path.as_ref().map(|p| {
-        load_baseline(p).unwrap_or_else(|| {
-            eprintln!("check: cannot read or parse baseline {p}");
-            std::process::exit(2);
-        })
-    });
-
-    let (stages, dps, mut steps, mut trials, mut latency): (&[ZeroStage], &[usize], usize, usize, Duration) =
-        if smoke {
-            (&[ZeroStage::Three], &[2], 2, 1, Duration::from_micros(50))
-        } else {
-            (
-                &[ZeroStage::Ddp, ZeroStage::One, ZeroStage::Two, ZeroStage::Three],
-                &[2, 4],
-                10,
-                2,
-                Duration::from_micros(800),
-            )
-        };
-    if let Some(base) = &baseline {
-        // Replay at the baseline's recorded conditions so the wall-clock
-        // comparison is apples-to-apples, with best-of-2 trials to damp
-        // scheduler noise.
-        latency = Duration::from_micros(base.link_latency_us);
-        steps = base.steps;
-        trials = trials.max(2);
-    }
+    let harness = Harness::from_env("step", &[], &[]);
+    // A committed file is a full run: `--check-against` replays its
+    // conditions even over the `--smoke` cases.
+    let full = !harness.smoke || harness.baseline.is_some();
+    let (steps, latency_us) = if full { (10, 800) } else { (2, 50) };
+    let trials = if harness.smoke { 1 } else { 2 };
 
     let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    let mut global_batch = 0;
-    for &stage in stages {
-        for &nd in dps {
-            let mut secs = [0.0f64; 2];
-            let mut overlap_ms = [0.0f64; 2];
-            for overlap in [false, true] {
-                let setup = step_setup(stage, nd, overlap);
-                global_batch = setup.global_batch;
-                let tokens = (setup.global_batch * setup.model.seq * steps) as f64;
-                // Best-of-`trials`: the in-process cluster shares one
-                // host with the harness, so min wall-clock is the
-                // scheduler-noise-free estimate.
-                let (mut elapsed, mut report) = run_one(stage, nd, overlap, steps, latency);
-                for _ in 1..trials {
-                    let (e, r) = run_one(stage, nd, overlap, steps, latency);
-                    if e < elapsed {
-                        (elapsed, report) = (e, r);
-                    }
-                }
-                secs[overlap as usize] = elapsed / steps as f64;
-                let per_step_ms = |nanos: u64| nanos as f64 / 1e6 / steps as f64;
-                let wait_max =
-                    report.ranks.iter().map(|r| r.timing.total_wait_nanos()).max().unwrap_or(0);
-                let exec_max =
-                    report.ranks.iter().map(|r| r.timing.total_exec_nanos()).max().unwrap_or(0);
-                let overlap_max = report
-                    .ranks
-                    .iter()
-                    .map(|r| r.timeline.compute_collective_overlap_ns())
-                    .max()
-                    .unwrap_or(0);
-                overlap_ms[overlap as usize] = per_step_ms(overlap_max);
-                let r0 = &report.ranks[0].timing;
-                rows.push(StepRow {
-                    stage: stage.name().to_string(),
-                    nd,
-                    overlap,
-                    steps,
-                    secs_per_step: elapsed / steps as f64,
-                    tokens_per_sec: tokens / elapsed,
-                    comm_wait_ms_per_step: per_step_ms(wait_max),
-                    comm_exec_ms_per_step: per_step_ms(exec_max),
-                    rank0_wait_ms_by_kind: ALL_KINDS
-                        .iter()
-                        .map(|k| per_step_ms(r0.wait_nanos(*k)))
-                        .collect(),
-                    rank0_exec_ms_by_kind: ALL_KINDS
-                        .iter()
-                        .map(|k| per_step_ms(r0.exec_nanos(*k)))
-                        .collect(),
-                    trace_overlap_ms_per_step: overlap_ms[overlap as usize],
-                    rank0_overlap_windows: report.ranks[0]
-                        .timeline
-                        .compute_collective_overlap()
-                        .len(),
-                });
-            }
-            println!(
-                "{:<20} N={}  trace overlap: sync {:>6.2} ms/step, overlapped {:>6.2} ms/step",
-                stage.name(),
-                nd,
-                overlap_ms[0],
-                overlap_ms[1]
-            );
-            speedups.push(Speedup {
-                stage: stage.name().to_string(),
-                nd,
-                sync_secs_per_step: secs[0],
-                overlapped_secs_per_step: secs[1],
-                speedup: secs[0] / secs[1],
-            });
+    let mut pairs = Vec::new();
+    let cases = cases(harness.smoke, Duration::from_micros(latency_us));
+    for lever in cases.chunks(2) {
+        let (base, base_losses) = measure(&lever[0], steps, trials);
+        let (other, other_losses) = measure(&lever[1], steps, trials);
+        if other.family == "offload" {
+            assert_eq!(base_losses, other_losses, "offload moved values, not only residency");
         }
+        pairs.push(pair(&base, &other));
+        if !other.oversubscribed {
+            print_row(&pairs[pairs.len() - 1]);
+        }
+        rows.extend([base, other]);
     }
 
-    for s in &speedups {
-        println!(
-            "{:<20} N={}  sync {:>8.2} ms/step  overlapped {:>8.2} ms/step  speedup {:.2}×",
-            s.stage,
-            s.nd,
-            s.sync_secs_per_step * 1e3,
-            s.overlapped_secs_per_step * 1e3,
-            s.speedup
-        );
-    }
-
-    // Memory-tier offload: the same stage-3 config with and without the
-    // modeled host tier. The bitwise loss gate runs in every mode
-    // (including --smoke); the rows only reach the results file on a
-    // full run.
-    let off_dp = if smoke { 2 } else { 4 };
-    let mut offload_rows = Vec::new();
-    for overlap in [false, true] {
-        let mut secs = [0.0f64; 2];
-        let mut reports: [Option<TrainReport>; 2] = [None, None];
-        for offload in [false, true] {
-            let setup = offload_setup(off_dp, offload, overlap);
-            let run = || {
-                let t0 = Instant::now();
-                let r = run_training_world(
-                    &setup,
-                    steps,
-                    0,
-                    WorldConfig::with_link_latency(latency),
-                );
-                (t0.elapsed().as_secs_f64(), r)
-            };
-            let (mut elapsed, mut report) = run();
-            for _ in 1..trials {
-                let (e, r) = run();
-                if e < elapsed {
-                    (elapsed, report) = (e, r);
-                }
-            }
-            secs[offload as usize] = elapsed / steps as f64;
-            reports[offload as usize] = Some(report);
-        }
-        let base_run = reports[0].take().expect("baseline run recorded");
-        let off_run = reports[1].take().expect("offloaded run recorded");
-        let identical = base_run.losses.len() == off_run.losses.len()
-            && base_run
-                .losses
-                .iter()
-                .zip(&off_run.losses)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !identical {
-            eprintln!(
-                "offload: FAIL — losses diverge from the unconstrained run \
-                 (N={off_dp} overlap={overlap})\n  offloaded: {:?}\n  baseline:  {:?}",
-                off_run.losses, base_run.losses
-            );
-            std::process::exit(1);
-        }
-        let r0 = &off_run.ranks[0];
-        println!(
-            "ZeRO-3 tier offload  N={off_dp} overlap={overlap}  plain {:>8.2} ms/step  \
-             offloaded {:>8.2} ms/step  (tier {:.2} ms/step, {} B moved, losses bitwise equal)",
-            secs[0] * 1e3,
-            secs[1] * 1e3,
-            r0.tier_time.as_secs_f64() * 1e3 / steps as f64,
-            r0.tier.total_bytes(),
-        );
-        offload_rows.push(OffloadRow {
-            nd: off_dp,
-            overlap,
-            steps,
-            secs_per_step: secs[1],
-            baseline_secs_per_step: secs[0],
-            tier_fetch_bytes: r0.tier.fetch_bytes,
-            tier_spill_bytes: r0.tier.spill_bytes,
-            tier_time_ms_per_step: r0.tier_time.as_secs_f64() * 1e3 / steps as f64,
-            relative_throughput: secs[0] / secs[1],
-        });
-    }
-
-    if let Some(base) = &baseline {
-        let mut compared = 0usize;
-        let mut fails = Vec::new();
-        for row in &rows {
-            let Some(b) = base
-                .rows
-                .iter()
-                .find(|b| b.stage == row.stage && b.nd == row.nd && b.overlap == row.overlap)
-            else {
-                continue;
-            };
-            compared += 1;
-            if row.secs_per_step > b.secs_per_step * 1.10 {
-                fails.push(format!(
-                    "{} N={} overlap={}: {:.2} ms/step vs baseline {:.2} ms/step \
-                     (+{:.0}% > 10%)",
-                    row.stage,
-                    row.nd,
-                    row.overlap,
-                    row.secs_per_step * 1e3,
-                    b.secs_per_step * 1e3,
-                    (row.secs_per_step / b.secs_per_step - 1.0) * 100.0
-                ));
-            }
-        }
-        for row in &offload_rows {
-            let Some(b) = base
-                .offload_rows
-                .iter()
-                .find(|b| b.nd == row.nd && b.overlap == row.overlap)
-            else {
-                continue;
-            };
-            compared += 1;
-            if row.secs_per_step > b.secs_per_step * 1.10 {
-                fails.push(format!(
-                    "offload N={} overlap={}: {:.2} ms/step vs baseline {:.2} ms/step \
-                     (+{:.0}% > 10%)",
-                    row.nd,
-                    row.overlap,
-                    row.secs_per_step * 1e3,
-                    b.secs_per_step * 1e3,
-                    (row.secs_per_step / b.secs_per_step - 1.0) * 100.0
-                ));
-            }
-        }
-        if compared == 0 {
-            eprintln!("check: FAIL — no measured row matched a baseline row");
-            std::process::exit(1);
-        }
-        if !fails.is_empty() {
-            for f in &fails {
-                eprintln!("check: FAIL — {f}");
-            }
-            std::process::exit(1);
-        }
-        println!(
-            "check: OK — {compared} rows within 10% of baseline (results file untouched)"
-        );
-        return;
-    }
-    if smoke {
-        println!("smoke run complete (results file untouched)");
-        return;
-    }
-
-    // Compression on the two-tier fabric: stage 3 across two modeled
-    // nodes, raw vs all ZeRO++ levers, sync and overlapped.
-    let link = tiered_link();
-    let comp_dp = 4;
-    let mut compression_rows = Vec::new();
-    let mut compression_speedups = Vec::new();
-    for overlap in [false, true] {
-        let mut secs = [0.0f64; 2];
-        for compressed in [false, true] {
-            let setup = comp_setup(comp_dp, compressed, overlap);
-            let tokens = (setup.global_batch * setup.model.seq * steps) as f64;
-            let run = || {
-                let t0 = Instant::now();
-                run_training_world(&setup, steps, 0, WorldConfig::with_tiered_link(link));
-                t0.elapsed().as_secs_f64()
-            };
-            let mut elapsed = run();
-            for _ in 1..trials {
-                elapsed = elapsed.min(run());
-            }
-            secs[compressed as usize] = elapsed / steps as f64;
-            compression_rows.push(TieredRow {
-                nd: comp_dp,
-                node_size: link.node_size,
-                compressed,
-                overlap,
-                steps,
-                secs_per_step: elapsed / steps as f64,
-                tokens_per_sec: tokens / elapsed,
-            });
-        }
-        println!(
-            "ZeRO-3 tiered link   N={comp_dp} G={} overlap={overlap}  raw {:>8.2} ms/step  \
-             qwZ+hpZ+qgZ {:>8.2} ms/step  speedup {:.2}×",
-            link.node_size,
-            secs[0] * 1e3,
-            secs[1] * 1e3,
-            secs[0] / secs[1]
-        );
-        compression_speedups.push(CompressionSpeedup {
-            nd: comp_dp,
-            node_size: link.node_size,
-            overlap,
-            raw_secs_per_step: secs[0],
-            compressed_secs_per_step: secs[1],
-            speedup: secs[0] / secs[1],
-        });
-    }
-
-    let out = BenchStep {
-        link_latency_us: latency.as_micros() as u64,
+    // `--smoke` runs the offload pair at N = 2, which a committed full run
+    // (N = 4) does not carry.
+    let committed = rows.iter().filter(|r| !harness.smoke || r.family == "overlap");
+    harness.check("rows", committed, KEY, EXACT, Some("secs_per_step"));
+    harness.finish(&BenchStep {
+        nproc: nproc(),
+        link_latency_us: latency_us,
         steps,
-        global_batch,
+        global_batch: cases[0].1.global_batch,
+        tiered_link: format!("{TIERED_LINK:?}"),
         rows,
-        speedups,
-        offload_rows,
-        tiered_link: TieredLinkSpec {
-            node_size: link.node_size,
-            intra_latency_us: link.intra_latency.as_micros() as u64,
-            intra_gbytes_per_sec: link.intra_bytes_per_sec / 1e9,
-            inter_latency_us: link.inter_latency.as_micros() as u64,
-            inter_mbytes_per_sec: link.inter_bytes_per_sec / 1e6,
-        },
-        compression_rows,
-        compression_speedups,
-    };
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("manifest dir has a grandparent");
-    let path = root.join("results/BENCH_step.json");
-    let json = serde_json::to_string_pretty(&out).expect("serialize bench");
-    std::fs::write(&path, json + "\n").expect("write BENCH_step.json");
-    println!("wrote {}", path.display());
+        pairs,
+    });
 }

@@ -524,6 +524,27 @@ pub fn run_rank(
     }
 }
 
+/// What [`serve`] must return for an admitted `req`, token for token: greedy
+/// decoding through the single-process [`zero_model::IncrementalDecoder`]
+/// over the full `params` — what every bitwise serving gate compares with.
+///
+/// # Panics
+/// Panics if the request is one [`admit`] would reject.
+pub fn reference_greedy(model: &ModelConfig, params: &[f32], req: &ServeRequest) -> Vec<u32> {
+    let gpt = Gpt::new(*model);
+    let mut dec = zero_model::IncrementalDecoder::new(&gpt, params);
+    let mut last = Vec::new();
+    for &t in &req.prompt {
+        last = dec.feed(t).expect("reference prompt is well-formed");
+    }
+    let mut out = vec![argmax(&last) as u32];
+    while out.len() < req.max_new_tokens {
+        last = dec.feed(out[out.len() - 1]).expect("reference decode stays in context");
+        out.push(argmax(&last) as u32);
+    }
+    out
+}
+
 /// Serves `requests` on a world of `shards.len()` ranks (one thread per
 /// rank, each hosting its shard) and returns every rank's report.
 ///
@@ -578,21 +599,6 @@ mod tests {
     fn shards_of(params: &[f32], n: usize) -> Vec<Vec<f32>> {
         let part = Partitioner::new(params.len(), n);
         (0..n).map(|r| params[part.shard_range(r)].to_vec()).collect()
-    }
-
-    fn reference_greedy(model: &ModelConfig, params: &[f32], req: &ServeRequest) -> Vec<u32> {
-        let gpt = Gpt::new(*model);
-        let mut dec = zero_model::IncrementalDecoder::new(&gpt, params);
-        let mut last = vec![0.0];
-        for &t in &req.prompt {
-            last = dec.feed(t).unwrap();
-        }
-        let mut out = vec![argmax(&last) as u32];
-        while out.len() < req.max_new_tokens {
-            last = dec.feed(*out.last().unwrap()).unwrap();
-            out.push(argmax(&last) as u32);
-        }
-        out
     }
 
     #[test]

@@ -20,8 +20,10 @@
 use zero::cli::{usage_exit, Args};
 use zero::comm::CollectiveKind;
 use zero::core::{export_inference_shards, CommPlan, Partitioner, RankSnapshot};
-use zero::model::{argmax, Gpt, IncrementalDecoder, ModelConfig};
-use zero::serve::{serve, Arrivals, KvBackend, LoadConfig, ServeConfig, ServeRequest};
+use zero::model::{Gpt, ModelConfig};
+use zero::serve::{
+    reference_greedy, serve, Arrivals, KvBackend, LoadConfig, ServeConfig, ServeRequest,
+};
 use zero::trace::SpanCategory;
 
 /// Options that take a value, and bare switches (see `--help`).
@@ -34,22 +36,6 @@ const SWITCHES: &[&str] = &["--help", "--prefix-reuse", "--no-overlap", "--smoke
 fn fail(msg: &str) -> ! {
     eprintln!("zero-serve: FAIL: {msg}");
     std::process::exit(1);
-}
-
-/// Greedy reference through the single-process incremental decoder.
-fn reference_greedy(model: &ModelConfig, params: &[f32], req: &ServeRequest) -> Vec<u32> {
-    let gpt = Gpt::new(*model);
-    let mut dec = IncrementalDecoder::new(&gpt, params);
-    let mut last = Vec::new();
-    for &t in &req.prompt {
-        last = dec.feed(t).expect("reference prompt is well-formed");
-    }
-    let mut out = vec![argmax(&last) as u32];
-    while out.len() < req.max_new_tokens {
-        last = dec.feed(*out.last().unwrap()).expect("reference decode");
-        out.push(argmax(&last) as u32);
-    }
-    out
 }
 
 fn main() {

@@ -9,7 +9,7 @@
 //! Prints per-step losses, then a memory/communication report per rank —
 //! the full ZeRO experience (threads as GPUs) from one command.
 
-use zero::cli::Args;
+use zero::cli::{usage_exit, Args};
 use zero::comm::{CollectiveKind, Grid};
 use zero::core::{run_training, TrainSetup, ZeroConfig, ZeroStage};
 use zero::model::ModelConfig;
@@ -133,6 +133,22 @@ fn main() {
         node_size: args.get("--node-size", 2usize),
         block: args.get("--quant-block", 64usize),
     };
+    // Shapes the engine would meet with an `assert!`: refuse them here.
+    let (dp, mp, batch) = (args.get("--dp", 4usize), args.get("--mp", 1usize), args.get("--batch", 16usize));
+    if model.heads == 0 || !model.hidden.is_multiple_of(model.heads) {
+        usage_exit(&format!("--hidden {} must be divisible by --heads {}", model.hidden, model.heads));
+    }
+    if dp == 0 || !batch.is_multiple_of(dp) {
+        usage_exit(&format!("--batch {batch} must divide evenly over --dp {dp} replicas"));
+    }
+    let levers_in_effect = (compression.qwz || compression.hpz) && stage.partitions_params()
+        || compression.qgz && stage.partitions_grads();
+    if levers_in_effect && (mp != 1 || compression.node_size == 0 || !dp.is_multiple_of(compression.node_size)) {
+        usage_exit(&format!(
+            "--qwz/--hpz/--qgz need --mp 1 (got {mp}) and --dp {dp} divisible by --node-size {}",
+            compression.node_size
+        ));
+    }
     let device_budget: u64 = args.get("--device-budget", u64::MAX);
     let tier = if args.flag("--offload") || device_budget != u64::MAX {
         zero::core::TierConfig {
@@ -163,8 +179,8 @@ fn main() {
             }),
             ..ZeroConfig::default()
         },
-        grid: Grid::new(args.get("--dp", 4usize), args.get("--mp", 1usize)),
-        global_batch: args.get("--batch", 16usize),
+        grid: Grid::new(dp, mp),
+        global_batch: batch,
         seed: args.get("--seed", 42u64),
     };
     let steps = args.get("--steps", 50usize);

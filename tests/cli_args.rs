@@ -21,6 +21,10 @@ fn bad_values_and_unknown_flags_exit_2_naming_the_argument() {
         // `--ranks` was never a zero-train flag (it is `--dp`) and used to be dropped.
         (train, &["--stage", "2", "--ranks", "4"], &["--ranks"]),
         (train, &["--steps"], &["--steps"]),
+        // These three used to reach an engine `assert!` (exit 101).
+        (train, &["--stage", "3", "--hpz", "--node-size", "3", "--dp", "4"], &["--node-size", "--dp"]),
+        (train, &["--hidden", "16", "--heads", "3"], &["--hidden", "--heads"]),
+        (train, &["--dp", "3", "--batch", "4"], &["--dp", "--batch"]),
         (serve, &["--slots", "many"], &["--slots", "many"]),
         (serve, &["--dp", "2"], &["--dp"]),
         // These parse, but used to reach a panic in the engine / partitioner…

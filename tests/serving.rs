@@ -9,27 +9,12 @@ use zero::core::{export_inference_shards, CommPlan, Partitioner, RankSnapshot};
 use zero::model::{
     argmax, init_full_params, GenerateError, Generator, Gpt, IncrementalDecoder, ModelConfig,
 };
-use zero::serve::{serve, ServeConfig, ServeError, ServeRequest};
+use zero::serve::{reference_greedy, serve, ServeConfig, ServeError, ServeRequest};
 use zero::trace::SpanCategory;
 
 fn shard(params: &[f32], n: usize) -> Vec<Vec<f32>> {
     let part = Partitioner::new(params.len(), n);
     (0..n).map(|r| params[part.shard_range(r)].to_vec()).collect()
-}
-
-fn reference_greedy(model: &ModelConfig, params: &[f32], req: &ServeRequest) -> Vec<u32> {
-    let gpt = Gpt::new(*model);
-    let mut dec = IncrementalDecoder::new(&gpt, params);
-    let mut last = Vec::new();
-    for &t in &req.prompt {
-        last = dec.feed(t).expect("test prompt is well-formed");
-    }
-    let mut out = vec![argmax(&last) as u32];
-    while out.len() < req.max_new_tokens {
-        last = dec.feed(*out.last().unwrap()).expect("test decode");
-        out.push(argmax(&last) as u32);
-    }
-    out
 }
 
 fn requests(n_req: usize, max_new: usize, vocab: usize) -> Vec<ServeRequest> {
