@@ -10,15 +10,33 @@ scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
 
 echo "==> line budget (non-test lines of crates/{comm,core,serve,bench}/src)"
-# Lines before each file's first #[cfg(test)] — the number ROADMAP tracks.
+# Every line outside a #[cfg(test)] item — the number ROADMAP tracks. A test
+# item runs from its attribute to the `}` at the attribute's own indentation
+# (or to the `;` of a one-line item), so code that follows a file's first
+# test module is counted like any other.
 # The ceiling is a ratchet: a change that shrinks the code lowers it to
 # what it achieved; a change that needs more has to raise it on purpose.
-line_ceiling=13099
+count_non_test='
+    FNR == 1 { skip = 0 }
+    skip == 0 && /^[[:space:]]*#\[cfg\(test\)\]/ {
+        match($0, /^[[:space:]]*/); close_re = "^" substr($0, 1, RLENGTH) "}"; skip = 1; next
+    }
+    skip == 1 { if ($0 ~ /\{[[:space:]]*$/) skip = 2; else if ($0 ~ /;[[:space:]]*$/) skip = 0; next }
+    skip == 2 { if ($0 ~ close_re) skip = 0; next }
+    { n++ }
+    END { print n + 0 }'
+# The counter counts what it claims: 2 lines before a test module, 3 after
+# it, 1 after a one-line test item; nothing inside either.
+printf '%s\n' 'fn a() {' '}' '#[cfg(test)]' 'mod tests {' '    fn t() {' '    }' '}' \
+    'fn b() {' '    let _ = "}";' '}' '#[cfg(test)]' 'use x::y;' 'const C: u8 = 1;' \
+    > "$scratch/counted.rs"
+[ "$(awk "$count_non_test" "$scratch/counted.rs")" -eq 6 ] \
+    || { echo "line counter self-test failed: code after a test module must be counted in full"; exit 1; }
+line_ceiling=13146
 lines=0
 split=""
 for crate in comm core serve bench; do
-    n=$(find "crates/$crate/src" -name '*.rs' \
-        -exec awk 'FNR == 1 { live = 1 } /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 } live { n++ } END { print n + 0 }' {} +)
+    n=$(find "crates/$crate/src" -name '*.rs' -exec awk "$count_non_test" {} +)
     lines=$((lines + n))
     split="$split $crate $n"
 done

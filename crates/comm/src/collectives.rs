@@ -10,8 +10,12 @@
 //! balanced-uneven (no padding): chunk `i` of `total` over `n` ranks has
 //! `total/n + (i < total%n)` elements, and member `i` owns chunk `i`.
 //!
-//! Each ring has one body (`impl Fabric`, run on the progress thread) and
-//! one submission: `start_reduce_scatter_var`, `start_all_gather_var`,
+//! The ring's two phases — reduce around the ring, gather around the ring
+//! — are written once (`ring_reduce`, `ring_gather`): reduce-scatter is
+//! phase 1, all-gather is phase 2, all-reduce is both. Each collective has
+//! one body (`impl Fabric`, run on the progress thread) and one submission
+//! that moves its inputs into a closure over that body:
+//! `start_reduce_scatter_var`, `start_all_gather_var`,
 //! `start_all_gather_quant`, `start_reduce_scatter_qgz`. Everything else
 //! is a spelling of those — the blocking `*_var_in` wrappers are
 //! `start_*(…).wait()`, the fixed-size `*_in` wrappers are `*_var_in` with
@@ -21,7 +25,7 @@
 
 use crate::error::CommError;
 use crate::group::Group;
-use crate::nonblocking::{PendingOp, Request};
+use crate::nonblocking::PendingOp;
 use crate::quant::{quant_wire_bytes, quantize_for_transport, BlockQuantized};
 use crate::stats::CollectiveKind;
 use crate::world::{Communicator, Fabric};
@@ -175,185 +179,169 @@ impl Communicator {
 
 // ----- fabric-side ring schedules (run on the progress thread) -----
 //
-// These bodies are the original synchronous implementations, verbatim:
-// every membership check, fault trigger (`begin_op`), send, and receive
-// happens in the same order it always did. The public `Communicator`
-// methods below submit these as queue jobs.
+// Every membership check, fault trigger (`begin_op`), send, and receive
+// happens in the order the synchronous implementations had. The public
+// `Communicator` methods below move their inputs into a closure over one
+// of these bodies and submit it; argument lengths are asserted there, on
+// the caller's thread.
+
+/// One member's seat on the ring a collective runs around.
+struct Ring {
+    n: usize,
+    idx: usize,
+    next: usize,
+    prev: usize,
+}
+
+impl Ring {
+    /// `rank`'s seat in `group` ([`CommError::NotInGroup`] for a non-member).
+    fn seat(group: &Group, rank: usize) -> Result<Ring, CommError> {
+        let (n, idx) = (group.len(), member_index(group, rank)?);
+        let at = |i: usize| group.members()[i % n];
+        Ok(Ring { n, idx, next: at(idx + 1), prev: at(idx + n - 1) })
+    }
+}
 
 impl Fabric {
-    /// Ring all-reduce within `group`, in place.
-    ///
-    /// # Errors
-    /// Returns [`CommError::NotInGroup`] if this rank is not a member of
-    /// `group`.
-    pub(crate) fn all_reduce_in(
+    /// Ring phase 1 — reduce around the ring: after n−1 steps this member
+    /// holds the fully reduced chunk `idx` of `buf` (the other chunks hold
+    /// partial sums).
+    fn ring_reduce(
         &mut self,
-        group: &Group,
+        ring: &Ring,
         buf: &mut [f32],
+        chunks: &[std::ops::Range<usize>],
         op: ReduceOp,
+        kind: CollectiveKind,
         prec: Precision,
     ) -> Result<(), CommError> {
-        let n = group.len();
-        if n == 1 {
-            // A single-member group exchanges nothing: no fabric op is
-            // counted, so injected faults cannot target it.
-            finalize(op, buf, 1);
-            return Ok(());
-        }
-        self.begin_op(CollectiveKind::AllReduce)?;
-        let idx = member_index(group, self.rank)?;
-        let total = buf.len();
-        let next = group.members()[(idx + 1) % n];
-        let prev = group.members()[(idx + n - 1) % n];
-
-        // Phase 1: reduce-scatter. After n−1 steps this rank holds the
-        // fully reduced chunk `idx`.
+        let Ring { n, idx, next, prev } = *ring;
         for step in 0..n - 1 {
             let send_c = (idx + 2 * n - 1 - step) % n;
             let recv_c = (idx + 2 * n - 2 - step) % n;
-            let payload = buf[chunk_range(total, n, send_c)].to_vec();
+            let payload = buf[chunks[send_c].clone()].to_vec();
             let bytes = prec.bytes() * payload.len() as u64;
-            self.send_raw(next, payload, CollectiveKind::AllReduce, bytes)?;
+            self.send_raw(next, payload, kind, bytes)?;
             let incoming = self.recv_raw(prev)?;
-            apply(op, &mut buf[chunk_range(total, n, recv_c)], &incoming);
+            apply(op, &mut buf[chunks[recv_c].clone()], &incoming);
         }
-        // Phase 2: all-gather the reduced chunks around the ring.
+        Ok(())
+    }
+
+    /// Ring phase 2 — gather around the ring: this member starts with
+    /// chunk `idx` of `buf` final and ends with every chunk.
+    fn ring_gather(
+        &mut self,
+        ring: &Ring,
+        buf: &mut [f32],
+        chunks: &[std::ops::Range<usize>],
+        kind: CollectiveKind,
+        prec: Precision,
+    ) -> Result<(), CommError> {
+        let Ring { n, idx, next, prev } = *ring;
         for step in 0..n - 1 {
             let send_c = (idx + n - step) % n;
             let recv_c = (idx + 2 * n - 1 - step) % n;
-            let payload = buf[chunk_range(total, n, send_c)].to_vec();
+            let payload = buf[chunks[send_c].clone()].to_vec();
             let bytes = prec.bytes() * payload.len() as u64;
-            self.send_raw(next, payload, CollectiveKind::AllReduce, bytes)?;
+            self.send_raw(next, payload, kind, bytes)?;
             let incoming = self.recv_raw(prev)?;
-            buf[chunk_range(total, n, recv_c)].copy_from_slice(&incoming);
+            buf[chunks[recv_c].clone()].copy_from_slice(&incoming);
         }
-        finalize(op, buf, n);
         Ok(())
     }
 
-    /// Ring reduce-scatter with explicit per-member chunk lengths
-    /// (`counts[i]` elements go to group member `i`; `Σ counts` must equal
-    /// `input.len()`). Zero counts are allowed — ZeRO's flat-space
-    /// partitioning produces uneven and sometimes empty intersections
-    /// between a layer's parameter range and a rank's shard.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub(crate) fn reduce_scatter_var_in(
+    /// Ring all-reduce within `group`: both phases over balanced chunks.
+    fn all_reduce_in(
         &mut self,
         group: &Group,
-        input: &[f32],
-        out: &mut [f32],
+        mut buf: Vec<f32>,
+        op: ReduceOp,
+        prec: Precision,
+    ) -> Result<Vec<f32>, CommError> {
+        let n = group.len();
+        // A single-member group exchanges nothing: no fabric op is
+        // counted, so injected faults cannot target it.
+        if n > 1 {
+            self.begin_op(CollectiveKind::AllReduce)?;
+            let ring = Ring::seat(group, self.rank)?;
+            let chunks: Vec<_> = (0..n).map(|i| chunk_range(buf.len(), n, i)).collect();
+            self.ring_reduce(&ring, &mut buf, &chunks, op, CollectiveKind::AllReduce, prec)?;
+            self.ring_gather(&ring, &mut buf, &chunks, CollectiveKind::AllReduce, prec)?;
+        }
+        finalize(op, &mut buf, n);
+        Ok(buf)
+    }
+
+    /// Ring reduce-scatter with explicit per-member chunk lengths: phase 1
+    /// with `input` as the working buffer, yielding this member's chunk.
+    fn reduce_scatter_var_in(
+        &mut self,
+        group: &Group,
+        mut input: Vec<f32>,
         op: ReduceOp,
         counts: &[usize],
         prec: Precision,
-    ) -> Result<(), CommError> {
-        let n = group.len();
-        assert_eq!(counts.len(), n, "reduce_scatter: counts length");
-        assert_eq!(counts.iter().sum::<usize>(), input.len(), "reduce_scatter: counts sum");
-        let idx = member_index(group, self.rank)?;
-        let ranges = ranges_from_counts(counts);
-        assert_eq!(out.len(), counts[idx], "reduce_scatter: bad out length");
-        if n == 1 {
-            // No peers, no fabric op (see `all_reduce_in`).
-            out.copy_from_slice(input);
-            finalize(op, out, 1);
-            return Ok(());
+    ) -> Result<Vec<f32>, CommError> {
+        let ring = Ring::seat(group, self.rank)?;
+        let chunks = ranges_from_counts(counts);
+        // No peers, no fabric op (see `all_reduce_in`).
+        if ring.n > 1 {
+            self.begin_op(CollectiveKind::ReduceScatter)?;
+            let kind = CollectiveKind::ReduceScatter;
+            self.ring_reduce(&ring, &mut input, &chunks, op, kind, prec)?;
         }
-        self.begin_op(CollectiveKind::ReduceScatter)?;
-        let next = group.members()[(idx + 1) % n];
-        let prev = group.members()[(idx + n - 1) % n];
-
-        // Working copy: the ring mutates chunks as partial sums flow.
-        let mut work = input.to_vec();
-        for step in 0..n - 1 {
-            let send_c = (idx + 2 * n - 1 - step) % n;
-            let recv_c = (idx + 2 * n - 2 - step) % n;
-            let payload = work[ranges[send_c].clone()].to_vec();
-            let bytes = prec.bytes() * payload.len() as u64;
-            self.send_raw(next, payload, CollectiveKind::ReduceScatter, bytes)?;
-            let incoming = self.recv_raw(prev)?;
-            apply(op, &mut work[ranges[recv_c].clone()], &incoming);
-        }
-        out.copy_from_slice(&work[ranges[idx].clone()]);
-        finalize(op, out, n);
-        Ok(())
+        let mut out = input[chunks[ring.idx].clone()].to_vec();
+        finalize(op, &mut out, ring.n);
+        Ok(out)
     }
 
-    /// Ring all-gather with explicit per-member chunk lengths (`counts[i]`
-    /// elements contributed by member `i`; `Σ counts` = `out.len()`).
-    /// Zero counts are allowed.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub(crate) fn all_gather_var_in(
+    /// Ring all-gather with explicit per-member chunk lengths: phase 2
+    /// over a `Σ counts` buffer seeded with this member's `shard`.
+    fn all_gather_var_in(
         &mut self,
         group: &Group,
         shard: &[f32],
-        out: &mut [f32],
         counts: &[usize],
         prec: Precision,
-    ) -> Result<(), CommError> {
-        let n = group.len();
-        assert_eq!(counts.len(), n, "all_gather: counts length");
-        assert_eq!(counts.iter().sum::<usize>(), out.len(), "all_gather: counts sum");
-        let idx = member_index(group, self.rank)?;
-        let ranges = ranges_from_counts(counts);
-        assert_eq!(shard.len(), counts[idx], "all_gather: bad shard length");
-        out[ranges[idx].clone()].copy_from_slice(shard);
-        if n == 1 {
-            // No peers, no fabric op (see `all_reduce_in`).
-            return Ok(());
+    ) -> Result<Vec<f32>, CommError> {
+        let ring = Ring::seat(group, self.rank)?;
+        let chunks = ranges_from_counts(counts);
+        let mut out = vec![0.0; counts.iter().sum()];
+        out[chunks[ring.idx].clone()].copy_from_slice(shard);
+        // No peers, no fabric op (see `all_reduce_in`).
+        if ring.n > 1 {
+            self.begin_op(CollectiveKind::AllGather)?;
+            self.ring_gather(&ring, &mut out, &chunks, CollectiveKind::AllGather, prec)?;
         }
-        self.begin_op(CollectiveKind::AllGather)?;
-        let next = group.members()[(idx + 1) % n];
-        let prev = group.members()[(idx + n - 1) % n];
-        for step in 0..n - 1 {
-            let send_c = (idx + n - step) % n;
-            let recv_c = (idx + 2 * n - 1 - step) % n;
-            let payload = out[ranges[send_c].clone()].to_vec();
-            let bytes = prec.bytes() * payload.len() as u64;
-            self.send_raw(next, payload, CollectiveKind::AllGather, bytes)?;
-            let incoming = self.recv_raw(prev)?;
-            out[ranges[recv_c].clone()].copy_from_slice(&incoming);
-        }
-        Ok(())
+        Ok(out)
     }
 
     /// Pipelined broadcast within `group` from global rank `root`.
-    ///
-    /// # Errors
-    /// Returns [`CommError::NotInGroup`] if this rank or `root` is not in
-    /// `group`.
-    pub(crate) fn broadcast_in(
+    fn broadcast_in(
         &mut self,
         group: &Group,
         root: usize,
-        buf: &mut [f32],
+        mut buf: Vec<f32>,
         prec: Precision,
-    ) -> Result<(), CommError> {
+    ) -> Result<Vec<f32>, CommError> {
         self.begin_op(CollectiveKind::Broadcast)?;
-        let n = group.len();
-        if n == 1 {
-            return Ok(());
+        if group.len() == 1 {
+            return Ok(buf);
         }
-        let idx = member_index(group, self.rank)?;
+        let Ring { n, idx, next, prev } = Ring::seat(group, self.rank)?;
         let root_idx = member_index(group, root)?;
         // Position along the chain starting at the root.
         let pos = (idx + n - root_idx) % n;
         let bytes = prec.bytes() * buf.len() as u64;
         if pos > 0 {
-            let prev = group.members()[(idx + n - 1) % n];
             let incoming = self.recv_raw(prev)?;
             buf.copy_from_slice(&incoming);
         }
         if pos < n - 1 {
-            let next = group.members()[(idx + 1) % n];
-            self.send_raw(next, buf.to_vec(), CollectiveKind::Broadcast, bytes)?;
+            self.send_raw(next, buf.clone(), CollectiveKind::Broadcast, bytes)?;
         }
-        Ok(())
+        Ok(buf)
     }
 }
 
@@ -372,9 +360,9 @@ impl Communicator {
         op: ReduceOp,
         prec: Precision,
     ) -> Result<(), CommError> {
-        let req = Request::AllReduce { group: group.clone(), data: buf.to_vec(), op, prec };
-        let out = self.submit(Some(CollectiveKind::AllReduce), req).wait()?;
-        buf.copy_from_slice(&out);
+        let (group, data) = (group.clone(), buf.to_vec());
+        let run = move |f: &mut Fabric| f.all_reduce_in(&group, data, op, prec);
+        buf.copy_from_slice(&self.submit(Some(CollectiveKind::AllReduce), run).wait()?);
         Ok(())
     }
 
@@ -474,10 +462,9 @@ impl Communicator {
         buf: &mut [f32],
         prec: Precision,
     ) -> Result<(), CommError> {
-        let req =
-            Request::Broadcast { group: group.clone(), root, data: buf.to_vec(), prec };
-        let out = self.submit(Some(CollectiveKind::Broadcast), req).wait()?;
-        buf.copy_from_slice(&out);
+        let (group, data) = (group.clone(), buf.to_vec());
+        let run = move |f: &mut Fabric| f.broadcast_in(&group, root, data, prec);
+        buf.copy_from_slice(&self.submit(Some(CollectiveKind::Broadcast), run).wait()?);
         Ok(())
     }
 
@@ -500,14 +487,10 @@ impl Communicator {
     ) -> PendingOp {
         assert_eq!(counts.len(), group.len(), "reduce_scatter: counts length");
         assert_eq!(counts.iter().sum::<usize>(), input.len(), "reduce_scatter: counts sum");
-        let req = Request::ReduceScatter {
-            group: group.clone(),
-            input: input.to_vec(),
-            op,
-            counts: counts.to_vec(),
-            prec,
-        };
-        self.submit(Some(CollectiveKind::ReduceScatter), req)
+        let (group, input, counts) = (group.clone(), input.to_vec(), counts.to_vec());
+        self.submit(Some(CollectiveKind::ReduceScatter), move |f| {
+            f.reduce_scatter_var_in(&group, input, op, &counts, prec)
+        })
     }
 
     /// Starts a ring all-gather with explicit per-member counts without
@@ -527,13 +510,10 @@ impl Communicator {
         if let Some(idx) = group.local_index(self.rank()) {
             assert_eq!(shard.len(), counts[idx], "all_gather: bad shard length");
         }
-        let req = Request::AllGather {
-            group: group.clone(),
-            shard: shard.to_vec(),
-            counts: counts.to_vec(),
-            prec,
-        };
-        self.submit(Some(CollectiveKind::AllGather), req)
+        let (group, shard, counts) = (group.clone(), shard.to_vec(), counts.to_vec());
+        self.submit(Some(CollectiveKind::AllGather), move |f| {
+            f.all_gather_var_in(&group, &shard, &counts, prec)
+        })
     }
 }
 
@@ -790,33 +770,23 @@ impl Fabric {
     /// rank — owner included — dequantizes from that stream, so the
     /// gathered buffer is bitwise identical across the group and
     /// requantization error never compounds across hops.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub(crate) fn all_gather_quant_in(
+    fn all_gather_quant_in(
         &mut self,
         group: &Group,
         shard: &[f32],
-        out: &mut [f32],
         counts: &[usize],
         block: usize,
-    ) -> Result<(), CommError> {
-        let n = group.len();
-        assert_eq!(counts.len(), n, "all_gather_quant: counts length");
-        assert_eq!(counts.iter().sum::<usize>(), out.len(), "all_gather_quant: counts sum");
-        let idx = member_index(group, self.rank)?;
+    ) -> Result<Vec<f32>, CommError> {
+        let Ring { n, idx, next, prev } = Ring::seat(group, self.rank)?;
         let ranges = ranges_from_counts(counts);
-        assert_eq!(shard.len(), counts[idx], "all_gather_quant: bad shard length");
         let own = quantize_for_transport(shard, block);
+        let mut out = vec![0.0; counts.iter().sum()];
         out[ranges[idx].clone()].copy_from_slice(&own.dequantize());
         if n == 1 {
             // No peers, no fabric op (see `all_reduce_in`).
-            return Ok(());
+            return Ok(out);
         }
         self.begin_op(CollectiveKind::AllGather)?;
-        let next = group.members()[(idx + 1) % n];
-        let prev = group.members()[(idx + n - 1) % n];
         let mut streams: Vec<Option<Vec<f32>>> = vec![None; n];
         streams[idx] = Some(own.encode());
         for step in 0..n - 1 {
@@ -832,7 +802,7 @@ impl Fabric {
             out[ranges[recv_c].clone()].copy_from_slice(&decoded.dequantize());
             streams[recv_c] = Some(incoming);
         }
-        Ok(())
+        Ok(out)
     }
 
     /// Two-phase quantized reduce-scatter (ZeRO++ qgZ) over a group whose
@@ -851,32 +821,28 @@ impl Fabric {
     /// stays full precision. Accumulation order (slots, then nodes) is
     /// fixed, so results are bit-deterministic across runs.
     ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`], and a `node_size` that does not divide
-    /// the group as [`CommError::InvalidTopology`].
+    /// # Errors
+    /// Membership violations surface as [`CommError::NotInGroup`], and a
+    /// `node_size` that does not divide the group as
+    /// [`CommError::InvalidTopology`].
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn reduce_scatter_qgz_in(
+    fn reduce_scatter_qgz_in(
         &mut self,
         group: &Group,
         input: &[f32],
-        out: &mut [f32],
         op: ReduceOp,
         counts: &[usize],
         node_size: usize,
         block: usize,
         prec: Precision,
-    ) -> Result<(), CommError> {
+    ) -> Result<Vec<f32>, CommError> {
         let n = group.len();
-        assert_eq!(counts.len(), n, "reduce_scatter_qgz: counts length");
-        assert_eq!(counts.iter().sum::<usize>(), input.len(), "reduce_scatter_qgz: counts sum");
         let idx = member_index(group, self.rank)?;
-        assert_eq!(out.len(), counts[idx], "reduce_scatter_qgz: bad out length");
         if n == 1 {
             // No peers, no fabric op (see `all_reduce_in`).
-            out.copy_from_slice(input);
-            finalize(op, out, 1);
-            return Ok(());
+            let mut out = input.to_vec();
+            finalize(op, &mut out, 1);
+            return Ok(out);
         }
         let g = node_size;
         if g == 0 || !n.is_multiple_of(g) {
@@ -952,6 +918,7 @@ impl Fabric {
         }
         // Final reduction in node order; the local partial stays full
         // precision — only the slow hop was quantized.
+        let mut out = vec![0.0; counts[idx]];
         for (m, incoming) in from_nodes.iter().enumerate() {
             let src: Vec<f32> = if m == node {
                 partial[node].clone()
@@ -964,11 +931,11 @@ impl Fabric {
             if m == 0 {
                 out.copy_from_slice(&src);
             } else {
-                apply(inner, out, &src);
+                apply(inner, &mut out, &src);
             }
         }
-        finalize(op, out, n);
-        Ok(())
+        finalize(op, &mut out, n);
+        Ok(out)
     }
 }
 
@@ -992,13 +959,10 @@ impl Communicator {
         if let Some(idx) = group.local_index(self.rank()) {
             assert_eq!(shard.len(), counts[idx], "all_gather_quant: bad shard length");
         }
-        let req = Request::AllGatherQuant {
-            group: group.clone(),
-            shard: shard.to_vec(),
-            counts: counts.to_vec(),
-            block,
-        };
-        self.submit(Some(CollectiveKind::AllGather), req)
+        let (group, shard, counts) = (group.clone(), shard.to_vec(), counts.to_vec());
+        self.submit(Some(CollectiveKind::AllGather), move |f| {
+            f.all_gather_quant_in(&group, &shard, &counts, block)
+        })
     }
 
     /// Starts a two-phase quantized reduce-scatter (ZeRO++ qgZ) without
@@ -1023,16 +987,10 @@ impl Communicator {
         assert!(block > 0, "reduce_scatter_qgz: block size must be positive");
         assert_eq!(counts.len(), group.len(), "reduce_scatter_qgz: counts length");
         assert_eq!(counts.iter().sum::<usize>(), input.len(), "reduce_scatter_qgz: counts sum");
-        let req = Request::ReduceScatterQgz {
-            group: group.clone(),
-            input: input.to_vec(),
-            op,
-            counts: counts.to_vec(),
-            node_size,
-            block,
-            prec,
-        };
-        self.submit(Some(CollectiveKind::ReduceScatter), req)
+        let (group, input, counts) = (group.clone(), input.to_vec(), counts.to_vec());
+        self.submit(Some(CollectiveKind::ReduceScatter), move |f| {
+            f.reduce_scatter_qgz_in(&group, &input, op, &counts, node_size, block, prec)
+        })
     }
 }
 

@@ -1,12 +1,15 @@
 //! Non-blocking collective machinery: the progress thread, its job queue,
 //! and the [`PendingOp`] completion handle.
 //!
-//! Every communication op a rank issues — blocking or not — is a
-//! [`Request`] enqueued on the rank's progress thread. The thread drains
-//! the queue in FIFO order and runs each op against the rank's private
-//! [`Fabric`](crate::world::Fabric), so the *fabric-visible* op order is
-//! exactly the issue order. That single property carries all the
-//! correctness arguments over from the synchronous engine unchanged:
+//! Every communication op a rank issues — blocking or not — is a closure
+//! over the rank's private [`Fabric`](crate::world::Fabric), enqueued on
+//! the rank's progress thread by `Communicator::submit`: the call site
+//! moves the op's inputs into the closure and names the `Fabric` body to
+//! run, so a collective is spelled twice (its `start_*` and its body) and
+//! nowhere else. The thread drains the queue in FIFO order, so the
+//! *fabric-visible* op order is exactly the issue order. That single
+//! property carries all the correctness arguments over from the
+//! synchronous engine unchanged:
 //!
 //! * **Deadlock-freedom** — ranks run an SPMD schedule; identical issue
 //!   order per rank means the rings pair up exactly as before.
@@ -27,9 +30,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::collectives::{Precision, ReduceOp};
 use crate::error::CommError;
-use crate::group::Group;
 use crate::stats::{CollectiveKind, TrafficStats};
 use crate::world::Fabric;
 use zero_trace::{SpanCategory, TraceRecorder, TRACK_PROGRESS};
@@ -39,109 +40,46 @@ use zero_trace::{SpanCategory, TraceRecorder, TRACK_PROGRESS};
 /// immediately.
 const PROGRESS_TICK: Duration = Duration::from_millis(50);
 
-/// One communication op, self-contained: owns copies of its inputs so it
-/// can cross to the progress thread.
-pub(crate) enum Request {
-    /// In-place ring all-reduce over `group`.
-    AllReduce { group: Group, data: Vec<f32>, op: ReduceOp, prec: Precision },
-    /// Ring reduce-scatter with explicit per-member counts; the result is
-    /// this rank's reduced chunk (`counts[idx]` elements).
-    ReduceScatter { group: Group, input: Vec<f32>, op: ReduceOp, counts: Vec<usize>, prec: Precision },
-    /// Ring all-gather with explicit per-member counts; the result is the
-    /// full `Σ counts` buffer.
-    AllGather { group: Group, shard: Vec<f32>, counts: Vec<usize>, prec: Precision },
-    /// Block-quantized ring all-gather (ZeRO++ qwZ); the result is the
-    /// full `Σ counts` buffer, dequantized identically on every member.
-    AllGatherQuant { group: Group, shard: Vec<f32>, counts: Vec<usize>, block: usize },
-    /// Two-phase quantized reduce-scatter (ZeRO++ qgZ); the result is
-    /// this rank's reduced chunk (`counts[idx]` elements).
-    ReduceScatterQgz {
-        group: Group,
-        input: Vec<f32>,
-        op: ReduceOp,
-        counts: Vec<usize>,
-        node_size: usize,
-        block: usize,
-        prec: Precision,
-    },
-    /// Pipelined broadcast from `root`; the result is the final buffer.
-    Broadcast { group: Group, root: usize, data: Vec<f32>, prec: Precision },
-    /// Point-to-point send (empty result).
-    Send { dst: usize, data: Vec<f32> },
-    /// Point-to-point receive of the next payload from `src`.
-    Recv { src: usize },
-    /// World barrier (empty result).
-    Barrier,
-    /// A modeled host↔device memory-tier transfer (ZeRO-Offload traffic):
-    /// no fabric messages move, but the transfer occupies the FIFO
-    /// progress thread for `delay`, so tier latency serializes with the
-    /// rank's collectives and hides behind compute exactly like they do.
-    /// Recorded as a byte-tagged [`SpanCategory::Tier`] span named
-    /// `label` (empty result).
-    TierMove { bytes: u64, delay: Duration, label: &'static str },
-}
-
-impl Request {
-    /// The stats kind this op's execution time is attributed to, if any.
-    fn kind(&self) -> Option<CollectiveKind> {
-        match self {
-            Request::AllReduce { .. } => Some(CollectiveKind::AllReduce),
-            Request::ReduceScatter { .. } | Request::ReduceScatterQgz { .. } => {
-                Some(CollectiveKind::ReduceScatter)
-            }
-            Request::AllGather { .. } | Request::AllGatherQuant { .. } => {
-                Some(CollectiveKind::AllGather)
-            }
-            Request::Broadcast { .. } => Some(CollectiveKind::Broadcast),
-            Request::Send { .. } | Request::Recv { .. } => Some(CollectiveKind::P2p),
-            Request::Barrier | Request::TierMove { .. } => None,
-        }
-    }
-}
+/// What an op yields: its result payload, or its typed failure.
+pub(crate) type OpResult = Result<Vec<f32>, CommError>;
 
 /// A queued op plus the channel its result is delivered on.
 pub(crate) struct Job {
-    pub(crate) req: Request,
-    pub(crate) done: Sender<Result<Vec<f32>, CommError>>,
+    /// The stats kind the op's execution time and bytes are attributed to
+    /// (`None` for barriers and tier moves, which send no payload).
+    pub(crate) kind: Option<CollectiveKind>,
+    /// A `Fabric` body from `collectives.rs`/`world.rs` with its inputs
+    /// moved in, yielding the op's result payload (empty for sends,
+    /// barriers and tier moves).
+    pub(crate) run: Box<dyn FnOnce(&mut Fabric) -> OpResult + Send>,
+    pub(crate) done: Sender<OpResult>,
 }
 
 /// Handle to an in-flight communication op.
 ///
 /// Obtained from `start_reduce_scatter_var` / `start_all_gather_var` /
-/// their quantized twins (or internally by every blocking collective). The op advances on the rank's
-/// progress thread regardless of what the holder does; [`PendingOp::wait`]
-/// blocks until the result (or the op's typed failure) arrives.
+/// their quantized twins (or internally by every blocking collective). The
+/// op advances on the rank's progress thread regardless of what the holder
+/// does; [`PendingOp::wait`] blocks until the result (or the op's typed
+/// failure) arrives.
 ///
 /// Dropping the handle without waiting does **not** cancel the op — it
 /// still executes, keeping the rank's fabric schedule aligned with its
 /// SPMD peers; only the result is discarded.
 #[must_use = "an unwaited PendingOp discards its result and any error"]
 pub struct PendingOp {
-    rank: usize,
-    kind: Option<CollectiveKind>,
-    done: Receiver<Result<Vec<f32>, CommError>>,
-    budget: Duration,
-    stats: Arc<TrafficStats>,
-    trace: Arc<TraceRecorder>,
-    /// True if the job could not even be enqueued (progress thread gone).
-    lost: bool,
+    pub(crate) rank: usize,
+    pub(crate) kind: Option<CollectiveKind>,
+    pub(crate) done: Receiver<OpResult>,
+    pub(crate) budget: Duration,
+    pub(crate) stats: Arc<TrafficStats>,
+    pub(crate) trace: Arc<TraceRecorder>,
 }
 
 impl PendingOp {
-    pub(crate) fn new(
-        rank: usize,
-        kind: Option<CollectiveKind>,
-        done: Receiver<Result<Vec<f32>, CommError>>,
-        budget: Duration,
-        stats: Arc<TrafficStats>,
-        trace: Arc<TraceRecorder>,
-        lost: bool,
-    ) -> PendingOp {
-        PendingOp { rank, kind, done, budget, stats, trace, lost }
-    }
-
     /// Blocks until the op completes, returning its result payload (shape
-    /// depends on the op — see [`Request`]) or its typed failure.
+    /// depends on the op — see the `start_*` that issued it) or its typed
+    /// failure.
     ///
     /// The wait is bounded: the fabric bounds every op by its receive
     /// timeouts, and the budget covers the worst legal case for this op
@@ -150,9 +88,6 @@ impl PendingOp {
     /// blocked time is recorded per kind in
     /// [`TrafficStats::timing`](crate::stats::TrafficStats::timing).
     pub fn wait(self) -> Result<Vec<f32>, CommError> {
-        if self.lost {
-            return Err(CommError::ProgressLost { rank: self.rank });
-        }
         let span = match self.kind {
             Some(kind) => self.trace.begin(SpanCategory::Wait, kind.name()),
             None => zero_trace::SpanId::NULL,
@@ -163,6 +98,8 @@ impl PendingOp {
             Err(RecvTimeoutError::Timeout) => {
                 Err(CommError::ProgressStalled { rank: self.rank, waited: self.budget })
             }
+            // The progress thread is gone: it dropped the job unfinished,
+            // or the job could not even be enqueued.
             Err(RecvTimeoutError::Disconnected) => {
                 Err(CommError::ProgressLost { rank: self.rank })
             }
@@ -180,8 +117,7 @@ impl PendingOp {
 pub(crate) fn progress_loop(mut fabric: Fabric, jobs: Receiver<Job>, queued: Arc<AtomicUsize>) {
     loop {
         match jobs.recv_timeout(PROGRESS_TICK) {
-            Ok(job) => {
-                let kind = job.req.kind();
+            Ok(Job { kind, run, done }) => {
                 // One collective span per executed op, byte-tagged with the
                 // traffic-counter delta its execution produced: only this
                 // thread records sends on this fabric, so the delta is
@@ -200,100 +136,23 @@ pub(crate) fn progress_loop(mut fabric: Fabric, jobs: Receiver<Job>, queued: Arc
                     ),
                     None => (zero_trace::SpanId::NULL, 0),
                 };
-                // Tier moves are not collectives (no fabric traffic, no
-                // stats kind) but still get a byte-tagged span on the
-                // progress track: the tag is the modeled transfer volume,
-                // which the trace-conformance tests reconcile against the
-                // plan's tier stream.
-                let tier = match &job.req {
-                    Request::TierMove { bytes, label, .. } => Some((
-                        *bytes,
-                        fabric.trace.begin_on(TRACK_PROGRESS, SpanCategory::Tier, label),
-                    )),
-                    _ => None,
-                };
                 let t0 = Instant::now();
-                let res = exec(&mut fabric, job.req);
+                let res = run(&mut fabric);
                 if let Some(kind) = kind {
                     fabric.stats.record_exec(kind, t0.elapsed());
                     fabric.trace.end_with_bytes(span, fabric.stats.bytes(kind) - bytes_before);
-                }
-                if let Some((bytes, span)) = tier {
-                    fabric.trace.end_with_bytes(span, bytes);
                 }
                 queued.fetch_sub(1, Ordering::SeqCst);
                 // The waiter may have dropped its handle; the op already
                 // ran (keeping the SPMD schedule aligned), so a missing
                 // listener is not an error.
-                let _ = job.done.send(res);
+                let _ = done.send(res);
             }
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => break,
         }
     }
     // `fabric` drops here: endpoints close and peers observe `PeerLost`.
-}
-
-/// Runs one request against the fabric. Bodies live in
-/// `collectives.rs`/`world.rs` (`impl Fabric`) and are byte-for-byte the
-/// former synchronous implementations, so every check — fault trigger,
-/// membership, sequence, CRC — fires in the same order it always did.
-fn exec(fabric: &mut Fabric, req: Request) -> Result<Vec<f32>, CommError> {
-    match req {
-        Request::AllReduce { group, mut data, op, prec } => {
-            fabric.all_reduce_in(&group, &mut data, op, prec)?;
-            Ok(data)
-        }
-        Request::ReduceScatter { group, input, op, counts, prec } => {
-            let out_len = match group.local_index(fabric.rank) {
-                Some(idx) => counts[idx],
-                None => 0,
-            };
-            let mut out = vec![0.0; out_len];
-            fabric.reduce_scatter_var_in(&group, &input, &mut out, op, &counts, prec)?;
-            Ok(out)
-        }
-        Request::AllGather { group, shard, counts, prec } => {
-            let mut out = vec![0.0; counts.iter().sum()];
-            fabric.all_gather_var_in(&group, &shard, &mut out, &counts, prec)?;
-            Ok(out)
-        }
-        Request::AllGatherQuant { group, shard, counts, block } => {
-            let mut out = vec![0.0; counts.iter().sum()];
-            fabric.all_gather_quant_in(&group, &shard, &mut out, &counts, block)?;
-            Ok(out)
-        }
-        Request::ReduceScatterQgz { group, input, op, counts, node_size, block, prec } => {
-            let out_len = match group.local_index(fabric.rank) {
-                Some(idx) => counts[idx],
-                None => 0,
-            };
-            let mut out = vec![0.0; out_len];
-            fabric.reduce_scatter_qgz_in(
-                &group, &input, &mut out, op, &counts, node_size, block, prec,
-            )?;
-            Ok(out)
-        }
-        Request::Broadcast { group, root, mut data, prec } => {
-            fabric.broadcast_in(&group, root, &mut data, prec)?;
-            Ok(data)
-        }
-        Request::Send { dst, data } => {
-            fabric.send_p2p(dst, data)?;
-            Ok(Vec::new())
-        }
-        Request::Recv { src } => fabric.recv_p2p(src),
-        Request::Barrier => {
-            fabric.barrier()?;
-            Ok(Vec::new())
-        }
-        Request::TierMove { delay, .. } => {
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
-            Ok(Vec::new())
-        }
-    }
 }
 
 #[cfg(test)]

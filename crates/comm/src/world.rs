@@ -19,8 +19,9 @@
 //! Execution model (overlap-centric): the channel endpoints, sequence
 //! numbers, CRC checks, and fault state live in a private [`Fabric`] owned
 //! by a dedicated *progress thread* per rank. The public [`Communicator`]
-//! is a thin handle that enqueues [`Request`]s onto the progress thread's
-//! FIFO and receives results through [`PendingOp`] completion channels —
+//! is a thin handle that enqueues closures over the fabric onto the
+//! progress thread's FIFO (`Communicator::submit`) and receives results
+//! through [`PendingOp`] completion channels —
 //! `start_*` returns the handle immediately (the op advances on the
 //! progress thread), while the classic blocking collectives submit and
 //! `wait()` in one call. Because the queue is FIFO and every op goes
@@ -37,7 +38,7 @@ use std::time::{Duration, Instant};
 use crate::crc::crc32_f32s;
 use crate::error::CommError;
 use crate::fault::{FaultKind, FaultPlan, FaultState};
-use crate::nonblocking::{progress_loop, Job, PendingOp, Request};
+use crate::nonblocking::{progress_loop, Job, OpResult, PendingOp};
 use crate::stats::{CollectiveKind, TrafficStats};
 use crate::transport::{ChannelTransport, Msg, ShutdownLatch, TimeoutBarrier, Transport};
 use zero_trace::{SpanCategory, TraceRecorder, TRACK_PROGRESS};
@@ -360,28 +361,6 @@ impl Fabric {
         self.recv_seq[src] += 1;
         Ok(msg.data)
     }
-
-    /// Point-to-point send of an f32 payload (fabric side).
-    pub(crate) fn send_p2p(&mut self, dst: usize, data: Vec<f32>) -> Result<(), CommError> {
-        self.begin_op(CollectiveKind::P2p)?;
-        let bytes = 4 * data.len() as u64;
-        self.send_raw(dst, data, CollectiveKind::P2p, bytes)
-    }
-
-    /// Point-to-point receive of the next payload from `src` (fabric side).
-    pub(crate) fn recv_p2p(&mut self, src: usize) -> Result<Vec<f32>, CommError> {
-        self.begin_op(CollectiveKind::P2p)?;
-        self.recv_raw(src)
-    }
-
-    /// Blocks until every rank in the world reaches the barrier, or the
-    /// receive timeout elapses with ranks missing (fabric side).
-    pub(crate) fn barrier(&mut self) -> Result<(), CommError> {
-        if self.dead {
-            return Err(CommError::InjectedCrash { rank: self.rank, op: 0 });
-        }
-        self.link.barrier(self.recv_timeout)
-    }
 }
 
 /// One rank's handle: submits ops to the rank's progress thread and waits
@@ -493,13 +472,20 @@ impl Communicator {
         self.recv_timeout
     }
 
-    /// Enqueues `req` on the progress thread and returns its completion
-    /// handle. Never blocks; a dead progress thread surfaces as
-    /// [`CommError::ProgressLost`] when the handle is waited.
-    pub(crate) fn submit(&mut self, kind: Option<CollectiveKind>, req: Request) -> PendingOp {
+    /// Enqueues `run` on the progress thread, attributing its execution to
+    /// `kind`, and returns its completion handle. Never blocks; a dead
+    /// progress thread surfaces as [`CommError::ProgressLost`] when the
+    /// handle is waited.
+    pub(crate) fn submit(
+        &mut self,
+        kind: Option<CollectiveKind>,
+        run: impl FnOnce(&mut Fabric) -> OpResult + Send + 'static,
+    ) -> PendingOp {
         let (done_tx, done_rx) = channel();
         let behind = self.queued.fetch_add(1, Ordering::SeqCst);
-        let lost = self.jobs.send(Job { req, done: done_tx }).is_err();
+        // A failed send drops the job and with it `done_tx`: the handle's
+        // wait then reports the progress thread lost.
+        let _ = self.jobs.send(Job { kind, run: Box::new(run), done: done_tx });
         // Budget: the fabric bounds every op by its own receive timeouts —
         // at most 2(n−1) ring receives plus a 2× hang-fault stall — so a
         // result slower than (2n+6)·recv_timeout per queued op means the
@@ -507,21 +493,25 @@ impl Communicator {
         let per_op = 2 * self.world + 6;
         let depth = (behind + 1).min(64);
         let budget = self.recv_timeout * (per_op * depth) as u32;
-        PendingOp::new(
-            self.rank,
+        PendingOp {
+            rank: self.rank,
             kind,
-            done_rx,
+            done: done_rx,
             budget,
-            self.stats.clone(),
-            self.trace.clone(),
-            lost,
-        )
+            stats: self.stats.clone(),
+            trace: self.trace.clone(),
+        }
     }
 
     /// Point-to-point send of an f32 buffer.
     pub fn send(&mut self, dst: usize, data: &[f32]) -> Result<(), CommError> {
-        let pending =
-            self.submit(Some(CollectiveKind::P2p), Request::Send { dst, data: data.to_vec() });
+        let data = data.to_vec();
+        let pending = self.submit(Some(CollectiveKind::P2p), move |f| {
+            f.begin_op(CollectiveKind::P2p)?;
+            let bytes = 4 * data.len() as u64;
+            f.send_raw(dst, data, CollectiveKind::P2p, bytes)?;
+            Ok(Vec::new())
+        });
         pending.wait().map(|_| ())
     }
 
@@ -530,7 +520,10 @@ impl Communicator {
     /// # Panics
     /// Panics if the incoming message length differs from `buf.len()`.
     pub fn recv(&mut self, src: usize, buf: &mut [f32]) -> Result<(), CommError> {
-        let pending = self.submit(Some(CollectiveKind::P2p), Request::Recv { src });
+        let pending = self.submit(Some(CollectiveKind::P2p), move |f| {
+            f.begin_op(CollectiveKind::P2p)?;
+            f.recv_raw(src)
+        });
         let data = pending.wait()?;
         assert_eq!(data.len(), buf.len(), "p2p length mismatch");
         buf.copy_from_slice(&data);
@@ -540,7 +533,12 @@ impl Communicator {
     /// Blocks until every rank in the world reaches the barrier, or the
     /// receive timeout elapses with ranks missing.
     pub fn barrier(&mut self) -> Result<(), CommError> {
-        let pending = self.submit(None, Request::Barrier);
+        let pending = self.submit(None, |f| {
+            if f.dead {
+                return Err(CommError::InjectedCrash { rank: f.rank, op: 0 });
+            }
+            f.link.barrier(f.recv_timeout).map(|()| Vec::new())
+        });
         pending.wait().map(|_| ())
     }
 
@@ -557,7 +555,14 @@ impl Communicator {
         bytes: u64,
         delay: Duration,
     ) -> PendingOp {
-        self.submit(None, Request::TierMove { bytes, delay, label })
+        self.submit(None, move |f| {
+            let span = f.trace.begin_on(TRACK_PROGRESS, SpanCategory::Tier, label);
+            if !delay.is_zero() {
+                std::thread::sleep(delay);
+            }
+            f.trace.end_with_bytes(span, bytes);
+            Ok(Vec::new())
+        })
     }
 }
 

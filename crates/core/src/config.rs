@@ -1,7 +1,10 @@
 //! ZeRO engine configuration: the stage and ZeRO-R switches (Table 3's
 //! C1–C5 configurations are combinations of these flags).
 
+use zero_comm::Grid;
 use zero_optim::{AdamConfig, LrSchedule, SgdConfig};
+
+use crate::plan::{EffectiveCompression, EffectiveOffload};
 
 /// Which optimizer the engine runs over the (possibly sharded) fp32
 /// master parameters.
@@ -201,9 +204,6 @@ pub struct ZeroConfig {
     /// CB: fused-buffer capacity in elements (§6.2). Collectives over the
     /// flat space are staged through buffers of at most this size.
     pub bucket_elems: usize,
-    /// MD: copy long-lived per-iteration tensors (checkpoints) into a
-    /// pre-allocated contiguous arena (§6.3).
-    pub use_arena: bool,
     /// Initial dynamic loss scale (fp16 only).
     pub initial_loss_scale: f32,
     /// Global gradient-norm clip; `None` disables.
@@ -242,7 +242,6 @@ impl Default for ZeroConfig {
             partition_activations: false,
             offload_checkpoints: false,
             bucket_elems: 1 << 16,
-            use_arena: true,
             initial_loss_scale: 4096.0,
             clip_grad_norm: None,
             optimizer: OptimizerKind::Adam(AdamConfig::default()),
@@ -256,60 +255,129 @@ impl Default for ZeroConfig {
     }
 }
 
+/// Why a [`ZeroConfig`] cannot run (on a grid), grouped by what the caller
+/// would have to change; the text is the rule that was broken.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// A switch depends on one that is off, or a scalar is out of range.
+    Switches(String),
+    /// A ZeRO++ lever is in effect on a grid it is not defined over.
+    Compression(String),
+    /// The memory tier is on with a stage, grid or lever it cannot serve.
+    Offload(String),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (ConfigError::Switches(why) | ConfigError::Compression(why) | ConfigError::Offload(why)) =
+            self;
+        f.write_str(why)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// `Ok` when the rule holds, else its text as a `kind` error.
+fn rule(holds: bool, kind: fn(String) -> ConfigError, text: &str) -> Result<(), ConfigError> {
+    if holds {
+        Ok(())
+    } else {
+        Err(kind(text.to_string()))
+    }
+}
+
 impl ZeroConfig {
-    /// Validates flag dependencies.
+    /// The one author of lever × stage × grid legality: every rule a
+    /// configuration must satisfy to run on `grid`, and — when it does —
+    /// which ZeRO++ levers and which tier classes are actually in effect
+    /// (each switch gated by the stage that owns what it acts on).
+    pub fn check(
+        &self,
+        grid: Grid,
+    ) -> Result<(EffectiveCompression, EffectiveOffload), ConfigError> {
+        use ConfigError::{Compression, Offload};
+        self.check_switches()?;
+        let (stage, comp, dp) = (self.stage, self.compression, grid.dp_degree());
+        let levers = EffectiveCompression {
+            qwz: comp.qwz && stage.partitions_params(),
+            hpz: comp.hpz && stage.partitions_params(),
+            qgz: comp.qgz && stage.partitions_grads(),
+            node_size: comp.node_size,
+            block: comp.block,
+        };
+        if levers.any() {
+            rule(
+                grid.mp_degree() == 1,
+                Compression,
+                "compression requires mp = 1 (node grouping is over DP ranks)",
+            )?;
+            rule(
+                dp.is_multiple_of(comp.node_size),
+                Compression,
+                &format!("DP degree {dp} must be divisible by node size {}", comp.node_size),
+            )?;
+        }
+        let on = self.tier.enabled;
+        rule(
+            !on || grid.mp_degree() == 1,
+            Offload,
+            "tier offload requires mp = 1 (tier volumes are over DP shards)",
+        )?;
+        let tiers = EffectiveOffload {
+            opt_state: on && stage.partitions_optimizer(),
+            grads: on && stage.partitions_grads(),
+            params: on && stage.partitions_params(),
+        };
+        Ok((levers, tiers))
+    }
+
+    /// [`ZeroConfig::check`]'s grid-free rules, panicking.
     ///
     /// # Panics
     /// Panics on inconsistent combinations.
     pub fn validate(&self) {
-        assert!(self.bucket_elems > 0, "bucket_elems must be positive");
-        assert!(
-            self.checkpoint_interval >= 1,
-            "checkpoint_interval must be at least 1"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.dropout),
-            "dropout must be in [0, 1)"
-        );
-        if self.partition_activations {
-            assert!(
-                self.checkpoint_activations,
-                "P_a requires activation checkpointing"
-            );
+        self.check_switches().unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    fn check_switches(&self) -> Result<(), ConfigError> {
+        use ConfigError::{Compression, Offload, Switches};
+        let (comp, tier) = (self.compression, self.tier);
+        rule(self.bucket_elems > 0, Switches, "bucket_elems must be positive")?;
+        rule(self.checkpoint_interval >= 1, Switches, "checkpoint_interval must be at least 1")?;
+        rule((0.0..1.0).contains(&self.dropout), Switches, "dropout must be in [0, 1)")?;
+        rule(
+            !self.partition_activations || self.checkpoint_activations,
+            Switches,
+            "P_a requires activation checkpointing",
+        )?;
+        rule(
+            !self.offload_checkpoints || self.partition_activations,
+            Switches,
+            "P_a+cpu requires P_a (partitioned checkpoints)",
+        )?;
+        if comp.any() {
+            rule(comp.node_size >= 1, Compression, "compression node_size must be at least 1")?;
+            rule(comp.block >= 1, Compression, "compression block must be at least 1")?;
         }
-        if self.offload_checkpoints {
-            assert!(
-                self.partition_activations,
-                "P_a+cpu requires P_a (partitioned checkpoints)"
-            );
-        }
-        if self.compression.any() {
-            assert!(
-                self.compression.node_size >= 1,
-                "compression node_size must be at least 1"
-            );
-            assert!(
-                self.compression.block >= 1,
-                "compression block must be at least 1"
-            );
-        }
-        if self.tier.enabled {
-            assert!(
+        if tier.enabled {
+            rule(
                 self.stage.partitions_optimizer(),
-                "tier offload requires a partitioned-optimizer stage (ZeRO >= 1)"
-            );
-            assert!(self.tier.device_budget > 0, "tier device_budget must be positive");
-            assert_eq!(
-                self.tier.depth, 1,
-                "tier prefetch depth {} unsupported: only the double-buffered \
-                 depth 1 is implemented",
-                self.tier.depth
-            );
-            assert!(
-                !self.compression.any(),
-                "tier offload cannot combine with ZeRO++ compression"
-            );
+                Offload,
+                "tier offload requires a partitioned-optimizer stage (ZeRO >= 1)",
+            )?;
+            rule(tier.device_budget > 0, Offload, "tier device_budget must be positive")?;
+            rule(
+                tier.depth == 1,
+                Offload,
+                &format!(
+                    "tier prefetch depth {} unsupported: only the double-buffered \
+                     depth 1 is implemented",
+                    tier.depth
+                ),
+            )?;
+            rule(!comp.any(), Offload, "tier offload cannot combine with ZeRO++ compression")?;
         }
+        Ok(())
     }
 
     /// The pure-fp32 exactness-test configuration at a given stage.

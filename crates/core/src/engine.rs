@@ -53,8 +53,7 @@ use crate::config::{ZeroConfig, ZeroStage};
 use crate::memory::{MemCategory, MemoryTracker};
 use crate::partition::Partitioner;
 use crate::plan::{
-    CommPlan, EffectiveCompression, EffectiveOffload, FetchSource, OpRole, PlanCursor,
-    ResolvedTierOp, TierDir, WireFmt,
+    CommPlan, FetchSource, OpRole, PlanCursor, ResolvedTierOp, TierDir, WireFmt,
 };
 use crate::store::FlatStore;
 use crate::tier::{TierStats, TierStore};
@@ -340,7 +339,7 @@ impl RankEngine {
         grid: Grid,
         comm: Communicator,
     ) -> RankEngine {
-        zcfg.validate();
+        let (comp, off) = zcfg.check(grid).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(
             grid.world_size(),
             comm.world_size(),
@@ -365,8 +364,6 @@ impl RankEngine {
         let part = Partitioner::new(psi, grid.dp_degree());
         let my_shard = part.shard_range(dp_idx);
 
-        let comp = EffectiveCompression::resolve(&zcfg, grid);
-        let off = EffectiveOffload::resolve(&zcfg, grid);
         let node_group = if comp.hpz {
             zero_comm::NodeTopology::new(comp.node_size).node_group(rank)
         } else {
@@ -751,7 +748,7 @@ impl RankEngine {
     /// larger one re-allocates instead of overflowing.
     fn size_arena(&mut self, act_elems: usize) {
         let zcfg = &self.zcfg;
-        if !(zcfg.use_arena && zcfg.checkpoint_activations) || zcfg.offload_checkpoints {
+        if !zcfg.checkpoint_activations || zcfg.offload_checkpoints {
             return;
         }
         let slice = if zcfg.partition_activations {

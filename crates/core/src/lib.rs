@@ -41,7 +41,9 @@ pub mod trainer;
 
 pub use arena::ContiguousArena;
 pub use bucket::GradBucket;
-pub use config::{CompressionConfig, OptimizerKind, TierConfig, ZeroConfig, ZeroStage};
+pub use config::{
+    CompressionConfig, ConfigError, OptimizerKind, TierConfig, ZeroConfig, ZeroStage,
+};
 pub use engine::{RankEngine, StepOutcome};
 pub use memory::{MemCategory, MemoryTracker, ALL_CATEGORIES, CATEGORY_COUNT, MODEL_STATE_CATEGORIES};
 pub use metrics::TrainingMetrics;

@@ -406,9 +406,9 @@ pub struct CommPlan {
 
 /// Which ZeRO++ levers are actually in effect for a stage/grid — the
 /// config flags gated by the stage that owns the collective each lever
-/// compresses. The plan [`Builder`] turns these into per-op wire formats
-/// and fetch sources; the engine only sizes the hpZ secondary store from
-/// them.
+/// compresses, as resolved by [`ZeroConfig::check`]. The plan [`Builder`]
+/// turns these into per-op wire formats and fetch sources; the engine only
+/// sizes the hpZ secondary store from them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EffectiveCompression {
     /// Quantized weight all-gather (stage-3 parameter fetches only).
@@ -424,39 +424,6 @@ pub struct EffectiveCompression {
 }
 
 impl EffectiveCompression {
-    /// Resolves the configured levers against the stage and grid.
-    ///
-    /// # Panics
-    /// Panics if a lever is in effect with model parallelism (the two-tier
-    /// node grouping is defined over pure DP ranks) or a DP degree not
-    /// divisible by the node size.
-    pub fn resolve(zcfg: &ZeroConfig, grid: Grid) -> EffectiveCompression {
-        let comp = zcfg.compression;
-        let eff = EffectiveCompression {
-            qwz: comp.qwz && zcfg.stage.partitions_params(),
-            hpz: comp.hpz && zcfg.stage.partitions_params(),
-            qgz: comp.qgz && zcfg.stage.partitions_grads(),
-            node_size: comp.node_size,
-            block: comp.block,
-        };
-        if eff.any() {
-            assert_eq!(
-                grid.mp_degree(),
-                1,
-                "compression requires mp = 1 (node grouping is over DP ranks)"
-            );
-            assert!(eff.node_size >= 1, "compression node_size must be positive");
-            assert_eq!(
-                grid.dp_degree() % eff.node_size,
-                0,
-                "DP degree {} must be divisible by node size {}",
-                grid.dp_degree(),
-                eff.node_size
-            );
-        }
-        eff
-    }
-
     /// True if any lever is in effect.
     pub fn any(&self) -> bool {
         self.qwz || self.hpz || self.qgz
@@ -466,9 +433,9 @@ impl EffectiveCompression {
 /// Which state classes actually cross the memory tier for a stage — the
 /// tier flag gated by the stage that owns each class (§3's taxonomy:
 /// optimizer states partition at stage ≥ 1, gradients at stage ≥ 2,
-/// parameters at stage 3). The plan [`Builder`] turns these into tier ops
-/// riding their collectives; the engine only prices memory residency
-/// (host vs device) from them.
+/// parameters at stage 3), as resolved by [`ZeroConfig::check`]. The plan
+/// [`Builder`] turns these into tier ops riding their collectives; the
+/// engine only prices memory residency (host vs device) from them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EffectiveOffload {
     /// Master params + Adam moments live in the host tier; the optimizer
@@ -482,32 +449,6 @@ pub struct EffectiveOffload {
 }
 
 impl EffectiveOffload {
-    /// Resolves the configured tier against the stage and grid.
-    ///
-    /// # Panics
-    /// Panics if the tier is enabled with model parallelism (tier volumes
-    /// are defined over the DP partition of the flat space).
-    pub fn resolve(zcfg: &ZeroConfig, grid: Grid) -> EffectiveOffload {
-        let on = zcfg.tier.enabled;
-        let eff = EffectiveOffload {
-            opt_state: on && zcfg.stage.partitions_optimizer(),
-            grads: on && zcfg.stage.partitions_grads(),
-            params: on && zcfg.stage.partitions_params(),
-        };
-        if eff.any() {
-            assert_eq!(
-                grid.mp_degree(),
-                1,
-                "tier offload requires mp = 1 (tier volumes are over DP shards)"
-            );
-            assert!(
-                !(zcfg.compression.qwz || zcfg.compression.hpz || zcfg.compression.qgz),
-                "tier offload cannot combine with ZeRO++ compression"
-            );
-        }
-        eff
-    }
-
     /// True if any state class crosses the tier.
     pub fn any(&self) -> bool {
         self.opt_state || self.grads || self.params
@@ -556,8 +497,7 @@ struct Builder {
 
 impl Builder {
     fn new(layout: &Layout, zcfg: &ZeroConfig, grid: Grid) -> Builder {
-        let comp = EffectiveCompression::resolve(zcfg, grid);
-        assert!(zcfg.bucket_elems > 0, "bucket capacity must be positive");
+        let (comp, off) = zcfg.check(grid).unwrap_or_else(|e| panic!("{e}"));
         Builder {
             zcfg: *zcfg,
             units: layout.units().iter().map(|u| u.range.clone()).collect(),
@@ -569,7 +509,7 @@ impl Builder {
             stashed: vec![false; layout.units().len()],
             slot: None,
             bucket: None,
-            off: EffectiveOffload::resolve(zcfg, grid),
+            off,
             tier: Vec::new(),
             pending_spills: Vec::new(),
         }

@@ -12,9 +12,8 @@
 //!
 //! ## Worker protocol
 //!
-//! The driver writes one *spec file* per rank (a `key=value` text file:
-//! the [`SupervisorConfig`] with floats as exact bit patterns, the
-//! round's start step and fault plan, fabric timing, socket/restore/
+//! The driver writes one *spec file* per rank (the [`SupervisorConfig`],
+//! the round's start step and fault plan, fabric timing, socket/restore/
 //! result paths) and spawns the caller's worker command with
 //! `ZERO_WORKER_SPEC` pointing at it. Any binary whose `main` (or a test
 //! shim) calls [`maybe_run_worker`] first can host a rank — `zero-train`
@@ -22,25 +21,34 @@
 //!
 //! Workers report through the filesystem, never through pipes: a
 //! per-step `progress` file (the kill watcher's trigger), and an
-//! atomically renamed `result` file carrying the rank's bit-exact
-//! `RankResult`. A rank that dies — by SIGKILL or panic — simply never
-//! renames its result file, which is exactly how the driver detects
-//! death.
+//! atomically renamed `result` file carrying the rank's `RankResult`. A
+//! rank that dies — by SIGKILL or panic — simply never renames its result
+//! file, which is exactly how the driver detects death.
+//!
+//! Spec and result files are positional records in the section codec of
+//! [`crate::snapshot`] — the crate's one on-disk format: little-endian
+//! words, floats as bit patterns, durations as nanoseconds, paths as raw
+//! bytes, a CRC32 trailer. A spec lives for one round between two copies
+//! of the same binary, so it carries no field names and no version; a
+//! truncated or damaged file is a typed [`SnapshotError`] (worker exit 2,
+//! or a "bad result file" rank fate), never a panic.
 
-use std::io::Write as _;
+use std::ffi::OsString;
+use std::io::{self, Write as _};
+use std::os::unix::ffi::{OsStrExt as _, OsStringExt as _};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
 
 use zero_comm::{
-    connect_process_rank, FaultKind, FaultPlan, FaultSpec, FaultTrigger, Grid,
+    connect_process_rank, CollectiveKind, FaultKind, FaultPlan, FaultSpec, FaultTrigger, Grid,
     ProcessWorldConfig, RankProcs, ALL_KINDS,
 };
 use zero_model::ModelConfig;
 use zero_optim::{AdamConfig, LrSchedule, SgdConfig};
 
 use crate::config::{CompressionConfig, OptimizerKind, TierConfig, ZeroConfig, ZeroStage};
-use crate::snapshot::RankSnapshot;
+use crate::snapshot::{RankSnapshot, SectionReader, SectionWriter, SnapshotError};
 use crate::supervisor::{
     run_rank, supervise, RankFate, RankResult, Round, RunData, SuperviseError, SupervisedReport,
     SupervisorConfig,
@@ -185,15 +193,15 @@ fn launch_processes(
             liveness_timeout: opts.liveness_timeout,
             handshake_timeout: opts.handshake_timeout,
             restore_dir: restore_dir.clone(),
-            result_path: round_dir.join(format!("result-{rank}.txt")),
+            result_path: round_dir.join(format!("result-{rank}.bin")),
             progress_path: round_dir.join(format!("progress-{rank}.txt")),
         })
         .collect();
     let cmds: Vec<Command> = specs
         .iter()
         .map(|spec| {
-            let spec_path = round_dir.join(format!("spec-{}.txt", spec.rank));
-            std::fs::write(&spec_path, spec.serialize()).expect("write worker spec");
+            let spec_path = round_dir.join(format!("spec-{}.bin", spec.rank));
+            std::fs::write(&spec_path, to_record(spec)).expect("write worker spec");
             opts.worker.command(&spec_path)
         })
         .collect();
@@ -228,9 +236,10 @@ fn launch_processes(
             if procs.died_of_signal(rank) {
                 return Err(format!("rank {rank}: killed by signal"));
             }
-            match std::fs::read_to_string(&spec.result_path) {
-                Ok(text) => RankResult::parse(&text)
-                    .map_err(|e| format!("rank {rank}: bad result file: {e}")),
+            match std::fs::read(&spec.result_path) {
+                Ok(bytes) => {
+                    from_record(&bytes).map_err(|e| format!("rank {rank}: bad result file: {e}"))
+                }
                 Err(_) => {
                     let status = procs
                         .status(rank)
@@ -259,8 +268,8 @@ pub fn maybe_run_worker() {
     let Ok(spec_path) = std::env::var(WORKER_SPEC_ENV) else {
         return;
     };
-    let code = match std::fs::read_to_string(&spec_path) {
-        Ok(text) => run_worker(&text),
+    let code = match std::fs::read(&spec_path) {
+        Ok(bytes) => run_worker(&bytes),
         Err(e) => {
             eprintln!("zero worker: cannot read spec {spec_path}: {e}");
             2
@@ -269,8 +278,8 @@ pub fn maybe_run_worker() {
     std::process::exit(code);
 }
 
-fn run_worker(text: &str) -> i32 {
-    let spec = match WorkerSpec::parse(text) {
+fn run_worker(spec: &[u8]) -> i32 {
+    let spec: WorkerSpec = match from_record(spec) {
         Ok(spec) => spec,
         Err(e) => {
             eprintln!("zero worker: bad spec: {e}");
@@ -292,7 +301,7 @@ fn run_worker(text: &str) -> i32 {
         Ok(shard) => {
             let data = RunData::new(&spec.cfg);
             run_rank(&spec.cfg, &data, spec.start_step, shard.as_ref(), comm, |done| {
-                write_atomic(&spec.progress_path, &format!("{done}\n"))
+                write_atomic(&spec.progress_path, format!("{done}\n").as_bytes())
                     .expect("write progress file");
             })
         }
@@ -303,7 +312,7 @@ fn run_worker(text: &str) -> i32 {
             ..RankResult::default()
         },
     };
-    match write_atomic(&spec.result_path, &result.serialize()) {
+    match write_atomic(&spec.result_path, &to_record(&result)) {
         Ok(()) => 0,
         Err(e) => {
             eprintln!("zero worker rank {}: cannot write result: {e}", spec.rank);
@@ -313,11 +322,10 @@ fn run_worker(text: &str) -> i32 {
 }
 
 // ---------------------------------------------------------------------------
-// Spec + result serialization (bit-exact, line-oriented key=value text)
+// Spec + result files: positional records in the snapshot section codec
 // ---------------------------------------------------------------------------
 
-/// Everything one rank process needs, self-contained. Floats travel as
-/// exact bit patterns so the worker reconstructs configs bitwise.
+/// Everything one rank process needs, self-contained.
 #[derive(Clone, Debug)]
 struct WorkerSpec {
     /// The run's configuration as this round sees it: the round's fault
@@ -335,14 +343,6 @@ struct WorkerSpec {
     progress_path: PathBuf,
 }
 
-fn f32_hex(v: f32) -> String {
-    format!("{:08x}", v.to_bits())
-}
-
-fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
 impl WorkerSpec {
     /// The round's mesh, as every one of its ranks must describe it.
     fn fabric(&self) -> ProcessWorldConfig {
@@ -356,488 +356,271 @@ impl WorkerSpec {
         fabric.handshake_timeout = self.handshake_timeout;
         fabric
     }
-
-    fn serialize(&self) -> String {
-        let mut s = String::new();
-        let mut kv = |k: &str, v: String| {
-            s.push_str(k);
-            s.push('=');
-            s.push_str(&v);
-            s.push('\n');
-        };
-        let (cfg, setup) = (&self.cfg, &self.cfg.setup);
-        kv("rank", self.rank.to_string());
-        kv("world", setup.grid.dp_degree().to_string());
-        kv("token", self.token.to_string());
-        kv("socket_dir", self.socket_dir.display().to_string());
-        kv("snapshot_dir", cfg.snapshot_dir.display().to_string());
-        if let Some(r) = &self.restore_dir {
-            kv("restore_dir", r.display().to_string());
-        }
-        kv("result_path", self.result_path.display().to_string());
-        kv("progress_path", self.progress_path.display().to_string());
-
-        kv("vocab", setup.model.vocab.to_string());
-        kv("seq", setup.model.seq.to_string());
-        kv("hidden", setup.model.hidden.to_string());
-        kv("layers", setup.model.layers.to_string());
-        kv("heads", setup.model.heads.to_string());
-
-        let z = &setup.zero;
-        kv(
-            "stage",
-            match z.stage {
-                ZeroStage::Ddp => "ddp".into(),
-                ZeroStage::One => "1".into(),
-                ZeroStage::Two => "2".into(),
-                ZeroStage::Three => "3".into(),
-            },
-        );
-        kv("fp16", z.fp16.to_string());
-        kv("checkpoint_activations", z.checkpoint_activations.to_string());
-        kv("checkpoint_interval", z.checkpoint_interval.to_string());
-        kv("partition_activations", z.partition_activations.to_string());
-        kv("offload_checkpoints", z.offload_checkpoints.to_string());
-        kv("bucket_elems", z.bucket_elems.to_string());
-        kv("use_arena", z.use_arena.to_string());
-        kv("initial_loss_scale", f32_hex(z.initial_loss_scale));
-        if let Some(c) = z.clip_grad_norm {
-            kv("clip_grad_norm", f64_hex(c));
-        }
-        kv("dropout", f32_hex(z.dropout));
-        if let Some(n) = z.node_size {
-            kv("node_size", n.to_string());
-        }
-        kv("overlap", z.overlap.to_string());
-        let c = &z.compression;
-        kv(
-            "compression",
-            format!("{}:{}:{}:{}:{}", c.qwz, c.hpz, c.qgz, c.node_size, c.block),
-        );
-        let t = &z.tier;
-        kv(
-            "tier",
-            format!(
-                "{}:{}:{}:{}:{}",
-                t.enabled,
-                t.device_budget,
-                t.host_bw,
-                t.host_lat.as_nanos(),
-                t.depth
-            ),
-        );
-        match &z.optimizer {
-            OptimizerKind::Adam(a) => kv(
-                "optimizer",
-                format!(
-                    "adam:{}:{}:{}:{}:{}",
-                    f32_hex(a.lr),
-                    f32_hex(a.beta1),
-                    f32_hex(a.beta2),
-                    f32_hex(a.eps),
-                    f32_hex(a.weight_decay)
-                ),
-            ),
-            OptimizerKind::Sgd(c) => kv(
-                "optimizer",
-                format!("sgd:{}:{}", f32_hex(c.lr), f32_hex(c.momentum)),
-            ),
-        }
-        match z.lr_schedule {
-            LrSchedule::Constant => kv("lr_schedule", "constant".into()),
-            LrSchedule::Warmup { warmup } => kv("lr_schedule", format!("warmup:{warmup}")),
-            LrSchedule::WarmupLinear {
-                warmup,
-                total,
-                floor,
-            } => kv(
-                "lr_schedule",
-                format!("warmup_linear:{warmup}:{total}:{}", f32_hex(floor)),
-            ),
-            LrSchedule::WarmupCosine {
-                warmup,
-                total,
-                floor,
-            } => kv(
-                "lr_schedule",
-                format!("warmup_cosine:{warmup}:{total}:{}", f32_hex(floor)),
-            ),
-        }
-
-        kv("global_batch", setup.global_batch.to_string());
-        kv("seed", setup.seed.to_string());
-        kv("steps", cfg.steps.to_string());
-        kv("start_step", self.start_step.to_string());
-        kv("snapshot_every", cfg.snapshot_every.to_string());
-        kv("max_recoveries", cfg.max_recoveries.to_string());
-        kv("recv_timeout_ms", cfg.recv_timeout.as_millis().to_string());
-        kv("heartbeat_ms", self.heartbeat_interval.as_millis().to_string());
-        kv("liveness_ms", self.liveness_timeout.as_millis().to_string());
-        kv("handshake_ms", self.handshake_timeout.as_millis().to_string());
-
-        kv("fault_seed", cfg.faults.seed().to_string());
-        for f in cfg.faults.specs() {
-            kv("fault", serialize_fault(f));
-        }
-        s
-    }
-
-    fn parse(text: &str) -> Result<WorkerSpec, String> {
-        let kv = Kv::parse(text);
-        let model = ModelConfig {
-            vocab: kv.req("vocab")?,
-            seq: kv.req("seq")?,
-            hidden: kv.req("hidden")?,
-            layers: kv.req("layers")?,
-            heads: kv.req("heads")?,
-        };
-        let stage = match kv.str("stage")? {
-            "ddp" => ZeroStage::Ddp,
-            "1" => ZeroStage::One,
-            "2" => ZeroStage::Two,
-            "3" => ZeroStage::Three,
-            other => return Err(format!("unknown stage {other:?}")),
-        };
-        let optimizer = parse_optimizer(kv.str("optimizer")?)?;
-        let lr_schedule = parse_schedule(kv.str("lr_schedule")?)?;
-        let zero = ZeroConfig {
-            stage,
-            fp16: kv.req("fp16")?,
-            checkpoint_activations: kv.req("checkpoint_activations")?,
-            checkpoint_interval: kv.req("checkpoint_interval")?,
-            partition_activations: kv.req("partition_activations")?,
-            offload_checkpoints: kv.req("offload_checkpoints")?,
-            bucket_elems: kv.req("bucket_elems")?,
-            use_arena: kv.req("use_arena")?,
-            initial_loss_scale: kv.f32_bits("initial_loss_scale")?,
-            clip_grad_norm: kv.opt_f64_bits("clip_grad_norm")?,
-            optimizer,
-            lr_schedule,
-            dropout: kv.f32_bits("dropout")?,
-            node_size: kv.opt("node_size")?,
-            overlap: kv.req("overlap")?,
-            compression: match kv.get("compression") {
-                Some(s) => parse_compression(s)?,
-                None => CompressionConfig::off(),
-            },
-            tier: match kv.get("tier") {
-                Some(s) => parse_tier(s)?,
-                None => TierConfig::off(),
-            },
-        };
-        let mut faults = FaultPlan::seeded(kv.req("fault_seed")?);
-        for line in kv.all("fault") {
-            faults = faults.with(parse_fault(line)?);
-        }
-        let setup = TrainSetup {
-            model,
-            zero,
-            grid: Grid::new(kv.req("world")?, 1),
-            global_batch: kv.req("global_batch")?,
-            seed: kv.req("seed")?,
-        };
-        let mut cfg =
-            SupervisorConfig::new(setup, kv.req("steps")?, PathBuf::from(kv.str("snapshot_dir")?));
-        cfg.snapshot_every = kv.req("snapshot_every")?;
-        cfg.max_recoveries = kv.req("max_recoveries")?;
-        cfg.recv_timeout = Duration::from_millis(kv.req("recv_timeout_ms")?);
-        cfg.faults = faults;
-        Ok(WorkerSpec {
-            cfg,
-            rank: kv.req("rank")?,
-            start_step: kv.req("start_step")?,
-            token: kv.req("token")?,
-            socket_dir: PathBuf::from(kv.str("socket_dir")?),
-            heartbeat_interval: Duration::from_millis(kv.req("heartbeat_ms")?),
-            liveness_timeout: Duration::from_millis(kv.req("liveness_ms")?),
-            handshake_timeout: Duration::from_millis(kv.req("handshake_ms")?),
-            restore_dir: kv.get("restore_dir").map(PathBuf::from),
-            result_path: PathBuf::from(kv.str("result_path")?),
-            progress_path: PathBuf::from(kv.str("progress_path")?),
-        })
-    }
 }
 
-fn serialize_fault(f: &FaultSpec) -> String {
-    let trigger = match f.trigger {
-        FaultTrigger::AtOp(n) => format!("op:{n}"),
-        FaultTrigger::AtKindOp(kind, n) => format!("kindop:{}:{n}", kind.name()),
-    };
-    let kind = match f.kind {
-        FaultKind::Crash => "crash".to_string(),
-        FaultKind::Hang => "hang".to_string(),
-        FaultKind::CorruptNextSend => "corrupt".to_string(),
-        FaultKind::Delay(d) => format!("delay:{}", d.as_millis()),
-    };
-    format!("rank:{};{trigger};{kind}", f.rank)
+type Enc<'a> = SectionWriter<&'a mut Vec<u8>>;
+type Dec<'a> = SectionReader<&'a [u8]>;
+
+/// A value with a place in a spec or result record. Records are
+/// positional, so `put` and `get` must visit the same parts in the same
+/// order; `record!` guarantees that for structs by generating both from
+/// one field list.
+trait Field: Sized {
+    fn put(&self, w: &mut Enc) -> io::Result<()>;
+    fn get(r: &mut Dec) -> Result<Self, SnapshotError>;
 }
 
-fn parse_fault(line: &str) -> Result<FaultSpec, String> {
-    let parts: Vec<&str> = line.split(';').collect();
-    let [rank_part, trigger_part, kind_part] = parts.as_slice() else {
-        return Err(format!("fault spec {line:?} needs 3 ;-separated parts"));
-    };
-    let rank = rank_part
-        .strip_prefix("rank:")
-        .and_then(|r| r.parse().ok())
-        .ok_or_else(|| format!("bad fault rank in {line:?}"))?;
-    let trigger = if let Some(n) = trigger_part.strip_prefix("op:") {
-        FaultTrigger::AtOp(n.parse().map_err(|_| format!("bad op in {line:?}"))?)
-    } else if let Some(rest) = trigger_part.strip_prefix("kindop:") {
-        let (name, n) = rest
-            .rsplit_once(':')
-            .ok_or_else(|| format!("bad kindop in {line:?}"))?;
-        let kind = ALL_KINDS
-            .iter()
-            .copied()
-            .find(|k| k.name() == name)
-            .ok_or_else(|| format!("unknown collective kind {name:?}"))?;
-        FaultTrigger::AtKindOp(kind, n.parse().map_err(|_| format!("bad op in {line:?}"))?)
-    } else {
-        return Err(format!("bad fault trigger in {line:?}"));
-    };
-    let kind = match *kind_part {
-        "crash" => FaultKind::Crash,
-        "hang" => FaultKind::Hang,
-        "corrupt" => FaultKind::CorruptNextSend,
-        other => {
-            let ms = other
-                .strip_prefix("delay:")
-                .and_then(|d| d.parse().ok())
-                .ok_or_else(|| format!("bad fault kind in {line:?}"))?;
-            FaultKind::Delay(Duration::from_millis(ms))
+/// One CRC-closed record holding `value`.
+fn to_record(value: &impl Field) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let mut w = SectionWriter::new(&mut buf);
+    value.put(&mut w).and_then(|()| w.finish()).expect("writing to memory cannot fail");
+    buf
+}
+
+/// The value `record` holds, decoded only once its CRC has checked out.
+fn from_record<T: Field>(record: &[u8]) -> Result<T, SnapshotError> {
+    T::get(&mut SectionReader::verified(record)?)
+}
+
+/// A scalar that travels as one word; `None` from `$from` is a word no
+/// writer produces.
+macro_rules! word {
+    ($ty:ty, |$v:ident| $to:expr, |$w:ident| $from:expr) => {
+        impl Field for $ty {
+            fn put(&self, w: &mut Enc) -> io::Result<()> {
+                let $v = *self;
+                w.u64($to)
+            }
+            fn get(r: &mut Dec) -> Result<Self, SnapshotError> {
+                let $w = r.u64()?;
+                $from.ok_or(SnapshotError::ImplausibleLength($w))
+            }
         }
     };
-    Ok(FaultSpec {
-        rank,
-        trigger,
-        kind,
-    })
 }
+word!(u64, |v| v, |w| Some(w));
+word!(usize, |v| v as u64, |w| Some(w as usize));
+word!(bool, |v| v as u64, |w| Some(w != 0));
+word!(f32, |v| v.to_bits() as u64, |w| Some(f32::from_bits(w as u32)));
+word!(f64, |v| v.to_bits(), |w| Some(f64::from_bits(w)));
+// Whole nanoseconds: a 500 µs timeout must not reach the worker as 0.
+word!(Duration, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX), |w| Some(Duration::from_nanos(w)));
+word!(CollectiveKind, |k| k as u64, |w| ALL_KINDS.get(w as usize).copied());
+word!(ZeroStage, |s| s as u64, |w| {
+    [ZeroStage::Ddp, ZeroStage::One, ZeroStage::Two, ZeroStage::Three].get(w as usize).copied()
+});
 
-fn parse_tier(text: &str) -> Result<TierConfig, String> {
-    let parts: Vec<&str> = text.split(':').collect();
-    match parts.as_slice() {
-        [enabled, budget, bw, lat_ns, depth] => Ok(TierConfig {
-            enabled: enabled.parse().map_err(|e| format!("tier enabled: {e}"))?,
-            device_budget: budget.parse().map_err(|e| format!("tier device_budget: {e}"))?,
-            host_bw: bw.parse().map_err(|e| format!("tier host_bw: {e}"))?,
-            host_lat: Duration::from_nanos(
-                lat_ns.parse().map_err(|e| format!("tier host_lat: {e}"))?,
-            ),
-            depth: depth.parse().map_err(|e| format!("tier depth: {e}"))?,
-        }),
-        _ => Err(format!("malformed tier spec {text:?}")),
+impl Field for PathBuf {
+    /// The path's raw bytes: not every path is UTF-8 or free of newlines.
+    fn put(&self, w: &mut Enc) -> io::Result<()> {
+        w.bytes(self.as_os_str().as_bytes())
+    }
+    fn get(r: &mut Dec) -> Result<Self, SnapshotError> {
+        Ok(PathBuf::from(OsString::from_vec(r.bytes()?)))
     }
 }
 
-fn parse_compression(text: &str) -> Result<CompressionConfig, String> {
-    let parts: Vec<&str> = text.split(':').collect();
-    match parts.as_slice() {
-        [qwz, hpz, qgz, node_size, block] => Ok(CompressionConfig {
-            qwz: qwz.parse().map_err(|e| format!("compression qwz: {e}"))?,
-            hpz: hpz.parse().map_err(|e| format!("compression hpz: {e}"))?,
-            qgz: qgz.parse().map_err(|e| format!("compression qgz: {e}"))?,
-            node_size: node_size.parse().map_err(|e| format!("compression node_size: {e}"))?,
-            block: block.parse().map_err(|e| format!("compression block: {e}"))?,
-        }),
-        _ => Err(format!("malformed compression spec {text:?}")),
+impl Field for String {
+    fn put(&self, w: &mut Enc) -> io::Result<()> {
+        w.bytes(self.as_bytes())
+    }
+    fn get(r: &mut Dec) -> Result<Self, SnapshotError> {
+        Ok(String::from_utf8_lossy(&r.bytes()?).into_owned())
     }
 }
 
-fn parse_optimizer(text: &str) -> Result<OptimizerKind, String> {
-    let parts: Vec<&str> = text.split(':').collect();
-    match parts.as_slice() {
-        ["adam", lr, b1, b2, eps, wd] => Ok(OptimizerKind::Adam(AdamConfig {
-            lr: parse_f32_bits(lr)?,
-            beta1: parse_f32_bits(b1)?,
-            beta2: parse_f32_bits(b2)?,
-            eps: parse_f32_bits(eps)?,
-            weight_decay: parse_f32_bits(wd)?,
-        })),
-        ["sgd", lr, momentum] => Ok(OptimizerKind::Sgd(SgdConfig {
-            lr: parse_f32_bits(lr)?,
-            momentum: parse_f32_bits(momentum)?,
-        })),
-        _ => Err(format!("unknown optimizer {text:?}")),
+impl<T: Field> Field for Option<T> {
+    fn put(&self, w: &mut Enc) -> io::Result<()> {
+        self.is_some().put(w)?;
+        self.iter().try_for_each(|v| v.put(w))
+    }
+    fn get(r: &mut Dec) -> Result<Self, SnapshotError> {
+        Ok(if bool::get(r)? { Some(T::get(r)?) } else { None })
     }
 }
 
-fn parse_schedule(text: &str) -> Result<LrSchedule, String> {
-    let parts: Vec<&str> = text.split(':').collect();
-    match parts.as_slice() {
-        ["constant"] => Ok(LrSchedule::Constant),
-        ["warmup", w] => Ok(LrSchedule::Warmup {
-            warmup: w.parse().map_err(|_| format!("bad warmup in {text:?}"))?,
-        }),
-        ["warmup_linear", w, t, f] => Ok(LrSchedule::WarmupLinear {
-            warmup: w.parse().map_err(|_| format!("bad warmup in {text:?}"))?,
-            total: t.parse().map_err(|_| format!("bad total in {text:?}"))?,
-            floor: parse_f32_bits(f)?,
-        }),
-        ["warmup_cosine", w, t, f] => Ok(LrSchedule::WarmupCosine {
-            warmup: w.parse().map_err(|_| format!("bad warmup in {text:?}"))?,
-            total: t.parse().map_err(|_| format!("bad total in {text:?}"))?,
-            floor: parse_f32_bits(f)?,
-        }),
-        _ => Err(format!("unknown lr schedule {text:?}")),
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, w: &mut Enc) -> io::Result<()> {
+        self.len().put(w)?;
+        self.iter().try_for_each(|v| v.put(w))
+    }
+    fn get(r: &mut Dec) -> Result<Self, SnapshotError> {
+        // Grows with the elements actually present, not the declared count.
+        (0..usize::get(r)?).map(|_| T::get(r)).collect()
     }
 }
 
-fn parse_f32_bits(hex: &str) -> Result<f32, String> {
-    u32::from_str_radix(hex, 16)
-        .map(f32::from_bits)
-        .map_err(|_| format!("bad f32 bit pattern {hex:?}"))
-}
-
-fn parse_f64_bits(hex: &str) -> Result<f64, String> {
-    u64::from_str_radix(hex, 16)
-        .map(f64::from_bits)
-        .map_err(|_| format!("bad f64 bit pattern {hex:?}"))
-}
-
-/// The result-file codec: floats travel as bit patterns so the driver's
-/// stitched history is bitwise identical to an in-process run.
-impl RankResult {
-    fn serialize(&self) -> String {
-        let losses: Vec<String> = self.losses.iter().map(|l| f32_hex(*l)).collect();
-        let traffic: Vec<String> = self
-            .traffic
-            .iter()
-            .map(|(name, b, m)| format!("{name}:{b}:{m}"))
-            .collect();
-        let mut s = String::new();
-        s.push_str(&format!("losses={}\n", losses.join(",")));
-        if let Some(eval) = self.eval {
-            s.push_str(&format!("eval={}\n", f32_hex(eval)));
+/// A tuple is its parts in order (a sum type's tag, then its payload).
+macro_rules! tuple {
+    ($($part:ident),+) => {
+        #[allow(non_snake_case)]
+        impl<$($part: Field),+> Field for ($($part,)+) {
+            fn put(&self, w: &mut Enc) -> io::Result<()> {
+                let ($($part,)+) = self;
+                $($part.put(w)?;)+
+                Ok(())
+            }
+            fn get(r: &mut Dec) -> Result<Self, SnapshotError> {
+                Ok(($($part::get(r)?,)+))
+            }
         }
-        if let Some(err) = &self.error {
-            // Result files are line-oriented; typed comm errors render on
-            // one line, but don't let a future multi-line Display tear it.
-            s.push_str(&format!("error={}\n", err.replace('\n', " ")));
-        }
-        s.push_str(&format!("self_fault={}\n", self.self_fault));
-        s.push_str(&format!("restore_spans={}\n", self.restore_spans));
-        s.push_str(&format!("traffic={}\n", traffic.join(";")));
-        s
-    }
+    };
+}
+tuple!(A, B);
+tuple!(A, B, C);
+tuple!(A, B, C, D);
 
-    fn parse(text: &str) -> Result<RankResult, String> {
-        let kv = Kv::parse(text);
-        let losses = kv
-            .str("losses")?
-            .split(',')
-            .filter(|part| !part.is_empty())
-            .map(parse_f32_bits)
-            .collect::<Result<Vec<f32>, String>>()?;
-        let eval = match kv.get("eval") {
-            Some(hex) => Some(parse_f32_bits(hex)?),
-            None => None,
-        };
-        let traffic = kv
-            .str("traffic")?
-            .split(';')
-            .filter(|part| !part.is_empty())
-            .map(|part| {
-                let fields: Vec<&str> = part.split(':').collect();
-                let [name, b, m] = fields.as_slice() else {
-                    return Err(format!("bad traffic entry {part:?}"));
-                };
-                let parsed_b = b.parse().map_err(|_| format!("bad bytes in {part:?}"))?;
-                let parsed_m = m.parse().map_err(|_| format!("bad count in {part:?}"))?;
-                Ok((name.to_string(), parsed_b, parsed_m))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(RankResult {
-            losses,
-            eval,
-            error: kv.get("error").map(str::to_string),
-            self_fault: kv.req("self_fault")?,
-            restore_spans: kv.req("restore_spans")?,
-            traffic,
-        })
+/// A struct is its fields in the order listed — listed once, for both
+/// directions, and the struct literal refuses a list that misses one.
+macro_rules! record {
+    ($ty:ty { $($field:ident),+ }) => {
+        impl Field for $ty {
+            fn put(&self, w: &mut Enc) -> io::Result<()> {
+                $(self.$field.put(w)?;)+
+                Ok(())
+            }
+            fn get(r: &mut Dec) -> Result<Self, SnapshotError> {
+                Ok(Self { $($field: Field::get(r)?),+ })
+            }
+        }
+    };
+}
+record!(ModelConfig { vocab, seq, hidden, layers, heads });
+record!(AdamConfig { lr, beta1, beta2, eps, weight_decay });
+record!(SgdConfig { lr, momentum });
+record!(CompressionConfig { qwz, hpz, qgz, node_size, block });
+record!(TierConfig { enabled, device_budget, host_bw, host_lat, depth });
+record!(ZeroConfig {
+    stage, fp16, checkpoint_activations, checkpoint_interval, partition_activations,
+    offload_checkpoints, bucket_elems, initial_loss_scale, clip_grad_norm, optimizer, lr_schedule,
+    dropout, node_size, overlap, compression, tier
+});
+record!(TrainSetup { model, zero, grid, global_batch, seed });
+record!(FaultSpec { rank, trigger, kind });
+record!(SupervisorConfig {
+    setup, steps, snapshot_every, snapshot_dir, faults, recv_timeout, max_recoveries
+});
+record!(WorkerSpec {
+    cfg, rank, start_step, token, socket_dir, heartbeat_interval, liveness_timeout,
+    handshake_timeout, restore_dir, result_path, progress_path
+});
+// Floats travel as bit patterns, so the driver's stitched history is
+// bitwise identical to an in-process run.
+record!(RankResult { losses, eval, error, self_fault, restore_spans, traffic });
+
+impl Field for Grid {
+    /// The DP degree: `supervise` admits pure data-parallel grids only.
+    fn put(&self, w: &mut Enc) -> io::Result<()> {
+        self.dp_degree().put(w)
+    }
+    fn get(r: &mut Dec) -> Result<Self, SnapshotError> {
+        Ok(Grid::new(usize::get(r)?, 1))
+    }
+}
+
+impl Field for FaultPlan {
+    fn put(&self, w: &mut Enc) -> io::Result<()> {
+        (self.seed(), self.specs().to_vec()).put(w)
+    }
+    fn get(r: &mut Dec) -> Result<Self, SnapshotError> {
+        let (seed, specs): (u64, Vec<FaultSpec>) = Field::get(r)?;
+        Ok(specs.into_iter().fold(FaultPlan::seeded(seed), FaultPlan::with))
+    }
+}
+
+impl Field for FaultTrigger {
+    fn put(&self, w: &mut Enc) -> io::Result<()> {
+        match *self {
+            FaultTrigger::AtOp(nth) => (0u64, nth).put(w),
+            FaultTrigger::AtKindOp(kind, nth) => (1u64, kind, nth).put(w),
+        }
+    }
+    fn get(r: &mut Dec) -> Result<Self, SnapshotError> {
+        match u64::get(r)? {
+            0 => Ok(FaultTrigger::AtOp(Field::get(r)?)),
+            1 => Ok(FaultTrigger::AtKindOp(Field::get(r)?, Field::get(r)?)),
+            tag => Err(SnapshotError::ImplausibleLength(tag)),
+        }
+    }
+}
+
+impl Field for FaultKind {
+    fn put(&self, w: &mut Enc) -> io::Result<()> {
+        match *self {
+            FaultKind::Crash => 0u64.put(w),
+            FaultKind::Hang => 1u64.put(w),
+            FaultKind::CorruptNextSend => 2u64.put(w),
+            FaultKind::Delay(delay) => (3u64, delay).put(w),
+        }
+    }
+    fn get(r: &mut Dec) -> Result<Self, SnapshotError> {
+        match u64::get(r)? {
+            0 => Ok(FaultKind::Crash),
+            1 => Ok(FaultKind::Hang),
+            2 => Ok(FaultKind::CorruptNextSend),
+            3 => Ok(FaultKind::Delay(Field::get(r)?)),
+            tag => Err(SnapshotError::ImplausibleLength(tag)),
+        }
+    }
+}
+
+impl Field for OptimizerKind {
+    fn put(&self, w: &mut Enc) -> io::Result<()> {
+        match *self {
+            OptimizerKind::Adam(adam) => (0u64, adam).put(w),
+            OptimizerKind::Sgd(sgd) => (1u64, sgd).put(w),
+        }
+    }
+    fn get(r: &mut Dec) -> Result<Self, SnapshotError> {
+        match u64::get(r)? {
+            0 => Ok(OptimizerKind::Adam(Field::get(r)?)),
+            1 => Ok(OptimizerKind::Sgd(Field::get(r)?)),
+            tag => Err(SnapshotError::ImplausibleLength(tag)),
+        }
+    }
+}
+
+impl Field for LrSchedule {
+    fn put(&self, w: &mut Enc) -> io::Result<()> {
+        match *self {
+            LrSchedule::Constant => 0u64.put(w),
+            LrSchedule::Warmup { warmup } => (1u64, warmup).put(w),
+            LrSchedule::WarmupLinear { warmup, total, floor } => (2u64, warmup, total, floor).put(w),
+            LrSchedule::WarmupCosine { warmup, total, floor } => (3u64, warmup, total, floor).put(w),
+        }
+    }
+    fn get(r: &mut Dec) -> Result<Self, SnapshotError> {
+        match u64::get(r)? {
+            0 => Ok(LrSchedule::Constant),
+            1 => Ok(LrSchedule::Warmup { warmup: Field::get(r)? }),
+            tag @ 2..=3 => {
+                let (warmup, total, floor) = Field::get(r)?;
+                Ok(match tag {
+                    2 => LrSchedule::WarmupLinear { warmup, total, floor },
+                    _ => LrSchedule::WarmupCosine { warmup, total, floor },
+                })
+            }
+            tag => Err(SnapshotError::ImplausibleLength(tag)),
+        }
     }
 }
 
 /// Write-then-rename so readers never observe a torn file: the rename is
 /// what commits a worker's result (or progress tick).
-fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+fn write_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(contents.as_bytes())?;
+        f.write_all(contents)?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)
 }
 
-/// Minimal line-oriented `key=value` store with typed, error-reporting
-/// accessors. Repeated keys are kept in order (fault specs).
-struct Kv<'a> {
-    entries: Vec<(&'a str, &'a str)>,
-}
-
-impl<'a> Kv<'a> {
-    fn parse(text: &'a str) -> Kv<'a> {
-        let entries = text
-            .lines()
-            .filter_map(|line| line.split_once('='))
-            .map(|(k, v)| (k.trim(), v.trim()))
-            .collect();
-        Kv { entries }
-    }
-
-    fn get(&self, key: &str) -> Option<&'a str> {
-        self.entries
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-    }
-
-    fn all(&self, key: &str) -> impl Iterator<Item = &'a str> + '_ {
-        let key = key.to_string();
-        self.entries
-            .iter()
-            .filter(move |(k, _)| *k == key)
-            .map(|(_, v)| *v)
-    }
-
-    fn str(&self, key: &str) -> Result<&'a str, String> {
-        self.get(key).ok_or_else(|| format!("missing key {key:?}"))
-    }
-
-    fn req<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
-        self.str(key)?
-            .parse()
-            .map_err(|_| format!("unparseable value for {key:?}"))
-    }
-
-    fn opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("unparseable value for {key:?}")),
-        }
-    }
-
-    fn f32_bits(&self, key: &str) -> Result<f32, String> {
-        parse_f32_bits(self.str(key)?)
-    }
-
-    fn opt_f64_bits(&self, key: &str) -> Result<Option<f64>, String> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(hex) => parse_f64_bits(hex).map(Some),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zero_comm::CollectiveKind;
 
     fn sample_spec() -> WorkerSpec {
         let mut zero = ZeroConfig::fp32_exact(ZeroStage::Two);
@@ -881,43 +664,56 @@ mod tests {
             liveness_timeout: Duration::from_secs(2),
             handshake_timeout: Duration::from_secs(10),
             restore_dir: Some(PathBuf::from("/tmp/restore-0")),
-            result_path: PathBuf::from("/tmp/result-2.txt"),
+            result_path: PathBuf::from("/tmp/result-2.bin"),
             progress_path: PathBuf::from("/tmp/progress-2.txt"),
         }
     }
 
+    /// Decodes `spec`'s encoding and requires every field back (`Debug`
+    /// prints them all, floats in shortest round-trip form) and the same
+    /// bytes when encoded again.
+    fn round_trip(spec: &WorkerSpec) -> WorkerSpec {
+        let bytes = to_record(spec);
+        let parsed: WorkerSpec = from_record(&bytes).expect("decode spec");
+        assert_eq!(format!("{parsed:?}"), format!("{spec:?}"));
+        assert_eq!(to_record(&parsed), bytes);
+        parsed
+    }
+
     #[test]
-    fn worker_spec_round_trips_exactly() {
+    fn worker_spec_round_trips_every_variant_and_option_state() {
         let spec = sample_spec();
-        let parsed = WorkerSpec::parse(&spec.serialize()).expect("parse spec");
-        assert_eq!(parsed.rank, spec.rank);
-        assert_eq!(parsed.start_step, spec.start_step);
-        assert_eq!(parsed.token, spec.token);
-        assert_eq!(parsed.socket_dir, spec.socket_dir);
-        assert_eq!(parsed.restore_dir, spec.restore_dir);
-        assert_eq!(parsed.result_path, spec.result_path);
-        assert_eq!(parsed.progress_path, spec.progress_path);
-        let (cfg, want) = (&parsed.cfg, &spec.cfg);
-        assert_eq!(cfg.setup.model, want.setup.model);
-        assert_eq!(cfg.setup.zero, want.setup.zero);
-        assert_eq!(cfg.setup.grid, want.setup.grid);
-        assert_eq!(cfg.setup.global_batch, want.setup.global_batch);
-        assert_eq!(cfg.setup.seed, want.setup.seed);
-        assert_eq!(cfg.steps, want.steps);
-        assert_eq!(cfg.snapshot_every, want.snapshot_every);
-        assert_eq!(cfg.snapshot_dir, want.snapshot_dir);
-        assert_eq!(cfg.max_recoveries, want.max_recoveries);
-        assert_eq!(cfg.recv_timeout, want.recv_timeout);
-        assert_eq!(cfg.faults.seed(), want.faults.seed());
-        assert_eq!(cfg.faults.specs(), want.faults.specs());
-        assert_eq!(parsed.heartbeat_interval, spec.heartbeat_interval);
-        assert_eq!(parsed.liveness_timeout, spec.liveness_timeout);
-        assert_eq!(parsed.handshake_timeout, spec.handshake_timeout);
+        // The sample holds every FaultKind and both FaultTrigger variants.
+        let parsed = round_trip(&spec);
         // The mesh every rank dials is derived from the spec alone.
         let fabric = parsed.fabric();
         assert_eq!((fabric.world, fabric.token), (4, spec.token));
         assert_eq!(fabric.recv_timeout, spec.cfg.recv_timeout);
         assert_eq!(fabric.faults.specs(), spec.cfg.faults.specs());
+
+        let optimizers = [
+            OptimizerKind::Adam(AdamConfig { lr: 3e-4, beta1: 0.8, beta2: 0.95, eps: 1e-6, weight_decay: 0.01 }),
+            OptimizerKind::Sgd(SgdConfig { lr: 0.05, momentum: 0.9 }),
+        ];
+        let schedules = [
+            LrSchedule::Constant,
+            LrSchedule::Warmup { warmup: 7 },
+            LrSchedule::WarmupLinear { warmup: 2, total: 40, floor: 0.25 },
+            LrSchedule::WarmupCosine { warmup: 3, total: 50, floor: 0.1 },
+        ];
+        for (i, lr_schedule) in schedules.into_iter().enumerate() {
+            let some = i % 2 == 0;
+            let mut spec = sample_spec();
+            spec.restore_dir = some.then(|| PathBuf::from("/tmp/restore-1"));
+            let zero = &mut spec.cfg.setup.zero;
+            zero.optimizer = optimizers[i % 2];
+            zero.lr_schedule = lr_schedule;
+            zero.clip_grad_norm = some.then_some(1.25);
+            zero.node_size = (!some).then_some(2);
+            zero.tier = TierConfig { host_lat: Duration::from_nanos(1500), ..TierConfig::budgeted(1 << 20) };
+            zero.compression = CompressionConfig { qgz: some, hpz: !some, node_size: 2, ..zero.compression };
+            round_trip(&spec);
+        }
     }
 
     #[test]
@@ -931,28 +727,56 @@ mod tests {
         }
         zero.dropout = f32::from_bits(0x3e99_999a);
         zero.clip_grad_norm = Some(f64::from_bits(0x3FB9_9999_9999_999A));
-        let parsed = WorkerSpec::parse(&spec.serialize()).expect("parse spec");
-        assert_eq!(parsed.cfg.setup.zero, spec.cfg.setup.zero);
+        assert_eq!(round_trip(&spec).cfg.setup.zero, spec.cfg.setup.zero);
     }
 
     #[test]
-    fn worker_result_round_trips_bitwise_including_nan_free_extremes() {
-        let res = RankResult {
+    fn sub_millisecond_durations_and_raw_paths_cross_the_process_boundary() {
+        // A text spec carried `as_millis()` and `display()`: 500 µs arrived
+        // as a zero timeout, a path with a newline tore the file.
+        let mut spec = sample_spec();
+        spec.cfg.recv_timeout = Duration::from_micros(500);
+        spec.heartbeat_interval = Duration::from_micros(250);
+        spec.cfg.faults = FaultPlan::seeded(1).with_delay(0, 3, Duration::from_micros(250));
+        let run_dir = PathBuf::from(OsString::from_vec(b"/tmp/run\nresult_path=x/\xff".to_vec()));
+        spec.socket_dir = run_dir.join("sockets");
+        spec.result_path = run_dir.join("result-2.bin");
+        spec.cfg.snapshot_dir = run_dir.join("snaps");
+        let parsed = round_trip(&spec);
+        assert_eq!(parsed.fabric().recv_timeout, Duration::from_micros(500));
+        assert_eq!(parsed.heartbeat_interval, Duration::from_micros(250));
+        assert_eq!(parsed.cfg.faults.specs(), spec.cfg.faults.specs());
+        for (got, want) in [
+            (&parsed.socket_dir, &spec.socket_dir),
+            (&parsed.result_path, &spec.result_path),
+            (&parsed.cfg.snapshot_dir, &spec.cfg.snapshot_dir),
+        ] {
+            assert_eq!(got.as_os_str().as_bytes(), want.as_os_str().as_bytes());
+        }
+    }
+
+    fn sample_result() -> RankResult {
+        RankResult {
             losses: vec![f32::from_bits(0x7f7f_ffff), 1.5e-40, -0.0],
             eval: Some(f32::from_bits(0x0000_0001)),
-            error: Some("rank 1 lost peer 2".to_string()),
+            error: Some("rank 1 lost peer 2\nwhile waiting".to_string()),
             self_fault: true,
             restore_spans: 2,
             traffic: vec![
                 ("all-reduce".into(), 123_456, 42),
                 ("p2p".into(), 0, 0),
             ],
-        };
-        let parsed = RankResult::parse(&res.serialize()).expect("parse result");
+        }
+    }
+
+    #[test]
+    fn worker_result_round_trips_bitwise_including_nan_free_extremes() {
+        let res = sample_result();
+        let parsed: RankResult = from_record(&to_record(&res)).expect("decode result");
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         assert_eq!(bits(&parsed.losses), bits(&res.losses));
         assert_eq!(parsed.eval.map(f32::to_bits), res.eval.map(f32::to_bits));
-        assert_eq!(parsed.error, res.error);
+        assert_eq!(parsed.error, res.error, "newlines included");
         assert!(parsed.self_fault);
         assert_eq!(parsed.restore_spans, 2);
         assert_eq!(parsed.traffic, res.traffic);
@@ -960,25 +784,46 @@ mod tests {
 
     #[test]
     fn empty_loss_list_round_trips() {
-        let res = RankResult {
-            losses: Vec::new(),
-            eval: None,
-            error: None,
-            self_fault: false,
-            restore_spans: 0,
-            traffic: Vec::new(),
-        };
-        let parsed = RankResult::parse(&res.serialize()).expect("parse result");
+        let parsed: RankResult =
+            from_record(&to_record(&RankResult::default())).expect("decode result");
         assert!(parsed.losses.is_empty());
         assert!(parsed.eval.is_none());
         assert!(parsed.error.is_none());
+        assert!(parsed.traffic.is_empty());
     }
 
     #[test]
-    fn malformed_spec_reports_missing_keys_not_panics() {
-        let err = WorkerSpec::parse("rank=0\nworld=2\n").expect_err("must fail");
-        assert!(err.contains("missing key"), "got {err}");
-        let err = WorkerSpec::parse("").expect_err("must fail");
-        assert!(err.contains("missing key"), "got {err}");
+    fn damaged_spec_and_result_files_are_typed_errors_never_panics() {
+        let typed = |e: SnapshotError| {
+            matches!(
+                e,
+                SnapshotError::Torn
+                    | SnapshotError::ChecksumMismatch { .. }
+                    | SnapshotError::ImplausibleLength(_)
+            )
+        };
+        let (spec, result) = (to_record(&sample_spec()), to_record(&sample_result()));
+        // Every truncation, and every single-bit flip, of both files.
+        for len in 0..spec.len() {
+            let err = from_record::<WorkerSpec>(&spec[..len]).expect_err("truncated spec");
+            assert!(typed(err), "spec cut to {len} bytes");
+            assert_eq!(run_worker(&spec[..len]), 2, "spec cut to {len} bytes");
+        }
+        for len in 0..result.len() {
+            assert!(typed(from_record::<RankResult>(&result[..len]).expect_err("truncated result")));
+        }
+        for bit in 0..spec.len() * 8 {
+            let mut bytes = spec.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            let err = from_record::<WorkerSpec>(&bytes).expect_err("flipped spec");
+            assert!(typed(err), "spec bit {bit}");
+            assert_eq!(run_worker(&bytes), 2, "spec bit {bit}");
+        }
+        for bit in 0..result.len() * 8 {
+            let mut bytes = result.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            let err = from_record::<RankResult>(&bytes).expect_err("flipped result");
+            assert!(typed(err), "result bit {bit}");
+        }
     }
 }

@@ -47,7 +47,8 @@ pub enum SnapshotError {
         /// CRC recomputed over the payload as read.
         actual: u32,
     },
-    /// A section header requests an absurd allocation (corrupt length).
+    /// A section header requests an absurd allocation (corrupt length), or
+    /// a record carries a variant tag no writer produces.
     ImplausibleLength(u64),
     /// Snapshots in a set disagree with each other (step or world size) —
     /// they cannot all come from the same consistent checkpoint.
@@ -71,7 +72,7 @@ impl std::fmt::Display for SnapshotError {
                 "snapshot checksum mismatch: file declares {declared:#010x}, payload hashes to {actual:#010x}"
             ),
             SnapshotError::ImplausibleLength(len) => {
-                write!(f, "implausible section length {len}")
+                write!(f, "implausible section length or tag {len}")
             }
             SnapshotError::Inconsistent(why) => write!(f, "inconsistent snapshot set: {why}"),
             SnapshotError::Io(e) => write!(f, "snapshot i/o error: {e}"),
@@ -109,35 +110,136 @@ impl From<SnapshotError> for io::Error {
     }
 }
 
-/// `Write` adapter that folds everything written into a CRC32.
-struct CrcWriter<'a, W: Write> {
-    inner: &'a mut W,
+/// The one on-disk codec of this crate (snapshot shards, worker specs,
+/// rank results): little-endian fixed-width words, byte strings and f32
+/// slices length-prefixed, every byte folded into a CRC32 that
+/// [`SectionWriter::finish`] appends as the file's trailer.
+pub(crate) struct SectionWriter<W: Write> {
+    inner: W,
     crc: Crc32,
 }
 
-impl<W: Write> Write for CrcWriter<'_, W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.crc.update(&buf[..n]);
-        Ok(n)
+impl<W: Write> SectionWriter<W> {
+    pub(crate) fn new(inner: W) -> SectionWriter<W> {
+        SectionWriter { inner, crc: Crc32::new() }
     }
 
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
+    /// Fixed-width bytes, no length prefix.
+    pub(crate) fn raw(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.crc.update(bytes);
+        self.inner.write_all(bytes)
+    }
+
+    pub(crate) fn u64(&mut self, v: u64) -> io::Result<()> {
+        self.raw(&v.to_le_bytes())
+    }
+
+    pub(crate) fn bytes(&mut self, data: &[u8]) -> io::Result<()> {
+        self.u64(data.len() as u64)?;
+        self.raw(data)
+    }
+
+    pub(crate) fn f32s(&mut self, data: &[f32]) -> io::Result<()> {
+        self.u64(data.len() as u64)?;
+        // Chunked copy through a fixed buffer: no giant intermediate Vec<u8>.
+        let mut buf = [0u8; 4096];
+        for chunk in data.chunks(1024) {
+            let bytes = &mut buf[..chunk.len() * 4];
+            for (i, v) in chunk.iter().enumerate() {
+                bytes[i * 4..i * 4 + 4].copy_from_slice(&v.to_le_bytes());
+            }
+            self.raw(bytes)?;
+        }
+        Ok(())
+    }
+
+    /// Closes the payload with its CRC32.
+    pub(crate) fn finish(mut self) -> io::Result<()> {
+        self.inner.write_all(&self.crc.finish().to_le_bytes())
     }
 }
 
-/// `Read` adapter that folds everything read into a CRC32.
-struct CrcReader<'a, R: Read> {
-    inner: &'a mut R,
+/// Reads what a [`SectionWriter`] wrote. A file that ends mid-field is
+/// [`SnapshotError::Torn`], a length (or, in `procworld`'s records, a tag)
+/// no writer produces is [`SnapshotError::ImplausibleLength`], and
+/// [`SectionReader::finish`] turns any other damage into
+/// [`SnapshotError::ChecksumMismatch`].
+pub(crate) struct SectionReader<R: Read> {
+    inner: R,
     crc: Crc32,
 }
 
-impl<R: Read> Read for CrcReader<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.crc.update(&buf[..n]);
-        Ok(n)
+impl<'a> SectionReader<&'a [u8]> {
+    /// A reader over the payload of an in-memory record whose trailer has
+    /// already been checked, so nothing is decoded from damaged bytes.
+    pub(crate) fn verified(record: &'a [u8]) -> Result<Self, SnapshotError> {
+        let split = record.len().checked_sub(4).ok_or(SnapshotError::Torn)?;
+        let (payload, trailer) = record.split_at(split);
+        let mut whole = SectionReader::new(trailer);
+        whole.crc.update(payload);
+        whole.finish()?;
+        Ok(SectionReader::new(payload))
+    }
+}
+
+impl<R: Read> SectionReader<R> {
+    fn new(inner: R) -> SectionReader<R> {
+        SectionReader { inner, crc: Crc32::new() }
+    }
+
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), SnapshotError> {
+        self.inner.read_exact(buf)?;
+        self.crc.update(buf);
+        Ok(())
+    }
+
+    /// Fixed-width bytes, no length prefix.
+    pub(crate) fn raw<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        let mut a = [0u8; N];
+        self.fill(&mut a)?;
+        Ok(a)
+    }
+
+    pub(crate) fn u64(&mut self) -> Result<u64, SnapshotError> {
+        Ok(u64::from_le_bytes(self.raw()?))
+    }
+
+    /// A length no larger than `max`, about to be allocated for (a corrupt
+    /// header must not request an absurd allocation).
+    fn bounded(&mut self, max: u64) -> Result<usize, SnapshotError> {
+        match self.u64()? {
+            v if v <= max => Ok(v as usize),
+            v => Err(SnapshotError::ImplausibleLength(v)),
+        }
+    }
+
+    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, SnapshotError> {
+        let mut out = vec![0u8; self.bounded(1 << 20)?];
+        self.fill(&mut out)?;
+        Ok(out)
+    }
+
+    pub(crate) fn f32s(&mut self) -> Result<Vec<f32>, SnapshotError> {
+        let len = self.bounded(1 << 34)?;
+        // Grows with the data actually present, not the declared length.
+        let mut out = Vec::with_capacity(len.min(1 << 20));
+        let mut buf = [0u8; 4096];
+        while out.len() < len {
+            let bytes = &mut buf[..(len - out.len()).min(1024) * 4];
+            self.fill(bytes)?;
+            out.extend(bytes.chunks_exact(4).map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])));
+        }
+        Ok(out)
+    }
+
+    /// Verifies the CRC32 trailer against everything read.
+    pub(crate) fn finish(&mut self) -> Result<(), SnapshotError> {
+        let actual = self.crc.finish();
+        let declared = u32::from_le_bytes(self.raw()?);
+        if declared != actual {
+            return Err(SnapshotError::ChecksumMismatch { declared, actual });
+        }
+        Ok(())
     }
 }
 
@@ -176,28 +278,26 @@ impl RankSnapshot {
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
         w.write_all(MAGIC)?;
         w.write_all(&VERSION.to_le_bytes())?;
-        let mut cw = CrcWriter { inner: w, crc: Crc32::new() };
-        cw.write_all(&self.rank.to_le_bytes())?;
-        cw.write_all(&self.world.to_le_bytes())?;
-        cw.write_all(&self.step.to_le_bytes())?;
-        cw.write_all(&self.shard_start.to_le_bytes())?;
-        cw.write_all(&self.shard_end.to_le_bytes())?;
-        write_f32s(&mut cw, &self.master)?;
-        write_f32s(&mut cw, &self.opt_m)?;
-        write_f32s(&mut cw, &self.opt_v)?;
-        cw.write_all(&self.opt_t.to_le_bytes())?;
+        let mut w = SectionWriter::new(w);
+        w.raw(&self.rank.to_le_bytes())?;
+        w.raw(&self.world.to_le_bytes())?;
+        w.u64(self.step)?;
+        w.u64(self.shard_start)?;
+        w.u64(self.shard_end)?;
+        w.f32s(&self.master)?;
+        w.f32s(&self.opt_m)?;
+        w.f32s(&self.opt_v)?;
+        w.u64(self.opt_t)?;
         match self.scaler {
             Some((scale, good, skipped)) => {
-                cw.write_all(&1u8.to_le_bytes())?;
-                cw.write_all(&scale.to_le_bytes())?;
-                cw.write_all(&good.to_le_bytes())?;
-                cw.write_all(&skipped.to_le_bytes())?;
+                w.raw(&[1u8])?;
+                w.raw(&scale.to_le_bytes())?;
+                w.raw(&good.to_le_bytes())?;
+                w.u64(skipped)?;
             }
-            None => cw.write_all(&0u8.to_le_bytes())?,
+            None => w.raw(&[0u8])?,
         }
-        let crc = cw.crc.finish();
-        w.write_all(&crc.to_le_bytes())?;
-        Ok(())
+        w.finish()
     }
 
     /// Deserializes from a reader, verifying the payload checksum.
@@ -214,47 +314,31 @@ impl RankSnapshot {
         if &magic != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let version = read_u32(r)?;
+        let mut version = [0u8; 4];
+        r.read_exact(&mut version)?;
+        let version = u32::from_le_bytes(version);
         if version != VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        let mut cr = CrcReader { inner: r, crc: Crc32::new() };
-        let rank = read_u32(&mut cr)?;
-        let world = read_u32(&mut cr)?;
-        let step = read_u64(&mut cr)?;
-        let shard_start = read_u64(&mut cr)?;
-        let shard_end = read_u64(&mut cr)?;
-        let master = read_f32s(&mut cr)?;
-        let opt_m = read_f32s(&mut cr)?;
-        let opt_v = read_f32s(&mut cr)?;
-        let opt_t = read_u64(&mut cr)?;
-        let mut flag = [0u8; 1];
-        cr.read_exact(&mut flag)?;
-        let scaler = if flag[0] == 1 {
-            let scale = f32::from_le_bytes(read_array(&mut cr)?);
-            let good = read_u32(&mut cr)?;
-            let skipped = read_u64(&mut cr)?;
-            Some((scale, good, skipped))
-        } else {
-            None
+        let mut r = SectionReader::new(r);
+        let snapshot = RankSnapshot {
+            rank: u32::from_le_bytes(r.raw()?),
+            world: u32::from_le_bytes(r.raw()?),
+            step: r.u64()?,
+            shard_start: r.u64()?,
+            shard_end: r.u64()?,
+            master: r.f32s()?,
+            opt_m: r.f32s()?,
+            opt_v: r.f32s()?,
+            opt_t: r.u64()?,
+            scaler: if r.raw::<1>()? == [1] {
+                Some((f32::from_le_bytes(r.raw()?), u32::from_le_bytes(r.raw()?), r.u64()?))
+            } else {
+                None
+            },
         };
-        let actual = cr.crc.finish();
-        let declared = read_u32(r)?;
-        if declared != actual {
-            return Err(SnapshotError::ChecksumMismatch { declared, actual });
-        }
-        Ok(RankSnapshot {
-            rank,
-            world,
-            step,
-            shard_start,
-            shard_end,
-            master,
-            opt_m,
-            opt_v,
-            opt_t,
-            scaler,
-        })
+        r.finish()?;
+        Ok(snapshot)
     }
 
     /// Writes this shard into `dir` (created if missing).
@@ -315,55 +399,6 @@ pub fn validate_consistent(snaps: &[RankSnapshot]) -> Result<(), SnapshotError> 
         }
     }
     Ok(())
-}
-
-fn write_f32s<W: Write>(w: &mut W, data: &[f32]) -> io::Result<()> {
-    w.write_all(&(data.len() as u64).to_le_bytes())?;
-    // Chunked copy through a fixed buffer: no giant intermediate Vec<u8>.
-    let mut buf = [0u8; 4096];
-    for chunk in data.chunks(1024) {
-        let bytes = &mut buf[..chunk.len() * 4];
-        for (i, v) in chunk.iter().enumerate() {
-            bytes[i * 4..i * 4 + 4].copy_from_slice(&v.to_le_bytes());
-        }
-        w.write_all(bytes)?;
-    }
-    Ok(())
-}
-
-fn read_f32s<R: Read>(r: &mut R) -> Result<Vec<f32>, SnapshotError> {
-    let len = read_u64(r)? as usize;
-    // Guard against corrupt headers requesting absurd allocations.
-    if len > (1 << 34) {
-        return Err(SnapshotError::ImplausibleLength(len as u64));
-    }
-    let mut out = Vec::with_capacity(len);
-    let mut buf = [0u8; 4096];
-    let mut remaining = len;
-    while remaining > 0 {
-        let take = remaining.min(1024);
-        let bytes = &mut buf[..take * 4];
-        r.read_exact(bytes)?;
-        for i in 0..take {
-            out.push(f32::from_le_bytes(bytes[i * 4..i * 4 + 4].try_into().unwrap()));
-        }
-        remaining -= take;
-    }
-    Ok(out)
-}
-
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    Ok(u32::from_le_bytes(read_array(r)?))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    Ok(u64::from_le_bytes(read_array(r)?))
-}
-
-fn read_array<R: Read, const N: usize>(r: &mut R) -> io::Result<[u8; N]> {
-    let mut a = [0u8; N];
-    r.read_exact(&mut a)?;
-    Ok(a)
 }
 
 #[cfg(test)]

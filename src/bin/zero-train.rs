@@ -11,7 +11,7 @@
 
 use zero::cli::{usage_exit, Args};
 use zero::comm::{CollectiveKind, Grid};
-use zero::core::{run_training, TrainSetup, ZeroConfig, ZeroStage};
+use zero::core::{run_training, ConfigError, TrainSetup, ZeroConfig, ZeroStage};
 use zero::model::ModelConfig;
 use zero::optim::AdamConfig;
 
@@ -141,14 +141,6 @@ fn main() {
     if dp == 0 || !batch.is_multiple_of(dp) {
         usage_exit(&format!("--batch {batch} must divide evenly over --dp {dp} replicas"));
     }
-    let levers_in_effect = (compression.qwz || compression.hpz) && stage.partitions_params()
-        || compression.qgz && stage.partitions_grads();
-    if levers_in_effect && (mp != 1 || compression.node_size == 0 || !dp.is_multiple_of(compression.node_size)) {
-        usage_exit(&format!(
-            "--qwz/--hpz/--qgz need --mp 1 (got {mp}) and --dp {dp} divisible by --node-size {}",
-            compression.node_size
-        ));
-    }
     let device_budget: u64 = args.get("--device-budget", u64::MAX);
     let tier = if args.flag("--offload") || device_budget != u64::MAX {
         zero::core::TierConfig {
@@ -185,8 +177,22 @@ fn main() {
     };
     let steps = args.get("--steps", 50usize);
 
+    // One author of lever × stage × grid legality; its refusals are usage errors.
+    let (eff, off) = setup.zero.check(setup.grid).unwrap_or_else(|e| {
+        usage_exit(&match e {
+            ConfigError::Switches(why) => why,
+            ConfigError::Compression(why) => format!(
+                "--qwz/--hpz/--qgz need --mp 1 (got {mp}) and --dp {dp} divisible by \
+                 --node-size {}: {why}",
+                compression.node_size
+            ),
+            ConfigError::Offload(why) => format!(
+                "--offload needs --mp 1, --stage 1/2/3, and no ZeRO++ levers \
+                 (--qwz/--hpz/--qgz): {why}"
+            ),
+        })
+    });
     if compression.any() {
-        let eff = zero::core::EffectiveCompression::resolve(&setup.zero, setup.grid);
         println!(
             "compression: qwZ={} hpZ={} qgZ={} (node size {}, quant block {})",
             eff.qwz, eff.hpz, eff.qgz, eff.node_size, compression.block
@@ -203,15 +209,6 @@ fn main() {
     }
 
     if tier.enabled {
-        // Fail with a usage message instead of the engine's panic.
-        if setup.grid.mp_degree() != 1 || !stage.partitions_optimizer() || compression.any() {
-            eprintln!(
-                "--offload needs --mp 1, --stage 1/2/3, and no ZeRO++ levers \
-                 (--qwz/--hpz/--qgz)"
-            );
-            std::process::exit(2);
-        }
-        let off = zero::core::EffectiveOffload::resolve(&setup.zero, setup.grid);
         println!(
             "offload: optimizer-state={} grad-shards={} param-shards={} | device budget {} | \
              host link {} B/s + {:?}",

@@ -242,7 +242,7 @@ fn checkpoint_arena_grows_with_the_batch() {
         let gpt = Gpt::new(cfg);
         let params = init_full_params(&cfg, 4);
         let zcfg = ZeroConfig { stage: ZeroStage::Two, ..ZeroConfig::default() };
-        assert!(zcfg.checkpoint_activations && zcfg.use_arena);
+        assert!(zcfg.checkpoint_activations);
         let mut engine = RankEngine::new(gpt, &params, zcfg, Grid::new(2, 1), comm);
         let corpus = SyntheticCorpus::generate(cfg.vocab, 5000, 1);
         let (ids, targets) = corpus.rank_batch(0, 2, cfg.seq, 2, engine.dp_rank());

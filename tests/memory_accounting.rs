@@ -263,7 +263,6 @@ fn pa_partitions_checkpoint_memory_by_mp_degree() {
             stage: ZeroStage::Two,
             checkpoint_activations: true,
             partition_activations: pa,
-            use_arena: false,
             ..ZeroConfig::default()
         },
         grid: Grid::new(2, 2),
@@ -292,7 +291,6 @@ fn cpu_offload_moves_checkpoints_off_device() {
             checkpoint_activations: true,
             partition_activations: true,
             offload_checkpoints: off,
-            use_arena: false,
             ..ZeroConfig::default()
         },
         grid: Grid::new(1, 2),
@@ -335,7 +333,6 @@ fn checkpoint_interval_trades_checkpoint_memory_for_activation_memory() {
             stage: ZeroStage::Two,
             checkpoint_activations: true,
             checkpoint_interval: interval,
-            use_arena: false,
             ..ZeroConfig::default()
         },
         grid: Grid::new(2, 1),
