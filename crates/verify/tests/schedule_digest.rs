@@ -130,7 +130,7 @@ fn name(zcfg: &ZeroConfig, grid: Grid, local_batch: usize) -> String {
     )
 }
 
-/// The five configurations whose losses `tests/engine_behavior.rs`
+/// The six configurations whose losses `tests/engine_behavior.rs`
 /// (`first_losses_are_pinned_bit_for_bit`) pins, with their local batch
 /// (global batch 4 over the DP degree).
 fn loss_pinned_configs() -> Vec<(ZeroConfig, Grid, usize)> {
@@ -163,6 +163,17 @@ fn loss_pinned_configs() -> Vec<(ZeroConfig, Grid, usize)> {
             },
             two,
             2,
+        ),
+        (
+            ZeroConfig {
+                stage: ZeroStage::Ddp,
+                initial_loss_scale: 1.0,
+                bucket_elems: 1000,
+                node_size: Some(2),
+                ..ZeroConfig::default()
+            },
+            Grid::new(4, 1),
+            1,
         ),
     ]
 }

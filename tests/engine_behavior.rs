@@ -441,11 +441,12 @@ fn first_losses_are_pinned_bit_for_bit() {
     // pin the synchronous engine paths: stage 3 fp16 with every ZeRO++
     // lever on two nodes of two (first-touch vs node-local refetch, both
     // wire formats), stage 3 under an armed tier budget (demand tier
-    // fetches and per-flush spills), and stage 1 with a bucket smaller
-    // than Ψ (chunked gradient reduce-scatter and parameter publish).
+    // fetches and per-flush spills), stage 1 with a bucket smaller than Ψ
+    // (chunked gradient reduce-scatter and parameter publish), and DDP's
+    // two-level all-reduce on two nodes of two, chunked the same way.
     let two = Grid::new(2, 1);
     let zeropp = CompressionConfig { qwz: true, hpz: true, qgz: true, node_size: 2, block: 64 };
-    let pinned: [(ZeroConfig, Grid, u64, [u32; 5]); 5] = [
+    let pinned: [(ZeroConfig, Grid, u64, [u32; 5]); 6] = [
         (
             ZeroConfig { stage: ZeroStage::Two, initial_loss_scale: 1.0, ..ZeroConfig::default() },
             two,
@@ -485,6 +486,18 @@ fn first_losses_are_pinned_bit_for_bit() {
             two,
             15,
             [0x405e3953, 0x405d243e, 0x405c2ff8, 0x405c2058, 0x405d0e62],
+        ),
+        (
+            ZeroConfig {
+                stage: ZeroStage::Ddp,
+                initial_loss_scale: 1.0,
+                bucket_elems: 1000,
+                node_size: Some(2),
+                ..ZeroConfig::default()
+            },
+            Grid::new(4, 1),
+            16,
+            [0x405de746, 0x405d978f, 0x405c001a, 0x405ee946, 0x405d56e1],
         ),
     ];
     for (zero, grid, seed, want) in pinned {
