@@ -116,7 +116,8 @@ struct OpenLoopRow {
     p99_latency_steps: u64,
     /// Prompt positions served from shared prefix blocks.
     prefix_hit_rows: u64,
-    /// Prompt positions across all admitted requests (`Σ prompt_len − 1`).
+    /// Prompt positions across all admitted requests (`Σ prompt_len`):
+    /// each is computed or served from a shared prefix block.
     prompt_rows: u64,
     /// Prompt rows actually computed, each in its request's admission
     /// step (`Σ prompt_len − prefix_reused_rows`).
@@ -200,7 +201,10 @@ fn run_open(params: &[f32], spec: OpenLoopRow) -> OpenLoopRow {
     assert!(!done.is_empty(), "schedule must complete at least one request");
     type Count = fn(&ServeRequest, &ServeResponse) -> u64;
     let sum = |of: Count| done.iter().map(|(q, r)| of(q, r)).sum::<u64>();
-    let (tokens, prompt_rows) = (sum(|_, r| r.decode_steps), sum(|q, _| q.prompt.len() as u64 - 1));
+    let (tokens, prompt_rows) = (sum(|_, r| r.decode_steps), sum(|q, _| q.prompt.len() as u64));
+    let prefill_rows = sum(|_, r| r.prefill_rows);
+    let reused_rows = sum(|_, r| r.prefix_reused_rows);
+    assert_eq!(prompt_rows, prefill_rows + reused_rows, "a prompt row is prefilled or reused");
     let lat_steps = sorted(done.iter().map(|(_, r)| r.latency_steps));
     let meters = report.ranks[0].kv_meters;
     let row = OpenLoopRow {
@@ -214,7 +218,7 @@ fn run_open(params: &[f32], spec: OpenLoopRow) -> OpenLoopRow {
         p99_latency_steps: percentile(&lat_steps, 0.99),
         prefix_hit_rows: meters.prefix_hit_rows,
         prompt_rows,
-        prefill_rows: sum(|_, r| r.prefill_rows),
+        prefill_rows,
         prefix_hit_rate: meters.prefix_hit_rows as f64 / prompt_rows.max(1) as f64,
         kv_bytes_allocated: meters.bytes_allocated,
         wall_secs: secs,

@@ -10,18 +10,19 @@
 //! balanced-uneven (no padding): chunk `i` of `total` over `n` ranks has
 //! `total/n + (i < total%n)` elements, and member `i` owns chunk `i`.
 //!
-//! The ring's two phases — reduce around the ring, gather around the ring
-//! — are written once (`ring_reduce`, `ring_gather`): reduce-scatter is
-//! phase 1, all-gather is phase 2, all-reduce is both. Each collective has
-//! one body (`impl Fabric`, run on the progress thread) and one submission
-//! that moves its inputs into a closure over that body:
-//! `start_reduce_scatter_var`, `start_all_gather_var`,
-//! `start_all_gather_quant`, `start_reduce_scatter_qgz`. Everything else
-//! is a spelling of those — the blocking `*_var_in` wrappers are
-//! `start_*(…).wait()`, the fixed-size `*_in` wrappers are `*_var_in` with
-//! [`chunk_range`] counts, and the world-wide `all_reduce` /
-//! `reduce_scatter` / `all_gather` / `broadcast` are `*_in` over
-//! [`Group::world`].
+//! ZeRO's communication is two collectives and their sum (§7):
+//! reduce-scatter, all-gather, and all-reduce = reduce-scatter then
+//! all-gather. The ring's two phases — reduce around the ring, gather
+//! around the ring — are written once (`ring_reduce`, `ring_gather`).
+//! ZeRO++'s qwZ and qgZ are [`WireFmt`]s of the same all-gather and
+//! reduce-scatter, not further collectives. The surface is what a plan can
+//! issue: [`Communicator::start_all_gather`] and
+//! [`Communicator::start_reduce_scatter`] take explicit per-member counts
+//! and a wire format, pick the `Fabric` body it names (run on the progress
+//! thread), and return a [`PendingOp`]; [`Communicator::all_reduce_in`] is
+//! the raw ring all-reduce over a group. The world-wide `all_reduce` /
+//! `reduce_scatter` / `all_gather` are those over [`Group::world`] with
+//! balanced counts, waited at once.
 
 use crate::error::CommError;
 use crate::group::Group;
@@ -65,6 +66,31 @@ impl Precision {
     }
 }
 
+/// Wire format of an all-gather or reduce-scatter: how its chunks are
+/// encoded on the wire, and therefore how many bytes each hop carries.
+/// `Raw` is the uncompressed ring; the other two are the ZeRO++
+/// compression levers, each a wire of one of the two collectives.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WireFmt {
+    /// Uncompressed `prec`-width elements.
+    Raw,
+    /// qwZ: ring all-gather of block-quantized streams — 1 byte per
+    /// element plus one fp32 scale/zero pair per `block` elements.
+    Int8Block {
+        /// Quantization block length.
+        block: usize,
+    },
+    /// qgZ: two-phase all-to-all reduce-scatter — raw pairwise exchange
+    /// inside each node of `node_size` ranks, block-quantized pairwise
+    /// exchange between same-slot ranks across nodes.
+    QgzInt8 {
+        /// Ranks per node G of the two-tier grouping.
+        node_size: usize,
+        /// Quantization block length.
+        block: usize,
+    },
+}
+
 /// The element range of chunk `i` when `total` elements are split over `n`
 /// owners: sizes differ by at most one, larger chunks first.
 pub fn chunk_range(total: usize, n: usize, i: usize) -> std::ops::Range<usize> {
@@ -74,6 +100,11 @@ pub fn chunk_range(total: usize, n: usize, i: usize) -> std::ops::Range<usize> {
     let start = i * base + i.min(rem);
     let len = base + usize::from(i < rem);
     start..start + len
+}
+
+/// Per-member lengths of the balanced split of `total` over `n` owners.
+fn even_counts(total: usize, n: usize) -> Vec<usize> {
+    (0..n).map(|i| chunk_range(total, n, i).len()).collect()
 }
 
 /// Converts explicit per-member chunk lengths into contiguous ranges.
@@ -91,7 +122,7 @@ fn ranges_from_counts(counts: &[usize]) -> Vec<std::ops::Range<usize>> {
 /// membership as [`CommError::NotInGroup`] instead of a panic, so a
 /// mis-grouped collective call leaves the rank recoverable (peers time out
 /// cleanly rather than observing a poisoned thread).
-pub(crate) fn member_index(group: &Group, rank: usize) -> Result<usize, CommError> {
+fn member_index(group: &Group, rank: usize) -> Result<usize, CommError> {
     group.local_index(rank).ok_or_else(|| CommError::NotInGroup {
         rank,
         group: group.members().to_vec(),
@@ -125,59 +156,7 @@ fn finalize(op: ReduceOp, buf: &mut [f32], n: usize) {
     }
 }
 
-impl Communicator {
-    // ----- world-wide convenience wrappers -----
-
-    /// Ring all-reduce over the whole world, in place.
-    pub fn all_reduce(
-        &mut self,
-        buf: &mut [f32],
-        op: ReduceOp,
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        let g = Group::world(self.world_size());
-        self.all_reduce_in(&g, buf, op, prec)
-    }
-
-    /// Ring reduce-scatter over the whole world. `input` has the full
-    /// length; this rank's reduced chunk is written to `out`, which must
-    /// have exactly `chunk_range(len, n, rank).len()` elements.
-    pub fn reduce_scatter(
-        &mut self,
-        input: &[f32],
-        out: &mut [f32],
-        op: ReduceOp,
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        let g = Group::world(self.world_size());
-        self.reduce_scatter_in(&g, input, out, op, prec)
-    }
-
-    /// Ring all-gather over the whole world: this rank contributes `shard`
-    /// (its chunk of `out`), and `out` receives every rank's chunk.
-    pub fn all_gather(
-        &mut self,
-        shard: &[f32],
-        out: &mut [f32],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        let g = Group::world(self.world_size());
-        self.all_gather_in(&g, shard, out, prec)
-    }
-
-    /// Pipelined broadcast from `root` (a global rank) over the whole world.
-    pub fn broadcast(
-        &mut self,
-        root: usize,
-        buf: &mut [f32],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        let g = Group::world(self.world_size());
-        self.broadcast_in(&g, root, buf, prec)
-    }
-}
-
-// ----- fabric-side ring schedules (run on the progress thread) -----
+// ----- fabric-side bodies (run on the progress thread) -----
 //
 // Every membership check, fault trigger (`begin_op`), send, and receive
 // happens in the order the synchronous implementations had. The public
@@ -273,9 +252,10 @@ impl Fabric {
         Ok(buf)
     }
 
-    /// Ring reduce-scatter with explicit per-member chunk lengths: phase 1
-    /// with `input` as the working buffer, yielding this member's chunk.
-    fn reduce_scatter_var_in(
+    /// Raw ring reduce-scatter with explicit per-member chunk lengths:
+    /// phase 1 with `input` as the working buffer, yielding this member's
+    /// chunk.
+    fn reduce_scatter_ring(
         &mut self,
         group: &Group,
         mut input: Vec<f32>,
@@ -296,9 +276,9 @@ impl Fabric {
         Ok(out)
     }
 
-    /// Ring all-gather with explicit per-member chunk lengths: phase 2
+    /// Raw ring all-gather with explicit per-member chunk lengths: phase 2
     /// over a `Σ counts` buffer seeded with this member's `shard`.
-    fn all_gather_var_in(
+    fn all_gather_ring(
         &mut self,
         group: &Group,
         shard: &[f32],
@@ -317,37 +297,236 @@ impl Fabric {
         Ok(out)
     }
 
-    /// Pipelined broadcast within `group` from global rank `root`.
-    fn broadcast_in(
+    /// Ring all-gather with block-quantized chunks (ZeRO++ qwZ): the wire
+    /// carries int8 codes plus per-block fp32 scale/zero-points, so each
+    /// forwarded chunk costs `quant_wire_bytes(len, block)` logical bytes
+    /// instead of `prec·len`. Each rank quantizes its own chunk exactly
+    /// once, the *encoded* stream circulates the ring verbatim, and every
+    /// rank — owner included — dequantizes from that stream, so the
+    /// gathered buffer is bitwise identical across the group and
+    /// requantization error never compounds across hops.
+    fn all_gather_qwz(
         &mut self,
         group: &Group,
-        root: usize,
-        mut buf: Vec<f32>,
+        shard: &[f32],
+        counts: &[usize],
+        block: usize,
+    ) -> Result<Vec<f32>, CommError> {
+        let Ring { n, idx, next, prev } = Ring::seat(group, self.rank)?;
+        let ranges = ranges_from_counts(counts);
+        let own = quantize_for_transport(shard, block);
+        let mut out = vec![0.0; counts.iter().sum()];
+        out[ranges[idx].clone()].copy_from_slice(&own.dequantize());
+        if n == 1 {
+            // No peers, no fabric op (see `all_reduce_in`).
+            return Ok(out);
+        }
+        self.begin_op(CollectiveKind::AllGather)?;
+        let mut streams: Vec<Option<Vec<f32>>> = vec![None; n];
+        streams[idx] = Some(own.encode());
+        for step in 0..n - 1 {
+            let send_c = (idx + n - step) % n;
+            let recv_c = (idx + 2 * n - 1 - step) % n;
+            let Some(payload) = streams[send_c].take() else {
+                unreachable!("ring all-gather forwards each chunk exactly once")
+            };
+            let logical = quant_wire_bytes(counts[send_c], block);
+            self.send_raw(next, payload, CollectiveKind::AllGather, logical)?;
+            let incoming = self.recv_raw(prev)?;
+            let decoded = BlockQuantized::decode(&incoming, counts[recv_c], block);
+            out[ranges[recv_c].clone()].copy_from_slice(&decoded.dequantize());
+            streams[recv_c] = Some(incoming);
+        }
+        Ok(out)
+    }
+
+    /// Two-phase quantized reduce-scatter (ZeRO++ qgZ) over a group whose
+    /// ranks are laid out node-major (`node_size` consecutive members per
+    /// node):
+    ///
+    /// 1. **raw intra-node all-to-all** — node-mate at slot `s` collects,
+    ///    at full precision, every chunk destined to a slot-`s` rank on
+    ///    any node, then reduces the node's contributions locally in slot
+    ///    order;
+    /// 2. **quantized inter-node all-to-all** — each rank sends its local
+    ///    partial for node `m`'s same-slot owner as int8 codes, and sums
+    ///    the dequantized partials in node order.
+    ///
+    /// Only the slow inter-node hop is quantized; the rank's own partial
+    /// stays full precision. Accumulation order (slots, then nodes) is
+    /// fixed, so results are bit-deterministic across runs.
+    ///
+    /// # Errors
+    /// Membership violations surface as [`CommError::NotInGroup`], and a
+    /// `node_size` that does not divide the group as
+    /// [`CommError::InvalidTopology`].
+    #[allow(clippy::too_many_arguments)]
+    fn reduce_scatter_qgz(
+        &mut self,
+        group: &Group,
+        input: &[f32],
+        op: ReduceOp,
+        counts: &[usize],
+        node_size: usize,
+        block: usize,
         prec: Precision,
     ) -> Result<Vec<f32>, CommError> {
-        self.begin_op(CollectiveKind::Broadcast)?;
-        if group.len() == 1 {
-            return Ok(buf);
+        let n = group.len();
+        let idx = member_index(group, self.rank)?;
+        if n == 1 {
+            // No peers, no fabric op (see `all_reduce_in`).
+            let mut out = input.to_vec();
+            finalize(op, &mut out, 1);
+            return Ok(out);
         }
-        let Ring { n, idx, next, prev } = Ring::seat(group, self.rank)?;
-        let root_idx = member_index(group, root)?;
-        // Position along the chain starting at the root.
-        let pos = (idx + n - root_idx) % n;
-        let bytes = prec.bytes() * buf.len() as u64;
-        if pos > 0 {
-            let incoming = self.recv_raw(prev)?;
-            buf.copy_from_slice(&incoming);
+        let g = node_size;
+        if g == 0 || !n.is_multiple_of(g) {
+            return Err(CommError::InvalidTopology { rank: self.rank, world: n, node_size: g });
         }
-        if pos < n - 1 {
-            self.send_raw(next, buf.clone(), CollectiveKind::Broadcast, bytes)?;
+        self.begin_op(CollectiveKind::ReduceScatter)?;
+        let nodes = n / g;
+        let slot = idx % g;
+        let node = idx / g;
+        let ranges = ranges_from_counts(counts);
+        // Mean sums through both phases and divides once at the end.
+        let inner = if op == ReduceOp::Mean { ReduceOp::Sum } else { op };
+
+        // Phase 1 — raw intra-node all-to-all in pairwise rounds (round `d`
+        // sends to slot+d and receives from slot−d). The payload to slot
+        // `s` concatenates the chunks of every slot-`s` owner in node order.
+        let col_len: usize = (0..nodes).map(|m| counts[m * g + slot]).sum();
+        let mut from_mates: Vec<Option<Vec<f32>>> = vec![None; g];
+        for d in 1..g {
+            let to_slot = (slot + d) % g;
+            let from_slot = (slot + g - d) % g;
+            let to = group.members()[node * g + to_slot];
+            let from = group.members()[node * g + from_slot];
+            let mut payload = Vec::new();
+            for m in 0..nodes {
+                payload.extend_from_slice(&input[ranges[m * g + to_slot].clone()]);
+            }
+            let bytes = prec.bytes() * payload.len() as u64;
+            self.send_raw(to, payload, CollectiveKind::ReduceScatter, bytes)?;
+            let incoming = self.recv_raw(from)?;
+            assert_eq!(incoming.len(), col_len, "reduce_scatter_qgz: phase-1 chunk mismatch");
+            from_mates[from_slot] = Some(incoming);
         }
-        Ok(buf)
+        // Node-local partials for this rank's slot column, accumulated in
+        // slot order so every rank reduces identically.
+        let mut partial: Vec<Vec<f32>> = Vec::with_capacity(nodes);
+        for m in 0..nodes {
+            partial.push(vec![0.0; counts[m * g + slot]]);
+        }
+        for (s, mate) in from_mates.iter().enumerate() {
+            let mut off = 0usize;
+            for (m, dst) in partial.iter_mut().enumerate() {
+                let len = counts[m * g + slot];
+                let src: &[f32] = if s == slot {
+                    &input[ranges[m * g + slot].clone()]
+                } else {
+                    let Some(buf) = mate else {
+                        unreachable!("phase 1 received from every node-mate")
+                    };
+                    &buf[off..off + len]
+                };
+                if s == 0 {
+                    dst.copy_from_slice(src);
+                } else {
+                    apply(inner, dst, src);
+                }
+                off += len;
+            }
+        }
+
+        // Phase 2 — quantized inter-node all-to-all: node `m`'s same-slot
+        // owner receives this node's partial for its chunk as int8 codes.
+        let mut from_nodes: Vec<Option<Vec<f32>>> = vec![None; nodes];
+        for d in 1..nodes {
+            let to_node = (node + d) % nodes;
+            let from_node = (node + nodes - d) % nodes;
+            let to = group.members()[to_node * g + slot];
+            let from = group.members()[from_node * g + slot];
+            let q = quantize_for_transport(&partial[to_node], block);
+            let logical = quant_wire_bytes(counts[to_node * g + slot], block);
+            self.send_raw(to, q.encode(), CollectiveKind::ReduceScatter, logical)?;
+            from_nodes[from_node] = Some(self.recv_raw(from)?);
+        }
+        // Final reduction in node order; the local partial stays full
+        // precision — only the slow hop was quantized.
+        let mut out = vec![0.0; counts[idx]];
+        for (m, incoming) in from_nodes.iter().enumerate() {
+            let src: Vec<f32> = if m == node {
+                partial[node].clone()
+            } else {
+                let Some(stream) = incoming else {
+                    unreachable!("phase 2 received from every peer node")
+                };
+                BlockQuantized::decode(stream, counts[idx], block).dequantize()
+            };
+            if m == 0 {
+                out.copy_from_slice(&src);
+            } else {
+                apply(inner, &mut out, &src);
+            }
+        }
+        finalize(op, &mut out, n);
+        Ok(out)
     }
 }
 
-// ----- public group collectives: submit to the progress thread -----
+
+// ----- the public surface: submit to the progress thread -----
 
 impl Communicator {
+    /// Ring all-reduce over the whole world, in place.
+    pub fn all_reduce(
+        &mut self,
+        buf: &mut [f32],
+        op: ReduceOp,
+        prec: Precision,
+    ) -> Result<(), CommError> {
+        let g = Group::world(self.world_size());
+        self.all_reduce_in(&g, buf, op, prec)
+    }
+
+    /// Ring reduce-scatter over the whole world. `input` has the full
+    /// length; this rank's reduced chunk is written to `out`.
+    ///
+    /// # Panics
+    /// Panics unless `out` has exactly `chunk_range(len, n, rank).len()`
+    /// elements.
+    pub fn reduce_scatter(
+        &mut self,
+        input: &[f32],
+        out: &mut [f32],
+        op: ReduceOp,
+        prec: Precision,
+    ) -> Result<(), CommError> {
+        let n = self.world_size();
+        let (g, counts) = (Group::world(n), even_counts(input.len(), n));
+        let chunk = self.start_reduce_scatter(&g, input, op, &counts, prec, WireFmt::Raw);
+        out.copy_from_slice(&chunk.wait()?);
+        Ok(())
+    }
+
+    /// Ring all-gather over the whole world: this rank contributes `shard`
+    /// (its chunk of `out`), and `out` receives every rank's chunk.
+    ///
+    /// # Panics
+    /// Panics if `shard` is not this rank's balanced chunk of `out`.
+    pub fn all_gather(
+        &mut self,
+        shard: &[f32],
+        out: &mut [f32],
+        prec: Precision,
+    ) -> Result<(), CommError> {
+        let n = self.world_size();
+        let (g, counts) = (Group::world(n), even_counts(out.len(), n));
+        let full = self.start_all_gather(&g, shard, &counts, prec, WireFmt::Raw);
+        out.copy_from_slice(&full.wait()?);
+        Ok(())
+    }
+
     /// Ring all-reduce within `group`, in place.
     ///
     /// # Errors
@@ -366,153 +545,72 @@ impl Communicator {
         Ok(())
     }
 
-    /// Ring reduce-scatter within `group`: member `i` receives reduced
-    /// chunk `i` of `input` into `out`, with balanced chunk sizes.
+    /// Starts a reduce-scatter within `group` without blocking: member `i`
+    /// owns reduced chunk `i` of `input`, `counts[i]` elements long (zero
+    /// counts are allowed — ZeRO's flat-space partitioning produces uneven
+    /// and sometimes empty intersections between a layer's parameter range
+    /// and a rank's shard). `wire` picks the body: the raw ring, or qgZ's
+    /// two-phase all-to-all, whose raw intra-node phase is priced at `prec`
+    /// and inter-node phase at int8 wire cost. [`PendingOp::wait`] yields
+    /// this rank's chunk; the op advances on the progress thread while the
+    /// caller computes.
     ///
     /// # Panics
-    /// Panics if `out` has the wrong length. A non-member caller gets
-    /// [`CommError::NotInGroup`].
-    pub fn reduce_scatter_in(
-        &mut self,
-        group: &Group,
-        input: &[f32],
-        out: &mut [f32],
-        op: ReduceOp,
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        let n = group.len();
-        let counts: Vec<usize> = (0..n).map(|i| chunk_range(input.len(), n, i).len()).collect();
-        self.reduce_scatter_var_in(group, input, out, op, &counts, prec)
-    }
-
-    /// Ring reduce-scatter with explicit per-member chunk lengths
-    /// (`counts[i]` elements go to group member `i`; `Σ counts` must equal
-    /// `input.len()`). Zero counts are allowed — ZeRO's flat-space
-    /// partitioning produces uneven and sometimes empty intersections
-    /// between a layer's parameter range and a rank's shard.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub fn reduce_scatter_var_in(
-        &mut self,
-        group: &Group,
-        input: &[f32],
-        out: &mut [f32],
-        op: ReduceOp,
-        counts: &[usize],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        if let Some(idx) = group.local_index(self.rank()) {
-            assert_eq!(out.len(), counts[idx], "reduce_scatter: bad out length");
-        }
-        let chunk = self.start_reduce_scatter_var(group, input, op, counts, prec).wait()?;
-        out.copy_from_slice(&chunk);
-        Ok(())
-    }
-
-    /// Ring all-gather within `group`: member `i` contributes chunk `i`,
-    /// with balanced chunk sizes.
-    ///
-    /// # Panics
-    /// Panics if the lengths are inconsistent. A non-member caller gets
-    /// [`CommError::NotInGroup`].
-    pub fn all_gather_in(
-        &mut self,
-        group: &Group,
-        shard: &[f32],
-        out: &mut [f32],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        let n = group.len();
-        let counts: Vec<usize> = (0..n).map(|i| chunk_range(out.len(), n, i).len()).collect();
-        self.all_gather_var_in(group, shard, out, &counts, prec)
-    }
-
-    /// Ring all-gather with explicit per-member chunk lengths (`counts[i]`
-    /// elements contributed by member `i`; `Σ counts` = `out.len()`).
-    /// Zero counts are allowed.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub fn all_gather_var_in(
-        &mut self,
-        group: &Group,
-        shard: &[f32],
-        out: &mut [f32],
-        counts: &[usize],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        assert_eq!(counts.iter().sum::<usize>(), out.len(), "all_gather: counts sum");
-        let full = self.start_all_gather_var(group, shard, counts, prec).wait()?;
-        out.copy_from_slice(&full);
-        Ok(())
-    }
-
-    /// Pipelined broadcast within `group` from global rank `root`.
-    ///
-    /// # Errors
-    /// Returns [`CommError::NotInGroup`] if this rank or `root` is not in
-    /// `group`.
-    pub fn broadcast_in(
-        &mut self,
-        group: &Group,
-        root: usize,
-        buf: &mut [f32],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        let (group, data) = (group.clone(), buf.to_vec());
-        let run = move |f: &mut Fabric| f.broadcast_in(&group, root, data, prec);
-        buf.copy_from_slice(&self.submit(Some(CollectiveKind::Broadcast), run).wait()?);
-        Ok(())
-    }
-
-    // ----- non-blocking starts -----
-
-    /// Starts a ring reduce-scatter with explicit per-member counts
-    /// without blocking; [`PendingOp::wait`] yields this rank's reduced
-    /// chunk (`counts[idx]` elements). The op advances on the progress
-    /// thread while the caller computes.
-    ///
-    /// # Panics
-    /// Panics if `counts` is inconsistent with `group` and `input`.
-    pub fn start_reduce_scatter_var(
+    /// Panics if `counts` is inconsistent with `group` and `input`, or
+    /// `wire` is not a reduce-scatter wire with a positive block.
+    pub fn start_reduce_scatter(
         &mut self,
         group: &Group,
         input: &[f32],
         op: ReduceOp,
         counts: &[usize],
         prec: Precision,
+        wire: WireFmt,
     ) -> PendingOp {
         assert_eq!(counts.len(), group.len(), "reduce_scatter: counts length");
         assert_eq!(counts.iter().sum::<usize>(), input.len(), "reduce_scatter: counts sum");
+        assert!(
+            !matches!(wire, WireFmt::Int8Block { .. } | WireFmt::QgzInt8 { block: 0, .. }),
+            "reduce_scatter: {wire:?} is not a reduce-scatter wire"
+        );
         let (group, input, counts) = (group.clone(), input.to_vec(), counts.to_vec());
-        self.submit(Some(CollectiveKind::ReduceScatter), move |f| {
-            f.reduce_scatter_var_in(&group, input, op, &counts, prec)
+        self.submit(Some(CollectiveKind::ReduceScatter), move |f| match wire {
+            WireFmt::QgzInt8 { node_size, block } => {
+                f.reduce_scatter_qgz(&group, &input, op, &counts, node_size, block, prec)
+            }
+            _ => f.reduce_scatter_ring(&group, input, op, &counts, prec),
         })
     }
 
-    /// Starts a ring all-gather with explicit per-member counts without
-    /// blocking; [`PendingOp::wait`] yields the full `Σ counts` buffer.
-    /// The op advances on the progress thread while the caller computes.
+    /// Starts an all-gather within `group` without blocking: member `i`
+    /// contributes `counts[i]` elements (zero allowed) and
+    /// [`PendingOp::wait`] yields the full `Σ counts` buffer. `wire` picks
+    /// the body: the raw ring, or qwZ's ring of block-quantized streams,
+    /// dequantized identically on every member.
     ///
     /// # Panics
-    /// Panics if `counts` is inconsistent with `group` and `shard`.
-    pub fn start_all_gather_var(
+    /// Panics if `counts` is inconsistent with `group` and `shard`, or
+    /// `wire` is not an all-gather wire with a positive block.
+    pub fn start_all_gather(
         &mut self,
         group: &Group,
         shard: &[f32],
         counts: &[usize],
         prec: Precision,
+        wire: WireFmt,
     ) -> PendingOp {
         assert_eq!(counts.len(), group.len(), "all_gather: counts length");
         if let Some(idx) = group.local_index(self.rank()) {
             assert_eq!(shard.len(), counts[idx], "all_gather: bad shard length");
         }
+        assert!(
+            !matches!(wire, WireFmt::QgzInt8 { .. } | WireFmt::Int8Block { block: 0 }),
+            "all_gather: {wire:?} is not an all-gather wire"
+        );
         let (group, shard, counts) = (group.clone(), shard.to_vec(), counts.to_vec());
-        self.submit(Some(CollectiveKind::AllGather), move |f| {
-            f.all_gather_var_in(&group, &shard, &counts, prec)
+        self.submit(Some(CollectiveKind::AllGather), move |f| match wire {
+            WireFmt::Int8Block { block } => f.all_gather_qwz(&group, &shard, &counts, block),
+            _ => f.all_gather_ring(&group, &shard, &counts, prec),
         })
     }
 }
@@ -629,24 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_from_each_root() {
-        for root in 0..4 {
-            let results = launch(4, move |mut c| {
-                let mut buf = if c.rank() == root {
-                    vec![42.0, root as f32]
-                } else {
-                    vec![0.0, 0.0]
-                };
-                c.broadcast(root, &mut buf, Precision::Fp32).unwrap();
-                buf
-            });
-            for got in &results {
-                assert_eq!(got, &vec![42.0, root as f32]);
-            }
-        }
-    }
-
-    #[test]
     fn all_reduce_volume_matches_ring_formula() {
         // A ring all-reduce of `len` f32 elements sends 2·len·(n−1)/n
         // elements per rank — the 2Ψ of §7.1.
@@ -689,12 +769,6 @@ mod tests {
         });
         assert_eq!(snaps[0].total_bytes(), 0, "no traffic for world of 1");
     }
-}
-
-#[cfg(test)]
-mod var_tests {
-    use super::*;
-    use crate::world::launch;
 
     #[test]
     fn var_reduce_scatter_with_uneven_and_zero_counts() {
@@ -703,10 +777,9 @@ mod var_tests {
         let total: usize = counts.iter().sum();
         let results = launch(n, move |mut c| {
             let input: Vec<f32> = (0..total).map(|i| (i * (c.rank() + 1)) as f32).collect();
-            let mut out = vec![0.0; counts[c.rank()]];
             let g = Group::world(n);
-            c.reduce_scatter_var_in(&g, &input, &mut out, ReduceOp::Sum, &counts, Precision::Fp32).unwrap();
-            out
+            let (op, raw) = (ReduceOp::Sum, WireFmt::Raw);
+            c.start_reduce_scatter(&g, &input, op, &counts, Precision::Fp32, raw).wait().unwrap()
         });
         // Element i of the reduced buffer is i * (1+2+3+4) = 10i.
         let mut offset = 0;
@@ -728,10 +801,8 @@ mod var_tests {
         let results = launch(n, move |mut c| {
             let offset: usize = counts[..c.rank()].iter().sum();
             let shard: Vec<f32> = (0..counts[c.rank()]).map(|j| (offset + j) as f32).collect();
-            let mut out = vec![-1.0; total];
             let g = Group::world(n);
-            c.all_gather_var_in(&g, &shard, &mut out, &counts, Precision::Fp32).unwrap();
-            out
+            c.start_all_gather(&g, &shard, &counts, Precision::Fp32, WireFmt::Raw).wait().unwrap()
         });
         let want: Vec<f32> = (0..total).map(|i| i as f32).collect();
         for got in &results {
@@ -745,259 +816,17 @@ mod var_tests {
         let len = 12;
         let results = launch(n, move |mut c| {
             let input: Vec<f32> = (0..len).map(|i| (i + c.rank() * 3) as f32).collect();
-            let g = Group::world(n);
             let mut out_a = vec![0.0; chunk_range(len, n, c.rank()).len()];
-            c.reduce_scatter_in(&g, &input, &mut out_a, ReduceOp::Mean, Precision::Fp32).unwrap();
-            let counts: Vec<usize> = (0..n).map(|i| chunk_range(len, n, i).len()).collect();
-            let mut out_b = vec![0.0; counts[c.rank()]];
-            c.reduce_scatter_var_in(&g, &input, &mut out_b, ReduceOp::Mean, &counts, Precision::Fp32).unwrap();
-            (out_a, out_b)
+            c.reduce_scatter(&input, &mut out_a, ReduceOp::Mean, Precision::Fp32).unwrap();
+            let (g, counts) = (Group::world(n), even_counts(len, n));
+            let (op, raw) = (ReduceOp::Mean, WireFmt::Raw);
+            let out_b = c.start_reduce_scatter(&g, &input, op, &counts, Precision::Fp32, raw);
+            (out_a, out_b.wait().unwrap())
         });
         for (a, b) in &results {
             assert_eq!(a, b);
         }
     }
-}
-
-// ----- compressed collectives (ZeRO++ qwZ / qgZ) -----
-
-impl Fabric {
-    /// Ring all-gather with block-quantized chunks (ZeRO++ qwZ): the wire
-    /// carries int8 codes plus per-block fp32 scale/zero-points, so each
-    /// forwarded chunk costs `quant_wire_bytes(len, block)` logical bytes
-    /// instead of `prec·len`. Each rank quantizes its own chunk exactly
-    /// once, the *encoded* stream circulates the ring verbatim, and every
-    /// rank — owner included — dequantizes from that stream, so the
-    /// gathered buffer is bitwise identical across the group and
-    /// requantization error never compounds across hops.
-    fn all_gather_quant_in(
-        &mut self,
-        group: &Group,
-        shard: &[f32],
-        counts: &[usize],
-        block: usize,
-    ) -> Result<Vec<f32>, CommError> {
-        let Ring { n, idx, next, prev } = Ring::seat(group, self.rank)?;
-        let ranges = ranges_from_counts(counts);
-        let own = quantize_for_transport(shard, block);
-        let mut out = vec![0.0; counts.iter().sum()];
-        out[ranges[idx].clone()].copy_from_slice(&own.dequantize());
-        if n == 1 {
-            // No peers, no fabric op (see `all_reduce_in`).
-            return Ok(out);
-        }
-        self.begin_op(CollectiveKind::AllGather)?;
-        let mut streams: Vec<Option<Vec<f32>>> = vec![None; n];
-        streams[idx] = Some(own.encode());
-        for step in 0..n - 1 {
-            let send_c = (idx + n - step) % n;
-            let recv_c = (idx + 2 * n - 1 - step) % n;
-            let Some(payload) = streams[send_c].take() else {
-                unreachable!("ring all-gather forwards each chunk exactly once")
-            };
-            let logical = quant_wire_bytes(counts[send_c], block);
-            self.send_raw(next, payload, CollectiveKind::AllGather, logical)?;
-            let incoming = self.recv_raw(prev)?;
-            let decoded = BlockQuantized::decode(&incoming, counts[recv_c], block);
-            out[ranges[recv_c].clone()].copy_from_slice(&decoded.dequantize());
-            streams[recv_c] = Some(incoming);
-        }
-        Ok(out)
-    }
-
-    /// Two-phase quantized reduce-scatter (ZeRO++ qgZ) over a group whose
-    /// ranks are laid out node-major (`node_size` consecutive members per
-    /// node):
-    ///
-    /// 1. **raw intra-node all-to-all** — node-mate at slot `s` collects,
-    ///    at full precision, every chunk destined to a slot-`s` rank on
-    ///    any node, then reduces the node's contributions locally in slot
-    ///    order;
-    /// 2. **quantized inter-node all-to-all** — each rank sends its local
-    ///    partial for node `m`'s same-slot owner as int8 codes, and sums
-    ///    the dequantized partials in node order.
-    ///
-    /// Only the slow inter-node hop is quantized; the rank's own partial
-    /// stays full precision. Accumulation order (slots, then nodes) is
-    /// fixed, so results are bit-deterministic across runs.
-    ///
-    /// # Errors
-    /// Membership violations surface as [`CommError::NotInGroup`], and a
-    /// `node_size` that does not divide the group as
-    /// [`CommError::InvalidTopology`].
-    #[allow(clippy::too_many_arguments)]
-    fn reduce_scatter_qgz_in(
-        &mut self,
-        group: &Group,
-        input: &[f32],
-        op: ReduceOp,
-        counts: &[usize],
-        node_size: usize,
-        block: usize,
-        prec: Precision,
-    ) -> Result<Vec<f32>, CommError> {
-        let n = group.len();
-        let idx = member_index(group, self.rank)?;
-        if n == 1 {
-            // No peers, no fabric op (see `all_reduce_in`).
-            let mut out = input.to_vec();
-            finalize(op, &mut out, 1);
-            return Ok(out);
-        }
-        let g = node_size;
-        if g == 0 || !n.is_multiple_of(g) {
-            return Err(CommError::InvalidTopology { rank: self.rank, world: n, node_size: g });
-        }
-        self.begin_op(CollectiveKind::ReduceScatter)?;
-        let nodes = n / g;
-        let slot = idx % g;
-        let node = idx / g;
-        let ranges = ranges_from_counts(counts);
-        // Mean sums through both phases and divides once at the end.
-        let inner = if op == ReduceOp::Mean { ReduceOp::Sum } else { op };
-
-        // Phase 1 — raw intra-node all-to-all in pairwise rounds (round `d`
-        // sends to slot+d and receives from slot−d). The payload to slot
-        // `s` concatenates the chunks of every slot-`s` owner in node order.
-        let col_len: usize = (0..nodes).map(|m| counts[m * g + slot]).sum();
-        let mut from_mates: Vec<Option<Vec<f32>>> = vec![None; g];
-        for d in 1..g {
-            let to_slot = (slot + d) % g;
-            let from_slot = (slot + g - d) % g;
-            let to = group.members()[node * g + to_slot];
-            let from = group.members()[node * g + from_slot];
-            let mut payload = Vec::new();
-            for m in 0..nodes {
-                payload.extend_from_slice(&input[ranges[m * g + to_slot].clone()]);
-            }
-            let bytes = prec.bytes() * payload.len() as u64;
-            self.send_raw(to, payload, CollectiveKind::ReduceScatter, bytes)?;
-            let incoming = self.recv_raw(from)?;
-            assert_eq!(incoming.len(), col_len, "reduce_scatter_qgz: phase-1 chunk mismatch");
-            from_mates[from_slot] = Some(incoming);
-        }
-        // Node-local partials for this rank's slot column, accumulated in
-        // slot order so every rank reduces identically.
-        let mut partial: Vec<Vec<f32>> = Vec::with_capacity(nodes);
-        for m in 0..nodes {
-            partial.push(vec![0.0; counts[m * g + slot]]);
-        }
-        for (s, mate) in from_mates.iter().enumerate() {
-            let mut off = 0usize;
-            for (m, dst) in partial.iter_mut().enumerate() {
-                let len = counts[m * g + slot];
-                let src: &[f32] = if s == slot {
-                    &input[ranges[m * g + slot].clone()]
-                } else {
-                    let Some(buf) = mate else {
-                        unreachable!("phase 1 received from every node-mate")
-                    };
-                    &buf[off..off + len]
-                };
-                if s == 0 {
-                    dst.copy_from_slice(src);
-                } else {
-                    apply(inner, dst, src);
-                }
-                off += len;
-            }
-        }
-
-        // Phase 2 — quantized inter-node all-to-all: node `m`'s same-slot
-        // owner receives this node's partial for its chunk as int8 codes.
-        let mut from_nodes: Vec<Option<Vec<f32>>> = vec![None; nodes];
-        for d in 1..nodes {
-            let to_node = (node + d) % nodes;
-            let from_node = (node + nodes - d) % nodes;
-            let to = group.members()[to_node * g + slot];
-            let from = group.members()[from_node * g + slot];
-            let q = quantize_for_transport(&partial[to_node], block);
-            let logical = quant_wire_bytes(counts[to_node * g + slot], block);
-            self.send_raw(to, q.encode(), CollectiveKind::ReduceScatter, logical)?;
-            from_nodes[from_node] = Some(self.recv_raw(from)?);
-        }
-        // Final reduction in node order; the local partial stays full
-        // precision — only the slow hop was quantized.
-        let mut out = vec![0.0; counts[idx]];
-        for (m, incoming) in from_nodes.iter().enumerate() {
-            let src: Vec<f32> = if m == node {
-                partial[node].clone()
-            } else {
-                let Some(stream) = incoming else {
-                    unreachable!("phase 2 received from every peer node")
-                };
-                BlockQuantized::decode(stream, counts[idx], block).dequantize()
-            };
-            if m == 0 {
-                out.copy_from_slice(&src);
-            } else {
-                apply(inner, &mut out, &src);
-            }
-        }
-        finalize(op, &mut out, n);
-        Ok(out)
-    }
-}
-
-impl Communicator {
-    /// Starts a block-quantized ring all-gather (ZeRO++ qwZ) without
-    /// blocking; [`PendingOp::wait`] yields the full `Σ counts` buffer,
-    /// dequantized identically on every member.
-    ///
-    /// # Panics
-    /// Panics if `counts` is inconsistent with `group` and `shard`, or if
-    /// `block` is zero.
-    pub fn start_all_gather_quant(
-        &mut self,
-        group: &Group,
-        shard: &[f32],
-        counts: &[usize],
-        block: usize,
-    ) -> PendingOp {
-        assert!(block > 0, "all_gather_quant: block size must be positive");
-        assert_eq!(counts.len(), group.len(), "all_gather_quant: counts length");
-        if let Some(idx) = group.local_index(self.rank()) {
-            assert_eq!(shard.len(), counts[idx], "all_gather_quant: bad shard length");
-        }
-        let (group, shard, counts) = (group.clone(), shard.to_vec(), counts.to_vec());
-        self.submit(Some(CollectiveKind::AllGather), move |f| {
-            f.all_gather_quant_in(&group, &shard, &counts, block)
-        })
-    }
-
-    /// Starts a two-phase quantized reduce-scatter (ZeRO++ qgZ) without
-    /// blocking; [`PendingOp::wait`] yields this rank's reduced chunk
-    /// (`counts[idx]` elements). `prec` prices the raw intra-node phase;
-    /// the inter-node phase is accounted at int8 wire cost.
-    ///
-    /// # Panics
-    /// Panics if `counts` is inconsistent with `group` and `input`, or if
-    /// `block` is zero.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_reduce_scatter_qgz(
-        &mut self,
-        group: &Group,
-        input: &[f32],
-        op: ReduceOp,
-        counts: &[usize],
-        node_size: usize,
-        block: usize,
-        prec: Precision,
-    ) -> PendingOp {
-        assert!(block > 0, "reduce_scatter_qgz: block size must be positive");
-        assert_eq!(counts.len(), group.len(), "reduce_scatter_qgz: counts length");
-        assert_eq!(counts.iter().sum::<usize>(), input.len(), "reduce_scatter_qgz: counts sum");
-        let (group, input, counts) = (group.clone(), input.to_vec(), counts.to_vec());
-        self.submit(Some(CollectiveKind::ReduceScatter), move |f| {
-            f.reduce_scatter_qgz_in(&group, &input, op, &counts, node_size, block, prec)
-        })
-    }
-}
-
-#[cfg(test)]
-mod compressed_tests {
-    use super::*;
-    use crate::world::{launch, launch_with_stats};
 
     /// Shared helper: rank r's shard values for uneven counts.
     fn shard_of(counts: &[usize], rank: usize) -> Vec<f32> {
@@ -1009,15 +838,13 @@ mod compressed_tests {
     fn quant_all_gather_matches_raw_within_block_error() {
         let n = 4;
         let counts = [9usize, 0, 17, 5];
-        let total: usize = counts.iter().sum();
         let block = 4;
         let results = launch(n, move |mut c| {
-            let g = Group::world(n);
+            let (g, prec) = (Group::world(n), Precision::Fp16);
             let shard = shard_of(&counts, c.rank());
-            let mut raw = vec![0.0; total];
-            c.all_gather_var_in(&g, &shard, &mut raw, &counts, Precision::Fp16).unwrap();
-            let q = c.start_all_gather_quant(&g, &shard, &counts, block).wait().unwrap();
-            (raw, q)
+            let raw = c.start_all_gather(&g, &shard, &counts, prec, WireFmt::Raw).wait().unwrap();
+            let qwz = WireFmt::Int8Block { block };
+            (raw, c.start_all_gather(&g, &shard, &counts, prec, qwz).wait().unwrap())
         });
         // All ranks see bitwise-identical gathered buffers...
         for w in results.windows(2) {
@@ -1051,7 +878,8 @@ mod compressed_tests {
         let (_, snaps) = launch_with_stats(n, move |mut c| {
             let g = Group::world(n);
             let shard = shard_of(&counts, c.rank());
-            c.start_all_gather_quant(&g, &shard, &counts, block).wait().unwrap();
+            let qwz = WireFmt::Int8Block { block };
+            c.start_all_gather(&g, &shard, &counts, Precision::Fp16, qwz).wait().unwrap();
         });
         // Rank i forwards every chunk except its successor's.
         for (i, s) in snaps.iter().enumerate() {
@@ -1075,16 +903,11 @@ mod compressed_tests {
             let g = Group::world(n);
             let input: Vec<f32> =
                 (0..total).map(|i| ((i + 3 * c.rank()) as f32 * 0.21).cos() * 2.0).collect();
-            let mut raw = vec![0.0; counts[c.rank()]];
-            c.reduce_scatter_var_in(&g, &input, &mut raw, ReduceOp::Mean, &counts, Precision::Fp16)
-                .unwrap();
-            let q = c
-                .start_reduce_scatter_qgz(
-                    &g, &input, ReduceOp::Mean, &counts, node_size, block, Precision::Fp16,
-                )
-                .wait()
-                .unwrap();
-            (raw, q)
+            let (op, prec) = (ReduceOp::Mean, Precision::Fp16);
+            let raw = c.start_reduce_scatter(&g, &input, op, &counts, prec, WireFmt::Raw);
+            let raw = raw.wait().unwrap();
+            let qgz = WireFmt::QgzInt8 { node_size, block };
+            (raw, c.start_reduce_scatter(&g, &input, op, &counts, prec, qgz).wait().unwrap())
         });
         for (rank, (raw, q)) in results.iter().enumerate() {
             assert_eq!(raw.len(), q.len());
@@ -1106,7 +929,8 @@ mod compressed_tests {
                 let g = Group::world(n);
                 let input: Vec<f32> =
                     (0..28).map(|i| ((i * (c.rank() + 2)) as f32 * 0.11).sin()).collect();
-                c.start_reduce_scatter_qgz(&g, &input, ReduceOp::Mean, &counts, 2, 4, Precision::Fp16)
+                let qgz = WireFmt::QgzInt8 { node_size: 2, block: 4 };
+                c.start_reduce_scatter(&g, &input, ReduceOp::Mean, &counts, Precision::Fp16, qgz)
                     .wait()
                     .unwrap()
             })
@@ -1128,11 +952,10 @@ mod compressed_tests {
         let (_, snaps) = launch_with_stats(n, move |mut c| {
             let g = Group::world(n);
             let input = vec![1.0_f32; total];
-            c.start_reduce_scatter_qgz(
-                &g, &input, ReduceOp::Sum, &counts, node_size, block, Precision::Fp16,
-            )
-            .wait()
-            .unwrap();
+            let qgz = WireFmt::QgzInt8 { node_size, block };
+            c.start_reduce_scatter(&g, &input, ReduceOp::Sum, &counts, Precision::Fp16, qgz)
+                .wait()
+                .unwrap();
         });
         let g = node_size;
         let nodes = n / g;
@@ -1160,7 +983,8 @@ mod compressed_tests {
         let errs = launch(4, move |mut c| {
             let g = Group::world(4);
             let input = vec![0.0_f32; 8];
-            c.start_reduce_scatter_qgz(&g, &input, ReduceOp::Sum, &[2, 2, 2, 2], 3, 4, Precision::Fp32)
+            let qgz = WireFmt::QgzInt8 { node_size: 3, block: 4 };
+            c.start_reduce_scatter(&g, &input, ReduceOp::Sum, &[2, 2, 2, 2], Precision::Fp32, qgz)
                 .wait()
                 .unwrap_err()
         });
@@ -1180,7 +1004,8 @@ mod compressed_tests {
         let results = launch(n, move |mut c| {
             let g = Group::world(n);
             let input: Vec<f32> = (0..total).map(|i| (i + c.rank() * 7) as f32).collect();
-            c.start_reduce_scatter_qgz(&g, &input, ReduceOp::Sum, &counts, n, 4, Precision::Fp32)
+            let qgz = WireFmt::QgzInt8 { node_size: n, block: 4 };
+            c.start_reduce_scatter(&g, &input, ReduceOp::Sum, &counts, Precision::Fp32, qgz)
                 .wait()
                 .unwrap()
         });

@@ -81,18 +81,17 @@ pub enum CommError {
         op: u64,
     },
     /// A collective was invoked with a group that does not contain the
-    /// required rank (the caller, or the designated root). This is a
-    /// schedule bug on the *calling* rank, surfaced as a typed error so a
-    /// supervisor can fence the rank instead of unwinding its thread while
-    /// peers block inside the ring.
+    /// calling rank. This is a schedule bug on the *calling* rank,
+    /// surfaced as a typed error so a supervisor can fence the rank
+    /// instead of unwinding its thread while peers block inside the ring.
     NotInGroup {
-        /// The rank missing from the group (caller or root).
+        /// The rank missing from the group.
         rank: usize,
         /// The offending group's members.
         group: Vec<usize>,
     },
-    /// A hierarchical collective was invoked with a node size that does
-    /// not evenly divide the group: the ranks of a partial node would be
+    /// A qgZ reduce-scatter was invoked with a node size that does not
+    /// evenly divide the group: the ranks of a partial node would be
     /// silently mis-grouped (some "node" groups would straddle physical
     /// nodes), so the topology is rejected up front.
     InvalidTopology {

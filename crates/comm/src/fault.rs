@@ -232,7 +232,7 @@ mod tests {
         let (op, hit) = state.begin_op(CollectiveKind::AllGather);
         assert_eq!((op, hit), (1, Some(FaultKind::Crash)));
         // Op 2: AtOp(2) fires.
-        let (op, hit) = state.begin_op(CollectiveKind::Broadcast);
+        let (op, hit) = state.begin_op(CollectiveKind::P2p);
         assert_eq!((op, hit), (2, Some(FaultKind::Crash)));
         // Later AllGathers do not re-fire the kind trigger.
         assert_eq!(state.begin_op(CollectiveKind::AllGather).1, None);

@@ -37,7 +37,7 @@ pub mod transport;
 pub mod wire;
 pub mod world;
 
-pub use collectives::{chunk_range, Precision, ReduceOp};
+pub use collectives::{chunk_range, Precision, ReduceOp, WireFmt};
 pub use crc::{crc32, crc32_f32s, Crc32};
 pub use error::CommError;
 pub use fault::{FaultKind, FaultPlan, FaultSpec, FaultTrigger};

@@ -5,8 +5,9 @@
 //! over the rank's private [`Fabric`](crate::world::Fabric), enqueued on
 //! the rank's progress thread by `Communicator::submit`: the call site
 //! moves the op's inputs into the closure and names the `Fabric` body to
-//! run, so a collective is spelled twice (its `start_*` and its body) and
-//! nowhere else. The thread drains the queue in FIFO order, so the
+//! run, so a collective is spelled twice (its `start_*`, which picks the
+//! body its wire format names, and the body) and nowhere else. The
+//! thread drains the queue in FIFO order, so the
 //! *fabric-visible* op order is exactly the issue order. That single
 //! property carries all the correctness arguments over from the
 //! synchronous engine unchanged:
@@ -19,11 +20,11 @@
 //! * **Volume accounting** — the same `send_raw` path records the same
 //!   bytes/messages; overlap changes *when*, never *how much*.
 //!
-//! There is one way to run a collective: `start_*` submits it and returns
-//! the [`PendingOp`]; *when* the caller waits is its own business. The
-//! blocking wrappers in `collectives.rs` are `start_*(…).wait()` for
-//! callers with nothing to overlap; the quantized collectives (qwZ/qgZ)
-//! have no blocking wrapper at all.
+//! There is one way to run a collective: `start_all_gather` /
+//! `start_reduce_scatter` submit it in any wire format and return the
+//! [`PendingOp`]; *when* the caller waits is its own business. The
+//! world-wide blocking wrappers in `collectives.rs` are
+//! `start_*(…).wait()` for callers with nothing to overlap.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -57,9 +58,8 @@ pub(crate) struct Job {
 
 /// Handle to an in-flight communication op.
 ///
-/// Obtained from `start_reduce_scatter_var` / `start_all_gather_var` /
-/// their quantized twins (or internally by every blocking collective). The
-/// op advances on the rank's progress thread regardless of what the holder
+/// Obtained from `start_reduce_scatter` / `start_all_gather` (or
+/// internally by every blocking collective). The op advances on the rank's progress thread regardless of what the holder
 /// does; [`PendingOp::wait`] blocks until the result (or the op's typed
 /// failure) arrives.
 ///
@@ -163,7 +163,7 @@ mod tests {
     use crate::group::Group;
     use crate::stats::CollectiveKind;
     use crate::world::{launch, try_launch_with_config, WorldConfig};
-    use crate::{Precision, ReduceOp};
+    use crate::{Precision, ReduceOp, WireFmt};
     use std::time::Duration;
 
     #[test]
@@ -174,8 +174,9 @@ mod tests {
             let g = Group::world(n);
             let input: Vec<f32> = (0..len).map(|i| (i + c.rank()) as f32).collect();
             let counts: Vec<usize> = (0..n).map(|i| chunk_range(len, n, i).len()).collect();
+            let raw = WireFmt::Raw;
             let pending =
-                c.start_reduce_scatter_var(&g, &input, ReduceOp::Sum, &counts, Precision::Fp32);
+                c.start_reduce_scatter(&g, &input, ReduceOp::Sum, &counts, Precision::Fp32, raw);
             // "Compute" while the ring runs on the progress thread.
             let local: f32 = (0..1000).map(|x| (x as f32).sqrt()).sum();
             let chunk = pending.wait().unwrap();
@@ -203,7 +204,8 @@ mod tests {
                 let shard: Vec<f32> = chunk_range(len, n, c.rank())
                     .map(|i| (i * 10 + round) as f32)
                     .collect();
-                pendings.push(c.start_all_gather_var(&g, &shard, &counts, Precision::Fp32));
+                let raw = WireFmt::Raw;
+                pendings.push(c.start_all_gather(&g, &shard, &counts, Precision::Fp32, raw));
             }
             pendings.into_iter().map(|p| p.wait().unwrap()).collect::<Vec<_>>()
         });
@@ -232,8 +234,9 @@ mod tests {
             let g = Group::world(n);
             let input = vec![1.0_f32; len];
             let counts: Vec<usize> = (0..n).map(|i| chunk_range(len, n, i).len()).collect();
+            let raw = WireFmt::Raw;
             let pending =
-                c.start_reduce_scatter_var(&g, &input, ReduceOp::Sum, &counts, Precision::Fp32);
+                c.start_reduce_scatter(&g, &input, ReduceOp::Sum, &counts, Precision::Fp32, raw);
             pending.wait().map(|_| ())
         });
         assert_eq!(
@@ -258,7 +261,8 @@ mod tests {
             let g = Group::world(n);
             let input = vec![(c.rank() + 1) as f32; 4];
             let counts: Vec<usize> = (0..n).map(|i| chunk_range(4, n, i).len()).collect();
-            drop(c.start_reduce_scatter_var(&g, &input, ReduceOp::Sum, &counts, Precision::Fp32));
+            let raw = WireFmt::Raw;
+            drop(c.start_reduce_scatter(&g, &input, ReduceOp::Sum, &counts, Precision::Fp32, raw));
             let mut buf = vec![c.rank() as f32; 2];
             c.all_reduce_in(&g, &mut buf, ReduceOp::Sum, Precision::Fp32).unwrap();
             buf[0]
@@ -279,7 +283,7 @@ mod tests {
             let g = Group::world(n);
             let counts: Vec<usize> = (0..n).map(|i| chunk_range(len, n, i).len()).collect();
             let shard: Vec<f32> = chunk_range(len, n, c.rank()).map(|i| i as f32).collect();
-            let pending = c.start_all_gather_var(&g, &shard, &counts, Precision::Fp32);
+            let pending = c.start_all_gather(&g, &shard, &counts, Precision::Fp32, WireFmt::Raw);
             // Sleep past the single ring hop: by wait() time the result is in.
             std::thread::sleep(lat * 3);
             pending.wait().map(|out| {

@@ -20,12 +20,8 @@ pub enum CollectiveKind {
     ReduceScatter = 1,
     /// Ring all-gather.
     AllGather = 2,
-    /// Pipelined ring broadcast.
-    Broadcast = 3,
-    /// Reduce to a root.
-    Reduce = 4,
     /// Point-to-point send/recv.
-    P2p = 5,
+    P2p = 3,
 }
 
 impl CollectiveKind {
@@ -36,23 +32,19 @@ impl CollectiveKind {
             CollectiveKind::AllReduce => "all-reduce",
             CollectiveKind::ReduceScatter => "reduce-scatter",
             CollectiveKind::AllGather => "all-gather",
-            CollectiveKind::Broadcast => "broadcast",
-            CollectiveKind::Reduce => "reduce",
             CollectiveKind::P2p => "p2p",
         }
     }
 }
 
 /// Number of tracked categories.
-pub const KIND_COUNT: usize = 6;
+pub const KIND_COUNT: usize = 4;
 
 /// All tracked categories, in discriminant order.
 pub const ALL_KINDS: [CollectiveKind; KIND_COUNT] = [
     CollectiveKind::AllReduce,
     CollectiveKind::ReduceScatter,
     CollectiveKind::AllGather,
-    CollectiveKind::Broadcast,
-    CollectiveKind::Reduce,
     CollectiveKind::P2p,
 ];
 
@@ -273,12 +265,12 @@ mod tests {
     #[test]
     fn reset_zeroes_everything() {
         let s = TrafficStats::new();
-        s.record_send(CollectiveKind::Broadcast, 77);
-        s.record_wait(CollectiveKind::Broadcast, Duration::from_nanos(5));
-        s.record_exec(CollectiveKind::Broadcast, Duration::from_nanos(9));
+        s.record_send(CollectiveKind::P2p, 77);
+        s.record_wait(CollectiveKind::P2p, Duration::from_nanos(5));
+        s.record_exec(CollectiveKind::P2p, Duration::from_nanos(9));
         s.reset();
         assert_eq!(s.total_bytes(), 0);
-        assert_eq!(s.messages(CollectiveKind::Broadcast), 0);
+        assert_eq!(s.messages(CollectiveKind::P2p), 0);
         assert_eq!(s.timing().total_wait_nanos(), 0);
         assert_eq!(s.timing().total_exec_nanos(), 0);
     }

@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 use zero_comm::process::fresh_token;
 use zero_comm::stats::TrafficSnapshot;
 use zero_comm::{
-    connect_process_rank, launch_with_stats, chunk_range, CommError, Communicator, Precision,
-    ProcessWorldConfig, ReduceOp,
+    connect_process_rank, launch_with_stats, chunk_range, CommError, Communicator, Group,
+    Precision, ProcessWorldConfig, ReduceOp, WireFmt,
 };
 
 /// Fresh scratch directory for one test's socket files.
@@ -32,8 +32,10 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// A schedule touching every collective family plus point-to-point and the
-/// barrier; returns everything rank-visible so backends can be compared.
+/// A schedule touching every collective in every wire format plus
+/// point-to-point and the barrier; returns everything rank-visible so
+/// backends can be compared. The qgZ reduce-scatter groups the world into
+/// nodes of two, so `n` must be even.
 fn schedule(comm: &mut Communicator) -> Result<Vec<f32>, CommError> {
     let rank = comm.rank();
     let n = comm.world_size();
@@ -52,13 +54,15 @@ fn schedule(comm: &mut Communicator) -> Result<Vec<f32>, CommError> {
     comm.all_gather(&chunk, &mut gathered, Precision::Fp32)?;
     out.extend_from_slice(&gathered);
 
-    let mut bcast = if rank == 0 {
-        vec![3.5, -1.25, 0.5]
-    } else {
-        vec![0.0; 3]
-    };
-    comm.broadcast(0, &mut bcast, Precision::Fp32)?;
-    out.extend_from_slice(&bcast);
+    // The compressed wires of the same two collectives: qwZ's ring of
+    // int8 streams, qgZ's raw intra-node then int8 inter-node all-to-all.
+    let (g, counts) = (Group::world(n), (0..n).map(|i| chunk_range(input.len(), n, i).len()));
+    let counts: Vec<usize> = counts.collect();
+    let qwz = WireFmt::Int8Block { block: 4 };
+    out.extend(comm.start_all_gather(&g, &chunk, &counts, Precision::Fp16, qwz).wait()?);
+    let qgz = WireFmt::QgzInt8 { node_size: 2, block: 4 };
+    let (op, prec) = (ReduceOp::Sum, Precision::Fp16);
+    out.extend(comm.start_reduce_scatter(&g, &gathered, op, &counts, prec, qgz).wait()?);
 
     // Point-to-point ring: everyone sends to the next rank, receives from
     // the previous one.
@@ -95,7 +99,7 @@ fn run_on_sockets(n: usize, dir: PathBuf) -> Vec<(Vec<f32>, TrafficSnapshot)> {
 
 #[test]
 fn collectives_match_channel_backend_bitwise_with_identical_traffic() {
-    let n = 3;
+    let n = 4;
     let socket = run_on_sockets(n, scratch("parity"));
     let (channel, channel_stats) =
         launch_with_stats(n, |mut comm| schedule(&mut comm).expect("schedule runs clean"));

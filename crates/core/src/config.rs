@@ -216,8 +216,8 @@ pub struct ZeroConfig {
     /// training only, never in eval, with deterministic per-step masks).
     pub dropout: f32,
     /// Ranks per node for topology-aware (two-level) gradient all-reduce
-    /// under DDP; `None` uses the flat ring. Requires mp = 1 and a world
-    /// size divisible by the node size.
+    /// under DDP; `None` uses the flat ring. Requires mp = 1 and a DP
+    /// degree divisible by the node size.
     pub node_size: Option<usize>,
     /// Overlap-centric execution: stage-2/3 gradient bucket flushes launch
     /// their reduce-scatter asynchronously (waited at end-of-backward) and
@@ -259,7 +259,8 @@ impl Default for ZeroConfig {
 /// would have to change; the text is the rule that was broken.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// A switch depends on one that is off, or a scalar is out of range.
+    /// A switch depends on one that is off, a scalar is out of range, or
+    /// the two-level all-reduce's nodes do not fit the grid.
     Switches(String),
     /// A ZeRO++ lever is in effect on a grid it is not defined over.
     Compression(String),
@@ -295,9 +296,22 @@ impl ZeroConfig {
         &self,
         grid: Grid,
     ) -> Result<(EffectiveCompression, EffectiveOffload), ConfigError> {
-        use ConfigError::{Compression, Offload};
+        use ConfigError::{Compression, Offload, Switches};
         self.check_switches()?;
         let (stage, comp, dp) = (self.stage, self.compression, grid.dp_degree());
+        if let (ZeroStage::Ddp, Some(g)) = (stage, self.node_size) {
+            rule(g >= 1, Switches, "two-level all-reduce node_size must be at least 1")?;
+            rule(
+                dp.is_multiple_of(g),
+                Switches,
+                &format!("two-level all-reduce: DP degree {dp} must be divisible by node_size {g}"),
+            )?;
+            rule(
+                grid.mp_degree() == 1,
+                Switches,
+                "two-level all-reduce requires mp = 1 (nodes group DP ranks)",
+            )?;
+        }
         let levers = EffectiveCompression {
             qwz: comp.qwz && stage.partitions_params(),
             hpz: comp.hpz && stage.partitions_params(),
@@ -461,6 +475,20 @@ mod tests {
         assert_eq!(ZeroConfig::default().compression, c);
         let on = CompressionConfig { qwz: true, ..c };
         assert!(on.any());
+    }
+
+    #[test]
+    fn two_level_all_reduce_legality_is_typed() {
+        // Node size 0, a node size that does not divide dp, and mp > 1:
+        // three different panics in the plan and engine before `check`
+        // owned them.
+        for (node, dp, mp) in [(0, 4, 1), (3, 4, 1), (2, 2, 2)] {
+            let ddp = ZeroConfig::fp32_exact(ZeroStage::Ddp);
+            let got = ZeroConfig { node_size: Some(node), ..ddp }.check(Grid::new(dp, mp));
+            assert!(matches!(got, Err(ConfigError::Switches(_))), "{node} on {dp}x{mp}: {got:?}");
+        }
+        let zcfg = ZeroConfig { node_size: Some(2), ..ZeroConfig::fp32_exact(ZeroStage::Ddp) };
+        assert!(zcfg.check(Grid::new(4, 1)).is_ok());
     }
 
     #[test]

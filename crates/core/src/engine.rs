@@ -36,7 +36,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use zero_comm::{
-    CollectiveKind, CommError, Communicator, Grid, Group, PendingOp, Precision, ReduceOp,
+    CollectiveKind, CommError, Communicator, Grid, Group, NodeTopology, PendingOp, ReduceOp,
 };
 use zero_model::{BlockSaved, Dropout, Gpt};
 use zero_trace::{SpanCategory, StepTimeline, TraceRecorder};
@@ -52,9 +52,7 @@ use crate::bucket::GradBucket;
 use crate::config::{ZeroConfig, ZeroStage};
 use crate::memory::{MemCategory, MemoryTracker};
 use crate::partition::Partitioner;
-use crate::plan::{
-    CommPlan, FetchSource, OpRole, PlanCursor, ResolvedTierOp, TierDir, WireFmt,
-};
+use crate::plan::{CommPlan, FetchSource, OpRole, PlanCursor, ResolvedOp, ResolvedTierOp, TierDir};
 use crate::store::FlatStore;
 use crate::tier::{TierStats, TierStore};
 
@@ -75,8 +73,6 @@ pub struct StepOutcome {
 /// P_a only this rank's 1/N_m slice of it.
 struct Checkpoint {
     data: CkptData,
-    /// Elements of the full (unpartitioned) activation.
-    full_len: usize,
     /// Logical bytes accounted (for the matching free).
     bytes: u64,
 }
@@ -174,65 +170,54 @@ impl Issuer {
 
     /// The one place a planned all-gather or reduce-scatter is issued: pops
     /// the next op off the plan cursor (plan order is issue order, which is
-    /// what the static checks verify), checks it against what the engine is
-    /// about to move, submits the tier fetch that seeds it, and hands it to
-    /// the progress thread in the wire format the plan chose — raw ring,
-    /// qwZ int8 blocks, or qgZ two-phase. When the caller waits is the
-    /// only thing that distinguishes synchronous from overlapped execution.
+    /// what the static checks verify), submits the tier fetch that seeds
+    /// it, and hands `start` the op to submit — its counts, precision and
+    /// wire format (raw ring, qwZ int8 blocks, or qgZ two-phase) are the
+    /// collective's arguments. When the caller waits is the only thing
+    /// that distinguishes synchronous from overlapped execution.
     fn issue(
         &mut self,
         kind: CollectiveKind,
         group: &Group,
-        data: &[f32],
-        total: usize,
-        prec: Precision,
+        start: impl FnOnce(&mut Communicator, &ResolvedOp) -> PendingOp,
     ) -> Issued {
         let (op, tier) = self.plan.take_riding(kind, group);
-        assert_eq!(op.total_elems(), total, "planned '{}' size", op.label);
         // A fetch riding the op seeds it and goes first; a spill carries
         // its result and is the caller's to issue after the wait.
         let (seed, spill) = match tier {
             Some(t) if t.dir == TierDir::Fetch => (Some(self.tier_move(t)), None),
             spill => (None, spill),
         };
-        let comm = &mut self.comm;
-        let pending = match (kind, op.wire) {
-            (CollectiveKind::AllGather, WireFmt::Int8Block { block }) => {
-                comm.start_all_gather_quant(group, data, &op.counts, block)
-            }
-            (CollectiveKind::AllGather, _) => {
-                comm.start_all_gather_var(group, data, &op.counts, prec)
-            }
-            (CollectiveKind::ReduceScatter, WireFmt::QgzInt8 { node_size, block }) => comm
-                .start_reduce_scatter_qgz(
-                    group,
-                    data,
-                    ReduceOp::Mean,
-                    &op.counts,
-                    node_size,
-                    block,
-                    prec,
-                ),
-            (CollectiveKind::ReduceScatter, _) => {
-                comm.start_reduce_scatter_var(group, data, ReduceOp::Mean, &op.counts, prec)
-            }
-            _ => unreachable!("only gathers and reduce-scatters are issued through handles"),
-        };
-        Issued { seed, op: pending, spill, nonblocking: op.nonblocking }
+        Issued { seed, op: start(&mut self.comm, &op), spill, nonblocking: op.nonblocking }
+    }
+
+    /// The next planned all-gather over `group`, this rank contributing
+    /// `shard`.
+    fn start_all_gather(&mut self, group: &Group, shard: &[f32]) -> Issued {
+        self.issue(CollectiveKind::AllGather, group, |comm, op| {
+            comm.start_all_gather(group, shard, &op.counts, op.prec, op.wire)
+        })
+    }
+
+    /// The next planned reduce-scatter of `input` over `group`.
+    fn start_reduce_scatter(&mut self, group: &Group, input: &[f32], reduce: ReduceOp) -> Issued {
+        self.issue(CollectiveKind::ReduceScatter, group, |comm, op| {
+            comm.start_reduce_scatter(group, input, reduce, &op.counts, op.prec, op.wire)
+        })
     }
 
     /// A planned all-reduce over `group`, in place: the Megatron hooks,
-    /// DDP's gradient chunks, the overflow flag and the grad norm.
+    /// DDP's gradient chunks, the two-level reduction's cross-node phase,
+    /// the overflow flag and the grad norm.
     fn all_reduce(
         &mut self,
         group: &Group,
         buf: &mut [f32],
         reduce: ReduceOp,
-        prec: Precision,
     ) -> Result<(), CommError> {
         let op = self.plan.take(CollectiveKind::AllReduce, group);
         assert_eq!(op.total_elems(), buf.len(), "planned '{}' size", op.label);
-        self.comm.all_reduce_in(group, buf, reduce, prec)
+        self.comm.all_reduce_in(group, buf, reduce, op.prec)
     }
 }
 
@@ -365,7 +350,7 @@ impl RankEngine {
         let my_shard = part.shard_range(dp_idx);
 
         let node_group = if comp.hpz {
-            zero_comm::NodeTopology::new(comp.node_size).node_group(rank)
+            NodeTopology::new(comp.node_size).node_group(rank)
         } else {
             dp_group.clone()
         };
@@ -608,8 +593,7 @@ impl RankEngine {
             }
         };
         self.trace.instant(SpanCategory::Collective, "prefetch-issue");
-        let prec = self.precision();
-        let issued = self.io.issue(CollectiveKind::AllGather, group, &piece, len, prec);
+        let issued = self.io.start_all_gather(group, &piece);
         let stash = (source == FetchSource::Primary).then_some(unit_range);
         PendingFetch { unit, issued, len, stash }
     }
@@ -720,15 +704,6 @@ impl RankEngine {
         }
     }
 
-    #[inline]
-    fn precision(&self) -> Precision {
-        if self.zcfg.fp16 {
-            Precision::Fp16
-        } else {
-            Precision::Fp32
-        }
-    }
-
     /// Quantizes activations to fp16 width in mixed-precision mode, so the
     /// values flowing between units are genuine fp16 (and checkpointed
     /// values match recomputed ones bit for bit).
@@ -773,14 +748,15 @@ impl RankEngine {
 
     fn store_checkpoint(&mut self, x: &[f32]) -> Checkpoint {
         let span = self.trace.begin(SpanCategory::Checkpoint, "ckpt-store");
-        let full_len = x.len();
         let offloaded = self.zcfg.offload_checkpoints;
         let slice: &[f32] = if self.zcfg.partition_activations {
-            &x[zero_comm::chunk_range(full_len, self.mp_group.len(), self.mp_idx)]
+            &x[zero_comm::chunk_range(x.len(), self.mp_group.len(), self.mp_idx)]
         } else {
             x
         };
-        let bytes = self.precision().bytes() * slice.len() as u64;
+        // Checkpoints are held at the activation width: fp16 or fp32.
+        let width: u64 = if self.zcfg.fp16 { 2 } else { 4 };
+        let bytes = width * slice.len() as u64;
         self.mem.alloc(self.ckpt_category(), bytes);
         if offloaded {
             self.mem.record_cpu_transfer(bytes);
@@ -790,7 +766,7 @@ impl RankEngine {
             _ => CkptData::Own(slice.to_vec()),
         };
         self.trace.end(span);
-        Checkpoint { data, full_len, bytes }
+        Checkpoint { data, bytes }
     }
 
     /// Re-materializes a checkpointed activation and releases its storage:
@@ -807,8 +783,7 @@ impl RankEngine {
             self.mem.record_cpu_transfer(c.bytes);
         }
         let res = if self.zcfg.partition_activations {
-            let (kind, prec) = (CollectiveKind::AllGather, self.precision());
-            self.io.issue(kind, &self.mp_group, &slice, c.full_len, prec).wait()
+            self.io.start_all_gather(&self.mp_group, &slice).wait()
         } else {
             Ok(slice)
         };
@@ -853,15 +828,13 @@ impl RankEngine {
     /// non-blocking op stays in flight so backward keeps computing while
     /// the ring runs; a blocking one is settled here.
     fn flush_bucket(&mut self) -> Result<(), CommError> {
-        let prec = self.precision();
         let mut settle = false;
         let Self { bucket, io, dp_group, part, dp_idx, mem, inflight_rs, trace, .. } = self;
         bucket.flush_all(&mut |r, fused| {
             trace.instant(SpanCategory::Collective, "bucket-flush");
             let bytes = 4 * fused.len() as u64;
             mem.alloc(MemCategory::Buffers, bytes);
-            let kind = CollectiveKind::ReduceScatter;
-            let issued = io.issue(kind, dp_group, fused, fused.len(), prec);
+            let issued = io.start_reduce_scatter(dp_group, fused, ReduceOp::Mean);
             settle = !issued.nonblocking;
             let local = part.local_slice_of(*dp_idx, &r);
             inflight_rs.push_back(InflightReduce { local, issued, bytes });
@@ -892,40 +865,39 @@ impl RankEngine {
 
     /// End-of-backward gradient reduction for the non-bucketed stages,
     /// staged through constant-size buffers (CB): DDP all-reduces every
-    /// chunk in place; stage 1 reduce-scatters so this rank's shard region
-    /// of the full buffer holds the averaged values. Stages 2/3 already
-    /// reduced everything through the bucket and have no chunk planned.
+    /// chunk in place — flat, or as the two-level plan's three ops; stage 1
+    /// reduce-scatters so this rank's shard region of the full buffer
+    /// holds the averaged values. Stages 2/3 already reduced everything
+    /// through the bucket and have no chunk planned.
     fn reduce_full_grads(&mut self) -> Result<(), CommError> {
         assert_eq!(self.bucket.pending_elems(), 0, "comm-plan drift: gradients left unflushed");
-        let prec = self.precision();
         let shard = self.part.shard_range(self.dp_idx);
+        let rank = self.rank();
         self.for_each_chunk(|this, chunk| {
-            let Self { full_grads, io, dp_group, part, dp_idx, zcfg, grid, .. } = this;
+            let Self { full_grads, io, dp_group, part, dp_idx, zcfg, .. } = this;
             let full = full_grads.as_mut().expect("full gradient buffer");
             let mut staging = full.read_vec(chunk.clone());
             match (zcfg.stage, zcfg.node_size) {
                 (ZeroStage::Ddp, Some(g)) => {
-                    assert_eq!(grid.mp_degree(), 1, "hierarchical all-reduce requires mp = 1");
-                    let topo = zero_comm::NodeTopology::new(g);
-                    // The hierarchy is three planned ops: node
-                    // reduce-scatter, cross-node all-reduce of the owned
-                    // chunk, node all-gather.
-                    let node_group = topo.node_group(io.comm.rank());
-                    let cross_group = topo.cross_group(io.comm.rank(), io.comm.world_size());
-                    let rs = io.plan.take(CollectiveKind::ReduceScatter, &node_group);
-                    assert_eq!(rs.total_elems(), staging.len(), "planned hier size");
-                    let _ar = io.plan.take(CollectiveKind::AllReduce, &cross_group);
-                    let _ag = io.plan.take(CollectiveKind::AllGather, &node_group);
-                    io.comm.hierarchical_all_reduce(&topo, &mut staging, ReduceOp::Mean, prec)?;
-                    full.write_from(chunk, &staging);
+                    // Node reduce-scatter, cross-node all-reduce of the
+                    // owned chunk, node all-gather — summed through, then
+                    // averaged over N_d once.
+                    let topo = NodeTopology::new(g);
+                    let node = topo.node_group(rank);
+                    let cross = topo.cross_group(rank, dp_group.len());
+                    let mut own = io.start_reduce_scatter(&node, &staging, ReduceOp::Sum).wait()?;
+                    io.all_reduce(&cross, &mut own, ReduceOp::Sum)?;
+                    let mut summed = io.start_all_gather(&node, &own).wait()?;
+                    let inv = 1.0 / dp_group.len() as f32;
+                    summed.iter_mut().for_each(|v| *v *= inv);
+                    full.write_from(chunk, &summed);
                 }
                 (ZeroStage::Ddp, None) => {
-                    io.all_reduce(dp_group, &mut staging, ReduceOp::Mean, prec)?;
+                    io.all_reduce(dp_group, &mut staging, ReduceOp::Mean)?;
                     full.write_from(chunk, &staging);
                 }
                 (ZeroStage::One, _) => {
-                    let kind = CollectiveKind::ReduceScatter;
-                    let out = io.issue(kind, dp_group, &staging, staging.len(), prec).wait()?;
+                    let out = io.start_reduce_scatter(dp_group, &staging, ReduceOp::Mean).wait()?;
                     let own = part.local_slice_of(*dp_idx, &chunk);
                     full.write_from(shard.start + own.start..shard.start + own.end, &out);
                 }
@@ -970,12 +942,10 @@ impl RankEngine {
         // …then all-gather the (quantized) shards over the planned chunks
         // (none outside stages 1/2). Under a host optimizer each gather is
         // seeded by the tier fetch of the updated shard chunk riding it.
-        let prec = self.precision();
         self.for_each_chunk(|this, chunk| {
             let own = this.part.local_slice_of(this.dp_idx, &chunk);
             let piece = this.work.read_vec(shard.start + own.start..shard.start + own.end);
-            let kind = CollectiveKind::AllGather;
-            let out = this.io.issue(kind, &this.dp_group, &piece, chunk.len(), prec).wait()?;
+            let out = this.io.start_all_gather(&this.dp_group, &piece).wait()?;
             this.work.write_from(chunk, &out);
             Ok(())
         })
@@ -1011,7 +981,7 @@ impl RankEngine {
         } else {
             self.mp_group.clone()
         };
-        self.io.all_reduce(&group, &mut buf, ReduceOp::Sum, Precision::Fp32)?;
+        self.io.all_reduce(&group, &mut buf, ReduceOp::Sum)?;
         Ok((buf[0] as f64).sqrt())
     }
 
@@ -1221,13 +1191,12 @@ impl RankEngine {
         span: &'static str,
         f: impl FnOnce(&Gpt, &mut dyn FnMut(&mut [f32])) -> T,
     ) -> Result<T, CommError> {
-        let prec = self.precision();
         let Self { gpt, io, mp_group, trace, .. } = self;
         let mut err: Option<CommError> = None;
         let span = trace.begin(SpanCategory::Compute, span);
         let out = f(gpt, &mut |buf: &mut [f32]| {
             if err.is_none() {
-                err = io.all_reduce(mp_group, buf, ReduceOp::Sum, prec).err();
+                err = io.all_reduce(mp_group, buf, ReduceOp::Sum).err();
             }
         });
         trace.end(span);
@@ -1439,7 +1408,7 @@ impl RankEngine {
         let local_overflow = self.shard_has_overflow();
         let mut flag = [if local_overflow { 1.0_f32 } else { 0.0 }];
         let world_group = Group::world(self.io.comm.world_size());
-        self.io.all_reduce(&world_group, &mut flag, ReduceOp::Max, Precision::Fp32)?;
+        self.io.all_reduce(&world_group, &mut flag, ReduceOp::Max)?;
         let overflow = flag[0] > 0.0;
         // The prefix plan ends at the flag — the one data-dependent branch
         // point in the schedule; the rest of the step follows the suffix

@@ -54,7 +54,7 @@ pub use procworld::{
 };
 pub use plan::{
     CommPlan, CountSpec, EffectiveCompression, EffectiveOffload, FetchSource, OpRole, PlanCursor,
-    PlanOp, PlanScope, ResolvedOp, ResolvedTierOp, StepShape, TierDir, TierOp, WireFmt,
+    PlanOp, PlanScope, ResolvedOp, ResolvedTierOp, StepShape, TierDir, TierOp,
 };
 pub use snapshot::{
     export_inference_shards, reshard, validate_consistent, RankSnapshot, SnapshotError,
@@ -65,6 +65,8 @@ pub use supervisor::{
     resume_from_snapshot, run_supervised, RecoveryReport, SuperviseError, SupervisedReport,
     SupervisorConfig,
 };
+/// A planned op's wire format; `zero-comm`'s collectives dispatch on it.
+pub use zero_comm::WireFmt;
 pub use trainer::{
     model_state_bytes, run_training, run_training_on, run_training_world, RankReport, TrainReport,
     TrainSetup,

@@ -63,7 +63,7 @@ impl Partitioner {
 
     /// For a flat subrange (e.g. one layer's parameters), the length of its
     /// intersection with each owner's shard — the `counts` argument for
-    /// `all_gather_var_in` / `reduce_scatter_var_in`.
+    /// `start_all_gather` / `start_reduce_scatter`.
     pub fn intersect_counts(&self, range: &std::ops::Range<usize>) -> Vec<usize> {
         (0..self.n)
             .map(|i| {

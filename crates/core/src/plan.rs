@@ -30,7 +30,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 use zero_comm::{
-    chunk_range, quant_wire_bytes, CollectiveKind, Grid, Group, NodeTopology, Precision,
+    chunk_range, quant_wire_bytes, CollectiveKind, Grid, Group, NodeTopology, Precision, WireFmt,
     KIND_COUNT,
 };
 use zero_model::Layout;
@@ -77,32 +77,6 @@ pub enum CountSpec {
     NodeChunk {
         /// The full (pre-chunking) buffer length in elements.
         total: usize,
-    },
-}
-
-/// Wire format of a planned collective: how the engine encodes the buffer
-/// on the wire, and therefore how many bytes each hop actually carries.
-/// `Raw` reproduces the uncompressed engine exactly; the other variants
-/// are the ZeRO++ compression levers, whose byte formulas mirror the
-/// metered costs of the `zero-comm` compressed collectives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WireFmt {
-    /// Uncompressed `prec`-width elements.
-    Raw,
-    /// qwZ: ring all-gather of block-quantized streams — 1 byte per
-    /// element plus one fp32 scale/zero pair per `block` elements.
-    Int8Block {
-        /// Quantization block length.
-        block: usize,
-    },
-    /// qgZ: two-phase all-to-all reduce-scatter — raw pairwise exchange
-    /// inside each node of `node_size` ranks, block-quantized pairwise
-    /// exchange between same-slot ranks across nodes.
-    QgzInt8 {
-        /// Ranks per node G of the two-tier grouping.
-        node_size: usize,
-        /// Quantization block length.
-        block: usize,
     },
 }
 
@@ -997,8 +971,8 @@ impl CommPlan {
     /// and per-member counts for every op.
     ///
     /// # Panics
-    /// Panics if `rank` is outside the grid or a `Node`/`Cross` scope's
-    /// node size does not divide the world.
+    /// Panics if `rank` is outside the grid. (A `Node`/`Cross` scope's node
+    /// size divides the world: [`ZeroConfig::check`] refused it otherwise.)
     pub fn resolve_for(&self, rank: usize) -> Vec<ResolvedOp> {
         let world = self.grid.world_size();
         assert!(rank < world, "rank {rank} outside grid of {world}");
@@ -1009,14 +983,8 @@ impl CommPlan {
                     PlanScope::World => Group::world(world),
                     PlanScope::Dp => self.grid.dp_group(rank),
                     PlanScope::Mp => self.grid.mp_group(rank),
-                    PlanScope::Node { g } => {
-                        assert_eq!(world % g, 0, "node size {g} must divide world {world}");
-                        NodeTopology::new(g).node_group(rank)
-                    }
-                    PlanScope::Cross { g } => {
-                        assert_eq!(world % g, 0, "node size {g} must divide world {world}");
-                        NodeTopology::new(g).cross_group(rank, world)
-                    }
+                    PlanScope::Node { g } => NodeTopology::new(g).node_group(rank),
+                    PlanScope::Cross { g } => NodeTopology::new(g).cross_group(rank, world),
                 };
                 let n = group.len();
                 let counts: Vec<usize> = match &op.counts {
@@ -1709,5 +1677,9 @@ mod tests {
                 }
             }
         }
+        // The point of the hierarchy: only the cross-node all-reduce of
+        // each owned 1/G chunk crosses the slow links.
+        let flat = CommPlan::train_step(&layout, &cfg(ZeroStage::Ddp), grid, &shape());
+        assert!(plan.total_inter_node_bytes(2) < flat.total_inter_node_bytes(2));
     }
 }

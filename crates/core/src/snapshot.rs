@@ -21,6 +21,7 @@
 //!   the fact ([`SnapshotError::ChecksumMismatch`]).
 
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use zero_comm::Crc32;
@@ -526,78 +527,85 @@ mod tests {
     }
 }
 
+/// Reassembles flat parameter space from shard pieces `(range, values)`:
+/// the pieces either all cover one range (DDP replicas; the first is used)
+/// or tile `0..Σ len` without gap or overlap, in any order. The one
+/// assembler behind [`reshard`], [`export_inference_shards`] and
+/// [`crate::TrainReport::gather_master_mp1`].
+pub(crate) fn assemble_flat(
+    mut pieces: Vec<(Range<usize>, &[f32])>,
+) -> Result<Vec<f32>, SnapshotError> {
+    pieces.sort_by_key(|(range, _)| range.start);
+    let replicas = pieces.windows(2).all(|w| w[0].0 == w[1].0);
+    let mut flat = Vec::new();
+    for (range, values) in pieces.iter().take(if replicas { 1 } else { pieces.len() }) {
+        if range.start != flat.len() || values.len() != range.len() {
+            return Err(SnapshotError::Inconsistent(format!(
+                "a shard holds {} values for [{}, {}) but the space is covered to {}",
+                values.len(),
+                range.start,
+                range.end,
+                flat.len()
+            )));
+        }
+        flat.extend_from_slice(values);
+    }
+    Ok(flat)
+}
+
 /// Reshards a complete set of rank snapshots onto a different DP degree —
 /// elastic resume: train on N ranks, continue on M.
 ///
-/// Input snapshots must tile the flat parameter space (stages 1–3) or all
-/// be full replicas (DDP; any one is used). Output shards follow the
-/// balanced [`crate::partition::Partitioner`] layout for `new_world`
-/// ranks. The loss-scaler state is taken from rank 0.
+/// Input snapshots must be one consistent cut ([`validate_consistent`])
+/// that tiles the flat parameter space (stages 1–3) or replicates it
+/// (DDP). Output shards follow the balanced
+/// [`crate::partition::Partitioner`] layout for `new_world` ranks, moments
+/// travelling with their parameters. The loss-scaler state is taken from
+/// the shard that starts the space.
 ///
-/// # Panics
-/// Panics if the snapshots neither tile the space nor replicate it, mix
-/// optimizer kinds, or `new_world` is zero.
-pub fn reshard(snapshots: &[RankSnapshot], new_world: usize) -> Vec<RankSnapshot> {
-    assert!(new_world > 0, "new world size must be positive");
-    assert!(!snapshots.is_empty(), "no snapshots to reshard");
-    let mut sorted: Vec<&RankSnapshot> = snapshots.iter().collect();
-    sorted.sort_by_key(|s| s.shard_start);
-
-    let has_adam = !sorted[0].opt_v.is_empty();
-    let has_velocity = !sorted[0].opt_m.is_empty();
-    let step = sorted[0].step;
-    let opt_t = sorted[0].opt_t;
-    let scaler = sorted[0].scaler;
-
-    // Concatenate the unique tiling (or take one full replica).
-    let full_replica = sorted
-        .iter()
-        .all(|s| s.shard_start == sorted[0].shard_start && s.shard_end == sorted[0].shard_end);
-    let (master, opt_m, opt_v) = if full_replica {
-        (
-            sorted[0].master.clone(),
-            sorted[0].opt_m.clone(),
-            sorted[0].opt_v.clone(),
-        )
-    } else {
-        let mut master = Vec::new();
-        let mut m = Vec::new();
-        let mut v = Vec::new();
-        for s in &sorted {
-            assert_eq!(
-                s.shard_start as usize,
-                master.len(),
-                "snapshots must tile the flat space"
-            );
-            assert_eq!(s.step, step, "snapshots from different steps");
-            master.extend_from_slice(&s.master);
-            m.extend_from_slice(&s.opt_m);
-            if has_adam {
-                v.extend_from_slice(&s.opt_v);
-            }
-        }
-        (master, m, v)
+/// # Errors
+/// [`SnapshotError::Inconsistent`] if `new_world` is zero, the set is not
+/// one cut, or its shards leave a gap, overlap, or mix optimizer kinds.
+pub fn reshard(
+    snapshots: &[RankSnapshot],
+    new_world: usize,
+) -> Result<Vec<RankSnapshot>, SnapshotError> {
+    if new_world == 0 {
+        return Err(SnapshotError::Inconsistent("world size must be positive".into()));
+    }
+    validate_consistent(snapshots)?;
+    let first = snapshots.iter().min_by_key(|s| s.shard_start).expect("validated non-empty");
+    let flat = |field: fn(&RankSnapshot) -> &[f32]| {
+        let range = |s: &RankSnapshot| s.shard_start as usize..s.shard_end as usize;
+        assemble_flat(snapshots.iter().map(|s| (range(s), field(s))).collect())
     };
-    let total = master.len();
-
-    let part = crate::partition::Partitioner::new(total, new_world);
-    (0..new_world)
+    let master = flat(|s| &s.master)?;
+    // Plain SGD keeps no moment, SGD-momentum one, Adam two.
+    let moment = |field: fn(&RankSnapshot) -> &[f32]| {
+        let kept = snapshots.iter().any(|s| !field(s).is_empty());
+        if kept { flat(field) } else { Ok(Vec::new()) }
+    };
+    let (opt_m, opt_v) = (moment(|s| &s.opt_m)?, moment(|s| &s.opt_v)?);
+    let part = crate::partition::Partitioner::new(master.len(), new_world);
+    // An absent moment stays empty on every shard.
+    let slice = |v: &[f32], range: &Range<usize>| v.get(range.clone()).unwrap_or_default().to_vec();
+    Ok((0..new_world)
         .map(|r| {
             let range = part.shard_range(r);
             RankSnapshot {
                 rank: r as u32,
                 world: new_world as u32,
-                step,
+                step: first.step,
                 shard_start: range.start as u64,
                 shard_end: range.end as u64,
                 master: master[range.clone()].to_vec(),
-                opt_m: if has_velocity { opt_m[range.clone()].to_vec() } else { Vec::new() },
-                opt_v: if has_adam { opt_v[range.clone()].to_vec() } else { Vec::new() },
-                opt_t,
-                scaler,
+                opt_m: slice(&opt_m, &range),
+                opt_v: slice(&opt_v, &range),
+                opt_t: first.opt_t,
+                scaler: first.scaler,
             }
         })
-        .collect()
+        .collect())
 }
 
 /// Exports a training checkpoint's fp32 master parameters as *inference*
@@ -605,61 +613,15 @@ pub fn reshard(snapshots: &[RankSnapshot], new_world: usize) -> Vec<RankSnapshot
 /// (§5.3) applied to serving: each serving rank persists only `Ψ/N`
 /// parameters and all-gathers layers on demand.
 ///
-/// Unlike [`reshard`] this drops all optimizer and scaler state (inference
-/// needs none of it) and returns typed errors instead of panicking: a
-/// serving frontend loads checkpoints that may be foreign or damaged, and
-/// must refuse them gracefully. The training world size is arbitrary —
-/// snapshots may tile the flat space (stages 1–3) or be full replicas
-/// (DDP) — and is re-partitioned onto the serving world's balanced
-/// [`crate::partition::Partitioner`] layout, so shard `r` of the result is
-/// exactly what serving rank `r` hosts.
+/// This is [`reshard`] with all optimizer and scaler state dropped
+/// (inference needs none of it); a serving frontend loads checkpoints that
+/// may be foreign or damaged, and gets the same typed errors. Shard `r` of
+/// the result is exactly what serving rank `r` hosts.
 pub fn export_inference_shards(
     snapshots: &[RankSnapshot],
     serve_world: usize,
 ) -> Result<Vec<Vec<f32>>, SnapshotError> {
-    if serve_world == 0 {
-        return Err(SnapshotError::Inconsistent(
-            "serving world size must be positive".into(),
-        ));
-    }
-    validate_consistent(snapshots)?;
-    let mut sorted: Vec<&RankSnapshot> = snapshots.iter().collect();
-    sorted.sort_by_key(|s| s.shard_start);
-
-    let full_replica = sorted
-        .iter()
-        .all(|s| s.shard_start == sorted[0].shard_start && s.shard_end == sorted[0].shard_end);
-    let master = if full_replica {
-        sorted[0].master.clone()
-    } else {
-        let mut master = Vec::new();
-        for s in &sorted {
-            if s.shard_start as usize != master.len() {
-                return Err(SnapshotError::Inconsistent(format!(
-                    "rank {}'s shard starts at {} but the space is only covered to {}",
-                    s.rank,
-                    s.shard_start,
-                    master.len()
-                )));
-            }
-            if s.master.len() != (s.shard_end - s.shard_start) as usize {
-                return Err(SnapshotError::Inconsistent(format!(
-                    "rank {}'s master holds {} values for a [{}, {}) shard",
-                    s.rank,
-                    s.master.len(),
-                    s.shard_start,
-                    s.shard_end
-                )));
-            }
-            master.extend_from_slice(&s.master);
-        }
-        master
-    };
-
-    let part = crate::partition::Partitioner::new(master.len(), serve_world);
-    Ok((0..serve_world)
-        .map(|r| master[part.shard_range(r)].to_vec())
-        .collect())
+    Ok(reshard(snapshots, serve_world)?.into_iter().map(|s| s.master).collect())
 }
 
 #[cfg(test)]
@@ -742,7 +704,7 @@ mod reshard_tests {
     #[test]
     fn two_to_three_preserves_every_element() {
         let snaps = vec![shard(0, 2, 0, 50), shard(1, 2, 50, 100)];
-        let out = reshard(&snaps, 3);
+        let out = reshard(&snaps, 3).unwrap();
         assert_eq!(out.len(), 3);
         let mut rebuilt = Vec::new();
         for s in &out {
@@ -761,7 +723,7 @@ mod reshard_tests {
     #[test]
     fn ddp_replicas_reshard_from_one_copy() {
         let snaps = vec![shard(0, 2, 0, 40), shard(1, 2, 0, 40)];
-        let out = reshard(&snaps, 4);
+        let out = reshard(&snaps, 4).unwrap();
         assert_eq!(out.len(), 4);
         let rebuilt: Vec<f32> = out.iter().flat_map(|s| s.master.clone()).collect();
         assert_eq!(rebuilt.len(), 40);
@@ -771,17 +733,24 @@ mod reshard_tests {
     #[test]
     fn reshard_to_one_concatenates() {
         let snaps = vec![shard(0, 2, 0, 30), shard(1, 2, 30, 60)];
-        let out = reshard(&snaps, 1);
+        let out = reshard(&snaps, 1).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].master.len(), 60);
         assert_eq!(out[0].shard_end, 60);
     }
 
     #[test]
-    #[should_panic(expected = "tile")]
     fn gaps_rejected() {
-        let snaps = vec![shard(0, 2, 0, 30), shard(1, 2, 40, 60)];
-        let _ = reshard(&snaps, 2);
+        let gap = vec![shard(0, 2, 0, 30), shard(1, 2, 40, 60)];
+        let overlap = vec![shard(0, 2, 0, 30), shard(1, 2, 20, 60)];
+        let mut late = shard(1, 2, 30, 60);
+        late.step += 1;
+        for snaps in [gap, overlap, vec![shard(0, 2, 0, 30), late], Vec::new()] {
+            let err = reshard(&snaps, 2).unwrap_err();
+            assert!(matches!(err, SnapshotError::Inconsistent(_)), "got {err}");
+        }
+        let err = reshard(&[shard(0, 1, 0, 30)], 0).unwrap_err();
+        assert!(matches!(err, SnapshotError::Inconsistent(_)), "got {err}");
     }
 }
 

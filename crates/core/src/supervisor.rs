@@ -372,7 +372,9 @@ pub(crate) fn supervise(
             }));
         }
 
-        let resharded = reshard(&snaps, new_world);
+        // A set that does not tile the space is no consistent snapshot.
+        let resharded = reshard(&snaps, new_world)
+            .map_err(|_| SuperviseError::NoConsistentSnapshot { dir: cfg.snapshot_dir.clone() })?;
         recoveries.push(RecoveryReport {
             failed_ranks: dead,
             failures,
@@ -518,8 +520,8 @@ fn try_load_set(dir: &Path) -> Option<Vec<RankSnapshot>> {
 /// final eval loss.
 ///
 /// # Panics
-/// Panics on a model-parallel grid, unreadable snapshots, or rank
-/// failures (none are expected in a clean run).
+/// Panics on a model-parallel grid, unreadable or unreshardable snapshots,
+/// or rank failures (none are expected in a clean run).
 pub fn resume_from_snapshot(
     setup: &TrainSetup,
     steps: usize,
@@ -530,7 +532,8 @@ pub fn resume_from_snapshot(
     let snaps = RankSnapshot::load_all(snapshot_dir, old_world)
         .unwrap_or_else(|e| panic!("cannot resume from {snapshot_dir:?}: {e}"));
     let world = setup.grid.dp_degree();
-    let resharded = reshard(&snaps, world);
+    let resharded = reshard(&snaps, world)
+        .unwrap_or_else(|e| panic!("cannot reshard {snapshot_dir:?}: {e}"));
 
     let mut cfg = SupervisorConfig::new(*setup, steps, std::env::temp_dir());
     // Snapshots during the control run are not needed; park them far out.
@@ -595,7 +598,7 @@ mod tests {
             opt_t: step,
             scaler: None,
         };
-        for shard in reshard(&[full], world) {
+        for shard in reshard(&[full], world).expect("one full shard reshards") {
             shard.save(&snapshot_dir_for(&cfg.snapshot_dir, step)).expect("write shard");
         }
     }

@@ -99,30 +99,9 @@ impl TrainReport {
     /// # Panics
     /// Panics if the shards do not tile the flat space.
     pub fn gather_master_mp1(&self) -> Vec<f32> {
-        if self.ranks[0].shard_range.start == 0 && !self.ranks.is_empty() {
-            if let Some(full) = self
-                .ranks
-                .iter()
-                .find(|r| r.shard_range.start == 0 && r.master.len() == r.shard_range.len())
-            {
-                let covers_all = self
-                    .ranks
-                    .iter()
-                    .all(|r| r.shard_range == full.shard_range);
-                if covers_all {
-                    return full.master.clone();
-                }
-            }
-        }
-        let mut pieces: Vec<&RankReport> = self.ranks.iter().collect();
-        pieces.sort_by_key(|r| r.shard_range.start);
-        pieces.dedup_by_key(|r| r.shard_range.start);
-        let mut out = Vec::new();
-        for r in pieces {
-            assert_eq!(r.shard_range.start, out.len(), "shards must tile the space");
-            out.extend_from_slice(&r.master);
-        }
-        out
+        let pieces = self.ranks.iter().map(|r| (r.shard_range.clone(), &r.master[..])).collect();
+        crate::snapshot::assemble_flat(pieces)
+            .unwrap_or_else(|e| panic!("shards must tile the space: {e}"))
     }
 }
 

@@ -161,9 +161,9 @@ proptest! {
         // bitwise, plus every piece of metadata the optimizer resumes from.
         let scaler = if seed % 2 == 0 { Some((64.0, 3, seed)) } else { None };
         let orig = sharded(psi, n, seed, scaler);
-        let mid = reshard(&orig, m);
+        let mid = reshard(&orig, m).unwrap();
         prop_assert_eq!(mid.len(), m);
-        let back = reshard(&mid, n);
+        let back = reshard(&mid, n).unwrap();
         prop_assert_eq!(back.len(), n);
         for (a, b) in orig.iter().zip(&back) {
             prop_assert_eq!(a.rank, b.rank);

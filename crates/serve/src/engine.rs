@@ -437,7 +437,7 @@ pub fn run_rank(
         let n_units = units.len();
         let mut issue = |v: usize| -> (PendingOp, u64) {
             let op = &ops[v];
-            let pend = comm.start_all_gather_var(&groups[v], contrib[v], &op.counts, op.prec);
+            let pend = comm.start_all_gather(&groups[v], contrib[v], &op.counts, op.prec, op.wire);
             (pend, 4 * op.total_elems() as u64)
         };
         let mut ahead: Option<(PendingOp, u64)> = None;

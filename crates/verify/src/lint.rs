@@ -25,7 +25,7 @@
 //!   overlapped execution: it must launch the reduce-scatter through the
 //!   non-blocking `start_*` API and park the handle (sync mode settles it
 //!   right after the flush, overlap mode at end-of-backward), so a direct
-//!   `.reduce_scatter_var_in(…)` there silently forfeits
+//!   `.reduce_scatter(…)` there silently forfeits
 //!   backward/communication overlap.
 //! * **`condvar-wait-unlooped`** — a `Condvar` `wait(…)`/`wait_timeout(…)`
 //!   call outside a `while`/`loop` body. Condvar waits wake spuriously
@@ -110,12 +110,10 @@ const COMM_TOKENS: &[&str] = &[
     "all_reduce",
     "reduce_scatter",
     "all_gather",
-    "broadcast",
     "send_raw",
     "recv_raw",
     "barrier",
     "local_index",
-    "hierarchical_all_reduce",
     // Transport-fabric entry points (trait methods and the socket
     // backend's frame writer): a panic here severs the wire mid-frame
     // and every peer observes PeerLost instead of the real error.
@@ -129,20 +127,8 @@ const COMM_TOKENS: &[&str] = &[
 /// the comm sources, both ways). The `start_…` variants deliberately do
 /// not match: inside a flush closure the non-blocking launch is exactly
 /// what the rule demands.
-const BLOCKING_TOKENS: &[&str] = &[
-    ".all_reduce(",
-    ".all_reduce_in(",
-    ".reduce_scatter(",
-    ".reduce_scatter_in(",
-    ".reduce_scatter_var_in(",
-    ".all_gather(",
-    ".all_gather_in(",
-    ".all_gather_var_in(",
-    ".broadcast(",
-    ".broadcast_in(",
-    ".barrier(",
-    ".hierarchical_all_reduce(",
-];
+const BLOCKING_TOKENS: &[&str] =
+    &[".all_reduce(", ".all_reduce_in(", ".reduce_scatter(", ".all_gather(", ".barrier("];
 
 /// Replaces comments, string literals, and char literals with spaces
 /// (newlines preserved) so pattern matching cannot fire inside them.
@@ -636,7 +622,7 @@ mod tests {
         // overlap — the comm-unwrap on the same line fires too. These are
         // the wrappers `Communicator` really ships.
         let src = "fn f() {\n  bucket.flush_all(&mut |r, fused| {\n    \
-                   comm.reduce_scatter_var_in(g, fused, &mut out, op, &c, p).unwrap();\n  });\n}\n";
+                   comm.reduce_scatter(fused, &mut out, op, p).unwrap();\n  });\n}\n";
         assert_eq!(lint_str(src), vec!["comm-unwrap", "blocking-flush"]);
         let src = "fn f() {\n  bucket.flush_all(&mut |r, fused| {\n    \
                    let x = comm.all_reduce_in(g, fused, op, p);\n  });\n}\n";
@@ -648,7 +634,7 @@ mod tests {
         // The start_* launch, its handle parked for the drain, is exactly
         // what the rule demands.
         let src = "fn f() {\n  bucket.flush_all(&mut |r, fused| {\n    \
-                   let p = comm.start_reduce_scatter_var(g, fused, op, &c, pr);\n    \
+                   let p = comm.start_reduce_scatter(g, fused, op, &c, pr, wire);\n    \
                    inflight.push_back(p);\n  });\n}\n";
         assert!(lint_str(src).is_empty());
         // Blocking collectives *outside* any flush region stay legal.
@@ -664,7 +650,6 @@ mod tests {
         // every shipped collective that is not a `start_*` is listed.
         let shipped: Vec<String> = [
             include_str!("../../comm/src/collectives.rs"),
-            include_str!("../../comm/src/hierarchical.rs"),
             include_str!("../../comm/src/world.rs"),
         ]
         .iter()
@@ -676,7 +661,7 @@ mod tests {
         for t in BLOCKING_TOKENS {
             assert!(shipped.iter().any(|s| s == t), "{t} names no shipped method");
         }
-        const SHAPES: &[&str] = &["all_reduce", "reduce_scatter", "all_gather", "broadcast", "barrier"];
+        const SHAPES: &[&str] = &["all_reduce", "reduce_scatter", "all_gather", "barrier"];
         for s in shipped.iter().filter(|s| !s.starts_with(".start_")) {
             if SHAPES.iter().any(|k| s.contains(k)) {
                 assert!(BLOCKING_TOKENS.contains(&s.as_str()), "blocking wrapper {s} is not listed");
@@ -794,11 +779,11 @@ mod tests {
             Fixture {
                 rule: "blocking-flush",
                 positive: "fn f() {\n  bucket.flush_all(&mut |r, fused| {\n    \
-                           let x = comm.all_gather_var_in(g, fused, &mut o, &c, p);\n  });\n}\n",
+                           let x = comm.all_gather(fused, &mut o, p);\n  });\n}\n",
                 comment_masked: "fn f() {\n  // bucket.flush_all(&mut |r, fused| {\n  \
-                                 //   let x = comm.all_gather_var_in(g, fused, &mut o, &c, p);\n  // });\n}\n",
+                                 //   let x = comm.all_gather(fused, &mut o, p);\n  // });\n}\n",
                 string_masked: "fn f() {\n  let s = \"bucket.flush_all(\";\n  \
-                                let x = comm.all_gather_var_in(g, fused, &mut o, &c, p);\n}\n",
+                                let x = comm.all_gather(fused, &mut o, p);\n}\n",
             },
             Fixture {
                 rule: "condvar-wait-unlooped",

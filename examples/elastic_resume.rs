@@ -61,7 +61,7 @@ fn main() {
     let snaps: Vec<RankSnapshot> = (0..2)
         .map(|r| RankSnapshot::load(&dir, r).expect("load shard"))
         .collect();
-    let bigger = reshard(&snaps, 4);
+    let bigger = reshard(&snaps, 4).expect("shards tile the space");
     println!(
         "resharded 2 → 4: shard sizes {:?}",
         bigger.iter().map(|s| s.master.len()).collect::<Vec<_>>()

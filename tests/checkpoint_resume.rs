@@ -179,7 +179,7 @@ fn elastic_resume_on_a_different_dp_degree() {
         engine.save_snapshot()
     });
     // Reshard 2 → 4.
-    let resharded = zero::core::reshard(&snaps, 4);
+    let resharded = zero::core::reshard(&snaps, 4).expect("shards tile the space");
     let resharded = &resharded;
 
     // Phase 2: 4 ranks resume steps 4..8 with the same global batches.
