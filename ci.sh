@@ -9,7 +9,7 @@ cd "$(dirname "$0")"
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
 
-echo "==> line budget (non-test lines of crates/{comm,core,serve,bench}/src)"
+echo "==> line budget (non-test lines of crates/{comm,core,serve,bench}/src; sim = crates/sim/src + src/bin/zero-sim.rs)"
 # Every line outside a #[cfg(test)] item — the number ROADMAP tracks. A test
 # item runs from its attribute to the `}` at the attribute's own indentation
 # (or to the `;` of a one-line item), so code that follows a file's first
@@ -40,11 +40,31 @@ for crate in comm core serve bench; do
     lines=$((lines + n))
     split="$split $crate $n"
 done
-echo "    $lines non-test lines (ceiling $line_ceiling):$split"
+# The simulator has a ceiling of its own: its CLI lives in the root package.
+sim_ceiling=2288
+sim=$(awk "$count_non_test" $(find crates/sim/src -name '*.rs') src/bin/zero-sim.rs)
+echo "    $lines non-test lines (ceiling $line_ceiling):$split; sim $sim (ceiling $sim_ceiling)"
 [ "$lines" -le "$line_ceiling" ] || { echo "line budget exceeded: lower the count or raise the ceiling deliberately"; exit 1; }
+[ "$sim" -le "$sim_ceiling" ] || { echo "sim line budget exceeded: lower the count or raise sim_ceiling deliberately"; exit 1; }
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> zero-sim artifact gate (every committed paper artifact regenerated byte for byte)"
+# The writer is cwd-relative: run every case from a scratch directory, then
+# every file it wrote must equal the committed copy, and every committed
+# non-BENCH_* file under results/ must be written by some case.
+artifacts="$scratch/artifacts"
+zero_sim="$PWD/target/release/zero-sim"
+mkdir "$artifacts"
+(cd "$artifacts" && "$zero_sim" > log 2>&1) || { cat "$artifacts/log"; echo "zero-sim failed"; exit 1; }
+for f in "$artifacts"/results/*; do
+    cmp -s "$f" "results/${f##*/}" || { echo "results/${f##*/} differs from what zero-sim writes"; exit 1; }
+done
+for f in results/*; do
+    case "${f##*/}" in BENCH_*) continue ;; esac
+    [ -e "$artifacts/$f" ] || { echo "$f is committed but no zero-sim case writes it"; exit 1; }
+done
 
 echo "==> zero-verify (schedule + tiling + lint + overlap + tracecheck)"
 cargo run -q --release -p zero-verify -- --pass schedule,tiling,lint,overlap,tracecheck

@@ -291,103 +291,3 @@ mod tests {
         assert!(f > 0.8, "fast network should hide most traffic, got {f}");
     }
 }
-
-/// Stage-3 forward pipeline: each layer's parameters must be all-gathered
-/// before its compute. With prefetch, layer l+1's gather overlaps layer
-/// l's compute (the standard ZeRO-3 optimization); without it the two
-/// serialize.
-#[derive(Clone, Copy, Debug)]
-pub struct Stage3Config {
-    /// Layers to traverse.
-    pub layers: usize,
-    /// Forward compute per layer, seconds.
-    pub layer_compute: f64,
-    /// Parameter all-gather per layer, seconds.
-    pub layer_gather: f64,
-}
-
-/// Forward-pass time with layer-ahead prefetch: the first gather is
-/// exposed; every later gather hides behind the previous layer's compute
-/// (to the extent it fits).
-pub fn stage3_forward_prefetch(cfg: &Stage3Config) -> f64 {
-    assert!(cfg.layers > 0, "need at least one layer");
-    let mut t_params_ready = cfg.layer_gather; // gather for layer 0
-    let mut t_compute_free = 0.0_f64;
-    let mut next_gather_done = f64::NAN;
-    for l in 0..cfg.layers {
-        let start = t_params_ready.max(t_compute_free);
-        // Kick off the next layer's gather as compute starts.
-        if l + 1 < cfg.layers {
-            next_gather_done = start + cfg.layer_gather;
-        }
-        t_compute_free = start + cfg.layer_compute;
-        t_params_ready = next_gather_done;
-    }
-    t_compute_free
-}
-
-/// Forward-pass time without prefetch: gathers and compute serialize.
-pub fn stage3_forward_serial(cfg: &Stage3Config) -> f64 {
-    cfg.layers as f64 * (cfg.layer_gather + cfg.layer_compute)
-}
-
-#[cfg(test)]
-mod stage3_tests {
-    use super::*;
-
-    #[test]
-    fn prefetch_hides_gathers_behind_compute() {
-        // Gather (0.2 s) < compute (1 s): only the first gather is exposed.
-        let cfg = Stage3Config {
-            layers: 10,
-            layer_compute: 1.0,
-            layer_gather: 0.2,
-        };
-        let pre = stage3_forward_prefetch(&cfg);
-        let ser = stage3_forward_serial(&cfg);
-        assert!((pre - 10.2).abs() < 1e-9, "got {pre}");
-        assert!((ser - 12.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gather_bound_when_network_is_slow() {
-        // Gather (2 s) > compute (1 s): the pipeline is gather-bound.
-        let cfg = Stage3Config {
-            layers: 10,
-            layer_compute: 1.0,
-            layer_gather: 2.0,
-        };
-        let pre = stage3_forward_prefetch(&cfg);
-        // layer 0 ready at 2; each subsequent start gated by gathers
-        // spaced ~2 s apart; last compute ends at 2 + 9·2 + 1 = 21.
-        assert!((pre - 21.0).abs() < 1e-9, "got {pre}");
-        assert!(pre < stage3_forward_serial(&cfg));
-    }
-
-    #[test]
-    fn prefetch_never_loses() {
-        for g in [0.01, 0.5, 1.0, 3.0] {
-            for c in [0.1, 1.0, 2.0] {
-                let cfg = Stage3Config {
-                    layers: 7,
-                    layer_compute: c,
-                    layer_gather: g,
-                };
-                assert!(
-                    stage3_forward_prefetch(&cfg) <= stage3_forward_serial(&cfg) + 1e-9,
-                    "g={g} c={c}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn single_layer_has_nothing_to_hide() {
-        let cfg = Stage3Config {
-            layers: 1,
-            layer_compute: 1.0,
-            layer_gather: 0.5,
-        };
-        assert_eq!(stage3_forward_prefetch(&cfg), stage3_forward_serial(&cfg));
-    }
-}

@@ -1,8 +1,8 @@
 //! # zero-sim
 //!
-//! Cluster-scale analytical models and experiment drivers that regenerate
+//! Cluster-scale analytical models and the case table that regenerates
 //! the paper's tables and figures on the simulated 400×V100 DGX-2 testbed
-//! (the hardware we substitute per DESIGN.md).
+//! (the hardware we substitute per DESIGN.md); `zero-sim` is its CLI.
 //!
 //! ```
 //! use zero_core::ZeroStage;
@@ -22,12 +22,10 @@ pub mod experiments;
 pub mod memory;
 pub mod perf;
 pub mod pipeline;
-pub mod recovery;
 
 pub use cluster::ClusterSpec;
-pub use des::{overlap_fraction, simulate_overlapped, simulate_serial, stage3_forward_prefetch, stage3_forward_serial, DesConfig, DesResult, Stage3Config};
+pub use des::{overlap_fraction, simulate_overlapped, simulate_serial, DesConfig, DesResult};
 pub use fragmentation::{simulate_training_fragmentation, FirstFitHeap, FragReport};
 pub use memory::{MemoryModel, SimWorkload, ZeroRFlags, K_ADAM};
-pub use perf::{PerfModel, RunConfig, StepBreakdown};
+pub use perf::{dp_volume_elems, PerfModel, RunConfig, StepBreakdown};
 pub use pipeline::{compare_zero_vs_pp, PipelineConfig, PipelineScheme, PpComparison};
-pub use recovery::{reshard_bytes, RecoveryModel, TierCostModel};

@@ -49,6 +49,18 @@ impl RunConfig {
     }
 }
 
+/// §7's data-parallel volume per rank per step, in elements, ring-exact:
+/// 2Ψ·(N−1)/N for DDP, P_os and P_os+g (a gradient all-reduce, or its
+/// reduce-scatter and all-gather halves), 3Ψ·(N−1)/N for P_os+g+p (the
+/// parameter all-gather runs in forward and again in backward).
+pub fn dp_volume_elems(stage: ZeroStage, psi: f64, nd: usize) -> f64 {
+    let factor = match stage {
+        ZeroStage::Ddp | ZeroStage::One | ZeroStage::Two => 2.0,
+        ZeroStage::Three => 3.0,
+    };
+    factor * psi * ((nd - 1) as f64 / nd as f64)
+}
+
 /// Per-step time decomposition, seconds.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct StepBreakdown {
@@ -158,18 +170,11 @@ impl PerfModel {
         vol / self.mp_bw(cfg)
     }
 
-    /// Raw (pre-overlap) DP communication time per step: the §7 volumes.
+    /// Raw (pre-overlap) DP communication time per step: the §7 volume of
+    /// one MP shard, in fp16 bytes, over the DP bandwidth.
     pub fn dp_comm_time_raw(&self, cfg: &RunConfig) -> f64 {
-        if cfg.nd == 1 {
-            return 0.0;
-        }
         let psi_shard = cfg.workload.params() / cfg.mp as f64;
-        let ring = (cfg.nd - 1) as f64 / cfg.nd as f64;
-        let factor = match cfg.stage {
-            ZeroStage::Ddp | ZeroStage::One | ZeroStage::Two => 2.0,
-            ZeroStage::Three => 3.0,
-        };
-        factor * 2.0 * psi_shard * ring / self.dp_bw(cfg)
+        2.0 * dp_volume_elems(cfg.stage, psi_shard, cfg.nd) / self.dp_bw(cfg)
     }
 
     /// Full step-time decomposition.
@@ -358,6 +363,18 @@ mod tests {
             ..base
         };
         assert!(m.tflops_per_gpu(&off) <= m.tflops_per_gpu(&base));
+    }
+
+    #[test]
+    fn stage3_premium_is_1_5x_the_volume_and_never_faster() {
+        // The 1.5x stage-3 premium must appear in both the volume inputs
+        // and the simulated step times (at fixed batch, compute is equal).
+        let m = PerfModel::default();
+        let at = |stage| RunConfig { stage, ..cfg_100b() };
+        let v2 = m.dp_comm_time_raw(&at(ZeroStage::Two));
+        let v3 = m.dp_comm_time_raw(&at(ZeroStage::Three));
+        assert!((v3 / v2 - 1.5).abs() < 1e-9, "raw volume ratio {}", v3 / v2);
+        assert!(m.step_time(&at(ZeroStage::Three)).total >= m.step_time(&at(ZeroStage::Two)).total);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use zero::comm::{CollectiveKind, Grid};
 use zero::core::{run_training, TrainSetup, ZeroConfig, ZeroStage};
 use zero::model::ModelConfig;
+use zero::sim::perf::dp_volume_elems;
 
 fn model() -> ModelConfig {
     ModelConfig {
@@ -166,6 +167,30 @@ fn stage3_volume_is_at_most_1_5x_baseline() {
             total > baseline,
             "stage 3 must cost more than baseline (parameter traffic)"
         );
+    }
+}
+
+#[test]
+fn engine_volume_matches_the_perf_models_formula() {
+    // The simulator's throughput claims rest on `dp_volume_elems`, the one
+    // §7 formula `PerfModel::dp_comm_time_raw` charges: the engine must
+    // send that many fp16 elements per rank per step.
+    let steps = 2;
+    let n = 4;
+    let psi = model().total_params();
+    for stage in [ZeroStage::Ddp, ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
+        let t = &run(stage, n, 1, steps).ranks[0].traffic;
+        let measured = (t.bytes(CollectiveKind::AllReduce)
+            + t.bytes(CollectiveKind::ReduceScatter)
+            + t.bytes(CollectiveKind::AllGather)) as f64
+            / steps as f64;
+        let predicted = 2.0 * dp_volume_elems(stage, psi as f64, n);
+        let rel = (measured - predicted).abs() / predicted;
+        // Stage 3 gathers less than 3Ψ (the embedding backward needs no
+        // parameters); the rest is ring-exact up to the overflow flag.
+        let tol = if stage == ZeroStage::Three { 0.12 } else { 0.01 };
+        let why = format!("engine {measured:.0} B vs model {predicted:.0} B (rel {rel:.3})");
+        assert!(rel < tol, "{stage:?}: {why}");
     }
 }
 
