@@ -34,13 +34,6 @@ pub enum CommError {
         /// How long the receiver waited.
         waited: Duration,
     },
-    /// Not every rank reached the barrier within the receive timeout.
-    BarrierTimeout {
-        /// The observing rank.
-        rank: usize,
-        /// How long the rank waited at the barrier.
-        waited: Duration,
-    },
     /// A message arrived whose payload checksum does not match: the bytes
     /// were damaged in flight (or a fault plan flipped a bit).
     Corrupt {
@@ -127,7 +120,6 @@ impl CommError {
         match *self {
             CommError::PeerLost { rank, .. }
             | CommError::Timeout { rank, .. }
-            | CommError::BarrierTimeout { rank, .. }
             | CommError::Corrupt { rank, .. }
             | CommError::OutOfOrder { rank, .. }
             | CommError::InjectedCrash { rank, .. }
@@ -157,9 +149,6 @@ impl std::fmt::Display for CommError {
             }
             CommError::Timeout { rank, peer, waited } => {
                 write!(f, "rank {rank}: timed out after {waited:?} waiting on peer {peer}")
-            }
-            CommError::BarrierTimeout { rank, waited } => {
-                write!(f, "rank {rank}: barrier incomplete after {waited:?}")
             }
             CommError::Corrupt { rank, peer, declared_crc, actual_crc } => write!(
                 f,

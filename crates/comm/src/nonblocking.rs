@@ -47,11 +47,11 @@ pub(crate) type OpResult = Result<Vec<f32>, CommError>;
 /// A queued op plus the channel its result is delivered on.
 pub(crate) struct Job {
     /// The stats kind the op's execution time and bytes are attributed to
-    /// (`None` for barriers and tier moves, which send no payload).
+    /// (`None` for tier moves, which send no payload).
     pub(crate) kind: Option<CollectiveKind>,
     /// A `Fabric` body from `collectives.rs`/`world.rs` with its inputs
-    /// moved in, yielding the op's result payload (empty for sends,
-    /// barriers and tier moves).
+    /// moved in, yielding the op's result payload (empty for sends and
+    /// tier moves).
     pub(crate) run: Box<dyn FnOnce(&mut Fabric) -> OpResult + Send>,
     pub(crate) done: Sender<OpResult>,
 }

@@ -26,9 +26,9 @@
 //! - **Orphan reaping.** [`RankProcs`] owns the spawned children and
 //!   kills + reaps every survivor on drop, so no run leaks processes.
 //!
-//! Traffic accounting note: heartbeat and barrier frames are transport
-//! chatter, not collective payload, and are deliberately *not* recorded
-//! in [`TrafficStats`] — measured per-kind volumes therefore match the
+//! Traffic accounting note: heartbeat frames are transport chatter, not
+//! collective payload, and are deliberately *not* recorded in
+//! [`TrafficStats`] — measured per-kind volumes therefore match the
 //! channel backend (and the paper's §7 analysis) byte for byte.
 
 use std::io::{ErrorKind, Read, Write};
@@ -45,7 +45,6 @@ use zero_trace::TraceRecorder;
 
 use crate::error::CommError;
 use crate::fault::FaultPlan;
-use crate::protocol;
 use crate::stats::TrafficStats;
 use crate::transport::{lock_unpoisoned, Msg, ShutdownLatch, Transport};
 use crate::wire::{self, Frame};
@@ -57,6 +56,13 @@ const RECV_TICK: Duration = Duration::from_millis(20);
 /// Read-timeout granularity of the per-peer reader threads; bounds how
 /// long transport shutdown can take.
 const READ_TICK: Duration = Duration::from_millis(25);
+
+/// Initial retry delay when dialing a peer that has not bound its socket
+/// yet; doubles per attempt up to [`CONNECT_BACKOFF_CAP`].
+const CONNECT_BACKOFF_START: Duration = Duration::from_millis(1);
+
+/// Ceiling on the dial retry delay.
+const CONNECT_BACKOFF_CAP: Duration = Duration::from_millis(50);
 
 /// Everything a rank process needs to join (or host) a process world.
 ///
@@ -75,24 +81,17 @@ pub struct ProcessWorldConfig {
     /// Upper bound on any single blocking receive (mirrors
     /// [`WorldConfig::recv_timeout`]).
     pub recv_timeout: Duration,
-    /// Modeled per-hop latency (mirrors [`WorldConfig::link_latency`]).
-    pub link_latency: Duration,
     /// Deterministic fault script, identical in meaning to the channel
     /// backend's: each rank consults only its own entries.
     pub faults: FaultPlan,
     /// Interval between heartbeat frames on every link.
     pub heartbeat_interval: Duration,
-    /// A peer from which *nothing* (data, barrier, or heartbeat) has been
-    /// heard for this long is declared [`CommError::PeerLost`].
+    /// A peer from which *nothing* (data or heartbeat) has been heard for
+    /// this long is declared [`CommError::PeerLost`].
     pub liveness_timeout: Duration,
     /// Wall-clock budget for the whole mesh handshake (bind + dial all
     /// lower ranks + accept all higher ranks).
     pub handshake_timeout: Duration,
-    /// Initial retry delay when dialing a peer that has not bound its
-    /// socket yet; doubles per attempt up to [`Self::connect_backoff_cap`].
-    pub connect_backoff_start: Duration,
-    /// Ceiling on the dial retry delay.
-    pub connect_backoff_cap: Duration,
 }
 
 impl ProcessWorldConfig {
@@ -105,13 +104,10 @@ impl ProcessWorldConfig {
             world,
             token: 0,
             recv_timeout: Duration::from_secs(30),
-            link_latency: Duration::ZERO,
             faults: FaultPlan::new(),
             heartbeat_interval: Duration::from_millis(25),
             liveness_timeout: Duration::from_secs(1),
             handshake_timeout: Duration::from_secs(20),
-            connect_backoff_start: Duration::from_millis(1),
-            connect_backoff_cap: Duration::from_millis(50),
         }
     }
 
@@ -149,8 +145,7 @@ pub fn connect_process_rank(
     let wcfg = WorldConfig {
         recv_timeout: cfg.recv_timeout,
         faults: cfg.faults.clone(),
-        link_latency: cfg.link_latency,
-        tiered_link: None,
+        ..WorldConfig::default()
     };
     // The latch only matters to the channel backend (it counts sibling
     // threads in one process); a process rank has no in-process siblings,
@@ -211,10 +206,8 @@ impl PeerHealth {
 struct PeerLink {
     /// Write half, shared with the heartbeat thread.
     writer: Arc<Mutex<UnixStream>>,
-    /// Data frames, demultiplexed by the reader thread.
+    /// Data frames, forwarded by the reader thread.
     data_rx: Receiver<Msg>,
-    /// Barrier frames `(generation, round)`, same reader.
-    barrier_rx: Receiver<(u64, u32)>,
     health: Arc<PeerHealth>,
 }
 
@@ -222,12 +215,10 @@ struct PeerLink {
 /// the far side of a Unix domain socket.
 pub struct SocketTransport {
     rank: usize,
-    world: usize,
     epoch: Instant,
     liveness_timeout: Duration,
     /// `None` at `self.rank`.
     links: Vec<Option<PeerLink>>,
-    barrier_generation: u64,
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
     /// Raw socket handles kept so drop can `shutdown(2)` them and unblock
@@ -327,7 +318,6 @@ impl SocketTransport {
             let health = PeerHealth::new();
             health.touch(epoch);
             let (data_tx, data_rx) = channel();
-            let (barrier_tx, barrier_rx) = channel();
             let writer = Arc::new(Mutex::new(stream));
             beat_targets.push((writer.clone(), health.clone()));
             let reader_health = health.clone();
@@ -337,7 +327,6 @@ impl SocketTransport {
                     reader,
                     residue,
                     data_tx,
-                    barrier_tx,
                     reader_health,
                     reader_stop,
                     epoch,
@@ -346,7 +335,6 @@ impl SocketTransport {
             links.push(Some(PeerLink {
                 writer,
                 data_rx,
-                barrier_rx,
                 health,
             }));
         }
@@ -360,11 +348,9 @@ impl SocketTransport {
 
         Ok(SocketTransport {
             rank,
-            world: cfg.world,
             epoch,
             liveness_timeout: cfg.liveness_timeout,
             links,
-            barrier_generation: 0,
             shutdown,
             threads,
             sockets,
@@ -442,65 +428,6 @@ impl Transport for SocketTransport {
         }
     }
 
-    fn barrier(&mut self, timeout: Duration) -> Result<(), CommError> {
-        let generation = self.barrier_generation;
-        self.barrier_generation += 1;
-        if self.world == 1 {
-            return Ok(());
-        }
-        let start = Instant::now();
-        let deadline = start + timeout;
-        let timed_out = |rank: usize| CommError::BarrierTimeout {
-            rank,
-            waited: timeout,
-        };
-        // Dissemination barrier: round r sends to rank + 2^r and waits on
-        // rank - 2^r, completing in ceil(log2(world)) rounds. The peer
-        // schedule is the shared pure kernel the model checker explores
-        // (`protocol::dissemination_schedule`); offsets are distinct per
-        // round, so within one generation each ordered pair carries at
-        // most one frame and per-link FIFO keeps rounds in order. Frames
-        // are transport chatter and skip TrafficStats.
-        for step in protocol::dissemination_schedule(self.rank, self.world) {
-            let (dst, src, round) = (step.dst, step.src, step.round);
-            let frame = wire::encode_barrier(generation, round);
-            // A severed peer means the barrier can never complete; report
-            // it the way the channel backend reports an unfilled barrier.
-            if self.write_frame(dst, &frame).is_err() {
-                return Err(timed_out(self.rank));
-            }
-            let link = self.link(src)?;
-            loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(timed_out(self.rank));
-                }
-                let tick = RECV_TICK.min(deadline - now);
-                match link.barrier_rx.recv_timeout(tick) {
-                    Ok((gen, r)) if gen == generation && r == round => break,
-                    Ok((gen, _r)) => {
-                        // Per-link FIFO makes a mismatch a schedule
-                        // divergence (SPMD bug), exactly what OutOfOrder
-                        // means on the data path.
-                        return Err(CommError::OutOfOrder {
-                            rank: self.rank,
-                            peer: src,
-                            got: gen,
-                            expected: generation,
-                        });
-                    }
-                    Err(RecvTimeoutError::Disconnected) => return Err(timed_out(self.rank)),
-                    Err(RecvTimeoutError::Timeout) => {
-                        if link.health.lost(self.epoch, self.liveness_timeout) {
-                            return Err(timed_out(self.rank));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     fn wait_shutdown(&mut self, deadline: Instant) -> bool {
         // A hung process rank is released once every peer has given up on
         // it (timed out, errored, exited): their exits sever the sockets,
@@ -540,7 +467,7 @@ impl Drop for SocketTransport {
 }
 
 /// Dials `path` until it connects, the deadline passes, or the world ends;
-/// sleeps with exponential backoff capped at `connect_backoff_cap`.
+/// sleeps with exponential backoff capped at [`CONNECT_BACKOFF_CAP`].
 fn dial_with_backoff(
     path: &Path,
     cfg: &ProcessWorldConfig,
@@ -548,13 +475,13 @@ fn dial_with_backoff(
     peer: usize,
     deadline: Instant,
 ) -> Result<UnixStream, CommError> {
-    let mut backoff = cfg.connect_backoff_start.max(Duration::from_micros(100));
+    let mut backoff = CONNECT_BACKOFF_START;
     loop {
         match UnixStream::connect(path) {
             Ok(stream) => return Ok(stream),
             Err(_) if Instant::now() < deadline => {
                 std::thread::sleep(backoff.min(deadline.saturating_duration_since(Instant::now())));
-                backoff = (backoff * 2).min(cfg.connect_backoff_cap);
+                backoff = (backoff * 2).min(CONNECT_BACKOFF_CAP);
             }
             Err(_) => {
                 return Err(CommError::Timeout {
@@ -644,14 +571,13 @@ fn read_hello(stream: &UnixStream, deadline: Instant) -> Option<((u32, u32, u64)
 }
 
 /// Per-peer reader: drains the socket into the frame decoder, stamps
-/// liveness on every frame, and demultiplexes data vs barrier traffic.
+/// liveness on every frame, and forwards data frames to the transport.
 /// Exits — dropping its channel senders, which peers observe as
 /// `PeerLost` — on EOF, protocol error, or transport shutdown.
 fn reader_loop(
     mut stream: UnixStream,
     residue: Vec<u8>,
     data_tx: Sender<Msg>,
-    barrier_tx: Sender<(u64, u32)>,
     health: Arc<PeerHealth>,
     stop: Arc<AtomicBool>,
     epoch: Instant,
@@ -677,9 +603,6 @@ fn reader_loop(
                                 data: payload,
                             })
                             .is_ok(),
-                        Frame::Barrier { generation, round } => {
-                            barrier_tx.send((generation, round)).is_ok()
-                        }
                         Frame::Heartbeat => true,
                         // A Hello after the handshake is a protocol
                         // violation; treat the link as gone.
@@ -937,11 +860,10 @@ mod tests {
     }
 
     #[test]
-    fn socket_barrier_and_p2p_round_trip() {
+    fn socket_p2p_round_trip() {
         let dir = scratch_dir("p2p");
         let cfg = quick_cfg(&dir, 2);
         let outs = run_mesh(2, &cfg, |mut comm| {
-            comm.barrier().expect("barrier");
             if comm.rank() == 0 {
                 comm.send(1, &[1.5, -2.5]).expect("send");
                 0.0

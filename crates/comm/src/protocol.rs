@@ -1,21 +1,17 @@
 //! Pure decision kernels of the hand-rolled concurrency protocols.
 //!
-//! The transport layer coordinates ranks with a handful of small
-//! protocols — the [`ShutdownLatch`](crate::transport) counts live
-//! handles, the [`TimeoutBarrier`](crate::transport) counts arrivals per
-//! generation with withdraw-on-timeout, and the socket backend runs a
-//! dissemination barrier over the mesh. Each of them is a *pure state
-//! machine* wrapped in synchronization: every decision ("release the
-//! waiters?", "which peer do I message in round r?") is a function of
-//! plain counters, not of the mutex or socket carrying them.
+//! The transport layer coordinates ranks with small protocols — the
+//! [`ShutdownLatch`](crate::transport) counts live handles so a hung
+//! rank's deadline wait can cancel. Each is a *pure state machine*
+//! wrapped in synchronization: every decision ("release the waiter?") is
+//! a function of plain counters, not of the mutex carrying them.
 //!
 //! This module holds exactly those state machines, with no
 //! synchronization of any kind, so two independent consumers can share
 //! them verbatim:
 //!
-//! * the real primitives in [`transport`](crate::transport) and
-//!   [`process`](crate::process), which run them under `Mutex`/`Condvar`
-//!   or over sockets, and
+//! * the real primitives in [`transport`](crate::transport), which run
+//!   them under `Mutex`/`Condvar`, and
 //! * `zero-verify`'s `modelcheck` pass, which runs them under *modeled*
 //!   mutexes and channels and exhaustively explores every interleaving.
 //!
@@ -43,106 +39,6 @@ pub mod latch {
     }
 }
 
-/// Arrival bookkeeping of the reusable N-party timeout barrier.
-///
-/// The state is two counters; all subtlety is in *who* mutates them
-/// when. The contract the model checker proves over every interleaving:
-///
-/// * a party that times out withdraws its arrival, so later generations
-///   start from a clean count;
-/// * a generation increments only when all `n` live arrivals are in, so
-///   nobody observes a release before the wave is complete.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct BarrierCore {
-    /// Parties of the barrier.
-    pub n: usize,
-    /// Arrivals in the current generation (withdrawals subtracted).
-    pub arrived: usize,
-    /// Completed generations; waiters key their release off it.
-    pub generation: u64,
-}
-
-/// What [`BarrierCore::arrive`] decided for the arriving party.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Arrival {
-    /// This arrival completed the wave: the generation advanced and the
-    /// arriver must wake everyone else.
-    Released,
-    /// The wave is short; wait until `generation` moves past `gen`.
-    MustWait {
-        /// Generation observed at arrival; the release predicate is
-        /// `core.released(gen)`, re-checked after every wake.
-        gen: u64,
-    },
-}
-
-impl BarrierCore {
-    /// A fresh barrier for `n` parties.
-    pub fn new(n: usize) -> BarrierCore {
-        BarrierCore { n, arrived: 0, generation: 0 }
-    }
-
-    /// Registers one arrival and decides whether it completed the wave.
-    pub fn arrive(&mut self) -> Arrival {
-        let gen = self.generation;
-        self.arrived += 1;
-        if self.arrived == self.n {
-            self.arrived = 0;
-            self.generation += 1;
-            Arrival::Released
-        } else {
-            Arrival::MustWait { gen }
-        }
-    }
-
-    /// Withdraws a timed-out arrival so a retry (or fresh parties in a
-    /// later generation) starts from a clean count.
-    pub fn withdraw(&mut self) {
-        self.arrived = self.arrived.saturating_sub(1);
-    }
-
-    /// The release predicate a waiter re-checks after every wake: true
-    /// once the generation it arrived in has completed.
-    pub fn released(&self, gen: u64) -> bool {
-        self.generation != gen
-    }
-}
-
-/// One round of the dissemination barrier as seen by one rank: send a
-/// token to `dst`, then wait for the matching token from `src`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DissemRound {
-    /// Round index (also carried in the wire frame).
-    pub round: u32,
-    /// Peer this rank signals: `(rank + 2^round) % world`.
-    pub dst: usize,
-    /// Peer this rank awaits: `(rank - 2^round) mod world`.
-    pub src: usize,
-}
-
-/// The full dissemination schedule for `rank` in a world of `world`
-/// ranks: `ceil(log2(world))` rounds with doubling offsets. Offsets are
-/// distinct per round, so within one generation each ordered pair
-/// carries at most one token and per-link FIFO keeps rounds ordered.
-///
-/// Both the socket backend's barrier and the model checker's
-/// dissemination model iterate exactly this schedule.
-pub fn dissemination_schedule(rank: usize, world: usize) -> Vec<DissemRound> {
-    let mut rounds = Vec::new();
-    let mut offset = 1usize;
-    let mut round = 0u32;
-    while offset < world {
-        rounds.push(DissemRound {
-            round,
-            dst: (rank + offset) % world,
-            src: (rank + world - offset) % world,
-        });
-        offset *= 2;
-        round += 1;
-    }
-    rounds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,53 +53,5 @@ mod tests {
         latch::depart(&mut live); // one more than the latch was built for
         assert_eq!(live, 0);
         assert!(latch::sole_survivor(live));
-    }
-
-    #[test]
-    fn barrier_core_full_wave_releases_and_resets() {
-        let mut b = BarrierCore::new(3);
-        let g0 = match b.arrive() {
-            Arrival::MustWait { gen } => gen,
-            r => panic!("first arrival released: {r:?}"),
-        };
-        assert!(matches!(b.arrive(), Arrival::MustWait { .. }));
-        assert_eq!(b.arrive(), Arrival::Released);
-        assert!(b.released(g0));
-        assert_eq!(b.arrived, 0, "release must reset the count");
-    }
-
-    #[test]
-    fn barrier_core_withdraw_keeps_later_wave_clean() {
-        let mut b = BarrierCore::new(2);
-        assert!(matches!(b.arrive(), Arrival::MustWait { .. }));
-        b.withdraw(); // timed out
-        assert!(matches!(b.arrive(), Arrival::MustWait { .. }));
-        assert_eq!(b.arrive(), Arrival::Released);
-    }
-
-    #[test]
-    fn dissemination_schedule_covers_log_rounds_with_distinct_offsets() {
-        for world in 1..=9 {
-            let rounds = dissemination_schedule(0, world);
-            let want = (usize::BITS - (world - 1).max(1).leading_zeros()) as usize;
-            if world == 1 {
-                assert!(rounds.is_empty());
-                continue;
-            }
-            assert_eq!(rounds.len(), want, "world={world}");
-            for (i, r) in rounds.iter().enumerate() {
-                assert_eq!(r.round as usize, i);
-                assert_eq!(r.dst, (1 << i) % world);
-                assert_eq!(r.src, (world - (1 << i) % world) % world);
-            }
-            // Every rank's schedule is the same shape (SPMD symmetry).
-            for rank in 1..world {
-                let rs = dissemination_schedule(rank, world);
-                assert_eq!(rs.len(), rounds.len());
-                for (i, r) in rs.iter().enumerate() {
-                    assert_eq!((r.dst + world - rank) % world, rounds[i].dst % world);
-                }
-            }
-        }
     }
 }

@@ -23,7 +23,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::error::CommError;
-use crate::protocol::{latch, Arrival, BarrierCore};
+use crate::protocol::latch;
 
 /// A message between two ranks: an opaque f32 payload, a per-channel
 /// sequence number used to detect mismatched collective schedules, and a
@@ -44,11 +44,10 @@ pub struct Msg {
 
 /// One rank's view of the byte-moving layer under the fabric.
 ///
-/// Implementations move whole [`Msg`]s between ranks and provide a world
-/// barrier; they do not interpret payloads, count traffic, or inject
-/// faults — that is the fabric's job. Every blocking entry point is
-/// deadline-bounded and returns typed [`CommError`]s; none may panic on
-/// peer failure.
+/// Implementations move whole [`Msg`]s between ranks; they do not
+/// interpret payloads, count traffic, or inject faults — that is the
+/// fabric's job. Every blocking entry point is deadline-bounded and
+/// returns typed [`CommError`]s; none may panic on peer failure.
 pub trait Transport: Send {
     /// Delivers `msg` to `dst`'s incoming queue for this rank.
     fn send_msg(&mut self, dst: usize, msg: Msg) -> Result<(), CommError>;
@@ -59,10 +58,6 @@ pub trait Transport: Send {
     /// wait.
     fn recv_msg(&mut self, src: usize, timeout: Duration) -> Result<Msg, CommError>;
 
-    /// Blocks until every rank reaches the barrier or `timeout` elapses
-    /// with ranks missing ([`CommError::BarrierTimeout`]).
-    fn barrier(&mut self, timeout: Duration) -> Result<(), CommError>;
-
     /// Parks the calling (progress) thread until `deadline`, returning
     /// early — with `true` — once the transport can prove no peer is
     /// still waiting on this rank (their endpoints are gone). Used by the
@@ -72,9 +67,9 @@ pub trait Transport: Send {
     fn wait_shutdown(&mut self, deadline: Instant) -> bool;
 }
 
-/// Recovers a mutex guard even if a holder panicked: the latch and
-/// barrier states below are plain counters whose invariants are restored
-/// by the waiters themselves, so poisoning carries no information here.
+/// Recovers a mutex guard even if a holder panicked: the latch state
+/// below is a plain counter whose invariant is restored by the waiters
+/// themselves, so poisoning carries no information here.
 pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
@@ -126,67 +121,13 @@ impl ShutdownLatch {
     }
 }
 
-/// A reusable N-party barrier whose wait is bounded by a timeout, so a dead
-/// rank strands survivors with a typed error instead of a deadlock.
-/// (`std::sync::Barrier` has no timed wait.)
-///
-/// Public (not `pub(crate)`) so `zero-verify`'s conformance tests can
-/// drive the real barrier through the critical schedules its model
-/// checker enumerates.
-pub struct TimeoutBarrier {
-    state: Mutex<BarrierCore>,
-    cv: Condvar,
-}
-
-impl TimeoutBarrier {
-    pub fn new(n: usize) -> TimeoutBarrier {
-        TimeoutBarrier { state: Mutex::new(BarrierCore::new(n)), cv: Condvar::new() }
-    }
-
-    /// Returns `true` if all `n` parties arrived within `timeout`.
-    ///
-    /// A party that times out *withdraws* its arrival before returning,
-    /// so a later retry (or a later generation joined by fresh parties)
-    /// starts from a clean count — the property the proptest below
-    /// hammers on and `zero-verify --pass modelcheck` proves over every
-    /// interleaving (the counter logic is the shared
-    /// [`BarrierCore`](crate::protocol::BarrierCore)).
-    pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let mut s = lock_unpoisoned(&self.state);
-        let gen = match s.arrive() {
-            Arrival::Released => {
-                self.cv.notify_all();
-                return true;
-            }
-            Arrival::MustWait { gen } => gen,
-        };
-        let deadline = Instant::now() + timeout;
-        while !s.released(gen) {
-            let now = Instant::now();
-            if now >= deadline {
-                // Withdraw our arrival so a later retry starts clean.
-                s.withdraw();
-                return false;
-            }
-            let (guard, _timed_out) = match self.cv.wait_timeout(s, deadline - now) {
-                Ok(x) => x,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            s = guard;
-        }
-        true
-    }
-}
-
-/// The in-process backend: one `mpsc` FIFO per ordered rank pair, a shared
-/// [`TimeoutBarrier`], and the world's [`ShutdownLatch`] for cancellable
-/// hang waits. This is exactly the fabric the crate has always had, now
-/// behind the trait.
+/// The in-process backend: one `mpsc` FIFO per ordered rank pair and the
+/// world's [`ShutdownLatch`] for cancellable hang waits. This is exactly
+/// the fabric the crate has always had, now behind the trait.
 pub(crate) struct ChannelTransport {
     rank: usize,
     to_peer: Vec<Sender<Msg>>,
     from_peer: Vec<Receiver<Msg>>,
-    barrier: Arc<TimeoutBarrier>,
     latch: Arc<ShutdownLatch>,
 }
 
@@ -195,10 +136,9 @@ impl ChannelTransport {
         rank: usize,
         to_peer: Vec<Sender<Msg>>,
         from_peer: Vec<Receiver<Msg>>,
-        barrier: Arc<TimeoutBarrier>,
         latch: Arc<ShutdownLatch>,
     ) -> ChannelTransport {
-        ChannelTransport { rank, to_peer, from_peer, barrier, latch }
+        ChannelTransport { rank, to_peer, from_peer, latch }
     }
 }
 
@@ -221,14 +161,6 @@ impl Transport for ChannelTransport {
         }
     }
 
-    fn barrier(&mut self, timeout: Duration) -> Result<(), CommError> {
-        if self.barrier.wait_timeout(timeout) {
-            Ok(())
-        } else {
-            Err(CommError::BarrierTimeout { rank: self.rank, waited: timeout })
-        }
-    }
-
     fn wait_shutdown(&mut self, deadline: Instant) -> bool {
         self.latch.wait_sole_survivor(deadline)
     }
@@ -237,7 +169,6 @@ impl Transport for ChannelTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn latch_cancels_when_peers_depart() {
@@ -310,90 +241,5 @@ mod tests {
         latch.depart(); // double shutdown of the last handle
         assert!(latch.wait_sole_survivor(Instant::now() + Duration::from_secs(5)));
         assert_eq!(*lock_unpoisoned(&latch.live), 0);
-    }
-
-    /// Deterministic core of the withdraw-on-timeout property: `k < n`
-    /// parties arrive and time out (each withdrawing its arrival), in
-    /// `rounds` successive waves; afterwards a full complement of `n`
-    /// parties must still pass the barrier unanimously — no stale arrival
-    /// count and no generation skew may leak across the failed attempts.
-    fn withdraw_then_full_round(n: usize, k: usize, rounds: usize, stagger_us: u64) {
-        let b = Arc::new(TimeoutBarrier::new(n));
-        for _ in 0..rounds {
-            let partial: Vec<_> = (0..k)
-                .map(|i| {
-                    let b = b.clone();
-                    std::thread::spawn(move || {
-                        std::thread::sleep(Duration::from_micros(stagger_us * i as u64));
-                        b.wait_timeout(Duration::from_millis(10))
-                    })
-                })
-                .collect();
-            for t in partial {
-                assert!(!t.join().unwrap(), "a short-handed wave must time out");
-            }
-        }
-        // The decisive wave: every party arrives, with generous timeout.
-        let full: Vec<_> = (0..n)
-            .map(|i| {
-                let b = b.clone();
-                std::thread::spawn(move || {
-                    std::thread::sleep(Duration::from_micros(stagger_us * i as u64));
-                    b.wait_timeout(Duration::from_secs(10))
-                })
-            })
-            .collect();
-        for t in full {
-            assert!(t.join().unwrap(), "a full wave after withdrawals must pass");
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
-
-        /// Satellite: a party that times out of the barrier and retries
-        /// later must never corrupt a subsequent generation.
-        #[test]
-        fn timed_out_party_does_not_corrupt_later_generations(
-            n in 2usize..6,
-            k_frac in 1usize..100,
-            rounds in 1usize..4,
-            stagger_us in 0u64..300,
-        ) {
-            // Map k_frac onto 1..n so every (n, k<n) pair is reachable.
-            let k = 1 + k_frac % (n - 1);
-            withdraw_then_full_round(n, k, rounds, stagger_us);
-        }
-    }
-
-    #[test]
-    fn retrying_party_joins_next_generation_cleanly() {
-        // One party times out of a generation, then retries while the
-        // stragglers from that generation finally arrive: the retry plus
-        // the stragglers form a complete wave and everyone passes.
-        let n = 3;
-        let b = Arc::new(TimeoutBarrier::new(n));
-        let retrier = {
-            let b = b.clone();
-            std::thread::spawn(move || {
-                let first = b.wait_timeout(Duration::from_millis(20));
-                let second = b.wait_timeout(Duration::from_secs(10));
-                (first, second)
-            })
-        };
-        // Let the retrier's first attempt expire before anyone else shows.
-        std::thread::sleep(Duration::from_millis(60));
-        let late: Vec<_> = (0..n - 1)
-            .map(|_| {
-                let b = b.clone();
-                std::thread::spawn(move || b.wait_timeout(Duration::from_secs(10)))
-            })
-            .collect();
-        let (first, second) = retrier.join().unwrap();
-        assert!(!first, "short-handed first attempt must time out");
-        assert!(second, "retry must succeed once the wave completes");
-        for t in late {
-            assert!(t.join().unwrap());
-        }
     }
 }

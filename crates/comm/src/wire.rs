@@ -13,7 +13,7 @@
 //! |-----|-----------|-----------------------------------------------------|
 //! | 0   | Hello     | `world: u32`, `rank: u32`, `token: u64`             |
 //! | 1   | Data      | `seq: u64`, `payload_crc: u32`, `count: u32`, then `count` f32 LE |
-//! | 2   | Barrier   | `generation: u64`, `round: u32`                     |
+//! | 2   | (retired) | never reused: decodes as `UnknownFrameType(2)`      |
 //! | 3   | Heartbeat | (empty)                                             |
 //!
 //! Two CRCs travel on a `Data` frame on purpose: `frame_crc` protects the
@@ -40,7 +40,6 @@ pub const MAX_FRAME_LEN: usize = 1 << 26;
 /// Frame type tags (`body[0]`).
 const TAG_HELLO: u8 = 0;
 const TAG_DATA: u8 = 1;
-const TAG_BARRIER: u8 = 2;
 const TAG_HEARTBEAT: u8 = 3;
 
 /// One decoded frame.
@@ -66,13 +65,6 @@ pub enum Frame {
         payload_crc: u32,
         /// The f32 payload.
         payload: Vec<f32>,
-    },
-    /// One round of the dissemination barrier.
-    Barrier {
-        /// Barrier generation (how many barriers completed before).
-        generation: u64,
-        /// Round within the generation (0..⌈log₂ n⌉).
-        round: u32,
     },
     /// Peer-liveness beacon; carries no payload.
     Heartbeat,
@@ -155,15 +147,6 @@ pub fn encode_data(seq: u64, payload_crc: u32, payload: &[f32]) -> Vec<u8> {
     frame_with_body(&body)
 }
 
-/// Encodes one dissemination-barrier round.
-pub fn encode_barrier(generation: u64, round: u32) -> Vec<u8> {
-    let mut body = Vec::with_capacity(13);
-    body.push(TAG_BARRIER);
-    body.extend_from_slice(&generation.to_le_bytes());
-    body.extend_from_slice(&round.to_le_bytes());
-    frame_with_body(&body)
-}
-
 /// Encodes a liveness beacon.
 pub fn encode_heartbeat() -> Vec<u8> {
     frame_with_body(&[TAG_HEARTBEAT])
@@ -209,15 +192,6 @@ fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
                 })
                 .collect();
             Ok(Frame::Data { seq, payload_crc, payload })
-        }
-        TAG_BARRIER => {
-            let (generation, rest) =
-                take_u64(rest).ok_or(WireError::BadBody("barrier too short"))?;
-            let (round, rest) = take_u32(rest).ok_or(WireError::BadBody("barrier too short"))?;
-            if !rest.is_empty() {
-                return Err(WireError::BadBody("barrier has trailing garbage"));
-            }
-            Ok(Frame::Barrier { generation, round })
         }
         TAG_HEARTBEAT => {
             if !rest.is_empty() {
@@ -281,7 +255,6 @@ mod tests {
                 },
             ),
             (encode_data(0, 0, &[]), Frame::Data { seq: 0, payload_crc: 0, payload: vec![] }),
-            (encode_barrier(3, 1), Frame::Barrier { generation: 3, round: 1 }),
             (encode_heartbeat(), Frame::Heartbeat),
         ]
     }
@@ -317,11 +290,11 @@ mod tests {
     #[test]
     fn consumed_length_delimits_back_to_back_frames() {
         let mut stream = encode_heartbeat();
-        stream.extend_from_slice(&encode_barrier(9, 0));
+        stream.extend_from_slice(&encode_data(9, 0, &[]));
         let (f1, used) = decode_frame(&stream).unwrap().unwrap();
         assert_eq!(f1, Frame::Heartbeat);
         let (f2, _) = decode_frame(&stream[used..]).unwrap().unwrap();
-        assert_eq!(f2, Frame::Barrier { generation: 9, round: 0 });
+        assert_eq!(f2, Frame::Data { seq: 9, payload_crc: 0, payload: vec![] });
     }
 
     #[test]
@@ -362,9 +335,11 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_typed() {
-        let body = [200u8, 1, 2, 3];
-        let enc = frame_with_body(&body);
-        assert_eq!(decode_frame(&enc), Err(WireError::UnknownFrameType(200)));
+        // Tag 2 belonged to a retired frame type and is never reused.
+        for tag in [2u8, 200] {
+            let enc = frame_with_body(&[tag, 1, 2, 3]);
+            assert_eq!(decode_frame(&enc), Err(WireError::UnknownFrameType(tag)));
+        }
     }
 
     #[test]

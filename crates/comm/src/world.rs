@@ -40,7 +40,7 @@ use crate::error::CommError;
 use crate::fault::{FaultKind, FaultPlan, FaultState};
 use crate::nonblocking::{progress_loop, Job, OpResult, PendingOp};
 use crate::stats::{CollectiveKind, TrafficStats};
-use crate::transport::{ChannelTransport, Msg, ShutdownLatch, TimeoutBarrier, Transport};
+use crate::transport::{ChannelTransport, Msg, ShutdownLatch, Transport};
 use zero_trace::{SpanCategory, TraceRecorder, TRACK_PROGRESS};
 
 /// Modeled two-tier interconnect: fast links within a node (NVLink), a
@@ -81,7 +81,7 @@ impl TieredLink {
 /// link latency.
 #[derive(Clone, Debug)]
 pub struct WorldConfig {
-    /// Upper bound on any single blocking receive (and on barrier waits).
+    /// Upper bound on any single blocking receive.
     /// Normal in-process latency is microseconds; this only fires when a
     /// peer is dead, hung, or schedule-divergent.
     pub recv_timeout: Duration,
@@ -170,7 +170,6 @@ impl World {
             }
             inboxes.push(dst_row);
         }
-        let barrier = Arc::new(TimeoutBarrier::new(n));
         let latch = ShutdownLatch::new(n);
         let stats: Vec<Arc<TrafficStats>> = (0..n).map(|_| TrafficStats::new()).collect();
         // One span recorder per rank, all sharing one epoch so per-rank
@@ -181,13 +180,7 @@ impl World {
 
         let mut comms = Vec::with_capacity(n);
         for (rank, (tx_row, rx_row)) in outboxes.into_iter().zip(inboxes).enumerate() {
-            let link = ChannelTransport::new(
-                rank,
-                tx_row,
-                rx_row,
-                barrier.clone(),
-                latch.clone(),
-            );
+            let link = ChannelTransport::new(rank, tx_row, rx_row, latch.clone());
             comms.push(Some(Communicator::spawn(
                 rank,
                 n,
@@ -255,7 +248,7 @@ pub(crate) struct Fabric {
 impl Fabric {
     /// Registers the start of one communication op of `kind`, applying any
     /// fault the plan scripts at this point in the schedule. Called once
-    /// per public collective / p2p / barrier entry.
+    /// per public collective / p2p entry.
     pub(crate) fn begin_op(&mut self, kind: CollectiveKind) -> Result<(), CommError> {
         if self.dead {
             // An injected fault already killed this rank; every later op
@@ -364,8 +357,8 @@ impl Fabric {
 }
 
 /// One rank's handle: submits ops to the rank's progress thread and waits
-/// on their completion channels. Point-to-point primitives and the barrier
-/// live here; ring collectives are built on top in `collectives.rs`.
+/// on their completion channels. Point-to-point primitives live here;
+/// ring collectives are built on top in `collectives.rs`.
 ///
 /// A `Communicator` is owned by exactly one thread (it is `Send` but not
 /// `Sync`), matching NCCL's one-communicator-per-device rule. Dropping it
@@ -528,18 +521,6 @@ impl Communicator {
         assert_eq!(data.len(), buf.len(), "p2p length mismatch");
         buf.copy_from_slice(&data);
         Ok(())
-    }
-
-    /// Blocks until every rank in the world reaches the barrier, or the
-    /// receive timeout elapses with ranks missing.
-    pub fn barrier(&mut self) -> Result<(), CommError> {
-        let pending = self.submit(None, |f| {
-            if f.dead {
-                return Err(CommError::InjectedCrash { rank: f.rank, op: 0 });
-            }
-            f.link.barrier(f.recv_timeout).map(|()| Vec::new())
-        });
-        pending.wait().map(|_| ())
     }
 
     /// Starts a modeled host↔device memory-tier transfer of `bytes`
@@ -716,32 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_synchronizes() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        launch(8, |mut c| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            c.barrier().unwrap();
-            // After the barrier every rank must observe all 8 increments.
-            assert_eq!(counter.load(Ordering::SeqCst), 8);
-        });
-    }
-
-    #[test]
-    fn barrier_is_reusable() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        launch(4, |mut c| {
-            for round in 1..=3 {
-                counter.fetch_add(1, Ordering::SeqCst);
-                c.barrier().unwrap();
-                assert!(counter.load(Ordering::SeqCst) >= 4 * round);
-                c.barrier().unwrap();
-            }
-        });
-    }
-
-    #[test]
     fn stats_count_p2p_bytes() {
         let (_, snaps) = launch_with_stats(2, |mut c| {
             if c.rank() == 0 {
@@ -862,25 +817,6 @@ mod tests {
             out[1].as_ref().unwrap(),
             &Err(CommError::PeerLost { rank: 1, peer: 0 })
         );
-    }
-
-    #[test]
-    fn barrier_with_dead_rank_times_out() {
-        let timeout = Duration::from_millis(100);
-        let config = WorldConfig { recv_timeout: timeout, ..WorldConfig::default() };
-        let out = try_launch_with_config(3, config, move |mut c| {
-            if c.rank() == 2 {
-                // Never arrives at the barrier.
-                return Ok(());
-            }
-            c.barrier()
-        });
-        for (rank, o) in out.iter().enumerate().take(2) {
-            assert_eq!(
-                o.as_ref().unwrap(),
-                &Err(CommError::BarrierTimeout { rank, waited: timeout })
-            );
-        }
     }
 
     #[test]

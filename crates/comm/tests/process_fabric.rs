@@ -33,7 +33,7 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// A schedule touching every collective in every wire format plus
-/// point-to-point and the barrier; returns everything rank-visible so
+/// point-to-point; returns everything rank-visible so
 /// backends can be compared. The qgZ reduce-scatter groups the world into
 /// nodes of two, so `n` must be even.
 fn schedule(comm: &mut Communicator) -> Result<Vec<f32>, CommError> {
@@ -70,8 +70,6 @@ fn schedule(comm: &mut Communicator) -> Result<Vec<f32>, CommError> {
     let mut from_prev = [0.0f32; 4];
     comm.recv((rank + n - 1) % n, &mut from_prev)?;
     out.extend_from_slice(&from_prev);
-
-    comm.barrier()?;
     Ok(out)
 }
 
@@ -120,8 +118,8 @@ fn collectives_match_channel_backend_bitwise_with_identical_traffic() {
         }
         // The §7 volume identities must be *measured* identically: same
         // bytes and same message count for every collective kind. The
-        // socket backend's heartbeats and barrier frames are transport
-        // internals and deliberately unmetered.
+        // socket backend's heartbeats are transport internals and
+        // deliberately unmetered.
         assert_eq!(
             sock_stats.per_kind(),
             channel_stats[rank].per_kind(),

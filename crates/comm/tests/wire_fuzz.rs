@@ -16,9 +16,7 @@
 
 use proptest::prelude::*;
 use proptest::TestRng;
-use zero_comm::wire::{
-    decode_frame, encode_barrier, encode_data, encode_hello, encode_heartbeat, Frame,
-};
+use zero_comm::wire::{decode_frame, encode_data, encode_hello, encode_heartbeat, Frame};
 
 /// Draws one frame of a random type with fully random field bits, paired
 /// with its wire encoding.
@@ -27,7 +25,7 @@ struct ArbEncoded;
 impl Strategy for ArbEncoded {
     type Value = (Frame, Vec<u8>);
     fn generate(&self, rng: &mut TestRng) -> (Frame, Vec<u8>) {
-        match rng.next_u64() % 4 {
+        match rng.next_u64() % 3 {
             0 => {
                 let (world, rank) = (rng.next_u64() as u32, rng.next_u64() as u32);
                 let token = rng.next_u64();
@@ -50,13 +48,6 @@ impl Strategy for ArbEncoded {
                         payload,
                     },
                     encoded,
-                )
-            }
-            2 => {
-                let (generation, round) = (rng.next_u64(), rng.next_u64() as u32);
-                (
-                    Frame::Barrier { generation, round },
-                    encode_barrier(generation, round),
                 )
             }
             _ => (Frame::Heartbeat, encode_heartbeat()),

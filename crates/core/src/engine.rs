@@ -719,8 +719,9 @@ impl RankEngine {
 
     /// Sizes the MD arena for a step whose block activations hold
     /// `act_elems` elements: one checkpoint (this rank's slice of it under
-    /// P_a) per block. Grow-only, so a constant batch allocates once and a
-    /// larger one re-allocates instead of overflowing.
+    /// P_a) per segment of `checkpoint_interval` blocks, the ⌈layers / k⌉
+    /// the forward walk stores. Grow-only, so a constant batch allocates
+    /// once and a larger one re-allocates instead of overflowing.
     fn size_arena(&mut self, act_elems: usize) {
         let zcfg = &self.zcfg;
         if !zcfg.checkpoint_activations || zcfg.offload_checkpoints {
@@ -731,7 +732,7 @@ impl RankEngine {
         } else {
             act_elems
         };
-        let cap = slice * self.gpt.config().layers;
+        let cap = slice * self.gpt.config().layers.div_ceil(zcfg.checkpoint_interval.max(1));
         if self.arena.as_ref().is_none_or(|a| a.capacity() < cap) {
             self.arena = Some(ContiguousArena::new(cap));
         }
@@ -1495,5 +1496,32 @@ impl RankEngine {
         self.release_unit(p);
         self.io.plan.assert_exhausted("end of eval");
         Ok(loss)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zero_comm::World;
+    use zero_model::{init_full_params, ModelConfig, SyntheticCorpus};
+
+    #[test]
+    fn checkpoint_arena_is_sized_for_the_checkpoints_an_interval_stores() {
+        // Three blocks at interval 2 store ⌈3 / 2⌉ = 2 checkpoints: the
+        // pre-allocated MD buffer must be exactly what they fill, not one
+        // slot per block with the last never touched.
+        let cfg = ModelConfig { vocab: 32, seq: 8, hidden: 16, layers: 3, heads: 2 };
+        let zcfg =
+            ZeroConfig { stage: ZeroStage::Two, checkpoint_interval: 2, ..ZeroConfig::default() };
+        assert!(zcfg.checkpoint_activations && !zcfg.offload_checkpoints);
+        let params = init_full_params(&cfg, 4);
+        let comm = World::new(1).take(0);
+        let mut engine = RankEngine::new(Gpt::new(cfg), &params, zcfg, Grid::new(1, 1), comm);
+        let corpus = SyntheticCorpus::generate(cfg.vocab, 1000, 1);
+        let (ids, targets) = corpus.rank_batch(0, 2, cfg.seq, 1, 0);
+        assert!(engine.train_step(&ids, &targets, 2).loss.is_finite());
+        let arena = engine.arena.as_ref().expect("checkpointing allocates the arena");
+        assert!(arena.high_water() > 0);
+        assert_eq!(arena.capacity(), arena.high_water());
     }
 }

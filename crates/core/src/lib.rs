@@ -29,7 +29,6 @@ pub mod bucket;
 pub mod config;
 pub mod engine;
 pub mod memory;
-pub mod metrics;
 pub mod partition;
 pub mod plan;
 pub mod procworld;
@@ -46,7 +45,6 @@ pub use config::{
 };
 pub use engine::{RankEngine, StepOutcome};
 pub use memory::{MemCategory, MemoryTracker, ALL_CATEGORIES, CATEGORY_COUNT, MODEL_STATE_CATEGORIES};
-pub use metrics::TrainingMetrics;
 pub use partition::Partitioner;
 pub use procworld::{
     maybe_run_worker, run_supervised_process, KillSpec, ProcessWorldOptions, WorkerCommand,

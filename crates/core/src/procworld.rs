@@ -13,9 +13,9 @@
 //! ## Worker protocol
 //!
 //! The driver writes one *spec file* per rank (the [`SupervisorConfig`],
-//! the round's start step and fault plan, fabric timing, socket/restore/
-//! result paths) and spawns the caller's worker command with
-//! `ZERO_WORKER_SPEC` pointing at it. Any binary whose `main` (or a test
+//! the round's start step and fault plan, socket/restore/result paths)
+//! and spawns the caller's worker command with `ZERO_WORKER_SPEC`
+//! pointing at it. Any binary whose `main` (or a test
 //! shim) calls [`maybe_run_worker`] first can host a rank — `zero-train`
 //! does, and so do the integration tests by re-executing it.
 //!
@@ -102,8 +102,12 @@ pub struct KillSpec {
     pub after_step: u64,
 }
 
-/// Driver options: worker command, scratch layout, fault injection, and
-/// the fabric timing parameters shared by every rank.
+/// Wall-clock budget for one round; children still alive at the deadline
+/// are killed (and the round treated as failed).
+const ROUND_TIMEOUT: Duration = Duration::from_secs(300);
+
+/// Driver options: worker command, scratch layout, and fault injection.
+/// Every rank's mesh takes [`ProcessWorldConfig::new`]'s timing.
 #[derive(Clone, Debug)]
 pub struct ProcessWorldOptions {
     /// How to spawn one rank.
@@ -114,29 +118,12 @@ pub struct ProcessWorldOptions {
     /// Optional SIGKILL injection, applied in the first round only —
     /// like `cfg.faults`, which the supervisor scripts into round 0 alone.
     pub kill: Option<KillSpec>,
-    /// Wall-clock budget for one round; children still alive at the
-    /// deadline are killed (and the round treated as failed).
-    pub round_timeout: Duration,
-    /// See [`ProcessWorldConfig::heartbeat_interval`].
-    pub heartbeat_interval: Duration,
-    /// See [`ProcessWorldConfig::liveness_timeout`].
-    pub liveness_timeout: Duration,
-    /// See [`ProcessWorldConfig::handshake_timeout`].
-    pub handshake_timeout: Duration,
 }
 
 impl ProcessWorldOptions {
-    /// Defaults sized for test-scale models on a loaded CI machine.
+    /// Spawns `worker` under `run_dir`, with no SIGKILL injection.
     pub fn new(worker: WorkerCommand, run_dir: impl Into<PathBuf>) -> ProcessWorldOptions {
-        ProcessWorldOptions {
-            worker,
-            run_dir: run_dir.into(),
-            kill: None,
-            round_timeout: Duration::from_secs(300),
-            heartbeat_interval: Duration::from_millis(25),
-            liveness_timeout: Duration::from_secs(1),
-            handshake_timeout: Duration::from_secs(20),
-        }
+        ProcessWorldOptions { worker, run_dir: run_dir.into(), kill: None }
     }
 }
 
@@ -189,9 +176,6 @@ fn launch_processes(
             start_step: round.start_step,
             token,
             socket_dir: sock_dir.clone(),
-            heartbeat_interval: opts.heartbeat_interval,
-            liveness_timeout: opts.liveness_timeout,
-            handshake_timeout: opts.handshake_timeout,
             restore_dir: restore_dir.clone(),
             result_path: round_dir.join(format!("result-{rank}.bin")),
             progress_path: round_dir.join(format!("progress-{rank}.txt")),
@@ -212,7 +196,7 @@ fn launch_processes(
     // asynchronous death in the middle of the following step.
     if let (0, Some(kill)) = (round.index, opts.kill) {
         assert!(kill.rank < world, "kill target outside the world");
-        let deadline = Instant::now() + opts.round_timeout;
+        let deadline = Instant::now() + ROUND_TIMEOUT;
         loop {
             let progress = read_progress(&specs[kill.rank].progress_path);
             if progress.is_some_and(|done| done >= kill.after_step) {
@@ -227,7 +211,7 @@ fn launch_processes(
         }
     }
 
-    procs.wait_all(Instant::now() + opts.round_timeout);
+    procs.wait_all(Instant::now() + ROUND_TIMEOUT);
 
     specs
         .iter()
@@ -335,9 +319,6 @@ struct WorkerSpec {
     start_step: u64,
     token: u64,
     socket_dir: PathBuf,
-    heartbeat_interval: Duration,
-    liveness_timeout: Duration,
-    handshake_timeout: Duration,
     restore_dir: Option<PathBuf>,
     result_path: PathBuf,
     progress_path: PathBuf,
@@ -351,9 +332,6 @@ impl WorkerSpec {
         fabric.token = self.token;
         fabric.recv_timeout = self.cfg.recv_timeout;
         fabric.faults = self.cfg.faults.clone();
-        fabric.heartbeat_interval = self.heartbeat_interval;
-        fabric.liveness_timeout = self.liveness_timeout;
-        fabric.handshake_timeout = self.handshake_timeout;
         fabric
     }
 }
@@ -502,8 +480,7 @@ record!(SupervisorConfig {
     setup, steps, snapshot_every, snapshot_dir, faults, recv_timeout, max_recoveries
 });
 record!(WorkerSpec {
-    cfg, rank, start_step, token, socket_dir, heartbeat_interval, liveness_timeout,
-    handshake_timeout, restore_dir, result_path, progress_path
+    cfg, rank, start_step, token, socket_dir, restore_dir, result_path, progress_path
 });
 // Floats travel as bit patterns, so the driver's stitched history is
 // bitwise identical to an in-process run.
@@ -660,9 +637,6 @@ mod tests {
             start_step: 5,
             token: 0xDEAD_BEEF_CAFE,
             socket_dir: PathBuf::from("/tmp/fabric"),
-            heartbeat_interval: Duration::from_millis(30),
-            liveness_timeout: Duration::from_secs(2),
-            handshake_timeout: Duration::from_secs(10),
             restore_dir: Some(PathBuf::from("/tmp/restore-0")),
             result_path: PathBuf::from("/tmp/result-2.bin"),
             progress_path: PathBuf::from("/tmp/progress-2.txt"),
@@ -736,7 +710,6 @@ mod tests {
         // as a zero timeout, a path with a newline tore the file.
         let mut spec = sample_spec();
         spec.cfg.recv_timeout = Duration::from_micros(500);
-        spec.heartbeat_interval = Duration::from_micros(250);
         spec.cfg.faults = FaultPlan::seeded(1).with_delay(0, 3, Duration::from_micros(250));
         let run_dir = PathBuf::from(OsString::from_vec(b"/tmp/run\nresult_path=x/\xff".to_vec()));
         spec.socket_dir = run_dir.join("sockets");
@@ -744,7 +717,6 @@ mod tests {
         spec.cfg.snapshot_dir = run_dir.join("snaps");
         let parsed = round_trip(&spec);
         assert_eq!(parsed.fabric().recv_timeout, Duration::from_micros(500));
-        assert_eq!(parsed.heartbeat_interval, Duration::from_micros(250));
         assert_eq!(parsed.cfg.faults.specs(), spec.cfg.faults.specs());
         for (got, want) in [
             (&parsed.socket_dir, &spec.socket_dir),

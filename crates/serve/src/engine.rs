@@ -30,7 +30,7 @@ use std::time::Instant;
 use zero_comm::{
     launch_with_config, CollectiveKind, Communicator, Group, PendingOp, WorldConfig,
 };
-use zero_core::{CommPlan, Partitioner, ResolvedOp};
+use zero_core::{CommPlan, OpRole, Partitioner, ResolvedOp};
 use zero_model::{argmax, block_rows_kv, embed_rows, head_rows, Gpt, ModelConfig, RowBatch};
 use zero_trace::{SpanCategory, SpanId, StepTimeline};
 
@@ -431,9 +431,9 @@ pub fn run_rank(
 
         // One batch step: walk the units, applying each to the whole row
         // batch. A gather has one issue site and one wait site; the
-        // only thing `overlap` decides is whether unit u+1's gather is
-        // issued before unit u's is waited (the double buffer: at most two
-        // units materialized at once) or each is waited as it is issued.
+        // plan's `ahead` flag decides whether unit u+1's gather is issued
+        // before unit u's is waited (the double buffer: at most two units
+        // materialized at once) or each is waited as it is issued.
         let n_units = units.len();
         let mut issue = |v: usize| -> (PendingOp, u64) {
             let op = &ops[v];
@@ -443,7 +443,8 @@ pub fn run_rank(
         let mut ahead: Option<(PendingOp, u64)> = None;
         for u in 0..n_units {
             let (pend, cur_bytes) = ahead.take().unwrap_or_else(|| issue(u));
-            if cfg.overlap && u + 1 < n_units {
+            let next = ops.get(u + 1).map(|op| &op.role);
+            if matches!(next, Some(OpRole::Fetch { ahead: true, .. })) {
                 ahead = Some(issue(u + 1));
             }
             let wspan = trace.begin(SpanCategory::Wait, "gather-wait");

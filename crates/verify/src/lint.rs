@@ -32,8 +32,7 @@
 //!   and can race a notify against the predicate check, so the wait must
 //!   sit inside a loop that re-checks its predicate — exactly the shape
 //!   `zero-verify --pass modelcheck` proves correct for the shutdown
-//!   latch and timeout barrier. A bare `if`-guarded wait is a latent lost
-//!   wakeup.
+//!   latch. A bare `if`-guarded wait is a latent lost wakeup.
 //!
 //! The scanner masks comments, strings, and char literals before
 //! matching, and skips `#[cfg(test)]` regions, so the rules fire only on
@@ -112,7 +111,6 @@ const COMM_TOKENS: &[&str] = &[
     "all_gather",
     "send_raw",
     "recv_raw",
-    "barrier",
     "local_index",
     // Transport-fabric entry points (trait methods and the socket
     // backend's frame writer): a panic here severs the wire mid-frame
@@ -128,7 +126,7 @@ const COMM_TOKENS: &[&str] = &[
 /// not match: inside a flush closure the non-blocking launch is exactly
 /// what the rule demands.
 const BLOCKING_TOKENS: &[&str] =
-    &[".all_reduce(", ".all_reduce_in(", ".reduce_scatter(", ".all_gather(", ".barrier("];
+    &[".all_reduce(", ".all_reduce_in(", ".reduce_scatter(", ".all_gather("];
 
 /// Replaces comments, string literals, and char literals with spaces
 /// (newlines preserved) so pattern matching cannot fire inside them.
@@ -612,7 +610,7 @@ mod tests {
         // In a comment, a string, and inside #[cfg(test)].
         assert!(lint_str("// comm.all_reduce(x).unwrap()\n").is_empty());
         assert!(lint_str("fn f() { let s = \"rx.recv()\"; }\n").is_empty());
-        let src = "#[cfg(test)]\nmod tests {\n  fn g() { comm.barrier(g).unwrap(); }\n}\nfn h() {}\n";
+        let src = "#[cfg(test)]\nmod tests {\n  fn g() { comm.all_gather(g).unwrap(); }\n}\nfn h() {}\n";
         assert!(lint_str(src).is_empty());
     }
 
@@ -661,7 +659,7 @@ mod tests {
         for t in BLOCKING_TOKENS {
             assert!(shipped.iter().any(|s| s == t), "{t} names no shipped method");
         }
-        const SHAPES: &[&str] = &["all_reduce", "reduce_scatter", "all_gather", "barrier"];
+        const SHAPES: &[&str] = &["all_reduce", "reduce_scatter", "all_gather"];
         for s in shipped.iter().filter(|s| !s.starts_with(".start_")) {
             if SHAPES.iter().any(|k| s.contains(k)) {
                 assert!(BLOCKING_TOKENS.contains(&s.as_str()), "blocking wrapper {s} is not listed");
@@ -686,7 +684,7 @@ mod tests {
 
     #[test]
     fn looped_condvar_wait_is_clean() {
-        // The shapes the real ShutdownLatch / TimeoutBarrier use.
+        // The real ShutdownLatch's `while` shape, and a `loop` re-check.
         let src = "fn f() {\n  while !latch::sole_survivor(*live) {\n    \
                    let (g, _) = self.cv.wait_timeout(live, d).unwrap_or_else(|p| p.into_inner());\n    \
                    live = g;\n  }\n}\n";

@@ -230,8 +230,8 @@ fn apply(prog: &dyn Program, st: &mut ModelState, s: Sched) {
     }
 }
 
-/// Replays a schedule from the initial state; the conformance tests use
-/// this to drive the *real* primitives through checker-found orders.
+/// Replays a schedule from the initial state, so a reported failure
+/// trace can be re-run to the state it names.
 pub fn replay(prog: &dyn Program, trace: &[Sched]) -> ModelState {
     let mut st = prog.init();
     for &s in trace {
@@ -728,7 +728,8 @@ mod tests {
         }
     }
 
-    /// Same counter without the mutex: the race detector must fire.
+    /// Same counter without the mutex: the race detector must fire, and
+    /// the final-state check must catch the lost update.
     struct RacyCounter;
 
     impl Program for RacyCounter {
@@ -751,6 +752,10 @@ mod tests {
                 }
                 pc => panic!("bad pc {pc}"),
             }
+        }
+
+        fn check_final(&self, st: &ModelState) -> Option<String> {
+            (st.data[0].value != 2).then(|| format!("lost update: sum {}", st.data[0].value))
         }
     }
 
@@ -866,6 +871,12 @@ mod tests {
         assert!(!r.races.is_empty(), "race must be detected");
         assert!(r.race_trace.is_some());
         assert_eq!(r.races[0].cell, DataId(0));
+        let f = r.failure.expect("the lost update must fail the final-state check");
+        assert!(matches!(f.violation, Violation::Invariant(_)), "{:?}", f.violation);
+        // The reported schedule replays to a final state that fails the
+        // same check.
+        let st = replay(&RacyCounter, &f.trace);
+        assert!(RacyCounter.check_final(&st).is_some(), "{}", format_trace(&f.trace));
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //! transport/overlap concurrency protocols *before they run*.
 //!
 //! `zero-comm` coordinates ranks with hand-rolled protocols — shutdown
-//! latch, timeout barrier, dissemination barrier, socket handshake,
-//! progress-thread work queue. Their decision logic lives as pure
-//! kernels in [`zero_comm::protocol`]; this pass re-expresses the
-//! synchronization skeleton around those kernels against modeled
-//! primitives ([`shims`]) and hands the result to a deterministic
-//! bounded interleaving explorer ([`explorer`]):
+//! latch, socket handshake, progress-thread work queue. Their decision
+//! logic lives as pure kernels in [`zero_comm::protocol`]; this pass
+//! re-expresses the synchronization skeleton around those kernels
+//! against modeled primitives ([`shims`]) and hands the result to a
+//! deterministic bounded interleaving explorer ([`explorer`]):
 //!
 //! * a DFS over schedule choices with **sleep-set partial-order
 //!   reduction** and a **visited-state hash table**, so each
@@ -19,8 +18,7 @@
 //! * violations reported as **minimal replayable schedules**.
 //!
 //! [`run_modelcheck`] checks every protocol at world sizes 2 and 3,
-//! proving: no deadlock, no lost wakeup, quiescent shutdown, and
-//! barrier correctness (no rank exits a wave others never entered). The
+//! proving: no deadlock, no lost wakeup, and quiescent shutdown. The
 //! CLI exposes it as `zero-verify --pass modelcheck`; `ci.sh` runs it
 //! with an explicit state budget.
 
@@ -32,44 +30,26 @@ pub use explorer::{
     enumerate_final_states, explore, format_trace, ExploreResult, ExploreStats, Failure,
     Program, Sched, Violation,
 };
-pub use protocols::{BarrierModel, DissemModel, HandshakeModel, LatchModel, ProgressModel};
+pub use protocols::{HandshakeModel, LatchModel, ProgressModel};
 pub use shims::{FaultBudget, ModelState, RaceReport, Status};
 
 /// One checked scenario: a protocol model at a world size and fault
 /// regime.
 pub struct Scenario {
-    /// Stable name, e.g. `barrier.n3` or `dissem.n2+crash`.
+    /// Stable name, e.g. `latch.n3` or `handshake.n2+crash`.
     pub name: &'static str,
     /// The model under check.
     pub program: Box<dyn Program>,
 }
 
-/// The scenario matrix the pass runs: all five protocols, world sizes
+/// The scenario matrix the pass runs: all three protocols, world sizes
 /// 2 and 3, with a one-timeout budget everywhere and additionally a
-/// one-crash budget for the cross-process protocols (a thread of an
+/// one-crash budget for the cross-process handshake (a thread of an
 /// in-process primitive cannot vanish, a rank process can).
 pub fn scenarios() -> Vec<Scenario> {
     vec![
         Scenario { name: "latch.n2", program: Box::new(LatchModel { ranks: 2 }) },
         Scenario { name: "latch.n3", program: Box::new(LatchModel { ranks: 3 }) },
-        Scenario {
-            name: "barrier.n2",
-            program: Box::new(BarrierModel { ranks: 2, mutant_leak_withdraw: false }),
-        },
-        Scenario {
-            name: "barrier.n3",
-            program: Box::new(BarrierModel { ranks: 3, mutant_leak_withdraw: false }),
-        },
-        Scenario { name: "dissem.n2", program: Box::new(DissemModel { ranks: 2, crash: false }) },
-        Scenario {
-            name: "dissem.n2+crash",
-            program: Box::new(DissemModel { ranks: 2, crash: true }),
-        },
-        Scenario { name: "dissem.n3", program: Box::new(DissemModel { ranks: 3, crash: false }) },
-        Scenario {
-            name: "dissem.n3+crash",
-            program: Box::new(DissemModel { ranks: 3, crash: true }),
-        },
         Scenario {
             name: "handshake.n2",
             program: Box::new(HandshakeModel { peers: 1, crash: false }),
@@ -221,33 +201,7 @@ mod tests {
         }
     }
 
-    /// The seeded mutation test: a barrier whose withdraw forgets to
-    /// decrement the arrival count must be caught — the leaked count
-    /// lets a later wave release before every rank entered it.
-    #[test]
-    fn mutated_barrier_withdraw_leak_is_caught() {
-        for ranks in [2usize, 3] {
-            let r = explore(&BarrierModel { ranks, mutant_leak_withdraw: true }, BUDGET);
-            let f = r
-                .failure
-                .unwrap_or_else(|| panic!("mutant barrier (n={ranks}) must be rejected"));
-            assert!(
-                matches!(f.violation, Violation::Invariant(_)),
-                "n={ranks}: want an invariant break, got {}",
-                f.violation
-            );
-            assert!(!f.trace.is_empty(), "violation needs a replayable schedule");
-            // The schedule replays to the violation deterministically.
-            let prog = BarrierModel { ranks, mutant_leak_withdraw: true };
-            let st = explorer::replay(&prog, &f.trace);
-            assert!(
-                st.effects.failure.is_some() || prog.check(&st).is_some(),
-                "replayed schedule must land on the violation"
-            );
-        }
-    }
-
-    /// Second mutation: a progress queue nobody closes hangs its
+    /// The seeded mutation test: a progress queue nobody closes hangs its
     /// join-on-drop — the checker must report the deadlock.
     #[test]
     fn mutated_progress_queue_without_close_deadlocks() {
@@ -266,8 +220,8 @@ mod tests {
     /// tid-major transition order) so CI failures replay locally.
     #[test]
     fn exploration_is_deterministic() {
-        let a = explore(&BarrierModel { ranks: 3, mutant_leak_withdraw: false }, BUDGET);
-        let b = explore(&BarrierModel { ranks: 3, mutant_leak_withdraw: false }, BUDGET);
+        let a = explore(&HandshakeModel { peers: 2, crash: true }, BUDGET);
+        let b = explore(&HandshakeModel { peers: 2, crash: true }, BUDGET);
         assert_eq!(a.stats.states, b.stats.states);
         assert_eq!(a.stats.transitions, b.stats.transitions);
         assert_eq!(a.stats.max_depth, b.stats.max_depth);

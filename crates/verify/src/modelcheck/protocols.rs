@@ -12,21 +12,12 @@
 //! 1. [`LatchModel`] — `ShutdownLatch`: departing handles decrement a
 //!    live count under a mutex and notify; a rank in the deadline wait
 //!    re-checks `latch::sole_survivor` in a timed-wait loop.
-//! 2. [`BarrierModel`] — `TimeoutBarrier`: generation-counted arrivals
-//!    via [`BarrierCore`], withdraw-on-timeout, and one retry — the
-//!    reusability the real barrier promises across steps. The
-//!    `mutant_leak_withdraw` flag builds the *broken* barrier (withdraw
-//!    forgets to decrement) for the seeded mutation test.
-//! 3. [`DissemModel`] — the socket backend's dissemination barrier:
-//!    `ceil(log2 N)` rounds over per-link FIFO channels following
-//!    [`dissemination_schedule`], timeout-bounded receives, optional
-//!    rank crash severing its links.
-//! 4. [`HandshakeModel`] — the connect/accept hello exchange at byte
+//! 2. [`HandshakeModel`] — the connect/accept hello exchange at byte
 //!    granularity: partial reads (every split explored via scheduler
 //!    choices), residue bytes carried from the hello read into the
 //!    payload phase, slow/fast peers, and a sequential accept loop in
 //!    the 3-peer variant.
-//! 5. [`ProgressModel`] — the non-blocking engine's progress thread: an
+//! 3. [`ProgressModel`] — the non-blocking engine's progress thread: an
 //!    unbounded work queue, completion flags published under a
 //!    mutex/condvar, timed `PendingOp` waits, and join-on-drop
 //!    quiescence (last handle closes the queue; the thread drains and
@@ -34,10 +25,10 @@
 //!    join-would-hang bug — for the mutation test.
 //!
 //! Ghost cells carry the specification state the invariants quantify
-//! over (who entered the current barrier generation, how many jobs
-//! executed); they are hashed and footprinted but race-exempt.
+//! over (live sender handles, how many jobs executed); they are hashed
+//! and footprinted but race-exempt.
 
-use zero_comm::protocol::{dissemination_schedule, latch, Arrival, BarrierCore};
+use zero_comm::protocol::latch;
 
 use super::explorer::Program;
 use super::shims::{ChannelId, CondvarId, DataId, FaultBudget, ModelState, MutexId, Status, Tid};
@@ -133,275 +124,7 @@ impl Program for LatchModel {
 }
 
 // ---------------------------------------------------------------------
-// 2. TimeoutBarrier with withdraw-on-timeout
-// ---------------------------------------------------------------------
-
-/// `TimeoutBarrier::wait_timeout` for every rank, driven by the real
-/// [`BarrierCore`] kernel under the modeled mutex. A timed-out rank
-/// withdraws and retries once (generation reuse); ghost state tracks
-/// who is inside the current wave so the release invariant — nobody is
-/// released before all `n` arrivals are in — is checked at every state.
-pub struct BarrierModel {
-    pub ranks: usize,
-    /// Seeded bug: withdraw forgets to decrement the arrival count.
-    pub mutant_leak_withdraw: bool,
-}
-
-impl BarrierModel {
-    const MX: MutexId = MutexId(0);
-    const CV: CondvarId = CondvarId(0);
-    const ARRIVED: DataId = DataId(0);
-    const GEN: DataId = DataId(1);
-    /// Ghost: bitmask of ranks inside the current wave.
-    const ENTERED: usize = 0;
-
-    fn load_core(&self, st: &mut ModelState, tid: Tid) -> BarrierCore {
-        BarrierCore {
-            n: self.ranks,
-            arrived: st.read_data(tid, Self::ARRIVED) as usize,
-            generation: st.read_data(tid, Self::GEN) as u64,
-        }
-    }
-
-    fn store_core(&self, st: &mut ModelState, tid: Tid, core: BarrierCore) {
-        st.write_data(tid, Self::ARRIVED, core.arrived as i64);
-        st.write_data(tid, Self::GEN, core.generation as i64);
-    }
-}
-
-impl Program for BarrierModel {
-    fn init(&self) -> ModelState {
-        let mut st = ModelState::new(self.ranks);
-        st.add_mutex();
-        st.add_condvar();
-        st.add_data(0); // arrived
-        st.add_data(0); // generation
-        st.add_ghost(0); // entered mask
-        st.budget = FaultBudget { crashes: 0, timeouts: 1 };
-        for tid in 0..self.ranks {
-            st.set_reg(tid, 0, PENDING);
-        }
-        st
-    }
-
-    fn step(&self, st: &mut ModelState, tid: Tid, _choice: usize) {
-        match st.pc(tid) {
-            // Arrive.
-            0 => {
-                if st.lock(tid, Self::MX) {
-                    let mut core = self.load_core(st, tid);
-                    let entered = st.ghost_read(Self::ENTERED) | (1 << tid);
-                    st.ghost_write(Self::ENTERED, entered);
-                    match core.arrive() {
-                        Arrival::Released => {
-                            if entered.count_ones() as usize != self.ranks {
-                                st.fail(format!(
-                                    "generation released with entered mask {entered:b}, \
-                                     want all {} ranks",
-                                    self.ranks
-                                ));
-                            }
-                            st.ghost_write(Self::ENTERED, 0);
-                            self.store_core(st, tid, core);
-                            st.notify_all(tid, Self::CV);
-                            st.unlock(tid, Self::MX);
-                            st.set_reg(tid, 0, OK);
-                            st.done(tid);
-                        }
-                        Arrival::MustWait { gen } => {
-                            self.store_core(st, tid, core);
-                            st.set_reg(tid, 1, gen as i64);
-                            st.goto(tid, 1);
-                            st.cv_wait(tid, Self::CV, Self::MX, true);
-                        }
-                    }
-                }
-            }
-            // Waiting loop: released? deadline? spurious wake?
-            1 => {
-                if st.lock(tid, Self::MX) {
-                    let mut core = self.load_core(st, tid);
-                    let gen = st.reg(tid, 1) as u64;
-                    if core.released(gen) {
-                        st.unlock(tid, Self::MX);
-                        st.set_reg(tid, 0, OK);
-                        st.done(tid);
-                    } else if st.timed_out(tid) {
-                        if self.mutant_leak_withdraw {
-                            // BUG under test: the arrival count keeps the
-                            // ghost of the departed rank.
-                        } else {
-                            core.withdraw();
-                            self.store_core(st, tid, core);
-                        }
-                        let entered = st.ghost_read(Self::ENTERED) & !(1 << tid);
-                        st.ghost_write(Self::ENTERED, entered);
-                        st.unlock(tid, Self::MX);
-                        if st.reg(tid, 2) == 0 {
-                            // Retry once: barrier reuse after a timeout.
-                            st.set_reg(tid, 2, 1);
-                            st.goto(tid, 0);
-                        } else {
-                            st.set_reg(tid, 0, TIMED_OUT);
-                            st.done(tid);
-                        }
-                    } else {
-                        st.goto(tid, 1);
-                        st.cv_wait(tid, Self::CV, Self::MX, true);
-                    }
-                }
-            }
-            pc => panic!("barrier model: bad pc {pc}"),
-        }
-    }
-
-    fn check(&self, st: &ModelState) -> Option<String> {
-        // The arrival count and the ghost membership mask must agree at
-        // every reachable state — withdraw leaks break this on the spot.
-        let arrived = st.data[Self::ARRIVED.0].value;
-        let entered = st.ghost[Self::ENTERED].count_ones() as i64;
-        (arrived != entered).then(|| {
-            format!("arrival count {arrived} disagrees with {entered} ranks inside the wave")
-        })
-    }
-
-    fn check_final(&self, st: &ModelState) -> Option<String> {
-        if st.budget.timeouts == 1 {
-            // Fault-free run: everyone passes, exactly one generation.
-            for tid in 0..self.ranks {
-                if outcome(st, tid) != OK {
-                    return Some(format!("rank {tid} failed the barrier without any timeout"));
-                }
-            }
-            if st.data[Self::GEN.0].value != 1 {
-                return Some(format!(
-                    "fault-free run ended at generation {}, want 1",
-                    st.data[Self::GEN.0].value
-                ));
-            }
-        }
-        None
-    }
-}
-
-// ---------------------------------------------------------------------
-// 3. Dissemination barrier over per-link FIFO channels
-// ---------------------------------------------------------------------
-
-/// The socket backend's dissemination barrier: every rank walks the
-/// real [`dissemination_schedule`], sending its round token and then
-/// blocking (timeout-bounded) on the matching link. One channel per
-/// ordered rank pair gives per-link FIFO, exactly like one socket per
-/// peer. A crash-injected rank severs every link it touches; survivors
-/// must abort via closed-link or timeout, never deadlock.
-pub struct DissemModel {
-    pub ranks: usize,
-    /// Allow one rank crash (vs. one timeout) as the injected fault.
-    pub crash: bool,
-}
-
-impl DissemModel {
-    /// Ghost: bitmask of ranks that entered the barrier (sent round 0).
-    const ARRIVED: usize = 0;
-
-    fn link(&self, src: usize, dst: usize) -> ChannelId {
-        debug_assert!(src != dst);
-        ChannelId(src * self.ranks + dst)
-    }
-}
-
-impl Program for DissemModel {
-    fn init(&self) -> ModelState {
-        let mut st = ModelState::new(self.ranks);
-        for src in 0..self.ranks {
-            for dst in 0..self.ranks {
-                let ch = st.add_channel();
-                if src != dst {
-                    // A dead process severs both directions of its
-                    // sockets.
-                    st.owned_channels[src].push(ch);
-                    st.owned_channels[dst].push(ch);
-                }
-            }
-        }
-        st.add_ghost(0);
-        st.budget = if self.crash {
-            FaultBudget { crashes: 1, timeouts: 0 }
-        } else {
-            FaultBudget { crashes: 0, timeouts: 1 }
-        };
-        for tid in 0..self.ranks {
-            st.set_reg(tid, 0, PENDING);
-        }
-        st
-    }
-
-    fn step(&self, st: &mut ModelState, tid: Tid, _choice: usize) {
-        let schedule = dissemination_schedule(tid, self.ranks);
-        match st.pc(tid) {
-            // Send the round token, then await the mirror token.
-            0 => {
-                let round = st.reg(tid, 3) as usize;
-                if round >= schedule.len() {
-                    st.set_reg(tid, 0, OK);
-                    st.done(tid);
-                    return;
-                }
-                if round == 0 {
-                    let arrived = st.ghost_read(Self::ARRIVED) | (1 << tid);
-                    st.ghost_write(Self::ARRIVED, arrived);
-                }
-                let hop = schedule[round];
-                st.send(tid, self.link(tid, hop.dst), hop.round as i64);
-                st.goto(tid, 1);
-                st.recv_into(tid, self.link(hop.src, tid), 1, true);
-            }
-            // Token (or failure) arrived.
-            1 => {
-                if st.timed_out(tid) || st.was_closed(tid) {
-                    st.set_reg(tid, 0, ABORTED);
-                    st.done(tid);
-                    return;
-                }
-                let round = st.reg(tid, 3) as usize;
-                let got = st.reg(tid, 1);
-                if got != round as i64 {
-                    // Per-link FIFO and distinct per-round offsets make
-                    // this impossible; a schedule bug would trip it.
-                    st.fail(format!("rank {tid} got round token {got} in round {round}"));
-                }
-                st.set_reg(tid, 3, round as i64 + 1);
-                st.goto(tid, 0);
-            }
-            pc => panic!("dissem model: bad pc {pc}"),
-        }
-    }
-
-    fn check_final(&self, st: &ModelState) -> Option<String> {
-        let all = (1i64 << self.ranks) - 1;
-        let arrived = st.ghost[Self::ARRIVED];
-        // The barrier property: a rank that passed cleanly has
-        // transitively heard from everyone, so everyone entered.
-        for tid in 0..self.ranks {
-            if outcome(st, tid) == OK && arrived != all {
-                return Some(format!(
-                    "rank {tid} exited the barrier though arrivals were {arrived:b}"
-                ));
-            }
-        }
-        if st.budget.timeouts == 1 && !any_crashed(st) {
-            for tid in 0..self.ranks {
-                if outcome(st, tid) != OK {
-                    return Some(format!("rank {tid} aborted a fault-free barrier"));
-                }
-            }
-        }
-        None
-    }
-}
-
-// ---------------------------------------------------------------------
-// 4. Socket handshake with residue bytes
+// 2. Socket handshake with residue bytes
 // ---------------------------------------------------------------------
 
 /// The connect/accept hello exchange, modeled at byte granularity: each
@@ -624,7 +347,7 @@ impl Program for HandshakeModel {
 }
 
 // ---------------------------------------------------------------------
-// 5. Progress thread with join-on-drop PendingOps
+// 3. Progress thread with join-on-drop PendingOps
 // ---------------------------------------------------------------------
 
 /// The non-blocking engine's progress thread: submitters enqueue jobs

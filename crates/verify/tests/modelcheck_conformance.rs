@@ -2,27 +2,23 @@
 //!
 //! The model checker (`zero_verify::modelcheck`) exhaustively
 //! enumerates every reachable terminal outcome class of the protocol
-//! models. These tests close the loop on the real primitives: the
-//! actual [`ShutdownLatch`] and [`TimeoutBarrier`] are driven through
-//! the critical schedules the checker found — shutdown before the
-//! deadline, deadline expiring under live peers, depart racing the
-//! deadline, and the timeout → withdraw → retry path — and every
-//! observed outcome must lie inside the model's feasible classes. One
-//! test also replays the *mutant's* minimal counterexample schedule
-//! against the real barrier to show the shipped code does not exhibit
-//! the bug the checker proved the mutant has.
+//! models. These tests close the loop on the real primitive: the actual
+//! [`ShutdownLatch`] is driven through the critical schedules the
+//! checker found — shutdown before the deadline, deadline expiring under
+//! live peers, and depart racing the deadline — and every observed
+//! outcome must lie inside the model's feasible classes.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use zero_comm::{ShutdownLatch, TimeoutBarrier};
-use zero_verify::modelcheck::protocols::{BarrierModel, LatchModel, OK, TIMED_OUT};
+use zero_comm::ShutdownLatch;
+use zero_verify::modelcheck::protocols::{LatchModel, OK, TIMED_OUT};
 use zero_verify::modelcheck::enumerate_final_states;
 
 /// Plain (reduction-free) enumeration budget; far above the measured
-/// plain state counts of the latch/barrier models at n ∈ {2, 3}.
+/// plain state counts of the latch model at n ∈ {2, 3}.
 const BUDGET: u64 = 2_000_000;
 
 /// Feasible outcomes of the waiter thread (t0) in the latch model.
@@ -31,16 +27,6 @@ fn latch_waiter_classes(ranks: usize) -> BTreeSet<i64> {
         .expect("latch enumeration must fit the budget")
         .iter()
         .map(|st| st.locals[0].regs[0])
-        .collect()
-}
-
-/// Feasible per-rank outcome vectors of the barrier model.
-fn barrier_classes(ranks: usize) -> BTreeSet<Vec<i64>> {
-    let prog = BarrierModel { ranks, mutant_leak_withdraw: false };
-    enumerate_final_states(&prog, BUDGET)
-        .expect("barrier enumeration must fit the budget")
-        .iter()
-        .map(|st| (0..ranks).map(|t| st.locals[t].regs[0]).collect())
         .collect()
 }
 
@@ -98,59 +84,4 @@ fn real_shutdown_latch_survives_depart_racing_deadline() {
     let cancelled = latch.wait_sole_survivor(Instant::now() + Duration::from_secs(10));
     h.join().unwrap();
     assert!(cancelled, "a depart before the far deadline must cancel the wait");
-}
-
-#[test]
-fn model_barrier_outcomes_are_all_ok_even_under_timeout() {
-    // The checker's enumeration: with ≤ 1 injected timeout, withdraw +
-    // retry keeps every terminal class all-OK — no rank is stranded and
-    // no wave releases early. (The withdraw-leak mutant breaks exactly
-    // this; the seeded mutation test in `modelcheck` proves the checker
-    // catches it.)
-    for ranks in [2usize, 3] {
-        let classes = barrier_classes(ranks);
-        assert!(!classes.is_empty(), "n={ranks}: no terminal state reached");
-        for class in &classes {
-            assert_eq!(class, &vec![OK; ranks], "n={ranks}: unexpected outcome class");
-        }
-    }
-}
-
-#[test]
-fn real_timeout_barrier_follows_the_timeout_withdraw_retry_schedule() {
-    // The model's only path through an injected timeout: arrive, time
-    // out, withdraw, retry into a full wave that releases everyone.
-    // Drive the real barrier through exactly that schedule.
-    for n in [2usize, 3] {
-        let b = Arc::new(TimeoutBarrier::new(n));
-        // Solo arrival times out (the injected fault)...
-        assert!(!b.wait_timeout(Duration::from_millis(10)), "n={n}: solo wait must expire");
-        // ...and the withdraw left the count clean: a full wave of n
-        // parties still releases. A leaked arrival would either release
-        // a partial wave or strand the full one.
-        let mut handles = Vec::new();
-        for _ in 1..n {
-            let peer = Arc::clone(&b);
-            handles.push(thread::spawn(move || peer.wait_timeout(Duration::from_secs(10))));
-        }
-        assert!(b.wait_timeout(Duration::from_secs(10)), "n={n}: full wave must release");
-        for h in handles {
-            assert!(h.join().unwrap(), "n={n}: every party of the full wave must release");
-        }
-    }
-}
-
-#[test]
-fn real_barrier_does_not_release_early_after_a_withdraw() {
-    // The mutant's minimal counterexample schedule, replayed on the
-    // real barrier: t0 arrives and times out (withdraws), then t1
-    // arrives alone. Under the leaky mutant the stale count releases
-    // t1's wave with only one rank inside; the shipped barrier must
-    // instead leave t1 waiting until its own timeout.
-    let b = TimeoutBarrier::new(2);
-    assert!(!b.wait_timeout(Duration::from_millis(10)));
-    assert!(
-        !b.wait_timeout(Duration::from_millis(50)),
-        "withdraw leaked an arrival: a lone rank was released"
-    );
 }

@@ -255,7 +255,6 @@ fn main() {
         steps
     );
     let t0 = std::time::Instant::now();
-    let mut metrics = zero::core::TrainingMetrics::new((setup.global_batch * model.seq) as u64);
     let report = if text_path.is_empty() {
         run_training(&setup, steps, (steps / 5).max(1))
     } else {
@@ -265,14 +264,6 @@ fn main() {
         zero::core::run_training_on(&setup, steps, (steps / 5).max(1), corpus.tokens())
     };
     let dt = t0.elapsed();
-    for (i, &loss) in report.losses.iter().enumerate() {
-        metrics.record(&zero::core::StepOutcome {
-            loss,
-            skipped: report.skipped[i],
-            grad_norm: None,
-            loss_scale: 1.0,
-        });
-    }
 
     for (i, loss) in report.losses.iter().enumerate() {
         if i < 3 || i + 3 >= report.losses.len() || (i + 1) % 10 == 0 {
@@ -292,7 +283,23 @@ fn main() {
         );
     }
     println!("\nwall time: {:.2?} ({:.1} steps/s)", dt, steps as f64 / dt.as_secs_f64());
-    println!("{}", metrics.summary());
+    // Run summary over the steps the loss scaler kept: last and best loss,
+    // their EMA (β = 0.9) and its perplexity; throughput and skip rate
+    // count every step, since a skipped one still ran forward/backward.
+    let kept: Vec<f32> =
+        report.losses.iter().zip(&report.skipped).filter(|(_, &s)| !s).map(|(&l, _)| l).collect();
+    let beta = 0.9;
+    let ema = kept.iter().map(|&l| l as f64).reduce(|e, l| beta * e + (1.0 - beta) * l);
+    let ema = ema.unwrap_or(f64::NAN);
+    let run = report.losses.len();
+    println!(
+        "step {run:>5}  loss {:.4} (ema {ema:.4}, best {:.4})  ppl {:.2}  {:.0} tok/s  skip {:.1}%",
+        kept.last().copied().unwrap_or(f32::NAN),
+        kept.iter().copied().fold(f32::INFINITY, f32::min),
+        ema.exp(),
+        (run * setup.global_batch * model.seq) as f64 / dt.as_secs_f64(),
+        100.0 * (run - kept.len()) as f64 / run.max(1) as f64,
+    );
     println!("\nper-rank report (rank 0):");
     let r = &report.ranks[0];
     println!("  model states (peak): {} bytes", r.peak_model_state_bytes);
