@@ -443,21 +443,28 @@ fn first_losses_are_pinned_bit_for_bit() {
     // wire formats), stage 3 under an armed tier budget (demand tier
     // fetches and per-flush spills), stage 1 with a bucket smaller than Ψ
     // (chunked gradient reduce-scatter and parameter publish), and DDP's
-    // two-level all-reduce on two nodes of two, chunked the same way.
+    // two-level all-reduce on two nodes of two, chunked the same way. The
+    // last two rows pin the checkpoint walk: stage 3 fp16 with overlap at
+    // interval 2 (one two-block recompute segment holding its units), and
+    // stage 2 on a 2 × 2 grid with P_a+cpu (the MP checkpoint gather, CPU
+    // pricing, no arena). Every row also pins rank 0's peak device bytes,
+    // so an alloc/free reordered across the step fails here.
     let two = Grid::new(2, 1);
     let zeropp = CompressionConfig { qwz: true, hpz: true, qgz: true, node_size: 2, block: 64 };
-    let pinned: [(ZeroConfig, Grid, u64, [u32; 5]); 6] = [
+    let pinned: [(ZeroConfig, Grid, u64, [u32; 5], u64); 8] = [
         (
             ZeroConfig { stage: ZeroStage::Two, initial_loss_scale: 1.0, ..ZeroConfig::default() },
             two,
             11,
             [0x405e27a6, 0x405e6cda, 0x405d88e4, 0x405e4936, 0x405e5188],
+            100_992,
         ),
         (
             ZeroConfig::fp32_exact(ZeroStage::Three).overlapped(),
             two,
             12,
             [0x405db1ea, 0x405ec222, 0x405bcee1, 0x405efd86, 0x405c5559],
+            139_008,
         ),
         (
             ZeroConfig {
@@ -469,12 +476,14 @@ fn first_losses_are_pinned_bit_for_bit() {
             Grid::new(4, 1),
             13,
             [0x405cc4e1, 0x405c9ccf, 0x405d8818, 0x405d5620, 0x405ee717],
+            69_696,
         ),
         (
             ZeroConfig { tier: TierConfig::budgeted(1 << 20), ..ZeroConfig::fp32_exact(ZeroStage::Three) },
             two,
             14,
             [0x405d81d7, 0x405c724f, 0x405e1688, 0x405cc4ba, 0x405a73b4],
+            48_448,
         ),
         (
             ZeroConfig {
@@ -486,6 +495,7 @@ fn first_losses_are_pinned_bit_for_bit() {
             two,
             15,
             [0x405e3953, 0x405d243e, 0x405c2ff8, 0x405c2058, 0x405d0e62],
+            108_736,
         ),
         (
             ZeroConfig {
@@ -498,12 +508,40 @@ fn first_losses_are_pinned_bit_for_bit() {
             Grid::new(4, 1),
             16,
             [0x405de746, 0x405d978f, 0x405c001a, 0x405ee946, 0x405d56e1],
+            146_112,
+        ),
+        (
+            ZeroConfig {
+                stage: ZeroStage::Three,
+                initial_loss_scale: 1.0,
+                checkpoint_interval: 2,
+                ..ZeroConfig::default()
+            }
+            .overlapped(),
+            two,
+            17,
+            [0x405ed4f8, 0x405ceadb, 0x405ccd3c, 0x405cc6b1, 0x405c061d],
+            123_520,
+        ),
+        (
+            ZeroConfig {
+                stage: ZeroStage::Two,
+                initial_loss_scale: 1.0,
+                partition_activations: true,
+                offload_checkpoints: true,
+                ..ZeroConfig::default()
+            },
+            Grid::new(2, 2),
+            18,
+            [0x405e825f, 0x405f1560, 0x405eed28, 0x405e8ff5, 0x405d3320],
+            59_280,
         ),
     ];
-    for (zero, grid, seed, want) in pinned {
+    for (zero, grid, seed, want, peak) in pinned {
         let setup = TrainSetup { model: model(), zero, grid, global_batch: 4, seed };
         let report = run_training(&setup, 5, 0);
         let got: Vec<u32> = report.losses.iter().map(|l| l.to_bits()).collect();
         assert_eq!(got, want, "stage {:?} seed {seed} losses {:x?}", setup.zero.stage, got);
+        assert_eq!(report.ranks[0].peak_device_bytes, peak, "seed {seed} peak device bytes");
     }
 }
