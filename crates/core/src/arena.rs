@@ -60,16 +60,7 @@ impl ContiguousArena {
     /// from the model configuration, so overflow is a sizing bug, not a
     /// runtime condition to limp through.
     pub fn store(&mut self, data: &[f32]) -> ArenaSlot {
-        let slot = self.reserve(data.len());
-        self.slot_mut(&slot).copy_from_slice(data);
-        slot
-    }
-
-    /// Reserves an uninitialized (zero-filled on first use) slice.
-    ///
-    /// # Panics
-    /// Panics if capacity is exceeded.
-    pub fn reserve(&mut self, len: usize) -> ArenaSlot {
+        let len = data.len();
         assert!(
             self.cursor + len <= self.buf.len(),
             "arena overflow: need {} more elements, capacity {}",
@@ -81,10 +72,9 @@ impl ContiguousArena {
             len,
             epoch: self.epoch,
         };
+        self.buf[self.cursor..self.cursor + len].copy_from_slice(data);
         self.cursor += len;
-        if self.cursor > self.high_water {
-            self.high_water = self.cursor;
-        }
+        self.high_water = self.high_water.max(self.cursor);
         slot
     }
 
@@ -95,15 +85,6 @@ impl ContiguousArena {
     pub fn slot(&self, slot: &ArenaSlot) -> &[f32] {
         assert_eq!(slot.epoch, self.epoch, "stale arena slot (epoch mismatch)");
         &self.buf[slot.offset..slot.offset + slot.len]
-    }
-
-    /// Mutable access to a slot.
-    ///
-    /// # Panics
-    /// Panics if the slot is stale.
-    pub fn slot_mut(&mut self, slot: &ArenaSlot) -> &mut [f32] {
-        assert_eq!(slot.epoch, self.epoch, "stale arena slot (epoch mismatch)");
-        &mut self.buf[slot.offset..slot.offset + slot.len]
     }
 
     /// Frees everything at an iteration boundary. Existing slots become

@@ -23,14 +23,17 @@
 //! and a contiguous checkpoint arena MD (§6.3).
 //!
 //! The engine owns the arithmetic and the stores; it owns no schedule.
-//! Every entry point installs the [`CommPlan`] for what it is about to run
-//! and then interprets it: each collective pops its op off the
-//! [`PlanCursor`](crate::plan::PlanCursor), and what the op says decides
-//! which copy of the parameters a fetch reads and over which group,
-//! whether the next unit's fetch goes out before this one is waited,
-//! where the gradient bucket is cut, how far a chunk loop runs, whether a
-//! reduce-scatter is settled at once or left in flight, and which tier
-//! movement goes with it.
+//! The order of a micro-batch — which unit is fetched, checkpointed,
+//! recomputed and reduced when — is the one walk in `crate::walk`, which
+//! the plan builder records and the engine executes through a per-micro
+//! `Pass`. Every entry point installs the [`CommPlan`] for what it is
+//! about to run and then interprets it: each collective pops its op off
+//! the [`PlanCursor`](crate::plan::PlanCursor), and what the op says
+//! decides which copy of the parameters a fetch reads and over which
+//! group, whether the next unit's fetch goes out before this one is
+//! waited, where the gradient bucket is cut, how far a chunk loop runs,
+//! whether a reduce-scatter is settled at once or left in flight, and
+//! which tier movement goes with it.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -55,6 +58,7 @@ use crate::partition::Partitioner;
 use crate::plan::{CommPlan, FetchSource, OpRole, PlanCursor, ResolvedOp, ResolvedTierOp, TierDir};
 use crate::store::FlatStore;
 use crate::tier::{TierStats, TierStore};
+use crate::walk::{self, Walker};
 
 /// Result of one training step.
 #[derive(Clone, Copy, Debug)]
@@ -71,24 +75,17 @@ pub struct StepOutcome {
 
 /// Storage for one activation checkpoint: the full activation, or under
 /// P_a only this rank's 1/N_m slice of it.
-struct Checkpoint {
-    data: CkptData,
-    /// Logical bytes accounted (for the matching free).
-    bytes: u64,
-}
-
-enum CkptData {
+enum Checkpoint {
     Own(Vec<f32>),
     Arena(ArenaSlot),
 }
 
-/// What a training forward pass keeps for backward.
-#[derive(Default)]
-struct Kept {
-    /// With checkpointing: one checkpoint per segment, in forward order.
-    checkpoints: Vec<Checkpoint>,
-    /// Without: every block's saved activations.
-    saveds: Vec<BlockSaved>,
+/// Where a rank's gradients accumulate.
+enum Grads {
+    /// Stages DDP/1: the full flat buffer, reduced at the end of the step.
+    Full(FlatStore),
+    /// Stages 2/3: this rank's reduced shard, filled bucket by bucket.
+    Shard(FlatStore),
 }
 
 /// A planned gather or reduce-scatter handed to the progress thread,
@@ -282,10 +279,7 @@ pub struct RankEngine {
     master: Vec<f32>,
     /// Optimizer state over `master`.
     opt: OptState,
-    /// Full flat gradient buffer (stages DDP/1 only).
-    full_grads: Option<FlatStore>,
-    /// Reduced gradient shard (stages 2/3 only).
-    grad_shard: Option<FlatStore>,
+    grads: Grads,
 
     bucket: GradBucket,
     /// In-flight bucket reduce-scatters: issued as backward produces them
@@ -423,7 +417,7 @@ impl RankEngine {
         // Gradient storage. Offloaded stages 2/3 keep the reduced shard
         // host-resident (it feeds the host optimizer, spilled bucket by
         // bucket as backward reduces).
-        let (full_grads, grad_shard) = if zcfg.stage.partitions_grads() {
+        let grads = if zcfg.stage.partitions_grads() {
             let shard = FlatStore::zeros(part.shard_range(dp_idx).len(), zcfg.fp16);
             let cat = if off.grads {
                 MemCategory::HostGradShard
@@ -431,11 +425,11 @@ impl RankEngine {
                 MemCategory::Gradients
             };
             mem.alloc(cat, shard.bytes());
-            (None, Some(shard))
+            Grads::Shard(shard)
         } else {
             let full = FlatStore::zeros(psi, zcfg.fp16);
             mem.alloc(MemCategory::Gradients, full.bytes());
-            (Some(full), None)
+            Grads::Full(full)
         };
 
         RankEngine {
@@ -464,8 +458,7 @@ impl RankEngine {
             work,
             master,
             opt,
-            full_grads,
-            grad_shard,
+            grads,
             mem,
             trace,
             step: 0,
@@ -565,12 +558,6 @@ impl RankEngine {
 
     // ----- parameter materialization -----
 
-    /// Releases a fetched unit buffer (the stage-3 "discard after use").
-    fn release_unit(&mut self, params: Vec<f32>) {
-        self.mem.free(MemCategory::Buffers, 4 * params.len() as u64);
-        drop(params);
-    }
-
     /// Issues the next planned parameter fetch — "broadcast … from the
     /// data parallel process responsible for that partition" (§5.3),
     /// realized as a ring all-gather of uneven pieces — without waiting.
@@ -596,40 +583,6 @@ impl RankEngine {
         let issued = self.io.start_all_gather(group, &piece);
         let stash = (source == FetchSource::Primary).then_some(unit_range);
         PendingFetch { unit, issued, len, stash }
-    }
-
-    /// Materializes unit `u`'s parameters as an f32 buffer. Stages below 3
-    /// widen the local slice. Stage 3 takes `u`'s gather from the prefetch
-    /// slot (or issues it now), issues the next planned fetch into the
-    /// slot if the plan marks it `ahead` — so the next unit's communication
-    /// rides under this unit's compute — and then waits `u`'s.
-    fn fetch_unit(&mut self, u: usize) -> Result<Vec<f32>, CommError> {
-        if !self.zcfg.stage.partitions_params() {
-            let unit_range = self.gpt.layout().units()[u].range.clone();
-            self.mem.alloc(MemCategory::Buffers, 4 * unit_range.len() as u64);
-            return Ok(self.work.read_vec(unit_range));
-        }
-        let cur = match self.prefetch.take() {
-            Some(pf) => pf,
-            None => self.start_fetch(),
-        };
-        assert_eq!(cur.unit, u, "comm-plan drift: the plan fetched a unit the engine is not at");
-        if matches!(self.io.plan.next_role(), Some(OpRole::Fetch { ahead: true, .. })) {
-            self.prefetch = Some(self.start_fetch());
-        }
-        match cur.issued.wait() {
-            Ok(out) => {
-                debug_assert_eq!(out.len(), cur.len);
-                if let Some(range) = cur.stash {
-                    self.stash_secondary(&range, &out);
-                }
-                Ok(out)
-            }
-            Err(e) => {
-                self.mem.free(MemCategory::Buffers, 4 * cur.len as u64);
-                Err(e)
-            }
-        }
     }
 
     /// hpZ: copies this rank's secondary-partition slice of a freshly
@@ -677,8 +630,9 @@ impl RankEngine {
                 let span = self.trace.begin(SpanCategory::Wait, "drain-inflight");
                 match inf.issued.wait() {
                     Ok(out) => {
-                        let shard = self.grad_shard.as_mut().expect("gradient shard");
-                        shard.add_from(inf.local, &out);
+                        if let Grads::Shard(shard) = &mut self.grads {
+                            shard.add_from(inf.local, &out);
+                        }
                     }
                     Err(e) => first_err = Some(e),
                 }
@@ -718,13 +672,15 @@ impl RankEngine {
     // ----- checkpoints (ZeRO-R: P_a / P_a+cpu / MD) -----
 
     /// Sizes the MD arena for a step whose block activations hold
-    /// `act_elems` elements: one checkpoint (this rank's slice of it under
-    /// P_a) per segment of `checkpoint_interval` blocks, the ⌈layers / k⌉
-    /// the forward walk stores. Grow-only, so a constant batch allocates
-    /// once and a larger one re-allocates instead of overflowing.
+    /// `act_elems` elements: one slot (this rank's slice of a checkpoint
+    /// under P_a) per checkpoint the walk stores. Grow-only, so a constant
+    /// batch allocates once and a larger one re-allocates instead of
+    /// overflowing.
     fn size_arena(&mut self, act_elems: usize) {
         let zcfg = &self.zcfg;
-        if !zcfg.checkpoint_activations || zcfg.offload_checkpoints {
+        let layers = self.gpt.config().layers;
+        let slots = walk::interval(zcfg).map_or(0, |k| walk::segments(layers, k).count());
+        if slots == 0 || zcfg.offload_checkpoints {
             return;
         }
         let slice = if zcfg.partition_activations {
@@ -732,65 +688,18 @@ impl RankEngine {
         } else {
             act_elems
         };
-        let cap = slice * self.gpt.config().layers.div_ceil(zcfg.checkpoint_interval.max(1));
+        let cap = slice * slots;
         if self.arena.as_ref().is_none_or(|a| a.capacity() < cap) {
             self.arena = Some(ContiguousArena::new(cap));
         }
     }
 
-    /// Where checkpoints are priced: CPU memory under P_a+cpu.
-    fn ckpt_category(&self) -> MemCategory {
-        if self.zcfg.offload_checkpoints {
-            MemCategory::CpuOffload
-        } else {
-            MemCategory::Checkpoints
-        }
-    }
-
-    fn store_checkpoint(&mut self, x: &[f32]) -> Checkpoint {
-        let span = self.trace.begin(SpanCategory::Checkpoint, "ckpt-store");
-        let offloaded = self.zcfg.offload_checkpoints;
-        let slice: &[f32] = if self.zcfg.partition_activations {
-            &x[zero_comm::chunk_range(x.len(), self.mp_group.len(), self.mp_idx)]
-        } else {
-            x
-        };
-        // Checkpoints are held at the activation width: fp16 or fp32.
-        let width: u64 = if self.zcfg.fp16 { 2 } else { 4 };
-        let bytes = width * slice.len() as u64;
-        self.mem.alloc(self.ckpt_category(), bytes);
-        if offloaded {
-            self.mem.record_cpu_transfer(bytes);
-        }
-        let data = match &mut self.arena {
-            Some(arena) if !offloaded => CkptData::Arena(arena.store(slice)),
-            _ => CkptData::Own(slice.to_vec()),
-        };
-        self.trace.end(span);
-        Checkpoint { data, bytes }
-    }
-
-    /// Re-materializes a checkpointed activation and releases its storage:
-    /// P_a all-gathers the slices across the MP group (the extra
-    /// all-gather §8 prices at seq·hidden per block); P_a+cpu additionally
-    /// pays the PCIe round-trip, which we meter.
-    fn take_checkpoint(&mut self, c: Checkpoint) -> Result<Vec<f32>, CommError> {
-        let span = self.trace.begin(SpanCategory::Checkpoint, "ckpt-fetch");
-        let slice: Vec<f32> = match c.data {
-            CkptData::Own(v) => v,
-            CkptData::Arena(slot) => self.arena.as_ref().expect("arena slot").slot(&slot).to_vec(),
-        };
-        if self.zcfg.offload_checkpoints {
-            self.mem.record_cpu_transfer(c.bytes);
-        }
-        let res = if self.zcfg.partition_activations {
-            self.io.start_all_gather(&self.mp_group, &slice).wait()
-        } else {
-            Ok(slice)
-        };
-        self.trace.end(span);
-        self.mem.free(self.ckpt_category(), c.bytes);
-        res
+    /// Where a checkpoint slice of `len` elements is priced, and its bytes
+    /// at the activation width: CPU memory under P_a+cpu.
+    fn ckpt_cost(&self, len: usize) -> (MemCategory, u64) {
+        let bytes = if self.zcfg.fp16 { 2 } else { 4 } * len as u64;
+        let cat = if self.zcfg.offload_checkpoints { MemCategory::CpuOffload } else { MemCategory::Checkpoints };
+        (cat, bytes)
     }
 
     // ----- gradient dispatch (stage-dependent) -----
@@ -806,11 +715,8 @@ impl RankEngine {
         range: std::ops::Range<usize>,
         mut g: Vec<f32>,
     ) -> Result<(), CommError> {
-        if !self.zcfg.stage.partitions_grads() {
-            self.full_grads
-                .as_mut()
-                .expect("full gradient buffer")
-                .add_from(range, &g);
+        if let Grads::Full(full) = &mut self.grads {
+            full.add_from(range, &g);
             return Ok(());
         }
         // fp16 gradients: quantize before they enter the fused buffer.
@@ -875,11 +781,17 @@ impl RankEngine {
         let shard = self.part.shard_range(self.dp_idx);
         let rank = self.rank();
         self.for_each_chunk(|this, chunk| {
-            let Self { full_grads, io, dp_group, part, dp_idx, zcfg, .. } = this;
-            let full = full_grads.as_mut().expect("full gradient buffer");
+            let Self { grads, io, dp_group, part, dp_idx, zcfg, .. } = this;
+            // Stages 2/3 plan no chunk here: their buckets reduced it all.
+            let Grads::Full(full) = grads else { return Ok(()) };
             let mut staging = full.read_vec(chunk.clone());
             match (zcfg.stage, zcfg.node_size) {
-                (ZeroStage::Ddp, Some(g)) => {
+                (ZeroStage::One, _) => {
+                    let out = io.start_reduce_scatter(dp_group, &staging, ReduceOp::Mean).wait()?;
+                    let own = part.local_slice_of(*dp_idx, &chunk);
+                    full.write_from(shard.start + own.start..shard.start + own.end, &out);
+                }
+                (_, Some(g)) => {
                     // Node reduce-scatter, cross-node all-reduce of the
                     // owned chunk, node all-gather — summed through, then
                     // averaged over N_d once.
@@ -893,38 +805,21 @@ impl RankEngine {
                     summed.iter_mut().for_each(|v| *v *= inv);
                     full.write_from(chunk, &summed);
                 }
-                (ZeroStage::Ddp, None) => {
+                (_, None) => {
                     io.all_reduce(dp_group, &mut staging, ReduceOp::Mean)?;
                     full.write_from(chunk, &staging);
                 }
-                (ZeroStage::One, _) => {
-                    let out = io.start_reduce_scatter(dp_group, &staging, ReduceOp::Mean).wait()?;
-                    let own = part.local_slice_of(*dp_idx, &chunk);
-                    full.write_from(shard.start + own.start..shard.start + own.end, &out);
-                }
-                _ => unreachable!("stages 2/3 reduce through the bucket"),
             }
             Ok(())
         })
     }
 
-    /// Reads the reduced gradients covering [`Self::master_range`] as f32:
-    /// the full averaged buffer under DDP, this rank's shard otherwise.
-    fn read_grad_shard(&self) -> Vec<f32> {
-        match (&self.full_grads, &self.grad_shard) {
-            (Some(full), None) => full.read_vec(self.master_range()),
-            (None, Some(s)) => s.read_vec(0..s.len()),
-            _ => unreachable!("exactly one gradient store exists"),
-        }
-    }
-
-    /// True if this rank's reduced gradients contain NaN/Inf.
-    fn shard_has_overflow(&self) -> bool {
-        let shard = self.part.shard_range(self.dp_idx);
-        match (&self.full_grads, &self.grad_shard) {
-            (Some(full), None) => full.has_non_finite(shard),
-            (None, Some(s)) => s.has_non_finite(0..s.len()),
-            _ => unreachable!(),
+    /// The reduced gradients covering [`Self::master_range`]: the full
+    /// averaged buffer under DDP, this rank's shard otherwise.
+    fn reduced_grads(&self) -> (&FlatStore, std::ops::Range<usize>) {
+        match &self.grads {
+            Grads::Full(full) => (full, self.master_range()),
+            Grads::Shard(s) => (s, 0..s.len()),
         }
     }
 
@@ -1043,15 +938,6 @@ impl RankEngine {
         snap: &crate::snapshot::RankSnapshot,
     ) -> Result<(), CommError> {
         let span = self.trace.begin(SpanCategory::Checkpoint, "snapshot-restore");
-        let res = self.try_restore_snapshot_inner(snap);
-        self.trace.end(span);
-        res
-    }
-
-    fn try_restore_snapshot_inner(
-        &mut self,
-        snap: &crate::snapshot::RankSnapshot,
-    ) -> Result<(), CommError> {
         assert_eq!(snap.rank as usize, self.io.comm.rank(), "snapshot rank mismatch");
         assert_eq!(
             snap.world as usize,
@@ -1088,9 +974,12 @@ impl RankEngine {
         self.clear_transients();
         let refresh = CommPlan::publish_refresh(self.gpt.layout(), &self.zcfg, self.grid);
         self.io.plan.install(&refresh, self.io.comm.rank(), "publish-refresh");
-        self.publish_params()?;
-        self.io.plan.assert_exhausted("snapshot restore");
-        Ok(())
+        let res = self.publish_params();
+        if res.is_ok() {
+            self.io.plan.assert_exhausted("snapshot restore");
+        }
+        self.trace.end(span);
+        res
     }
 
     // ----- the training step -----
@@ -1164,14 +1053,13 @@ impl RankEngine {
         self.size_arena(act_elems);
 
         // Zero persistent gradient storage once per optimizer step.
-        for grads in self.full_grads.iter_mut().chain(&mut self.grad_shard) {
-            grads.zero_range(0..grads.len());
-        }
+        let (Grads::Full(grads) | Grads::Shard(grads)) = &mut self.grads;
+        grads.zero_range(0..grads.len());
 
         let res = micros
             .iter()
             .try_fold(0.0_f32, |sum, &(ids, targets)| {
-                Ok(sum + self.accumulate_micro(ids, targets, local_batch, scale)?)
+                Ok(sum + self.walk(ids, targets, local_batch, Some(scale))?)
             })
             .and_then(|sum| self.finish_step(sum / micros.len() as f32, scale, micros.len()));
         if res.is_err() {
@@ -1204,194 +1092,26 @@ impl RankEngine {
         err.map_or(Ok(out), Err)
     }
 
-    /// Block `l` forward over `x` (span `"block-fwd"`, or `"block-refwd"`
-    /// for a checkpoint recompute), output quantized to the activation
-    /// width.
-    fn block_fwd(
-        &mut self,
-        span: &'static str,
-        l: usize,
-        p: &[f32],
-        x: &[f32],
-        local_batch: usize,
-        drop: Dropout,
-    ) -> Result<(Vec<f32>, BlockSaved), CommError> {
-        let (mut y, saved) = self.block_pass(span, |gpt, hook| {
-            gpt.block_fwd_dropout(l, p, x, local_batch, hook, drop)
-        })?;
-        self.maybe_quantize(&mut y);
-        Ok((y, saved))
-    }
-
-    /// Block `l` backward: releases its saved activations, runs the
-    /// kernel, discards the unit's parameters and dispatches its
-    /// gradients. Returns `dx`.
-    fn block_bwd(
-        &mut self,
-        l: usize,
-        p: Vec<f32>,
-        saved: BlockSaved,
-        dy: &[f32],
-        local_batch: usize,
-        drop: Dropout,
-    ) -> Result<Vec<f32>, CommError> {
-        self.mem.free(MemCategory::Activations, 4 * saved.elems() as u64);
-        let range = self.gpt.layout().units()[1 + l].range.clone();
-        let mut grads = vec![0.0; range.len()];
-        let dx = self.block_pass("block-bwd", |gpt, hook| {
-            gpt.block_bwd_dropout(l, &p, &saved, dy, &mut grads, local_batch, hook, drop)
-        })?;
-        self.release_unit(p);
-        self.dispatch_grads(range, grads)?;
-        Ok(dx)
-    }
-
-    /// The forward walk up to the head's input: embed, then every block,
-    /// each unit's parameters fetched right before use and released right
-    /// after. A training pass hands in `keep`, which receives what backward
-    /// needs — one activation checkpoint per segment of
-    /// `checkpoint_interval` blocks (§3.2's memory/recompute dial; interval
-    /// 1 = one per layer), or every block's saved activations without
-    /// checkpointing; evaluation keeps nothing.
-    fn forward(
-        &mut self,
-        ids: &[u32],
-        local_batch: usize,
-        drop_for: impl Fn(usize) -> Dropout,
-        mut keep: Option<&mut Kept>,
-    ) -> Result<Vec<f32>, CommError> {
-        let p_embed = self.fetch_unit(0)?;
-        let span = self.trace.begin(SpanCategory::Compute, "embed-fwd");
-        let mut x = self.gpt.embed(&p_embed, ids, local_batch);
-        self.trace.end(span);
-        self.release_unit(p_embed);
-        self.maybe_quantize(&mut x);
-
-        let checkpointing = self.zcfg.checkpoint_activations;
-        let interval = self.zcfg.checkpoint_interval.max(1);
-        for l in 0..self.gpt.config().layers {
-            let p = self.fetch_unit(1 + l)?;
-            if let (Some(kept), true) = (keep.as_deref_mut(), checkpointing && l % interval == 0) {
-                kept.checkpoints.push(self.store_checkpoint(&x));
+    /// Walks one micro-batch and returns its loss: a training pass at loss
+    /// scale `scale`, dispatching gradients into the stage's stores, or
+    /// (`None`) an evaluation pass.
+    fn walk(&mut self, ids: &[u32], targets: &[u32], local_batch: usize, scale: Option<f32>) -> Result<f32, CommError> {
+        let mut drop = Dropout::OFF;
+        if scale.is_some() {
+            if let Some(arena) = &mut self.arena {
+                arena.reset();
             }
-            let (y, saved) = self.block_fwd("block-fwd", l, &p, &x, local_batch, drop_for(l))?;
-            self.release_unit(p);
-            if let (Some(kept), false) = (keep.as_deref_mut(), checkpointing) {
-                self.mem
-                    .alloc(MemCategory::Activations, 4 * saved.elems() as u64);
-                kept.saveds.push(saved);
-            }
-            x = y;
+            // Deterministic per-(micro, layer) dropout seeds: the checkpoint
+            // recompute in backward regenerates identical masks.
+            self.micro_seq += 1;
+            let seed = self.micro_seq.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0xD1B5_4A32_D192_ED03);
+            drop = Dropout { p: self.zcfg.dropout, seed };
         }
-        Ok(x)
-    }
-
-    /// One micro-batch's forward + backward, dispatching gradients into
-    /// the stage-appropriate stores. Returns the micro-batch loss.
-    fn accumulate_micro(
-        &mut self,
-        ids: &[u32],
-        targets: &[u32],
-        local_batch: usize,
-        scale: f32,
-    ) -> Result<f32, CommError> {
-        let layers = self.gpt.config().layers;
-        let embed_range = self.gpt.layout().units()[0].range.clone();
-        let head_range = self.gpt.layout().units()[1 + layers].range.clone();
-        if let Some(arena) = &mut self.arena {
-            arena.reset();
-        }
-        // Deterministic per-(micro, layer) dropout seeds: the checkpoint
-        // recompute in backward regenerates identical masks.
-        self.micro_seq += 1;
-        let drop_base = self
-            .micro_seq
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(0xD1B5_4A32_D192_ED03);
-        let drop_p = self.zcfg.dropout;
-        let drop_for = move |layer: usize| Dropout {
-            p: drop_p,
-            seed: drop_base ^ (layer as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9),
-        };
-
-        // ---------- forward ----------
-        let mut kept = Kept::default();
-        let x = self.forward(ids, local_batch, drop_for, Some(&mut kept))?;
-        let Kept { mut checkpoints, mut saveds } = kept;
-        let checkpointing = self.zcfg.checkpoint_activations;
-        let interval = self.zcfg.checkpoint_interval.max(1);
-
-        // ---------- head forward + backward (loss gradient is born here) ----------
-        let p_head = self.fetch_unit(1 + layers)?;
-        let mut head_grads = vec![0.0; head_range.len()];
-        let span = self.trace.begin(SpanCategory::Compute, "head-fwd-bwd");
-        let (loss, mut dy) =
-            self.gpt
-                .head_fwd_bwd(&p_head, &x, targets, &mut head_grads, local_batch);
-        self.trace.end(span);
-        self.release_unit(p_head);
-        drop(x);
-        // Apply the loss scale to everything downstream of the loss.
-        if scale != 1.0 {
-            for v in &mut dy {
-                *v *= scale;
-            }
-            for v in &mut head_grads {
-                *v *= scale;
-            }
-        }
-        self.dispatch_grads(head_range, head_grads)?;
-
-        // ---------- backward through blocks ----------
-        if checkpointing {
-            // Segment-wise: re-materialize `interval` blocks from their
-            // checkpoint (the §8-counted recompute all-reduces), then walk
-            // the segment backward.
-            let mut seg_end = layers;
-            while seg_end > 0 {
-                let seg_start = ((seg_end - 1) / interval) * interval;
-                let ck = checkpoints.pop().expect("checkpoint for segment");
-                let mut x_in = self.take_checkpoint(ck)?;
-                let mut segment: Vec<(Vec<f32>, BlockSaved)> = Vec::new();
-                for l in seg_start..seg_end {
-                    let p = self.fetch_unit(1 + l)?;
-                    let (y, saved) =
-                        self.block_fwd("block-refwd", l, &p, &x_in, local_batch, drop_for(l))?;
-                    self.mem
-                        .alloc(MemCategory::Activations, 4 * saved.elems() as u64);
-                    x_in = y;
-                    segment.push((p, saved));
-                }
-                for l in (seg_start..seg_end).rev() {
-                    let (p, saved) = segment.pop().expect("segment entry");
-                    dy = self.block_bwd(l, p, saved, &dy, local_batch, drop_for(l))?;
-                }
-                seg_end = seg_start;
-            }
-        } else {
-            for l in (0..layers).rev() {
-                let p = self.fetch_unit(1 + l)?;
-                let saved = saveds.pop().expect("saved activations for block");
-                dy = self.block_bwd(l, p, saved, &dy, local_batch, drop_for(l))?;
-            }
-        }
-
-        // ---------- embedding backward ----------
-        let mut embed_grads = vec![0.0; embed_range.len()];
-        let span = self.trace.begin(SpanCategory::Compute, "embed-bwd");
-        self.gpt
-            .embed_backward(ids, &dy, &mut embed_grads, local_batch);
-        self.trace.end(span);
-        drop(dy);
-        self.dispatch_grads(embed_range, embed_grads)?;
-        // The last planned bucket ends at element 0, so the embedding's
-        // push flushed it and the next micro-batch's head-first pushes
-        // start a fresh contiguous descending run. Settle every
-        // reduce-scatter still in flight (the end-of-backward barrier
-        // overlap moves the waits to; nothing is left in sync mode).
-        self.drain_inflight()?;
-        debug_assert!(self.prefetch.is_none(), "prefetch slot must drain with backward");
-        Ok(loss)
+        let (layers, k) = (self.gpt.config().layers, walk::interval(&self.zcfg));
+        let (x, dy, loss) = (Vec::new(), Vec::new(), 0.0);
+        let mut pass = Pass { e: self, ids, targets, local_batch, scale: scale.unwrap_or(1.0), drop, x, dy, loss };
+        walk::micro(&mut pass, layers, k, scale.is_some())?;
+        Ok(pass.loss)
     }
 
     /// Reduces accumulated gradients (stages DDP/1), synchronizes the
@@ -1406,8 +1126,8 @@ impl RankEngine {
         debug_assert!(self.inflight_rs.is_empty(), "in-flight reduces must drain per micro");
         self.reduce_full_grads()?;
 
-        let local_overflow = self.shard_has_overflow();
-        let mut flag = [if local_overflow { 1.0_f32 } else { 0.0 }];
+        let (grads, owned) = self.reduced_grads();
+        let mut flag = [if grads.has_non_finite(owned) { 1.0_f32 } else { 0.0 }];
         let world_group = Group::world(self.io.comm.world_size());
         self.io.all_reduce(&world_group, &mut flag, ReduceOp::Max)?;
         let overflow = flag[0] > 0.0;
@@ -1425,7 +1145,8 @@ impl RankEngine {
 
         let mut grad_norm = None;
         if !skipped {
-            let mut g = self.read_grad_shard();
+            let (grads, owned) = self.reduced_grads();
+            let mut g = grads.read_vec(owned);
             // The one tier movement that rides no collective, when the
             // plan has it: stage 1's host optimizer reduced gradients into
             // the full device buffer, so the owned shard region spills
@@ -1488,40 +1209,219 @@ impl RankEngine {
         self.clear_transients();
         let eval_plan = CommPlan::eval_pass(self.gpt.layout(), &self.zcfg, self.grid, act_elems);
         self.io.plan.install(&eval_plan, self.io.comm.rank(), "eval-pass");
-        let x = self.forward(ids, local_batch, |_| Dropout::OFF, None)?;
-        let p = self.fetch_unit(1 + self.gpt.config().layers)?;
-        let span = self.trace.begin(SpanCategory::Compute, "head-loss");
-        let loss = self.gpt.head_loss(&p, &x, targets, local_batch);
-        self.trace.end(span);
-        self.release_unit(p);
+        let loss = self.walk(ids, targets, local_batch, None)?;
         self.io.plan.assert_exhausted("end of eval");
         Ok(loss)
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use zero_comm::World;
-    use zero_model::{init_full_params, ModelConfig, SyntheticCorpus};
+/// The engine side of the walk over one micro-batch: the activation
+/// flowing forward, the gradient flowing backward, and the loss.
+struct Pass<'a> {
+    e: &'a mut RankEngine,
+    ids: &'a [u32],
+    targets: &'a [u32],
+    local_batch: usize,
+    /// Loss scale applied to everything downstream of the loss.
+    scale: f32,
+    /// The micro-batch's dropout, reseeded per layer.
+    drop: Dropout,
+    x: Vec<f32>,
+    dy: Vec<f32>,
+    loss: f32,
+}
 
-    #[test]
-    fn checkpoint_arena_is_sized_for_the_checkpoints_an_interval_stores() {
-        // Three blocks at interval 2 store ⌈3 / 2⌉ = 2 checkpoints: the
-        // pre-allocated MD buffer must be exactly what they fill, not one
-        // slot per block with the last never touched.
-        let cfg = ModelConfig { vocab: 32, seq: 8, hidden: 16, layers: 3, heads: 2 };
-        let zcfg =
-            ZeroConfig { stage: ZeroStage::Two, checkpoint_interval: 2, ..ZeroConfig::default() };
-        assert!(zcfg.checkpoint_activations && !zcfg.offload_checkpoints);
-        let params = init_full_params(&cfg, 4);
-        let comm = World::new(1).take(0);
-        let mut engine = RankEngine::new(Gpt::new(cfg), &params, zcfg, Grid::new(1, 1), comm);
-        let corpus = SyntheticCorpus::generate(cfg.vocab, 1000, 1);
-        let (ids, targets) = corpus.rank_batch(0, 2, cfg.seq, 1, 0);
-        assert!(engine.train_step(&ids, &targets, 2).loss.is_finite());
-        let arena = engine.arena.as_ref().expect("checkpointing allocates the arena");
-        assert!(arena.high_water() > 0);
-        assert_eq!(arena.capacity(), arena.high_water());
+impl Pass<'_> {
+    /// Layer `l`'s dropout: forward, recompute and backward share it.
+    fn drop_for(&self, l: usize) -> Dropout {
+        Dropout { seed: self.drop.seed ^ (l as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9), ..self.drop }
+    }
+}
+
+impl Walker for Pass<'_> {
+    type Unit = Vec<f32>;
+    type Saved = BlockSaved;
+    type Ckpt = Checkpoint;
+    type Error = CommError;
+
+    /// Materializes unit `u`'s parameters as an f32 buffer. Stages below 3
+    /// widen the local slice. Stage 3 takes `u`'s gather from the prefetch
+    /// slot (or issues it now), issues the next planned fetch into the
+    /// slot if the plan marks it `ahead` — so the next unit's communication
+    /// rides under this unit's compute — and then waits `u`'s.
+    fn fetch(&mut self, u: usize, _next: Option<usize>) -> Result<Vec<f32>, CommError> {
+        let e = &mut *self.e;
+        if !e.zcfg.stage.partitions_params() {
+            let unit_range = e.gpt.layout().units()[u].range.clone();
+            e.mem.alloc(MemCategory::Buffers, 4 * unit_range.len() as u64);
+            return Ok(e.work.read_vec(unit_range));
+        }
+        let cur = match e.prefetch.take() {
+            Some(pf) => pf,
+            None => e.start_fetch(),
+        };
+        assert_eq!(cur.unit, u, "comm-plan drift: the plan fetched a unit the engine is not at");
+        if matches!(e.io.plan.next_role(), Some(OpRole::Fetch { ahead: true, .. })) {
+            e.prefetch = Some(e.start_fetch());
+        }
+        match cur.issued.wait() {
+            Ok(out) => {
+                debug_assert_eq!(out.len(), cur.len);
+                if let Some(range) = cur.stash {
+                    e.stash_secondary(&range, &out);
+                }
+                Ok(out)
+            }
+            Err(err) => {
+                e.mem.free(MemCategory::Buffers, 4 * cur.len as u64);
+                Err(err)
+            }
+        }
+    }
+
+    /// The stage-3 "discard after use".
+    fn release(&mut self, p: Vec<f32>) {
+        self.e.mem.free(MemCategory::Buffers, 4 * p.len() as u64);
+    }
+
+    fn embed(&mut self, p: Vec<f32>) -> Result<(), CommError> {
+        let span = self.e.trace.begin(SpanCategory::Compute, "embed-fwd");
+        self.x = self.e.gpt.embed(&p, self.ids, self.local_batch);
+        self.e.trace.end(span);
+        self.release(p);
+        self.e.maybe_quantize(&mut self.x);
+        Ok(())
+    }
+
+    /// Span `"block-fwd"`, or `"block-refwd"` for a checkpoint recompute;
+    /// output quantized to the activation width.
+    fn block_fwd(&mut self, l: usize, p: &Vec<f32>, recompute: bool) -> Result<BlockSaved, CommError> {
+        let span = if recompute { "block-refwd" } else { "block-fwd" };
+        let (x, batch, drop) = (&self.x, self.local_batch, self.drop_for(l));
+        let (mut y, saved) = self.e.block_pass(span, |gpt, hook| gpt.block_fwd_dropout(l, p, x, batch, hook, drop))?;
+        self.e.maybe_quantize(&mut y);
+        self.x = y;
+        Ok(saved)
+    }
+
+    fn keep(&mut self, saved: BlockSaved) -> BlockSaved {
+        self.e.mem.alloc(MemCategory::Activations, 4 * saved.elems() as u64);
+        saved
+    }
+
+    /// Checkpoints are held at the activation width (fp16 or fp32): this
+    /// rank's 1/N_m slice under P_a, in CPU memory under P_a+cpu, else in
+    /// the MD arena.
+    fn store_checkpoint(&mut self) -> Checkpoint {
+        let e = &mut *self.e;
+        let span = e.trace.begin(SpanCategory::Checkpoint, "ckpt-store");
+        let offloaded = e.zcfg.offload_checkpoints;
+        let x = &self.x[..];
+        let slice = if e.zcfg.partition_activations { &x[zero_comm::chunk_range(x.len(), e.mp_group.len(), e.mp_idx)] } else { x };
+        let (cat, bytes) = e.ckpt_cost(slice.len());
+        e.mem.alloc(cat, bytes);
+        if offloaded {
+            e.mem.record_cpu_transfer(bytes);
+        }
+        let c = match &mut e.arena {
+            Some(arena) if !offloaded => Checkpoint::Arena(arena.store(slice)),
+            _ => Checkpoint::Own(slice.to_vec()),
+        };
+        e.trace.end(span);
+        c
+    }
+
+    /// Re-materializes a checkpointed activation and releases its storage:
+    /// P_a all-gathers the slices across the MP group (the extra
+    /// all-gather §8 prices at seq·hidden per block); P_a+cpu additionally
+    /// pays the PCIe round-trip, which we meter.
+    fn restore(&mut self, c: Checkpoint) -> Result<(), CommError> {
+        let e = &mut *self.e;
+        let span = e.trace.begin(SpanCategory::Checkpoint, "ckpt-fetch");
+        let slice: Vec<f32> = match c {
+            Checkpoint::Own(v) => v,
+            Checkpoint::Arena(slot) => e.arena.as_ref().expect("arena slot").slot(&slot).to_vec(),
+        };
+        let (cat, bytes) = e.ckpt_cost(slice.len());
+        if e.zcfg.offload_checkpoints {
+            e.mem.record_cpu_transfer(bytes);
+        }
+        let res = if e.zcfg.partition_activations {
+            e.io.start_all_gather(&e.mp_group, &slice).wait()
+        } else {
+            Ok(slice)
+        };
+        e.trace.end(span);
+        e.mem.free(cat, bytes);
+        self.x = res?;
+        Ok(())
+    }
+
+    /// Training: the loss gradient is born here, scaled, and the head's
+    /// gradients dispatched. Evaluation: the loss alone.
+    fn head(&mut self, p: Vec<f32>, train: bool) -> Result<(), CommError> {
+        let e = &mut *self.e;
+        if !train {
+            let span = e.trace.begin(SpanCategory::Compute, "head-loss");
+            self.loss = e.gpt.head_loss(&p, &self.x, self.targets, self.local_batch);
+            e.trace.end(span);
+            self.release(p);
+            return Ok(());
+        }
+        let range = e.gpt.layout().units()[1 + e.gpt.config().layers].range.clone();
+        let mut grads = vec![0.0; range.len()];
+        let span = e.trace.begin(SpanCategory::Compute, "head-fwd-bwd");
+        (self.loss, self.dy) = e.gpt.head_fwd_bwd(&p, &self.x, self.targets, &mut grads, self.local_batch);
+        e.trace.end(span);
+        self.release(p);
+        self.x = Vec::new();
+        // Apply the loss scale to everything downstream of the loss.
+        if self.scale != 1.0 {
+            for v in self.dy.iter_mut().chain(&mut grads) {
+                *v *= self.scale;
+            }
+        }
+        self.e.dispatch_grads(range, grads)
+    }
+
+    /// Releases the block's saved activations, runs the kernel, discards
+    /// the unit's parameters and dispatches its gradients.
+    fn block_bwd(&mut self, l: usize, p: Vec<f32>, saved: BlockSaved) -> Result<(), CommError> {
+        let (dy, batch, drop) = (&self.dy, self.local_batch, self.drop_for(l));
+        let e = &mut *self.e;
+        e.mem.free(MemCategory::Activations, 4 * saved.elems() as u64);
+        let range = e.gpt.layout().units()[1 + l].range.clone();
+        let mut grads = vec![0.0; range.len()];
+        let dx = e.block_pass("block-bwd", |gpt, hook| gpt.block_bwd_dropout(l, &p, &saved, dy, &mut grads, batch, hook, drop))?;
+        self.dy = dx;
+        self.release(p);
+        self.e.dispatch_grads(range, grads)
+    }
+
+    /// Embedding backward, then settle every reduce-scatter still in
+    /// flight (the end-of-backward barrier overlap moves the waits to;
+    /// nothing is left in sync mode). The last planned bucket ends at
+    /// element 0, so the embedding's push flushed it and the next
+    /// micro-batch's head-first pushes start a fresh descending run.
+    fn embed_bwd(&mut self) -> Result<(), CommError> {
+        let e = &mut *self.e;
+        let range = e.gpt.layout().units()[0].range.clone();
+        let mut grads = vec![0.0; range.len()];
+        let span = e.trace.begin(SpanCategory::Compute, "embed-bwd");
+        e.gpt.embed_backward(self.ids, &self.dy, &mut grads, self.local_batch);
+        e.trace.end(span);
+        self.dy = Vec::new();
+        e.dispatch_grads(range, grads)?;
+        e.drain_inflight()?;
+        debug_assert!(e.prefetch.is_none(), "prefetch slot must drain with backward");
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+impl RankEngine {
+    /// The MD arena, once a checkpointed step has sized it.
+    pub(crate) fn arena(&self) -> Option<&ContiguousArena> {
+        self.arena.as_ref()
     }
 }

@@ -37,6 +37,7 @@ pub mod store;
 pub mod supervisor;
 pub mod tier;
 pub mod trainer;
+mod walk;
 
 pub use arena::ContiguousArena;
 pub use bucket::GradBucket;

@@ -12,6 +12,13 @@
 //! a gradient bucket or CB chunk covers); and the tier movement that
 //! rides it ([`TierOp::rides`]).
 //!
+//! A training micro-batch and an evaluation pass are `crate::walk`'s one
+//! walk over the layers; the `Builder` is the walker that records, per
+//! step, the fetch, the Megatron hooks, the bucketed reduce-scatters, the
+//! P_a checkpoint gather and the end-of-micro drain, while the engine
+//! executes the same walk. Nothing here knows where a checkpoint segment
+//! starts.
+//!
 //! The engine interprets this stream through a [`PlanCursor`]: it pops the
 //! next op, checks kind and group against what it is about to run, and
 //! reads the rest off the op. It holds no copy of the builder's state, so
@@ -27,6 +34,7 @@
 //!   DDP and stages 1–2, ≤ 3Ψ for stage 3, §7).
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::ops::Range;
 
 use zero_comm::{
@@ -37,6 +45,7 @@ use zero_model::Layout;
 
 use crate::config::{ZeroConfig, ZeroStage};
 use crate::partition::Partitioner;
+use crate::walk::{self, Walker};
 
 /// The rank-relative group a planned op runs over. Scopes resolve to
 /// concrete [`Group`]s per rank, so one plan describes every rank of the
@@ -467,6 +476,9 @@ struct Builder {
     /// drain — a spill can only leave once the bucket's reduce-scatter
     /// has been waited, and overlap waits them all there.
     pending_spills: Vec<(Vec<usize>, usize)>,
+    /// Elements of one block activation: what every MP all-reduce and P_a
+    /// gather of the walk moves.
+    act_elems: usize,
 }
 
 impl Builder {
@@ -486,11 +498,12 @@ impl Builder {
             off,
             tier: Vec::new(),
             pending_spills: Vec::new(),
+            act_elems: 0,
         }
     }
 
     /// Pushes a tier movement anchored at the current op position, issued
-    /// and blocked on here (`demand = issue`) unless [`Builder::fetch`]
+    /// and blocked on here (`demand = issue`) unless the builder's `fetch`
     /// later stamps an open window. Returns its index in the tier stream.
     fn tier_op(&mut self, dir: TierDir, label: &'static str, counts: Vec<usize>, rides: Option<usize>) -> usize {
         let pos = self.ops.len();
@@ -551,39 +564,9 @@ impl Builder {
         seed
     }
 
-    /// Stage-3 materialization of unit `u` at the point the engine
-    /// computes on it. `u`'s gather comes out of the prefetch slot, or is
-    /// issued now on demand; with overlap, `next`'s gather is then issued
-    /// into the slot *before* `u`'s is waited, so the next unit's
-    /// communication rides under this unit's compute — the
-    /// double-buffered one-ahead window. Without overlap the slot stays
-    /// empty and every fetch is on demand.
-    fn fetch(&mut self, u: usize, next: Option<usize>) {
-        if !self.zcfg.stage.partitions_params() {
-            return;
-        }
-        let seed = match self.slot.take() {
-            Some((unit, seed)) => {
-                assert_eq!(unit, u, "plan builder: prefetch slot holds a different unit");
-                seed
-            }
-            None => self.issue_fetch(u, false),
-        };
-        if !self.zcfg.overlap {
-            return;
-        }
-        if let Some(v) = next {
-            self.slot = Some((v, self.issue_fetch(v, true)));
-        }
-        // The engine blocks on `u` here: its tier fetch's window closes.
-        if let Some(idx) = seed {
-            self.tier[idx].demand_pos = self.ops.len();
-        }
-    }
-
     /// An MP-group collective over one block activation buffer.
-    fn mp_op(&mut self, kind: CollectiveKind, act_elems: usize, label: &'static str) {
-        let counts = CountSpec::Even { total: act_elems };
+    fn mp_op(&mut self, kind: CollectiveKind, label: &'static str) {
+        let counts = CountSpec::Even { total: self.act_elems };
         self.op(kind, PlanScope::Mp, counts, self.prec, label, OpRole::Plain);
     }
 
@@ -596,9 +579,9 @@ impl Builder {
     /// One block pass's Megatron hooks: two MP all-reduces of the
     /// activation buffer (§8: two in forward, two in backward, and two
     /// more per recomputed block).
-    fn mp_block_pass(&mut self, act_elems: usize) {
+    fn mp_block_pass(&mut self) {
         for _ in 0..2 {
-            self.mp_op(CollectiveKind::AllReduce, act_elems, "mp-block-allreduce");
+            self.mp_op(CollectiveKind::AllReduce, "mp-block-allreduce");
         }
     }
 
@@ -645,80 +628,6 @@ impl Builder {
         }
     }
 
-    /// The forward walk of one pass: embed, blocks (two MP all-reduces
-    /// each), head. Each fetch names the unit after it for the prefetch
-    /// window; `head_next` is what the head's fetch chains into (a
-    /// training pass's first backward refetch; nothing for evaluation).
-    fn forward(&mut self, act_elems: usize, head_next: Option<usize>) {
-        let layers = self.units.len() - 2;
-        self.fetch(0, Some(1));
-        for l in 0..layers {
-            // `2 + l` is the next block — or the head after the last one.
-            self.fetch(1 + l, Some(2 + l));
-            self.mp_block_pass(act_elems);
-        }
-        self.fetch(1 + layers, head_next);
-    }
-
-    /// One micro-batch's forward + backward comm.
-    fn micro(&mut self, act_elems: usize) {
-        let zcfg = self.zcfg;
-        let layers = self.units.len() - 2;
-
-        // Without checkpointing backward refetches block params, last
-        // block first, and the head's fetch opens that chain; checkpointed
-        // segments restart the chain at each recompute.
-        self.forward(act_elems, (!zcfg.checkpoint_activations && layers > 0).then_some(layers));
-        // Head forward+backward births the first gradients.
-        self.dispatch_grads(1 + layers);
-
-        // Backward through blocks.
-        if zcfg.checkpoint_activations {
-            let interval = zcfg.checkpoint_interval.max(1);
-            let mut seg_end = layers;
-            while seg_end > 0 {
-                let seg_start = ((seg_end - 1) / interval) * interval;
-                if zcfg.partition_activations {
-                    // P_a checkpoint re-materialization: all-gather the
-                    // 1/N_m slices across the MP group (§6.1).
-                    self.mp_op(CollectiveKind::AllGather, act_elems, "ckpt-gather");
-                }
-                // Recompute the segment forward (block params are fetched
-                // again, one ahead within the segment; each recomputed
-                // block fires its two MP hooks)…
-                for l in seg_start..seg_end {
-                    self.fetch(1 + l, (l + 1 < seg_end).then(|| 2 + l));
-                    self.mp_block_pass(act_elems);
-                }
-                // …then walk it backward (two MP hooks per block, grads
-                // dispatched head-to-embed).
-                for l in (seg_start..seg_end).rev() {
-                    self.mp_block_pass(act_elems);
-                    self.dispatch_grads(1 + l);
-                }
-                seg_end = seg_start;
-            }
-        } else {
-            for l in (0..layers).rev() {
-                // Unit `l` is block `l - 1`, this block's predecessor.
-                self.fetch(1 + l, (l > 0).then_some(l));
-                self.mp_block_pass(act_elems);
-                self.dispatch_grads(1 + l);
-            }
-        }
-
-        // Embedding backward, then drain the bucket for the next micro.
-        self.dispatch_grads(0);
-        if let Some(rest) = self.bucket.take() {
-            self.grad_flush(rest);
-        }
-        // The end-of-micro drain: every reduce-scatter still in flight is
-        // waited and its reduced piece spilled.
-        for (counts, rs) in std::mem::take(&mut self.pending_spills) {
-            self.tier_op(TierDir::Spill, "tier-grad-spill", counts, Some(rs));
-        }
-    }
-
     /// Flat parameter space in constant-size (CB, §6.2) chunks — the
     /// staging granularity of every end-of-step flat-space collective.
     fn chunks(&self) -> impl Iterator<Item = Range<usize>> {
@@ -737,21 +646,20 @@ impl Builder {
         for chunk in self.chunks() {
             let total = chunk.len();
             let ops = match (self.zcfg.stage, self.zcfg.node_size) {
-                // Two-level all-reduce: node reduce-scatter, cross-node
-                // all-reduce of the owned chunk, node all-gather.
-                (ZeroStage::Ddp, Some(g)) => vec![
-                    (ReduceScatter, PlanScope::Node { g }, CountSpec::Even { total }, "hier-node-rs"),
-                    (AllReduce, PlanScope::Cross { g }, CountSpec::NodeChunk { total }, "hier-cross-ar"),
-                    (AllGather, PlanScope::Node { g }, CountSpec::Even { total }, "hier-node-ag"),
-                ],
-                (ZeroStage::Ddp, None) => {
-                    vec![(AllReduce, PlanScope::Dp, CountSpec::Even { total }, "grad-allreduce")]
-                }
                 (ZeroStage::One, _) => {
                     let counts = CountSpec::Explicit(self.part.intersect_counts(&chunk));
                     vec![(ReduceScatter, PlanScope::Dp, counts, "grad-reduce-scatter")]
                 }
-                _ => unreachable!("stages 2/3 reduce through the bucket"),
+                // DDP's two-level all-reduce: node reduce-scatter,
+                // cross-node all-reduce of the owned chunk, node all-gather.
+                (_, Some(g)) => vec![
+                    (ReduceScatter, PlanScope::Node { g }, CountSpec::Even { total }, "hier-node-rs"),
+                    (AllReduce, PlanScope::Cross { g }, CountSpec::NodeChunk { total }, "hier-cross-ar"),
+                    (AllGather, PlanScope::Node { g }, CountSpec::Even { total }, "hier-node-ag"),
+                ],
+                (_, None) => {
+                    vec![(AllReduce, PlanScope::Dp, CountSpec::Even { total }, "grad-allreduce")]
+                }
             };
             for (kind, scope, counts, label) in ops {
                 self.op(kind, scope, counts, self.prec, label, OpRole::Span(chunk.clone()));
@@ -796,6 +704,91 @@ impl Builder {
     }
 }
 
+/// The plan side of the walk: each step records the communication it
+/// implies. Units, activations and checkpoints are nothing here.
+impl Walker for Builder {
+    type Unit = ();
+    type Saved = ();
+    type Ckpt = ();
+    type Error = Infallible;
+
+    /// Stage-3 materialization of unit `u` at the point the engine
+    /// computes on it. `u`'s gather comes out of the prefetch slot, or is
+    /// issued now on demand; with overlap, `next`'s gather is then issued
+    /// into the slot *before* `u`'s is waited, so the next unit's
+    /// communication rides under this unit's compute — the
+    /// double-buffered one-ahead window. Without overlap the slot stays
+    /// empty and every fetch is on demand.
+    fn fetch(&mut self, u: usize, next: Option<usize>) -> Result<(), Infallible> {
+        if !self.zcfg.stage.partitions_params() {
+            return Ok(());
+        }
+        let seed = match self.slot.take() {
+            Some((unit, seed)) => {
+                assert_eq!(unit, u, "plan builder: prefetch slot holds a different unit");
+                seed
+            }
+            None => self.issue_fetch(u, false),
+        };
+        if !self.zcfg.overlap {
+            return Ok(());
+        }
+        if let Some(v) = next {
+            self.slot = Some((v, self.issue_fetch(v, true)));
+        }
+        // The engine blocks on `u` here: its tier fetch's window closes.
+        if let Some(idx) = seed {
+            self.tier[idx].demand_pos = self.ops.len();
+        }
+        Ok(())
+    }
+
+    fn store_checkpoint(&mut self) {}
+
+    /// Two MP hooks per block pass, forward or recompute.
+    fn block_fwd(&mut self, _: usize, (): &(), _: bool) -> Result<(), Infallible> {
+        self.mp_block_pass();
+        Ok(())
+    }
+
+    /// P_a checkpoint re-materialization: all-gather the 1/N_m slices
+    /// across the MP group (§6.1).
+    fn restore(&mut self, (): ()) -> Result<(), Infallible> {
+        if self.zcfg.partition_activations {
+            self.mp_op(CollectiveKind::AllGather, "ckpt-gather");
+        }
+        Ok(())
+    }
+
+    /// Training: head forward+backward births the first gradients.
+    fn head(&mut self, (): (), train: bool) -> Result<(), Infallible> {
+        if train {
+            self.dispatch_grads(self.units.len() - 1);
+        }
+        Ok(())
+    }
+
+    fn block_bwd(&mut self, l: usize, (): (), (): ()) -> Result<(), Infallible> {
+        self.mp_block_pass();
+        self.dispatch_grads(1 + l);
+        Ok(())
+    }
+
+    /// Embedding backward, then drain the bucket for the next micro-batch:
+    /// every reduce-scatter still in flight is waited at the end-of-micro
+    /// drain and its reduced piece spilled.
+    fn embed_bwd(&mut self) -> Result<(), Infallible> {
+        self.dispatch_grads(0);
+        if let Some(rest) = self.bucket.take() {
+            self.grad_flush(rest);
+        }
+        for (counts, rs) in std::mem::take(&mut self.pending_spills) {
+            self.tier_op(TierDir::Spill, "tier-grad-spill", counts, Some(rs));
+        }
+        Ok(())
+    }
+}
+
 impl CommPlan {
     /// The deterministic prefix of a training step: every micro-batch's
     /// forward/backward comm, the end-of-step gradient reduction, and the
@@ -809,9 +802,9 @@ impl CommPlan {
         act_elems: usize,
     ) -> CommPlan {
         assert!(micro_batches > 0, "need at least one micro-batch");
-        let mut b = Builder::new(layout, zcfg, grid);
+        let mut b = Builder { act_elems, ..Builder::new(layout, zcfg, grid) };
         for _ in 0..micro_batches {
-            b.micro(act_elems);
+            let Ok(()) = walk::micro(&mut b, layout.units().len() - 2, walk::interval(zcfg), true);
         }
         b.grad_reduce();
         b.scalar_all_reduce(PlanScope::World, "overflow-flag");
@@ -864,11 +857,11 @@ impl CommPlan {
         plan
     }
 
-    /// A forward-only evaluation pass: the forward walk of a micro-batch,
-    /// with nothing for the head's fetch to chain into.
+    /// A forward-only evaluation pass: the forward walk of a micro-batch
+    /// and the head, which reduces nothing.
     pub fn eval_pass(layout: &Layout, zcfg: &ZeroConfig, grid: Grid, act_elems: usize) -> CommPlan {
-        let mut b = Builder::new(layout, zcfg, grid);
-        b.forward(act_elems, None);
+        let mut b = Builder { act_elems, ..Builder::new(layout, zcfg, grid) };
+        let Ok(()) = walk::micro(&mut b, layout.units().len() - 2, None, false);
         b.finish(grid)
     }
 

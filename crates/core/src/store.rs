@@ -55,27 +55,12 @@ impl FlatStore {
         }
     }
 
-    /// Reads `range` into an f32 slice (widening if fp16).
-    ///
-    /// # Panics
-    /// Panics if `out.len() != range.len()`.
-    pub fn read_into(&self, range: std::ops::Range<usize>, out: &mut [f32]) {
-        assert_eq!(out.len(), range.len(), "store read: length mismatch");
-        match self {
-            FlatStore::F32(v) => out.copy_from_slice(&v[range]),
-            FlatStore::F16(v) => {
-                for (o, h) in out.iter_mut().zip(&v[range]) {
-                    *o = h.to_f32();
-                }
-            }
-        }
-    }
-
-    /// Reads `range` into a fresh `Vec<f32>`.
+    /// Reads `range` into a fresh `Vec<f32>` (widening if fp16).
     pub fn read_vec(&self, range: std::ops::Range<usize>) -> Vec<f32> {
-        let mut out = vec![0.0; range.len()];
-        self.read_into(range, &mut out);
-        out
+        match self {
+            FlatStore::F32(v) => v[range].to_vec(),
+            FlatStore::F16(v) => v[range].iter().map(|h| h.to_f32()).collect(),
+        }
     }
 
     /// Writes f32 values into `range` (quantizing if fp16).
