@@ -126,9 +126,11 @@ impl Default for CompressionConfig {
 /// bytes past it panics.
 ///
 /// Offload moves exact copies (no re-quantization), so losses are bitwise
-/// identical to the unconstrained run; only residency and modeled time
-/// change. Requires mp = 1, a partitioned-optimizer stage, and no
-/// ZeRO++ compression (the lever interactions are not modeled).
+/// identical to the unconstrained run, ZeRO++ levers or not; only
+/// residency and modeled time change. Requires mp = 1 and a
+/// partitioned-optimizer stage. Under hpZ only a unit's first fetch of the
+/// step climbs from the host: its node-local refetches read the
+/// device-resident secondary copy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TierConfig {
     /// Master switch; everything below is inert when false.
@@ -389,7 +391,6 @@ impl ZeroConfig {
                     tier.depth
                 ),
             )?;
-            rule(!comp.any(), Offload, "tier offload cannot combine with ZeRO++ compression")?;
         }
         Ok(())
     }
@@ -534,15 +535,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "compression")]
-    fn tier_offload_rejects_compression() {
-        ZeroConfig {
+    fn tier_offload_composes_with_compression() {
+        let zcfg = ZeroConfig {
             stage: ZeroStage::Three,
             tier: TierConfig::budgeted(1 << 20),
-            compression: CompressionConfig { qwz: true, ..CompressionConfig::off() },
+            compression: CompressionConfig { qwz: true, hpz: true, qgz: true, node_size: 2, block: 64 },
             ..ZeroConfig::default()
-        }
-        .validate();
+        };
+        let (levers, tiers) = zcfg.check(Grid::new(4, 1)).expect("offload and ZeRO++ stack");
+        assert!(levers.qwz && levers.hpz && levers.qgz && tiers.params);
     }
 
     #[test]

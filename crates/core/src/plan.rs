@@ -12,12 +12,9 @@
 //! a gradient bucket or CB chunk covers); and the tier movement that
 //! rides it ([`TierOp::rides`]).
 //!
-//! A training micro-batch and an evaluation pass are `crate::walk`'s one
-//! walk over the layers; the `Builder` is the walker that records, per
-//! step, the fetch, the Megatron hooks, the bucketed reduce-scatters, the
-//! P_a checkpoint gather and the end-of-micro drain, while the engine
-//! executes the same walk. Nothing here knows where a checkpoint segment
-//! starts.
+//! Training micro-batches and evaluation passes are `crate::walk`'s one
+//! walk over the layers: the `Builder` is the walker that records each
+//! step's communication, and the engine executes the same walk.
 //!
 //! The engine interprets this stream through a [`PlanCursor`]: it pops the
 //! next op, checks kind and group against what it is about to run, and
@@ -537,16 +534,9 @@ impl Builder {
     /// unit in the step is the global gather (qwZ wire if enabled) that
     /// also populates the node-local secondary copy; every later fetch of
     /// the same unit resolves inside the node. Returns the index of the
-    /// tier fetch seeding the gather, if the shard lives in the host tier.
+    /// tier fetch seeding the gather, if its pieces live in the host tier.
     fn issue_fetch(&mut self, u: usize, ahead: bool) -> Option<usize> {
         let unit = self.units[u].clone();
-        // The local shard piece of the unit climbs host → device right
-        // before it seeds the all-gather (the FIFO serializes the two,
-        // so both hide behind compute together under overlap).
-        let seed = self.off.params.then(|| {
-            let counts = self.part.intersect_counts(&unit);
-            self.tier_op(TierDir::Fetch, "tier-param-fetch", counts, Some(self.ops.len()))
-        });
         let (scope, counts, wire, source) = if self.comp.hpz && self.stashed[u] {
             let node = PlanScope::Node { g: self.comp.node_size };
             (node, self.sec_part.intersect_counts(&unit), WireFmt::Raw, FetchSource::Secondary)
@@ -559,6 +549,13 @@ impl Builder {
             };
             (PlanScope::Dp, self.part.intersect_counts(&unit), wire, FetchSource::Primary)
         };
+        // The local shard piece of the unit climbs host → device right
+        // before it seeds the all-gather (the FIFO serializes the two, so
+        // both hide behind compute together under overlap). An hpZ refetch
+        // reads the device-resident secondary copy: nothing crosses.
+        let seed = (self.off.params && source == FetchSource::Primary).then(|| {
+            self.tier_op(TierDir::Fetch, "tier-param-fetch", counts.clone(), Some(self.ops.len()))
+        });
         let role = OpRole::Fetch { unit: u, source, ahead };
         self.op_nb(CollectiveKind::AllGather, scope, counts, "fetch-unit", wire, role);
         seed

@@ -1,8 +1,9 @@
 //! The memory-tier offload prover.
 //!
-//! Sweeps stages 1–3 × N ∈ {2,4,8} × sync/overlap × fp16/fp32 and proves
-//! four things about the tier-movement stream of every offloaded plan,
-//! all from plan arithmetic — zero training steps executed:
+//! Sweeps stages 1–3 × N ∈ {2,4,8} × sync/overlap × fp16/fp32, plus
+//! stages 2–3 × N ∈ {4,8} × sync/overlap with every ZeRO++ lever on at
+//! G = 2, and proves four things about the tier-movement stream of every
+//! offloaded plan, all from plan arithmetic — zero training steps executed:
 //!
 //! * **Prefetch windows.** Every tier op is issued no later than it is
 //!   demanded (`issue_pos ≤ demand_pos`). Synchronous plans have zero
@@ -10,7 +11,9 @@
 //!   (`demand_pos > issue_pos`) on their parameter fetches — a prefetch
 //!   that never runs ahead of demand is a bug, not a schedule.
 //! * **Pairing.** Every parameter fetch anchors exactly at the
-//!   all-gather it seeds, with byte-identical per-rank counts; every
+//!   all-gather it seeds, with byte-identical per-rank counts, and every
+//!   gather of the primary shards has one (an hpZ refetch reads the
+//!   device-resident secondary copy and has none); every
 //!   synchronous gradient spill anchors right after the reduce-scatter
 //!   that produced its piece; every publish fetch anchors at its publish
 //!   all-gather. Anchors are strictly increasing — the tier stream cannot
@@ -36,7 +39,8 @@
 
 use zero_comm::Grid;
 use zero_core::{
-    CommPlan, Partitioner, ResolvedTierOp, StepShape, TierConfig, TierDir, ZeroConfig, ZeroStage,
+    CommPlan, CompressionConfig, FetchSource, OpRole, Partitioner, ResolvedTierOp, StepShape,
+    TierConfig, TierDir, ZeroConfig, ZeroStage,
 };
 use zero_model::{Layout, ModelConfig};
 
@@ -220,11 +224,12 @@ fn check_offload_config(
     let part = Partitioner::new(psi, grid.dp_degree());
     let elem_bytes: u64 = if zcfg.fp16 { 2 } else { 4 };
     let what = format!(
-        "offload {} dp={} overlap={} fp16={}",
+        "offload {} dp={} overlap={} fp16={} zero++={}",
         zcfg.stage.name(),
         grid.dp_degree(),
         zcfg.overlap,
-        zcfg.fp16
+        zcfg.fp16,
+        zcfg.compression.any()
     );
     for skipped in [false, true] {
         let sh = shape(skipped);
@@ -302,16 +307,17 @@ fn check_offload_config(
                 ));
             }
 
-            // Stage 3: every planned parameter all-gather has exactly one
-            // paired tier fetch (completeness of the fetch stream).
+            // Stage 3: every planned gather of the primary shards has
+            // exactly one paired tier fetch (completeness of the fetch
+            // stream); hpZ's node-local refetches read the device-resident
+            // secondary copy and have none.
             if zcfg.stage.partitions_params() {
                 let fetches =
                     tier.iter().filter(|t| t.label == "tier-param-fetch").count();
                 let gathers = ops
                     .iter()
                     .filter(|o| {
-                        o.kind == zero_comm::CollectiveKind::AllGather
-                            && o.label == "fetch-unit"
+                        matches!(o.role, OpRole::Fetch { source: FetchSource::Primary, .. })
                     })
                     .count();
                 if fetches != gathers {
@@ -328,7 +334,8 @@ fn check_offload_config(
 }
 
 /// The swept configurations: stages 1–3 × N ∈ {2,4,8} × sync/overlap ×
-/// fp16/fp32 — 36 in all.
+/// fp16/fp32, then stages 2–3 × N ∈ {4,8} × sync/overlap with qwZ, hpZ
+/// and qgZ at G = 2 — 44 in all.
 pub fn sweep_configs() -> Vec<(ZeroConfig, Grid)> {
     let tier = TierConfig::budgeted(1 << 30);
     let mut out = Vec::new();
@@ -341,11 +348,20 @@ pub fn sweep_configs() -> Vec<(ZeroConfig, Grid)> {
             }
         }
     }
+    let compression = CompressionConfig { qwz: true, hpz: true, qgz: true, node_size: 2, block: 64 };
+    for stage in [ZeroStage::Two, ZeroStage::Three] {
+        for n in [4usize, 8] {
+            for overlap in [false, true] {
+                let zcfg = ZeroConfig { compression, ..cfg(stage, overlap, true, tier) };
+                out.push((zcfg, Grid::new(n, 1)));
+            }
+        }
+    }
     out
 }
 
-/// Runs the full offload sweep: stages 1–3 × N ∈ {2,4,8} × sync/overlap
-/// × fp16/fp32 (36 configurations, each at skipped ∈ {false,true}).
+/// Runs the full offload sweep (the 44 [`sweep_configs`], each at
+/// skipped ∈ {false,true}).
 pub fn check_offload() -> Result<OffloadReport, String> {
     let mut report = OffloadReport::default();
     for (zcfg, grid) in sweep_configs() {
@@ -366,8 +382,9 @@ mod tests {
     #[test]
     fn full_sweep_passes() {
         let r = check_offload().expect("offload proof");
-        // 3 stages × 3 worlds × sync/overlap × fp16/fp32.
-        assert_eq!(r.configs, 36, "sweep covered {} configs", r.configs);
+        // 3 stages × 3 worlds × sync/overlap × fp16/fp32, plus the 8
+        // ZeRO++ configurations.
+        assert_eq!(r.configs, 44, "sweep covered {} configs", r.configs);
         assert!(r.tier_ops_checked > 100, "checked {} tier ops", r.tier_ops_checked);
         assert!(r.paired_ops > 50, "paired {} tier ops", r.paired_ops);
         assert!(r.windows_proven > 0, "no prefetch window proven open");

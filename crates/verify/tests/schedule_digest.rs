@@ -211,7 +211,7 @@ fn sweeps_have_their_documented_sizes() {
     assert_eq!(schedule::sweep_configs().len(), 38);
     assert_eq!(schedule::overlap_pair_configs().len(), 25);
     assert_eq!(compression::sweep_configs().len(), 80);
-    assert_eq!(offload::sweep_configs().len(), 36);
+    assert_eq!(offload::sweep_configs().len(), 44);
 }
 
 #[test]

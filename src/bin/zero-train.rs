@@ -186,10 +186,7 @@ fn main() {
                  --node-size {}: {why}",
                 compression.node_size
             ),
-            ConfigError::Offload(why) => format!(
-                "--offload needs --mp 1, --stage 1/2/3, and no ZeRO++ levers \
-                 (--qwz/--hpz/--qgz): {why}"
-            ),
+            ConfigError::Offload(why) => format!("--offload needs --mp 1 and --stage 1/2/3: {why}"),
         })
     });
     if compression.any() {

@@ -2,8 +2,9 @@
 //! modeled time:
 //!
 //! * losses, validation losses, and master parameters bitwise identical
-//!   to the unconstrained run across stages 1–3 × N × sync/overlap —
-//!   offload moves exact copies, never values;
+//!   to the unconstrained run across stages 1–3 × N × sync/overlap, and
+//!   with every ZeRO++ lever mix on top — offload moves exact copies,
+//!   never values;
 //! * the collective schedule untouched: per-rank traffic still exactly
 //!   equals the tier-off plan's analytic volumes;
 //! * every byte crossing the tier metered and equal to the plan's
@@ -13,7 +14,8 @@
 
 use zero::comm::{Grid, KIND_COUNT};
 use zero::core::{
-    run_training, CommPlan, StepShape, TierConfig, TrainSetup, ZeroConfig, ZeroStage,
+    run_training, CommPlan, CompressionConfig, StepShape, TierConfig, TrainSetup, ZeroConfig,
+    ZeroStage,
 };
 use zero::model::{Layout, ModelConfig};
 
@@ -82,6 +84,52 @@ fn offloaded_losses_bitwise_match_unconstrained_for_all_stages() {
                         "{stage:?} dp={dp} rank {}: offload must move tier bytes",
                         rb.rank
                     );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn offload_composes_with_zeropp_compression_bitwise() {
+    // qwZ, hpZ, qgZ and all three at G = 2 stack with the tier: the
+    // compressed run's losses, eval losses and master parameters are the
+    // same bits with offload on or off, and the metered tier bytes are the
+    // plan's — an hpZ refetch reads the device-resident secondary copy and
+    // climbs nothing.
+    let cfg = model();
+    let layout = Layout::build(&cfg);
+    let lever = |qwz, hpz, qgz| CompressionConfig { qwz, hpz, qgz, node_size: 2, block: 64 };
+    let mixes = [lever(true, false, false), lever(false, true, false), lever(false, false, true), lever(true, true, true)];
+    for stage in [ZeroStage::Two, ZeroStage::Three] {
+        for compression in mixes {
+            for overlap in [false, true] {
+                let run = |tier| {
+                    let mut s = setup(stage, 4, overlap, tier);
+                    s.zero.compression = compression;
+                    (run_training(&s, STEPS, 2), s.zero)
+                };
+                let ((off, zcfg), (base, _)) = (run(TierConfig::budgeted(64 << 20)), run(TierConfig::off()));
+                let what = format!("{stage:?} {compression:?} overlap={overlap}");
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&base.losses), bits(&off.losses), "{what}: losses");
+                assert_eq!(bits(&base.val_losses), bits(&off.val_losses), "{what}: eval losses");
+                for (rb, ro) in base.ranks.iter().zip(&off.ranks) {
+                    assert_eq!(bits(&rb.master), bits(&ro.master), "{what} rank {}: master", rb.rank);
+                    // Every step's plan, and every eval pass's.
+                    let (grid, act_elems) = (Grid::new(4, 1), cfg.seq * cfg.hidden);
+                    let steps = off.skipped.iter().map(|&skipped| {
+                        let shape = StepShape { micro_batches: 1, act_elems, skipped };
+                        CommPlan::train_step(&layout, &zcfg, grid, &shape)
+                    });
+                    let evals = off.val_losses.iter().map(|_| CommPlan::eval_pass(&layout, &zcfg, grid, act_elems));
+                    let (mut fetch, mut spill) = (0, 0);
+                    for plan in steps.chain(evals) {
+                        let (f, s) = plan.rank_tier_bytes(ro.rank);
+                        (fetch, spill) = (fetch + f, spill + s);
+                    }
+                    assert!(ro.tier.total_bytes() > 0, "{what} rank {}: no tier bytes", ro.rank);
+                    assert_eq!((ro.tier.fetch_bytes, ro.tier.spill_bytes), (fetch, spill), "{what} rank {}", ro.rank);
                 }
             }
         }
