@@ -32,7 +32,7 @@ printf '%s\n' 'fn a() {' '}' '#[cfg(test)]' 'mod tests {' '    fn t() {' '    }'
     > "$scratch/counted.rs"
 [ "$(awk "$count_non_test" "$scratch/counted.rs")" -eq 6 ] \
     || { echo "line counter self-test failed: code after a test module must be counted in full"; exit 1; }
-line_ceiling=12386
+line_ceiling=12376
 lines=0
 split=""
 for crate in comm core serve bench; do
@@ -76,9 +76,10 @@ echo "==> zero-verify --pass compression (qwZ/hpZ/qgZ sweep, proved inter-node b
 cargo run -q --release -p zero-verify -- --pass compression
 
 echo "==> zero-verify --pass offload (tier prefetch windows, byte telescoping, bitwise collective stream)"
-# Sweeps stages 1-3 x N x sync/overlap x precision: every tier movement's
-# prefetch window is well-formed, fetches pair byte-exactly with their
-# anchor collectives, spill volumes telescope against the partition, and
+# Sweeps 44 configurations -- stages 1-3 x N x sync/overlap x precision,
+# plus stages 2-3 x N in {4,8} x sync/overlap with qwZ+hpZ+qgZ at G = 2:
+# every tier movement's prefetch window is well-formed, fetches pair
+# byte-exactly with their anchor collectives (an hpZ refetch has none), spill volumes telescope against the partition, and
 # offloaded plans keep a collective stream bitwise equal to tier-off.
 cargo run -q --release -p zero-verify -- --pass offload
 

@@ -117,7 +117,7 @@ impl Issued {
 /// A bucket flush whose reduce-scatter is in flight on the progress
 /// thread: the handle plus where its owner piece lands when waited.
 struct InflightReduce {
-    /// Destination range within `grad_shard` (shard-local coordinates).
+    /// Destination range within the gradient shard (shard-local coordinates).
     local: std::ops::Range<usize>,
     issued: Issued,
     /// Fused-buffer bytes held until the wait (memory accounting).
@@ -613,7 +613,7 @@ impl RankEngine {
     }
 
     /// Settles every in-flight bucket reduce-scatter in FIFO (issue) order:
-    /// wait, land the owner piece in `grad_shard`, release the fused
+    /// wait, land the owner piece in the gradient shard, release the fused
     /// buffer, and issue the spill the plan attached to it — the reduced
     /// piece going down to the host tier, at the first point it exists.
     /// Blocking reduce-scatters are settled right after their flush, the
@@ -729,7 +729,7 @@ impl RankEngine {
     }
 
     /// Flushes the bucket: one reduce-scatter of the fused range goes in
-    /// flight, its owner piece destined for `grad_shard`, after which the
+    /// flight, its owner piece destined for the gradient shard, after which the
     /// bucket contents are dropped — "after the reduction we no longer
     /// need the gradients and their memory can be released" (§5.2). A
     /// non-blocking op stays in flight so backward keeps computing while
