@@ -2,9 +2,9 @@
 //! C1–C5 configurations are combinations of these flags).
 
 use zero_comm::Grid;
-use zero_optim::{AdamConfig, LrSchedule, SgdConfig};
+use zero_optim::{AdamConfig, SgdConfig};
 
-use crate::plan::{EffectiveCompression, EffectiveOffload};
+use crate::plan::EffectiveOffload;
 
 /// Which optimizer the engine runs over the (possibly sharded) fp32
 /// master parameters.
@@ -79,9 +79,11 @@ impl ZeroStage {
 ///   two-phase all-to-all (raw intra-node, int8 inter-node) instead of
 ///   the raw ring.
 ///
-/// All three require mp = 1 and a DP degree divisible by `node_size`.
-/// With everything off (the default) plans and runs are bitwise identical
-/// to the uncompressed engine.
+/// Each lever is refused on a stage without the collective it acts on
+/// (qwZ and hpZ need stage 3, qgZ stage 2 or 3), and all three require
+/// mp = 1 and a DP degree divisible by `node_size`. With everything off
+/// (the default) plans and runs are bitwise identical to the uncompressed
+/// engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompressionConfig {
     /// Quantized weight all-gather on stage-3 forward/eval fetches.
@@ -208,18 +210,14 @@ pub struct ZeroConfig {
     pub bucket_elems: usize,
     /// Initial dynamic loss scale (fp16 only).
     pub initial_loss_scale: f32,
-    /// Global gradient-norm clip; `None` disables.
+    /// Global gradient-norm clip, finite and positive; `None` disables.
     pub clip_grad_norm: Option<f64>,
     /// Optimizer over the (possibly sharded) fp32 master parameters.
     pub optimizer: OptimizerKind,
-    /// Learning-rate schedule (multiplier of the optimizer's base rate).
-    pub lr_schedule: LrSchedule,
-    /// Residual-branch dropout probability (0 disables; applied in
-    /// training only, never in eval, with deterministic per-step masks).
-    pub dropout: f32,
     /// Ranks per node for topology-aware (two-level) gradient all-reduce
-    /// under DDP; `None` uses the flat ring. Requires mp = 1 and a DP
-    /// degree divisible by the node size.
+    /// under DDP; `None` uses the flat ring. Refused at stages 1–3 (they
+    /// reduce-scatter); requires mp = 1 and a DP degree divisible by the
+    /// node size.
     pub node_size: Option<usize>,
     /// Overlap-centric execution: stage-2/3 gradient bucket flushes launch
     /// their reduce-scatter asynchronously (waited at end-of-backward) and
@@ -247,8 +245,6 @@ impl Default for ZeroConfig {
             initial_loss_scale: 4096.0,
             clip_grad_norm: None,
             optimizer: OptimizerKind::Adam(AdamConfig::default()),
-            lr_schedule: LrSchedule::Constant,
-            dropout: 0.0,
             node_size: None,
             overlap: false,
             compression: CompressionConfig::off(),
@@ -262,9 +258,11 @@ impl Default for ZeroConfig {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
     /// A switch depends on one that is off, a scalar is out of range, or
-    /// the two-level all-reduce's nodes do not fit the grid.
+    /// the two-level all-reduce is set on a stage other than DDP or its
+    /// nodes do not fit the grid.
     Switches(String),
-    /// A ZeRO++ lever is in effect on a grid it is not defined over.
+    /// A ZeRO++ lever is requested on a stage or grid it is not defined
+    /// over.
     Compression(String),
     /// The memory tier is on with a stage, grid or lever it cannot serve.
     Offload(String),
@@ -292,17 +290,15 @@ fn rule(holds: bool, kind: fn(String) -> ConfigError, text: &str) -> Result<(), 
 impl ZeroConfig {
     /// The one author of lever × stage × grid legality: every rule a
     /// configuration must satisfy to run on `grid`, and — when it does —
-    /// which ZeRO++ levers and which tier classes are actually in effect
-    /// (each switch gated by the stage that owns what it acts on).
-    pub fn check(
-        &self,
-        grid: Grid,
-    ) -> Result<(EffectiveCompression, EffectiveOffload), ConfigError> {
+    /// which tier classes are in effect (the tier switch gated by the stage
+    /// that owns each class). A ZeRO++ lever or the two-level all-reduce
+    /// on a stage without the collective it acts on is refused, so every
+    /// lever a passing configuration requests is in effect.
+    pub fn check(&self, grid: Grid) -> Result<EffectiveOffload, ConfigError> {
         use ConfigError::{Compression, Offload, Switches};
         self.check_switches()?;
         let (stage, comp, dp) = (self.stage, self.compression, grid.dp_degree());
-        if let (ZeroStage::Ddp, Some(g)) = (stage, self.node_size) {
-            rule(g >= 1, Switches, "two-level all-reduce node_size must be at least 1")?;
+        if let Some(g) = self.node_size {
             rule(
                 dp.is_multiple_of(g),
                 Switches,
@@ -314,14 +310,7 @@ impl ZeroConfig {
                 "two-level all-reduce requires mp = 1 (nodes group DP ranks)",
             )?;
         }
-        let levers = EffectiveCompression {
-            qwz: comp.qwz && stage.partitions_params(),
-            hpz: comp.hpz && stage.partitions_params(),
-            qgz: comp.qgz && stage.partitions_grads(),
-            node_size: comp.node_size,
-            block: comp.block,
-        };
-        if levers.any() {
+        if comp.any() {
             rule(
                 grid.mp_degree() == 1,
                 Compression,
@@ -339,12 +328,11 @@ impl ZeroConfig {
             Offload,
             "tier offload requires mp = 1 (tier volumes are over DP shards)",
         )?;
-        let tiers = EffectiveOffload {
+        Ok(EffectiveOffload {
             opt_state: on && stage.partitions_optimizer(),
             grads: on && stage.partitions_grads(),
             params: on && stage.partitions_params(),
-        };
-        Ok((levers, tiers))
+        })
     }
 
     /// [`ZeroConfig::check`]'s grid-free rules, panicking.
@@ -360,7 +348,6 @@ impl ZeroConfig {
         let (comp, tier) = (self.compression, self.tier);
         rule(self.bucket_elems > 0, Switches, "bucket_elems must be positive")?;
         rule(self.checkpoint_interval >= 1, Switches, "checkpoint_interval must be at least 1")?;
-        rule((0.0..1.0).contains(&self.dropout), Switches, "dropout must be in [0, 1)")?;
         rule(
             !self.partition_activations || self.checkpoint_activations,
             Switches,
@@ -371,9 +358,33 @@ impl ZeroConfig {
             Switches,
             "P_a+cpu requires P_a (partitioned checkpoints)",
         )?;
+        rule(
+            self.clip_grad_norm.is_none_or(|c| c.is_finite() && c > 0.0),
+            Switches,
+            "clip_grad_norm must be finite and positive",
+        )?;
+        if let Some(g) = self.node_size {
+            rule(
+                self.stage == ZeroStage::Ddp,
+                Switches,
+                "the two-level all-reduce (node_size) is DDP's gradient all-reduce; \
+                 stages 1-3 reduce-scatter their gradients",
+            )?;
+            rule(g >= 1, Switches, "two-level all-reduce node_size must be at least 1")?;
+        }
         if comp.any() {
             rule(comp.node_size >= 1, Compression, "compression node_size must be at least 1")?;
             rule(comp.block >= 1, Compression, "compression block must be at least 1")?;
+            rule(
+                !(comp.qwz || comp.hpz) || self.stage.partitions_params(),
+                Compression,
+                "qwZ and hpZ act on stage 3's parameter all-gathers: they need stage 3",
+            )?;
+            rule(
+                !comp.qgz || self.stage.partitions_grads(),
+                Compression,
+                "qgZ acts on the gradient reduce-scatter: it needs stage 2 or 3",
+            )?;
         }
         if tier.enabled {
             rule(
@@ -542,8 +553,42 @@ mod tests {
             compression: CompressionConfig { qwz: true, hpz: true, qgz: true, node_size: 2, block: 64 },
             ..ZeroConfig::default()
         };
-        let (levers, tiers) = zcfg.check(Grid::new(4, 1)).expect("offload and ZeRO++ stack");
-        assert!(levers.qwz && levers.hpz && levers.qgz && tiers.params);
+        let tiers = zcfg.check(Grid::new(4, 1)).expect("offload and ZeRO++ stack");
+        assert!(tiers.params);
+    }
+
+    #[test]
+    fn each_lever_runs_exactly_at_the_stages_that_own_its_collective() {
+        use ZeroStage::{Ddp, One, Three, Two};
+        let on = |qwz, hpz, qgz| CompressionConfig { qwz, hpz, qgz, node_size: 2, block: 64 };
+        let lever = |compression| ZeroConfig { compression, ..ZeroConfig::default() };
+        // (lever, a configuration with it on, the stages that own it)
+        let levers = [
+            ("qwZ", lever(on(true, false, false)), &[Three][..]),
+            ("hpZ", lever(on(false, true, false)), &[Three]),
+            ("qgZ", lever(on(false, false, true)), &[Two, Three]),
+            ("node_size", ZeroConfig { node_size: Some(2), ..ZeroConfig::default() }, &[Ddp]),
+        ];
+        for (name, zcfg, owners) in levers {
+            for stage in [Ddp, One, Two, Three] {
+                match (owners.contains(&stage), ZeroConfig { stage, ..zcfg }.check(Grid::new(4, 1))) {
+                    (true, Ok(_)) => {}
+                    (false, Err(ConfigError::Switches(_))) if name == "node_size" => {}
+                    (false, Err(ConfigError::Compression(_))) if name != "node_size" => {}
+                    (owned, got) => panic!("{name} at {stage:?} (owned: {owned}): {got:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clip_must_be_finite_and_positive() {
+        for c in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            let got = ZeroConfig { clip_grad_norm: Some(c), ..ZeroConfig::default() }.check(Grid::new(2, 1));
+            assert!(matches!(got, Err(ConfigError::Switches(_))), "clip {c}: {got:?}");
+        }
+        let zcfg = ZeroConfig { clip_grad_norm: Some(1.0), ..ZeroConfig::default() };
+        assert!(zcfg.check(Grid::new(2, 1)).is_ok());
     }
 
     #[test]

@@ -41,7 +41,7 @@ use std::sync::Arc;
 use zero_comm::{
     CollectiveKind, CommError, Communicator, Grid, Group, NodeTopology, PendingOp, ReduceOp,
 };
-use zero_model::{BlockSaved, Dropout, Gpt};
+use zero_model::{BlockSaved, Gpt};
 use zero_trace::{SpanCategory, StepTimeline, TraceRecorder};
 use zero_optim::{
     apply_clip, clip_coefficient, local_sq_norm, Adam, DynamicLossScaler, Sgd,
@@ -239,13 +239,6 @@ impl OptState {
             OptState::Sgd(s) => s.step(params, grads),
         }
     }
-
-    fn set_lr(&mut self, lr: f32) {
-        match self {
-            OptState::Adam(a) => a.set_lr(lr),
-            OptState::Sgd(s) => s.set_lr(lr),
-        }
-    }
 }
 
 /// One rank's ZeRO engine.
@@ -297,8 +290,6 @@ pub struct RankEngine {
     /// progress thread records collective execution spans on it.
     trace: Arc<TraceRecorder>,
     step: u64,
-    /// Monotone micro-batch counter (drives deterministic dropout seeds).
-    micro_seq: u64,
 }
 
 impl RankEngine {
@@ -318,7 +309,8 @@ impl RankEngine {
         grid: Grid,
         comm: Communicator,
     ) -> RankEngine {
-        let (comp, off) = zcfg.check(grid).unwrap_or_else(|e| panic!("{e}"));
+        let off = zcfg.check(grid).unwrap_or_else(|e| panic!("{e}"));
+        let comp = zcfg.compression;
         assert_eq!(
             grid.world_size(),
             comm.world_size(),
@@ -462,7 +454,6 @@ impl RankEngine {
             mem,
             trace,
             step: 0,
-            micro_seq: 0,
         }
     }
 
@@ -1096,20 +1087,14 @@ impl RankEngine {
     /// scale `scale`, dispatching gradients into the stage's stores, or
     /// (`None`) an evaluation pass.
     fn walk(&mut self, ids: &[u32], targets: &[u32], local_batch: usize, scale: Option<f32>) -> Result<f32, CommError> {
-        let mut drop = Dropout::OFF;
         if scale.is_some() {
             if let Some(arena) = &mut self.arena {
                 arena.reset();
             }
-            // Deterministic per-(micro, layer) dropout seeds: the checkpoint
-            // recompute in backward regenerates identical masks.
-            self.micro_seq += 1;
-            let seed = self.micro_seq.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0xD1B5_4A32_D192_ED03);
-            drop = Dropout { p: self.zcfg.dropout, seed };
         }
         let (layers, k) = (self.gpt.config().layers, walk::interval(&self.zcfg));
         let (x, dy, loss) = (Vec::new(), Vec::new(), 0.0);
-        let mut pass = Pass { e: self, ids, targets, local_batch, scale: scale.unwrap_or(1.0), drop, x, dy, loss };
+        let mut pass = Pass { e: self, ids, targets, local_batch, scale: scale.unwrap_or(1.0), x, dy, loss };
         walk::micro(&mut pass, layers, k, scale.is_some())?;
         Ok(pass.loss)
     }
@@ -1166,12 +1151,6 @@ impl RankEngine {
                 grad_norm = Some(norm);
                 apply_clip(&mut g, clip_coefficient(norm, max_norm));
             }
-            let base_lr = match self.zcfg.optimizer {
-                OptimizerKind::Adam(c) => c.lr,
-                OptimizerKind::Sgd(c) => c.lr,
-            };
-            self.opt
-                .set_lr(base_lr * self.zcfg.lr_schedule.factor(self.step));
             let span = self.trace.begin(SpanCategory::Optimizer, "opt-step");
             self.opt.step(&mut self.master, &g);
             self.trace.end(span);
@@ -1224,18 +1203,9 @@ struct Pass<'a> {
     local_batch: usize,
     /// Loss scale applied to everything downstream of the loss.
     scale: f32,
-    /// The micro-batch's dropout, reseeded per layer.
-    drop: Dropout,
     x: Vec<f32>,
     dy: Vec<f32>,
     loss: f32,
-}
-
-impl Pass<'_> {
-    /// Layer `l`'s dropout: forward, recompute and backward share it.
-    fn drop_for(&self, l: usize) -> Dropout {
-        Dropout { seed: self.drop.seed ^ (l as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9), ..self.drop }
-    }
 }
 
 impl Walker for Pass<'_> {
@@ -1297,8 +1267,8 @@ impl Walker for Pass<'_> {
     /// output quantized to the activation width.
     fn block_fwd(&mut self, l: usize, p: &Vec<f32>, recompute: bool) -> Result<BlockSaved, CommError> {
         let span = if recompute { "block-refwd" } else { "block-fwd" };
-        let (x, batch, drop) = (&self.x, self.local_batch, self.drop_for(l));
-        let (mut y, saved) = self.e.block_pass(span, |gpt, hook| gpt.block_fwd_dropout(l, p, x, batch, hook, drop))?;
+        let (x, batch) = (&self.x, self.local_batch);
+        let (mut y, saved) = self.e.block_pass(span, |gpt, hook| gpt.block_fwd(l, p, x, batch, hook))?;
         self.e.maybe_quantize(&mut y);
         self.x = y;
         Ok(saved)
@@ -1387,12 +1357,12 @@ impl Walker for Pass<'_> {
     /// Releases the block's saved activations, runs the kernel, discards
     /// the unit's parameters and dispatches its gradients.
     fn block_bwd(&mut self, l: usize, p: Vec<f32>, saved: BlockSaved) -> Result<(), CommError> {
-        let (dy, batch, drop) = (&self.dy, self.local_batch, self.drop_for(l));
+        let (dy, batch) = (&self.dy, self.local_batch);
         let e = &mut *self.e;
         e.mem.free(MemCategory::Activations, 4 * saved.elems() as u64);
         let range = e.gpt.layout().units()[1 + l].range.clone();
         let mut grads = vec![0.0; range.len()];
-        let dx = e.block_pass("block-bwd", |gpt, hook| gpt.block_bwd_dropout(l, &p, &saved, dy, &mut grads, batch, hook, drop))?;
+        let dx = e.block_pass("block-bwd", |gpt, hook| gpt.block_bwd(l, &p, &saved, dy, &mut grads, batch, hook))?;
         self.dy = dx;
         self.release(p);
         self.e.dispatch_grads(range, grads)

@@ -384,32 +384,6 @@ pub struct CommPlan {
     tier: Vec<TierOp>,
 }
 
-/// Which ZeRO++ levers are actually in effect for a stage/grid — the
-/// config flags gated by the stage that owns the collective each lever
-/// compresses, as resolved by [`ZeroConfig::check`]. The plan [`Builder`]
-/// turns these into per-op wire formats and fetch sources; the engine only
-/// sizes the hpZ secondary store from them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EffectiveCompression {
-    /// Quantized weight all-gather (stage-3 parameter fetches only).
-    pub qwz: bool,
-    /// Secondary node-local parameter partition (stage-3 fetches only).
-    pub hpz: bool,
-    /// Quantized all-to-all gradient reduce-scatter (bucketed stages 2–3).
-    pub qgz: bool,
-    /// Ranks per node G.
-    pub node_size: usize,
-    /// Quantization block length.
-    pub block: usize,
-}
-
-impl EffectiveCompression {
-    /// True if any lever is in effect.
-    pub fn any(&self) -> bool {
-        self.qwz || self.hpz || self.qgz
-    }
-}
-
 /// Which state classes actually cross the memory tier for a stage — the
 /// tier flag gated by the stage that owns each class (§3's taxonomy:
 /// optimizer states partition at stage ≥ 1, gradients at stage ≥ 2,
@@ -443,8 +417,6 @@ struct Builder {
     ops: Vec<PlanOp>,
     part: Partitioner,
     prec: Precision,
-    /// Effective ZeRO++ levers for this stage/grid.
-    comp: EffectiveCompression,
     /// hpZ secondary partition: the flat space over the G ranks of a node.
     sec_part: Partitioner,
     /// hpZ: units whose secondary copy is populated at this point of the
@@ -480,15 +452,14 @@ struct Builder {
 
 impl Builder {
     fn new(layout: &Layout, zcfg: &ZeroConfig, grid: Grid) -> Builder {
-        let (comp, off) = zcfg.check(grid).unwrap_or_else(|e| panic!("{e}"));
+        let off = zcfg.check(grid).unwrap_or_else(|e| panic!("{e}"));
         Builder {
             zcfg: *zcfg,
             units: layout.units().iter().map(|u| u.range.clone()).collect(),
             ops: Vec::new(),
             part: Partitioner::new(layout.total_params(), grid.dp_degree()),
             prec: if zcfg.fp16 { Precision::Fp16 } else { Precision::Fp32 },
-            comp,
-            sec_part: Partitioner::new(layout.total_params(), comp.node_size.max(1)),
+            sec_part: Partitioner::new(layout.total_params(), zcfg.compression.node_size.max(1)),
             stashed: vec![false; layout.units().len()],
             slot: None,
             bucket: None,
@@ -537,13 +508,14 @@ impl Builder {
     /// tier fetch seeding the gather, if its pieces live in the host tier.
     fn issue_fetch(&mut self, u: usize, ahead: bool) -> Option<usize> {
         let unit = self.units[u].clone();
-        let (scope, counts, wire, source) = if self.comp.hpz && self.stashed[u] {
-            let node = PlanScope::Node { g: self.comp.node_size };
+        let comp = self.zcfg.compression;
+        let (scope, counts, wire, source) = if comp.hpz && self.stashed[u] {
+            let node = PlanScope::Node { g: comp.node_size };
             (node, self.sec_part.intersect_counts(&unit), WireFmt::Raw, FetchSource::Secondary)
         } else {
             self.stashed[u] = true;
-            let wire = if self.comp.qwz {
-                WireFmt::Int8Block { block: self.comp.block }
+            let wire = if comp.qwz {
+                WireFmt::Int8Block { block: comp.block }
             } else {
                 WireFmt::Raw
             };
@@ -603,8 +575,9 @@ impl Builder {
 
     fn grad_flush(&mut self, fused: Range<usize>) {
         let counts = self.part.intersect_counts(&fused);
-        let wire = if self.comp.qgz {
-            WireFmt::QgzInt8 { node_size: self.comp.node_size, block: self.comp.block }
+        let comp = self.zcfg.compression;
+        let wire = if comp.qgz {
+            WireFmt::QgzInt8 { node_size: comp.node_size, block: comp.block }
         } else {
             WireFmt::Raw
         };

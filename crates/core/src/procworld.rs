@@ -45,7 +45,7 @@ use zero_comm::{
     ProcessWorldConfig, RankProcs, ALL_KINDS,
 };
 use zero_model::ModelConfig;
-use zero_optim::{AdamConfig, LrSchedule, SgdConfig};
+use zero_optim::{AdamConfig, SgdConfig};
 
 use crate::config::{CompressionConfig, OptimizerKind, TierConfig, ZeroConfig, ZeroStage};
 use crate::snapshot::{RankSnapshot, SectionReader, SectionWriter, SnapshotError};
@@ -471,8 +471,8 @@ record!(CompressionConfig { qwz, hpz, qgz, node_size, block });
 record!(TierConfig { enabled, device_budget, host_bw, host_lat, depth });
 record!(ZeroConfig {
     stage, fp16, checkpoint_activations, checkpoint_interval, partition_activations,
-    offload_checkpoints, bucket_elems, initial_loss_scale, clip_grad_norm, optimizer, lr_schedule,
-    dropout, node_size, overlap, compression, tier
+    offload_checkpoints, bucket_elems, initial_loss_scale, clip_grad_norm, optimizer, node_size,
+    overlap, compression, tier
 });
 record!(TrainSetup { model, zero, grid, global_batch, seed });
 record!(FaultSpec { rank, trigger, kind });
@@ -558,31 +558,6 @@ impl Field for OptimizerKind {
     }
 }
 
-impl Field for LrSchedule {
-    fn put(&self, w: &mut Enc) -> io::Result<()> {
-        match *self {
-            LrSchedule::Constant => 0u64.put(w),
-            LrSchedule::Warmup { warmup } => (1u64, warmup).put(w),
-            LrSchedule::WarmupLinear { warmup, total, floor } => (2u64, warmup, total, floor).put(w),
-            LrSchedule::WarmupCosine { warmup, total, floor } => (3u64, warmup, total, floor).put(w),
-        }
-    }
-    fn get(r: &mut Dec) -> Result<Self, SnapshotError> {
-        match u64::get(r)? {
-            0 => Ok(LrSchedule::Constant),
-            1 => Ok(LrSchedule::Warmup { warmup: Field::get(r)? }),
-            tag @ 2..=3 => {
-                let (warmup, total, floor) = Field::get(r)?;
-                Ok(match tag {
-                    2 => LrSchedule::WarmupLinear { warmup, total, floor },
-                    _ => LrSchedule::WarmupCosine { warmup, total, floor },
-                })
-            }
-            tag => Err(SnapshotError::ImplausibleLength(tag)),
-        }
-    }
-}
-
 /// Write-then-rename so readers never observe a torn file: the rename is
 /// what commits a worker's result (or progress tick).
 fn write_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
@@ -603,11 +578,6 @@ mod tests {
         let mut zero = ZeroConfig::fp32_exact(ZeroStage::Two);
         zero.bucket_elems = 512;
         zero.clip_grad_norm = Some(0.75);
-        zero.lr_schedule = LrSchedule::WarmupCosine {
-            warmup: 3,
-            total: 50,
-            floor: 0.1,
-        };
         let setup = TrainSetup {
             model: ModelConfig {
                 vocab: 32,
@@ -669,19 +639,12 @@ mod tests {
             OptimizerKind::Adam(AdamConfig { lr: 3e-4, beta1: 0.8, beta2: 0.95, eps: 1e-6, weight_decay: 0.01 }),
             OptimizerKind::Sgd(SgdConfig { lr: 0.05, momentum: 0.9 }),
         ];
-        let schedules = [
-            LrSchedule::Constant,
-            LrSchedule::Warmup { warmup: 7 },
-            LrSchedule::WarmupLinear { warmup: 2, total: 40, floor: 0.25 },
-            LrSchedule::WarmupCosine { warmup: 3, total: 50, floor: 0.1 },
-        ];
-        for (i, lr_schedule) in schedules.into_iter().enumerate() {
+        for (i, optimizer) in optimizers.into_iter().enumerate() {
             let some = i % 2 == 0;
             let mut spec = sample_spec();
             spec.restore_dir = some.then(|| PathBuf::from("/tmp/restore-1"));
             let zero = &mut spec.cfg.setup.zero;
-            zero.optimizer = optimizers[i % 2];
-            zero.lr_schedule = lr_schedule;
+            zero.optimizer = optimizer;
             zero.clip_grad_norm = some.then_some(1.25);
             zero.node_size = (!some).then_some(2);
             zero.tier = TierConfig { host_lat: Duration::from_nanos(1500), ..TierConfig::budgeted(1 << 20) };
@@ -699,7 +662,7 @@ mod tests {
             a.lr = f32::from_bits(0x3a83_126f);
             a.eps = f32::MIN_POSITIVE;
         }
-        zero.dropout = f32::from_bits(0x3e99_999a);
+        zero.initial_loss_scale = f32::from_bits(0x3e99_999a);
         zero.clip_grad_norm = Some(f64::from_bits(0x3FB9_9999_9999_999A));
         assert_eq!(round_trip(&spec).cfg.setup.zero, spec.cfg.setup.zero);
     }

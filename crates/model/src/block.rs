@@ -10,7 +10,7 @@
 //! (the `f` operator before each layernorm backward) as `reduce_back`.
 //! For a single device both callbacks are the identity.
 
-use zero_tensor::ops::activation::{acc, add, add_bias, bias_grad, dropout_backward, dropout_forward, gelu_backward, gelu_forward};
+use zero_tensor::ops::activation::{acc, add, add_bias, bias_grad, gelu_backward, gelu_forward};
 use zero_tensor::ops::matmul::{gemm, sgemm, sgemm_nt, Mat, Store};
 use zero_tensor::ops::norm::{layernorm_backward, layernorm_forward};
 use zero_tensor::ops::softmax::{causal_softmax_forward, softmax_backward};
@@ -18,31 +18,6 @@ use zero_tensor::ops::softmax::{causal_softmax_forward, softmax_backward};
 use crate::layout::BlockOffsets;
 
 const LN_EPS: f32 = 1e-5;
-
-/// Dropout applied at GPT-2's two residual-branch sites (after the
-/// attention projection and after the MLP's second matmul).
-///
-/// Masks are derived from a stateless counter-based hash of `seed`, so the
-/// checkpointing recompute path regenerates the forward pass bit-exactly —
-/// callers must pass a seed unique per (step, micro-batch, layer) and the
-/// SAME seed to the matching backward call.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Dropout {
-    /// Drop probability in [0, 1).
-    pub p: f32,
-    /// Mask seed for this block invocation.
-    pub seed: u64,
-}
-
-impl Dropout {
-    /// No dropout (identity).
-    pub const OFF: Dropout = Dropout { p: 0.0, seed: 0 };
-
-    #[inline]
-    fn site(&self, which: u64) -> u64 {
-        self.seed ^ which.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
-}
 
 /// Shape parameters of one block *as seen by one rank*.
 #[derive(Clone, Copy, Debug)]
@@ -144,20 +119,6 @@ pub fn block_forward(
     y: &mut [f32],
     reduce: &mut dyn FnMut(&mut [f32]),
 ) -> BlockSaved {
-    block_forward_dropout(dims, params, off, x, y, reduce, Dropout::OFF)
-}
-
-/// [`block_forward`] with residual-branch dropout.
-#[allow(clippy::too_many_arguments)]
-pub fn block_forward_dropout(
-    dims: &BlockDims,
-    params: &[f32],
-    off: &BlockOffsets,
-    x: &[f32],
-    y: &mut [f32],
-    reduce: &mut dyn FnMut(&mut [f32]),
-    drop: Dropout,
-) -> BlockSaved {
     let t = dims.rows();
     let h = dims.hidden;
     let aw = dims.attn_width();
@@ -194,7 +155,6 @@ pub fn block_forward_dropout(
     sgemm_nt(&attn_out, &params[off.w_o.clone()], &mut ao, t, aw, h);
     reduce(&mut ao);
     add_bias(&mut ao, &params[off.b_o.clone()]);
-    dropout_forward(&mut ao, drop.p, drop.site(1));
 
     // Residual 1.
     let mut x2 = vec![0.0; t * h];
@@ -226,7 +186,6 @@ pub fn block_forward_dropout(
     sgemm_nt(&gelu, &params[off.w_fc2.clone()], &mut f2, t, ffn, h);
     reduce(&mut f2);
     add_bias(&mut f2, &params[off.b_fc2.clone()]);
-    dropout_forward(&mut f2, drop.p, drop.site(2));
 
     // Residual 2.
     add(&x2, &f2, y);
@@ -268,23 +227,6 @@ pub fn block_backward(
     grads: &mut [f32],
     reduce_back: &mut dyn FnMut(&mut [f32]),
 ) {
-    block_backward_dropout(dims, params, off, saved, dy, dx, grads, reduce_back, Dropout::OFF)
-}
-
-/// [`block_backward`] with residual-branch dropout; `drop` must match the
-/// forward call's.
-#[allow(clippy::too_many_arguments)]
-pub fn block_backward_dropout(
-    dims: &BlockDims,
-    params: &[f32],
-    off: &BlockOffsets,
-    saved: &BlockSaved,
-    dy: &[f32],
-    dx: &mut [f32],
-    grads: &mut [f32],
-    reduce_back: &mut dyn FnMut(&mut [f32]),
-    drop: Dropout,
-) {
     let t = dims.rows();
     let h = dims.hidden;
     let aw = dims.attn_width();
@@ -293,13 +235,12 @@ pub fn block_backward_dropout(
     assert_eq!(dx.len(), t * h, "block_backward: dx shape");
 
     // --- MLP path ---
-    // y = x2 + dropout(f2): dL/d(fc2 out) = dropout'(dy); dL/dx2 = dy.
-    let mut df2 = dy.to_vec();
-    dropout_backward(&mut df2, drop.p, drop.site(2));
+    // y = x2 + f2: dL/d(fc2 out) = dL/dx2 = dy.
+    let df2 = dy;
     let mut dgelu = vec![0.0; t * ffn];
-    sgemm(&df2, &params[off.w_fc2.clone()], &mut dgelu, t, h, ffn);
-    weight_grad(&mut grads[off.w_fc2.clone()], &df2, &saved.gelu, h, t, ffn);
-    bias_grad(&df2, &mut grads[off.b_fc2.clone()]);
+    sgemm(df2, &params[off.w_fc2.clone()], &mut dgelu, t, h, ffn);
+    weight_grad(&mut grads[off.w_fc2.clone()], df2, &saved.gelu, h, t, ffn);
+    bias_grad(df2, &mut grads[off.b_fc2.clone()]);
 
     // GELU.
     let mut dfc1 = vec![0.0; t * ffn];
@@ -337,12 +278,10 @@ pub fn block_backward_dropout(
     }
 
     // --- Attention path ---
-    // x2 = x + dropout(ao) ⇒ dao = dropout'(dx2); dx starts as dx2.
+    // x2 = x + ao ⇒ dao = dx2; dx starts as dx2.
     // ao = attn_out · Wo^T + bo (bias added after MP reduce; its gradient
     // is consistent because b_o is replicated).
-    let mut dao = dx2.clone();
-    dropout_backward(&mut dao, drop.p, drop.site(1));
-    let dao = &dao;
+    let dao = &dx2;
     let mut dattn = vec![0.0; t * aw];
     sgemm(dao, &params[off.w_o.clone()], &mut dattn, t, h, aw);
     weight_grad(&mut grads[off.w_o.clone()], dao, &saved.attn_out, h, t, aw);

@@ -14,7 +14,7 @@ use zero_tensor::ops::loss::{cross_entropy_fused, cross_entropy_loss};
 use zero_tensor::ops::matmul::{sgemm, sgemm_nt};
 use zero_tensor::ops::norm::{layernorm_backward, layernorm_forward};
 
-use crate::block::{block_backward_dropout, block_forward_dropout, weight_grad, BlockDims, BlockSaved, Dropout};
+use crate::block::{block_backward, block_forward, weight_grad, BlockDims, BlockSaved};
 use crate::config::ModelConfig;
 use crate::layout::Layout;
 
@@ -129,24 +129,10 @@ impl Gpt {
         batch: usize,
         reduce: &mut dyn FnMut(&mut [f32]),
     ) -> (Vec<f32>, BlockSaved) {
-        self.block_fwd_dropout(l, params, x, batch, reduce, Dropout::OFF)
-    }
-
-    /// [`Self::block_fwd`] with residual-branch dropout.
-    #[allow(clippy::too_many_arguments)]
-    pub fn block_fwd_dropout(
-        &self,
-        l: usize,
-        params: &[f32],
-        x: &[f32],
-        batch: usize,
-        reduce: &mut dyn FnMut(&mut [f32]),
-        drop: Dropout,
-    ) -> (Vec<f32>, BlockSaved) {
         let dims = self.dims(batch);
         let off = self.layout.block_offsets(l);
         let mut y = vec![0.0; x.len()];
-        let saved = block_forward_dropout(&dims, params, &off, x, &mut y, reduce, drop);
+        let saved = block_forward(&dims, params, &off, x, &mut y, reduce);
         (y, saved)
     }
 
@@ -163,26 +149,10 @@ impl Gpt {
         batch: usize,
         reduce_back: &mut dyn FnMut(&mut [f32]),
     ) -> Vec<f32> {
-        self.block_bwd_dropout(l, params, saved, dy, grads, batch, reduce_back, Dropout::OFF)
-    }
-
-    /// [`Self::block_bwd`] with dropout; `drop` must match the forward's.
-    #[allow(clippy::too_many_arguments)]
-    pub fn block_bwd_dropout(
-        &self,
-        l: usize,
-        params: &[f32],
-        saved: &BlockSaved,
-        dy: &[f32],
-        grads: &mut [f32],
-        batch: usize,
-        reduce_back: &mut dyn FnMut(&mut [f32]),
-        drop: Dropout,
-    ) -> Vec<f32> {
         let dims = self.dims(batch);
         let off = self.layout.block_offsets(l);
         let mut dx = vec![0.0; dy.len()];
-        block_backward_dropout(&dims, params, &off, saved, dy, &mut dx, grads, reduce_back, drop);
+        block_backward(&dims, params, &off, saved, dy, &mut dx, grads, reduce_back);
         dx
     }
 

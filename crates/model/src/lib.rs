@@ -30,7 +30,7 @@ pub mod gpt;
 pub mod kv;
 pub mod layout;
 
-pub use block::{BlockDims, BlockSaved, Dropout};
+pub use block::{BlockDims, BlockSaved};
 pub use config::ModelConfig;
 pub use data::{rank_batch, ByteCorpus, SyntheticCorpus};
 pub use generate::{

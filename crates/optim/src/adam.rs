@@ -79,11 +79,6 @@ impl Adam {
         self.t
     }
 
-    /// Overrides the learning rate (LR schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.cfg.lr = lr;
-    }
-
     /// Bytes of optimizer state held (momentum + variance).
     pub fn state_bytes(&self) -> usize {
         8 * self.m.len()

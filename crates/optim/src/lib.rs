@@ -24,11 +24,9 @@
 pub mod adam;
 pub mod clip;
 pub mod scaler;
-pub mod schedule;
 pub mod sgd;
 
 pub use adam::{Adam, AdamConfig};
 pub use clip::{apply_clip, clip_coefficient, local_sq_norm};
 pub use scaler::{has_overflow, DynamicLossScaler};
-pub use schedule::LrSchedule;
 pub use sgd::{Sgd, SgdConfig};

@@ -35,11 +35,6 @@ impl Sgd {
         }
     }
 
-    /// Overrides the learning rate (LR schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.cfg.lr = lr;
-    }
-
     /// Bytes of optimizer state held.
     pub fn state_bytes(&self) -> usize {
         self.velocity.as_ref().map_or(0, |v| 4 * v.len())

@@ -81,42 +81,6 @@ pub fn scale(x: &mut [f32], s: f32) {
     }
 }
 
-/// Dropout with a fixed keep mask derived from a counter-based hash, so the
-/// forward and backward passes agree without storing the mask.
-///
-/// `seed` must be identical between the forward call and the backward call
-/// of the same layer invocation (the model uses a per-step, per-layer seed).
-pub fn dropout_forward(x: &mut [f32], p_drop: f32, seed: u64) {
-    if p_drop <= 0.0 {
-        return;
-    }
-    let keep = 1.0 - p_drop;
-    let inv_keep = 1.0 / keep;
-    for (i, v) in x.iter_mut().enumerate() {
-        if !keep_element(seed, i as u64, keep) {
-            *v = 0.0;
-        } else {
-            *v *= inv_keep;
-        }
-    }
-}
-
-/// Backward of [`dropout_forward`] with the same seed.
-pub fn dropout_backward(dy: &mut [f32], p_drop: f32, seed: u64) {
-    // Dropout is its own backward: the same mask and scaling apply.
-    dropout_forward(dy, p_drop, seed);
-}
-
-#[inline]
-fn keep_element(seed: u64, index: u64, keep: f32) -> bool {
-    // SplitMix64 finalizer: cheap, stateless, high-quality per-index bits.
-    let mut z = seed.wrapping_add(index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    ((z >> 11) as f64 / (1u64 << 53) as f64) < keep as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,29 +113,5 @@ mod tests {
         let mut db = vec![0.0; 3];
         bias_grad(&x, &mut db);
         assert_eq!(db, vec![3.0, 1.0, 6.0]);
-    }
-
-    #[test]
-    fn dropout_mask_is_deterministic_and_scaled() {
-        let mut a: Vec<f32> = vec![1.0; 1000];
-        let mut b = a.clone();
-        dropout_forward(&mut a, 0.3, 42);
-        dropout_forward(&mut b, 0.3, 42);
-        assert_eq!(a, b, "same seed must produce the same mask");
-        let kept = a.iter().filter(|&&v| v != 0.0).count();
-        assert!(kept > 600 && kept < 800, "kept {kept} of 1000 at p=0.3");
-        for &v in &a {
-            assert!(v == 0.0 || (v - 1.0 / 0.7).abs() < 1e-6);
-        }
-        let mut c: Vec<f32> = vec![1.0; 1000];
-        dropout_forward(&mut c, 0.3, 43);
-        assert_ne!(a, c, "different seeds should differ");
-    }
-
-    #[test]
-    fn dropout_zero_probability_is_identity() {
-        let mut x = vec![1.0, 2.0, 3.0];
-        dropout_forward(&mut x, 0.0, 7);
-        assert_eq!(x, vec![1.0, 2.0, 3.0]);
     }
 }

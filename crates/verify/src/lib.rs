@@ -19,7 +19,8 @@
 //!    communication results, untimed `recv()`, lossy `as` casts in byte
 //!    accounting, and raw integer casts near quantization codes.
 //! 4. [`compression`] — the ZeRO++ compression prover. Sweeps every
-//!    qwZ/hpZ/qgZ lever combination across stages 2–3 and node shapes,
+//!    qwZ/hpZ/qgZ lever combination a stage owns (qgZ at stage 2, all
+//!    three at stage 3) across node shapes,
 //!    independently recomputes every compressed op's wire bytes, proves
 //!    levers-off plans bitwise identical to the baseline, and certifies
 //!    the analytic inter-node volume reduction (≥ 3.5× at stage 3 with

@@ -1,8 +1,8 @@
 //! The memory-tier offload prover.
 //!
 //! Sweeps stages 1–3 × N ∈ {2,4,8} × sync/overlap × fp16/fp32, plus
-//! stages 2–3 × N ∈ {4,8} × sync/overlap with every ZeRO++ lever on at
-//! G = 2, and proves four things about the tier-movement stream of every
+//! stages 2–3 × N ∈ {4,8} × sync/overlap with every ZeRO++ lever the stage
+//! owns on at G = 2 (stage 2: qgZ; stage 3: qwZ+hpZ+qgZ), and proves four things about the tier-movement stream of every
 //! offloaded plan, all from plan arithmetic — zero training steps executed:
 //!
 //! * **Prefetch windows.** Every tier op is issued no later than it is
@@ -334,8 +334,8 @@ fn check_offload_config(
 }
 
 /// The swept configurations: stages 1–3 × N ∈ {2,4,8} × sync/overlap ×
-/// fp16/fp32, then stages 2–3 × N ∈ {4,8} × sync/overlap with qwZ, hpZ
-/// and qgZ at G = 2 — 44 in all.
+/// fp16/fp32, then stages 2–3 × N ∈ {4,8} × sync/overlap with every lever
+/// the stage owns at G = 2 (qgZ; plus qwZ and hpZ at stage 3) — 44 in all.
 pub fn sweep_configs() -> Vec<(ZeroConfig, Grid)> {
     let tier = TierConfig::budgeted(1 << 30);
     let mut out = Vec::new();
@@ -348,8 +348,9 @@ pub fn sweep_configs() -> Vec<(ZeroConfig, Grid)> {
             }
         }
     }
-    let compression = CompressionConfig { qwz: true, hpz: true, qgz: true, node_size: 2, block: 64 };
     for stage in [ZeroStage::Two, ZeroStage::Three] {
+        let params = stage.partitions_params();
+        let compression = CompressionConfig { qwz: params, hpz: params, qgz: true, node_size: 2, block: 64 };
         for n in [4usize, 8] {
             for overlap in [false, true] {
                 let zcfg = ZeroConfig { compression, ..cfg(stage, overlap, true, tier) };

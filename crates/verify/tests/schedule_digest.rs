@@ -210,7 +210,7 @@ fn table() -> String {
 fn sweeps_have_their_documented_sizes() {
     assert_eq!(schedule::sweep_configs().len(), 38);
     assert_eq!(schedule::overlap_pair_configs().len(), 25);
-    assert_eq!(compression::sweep_configs().len(), 80);
+    assert_eq!(compression::sweep_configs().len(), 50);
     assert_eq!(offload::sweep_configs().len(), 44);
 }
 

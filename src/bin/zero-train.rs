@@ -54,22 +54,24 @@ fn main() {
              --no-checkpoint disable activation checkpointing\n\
              --pa           partition activation checkpoints (needs --mp > 1)\n\
              --pa-cpu       offload checkpoints to CPU (needs --pa)\n\
-             --clip F       gradient-norm clip                  [off]\n\
-             --qwz          quantized int8 weight all-gather (stage 3)\n\
+             --clip F       gradient-norm clip, finite and > 0  [off]\n\
+             --qwz          quantized int8 weight all-gather (refused\n\
+                            below --stage 3)\n\
              --hpz          node-local secondary param partition: stage-3\n\
-                            re-gathers resolve within the node (needs\n\
-                            --dp divisible by --node-size)\n\
-             --qgz          quantized all-to-all gradient reduce-scatter\n\
-                            (stages 2-3): int8 across nodes, full\n\
-                            precision within\n\
+                            re-gathers resolve within the node (refused\n\
+                            below --stage 3; needs --dp divisible by\n\
+                            --node-size)\n\
+             --qgz          quantized all-to-all gradient reduce-scatter:\n\
+                            int8 across nodes, full precision within\n\
+                            (refused below --stage 2)\n\
              --node-size N  ranks per modeled node for --hpz/--qgz  [2]\n\
              --quant-block N  int8 quantizer block size           [64]\n\
              --offload      memory-tier offload: optimizer state\n\
                             (stage >= 1), gradient shards (stage >= 2),\n\
                             and parameter shards (stage 3) live on the\n\
                             host tier, fetched/spilled around their\n\
-                            anchor collectives (needs --mp 1, stage >= 1,\n\
-                            no --qwz/--hpz/--qgz)\n\
+                            anchor collectives (needs --mp 1, stage >= 1;\n\
+                            composes with --qwz/--hpz/--qgz)\n\
              --device-budget B  device-tier byte budget the MemoryTracker\n\
                             enforces: any allocation past B panics, so a\n\
                             completed run proves peak <= B (implies\n\
@@ -125,7 +127,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let clip = args.get("--clip", f64::NAN);
     let compression = zero::core::CompressionConfig {
         qwz: args.flag("--qwz"),
         hpz: args.flag("--hpz"),
@@ -162,7 +163,7 @@ fn main() {
             checkpoint_activations: !args.flag("--no-checkpoint"),
             partition_activations: args.flag("--pa") || args.flag("--pa-cpu"),
             offload_checkpoints: args.flag("--pa-cpu"),
-            clip_grad_norm: clip.is_finite().then_some(clip),
+            clip_grad_norm: args.maybe("--clip"),
             compression,
             tier,
             optimizer: zero::core::OptimizerKind::Adam(AdamConfig {
@@ -178,12 +179,14 @@ fn main() {
     let steps = args.get("--steps", 50usize);
 
     // One author of lever × stage × grid legality; its refusals are usage errors.
-    let (eff, off) = setup.zero.check(setup.grid).unwrap_or_else(|e| {
+    let off = setup.zero.check(setup.grid).unwrap_or_else(|e| {
         usage_exit(&match e {
-            ConfigError::Switches(why) => why,
+            ConfigError::Switches(why) => {
+                format!("--clip must be finite and positive and --pa/--pa-cpu need checkpointing: {why}")
+            }
             ConfigError::Compression(why) => format!(
-                "--qwz/--hpz/--qgz need --mp 1 (got {mp}) and --dp {dp} divisible by \
-                 --node-size {}: {why}",
+                "--qwz/--hpz need --stage 3, --qgz needs --stage 2 or 3, and all need --mp 1 \
+                 (got {mp}) and --dp {dp} divisible by --node-size {}: {why}",
                 compression.node_size
             ),
             ConfigError::Offload(why) => format!("--offload needs --mp 1 and --stage 1/2/3: {why}"),
@@ -192,17 +195,8 @@ fn main() {
     if compression.any() {
         println!(
             "compression: qwZ={} hpZ={} qgZ={} (node size {}, quant block {})",
-            eff.qwz, eff.hpz, eff.qgz, eff.node_size, compression.block
+            compression.qwz, compression.hpz, compression.qgz, compression.node_size, compression.block
         );
-        if (compression.qwz && !eff.qwz)
-            || (compression.hpz && !eff.hpz)
-            || (compression.qgz && !eff.qgz)
-        {
-            eprintln!(
-                "note: some requested levers are inactive — qwZ/hpZ need stage 3, qgZ \
-                 needs stage 2+, all need --mp 1 and --dp divisible by --node-size"
-            );
-        }
     }
 
     if tier.enabled {

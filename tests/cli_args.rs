@@ -28,6 +28,10 @@ fn bad_values_and_unknown_flags_exit_2_naming_the_argument() {
         (train, &["--stage", "3", "--hpz", "--node-size", "3", "--dp", "4"], &["--node-size", "--dp"]),
         (train, &["--hidden", "16", "--heads", "3"], &["--hidden", "--heads"]),
         (train, &["--dp", "3", "--batch", "4"], &["--dp", "--batch"]),
+        // hpZ acts on stage 3's parameter fetches; at stage 2 it was dropped.
+        (train, &["--stage", "2", "--hpz"], &["--stage", "--hpz"]),
+        // A negative clip coefficient used to train uphill, exit 0.
+        (train, &["--clip", "-1"], &["--clip"]),
         (serve, &["--slots", "many"], &["--slots", "many"]),
         (serve, &["--dp", "2"], &["--dp"]),
         // These parse, but used to reach a panic in the engine / partitioner…

@@ -56,31 +56,3 @@ fn every_supported_configuration_trains() {
     }
     assert!(tried >= 60, "matrix shrank unexpectedly: {tried} configs");
 }
-
-#[test]
-fn dropout_and_accumulation_compose_with_every_stage() {
-    let model = ModelConfig {
-        vocab: 32,
-        seq: 8,
-        hidden: 16,
-        layers: 2,
-        heads: 2,
-    };
-    for stage in [ZeroStage::Ddp, ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
-        let setup = TrainSetup {
-            model,
-            zero: ZeroConfig {
-                stage,
-                fp16: true,
-                initial_loss_scale: 16.0,
-                dropout: 0.1,
-                ..ZeroConfig::default()
-            },
-            grid: Grid::new(2, 1),
-            global_batch: 4,
-            seed: 6,
-        };
-        let report = run_training(&setup, 2, 0);
-        assert!(report.losses.iter().all(|l| l.is_finite()), "{stage:?}");
-    }
-}

@@ -1,6 +1,6 @@
 //! Run-to-run determinism: identical seeds must give bit-identical
 //! results — losses, parameters, memory, and traffic — across every
-//! stage, even with fp16, dropout, and multi-threaded ring collectives
+//! stage, even with fp16 and multi-threaded ring collectives
 //! (the SPMD schedule fixes the reduction order).
 
 use zero::comm::Grid;
@@ -20,7 +20,6 @@ fn setup(stage: ZeroStage) -> TrainSetup {
             stage,
             fp16: true,
             initial_loss_scale: 32.0,
-            dropout: 0.1,
             ..ZeroConfig::default()
         },
         grid: Grid::new(4, 1),

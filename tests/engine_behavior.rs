@@ -310,128 +310,6 @@ fn hierarchical_all_reduce_matches_flat_in_training() {
 }
 
 #[test]
-fn lr_schedule_shapes_the_update_magnitudes() {
-    use zero::optim::LrSchedule;
-    // With warmup, the first update must be much smaller than the peak
-    // update; losses must still fall.
-    let mk = |sched: LrSchedule| TrainSetup {
-        model: model(),
-        zero: ZeroConfig {
-            lr_schedule: sched,
-            ..ZeroConfig::fp32_exact(ZeroStage::Two)
-        },
-        grid: Grid::new(2, 1),
-        global_batch: 4,
-        seed: 17,
-    };
-    let corpus_independent_delta = |sched: LrSchedule| -> (f32, f32) {
-        let cfg = model();
-        let corpus = SyntheticCorpus::generate(cfg.vocab, 5000, 9);
-        let corpus = &corpus;
-        let setup = mk(sched);
-        let deltas = launch(2, move |comm| {
-            let gpt = Gpt::new(cfg);
-            let params = init_full_params(&cfg, 3);
-            let mut engine = RankEngine::new(gpt, &params, setup.zero, setup.grid, comm);
-            let before = engine.master_params().to_vec();
-            let (ids, tg) = corpus.rank_batch(0, 4, cfg.seq, 2, engine.dp_rank());
-            engine.train_step(&ids, &tg, 2);
-            let after_first: f32 = engine
-                .master_params()
-                .iter()
-                .zip(&before)
-                .map(|(a, b)| (a - b).abs())
-                .sum();
-            let mid = engine.master_params().to_vec();
-            for step in 1..10 {
-                let (ids, tg) = corpus.rank_batch(step, 4, cfg.seq, 2, engine.dp_rank());
-                engine.train_step(&ids, &tg, 2);
-            }
-            let _ = mid;
-            (after_first, 0.0)
-        });
-        deltas[0]
-    };
-    let (warm_first, _) = corpus_independent_delta(LrSchedule::Warmup { warmup: 10 });
-    let (const_first, _) = corpus_independent_delta(LrSchedule::Constant);
-    assert!(
-        warm_first < 0.2 * const_first,
-        "warmup first update {warm_first} should be ~1/10 of constant {const_first}"
-    );
-}
-
-#[test]
-fn dropout_trains_and_is_neutral_at_zero() {
-    // p = 0 must be bit-identical to the no-dropout path; p > 0 must
-    // change the trajectory, remain finite, and stay exactly compatible
-    // with checkpoint recompute (same masks regenerated).
-    let mk = |p: f32, ckpt: bool| TrainSetup {
-        model: model(),
-        zero: ZeroConfig {
-            dropout: p,
-            checkpoint_activations: ckpt,
-            ..ZeroConfig::fp32_exact(ZeroStage::Two)
-        },
-        grid: Grid::new(2, 1),
-        global_batch: 4,
-        seed: 23,
-    };
-    let zero_a = run_training(&mk(0.0, false), 4, 0).gather_master_mp1();
-    let zero_b = run_training(&mk(0.0, true), 4, 0).gather_master_mp1();
-    assert_eq!(zero_a, zero_b, "p = 0 must be exactly neutral");
-
-    let dropped = run_training(&mk(0.2, false), 4, 0);
-    assert!(dropped.losses.iter().all(|l| l.is_finite()));
-    let dropped_params = dropped.gather_master_mp1();
-    assert_ne!(zero_a, dropped_params, "dropout must perturb training");
-
-    // Checkpoint recompute regenerates the identical masks.
-    let d_ckpt = run_training(&mk(0.2, true), 4, 0).gather_master_mp1();
-    assert_eq!(dropped_params, d_ckpt, "recompute must reuse the masks");
-}
-
-#[test]
-fn dropout_masks_differ_across_steps() {
-    // If masks were reused every step, dropout would act like a fixed
-    // sparsity pattern; the per-step seeds must differ. Detect via the
-    // spread of parameter updates: train twice with identical data —
-    // deterministic engine means identical results; but a single step
-    // with dropout twice in a row (same batch) must produce different
-    // updates across the two steps.
-    let cfg = model();
-    let corpus = SyntheticCorpus::generate(cfg.vocab, 5000, 41);
-    let corpus = &corpus;
-    let deltas = launch(1, move |comm| {
-        let gpt = Gpt::new(cfg);
-        let params = init_full_params(&cfg, 2);
-        let zcfg = ZeroConfig {
-            dropout: 0.3,
-            ..ZeroConfig::fp32_exact(ZeroStage::Ddp)
-        };
-        let mut engine = RankEngine::new(gpt, &params, zcfg, Grid::new(1, 1), comm);
-        let (ids, tg) = corpus.batch(0, 2, cfg.seq);
-        let p0 = engine.master_params().to_vec();
-        engine.train_step(&ids, &tg, 2);
-        let p1 = engine.master_params().to_vec();
-        engine.train_step(&ids, &tg, 2); // same data again
-        let p2 = engine.master_params().to_vec();
-        let d1: Vec<f32> = p1.iter().zip(&p0).map(|(a, b)| a - b).collect();
-        let d2: Vec<f32> = p2.iter().zip(&p1).map(|(a, b)| a - b).collect();
-        (d1, d2)
-    });
-    let (d1, d2) = &deltas[0];
-    // Same data, different masks: update *directions* must differ in some
-    // coordinates beyond Adam-state drift alone would explain. Use sign
-    // flips as a coarse detector.
-    let flips = d1
-        .iter()
-        .zip(d2)
-        .filter(|(a, b)| a.signum() != b.signum() && a.abs() > 1e-7 && b.abs() > 1e-7)
-        .count();
-    assert!(flips > 0, "expected mask variation to flip some update signs");
-}
-
-#[test]
 fn first_losses_are_pinned_bit_for_bit() {
     // A kernel change that alters any element's summation order moves
     // these bit patterns, whatever it does to speed; they may only be
