@@ -16,11 +16,12 @@
 //! `--smoke` runs the same checks and timing without rewriting the results
 //! file. `--check-against <path>` exits non-zero if any `block` row takes
 //! twice its committed time — the harness's loose factor: enough slack for
-//! a shared VM, tight enough to catch a fall back to a scalar chain.
+//! a shared VM, tight enough to catch a fall back to a scalar chain or to a
+//! narrower tier. Each row's `kernel` (the tier that ran) is never compared.
 
 use serde::Serialize;
 use serde_json::Value;
-use zero::tensor::ops::matmul::{reference, sgemm, sgemm_nt, sgemm_tn, Mat};
+use zero::tensor::ops::matmul::{kernel, reference, sgemm, sgemm_nt, sgemm_tn, Mat};
 use zero_bench::{best_of, to_value, Baseline, Harness};
 
 type Wrapper = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
@@ -32,6 +33,8 @@ struct MatmulRow {
     variant: &'static str,
     /// `block`, `attention`, `decode` or `large`.
     group: &'static str,
+    /// The tier that ran (`matmul::kernel`, e.g. `avx2 4x16`); informational.
+    kernel: String,
     m: usize,
     k: usize,
     n: usize,
@@ -68,6 +71,7 @@ fn fill(len: usize, scale: f32) -> Vec<f32> {
 fn main() {
     let harness = Harness::from_env("matmul", &[], &[]);
     let committed = Baseline::load(&harness.results_path().to_string_lossy()).ok();
+    let kernel = kernel();
 
     let mut rows = Vec::new();
     for (variant, group, m, k, n) in shapes() {
@@ -92,7 +96,7 @@ fn main() {
             }
         });
         let gflops = (2 * m * k * n * reps) as f64 / secs / 1e9;
-        let mut row = MatmulRow { variant, group, m, k, n, reps, secs, gflops, parent_gflops: None };
+        let mut row = MatmulRow { variant, group, kernel: kernel.clone(), m, k, n, reps, secs, gflops, parent_gflops: None };
         // Carried forward from the results file on every rewrite.
         let prior = committed.as_ref().and_then(|c| c.row("", &to_value(&row), KEY).ok());
         row.parent_gflops = prior.and_then(|r| r.get("parent_gflops")).and_then(Value::as_f64);

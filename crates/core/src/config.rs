@@ -335,14 +335,6 @@ impl ZeroConfig {
         })
     }
 
-    /// [`ZeroConfig::check`]'s grid-free rules, panicking.
-    ///
-    /// # Panics
-    /// Panics on inconsistent combinations.
-    pub fn validate(&self) {
-        self.check_switches().unwrap_or_else(|e| panic!("{e}"));
-    }
-
     fn check_switches(&self) -> Result<(), ConfigError> {
         use ConfigError::{Compression, Offload, Switches};
         let (comp, tier) = (self.compression, self.tier);
@@ -441,6 +433,11 @@ impl ZeroConfig {
 mod tests {
     use super::*;
 
+    /// The rule text `check` refuses `zcfg` with on a 2×1 grid.
+    fn refusal(zcfg: ZeroConfig) -> String {
+        zcfg.check(Grid::new(2, 1)).expect_err("the configuration must be refused").to_string()
+    }
+
     #[test]
     fn stage_predicates() {
         assert!(!ZeroStage::Ddp.partitions_optimizer());
@@ -452,32 +449,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "P_a requires")]
     fn pa_without_checkpointing_rejected() {
-        ZeroConfig {
+        let why = refusal(ZeroConfig {
             checkpoint_activations: false,
             partition_activations: true,
             ..ZeroConfig::default()
-        }
-        .validate();
+        });
+        assert!(why.contains("P_a requires"), "{why}");
     }
 
     #[test]
-    #[should_panic(expected = "P_a+cpu requires")]
     fn pa_cpu_without_pa_rejected() {
-        ZeroConfig {
+        let why = refusal(ZeroConfig {
             partition_activations: false,
             offload_checkpoints: true,
             ..ZeroConfig::default()
-        }
-        .validate();
+        });
+        assert!(why.contains("P_a+cpu requires"), "{why}");
     }
 
     #[test]
     fn presets_are_valid() {
-        ZeroConfig::default().validate();
-        ZeroConfig::zero_100b().validate();
-        ZeroConfig::fp32_exact(ZeroStage::Three).validate();
+        for zcfg in [ZeroConfig::default(), ZeroConfig::zero_100b(), ZeroConfig::fp32_exact(ZeroStage::Three)] {
+            zcfg.check(Grid::new(2, 1)).expect("a preset runs");
+        }
     }
 
     #[test]
@@ -504,17 +499,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "node_size")]
     fn zero_node_size_compression_rejected() {
-        ZeroConfig {
+        let why = refusal(ZeroConfig {
             compression: CompressionConfig {
                 qgz: true,
                 node_size: 0,
                 ..CompressionConfig::off()
             },
             ..ZeroConfig::default()
-        }
-        .validate();
+        });
+        assert!(why.contains("node_size"), "{why}");
     }
 
     #[test]
@@ -535,14 +529,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "partitioned-optimizer")]
     fn tier_offload_requires_zero_stage() {
-        ZeroConfig {
+        let why = refusal(ZeroConfig {
             stage: ZeroStage::Ddp,
             tier: TierConfig::budgeted(1 << 20),
             ..ZeroConfig::default()
-        }
-        .validate();
+        });
+        assert!(why.contains("partitioned-optimizer"), "{why}");
     }
 
     #[test]
@@ -592,16 +585,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "block")]
     fn zero_block_compression_rejected() {
-        ZeroConfig {
+        let why = refusal(ZeroConfig {
             compression: CompressionConfig {
                 qwz: true,
                 block: 0,
                 ..CompressionConfig::off()
             },
             ..ZeroConfig::default()
-        }
-        .validate();
+        });
+        assert!(why.contains("block"), "{why}");
     }
 }

@@ -126,6 +126,8 @@ pub enum SuperviseError {
     /// The configuration cannot be supervised: a model-parallel grid, a
     /// stage without sharded optimizer state, or a zero snapshot cadence.
     Unsupported(&'static str),
+    /// The ZeRO configuration breaks a rule of [`crate::ZeroConfig::check`].
+    Config(crate::ConfigError),
     /// The global batch does not split evenly over `world` ranks — at
     /// launch, or over the survivors of a recovery.
     IndivisibleWorld { global_batch: usize, world: usize },
@@ -142,6 +144,7 @@ impl std::fmt::Display for SuperviseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SuperviseError::Unsupported(why) => write!(f, "unsupported supervised run: {why}"),
+            SuperviseError::Config(why) => write!(f, "invalid configuration: {why}"),
             SuperviseError::IndivisibleWorld { global_batch, world } => write!(
                 f,
                 "global batch {global_batch} does not divide evenly over a world of {world} ranks"
@@ -223,7 +226,7 @@ impl RunData {
 /// recovery protocol and [`SuperviseError`] for the ways it can give up.
 ///
 /// # Panics
-/// Panics only on an invalid model or ZeRO configuration.
+/// Panics only on an invalid model configuration.
 pub fn run_supervised(cfg: &SupervisorConfig) -> Result<SupervisedReport, SuperviseError> {
     let data = RunData::new(cfg);
     supervise(cfg, &mut |round| launch_threads(cfg, &data, round))
@@ -265,7 +268,7 @@ pub(crate) fn supervise(
         return Err(SuperviseError::Unsupported("snapshot_every must be positive"));
     }
     setup.model.validate();
-    setup.zero.validate();
+    setup.zero.check(setup.grid).map_err(SuperviseError::Config)?;
 
     let mut world = setup.grid.dp_degree();
     let mut start_step: u64 = 0;
@@ -747,5 +750,9 @@ mod tests {
         let mut mp = config("mp", 4);
         mp.setup.grid = Grid::new(2, 2);
         assert!(matches!(supervise(&mp, &mut never), Err(SuperviseError::Unsupported(_))));
+        let mut clip = config("clip", 4);
+        clip.setup.zero.clip_grad_norm = Some(-1.0);
+        let err = supervise(&clip, &mut never).expect_err("a negative clip is refused");
+        assert!(matches!(err, SuperviseError::Config(crate::ConfigError::Switches(_))), "{err:?}");
     }
 }

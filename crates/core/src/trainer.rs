@@ -149,7 +149,7 @@ fn run_training_inner(
     world_cfg: WorldConfig,
 ) -> TrainReport {
     setup.model.validate();
-    setup.zero.validate();
+    setup.zero.check(setup.grid).unwrap_or_else(|e| panic!("{e}"));
     let dp = setup.grid.dp_degree();
     assert_eq!(setup.global_batch % dp, 0, "global batch must divide evenly over DP replicas");
     assert!(

@@ -27,6 +27,8 @@
 //! assert_eq!(c, a);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod f16;
 pub mod init;
 pub mod ops;
