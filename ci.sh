@@ -32,7 +32,7 @@ printf '%s\n' 'fn a() {' '}' '#[cfg(test)]' 'mod tests {' '    fn t() {' '    }'
     > "$scratch/counted.rs"
 [ "$(awk "$count_non_test" "$scratch/counted.rs")" -eq 6 ] \
     || { echo "line counter self-test failed: code after a test module must be counted in full"; exit 1; }
-line_ceiling=12304
+line_ceiling=12343
 lines=0
 split=""
 for crate in comm core serve bench; do
@@ -202,10 +202,10 @@ echo "==> bench_step --check-against (loose time, exact bits)"
 cargo run -q --release -p zero-bench --bin bench_step -- --smoke \
     --check-against results/BENCH_step.json
 
-echo "==> bench_matmul --smoke --check-against (all-variant GEMM bit-exactness + kernel-floor gate)"
+echo "==> bench_matmul --smoke --check-against (all-variant GEMM and GELU bit-exactness + kernel-floor gate)"
 # Every wrapper at the block/attention/decode/large shapes must equal
-# matmul::reference bit for bit; any block-shape row at 2x its committed
-# time fails: a fall back to a scalar chain, to the portable 2x16 tier on a
+# matmul::reference bit for bit, and every GELU row its scalar function;
+# any block or gelu row at 2x its committed time fails: a fall back to a scalar chain, to the portable 2x16 tier on a
 # host whose wider tier was blessed, or to a tier loop compiled without its
 # target feature (the accumulators spill).
 cargo run -q --release -p zero-bench --bin bench_matmul -- --smoke \

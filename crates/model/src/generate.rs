@@ -209,7 +209,7 @@ pub fn embed_rows(gpt: &Gpt, embed_params: &[f32], b: &mut RowBatch) -> Result<(
 /// Panics (debug) on a cache position out of range — callers validate
 /// positions in [`embed_rows`] before dispatching compute.
 pub fn block_rows_kv<A: crate::kv::KvArena>(gpt: &Gpt, l: usize, p: &[f32], kv: &mut A, b: &mut RowBatch) {
-    use zero_tensor::ops::activation::gelu_scalar;
+    use zero_tensor::ops::activation::add_bias_gelu;
     use zero_tensor::ops::matmul::sgemm_nt;
     use zero_tensor::ops::norm::layernorm_forward;
     use zero_tensor::ops::vector::dot;
@@ -280,11 +280,7 @@ pub fn block_rows_kv<A: crate::kv::KvArena>(gpt: &Gpt, l: usize, p: &[f32], kv: 
     // LN2 + MLP + residual, back into the residual stream.
     layernorm_forward(mid, &p[off.ln2_g.clone()], &p[off.ln2_b.clone()], normed, mean, rstd, n, h, 1e-5);
     sgemm_nt(normed, &p[off.w_fc1.clone()], fc1, n, h, ffn);
-    for row in fc1.chunks_exact_mut(ffn) {
-        for (v, bias) in row.iter_mut().zip(&p[off.b_fc1.clone()]) {
-            *v = gelu_scalar(*v + bias);
-        }
-    }
+    add_bias_gelu(fc1, &p[off.b_fc1.clone()]);
     sgemm_nt(fc1, &p[off.w_fc2.clone()], x, n, ffn, h);
     for (row, mid) in x.chunks_exact_mut(h).zip(mid.chunks_exact(h)) {
         for ((v, bias), mv) in row.iter_mut().zip(&p[off.b_fc2.clone()]).zip(mid) {

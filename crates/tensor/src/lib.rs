@@ -31,6 +31,7 @@
 
 pub mod f16;
 pub mod init;
+pub mod isa;
 pub mod ops;
 
 pub use f16::F16;

@@ -31,20 +31,19 @@
 //! head inside `qkv`) in place.
 //!
 //! **Tiers.** That kernel is written once, generic over its `MR×NR` tile,
-//! and compiled for a ladder of ISA tiers, each at the tile that measured
-//! fastest for it: AVX-512F, AVX2, and the portable 2×16 baseline that
-//! every target runs. [`gemm`] runs the widest tier the CPU reports,
-//! detected once per process; [`kernel`] names it. A tier changes only the
-//! vector width LLVM may use. The body is the same safe `*s += av * bv`
-//! loop, there are no intrinsics, and Rust never contracts a multiply and
-//! an add into an FMA (its float operations carry no contraction flag,
-//! whatever the target features), so every tier returns the same bits. A
-//! wide tier is a `#[target_feature]` function, and the only `unsafe` is
-//! the call to it after its feature check. The whole tile loop must be
-//! inlined into that function. A closure the function passes to
-//! `LocalKey::with` is compiled without the feature unless LLVM inlines
-//! `with` too, and a loop there spills its accumulators, so `gemm`
-//! borrows the thread-local panels and hands them to the tier.
+//! and compiled for every rung of the crate's ISA ladder ([`crate::isa`]),
+//! each at the tile that measured fastest for it: AVX-512F 4×32, AVX2
+//! 4×16, and the portable 2×16 baseline that every target runs. [`gemm`]
+//! runs the tier [`isa::selected`] picks — the widest the CPU reports,
+//! detected once per process for the GEMM and GELU alike — and [`kernel`]
+//! names it. A tier changes only the vector width LLVM may use: the body
+//! is the same safe `*s += av * bv` loop, with no intrinsics and no
+//! contraction into an FMA, so every tier returns the same bits. The whole
+//! tile loop must be inlined into the tier's `#[target_feature]` entry. A
+//! closure passed to `LocalKey::with` is compiled without the feature
+//! unless LLVM inlines `with` too, and a loop there spills its
+//! accumulators, so `gemm` borrows the thread-local panels and hands them
+//! to the tier.
 //!
 //! For `m < MR` (the single-row GEMV of incremental decoding) packing B
 //! would cost as much as the multiply, so those rows go to an unpacked
@@ -52,7 +51,8 @@
 //! dot products in flight.
 
 use std::cell::RefCell;
-use std::sync::OnceLock;
+
+use crate::isa::{self, Isa, Kernel};
 
 /// What happens to a finished sum.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -114,43 +114,34 @@ struct Call<'a> {
     store: Store,
 }
 
-/// One rung of the ISA ladder: a tile, and [`tiled`] at that tile compiled
-/// with the tier's target features.
+/// One rung of the ISA ladder at its tile.
 struct Tier {
-    isa: &'static str,
+    isa: Isa,
     mr: usize,
     nr: usize,
-    /// Whether this CPU can execute `entry`.
-    detect: fn() -> bool,
-    /// Callable once `detect` has returned true.
-    entry: unsafe fn(&mut Panels, Call<'_>, &mut [f32]),
+    /// [`tiled`] at this tile, compiled for `isa`.
+    entry: fn(Isa, &mut Panels, Call<'_>, &mut [f32]),
 }
 
-/// Widest first; the baseline, last, runs on every target.
+/// One tile per rung of [`isa::LADDER`], in its order.
 static TIERS: &[Tier] = &[
     #[cfg(target_arch = "x86_64")]
-    Tier { isa: "avx512f", mr: 4, nr: 32, detect: || is_x86_feature_detected!("avx512f"), entry: avx512f::<4, 32> },
+    Tier { isa: Isa::Avx512f, mr: 4, nr: 32, entry: on_tier::<4, 32> },
     #[cfg(target_arch = "x86_64")]
-    Tier { isa: "avx2", mr: 4, nr: 16, detect: || is_x86_feature_detected!("avx2"), entry: avx2::<4, 16> },
-    Tier { isa: "baseline", mr: 2, nr: 16, detect: || true, entry: baseline::<2, 16> },
+    Tier { isa: Isa::Avx2, mr: 4, nr: 16, entry: on_tier::<4, 16> },
+    Tier { isa: Isa::Baseline, mr: 2, nr: 16, entry: on_tier::<2, 16> },
 ];
 
-/// The tiers this CPU can execute, widest first.
-fn runnable() -> impl Iterator<Item = &'static Tier> {
-    TIERS.iter().filter(|tier| (tier.detect)())
-}
-
-/// The tier [`gemm`] runs: the widest runnable one, chosen once.
-fn selected() -> &'static Tier {
-    static SELECTED: OnceLock<&'static Tier> = OnceLock::new();
-    SELECTED.get_or_init(|| runnable().next().expect("the baseline tier runs everywhere"))
+/// The tile `isa` runs.
+fn tier(isa: Isa) -> &'static Tier {
+    TIERS.iter().find(|tier| tier.isa == isa).expect("every rung of the ladder has a tile")
 }
 
 /// The kernel [`gemm`] runs on this CPU, as `"<isa> <MR>x<NR>"` — for
 /// example `"avx2 4x16"`. Every kernel returns the same bits.
 pub fn kernel() -> String {
-    let tier = selected();
-    format!("{} {}x{}", tier.isa, tier.mr, tier.nr)
+    let tier = tier(isa::selected());
+    format!("{} {}x{}", tier.isa.name(), tier.mr, tier.nr)
 }
 
 /// `c[m×n] (=|+=) op(a)[m×k] · op(b)[k×n]`, C's rows `ldc` apart. Elements
@@ -160,16 +151,14 @@ pub fn kernel() -> String {
 /// Panics if an operand is too short for its dimensions and strides.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm(m: usize, k: usize, n: usize, a: Mat<'_>, b: Mat<'_>, c: &mut [f32], ldc: usize, store: Store) {
-    // SAFETY: `selected` returns a tier from `runnable`, whose `detect`
-    // (`is_x86_feature_detected!` for a wide tier) held on this CPU.
-    unsafe { gemm_on(selected(), Call { m, k, n, a, b, ldc, store }, c) }
+    gemm_on(isa::selected(), Call { m, k, n, a, b, ldc, store }, c);
 }
 
-/// [`gemm`] on `tier`.
+/// [`gemm`] on `isa`, at its tile.
 ///
-/// # Safety
-/// `tier.detect` must have returned true on this CPU.
-unsafe fn gemm_on(tier: &Tier, call: Call<'_>, c: &mut [f32]) {
+/// # Panics
+/// Panics as [`gemm`] does, and if this CPU does not execute `isa`.
+fn gemm_on(isa: Isa, call: Call<'_>, c: &mut [f32]) {
     let Call { m, k, n, a, b, ldc, store } = call;
     assert!(covers(a.data.len(), m, k, a.rs, a.cs), "gemm: a is too short");
     assert!(covers(b.data.len(), k, n, b.rs, b.cs), "gemm: b is too short");
@@ -181,37 +170,27 @@ unsafe fn gemm_on(tier: &Tier, call: Call<'_>, c: &mut [f32]) {
         }
         return;
     }
-    let entry = tier.entry;
-    PANELS.with_borrow_mut(|panels| {
-        // SAFETY: the caller checked `tier.detect`, the feature test for
-        // what `entry` is compiled with.
-        unsafe { entry(panels, call, c) }
-    });
+    let entry = tier(isa).entry;
+    PANELS.with_borrow_mut(|panels| entry(isa, panels, call, c));
 }
 
-/// [`tiled`] compiled for AVX-512F.
-///
-/// # Safety
-/// The CPU must support AVX-512F (`is_x86_feature_detected!("avx512f")`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn avx512f<const MR: usize, const NR: usize>(panels: &mut Panels, call: Call<'_>, c: &mut [f32]) {
-    tiled::<MR, NR>(panels, call, c);
+/// [`tiled`] at `MR×NR`, compiled for `isa`.
+fn on_tier<const MR: usize, const NR: usize>(isa: Isa, panels: &mut Panels, call: Call<'_>, c: &mut [f32]) {
+    isa::run(isa, Tiled::<MR, NR> { panels, call, c });
 }
 
-/// [`tiled`] compiled for AVX2.
-///
-/// # Safety
-/// The CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn avx2<const MR: usize, const NR: usize>(panels: &mut Panels, call: Call<'_>, c: &mut [f32]) {
-    tiled::<MR, NR>(panels, call, c);
+/// One [`tiled`] call, as a kernel of the ladder.
+struct Tiled<'a, const MR: usize, const NR: usize> {
+    panels: &'a mut Panels,
+    call: Call<'a>,
+    c: &'a mut [f32],
 }
 
-/// [`tiled`] with the target's baseline features.
-fn baseline<const MR: usize, const NR: usize>(panels: &mut Panels, call: Call<'_>, c: &mut [f32]) {
-    tiled::<MR, NR>(panels, call, c);
+impl<const MR: usize, const NR: usize> Kernel for Tiled<'_, MR, NR> {
+    #[inline(always)]
+    fn run(self) {
+        tiled::<MR, NR>(self.panels, self.call, self.c);
+    }
 }
 
 /// Outputs the unpacked `m < MR` kernel keeps in flight, on every tier: its
@@ -388,11 +367,9 @@ mod tests {
         (0..len).map(|i| ((i * 7 % 13) as f32 - 6.0) * scale).collect()
     }
 
-    /// [`gemm`] on `tier`, which must run on this CPU.
-    fn gemm_at(tier: &Tier, call: Call<'_>, c: &mut [f32]) {
-        assert!((tier.detect)(), "{} does not run on this CPU", tier.isa);
-        // SAFETY: `tier.detect` held just above.
-        unsafe { gemm_on(tier, call, c) }
+    /// The tiers this CPU can execute, widest first.
+    fn runnable() -> impl Iterator<Item = &'static Tier> {
+        isa::runnable().map(tier)
     }
 
     /// The widest `(MR, NR)` of any tier, runnable here or not.
@@ -445,7 +422,7 @@ mod tests {
                 let ldc = n + pad + 1;
                 for (tier, store) in tiers.iter().flat_map(|&tier| [Store::Set, Store::Add].map(|s| (tier, s))) {
                     let mut c = vec![0.25_f32; m * ldc];
-                    gemm_at(tier, Call { m, k, n, a: av, b: bv, ldc, store }, &mut c);
+                    gemm_on(tier.isa, Call { m, k, n, a: av, b: bv, ldc, store }, &mut c);
                     for (idx, got) in c.iter().enumerate() {
                         let (i, j) = (idx / ldc, idx % ldc);
                         let expect = match (j < n, store) {
@@ -457,7 +434,7 @@ mod tests {
                             got.to_bits(),
                             expect.to_bits(),
                             "{} ({m},{k},{n}) ta={ta} tb={tb} {store:?} at ({i},{j}): {got} vs {expect}",
-                            tier.isa
+                            tier.isa.name()
                         );
                     }
                 }
@@ -489,8 +466,8 @@ mod tests {
                 for (name, av, bv) in variants {
                     for store in [Store::Set, Store::Add] {
                         let mut c = vec![0.5_f32; m * n];
-                        gemm_at(tier, Call { m, k, n, a: av, b: bv, ldc: n, store }, &mut c);
-                        let isa = tier.isa;
+                        gemm_on(tier.isa, Call { m, k, n, a: av, b: bv, ldc: n, store }, &mut c);
+                        let isa = tier.isa.name();
                         assert!(c[0].is_nan() && c[1].is_nan(), "{isa} {name} {store:?} ({m},{k},{n}): {:?}", &c[..2]);
                         assert!(c[2].is_finite(), "{isa} {name} {store:?}: clean column poisoned");
                     }
@@ -501,14 +478,11 @@ mod tests {
 
     #[test]
     fn gemm_runs_the_widest_tier_this_cpu_reports() {
-        assert!(std::ptr::eq(selected(), runnable().next().expect("a runnable tier")));
-        assert_eq!(TIERS.last().map(|tier| tier.isa), Some("baseline"));
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            assert_ne!(selected().isa, "baseline", "an AVX2 host fell back to the baseline tier");
-        }
-        let tier = selected();
-        assert_eq!(kernel(), format!("{} {}x{}", tier.isa, tier.mr, tier.nr));
+        // One tile per rung of the shared ladder, in its order.
+        assert!(TIERS.iter().map(|tier| tier.isa).eq(isa::LADDER.iter().copied()));
+        let selected = tier(isa::selected());
+        assert_eq!(Some(selected.isa), isa::runnable().next());
+        assert_eq!(kernel(), format!("{} {}x{}", selected.isa.name(), selected.mr, selected.nr));
     }
 
     #[test]
