@@ -2,8 +2,8 @@
 //! extensions a kernel body is compiled for, and which of them this CPU
 //! executes, detected once per process.
 //!
-//! A kernel is written once, as a [`Kernel`] whose `run` is
-//! `#[inline(always)]`, and [`run`] compiles it into one
+//! A kernel is written once, as a `Kernel` whose `run` is
+//! `#[inline(always)]`, and `run` compiles it into one
 //! `#[target_feature]` entry per tier: AVX-512F, AVX2, and the target's
 //! portable baseline, which every CPU runs. A tier changes only the vector
 //! width LLVM may use. Bodies are safe scalar Rust with no intrinsics, and

@@ -13,7 +13,7 @@
 //! sum is then stored ([`Store::Set`]) or added to C ([`Store::Add`]).
 //! No term is skipped, reassociated or fused, so a non-finite product
 //! always reaches the output (`0 · Inf` is NaN in every variant), and the
-//! result is bit-for-bit that of [`reference`]. Because tiling and packing
+//! result is bit-for-bit that of [`reference()`]. Because tiling and packing
 //! change only *where* operands are read from, never the order in which
 //! one element's products are added, every bitwise gate in the repo
 //! (stage/overlap/offload/backend loss equality, serving token equality)
