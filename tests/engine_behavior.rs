@@ -325,11 +325,14 @@ fn first_losses_are_pinned_bit_for_bit() {
     // last two rows pin the checkpoint walk: stage 3 fp16 with overlap at
     // interval 2 (one two-block recompute segment holding its units), and
     // stage 2 on a 2 × 2 grid with P_a+cpu (the MP checkpoint gather, CPU
-    // pricing, no arena). Every row also pins rank 0's peak device bytes,
-    // so an alloc/free reordered across the step fails here.
+    // pricing, no arena). The last two rows clip on a 2 × 2 grid, where
+    // the grad norm is summed over the MP group under DDP and over the
+    // world under stage 2: a norm reduced over the wrong group moves the
+    // clip coefficient and the losses. Every row also pins rank 0's peak
+    // device bytes, so an alloc/free reordered across the step fails here.
     let two = Grid::new(2, 1);
     let zeropp = CompressionConfig { qwz: true, hpz: true, qgz: true, node_size: 2, block: 64 };
-    let pinned: [(ZeroConfig, Grid, u64, [u32; 5], u64); 8] = [
+    let pinned: [(ZeroConfig, Grid, u64, [u32; 5], u64); 10] = [
         (
             ZeroConfig { stage: ZeroStage::Two, initial_loss_scale: 1.0, ..ZeroConfig::default() },
             two,
@@ -413,6 +416,30 @@ fn first_losses_are_pinned_bit_for_bit() {
             18,
             [0x405e825f, 0x405f1560, 0x405eed28, 0x405e8ff4, 0x405d3321],
             59_280,
+        ),
+        (
+            ZeroConfig {
+                stage: ZeroStage::Ddp,
+                initial_loss_scale: 1.0,
+                clip_grad_norm: Some(0.5),
+                ..ZeroConfig::default()
+            },
+            Grid::new(2, 2),
+            19,
+            [0x405c52f2, 0x405f5b5a, 0x405c4c96, 0x405c3e88, 0x405da82e],
+            91_232,
+        ),
+        (
+            ZeroConfig {
+                stage: ZeroStage::Two,
+                initial_loss_scale: 1.0,
+                clip_grad_norm: Some(0.5),
+                ..ZeroConfig::default()
+            },
+            Grid::new(2, 2),
+            20,
+            [0x405cc1ba, 0x405d4c6c, 0x405ba288, 0x405aa38c, 0x405cd5f2],
+            59_312,
         ),
     ];
     for (zero, grid, seed, want, peak) in pinned {
