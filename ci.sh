@@ -9,7 +9,7 @@ cd "$(dirname "$0")"
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
 
-echo "==> line budget (non-test lines of crates/{comm,core,serve,bench}/src; sim = crates/sim/src + src/bin/zero-sim.rs)"
+echo "==> line budget (non-test lines of crates/{comm,core,serve,bench}/src; sim = crates/sim/src + src/bin/zero-sim.rs; engine = crates/core/src/engine.rs)"
 # Every line outside a #[cfg(test)] item — the number ROADMAP tracks. A test
 # item runs from its attribute to the `}` at the attribute's own indentation
 # (or to the `;` of a one-line item), so code that follows a file's first
@@ -32,7 +32,7 @@ printf '%s\n' 'fn a() {' '}' '#[cfg(test)]' 'mod tests {' '    fn t() {' '    }'
     > "$scratch/counted.rs"
 [ "$(awk "$count_non_test" "$scratch/counted.rs")" -eq 6 ] \
     || { echo "line counter self-test failed: code after a test module must be counted in full"; exit 1; }
-line_ceiling=12343
+line_ceiling=12305
 lines=0
 split=""
 for crate in comm core serve bench; do
@@ -43,9 +43,14 @@ done
 # The simulator has a ceiling of its own: its CLI lives in the root package.
 sim_ceiling=2288
 sim=$(awk "$count_non_test" $(find crates/sim/src -name '*.rs') src/bin/zero-sim.rs)
-echo "    $lines non-test lines (ceiling $line_ceiling):$split; sim $sim (ceiling $sim_ceiling)"
+# So has the training engine, inside the core count: it interprets the
+# plan, so a schedule decision moving back into it shows up here first.
+engine_ceiling=1274
+engine=$(awk "$count_non_test" crates/core/src/engine.rs)
+echo "    $lines non-test lines (ceiling $line_ceiling):$split; sim $sim (ceiling $sim_ceiling); engine $engine (ceiling $engine_ceiling)"
 [ "$lines" -le "$line_ceiling" ] || { echo "line budget exceeded: lower the count or raise the ceiling deliberately"; exit 1; }
 [ "$sim" -le "$sim_ceiling" ] || { echo "sim line budget exceeded: lower the count or raise sim_ceiling deliberately"; exit 1; }
+[ "$engine" -le "$engine_ceiling" ] || { echo "engine line budget exceeded: lower the count or raise engine_ceiling deliberately"; exit 1; }
 
 echo "==> cargo build --release"
 cargo build --release

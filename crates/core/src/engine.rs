@@ -28,19 +28,18 @@
 //! the plan builder records and the engine executes through a per-micro
 //! `Pass`. Every entry point installs the [`CommPlan`] for what it is
 //! about to run and then interprets it: each collective pops its op off
-//! the [`PlanCursor`](crate::plan::PlanCursor), and what the op says
-//! decides which copy of the parameters a fetch reads and over which
-//! group, whether the next unit's fetch goes out before this one is
-//! waited, where the gradient bucket is cut, how far a chunk loop runs,
-//! whether a reduce-scatter is settled at once or left in flight, and
-//! which tier movement goes with it.
+//! the [`PlanCursor`](crate::plan::PlanCursor), and the op is the only
+//! source of its group, counts, precision, wire format and reduction, of
+//! the stores a fetch reads and stashes into, of whether the next unit's
+//! fetch goes out before this one is waited, where the gradient bucket is
+//! cut, which ops each CB chunk runs, whether a reduce-scatter is settled
+//! at once or left in flight, and which tier movement goes with it. The
+//! engine derives no group and picks no reduction of its own.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use zero_comm::{
-    CollectiveKind, CommError, Communicator, Grid, Group, NodeTopology, PendingOp, ReduceOp,
-};
+use zero_comm::{CollectiveKind, CommError, Communicator, Grid, PendingOp};
 use zero_model::{BlockSaved, Gpt};
 use zero_trace::{SpanCategory, StepTimeline, TraceRecorder};
 use zero_optim::{
@@ -52,10 +51,10 @@ use crate::config::OptimizerKind;
 
 use crate::arena::{ArenaSlot, ContiguousArena};
 use crate::bucket::GradBucket;
-use crate::config::{ZeroConfig, ZeroStage};
+use crate::config::ZeroConfig;
 use crate::memory::{MemCategory, MemoryTracker};
 use crate::partition::Partitioner;
-use crate::plan::{CommPlan, FetchSource, OpRole, PlanCursor, ResolvedOp, ResolvedTierOp, TierDir};
+use crate::plan::{CommPlan, OpRole, ParamStore, PlanCursor, Reduction, ResolvedOp, ResolvedTierOp, TierDir};
 use crate::store::FlatStore;
 use crate::tier::{TierStats, TierStore};
 use crate::walk::{self, Walker};
@@ -80,14 +79,6 @@ enum Checkpoint {
     Arena(ArenaSlot),
 }
 
-/// Where a rank's gradients accumulate.
-enum Grads {
-    /// Stages DDP/1: the full flat buffer, reduced at the end of the step.
-    Full(FlatStore),
-    /// Stages 2/3: this rank's reduced shard, filled bucket by bucket.
-    Shard(FlatStore),
-}
-
 /// A planned gather or reduce-scatter handed to the progress thread,
 /// with the tier movement the plan attached to it.
 struct Issued {
@@ -95,30 +86,35 @@ struct Issued {
     /// FIFO progress thread right ahead of it (so the modeled transfer
     /// completes before the ring starts) and waited first.
     seed: Option<PendingOp>,
-    op: PendingOp,
+    pending: PendingOp,
     /// Offload: the device→host spill of the op's result, due once the op
     /// has been waited.
     spill: Option<ResolvedTierOp>,
-    /// Whether the plan leaves the op in flight past its issue point.
-    nonblocking: bool,
+    /// The planned op: its group geometry, issue mode and reduction.
+    op: ResolvedOp,
 }
 
 impl Issued {
     /// Settles the seeding transfer, then the op, so failures surface in
-    /// issue order.
+    /// issue order, and applies the average the op closes with, if any.
     fn wait(self) -> Result<Vec<f32>, CommError> {
         if let Some(seed) = self.seed {
             seed.wait()?;
         }
-        self.op.wait()
+        let mut out = self.pending.wait()?;
+        if let Reduction::Average { over } = self.op.reduce {
+            let inv = 1.0 / over as f32;
+            out.iter_mut().for_each(|v| *v *= inv);
+        }
+        Ok(out)
     }
 }
 
 /// A bucket flush whose reduce-scatter is in flight on the progress
 /// thread: the handle plus where its owner piece lands when waited.
 struct InflightReduce {
-    /// Destination range within the gradient shard (shard-local coordinates).
-    local: std::ops::Range<usize>,
+    /// Flat range of this rank's reduced piece.
+    at: std::ops::Range<usize>,
     issued: Issued,
     /// Fused-buffer bytes held until the wait (memory accounting).
     bytes: u64,
@@ -132,10 +128,8 @@ struct PendingFetch {
     issued: Issued,
     /// Full unit length in elements.
     len: usize,
-    /// When this is a gather of the primary shards, the unit's flat range
-    /// — on completion an hpZ rank stashes its secondary slice into the
-    /// node-local replica. `None` for refetches from that replica.
-    stash: Option<std::ops::Range<usize>>,
+    /// The store the fetch op stashes the gathered unit into, if any.
+    into: Option<ParamStore>,
 }
 
 /// The rank's end of the schedule: the cursor over the installed plan,
@@ -168,53 +162,80 @@ impl Issuer {
     /// The one place a planned all-gather or reduce-scatter is issued: pops
     /// the next op off the plan cursor (plan order is issue order, which is
     /// what the static checks verify), submits the tier fetch that seeds
-    /// it, and hands `start` the op to submit — its counts, precision and
-    /// wire format (raw ring, qwZ int8 blocks, or qgZ two-phase) are the
-    /// collective's arguments. When the caller waits is the only thing
+    /// it, and starts it on `input` over the op's group with the op's
+    /// counts, precision, wire format (raw ring, qwZ int8 blocks, or qgZ
+    /// two-phase) and reduction. When the caller waits is the only thing
     /// that distinguishes synchronous from overlapped execution.
-    fn issue(
-        &mut self,
-        kind: CollectiveKind,
-        group: &Group,
-        start: impl FnOnce(&mut Communicator, &ResolvedOp) -> PendingOp,
-    ) -> Issued {
-        let (op, tier) = self.plan.take_riding(kind, group);
+    fn start(&mut self, kind: CollectiveKind, input: &[f32]) -> Issued {
+        let (op, tier) = self.plan.take_riding(kind);
         // A fetch riding the op seeds it and goes first; a spill carries
         // its result and is the caller's to issue after the wait.
         let (seed, spill) = match tier {
             Some(t) if t.dir == TierDir::Fetch => (Some(self.tier_move(t)), None),
             spill => (None, spill),
         };
-        Issued { seed, op: start(&mut self.comm, &op), spill, nonblocking: op.nonblocking }
+        let (group, comm) = (op.group(), &mut self.comm);
+        let pending = match op.reduce {
+            Reduction::Reduce(r) => comm.start_reduce_scatter(&group, input, r, &op.counts, op.prec, op.wire),
+            Reduction::Copy | Reduction::Average { .. } => comm.start_all_gather(&group, input, &op.counts, op.prec, op.wire),
+        };
+        Issued { seed, pending, spill, op }
     }
 
-    /// The next planned all-gather over `group`, this rank contributing
-    /// `shard`.
-    fn start_all_gather(&mut self, group: &Group, shard: &[f32]) -> Issued {
-        self.issue(CollectiveKind::AllGather, group, |comm, op| {
-            comm.start_all_gather(group, shard, &op.counts, op.prec, op.wire)
-        })
-    }
-
-    /// The next planned reduce-scatter of `input` over `group`.
-    fn start_reduce_scatter(&mut self, group: &Group, input: &[f32], reduce: ReduceOp) -> Issued {
-        self.issue(CollectiveKind::ReduceScatter, group, |comm, op| {
-            comm.start_reduce_scatter(group, input, reduce, &op.counts, op.prec, op.wire)
-        })
-    }
-
-    /// A planned all-reduce over `group`, in place: the Megatron hooks,
-    /// DDP's gradient chunks, the two-level reduction's cross-node phase,
-    /// the overflow flag and the grad norm.
-    fn all_reduce(
-        &mut self,
-        group: &Group,
-        buf: &mut [f32],
-        reduce: ReduceOp,
-    ) -> Result<(), CommError> {
-        let op = self.plan.take(CollectiveKind::AllReduce, group);
+    /// A planned all-reduce, in place: the Megatron hooks, DDP's gradient
+    /// chunks, the two-level reduction's cross-node phase, the overflow
+    /// flag and the grad norm.
+    fn all_reduce(&mut self, buf: &mut [f32]) -> Result<(), CommError> {
+        let op = self.plan.take(CollectiveKind::AllReduce);
         assert_eq!(op.total_elems(), buf.len(), "planned '{}' size", op.label);
-        self.comm.all_reduce_in(group, buf, reduce, op.prec)
+        let Reduction::Reduce(reduce) = op.reduce else { panic!("planned '{}' reduces nothing", op.label) };
+        self.comm.all_reduce_in(&op.group(), buf, reduce, op.prec)
+    }
+
+    /// Runs the CB chunks the plan lists next, charging each chunk's
+    /// staging buffer to `mem` for exactly the duration of its ops, on the
+    /// error path too.
+    fn run_chunks(&mut self, store: &mut FlatStore, mem: &mut MemoryTracker) -> Result<(), CommError> {
+        while let Some(OpRole::Span(chunk)) = self.plan.peek().map(|op| op.role.clone()) {
+            let bytes = 4 * chunk.len() as u64;
+            mem.alloc(MemCategory::Buffers, bytes);
+            let res = self.run_chunk(chunk, store);
+            mem.free(MemCategory::Buffers, bytes);
+            res?;
+        }
+        Ok(())
+    }
+
+    /// Runs every op the plan lists for one CB chunk over one staging
+    /// buffer (§6.2). The buffer is read from `store` — the whole chunk,
+    /// or this rank's piece of it when the chunk opens with a gather; a
+    /// reduce-scatter narrows it to this rank's piece, an all-gather
+    /// widens it back, an all-reduce keeps it — and is written back where
+    /// it then sits in flat space.
+    fn run_chunk(&mut self, chunk: std::ops::Range<usize>, store: &mut FlatStore) -> Result<(), CommError> {
+        let rank = self.comm.rank();
+        let mut at = chunk.clone();
+        if let Some(first) = self.plan.peek().filter(|op| op.kind == CollectiveKind::AllGather) {
+            let own = first.own_piece(rank);
+            at = chunk.start + own.start..chunk.start + own.end;
+        }
+        let mut buf = store.read(at.clone());
+        let span = OpRole::Span(chunk);
+        while let Some(kind) = self.plan.peek().filter(|op| op.role == span).map(|op| op.kind) {
+            if kind == CollectiveKind::AllReduce {
+                self.all_reduce(&mut buf)?;
+                continue;
+            }
+            let issued = self.start(kind, &buf);
+            let (own, total) = (issued.op.own_piece(rank), issued.op.total_elems());
+            at = match kind {
+                CollectiveKind::ReduceScatter => at.start + own.start..at.start + own.end,
+                _ => at.start - own.start..at.start - own.start + total,
+            };
+            buf = issued.wait()?;
+        }
+        store.write(at, &buf);
+        Ok(())
     }
 }
 
@@ -248,31 +269,29 @@ pub struct RankEngine {
     grid: Grid,
     /// The plan cursor, the communicator and the memory tier.
     io: Issuer,
-    dp_group: Group,
-    mp_group: Group,
     dp_idx: usize,
     mp_idx: usize,
     part: Partitioner,
-    /// hpZ: this rank's intra-node group (`node_size` consecutive ranks);
-    /// aliases the DP group when hpZ is off.
-    node_group: Group,
-    /// hpZ: this rank's slot within its node (shard index in `sec_part`).
-    node_slot: usize,
-    /// hpZ: partition of flat parameter space over the node's G slots.
-    sec_part: Partitioner,
-    /// hpZ secondary parameter partition: the node-local replica shard
-    /// (≈ 2Ψ/G), populated by each unit's fetch from the primary shards
-    /// and served back by the fetches the plan sources from it.
+    /// hpZ secondary parameter store ([`ParamStore::Secondary`]): the
+    /// node-local replica shard (≈ 2Ψ/G), stashed into by each unit's
+    /// first fetch of the step and seeding the fetches the plan reads
+    /// from it.
     secondary: Option<FlatStore>,
 
-    /// Working parameters consumed by forward/backward: full flat buffer
-    /// (stages DDP/1/2) or this rank's 1/N_d shard (stage 3).
+    /// Working parameters consumed by forward/backward
+    /// ([`ParamStore::Primary`]): all of flat space (stages DDP/1/2) or
+    /// this rank's 1/N_d shard (stage 3).
     work: FlatStore,
     /// fp32 master parameters: full (DDP) or the DP shard (stages 1–3).
     master: Vec<f32>,
     /// Optimizer state over `master`.
     opt: OptState,
-    grads: Grads,
+    /// Where gradients accumulate: all of flat space (DDP/1, reduced at
+    /// the end of the step) or this rank's reduced shard (stages 2/3).
+    grads: FlatStore,
+    /// Stages 2/3: gradients go through the bucket, reduced to their
+    /// owners as backward produces them.
+    bucketed: bool,
 
     bucket: GradBucket,
     /// In-flight bucket reduce-scatters: issued as backward produces them
@@ -310,7 +329,6 @@ impl RankEngine {
         comm: Communicator,
     ) -> RankEngine {
         let off = zcfg.check(grid).unwrap_or_else(|e| panic!("{e}"));
-        let comp = zcfg.compression;
         assert_eq!(
             grid.world_size(),
             comm.world_size(),
@@ -329,18 +347,9 @@ impl RankEngine {
         let rank = comm.rank();
         let trace = comm.trace();
         let (dp_idx, mp_idx) = grid.coords(rank);
-        let dp_group = grid.dp_group(rank);
-        let mp_group = grid.mp_group(rank);
         let psi = gpt.num_params();
         let part = Partitioner::new(psi, grid.dp_degree());
         let my_shard = part.shard_range(dp_idx);
-
-        let node_group = if comp.hpz {
-            NodeTopology::new(comp.node_size).node_group(rank)
-        } else {
-            dp_group.clone()
-        };
-        let sec_part = Partitioner::new(psi, comp.node_size.max(1));
 
         let mut mem = MemoryTracker::new();
         // Arm the device budget before the first allocation: from here on
@@ -350,12 +359,12 @@ impl RankEngine {
             mem.set_device_budget(Some(zcfg.tier.device_budget));
         }
 
-        // hpZ secondary partition: the node-local replica shard, priced as
+        // hpZ secondary store: the node-local replica shard, priced as
         // device memory (but not a §3 model state — it is a derived cache).
         // Node groups are G consecutive ranks, so the slot is direct.
-        let node_slot = rank % comp.node_size.max(1);
-        let secondary = comp.hpz.then(|| {
-            let sec = FlatStore::zeros(sec_part.shard_range(node_slot).len(), zcfg.fp16);
+        let secondary = zcfg.compression.hpz.then(|| {
+            let g = zcfg.compression.node_size;
+            let sec = FlatStore::zeros(Partitioner::new(psi, g).shard_range(rank % g), zcfg.fp16);
             mem.alloc(MemCategory::SecondaryParams, sec.bytes());
             sec
         });
@@ -363,11 +372,8 @@ impl RankEngine {
         // Working parameters. Under stage-3 offload the shard's home is
         // the host tier (every use fetches a unit's piece up), so it is
         // priced as host — not device — residency.
-        let work = if zcfg.stage.partitions_params() {
-            FlatStore::from_f32(&initial_params[my_shard.clone()], zcfg.fp16)
-        } else {
-            FlatStore::from_f32(initial_params, zcfg.fp16)
-        };
+        let at = if zcfg.stage.partitions_params() { my_shard.clone() } else { 0..psi };
+        let work = FlatStore::from_f32(at.clone(), &initial_params[at], zcfg.fp16);
         let work_cat = if off.params {
             MemCategory::HostParamShard
         } else {
@@ -384,7 +390,7 @@ impl RankEngine {
             [MemCategory::MasterParams, MemCategory::Momentum, MemCategory::Variance]
         };
         let master: Vec<f32> = if zcfg.stage.partitions_optimizer() {
-            initial_params[my_shard].to_vec()
+            initial_params[my_shard.clone()].to_vec()
         } else {
             initial_params.to_vec()
         };
@@ -409,20 +415,10 @@ impl RankEngine {
         // Gradient storage. Offloaded stages 2/3 keep the reduced shard
         // host-resident (it feeds the host optimizer, spilled bucket by
         // bucket as backward reduces).
-        let grads = if zcfg.stage.partitions_grads() {
-            let shard = FlatStore::zeros(part.shard_range(dp_idx).len(), zcfg.fp16);
-            let cat = if off.grads {
-                MemCategory::HostGradShard
-            } else {
-                MemCategory::Gradients
-            };
-            mem.alloc(cat, shard.bytes());
-            Grads::Shard(shard)
-        } else {
-            let full = FlatStore::zeros(psi, zcfg.fp16);
-            mem.alloc(MemCategory::Gradients, full.bytes());
-            Grads::Full(full)
-        };
+        let bucketed = zcfg.stage.partitions_grads();
+        let grads = FlatStore::zeros(if bucketed { my_shard } else { 0..psi }, zcfg.fp16);
+        let cat = if off.grads { MemCategory::HostGradShard } else { MemCategory::Gradients };
+        mem.alloc(cat, grads.bytes());
 
         RankEngine {
             bucket: GradBucket::new(),
@@ -438,19 +434,15 @@ impl RankEngine {
             gpt,
             zcfg,
             grid,
-            dp_group,
-            mp_group,
             dp_idx,
             mp_idx,
             part,
-            node_group,
-            node_slot,
-            sec_part,
             secondary,
             work,
             master,
             opt,
             grads,
+            bucketed,
             mem,
             trace,
             step: 0,
@@ -552,55 +544,33 @@ impl RankEngine {
     /// Issues the next planned parameter fetch — "broadcast … from the
     /// data parallel process responsible for that partition" (§5.3),
     /// realized as a ring all-gather of uneven pieces — without waiting.
-    /// The op names the unit and where its pieces come from: the primary
-    /// shards over the DP group, or (hpZ) the node-local secondary copy
-    /// over the node group, never crossing a node boundary.
+    /// The op names the unit and the store this rank's piece is read from:
+    /// the primary shard, or (hpZ) the node-local secondary store, whose
+    /// gather never crosses a node boundary.
     fn start_fetch(&mut self) -> PendingFetch {
-        let (unit, source) = match self.io.plan.next_role() {
-            Some(&OpRole::Fetch { unit, source, .. }) => (unit, source),
+        let (unit, from, into) = match self.io.plan.peek().map(|op| &op.role) {
+            Some(&OpRole::Fetch { unit, from, into, .. }) => (unit, from, into),
             other => panic!("comm-plan drift: engine needs a parameter fetch, plan has {other:?}"),
         };
         let unit_range = self.gpt.layout().units()[unit].range.clone();
         let len = unit_range.len();
         self.mem.alloc(MemCategory::Buffers, 4 * len as u64);
-        let (group, piece) = match source {
-            FetchSource::Secondary => (&self.node_group, self.read_secondary_piece(&unit_range)),
-            FetchSource::Primary => {
-                let local = self.part.local_slice_of(self.dp_idx, &unit_range);
-                (&self.dp_group, self.work.read_vec(local))
-            }
-        };
+        let piece = self.param_store(from).piece(&unit_range);
         self.trace.instant(SpanCategory::Collective, "prefetch-issue");
-        let issued = self.io.start_all_gather(group, &piece);
-        let stash = (source == FetchSource::Primary).then_some(unit_range);
-        PendingFetch { unit, issued, len, stash }
+        let issued = self.io.start(CollectiveKind::AllGather, &piece);
+        PendingFetch { unit, issued, len, into }
     }
 
-    /// hpZ: copies this rank's secondary-partition slice of a freshly
-    /// gathered unit into the node-local replica (a no-op without hpZ).
-    /// The gathered buffer is bitwise identical on every rank (raw and qwZ
-    /// alike), so the replica stays node-consistent without extra
-    /// communication. In fp16 mode the store rounds dequantized values to
-    /// fp16 — the replica is exactly the fp16 image of what this step's
+    /// The parameter store a fetch op names. The gathered buffer is
+    /// bitwise identical on every rank (raw and qwZ alike), so a store
+    /// stashed from it stays node-consistent without extra communication;
+    /// in fp16 mode it holds exactly the fp16 image of what this step's
     /// forward saw.
-    fn stash_secondary(&mut self, unit_range: &std::ops::Range<usize>, data: &[f32]) {
-        let Some(secondary) = &mut self.secondary else {
-            return;
-        };
-        let local = self.sec_part.local_slice_of(self.node_slot, unit_range);
-        if local.is_empty() {
-            return;
+    fn param_store(&mut self, store: ParamStore) -> &mut FlatStore {
+        match store {
+            ParamStore::Primary => &mut self.work,
+            ParamStore::Secondary => self.secondary.as_mut().expect("hpZ secondary store"),
         }
-        // Where the slice sits within the gathered unit.
-        let at = self.sec_part.shard_range(self.node_slot).start + local.start - unit_range.start;
-        secondary.write_from(local.clone(), &data[at..at + local.len()]);
-    }
-
-    /// hpZ: this rank's contribution to a node-scope refetch — the
-    /// intersection of the unit with its secondary shard.
-    fn read_secondary_piece(&self, unit_range: &std::ops::Range<usize>) -> Vec<f32> {
-        let local = self.sec_part.local_slice_of(self.node_slot, unit_range);
-        self.secondary.as_ref().expect("hpZ secondary store").read_vec(local)
     }
 
     /// Settles every in-flight bucket reduce-scatter in FIFO (issue) order:
@@ -620,11 +590,7 @@ impl RankEngine {
             if first_err.is_none() {
                 let span = self.trace.begin(SpanCategory::Wait, "drain-inflight");
                 match inf.issued.wait() {
-                    Ok(out) => {
-                        if let Grads::Shard(shard) = &mut self.grads {
-                            shard.add_from(inf.local, &out);
-                        }
-                    }
+                    Ok(out) => self.grads.add(inf.at, &out),
                     Err(e) => first_err = Some(e),
                 }
                 self.trace.end(span);
@@ -675,7 +641,7 @@ impl RankEngine {
             return;
         }
         let slice = if zcfg.partition_activations {
-            zero_comm::chunk_range(act_elems, self.mp_group.len(), self.mp_idx).len()
+            zero_comm::chunk_range(act_elems, self.grid.mp_degree(), self.mp_idx).len()
         } else {
             act_elems
         };
@@ -706,14 +672,14 @@ impl RankEngine {
         range: std::ops::Range<usize>,
         mut g: Vec<f32>,
     ) -> Result<(), CommError> {
-        if let Grads::Full(full) = &mut self.grads {
-            full.add_from(range, &g);
+        if !self.bucketed {
+            self.grads.add(range, &g);
             return Ok(());
         }
         // fp16 gradients: quantize before they enter the fused buffer.
         self.maybe_quantize(&mut g);
         self.bucket.push(range, g);
-        if self.io.plan.next_role() == self.bucket.span().map(OpRole::Span).as_ref() {
+        if self.io.plan.peek().map(|op| &op.role) == self.bucket.span().map(OpRole::Span).as_ref() {
             self.flush_bucket()?;
         }
         Ok(())
@@ -727,15 +693,17 @@ impl RankEngine {
     /// the ring runs; a blocking one is settled here.
     fn flush_bucket(&mut self) -> Result<(), CommError> {
         let mut settle = false;
-        let Self { bucket, io, dp_group, part, dp_idx, mem, inflight_rs, trace, .. } = self;
+        let Self { bucket, io, mem, inflight_rs, trace, .. } = self;
+        let rank = io.comm.rank();
         bucket.flush_all(&mut |r, fused| {
             trace.instant(SpanCategory::Collective, "bucket-flush");
             let bytes = 4 * fused.len() as u64;
             mem.alloc(MemCategory::Buffers, bytes);
-            let issued = io.start_reduce_scatter(dp_group, fused, ReduceOp::Mean);
-            settle = !issued.nonblocking;
-            let local = part.local_slice_of(*dp_idx, &r);
-            inflight_rs.push_back(InflightReduce { local, issued, bytes });
+            let issued = io.start(CollectiveKind::ReduceScatter, fused);
+            settle = !issued.op.nonblocking;
+            let own = issued.op.own_piece(rank);
+            let at = r.start + own.start..r.start + own.end;
+            inflight_rs.push_back(InflightReduce { at, issued, bytes });
         });
         if settle {
             self.drain_inflight()?;
@@ -743,110 +711,28 @@ impl RankEngine {
         Ok(())
     }
 
-    /// Walks the CB chunk ops the plan lists next — each names its range
-    /// of flat parameter space — charging each chunk's staging buffer to
-    /// the tracker for exactly the duration of `f`, on the error path too.
-    /// `f` issues the chunk's op(s).
-    fn for_each_chunk(
-        &mut self,
-        mut f: impl FnMut(&mut Self, std::ops::Range<usize>) -> Result<(), CommError>,
-    ) -> Result<(), CommError> {
-        while let Some(OpRole::Span(chunk)) = self.io.plan.next_role().cloned() {
-            let bytes = 4 * chunk.len() as u64;
-            self.mem.alloc(MemCategory::Buffers, bytes);
-            let res = f(self, chunk);
-            self.mem.free(MemCategory::Buffers, bytes);
-            res?;
-        }
-        Ok(())
-    }
-
-    /// End-of-backward gradient reduction for the non-bucketed stages,
-    /// staged through constant-size buffers (CB): DDP all-reduces every
-    /// chunk in place — flat, or as the two-level plan's three ops; stage 1
-    /// reduce-scatters so this rank's shard region of the full buffer
-    /// holds the averaged values. Stages 2/3 already reduced everything
-    /// through the bucket and have no chunk planned.
-    fn reduce_full_grads(&mut self) -> Result<(), CommError> {
-        assert_eq!(self.bucket.pending_elems(), 0, "comm-plan drift: gradients left unflushed");
-        let shard = self.part.shard_range(self.dp_idx);
-        let rank = self.rank();
-        self.for_each_chunk(|this, chunk| {
-            let Self { grads, io, dp_group, part, dp_idx, zcfg, .. } = this;
-            // Stages 2/3 plan no chunk here: their buckets reduced it all.
-            let Grads::Full(full) = grads else { return Ok(()) };
-            let mut staging = full.read_vec(chunk.clone());
-            match (zcfg.stage, zcfg.node_size) {
-                (ZeroStage::One, _) => {
-                    let out = io.start_reduce_scatter(dp_group, &staging, ReduceOp::Mean).wait()?;
-                    let own = part.local_slice_of(*dp_idx, &chunk);
-                    full.write_from(shard.start + own.start..shard.start + own.end, &out);
-                }
-                (_, Some(g)) => {
-                    // Node reduce-scatter, cross-node all-reduce of the
-                    // owned chunk, node all-gather — summed through, then
-                    // averaged over N_d once.
-                    let topo = NodeTopology::new(g);
-                    let node = topo.node_group(rank);
-                    let cross = topo.cross_group(rank, dp_group.len());
-                    let mut own = io.start_reduce_scatter(&node, &staging, ReduceOp::Sum).wait()?;
-                    io.all_reduce(&cross, &mut own, ReduceOp::Sum)?;
-                    let mut summed = io.start_all_gather(&node, &own).wait()?;
-                    let inv = 1.0 / dp_group.len() as f32;
-                    summed.iter_mut().for_each(|v| *v *= inv);
-                    full.write_from(chunk, &summed);
-                }
-                (_, None) => {
-                    io.all_reduce(dp_group, &mut staging, ReduceOp::Mean)?;
-                    full.write_from(chunk, &staging);
-                }
-            }
-            Ok(())
-        })
-    }
-
-    /// The reduced gradients covering [`Self::master_range`]: the full
-    /// averaged buffer under DDP, this rank's shard otherwise.
-    fn reduced_grads(&self) -> (&FlatStore, std::ops::Range<usize>) {
-        match &self.grads {
-            Grads::Full(full) => (full, self.master_range()),
-            Grads::Shard(s) => (s, 0..s.len()),
-        }
-    }
-
-    /// Publishes updated master parameters into the working copy.
-    /// Stages 1/2 all-gather the updated fp16 shards across DP — "an
-    /// all-gather … to get the fully updated parameters" (§5.1) — staged
-    /// through CB-sized chunks; stage 3 keeps only the local shard; DDP
-    /// wrote the full buffer locally.
+    /// Publishes updated master parameters into the working copy, then
+    /// runs the publish chunks the plan lists: stages 1/2 all-gather the
+    /// updated fp16 shards across DP — "an all-gather … to get the fully
+    /// updated parameters" (§5.1) — staged through CB-sized chunks, each
+    /// seeded by a tier fetch under a host optimizer; DDP and stage 3 plan
+    /// none, their working copy being exactly what `master` covers.
     fn publish_params(&mut self) -> Result<(), CommError> {
-        // Refresh what this rank owns from master: everything `work`
-        // holds (DDP, stage 3) or the shard region of the full copy.
-        let shard = self.part.shard_range(self.dp_idx);
-        let gathers = matches!(self.zcfg.stage, ZeroStage::One | ZeroStage::Two);
-        let start = if gathers { shard.start } else { 0 };
-        self.work.write_from(start..start + self.master.len(), &self.master);
-        // …then all-gather the (quantized) shards over the planned chunks
-        // (none outside stages 1/2). Under a host optimizer each gather is
-        // seeded by the tier fetch of the updated shard chunk riding it.
-        self.for_each_chunk(|this, chunk| {
-            let own = this.part.local_slice_of(this.dp_idx, &chunk);
-            let piece = this.work.read_vec(shard.start + own.start..shard.start + own.end);
-            let out = this.io.start_all_gather(&this.dp_group, &piece).wait()?;
-            this.work.write_from(chunk, &out);
-            Ok(())
-        })
+        let owned = self.master_range();
+        self.work.write(owned, &self.master);
+        self.io.run_chunks(&mut self.work, &mut self.mem)
     }
 
     /// Global gradient norm across the whole grid, counting every logical
-    /// parameter exactly once: under partitioned stages each DP rank
-    /// contributes only its shard and the squares are summed over the
-    /// whole world; under DDP every rank already holds the full averaged
-    /// gradients, so only the MP dimension is summed. Fields replicated
-    /// across MP are down-weighted by 1/N_m either way.
+    /// parameter exactly once: this rank squares what `grads` covers, and
+    /// the planned grad-norm op sums the squares over its group — the
+    /// whole world under partitioned stages, where each DP rank holds only
+    /// its shard; the MP group under DDP, where every rank already holds
+    /// the full averaged gradients. Fields replicated across MP are
+    /// down-weighted by 1/N_m either way.
     fn global_grad_norm(&mut self, grads: &[f32]) -> Result<f64, CommError> {
         let range = self.master_range();
-        let nm = self.mp_group.len() as f64;
+        let nm = self.grid.mp_degree() as f64;
         let mut sq = 0.0_f64;
         if nm > 1.0 {
             let layout = self.gpt.layout();
@@ -863,12 +749,7 @@ impl RankEngine {
             sq = local_sq_norm(grads);
         }
         let mut buf = [sq as f32];
-        let group = if self.zcfg.stage.partitions_optimizer() {
-            Group::world(self.io.comm.world_size())
-        } else {
-            self.mp_group.clone()
-        };
-        self.io.all_reduce(&group, &mut buf, ReduceOp::Sum)?;
+        self.io.all_reduce(&mut buf)?;
         Ok((buf[0] as f64).sqrt())
     }
 
@@ -1044,8 +925,7 @@ impl RankEngine {
         self.size_arena(act_elems);
 
         // Zero persistent gradient storage once per optimizer step.
-        let (Grads::Full(grads) | Grads::Shard(grads)) = &mut self.grads;
-        grads.zero_range(0..grads.len());
+        self.grads.zero();
 
         let res = micros
             .iter()
@@ -1071,12 +951,12 @@ impl RankEngine {
         span: &'static str,
         f: impl FnOnce(&Gpt, &mut dyn FnMut(&mut [f32])) -> T,
     ) -> Result<T, CommError> {
-        let Self { gpt, io, mp_group, trace, .. } = self;
+        let Self { gpt, io, trace, .. } = self;
         let mut err: Option<CommError> = None;
         let span = trace.begin(SpanCategory::Compute, span);
         let out = f(gpt, &mut |buf: &mut [f32]| {
             if err.is_none() {
-                err = io.all_reduce(mp_group, buf, ReduceOp::Sum).err();
+                err = io.all_reduce(buf).err();
             }
         });
         trace.end(span);
@@ -1108,13 +988,16 @@ impl RankEngine {
         n_micro: usize,
     ) -> Result<StepOutcome, CommError> {
         // ---------- reduce & update ----------
+        // The non-bucketed stages reduce their full gradient buffer here,
+        // through the chunks the plan lists; stages 2/3 reduced everything
+        // through the bucket and have none.
         debug_assert!(self.inflight_rs.is_empty(), "in-flight reduces must drain per micro");
-        self.reduce_full_grads()?;
+        assert_eq!(self.bucket.pending_elems(), 0, "comm-plan drift: gradients left unflushed");
+        self.io.run_chunks(&mut self.grads, &mut self.mem)?;
 
-        let (grads, owned) = self.reduced_grads();
-        let mut flag = [if grads.has_non_finite(owned) { 1.0_f32 } else { 0.0 }];
-        let world_group = Group::world(self.io.comm.world_size());
-        self.io.all_reduce(&world_group, &mut flag, ReduceOp::Max)?;
+        let owned = self.master_range();
+        let mut flag = [if self.grads.has_non_finite(owned.clone()) { 1.0_f32 } else { 0.0 }];
+        self.io.all_reduce(&mut flag)?;
         let overflow = flag[0] > 0.0;
         // The prefix plan ends at the flag — the one data-dependent branch
         // point in the schedule; the rest of the step follows the suffix
@@ -1130,8 +1013,7 @@ impl RankEngine {
 
         let mut grad_norm = None;
         if !skipped {
-            let (grads, owned) = self.reduced_grads();
-            let mut g = grads.read_vec(owned);
+            let mut g = self.grads.read(owned);
             // The one tier movement that rides no collective, when the
             // plan has it: stage 1's host optimizer reduced gradients into
             // the full device buffer, so the owned shard region spills
@@ -1214,31 +1096,33 @@ impl Walker for Pass<'_> {
     type Ckpt = Checkpoint;
     type Error = CommError;
 
-    /// Materializes unit `u`'s parameters as an f32 buffer. Stages below 3
-    /// widen the local slice. Stage 3 takes `u`'s gather from the prefetch
-    /// slot (or issues it now), issues the next planned fetch into the
-    /// slot if the plan marks it `ahead` — so the next unit's communication
-    /// rides under this unit's compute — and then waits `u`'s.
+    /// Materializes unit `u`'s parameters as an f32 buffer: read from the
+    /// working store when the plan gathers nothing here (stages below 3),
+    /// else `u`'s gather, out of the prefetch slot or issued now because
+    /// the plan's next op is its fetch. The next planned fetch goes into
+    /// the slot if the plan marks it `ahead` — so the next unit's
+    /// communication rides under this unit's compute — and then `u`'s is
+    /// waited and stashed into the store its op names.
     fn fetch(&mut self, u: usize, _next: Option<usize>) -> Result<Vec<f32>, CommError> {
         let e = &mut *self.e;
-        if !e.zcfg.stage.partitions_params() {
-            let unit_range = e.gpt.layout().units()[u].range.clone();
-            e.mem.alloc(MemCategory::Buffers, 4 * unit_range.len() as u64);
-            return Ok(e.work.read_vec(unit_range));
-        }
+        let unit_range = e.gpt.layout().units()[u].range.clone();
+        let planned = matches!(e.io.plan.peek().map(|op| &op.role), Some(&OpRole::Fetch { unit, .. }) if unit == u);
         let cur = match e.prefetch.take() {
             Some(pf) => pf,
-            None => e.start_fetch(),
+            None if planned => e.start_fetch(),
+            None => {
+                e.mem.alloc(MemCategory::Buffers, 4 * unit_range.len() as u64);
+                return Ok(e.work.read(unit_range));
+            }
         };
         assert_eq!(cur.unit, u, "comm-plan drift: the plan fetched a unit the engine is not at");
-        if matches!(e.io.plan.next_role(), Some(OpRole::Fetch { ahead: true, .. })) {
+        if matches!(e.io.plan.peek().map(|op| &op.role), Some(OpRole::Fetch { ahead: true, .. })) {
             e.prefetch = Some(e.start_fetch());
         }
         match cur.issued.wait() {
             Ok(out) => {
-                debug_assert_eq!(out.len(), cur.len);
-                if let Some(range) = cur.stash {
-                    e.stash_secondary(&range, &out);
+                if let Some(store) = cur.into {
+                    e.param_store(store).stash(&unit_range, &out);
                 }
                 Ok(out)
             }
@@ -1287,7 +1171,7 @@ impl Walker for Pass<'_> {
         let span = e.trace.begin(SpanCategory::Checkpoint, "ckpt-store");
         let offloaded = e.zcfg.offload_checkpoints;
         let x = &self.x[..];
-        let slice = if e.zcfg.partition_activations { &x[zero_comm::chunk_range(x.len(), e.mp_group.len(), e.mp_idx)] } else { x };
+        let slice = if e.zcfg.partition_activations { &x[zero_comm::chunk_range(x.len(), e.grid.mp_degree(), e.mp_idx)] } else { x };
         let (cat, bytes) = e.ckpt_cost(slice.len());
         e.mem.alloc(cat, bytes);
         if offloaded {
@@ -1317,7 +1201,7 @@ impl Walker for Pass<'_> {
             e.mem.record_cpu_transfer(bytes);
         }
         let res = if e.zcfg.partition_activations {
-            e.io.start_all_gather(&e.mp_group, &slice).wait()
+            e.io.start(CollectiveKind::AllGather, &slice).wait()
         } else {
             Ok(slice)
         };

@@ -52,8 +52,8 @@ pub use procworld::{
     WORKER_SPEC_ENV,
 };
 pub use plan::{
-    CommPlan, CountSpec, EffectiveOffload, FetchSource, OpRole, PlanCursor, PlanOp, PlanScope,
-    ResolvedOp, ResolvedTierOp, StepShape, TierDir, TierOp,
+    CommPlan, CountSpec, EffectiveOffload, OpRole, ParamStore, PlanCursor, PlanOp, PlanScope,
+    Reduction, ResolvedOp, ResolvedTierOp, StepShape, TierDir, TierOp,
 };
 pub use snapshot::{
     export_inference_shards, reshard, validate_consistent, RankSnapshot, SnapshotError,

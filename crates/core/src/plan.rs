@@ -6,26 +6,28 @@
 //! *is* that schedule — built from a layout + [`ZeroConfig`] + [`Grid`]
 //! alone — and this module's `Builder` is the only place a schedule
 //! decision is taken. A [`PlanOp`] carries everything the engine needs to
-//! execute it: kind, scope, counts, precision and wire format; its
-//! [`OpRole`] (which unit a fetch materializes, from which copy, and
-//! whether it goes out ahead of the previous unit's wait; which flat range
-//! a gradient bucket or CB chunk covers); and the tier movement that
-//! rides it ([`TierOp::rides`]).
+//! execute it: kind, group, counts, precision and wire format; the
+//! [`Reduction`] it applies; its [`OpRole`] (which unit a fetch
+//! materializes, the [`ParamStore`] that seeds it and the one it stashes
+//! into, and whether it goes out ahead of the previous unit's wait; which
+//! flat range a gradient bucket or CB chunk covers); and the tier movement
+//! that rides it ([`TierOp::rides`]).
 //!
 //! Training micro-batches and evaluation passes are `crate::walk`'s one
 //! walk over the layers: the `Builder` is the walker that records each
 //! step's communication, and the engine executes the same walk.
 //!
 //! The engine interprets this stream through a [`PlanCursor`]: it pops the
-//! next op, checks kind and group against what it is about to run, and
-//! reads the rest off the op. It holds no copy of the builder's state, so
-//! conformance is by construction; the cursor still fails loudly on a
-//! kind/group mismatch and on a plan left unfinished.
+//! next op, checks its kind against what it is about to run, and reads
+//! everything else — group, counts, reduction, stores — off the op. The op
+//! is the only source of those; the engine derives no group and picks no
+//! reduction of its own. The cursor still fails loudly on a kind mismatch
+//! and on a plan left unfinished.
 //!
 //! Because the plan is pure data, `zero-verify` can *statically* prove,
 //! with zero training steps executed:
 //! * rank-symmetry / deadlock-freedom (every pair of ranks agrees on the
-//!   subsequence of ops they share),
+//!   subsequence of ops they share, reduction and role included),
 //! * group-membership consistency,
 //! * per-rank byte volumes matching the paper's formulas (2Ψ·(N−1)/N for
 //!   DDP and stages 1–2, ≤ 3Ψ for stage 3, §7).
@@ -35,8 +37,8 @@ use std::convert::Infallible;
 use std::ops::Range;
 
 use zero_comm::{
-    chunk_range, quant_wire_bytes, CollectiveKind, Grid, Group, NodeTopology, Precision, WireFmt,
-    KIND_COUNT,
+    chunk_range, quant_wire_bytes, CollectiveKind, Grid, Group, NodeTopology, Precision, ReduceOp,
+    WireFmt, KIND_COUNT,
 };
 use zero_model::Layout;
 
@@ -86,14 +88,31 @@ pub enum CountSpec {
     },
 }
 
-/// Where a parameter fetch reads its pieces from.
+/// A rank-resident copy of parameters a fetch reads its piece from or
+/// stashes the gathered unit into.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FetchSource {
-    /// Each DP rank's primary shard, gathered over [`PlanScope::Dp`].
+pub enum ParamStore {
+    /// The rank's primary 1/N_d shard, gathered over [`PlanScope::Dp`].
     Primary,
-    /// hpZ: the node-local secondary copy a unit's first fetch of the step
-    /// populated, gathered over [`PlanScope::Node`].
+    /// hpZ: the node-local secondary 1/G shard a unit's first fetch of the
+    /// step stashes into, gathered over [`PlanScope::Node`].
     Secondary,
+}
+
+/// What a planned op does to the values it moves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reduction {
+    /// Moved unchanged: parameter, publish and checkpoint gathers.
+    Copy,
+    /// Combined elementwise across the group by the collective.
+    Reduce(ReduceOp),
+    /// Gathered unchanged, then every element scaled by 1/`over` once: the
+    /// node all-gather that closes the two-level all-reduce, whose two
+    /// reducing phases sum, averaging over N_d.
+    Average {
+        /// The divisor N_d.
+        over: usize,
+    },
 }
 
 /// The schedule decision a planned op carries beyond its bytes — what the
@@ -105,15 +124,17 @@ pub enum OpRole {
     /// A collective over this range of flat parameter space: one fused
     /// gradient bucket, or one CB chunk of an end-of-step gradient
     /// reduction or parameter publish. The engine flushes its bucket when
-    /// the pending gradients span the next planned range, and walks chunk
-    /// loops op by op.
+    /// the pending gradients span the next planned range, and runs each
+    /// chunk's ops over one staging buffer.
     Span(Range<usize>),
     /// The stage-3 materialization of one parameter unit.
     Fetch {
         /// Index of the unit in the layout.
         unit: usize,
-        /// Which copy of the parameters seeds the gather.
-        source: FetchSource,
+        /// The store this rank's piece of the gather is read from.
+        from: ParamStore,
+        /// The store that keeps its slice of the gathered unit, if any.
+        into: Option<ParamStore>,
         /// Issued while the previously fetched unit is still being waited
         /// and computed on — the open prefetch window. A fetch that is
         /// not `ahead` is issued on demand, when its unit is needed.
@@ -145,6 +166,8 @@ pub struct PlanOp {
     pub nonblocking: bool,
     /// Wire encoding (ZeRO++ compression lever, or `Raw`).
     pub wire: WireFmt,
+    /// What the op does to the values it moves.
+    pub reduce: Reduction,
     /// The decision the engine reads off this op.
     pub role: OpRole,
 }
@@ -168,6 +191,8 @@ pub struct ResolvedOp {
     pub nonblocking: bool,
     /// Wire encoding (ZeRO++ compression lever, or `Raw`).
     pub wire: WireFmt,
+    /// What the op does to the values it moves.
+    pub reduce: Reduction,
     /// The decision the engine reads off this op (see [`PlanOp`]).
     pub role: OpRole,
 }
@@ -176,6 +201,19 @@ impl ResolvedOp {
     /// Total buffer elements (`Σ counts`).
     pub fn total_elems(&self) -> usize {
         self.counts.iter().sum()
+    }
+
+    /// The group the op runs over.
+    pub fn group(&self) -> Group {
+        Group::new(self.members.clone())
+    }
+
+    /// Where `rank`'s piece sits in the op's buffer: what it contributes
+    /// to a gather, or what a reduce-scatter leaves it.
+    pub fn own_piece(&self, rank: usize) -> Range<usize> {
+        let i = self.member_index(rank);
+        let start = self.counts[..i].iter().sum();
+        start..start + self.counts[i]
     }
 
     /// Messages this rank sends: `2(n−1)` for all-reduce, `n−1` for the
@@ -487,31 +525,41 @@ impl Builder {
         self.tier.len() - 1
     }
 
-    fn op(&mut self, kind: CollectiveKind, scope: PlanScope, counts: CountSpec, prec: Precision, label: &'static str, role: OpRole) {
-        self.ops.push(PlanOp { kind, scope, counts, prec, label, nonblocking: false, wire: WireFmt::Raw, role });
+    /// Pushes a blocking raw-wire op at the step's precision and returns
+    /// it for the callers that set more.
+    fn op(&mut self, kind: CollectiveKind, scope: PlanScope, counts: CountSpec, reduce: Reduction, label: &'static str, role: OpRole) -> &mut PlanOp {
+        let (prec, nonblocking, wire) = (self.prec, false, WireFmt::Raw);
+        self.ops.push(PlanOp { kind, scope, counts, prec, label, nonblocking, wire, reduce, role });
+        self.ops.last_mut().expect("op just pushed")
     }
 
-    /// Pushes an op the engine leaves in flight when overlap is on — a
-    /// parameter fetch or a bucket reduce-scatter (volumes and issue order
-    /// are identical either way; the engine settles a blocking one at
-    /// once).
+    /// Pushes an op on `wire` that the engine leaves in flight when overlap
+    /// is on — a parameter fetch (copied) or a bucket reduce-scatter
+    /// (averaged over N_d). Volumes and issue order are identical either
+    /// way; the engine settles a blocking one at once.
     fn op_nb(&mut self, kind: CollectiveKind, scope: PlanScope, counts: Vec<usize>, label: &'static str, wire: WireFmt, role: OpRole) {
-        let (counts, prec, nonblocking) = (CountSpec::Explicit(counts), self.prec, self.zcfg.overlap);
-        self.ops.push(PlanOp { kind, scope, counts, prec, label, nonblocking, wire, role });
+        let (overlap, counts) = (self.zcfg.overlap, CountSpec::Explicit(counts));
+        let reduce = match kind {
+            CollectiveKind::ReduceScatter => Reduction::Reduce(ReduceOp::Mean),
+            _ => Reduction::Copy,
+        };
+        let op = self.op(kind, scope, counts, reduce, label, role);
+        (op.nonblocking, op.wire) = (overlap, wire);
     }
 
     /// Issues unit `u`'s parameter all-gather (§5.3): the flat-space
     /// intersections from every DP shard. Under hpZ the *first* fetch of a
     /// unit in the step is the global gather (qwZ wire if enabled) that
-    /// also populates the node-local secondary copy; every later fetch of
-    /// the same unit resolves inside the node. Returns the index of the
-    /// tier fetch seeding the gather, if its pieces live in the host tier.
+    /// also stashes into the node-local secondary store; every later fetch
+    /// of the same unit is seeded by that store and resolves inside the
+    /// node. Returns the index of the tier fetch seeding the gather, if its
+    /// pieces live in the host tier.
     fn issue_fetch(&mut self, u: usize, ahead: bool) -> Option<usize> {
         let unit = self.units[u].clone();
         let comp = self.zcfg.compression;
-        let (scope, counts, wire, source) = if comp.hpz && self.stashed[u] {
+        let (scope, counts, wire, from, into) = if comp.hpz && self.stashed[u] {
             let node = PlanScope::Node { g: comp.node_size };
-            (node, self.sec_part.intersect_counts(&unit), WireFmt::Raw, FetchSource::Secondary)
+            (node, self.sec_part.intersect_counts(&unit), WireFmt::Raw, ParamStore::Secondary, None)
         } else {
             self.stashed[u] = true;
             let wire = if comp.qwz {
@@ -519,38 +567,40 @@ impl Builder {
             } else {
                 WireFmt::Raw
             };
-            (PlanScope::Dp, self.part.intersect_counts(&unit), wire, FetchSource::Primary)
+            let into = comp.hpz.then_some(ParamStore::Secondary);
+            (PlanScope::Dp, self.part.intersect_counts(&unit), wire, ParamStore::Primary, into)
         };
         // The local shard piece of the unit climbs host → device right
         // before it seeds the all-gather (the FIFO serializes the two, so
         // both hide behind compute together under overlap). An hpZ refetch
-        // reads the device-resident secondary copy: nothing crosses.
-        let seed = (self.off.params && source == FetchSource::Primary).then(|| {
+        // reads the device-resident secondary store: nothing crosses.
+        let seed = (self.off.params && from == ParamStore::Primary).then(|| {
             self.tier_op(TierDir::Fetch, "tier-param-fetch", counts.clone(), Some(self.ops.len()))
         });
-        let role = OpRole::Fetch { unit: u, source, ahead };
+        let role = OpRole::Fetch { unit: u, from, into, ahead };
         self.op_nb(CollectiveKind::AllGather, scope, counts, "fetch-unit", wire, role);
         seed
     }
 
     /// An MP-group collective over one block activation buffer.
-    fn mp_op(&mut self, kind: CollectiveKind, label: &'static str) {
+    fn mp_op(&mut self, kind: CollectiveKind, reduce: Reduction, label: &'static str) {
         let counts = CountSpec::Even { total: self.act_elems };
-        self.op(kind, PlanScope::Mp, counts, self.prec, label, OpRole::Plain);
+        self.op(kind, PlanScope::Mp, counts, reduce, label, OpRole::Plain);
     }
 
-    /// A one-element fp32 all-reduce: the overflow flag, the grad norm.
-    fn scalar_all_reduce(&mut self, scope: PlanScope, label: &'static str) {
-        let one = CountSpec::Even { total: 1 };
-        self.op(CollectiveKind::AllReduce, scope, one, Precision::Fp32, label, OpRole::Plain);
+    /// A one-element fp32 all-reduce: the overflow flag (max), the grad
+    /// norm (sum).
+    fn scalar_all_reduce(&mut self, scope: PlanScope, reduce: ReduceOp, label: &'static str) {
+        let (one, reduce) = (CountSpec::Even { total: 1 }, Reduction::Reduce(reduce));
+        self.op(CollectiveKind::AllReduce, scope, one, reduce, label, OpRole::Plain).prec = Precision::Fp32;
     }
 
-    /// One block pass's Megatron hooks: two MP all-reduces of the
+    /// One block pass's Megatron hooks: two MP all-reduces (sums) of the
     /// activation buffer (§8: two in forward, two in backward, and two
     /// more per recomputed block).
     fn mp_block_pass(&mut self) {
         for _ in 0..2 {
-            self.mp_op(CollectiveKind::AllReduce, "mp-block-allreduce");
+            self.mp_op(CollectiveKind::AllReduce, Reduction::Reduce(ReduceOp::Sum), "mp-block-allreduce");
         }
     }
 
@@ -607,32 +657,35 @@ impl Builder {
 
     /// End-of-step gradient reduction for the non-bucketed stages, chunk
     /// by chunk: DDP all-reduces (flat or two-level), stage 1
-    /// reduce-scatters each chunk to its shard owners.
+    /// reduce-scatters each chunk to its shard owners. Every path averages
+    /// over N_d exactly once.
     fn grad_reduce(&mut self) {
         if self.zcfg.stage.partitions_grads() {
             return;
         }
         use CollectiveKind::{AllGather, AllReduce, ReduceScatter};
+        let (sum, mean) = (Reduction::Reduce(ReduceOp::Sum), Reduction::Reduce(ReduceOp::Mean));
         for chunk in self.chunks() {
             let total = chunk.len();
             let ops = match (self.zcfg.stage, self.zcfg.node_size) {
                 (ZeroStage::One, _) => {
                     let counts = CountSpec::Explicit(self.part.intersect_counts(&chunk));
-                    vec![(ReduceScatter, PlanScope::Dp, counts, "grad-reduce-scatter")]
+                    vec![(ReduceScatter, PlanScope::Dp, counts, mean, "grad-reduce-scatter")]
                 }
                 // DDP's two-level all-reduce: node reduce-scatter,
-                // cross-node all-reduce of the owned chunk, node all-gather.
+                // cross-node all-reduce of the owned chunk, node all-gather
+                // — summed through, then averaged over N_d once.
                 (_, Some(g)) => vec![
-                    (ReduceScatter, PlanScope::Node { g }, CountSpec::Even { total }, "hier-node-rs"),
-                    (AllReduce, PlanScope::Cross { g }, CountSpec::NodeChunk { total }, "hier-cross-ar"),
-                    (AllGather, PlanScope::Node { g }, CountSpec::Even { total }, "hier-node-ag"),
+                    (ReduceScatter, PlanScope::Node { g }, CountSpec::Even { total }, sum, "hier-node-rs"),
+                    (AllReduce, PlanScope::Cross { g }, CountSpec::NodeChunk { total }, sum, "hier-cross-ar"),
+                    (AllGather, PlanScope::Node { g }, CountSpec::Even { total }, Reduction::Average { over: self.part.owners() }, "hier-node-ag"),
                 ],
                 (_, None) => {
-                    vec![(AllReduce, PlanScope::Dp, CountSpec::Even { total }, "grad-allreduce")]
+                    vec![(AllReduce, PlanScope::Dp, CountSpec::Even { total }, mean, "grad-allreduce")]
                 }
             };
-            for (kind, scope, counts, label) in ops {
-                self.op(kind, scope, counts, self.prec, label, OpRole::Span(chunk.clone()));
+            for (kind, scope, counts, reduce, label) in ops {
+                self.op(kind, scope, counts, reduce, label, OpRole::Span(chunk.clone()));
             }
         }
     }
@@ -650,14 +703,8 @@ impl Builder {
                 // climbs host → device to seed the publish all-gather.
                 self.tier_op(TierDir::Fetch, "tier-publish-fetch", counts.clone(), Some(self.ops.len()));
             }
-            self.op(
-                CollectiveKind::AllGather,
-                PlanScope::Dp,
-                CountSpec::Explicit(counts),
-                self.prec,
-                "publish-params",
-                OpRole::Span(chunk),
-            );
+            let (kind, counts) = (CollectiveKind::AllGather, CountSpec::Explicit(counts));
+            self.op(kind, PlanScope::Dp, counts, Reduction::Copy, "publish-params", OpRole::Span(chunk));
         }
     }
 
@@ -725,7 +772,7 @@ impl Walker for Builder {
     /// across the MP group (§6.1).
     fn restore(&mut self, (): ()) -> Result<(), Infallible> {
         if self.zcfg.partition_activations {
-            self.mp_op(CollectiveKind::AllGather, "ckpt-gather");
+            self.mp_op(CollectiveKind::AllGather, Reduction::Copy, "ckpt-gather");
         }
         Ok(())
     }
@@ -777,7 +824,7 @@ impl CommPlan {
             let Ok(()) = walk::micro(&mut b, layout.units().len() - 2, walk::interval(zcfg), true);
         }
         b.grad_reduce();
-        b.scalar_all_reduce(PlanScope::World, "overflow-flag");
+        b.scalar_all_reduce(PlanScope::World, ReduceOp::Max, "overflow-flag");
         b.finish(grid)
     }
 
@@ -804,7 +851,7 @@ impl CommPlan {
                     // contributions remain to be summed.
                     PlanScope::Mp
                 };
-                b.scalar_all_reduce(scope, "grad-norm");
+                b.scalar_all_reduce(scope, ReduceOp::Sum, "grad-norm");
             }
             b.publish();
         }
@@ -866,7 +913,8 @@ impl CommPlan {
                 label: "serve-fetch-unit",
                 nonblocking: overlap,
                 wire: WireFmt::Raw,
-                role: OpRole::Fetch { unit, source: FetchSource::Primary, ahead: overlap && unit > 0 },
+                reduce: Reduction::Copy,
+                role: OpRole::Fetch { unit, from: ParamStore::Primary, into: None, ahead: overlap && unit > 0 },
             })
             .collect();
         CommPlan { grid, ops, tier: Vec::new() }
@@ -978,6 +1026,7 @@ impl CommPlan {
                     label: op.label,
                     nonblocking: op.nonblocking,
                     wire: op.wire,
+                    reduce: op.reduce,
                     role: op.role.clone(),
                 }
             })
@@ -1020,11 +1069,11 @@ impl CommPlan {
 }
 
 /// The engine's handle on the current plan: every runtime collective pops
-/// its op off this cursor — counts, wire format, [`OpRole`] and the tier
-/// movement riding it all come from the op — so execution cannot diverge
-/// from the declared schedule silently: a collective of the wrong kind or
-/// group, and a plan left unfinished, both panic. The default cursor has
-/// no plan installed.
+/// its op off this cursor — group, counts, wire format, [`Reduction`],
+/// [`OpRole`] and the tier movement riding it all come from the op — so
+/// execution cannot diverge from the declared schedule silently: a
+/// collective of the wrong kind, and a plan left unfinished, both panic.
+/// The default cursor has no plan installed.
 #[derive(Debug, Default)]
 pub struct PlanCursor {
     /// The resolved ops, each with the tier movement that rides it.
@@ -1056,46 +1105,32 @@ impl PlanCursor {
         self.consumed = 0;
     }
 
-    /// The next planned op's role, for the decisions the engine reads
-    /// ahead of issuing it: which unit a fetch materializes and from
-    /// where, whether the next fetch goes out ahead, which flat range
+    /// The next planned op, for the decisions the engine reads ahead of
+    /// issuing it: which unit a fetch materializes and between which
+    /// stores, whether the next fetch goes out ahead, which flat range
     /// comes next.
-    pub fn next_role(&self) -> Option<&OpRole> {
-        self.ops.front().map(|(op, _)| &op.role)
+    pub fn peek(&self) -> Option<&ResolvedOp> {
+        self.ops.front().map(|(op, _)| op)
     }
 
     /// Pops the next planned op together with the tier movement riding
-    /// it, asserting it is a `kind` collective over exactly `group`. The
-    /// returned op's counts parameterize the call.
+    /// it, asserting it is a `kind` collective. The returned op
+    /// parameterizes the call: group, counts, precision, wire, reduction.
     ///
     /// # Panics
     /// Panics on schedule drift: the plan is exhausted, or the next op's
-    /// kind/group disagree with what the engine is about to execute.
-    pub fn take_riding(
-        &mut self,
-        kind: CollectiveKind,
-        group: &Group,
-    ) -> (ResolvedOp, Option<ResolvedTierOp>) {
+    /// kind disagrees with what the engine is about to execute.
+    pub fn take_riding(&mut self, kind: CollectiveKind) -> (ResolvedOp, Option<ResolvedTierOp>) {
         let (op, tier) = self.ops.pop_front().unwrap_or_else(|| {
             panic!(
-                "comm-plan drift: engine issued {kind:?} over {:?} but the \
-                 '{}' plan ({} ops) is exhausted",
-                group.members(),
-                self.source,
-                self.installed
+                "comm-plan drift: engine issued {kind:?} but the '{}' plan ({} ops) is exhausted",
+                self.source, self.installed
             )
         });
         assert_eq!(
             op.kind, kind,
             "comm-plan drift at '{}' ({}): planned {:?}, engine issued {kind:?}",
             op.label, self.source, op.kind
-        );
-        assert_eq!(
-            op.members,
-            group.members(),
-            "comm-plan group drift at '{}' ({})",
-            op.label,
-            self.source
         );
         self.consumed += 1;
         (op, tier)
@@ -1106,8 +1141,8 @@ impl PlanCursor {
     ///
     /// # Panics
     /// Panics on schedule drift, or if a tier movement rides the op.
-    pub fn take(&mut self, kind: CollectiveKind, group: &Group) -> ResolvedOp {
-        let (op, tier) = self.take_riding(kind, group);
+    pub fn take(&mut self, kind: CollectiveKind) -> ResolvedOp {
+        let (op, tier) = self.take_riding(kind);
         assert!(
             tier.is_none(),
             "tier-plan drift at '{}' ({}): a tier movement rides an op issued where none can",
@@ -1303,11 +1338,10 @@ mod tests {
         let plan = CommPlan::step_prefix(&layout, &cfg(ZeroStage::Ddp), grid, 1, 64);
         let mut cur = PlanCursor::default();
         cur.install(&plan, 0, "test");
-        let g = Group::world(2);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // DDP plans MP all-reduces (size-1 groups) first; asking for a
-            // ReduceScatter over the world must trip the drift assert.
-            cur.take(CollectiveKind::ReduceScatter, &g);
+            // DDP plans MP all-reduces first; asking for a ReduceScatter
+            // must trip the drift assert.
+            cur.take(CollectiveKind::ReduceScatter);
         }));
         assert!(err.is_err());
     }
@@ -1586,7 +1620,6 @@ mod tests {
     fn cursor_hands_tier_moves_out_with_the_op_they_ride() {
         let layout = Layout::build(&tiny());
         let grid = Grid::new(2, 1);
-        let dp = grid.dp_group(0);
         // Stage 3: every parameter all-gather comes with the fetch that
         // seeds it, every bucket reduce-scatter with its spill.
         let plan = CommPlan::train_step(&layout, &tiered(ZeroStage::Three, false), grid, &shape());
@@ -1594,8 +1627,7 @@ mod tests {
         cur.install(&plan, 0, "test");
         let mut handed = 0;
         for op in plan.resolve_for(0) {
-            let group = if op.members.len() == 1 { grid.mp_group(0) } else { Group::world(2) };
-            let (_, tier) = cur.take_riding(op.kind, &group);
+            let (_, tier) = cur.take_riding(op.kind);
             match (op.kind, tier) {
                 (CollectiveKind::AllGather, Some(t)) => assert_eq!(t.dir, TierDir::Fetch),
                 (CollectiveKind::ReduceScatter, Some(t)) => assert_eq!(t.dir, TierDir::Spill),
@@ -1620,9 +1652,113 @@ mod tests {
         assert!(cur.take_free_tier().is_none());
         // A call site that cannot move tier bytes must not swallow one.
         let swallowed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cur.take(CollectiveKind::AllGather, &dp);
+            cur.take(CollectiveKind::AllGather);
         }));
         assert!(swallowed.is_err(), "publish gathers carry their tier fetch");
+    }
+
+    #[test]
+    fn every_reducing_op_carries_its_reduction() {
+        // The reductions the engine used to pass by hand, now read off
+        // the op: gradient averages are Mean, the two-level all-reduce
+        // sums through and averages over N_d once at its closing gather,
+        // the overflow flag is Max, the grad norm and the Megatron hooks
+        // are Sum, and every other gather copies.
+        use CollectiveKind::{AllGather, AllReduce, ReduceScatter};
+        let (sum, mean) = (Reduction::Reduce(ReduceOp::Sum), Reduction::Reduce(ReduceOp::Mean));
+        let layout = Layout::build_mp(&tiny(), 2);
+        let clip = |stage| ZeroConfig { clip_grad_norm: Some(1.0), bucket_elems: 500, ..cfg(stage) };
+        let two_level = ZeroConfig { node_size: Some(2), ..clip(ZeroStage::Ddp) };
+        let hpz = ZeroConfig {
+            compression: crate::config::CompressionConfig { hpz: true, node_size: 2, ..comp_all() },
+            ..clip(ZeroStage::Three)
+        };
+        let configs = [
+            (clip(ZeroStage::Ddp), Grid::new(2, 2)),
+            (two_level, Grid::new(4, 1)),
+            (clip(ZeroStage::One), Grid::new(2, 2)),
+            (ZeroConfig { checkpoint_activations: true, partition_activations: true, ..clip(ZeroStage::Two) }, Grid::new(2, 2)),
+            (clip(ZeroStage::Three), Grid::new(2, 2)),
+            (hpz, Grid::new(4, 1)),
+        ];
+        let mut seen = std::collections::BTreeSet::new();
+        for (zcfg, grid) in configs {
+            let layout = if grid.mp_degree() == 1 { Layout::build(&tiny()) } else { layout.clone() };
+            let shape = StepShape { micro_batches: 2, ..shape() };
+            let plans = [
+                CommPlan::train_step(&layout, &zcfg, grid, &shape),
+                CommPlan::eval_pass(&layout, &zcfg, grid, 64),
+                CommPlan::publish_refresh(&layout, &zcfg, grid),
+            ];
+            for op in plans.iter().flat_map(|p| p.ops()) {
+                let want = match (op.label, op.kind) {
+                    ("grad-bucket" | "grad-reduce-scatter", ReduceScatter) => mean,
+                    ("grad-allreduce", AllReduce) => mean,
+                    ("hier-node-rs", ReduceScatter) | ("hier-cross-ar", AllReduce) => sum,
+                    ("hier-node-ag", AllGather) => Reduction::Average { over: grid.dp_degree() },
+                    ("overflow-flag", AllReduce) => Reduction::Reduce(ReduceOp::Max),
+                    ("grad-norm" | "mp-block-allreduce", AllReduce) => sum,
+                    ("fetch-unit" | "publish-params" | "ckpt-gather", AllGather) => Reduction::Copy,
+                    other => panic!("unexpected op {other:?}"),
+                };
+                assert_eq!(op.reduce, want, "'{}' under {:?}", op.label, zcfg.stage);
+                seen.insert(op.label);
+            }
+            // The two-level all-reduce divides once per chunk, after both
+            // of its summing phases.
+            let ops = plans[0].ops();
+            for (i, op) in ops.iter().enumerate().filter(|(_, op)| op.label == "hier-node-ag") {
+                let labels: Vec<_> = ops[i - 2..i].iter().map(|op| op.label).collect();
+                assert_eq!(labels, ["hier-node-rs", "hier-cross-ar"]);
+                assert_eq!(ops[i - 2].role, op.role, "one chunk");
+            }
+        }
+        assert_eq!(seen.len(), 12, "every labelled op was checked: {seen:?}");
+    }
+
+    #[test]
+    fn hpz_fetches_name_their_stores() {
+        // The first fetch of a unit in the step reads the primary shard
+        // and stashes into the secondary store; every later one is seeded
+        // by that store and stashes nowhere. Without hpZ nothing stashes.
+        let layout = Layout::build(&tiny());
+        let grid = Grid::new(4, 1);
+        let shape2 = StepShape { micro_batches: 2, ..shape() };
+        let hpz = ZeroConfig {
+            compression: crate::config::CompressionConfig { hpz: true, node_size: 2, ..comp_all() },
+            ..cfg(ZeroStage::Three)
+        };
+        for (zcfg, hpz_on) in [(hpz, true), (cfg(ZeroStage::Three), false)] {
+            let plan = CommPlan::train_step(&layout, &zcfg, grid, &shape2);
+            let mut stashed = vec![false; layout.units().len()];
+            for op in plan.ops() {
+                let OpRole::Fetch { unit, from, into, .. } = op.role else { continue };
+                let first = !std::mem::replace(&mut stashed[unit], true);
+                let want = match (hpz_on, first) {
+                    (true, true) => (ParamStore::Primary, Some(ParamStore::Secondary)),
+                    (true, false) => (ParamStore::Secondary, None),
+                    (false, _) => (ParamStore::Primary, None),
+                };
+                assert_eq!((from, into), want, "unit {unit}");
+            }
+        }
+    }
+
+    #[test]
+    fn own_pieces_tile_the_op_buffer() {
+        let layout = Layout::build(&tiny());
+        let plan = CommPlan::train_step(&layout, &cfg(ZeroStage::Three), Grid::new(3, 1), &shape());
+        let ops: Vec<_> = (0..3).map(|r| plan.resolve_for(r)).collect();
+        let dp_wide = (0..plan.ops().len()).filter(|&i| ops[0][i].members.len() == 3);
+        for i in dp_wide {
+            let mut next = 0;
+            for (rank, ops) in ops.iter().enumerate() {
+                let piece = ops[i].own_piece(rank);
+                assert_eq!((piece.start, piece.len()), (next, ops[i].counts[rank]));
+                next = piece.end;
+            }
+            assert_eq!(next, ops[0][i].total_elems());
+        }
     }
 
     #[test]

@@ -135,16 +135,16 @@ proptest! {
     fn flat_store_write_read_round_trip_f32(
         values in prop::collection::vec(-1e6f32..1e6, 1..100),
     ) {
-        let s = FlatStore::from_f32(&values, false);
-        prop_assert_eq!(s.read_vec(0..values.len()), values);
+        let s = FlatStore::from_f32(0..values.len(), &values, false);
+        prop_assert_eq!(s.read(0..values.len()), values);
     }
 
     #[test]
     fn flat_store_f16_error_bounded(
         values in prop::collection::vec(-60000.0f32..60000.0, 1..100),
     ) {
-        let s = FlatStore::from_f32(&values, true);
-        let back = s.read_vec(0..values.len());
+        let s = FlatStore::from_f32(0..values.len(), &values, true);
+        let back = s.read(0..values.len());
         for (v, b) in values.iter().zip(&back) {
             let tol = (v.abs() * 2.0_f32.powi(-11)).max(2.0_f32.powi(-25));
             prop_assert!((v - b).abs() <= tol);

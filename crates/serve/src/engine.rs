@@ -276,7 +276,7 @@ pub fn run_rank(
     // The per-step schedule, resolved once: one all-gather per unit.
     let plan = CommPlan::serve_step(gpt.layout(), n, cfg.overlap);
     let ops: Vec<ResolvedOp> = plan.resolve_for(rank);
-    let groups: Vec<Group> = ops.iter().map(|op| Group::new(op.members.clone())).collect();
+    let groups: Vec<Group> = ops.iter().map(ResolvedOp::group).collect();
     // This rank's contribution to each unit: shard ∩ unit, shard-relative.
     let contrib: Vec<&[f32]> = units
         .iter()

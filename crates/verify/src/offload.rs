@@ -39,7 +39,7 @@
 
 use zero_comm::Grid;
 use zero_core::{
-    CommPlan, CompressionConfig, FetchSource, OpRole, Partitioner, ResolvedTierOp, StepShape,
+    CommPlan, CompressionConfig, OpRole, ParamStore, Partitioner, ResolvedTierOp, StepShape,
     TierConfig, TierDir, ZeroConfig, ZeroStage,
 };
 use zero_model::{Layout, ModelConfig};
@@ -307,17 +307,17 @@ fn check_offload_config(
                 ));
             }
 
-            // Stage 3: every planned gather of the primary shards has
+            // Stage 3: every planned gather seeded by the primary store has
             // exactly one paired tier fetch (completeness of the fetch
             // stream); hpZ's node-local refetches read the device-resident
-            // secondary copy and have none.
+            // secondary store and have none.
             if zcfg.stage.partitions_params() {
                 let fetches =
                     tier.iter().filter(|t| t.label == "tier-param-fetch").count();
                 let gathers = ops
                     .iter()
                     .filter(|o| {
-                        matches!(o.role, OpRole::Fetch { source: FetchSource::Primary, .. })
+                        matches!(o.role, OpRole::Fetch { from: ParamStore::Primary, .. })
                     })
                     .count();
                 if fetches != gathers {

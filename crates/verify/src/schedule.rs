@@ -23,9 +23,10 @@
 //!   *issue* order, and every rank's ops execute on one FIFO progress
 //!   thread — so per-rank completion order equals issue order and the
 //!   pairwise-agreement proof above covers the async schedule verbatim
-//!   (the `nonblocking` flag and the op's role — which unit a fetch
-//!   materializes from which copy, which flat range a bucket or chunk
-//!   covers — must also agree between peers). On top,
+//!   (the `nonblocking` flag, the reduction — Sum, Mean, Max, or the
+//!   two-level all-reduce's closing average — and the op's role — which
+//!   unit a fetch materializes between which stores, which flat range a
+//!   bucket or chunk covers — must also agree between peers). On top,
 //!   [`check_overlap_pair`]-style invariance is proven: an overlapped
 //!   plan is a pure reordering of its synchronous twin's op multiset
 //!   (identical per-rank bytes *and* messages per kind), fetches keep
@@ -35,7 +36,7 @@
 //!   the double-buffered prefetch window.
 
 use zero_comm::{CollectiveKind, Grid};
-use zero_core::{CommPlan, Partitioner, StepShape, ZeroConfig, ZeroStage};
+use zero_core::{CommPlan, Partitioner, ResolvedOp, StepShape, ZeroConfig, ZeroStage};
 use zero_model::{Layout, ModelConfig};
 
 /// Counters describing how much the checker covered.
@@ -62,11 +63,16 @@ fn test_model() -> ModelConfig {
 /// Proves rank-symmetry and membership consistency for one plan.
 ///
 /// Returns `(ops_checked, pair_checks)` on success.
-#[allow(clippy::needless_range_loop)] // ranks cross-index each other's op lists
 pub(crate) fn check_symmetry(plan: &CommPlan, what: &str) -> Result<(usize, usize), String> {
     let world = plan.grid().world_size();
     let resolved: Vec<_> = (0..world).map(|r| plan.resolve_for(r)).collect();
-    let n_ops = plan.ops().len();
+    check_resolved_symmetry(&resolved, plan.ops().len(), what)
+}
+
+/// [`check_symmetry`] over every rank's resolved op stream.
+#[allow(clippy::needless_range_loop)] // ranks cross-index each other's op lists
+fn check_resolved_symmetry(resolved: &[Vec<ResolvedOp>], n_ops: usize, what: &str) -> Result<(usize, usize), String> {
+    let world = resolved.len();
     for r in 0..world {
         if resolved[r].len() != n_ops {
             return Err(format!(
@@ -104,17 +110,20 @@ pub(crate) fn check_symmetry(plan: &CommPlan, what: &str) -> Result<(usize, usiz
                     || peer.prec != op.prec
                     || peer.nonblocking != op.nonblocking
                     || peer.wire != op.wire
+                    || peer.reduce != op.reduce
                     || peer.role != op.role
                 {
                     return Err(format!(
-                        "{what}: op {i} '{}': rank {r} sees {:?} over {:?} \
-                         (counts {:?}) but member {s} sees {:?} over {:?} \
+                        "{what}: op {i} '{}': rank {r} sees {:?} {:?} over {:?} \
+                         (counts {:?}) but member {s} sees {:?} {:?} over {:?} \
                          (counts {:?}) — asymmetric schedule would deadlock",
                         op.label,
                         op.kind,
+                        op.reduce,
                         op.members,
                         op.counts,
                         peer.kind,
+                        peer.reduce,
                         peer.members,
                         peer.counts
                     ));
@@ -703,6 +712,8 @@ pub fn check_all() -> Result<ScheduleReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zero_comm::ReduceOp;
+    use zero_core::Reduction;
 
     #[test]
     fn full_sweep_passes() {
@@ -763,6 +774,35 @@ mod tests {
         assert!(check_fetch_window(&sync, &late).unwrap_err().contains("later"));
         let reordered = t(&[("b", 0), ("a", 3), ("c", 6)]);
         assert!(check_fetch_window(&sync, &reordered).unwrap_err().contains("reordered"));
+    }
+
+    #[test]
+    fn disagreeing_reduction_is_refused() {
+        // Stage 1 on a 2 × 2 grid clipping its gradients: every reduction
+        // kind is planned (Mean chunks, Max flag, Sum norm and hooks). A
+        // shared op one member reduces differently from its peers — a
+        // Sum where they average — is an asymmetric schedule.
+        let grid = Grid::new(2, 2);
+        let layout = Layout::build_mp(&test_model(), 2);
+        let zcfg = ZeroConfig {
+            stage: ZeroStage::One,
+            clip_grad_norm: Some(1.0),
+            ..ZeroConfig::default()
+        };
+        let plan = CommPlan::train_step(&layout, &zcfg, grid, &shape(false));
+        let mut resolved: Vec<_> = (0..4).map(|r| plan.resolve_for(r)).collect();
+        let n_ops = plan.ops().len();
+        assert!(check_resolved_symmetry(&resolved, n_ops, "as planned").is_ok());
+        for label in ["grad-reduce-scatter", "overflow-flag", "grad-norm", "mp-block-allreduce"] {
+            let i = resolved[1].iter().position(|op| op.label == label).expect(label);
+            let planned = resolved[1][i].reduce;
+            let Reduction::Reduce(r) = planned else { panic!("'{label}' reduces") };
+            let other = if r == ReduceOp::Sum { ReduceOp::Mean } else { ReduceOp::Sum };
+            resolved[1][i].reduce = Reduction::Reduce(other);
+            let err = check_resolved_symmetry(&resolved, n_ops, "tampered").unwrap_err();
+            assert!(err.contains(&format!("'{label}'")) && err.contains("deadlock"), "{err}");
+            resolved[1][i].reduce = planned;
+        }
     }
 
     #[test]
