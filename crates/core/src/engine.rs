@@ -54,7 +54,9 @@ use crate::bucket::GradBucket;
 use crate::config::ZeroConfig;
 use crate::memory::{MemCategory, MemoryTracker};
 use crate::partition::Partitioner;
-use crate::plan::{CommPlan, OpRole, ParamStore, PlanCursor, Reduction, ResolvedOp, ResolvedTierOp, TierDir};
+use crate::plan::{
+    CommPlan, OpRole, ParamStore, PlanCursor, Reduction, ResolvedOp, ResolvedTierOp, TierDir,
+};
 use crate::store::FlatStore;
 use crate::tier::{TierStats, TierStore};
 use crate::walk::{self, Walker};
@@ -174,10 +176,14 @@ impl Issuer {
             Some(t) if t.dir == TierDir::Fetch => (Some(self.tier_move(t)), None),
             spill => (None, spill),
         };
-        let (group, comm) = (op.group(), &mut self.comm);
+        let (group, counts, comm) = (op.group(), &op.counts, &mut self.comm);
         let pending = match op.reduce {
-            Reduction::Reduce(r) => comm.start_reduce_scatter(&group, input, r, &op.counts, op.prec, op.wire),
-            Reduction::Copy | Reduction::Average { .. } => comm.start_all_gather(&group, input, &op.counts, op.prec, op.wire),
+            Reduction::Reduce(r) => {
+                comm.start_reduce_scatter(&group, input, r, counts, op.prec, op.wire)
+            }
+            Reduction::Copy | Reduction::Average { .. } => {
+                comm.start_all_gather(&group, input, counts, op.prec, op.wire)
+            }
         };
         Issued { seed, pending, spill, op }
     }
@@ -188,14 +194,20 @@ impl Issuer {
     fn all_reduce(&mut self, buf: &mut [f32]) -> Result<(), CommError> {
         let op = self.plan.take(CollectiveKind::AllReduce);
         assert_eq!(op.total_elems(), buf.len(), "planned '{}' size", op.label);
-        let Reduction::Reduce(reduce) = op.reduce else { panic!("planned '{}' reduces nothing", op.label) };
+        let Reduction::Reduce(reduce) = op.reduce else {
+            panic!("planned '{}' reduces nothing", op.label)
+        };
         self.comm.all_reduce_in(&op.group(), buf, reduce, op.prec)
     }
 
     /// Runs the CB chunks the plan lists next, charging each chunk's
     /// staging buffer to `mem` for exactly the duration of its ops, on the
     /// error path too.
-    fn run_chunks(&mut self, store: &mut FlatStore, mem: &mut MemoryTracker) -> Result<(), CommError> {
+    fn run_chunks(
+        &mut self,
+        store: &mut FlatStore,
+        mem: &mut MemoryTracker,
+    ) -> Result<(), CommError> {
         while let Some(OpRole::Span(chunk)) = self.plan.peek().map(|op| op.role.clone()) {
             let bytes = 4 * chunk.len() as u64;
             mem.alloc(MemCategory::Buffers, bytes);
@@ -212,7 +224,11 @@ impl Issuer {
     /// reduce-scatter narrows it to this rank's piece, an all-gather
     /// widens it back, an all-reduce keeps it — and is written back where
     /// it then sits in flat space.
-    fn run_chunk(&mut self, chunk: std::ops::Range<usize>, store: &mut FlatStore) -> Result<(), CommError> {
+    fn run_chunk(
+        &mut self,
+        chunk: std::ops::Range<usize>,
+        store: &mut FlatStore,
+    ) -> Result<(), CommError> {
         let rank = self.comm.rank();
         let mut at = chunk.clone();
         if let Some(first) = self.plan.peek().filter(|op| op.kind == CollectiveKind::AllGather) {
@@ -1106,7 +1122,10 @@ impl Walker for Pass<'_> {
     fn fetch(&mut self, u: usize, _next: Option<usize>) -> Result<Vec<f32>, CommError> {
         let e = &mut *self.e;
         let unit_range = e.gpt.layout().units()[u].range.clone();
-        let planned = matches!(e.io.plan.peek().map(|op| &op.role), Some(&OpRole::Fetch { unit, .. }) if unit == u);
+        let planned = matches!(
+            e.io.plan.peek().map(|op| &op.role),
+            Some(&OpRole::Fetch { unit, .. }) if unit == u
+        );
         let cur = match e.prefetch.take() {
             Some(pf) => pf,
             None if planned => e.start_fetch(),

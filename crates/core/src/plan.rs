@@ -527,7 +527,15 @@ impl Builder {
 
     /// Pushes a blocking raw-wire op at the step's precision and returns
     /// it for the callers that set more.
-    fn op(&mut self, kind: CollectiveKind, scope: PlanScope, counts: CountSpec, reduce: Reduction, label: &'static str, role: OpRole) -> &mut PlanOp {
+    fn op(
+        &mut self,
+        kind: CollectiveKind,
+        scope: PlanScope,
+        counts: CountSpec,
+        reduce: Reduction,
+        label: &'static str,
+        role: OpRole,
+    ) -> &mut PlanOp {
         let (prec, nonblocking, wire) = (self.prec, false, WireFmt::Raw);
         self.ops.push(PlanOp { kind, scope, counts, prec, label, nonblocking, wire, reduce, role });
         self.ops.last_mut().expect("op just pushed")
@@ -665,6 +673,7 @@ impl Builder {
         }
         use CollectiveKind::{AllGather, AllReduce, ReduceScatter};
         let (sum, mean) = (Reduction::Reduce(ReduceOp::Sum), Reduction::Reduce(ReduceOp::Mean));
+        let average = Reduction::Average { over: self.part.owners() };
         for chunk in self.chunks() {
             let total = chunk.len();
             let ops = match (self.zcfg.stage, self.zcfg.node_size) {
@@ -678,7 +687,7 @@ impl Builder {
                 (_, Some(g)) => vec![
                     (ReduceScatter, PlanScope::Node { g }, CountSpec::Even { total }, sum, "hier-node-rs"),
                     (AllReduce, PlanScope::Cross { g }, CountSpec::NodeChunk { total }, sum, "hier-cross-ar"),
-                    (AllGather, PlanScope::Node { g }, CountSpec::Even { total }, Reduction::Average { over: self.part.owners() }, "hier-node-ag"),
+                    (AllGather, PlanScope::Node { g }, CountSpec::Even { total }, average, "hier-node-ag"),
                 ],
                 (_, None) => {
                     vec![(AllReduce, PlanScope::Dp, CountSpec::Even { total }, mean, "grad-allreduce")]

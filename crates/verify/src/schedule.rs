@@ -71,7 +71,11 @@ pub(crate) fn check_symmetry(plan: &CommPlan, what: &str) -> Result<(usize, usiz
 
 /// [`check_symmetry`] over every rank's resolved op stream.
 #[allow(clippy::needless_range_loop)] // ranks cross-index each other's op lists
-fn check_resolved_symmetry(resolved: &[Vec<ResolvedOp>], n_ops: usize, what: &str) -> Result<(usize, usize), String> {
+fn check_resolved_symmetry(
+    resolved: &[Vec<ResolvedOp>],
+    n_ops: usize,
+    what: &str,
+) -> Result<(usize, usize), String> {
     let world = resolved.len();
     for r in 0..world {
         if resolved[r].len() != n_ops {
