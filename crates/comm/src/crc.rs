@@ -101,6 +101,39 @@ mod tests {
         assert_eq!(crc32_f32s(&floats), crc32(&bytes));
     }
 
+    /// FNV-1a over the little-endian bytes of `words`: a digest of a table
+    /// of known answers that shares no arithmetic with the CRC under test.
+    fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
+        let bytes = words.into_iter().flat_map(u32::to_le_bytes);
+        bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// `len` deterministic words (xorshift32).
+    fn words(len: usize) -> Vec<u32> {
+        let mut s = 0x9E37_79B9_u32;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 17;
+            s ^= s << 5;
+            s
+        };
+        (0..len).map(|_| next()).collect()
+    }
+
+    #[test]
+    fn pinned_known_answers() {
+        // Computed by the byte-at-a-time implementation: every length up to
+        // five 16-byte steps at every start offset within one step, and 1 MiB.
+        let buf: Vec<u8> = words(1 << 20).into_iter().map(|w| w as u8).collect();
+        let buf = &buf;
+        let table = (0..16).flat_map(|at| (0..=80).map(move |len| crc32(&buf[at..at + len])));
+        assert_eq!(fnv1a(table), 0xd996_f065_9ca9_2d89);
+        assert_eq!(crc32(buf), 0x586e_db66);
+        let xs: Vec<f32> = words(98_304).into_iter().map(f32::from_bits).collect();
+        assert_eq!(fnv1a((0..=33).map(|len| crc32_f32s(&xs[..len]))), 0x5390_0411_f6d7_43d1);
+        assert_eq!(crc32_f32s(&xs), 0x694f_57e5);
+    }
+
     #[test]
     fn single_bit_flip_changes_crc() {
         let mut data = vec![0.5f32; 64];

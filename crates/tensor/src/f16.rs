@@ -310,6 +310,46 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
+        let bytes = words.into_iter().flat_map(u32::to_le_bytes);
+        bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// Every `f32` edge of the narrowing, with both signs: each exponent
+    /// with mantissa 0, 1, one below the rounding tie, the tie, one above
+    /// it, the tie with the last kept bit odd, and all ones (the tie sits
+    /// lower for the exponents that land on a subnormal); the subnormal
+    /// edges 2^-25, 2^-24, 2^-14 and the overflow edges 65 519, 65 520,
+    /// each with its neighbours; and quiet and signalling NaN payloads.
+    /// Exponent 255 covers ±Inf.
+    fn sweep() -> Vec<f32> {
+        let mut bits = Vec::new();
+        for exp in 0..=255_u32 {
+            // The f32 mantissa bit worth half the result's last place.
+            let tie = match exp as i32 - 127 {
+                u @ -24..=-15 => (-2 - u) as u32,
+                -25 => 22,
+                _ => 12,
+            };
+            let mans = [0, 1, (1 << tie) - 1, 1 << tie, (1 << tie) + 1, 3 << tie, 0x007F_FFFF];
+            bits.extend(mans.map(|m| exp << 23 | (m & 0x007F_FFFF)));
+        }
+        for edge in [2.0_f32.powi(-25), 2.0_f32.powi(-24), 2.0_f32.powi(-14), 65_519.0, 65_520.0] {
+            bits.extend([edge.to_bits() - 1, edge.to_bits(), edge.to_bits() + 1]);
+        }
+        bits.extend([0x7F80_0001, 0x7FA0_0000, 0x7FBF_FFFF, 0x7FC0_0000, 0x7FC0_0001, 0x7FE0_1000]);
+        bits.iter().flat_map(|&b| [b, b | 0x8000_0000]).map(f32::from_bits).collect()
+    }
+
+    #[test]
+    fn pinned_known_answers() {
+        // Computed by the branchy implementation: the narrowing over every
+        // edge and the widening over every binary16 pattern.
+        assert_eq!(fnv1a(sweep().into_iter().map(|x| u32::from(F16::from_f32(x).to_bits()))), 0x2b44_bd75_3327_5285);
+        assert_eq!(fnv1a((0..=u16::MAX).map(|h| F16::from_bits(h).to_f32().to_bits())), 0xb065_9868_ec05_3145);
+    }
+
     #[test]
     fn slice_conversions() {
         let src = [0.5_f32, -1.25, 3.0, 1e-3];
