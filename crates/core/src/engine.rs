@@ -45,7 +45,7 @@ use zero_trace::{SpanCategory, StepTimeline, TraceRecorder};
 use zero_optim::{
     apply_clip, clip_coefficient, local_sq_norm, Adam, DynamicLossScaler, Sgd,
 };
-use zero_tensor::F16;
+use zero_tensor::f16::f16_round_slice;
 
 use crate::config::OptimizerKind;
 
@@ -636,9 +636,7 @@ impl RankEngine {
     /// values match recomputed ones bit for bit).
     fn maybe_quantize(&self, x: &mut [f32]) {
         if self.zcfg.fp16 {
-            for v in x {
-                *v = F16::from_f32(*v).to_f32();
-            }
+            f16_round_slice(x);
         }
     }
 

@@ -15,6 +15,8 @@
 
 use std::ops::Range;
 
+use zero_tensor::f16::{f16_add_slice, f16_to_f32_slice, f32_to_f16_slice};
+use zero_tensor::ops::activation::acc;
 use zero_tensor::F16;
 
 /// A slice of flat parameter/gradient space with a selectable element
@@ -84,7 +86,11 @@ impl FlatStore {
         let range = self.local(flat);
         match &self.words {
             Words::F32(v) => v[range].to_vec(),
-            Words::F16(v) => v[range].iter().map(|h| h.to_f32()).collect(),
+            Words::F16(v) => {
+                let mut out = vec![0.0; range.len()];
+                f16_to_f32_slice(&v[range], &mut out);
+                out
+            }
         }
     }
 
@@ -102,11 +108,7 @@ impl FlatStore {
         let range = self.local(flat);
         match &mut self.words {
             Words::F32(v) => v[range].copy_from_slice(src),
-            Words::F16(v) => {
-                for (h, &s) in v[range].iter_mut().zip(src) {
-                    *h = F16::from_f32(s);
-                }
-            }
+            Words::F16(v) => f32_to_f16_slice(src, &mut v[range]),
         }
     }
 
@@ -117,16 +119,8 @@ impl FlatStore {
         assert_eq!(src.len(), flat.len(), "store add: length mismatch");
         let range = self.local(flat);
         match &mut self.words {
-            Words::F32(v) => {
-                for (d, &s) in v[range].iter_mut().zip(src) {
-                    *d += s;
-                }
-            }
-            Words::F16(v) => {
-                for (h, &s) in v[range].iter_mut().zip(src) {
-                    *h = F16::from_f32(h.to_f32() + s);
-                }
-            }
+            Words::F32(v) => acc(&mut v[range], src),
+            Words::F16(v) => f16_add_slice(&mut v[range], src),
         }
     }
 

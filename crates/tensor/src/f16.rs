@@ -9,6 +9,17 @@
 //!
 //! Arithmetic is performed by converting to `f32`, mirroring how V100 tensor
 //! cores accumulate fp16 products in fp32.
+//!
+//! **Conversions.** [`F16::from_f32`] and [`F16::to_f32`] are branch-free:
+//! each computes every case (normal, subnormal, overflow, Inf/NaN) and
+//! selects one. The subnormal case is one `f32` add or subtract of 0.5,
+//! which rounds to nearest even as every `f32` operation does; the rest is
+//! integer arithmetic on the bits. The slice passes ([`f32_to_f16_slice`],
+//! [`f16_to_f32_slice`], [`f16_add_slice`], [`f16_round_slice`]) apply the
+//! scalar functions element by element on the ISA ladder ([`crate::isa`]),
+//! so they return the scalar functions' bits on every tier.
+
+use crate::isa::{self, Kernel};
 
 /// A 16-bit IEEE 754 binary16 floating point number.
 ///
@@ -16,10 +27,6 @@
 #[derive(Clone, Copy, PartialEq, Default)]
 #[repr(transparent)]
 pub struct F16(pub u16);
-
-const F16_MAN_BITS: u32 = 10;
-const F16_EXP_BIAS: i32 = 15;
-const F32_MAN_BITS: u32 = 23;
 
 impl F16 {
     /// Positive zero.
@@ -40,102 +47,57 @@ impl F16 {
     /// Converts an `f32` to binary16 with round-to-nearest-even.
     ///
     /// Values above `F16::MAX` overflow to infinity; subnormal results are
-    /// produced for magnitudes below 2^-14; magnitudes below 2^-24 round to
-    /// (signed) zero. NaN payloads are not preserved beyond quietness.
-    #[inline]
+    /// produced for magnitudes below 2^-14; magnitudes up to 2^-25 round to
+    /// (signed) zero. A NaN stays NaN, quieted, keeping the top nine bits of
+    /// its payload.
+    #[inline(always)]
     pub fn from_f32(value: f32) -> F16 {
         let bits = value.to_bits();
-        let sign = ((bits >> 16) & 0x8000) as u16;
-        let exp = ((bits >> F32_MAN_BITS) & 0xFF) as i32;
-        let man = bits & 0x007F_FFFF;
-
-        if exp == 0xFF {
-            // Infinity or NaN.
-            return if man == 0 {
-                F16(sign | 0x7C00)
-            } else {
-                // Quiet NaN, keep the top mantissa bit set.
-                F16(sign | 0x7C00 | 0x0200 | ((man >> 13) as u16 & 0x01FF))
-            };
-        }
-
-        // Unbiased exponent of the f32 value.
-        let unbiased = exp - 127;
-        // Target binary16 biased exponent.
-        let f16_exp = unbiased + F16_EXP_BIAS;
-
-        if f16_exp >= 0x1F {
-            // Overflow to infinity.
-            return F16(sign | 0x7C00);
-        }
-
-        if f16_exp <= 0 {
-            // Subnormal or zero. The implicit leading 1 must become explicit
-            // and the mantissa shifted right by (1 - f16_exp) extra places.
-            if f16_exp < -10 {
-                // Too small even for the largest subnormal: round to zero.
-                return F16(sign);
-            }
-            // Make the implicit bit explicit. The subnormal result stores
-            // round(value / 2^-24) = 1.f · 2^(unbiased+24); with 1.f held
-            // as man·2^-23 that is a right shift by (-1 − unbiased), i.e.
-            // 14 (largest subnormal) through 24 (round-up from below the
-            // smallest subnormal).
-            let man = (man | 0x0080_0000) as u64;
-            let shift = (-1 - unbiased) as u32;
-            let halfway = 1u64 << (shift - 1);
-            let mut out = (man >> shift) as u16;
-            let rem = man & ((1u64 << shift) - 1);
-            // Round to nearest, ties to even.
-            if rem > halfway || (rem == halfway && (out & 1) == 1) {
-                out += 1; // may carry into the exponent field: that is correct
-            }
-            return F16(sign | out);
-        }
-
-        // Normal case: shift the 23-bit mantissa down to 10 bits with RNE.
-        let shift = F32_MAN_BITS - F16_MAN_BITS; // 13
-        let halfway = 1u32 << (shift - 1);
-        let rem = man & ((1 << shift) - 1);
-        let mut out = ((f16_exp as u32) << F16_MAN_BITS | (man >> shift)) as u16;
-        if rem > halfway || (rem == halfway && (out & 1) == 1) {
-            // Carry may ripple into the exponent, turning e.g. 0x3BFF into
-            // 0x3C00 (1.0) or the max normal into infinity — both correct.
-            out += 1;
-        }
-        F16(sign | out)
+        let sign = (bits >> 16) as u16 & 0x8000;
+        let abs = bits & 0x7FFF_FFFF;
+        // From 2^-14: rebias the exponent (127 → 15) and round the low 13
+        // mantissa bits to nearest even. A carry into the exponent is the
+        // next binade, or infinity from 65 520 up.
+        let odd = (abs >> 13) & 1;
+        let normal = abs.wrapping_sub(112 << 23).wrapping_add(0x0FFF + odd) >> 13;
+        // Below 2^-14: in 0.5 + |x| the last mantissa place is worth 2^-24,
+        // the smallest subnormal, so the add rounds |x| to a subnormal.
+        let subnormal = (f32::from_bits(abs) + 0.5).to_bits() - 0.5_f32.to_bits();
+        let nan = 0x7E00 | ((abs >> 13) & 0x01FF);
+        // Every case is computed, so these are selects.
+        let out = if abs > 0x7F80_0000 {
+            nan
+        } else if abs >= 0x4780_0000 {
+            0x7C00
+        } else if abs < 0x3880_0000 {
+            subnormal
+        } else {
+            normal
+        };
+        F16(sign | out as u16)
     }
 
     /// Converts this binary16 value to `f32` exactly (every f16 is
-    /// representable in f32).
-    #[inline]
+    /// representable in f32). A NaN keeps its payload, signalling or quiet.
+    #[inline(always)]
     pub fn to_f32(self) -> f32 {
-        let sign = ((self.0 & 0x8000) as u32) << 16;
-        let exp = ((self.0 >> F16_MAN_BITS) & 0x1F) as u32;
-        let man = (self.0 & 0x03FF) as u32;
-
-        let bits = if exp == 0 {
-            if man == 0 {
-                sign // signed zero
-            } else {
-                // Subnormal: the stored value is man·2^-24. Normalize by
-                // shifting the leading 1 up to the implicit-bit position
-                // (bit 10), adjusting the exponent accordingly: a leading
-                // bit at position p gives unbiased exponent p − 24, i.e. a
-                // biased f32 exponent of 113 − shift with shift = 10 − p.
-                let shift = man.leading_zeros() - (32 - F16_MAN_BITS - 1);
-                let man = (man << shift) & 0x03FF;
-                let exp = 127 - F16_EXP_BIAS as u32 + 1 - shift;
-                sign | (exp << F32_MAN_BITS) | (man << (F32_MAN_BITS - F16_MAN_BITS))
-            }
-        } else if exp == 0x1F {
-            // Infinity / NaN.
-            sign | 0x7F80_0000 | (man << (F32_MAN_BITS - F16_MAN_BITS))
-        } else {
-            let exp = exp + 127 - F16_EXP_BIAS as u32;
-            sign | (exp << F32_MAN_BITS) | (man << (F32_MAN_BITS - F16_MAN_BITS))
+        let h = u32::from(self.0);
+        let sign = (h & 0x8000) << 16;
+        // Exponent and mantissa, moved to their f32 positions.
+        let shifted = (h & 0x7FFF) << 13;
+        // A normal value rebiases its exponent (15 → 127); Inf/NaN sets all
+        // eight exponent bits.
+        let normal = shifted + (112 << 23);
+        let inf_nan = shifted | 0x7F80_0000;
+        // A subnormal m·2^-24: 0.5 + m·2^-24 is exact in f32, so taking 0.5
+        // off again leaves the value, normalized.
+        let subnormal = (f32::from_bits(0.5_f32.to_bits() | (h & 0x03FF)) - 0.5).to_bits();
+        let bits = match h & 0x7C00 {
+            0x7C00 => inf_nan,
+            0 => subnormal,
+            _ => normal,
         };
-        f32::from_bits(bits)
+        f32::from_bits(sign | bits)
     }
 
     /// Raw bit pattern.
@@ -193,9 +155,44 @@ impl From<F16> for f32 {
     }
 }
 
-/// Converts a slice of `f32` into freshly allocated `F16` storage.
-pub fn f32_to_f16_vec(src: &[f32]) -> Vec<F16> {
-    src.iter().map(|&v| F16::from_f32(v)).collect()
+/// An fp16 pass over slices, compiled once per ISA tier by [`isa::run`].
+enum Pass<'a> {
+    /// `dst[i] = f16(src[i])`.
+    Narrow(&'a [f32], &'a mut [F16]),
+    /// `dst[i] = f32(src[i])`.
+    Widen(&'a [F16], &'a mut [f32]),
+    /// `acc[i] = f16(f32(acc[i]) + x[i])`.
+    Accumulate(&'a mut [F16], &'a [f32]),
+    /// `x[i] = f32(f16(x[i]))`.
+    Round(&'a mut [f32]),
+}
+
+impl Kernel for Pass<'_> {
+    #[inline(always)]
+    fn run(self) {
+        match self {
+            Pass::Narrow(src, dst) => {
+                for (d, &s) in dst.iter_mut().zip(src) {
+                    *d = F16::from_f32(s);
+                }
+            }
+            Pass::Widen(src, dst) => {
+                for (d, s) in dst.iter_mut().zip(src) {
+                    *d = s.to_f32();
+                }
+            }
+            Pass::Accumulate(acc, x) => {
+                for (h, &v) in acc.iter_mut().zip(x) {
+                    *h = F16::from_f32(h.to_f32() + v);
+                }
+            }
+            Pass::Round(x) => {
+                for v in x {
+                    *v = F16::from_f32(*v).to_f32();
+                }
+            }
+        }
+    }
 }
 
 /// Converts `F16` storage back to `f32`, writing into `dst`.
@@ -204,9 +201,7 @@ pub fn f32_to_f16_vec(src: &[f32]) -> Vec<F16> {
 /// Panics if the slice lengths differ.
 pub fn f16_to_f32_slice(src: &[F16], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "f16->f32 length mismatch");
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = s.to_f32();
-    }
+    isa::run(isa::selected(), Pass::Widen(src, dst));
 }
 
 /// Converts `f32` values into an existing `F16` buffer.
@@ -215,9 +210,23 @@ pub fn f16_to_f32_slice(src: &[F16], dst: &mut [f32]) {
 /// Panics if the slice lengths differ.
 pub fn f32_to_f16_slice(src: &[f32], dst: &mut [F16]) {
     assert_eq!(src.len(), dst.len(), "f32->f16 length mismatch");
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = F16::from_f32(*s);
-    }
+    isa::run(isa::selected(), Pass::Narrow(src, dst));
+}
+
+/// Accumulates `f32` values into `F16` storage, `acc[i] = f16(acc[i] + x[i])`
+/// with the sum taken in `f32`: how fp16 gradient accumulation rounds.
+///
+/// # Panics
+/// Panics if the slice lengths differ.
+pub fn f16_add_slice(acc: &mut [F16], x: &[f32]) {
+    assert_eq!(acc.len(), x.len(), "f16 add length mismatch");
+    isa::run(isa::selected(), Pass::Accumulate(acc, x));
+}
+
+/// Rounds every value to the nearest binary16, kept in `f32`:
+/// `x[i] = f32(f16(x[i]))`.
+pub fn f16_round_slice(x: &mut [f32]) {
+    isa::run(isa::selected(), Pass::Round(x));
 }
 
 #[cfg(test)]
@@ -353,11 +362,156 @@ mod tests {
     #[test]
     fn slice_conversions() {
         let src = [0.5_f32, -1.25, 3.0, 1e-3];
-        let h = f32_to_f16_vec(&src);
+        let mut h = [F16::ZERO; 4];
+        f32_to_f16_slice(&src, &mut h);
         let mut back = [0.0_f32; 4];
         f16_to_f32_slice(&h, &mut back);
         for (a, b) in src.iter().zip(&back) {
             assert!((a - b).abs() <= a.abs() * 1e-3 + 1e-7);
+        }
+        f16_add_slice(&mut h, &[0.5, 1.25, -3.0, 0.0]);
+        f16_to_f32_slice(&h, &mut back);
+        assert_eq!(back[..3], [1.0, 0.0, 0.0]);
+        let mut x = src;
+        f16_round_slice(&mut x);
+        assert_eq!(x, src.map(|v| F16::from_f32(v).to_f32()));
+    }
+
+    /// The branchy conversions this module ran before the branch-free
+    /// ones, kept as the reference they are compared against.
+    mod reference {
+        const F16_MAN_BITS: u32 = 10;
+        const F16_EXP_BIAS: i32 = 15;
+        const F32_MAN_BITS: u32 = 23;
+
+        pub fn from_f32(value: f32) -> u16 {
+            let bits = value.to_bits();
+            let sign = ((bits >> 16) & 0x8000) as u16;
+            let exp = ((bits >> F32_MAN_BITS) & 0xFF) as i32;
+            let man = bits & 0x007F_FFFF;
+            if exp == 0xFF {
+                return if man == 0 {
+                    sign | 0x7C00
+                } else {
+                    sign | 0x7C00 | 0x0200 | ((man >> 13) as u16 & 0x01FF)
+                };
+            }
+            let unbiased = exp - 127;
+            let f16_exp = unbiased + F16_EXP_BIAS;
+            if f16_exp >= 0x1F {
+                return sign | 0x7C00;
+            }
+            if f16_exp <= 0 {
+                if f16_exp < -10 {
+                    return sign;
+                }
+                let man = (man | 0x0080_0000) as u64;
+                let shift = (-1 - unbiased) as u32;
+                let halfway = 1u64 << (shift - 1);
+                let mut out = (man >> shift) as u16;
+                let rem = man & ((1u64 << shift) - 1);
+                if rem > halfway || (rem == halfway && (out & 1) == 1) {
+                    out += 1;
+                }
+                return sign | out;
+            }
+            let shift = F32_MAN_BITS - F16_MAN_BITS;
+            let halfway = 1u32 << (shift - 1);
+            let rem = man & ((1 << shift) - 1);
+            let mut out = ((f16_exp as u32) << F16_MAN_BITS | (man >> shift)) as u16;
+            if rem > halfway || (rem == halfway && (out & 1) == 1) {
+                out += 1;
+            }
+            sign | out
+        }
+
+        pub fn to_f32(h: u16) -> f32 {
+            let sign = ((h & 0x8000) as u32) << 16;
+            let exp = ((h >> F16_MAN_BITS) & 0x1F) as u32;
+            let man = (h & 0x03FF) as u32;
+            let bits = if exp == 0 {
+                if man == 0 {
+                    sign
+                } else {
+                    let shift = man.leading_zeros() - (32 - F16_MAN_BITS - 1);
+                    let man = (man << shift) & 0x03FF;
+                    let exp = 127 - F16_EXP_BIAS as u32 + 1 - shift;
+                    sign | (exp << F32_MAN_BITS) | (man << (F32_MAN_BITS - F16_MAN_BITS))
+                }
+            } else if exp == 0x1F {
+                sign | 0x7F80_0000 | (man << (F32_MAN_BITS - F16_MAN_BITS))
+            } else {
+                let exp = exp + 127 - F16_EXP_BIAS as u32;
+                sign | (exp << F32_MAN_BITS) | (man << (F32_MAN_BITS - F16_MAN_BITS))
+            };
+            f32::from_bits(bits)
+        }
+    }
+
+    #[test]
+    fn branch_free_conversions_match_the_reference() {
+        for x in sweep() {
+            assert_eq!(F16::from_f32(x).to_bits(), reference::from_f32(x), "from_f32({:#010x})", x.to_bits());
+        }
+        for h in 0..=u16::MAX {
+            let want = reference::to_f32(h).to_bits();
+            assert_eq!(F16::from_bits(h).to_f32().to_bits(), want, "to_f32({h:#06x})");
+        }
+    }
+
+    #[test]
+    #[ignore = "2^32 conversions: run in release"]
+    fn from_f32_matches_the_reference_on_every_input() {
+        let mut xs = vec![0.0_f32; 1 << 16];
+        let mut hs = vec![F16::ZERO; xs.len()];
+        for high in 0..=u16::MAX {
+            for (low, x) in xs.iter_mut().enumerate() {
+                *x = f32::from_bits(u32::from(high) << 16 | low as u32);
+            }
+            f32_to_f16_slice(&xs, &mut hs);
+            for (x, h) in xs.iter().zip(&hs) {
+                assert_eq!(h.to_bits(), reference::from_f32(*x), "from_f32({:#010x})", x.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn every_tier_is_bitwise_the_scalar_conversions() {
+        // Every binary16 pattern, widened and accumulated into; every sweep
+        // value, narrowed, accumulated and rounded. Starting at each offset up
+        // to one AVX-512 vector, every input meets both the vector body and
+        // the scalar tail.
+        let patterns: Vec<F16> = (0..=u16::MAX).map(F16::from_bits).collect();
+        let wide: Vec<f32> = patterns.iter().map(|h| h.to_f32()).collect();
+        let small: Vec<f32> = (0..wide.len()).map(|i| ((i * 7 % 13) as f32 - 6.0) * 0.25).collect();
+        let xs = sweep();
+        let narrow: Vec<F16> = xs.iter().map(|&x| F16::from_f32(x)).collect();
+        let mut rotated = xs.clone();
+        rotated.rotate_left(7);
+        let cases: [(&[F16], &[f32], &[f32]); 2] = [(&patterns, &small, &wide), (&narrow, &rotated, &xs)];
+        for tier in isa::runnable() {
+            let name = tier.name();
+            for (start, (hs, addend, fs)) in [(0, cases[0])].into_iter().chain((0..17).map(|s| (s, cases[1]))) {
+                let (hs, addend, fs) = (&hs[start..], &addend[start..], &fs[start..]);
+                let mut widened = vec![f32::NAN; hs.len()];
+                isa::run(tier, Pass::Widen(hs, &mut widened));
+                let mut summed = hs.to_vec();
+                isa::run(tier, Pass::Accumulate(&mut summed, addend));
+                let mut narrowed = vec![F16::NAN; fs.len()];
+                isa::run(tier, Pass::Narrow(fs, &mut narrowed));
+                let mut rounded = fs.to_vec();
+                isa::run(tier, Pass::Round(&mut rounded));
+                for (i, h) in hs.iter().enumerate() {
+                    assert_eq!(widened[i].to_bits(), h.to_f32().to_bits(), "{name} widen {:#06x}", h.0);
+                    let want = F16::from_f32(h.to_f32() + addend[i]);
+                    assert_eq!(summed[i].0, want.0, "{name} accumulate {:#06x} + {:e}", h.0, addend[i]);
+                }
+                for (i, &x) in fs.iter().enumerate() {
+                    assert_eq!(narrowed[i].0, F16::from_f32(x).0, "{name} narrow {:#010x}", x.to_bits());
+                    let want = F16::from_f32(x).to_f32().to_bits();
+                    assert_eq!(rounded[i].to_bits(), want, "{name} round {:#010x}", x.to_bits());
+                }
+            }
         }
     }
 }
