@@ -32,7 +32,7 @@ printf '%s\n' 'fn a() {' '}' '#[cfg(test)]' 'mod tests {' '    fn t() {' '    }'
     > "$scratch/counted.rs"
 [ "$(awk "$count_non_test" "$scratch/counted.rs")" -eq 6 ] \
     || { echo "line counter self-test failed: code after a test module must be counted in full"; exit 1; }
-line_ceiling=12333
+line_ceiling=12413
 lines=0
 split=""
 for crate in comm core serve bench; do
@@ -207,10 +207,12 @@ echo "==> bench_step --check-against (loose time, exact bits)"
 cargo run -q --release -p zero-bench --bin bench_step -- --smoke \
     --check-against results/BENCH_step.json
 
-echo "==> bench_matmul --smoke --check-against (all-variant GEMM and GELU bit-exactness + kernel-floor gate)"
+echo "==> bench_matmul --smoke --check-against (GEMM, GELU, fp16 and CRC bit-exactness + kernel-floor gate)"
 # Every wrapper at the block/attention/decode/large shapes must equal
-# matmul::reference bit for bit, and every GELU row its scalar function;
-# any block or gelu row at 2x its committed time fails: a fall back to a scalar chain, to the portable 2x16 tier on a
+# matmul::reference bit for bit, every GELU and fp16 row its scalar
+# function, and the CRC row the CRC fed one byte at a time; any block,
+# gelu, f16 or crc row at 2x its committed time fails: a fall back to a
+# scalar chain or a byte-at-a-time CRC, to the portable 2x16 tier on a
 # host whose wider tier was blessed, or to a tier loop compiled without its
 # target feature (the accumulators spill).
 cargo run -q --release -p zero-bench --bin bench_matmul -- --smoke \
@@ -232,5 +234,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 
 echo "==> cargo test -- --ignored (fault-matrix stress)"
 cargo test -q -- --ignored
+
+echo "==> zero-tensor --ignored in release (every f32 narrowed to fp16, against the branchy reference)"
+# 2^32 conversions take seconds in release and minutes in a debug build,
+# so they run here rather than in the debug stage above.
+cargo test -q --release -p zero-tensor -- --ignored
 
 echo "==> CI green"

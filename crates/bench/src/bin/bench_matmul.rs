@@ -1,5 +1,5 @@
-//! GEMM and GELU micro-benchmark over the shapes the model runs:
-//! `results/BENCH_matmul.json`.
+//! GEMM, GELU, fp16 and CRC micro-benchmark over the shapes the model
+//! runs: `results/BENCH_matmul.json`.
 //!
 //! Times `sgemm`, `sgemm_nt` and `sgemm_tn` at one transformer block's
 //! real shapes (`t = 256` rows, `h = 128`: the four `_nt` forward GEMMs,
@@ -10,23 +10,32 @@
 //! changed summation order. The `gelu` rows time `gelu_forward` and
 //! `gelu_backward` over one block's MLP activation (`t × 4h`) and one
 //! decode row (`1 × 4h`), each first checked bit for bit against
-//! `gelu_scalar` / `gelu_grad_scalar`; their `k` is 0 and their `gflops`
-//! counts G elements/s.
+//! `gelu_scalar` / `gelu_grad_scalar`. The `f16` rows time the four fp16
+//! slice passes (narrow, widen, accumulate, round) over Ψ = 813 824
+//! elements, the parameter count of `zero_bench`'s training model, each
+//! first checked bit for bit against the scalar conversions. The `crc` row
+//! times `crc32_f32s` over 98 304 floats, first checked against the CRC fed
+//! one byte at a time. Outside the GEMM rows `k` is 0 and `gflops` counts
+//! G elements/s.
 //!
 //! `parent_gflops` is the same row measured once with the code this kernel
 //! replaced (five separate loop nests for a GEMM); it is carried forward
 //! from the existing results file on every rewrite.
 //!
 //! `--smoke` runs the same checks and timing without rewriting the results
-//! file. `--check-against <path>` exits non-zero if any `block` or `gelu` row takes
+//! file. `--check-against <path>` exits non-zero if any row but the
+//! `attention`, `decode` and `large` GEMM rows takes
 //! twice its committed time — the harness's loose factor: enough slack for
 //! a shared VM, tight enough to catch a fall back to a scalar chain or to a
 //! narrower tier. Each row's `kernel` (the tier that ran) is never compared.
 
 use serde::Serialize;
 use serde_json::Value;
+use zero::comm::{crc32_f32s, Crc32};
+use zero::tensor::f16::{f16_add_slice, f16_round_slice, f16_to_f32_slice, f32_to_f16_slice};
 use zero::tensor::isa;
 use zero::tensor::ops::activation::{gelu_backward, gelu_forward, gelu_grad_scalar, gelu_scalar};
+use zero::tensor::F16;
 use zero::tensor::ops::matmul::{kernel, reference, sgemm, sgemm_nt, sgemm_tn, Mat};
 use zero_bench::{best_of, to_value, Baseline, Harness};
 
@@ -37,17 +46,18 @@ const KEY: &[&str] = &["variant", "m", "k", "n"];
 #[derive(Serialize)]
 struct MatmulRow {
     variant: &'static str,
-    /// `block`, `attention`, `decode`, `large` or `gelu`.
+    /// `block`, `attention`, `decode`, `large`, `gelu`, `f16` or `crc`.
     group: &'static str,
-    /// The tier that ran (`matmul::kernel`, e.g. `avx2 4x16`, or the
-    /// `isa::selected` name for a `gelu` row); informational.
+    /// The tier that ran (`matmul::kernel`, e.g. `avx2 4x16`, the
+    /// `isa::selected` name for a `gelu` or `f16` row, `table16` for the
+    /// `crc` row); informational.
     kernel: String,
     m: usize,
     k: usize,
     n: usize,
     reps: usize,
     secs: f64,
-    /// G elements/s for a `gelu` row.
+    /// G elements/s outside the GEMM rows.
     gflops: f64,
     parent_gflops: Option<f64>,
 }
@@ -72,6 +82,8 @@ fn shapes() -> Vec<(&'static str, &'static str, usize, usize, usize)> {
     for m in [t, 1] {
         rows.extend(["gelu_forward", "gelu_backward"].map(|v| (v, "gelu", m, 0, 4 * h)));
     }
+    rows.extend(["f16_narrow", "f16_widen", "f16_add", "f16_round"].map(|v| (v, "f16", 1, 0, 813_824)));
+    rows.push(("crc32_f32s", "crc", 1, 0, 98_304));
     rows
 }
 
@@ -124,15 +136,69 @@ fn gelu_row(variant: &str, len: usize) -> (usize, f64, usize) {
     (reps, secs, reps * len)
 }
 
+/// Checks one fp16 row of `len` elements bit for bit against the scalar
+/// conversions, then times it: `(reps, secs, elements)`.
+fn f16_row(variant: &str, len: usize) -> (usize, f64, usize) {
+    // Every 7th finite binary16 value, both signs, nudged off the grid.
+    let x: Vec<f32> = (0..len)
+        .map(|i| F16::from_bits((i * 7 % 0x7C00) as u16 | (i as u16 & 1) << 15).to_f32() * 1.000_2)
+        .collect();
+    let h: Vec<F16> = x.iter().map(|&v| F16::from_f32(0.5 * v)).collect();
+    let pass = |hs: &mut [F16], fs: &mut [f32]| match variant {
+        "f16_narrow" => f32_to_f16_slice(&x, hs),
+        "f16_widen" => f16_to_f32_slice(&h, fs),
+        "f16_add" => f16_add_slice(hs, &x),
+        _ => f16_round_slice(fs),
+    };
+    let (mut hs, mut fs) = (h.clone(), x.clone());
+    pass(&mut hs, &mut fs);
+    for i in 0..len {
+        let (got, want) = match variant {
+            "f16_narrow" => (u32::from(hs[i].0), u32::from(F16::from_f32(x[i]).0)),
+            "f16_widen" => (fs[i].to_bits(), h[i].to_f32().to_bits()),
+            "f16_add" => (u32::from(hs[i].0), u32::from(F16::from_f32(h[i].to_f32() + x[i]).0)),
+            _ => (fs[i].to_bits(), F16::from_f32(x[i]).to_f32().to_bits()),
+        };
+        assert_eq!(got, want, "{variant} diverged from the scalar conversion at {}", x[i]);
+    }
+    let reps = (1 << 24) / len + 3;
+    let (secs, ()) = best_of(3, || {
+        (0..reps).for_each(|_| pass(std::hint::black_box(&mut hs), std::hint::black_box(&mut fs)))
+    });
+    (reps, secs, reps * len)
+}
+
+/// Checks `crc32_f32s` over `len` floats against the CRC fed one byte per
+/// `update` (shorter than a step, so all of it runs the bytewise loop),
+/// then times it: `(reps, secs, floats)`.
+fn crc_row(len: usize) -> (usize, f64, usize) {
+    let x = fill(len, 0.37);
+    let mut bytewise = Crc32::new();
+    x.iter().flat_map(|v| v.to_le_bytes()).for_each(|b| bytewise.update(&[b]));
+    assert_eq!(crc32_f32s(&x), bytewise.finish(), "crc32_f32s diverged from the bytewise CRC");
+    let reps = (1 << 24) / len + 3;
+    let (secs, _) = best_of(3, || (0..reps).fold(0, |acc, _| acc ^ crc32_f32s(std::hint::black_box(&x))));
+    (reps, secs, reps * len)
+}
+
 fn main() {
     let harness = Harness::from_env("matmul", &[], &[]);
     let committed = Baseline::load(&harness.results_path().to_string_lossy()).ok();
 
     let mut rows = Vec::new();
     for (variant, group, m, k, n) in shapes() {
-        let gelu = group == "gelu";
-        let (reps, secs, work) = if gelu { gelu_row(variant, m * n) } else { gemm_row(variant, m, k, n) };
-        let kernel = if gelu { isa::selected().name().to_string() } else { kernel() };
+        let (reps, secs, work) = match group {
+            "gelu" => gelu_row(variant, m * n),
+            "f16" => f16_row(variant, n),
+            "crc" => crc_row(n),
+            _ => gemm_row(variant, m, k, n),
+        };
+        let gemm = k > 0;
+        let kernel = match group {
+            "crc" => "table16".to_string(),
+            _ if gemm => kernel(),
+            _ => isa::selected().name().to_string(),
+        };
         let gflops = work as f64 / secs / 1e9;
         let mut row = MatmulRow { variant, group, kernel, m, k, n, reps, secs, gflops, parent_gflops: None };
         // Carried forward from the results file on every rewrite.
@@ -141,12 +207,13 @@ fn main() {
         println!(
             "{variant:<13} {group:<9} {m:>4}x{k:>4}x{n:>4}  {:>9.4} ms  {gflops:>6.2} {}  (parent {})",
             secs * 1e3 / reps as f64,
-            if gelu { "Gelem/s" } else { "GFLOP/s" },
+            if gemm { "GFLOP/s" } else { "Gelem/s" },
             row.parent_gflops.map_or("-".to_string(), |g| format!("{g:.2}")),
         );
         rows.push(row);
     }
 
-    harness.check("", rows.iter().filter(|r| matches!(r.group, "block" | "gelu")), KEY, &[], Some("secs"));
+    let gated = |r: &&MatmulRow| matches!(r.group, "block" | "gelu" | "f16" | "crc");
+    harness.check("", rows.iter().filter(gated), KEY, &[], Some("secs"));
     harness.finish(&rows);
 }

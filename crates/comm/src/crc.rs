@@ -9,50 +9,35 @@
 const POLY: u32 = 0xEDB8_8320;
 
 /// Slicing-by-16 tables: `TABLES[0]` is the classic byte table, and
-/// `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
-/// one step folds 16 bytes with 16 independent lookups.
+/// `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes (eight
+/// more shifts of `TABLES[k - 1][b]`), so one step folds 16 bytes with 16
+/// independent lookups.
 const fn make_tables() -> [[u32; 256]; 16] {
     let mut tables = [[0u32; 256]; 16];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
+    let mut at = 0;
+    while at < 16 * 256 {
+        let (k, i) = (at / 256, at % 256);
+        let mut crc = if k == 0 { i as u32 } else { tables[k - 1][i] };
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
             bit += 1;
         }
-        tables[0][i] = crc;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 16 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
+        tables[k][i] = crc;
+        at += 1;
     }
     tables
 }
 
 static TABLES: [[u32; 256]; 16] = make_tables();
 
-/// Folds 16 bytes, given as four little-endian words, into `crc`.
+/// Folds 16 bytes, given as four little-endian words, into `crc`: byte `j`
+/// of the step is looked up in `TABLES[15 - j]`.
 #[inline(always)]
 fn fold16(crc: u32, words: [u32; 4]) -> u32 {
-    let t = &TABLES;
-    let w = [words[0] ^ crc, words[1], words[2], words[3]];
-    let mut out = 0;
-    for (i, w) in w.into_iter().enumerate() {
-        let base = 15 - 4 * i;
-        out ^= t[base][(w & 0xFF) as usize]
-            ^ t[base - 1][((w >> 8) & 0xFF) as usize]
-            ^ t[base - 2][((w >> 16) & 0xFF) as usize]
-            ^ t[base - 3][(w >> 24) as usize];
-    }
-    out
+    let bytes = [words[0] ^ crc, words[1], words[2], words[3]].map(u32::to_le_bytes);
+    let lookups = bytes.as_flattened().iter().enumerate().map(|(j, &b)| TABLES[15 - j][b as usize]);
+    lookups.fold(0, |acc, t| acc ^ t)
 }
 
 /// Folds `bytes` into `crc` one byte at a time: the tail of a step.
