@@ -475,12 +475,37 @@ mod tests {
         }
     }
 
+    /// Runs the four passes on `tier` and checks each output element
+    /// against the scalar functions: widen and accumulate over `hs` (plus
+    /// `addend`), narrow and round over `fs`.
+    fn check_tier(tier: isa::Isa, hs: &[F16], addend: &[f32], fs: &[f32]) {
+        let name = tier.name();
+        let mut widened = vec![f32::NAN; hs.len()];
+        isa::run(tier, Pass::Widen(hs, &mut widened));
+        let mut summed = hs.to_vec();
+        isa::run(tier, Pass::Accumulate(&mut summed, addend));
+        let mut narrowed = vec![F16::NAN; fs.len()];
+        isa::run(tier, Pass::Narrow(fs, &mut narrowed));
+        let mut rounded = fs.to_vec();
+        isa::run(tier, Pass::Round(&mut rounded));
+        for (i, h) in hs.iter().enumerate() {
+            assert_eq!(widened[i].to_bits(), h.to_f32().to_bits(), "{name} widen {:#06x}", h.0);
+            let want = F16::from_f32(h.to_f32() + addend[i]);
+            assert_eq!(summed[i].0, want.0, "{name} accumulate {:#06x} + {:e}", h.0, addend[i]);
+        }
+        for (i, &x) in fs.iter().enumerate() {
+            assert_eq!(narrowed[i].0, F16::from_f32(x).0, "{name} narrow {:#010x}", x.to_bits());
+            let want = F16::from_f32(x).to_f32().to_bits();
+            assert_eq!(rounded[i].to_bits(), want, "{name} round {:#010x}", x.to_bits());
+        }
+    }
+
     #[test]
     fn every_tier_is_bitwise_the_scalar_conversions() {
-        // Every binary16 pattern, widened and accumulated into; every sweep
-        // value, narrowed, accumulated and rounded. Starting at each offset up
-        // to one AVX-512 vector, every input meets both the vector body and
-        // the scalar tail.
+        // Every binary16 pattern, widened and accumulated into; then every
+        // sweep value, narrowed, accumulated into and rounded, starting at
+        // each offset up to one AVX-512 vector, so that every input meets
+        // both the vector body and the scalar tail.
         let patterns: Vec<F16> = (0..=u16::MAX).map(F16::from_bits).collect();
         let wide: Vec<f32> = patterns.iter().map(|h| h.to_f32()).collect();
         let small: Vec<f32> = (0..wide.len()).map(|i| ((i * 7 % 13) as f32 - 6.0) * 0.25).collect();
@@ -488,29 +513,10 @@ mod tests {
         let narrow: Vec<F16> = xs.iter().map(|&x| F16::from_f32(x)).collect();
         let mut rotated = xs.clone();
         rotated.rotate_left(7);
-        let cases: [(&[F16], &[f32], &[f32]); 2] = [(&patterns, &small, &wide), (&narrow, &rotated, &xs)];
         for tier in isa::runnable() {
-            let name = tier.name();
-            for (start, (hs, addend, fs)) in [(0, cases[0])].into_iter().chain((0..17).map(|s| (s, cases[1]))) {
-                let (hs, addend, fs) = (&hs[start..], &addend[start..], &fs[start..]);
-                let mut widened = vec![f32::NAN; hs.len()];
-                isa::run(tier, Pass::Widen(hs, &mut widened));
-                let mut summed = hs.to_vec();
-                isa::run(tier, Pass::Accumulate(&mut summed, addend));
-                let mut narrowed = vec![F16::NAN; fs.len()];
-                isa::run(tier, Pass::Narrow(fs, &mut narrowed));
-                let mut rounded = fs.to_vec();
-                isa::run(tier, Pass::Round(&mut rounded));
-                for (i, h) in hs.iter().enumerate() {
-                    assert_eq!(widened[i].to_bits(), h.to_f32().to_bits(), "{name} widen {:#06x}", h.0);
-                    let want = F16::from_f32(h.to_f32() + addend[i]);
-                    assert_eq!(summed[i].0, want.0, "{name} accumulate {:#06x} + {:e}", h.0, addend[i]);
-                }
-                for (i, &x) in fs.iter().enumerate() {
-                    assert_eq!(narrowed[i].0, F16::from_f32(x).0, "{name} narrow {:#010x}", x.to_bits());
-                    let want = F16::from_f32(x).to_f32().to_bits();
-                    assert_eq!(rounded[i].to_bits(), want, "{name} round {:#010x}", x.to_bits());
-                }
+            check_tier(tier, &patterns, &small, &wide);
+            for at in 0..17 {
+                check_tier(tier, &narrow[at..], &rotated[at..], &xs[at..]);
             }
         }
     }
