@@ -770,6 +770,57 @@ mod tests {
         assert_eq!(snaps[0].total_bytes(), 0, "no traffic for world of 1");
     }
 
+    /// Every op over a group of one, in every reduction and wire format,
+    /// on `input`: the all-reduce, the reduce-scatter and the all-gather,
+    /// each result in that order.
+    fn alone(c: &mut Communicator, g: &Group, input: &[f32]) -> Vec<Vec<f32>> {
+        let (counts, prec) = ([input.len()], Precision::Fp16);
+        let ops = [ReduceOp::Sum, ReduceOp::Mean, ReduceOp::Max];
+        let mut out = Vec::new();
+        for op in ops {
+            let mut buf = input.to_vec();
+            c.all_reduce_in(g, &mut buf, op, prec).unwrap();
+            out.push(buf);
+        }
+        for op in ops {
+            for wire in [WireFmt::Raw, WireFmt::QgzInt8 { node_size: 1, block: 4 }] {
+                out.push(c.start_reduce_scatter(g, input, op, &counts, prec, wire).wait().unwrap());
+            }
+        }
+        for wire in [WireFmt::Raw, WireFmt::Int8Block { block: 4 }] {
+            out.push(c.start_all_gather(g, input, &counts, prec, wire).wait().unwrap());
+        }
+        out
+    }
+
+    #[test]
+    fn one_member_results_are_pinned_bit_for_bit() {
+        // Signed zeros, a subnormal, fp32's edge and a tail shorter than a
+        // quantization block: a group of one returns every lossless op's
+        // input bit for bit (Mean divides by one), and qwZ the dequantized
+        // shard its peers would decode, lossy even with no peers. The same
+        // bits in a world of one and in a one-rank subgroup of a world of
+        // two, pinned by their CRC.
+        let input = [0.0, -0.0, 1.5, -2.25, 1e-40, 3.0e38, 0.1, -7.3, 1e-3];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let solo = launch(1, move |mut c| alone(&mut c, &Group::world(1), &input));
+        let sub = launch(2, move |mut c| {
+            let g = Group::new(vec![c.rank()]);
+            alone(&mut c, &g, &input)
+        });
+        let qwz = quantize_for_transport(&input, 4).dequantize();
+        assert_ne!(bits(&qwz), bits(&input), "qwZ is lossy at n = 1");
+        for got in solo.iter().chain(&sub) {
+            let (lossless, gathered) = got.split_at(got.len() - 1);
+            for out in lossless {
+                assert_eq!(bits(out), bits(&input));
+            }
+            assert_eq!(bits(&gathered[0]), bits(&qwz));
+        }
+        let all: Vec<f32> = solo[0].concat();
+        assert_eq!(crate::crc32_f32s(&all), 0x492a_6bca, "one-member result bits moved");
+    }
+
     #[test]
     fn var_reduce_scatter_with_uneven_and_zero_counts() {
         let n = 4;

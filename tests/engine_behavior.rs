@@ -322,17 +322,20 @@ fn first_losses_are_pinned_bit_for_bit() {
     // fetches and per-flush spills), stage 1 with a bucket smaller than Ψ
     // (chunked gradient reduce-scatter and parameter publish), and DDP's
     // two-level all-reduce on two nodes of two, chunked the same way. The
-    // last two rows pin the checkpoint walk: stage 3 fp16 with overlap at
+    // next two rows pin the checkpoint walk: stage 3 fp16 with overlap at
     // interval 2 (one two-block recompute segment holding its units), and
     // stage 2 on a 2 × 2 grid with P_a+cpu (the MP checkpoint gather, CPU
-    // pricing, no arena). The last two rows clip on a 2 × 2 grid, where
+    // pricing, no arena). The next two rows clip on a 2 × 2 grid, where
     // the grad norm is summed over the MP group under DDP and over the
     // world under stage 2: a norm reduced over the wrong group moves the
-    // clip coefficient and the losses. Every row also pins rank 0's peak
-    // device bytes, so an alloc/free reordered across the step fails here.
+    // clip coefficient and the losses. The last row runs stage 3 fp16
+    // with overlap at interval 1: two one-block recompute segments, so the
+    // prefetch chain meets a segment boundary. Every row also pins rank
+    // 0's peak device bytes, so an alloc/free reordered across the step
+    // fails here.
     let two = Grid::new(2, 1);
     let zeropp = CompressionConfig { qwz: true, hpz: true, qgz: true, node_size: 2, block: 64 };
-    let pinned: [(ZeroConfig, Grid, u64, [u32; 5], u64); 10] = [
+    let pinned: [(ZeroConfig, Grid, u64, [u32; 5], u64); 11] = [
         (
             ZeroConfig { stage: ZeroStage::Two, initial_loss_scale: 1.0, ..ZeroConfig::default() },
             two,
@@ -440,6 +443,13 @@ fn first_losses_are_pinned_bit_for_bit() {
             20,
             [0x405cc1ba, 0x405d4c6c, 0x405ba288, 0x405aa38c, 0x405cd5f2],
             59_312,
+        ),
+        (
+            ZeroConfig { stage: ZeroStage::Three, initial_loss_scale: 1.0, ..ZeroConfig::default() }.overlapped(),
+            two,
+            21,
+            [0x405f4e50, 0x405d65e6, 0x405f3739, 0x405c9fba, 0x405c67a1],
+            93_248,
         ),
     ];
     for (zero, grid, seed, want, peak) in pinned {
