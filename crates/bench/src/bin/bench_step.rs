@@ -16,6 +16,11 @@
 //!   ZeRO++ levers (qwZ + hpZ + qgZ). The tiered fabric charges
 //!   serialization by logical bytes and the compressed schedule moves ~4×
 //!   fewer across the slow tier. Full runs only.
+//! * `recompute` — stage 3 checkpointing every block over the same
+//!   two-tier link, synchronous vs overlapped. Interval 1 re-fetches each
+//!   unit where it is recomputed; under overlap the prefetch chain still
+//!   runs one unit ahead through every segment's recompute and backward.
+//!   Full runs only.
 //!
 //! `--smoke` runs ZeRO-3 at N = 2 only and leaves the results file alone.
 //! `--check-against <path>` replays at a full run's link latency and step
@@ -47,10 +52,9 @@ fn step_setup(stage: ZeroStage, dp: usize, overlap: bool) -> TrainSetup {
             stage,
             fp16: true,
             initial_loss_scale: 1.0,
-            // No recompute (checkpointing with interval 1 re-fetches each
-            // unit exactly where it is used, leaving nothing to issue
-            // ahead) and buckets small enough that a backward pass
-            // produces several in-flight reduce-scatters.
+            // No recompute, except in the `recompute` family, and buckets
+            // small enough that a backward pass produces several in-flight
+            // reduce-scatters.
             checkpoint_activations: false,
             bucket_elems: 32 * 1024,
             overlap,
@@ -115,6 +119,12 @@ fn cases(smoke: bool, latency: Duration) -> Vec<Case> {
         lever("offload", &linked, Three, wide, overlap, |z| z.tier = HOST_TIER);
         if !smoke {
             lever("compression", &tiered, Three, 4, overlap, |z| z.compression = ZERO_PP);
+        }
+    }
+    if !smoke {
+        lever("recompute", &tiered, Three, 4, false, |z| z.overlap = true);
+        for (_, setup, _) in cases.iter_mut().rev().take(2) {
+            setup.zero.checkpoint_activations = true;
         }
     }
     cases

@@ -162,7 +162,8 @@ fn finalize(op: ReduceOp, buf: &mut [f32], n: usize) {
 // happens in the order the synchronous implementations had. The public
 // `Communicator` methods below move their inputs into a closure over one
 // of these bodies and submit it; argument lengths are asserted there, on
-// the caller's thread.
+// the caller's thread. A group of one never gets here: it exchanges
+// nothing, so those methods compute its result on the caller's thread.
 
 /// One member's seat on the ring a collective runs around.
 struct Ring {
@@ -239,15 +240,11 @@ impl Fabric {
         prec: Precision,
     ) -> Result<Vec<f32>, CommError> {
         let n = group.len();
-        // A single-member group exchanges nothing: no fabric op is
-        // counted, so injected faults cannot target it.
-        if n > 1 {
-            self.begin_op(CollectiveKind::AllReduce)?;
-            let ring = Ring::seat(group, self.rank)?;
-            let chunks: Vec<_> = (0..n).map(|i| chunk_range(buf.len(), n, i)).collect();
-            self.ring_reduce(&ring, &mut buf, &chunks, op, CollectiveKind::AllReduce, prec)?;
-            self.ring_gather(&ring, &mut buf, &chunks, CollectiveKind::AllReduce, prec)?;
-        }
+        self.begin_op(CollectiveKind::AllReduce)?;
+        let ring = Ring::seat(group, self.rank)?;
+        let chunks: Vec<_> = (0..n).map(|i| chunk_range(buf.len(), n, i)).collect();
+        self.ring_reduce(&ring, &mut buf, &chunks, op, CollectiveKind::AllReduce, prec)?;
+        self.ring_gather(&ring, &mut buf, &chunks, CollectiveKind::AllReduce, prec)?;
         finalize(op, &mut buf, n);
         Ok(buf)
     }
@@ -265,12 +262,8 @@ impl Fabric {
     ) -> Result<Vec<f32>, CommError> {
         let ring = Ring::seat(group, self.rank)?;
         let chunks = ranges_from_counts(counts);
-        // No peers, no fabric op (see `all_reduce_in`).
-        if ring.n > 1 {
-            self.begin_op(CollectiveKind::ReduceScatter)?;
-            let kind = CollectiveKind::ReduceScatter;
-            self.ring_reduce(&ring, &mut input, &chunks, op, kind, prec)?;
-        }
+        self.begin_op(CollectiveKind::ReduceScatter)?;
+        self.ring_reduce(&ring, &mut input, &chunks, op, CollectiveKind::ReduceScatter, prec)?;
         let mut out = input[chunks[ring.idx].clone()].to_vec();
         finalize(op, &mut out, ring.n);
         Ok(out)
@@ -289,11 +282,8 @@ impl Fabric {
         let chunks = ranges_from_counts(counts);
         let mut out = vec![0.0; counts.iter().sum()];
         out[chunks[ring.idx].clone()].copy_from_slice(shard);
-        // No peers, no fabric op (see `all_reduce_in`).
-        if ring.n > 1 {
-            self.begin_op(CollectiveKind::AllGather)?;
-            self.ring_gather(&ring, &mut out, &chunks, CollectiveKind::AllGather, prec)?;
-        }
+        self.begin_op(CollectiveKind::AllGather)?;
+        self.ring_gather(&ring, &mut out, &chunks, CollectiveKind::AllGather, prec)?;
         Ok(out)
     }
 
@@ -317,10 +307,6 @@ impl Fabric {
         let own = quantize_for_transport(shard, block);
         let mut out = vec![0.0; counts.iter().sum()];
         out[ranges[idx].clone()].copy_from_slice(&own.dequantize());
-        if n == 1 {
-            // No peers, no fabric op (see `all_reduce_in`).
-            return Ok(out);
-        }
         self.begin_op(CollectiveKind::AllGather)?;
         let mut streams: Vec<Option<Vec<f32>>> = vec![None; n];
         streams[idx] = Some(own.encode());
@@ -373,12 +359,6 @@ impl Fabric {
     ) -> Result<Vec<f32>, CommError> {
         let n = group.len();
         let idx = member_index(group, self.rank)?;
-        if n == 1 {
-            // No peers, no fabric op (see `all_reduce_in`).
-            let mut out = input.to_vec();
-            finalize(op, &mut out, 1);
-            return Ok(out);
-        }
         let g = node_size;
         if g == 0 || !n.is_multiple_of(g) {
             return Err(CommError::InvalidTopology { rank: self.rank, world: n, node_size: g });
@@ -478,6 +458,14 @@ impl Fabric {
 // ----- the public surface: submit to the progress thread -----
 
 impl Communicator {
+    /// `Some` when `group` has one member: a collective over it is not
+    /// communication, so its result is computed on the caller's thread,
+    /// with no progress-thread job, span, or exec or wait time. `Ok` for
+    /// this rank, [`CommError::NotInGroup`] for any other.
+    fn alone_in(&self, group: &Group) -> Option<Result<(), CommError>> {
+        (group.len() == 1).then(|| member_index(group, self.rank()).map(drop))
+    }
+
     /// Ring all-reduce over the whole world, in place.
     pub fn all_reduce(
         &mut self,
@@ -539,6 +527,10 @@ impl Communicator {
         op: ReduceOp,
         prec: Precision,
     ) -> Result<(), CommError> {
+        // Alone, every reduction (Mean divides by one) leaves `buf` as is.
+        if let Some(member) = self.alone_in(group) {
+            return member;
+        }
         let (group, data) = (group.clone(), buf.to_vec());
         let run = move |f: &mut Fabric| f.all_reduce_in(&group, data, op, prec);
         buf.copy_from_slice(&self.submit(Some(CollectiveKind::AllReduce), run).wait()?);
@@ -573,6 +565,9 @@ impl Communicator {
             !matches!(wire, WireFmt::Int8Block { .. } | WireFmt::QgzInt8 { block: 0, .. }),
             "reduce_scatter: {wire:?} is not a reduce-scatter wire"
         );
+        if let Some(member) = self.alone_in(group) {
+            return self.ready(member.map(|()| input.to_vec()));
+        }
         let (group, input, counts) = (group.clone(), input.to_vec(), counts.to_vec());
         self.submit(Some(CollectiveKind::ReduceScatter), move |f| match wire {
             WireFmt::QgzInt8 { node_size, block } => {
@@ -607,6 +602,14 @@ impl Communicator {
             !matches!(wire, WireFmt::QgzInt8 { .. } | WireFmt::Int8Block { block: 0 }),
             "all_gather: {wire:?} is not an all-gather wire"
         );
+        if let Some(member) = self.alone_in(group) {
+            // qwZ stays lossy alone: the member keeps the shard its peers
+            // would have decoded.
+            return self.ready(member.map(|()| match wire {
+                WireFmt::Int8Block { block } => quantize_for_transport(shard, block).dequantize(),
+                _ => shard.to_vec(),
+            }));
+        }
         let (group, shard, counts) = (group.clone(), shard.to_vec(), counts.to_vec());
         self.submit(Some(CollectiveKind::AllGather), move |f| match wire {
             WireFmt::Int8Block { block } => f.all_gather_qwz(&group, &shard, &counts, block),

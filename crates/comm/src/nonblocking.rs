@@ -25,6 +25,14 @@
 //! [`PendingOp`]; *when* the caller waits is its own business. The
 //! world-wide blocking wrappers in `collectives.rs` are
 //! `start_*(…).wait()` for callers with nothing to overlap.
+//!
+//! A collective over a group of one is not communication, so it is not a
+//! job: `all_reduce_in` and the `start_*` calls compute its result on the
+//! caller's thread (a `start_*` returns a [`PendingOp`] that already holds
+//! it). It never waits behind an in-flight prefetch, and it records no
+//! span and no exec or wait time. It touches no fabric either, so the
+//! FIFO's guarantees above hold unchanged: it has no peer to pair with, no
+//! fault coordinate and no bytes.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -59,9 +67,10 @@ pub(crate) struct Job {
 /// Handle to an in-flight communication op.
 ///
 /// Obtained from `start_reduce_scatter` / `start_all_gather` (or
-/// internally by every blocking collective). The op advances on the rank's progress thread regardless of what the holder
-/// does; [`PendingOp::wait`] blocks until the result (or the op's typed
-/// failure) arrives.
+/// internally by every blocking collective). The op advances on the
+/// rank's progress thread regardless of what the holder does (over a
+/// group of one it is complete on return); [`PendingOp::wait`] blocks
+/// until the result (or the op's typed failure) arrives.
 ///
 /// Dropping the handle without waiting does **not** cancel the op — it
 /// still executes, keeping the rank's fabric schedule aligned with its
@@ -164,7 +173,8 @@ mod tests {
     use crate::stats::CollectiveKind;
     use crate::world::{launch, try_launch_with_config, WorldConfig};
     use crate::{Precision, ReduceOp, WireFmt};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
+    use zero_trace::SpanCategory;
 
     #[test]
     fn started_op_completes_while_caller_computes() {
@@ -268,6 +278,64 @@ mod tests {
             buf[0]
         });
         assert_eq!(results, vec![1.0; n]);
+    }
+
+    #[test]
+    fn a_group_of_one_completes_on_the_caller_behind_a_queued_op() {
+        // A 200 ms all-gather over the world is queued on each rank's
+        // progress thread; every collective over the rank's group of one
+        // still returns at once, before that op could have finished, and
+        // leaves no span and no exec or wait time behind.
+        let n = 2;
+        let lat = Duration::from_millis(200);
+        let config = WorldConfig::with_link_latency(lat);
+        let out = try_launch_with_config(n, config, move |mut c| {
+            let (world, alone) = (Group::world(n), Group::new(vec![c.rank()]));
+            let (p, raw) = (Precision::Fp32, WireFmt::Raw);
+            let queued = c.start_all_gather(&world, &[c.rank() as f32], &[1, 1], p, raw);
+            let t0 = Instant::now();
+            let mut buf = [1.5_f32, -2.0];
+            c.all_reduce_in(&alone, &mut buf, ReduceOp::Mean, p).unwrap();
+            let rs = c.start_reduce_scatter(&alone, &buf, ReduceOp::Sum, &[2], p, raw).wait().unwrap();
+            let ag = c.start_all_gather(&alone, &rs, &[2], p, raw).wait().unwrap();
+            let local = t0.elapsed();
+            let gathered = queued.wait().unwrap();
+            let timeline = c.trace().timeline();
+            (local, ag, gathered, timeline, c.stats().timing())
+        });
+        for (rank, r) in out.iter().enumerate() {
+            let (local, ag, gathered, timeline, timing) = r.as_ref().unwrap();
+            assert!(*local < lat, "rank {rank}: the group of one waited {local:?} behind the queue");
+            assert_eq!((ag, gathered), (&vec![1.5, -2.0], &vec![0.0, 1.0]), "rank {rank}");
+            // Only the world op ran on the progress thread and was waited.
+            assert_eq!(timeline.count(SpanCategory::Collective), 1, "rank {rank}");
+            assert_eq!(timeline.count(SpanCategory::Wait), 1, "rank {rank}");
+            for kind in [CollectiveKind::AllReduce, CollectiveKind::ReduceScatter] {
+                assert_eq!((timing.exec_nanos(kind), timing.wait_nanos(kind)), (0, 0), "rank {rank}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_group_of_one_refuses_a_non_member() {
+        let n = 2;
+        let out = launch(n, move |mut c| {
+            let other = 1 - c.rank();
+            let g = Group::new(vec![other]);
+            let mut buf = [1.0_f32; 3];
+            let p = Precision::Fp32;
+            let ar = c.all_reduce_in(&g, &mut buf, ReduceOp::Sum, p);
+            let rs = c.start_reduce_scatter(&g, &buf, ReduceOp::Sum, &[3], p, WireFmt::Raw).wait();
+            let qwz = WireFmt::Int8Block { block: 4 };
+            let ag = c.start_all_gather(&g, &buf, &[3], p, qwz).wait().map(drop);
+            (other, [ar, rs.map(drop), ag], c.stats().timing().total_exec_nanos())
+        });
+        for (rank, (other, errs, exec)) in out.into_iter().enumerate() {
+            for err in errs {
+                assert_eq!(err, Err(CommError::NotInGroup { rank, group: vec![other] }));
+            }
+            assert_eq!(exec, 0, "rank {rank}: a refused op reached the progress thread");
+        }
     }
 
     #[test]

@@ -496,6 +496,15 @@ impl Communicator {
         }
     }
 
+    /// A handle that already holds `res`, computed on the caller's thread:
+    /// no job is queued and its wait records nothing.
+    pub(crate) fn ready(&self, res: OpResult) -> PendingOp {
+        let (done_tx, done) = channel();
+        let _ = done_tx.send(res);
+        let (rank, kind, budget) = (self.rank, None, self.recv_timeout);
+        PendingOp { rank, kind, done, budget, stats: self.stats.clone(), trace: self.trace.clone() }
+    }
+
     /// Point-to-point send of an f32 buffer.
     pub fn send(&mut self, dst: usize, data: &[f32]) -> Result<(), CommError> {
         let data = data.to_vec();

@@ -1254,8 +1254,13 @@ mod tests {
         let layout = Layout::build(&tiny());
         let grid = Grid::new(2, 1);
         let units = layout.units();
-        for overlap in [false, true] {
-            let zcfg = ZeroConfig { overlap, bucket_elems: 100, ..cfg(ZeroStage::Three) };
+        // Checkpointing every block cuts the two blocks into two recompute
+        // segments, so the prefetch chain crosses a segment boundary.
+        for (overlap, checkpoint_activations) in [(false, false), (true, false), (false, true), (true, true)] {
+            let zcfg =
+                ZeroConfig { overlap, checkpoint_activations, bucket_elems: 100, ..cfg(ZeroStage::Three) };
+            let segments = walk::interval(&zcfg).map(|k| walk::segments(tiny().layers, k).count());
+            assert_eq!(segments, checkpoint_activations.then_some(2));
             let plan = CommPlan::train_step(&layout, &zcfg, grid, &shape());
             let mut grads_down_to = layout.total_params();
             let mut first = true;
@@ -1267,7 +1272,8 @@ mod tests {
                             .intersect_counts(&units[*unit].range);
                         assert_eq!(op.counts, CountSpec::Explicit(counts));
                         // Only the embed fetch that opens the pass is on
-                        // demand under overlap; nothing is ahead without.
+                        // demand under overlap, recomputing or not;
+                        // nothing is ahead without.
                         assert_eq!(*ahead, overlap && !first, "unit {unit}");
                         first = false;
                     }

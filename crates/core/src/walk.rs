@@ -6,9 +6,13 @@
 //! segment from the last: restore, recompute holding the segment's units,
 //! backward — or, without checkpointing, a plain backward over the kept
 //! activations; then the embedding backward. Evaluation is the forward and
-//! the head. The plan builder records what each step communicates and the
-//! engine executes it, both as a [`Walker`], so the plan the engine installs
-//! is the walk it runs; [`segments`] alone knows where a segment starts.
+//! the head. Every fetch names the unit the walk fetches next, from the
+//! head into the backward and across segment boundaries, so the one-ahead
+//! prefetch chain runs through the whole pass and only its first fetch
+//! waits on demand. The plan builder records what each step communicates
+//! and the engine executes it, both as a [`Walker`], so the plan the
+//! engine installs is the walk it runs; [`segments`] alone knows where a
+//! segment starts.
 
 use std::ops::Range;
 
@@ -24,7 +28,8 @@ pub(crate) trait Walker {
     /// A stored activation checkpoint.
     type Ckpt;
     type Error;
-    /// Materializes unit `u`; `next` is the unit the walk fetches after it.
+    /// Materializes unit `u`; `next` is the unit the walk fetches after it,
+    /// `None` only for the pass's last fetch.
     fn fetch(&mut self, u: usize, next: Option<usize>) -> Result<Self::Unit, Self::Error>;
     /// Discards a fetched unit.
     fn release(&mut self, _p: Self::Unit) {}
@@ -84,18 +89,23 @@ pub(crate) fn micro<W: Walker>(w: &mut W, layers: usize, k: Option<usize>, train
             saveds.push(w.keep(saved));
         }
     }
-    // Without checkpointing the head's fetch opens the backward refetch
-    // chain, last block first; each recomputed segment restarts it.
-    let head = w.fetch(1 + layers, (keep && layers > 0).then_some(layers))?;
+    // The head's fetch opens the backward refetch chain: at the last
+    // segment's first block with checkpointing, else at the last block.
+    // The chain runs on through every segment: a segment's last block
+    // names the first block of the segment recomputed next.
+    let bwd_first = ckpts.last().map(|(seg, _)| 1 + seg.start).or((keep && layers > 0).then_some(layers));
+    let head = w.fetch(1 + layers, bwd_first)?;
     w.head(head, train)?;
     if !train {
         return Ok(());
     }
-    for (seg, c) in ckpts.into_iter().rev() {
+    let mut segs = ckpts.into_iter().rev().peekable();
+    while let Some((seg, c)) = segs.next() {
+        let after = segs.peek().map(|(prev, _)| 1 + prev.start);
         w.restore(c)?;
         let mut held = Vec::with_capacity(seg.len());
         for l in seg.clone() {
-            let p = w.fetch(1 + l, (l + 1 < seg.end).then_some(2 + l))?;
+            let p = w.fetch(1 + l, if l + 1 < seg.end { Some(2 + l) } else { after })?;
             let saved = w.block_fwd(l, &p, true)?;
             held.push((l, p, w.keep(saved)));
         }
@@ -132,6 +142,8 @@ mod tests {
         live: Vec<usize>,
         /// The unit the previous fetch named as next.
         hint: Option<usize>,
+        /// Fetches no previous fetch named: each one waits on demand.
+        unhinted: usize,
         /// Blocks in the order their forward, recompute and backward ran.
         fwd: Vec<usize>,
         refwd: Vec<usize>,
@@ -158,8 +170,9 @@ mod tests {
         type Error = Infallible;
 
         fn fetch(&mut self, u: usize, next: Option<usize>) -> Result<Params, Infallible> {
-            if let Some(hinted) = self.hint.take() {
-                assert_eq!(hinted, u, "the prefetch hint named a unit the walk did not fetch next");
+            match self.hint.take() {
+                Some(hinted) => assert_eq!(hinted, u, "the prefetch hint named a unit the walk did not fetch next"),
+                None => self.unhinted += 1,
             }
             self.hint = next;
             self.live.push(u);
@@ -239,10 +252,13 @@ mod tests {
                 assert_eq!(r.refwd, recomputed, "layers {layers} k {k:?}: recompute");
                 let segs = k.map_or(0, |k| segments(layers, k).count());
                 assert_eq!((r.stores, r.restores), (segs, segs), "layers {layers} k {k:?}");
+                // The prefetch chain runs through the whole pass, across
+                // every segment boundary: only the first fetch is unnamed.
+                assert_eq!(r.unhinted, 1, "layers {layers} k {k:?}: the chain broke");
             }
             let mut r = Recorder { layers, ..Recorder::default() };
             let Ok(()) = micro(&mut r, layers, Some(1), false);
-            assert!(r.live.is_empty() && r.bwd.is_empty() && r.stores == 0);
+            assert!(r.live.is_empty() && r.bwd.is_empty() && r.stores == 0 && r.unhinted == 1);
             assert_eq!(r.fwd, blocks);
         }
     }

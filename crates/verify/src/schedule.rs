@@ -33,10 +33,13 @@
 //!   their relative issue order, and each fetch is issued no later than
 //!   its synchronous position and no earlier than its *predecessor's*
 //!   synchronous position — at most one unit ahead, which is exactly
-//!   the double-buffered prefetch window.
+//!   the double-buffered prefetch window. The window is also used: every
+//!   stage-3 fetch after the step's first goes out ahead, through the
+//!   backward and across recompute segments. (An op over a group of one
+//!   completes on the caller, off the FIFO; it has no peer to pair with.)
 
 use zero_comm::{CollectiveKind, Grid};
-use zero_core::{CommPlan, Partitioner, ResolvedOp, StepShape, ZeroConfig, ZeroStage};
+use zero_core::{CommPlan, OpRole, Partitioner, ResolvedOp, StepShape, ZeroConfig, ZeroStage};
 use zero_model::{Layout, ModelConfig};
 
 /// Counters describing how much the checker covered.
@@ -438,6 +441,19 @@ fn check_fetch_window(
     Ok(())
 }
 
+/// The chain clause next to [`check_fetch_window`], over an overlapped
+/// step's fetches in issue order (`true` = issued ahead): only the first
+/// waits on demand, every later one goes out under its predecessor's
+/// compute — through the backward and across recompute segments, whether
+/// checkpointing is on or off.
+fn check_fetch_chain(ahead: &[bool]) -> Result<(), String> {
+    match ahead.iter().enumerate().find(|&(k, &ahead)| ahead == (k == 0)) {
+        None => Ok(()),
+        Some((0, _)) => Err("the step's first fetch is marked ahead of nothing".into()),
+        Some((k, _)) => Err(format!("fetch {k} waits on demand — the prefetch chain broke")),
+    }
+}
+
 /// Proves overlap invariance for one configuration: the overlapped plan
 /// must be a pure reordering of the synchronous plan's op multiset (same
 /// per-rank bytes and messages per kind, same resolved ops up to order),
@@ -513,6 +529,17 @@ pub(crate) fn check_overlap_pair(
             ));
         }
         check_fetch_window(&sf, &of).map_err(|e| format!("{what}: {e}"))?;
+        if zcfg.stage.partitions_params() {
+            let ahead: Vec<bool> = over
+                .ops()
+                .iter()
+                .filter_map(|op| match op.role {
+                    OpRole::Fetch { ahead, .. } => Some(ahead),
+                    _ => None,
+                })
+                .collect();
+            check_fetch_chain(&ahead).map_err(|e| format!("{what}: {e}"))?;
+        }
         report.plans += 2;
     }
     report.configs += 1;
@@ -778,6 +805,11 @@ mod tests {
         assert!(check_fetch_window(&sync, &late).unwrap_err().contains("later"));
         let reordered = t(&[("b", 0), ("a", 3), ("c", 6)]);
         assert!(check_fetch_window(&sync, &reordered).unwrap_err().contains("reordered"));
+        // The chain: one on-demand fetch opens the step, none after it.
+        assert!(check_fetch_chain(&[false, true, true]).is_ok());
+        let restarted = check_fetch_chain(&[false, true, false, true]).unwrap_err();
+        assert!(restarted.contains("fetch 2"), "{restarted}");
+        assert!(check_fetch_chain(&[true, true]).is_err());
     }
 
     #[test]

@@ -35,14 +35,14 @@ pub struct TraceExpectation {
 impl TraceExpectation {
     /// Accumulates `reps` executions of `plan` as experienced by `rank`.
     ///
-    /// Every rank submits every planned op (single-member groups included:
-    /// the communicator still issues a request, so a span is still
-    /// recorded — with zero bytes, since a ring of one moves nothing).
-    /// An offloaded plan's tier stream is folded in the same way: one
-    /// [`SpanCategory::Tier`] span per movement, byte-tagged with the
-    /// rank's planned transfer volume.
+    /// A rank records one span per planned op whose resolved group has
+    /// more than one member. An op over a group of one is not
+    /// communication: it completes on the caller's thread with no span,
+    /// and it moves no bytes. An offloaded plan's tier stream is folded in
+    /// the same way: one [`SpanCategory::Tier`] span per movement,
+    /// byte-tagged with the rank's planned transfer volume.
     pub fn add_plan(&mut self, plan: &CommPlan, rank: usize, reps: u64) {
-        for op in plan.ops() {
+        for op in plan.resolve_for(rank).iter().filter(|op| op.members.len() > 1) {
             self.ops[op.kind as usize] += reps;
         }
         for (acc, b) in self.bytes.iter_mut().zip(plan.rank_bytes(rank)) {
@@ -278,11 +278,17 @@ mod tests {
     }
 
     #[test]
-    fn expectation_counts_every_planned_op() {
+    fn expectation_counts_every_planned_op_with_peers() {
+        // At mp = 1 every Megatron hook runs over a group of one and
+        // records no span: the step's only all-reduce span is the
+        // world-wide overflow flag.
         let (plan, _) = tiny_plan(ZeroStage::Three, 4);
         let mut want = TraceExpectation::default();
         want.add_plan(&plan, 2, 1);
-        assert_eq!(want.total_ops(), plan.ops().len() as u64);
+        let hooks = plan.ops().iter().filter(|op| op.label == "mp-block-allreduce").count() as u64;
+        assert!(hooks > 0, "the walk plans its Megatron hooks");
+        assert_eq!(want.total_ops(), plan.ops().len() as u64 - hooks);
+        assert_eq!(want.ops[CollectiveKind::AllReduce as usize], 1);
         let rs = want.ops[CollectiveKind::ReduceScatter as usize];
         let ag = want.ops[CollectiveKind::AllGather as usize];
         assert!(rs > 0 && ag > 0, "stage 3 plans both RS and AG");

@@ -222,18 +222,36 @@ fn every_schedule_digest_is_unchanged() {
     }
     let actual = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("schedule_digests.actual.txt");
     std::fs::write(&actual, &got).expect("write the actual digest table");
-    let want: BTreeMap<&str, &str> = PINNED.lines().filter_map(|l| l.split_once(' ')).collect();
-    let moved: Vec<&str> = got
-        .lines()
-        .filter_map(|l| l.split_once(' '))
-        .filter(|(name, digests)| want.get(name) != Some(digests))
-        .map(|(name, _)| name)
+    let want: BTreeMap<&str, &str> = PINNED.lines().filter_map(entry).collect();
+    let have: BTreeMap<&str, &str> = got.lines().filter_map(entry).collect();
+    let moved: Vec<&str> = want
+        .keys()
+        .chain(have.keys().filter(|name| !want.contains_key(*name)))
+        .filter(|name| want.get(*name) != have.get(*name))
+        .copied()
         .collect();
     panic!(
         "{} schedule digest line(s) differ from crates/verify/tests/schedule_digests.txt \
-         (first: {:?}); the table this build produces is at {}",
+         ({moved:?}); the table this build produces is at {}",
         moved.len().max(1),
-        moved.first(),
         actual.display()
     );
+}
+
+/// A table line as (config name, digests): the name is everything before
+/// the four digest fields, since a stage's name has a space in it
+/// (`ZeRO-3 (Pos+g+p)/…`).
+fn entry(line: &str) -> Option<(&str, &str)> {
+    let mut cut = line.len();
+    for _ in 0..4 {
+        cut = line[..cut].rfind(' ')?;
+    }
+    Some(line.split_at(cut))
+}
+
+#[test]
+fn table_lines_are_keyed_by_their_whole_config_name() {
+    let line = "ZeRO-3 (Pos+g+p)/dp2mp1/b2 0a 0b 0c 0d";
+    assert_eq!(entry(line), Some(("ZeRO-3 (Pos+g+p)/dp2mp1/b2", " 0a 0b 0c 0d")));
+    assert_eq!(entry("too few fields"), None);
 }

@@ -449,7 +449,10 @@ fn first_losses_are_pinned_bit_for_bit() {
             two,
             21,
             [0x405f4e50, 0x405d65e6, 0x405f3739, 0x405c9fba, 0x405c67a1],
-            93_248,
+            // Block 0's gather is issued under block 1's recompute and
+            // backward: one block unit buffer (4 × 3 280 bytes) over the
+            // 93 248 of a chain that restarted at each segment.
+            106_368,
         ),
     ];
     for (zero, grid, seed, want, peak) in pinned {
