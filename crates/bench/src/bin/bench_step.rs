@@ -123,6 +123,7 @@ fn cases(smoke: bool, latency: Duration) -> Vec<Case> {
     }
     if !smoke {
         lever("recompute", &tiered, Three, 4, false, |z| z.overlap = true);
+        // Both sides of the pair recompute; only overlap differs.
         for (_, setup, _) in cases.iter_mut().rev().take(2) {
             setup.zero.checkpoint_activations = true;
         }
