@@ -232,7 +232,7 @@ mod tests {
         let (op, hit) = state.begin_op(CollectiveKind::AllGather);
         assert_eq!((op, hit), (1, Some(FaultKind::Crash)));
         // Op 2: AtOp(2) fires.
-        let (op, hit) = state.begin_op(CollectiveKind::P2p);
+        let (op, hit) = state.begin_op(CollectiveKind::ReduceScatter);
         assert_eq!((op, hit), (2, Some(FaultKind::Crash)));
         // Later AllGathers do not re-fire the kind trigger.
         assert_eq!(state.begin_op(CollectiveKind::AllGather).1, None);
@@ -243,7 +243,7 @@ mod tests {
         let plan = FaultPlan::new().with_crash(1, 0);
         let mut state = plan.for_rank(0);
         for _ in 0..10 {
-            assert_eq!(state.begin_op(CollectiveKind::P2p).1, None);
+            assert_eq!(state.begin_op(CollectiveKind::AllReduce).1, None);
         }
     }
 

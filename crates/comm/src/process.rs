@@ -845,6 +845,12 @@ mod tests {
             .collect()
     }
 
+    /// A world all-gather between two ranks, each contributing `mine`.
+    fn gather_pair(comm: &mut Communicator, mine: &[f32]) -> Result<(), CommError> {
+        let mut out = vec![0.0; 2 * mine.len()];
+        comm.all_gather(mine, &mut out, Precision::Fp32)
+    }
+
     #[test]
     fn socket_mesh_all_reduce_matches_expected_sum() {
         let dir = scratch_dir("allreduce");
@@ -929,8 +935,7 @@ mod tests {
                 return Ok(());
             }
             let started = Instant::now();
-            let mut buf = [0.0f32; 4];
-            let res = comm.recv(1, &mut buf);
+            let res = gather_pair(&mut comm, &[0.0; 4]);
             assert!(
                 started.elapsed() < Duration::from_secs(10),
                 "severed peer took the full recv_timeout to surface"
@@ -963,8 +968,7 @@ mod tests {
         let r0 = std::thread::spawn(move || {
             let mut comm = connect_process_rank(0, &cfg0).expect("rank 0 handshake");
             let started = Instant::now();
-            let mut buf = [0.0f32; 4];
-            let res = comm.recv(1, &mut buf);
+            let res = gather_pair(&mut comm, &[0.0; 4]);
             (res, started.elapsed())
         });
         let r1 = std::thread::spawn(move || {

@@ -244,7 +244,7 @@ mod tests {
         let s = TrafficStats::new();
         s.record_send(CollectiveKind::AllReduce, 100);
         s.record_send(CollectiveKind::AllReduce, 50);
-        s.record_send(CollectiveKind::P2p, 8);
+        s.record_send(CollectiveKind::ReduceScatter, 8);
         assert_eq!(s.bytes(CollectiveKind::AllReduce), 150);
         assert_eq!(s.messages(CollectiveKind::AllReduce), 2);
         assert_eq!(s.total_bytes(), 158);
@@ -265,12 +265,12 @@ mod tests {
     #[test]
     fn reset_zeroes_everything() {
         let s = TrafficStats::new();
-        s.record_send(CollectiveKind::P2p, 77);
-        s.record_wait(CollectiveKind::P2p, Duration::from_nanos(5));
-        s.record_exec(CollectiveKind::P2p, Duration::from_nanos(9));
+        s.record_send(CollectiveKind::AllGather, 77);
+        s.record_wait(CollectiveKind::AllGather, Duration::from_nanos(5));
+        s.record_exec(CollectiveKind::AllGather, Duration::from_nanos(9));
         s.reset();
         assert_eq!(s.total_bytes(), 0);
-        assert_eq!(s.messages(CollectiveKind::P2p), 0);
+        assert_eq!(s.messages(CollectiveKind::AllGather), 0);
         assert_eq!(s.timing().total_wait_nanos(), 0);
         assert_eq!(s.timing().total_exec_nanos(), 0);
     }

@@ -682,6 +682,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Precision;
+
+    /// A world all-gather between two ranks, each contributing `mine`.
+    fn gather_pair(c: &mut Communicator, mine: &[f32]) -> Result<Vec<f32>, CommError> {
+        let mut out = vec![0.0; 2 * mine.len()];
+        c.all_gather(mine, &mut out, Precision::Fp32).map(|()| out)
+    }
 
     #[test]
     fn p2p_ring_pass() {
@@ -751,8 +758,7 @@ mod tests {
                 // Exit immediately, dropping all endpoints.
                 Ok(())
             } else {
-                let mut buf = [0.0; 4];
-                c.recv(0, &mut buf)
+                gather_pair(&mut c, &[0.0; 4]).map(drop)
             }
         });
         assert_eq!(out[0], Ok(Ok(())));
@@ -773,8 +779,7 @@ mod tests {
                 std::thread::sleep(timeout * 3);
                 Ok(())
             } else {
-                let mut buf = [0.0; 4];
-                c.recv(0, &mut buf)
+                gather_pair(&mut c, &[0.0; 4]).map(drop)
             }
         });
         assert_eq!(
@@ -786,15 +791,9 @@ mod tests {
     #[test]
     fn corrupted_payload_surfaces_as_corrupt() {
         let config = WorldConfig::with_faults(FaultPlan::seeded(3).with_corruption(0, 0));
-        let out = try_launch_with_config(2, config, |mut c| {
-            if c.rank() == 0 {
-                // The sender is oblivious: its send succeeds.
-                c.send(1, &[1.0; 16]).map(|_| Vec::new())
-            } else {
-                let mut buf = vec![0.0; 16];
-                c.recv(0, &mut buf).map(|_| buf)
-            }
-        });
+        // Rank 0's one send is corrupted; its own receive is clean, so the
+        // sender is oblivious and its all-gather succeeds.
+        let out = try_launch_with_config(2, config, |mut c| gather_pair(&mut c, &[1.0; 8]));
         assert!(out[0].as_ref().unwrap().is_ok(), "sender must not notice");
         match out[1].as_ref().unwrap() {
             Err(CommError::Corrupt { rank: 1, peer: 0, .. }) => {}
@@ -809,14 +808,7 @@ mod tests {
             faults: FaultPlan::new().with_crash(0, 0),
             ..WorldConfig::default()
         };
-        let out = try_launch_with_config(2, config, |mut c| {
-            if c.rank() == 0 {
-                c.send(1, &[1.0; 4])
-            } else {
-                let mut buf = [0.0; 4];
-                c.recv(0, &mut buf)
-            }
-        });
+        let out = try_launch_with_config(2, config, |mut c| gather_pair(&mut c, &[1.0; 4]).map(drop));
         assert_eq!(
             out[0].as_ref().unwrap(),
             &Err(CommError::InjectedCrash { rank: 0, op: 0 })
@@ -863,15 +855,9 @@ mod tests {
             FaultPlan::new().with_delay(0, 0, Duration::from_millis(20)),
         );
         let out = launch_with_config(2, config, |mut c| {
-            if c.rank() == 0 {
-                c.send(1, &[7.0; 2]).unwrap();
-                0.0
-            } else {
-                let mut buf = [0.0; 2];
-                c.recv(0, &mut buf).unwrap();
-                buf[0]
-            }
+            let mine = [c.rank() as f32 + 7.0; 2];
+            gather_pair(&mut c, &mine).unwrap()
         });
-        assert_eq!(out[1], 7.0);
+        assert_eq!(out, vec![vec![7.0, 7.0, 8.0, 8.0]; 2]);
     }
 }

@@ -32,10 +32,9 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// A schedule touching every collective in every wire format plus
-/// point-to-point; returns everything rank-visible so
-/// backends can be compared. The qgZ reduce-scatter groups the world into
-/// nodes of two, so `n` must be even.
+/// A schedule touching every collective in every wire format; returns
+/// everything rank-visible so backends can be compared. The qgZ
+/// reduce-scatter groups the world into nodes of two, so `n` must be even.
 fn schedule(comm: &mut Communicator) -> Result<Vec<f32>, CommError> {
     let rank = comm.rank();
     let n = comm.world_size();
@@ -63,13 +62,6 @@ fn schedule(comm: &mut Communicator) -> Result<Vec<f32>, CommError> {
     let qgz = WireFmt::QgzInt8 { node_size: 2, block: 4 };
     let (op, prec) = (ReduceOp::Sum, Precision::Fp16);
     out.extend(comm.start_reduce_scatter(&g, &gathered, op, &counts, prec, qgz).wait()?);
-
-    // Point-to-point ring: everyone sends to the next rank, receives from
-    // the previous one.
-    comm.send((rank + 1) % n, &[rank as f32; 4])?;
-    let mut from_prev = [0.0f32; 4];
-    comm.recv((rank + n - 1) % n, &mut from_prev)?;
-    out.extend_from_slice(&from_prev);
     Ok(out)
 }
 
@@ -183,8 +175,8 @@ fn severed_peer_fails_collectives_fast_not_at_recv_timeout() {
     quitter.join().expect("peer thread");
 
     let start = Instant::now();
-    let mut buf = [0.0f32; 2];
-    let err = comm.recv(1, &mut buf).expect_err("peer is gone");
+    let mut buf = [0.0f32; 4];
+    let err = comm.all_gather(&[0.0; 2], &mut buf, Precision::Fp32).expect_err("peer is gone");
     let elapsed = start.elapsed();
 
     // Liveness detection, not the 60 s receive deadline, must be what
