@@ -32,7 +32,7 @@ printf '%s\n' 'fn a() {' '}' '#[cfg(test)]' 'mod tests {' '    fn t() {' '    }'
     > "$scratch/counted.rs"
 [ "$(awk "$count_non_test" "$scratch/counted.rs")" -eq 6 ] \
     || { echo "line counter self-test failed: code after a test module must be counted in full"; exit 1; }
-line_ceiling=12460
+line_ceiling=12399
 lines=0
 split=""
 for crate in comm core serve bench; do
@@ -201,9 +201,9 @@ echo "==> bench_step --smoke (the case table end to end, offload losses bitwise,
 cargo run -q --release -p zero-bench --bin bench_step -- --smoke
 
 echo "==> bench_step --check-against (loose time, exact bits)"
-# Replays the smoke-restricted cases at the committed link latency and
-# step count: traffic and tier byte counts must equal the committed rows,
-# seconds per step must stay under 2x theirs.
+# Replays the smoke-restricted cases over the committed links at the
+# committed step count: traffic and tier byte counts must equal the
+# committed rows, seconds per step must stay under 2x theirs.
 cargo run -q --release -p zero-bench --bin bench_step -- --smoke \
     --check-against results/BENCH_step.json
 

@@ -5,8 +5,8 @@
 //! lever on) pairs that [`pair`] turns into a speedup:
 //!
 //! * `overlap` — each ZeRO stage × DP degree, synchronous vs overlapped,
-//!   over a fabric with a modeled per-hop link latency. The sleep sits on
-//!   each rank's progress thread, so asynchronous collectives can hide it
+//!   over `FLAT_LINK` (`zero_bench`'s `train.comm` link), slept on each
+//!   sender's progress thread, so asynchronous collectives can hide it
 //!   (§7): under overlap, wait time collapses while execution time stays.
 //! * `offload` — stage 3 unconstrained vs with optimizer, gradient and
 //!   parameter shards on a modeled host tier (ZeRO-Offload). Offload moves
@@ -23,9 +23,9 @@
 //!   Full runs only.
 //!
 //! `--smoke` runs ZeRO-3 at N = 2 only and leaves the results file alone.
-//! `--check-against <path>` replays at a full run's link latency and step
-//! count and compares each row with its committed counterpart: traffic and
-//! tier byte counts exactly, seconds per step loosely (see the crate docs).
+//! `--check-against <path>` replays at a full run's step count and
+//! compares each row with its committed counterpart: traffic and tier byte
+//! counts exactly, seconds per step loosely (see the crate docs).
 
 use std::time::Duration;
 
@@ -43,8 +43,8 @@ const KEY: &[&str] = &["family", "stage", "nd", "overlap", "offload", "compresse
 const EXACT: &[&str] = &["steps", "rank0_comm_bytes", "tier_fetch_bytes", "tier_spill_bytes"];
 
 /// Overlap is only measurable when per-rank compute is comparable to the
-/// link latency it must hide: a model this size gives each backward block
-/// enough FLOPs to cover an in-flight reduce-scatter at the modeled latency.
+/// link cost it must hide: a model this size gives each backward block
+/// enough FLOPs to cover an in-flight reduce-scatter on the modeled link.
 fn step_setup(stage: ZeroStage, dp: usize, overlap: bool) -> TrainSetup {
     TrainSetup {
         model: ModelConfig { vocab: 64, seq: 32, hidden: 128, layers: 4, heads: 4 },
@@ -65,6 +65,16 @@ fn step_setup(stage: ZeroStage, dp: usize, overlap: bool) -> TrainSetup {
         seed: 1,
     }
 }
+
+/// One rank per node, so every message pays the slow price (the intra
+/// fields are never read): `zero_bench`'s `train.comm` link.
+const FLAT_LINK: TieredLink = TieredLink {
+    node_size: 1,
+    intra_latency: Duration::ZERO,
+    intra_bytes_per_sec: 1e12,
+    inter_latency: Duration::from_micros(150),
+    inter_bytes_per_sec: 4e7,
+};
 
 /// NVLink-ish inside a node, a congested shared link between nodes — slow
 /// enough that stage-3 inter-node volume is a large share of the step, the
@@ -93,11 +103,11 @@ const ZERO_PP: CompressionConfig =
 type Case = (&'static str, TrainSetup, WorldConfig);
 
 /// The table: which lever each family turns, over which configurations.
-fn cases(smoke: bool, latency: Duration) -> Vec<Case> {
+fn cases(smoke: bool) -> Vec<Case> {
     use ZeroStage::{Ddp, One, Three, Two};
     let (stages, dps, wide): (&[ZeroStage], &[usize], usize) =
         if smoke { (&[Three], &[2], 2) } else { (&[Ddp, One, Two, Three], &[2, 4], 4) };
-    let linked = WorldConfig::with_link_latency(latency);
+    let flat = WorldConfig::with_tiered_link(FLAT_LINK);
     let tiered = WorldConfig::with_tiered_link(TIERED_LINK);
     let mut cases = Vec::new();
     // One configuration with the lever off, then on: adjacent, in that order.
@@ -112,11 +122,11 @@ fn cases(smoke: bool, latency: Duration) -> Vec<Case> {
     };
     for &stage in stages {
         for &nd in dps {
-            lever("overlap", &linked, stage, nd, false, |z| z.overlap = true);
+            lever("overlap", &flat, stage, nd, false, |z| z.overlap = true);
         }
     }
     for overlap in [false, true] {
-        lever("offload", &linked, Three, wide, overlap, |z| z.tier = HOST_TIER);
+        lever("offload", &flat, Three, wide, overlap, |z| z.tier = HOST_TIER);
         if !smoke {
             lever("compression", &tiered, Three, 4, overlap, |z| z.compression = ZERO_PP);
         }
@@ -230,10 +240,11 @@ fn pair(base: &Row, other: &Row) -> Pair {
 #[derive(Serialize)]
 struct BenchStep {
     nproc: usize,
-    link_latency_us: u64,
     steps: usize,
     global_batch: usize,
-    /// The two-tier link of the `compression` family, as its `Debug` text.
+    /// The link of the `overlap` and `offload` families, as its `Debug` text.
+    flat_link: String,
+    /// The two-tier link of the `compression` and `recompute` families.
     tiered_link: String,
     rows: Vec<Row>,
     pairs: Vec<Pair>,
@@ -244,12 +255,12 @@ fn main() {
     // A committed file is a full run: `--check-against` replays its
     // conditions even over the `--smoke` cases.
     let full = !harness.smoke || harness.baseline.is_some();
-    let (steps, latency_us) = if full { (10, 800) } else { (2, 50) };
+    let steps = if full { 10 } else { 2 };
     let trials = if harness.smoke { 1 } else { 2 };
 
     let mut rows = Vec::new();
     let mut pairs = Vec::new();
-    let cases = cases(harness.smoke, Duration::from_micros(latency_us));
+    let cases = cases(harness.smoke);
     for lever in cases.chunks(2) {
         let (base, base_losses) = measure(&lever[0], steps, trials);
         let (other, other_losses) = measure(&lever[1], steps, trials);
@@ -269,9 +280,9 @@ fn main() {
     harness.check("rows", committed, KEY, EXACT, Some("secs_per_step"));
     harness.finish(&BenchStep {
         nproc: nproc(),
-        link_latency_us: latency_us,
         steps,
         global_batch: cases[0].1.global_batch,
+        flat_link: format!("{FLAT_LINK:?}"),
         tiered_link: format!("{TIERED_LINK:?}"),
         rows,
         pairs,

@@ -62,7 +62,7 @@ pub enum CommError {
     InjectedCrash {
         /// The crashed rank.
         rank: usize,
-        /// Index of the op (collective or p2p call) at which it died.
+        /// Index of the collective at which it died.
         op: u64,
     },
     /// This rank's fault plan hung it at op `op`; after stalling long

@@ -171,10 +171,22 @@ mod tests {
     use crate::fault::FaultPlan;
     use crate::group::Group;
     use crate::stats::CollectiveKind;
-    use crate::world::{launch, try_launch_with_config, WorldConfig};
+    use crate::world::{launch, try_launch_with_config, TieredLink, WorldConfig};
     use crate::{Precision, ReduceOp, WireFmt};
     use std::time::{Duration, Instant};
     use zero_trace::SpanCategory;
+
+    /// A flat modeled link on which every message costs `latency` alone,
+    /// slept on its sender's progress thread.
+    fn flat_link(latency: Duration) -> WorldConfig {
+        WorldConfig::with_tiered_link(TieredLink {
+            node_size: 1,
+            intra_latency: Duration::ZERO,
+            intra_bytes_per_sec: f64::INFINITY,
+            inter_latency: latency,
+            inter_bytes_per_sec: f64::INFINITY,
+        })
+    }
 
     #[test]
     fn started_op_completes_while_caller_computes() {
@@ -288,7 +300,7 @@ mod tests {
         // leaves no span and no exec or wait time behind.
         let n = 2;
         let lat = Duration::from_millis(200);
-        let config = WorldConfig::with_link_latency(lat);
+        let config = flat_link(lat);
         let out = try_launch_with_config(n, config, move |mut c| {
             let (world, alone) = (Group::world(n), Group::new(vec![c.rank()]));
             let (p, raw) = (Precision::Fp32, WireFmt::Raw);
@@ -339,20 +351,20 @@ mod tests {
     }
 
     #[test]
-    fn link_latency_is_hidden_by_overlap() {
-        // With a modeled per-hop latency, computing while a started op is
-        // in flight must block the caller for (measurably) less time than
-        // the op executes on the progress thread.
+    fn link_cost_is_hidden_by_overlap() {
+        // With a modeled per-message link cost, computing while a started
+        // op is in flight must block the caller for (measurably) less time
+        // than the op executes on the progress thread.
         let n = 2;
         let len = 8;
         let lat = Duration::from_millis(20);
-        let config = WorldConfig::with_link_latency(lat);
+        let config = flat_link(lat);
         let out = try_launch_with_config(n, config, move |mut c| {
             let g = Group::world(n);
             let counts: Vec<usize> = (0..n).map(|i| chunk_range(len, n, i).len()).collect();
             let shard: Vec<f32> = chunk_range(len, n, c.rank()).map(|i| i as f32).collect();
             let pending = c.start_all_gather(&g, &shard, &counts, Precision::Fp32, WireFmt::Raw);
-            // Sleep past the single ring hop: by wait() time the result is in.
+            // Sleep past the single ring send: by wait() time the result is in.
             std::thread::sleep(lat * 3);
             pending.wait().map(|out| {
                 let t = c.stats().timing();
@@ -363,7 +375,7 @@ mod tests {
             let (data, wait_ns, exec_ns) = r.as_ref().unwrap().as_ref().unwrap();
             let want: Vec<f32> = (0..len).map(|i| i as f32).collect();
             assert_eq!(data, &want, "rank {rank}");
-            // The hop latency (≥ 20ms) was paid on the progress thread...
+            // The send's link cost (≥ 20ms) was paid on the progress thread...
             assert!(*exec_ns >= lat.as_nanos() as u64, "rank {rank}: exec {exec_ns}ns");
             // ...while the caller, who slept past it, barely blocked.
             assert!(

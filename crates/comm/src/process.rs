@@ -866,24 +866,6 @@ mod tests {
     }
 
     #[test]
-    fn socket_p2p_round_trip() {
-        let dir = scratch_dir("p2p");
-        let cfg = quick_cfg(&dir, 2);
-        let outs = run_mesh(2, &cfg, |mut comm| {
-            if comm.rank() == 0 {
-                comm.send(1, &[1.5, -2.5]).expect("send");
-                0.0
-            } else {
-                let mut buf = [0.0f32; 2];
-                comm.recv(0, &mut buf).expect("recv");
-                buf[0] + buf[1]
-            }
-        });
-        assert_eq!(outs[1], -1.0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn handshake_times_out_when_peer_never_arrives() {
         let dir = scratch_dir("lonely");
         let mut cfg = quick_cfg(&dir, 2);

@@ -20,8 +20,6 @@ pub enum CollectiveKind {
     ReduceScatter = 1,
     /// Ring all-gather.
     AllGather = 2,
-    /// Point-to-point send/recv.
-    P2p = 3,
 }
 
 impl CollectiveKind {
@@ -32,20 +30,18 @@ impl CollectiveKind {
             CollectiveKind::AllReduce => "all-reduce",
             CollectiveKind::ReduceScatter => "reduce-scatter",
             CollectiveKind::AllGather => "all-gather",
-            CollectiveKind::P2p => "p2p",
         }
     }
 }
 
 /// Number of tracked categories.
-pub const KIND_COUNT: usize = 4;
+pub const KIND_COUNT: usize = 3;
 
 /// All tracked categories, in discriminant order.
 pub const ALL_KINDS: [CollectiveKind; KIND_COUNT] = [
     CollectiveKind::AllReduce,
     CollectiveKind::ReduceScatter,
     CollectiveKind::AllGather,
-    CollectiveKind::P2p,
 ];
 
 /// Thread-safe per-rank traffic counters.

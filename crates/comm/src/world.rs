@@ -49,7 +49,8 @@ use zero_trace::{SpanCategory, TraceRecorder, TRACK_PROGRESS};
 /// [`NodeTopology`](crate::hierarchical::NodeTopology). Costs are charged per message on
 /// the *sender's* progress thread — latency plus logical bytes over
 /// bandwidth — so compressed payloads (fewer logical bytes) genuinely
-/// serialize faster and async ops can hide the cost.
+/// serialize faster and async ops can hide the cost. The fabric's one link
+/// model; a flat network is `node_size: 1` (only `inter_*` is read).
 #[derive(Clone, Copy, Debug)]
 pub struct TieredLink {
     /// Ranks per node (node = contiguous block of global ranks).
@@ -73,12 +74,21 @@ impl TieredLink {
         } else {
             (self.intra_latency, self.intra_bytes_per_sec)
         };
-        lat + Duration::from_secs_f64(logical_bytes as f64 / bw.max(1.0))
+        lat + Duration::from_secs_f64(logical_bytes as f64 / bw)
+    }
+
+    /// Panics, naming the field, on a link that cannot price a message:
+    /// no ranks per node, or a bandwidth that is 0 or NaN (∞ is free).
+    fn check(&self) {
+        assert!(self.node_size >= 1, "TieredLink::node_size must be at least 1");
+        let (intra, inter) = (self.intra_bytes_per_sec, self.inter_bytes_per_sec);
+        assert!(intra > 0.0, "TieredLink::intra_bytes_per_sec must be positive, got {intra}");
+        assert!(inter > 0.0, "TieredLink::inter_bytes_per_sec must be positive, got {inter}");
     }
 }
 
-/// Fabric-wide configuration: receive timeout, fault script, and modeled
-/// link latency.
+/// Fabric-wide configuration: receive timeout, fault script, and the
+/// modeled link.
 #[derive(Clone, Debug)]
 pub struct WorldConfig {
     /// Upper bound on any single blocking receive.
@@ -87,17 +97,9 @@ pub struct WorldConfig {
     pub recv_timeout: Duration,
     /// Deterministic fault script (empty by default).
     pub faults: FaultPlan,
-    /// Modeled per-hop interconnect latency, applied as a sleep before
-    /// every fabric receive. Zero (the default) for tests; benchmarks set
-    /// it so the in-process cluster exhibits the communication cost the
-    /// paper's §7 overlap analysis is about — the sleep occupies the
-    /// progress thread, not the compute thread, so asynchronous ops can
-    /// genuinely hide it.
-    pub link_latency: Duration,
-    /// Modeled two-tier interconnect (intra- vs inter-node latency and
-    /// bandwidth), applied as a per-message sender-side cost in addition
-    /// to `link_latency`. `None` (the default) models no serialization
-    /// cost, preserving existing behavior bit for bit.
+    /// The modeled interconnect, charged per message on the sender's
+    /// progress thread where asynchronous ops can hide it (§7). `None`
+    /// (the default, and every test's) makes messages free.
     pub tiered_link: Option<TieredLink>,
 }
 
@@ -106,7 +108,6 @@ impl Default for WorldConfig {
         WorldConfig {
             recv_timeout: Duration::from_secs(30),
             faults: FaultPlan::new(),
-            link_latency: Duration::ZERO,
             tiered_link: None,
         }
     }
@@ -118,17 +119,8 @@ impl WorldConfig {
         WorldConfig { faults, ..WorldConfig::default() }
     }
 
-    /// Default config with a modeled per-hop link latency.
-    pub fn with_link_latency(link_latency: Duration) -> WorldConfig {
-        WorldConfig { link_latency, ..WorldConfig::default() }
-    }
-
-    /// Default config with a modeled two-tier interconnect.
-    ///
-    /// # Panics
-    /// Panics if `link.node_size == 0`.
+    /// Default config with a modeled interconnect.
     pub fn with_tiered_link(link: TieredLink) -> WorldConfig {
-        assert!(link.node_size > 0, "tiered link node size must be positive");
         WorldConfig { tiered_link: Some(link), ..WorldConfig::default() }
     }
 }
@@ -136,8 +128,6 @@ impl WorldConfig {
 /// Builds the channel fabric and hands out one [`Communicator`] per rank.
 pub struct World {
     comms: Vec<Option<Communicator>>,
-    stats: Vec<Arc<TrafficStats>>,
-    traces: Vec<Arc<TraceRecorder>>,
 }
 
 impl World {
@@ -152,7 +142,7 @@ impl World {
     /// Creates a world of `n` fully connected ranks.
     ///
     /// # Panics
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0` or `config.tiered_link` cannot price a message.
     pub fn with_config(n: usize, config: WorldConfig) -> World {
         assert!(n > 0, "world size must be positive");
         // Grow the endpoint matrix directly in its final per-rank shape:
@@ -171,12 +161,9 @@ impl World {
             inboxes.push(dst_row);
         }
         let latch = ShutdownLatch::new(n);
-        let stats: Vec<Arc<TrafficStats>> = (0..n).map(|_| TrafficStats::new()).collect();
         // One span recorder per rank, all sharing one epoch so per-rank
         // timestamps are comparable in a merged Chrome trace.
         let epoch = Instant::now();
-        let traces: Vec<Arc<TraceRecorder>> =
-            (0..n).map(|_| Arc::new(TraceRecorder::with_epoch(epoch))).collect();
 
         let mut comms = Vec::with_capacity(n);
         for (rank, (tx_row, rx_row)) in outboxes.into_iter().zip(inboxes).enumerate() {
@@ -185,18 +172,13 @@ impl World {
                 rank,
                 n,
                 Box::new(link),
-                stats[rank].clone(),
-                traces[rank].clone(),
+                TrafficStats::new(),
+                Arc::new(TraceRecorder::with_epoch(epoch)),
                 &config,
                 latch.clone(),
             )));
         }
-        World { comms, stats, traces }
-    }
-
-    /// World size.
-    pub fn size(&self) -> usize {
-        self.stats.len()
+        World { comms }
     }
 
     /// Takes rank `r`'s communicator.
@@ -212,16 +194,6 @@ impl World {
     /// Takes rank `r`'s communicator, or `None` if it was already taken.
     pub fn try_take(&mut self, rank: usize) -> Option<Communicator> {
         self.comms[rank].take()
-    }
-
-    /// Traffic counters for rank `r` (usable while ranks run and after).
-    pub fn stats(&self, rank: usize) -> Arc<TrafficStats> {
-        self.stats[rank].clone()
-    }
-
-    /// Span recorder for rank `r` (usable while ranks run and after).
-    pub fn trace(&self, rank: usize) -> Arc<TraceRecorder> {
-        self.traces[rank].clone()
     }
 }
 
@@ -239,7 +211,6 @@ pub(crate) struct Fabric {
     pub(crate) stats: Arc<TrafficStats>,
     pub(crate) trace: Arc<TraceRecorder>,
     recv_timeout: Duration,
-    link_latency: Duration,
     tiered_link: Option<TieredLink>,
     fault: FaultState,
     dead: bool,
@@ -248,7 +219,7 @@ pub(crate) struct Fabric {
 impl Fabric {
     /// Registers the start of one communication op of `kind`, applying any
     /// fault the plan scripts at this point in the schedule. Called once
-    /// per public collective / p2p entry.
+    /// per collective that has peers.
     pub(crate) fn begin_op(&mut self, kind: CollectiveKind) -> Result<(), CommError> {
         if self.dead {
             // An injected fault already killed this rank; every later op
@@ -304,10 +275,9 @@ impl Fabric {
     ) -> Result<(), CommError> {
         debug_assert!(dst < self.world && dst != self.rank, "bad dst {dst}");
         if let Some(link) = self.tiered_link {
-            // Modeled serialization cost of the two-tier interconnect,
-            // paid on the progress thread like `link_latency` so overlap
-            // can hide it. Charged on logical bytes: a compressed payload
-            // really does clear the slow link sooner.
+            // The one modeled link cost, paid on the progress thread so
+            // overlap can hide it. Charged on logical bytes: a compressed
+            // payload really does clear the slow link sooner.
             std::thread::sleep(link.send_cost(self.rank, dst, logical_bytes));
         }
         let seq = self.send_seq[dst];
@@ -326,12 +296,6 @@ impl Fabric {
     /// and payload integrity, bounded by the receive timeout.
     pub(crate) fn recv_raw(&mut self, src: usize) -> Result<Vec<f32>, CommError> {
         debug_assert!(src < self.world && src != self.rank, "bad src {src}");
-        if !self.link_latency.is_zero() {
-            // Modeled per-hop interconnect latency (see `WorldConfig`).
-            // Slept here — on the progress thread — so in-flight async ops
-            // pay it while the compute thread keeps running.
-            std::thread::sleep(self.link_latency);
-        }
         let msg = self.link.recv_msg(src, self.recv_timeout)?;
         let expect = self.recv_seq[src];
         if msg.seq != expect {
@@ -357,8 +321,8 @@ impl Fabric {
 }
 
 /// One rank's handle: submits ops to the rank's progress thread and waits
-/// on their completion channels. Point-to-point primitives live here;
-/// ring collectives are built on top in `collectives.rs`.
+/// on their completion channels. The collectives are its methods in
+/// `collectives.rs`; the tier move is here.
 ///
 /// A `Communicator` is owned by exactly one thread (it is `Send` but not
 /// `Sync`), matching NCCL's one-communicator-per-device rule. Dropping it
@@ -388,10 +352,10 @@ impl Drop for Communicator {
 }
 
 impl Communicator {
-    /// Builds the rank's [`Fabric`] over `link`, starts its progress
-    /// thread, and returns the public handle — the one construction path
-    /// shared by every backend (`World` for threads-over-channels,
-    /// `crate::process` for processes-over-sockets).
+    /// Checks the modeled link, builds the rank's [`Fabric`] over `link`,
+    /// starts its progress thread, and returns the public handle — the one
+    /// construction path shared by every backend (`World` for
+    /// threads-over-channels, `crate::process` for processes-over-sockets).
     pub(crate) fn spawn(
         rank: usize,
         world: usize,
@@ -401,6 +365,9 @@ impl Communicator {
         config: &WorldConfig,
         latch: Arc<ShutdownLatch>,
     ) -> Communicator {
+        if let Some(link) = &config.tiered_link {
+            link.check();
+        }
         let fabric = Fabric {
             rank,
             world,
@@ -410,7 +377,6 @@ impl Communicator {
             stats: stats.clone(),
             trace: trace.clone(),
             recv_timeout: config.recv_timeout,
-            link_latency: config.link_latency,
             tiered_link: config.tiered_link,
             fault: config.faults.for_rank(rank),
             dead: false,
@@ -460,11 +426,6 @@ impl Communicator {
         self.trace.clone()
     }
 
-    /// The configured receive timeout.
-    pub fn recv_timeout(&self) -> Duration {
-        self.recv_timeout
-    }
-
     /// Enqueues `run` on the progress thread, attributing its execution to
     /// `kind`, and returns its completion handle. Never blocks; a dead
     /// progress thread surfaces as [`CommError::ProgressLost`] when the
@@ -503,33 +464,6 @@ impl Communicator {
         let _ = done_tx.send(res);
         let (rank, kind, budget) = (self.rank, None, self.recv_timeout);
         PendingOp { rank, kind, done, budget, stats: self.stats.clone(), trace: self.trace.clone() }
-    }
-
-    /// Point-to-point send of an f32 buffer.
-    pub fn send(&mut self, dst: usize, data: &[f32]) -> Result<(), CommError> {
-        let data = data.to_vec();
-        let pending = self.submit(Some(CollectiveKind::P2p), move |f| {
-            f.begin_op(CollectiveKind::P2p)?;
-            let bytes = 4 * data.len() as u64;
-            f.send_raw(dst, data, CollectiveKind::P2p, bytes)?;
-            Ok(Vec::new())
-        });
-        pending.wait().map(|_| ())
-    }
-
-    /// Point-to-point receive into `buf`.
-    ///
-    /// # Panics
-    /// Panics if the incoming message length differs from `buf.len()`.
-    pub fn recv(&mut self, src: usize, buf: &mut [f32]) -> Result<(), CommError> {
-        let pending = self.submit(Some(CollectiveKind::P2p), move |f| {
-            f.begin_op(CollectiveKind::P2p)?;
-            f.recv_raw(src)
-        });
-        let data = pending.wait()?;
-        assert_eq!(data.len(), buf.len(), "p2p length mismatch");
-        buf.copy_from_slice(&data);
-        Ok(())
     }
 
     /// Starts a modeled host↔device memory-tier transfer of `bytes`
@@ -691,45 +625,55 @@ mod tests {
     }
 
     #[test]
-    fn p2p_ring_pass() {
-        let out = launch(4, |mut c| {
-            let n = c.world_size();
-            let next = (c.rank() + 1) % n;
-            let prev = (c.rank() + n - 1) % n;
-            let payload = vec![c.rank() as f32; 3];
-            if c.rank() % 2 == 0 {
-                c.send(next, &payload).unwrap();
-                let mut buf = vec![0.0; 3];
-                c.recv(prev, &mut buf).unwrap();
-                buf[0]
-            } else {
-                let mut buf = vec![0.0; 3];
-                c.recv(prev, &mut buf).unwrap();
-                c.send(next, &payload).unwrap();
-                buf[0]
-            }
-        });
-        assert_eq!(out, vec![3.0, 0.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn stats_count_p2p_bytes() {
-        let (_, snaps) = launch_with_stats(2, |mut c| {
-            if c.rank() == 0 {
-                c.send(1, &[1.0; 10]).unwrap();
-            } else {
-                let mut buf = [0.0; 10];
-                c.recv(0, &mut buf).unwrap();
-            }
-        });
-        assert_eq!(snaps[0].bytes(CollectiveKind::P2p), 40);
-        assert_eq!(snaps[1].bytes(CollectiveKind::P2p), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "world size must be positive")]
     fn zero_world_rejected() {
         let _ = World::new(0);
+    }
+
+    /// A flat link with one field changed, in a config built from the
+    /// struct literal (not `with_tiered_link`): the check must sit on
+    /// every path to a fabric.
+    fn linked(change: impl FnOnce(&mut TieredLink)) -> WorldConfig {
+        let mut link = TieredLink {
+            node_size: 1,
+            intra_latency: Duration::ZERO,
+            intra_bytes_per_sec: 1e9,
+            inter_latency: Duration::ZERO,
+            inter_bytes_per_sec: 1e9,
+        };
+        change(&mut link);
+        WorldConfig { tiered_link: Some(link), ..WorldConfig::default() }
+    }
+
+    #[test]
+    #[should_panic(expected = "TieredLink::node_size must be at least 1")]
+    fn a_link_with_empty_nodes_is_refused() {
+        World::with_config(2, linked(|l| l.node_size = 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "TieredLink::intra_bytes_per_sec must be positive, got 0")]
+    fn a_link_with_no_intra_bandwidth_is_refused() {
+        World::with_config(2, linked(|l| l.intra_bytes_per_sec = 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "TieredLink::inter_bytes_per_sec must be positive, got NaN")]
+    fn a_link_with_nan_inter_bandwidth_is_refused() {
+        World::with_config(2, linked(|l| l.inter_bytes_per_sec = f64::NAN));
+    }
+
+    #[test]
+    fn an_infinite_bandwidth_link_is_free_per_byte() {
+        let config = linked(|l| {
+            l.intra_bytes_per_sec = f64::INFINITY;
+            l.inter_bytes_per_sec = f64::INFINITY;
+        });
+        let out = launch_with_config(2, config, |mut c| {
+            let mine = [c.rank() as f32];
+            gather_pair(&mut c, &mine).unwrap()
+        });
+        assert_eq!(out, vec![vec![0.0, 1.0]; 2]);
     }
 
     #[test]
@@ -808,7 +752,8 @@ mod tests {
             faults: FaultPlan::new().with_crash(0, 0),
             ..WorldConfig::default()
         };
-        let out = try_launch_with_config(2, config, |mut c| gather_pair(&mut c, &[1.0; 4]).map(drop));
+        let out =
+            try_launch_with_config(2, config, |mut c| gather_pair(&mut c, &[1.0; 4]).map(drop));
         assert_eq!(
             out[0].as_ref().unwrap(),
             &Err(CommError::InjectedCrash { rank: 0, op: 0 })

@@ -4,10 +4,11 @@
 //! it runs on: the same collective schedule must produce bitwise-identical
 //! results *and* meter bitwise-identical traffic on the Unix-socket mesh
 //! and the in-process channel backend. These tests hold the public API
-//! (`connect_process_rank` vs `launch_with_stats`) to that promise, and pin
-//! the robustness behaviors the supervisor depends on: handshakes ride out
-//! slow-starting peers, and a severed peer surfaces as a fast typed error
-//! rather than a full `recv_timeout` stall.
+//! (`connect_process_rank` vs `launch_with_stats`) to that promise over
+//! every collective in every wire format, and pin the robustness behaviors
+//! the supervisor depends on: handshakes ride out slow-starting peers, and
+//! a severed peer fails the next collective with a fast typed error rather
+//! than a full `recv_timeout` stall.
 
 use std::path::PathBuf;
 use std::sync::mpsc;

@@ -232,7 +232,6 @@ impl ResolvedOp {
         match self.kind {
             CollectiveKind::AllReduce => 2 * (n - 1),
             CollectiveKind::ReduceScatter | CollectiveKind::AllGather => n - 1,
-            other => panic!("plan does not model {other:?} ops"),
         }
     }
 
@@ -246,8 +245,8 @@ impl ResolvedOp {
     /// cost exactly what the `zero-comm` compressed collectives meter.
     ///
     /// # Panics
-    /// Panics if `rank` is not a member, or the kind is not one of the
-    /// ring collectives the engine plans (AllReduce/ReduceScatter/AllGather).
+    /// Panics if `rank` is not a member, or an `Int8Block` wire carries
+    /// anything but an all-gather.
     pub fn sent_bytes(&self, rank: usize) -> u64 {
         let n = self.members.len();
         if n == 1 {
@@ -263,7 +262,6 @@ impl ResolvedOp {
                     }
                     CollectiveKind::ReduceScatter => total - self.counts[i],
                     CollectiveKind::AllGather => total - self.counts[(i + 1) % n],
-                    other => panic!("plan does not model {other:?} ops"),
                 };
                 self.prec.bytes() * elems as u64
             }

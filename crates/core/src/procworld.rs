@@ -699,7 +699,7 @@ mod tests {
             restore_spans: 2,
             traffic: vec![
                 ("all-reduce".into(), 123_456, 42),
-                ("p2p".into(), 0, 0),
+                ("all-gather".into(), 0, 0),
             ],
         }
     }

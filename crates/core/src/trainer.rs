@@ -114,8 +114,8 @@ pub fn run_training(setup: &TrainSetup, steps: usize, eval_every: usize) -> Trai
 }
 
 /// Like [`run_training`] but over a fabric built from the given
-/// [`WorldConfig`] — e.g. with a nonzero link latency, which is what
-/// makes computation/communication overlap measurable on one host.
+/// [`WorldConfig`] — e.g. with a modeled link, which is what makes
+/// computation/communication overlap measurable on one host.
 pub fn run_training_world(
     setup: &TrainSetup,
     steps: usize,

@@ -561,7 +561,7 @@ pub fn serve(
     serve_with_config(model, shards, requests, cfg, WorldConfig::default())
 }
 
-/// [`serve`] with an explicit [`WorldConfig`] (timeouts, link latency).
+/// [`serve`] with an explicit [`WorldConfig`] (timeouts, modeled link).
 pub fn serve_with_config(
     model: &ModelConfig,
     shards: &[Vec<f32>],

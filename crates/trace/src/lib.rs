@@ -39,7 +39,7 @@ pub const TRACK_PROGRESS: u32 = 1;
 pub enum SpanCategory {
     /// Model math on the rank thread (embed / block / head passes).
     Compute,
-    /// A collective (or p2p op) executing on the progress thread.
+    /// A collective executing on the progress thread.
     Collective,
     /// The rank thread blocked on an in-flight op's completion.
     Wait,

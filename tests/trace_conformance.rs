@@ -12,7 +12,7 @@
 //! 3. **Overlap is visible** — the trace distinguishes the two schedules
 //!    structurally: an overlap run issues collectives, computes, and only
 //!    then waits them; a synchronous run waits each as it is issued and,
-//!    with a modeled link latency, shows no compute∩collective interval.
+//!    over a modeled link, shows no compute∩collective interval.
 //!
 //! The Chrome export test closes the loop: the emitted JSON re-parses
 //! and carries the schema (`ph`/`ts`/`dur`/`pid`/`cat`) with per-rank
@@ -20,7 +20,7 @@
 
 use std::time::Duration;
 
-use zero::comm::{Grid, WorldConfig};
+use zero::comm::{Grid, TieredLink, WorldConfig};
 use zero::core::{
     run_training, run_training_world, CommPlan, StepShape, TrainReport, TrainSetup, ZeroConfig,
     ZeroStage,
@@ -186,8 +186,9 @@ fn peak_memory_counter_matches_report_under_offload() {
     }
 }
 
-/// A short run over a fabric with real per-hop link latency, so in-flight
-/// collectives occupy measurable wall-clock on the progress thread.
+/// A short run over a flat modeled link that charges every message 200 µs
+/// on its sender's progress thread, so in-flight collectives occupy
+/// measurable wall-clock there.
 fn run_latent(stage: ZeroStage, overlap: bool) -> TrainReport {
     let s = TrainSetup {
         model: model(),
@@ -199,7 +200,14 @@ fn run_latent(stage: ZeroStage, overlap: bool) -> TrainReport {
         global_batch: 2,
         seed: 5,
     };
-    run_training_world(&s, 3, 0, WorldConfig::with_link_latency(Duration::from_micros(200)))
+    let link = TieredLink {
+        node_size: 1,
+        intra_latency: Duration::ZERO,
+        intra_bytes_per_sec: f64::INFINITY,
+        inter_latency: Duration::from_micros(200),
+        inter_bytes_per_sec: f64::INFINITY,
+    };
+    run_training_world(&s, 3, 0, WorldConfig::with_tiered_link(link))
 }
 
 /// Collectives the rank thread left in flight across model compute,
