@@ -58,8 +58,8 @@ pub(crate) struct Job {
     /// (`None` for tier moves, which send no payload).
     pub(crate) kind: Option<CollectiveKind>,
     /// A `Fabric` body from `collectives.rs`/`world.rs` with its inputs
-    /// moved in, yielding the op's result payload (empty for sends and
-    /// tier moves).
+    /// moved in, yielding the op's result payload (empty for tier
+    /// moves).
     pub(crate) run: Box<dyn FnOnce(&mut Fabric) -> OpResult + Send>,
     pub(crate) done: Sender<OpResult>,
 }

@@ -664,19 +664,6 @@ mod tests {
     }
 
     #[test]
-    fn an_infinite_bandwidth_link_is_free_per_byte() {
-        let config = linked(|l| {
-            l.intra_bytes_per_sec = f64::INFINITY;
-            l.inter_bytes_per_sec = f64::INFINITY;
-        });
-        let out = launch_with_config(2, config, |mut c| {
-            let mine = [c.rank() as f32];
-            gather_pair(&mut c, &mine).unwrap()
-        });
-        assert_eq!(out, vec![vec![0.0, 1.0]; 2]);
-    }
-
-    #[test]
     fn take_twice_names_the_rank() {
         let mut world = World::new(2);
         let _c = world.take(1);
