@@ -117,8 +117,10 @@ fn name(zcfg: &ZeroConfig, grid: Grid, local_batch: usize) -> String {
         local_batch,
         if zcfg.fp16 { "fp16" } else { "fp32" },
         u8::from(zcfg.overlap),
-        u8::from(zcfg.checkpoint_activations),
-        u8::from(zcfg.partition_activations),
+        // The checkpoint interval, 0 without checkpointing.
+        if zcfg.checkpoint_activations { zcfg.checkpoint_interval } else { 0 },
+        // P_a: 1, P_a+cpu: 2.
+        u8::from(zcfg.partition_activations) + u8::from(zcfg.offload_checkpoints),
         u8::from(zcfg.clip_grad_norm.is_some()),
         zcfg.node_size.unwrap_or(0),
         zcfg.bucket_elems,
@@ -130,11 +132,12 @@ fn name(zcfg: &ZeroConfig, grid: Grid, local_batch: usize) -> String {
     )
 }
 
-/// The six configurations whose losses `tests/engine_behavior.rs`
+/// The eleven configurations whose losses `tests/engine_behavior.rs`
 /// (`first_losses_are_pinned_bit_for_bit`) pins, with their local batch
 /// (global batch 4 over the DP degree).
 fn loss_pinned_configs() -> Vec<(ZeroConfig, Grid, usize)> {
-    let two = Grid::new(2, 1);
+    let (two, two_by_two) = (Grid::new(2, 1), Grid::new(2, 2));
+    let clipped = |stage| ZeroConfig { stage, initial_loss_scale: 1.0, clip_grad_norm: Some(0.5), ..ZeroConfig::default() };
     let zeropp = CompressionConfig { qwz: true, hpz: true, qgz: true, node_size: 2, block: 64 };
     vec![
         (ZeroConfig { stage: ZeroStage::Two, initial_loss_scale: 1.0, ..ZeroConfig::default() }, two, 2),
@@ -175,7 +178,45 @@ fn loss_pinned_configs() -> Vec<(ZeroConfig, Grid, usize)> {
             Grid::new(4, 1),
             1,
         ),
+        (
+            ZeroConfig {
+                stage: ZeroStage::Three,
+                initial_loss_scale: 1.0,
+                checkpoint_interval: 2,
+                ..ZeroConfig::default()
+            }
+            .overlapped(),
+            two,
+            2,
+        ),
+        (
+            ZeroConfig {
+                stage: ZeroStage::Two,
+                initial_loss_scale: 1.0,
+                partition_activations: true,
+                offload_checkpoints: true,
+                ..ZeroConfig::default()
+            },
+            two_by_two,
+            2,
+        ),
+        (clipped(ZeroStage::Ddp), two_by_two, 2),
+        (clipped(ZeroStage::Two), two_by_two, 2),
+        (ZeroConfig { stage: ZeroStage::Three, initial_loss_scale: 1.0, ..ZeroConfig::default() }.overlapped(), two, 2),
     ]
+}
+
+/// Stage 3 under a budgeted tier with P_a+cpu checkpoints at dp 2: the
+/// model-state and checkpoint tier classes in one stream.
+fn tiered_checkpoint_config() -> (ZeroConfig, Grid, usize) {
+    let zcfg = ZeroConfig {
+        tier: TierConfig::budgeted(1 << 20),
+        checkpoint_activations: true,
+        partition_activations: true,
+        offload_checkpoints: true,
+        ..ZeroConfig::fp32_exact(ZeroStage::Three)
+    };
+    (zcfg, Grid::new(2, 1), 2)
 }
 
 fn table() -> String {
@@ -192,6 +233,7 @@ fn table() -> String {
     }
     configs.extend(offload::sweep_configs().into_iter().map(|(z, g)| (z, g, 2)));
     configs.extend(loss_pinned_configs());
+    configs.push(tiered_checkpoint_config());
 
     let mut lines: BTreeMap<String, String> = BTreeMap::new();
     for (zcfg, grid, local_batch) in configs {
