@@ -132,7 +132,7 @@ impl Default for CompressionConfig {
 /// residency and modeled time change. Requires mp = 1 and a
 /// partitioned-optimizer stage. Under hpZ only a unit's first fetch of the
 /// step climbs from the host: its node-local refetches read the
-/// device-resident secondary copy.
+/// device-resident secondary copy; P_a+cpu checkpoints cross it too.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TierConfig {
     /// Master switch; everything below is inert when false.
@@ -202,7 +202,8 @@ pub struct ZeroConfig {
     /// P_a: partition activation checkpoints across the MP group (§6.1).
     /// Requires `checkpoint_activations`.
     pub partition_activations: bool,
-    /// P_a+cpu: hold the partitioned checkpoints in CPU memory.
+    /// P_a+cpu: hold the partitioned checkpoints in the host tier, a planned
+    /// round trip priced by its link when `tier.enabled`, free otherwise.
     /// Requires `partition_activations`.
     pub offload_checkpoints: bool,
     /// CB: fused-buffer capacity in elements (§6.2). Collectives over the
@@ -291,9 +292,10 @@ impl ZeroConfig {
     /// The one author of lever × stage × grid legality: every rule a
     /// configuration must satisfy to run on `grid`, and — when it does —
     /// which tier classes are in effect (the tier switch gated by the stage
-    /// that owns each class). A ZeRO++ lever or the two-level all-reduce
-    /// on a stage without the collective it acts on is refused, so every
-    /// lever a passing configuration requests is in effect.
+    /// that owns each class; P_a+cpu checkpoints by their own). A ZeRO++
+    /// lever or the two-level all-reduce on a stage without the collective
+    /// it acts on is refused, so every lever a passing configuration
+    /// requests is in effect.
     pub fn check(&self, grid: Grid) -> Result<EffectiveOffload, ConfigError> {
         use ConfigError::{Compression, Offload, Switches};
         self.check_switches()?;
@@ -332,6 +334,7 @@ impl ZeroConfig {
             opt_state: on && stage.partitions_optimizer(),
             grads: on && stage.partitions_grads(),
             params: on && stage.partitions_params(),
+            checkpoints: self.offload_checkpoints,
         })
     }
 

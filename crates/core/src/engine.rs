@@ -18,9 +18,10 @@
 //!   communication schedule of §7.2.2 with its 3Ψ total volume.
 //!
 //! ZeRO-R is layered on top: activation checkpointing with optional
-//! MP-partitioned checkpoints P_a and CPU offload P_a+cpu (§6.1),
-//! constant-size fused buffers CB for every flat-space collective (§6.2),
-//! and a contiguous checkpoint arena MD (§6.3).
+//! MP-partitioned checkpoints P_a and CPU offload P_a+cpu (§6.1, the
+//! slices' planned round trip through the memory tier), constant-size
+//! fused buffers CB for every flat-space collective (§6.2), and a
+//! contiguous checkpoint arena MD (§6.3) that holds every checkpoint.
 //!
 //! The engine owns the arithmetic and the stores; it owns no schedule.
 //! The order of a micro-batch — which unit is fetched, checkpointed,
@@ -47,7 +48,7 @@ use zero_optim::{
 };
 use zero_tensor::f16::f16_round_slice;
 
-use crate::config::OptimizerKind;
+use crate::config::{OptimizerKind, TierConfig};
 
 use crate::arena::{ArenaSlot, ContiguousArena};
 use crate::bucket::GradBucket;
@@ -72,13 +73,6 @@ pub struct StepOutcome {
     pub grad_norm: Option<f64>,
     /// Loss scale in effect during the step (1.0 in fp32 mode).
     pub loss_scale: f32,
-}
-
-/// Storage for one activation checkpoint: the full activation, or under
-/// P_a only this rank's 1/N_m slice of it.
-enum Checkpoint {
-    Own(Vec<f32>),
-    Arena(ArenaSlot),
 }
 
 /// A planned gather or reduce-scatter handed to the progress thread,
@@ -143,7 +137,7 @@ struct Issuer {
     plan: PlanCursor,
     comm: Communicator,
     /// The memory tier: byte meter and modeled host-link clock for every
-    /// spill/fetch the engine issues. `None` when offload is off.
+    /// spill/fetch the engine issues. `None` when nothing crosses it.
     tier: Option<TierStore>,
 }
 
@@ -436,6 +430,9 @@ impl RankEngine {
         let cat = if off.grads { MemCategory::HostGradShard } else { MemCategory::Gradients };
         mem.alloc(cat, grads.bytes());
 
+        // The host link prices tier moves only when the tier is on:
+        // P_a+cpu checkpoints alone cross it for free.
+        let link = if zcfg.tier.enabled { zcfg.tier } else { TierConfig::off() };
         RankEngine {
             bucket: GradBucket::new(),
             inflight_rs: VecDeque::new(),
@@ -443,7 +440,7 @@ impl RankEngine {
             io: Issuer {
                 plan: PlanCursor::default(),
                 comm,
-                tier: off.any().then(|| TierStore::new(zcfg.tier)),
+                tier: off.any().then(|| TierStore::new(link)),
             },
             scaler: zcfg.fp16.then(|| DynamicLossScaler::new(zcfg.initial_loss_scale)),
             arena: None,
@@ -480,8 +477,8 @@ impl RankEngine {
         &self.mem
     }
 
-    /// Byte/op meters for this rank's tier traffic (zero when offload is
-    /// off).
+    /// Byte/op meters for this rank's tier traffic (zero when nothing
+    /// crosses the tier).
     pub fn tier_stats(&self) -> TierStats {
         self.io.tier.as_ref().map(|t| t.stats()).unwrap_or_default()
     }
@@ -651,7 +648,7 @@ impl RankEngine {
         let zcfg = &self.zcfg;
         let layers = self.gpt.config().layers;
         let slots = walk::interval(zcfg).map_or(0, |k| walk::segments(layers, k).count());
-        if slots == 0 || zcfg.offload_checkpoints {
+        if slots == 0 {
             return;
         }
         let slice = if zcfg.partition_activations {
@@ -666,10 +663,10 @@ impl RankEngine {
     }
 
     /// Where a checkpoint slice of `len` elements is priced, and its bytes
-    /// at the activation width: CPU memory under P_a+cpu.
+    /// at the activation width: the host tier under P_a+cpu.
     fn ckpt_cost(&self, len: usize) -> (MemCategory, u64) {
         let bytes = if self.zcfg.fp16 { 2 } else { 4 } * len as u64;
-        let cat = if self.zcfg.offload_checkpoints { MemCategory::CpuOffload } else { MemCategory::Checkpoints };
+        let cat = if self.zcfg.offload_checkpoints { MemCategory::HostCheckpoints } else { MemCategory::Checkpoints };
         (cat, bytes)
     }
 
@@ -1107,7 +1104,8 @@ struct Pass<'a> {
 impl Walker for Pass<'_> {
     type Unit = Vec<f32>;
     type Saved = BlockSaved;
-    type Ckpt = Checkpoint;
+    /// The checkpoint's MD-arena slot, and its P_a+cpu spill in flight.
+    type Ckpt = (ArenaSlot, Option<PendingOp>);
     type Error = CommError;
 
     /// Materializes unit `u`'s parameters as an f32 buffer: read from the
@@ -1180,48 +1178,39 @@ impl Walker for Pass<'_> {
         saved
     }
 
-    /// Checkpoints are held at the activation width (fp16 or fp32): this
-    /// rank's 1/N_m slice under P_a, in CPU memory under P_a+cpu, else in
-    /// the MD arena.
-    fn store_checkpoint(&mut self) -> Checkpoint {
+    /// Checkpoints are held in the MD arena at the activation width (fp16
+    /// or fp32), this rank's 1/N_m slice under P_a. Under P_a+cpu the
+    /// plan's spill takes the slice down to the host tier, in flight until
+    /// the restore.
+    fn store_checkpoint(&mut self) -> Self::Ckpt {
         let e = &mut *self.e;
         let span = e.trace.begin(SpanCategory::Checkpoint, "ckpt-store");
-        let offloaded = e.zcfg.offload_checkpoints;
         let x = &self.x[..];
         let slice = if e.zcfg.partition_activations { &x[zero_comm::chunk_range(x.len(), e.grid.mp_degree(), e.mp_idx)] } else { x };
         let (cat, bytes) = e.ckpt_cost(slice.len());
         e.mem.alloc(cat, bytes);
-        if offloaded {
-            e.mem.record_cpu_transfer(bytes);
-        }
-        let c = match &mut e.arena {
-            Some(arena) if !offloaded => Checkpoint::Arena(arena.store(slice)),
-            _ => Checkpoint::Own(slice.to_vec()),
-        };
+        let slot = e.arena.as_mut().expect("checkpointing sizes the arena").store(slice);
+        let spill = e.io.plan.take_free_tier().map(|t| e.io.tier_move(t));
         e.trace.end(span);
-        c
+        (slot, spill)
     }
 
     /// Re-materializes a checkpointed activation and releases its storage:
     /// P_a all-gathers the slices across the MP group (the extra
-    /// all-gather §8 prices at seq·hidden per block); P_a+cpu additionally
-    /// pays the PCIe round-trip, which we meter.
-    fn restore(&mut self, c: Checkpoint) -> Result<(), CommError> {
+    /// all-gather §8 prices at seq·hidden per block). Under P_a+cpu the
+    /// slice's spill is settled first, and its fetch back seeds the gather.
+    fn restore(&mut self, (slot, spill): Self::Ckpt) -> Result<(), CommError> {
         let e = &mut *self.e;
         let span = e.trace.begin(SpanCategory::Checkpoint, "ckpt-fetch");
-        let slice: Vec<f32> = match c {
-            Checkpoint::Own(v) => v,
-            Checkpoint::Arena(slot) => e.arena.as_ref().expect("arena slot").slot(&slot).to_vec(),
-        };
+        let slice = e.arena.as_ref().expect("arena slot").slot(&slot).to_vec();
         let (cat, bytes) = e.ckpt_cost(slice.len());
-        if e.zcfg.offload_checkpoints {
-            e.mem.record_cpu_transfer(bytes);
-        }
-        let res = if e.zcfg.partition_activations {
-            e.io.start(CollectiveKind::AllGather, &slice).wait()
-        } else {
-            Ok(slice)
-        };
+        let res = spill.map_or(Ok(()), |s| s.wait().map(drop)).and_then(|()| {
+            if e.zcfg.partition_activations {
+                e.io.start(CollectiveKind::AllGather, &slice).wait()
+            } else {
+                Ok(slice)
+            }
+        });
         e.trace.end(span);
         e.mem.free(cat, bytes);
         self.x = res?;

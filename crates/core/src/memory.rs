@@ -29,9 +29,9 @@ pub enum MemCategory {
     Checkpoints = 6,
     /// Temporary fused buffers (§6.2 CB) and per-unit working copies.
     Buffers = 7,
-    /// Bytes resident in CPU memory via P_a+cpu offload — NOT device
-    /// memory; excluded from [`MemoryTracker::device_live`].
-    CpuOffload = 8,
+    /// P_a+cpu: activation checkpoint slices resident in the host tier.
+    /// NOT device memory; excluded from [`MemoryTracker::device_live`].
+    HostCheckpoints = 8,
     /// hpZ secondary parameter partition: the node-local fp16 replica
     /// (≈ 2Ψ/G per rank) that lets backward all-gathers stay intra-node.
     /// Device memory, but NOT a model state in the paper's §3 sense —
@@ -61,7 +61,7 @@ pub const ALL_CATEGORIES: [MemCategory; CATEGORY_COUNT] = [
     MemCategory::Activations,
     MemCategory::Checkpoints,
     MemCategory::Buffers,
-    MemCategory::CpuOffload,
+    MemCategory::HostCheckpoints,
     MemCategory::SecondaryParams,
     MemCategory::HostOptimizerStates,
     MemCategory::HostGradShard,
@@ -70,11 +70,11 @@ pub const ALL_CATEGORIES: [MemCategory; CATEGORY_COUNT] = [
 
 impl MemCategory {
     /// True for categories that occupy device memory (everything except
-    /// the CPU-offload and host-tier residency categories).
+    /// the host-tier residency categories).
     pub fn is_device(self) -> bool {
         !matches!(
             self,
-            MemCategory::CpuOffload
+            MemCategory::HostCheckpoints
                 | MemCategory::HostOptimizerStates
                 | MemCategory::HostGradShard
                 | MemCategory::HostParamShard
@@ -101,7 +101,6 @@ pub struct MemoryTracker {
     peak: [u64; CATEGORY_COUNT],
     peak_device_total: u64,
     peak_model_states: u64,
-    cpu_transfer_bytes: u64,
     device_budget: Option<u64>,
 }
 
@@ -169,17 +168,6 @@ impl MemoryTracker {
         self.live[i] -= bytes;
     }
 
-    /// Records `bytes` moved over the (simulated) PCIe link for P_a+cpu;
-    /// §8 prices this at 2× the P_a all-gather volume.
-    pub fn record_cpu_transfer(&mut self, bytes: u64) {
-        self.cpu_transfer_bytes += bytes;
-    }
-
-    /// Total bytes moved to/from CPU so far.
-    pub fn cpu_transfer_bytes(&self) -> u64 {
-        self.cpu_transfer_bytes
-    }
-
     /// Live bytes in one category.
     pub fn live(&self, cat: MemCategory) -> u64 {
         self.live[cat as usize]
@@ -190,8 +178,8 @@ impl MemoryTracker {
         self.peak[cat as usize]
     }
 
-    /// Live device bytes (everything except CPU offload and the host-tier
-    /// residency categories).
+    /// Live device bytes (everything except the host-tier residency
+    /// categories).
     pub fn device_live(&self) -> u64 {
         ALL_CATEGORIES
             .iter()
@@ -257,11 +245,9 @@ mod tests {
     #[test]
     fn cpu_offload_not_counted_as_device() {
         let mut m = MemoryTracker::new();
-        m.alloc(MemCategory::CpuOffload, 1_000_000);
+        m.alloc(MemCategory::HostCheckpoints, 1_000_000);
         assert_eq!(m.device_live(), 0);
-        assert_eq!(m.live(MemCategory::CpuOffload), 1_000_000);
-        m.record_cpu_transfer(2_000_000);
-        assert_eq!(m.cpu_transfer_bytes(), 2_000_000);
+        assert_eq!(m.live(MemCategory::HostCheckpoints), 1_000_000);
     }
 
     #[test]

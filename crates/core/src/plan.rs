@@ -347,9 +347,9 @@ impl ResolvedOp {
 /// Direction of a planned tier movement (ZeRO-Offload traffic).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TierDir {
-    /// Device → host (gradient shards headed for the host optimizer).
+    /// Device → host (gradient shards, P_a+cpu checkpoint slices).
     Spill,
-    /// Host → device (parameter pieces materialized for compute).
+    /// Host → device (parameter pieces, checkpoint slices).
     Fetch,
 }
 
@@ -366,8 +366,8 @@ pub struct TierOp {
     pub dir: TierDir,
     /// Schedule position, e.g. `"tier-param-fetch"`.
     pub label: &'static str,
-    /// Elements moved by each DP rank (tier traffic is rank-local, so the
-    /// counts are per-rank volumes, not collective group counts).
+    /// Elements moved by each world rank — a DP shard piece or a P_a
+    /// checkpoint slice: per-rank volumes, not collective group counts.
     pub counts: Vec<usize>,
     /// Bytes per element on the tier link.
     pub elem_bytes: u64,
@@ -378,7 +378,7 @@ pub struct TierOp {
     /// Index of the collective this movement rides: a fetch seeds that
     /// all-gather and goes onto the FIFO right before it; a spill carries
     /// that reduce-scatter's result and leaves once it has been waited.
-    /// `None` for a movement tied to no collective, issued at `issue_pos`.
+    /// `None` (stage 1's end-of-step spill, checkpoint spills): issued at `issue_pos`.
     pub rides: Option<usize>,
 }
 
@@ -420,12 +420,12 @@ pub struct CommPlan {
     tier: Vec<TierOp>,
 }
 
-/// Which state classes actually cross the memory tier for a stage — the
-/// tier flag gated by the stage that owns each class (§3's taxonomy:
-/// optimizer states partition at stage ≥ 1, gradients at stage ≥ 2,
-/// parameters at stage 3), as resolved by [`ZeroConfig::check`]. The plan
-/// [`Builder`] turns these into tier ops riding their collectives; the
-/// engine only prices memory residency (host vs device) from them.
+/// Which state classes actually cross the memory tier — each model state by
+/// the tier flag gated by the stage that owns it (§3: optimizer states at
+/// stage ≥ 1, gradients ≥ 2, parameters 3), P_a+cpu checkpoints (§6.1) by
+/// their own switch — as resolved by [`ZeroConfig::check`]. The plan
+/// [`Builder`] turns these into tier ops; the engine only prices memory
+/// residency (host vs device) from them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EffectiveOffload {
     /// Master params + Adam moments live in the host tier; the optimizer
@@ -436,18 +436,21 @@ pub struct EffectiveOffload {
     /// The stage-3 working parameter shard lives in the host tier; every
     /// unit materialization first fetches the local piece up.
     pub params: bool,
+    /// P_a+cpu: checkpoint slices spill when stored, fetch back at restore.
+    pub checkpoints: bool,
 }
 
 impl EffectiveOffload {
     /// True if any state class crosses the tier.
     pub fn any(&self) -> bool {
-        self.opt_state || self.grads || self.params
+        self.opt_state || self.grads || self.params || self.checkpoints
     }
 }
 
 /// Internal builder state shared by the plan constructors.
 struct Builder {
     zcfg: ZeroConfig,
+    grid: Grid,
     /// Flat range of every unit: embed, blocks…, head.
     units: Vec<Range<usize>>,
     ops: Vec<PlanOp>,
@@ -491,6 +494,7 @@ impl Builder {
         let off = zcfg.check(grid).unwrap_or_else(|e| panic!("{e}"));
         Builder {
             zcfg: *zcfg,
+            grid,
             units: layout.units().iter().map(|u| u.range.clone()).collect(),
             ops: Vec::new(),
             part: Partitioner::new(layout.total_params(), grid.dp_degree()),
@@ -718,22 +722,23 @@ impl Builder {
     /// Seals the builder into a plan, checking the walk left nothing
     /// half-scheduled: the prefetch slot was consumed and every overlap
     /// spill was drained.
-    fn finish(self, grid: Grid) -> CommPlan {
+    fn finish(self) -> CommPlan {
         debug_assert!(self.slot.is_none(), "plan builder: a prefetched unit was never consumed");
         debug_assert!(
             self.pending_spills.is_empty(),
             "plan builder: pending tier spills were never drained"
         );
-        CommPlan { grid, ops: self.ops, tier: self.tier }
+        CommPlan { grid: self.grid, ops: self.ops, tier: self.tier }
     }
 }
 
 /// The plan side of the walk: each step records the communication it
-/// implies. Units, activations and checkpoints are nothing here.
+/// implies. Units and activations are nothing here; a checkpoint is the
+/// index of its P_a+cpu spill in the tier stream, if it has one.
 impl Walker for Builder {
     type Unit = ();
     type Saved = ();
-    type Ckpt = ();
+    type Ckpt = Option<usize>;
     type Error = Infallible;
 
     /// Stage-3 materialization of unit `u` at the point the engine
@@ -767,7 +772,13 @@ impl Walker for Builder {
         Ok(())
     }
 
-    fn store_checkpoint(&mut self) {}
+    /// P_a+cpu: each rank's 1/N_m slice spills, riding no collective.
+    fn store_checkpoint(&mut self) -> Option<usize> {
+        let (grid, act_elems) = (self.grid, self.act_elems);
+        let slice = |r| zero_comm::chunk_range(act_elems, grid.mp_degree(), grid.coords(r).1).len();
+        let counts = self.off.checkpoints.then(|| (0..grid.world_size()).map(slice).collect())?;
+        Some(self.tier_op(TierDir::Spill, "tier-ckpt-spill", counts, None))
+    }
 
     /// Two MP hooks per block pass, forward or recompute.
     fn block_fwd(&mut self, _: usize, (): &(), _: bool) -> Result<(), Infallible> {
@@ -776,8 +787,13 @@ impl Walker for Builder {
     }
 
     /// P_a checkpoint re-materialization: all-gather the 1/N_m slices
-    /// across the MP group (§6.1).
-    fn restore(&mut self, (): ()) -> Result<(), Infallible> {
+    /// across the MP group (§6.1), P_a+cpu's spill settled and fetched back.
+    fn restore(&mut self, spill: Option<usize>) -> Result<(), Infallible> {
+        if let Some(spill) = spill.map(|i| &mut self.tier[i]) {
+            spill.demand_pos = self.ops.len();
+            let counts = spill.counts.clone();
+            self.tier_op(TierDir::Fetch, "tier-ckpt-fetch", counts, Some(self.ops.len()));
+        }
         if self.zcfg.partition_activations {
             self.mp_op(CollectiveKind::AllGather, Reduction::Copy, "ckpt-gather");
         }
@@ -832,7 +848,7 @@ impl CommPlan {
         }
         b.grad_reduce();
         b.scalar_all_reduce(PlanScope::World, ReduceOp::Max, "overflow-flag");
-        b.finish(grid)
+        b.finish()
     }
 
     /// The data-dependent suffix of a training step, given the skip
@@ -862,7 +878,7 @@ impl CommPlan {
             }
             b.publish();
         }
-        b.finish(grid)
+        b.finish()
     }
 
     /// One whole training step (prefix + suffix) for a known skip outcome
@@ -886,14 +902,14 @@ impl CommPlan {
     pub fn eval_pass(layout: &Layout, zcfg: &ZeroConfig, grid: Grid, act_elems: usize) -> CommPlan {
         let mut b = Builder { act_elems, ..Builder::new(layout, zcfg, grid) };
         let Ok(()) = walk::micro(&mut b, layout.units().len() - 2, None, false);
-        b.finish(grid)
+        b.finish()
     }
 
     /// The standalone parameter re-publish a snapshot restore performs.
     pub fn publish_refresh(layout: &Layout, zcfg: &ZeroConfig, grid: Grid) -> CommPlan {
         let mut b = Builder::new(layout, zcfg, grid);
         b.publish();
-        b.finish(grid)
+        b.finish()
     }
 
     /// One shard-hosted *serving* step over `n` inference ranks: every
@@ -943,22 +959,18 @@ impl CommPlan {
         &self.tier
     }
 
-    /// Resolves the tier stream for one concrete rank. Tier offload
-    /// requires mp = 1, so the rank indexes the DP partition directly.
+    /// Resolves the tier stream for one concrete rank: tier counts are per
+    /// world rank, so the rank indexes them directly.
     ///
     /// # Panics
-    /// Panics if `rank` is outside the grid, or the plan has tier ops but
-    /// a model-parallel grid.
+    /// Panics if `rank` is outside the grid.
     pub fn resolve_tier_for(&self, rank: usize) -> Vec<ResolvedTierOp> {
         let world = self.grid.world_size();
         assert!(rank < world, "rank {rank} outside grid of {world}");
-        if !self.tier.is_empty() {
-            assert_eq!(self.grid.mp_degree(), 1, "tier plans are mp = 1 only");
-        }
         self.tier
             .iter()
             .map(|t| {
-                assert_eq!(t.counts.len(), world, "tier counts cover every DP rank");
+                assert_eq!(t.counts.len(), world, "tier counts cover every world rank");
                 ResolvedTierOp {
                     dir: t.dir,
                     label: t.label,

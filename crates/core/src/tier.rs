@@ -3,7 +3,8 @@
 //! ZeRO §3 bounds per-device model state at 16Ψ/N, but the follow-on work
 //! (ZeRO-Offload, ZeRO-Infinity) trains past even that bound by spilling
 //! optimizer states, gradients, and stage-3 parameter shards to a slower
-//! host/NVMe tier. [`TierStore`] models that tier for one rank:
+//! host/NVMe tier, as the paper's P_a+cpu (§6.1) does with checkpoint
+//! slices. [`TierStore`] models that tier for one rank:
 //!
 //! - a **paged container**: pages hold real `f32` payloads, each resident
 //!   in exactly one tier at a time; fetching past the device budget evicts
@@ -14,13 +15,13 @@
 //!   [`TierStats`] and priced at `host_lat + bytes / host_bw` of modeled
 //!   time, the quantity `zero-sim`'s cadence model consumes.
 //!
-//! The engine keeps its flat training buffers where they are and uses the
-//! store as the residency ledger and meter for them (the same modeling
-//! precedent as P_a+cpu checkpoint offload): host residency is priced
-//! under the `MemCategory::Host*` categories, and every planned tier
-//! crossing is metered here, checked against the `CommPlan` tier stream,
-//! and slept on the communicator's progress thread so the modeled latency
-//! genuinely overlaps (or fails to overlap) with compute.
+//! The engine keeps its flat training buffers and its MD checkpoint arena
+//! where they are and uses the store as the residency ledger and meter for
+//! them: host residency is priced under the `MemCategory::Host*`
+//! categories, one per tier class, and every planned tier crossing is
+//! metered here, checked against the `CommPlan` tier stream, and slept on
+//! the communicator's progress thread so the modeled latency genuinely
+//! overlaps (or fails to overlap) with compute.
 
 use crate::config::TierConfig;
 use std::time::Duration;

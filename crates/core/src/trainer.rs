@@ -53,9 +53,8 @@ pub struct RankReport {
     pub live_by_category: [u64; CATEGORY_COUNT],
     /// Peak bytes per category over the run (discriminant order).
     pub peak_by_category: [u64; CATEGORY_COUNT],
-    /// Bytes moved over the simulated PCIe link (P_a+cpu).
-    pub cpu_transfer_bytes: u64,
-    /// Memory-tier fetch/spill meters (zero when offload is off).
+    /// Memory-tier fetch/spill meters: model-state offload and P_a+cpu
+    /// checkpoints (zero when neither crosses the tier).
     pub tier: crate::tier::TierStats,
     /// Modeled wall time of all tier transfers on the configured link.
     pub tier_time: std::time::Duration,
@@ -205,7 +204,6 @@ fn run_training_inner(
             peak_model_state_bytes: mem.peak_model_states(),
             live_by_category: live,
             peak_by_category: peak,
-            cpu_transfer_bytes: mem.cpu_transfer_bytes(),
             tier: engine.tier_stats(),
             tier_time: engine.tier_time(),
             traffic: engine.traffic(),

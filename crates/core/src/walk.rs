@@ -271,13 +271,16 @@ mod tests {
         use crate::{RankEngine, ZeroStage};
 
         // The pre-allocated MD buffer is one slot per segment, every slot
-        // filled: not one per block with the tail never touched.
-        for layers in 1..=4 {
+        // filled: not one per block with the tail never touched. P_a+cpu
+        // checkpoints live there too, on their way to and from the host.
+        for (layers, pa_cpu) in (1..=4).flat_map(|l| [(l, false), (l, true)]) {
             for k in 1..=layers {
                 let cfg = ModelConfig { vocab: 32, seq: 8, hidden: 16, layers, heads: 2 };
                 let zcfg = ZeroConfig {
                     stage: ZeroStage::Two,
                     checkpoint_interval: k,
+                    partition_activations: pa_cpu,
+                    offload_checkpoints: pa_cpu,
                     ..ZeroConfig::default()
                 };
                 let params = init_full_params(&cfg, 4);
@@ -288,8 +291,10 @@ mod tests {
                 assert!(engine.train_step(&ids, &targets, 2).loss.is_finite());
                 let arena = engine.arena().expect("checkpointing allocates the arena");
                 let slot = 2 * cfg.seq * cfg.hidden;
-                assert_eq!(arena.capacity(), slot * segments(layers, k).count(), "{layers}/{k}");
-                assert_eq!(arena.high_water(), arena.capacity(), "{layers}/{k}");
+                let what = format!("{layers}/{k} P_a+cpu {pa_cpu}");
+                assert_eq!(arena.capacity(), slot * segments(layers, k).count(), "{what}");
+                assert_eq!(arena.high_water(), arena.capacity(), "{what}");
+                assert_eq!(engine.tier_stats().spill_ops > 0, pa_cpu, "{what}");
             }
         }
     }

@@ -31,7 +31,8 @@
 //!    pairs each movement byte-exactly with its anchor collective,
 //!    telescopes spill/publish volumes against the partition, and shows
 //!    offloaded plans keep a collective stream bitwise identical to the
-//!    tier-off baseline.
+//!    tier-off baseline; its checkpoint clause pairs every P_a+cpu
+//!    checkpoint spill with the fetch that seeds its gather.
 //!
 //! The runtime side of the same guarantee lives in [`tracecheck`] and the
 //! trace-conformance tests (`tests/trace_conformance.rs`): a recorded

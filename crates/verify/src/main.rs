@@ -261,8 +261,14 @@ fn run_offload() -> bool {
         Ok(r) => {
             println!(
                 "offload:    OK — {} configurations proven ({} tier ops checked, \
-                 {} paired with their anchor collective, {} prefetch windows open)",
-                r.configs, r.tier_ops_checked, r.paired_ops, r.windows_proven
+                 {} paired with their anchor collective, {} prefetch windows open); \
+                 {} P_a+cpu configurations ({} checkpoint round trips paired)",
+                r.configs,
+                r.tier_ops_checked,
+                r.paired_ops,
+                r.windows_proven,
+                r.checkpoint_configs,
+                r.checkpoint_pairs
             );
             true
         }

@@ -2,8 +2,9 @@
 //!
 //! Sweeps stages 1–3 × N ∈ {2,4,8} × sync/overlap × fp16/fp32, plus
 //! stages 2–3 × N ∈ {4,8} × sync/overlap with every ZeRO++ lever the stage
-//! owns on at G = 2 (stage 2: qgZ; stage 3: qwZ+hpZ+qgZ), and proves four things about the tier-movement stream of every
-//! offloaded plan, all from plan arithmetic — zero training steps executed:
+//! owns on at G = 2 (stage 2: qgZ; stage 3: qwZ+hpZ+qgZ), and proves four
+//! things about the tier-movement stream of every offloaded plan, all from
+//! plan arithmetic — zero training steps executed:
 //!
 //! * **Prefetch windows.** Every tier op is issued no later than it is
 //!   demanded (`issue_pos ≤ demand_pos`). Synchronous plans have zero
@@ -22,7 +23,7 @@
 //!   anchors are proven of that link: a fetch rides the all-gather at its
 //!   anchor, a spill rides an earlier reduce-scatter with byte-identical
 //!   counts (the one right before its anchor when synchronous), and only
-//!   stage 1's end-of-step spill rides nothing.
+//!   stage 1's end-of-step spill and checkpoint spills ride nothing.
 //! * **Telescoping volumes.** Per rank and step, gradient-spill bytes
 //!   total exactly `micro_batches · shard` elements for stages 2–3 (the
 //!   buckets tile Ψ each micro-batch) and one `shard` for stage 1 on
@@ -33,6 +34,16 @@
 //!   bitwise identical to the tier-off baseline (offload adds a tier
 //!   stream, it never perturbs a collective — which is why losses are
 //!   bitwise identical), and a tier-off plan carries no tier ops.
+//!
+//! A checkpoint clause sweeps P_a+cpu (§6.1) over DDP and stages 1–3 ×
+//! mp ∈ {1,2} × sync/overlap, plus stage 3 with the model-state tier on
+//! at mp = 1 ([`checkpoint_configs`]), and proves that every checkpoint
+//! spill rides nothing and pairs with exactly one later fetch of equal
+//! bytes, blocked on where that fetch goes; that the fetch rides a
+//! `ckpt-gather` whose own piece is those bytes; that checkpoint bytes
+//! telescope per rank and step to micro-batches × segments × slice ×
+//! width, recomputed from the layer count and interval; and that the
+//! collective stream is bitwise the one without `offload_checkpoints`.
 //!
 //! Rank-symmetry ([`schedule`](crate::schedule)) is re-proven on every
 //! offloaded configuration.
@@ -57,6 +68,10 @@ pub struct OffloadReport {
     pub paired_ops: usize,
     /// Real prefetch windows (`demand_pos > issue_pos`) proven open.
     pub windows_proven: usize,
+    /// P_a+cpu configurations proven by the checkpoint clause.
+    pub checkpoint_configs: usize,
+    /// Checkpoint spill/fetch round trips paired byte-exactly.
+    pub checkpoint_pairs: usize,
 }
 
 fn test_model() -> ModelConfig {
@@ -119,6 +134,12 @@ fn check_anchors(
             ));
         }
         last_issue = t.issue_pos;
+        // A checkpoint spill is blocked on at its restore, not where it
+        // is issued: `check_checkpoint_pairs` places that demand.
+        if t.label == "tier-ckpt-spill" {
+            report.tier_ops_checked += 1;
+            continue;
+        }
         if !overlap && t.demand_pos != t.issue_pos {
             return Err(format!(
                 "{what} rank {rank}: synchronous plan opened a prefetch window on \
@@ -132,7 +153,7 @@ fn check_anchors(
         // Anchor pairing: each movement sits against the collective that
         // consumes (fetch) or produced (sync spill) its bytes.
         match t.label {
-            "tier-param-fetch" | "tier-publish-fetch" => {
+            "tier-param-fetch" | "tier-publish-fetch" | "tier-ckpt-fetch" => {
                 let op = ops.get(t.issue_pos).ok_or_else(|| {
                     format!(
                         "{what} rank {rank}: tier op {i} '{}' anchors past the end of \
@@ -140,14 +161,15 @@ fn check_anchors(
                         t.label
                     )
                 })?;
-                if op.kind != zero_comm::CollectiveKind::AllGather {
+                let gather = op.kind == zero_comm::CollectiveKind::AllGather;
+                if !gather || (t.label == "tier-ckpt-fetch") != (op.label == "ckpt-gather") {
                     return Err(format!(
-                        "{what} rank {rank}: tier fetch {i} anchors at '{}' ({:?}), \
-                         not an all-gather",
-                        op.label, op.kind
+                        "{what} rank {rank}: tier fetch {i} '{}' anchors at '{}' ({:?}), \
+                         not the all-gather it seeds",
+                        t.label, op.label, op.kind
                     ));
                 }
-                let want = op.prec.bytes() * op.counts[rank] as u64;
+                let want = op.prec.bytes() * op.own_piece(rank).len() as u64;
                 if t.bytes != want {
                     return Err(format!(
                         "{what} rank {rank}: tier fetch {i} moves {} bytes but its \
@@ -188,7 +210,7 @@ fn check_rides(plan: &CommPlan, zcfg: &ZeroConfig, what: &str) -> Result<(), Str
     use zero_comm::CollectiveKind::{AllGather, ReduceScatter};
     for (i, t) in plan.tier_ops().iter().enumerate() {
         let Some(r) = t.rides else {
-            if t.dir == TierDir::Spill && !zcfg.stage.partitions_grads() {
+            if t.label == "tier-ckpt-spill" || (t.dir == TierDir::Spill && !zcfg.stage.partitions_grads()) {
                 continue;
             }
             return Err(format!("{what}: tier op {i} '{}' rides no collective", t.label));
@@ -202,7 +224,10 @@ fn check_rides(plan: &CommPlan, zcfg: &ZeroConfig, what: &str) -> Result<(), Str
             TierDir::Spill if zcfg.overlap => op.kind == ReduceScatter && r < t.issue_pos,
             TierDir::Spill => op.kind == ReduceScatter && r + 1 == t.issue_pos,
         };
-        if !anchored || op.counts != zero_core::CountSpec::Explicit(t.counts.clone()) {
+        // A checkpoint fetch's counts are per world rank, its MP gather's
+        // per member: `check_anchors` pairs them rank by rank.
+        let paired = t.label == "tier-ckpt-fetch" || op.counts == zero_core::CountSpec::Explicit(t.counts.clone());
+        if !anchored || !paired {
             return Err(format!(
                 "{what}: tier op {i} '{}' (issued at {}) rides op {r} '{}', which is not \
                  the collective it seeds or drains",
@@ -333,6 +358,117 @@ fn check_offload_config(
     Ok(())
 }
 
+/// Pairs one rank's checkpoint round trips in restore (last-in,
+/// first-out) order: each `tier-ckpt-spill` with exactly one later
+/// `tier-ckpt-fetch` of equal bytes, and blocked on where that fetch
+/// goes. Returns the pairs and the bytes spilled.
+fn check_checkpoint_pairs(tier: &[ResolvedTierOp], rank: usize, what: &str) -> Result<(usize, u64), String> {
+    let (mut stored, mut pairs, mut bytes) = (Vec::new(), 0, 0);
+    for t in tier {
+        match t.label {
+            "tier-ckpt-spill" => stored.push(t),
+            "tier-ckpt-fetch" => {
+                let spill = stored.pop().ok_or_else(|| {
+                    format!("{what} rank {rank}: checkpoint fetch at {} has no spill to pair with", t.issue_pos)
+                })?;
+                if spill.bytes != t.bytes || spill.demand_pos != t.issue_pos {
+                    return Err(format!(
+                        "{what} rank {rank}: checkpoint spill at {} ({} bytes, blocked on at {}) does \
+                         not pair with the fetch at {} ({} bytes)",
+                        spill.issue_pos, spill.bytes, spill.demand_pos, t.issue_pos, t.bytes
+                    ));
+                }
+                (pairs, bytes) = (pairs + 1, bytes + t.bytes);
+            }
+            _ => {}
+        }
+    }
+    match stored.first() {
+        Some(spill) => Err(format!(
+            "{what} rank {rank}: {} checkpoint spill(s) never fetched back, the first at {}",
+            stored.len(),
+            spill.issue_pos
+        )),
+        None => Ok((pairs, bytes)),
+    }
+}
+
+/// The checkpoint clause for one P_a+cpu configuration.
+fn check_checkpoint_config(zcfg: &ZeroConfig, grid: Grid, report: &mut OffloadReport) -> Result<(), String> {
+    let m = test_model();
+    let layout = Layout::build_mp(&m, grid.mp_degree());
+    let what = format!(
+        "P_a+cpu {} dp={} mp={} overlap={} tier={}",
+        zcfg.stage.name(),
+        grid.dp_degree(),
+        grid.mp_degree(),
+        zcfg.overlap,
+        zcfg.tier.enabled
+    );
+    // One checkpoint per segment of `checkpoint_interval` blocks.
+    let segments = m.layers.div_ceil(zcfg.checkpoint_interval) as u64;
+    let width: u64 = if zcfg.fp16 { 2 } else { 4 };
+    for skipped in [false, true] {
+        let sh = shape(skipped);
+        let plan = CommPlan::train_step(&layout, zcfg, grid, &sh);
+        check_symmetry(&plan, &what)?;
+        check_rides(&plan, zcfg, &what)?;
+        if let Some(t) = plan.tier_ops().iter().find(|t| t.label == "tier-ckpt-spill" && t.rides.is_some()) {
+            return Err(format!("{what}: the checkpoint spill at {} rides a collective", t.issue_pos));
+        }
+        let on_device = CommPlan::train_step(&layout, &ZeroConfig { offload_checkpoints: false, ..*zcfg }, grid, &sh);
+        if plan.ops() != on_device.ops() {
+            return Err(format!(
+                "{what} skipped={skipped}: the collective stream differs from the one without \
+                 offload_checkpoints"
+            ));
+        }
+        if on_device.tier_ops().iter().any(|t| t.label.starts_with("tier-ckpt")) {
+            return Err(format!("{what} skipped={skipped}: on-device checkpoints cross the tier"));
+        }
+        for rank in 0..grid.world_size() {
+            let tier = plan.resolve_tier_for(rank);
+            check_anchors(&tier, &plan.resolve_for(rank), rank, zcfg.overlap, &what, report)?;
+            let (pairs, bytes) = check_checkpoint_pairs(&tier, rank, &what)?;
+            let slice = zero_comm::chunk_range(sh.act_elems, grid.mp_degree(), grid.coords(rank).1).len() as u64;
+            let want = sh.micro_batches as u64 * segments * slice * width;
+            if bytes != want {
+                return Err(format!(
+                    "{what} skipped={skipped} rank {rank}: checkpoint bytes {bytes} != telescoped \
+                     {want} ({segments} segments of a {slice}-element slice)"
+                ));
+            }
+            report.checkpoint_pairs += pairs;
+        }
+    }
+    report.checkpoint_configs += 1;
+    Ok(())
+}
+
+/// The P_a+cpu configurations the checkpoint clause sweeps: DDP and
+/// stages 1–3 × mp ∈ {1,2} × sync/overlap at dp 2 and interval 1, plus
+/// stage 3 overlapped at interval 2 with the model-state tier on at
+/// mp = 1 — 17 in all.
+pub fn checkpoint_configs() -> Vec<(ZeroConfig, Grid)> {
+    let pa_cpu = |stage, overlap, tier| ZeroConfig {
+        checkpoint_activations: true,
+        partition_activations: true,
+        offload_checkpoints: true,
+        ..cfg(stage, overlap, true, tier)
+    };
+    let mut out = Vec::new();
+    for stage in [ZeroStage::Ddp, ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
+        for mp in [1, 2] {
+            for overlap in [false, true] {
+                out.push((pa_cpu(stage, overlap, TierConfig::off()), Grid::new(2, mp)));
+            }
+        }
+    }
+    let tiered = pa_cpu(ZeroStage::Three, true, TierConfig::budgeted(1 << 30));
+    out.push((ZeroConfig { checkpoint_interval: 2, ..tiered }, Grid::new(2, 1)));
+    out
+}
+
 /// The swept configurations: stages 1–3 × N ∈ {2,4,8} × sync/overlap ×
 /// fp16/fp32, then stages 2–3 × N ∈ {4,8} × sync/overlap with every lever
 /// the stage owns at G = 2 (qgZ; plus qwZ and hpZ at stage 3) — 44 in all.
@@ -362,11 +498,15 @@ pub fn sweep_configs() -> Vec<(ZeroConfig, Grid)> {
 }
 
 /// Runs the full offload sweep (the 44 [`sweep_configs`], each at
-/// skipped ∈ {false,true}).
+/// skipped ∈ {false,true}), then the checkpoint clause over the 17
+/// [`checkpoint_configs`].
 pub fn check_offload() -> Result<OffloadReport, String> {
     let mut report = OffloadReport::default();
     for (zcfg, grid) in sweep_configs() {
         check_offload_config(&zcfg, grid, &mut report)?;
+    }
+    for (zcfg, grid) in checkpoint_configs() {
+        check_checkpoint_config(&zcfg, grid, &mut report)?;
     }
     if report.windows_proven == 0 {
         return Err("offload sweep proved no open prefetch window anywhere — \
@@ -386,6 +526,7 @@ mod tests {
         // 3 stages × 3 worlds × sync/overlap × fp16/fp32, plus the 8
         // ZeRO++ configurations.
         assert_eq!(r.configs, 44, "sweep covered {} configs", r.configs);
+        assert_eq!(r.checkpoint_configs, 17, "checkpoint clause covered {}", r.checkpoint_configs);
         assert!(r.tier_ops_checked > 100, "checked {} tier ops", r.tier_ops_checked);
         assert!(r.paired_ops > 50, "paired {} tier ops", r.paired_ops);
         assert!(r.windows_proven > 0, "no prefetch window proven open");
@@ -419,6 +560,37 @@ mod tests {
         let err = check_anchors(&[t], &[], 0, true, "tamper", &mut report)
             .expect_err("inverted window must be rejected");
         assert!(err.contains("demanded"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn tampered_checkpoint_round_trips_are_rejected() {
+        let (zcfg, grid) = checkpoint_configs()[6]; // stage 1, mp 2, sync
+        assert_eq!((grid.mp_degree(), zcfg.overlap), (2, false));
+        let layout = Layout::build_mp(&test_model(), 2);
+        let plan = CommPlan::train_step(&layout, &zcfg, grid, &shape(false));
+        let tier = plan.resolve_tier_for(3);
+        let (pairs, bytes) = check_checkpoint_pairs(&tier, 3, "healthy").expect("a healthy plan pairs");
+        assert_eq!((pairs, bytes), (4, 4 * 2 * 128), "2 micro-batches x 2 segments of a 128-element fp16 slice");
+        let fetch = tier.iter().position(|t| t.label == "tier-ckpt-fetch").expect("a checkpoint fetch");
+        let tamper = |f: &dyn Fn(&mut Vec<ResolvedTierOp>)| {
+            let mut t = tier.clone();
+            f(&mut t);
+            check_checkpoint_pairs(&t, 3, "tamper").expect_err("a tampered round trip must be rejected")
+        };
+        assert!(tamper(&|t| t[fetch].bytes -= 2).contains("does not pair"));
+        assert!(tamper(&|t| t[fetch].issue_pos += 1).contains("does not pair"));
+        assert!(tamper(&|t| { t.remove(fetch); }).contains("does not pair"));
+        let last = tier.iter().rposition(|t| t.label == "tier-ckpt-fetch").expect("a checkpoint fetch");
+        assert!(tamper(&|t| { t.remove(last); }).contains("never fetched back"));
+        // A fetch seeding a gather other than the checkpoint's.
+        let mut report = OffloadReport::default();
+        let mut moved = tier.clone();
+        moved[fetch].issue_pos = 0;
+        moved[fetch].demand_pos = 0;
+        let ops = plan.resolve_for(3);
+        let err = check_anchors(&moved[fetch..=fetch], &ops, 3, false, "tamper", &mut report)
+            .expect_err("a checkpoint fetch must seed its ckpt-gather");
+        assert!(err.contains("not the all-gather it seeds"), "{err}");
     }
 
     #[test]

@@ -15,8 +15,8 @@ use zero_trace::{SpanCategory, StepTimeline};
 
 /// The schedule-position labels the engine stamps on tier movements —
 /// the closed name set [`SpanCategory::Tier`] spans may carry.
-pub const TIER_LABELS: [&str; 3] =
-    ["tier-param-fetch", "tier-publish-fetch", "tier-grad-spill"];
+pub const TIER_LABELS: [&str; 5] =
+    ["tier-param-fetch", "tier-publish-fetch", "tier-grad-spill", "tier-ckpt-spill", "tier-ckpt-fetch"];
 
 /// Expected per-kind collective span counts and byte volumes for one rank,
 /// accumulated over the plans a run executed.

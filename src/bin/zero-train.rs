@@ -52,8 +52,11 @@ fn main() {
              --overlap      non-blocking collectives: overlap backward\n\
                             with reduce-scatter, prefetch stage-3 params\n\
              --no-checkpoint disable activation checkpointing\n\
-             --pa           partition activation checkpoints (needs --mp > 1)\n\
-             --pa-cpu       offload checkpoints to CPU (needs --pa)\n\
+             --pa           partition activation checkpoints across the\n\
+                            MP group (at --mp 1 a slice is the whole\n\
+                            activation)\n\
+             --pa-cpu       offload checkpoint slices to the host tier\n\
+                            (implies --pa)\n\
              --clip F       gradient-norm clip, finite and > 0  [off]\n\
              --qwz          quantized int8 weight all-gather (refused\n\
                             below --stage 3)\n\
@@ -297,11 +300,10 @@ fn main() {
     println!("  device total (peak): {} bytes", r.peak_device_bytes);
     let t = &r.traffic;
     println!(
-        "  traffic: all-reduce {} B, reduce-scatter {} B, all-gather {} B, cpu {} B",
+        "  traffic: all-reduce {} B, reduce-scatter {} B, all-gather {} B",
         t.bytes(CollectiveKind::AllReduce),
         t.bytes(CollectiveKind::ReduceScatter),
         t.bytes(CollectiveKind::AllGather),
-        r.cpu_transfer_bytes,
     );
     let overlap_ns = r.timeline.compute_collective_overlap_ns();
     println!(
@@ -309,7 +311,7 @@ fn main() {
         overlap_ns as f64 / 1e6,
         overlap_ns as f64 / 1e6 / steps as f64,
     );
-    if tier.enabled {
+    if r.tier.total_bytes() > 0 {
         println!(
             "  tier traffic: fetch {} B in {} ops, spill {} B in {} ops, modeled tier time {:.3} ms",
             r.tier.fetch_bytes,
@@ -318,15 +320,15 @@ fn main() {
             r.tier.spill_ops,
             r.tier_time.as_secs_f64() * 1e3,
         );
-        if tier.device_budget != u64::MAX {
-            // The tracker panics on any allocation past the budget, so a
-            // run that got this far IS the proof.
-            let peak = report.ranks.iter().map(|r| r.peak_device_bytes).max().unwrap_or(0);
-            println!(
-                "  device budget: PROVEN — peak {} B <= budget {} B (tracker armed all run)",
-                peak, tier.device_budget
-            );
-        }
+    }
+    if tier.enabled && tier.device_budget != u64::MAX {
+        // The tracker panics on any allocation past the budget, so a run
+        // that got this far IS the proof.
+        let peak = report.ranks.iter().map(|r| r.peak_device_bytes).max().unwrap_or(0);
+        println!(
+            "  device budget: PROVEN — peak {} B <= budget {} B (tracker armed all run)",
+            peak, tier.device_budget
+        );
     }
 
     if args.flag("--verify-offload") {

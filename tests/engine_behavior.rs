@@ -324,8 +324,9 @@ fn first_losses_are_pinned_bit_for_bit() {
     // two-level all-reduce on two nodes of two, chunked the same way. The
     // next two rows pin the checkpoint walk: stage 3 fp16 with overlap at
     // interval 2 (one two-block recompute segment holding its units), and
-    // stage 2 on a 2 × 2 grid with P_a+cpu (the MP checkpoint gather, CPU
-    // pricing, no arena). The next two rows clip on a 2 × 2 grid, where
+    // stage 2 on a 2 × 2 grid with P_a+cpu (each rank's slice in the MD
+    // arena, spilled to the host tier and fetched back to seed the MP
+    // checkpoint gather). The next two rows clip on a 2 × 2 grid, where
     // the grad norm is summed over the MP group under DDP and over the
     // world under stage 2: a norm reduced over the wrong group moves the
     // clip coefficient and the losses. The last row runs stage 3 fp16

@@ -138,12 +138,9 @@ fn cpu_offloaded_checkpoints_do_not_change_the_trajectory() {
     for (x, y) in a.losses.iter().zip(&b.losses) {
         assert_eq!(x, y, "P_a+cpu must be exactly neutral to the loss");
     }
-    // …and it must actually have moved bytes over the simulated PCIe link.
-    assert!(
-        a.ranks.iter().all(|r| r.cpu_transfer_bytes > 0),
-        "offload should meter CPU transfers"
-    );
-    assert!(b.ranks.iter().all(|r| r.cpu_transfer_bytes == 0));
+    // …and it must actually have moved checkpoint bytes across the tier.
+    assert!(a.ranks.iter().all(|r| r.tier.total_bytes() > 0), "P_a+cpu must meter its tier round trip");
+    assert!(b.ranks.iter().all(|r| r.tier.total_bytes() == 0));
 }
 
 #[test]

@@ -300,24 +300,20 @@ fn cpu_offload_moves_checkpoints_off_device() {
     let on_device = run_training(&mk(false), 1, 0);
     let offloaded = run_training(&mk(true), 1, 0);
     let ck = MemCategory::Checkpoints as usize;
-    let cpu = MemCategory::CpuOffload as usize;
-    // All checkpoint bytes move to the CPU pool: device checkpoint peak
-    // drops to zero and the CPU pool holds exactly what the device held.
+    let host = MemCategory::HostCheckpoints as usize;
+    // All checkpoint bytes move to the host tier: device checkpoint peak
+    // drops to zero and the host holds exactly what the device held.
     assert!(on_device.ranks[0].peak_by_category[ck] > 0);
     assert_eq!(offloaded.ranks[0].peak_by_category[ck], 0);
-    assert_eq!(
-        offloaded.ranks[0].peak_by_category[cpu],
-        on_device.ranks[0].peak_by_category[ck],
-        "CPU pool must hold exactly the former device checkpoints"
-    );
-    // §8: P_a+cpu costs 2× the checkpoint bytes in PCIe transfers
-    // (to CPU at store, back at fetch).
-    assert_eq!(
-        offloaded.ranks[0].cpu_transfer_bytes,
-        2 * offloaded.ranks[0].peak_by_category[cpu],
-        "each checkpoint crosses the link twice"
-    );
-    assert_eq!(on_device.ranks[0].cpu_transfer_bytes, 0);
+    let held = offloaded.ranks[0].peak_by_category[host];
+    assert_eq!(held, on_device.ranks[0].peak_by_category[ck], "the host must hold exactly the former device checkpoints");
+    // §8: P_a+cpu moves each checkpoint across the host link twice (down
+    // at store, back at restore), metered by the tier; with the tier off
+    // the link is free.
+    let tier = offloaded.ranks[0].tier;
+    assert_eq!((tier.spill_bytes, tier.fetch_bytes), (held, held), "each checkpoint crosses the link twice");
+    assert_eq!(offloaded.ranks[0].tier_time, std::time::Duration::ZERO);
+    assert_eq!(on_device.ranks[0].tier.total_bytes(), 0);
 }
 
 #[test]

@@ -61,8 +61,8 @@ fn setup(stage: ZeroStage, n: usize, overlap: bool) -> TrainSetup {
 /// Builds the analytic expectation for `rank` over a whole run: one
 /// `train_step` plan per executed step (skip pattern included).
 fn expectation(report: &TrainReport, s: &TrainSetup, rank: usize) -> TraceExpectation {
-    let layout = zero::model::Layout::build(&s.model);
-    let act_elems = s.model.seq * s.model.hidden;
+    let layout = zero::model::Layout::build_mp(&s.model, s.grid.mp_degree());
+    let act_elems = s.global_batch / s.grid.dp_degree() * s.model.seq * s.model.hidden;
     let mut want = TraceExpectation::default();
     for &skipped in &report.skipped {
         let plan = CommPlan::train_step(
@@ -103,42 +103,54 @@ fn offloaded_timeline_reconciles_tier_stream_byte_exactly() {
     // movement must appear exactly once, byte-tagged with the plan's
     // per-rank volume, and the engine's TierStats meters must agree with
     // the same analytic volumes — three independent records, one number.
+    // The model-state classes run at stages 1–3 on two ranks; P_a+cpu
+    // checkpoints on a 2 × 2 grid, where the tier is off and each rank
+    // moves its own 1/N_m slice.
     let steps = 2;
+    let mut cases = Vec::new();
     for stage in [ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
         for overlap in [false, true] {
             let mut s = setup(stage, 2, overlap);
             s.zero.tier = zero::core::TierConfig::budgeted(64 << 20);
-            let report = run_training(&s, steps, 0);
-            for r in &report.ranks {
-                let want = expectation(&report, &s, r.rank);
-                assert!(
-                    want.tier_ops.iter().sum::<u64>() > 0,
-                    "{stage:?} overlap={overlap}: offloaded plan must move tier bytes"
-                );
-                zero_verify::check_timeline(&r.timeline, &want, Some(&r.traffic))
-                    .unwrap_or_else(|e| {
-                        panic!("{stage:?} overlap={overlap} rank {}: {e}", r.rank)
-                    });
-                // TIER_LABELS order: param-fetch, publish-fetch, grad-spill.
-                let fetch_want = want.tier_bytes[0] + want.tier_bytes[1];
-                let spill_want = want.tier_bytes[2];
-                assert_eq!(
-                    r.tier.fetch_bytes, fetch_want,
-                    "{stage:?} overlap={overlap} rank {}: metered fetch bytes",
-                    r.rank
-                );
-                assert_eq!(
-                    r.tier.spill_bytes, spill_want,
-                    "{stage:?} overlap={overlap} rank {}: metered spill bytes",
-                    r.rank
-                );
-                assert_eq!(
-                    r.tier.fetch_ops + r.tier.spill_ops,
-                    want.tier_ops.iter().sum::<u64>(),
-                    "{stage:?} overlap={overlap} rank {}: tier op count",
-                    r.rank
-                );
+            cases.push(s);
+        }
+    }
+    let mut pa_cpu = setup(ZeroStage::Two, 4, false);
+    pa_cpu.grid = Grid::new(2, 2);
+    pa_cpu.zero.checkpoint_activations = true;
+    pa_cpu.zero.partition_activations = true;
+    pa_cpu.zero.offload_checkpoints = true;
+    cases.push(pa_cpu);
+    for s in cases {
+        let what = format!("{:?} {}x{} overlap={}", s.zero.stage, s.grid.dp_degree(), s.grid.mp_degree(), s.zero.overlap);
+        let report = run_training(&s, steps, 0);
+        for r in &report.ranks {
+            let want = expectation(&report, &s, r.rank);
+            assert!(want.tier_ops.iter().sum::<u64>() > 0, "{what}: offloaded plan must move tier bytes");
+            zero_verify::check_timeline(&r.timeline, &want, Some(&r.traffic))
+                .unwrap_or_else(|e| panic!("{what} rank {}: {e}", r.rank));
+            let by_dir = |dir: &str| -> u64 {
+                let labels = zero_verify::TIER_LABELS.iter().zip(want.tier_bytes);
+                labels.filter(|(label, _)| label.ends_with(dir)).map(|(_, bytes)| bytes).sum()
+            };
+            assert_eq!(r.tier.fetch_bytes, by_dir("-fetch"), "{what} rank {}: metered fetch bytes", r.rank);
+            assert_eq!(r.tier.spill_bytes, by_dir("-spill"), "{what} rank {}: metered spill bytes", r.rank);
+            assert_eq!(
+                r.tier.fetch_ops + r.tier.spill_ops,
+                want.tier_ops.iter().sum::<u64>(),
+                "{what} rank {}: tier op count",
+                r.rank
+            );
+            // …and both equal the plan's own per-rank tier volume.
+            let layout = zero::model::Layout::build_mp(&s.model, s.grid.mp_degree());
+            let act_elems = s.global_batch / s.grid.dp_degree() * s.model.seq * s.model.hidden;
+            let (mut fetch, mut spill) = (0, 0);
+            for &skipped in &report.skipped {
+                let plan = CommPlan::train_step(&layout, &s.zero, s.grid, &StepShape { micro_batches: 1, act_elems, skipped });
+                let (f, sp) = plan.rank_tier_bytes(r.rank);
+                (fetch, spill) = (fetch + f, spill + sp);
             }
+            assert_eq!((r.tier.fetch_bytes, r.tier.spill_bytes), (fetch, spill), "{what} rank {}: plan tier bytes", r.rank);
         }
     }
 }
