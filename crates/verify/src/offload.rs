@@ -37,7 +37,7 @@
 //!
 //! A checkpoint clause sweeps P_a+cpu (§6.1) over DDP and stages 1–3 ×
 //! mp ∈ {1,2} × sync/overlap, plus stage 3 with the model-state tier on
-//! at mp = 1 ([`checkpoint_configs`]), and proves that every checkpoint
+//! at mp = 1 (17 configurations), and proves that every checkpoint
 //! spill rides nothing and pairs with exactly one later fetch of equal
 //! bytes, blocked on where that fetch goes; that the fetch rides a
 //! `ckpt-gather` whose own piece is those bytes; that checkpoint bytes
@@ -226,7 +226,8 @@ fn check_rides(plan: &CommPlan, zcfg: &ZeroConfig, what: &str) -> Result<(), Str
         };
         // A checkpoint fetch's counts are per world rank, its MP gather's
         // per member: `check_anchors` pairs them rank by rank.
-        let paired = t.label == "tier-ckpt-fetch" || op.counts == zero_core::CountSpec::Explicit(t.counts.clone());
+        let paired =
+            t.label == "tier-ckpt-fetch" || op.counts == zero_core::CountSpec::Explicit(t.counts.clone());
         if !anchored || !paired {
             return Err(format!(
                 "{what}: tier op {i} '{}' (issued at {}) rides op {r} '{}', which is not \
@@ -416,7 +417,8 @@ fn check_checkpoint_config(zcfg: &ZeroConfig, grid: Grid, report: &mut OffloadRe
         if let Some(t) = plan.tier_ops().iter().find(|t| t.label == "tier-ckpt-spill" && t.rides.is_some()) {
             return Err(format!("{what}: the checkpoint spill at {} rides a collective", t.issue_pos));
         }
-        let on_device = CommPlan::train_step(&layout, &ZeroConfig { offload_checkpoints: false, ..*zcfg }, grid, &sh);
+        let on_device_cfg = ZeroConfig { offload_checkpoints: false, ..*zcfg };
+        let on_device = CommPlan::train_step(&layout, &on_device_cfg, grid, &sh);
         if plan.ops() != on_device.ops() {
             return Err(format!(
                 "{what} skipped={skipped}: the collective stream differs from the one without \
@@ -449,7 +451,7 @@ fn check_checkpoint_config(zcfg: &ZeroConfig, grid: Grid, report: &mut OffloadRe
 /// stages 1–3 × mp ∈ {1,2} × sync/overlap at dp 2 and interval 1, plus
 /// stage 3 overlapped at interval 2 with the model-state tier on at
 /// mp = 1 — 17 in all.
-pub fn checkpoint_configs() -> Vec<(ZeroConfig, Grid)> {
+fn checkpoint_configs() -> Vec<(ZeroConfig, Grid)> {
     let pa_cpu = |stage, overlap, tier| ZeroConfig {
         checkpoint_activations: true,
         partition_activations: true,
@@ -498,8 +500,8 @@ pub fn sweep_configs() -> Vec<(ZeroConfig, Grid)> {
 }
 
 /// Runs the full offload sweep (the 44 [`sweep_configs`], each at
-/// skipped ∈ {false,true}), then the checkpoint clause over the 17
-/// [`checkpoint_configs`].
+/// skipped ∈ {false,true}), then the checkpoint clause over its 17
+/// P_a+cpu configurations.
 pub fn check_offload() -> Result<OffloadReport, String> {
     let mut report = OffloadReport::default();
     for (zcfg, grid) in sweep_configs() {

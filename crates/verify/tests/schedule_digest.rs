@@ -137,7 +137,8 @@ fn name(zcfg: &ZeroConfig, grid: Grid, local_batch: usize) -> String {
 /// (global batch 4 over the DP degree).
 fn loss_pinned_configs() -> Vec<(ZeroConfig, Grid, usize)> {
     let (two, two_by_two) = (Grid::new(2, 1), Grid::new(2, 2));
-    let clipped = |stage| ZeroConfig { stage, initial_loss_scale: 1.0, clip_grad_norm: Some(0.5), ..ZeroConfig::default() };
+    let clipped =
+        |stage| ZeroConfig { stage, initial_loss_scale: 1.0, clip_grad_norm: Some(0.5), ..ZeroConfig::default() };
     let zeropp = CompressionConfig { qwz: true, hpz: true, qgz: true, node_size: 2, block: 64 };
     vec![
         (ZeroConfig { stage: ZeroStage::Two, initial_loss_scale: 1.0, ..ZeroConfig::default() }, two, 2),

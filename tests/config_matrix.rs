@@ -21,7 +21,13 @@ fn every_supported_configuration_trains() {
         for fp16 in [false, true] {
             for (ckpt, interval) in [(false, 1usize), (true, 1), (true, 2)] {
                 // (dp, mp, P_a, P_a+cpu)
-                let grids = [(2usize, 1usize, false, false), (2, 2, false, false), (2, 2, true, false), (2, 2, true, true), (2, 1, true, true)];
+                let grids = [
+                    (2usize, 1usize, false, false),
+                    (2, 2, false, false),
+                    (2, 2, true, false),
+                    (2, 2, true, true),
+                    (2, 1, true, true),
+                ];
                 for (dp, mp, pa, pa_cpu) in grids {
                     if pa && !ckpt {
                         continue; // invalid by construction

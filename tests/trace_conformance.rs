@@ -58,19 +58,19 @@ fn setup(stage: ZeroStage, n: usize, overlap: bool) -> TrainSetup {
     }
 }
 
-/// Builds the analytic expectation for `rank` over a whole run: one
-/// `train_step` plan per executed step (skip pattern included).
-fn expectation(report: &TrainReport, s: &TrainSetup, rank: usize) -> TraceExpectation {
+/// One `train_step` plan per executed step of a run (skip pattern
+/// included).
+fn step_plans(report: &TrainReport, s: &TrainSetup) -> Vec<CommPlan> {
     let layout = zero::model::Layout::build_mp(&s.model, s.grid.mp_degree());
     let act_elems = s.global_batch / s.grid.dp_degree() * s.model.seq * s.model.hidden;
+    let shape = |skipped| StepShape { micro_batches: 1, act_elems, skipped };
+    report.skipped.iter().map(|&skipped| CommPlan::train_step(&layout, &s.zero, s.grid, &shape(skipped))).collect()
+}
+
+/// Builds the analytic expectation for `rank` over a whole run.
+fn expectation(report: &TrainReport, s: &TrainSetup, rank: usize) -> TraceExpectation {
     let mut want = TraceExpectation::default();
-    for &skipped in &report.skipped {
-        let plan = CommPlan::train_step(
-            &layout,
-            &s.zero,
-            s.grid,
-            &StepShape { micro_batches: 1, act_elems, skipped },
-        );
+    for plan in step_plans(report, s) {
         want.add_plan(&plan, rank, 1);
     }
     want
@@ -122,7 +122,8 @@ fn offloaded_timeline_reconciles_tier_stream_byte_exactly() {
     pa_cpu.zero.offload_checkpoints = true;
     cases.push(pa_cpu);
     for s in cases {
-        let what = format!("{:?} {}x{} overlap={}", s.zero.stage, s.grid.dp_degree(), s.grid.mp_degree(), s.zero.overlap);
+        let (z, g) = (&s.zero, s.grid);
+        let what = format!("{:?} {}x{} overlap={}", z.stage, g.dp_degree(), g.mp_degree(), z.overlap);
         let report = run_training(&s, steps, 0);
         for r in &report.ranks {
             let want = expectation(&report, &s, r.rank);
@@ -142,15 +143,12 @@ fn offloaded_timeline_reconciles_tier_stream_byte_exactly() {
                 r.rank
             );
             // …and both equal the plan's own per-rank tier volume.
-            let layout = zero::model::Layout::build_mp(&s.model, s.grid.mp_degree());
-            let act_elems = s.global_batch / s.grid.dp_degree() * s.model.seq * s.model.hidden;
-            let (mut fetch, mut spill) = (0, 0);
-            for &skipped in &report.skipped {
-                let plan = CommPlan::train_step(&layout, &s.zero, s.grid, &StepShape { micro_batches: 1, act_elems, skipped });
-                let (f, sp) = plan.rank_tier_bytes(r.rank);
-                (fetch, spill) = (fetch + f, spill + sp);
-            }
-            assert_eq!((r.tier.fetch_bytes, r.tier.spill_bytes), (fetch, spill), "{what} rank {}: plan tier bytes", r.rank);
+            let planned = step_plans(&report, &s)
+                .iter()
+                .map(|p| p.rank_tier_bytes(r.rank))
+                .fold((0, 0), |(f, sp), (a, b)| (f + a, sp + b));
+            let metered = (r.tier.fetch_bytes, r.tier.spill_bytes);
+            assert_eq!(metered, planned, "{what} rank {}: plan tier bytes", r.rank);
         }
     }
 }
