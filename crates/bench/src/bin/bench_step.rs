@@ -4,18 +4,21 @@
 //! into the same [`Row`], every family listed as adjacent (lever off,
 //! lever on) pairs that [`pair`] turns into a speedup:
 //!
-//! * `overlap` — each ZeRO stage × DP degree, synchronous vs overlapped,
+//! * `overlap` — stages 2 and 3 × DP degree, synchronous vs overlapped,
 //!   over `FLAT_LINK` (`zero_bench`'s `train.comm` link), slept on each
 //!   sender's progress thread, so asynchronous collectives can hide it
 //!   (§7): under overlap, wait time collapses while execution time stays.
+//!   DDP and stage 1 reduce once at the end of the step, with nothing to
+//!   issue ahead of, so `ZeroConfig::check` refuses them overlapped.
 //! * `offload` — stage 3 unconstrained vs with optimizer, gradient and
 //!   parameter shards on a modeled host tier (ZeRO-Offload). Offload moves
 //!   residency, never values: the pair's losses must be bitwise equal, in
 //!   every mode.
 //! * `compression` — stage 3 over a modeled two-tier link, raw vs all
-//!   ZeRO++ levers (qwZ + hpZ + qgZ). The tiered fabric charges
-//!   serialization by logical bytes and the compressed schedule moves ~4×
-//!   fewer across the slow tier. Full runs only.
+//!   ZeRO++ levers (qwZ + hpZ + qgZ) grouped by the link's nodes. The
+//!   tiered fabric charges serialization by logical bytes and the
+//!   compressed schedule moves ~4× fewer across the slow tier. Full runs
+//!   only.
 //! * `recompute` — stage 3 checkpointing every block over the same
 //!   two-tier link, synchronous vs overlapped. Interval 1 re-fetches each
 //!   unit where it is recomputed; under overlap the prefetch chain still
@@ -96,17 +99,16 @@ const HOST_TIER: TierConfig = TierConfig {
     ..TierConfig::budgeted(u64::MAX)
 };
 
-const ZERO_PP: CompressionConfig =
-    CompressionConfig { qwz: true, hpz: true, qgz: true, node_size: TIERED_LINK.node_size, block: 64 };
+const ZERO_PP: CompressionConfig = CompressionConfig { qwz: true, hpz: true, qgz: true, block: 64 };
 
 /// A case: its family, what to train, and the fabric to train it over.
 type Case = (&'static str, TrainSetup, WorldConfig);
 
 /// The table: which lever each family turns, over which configurations.
 fn cases(smoke: bool) -> Vec<Case> {
-    use ZeroStage::{Ddp, One, Three, Two};
+    use ZeroStage::{Three, Two};
     let (stages, dps, wide): (&[ZeroStage], &[usize], usize) =
-        if smoke { (&[Three], &[2], 2) } else { (&[Ddp, One, Two, Three], &[2, 4], 4) };
+        if smoke { (&[Three], &[2], 2) } else { (&[Two, Three], &[2, 4], 4) };
     let flat = WorldConfig::with_tiered_link(FLAT_LINK);
     let tiered = WorldConfig::with_tiered_link(TIERED_LINK);
     let mut cases = Vec::new();
@@ -128,7 +130,10 @@ fn cases(smoke: bool) -> Vec<Case> {
     for overlap in [false, true] {
         lever("offload", &flat, Three, wide, overlap, |z| z.tier = HOST_TIER);
         if !smoke {
-            lever("compression", &tiered, Three, 4, overlap, |z| z.compression = ZERO_PP);
+            lever("compression", &tiered, Three, 4, overlap, |z| {
+                z.compression = ZERO_PP;
+                z.node_size = TIERED_LINK.node_size;
+            });
         }
     }
     if !smoke {

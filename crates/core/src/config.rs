@@ -79,11 +79,11 @@ impl ZeroStage {
 ///   two-phase all-to-all (raw intra-node, int8 inter-node) instead of
 ///   the raw ring.
 ///
+/// hpZ and qgZ group ranks into nodes of [`ZeroConfig::node_size`].
 /// Each lever is refused on a stage without the collective it acts on
 /// (qwZ and hpZ need stage 3, qgZ stage 2 or 3), and all three require
-/// mp = 1 and a DP degree divisible by `node_size`. With everything off
-/// (the default) plans and runs are bitwise identical to the uncompressed
-/// engine.
+/// mp = 1. With everything off (the default) plans and runs are bitwise
+/// identical to the uncompressed engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompressionConfig {
     /// Quantized weight all-gather on stage-3 forward/eval fetches.
@@ -92,8 +92,6 @@ pub struct CompressionConfig {
     pub hpz: bool,
     /// Quantized all-to-all gradient reduce-scatter on bucket flushes.
     pub qgz: bool,
-    /// Ranks per node G for the two-tier topology the levers exploit.
-    pub node_size: usize,
     /// Quantization block length (elements per scale/zero pair).
     pub block: usize,
 }
@@ -101,7 +99,7 @@ pub struct CompressionConfig {
 impl CompressionConfig {
     /// Everything off; the engine behaves exactly as without ZeRO++.
     pub const fn off() -> CompressionConfig {
-        CompressionConfig { qwz: false, hpz: false, qgz: false, node_size: 1, block: 64 }
+        CompressionConfig { qwz: false, hpz: false, qgz: false, block: 64 }
     }
 
     /// True if any lever is enabled.
@@ -183,7 +181,30 @@ impl Default for TierConfig {
     }
 }
 
-/// Full engine configuration.
+/// Where activation checkpoints live while they wait for backward (§6.1).
+/// Read only under `checkpoint_activations`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum CkptPlace {
+    /// Every MP rank keeps the whole checkpoint on device.
+    #[default]
+    Whole,
+    /// P_a: each MP rank keeps its 1/N_m slice, all-gathered across the
+    /// MP group before the segment is recomputed.
+    Partitioned,
+    /// P_a+cpu: the partitioned slices wait in the host tier, a planned
+    /// round trip priced by its link when `tier.enabled`, free otherwise.
+    Host,
+}
+
+impl CkptPlace {
+    /// True if checkpoints are sliced across the MP group (P_a, P_a+cpu).
+    pub fn partitioned(self) -> bool {
+        self != CkptPlace::Whole
+    }
+}
+
+/// Full engine configuration. Every setting either changes the schedule
+/// or is refused by [`ZeroConfig::check`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ZeroConfig {
     /// ZeRO-DP stage.
@@ -199,13 +220,9 @@ pub struct ZeroConfig {
     /// intervals store ~L/k checkpoints and recompute whole segments —
     /// the √L memory/recompute dial of §3.2.
     pub checkpoint_interval: usize,
-    /// P_a: partition activation checkpoints across the MP group (§6.1).
-    /// Requires `checkpoint_activations`.
-    pub partition_activations: bool,
-    /// P_a+cpu: hold the partitioned checkpoints in the host tier, a planned
-    /// round trip priced by its link when `tier.enabled`, free otherwise.
-    /// Requires `partition_activations`.
-    pub offload_checkpoints: bool,
+    /// Where checkpoints live; anything but `Whole` requires
+    /// `checkpoint_activations`.
+    pub checkpoint_place: CkptPlace,
     /// CB: fused-buffer capacity in elements (§6.2). Collectives over the
     /// flat space are staged through buffers of at most this size.
     pub bucket_elems: usize,
@@ -215,17 +232,17 @@ pub struct ZeroConfig {
     pub clip_grad_norm: Option<f64>,
     /// Optimizer over the (possibly sharded) fp32 master parameters.
     pub optimizer: OptimizerKind,
-    /// Ranks per node for topology-aware (two-level) gradient all-reduce
-    /// under DDP; `None` uses the flat ring. Refused at stages 1–3 (they
-    /// reduce-scatter); requires mp = 1 and a DP degree divisible by the
-    /// node size.
-    pub node_size: Option<usize>,
+    /// Ranks per node G (1 = flat). DDP runs the two-level all-reduce
+    /// when it is > 1, and hpZ and qgZ group by it; nothing else reads
+    /// it. Requires mp = 1 and a DP degree divisible by it when > 1.
+    pub node_size: usize,
     /// Overlap-centric execution: stage-2/3 gradient bucket flushes launch
     /// their reduce-scatter asynchronously (waited at end-of-backward) and
     /// stage 3 prefetches the next unit's parameter all-gather one layer
     /// ahead through a double-buffered slot. Losses are bitwise identical
     /// to synchronous execution: the same ops run in the same issue order,
-    /// only the waits move.
+    /// only the waits move. Refused at DDP and stage 1, whose one
+    /// end-of-step reduction has nothing to issue ahead of.
     pub overlap: bool,
     /// ZeRO++-style communication compression (qwZ / hpZ / qgZ).
     pub compression: CompressionConfig,
@@ -240,13 +257,12 @@ impl Default for ZeroConfig {
             fp16: true,
             checkpoint_activations: true,
             checkpoint_interval: 1,
-            partition_activations: false,
-            offload_checkpoints: false,
+            checkpoint_place: CkptPlace::Whole,
             bucket_elems: 1 << 16,
             initial_loss_scale: 4096.0,
             clip_grad_norm: None,
             optimizer: OptimizerKind::Adam(AdamConfig::default()),
-            node_size: None,
+            node_size: 1,
             overlap: false,
             compression: CompressionConfig::off(),
             tier: TierConfig::off(),
@@ -254,14 +270,17 @@ impl Default for ZeroConfig {
     }
 }
 
-/// Why a [`ZeroConfig`] cannot run (on a grid), grouped by what the caller
-/// would have to change; the text is the rule that was broken.
+/// Why a [`ZeroConfig`] cannot run (on a grid), grouped by the setting
+/// the caller would have to change; the text is the rule that was broken.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// A switch depends on one that is off, a scalar is out of range, or
-    /// the two-level all-reduce is set on a stage other than DDP or its
-    /// nodes do not fit the grid.
+    /// A scalar is out of range (bucket, interval, clip), or a checkpoint
+    /// placement is set with checkpointing off.
     Switches(String),
+    /// `overlap` on a stage with nothing to issue ahead.
+    Overlap(String),
+    /// A `node_size` nothing reads, or whose nodes do not fit the grid.
+    NodeSize(String),
     /// A ZeRO++ lever is requested on a stage or grid it is not defined
     /// over.
     Compression(String),
@@ -271,8 +290,8 @@ pub enum ConfigError {
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (ConfigError::Switches(why) | ConfigError::Compression(why) | ConfigError::Offload(why)) =
-            self;
+        use ConfigError::{Compression, NodeSize, Offload, Overlap, Switches};
+        let (Switches(why) | Overlap(why) | NodeSize(why) | Compression(why) | Offload(why)) = self;
         f.write_str(why)
     }
 }
@@ -292,24 +311,19 @@ impl ZeroConfig {
     /// The one author of lever × stage × grid legality: every rule a
     /// configuration must satisfy to run on `grid`, and — when it does —
     /// which tier classes are in effect (the tier switch gated by the stage
-    /// that owns each class; P_a+cpu checkpoints by their own). A ZeRO++
-    /// lever or the two-level all-reduce on a stage without the collective
-    /// it acts on is refused, so every lever a passing configuration
-    /// requests is in effect.
+    /// that owns each class; P_a+cpu checkpoints by their own). A setting
+    /// that nothing on this stage reads — a ZeRO++ lever, `overlap`, a
+    /// `node_size` > 1 — is refused, so every setting a passing
+    /// configuration requests changes its schedule.
     pub fn check(&self, grid: Grid) -> Result<EffectiveOffload, ConfigError> {
-        use ConfigError::{Compression, Offload, Switches};
+        use ConfigError::{Compression, NodeSize, Offload};
         self.check_switches()?;
-        let (stage, comp, dp) = (self.stage, self.compression, grid.dp_degree());
-        if let Some(g) = self.node_size {
+        let (stage, comp, dp, g) = (self.stage, self.compression, grid.dp_degree(), self.node_size);
+        if g > 1 {
             rule(
-                dp.is_multiple_of(g),
-                Switches,
-                &format!("two-level all-reduce: DP degree {dp} must be divisible by node_size {g}"),
-            )?;
-            rule(
-                grid.mp_degree() == 1,
-                Switches,
-                "two-level all-reduce requires mp = 1 (nodes group DP ranks)",
+                dp.is_multiple_of(g) && grid.mp_degree() == 1,
+                NodeSize,
+                &format!("node_size {g} must divide the DP degree {dp}, on mp = 1 (nodes group DP ranks)"),
             )?;
         }
         if comp.any() {
@@ -319,9 +333,12 @@ impl ZeroConfig {
                 "compression requires mp = 1 (node grouping is over DP ranks)",
             )?;
             rule(
-                dp.is_multiple_of(comp.node_size),
+                !comp.hpz || g < dp,
                 Compression,
-                &format!("DP degree {dp} must be divisible by node size {}", comp.node_size),
+                &format!(
+                    "hpZ needs more than one node: node_size {g} must be below the DP degree {dp}, \
+                     or its node-local copy is the primary shard again"
+                ),
             )?;
         }
         let on = self.tier.enabled;
@@ -334,41 +351,44 @@ impl ZeroConfig {
             opt_state: on && stage.partitions_optimizer(),
             grads: on && stage.partitions_grads(),
             params: on && stage.partitions_params(),
-            checkpoints: self.offload_checkpoints,
+            checkpoints: self.checkpoint_place == CkptPlace::Host,
         })
     }
 
     fn check_switches(&self) -> Result<(), ConfigError> {
-        use ConfigError::{Compression, Offload, Switches};
+        use ConfigError::{Compression, NodeSize, Offload, Overlap, Switches};
         let (comp, tier) = (self.compression, self.tier);
         rule(self.bucket_elems > 0, Switches, "bucket_elems must be positive")?;
         rule(self.checkpoint_interval >= 1, Switches, "checkpoint_interval must be at least 1")?;
         rule(
-            !self.partition_activations || self.checkpoint_activations,
+            !self.checkpoint_place.partitioned() || self.checkpoint_activations,
             Switches,
-            "P_a requires activation checkpointing",
-        )?;
-        rule(
-            !self.offload_checkpoints || self.partition_activations,
-            Switches,
-            "P_a+cpu requires P_a (partitioned checkpoints)",
+            "P_a and P_a+cpu place activation checkpoints: they require checkpointing",
         )?;
         rule(
             self.clip_grad_norm.is_none_or(|c| c.is_finite() && c > 0.0),
             Switches,
             "clip_grad_norm must be finite and positive",
         )?;
-        if let Some(g) = self.node_size {
+        rule(
+            !self.overlap || self.stage.partitions_grads(),
+            Overlap,
+            "overlap issues stage 2-3's bucket reduce-scatters and stage 3's fetches ahead; \
+             DDP and stage 1 reduce once at the end of the step, with nothing to issue ahead of",
+        )?;
+        rule(self.node_size >= 1, NodeSize, "node_size must be at least 1")?;
+        if self.node_size > 1 {
             rule(
-                self.stage == ZeroStage::Ddp,
-                Switches,
-                "the two-level all-reduce (node_size) is DDP's gradient all-reduce; \
-                 stages 1-3 reduce-scatter their gradients",
+                self.stage == ZeroStage::Ddp || comp.hpz || comp.qgz,
+                NodeSize,
+                &format!(
+                    "node_size {} groups ranks for DDP's two-level all-reduce, hpZ and qgZ; \
+                     none is on",
+                    self.node_size
+                ),
             )?;
-            rule(g >= 1, Switches, "two-level all-reduce node_size must be at least 1")?;
         }
         if comp.any() {
-            rule(comp.node_size >= 1, Compression, "compression node_size must be at least 1")?;
             rule(comp.block >= 1, Compression, "compression block must be at least 1")?;
             rule(
                 !(comp.qwz || comp.hpz) || self.stage.partitions_params(),
@@ -407,8 +427,6 @@ impl ZeroConfig {
             stage,
             fp16: false,
             checkpoint_activations: false,
-            partition_activations: false,
-            offload_checkpoints: false,
             initial_loss_scale: 1.0,
             ..ZeroConfig::default()
         }
@@ -417,18 +435,6 @@ impl ZeroConfig {
     /// The same configuration with overlap-centric execution switched on.
     pub fn overlapped(self) -> ZeroConfig {
         ZeroConfig { overlap: true, ..self }
-    }
-
-    /// The paper's ZeRO-100B implementation profile: P_os+g + ZeRO-R.
-    pub fn zero_100b() -> ZeroConfig {
-        ZeroConfig {
-            stage: ZeroStage::Two,
-            fp16: true,
-            checkpoint_activations: true,
-            partition_activations: true,
-            offload_checkpoints: false,
-            ..ZeroConfig::default()
-        }
     }
 }
 
@@ -452,28 +458,20 @@ mod tests {
     }
 
     #[test]
-    fn pa_without_checkpointing_rejected() {
-        let why = refusal(ZeroConfig {
-            checkpoint_activations: false,
-            partition_activations: true,
-            ..ZeroConfig::default()
-        });
-        assert!(why.contains("P_a requires"), "{why}");
-    }
-
-    #[test]
-    fn pa_cpu_without_pa_rejected() {
-        let why = refusal(ZeroConfig {
-            partition_activations: false,
-            offload_checkpoints: true,
-            ..ZeroConfig::default()
-        });
-        assert!(why.contains("P_a+cpu requires"), "{why}");
+    fn placed_checkpoints_without_checkpointing_rejected() {
+        for checkpoint_place in [CkptPlace::Partitioned, CkptPlace::Host] {
+            let why = refusal(ZeroConfig {
+                checkpoint_activations: false,
+                checkpoint_place,
+                ..ZeroConfig::default()
+            });
+            assert!(why.contains("require checkpointing"), "{checkpoint_place:?}: {why}");
+        }
     }
 
     #[test]
     fn presets_are_valid() {
-        for zcfg in [ZeroConfig::default(), ZeroConfig::zero_100b(), ZeroConfig::fp32_exact(ZeroStage::Three)] {
+        for zcfg in [ZeroConfig::default(), ZeroConfig::fp32_exact(ZeroStage::Three)] {
             zcfg.check(Grid::new(2, 1)).expect("a preset runs");
         }
     }
@@ -488,30 +486,62 @@ mod tests {
     }
 
     #[test]
-    fn two_level_all_reduce_legality_is_typed() {
+    fn node_size_legality_is_typed() {
         // Node size 0, a node size that does not divide dp, and mp > 1:
         // three different panics in the plan and engine before `check`
         // owned them.
         for (node, dp, mp) in [(0, 4, 1), (3, 4, 1), (2, 2, 2)] {
             let ddp = ZeroConfig::fp32_exact(ZeroStage::Ddp);
-            let got = ZeroConfig { node_size: Some(node), ..ddp }.check(Grid::new(dp, mp));
-            assert!(matches!(got, Err(ConfigError::Switches(_))), "{node} on {dp}x{mp}: {got:?}");
+            let got = ZeroConfig { node_size: node, ..ddp }.check(Grid::new(dp, mp));
+            assert!(matches!(got, Err(ConfigError::NodeSize(_))), "{node} on {dp}x{mp}: {got:?}");
         }
-        let zcfg = ZeroConfig { node_size: Some(2), ..ZeroConfig::fp32_exact(ZeroStage::Ddp) };
+        let zcfg = ZeroConfig { node_size: 2, ..ZeroConfig::fp32_exact(ZeroStage::Ddp) };
         assert!(zcfg.check(Grid::new(4, 1)).is_ok());
     }
 
     #[test]
-    fn zero_node_size_compression_rejected() {
-        let why = refusal(ZeroConfig {
-            compression: CompressionConfig {
-                qgz: true,
-                node_size: 0,
-                ..CompressionConfig::off()
-            },
+    fn a_node_size_nothing_reads_is_refused() {
+        // Stages 1-3 with no lever, and qwZ alone: no collective groups by
+        // node, so the plan would equal the node_size = 1 one.
+        let qwz = CompressionConfig { qwz: true, ..CompressionConfig::off() };
+        for (stage, compression) in [
+            (ZeroStage::One, CompressionConfig::off()),
+            (ZeroStage::Two, CompressionConfig::off()),
+            (ZeroStage::Three, CompressionConfig::off()),
+            (ZeroStage::Three, qwz),
+        ] {
+            let zcfg = ZeroConfig { stage, node_size: 2, compression, ..ZeroConfig::default() };
+            let got = zcfg.check(Grid::new(4, 1));
+            assert!(matches!(got, Err(ConfigError::NodeSize(_))), "{stage:?} {compression:?}: {got:?}");
+            assert!(ZeroConfig { node_size: 1, ..zcfg }.check(Grid::new(4, 1)).is_ok());
+        }
+    }
+
+    #[test]
+    fn hpz_needs_more_than_one_node() {
+        let hpz = |node_size| ZeroConfig {
+            stage: ZeroStage::Three,
+            node_size,
+            compression: CompressionConfig { hpz: true, ..CompressionConfig::off() },
             ..ZeroConfig::default()
-        });
-        assert!(why.contains("node_size"), "{why}");
+        };
+        for (node, dp) in [(2, 2), (4, 4)] {
+            let got = hpz(node).check(Grid::new(dp, 1));
+            assert!(matches!(got, Err(ConfigError::Compression(ref why)) if why.contains("hpZ")), "{got:?}");
+        }
+        assert!(hpz(2).check(Grid::new(4, 1)).is_ok());
+    }
+
+    #[test]
+    fn overlap_is_refused_where_nothing_is_issued_ahead() {
+        for stage in [ZeroStage::Ddp, ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
+            let got = ZeroConfig { stage, ..ZeroConfig::default() }.overlapped().check(Grid::new(2, 1));
+            match got {
+                Ok(_) if stage.partitions_grads() => {}
+                Err(ConfigError::Overlap(_)) if !stage.partitions_grads() => {}
+                got => panic!("overlap at {stage:?}: {got:?}"),
+            }
+        }
     }
 
     #[test]
@@ -546,7 +576,8 @@ mod tests {
         let zcfg = ZeroConfig {
             stage: ZeroStage::Three,
             tier: TierConfig::budgeted(1 << 20),
-            compression: CompressionConfig { qwz: true, hpz: true, qgz: true, node_size: 2, block: 64 },
+            node_size: 2,
+            compression: CompressionConfig { qwz: true, hpz: true, qgz: true, block: 64 },
             ..ZeroConfig::default()
         };
         let tiers = zcfg.check(Grid::new(4, 1)).expect("offload and ZeRO++ stack");
@@ -556,20 +587,23 @@ mod tests {
     #[test]
     fn each_lever_runs_exactly_at_the_stages_that_own_its_collective() {
         use ZeroStage::{Ddp, One, Three, Two};
-        let on = |qwz, hpz, qgz| CompressionConfig { qwz, hpz, qgz, node_size: 2, block: 64 };
-        let lever = |compression| ZeroConfig { compression, ..ZeroConfig::default() };
+        let lever = |qwz, hpz, qgz| ZeroConfig {
+            node_size: if hpz || qgz { 2 } else { 1 },
+            compression: CompressionConfig { qwz, hpz, qgz, block: 64 },
+            ..ZeroConfig::default()
+        };
         // (lever, a configuration with it on, the stages that own it)
         let levers = [
-            ("qwZ", lever(on(true, false, false)), &[Three][..]),
-            ("hpZ", lever(on(false, true, false)), &[Three]),
-            ("qgZ", lever(on(false, false, true)), &[Two, Three]),
-            ("node_size", ZeroConfig { node_size: Some(2), ..ZeroConfig::default() }, &[Ddp]),
+            ("qwZ", lever(true, false, false), &[Three][..]),
+            ("hpZ", lever(false, true, false), &[Three]),
+            ("qgZ", lever(false, false, true), &[Two, Three]),
+            ("node_size", ZeroConfig { node_size: 2, ..ZeroConfig::default() }, &[Ddp]),
         ];
         for (name, zcfg, owners) in levers {
             for stage in [Ddp, One, Two, Three] {
                 match (owners.contains(&stage), ZeroConfig { stage, ..zcfg }.check(Grid::new(4, 1))) {
                     (true, Ok(_)) => {}
-                    (false, Err(ConfigError::Switches(_))) if name == "node_size" => {}
+                    (false, Err(ConfigError::NodeSize(_))) if name == "node_size" => {}
                     (false, Err(ConfigError::Compression(_))) if name != "node_size" => {}
                     (owned, got) => panic!("{name} at {stage:?} (owned: {owned}): {got:?}"),
                 }

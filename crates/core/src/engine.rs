@@ -52,7 +52,7 @@ use crate::config::{OptimizerKind, TierConfig};
 
 use crate::arena::{ArenaSlot, ContiguousArena};
 use crate::bucket::GradBucket;
-use crate::config::ZeroConfig;
+use crate::config::{CkptPlace, ZeroConfig};
 use crate::memory::{MemCategory, MemoryTracker};
 use crate::partition::Partitioner;
 use crate::plan::{
@@ -373,7 +373,7 @@ impl RankEngine {
         // device memory (but not a §3 model state — it is a derived cache).
         // Node groups are G consecutive ranks, so the slot is direct.
         let secondary = zcfg.compression.hpz.then(|| {
-            let g = zcfg.compression.node_size;
+            let g = zcfg.node_size;
             let sec = FlatStore::zeros(Partitioner::new(psi, g).shard_range(rank % g), zcfg.fp16);
             mem.alloc(MemCategory::SecondaryParams, sec.bytes());
             sec
@@ -651,7 +651,7 @@ impl RankEngine {
         if slots == 0 {
             return;
         }
-        let slice = if zcfg.partition_activations {
+        let slice = if zcfg.checkpoint_place.partitioned() {
             zero_comm::chunk_range(act_elems, self.grid.mp_degree(), self.mp_idx).len()
         } else {
             act_elems
@@ -666,7 +666,7 @@ impl RankEngine {
     /// at the activation width: the host tier under P_a+cpu.
     fn ckpt_cost(&self, len: usize) -> (MemCategory, u64) {
         let bytes = if self.zcfg.fp16 { 2 } else { 4 } * len as u64;
-        let cat = if self.zcfg.offload_checkpoints { MemCategory::HostCheckpoints } else { MemCategory::Checkpoints };
+        let cat = if self.zcfg.checkpoint_place == CkptPlace::Host { MemCategory::HostCheckpoints } else { MemCategory::Checkpoints };
         (cat, bytes)
     }
 
@@ -1186,7 +1186,7 @@ impl Walker for Pass<'_> {
         let e = &mut *self.e;
         let span = e.trace.begin(SpanCategory::Checkpoint, "ckpt-store");
         let x = &self.x[..];
-        let slice = if e.zcfg.partition_activations { &x[zero_comm::chunk_range(x.len(), e.grid.mp_degree(), e.mp_idx)] } else { x };
+        let slice = if e.zcfg.checkpoint_place.partitioned() { &x[zero_comm::chunk_range(x.len(), e.grid.mp_degree(), e.mp_idx)] } else { x };
         let (cat, bytes) = e.ckpt_cost(slice.len());
         e.mem.alloc(cat, bytes);
         let slot = e.arena.as_mut().expect("checkpointing sizes the arena").store(slice);
@@ -1205,7 +1205,7 @@ impl Walker for Pass<'_> {
         let slice = e.arena.as_ref().expect("arena slot").slot(&slot).to_vec();
         let (cat, bytes) = e.ckpt_cost(slice.len());
         let res = spill.map_or(Ok(()), |s| s.wait().map(drop)).and_then(|()| {
-            if e.zcfg.partition_activations {
+            if e.zcfg.checkpoint_place.partitioned() {
                 e.io.start(CollectiveKind::AllGather, &slice).wait()
             } else {
                 Ok(slice)

@@ -42,7 +42,7 @@ mod walk;
 pub use arena::ContiguousArena;
 pub use bucket::GradBucket;
 pub use config::{
-    CompressionConfig, ConfigError, OptimizerKind, TierConfig, ZeroConfig, ZeroStage,
+    CkptPlace, CompressionConfig, ConfigError, OptimizerKind, TierConfig, ZeroConfig, ZeroStage,
 };
 pub use engine::{RankEngine, StepOutcome};
 pub use memory::{MemCategory, MemoryTracker, ALL_CATEGORIES, CATEGORY_COUNT, MODEL_STATE_CATEGORIES};

@@ -204,13 +204,6 @@ impl MemoryTracker {
     pub fn peak_model_states(&self) -> u64 {
         self.peak_model_states
     }
-
-    /// Resets peaks to current live values (for per-iteration peaks).
-    pub fn reset_peaks(&mut self) {
-        self.peak = self.live;
-        self.peak_device_total = self.device_live();
-        self.peak_model_states = self.model_state_live();
-    }
 }
 
 #[cfg(test)]
@@ -296,17 +289,5 @@ mod tests {
         let mut m = MemoryTracker::new();
         m.alloc(MemCategory::Buffers, 10);
         m.free(MemCategory::Buffers, 11);
-    }
-
-    #[test]
-    fn reset_peaks_tracks_per_iteration() {
-        let mut m = MemoryTracker::new();
-        m.alloc(MemCategory::Activations, 100);
-        m.free(MemCategory::Activations, 100);
-        assert_eq!(m.peak(MemCategory::Activations), 100);
-        m.reset_peaks();
-        assert_eq!(m.peak(MemCategory::Activations), 0);
-        m.alloc(MemCategory::Activations, 40);
-        assert_eq!(m.peak(MemCategory::Activations), 40);
     }
 }

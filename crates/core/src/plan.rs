@@ -499,7 +499,7 @@ impl Builder {
             ops: Vec::new(),
             part: Partitioner::new(layout.total_params(), grid.dp_degree()),
             prec: if zcfg.fp16 { Precision::Fp16 } else { Precision::Fp32 },
-            sec_part: Partitioner::new(layout.total_params(), zcfg.compression.node_size.max(1)),
+            sec_part: Partitioner::new(layout.total_params(), zcfg.node_size.max(1)),
             stashed: vec![false; layout.units().len()],
             slot: None,
             bucket: None,
@@ -568,7 +568,7 @@ impl Builder {
         let unit = self.units[u].clone();
         let comp = self.zcfg.compression;
         let (scope, counts, wire, from, into) = if comp.hpz && self.stashed[u] {
-            let node = PlanScope::Node { g: comp.node_size };
+            let node = PlanScope::Node { g: self.zcfg.node_size };
             (node, self.sec_part.intersect_counts(&unit), WireFmt::Raw, ParamStore::Secondary, None)
         } else {
             self.stashed[u] = true;
@@ -637,7 +637,7 @@ impl Builder {
         let counts = self.part.intersect_counts(&fused);
         let comp = self.zcfg.compression;
         let wire = if comp.qgz {
-            WireFmt::QgzInt8 { node_size: comp.node_size, block: comp.block }
+            WireFmt::QgzInt8 { node_size: self.zcfg.node_size, block: comp.block }
         } else {
             WireFmt::Raw
         };
@@ -686,12 +686,12 @@ impl Builder {
                 // DDP's two-level all-reduce: node reduce-scatter,
                 // cross-node all-reduce of the owned chunk, node all-gather
                 // — summed through, then averaged over N_d once.
-                (_, Some(g)) => vec![
+                (_, g) if g > 1 => vec![
                     (ReduceScatter, PlanScope::Node { g }, CountSpec::Even { total }, sum, "hier-node-rs"),
                     (AllReduce, PlanScope::Cross { g }, CountSpec::NodeChunk { total }, sum, "hier-cross-ar"),
                     (AllGather, PlanScope::Node { g }, CountSpec::Even { total }, average, "hier-node-ag"),
                 ],
-                (_, None) => {
+                _ => {
                     vec![(AllReduce, PlanScope::Dp, CountSpec::Even { total }, mean, "grad-allreduce")]
                 }
             };
@@ -794,7 +794,7 @@ impl Walker for Builder {
             let counts = spill.counts.clone();
             self.tier_op(TierDir::Fetch, "tier-ckpt-fetch", counts, Some(self.ops.len()));
         }
-        if self.zcfg.partition_activations {
+        if self.zcfg.checkpoint_place.partitioned() {
             self.mp_op(CollectiveKind::AllGather, Reduction::Copy, "ckpt-gather");
         }
         Ok(())
@@ -1207,6 +1207,7 @@ impl PlanCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CkptPlace;
     use zero_model::{Layout, ModelConfig};
 
     fn tiny() -> ModelConfig {
@@ -1376,7 +1377,6 @@ mod tests {
             qwz: true,
             hpz: true,
             qgz: true,
-            node_size: 2,
             block: 64,
         }
     }
@@ -1428,9 +1428,9 @@ mod tests {
         let layout = Layout::build(&tiny());
         let grid = Grid::new(4, 1);
         let zcfg = ZeroConfig {
+            node_size: 2,
             compression: crate::config::CompressionConfig {
                 hpz: true,
-                node_size: 2,
                 ..crate::config::CompressionConfig::off()
             },
             ..cfg(ZeroStage::Three)
@@ -1469,9 +1469,9 @@ mod tests {
         let layout = Layout::build(&tiny());
         let grid = Grid::new(4, 1);
         let zcfg = ZeroConfig {
+            node_size: 2,
             compression: crate::config::CompressionConfig {
                 qgz: true,
-                node_size: 2,
                 ..crate::config::CompressionConfig::off()
             },
             ..cfg(ZeroStage::Two)
@@ -1509,7 +1509,7 @@ mod tests {
         // 1.78×, so the gate genuinely needs hpZ's zero-cost refetches.
         let fp16 = ZeroConfig { fp16: true, ..cfg(ZeroStage::Three) };
         let base = CommPlan::train_step(&layout, &fp16, grid, &shape2);
-        let zcfg = ZeroConfig { compression: comp_all(), ..fp16 };
+        let zcfg = ZeroConfig { node_size: 2, compression: comp_all(), ..fp16 };
         let comp = CommPlan::train_step(&layout, &zcfg, grid, &shape2);
         let raw = base.total_inter_node_bytes(2);
         let squeezed = comp.total_inter_node_bytes(2);
@@ -1533,7 +1533,7 @@ mod tests {
         let layout = Layout::build(&tiny());
         let grid = Grid::new(4, 1);
         for stage in [ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
-            for overlap in [false, true] {
+            for overlap in [false, true].into_iter().filter(|&o| !o || stage.partitions_grads()) {
                 let base = ZeroConfig { overlap, ..cfg(stage) };
                 let off = ZeroConfig { tier: crate::config::TierConfig::off(), ..base };
                 let p_base = CommPlan::train_step(&layout, &base, grid, &shape());
@@ -1550,7 +1550,7 @@ mod tests {
         let layout = Layout::build(&tiny());
         let grid = Grid::new(4, 1);
         for stage in [ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
-            for overlap in [false, true] {
+            for overlap in [false, true].into_iter().filter(|&o| !o || stage.partitions_grads()) {
                 let base = CommPlan::train_step(&layout, &ZeroConfig { overlap, ..cfg(stage) }, grid, &shape());
                 let off = CommPlan::train_step(&layout, &tiered(stage, overlap), grid, &shape());
                 assert_eq!(base.ops(), off.ops(), "stage {stage:?} overlap {overlap}");
@@ -1609,9 +1609,11 @@ mod tests {
                     assert_eq!(spilled, 2 * part.shard_range(rank).len(), "{stage:?}");
                 }
             }
-            // Stages 1/2: per-step publish fetch is exactly the shard.
+            // Stages 1/2: per-step publish fetch is exactly the shard
+            // (stage 1 has no overlapped form).
             for stage in [ZeroStage::One, ZeroStage::Two] {
-                let plan = CommPlan::train_step(&layout, &tiered(stage, overlap), grid, &shape2);
+                let zcfg = tiered(stage, overlap && stage.partitions_grads());
+                let plan = CommPlan::train_step(&layout, &zcfg, grid, &shape2);
                 for rank in 0..4 {
                     let fetched: usize = plan
                         .tier_ops()
@@ -1622,13 +1624,13 @@ mod tests {
                     assert_eq!(fetched, part.shard_range(rank).len(), "{stage:?}");
                 }
             }
-            // Stage 1 spills its shard exactly once, in the suffix.
-            let plan = CommPlan::train_step(&layout, &tiered(ZeroStage::One, overlap), grid, &shape2);
-            let spills: Vec<_> =
-                plan.tier_ops().iter().filter(|t| t.dir == TierDir::Spill).collect();
-            assert_eq!(spills.len(), 1);
-            assert_eq!(spills[0].counts, part.counts().to_vec());
         }
+        // Stage 1 spills its shard exactly once, in the suffix.
+        let shape2 = StepShape { micro_batches: 2, ..shape() };
+        let plan = CommPlan::train_step(&layout, &tiered(ZeroStage::One, false), grid, &shape2);
+        let spills: Vec<_> = plan.tier_ops().iter().filter(|t| t.dir == TierDir::Spill).collect();
+        assert_eq!(spills.len(), 1);
+        assert_eq!(spills[0].counts, part.counts().to_vec());
     }
 
     #[test]
@@ -1693,16 +1695,13 @@ mod tests {
         let (sum, mean) = (Reduction::Reduce(ReduceOp::Sum), Reduction::Reduce(ReduceOp::Mean));
         let layout = Layout::build_mp(&tiny(), 2);
         let clip = |stage| ZeroConfig { clip_grad_norm: Some(1.0), bucket_elems: 500, ..cfg(stage) };
-        let two_level = ZeroConfig { node_size: Some(2), ..clip(ZeroStage::Ddp) };
-        let hpz = ZeroConfig {
-            compression: crate::config::CompressionConfig { hpz: true, node_size: 2, ..comp_all() },
-            ..clip(ZeroStage::Three)
-        };
+        let two_level = ZeroConfig { node_size: 2, ..clip(ZeroStage::Ddp) };
+        let hpz = ZeroConfig { node_size: 2, compression: comp_all(), ..clip(ZeroStage::Three) };
         let configs = [
             (clip(ZeroStage::Ddp), Grid::new(2, 2)),
             (two_level, Grid::new(4, 1)),
             (clip(ZeroStage::One), Grid::new(2, 2)),
-            (ZeroConfig { checkpoint_activations: true, partition_activations: true, ..clip(ZeroStage::Two) }, Grid::new(2, 2)),
+            (ZeroConfig { checkpoint_activations: true, checkpoint_place: CkptPlace::Partitioned, ..clip(ZeroStage::Two) }, Grid::new(2, 2)),
             (clip(ZeroStage::Three), Grid::new(2, 2)),
             (hpz, Grid::new(4, 1)),
         ];
@@ -1749,10 +1748,7 @@ mod tests {
         let layout = Layout::build(&tiny());
         let grid = Grid::new(4, 1);
         let shape2 = StepShape { micro_batches: 2, ..shape() };
-        let hpz = ZeroConfig {
-            compression: crate::config::CompressionConfig { hpz: true, node_size: 2, ..comp_all() },
-            ..cfg(ZeroStage::Three)
-        };
+        let hpz = ZeroConfig { node_size: 2, compression: comp_all(), ..cfg(ZeroStage::Three) };
         for (zcfg, hpz_on) in [(hpz, true), (cfg(ZeroStage::Three), false)] {
             let plan = CommPlan::train_step(&layout, &zcfg, grid, &shape2);
             let mut stashed = vec![false; layout.units().len()];
@@ -1790,7 +1786,7 @@ mod tests {
     fn hierarchical_plan_resolves_cross_chunks() {
         let layout = Layout::build(&tiny());
         let grid = Grid::new(4, 1);
-        let zcfg = ZeroConfig { node_size: Some(2), ..cfg(ZeroStage::Ddp) };
+        let zcfg = ZeroConfig { node_size: 2, ..cfg(ZeroStage::Ddp) };
         let plan = CommPlan::train_step(&layout, &zcfg, grid, &shape());
         // Every rank resolves; cross-phase counts sum to its node chunk.
         for rank in 0..4 {

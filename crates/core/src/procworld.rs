@@ -47,7 +47,7 @@ use zero_comm::{
 use zero_model::ModelConfig;
 use zero_optim::{AdamConfig, SgdConfig};
 
-use crate::config::{CompressionConfig, OptimizerKind, TierConfig, ZeroConfig, ZeroStage};
+use crate::config::{CkptPlace, CompressionConfig, OptimizerKind, TierConfig, ZeroConfig, ZeroStage};
 use crate::snapshot::{RankSnapshot, SectionReader, SectionWriter, SnapshotError};
 use crate::supervisor::{
     run_rank, supervise, RankFate, RankResult, Round, RunData, SuperviseError, SupervisedReport,
@@ -388,6 +388,9 @@ word!(CollectiveKind, |k| k as u64, |w| ALL_KINDS.get(w as usize).copied());
 word!(ZeroStage, |s| s as u64, |w| {
     [ZeroStage::Ddp, ZeroStage::One, ZeroStage::Two, ZeroStage::Three].get(w as usize).copied()
 });
+word!(CkptPlace, |p| p as u64, |w| {
+    [CkptPlace::Whole, CkptPlace::Partitioned, CkptPlace::Host].get(w as usize).copied()
+});
 
 impl Field for PathBuf {
     /// The path's raw bytes: not every path is UTF-8 or free of newlines.
@@ -467,12 +470,11 @@ macro_rules! record {
 record!(ModelConfig { vocab, seq, hidden, layers, heads });
 record!(AdamConfig { lr, beta1, beta2, eps, weight_decay });
 record!(SgdConfig { lr, momentum });
-record!(CompressionConfig { qwz, hpz, qgz, node_size, block });
+record!(CompressionConfig { qwz, hpz, qgz, block });
 record!(TierConfig { enabled, device_budget, host_bw, host_lat, depth });
 record!(ZeroConfig {
-    stage, fp16, checkpoint_activations, checkpoint_interval, partition_activations,
-    offload_checkpoints, bucket_elems, initial_loss_scale, clip_grad_norm, optimizer, node_size,
-    overlap, compression, tier
+    stage, fp16, checkpoint_activations, checkpoint_interval, checkpoint_place, bucket_elems,
+    initial_loss_scale, clip_grad_norm, optimizer, node_size, overlap, compression, tier
 });
 record!(TrainSetup { model, zero, grid, global_batch, seed });
 record!(FaultSpec { rank, trigger, kind });
@@ -646,9 +648,10 @@ mod tests {
             let zero = &mut spec.cfg.setup.zero;
             zero.optimizer = optimizer;
             zero.clip_grad_norm = some.then_some(1.25);
-            zero.node_size = (!some).then_some(2);
+            zero.node_size = if some { 1 } else { 2 };
+            zero.checkpoint_place = if some { CkptPlace::Host } else { CkptPlace::Partitioned };
             zero.tier = TierConfig { host_lat: Duration::from_nanos(1500), ..TierConfig::budgeted(1 << 20) };
-            zero.compression = CompressionConfig { qgz: some, hpz: !some, node_size: 2, ..zero.compression };
+            zero.compression = CompressionConfig { qgz: some, hpz: !some, ..zero.compression };
             round_trip(&spec);
         }
     }

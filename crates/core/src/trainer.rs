@@ -301,7 +301,7 @@ mod tests {
     #[test]
     fn smoke_train_offload_stages() {
         for stage in [ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
-            for overlap in [false, true] {
+            for overlap in [false, true].into_iter().filter(|&o| !o || stage.partitions_grads()) {
                 let mut setup = tiny_setup(stage, 2, 1);
                 setup.zero.overlap = overlap;
                 setup.zero.tier = crate::config::TierConfig::budgeted(64 << 20);

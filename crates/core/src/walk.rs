@@ -268,7 +268,7 @@ mod tests {
         use zero_comm::{Grid, World};
         use zero_model::{init_full_params, Gpt, ModelConfig, SyntheticCorpus};
 
-        use crate::{RankEngine, ZeroStage};
+        use crate::{CkptPlace, RankEngine, ZeroStage};
 
         // The pre-allocated MD buffer is one slot per segment, every slot
         // filled: not one per block with the tail never touched. P_a+cpu
@@ -279,8 +279,7 @@ mod tests {
                 let zcfg = ZeroConfig {
                     stage: ZeroStage::Two,
                     checkpoint_interval: k,
-                    partition_activations: pa_cpu,
-                    offload_checkpoints: pa_cpu,
+                    checkpoint_place: if pa_cpu { CkptPlace::Host } else { CkptPlace::Whole },
                     ..ZeroConfig::default()
                 };
                 let params = init_full_params(&cfg, 4);

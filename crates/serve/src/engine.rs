@@ -27,9 +27,7 @@ use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use zero_comm::{
-    launch_with_config, CollectiveKind, Communicator, Group, PendingOp, WorldConfig,
-};
+use zero_comm::{launch, CollectiveKind, Communicator, Group, PendingOp};
 use zero_core::{CommPlan, OpRole, Partitioner, ResolvedOp};
 use zero_model::{argmax, block_rows_kv, embed_rows, head_rows, Gpt, ModelConfig, RowBatch};
 use zero_trace::{SpanCategory, SpanId, StepTimeline};
@@ -558,22 +556,11 @@ pub fn serve(
     requests: &[ServeRequest],
     cfg: &ServeConfig,
 ) -> ServeReport {
-    serve_with_config(model, shards, requests, cfg, WorldConfig::default())
-}
-
-/// [`serve`] with an explicit [`WorldConfig`] (timeouts, modeled link).
-pub fn serve_with_config(
-    model: &ModelConfig,
-    shards: &[Vec<f32>],
-    requests: &[ServeRequest],
-    cfg: &ServeConfig,
-    wcfg: WorldConfig,
-) -> ServeReport {
     let n = shards.len();
     assert!(n > 0, "need at least one serving rank");
     let gpt = Gpt::new(*model);
     let plan = CommPlan::serve_step(gpt.layout(), n, cfg.overlap);
-    let ranks = launch_with_config(n, wcfg, |mut comm| {
+    let ranks = launch(n, |mut comm| {
         let shard = &shards[comm.rank()];
         run_rank(&mut comm, model, shard, requests, cfg)
     });

@@ -64,7 +64,7 @@ pub mod paged;
 pub mod request;
 
 pub use engine::{
-    predicted_queue_delay, reference_greedy, serve, serve_with_config, RankServeReport, ServeConfig, ServeReport,
+    predicted_queue_delay, reference_greedy, serve, RankServeReport, ServeConfig, ServeReport,
 };
 pub use load::{generate, Arrivals, LoadConfig, SplitMix64};
 pub use paged::{AttachOutcome, KvBackend, KvMeters, KvPool, PoolActivity};

@@ -2,9 +2,9 @@
 //! appendix (Tables 5–10). Each figure's driver replays these exact
 //! (GPUs, MP, layers, hidden, batch) tuples through the simulator.
 
-use crate::memory::{SimWorkload, ZeroRFlags};
+use crate::memory::SimWorkload;
 use crate::perf::RunConfig;
-use zero_core::ZeroStage;
+use zero_core::{CkptPlace, ZeroStage};
 
 /// One appendix-table row.
 #[derive(Clone, Copy, Debug)]
@@ -49,11 +49,7 @@ impl PaperRow {
             stage: if self.zero { ZeroStage::Two } else { ZeroStage::Ddp },
             nd: self.nd(),
             mp: self.mp,
-            flags: if self.zero {
-                ZeroRFlags::with_pa()
-            } else {
-                ZeroRFlags::baseline()
-            },
+            ckpt: Some(if self.zero { CkptPlace::Partitioned } else { CkptPlace::Whole }),
         }
     }
 }
@@ -113,17 +109,18 @@ pub struct ZeroRConfig {
     pub id: u8,
     /// ZeRO-DP stage: P_os for C1–C2, P_os+g for C3–C5.
     pub stage: ZeroStage,
-    /// ZeRO-R flags (all include CB+MD; C2/C4 add P_a; C5 adds P_a+cpu).
-    pub flags: ZeroRFlags,
+    /// Checkpoint placement (all include CB+MD; C2/C4 add P_a; C5 adds
+    /// P_a+cpu).
+    pub ckpt: Option<CkptPlace>,
 }
 
 /// The five Table 3 configurations.
 pub const TABLE3_CONFIGS: [ZeroRConfig; 5] = [
-    ZeroRConfig { id: 1, stage: ZeroStage::One, flags: ZeroRFlags { checkpointing: true, partition_activations: false, cpu_offload: false } },
-    ZeroRConfig { id: 2, stage: ZeroStage::One, flags: ZeroRFlags { checkpointing: true, partition_activations: true, cpu_offload: false } },
-    ZeroRConfig { id: 3, stage: ZeroStage::Two, flags: ZeroRFlags { checkpointing: true, partition_activations: false, cpu_offload: false } },
-    ZeroRConfig { id: 4, stage: ZeroStage::Two, flags: ZeroRFlags { checkpointing: true, partition_activations: true, cpu_offload: false } },
-    ZeroRConfig { id: 5, stage: ZeroStage::Two, flags: ZeroRFlags { checkpointing: true, partition_activations: true, cpu_offload: true } },
+    ZeroRConfig { id: 1, stage: ZeroStage::One, ckpt: Some(CkptPlace::Whole) },
+    ZeroRConfig { id: 2, stage: ZeroStage::One, ckpt: Some(CkptPlace::Partitioned) },
+    ZeroRConfig { id: 3, stage: ZeroStage::Two, ckpt: Some(CkptPlace::Whole) },
+    ZeroRConfig { id: 4, stage: ZeroStage::Two, ckpt: Some(CkptPlace::Partitioned) },
+    ZeroRConfig { id: 5, stage: ZeroStage::Two, ckpt: Some(CkptPlace::Host) },
 ];
 
 #[cfg(test)]
@@ -170,8 +167,8 @@ mod tests {
         // C1→C5 never removes an optimization.
         assert_eq!(TABLE3_CONFIGS[0].stage, ZeroStage::One);
         assert_eq!(TABLE3_CONFIGS[4].stage, ZeroStage::Two);
-        assert!(TABLE3_CONFIGS[4].flags.cpu_offload);
-        assert!(TABLE3_CONFIGS[3].flags.partition_activations);
-        assert!(!TABLE3_CONFIGS[2].flags.partition_activations);
+        assert_eq!(TABLE3_CONFIGS[4].ckpt, Some(CkptPlace::Host));
+        assert_eq!(TABLE3_CONFIGS[3].ckpt, Some(CkptPlace::Partitioned));
+        assert_eq!(TABLE3_CONFIGS[2].ckpt, Some(CkptPlace::Whole));
     }
 }

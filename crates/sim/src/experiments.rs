@@ -13,11 +13,11 @@ use crate::cluster::ClusterSpec;
 use crate::configs::{SEQ, TABLE10_FIG4, TABLE3_CONFIGS, TABLE5_FIG2, TABLE6_FIG3};
 use crate::des::{overlap_fraction, simulate_overlapped, simulate_serial, DesConfig};
 use crate::fragmentation::simulate_training_fragmentation;
-use crate::memory::{MemoryModel, SimWorkload, ZeroRFlags};
+use crate::memory::{MemoryModel, SimWorkload};
 use crate::perf::{dp_volume_elems, PerfModel, RunConfig};
 use crate::pipeline::{compare_zero_vs_pp, PpComparison};
 use zero_comm::{CollectiveKind, Grid};
-use zero_core::{run_training, TrainSetup, ZeroConfig, ZeroStage};
+use zero_core::{run_training, CkptPlace, TrainSetup, ZeroConfig, ZeroStage};
 use zero_model::{Layout, ModelConfig};
 
 const GB: f64 = 1e9;
@@ -207,7 +207,7 @@ pub fn table2() -> Vec<Table2Row> {
                 stage,
                 nd,
                 mp as f64,
-                &ZeroRFlags::baseline(),
+                Some(CkptPlace::Whole),
             ) / GB
         };
         rows.push(Table2Row {
@@ -362,9 +362,9 @@ pub fn fig6() -> Vec<Fig6Row> {
         .map(|c| Fig6Row {
             config: c.id,
             stage: c.stage.name(),
-            pa: c.flags.partition_activations,
-            pa_cpu: c.flags.cpu_offload,
-            max_params_b: mem.max_model_params(&cluster, 8192, SEQ, 16, c.stage, 25.0, 16.0, &c.flags)
+            pa: c.ckpt.is_some_and(CkptPlace::partitioned),
+            pa_cpu: c.ckpt == Some(CkptPlace::Host),
+            max_params_b: mem.max_model_params(&cluster, 8192, SEQ, 16, c.stage, 25.0, 16.0, c.ckpt)
                 / GB,
         })
         .collect()
@@ -397,7 +397,7 @@ pub fn fig7() -> Vec<Fig7Row> {
             rows.push(Fig7Row {
                 config: c.id,
                 model_b,
-                cached_gb: mem.total_bytes(&w, c.stage, 25.0, 16.0, &c.flags) / GB,
+                cached_gb: mem.total_bytes(&w, c.stage, 25.0, 16.0, c.ckpt) / GB,
             });
         }
     }
@@ -430,7 +430,7 @@ pub fn fig8() -> Vec<Fig8Row> {
                 stage: c.stage,
                 nd,
                 mp: 16,
-                flags: c.flags,
+                ckpt: c.ckpt,
             });
             rows.push(Fig8Row { config: c.id, model_b, batch_per_gpu, fits, tflops_per_gpu });
         }
@@ -442,7 +442,7 @@ pub fn fig8() -> Vec<Fig8Row> {
 fn fit_and_tflops(cfg: &RunConfig) -> (bool, f64) {
     let (perf, mem) = (PerfModel::default(), MemoryModel::default());
     let (nd, mp) = (cfg.nd as f64, cfg.mp as f64);
-    let fits = mem.fits(&perf.cluster, &cfg.workload, cfg.stage, nd, mp, &cfg.flags);
+    let fits = mem.fits(&perf.cluster, &cfg.workload, cfg.stage, nd, mp, cfg.ckpt);
     (fits, if fits { perf.tflops_per_gpu(cfg) } else { 0.0 })
 }
 
@@ -727,7 +727,7 @@ pub fn scaling_sweep() -> Vec<SweepRow> {
                 stage: ZeroStage::Two,
                 nd,
                 mp,
-                flags: ZeroRFlags::with_pa(),
+                ckpt: Some(CkptPlace::Partitioned),
             };
             let max_batch = perf.max_batch_per_gpu(&mem, &cfg, 128).unwrap_or(0);
             let tflops_fixed_batch = perf.tflops_per_gpu(&cfg);
@@ -769,7 +769,7 @@ pub fn mp_scaling() -> Vec<MpRow> {
                 stage: ZeroStage::Ddp,
                 nd: 2, // a little DP on the side, like the baseline rows
                 mp,
-                flags: ZeroRFlags::baseline(),
+                ckpt: Some(CkptPlace::Whole),
             };
             let t = perf.step_time(&cfg);
             let tf = perf.tflops_per_gpu(&cfg);
@@ -880,15 +880,15 @@ pub fn stage_advisor(q: &AdvisorQuery) -> Advice {
     let workload = SimWorkload::with_params(8192, SEQ, q.batch, psi);
     let ddp_volume = dp_volume_elems(ZeroStage::Ddp, psi, nd);
     let levers = [
-        ("ckpt", ZeroRFlags::baseline()),
-        ("ckpt+Pa", ZeroRFlags::with_pa()),
-        ("ckpt+Pa+cpu", ZeroRFlags::with_pa_cpu()),
+        ("ckpt", Some(CkptPlace::Whole)),
+        ("ckpt+Pa", Some(CkptPlace::Partitioned)),
+        ("ckpt+Pa+cpu", Some(CkptPlace::Host)),
     ];
     let mut configs = Vec::new();
     let mut best: Option<(ZeroStage, &str, f64)> = None;
     for stage in STAGES {
-        for (zero_r, flags) in levers {
-            let cfg = RunConfig { workload, stage, nd, mp: q.mp, flags };
+        for (zero_r, ckpt) in levers {
+            let cfg = RunConfig { workload, stage, nd, mp: q.mp, ckpt };
             let (fits, tflops_per_gpu) = fit_and_tflops(&cfg);
             if fits && best.is_none_or(|(_, _, tf)| tflops_per_gpu > tf + 1e-9) {
                 best = Some((stage, zero_r, tflops_per_gpu));
@@ -897,7 +897,7 @@ pub fn stage_advisor(q: &AdvisorQuery) -> Advice {
                 stage: stage.name(),
                 zero_r,
                 states_gb: mem.model_state_bytes(psi / nm, stage, nd as f64) / GB,
-                total_gb: mem.total_bytes(&workload, stage, nd as f64, nm, &flags) / GB,
+                total_gb: mem.total_bytes(&workload, stage, nd as f64, nm, ckpt) / GB,
                 fits,
                 tflops_per_gpu,
                 comm_factor: if ddp_volume > 0.0 {
@@ -914,7 +914,7 @@ pub fn stage_advisor(q: &AdvisorQuery) -> Advice {
         .map(|&stage| MaxModelRow {
             stage: stage.name(),
             max_params_b: mem
-                .max_model_params(&cluster, 8192, SEQ, q.batch, stage, nd as f64, nm, &all_levers)
+                .max_model_params(&cluster, 8192, SEQ, q.batch, stage, nd as f64, nm, all_levers)
                 / GB,
         })
         .collect();
@@ -1076,7 +1076,7 @@ mod tests {
         let mem = MemoryModel::default();
         let cluster = ClusterSpec::dgx2_v100();
         let w = SimWorkload::with_params(2048, SEQ, 1, 2e9);
-        assert!(!mem.fits(&cluster, &w, ZeroStage::Ddp, 128.0, 1.0, &ZeroRFlags::baseline()));
+        assert!(!mem.fits(&cluster, &w, ZeroStage::Ddp, 128.0, 1.0, Some(CkptPlace::Whole)));
     }
 
     #[test]

@@ -26,6 +26,6 @@ pub mod pipeline;
 pub use cluster::ClusterSpec;
 pub use des::{overlap_fraction, simulate_overlapped, simulate_serial, DesConfig, DesResult};
 pub use fragmentation::{simulate_training_fragmentation, FirstFitHeap, FragReport};
-pub use memory::{MemoryModel, SimWorkload, ZeroRFlags, K_ADAM};
+pub use memory::{MemoryModel, SimWorkload, K_ADAM};
 pub use perf::{dp_volume_elems, PerfModel, RunConfig, StepBreakdown};
 pub use pipeline::{compare_zero_vs_pp, PipelineConfig, PipelineScheme, PpComparison};

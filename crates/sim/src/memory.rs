@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::ClusterSpec;
-use zero_core::ZeroStage;
+use zero_core::{CkptPlace, ZeroStage};
 
 /// Bytes per fp16 element.
 const FP16: f64 = 2.0;
@@ -46,45 +46,6 @@ impl SimWorkload {
             hidden,
             seq,
             batch_per_gpu: batch,
-        }
-    }
-}
-
-/// ZeRO-R switches for the memory model (Table 3's C1–C5 combine these
-/// with a stage).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ZeroRFlags {
-    /// Activation checkpointing (one checkpoint per transformer layer).
-    pub checkpointing: bool,
-    /// P_a: checkpoints partitioned across the MP group.
-    pub partition_activations: bool,
-    /// P_a+cpu: checkpoints offloaded to host memory.
-    pub cpu_offload: bool,
-}
-
-impl ZeroRFlags {
-    /// Checkpointing only (the paper's default for large models).
-    pub fn baseline() -> ZeroRFlags {
-        ZeroRFlags {
-            checkpointing: true,
-            partition_activations: false,
-            cpu_offload: false,
-        }
-    }
-
-    /// Checkpointing + P_a.
-    pub fn with_pa() -> ZeroRFlags {
-        ZeroRFlags {
-            partition_activations: true,
-            ..ZeroRFlags::baseline()
-        }
-    }
-
-    /// Checkpointing + P_a + CPU offload.
-    pub fn with_pa_cpu() -> ZeroRFlags {
-        ZeroRFlags {
-            cpu_offload: true,
-            ..ZeroRFlags::with_pa()
         }
     }
 }
@@ -131,25 +92,19 @@ impl MemoryModel {
             * (w.layers as f64)
     }
 
-    /// Checkpointed-activation bytes per GPU: one s·h·b checkpoint per
-    /// layer, replicated across MP unless P_a partitions it; zero on
-    /// device with CPU offload.
-    pub fn checkpoint_bytes(&self, w: &SimWorkload, mp: f64, r: &ZeroRFlags) -> f64 {
-        if !r.checkpointing {
-            return 0.0;
-        }
-        if r.cpu_offload {
-            return 0.0;
-        }
+    /// Checkpointed-activation bytes per GPU under `ckpt` (`None` = no
+    /// checkpointing): one s·h·b checkpoint per layer, replicated across
+    /// MP unless P_a partitions it; zero on device with P_a+cpu.
+    pub fn checkpoint_bytes(&self, w: &SimWorkload, mp: f64, ckpt: Option<CkptPlace>) -> f64 {
         let full = FP16
             * (w.hidden as f64)
             * (w.seq as f64)
             * (w.batch_per_gpu as f64)
             * (w.layers as f64);
-        if r.partition_activations {
-            full / mp
-        } else {
-            full
+        match ckpt {
+            None | Some(CkptPlace::Host) => 0.0,
+            Some(CkptPlace::Whole) => full,
+            Some(CkptPlace::Partitioned) => full / mp,
         }
     }
 
@@ -163,12 +118,12 @@ impl MemoryModel {
         (per_layer - replicated) / mp + replicated
     }
 
-    /// Activation bytes per GPU under the flags: checkpoints (+ the
-    /// working set) when checkpointing, the full stash otherwise
-    /// (sharded like the working set across MP).
-    pub fn activation_bytes(&self, w: &SimWorkload, mp: f64, r: &ZeroRFlags) -> f64 {
-        if r.checkpointing {
-            self.checkpoint_bytes(w, mp, r) + self.working_activation_bytes(w, mp)
+    /// Activation bytes per GPU: checkpoints (+ the working set) when
+    /// checkpointing, the full stash otherwise (sharded like the working
+    /// set across MP).
+    pub fn activation_bytes(&self, w: &SimWorkload, mp: f64, ckpt: Option<CkptPlace>) -> f64 {
+        if ckpt.is_some() {
+            self.checkpoint_bytes(w, mp, ckpt) + self.working_activation_bytes(w, mp)
         } else {
             self.full_activation_bytes(w) / mp * 0.85 + self.working_activation_bytes(w, mp) * 0.15
         }
@@ -181,11 +136,11 @@ impl MemoryModel {
         stage: ZeroStage,
         nd: f64,
         mp: f64,
-        r: &ZeroRFlags,
+        ckpt: Option<CkptPlace>,
     ) -> f64 {
         let psi_shard = w.params() / mp;
         self.model_state_bytes(psi_shard, stage, nd)
-            + self.activation_bytes(w, mp, r)
+            + self.activation_bytes(w, mp, ckpt)
             + self.constant_buffers
     }
 
@@ -197,9 +152,9 @@ impl MemoryModel {
         stage: ZeroStage,
         nd: f64,
         mp: f64,
-        r: &ZeroRFlags,
+        ckpt: Option<CkptPlace>,
     ) -> bool {
-        self.total_bytes(w, stage, nd, mp, r) <= self.usable_fraction * cluster.gpu_mem_bytes as f64
+        self.total_bytes(w, stage, nd, mp, ckpt) <= self.usable_fraction * cluster.gpu_mem_bytes as f64
     }
 
     /// Largest parameter count (via layer count at fixed hidden/seq/batch)
@@ -214,7 +169,7 @@ impl MemoryModel {
         stage: ZeroStage,
         nd: f64,
         mp: f64,
-        r: &ZeroRFlags,
+        ckpt: Option<CkptPlace>,
     ) -> f64 {
         let mut lo = 0usize; // layers that fit
         let mut hi = 1usize;
@@ -224,7 +179,7 @@ impl MemoryModel {
             seq,
             batch_per_gpu: batch,
         };
-        while self.fits(cluster, &mk(hi), stage, nd, mp, r) {
+        while self.fits(cluster, &mk(hi), stage, nd, mp, ckpt) {
             lo = hi;
             hi *= 2;
             if hi > 1 << 22 {
@@ -233,7 +188,7 @@ impl MemoryModel {
         }
         while hi - lo > 1 {
             let mid = (lo + hi) / 2;
-            if self.fits(cluster, &mk(mid), stage, nd, mp, r) {
+            if self.fits(cluster, &mk(mid), stage, nd, mp, ckpt) {
                 lo = mid;
             } else {
                 hi = mid;
@@ -315,7 +270,7 @@ mod tests {
         };
         let full = m.full_activation_bytes(&w);
         assert!((gb(full) - 60.0).abs() < 5.0, "got {} GB", gb(full));
-        let ck = m.checkpoint_bytes(&w, 1.0, &ZeroRFlags::baseline());
+        let ck = m.checkpoint_bytes(&w, 1.0, Some(CkptPlace::Whole));
         assert!(gb(ck) < 8.0, "checkpointed {} GB", gb(ck));
     }
 
@@ -334,12 +289,12 @@ mod tests {
             seq: 1024,
             batch_per_gpu: 16,
         };
-        let no_pa = m.checkpoint_bytes(&w, 16.0, &ZeroRFlags::baseline());
+        let no_pa = m.checkpoint_bytes(&w, 16.0, Some(CkptPlace::Whole));
         assert!((gb(no_pa) - 33.0).abs() < 3.0, "got {} GB", gb(no_pa));
-        let pa = m.checkpoint_bytes(&w, 16.0, &ZeroRFlags::with_pa());
+        let pa = m.checkpoint_bytes(&w, 16.0, Some(CkptPlace::Partitioned));
         assert!((gb(pa) - 2.0).abs() < 0.3, "got {} GB", gb(pa));
         assert!((no_pa / pa - 16.0).abs() < 1e-9, "P_a ratio is exactly N_m");
-        let cpu = m.checkpoint_bytes(&w, 16.0, &ZeroRFlags::with_pa_cpu());
+        let cpu = m.checkpoint_bytes(&w, 16.0, Some(CkptPlace::Host));
         assert_eq!(cpu, 0.0);
     }
 
@@ -347,10 +302,10 @@ mod tests {
     fn max_model_search_is_monotone_in_stage() {
         let m = MemoryModel::default();
         let c = ClusterSpec::dgx2_v100();
-        let r = ZeroRFlags::with_pa();
+        let r = Some(CkptPlace::Partitioned);
         let sizes: Vec<f64> = [ZeroStage::Ddp, ZeroStage::One, ZeroStage::Two, ZeroStage::Three]
             .iter()
-            .map(|&s| m.max_model_params(&c, 8192, 1024, 16, s, 25.0, 16.0, &r))
+            .map(|&s| m.max_model_params(&c, 8192, 1024, 16, s, 25.0, 16.0, r))
             .collect();
         for pair in sizes.windows(2) {
             assert!(pair[1] > pair[0], "later stages must fit more: {sizes:?}");

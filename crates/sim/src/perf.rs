@@ -24,8 +24,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::ClusterSpec;
-use crate::memory::{MemoryModel, SimWorkload, ZeroRFlags};
-use zero_core::ZeroStage;
+use crate::memory::{MemoryModel, SimWorkload};
+use zero_core::{CkptPlace, ZeroStage};
 
 /// A complete simulated run configuration.
 #[derive(Clone, Copy, Debug)]
@@ -38,8 +38,8 @@ pub struct RunConfig {
     pub nd: usize,
     /// Model-parallel degree N_m.
     pub mp: usize,
-    /// ZeRO-R flags.
-    pub flags: ZeroRFlags,
+    /// Where activation checkpoints live; `None` = no checkpointing.
+    pub ckpt: Option<CkptPlace>,
 }
 
 impl RunConfig {
@@ -129,7 +129,7 @@ impl PerfModel {
         let dense = 6.0 * psi * tokens;
         let attn = 12.0 * (w.layers * w.seq) as f64 * (w.seq * w.hidden) as f64
             * w.batch_per_gpu as f64;
-        let recompute = if cfg.flags.checkpointing { 4.0 / 3.0 } else { 1.0 };
+        let recompute = if cfg.ckpt.is_some() { 4.0 / 3.0 } else { 1.0 };
         (dense + attn) * recompute / cfg.mp as f64
     }
 
@@ -161,9 +161,9 @@ impl PerfModel {
         let w = &cfg.workload;
         let act_bytes = 2.0 * (w.batch_per_gpu * w.seq * w.hidden) as f64;
         let ring = 2.0 * (cfg.mp - 1) as f64 / cfg.mp as f64; // all-reduce volume factor
-        let passes = if cfg.flags.checkpointing { 3.0 } else { 2.0 };
+        let passes = if cfg.ckpt.is_some() { 3.0 } else { 2.0 };
         let mut vol = passes * 2.0 * act_bytes * ring * w.layers as f64;
-        if cfg.flags.partition_activations {
+        if cfg.ckpt.is_some_and(CkptPlace::partitioned) {
             // One all-gather of the checkpoint per block.
             vol += act_bytes * ((cfg.mp - 1) as f64 / cfg.mp as f64) * w.layers as f64;
         }
@@ -188,7 +188,7 @@ impl PerfModel {
         };
         let dp_comm = (raw_dp - overlap * compute).max(raw_dp * (1.0 - overlap)).min(raw_dp);
         let dp_comm = dp_comm.max(0.0);
-        let pcie = if cfg.flags.cpu_offload {
+        let pcie = if cfg.ckpt == Some(CkptPlace::Host) {
             let w = &cfg.workload;
             let ckpt = 2.0 * (w.hidden * w.seq * w.batch_per_gpu * w.layers) as f64
                 / cfg.mp as f64;
@@ -234,7 +234,7 @@ impl PerfModel {
                 batch_per_gpu: b,
                 ..cfg.workload
             };
-            if mem.fits(&self.cluster, &w, cfg.stage, cfg.nd as f64, cfg.mp as f64, &cfg.flags) {
+            if mem.fits(&self.cluster, &w, cfg.stage, cfg.nd as f64, cfg.mp as f64, cfg.ckpt) {
                 best = Some(b);
             }
         }
@@ -259,7 +259,7 @@ mod tests {
             stage: ZeroStage::Two,
             nd: 25,
             mp: 16,
-            flags: ZeroRFlags::with_pa(),
+            ckpt: Some(CkptPlace::Partitioned),
         }
     }
 
@@ -290,7 +290,7 @@ mod tests {
             stage: ZeroStage::Ddp,
             nd: 12,
             mp: 32, // crosses the 16-GPU node boundary
-            flags: ZeroRFlags::baseline(),
+            ckpt: Some(CkptPlace::Whole),
         };
         let t = m.tflops_per_gpu(&baseline);
         assert!(t < 10.0, "cross-node MP should collapse, got {t}");
@@ -303,7 +303,7 @@ mod tests {
             stage: ZeroStage::Two,
             nd: 100,
             mp: 4,
-            flags: ZeroRFlags::with_pa(),
+            ckpt: Some(CkptPlace::Partitioned),
         };
         let tz = m.tflops_per_gpu(&zero);
         assert!(tz > 3.0 * t, "ZeRO {tz} should beat baseline {t} by >3x");
@@ -335,7 +335,7 @@ mod tests {
             stage: ZeroStage::Two,
             nd,
             mp: 16,
-            flags: ZeroRFlags::baseline(),
+            ckpt: Some(CkptPlace::Whole),
         };
         let b4 = m.max_batch_per_gpu(&mem, &mk(4), 128);
         let b25 = m.max_batch_per_gpu(&mem, &mk(25), 128);
@@ -356,10 +356,10 @@ mod tests {
             stage: ZeroStage::Two,
             nd: 8,
             mp: 16,
-            flags: ZeroRFlags::with_pa(),
+            ckpt: Some(CkptPlace::Partitioned),
         };
         let off = RunConfig {
-            flags: ZeroRFlags::with_pa_cpu(),
+            ckpt: Some(CkptPlace::Host),
             ..base
         };
         assert!(m.tflops_per_gpu(&off) <= m.tflops_per_gpu(&base));

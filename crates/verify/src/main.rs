@@ -132,10 +132,9 @@ fn run_tracecheck() -> bool {
     let layout = zero_model::Layout::build(&model);
     let act_elems = model.seq * model.hidden;
     let raw = CompressionConfig::off();
-    let squeezed =
-        CompressionConfig { qwz: true, hpz: true, qgz: true, node_size: 2, block: 64 };
+    let squeezed = CompressionConfig { qwz: true, hpz: true, qgz: true, block: 64 };
     let mut checked_ranks = 0usize;
-    for (compression, dp) in [(raw, 2usize), (squeezed, 4)] {
+    for (compression, node_size, dp) in [(raw, 1, 2usize), (squeezed, 2, 4)] {
         for overlap in [false, true] {
             let setup = TrainSetup {
                 model,
@@ -146,6 +145,7 @@ fn run_tracecheck() -> bool {
                     checkpoint_activations: false,
                     bucket_elems: 1000,
                     overlap,
+                    node_size,
                     compression,
                     ..ZeroConfig::default()
                 },

@@ -1,10 +1,10 @@
 //! The memory-tier offload prover.
 //!
-//! Sweeps stages 1–3 × N ∈ {2,4,8} × sync/overlap × fp16/fp32, plus
-//! stages 2–3 × N ∈ {4,8} × sync/overlap with every ZeRO++ lever the stage
-//! owns on at G = 2 (stage 2: qgZ; stage 3: qwZ+hpZ+qgZ), and proves four
-//! things about the tier-movement stream of every offloaded plan, all from
-//! plan arithmetic — zero training steps executed:
+//! Sweeps stages 1–3 × N ∈ {2,4,8} × sync (and overlap at stages 2–3) ×
+//! fp16/fp32, plus stages 2–3 × N ∈ {4,8} × sync/overlap with every ZeRO++
+//! lever the stage owns on at G = 2 (stage 2: qgZ; stage 3: qwZ+hpZ+qgZ),
+//! and proves four things about the tier-movement stream of every
+//! offloaded plan, all from plan arithmetic — zero training steps executed:
 //!
 //! * **Prefetch windows.** Every tier op is issued no later than it is
 //!   demanded (`issue_pos ≤ demand_pos`). Synchronous plans have zero
@@ -36,21 +36,22 @@
 //!   bitwise identical), and a tier-off plan carries no tier ops.
 //!
 //! A checkpoint clause sweeps P_a+cpu (§6.1) over DDP and stages 1–3 ×
-//! mp ∈ {1,2} × sync/overlap, plus stage 3 with the model-state tier on
-//! at mp = 1 (17 configurations), and proves that every checkpoint
-//! spill rides nothing and pairs with exactly one later fetch of equal
-//! bytes, blocked on where that fetch goes; that the fetch rides a
-//! `ckpt-gather` whose own piece is those bytes; that checkpoint bytes
-//! telescope per rank and step to micro-batches × segments × slice ×
-//! width, recomputed from the layer count and interval; and that the
-//! collective stream is bitwise the one without `offload_checkpoints`.
+//! mp ∈ {1,2} × sync (and overlap at stages 2–3), plus stage 3 with the
+//! model-state tier on at mp = 1 (13 configurations), and proves that
+//! every checkpoint spill rides nothing and pairs with exactly one later
+//! fetch of equal bytes, blocked on where that fetch goes; that the fetch
+//! rides a `ckpt-gather` whose own piece is those bytes; that checkpoint
+//! bytes telescope per rank and step to micro-batches × segments × slice
+//! × width, recomputed from the layer count and interval; and that the
+//! collective stream is bitwise the one of the same slices kept on device
+//! (`CkptPlace::Partitioned`).
 //!
 //! Rank-symmetry ([`schedule`](crate::schedule)) is re-proven on every
 //! offloaded configuration.
 
 use zero_comm::Grid;
 use zero_core::{
-    CommPlan, CompressionConfig, OpRole, ParamStore, Partitioner, ResolvedTierOp, StepShape,
+    CkptPlace, CommPlan, CompressionConfig, OpRole, ParamStore, Partitioner, ResolvedTierOp, StepShape,
     TierConfig, TierDir, ZeroConfig, ZeroStage,
 };
 use zero_model::{Layout, ModelConfig};
@@ -417,12 +418,12 @@ fn check_checkpoint_config(zcfg: &ZeroConfig, grid: Grid, report: &mut OffloadRe
         if let Some(t) = plan.tier_ops().iter().find(|t| t.label == "tier-ckpt-spill" && t.rides.is_some()) {
             return Err(format!("{what}: the checkpoint spill at {} rides a collective", t.issue_pos));
         }
-        let on_device_cfg = ZeroConfig { offload_checkpoints: false, ..*zcfg };
+        let on_device_cfg = ZeroConfig { checkpoint_place: CkptPlace::Partitioned, ..*zcfg };
         let on_device = CommPlan::train_step(&layout, &on_device_cfg, grid, &sh);
         if plan.ops() != on_device.ops() {
             return Err(format!(
-                "{what} skipped={skipped}: the collective stream differs from the one without \
-                 offload_checkpoints"
+                "{what} skipped={skipped}: the collective stream differs from the one with \
+                 the slices kept on device"
             ));
         }
         if on_device.tier_ops().iter().any(|t| t.label.starts_with("tier-ckpt")) {
@@ -448,20 +449,19 @@ fn check_checkpoint_config(zcfg: &ZeroConfig, grid: Grid, report: &mut OffloadRe
 }
 
 /// The P_a+cpu configurations the checkpoint clause sweeps: DDP and
-/// stages 1–3 × mp ∈ {1,2} × sync/overlap at dp 2 and interval 1, plus
-/// stage 3 overlapped at interval 2 with the model-state tier on at
-/// mp = 1 — 17 in all.
+/// stages 1–3 × mp ∈ {1,2} × sync (and overlap at stages 2–3) at dp 2 and
+/// interval 1, plus stage 3 overlapped at interval 2 with the model-state
+/// tier on at mp = 1 — 13 in all.
 fn checkpoint_configs() -> Vec<(ZeroConfig, Grid)> {
     let pa_cpu = |stage, overlap, tier| ZeroConfig {
         checkpoint_activations: true,
-        partition_activations: true,
-        offload_checkpoints: true,
+        checkpoint_place: CkptPlace::Host,
         ..cfg(stage, overlap, true, tier)
     };
     let mut out = Vec::new();
     for stage in [ZeroStage::Ddp, ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
         for mp in [1, 2] {
-            for overlap in [false, true] {
+            for &overlap in overlaps(stage) {
                 out.push((pa_cpu(stage, overlap, TierConfig::off()), Grid::new(2, mp)));
             }
         }
@@ -471,15 +471,26 @@ fn checkpoint_configs() -> Vec<(ZeroConfig, Grid)> {
     out
 }
 
-/// The swept configurations: stages 1–3 × N ∈ {2,4,8} × sync/overlap ×
-/// fp16/fp32, then stages 2–3 × N ∈ {4,8} × sync/overlap with every lever
-/// the stage owns at G = 2 (qgZ; plus qwZ and hpZ at stage 3) — 44 in all.
+/// Synchronous, plus overlapped where `stage` has something to issue
+/// ahead (2 and 3).
+fn overlaps(stage: ZeroStage) -> &'static [bool] {
+    if stage.partitions_grads() {
+        &[false, true]
+    } else {
+        &[false]
+    }
+}
+
+/// The swept configurations: stages 1–3 × N ∈ {2,4,8} × sync (and
+/// overlap at stages 2–3) × fp16/fp32, then stages 2–3 × N ∈ {4,8} ×
+/// sync/overlap with every lever the stage owns at G = 2 (qgZ; plus qwZ
+/// and hpZ at stage 3) — 38 in all.
 pub fn sweep_configs() -> Vec<(ZeroConfig, Grid)> {
     let tier = TierConfig::budgeted(1 << 30);
     let mut out = Vec::new();
     for stage in [ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
         for n in [2usize, 4, 8] {
-            for overlap in [false, true] {
+            for &overlap in overlaps(stage) {
                 for fp16 in [true, false] {
                     out.push((cfg(stage, overlap, fp16, tier), Grid::new(n, 1)));
                 }
@@ -488,10 +499,10 @@ pub fn sweep_configs() -> Vec<(ZeroConfig, Grid)> {
     }
     for stage in [ZeroStage::Two, ZeroStage::Three] {
         let params = stage.partitions_params();
-        let compression = CompressionConfig { qwz: params, hpz: params, qgz: true, node_size: 2, block: 64 };
+        let compression = CompressionConfig { qwz: params, hpz: params, qgz: true, block: 64 };
         for n in [4usize, 8] {
             for overlap in [false, true] {
-                let zcfg = ZeroConfig { compression, ..cfg(stage, overlap, true, tier) };
+                let zcfg = ZeroConfig { node_size: 2, compression, ..cfg(stage, overlap, true, tier) };
                 out.push((zcfg, Grid::new(n, 1)));
             }
         }
@@ -499,8 +510,8 @@ pub fn sweep_configs() -> Vec<(ZeroConfig, Grid)> {
     out
 }
 
-/// Runs the full offload sweep (the 44 [`sweep_configs`], each at
-/// skipped ∈ {false,true}), then the checkpoint clause over its 17
+/// Runs the full offload sweep (the 38 [`sweep_configs`], each at
+/// skipped ∈ {false,true}), then the checkpoint clause over its 13
 /// P_a+cpu configurations.
 pub fn check_offload() -> Result<OffloadReport, String> {
     let mut report = OffloadReport::default();
@@ -525,10 +536,10 @@ mod tests {
     #[test]
     fn full_sweep_passes() {
         let r = check_offload().expect("offload proof");
-        // 3 stages × 3 worlds × sync/overlap × fp16/fp32, plus the 8
-        // ZeRO++ configurations.
-        assert_eq!(r.configs, 44, "sweep covered {} configs", r.configs);
-        assert_eq!(r.checkpoint_configs, 17, "checkpoint clause covered {}", r.checkpoint_configs);
+        // 3 worlds × fp16/fp32 × (stage 1 sync + stages 2-3 sync/overlap),
+        // plus the 8 ZeRO++ configurations.
+        assert_eq!(r.configs, 38, "sweep covered {} configs", r.configs);
+        assert_eq!(r.checkpoint_configs, 13, "checkpoint clause covered {}", r.checkpoint_configs);
         assert!(r.tier_ops_checked > 100, "checked {} tier ops", r.tier_ops_checked);
         assert!(r.paired_ops > 50, "paired {} tier ops", r.paired_ops);
         assert!(r.windows_proven > 0, "no prefetch window proven open");

@@ -11,7 +11,7 @@
 
 use zero_comm::{Grid, ALL_KINDS};
 use zero_core::{
-    run_training, CommPlan, StepShape, TrainSetup, ZeroConfig, ZeroStage,
+    run_training, CkptPlace, CommPlan, StepShape, TrainSetup, ZeroConfig, ZeroStage,
 };
 use zero_model::{Layout, ModelConfig};
 
@@ -100,7 +100,7 @@ fn ddp_with_clipping_conforms() {
 fn ddp_hierarchical_conforms() {
     let zero = ZeroConfig {
         bucket_elems: 512,
-        node_size: Some(2),
+        node_size: 2,
         ..ZeroConfig::fp32_exact(ZeroStage::Ddp)
     };
     assert_conformance(&setup(zero, 4, 1), 2, 0, "DDP dp=4 hier g=2");
@@ -133,7 +133,7 @@ fn stage2_mp_checkpointed_pa_with_eval_conforms() {
         stage: ZeroStage::Two,
         bucket_elems: 512,
         checkpoint_activations: true,
-        partition_activations: true,
+        checkpoint_place: CkptPlace::Partitioned,
         ..ZeroConfig::default()
     };
     assert_conformance(

@@ -11,7 +11,7 @@
 
 use zero::cli::{usage_exit, Args};
 use zero::comm::{CollectiveKind, Grid};
-use zero::core::{run_training, ConfigError, TrainSetup, ZeroConfig, ZeroStage};
+use zero::core::{run_training, CkptPlace, ConfigError, TrainSetup, ZeroConfig, ZeroStage};
 use zero::model::ModelConfig;
 use zero::optim::AdamConfig;
 
@@ -51,6 +51,7 @@ fn main() {
              --fp32         disable mixed precision\n\
              --overlap      non-blocking collectives: overlap backward\n\
                             with reduce-scatter, prefetch stage-3 params\n\
+                            (refused below --stage 2)\n\
              --no-checkpoint disable activation checkpointing\n\
              --pa           partition activation checkpoints across the\n\
                             MP group (at --mp 1 a slice is the whole\n\
@@ -62,12 +63,14 @@ fn main() {
                             below --stage 3)\n\
              --hpz          node-local secondary param partition: stage-3\n\
                             re-gathers resolve within the node (refused\n\
-                            below --stage 3; needs --dp divisible by\n\
-                            --node-size)\n\
+                            below --stage 3; needs --dp above --node-size)\n\
              --qgz          quantized all-to-all gradient reduce-scatter:\n\
                             int8 across nodes, full precision within\n\
                             (refused below --stage 2)\n\
-             --node-size N  ranks per modeled node for --hpz/--qgz  [2]\n\
+             --node-size N  ranks per node, grouped by --hpz, --qgz and\n\
+                            --stage 0's two-level all-reduce; must divide\n\
+                            --dp, refused when none of them is on\n\
+                            [2 with --hpz/--qgz, else 1]\n\
              --quant-block N  int8 quantizer block size           [64]\n\
              --offload      memory-tier offload: optimizer state\n\
                             (stage >= 1), gradient shards (stage >= 2),\n\
@@ -134,9 +137,9 @@ fn main() {
         qwz: args.flag("--qwz"),
         hpz: args.flag("--hpz"),
         qgz: args.flag("--qgz"),
-        node_size: args.get("--node-size", 2usize),
         block: args.get("--quant-block", 64usize),
     };
+    let node_size = args.get("--node-size", if compression.hpz || compression.qgz { 2 } else { 1 });
     // Shapes the engine would meet with an `assert!`: refuse them here.
     let (dp, mp, batch) = (args.get("--dp", 4usize), args.get("--mp", 1usize), args.get("--batch", 16usize));
     if model.heads == 0 || !model.hidden.is_multiple_of(model.heads) {
@@ -164,9 +167,15 @@ fn main() {
             fp16: !args.flag("--fp32"),
             overlap: args.flag("--overlap"),
             checkpoint_activations: !args.flag("--no-checkpoint"),
-            partition_activations: args.flag("--pa") || args.flag("--pa-cpu"),
-            offload_checkpoints: args.flag("--pa-cpu"),
+            checkpoint_place: if args.flag("--pa-cpu") {
+                CkptPlace::Host
+            } else if args.flag("--pa") {
+                CkptPlace::Partitioned
+            } else {
+                CkptPlace::Whole
+            },
             clip_grad_norm: args.maybe("--clip"),
+            node_size,
             compression,
             tier,
             optimizer: zero::core::OptimizerKind::Adam(AdamConfig {
@@ -187,18 +196,22 @@ fn main() {
             ConfigError::Switches(why) => {
                 format!("--clip must be finite and positive and --pa/--pa-cpu need checkpointing: {why}")
             }
+            ConfigError::Overlap(why) => format!("--overlap needs --stage 2 or 3: {why}"),
+            ConfigError::NodeSize(why) => format!(
+                "--node-size {node_size} needs --stage 0, --hpz or --qgz, --mp 1 (got {mp}) and \
+                 --dp {dp} divisible by it: {why}"
+            ),
             ConfigError::Compression(why) => format!(
-                "--qwz/--hpz need --stage 3, --qgz needs --stage 2 or 3, and all need --mp 1 \
-                 (got {mp}) and --dp {dp} divisible by --node-size {}: {why}",
-                compression.node_size
+                "--qwz/--hpz need --stage 3, --qgz needs --stage 2 or 3, all need --mp 1 \
+                 (got {mp}), and --hpz needs --dp {dp} above --node-size {node_size}: {why}"
             ),
             ConfigError::Offload(why) => format!("--offload needs --mp 1 and --stage 1/2/3: {why}"),
         })
     });
     if compression.any() {
         println!(
-            "compression: qwZ={} hpZ={} qgZ={} (node size {}, quant block {})",
-            compression.qwz, compression.hpz, compression.qgz, compression.node_size, compression.block
+            "compression: qwZ={} hpZ={} qgZ={} (node size {node_size}, quant block {})",
+            compression.qwz, compression.hpz, compression.qgz, compression.block
         );
     }
 

@@ -32,6 +32,13 @@ fn bad_values_and_unknown_flags_exit_2_naming_the_argument() {
         (train, &["--stage", "2", "--hpz"], &["--stage", "--hpz"]),
         // A negative clip coefficient used to train uphill, exit 0.
         (train, &["--clip", "-1"], &["--clip"]),
+        // These three used to train a schedule identical to the one
+        // without the flag (stage 1 has nothing to issue ahead; no lever
+        // groups by node), or, for hpZ at one node, a second copy of the
+        // primary shard.
+        (train, &["--stage", "1", "--overlap"], &["--overlap"]),
+        (train, &["--stage", "2", "--node-size", "2"], &["--node-size"]),
+        (train, &["--stage", "3", "--dp", "2", "--hpz"], &["--hpz"]),
         (serve, &["--slots", "many"], &["--slots", "many"]),
         (serve, &["--dp", "2"], &["--dp"]),
         // These parse, but used to reach a panic in the engine / partitioner…
@@ -54,6 +61,24 @@ fn bad_values_and_unknown_flags_exit_2_naming_the_argument() {
             assert!(stderr.contains(name), "{bin} {args:?}: stderr must name {name}: {stderr}");
         }
     }
+}
+
+/// `--node-size` at `--stage 0` runs DDP's two-level all-reduce, whose
+/// node reduce-scatter shows in the traffic report (it used to be ignored,
+/// leaving the flat ring's all-reduce alone).
+#[test]
+fn node_size_at_stage_0_runs_the_two_level_all_reduce() {
+    let train = env!("CARGO_BIN_EXE_zero-train");
+    let small = ["--layers", "1", "--hidden", "16", "--heads", "2", "--seq", "8", "--vocab", "32"];
+    let out = Command::new(train)
+        .args(["--stage", "0", "--dp", "4", "--node-size", "2", "--batch", "4", "--steps", "1"])
+        .args(small)
+        .output()
+        .expect("spawn zero-train");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let traffic = stdout.lines().find(|l| l.contains("traffic: all-reduce")).expect("a traffic line");
+    assert!(!traffic.contains("reduce-scatter 0 B"), "no node reduce-scatter ran: {traffic}");
 }
 
 #[test]

@@ -15,7 +15,7 @@
 //! These are byte counters recorded by the communicator, not estimates.
 
 use zero::comm::{CollectiveKind, Grid};
-use zero::core::{run_training, TrainSetup, ZeroConfig, ZeroStage};
+use zero::core::{run_training, CkptPlace, TrainSetup, ZeroConfig, ZeroStage};
 use zero::model::ModelConfig;
 use zero::sim::perf::dp_volume_elems;
 
@@ -255,7 +255,7 @@ fn per_rank_bytes_match_plan_exactly_for_all_n() {
 fn pa_adds_one_all_gather_per_block_across_mp() {
     // Compare MP traffic with and without P_a at dp = 1 (no DP traffic),
     // checkpointing on in both.
-    let run_pa = |pa: bool| {
+    let run_pa = |checkpoint_place| {
         let setup = TrainSetup {
             model: ModelConfig { heads: 4, ..model() },
             zero: ZeroConfig {
@@ -263,7 +263,7 @@ fn pa_adds_one_all_gather_per_block_across_mp() {
                 fp16: true,
                 initial_loss_scale: 1.0,
                 checkpoint_activations: true,
-                partition_activations: pa,
+                checkpoint_place,
                 ..ZeroConfig::default()
             },
             grid: Grid::new(1, 2),
@@ -272,8 +272,8 @@ fn pa_adds_one_all_gather_per_block_across_mp() {
         };
         run_training(&setup, 1, 0)
     };
-    let plain = run_pa(false);
-    let pa = run_pa(true);
+    let plain = run_pa(CkptPlace::Whole);
+    let pa = run_pa(CkptPlace::Partitioned);
     let cfg = model();
     let delta = pa.ranks[0].traffic.bytes(CollectiveKind::AllGather) as i64
         - plain.ranks[0].traffic.bytes(CollectiveKind::AllGather) as i64;

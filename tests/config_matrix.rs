@@ -4,7 +4,7 @@
 //! that the focused tests exercise one at a time.
 
 use zero::comm::Grid;
-use zero::core::{run_training, TrainSetup, ZeroConfig, ZeroStage};
+use zero::core::{run_training, CkptPlace, TrainSetup, ZeroConfig, ZeroStage};
 use zero::model::ModelConfig;
 
 #[test]
@@ -20,16 +20,16 @@ fn every_supported_configuration_trains() {
     for stage in [ZeroStage::Ddp, ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
         for fp16 in [false, true] {
             for (ckpt, interval) in [(false, 1usize), (true, 1), (true, 2)] {
-                // (dp, mp, P_a, P_a+cpu)
+                // (dp, mp, where checkpoints live)
                 let grids = [
-                    (2usize, 1usize, false, false),
-                    (2, 2, false, false),
-                    (2, 2, true, false),
-                    (2, 2, true, true),
-                    (2, 1, true, true),
+                    (2usize, 1usize, CkptPlace::Whole),
+                    (2, 2, CkptPlace::Whole),
+                    (2, 2, CkptPlace::Partitioned),
+                    (2, 2, CkptPlace::Host),
+                    (2, 1, CkptPlace::Host),
                 ];
-                for (dp, mp, pa, pa_cpu) in grids {
-                    if pa && !ckpt {
+                for (dp, mp, place) in grids {
+                    if place.partitioned() && !ckpt {
                         continue; // invalid by construction
                     }
                     let setup = TrainSetup {
@@ -40,8 +40,7 @@ fn every_supported_configuration_trains() {
                             initial_loss_scale: if fp16 { 16.0 } else { 1.0 },
                             checkpoint_activations: ckpt,
                             checkpoint_interval: interval,
-                            partition_activations: pa,
-                            offload_checkpoints: pa_cpu,
+                            checkpoint_place: place,
                             bucket_elems: 777,
                             ..ZeroConfig::default()
                         },
@@ -52,11 +51,11 @@ fn every_supported_configuration_trains() {
                     let report = run_training(&setup, 2, 0);
                     assert!(
                         report.losses.iter().all(|l| l.is_finite()),
-                        "non-finite loss: {stage:?} fp16={fp16} ckpt={ckpt}/{interval} dp={dp} mp={mp} pa={pa} cpu={pa_cpu}"
+                        "non-finite loss: {stage:?} fp16={fp16} ckpt={ckpt}/{interval} dp={dp} mp={mp} {place:?}"
                     );
                     assert_eq!(
                         report.ranks.iter().all(|r| r.tier.total_bytes() > 0),
-                        pa_cpu,
+                        place == CkptPlace::Host,
                         "P_a+cpu and only P_a+cpu crosses the tier: {stage:?} dp={dp} mp={mp}"
                     );
                     assert!(

@@ -4,7 +4,7 @@
 
 use zero::comm::{launch, Grid};
 use zero::core::{
-    run_training, CompressionConfig, OptimizerKind, RankEngine, TierConfig, TrainSetup,
+    run_training, CkptPlace, CompressionConfig, OptimizerKind, RankEngine, TierConfig, TrainSetup,
     ZeroConfig, ZeroStage,
 };
 use zero::model::{init_full_params, Gpt, ModelConfig, SyntheticCorpus};
@@ -287,7 +287,7 @@ fn hierarchical_all_reduce_matches_flat_in_training() {
     // equivalent to the flat ring (up to reassociation — exact here
     // because both sum the same 4 values, grouped differently, on data
     // where f32 addition happens to associate; tolerance covers the rest).
-    let mk = |node: Option<usize>| TrainSetup {
+    let mk = |node: usize| TrainSetup {
         model: model(),
         zero: ZeroConfig {
             node_size: node,
@@ -297,8 +297,8 @@ fn hierarchical_all_reduce_matches_flat_in_training() {
         global_batch: 4,
         seed: 31,
     };
-    let flat = run_training(&mk(None), 4, 0);
-    let hier = run_training(&mk(Some(2)), 4, 0);
+    let flat = run_training(&mk(1), 4, 0);
+    let hier = run_training(&mk(2), 4, 0);
     let a = flat.gather_master_mp1();
     let b = hier.gather_master_mp1();
     let diff = a
@@ -335,7 +335,7 @@ fn first_losses_are_pinned_bit_for_bit() {
     // 0's peak device bytes, so an alloc/free reordered across the step
     // fails here.
     let two = Grid::new(2, 1);
-    let zeropp = CompressionConfig { qwz: true, hpz: true, qgz: true, node_size: 2, block: 64 };
+    let zeropp = CompressionConfig { qwz: true, hpz: true, qgz: true, block: 64 };
     let pinned: [(ZeroConfig, Grid, u64, [u32; 5], u64); 11] = [
         (
             ZeroConfig { stage: ZeroStage::Two, initial_loss_scale: 1.0, ..ZeroConfig::default() },
@@ -355,6 +355,7 @@ fn first_losses_are_pinned_bit_for_bit() {
             ZeroConfig {
                 stage: ZeroStage::Three,
                 initial_loss_scale: 1.0,
+                node_size: 2,
                 compression: zeropp,
                 ..ZeroConfig::default()
             },
@@ -387,7 +388,7 @@ fn first_losses_are_pinned_bit_for_bit() {
                 stage: ZeroStage::Ddp,
                 initial_loss_scale: 1.0,
                 bucket_elems: 1000,
-                node_size: Some(2),
+                node_size: 2,
                 ..ZeroConfig::default()
             },
             Grid::new(4, 1),
@@ -412,8 +413,7 @@ fn first_losses_are_pinned_bit_for_bit() {
             ZeroConfig {
                 stage: ZeroStage::Two,
                 initial_loss_scale: 1.0,
-                partition_activations: true,
-                offload_checkpoints: true,
+                checkpoint_place: CkptPlace::Host,
                 ..ZeroConfig::default()
             },
             Grid::new(2, 2),

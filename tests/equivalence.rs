@@ -6,7 +6,7 @@
 //! process, up to floating-point reassociation in the ring reductions.
 
 use zero::comm::Grid;
-use zero::core::{run_training, TrainSetup, ZeroConfig, ZeroStage};
+use zero::core::{run_training, CkptPlace, TrainSetup, ZeroConfig, ZeroStage};
 use zero::model::ModelConfig;
 
 const STEPS: usize = 4;
@@ -114,7 +114,7 @@ fn partitioned_activations_do_not_change_the_trajectory() {
     // all-gathers it back: values must be identical.
     let mut pa = setup(ZeroStage::Two, 2, 2);
     pa.zero.checkpoint_activations = true;
-    pa.zero.partition_activations = true;
+    pa.zero.checkpoint_place = CkptPlace::Partitioned;
     let mut plain = setup(ZeroStage::Two, 2, 2);
     plain.zero.checkpoint_activations = true;
     let a = run_training(&pa, STEPS, 0);
@@ -128,11 +128,10 @@ fn partitioned_activations_do_not_change_the_trajectory() {
 fn cpu_offloaded_checkpoints_do_not_change_the_trajectory() {
     let mut pa_cpu = setup(ZeroStage::Two, 2, 2);
     pa_cpu.zero.checkpoint_activations = true;
-    pa_cpu.zero.partition_activations = true;
-    pa_cpu.zero.offload_checkpoints = true;
+    pa_cpu.zero.checkpoint_place = CkptPlace::Host;
     let mut pa = setup(ZeroStage::Two, 2, 2);
     pa.zero.checkpoint_activations = true;
-    pa.zero.partition_activations = true;
+    pa.zero.checkpoint_place = CkptPlace::Partitioned;
     let a = run_training(&pa_cpu, STEPS, 0);
     let b = run_training(&pa, STEPS, 0);
     for (x, y) in a.losses.iter().zip(&b.losses) {

@@ -12,7 +12,7 @@
 //! at most one element's worth).
 
 use zero::comm::{try_launch_with_config, CollectiveKind, FaultPlan, Grid, WorldConfig};
-use zero::core::{run_training, MemCategory, RankEngine, TrainSetup, ZeroConfig, ZeroStage};
+use zero::core::{run_training, CkptPlace, MemCategory, RankEngine, TrainSetup, ZeroConfig, ZeroStage};
 use zero::model::{init_full_params, Gpt, ModelConfig, SyntheticCorpus};
 
 fn model() -> ModelConfig {
@@ -254,7 +254,7 @@ fn checkpointing_reduces_activation_memory() {
 #[test]
 fn pa_partitions_checkpoint_memory_by_mp_degree() {
     // §6.1: P_a reduces the checkpoint footprint proportional to N_m.
-    let mk = |pa: bool| TrainSetup {
+    let mk = |checkpoint_place| TrainSetup {
         model: ModelConfig {
             heads: 4,
             ..model()
@@ -262,15 +262,15 @@ fn pa_partitions_checkpoint_memory_by_mp_degree() {
         zero: ZeroConfig {
             stage: ZeroStage::Two,
             checkpoint_activations: true,
-            partition_activations: pa,
+            checkpoint_place,
             ..ZeroConfig::default()
         },
         grid: Grid::new(2, 2),
         global_batch: 4,
         seed: 3,
     };
-    let plain = run_training(&mk(false), 1, 0);
-    let pa = run_training(&mk(true), 1, 0);
+    let plain = run_training(&mk(CkptPlace::Whole), 1, 0);
+    let pa = run_training(&mk(CkptPlace::Partitioned), 1, 0);
     let ck = MemCategory::Checkpoints as usize;
     let plain_peak = plain.ranks[0].peak_by_category[ck];
     let pa_peak = pa.ranks[0].peak_by_category[ck];
@@ -284,21 +284,20 @@ fn pa_partitions_checkpoint_memory_by_mp_degree() {
 
 #[test]
 fn cpu_offload_moves_checkpoints_off_device() {
-    let mk = |off: bool| TrainSetup {
+    let mk = |checkpoint_place| TrainSetup {
         model: ModelConfig { heads: 4, ..model() },
         zero: ZeroConfig {
             stage: ZeroStage::Two,
             checkpoint_activations: true,
-            partition_activations: true,
-            offload_checkpoints: off,
+            checkpoint_place,
             ..ZeroConfig::default()
         },
         grid: Grid::new(1, 2),
         global_batch: 2,
         seed: 3,
     };
-    let on_device = run_training(&mk(false), 1, 0);
-    let offloaded = run_training(&mk(true), 1, 0);
+    let on_device = run_training(&mk(CkptPlace::Partitioned), 1, 0);
+    let offloaded = run_training(&mk(CkptPlace::Host), 1, 0);
     let ck = MemCategory::Checkpoints as usize;
     let host = MemCategory::HostCheckpoints as usize;
     // All checkpoint bytes move to the host tier: device checkpoint peak
@@ -358,13 +357,14 @@ fn failed_step_returns_staging_buffers_to_the_tracker() {
     // A dead peer must not leak `Buffers` in the tracker: the victim's
     // first stage-3 parameter all-gather (a unit fetch) and first stage-1
     // gradient reduce-scatter (a CB chunk) each fail the step with the
-    // staging buffer charged, in synchronous and overlapped mode alike.
+    // staging buffer charged, in synchronous and (stage 3) overlapped mode
+    // alike.
     let cases = [
         (ZeroStage::Three, CollectiveKind::AllGather),
         (ZeroStage::One, CollectiveKind::ReduceScatter),
     ];
     for (stage, kind) in cases {
-        for overlap in [false, true] {
+        for overlap in [false, true].into_iter().filter(|&o| !o || stage.partitions_grads()) {
             let cfg = model();
             let wcfg = WorldConfig {
                 recv_timeout: std::time::Duration::from_millis(200),

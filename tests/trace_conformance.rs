@@ -81,7 +81,7 @@ fn timeline_reconciles_byte_exactly_with_plan_and_traffic() {
     let steps = 2;
     for stage in STAGES {
         for n in [2, 4] {
-            for overlap in [false, true] {
+            for overlap in [false, true].into_iter().filter(|&o| !o || stage.partitions_grads()) {
                 let s = setup(stage, n, overlap);
                 let report = run_training(&s, steps, 0);
                 assert_eq!(report.losses.len(), steps);
@@ -109,7 +109,7 @@ fn offloaded_timeline_reconciles_tier_stream_byte_exactly() {
     let steps = 2;
     let mut cases = Vec::new();
     for stage in [ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
-        for overlap in [false, true] {
+        for overlap in [false, true].into_iter().filter(|&o| !o || stage.partitions_grads()) {
             let mut s = setup(stage, 2, overlap);
             s.zero.tier = zero::core::TierConfig::budgeted(64 << 20);
             cases.push(s);
@@ -118,8 +118,7 @@ fn offloaded_timeline_reconciles_tier_stream_byte_exactly() {
     let mut pa_cpu = setup(ZeroStage::Two, 4, false);
     pa_cpu.grid = Grid::new(2, 2);
     pa_cpu.zero.checkpoint_activations = true;
-    pa_cpu.zero.partition_activations = true;
-    pa_cpu.zero.offload_checkpoints = true;
+    pa_cpu.zero.checkpoint_place = zero::core::CkptPlace::Host;
     cases.push(pa_cpu);
     for s in cases {
         let (z, g) = (&s.zero, s.grid);
