@@ -324,3 +324,49 @@ fn mp_all_reduce_count_matches_megatron_structure() {
         "recompute all-reduce delta {delta} vs {want}"
     );
 }
+
+#[test]
+fn train_comm_step_ops_pin_per_member_send_bytes() {
+    // `zero_bench`'s `train.comm` step (ZeRO-3, fp16, overlap, batch 4 over
+    // N = 2) resolved from the plan alone: every op that moves bytes, with
+    // the bytes each DP member sends. A member's send is what its link is
+    // busy with, so the larger of the two is the op's critical path.
+    use zero::core::{CommPlan, StepShape};
+    let model = ModelConfig { vocab: 64, seq: 32, hidden: 128, layers: 4, heads: 4 };
+    let zcfg = ZeroConfig {
+        stage: ZeroStage::Three,
+        overlap: true,
+        fp16: true,
+        initial_loss_scale: 1.0,
+        ..ZeroConfig::default()
+    };
+    let layout = zero::model::Layout::build(&model);
+    let shape = StepShape { micro_batches: 1, act_elems: 2 * model.seq * model.hidden, skipped: false };
+    let plan = CommPlan::train_step(&layout, &zcfg, Grid::new(2, 1), &shape);
+    let by_rank: Vec<_> = (0..2).map(|r| plan.resolve_for(r)).collect();
+    let got: Vec<(&str, [u64; 2])> = (0..plan.ops().len())
+        .map(|k| (by_rank[0][k].label, [by_rank[0][k].sent_bytes(0), by_rank[1][k].sent_bytes(1)]))
+        .filter(|(_, sent)| sent.iter().any(|&b| b > 0))
+        .collect();
+    // The flat partition cuts Ψ once, so nearly every unit lies inside
+    // one shard and its ops run owner-only.
+    let want: Vec<(&str, [u64; 2])> = vec![
+        ("fetch-unit", [24576, 0]),
+        ("fetch-unit", [396544, 0]),
+        ("fetch-unit", [392704, 3840]),
+        ("fetch-unit", [0, 396544]),
+        ("fetch-unit", [0, 396544]),
+        ("fetch-unit", [0, 16896]),
+        ("fetch-unit", [0, 396544]),
+        ("fetch-unit", [0, 396544]),
+        ("grad-bucket", [413440, 0]),
+        ("fetch-unit", [392704, 3840]),
+        ("grad-bucket", [396544, 0]),
+        ("fetch-unit", [396544, 0]),
+        ("grad-bucket", [3840, 392704]),
+        ("grad-bucket", [0, 396544]),
+        ("grad-bucket", [0, 24576]),
+        ("overflow-flag", [4, 4]),
+    ];
+    assert_eq!(got, want, "{got:?}");
+}

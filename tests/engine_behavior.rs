@@ -331,12 +331,14 @@ fn first_losses_are_pinned_bit_for_bit() {
     // world under stage 2: a norm reduced over the wrong group moves the
     // clip coefficient and the losses. The last row runs stage 3 fp16
     // with overlap at interval 1: two one-block recompute segments, so the
-    // prefetch chain meets a segment boundary. Every row also pins rank
+    // prefetch chain meets a segment boundary, and the row after it runs
+    // the same config over N = 4, where every reduction is a three-hop
+    // ring sum. Every row also pins rank
     // 0's peak device bytes, so an alloc/free reordered across the step
     // fails here.
     let two = Grid::new(2, 1);
     let zeropp = CompressionConfig { qwz: true, hpz: true, qgz: true, block: 64 };
-    let pinned: [(ZeroConfig, Grid, u64, [u32; 5], u64); 11] = [
+    let pinned: [(ZeroConfig, Grid, u64, [u32; 5], u64); 12] = [
         (
             ZeroConfig { stage: ZeroStage::Two, initial_loss_scale: 1.0, ..ZeroConfig::default() },
             two,
@@ -454,6 +456,13 @@ fn first_losses_are_pinned_bit_for_bit() {
             // backward: one block unit buffer (4 × 3 280 bytes) over the
             // 93 248 of a chain that restarted at each segment.
             106_368,
+        ),
+        (
+            ZeroConfig { stage: ZeroStage::Three, initial_loss_scale: 1.0, ..ZeroConfig::default() }.overlapped(),
+            Grid::new(4, 1),
+            22,
+            [0x405ea908, 0x405d7f7c, 0x405d808c, 0x405dc82a, 0x405b5936],
+            66_304,
         ),
     ];
     for (zero, grid, seed, want, peak) in pinned {
