@@ -18,12 +18,17 @@
 //!
 //! Gradients are produced in *reverse* flat order during backward (head
 //! unit first, embedding last), so the pending region is always one
-//! contiguous flat range growing downward.
+//! contiguous flat range growing downward. The fused buffer is laid out
+//! rank-major — every owner's part of the range, in owner order — which
+//! is what a reduce-scatter over the range's per-owner counts consumes;
+//! for a single unit that is flat order.
 
 use std::ops::Range;
 
+use crate::partition::Partitioner;
+
 /// Accumulates per-unit gradients and fuses the pending region into one
-/// flat-ordered buffer.
+/// rank-major buffer.
 #[derive(Default)]
 pub struct GradBucket {
     /// Pending spans in arrival (descending) order; contiguity invariant:
@@ -66,16 +71,23 @@ impl GradBucket {
     }
 
     /// Flushes whatever is pending: `flush(range, fused)` receives the
-    /// contiguous flat range and the fused values in flat order. A no-op
-    /// when empty. This is the one place a flush callback is taken.
-    pub fn flush_all(&mut self, flush: &mut dyn FnMut(Range<usize>, &mut [f32])) {
+    /// contiguous flat range and the fused values, rank-major over `part`'s
+    /// owners. A no-op when empty. This is the one place a flush callback
+    /// is taken.
+    pub fn flush_all(&mut self, part: &Partitioner, flush: &mut dyn FnMut(Range<usize>, &mut [f32])) {
         let Some(span) = self.span() else {
             return;
         };
-        let mut fused = vec![0.0; span.len()];
-        for (r, d) in self.pending.drain(..) {
-            fused[r.start - span.start..r.end - span.start].copy_from_slice(&d);
+        let mut fused = Vec::with_capacity(span.len());
+        for i in 0..part.owners() {
+            for r in part.flat_ranges(i, part.local_slice_of(i, &span)) {
+                for (at, d) in self.pending.iter().rev().filter(|(p, _)| p.start < r.end && r.start < p.end) {
+                    let (lo, hi) = (r.start.max(at.start), r.end.min(at.end));
+                    fused.extend_from_slice(&d[lo - at.start..hi - at.start]);
+                }
+            }
         }
+        self.pending.clear();
         flush(span, &mut fused);
     }
 }
@@ -94,7 +106,7 @@ mod tests {
         assert_eq!(b.span(), Some(14..26));
         assert_eq!(b.pending_elems(), 12);
         let mut flushed: Vec<(Range<usize>, Vec<f32>)> = Vec::new();
-        b.flush_all(&mut |r, d| flushed.push((r, d.to_vec())));
+        b.flush_all(&Partitioner::new(26, 1), &mut |r, d| flushed.push((r, d.to_vec())));
         let (r, d) = &flushed[0];
         assert_eq!(*r, 14..26);
         assert_eq!(&d[..6], &[4.0; 6]);
@@ -109,8 +121,9 @@ mod tests {
         let mut cb = |_: Range<usize>, _: &mut [f32]| count += 1;
         b.push(5..8, vec![1.0; 3]);
         b.push(0..5, vec![2.0; 5]);
-        b.flush_all(&mut cb);
-        b.flush_all(&mut cb);
+        let one = Partitioner::new(8, 1);
+        b.flush_all(&one, &mut cb);
+        b.flush_all(&one, &mut cb);
         assert_eq!(count, 1, "one real flush; the empty one is a no-op");
     }
 
@@ -123,12 +136,17 @@ mod tests {
     }
 
     #[test]
-    fn fused_values_are_in_flat_order() {
+    fn fused_values_are_rank_major() {
         let mut b = GradBucket::new();
         b.push(3..6, vec![30.0, 31.0, 32.0]);
         b.push(0..3, vec![0.0, 1.0, 2.0]);
         let mut got = Vec::new();
-        b.flush_all(&mut |_, d| got = d.to_vec());
-        assert_eq!(got, vec![0.0, 1.0, 2.0, 30.0, 31.0, 32.0]);
+        b.flush_all(&Partitioner::new(6, 1), &mut |_, d| got = d.to_vec());
+        assert_eq!(got, vec![0.0, 1.0, 2.0, 30.0, 31.0, 32.0], "one owner: flat order");
+        // Units 0..3 and 3..6 over two owners: owner 0 holds 0..2 and 3..5.
+        b.push(3..6, vec![30.0, 31.0, 32.0]);
+        b.push(0..3, vec![0.0, 1.0, 2.0]);
+        b.flush_all(&Partitioner::from_lens(&[3, 3], 2), &mut |_, d| got = d.to_vec());
+        assert_eq!(got, vec![0.0, 1.0, 30.0, 31.0, 2.0, 32.0]);
     }
 }

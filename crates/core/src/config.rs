@@ -436,6 +436,12 @@ impl ZeroConfig {
     pub fn overlapped(self) -> ZeroConfig {
         ZeroConfig { overlap: true, ..self }
     }
+
+    /// How many DP owners the model states are partitioned over on `grid`:
+    /// the DP degree, or one under DDP, which replicates them.
+    pub(crate) fn dp_owners(&self, grid: Grid) -> usize {
+        if self.stage.partitions_optimizer() { grid.dp_degree() } else { 1 }
+    }
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ use crate::partition::Partitioner;
 use crate::plan::{
     CommPlan, OpRole, ParamStore, PlanCursor, Reduction, ResolvedOp, ResolvedTierOp, TierDir,
 };
-use crate::store::FlatStore;
+use crate::store::{clip, FlatStore};
 use crate::tier::{TierStats, TierStore};
 use crate::walk::{self, Walker};
 
@@ -109,8 +109,8 @@ impl Issued {
 /// A bucket flush whose reduce-scatter is in flight on the progress
 /// thread: the handle plus where its owner piece lands when waited.
 struct InflightReduce {
-    /// Flat range of this rank's reduced piece.
-    at: std::ops::Range<usize>,
+    /// The bucket's flat range: this rank's part of it is the reduced piece.
+    span: std::ops::Range<usize>,
     issued: Issued,
     /// Fused-buffer bytes held until the wait (memory accounting).
     bytes: u64,
@@ -194,18 +194,19 @@ impl Issuer {
         self.comm.all_reduce_in(&op.group(), buf, reduce, op.prec)
     }
 
-    /// Runs the CB chunks the plan lists next, charging each chunk's
-    /// staging buffer to `mem` for exactly the duration of its ops, on the
-    /// error path too.
+    /// Runs the CB chunks of `part`'s rows the plan lists next, charging
+    /// each chunk's staging buffer to `mem` for exactly the duration of its
+    /// ops, on the error path too.
     fn run_chunks(
         &mut self,
+        part: &Partitioner,
         store: &mut FlatStore,
         mem: &mut MemoryTracker,
     ) -> Result<(), CommError> {
-        while let Some(OpRole::Span(chunk)) = self.plan.peek().map(|op| op.role.clone()) {
-            let bytes = 4 * chunk.len() as u64;
+        while let Some(op) = self.plan.peek().filter(|op| matches!(op.role, OpRole::Chunk(_))) {
+            let (bytes, OpRole::Chunk(rows)) = (4 * op.total_elems() as u64, op.role.clone()) else { unreachable!() };
             mem.alloc(MemCategory::Buffers, bytes);
-            let res = self.run_chunk(chunk, store);
+            let res = self.run_chunk(rows, part, store);
             mem.free(MemCategory::Buffers, bytes);
             res?;
         }
@@ -213,24 +214,26 @@ impl Issuer {
     }
 
     /// Runs every op the plan lists for one CB chunk over one staging
-    /// buffer (§6.2). The buffer is read from `store` — the whole chunk,
-    /// or this rank's piece of it when the chunk opens with a gather; a
-    /// reduce-scatter narrows it to this rank's piece, an all-gather
-    /// widens it back, an all-reduce keeps it — and is written back where
-    /// it then sits in flat space.
+    /// buffer (§6.2), which holds every member's slice of the chunk's rows
+    /// in member order — a view of flat ranges of the full `store`. The
+    /// buffer is read from the store — the whole chunk, or this rank's
+    /// slice when the chunk opens with a gather; a reduce-scatter narrows
+    /// it to this rank's slice, an all-gather widens it back, an all-reduce
+    /// keeps it — and is written back where it then sits in the view.
     fn run_chunk(
         &mut self,
-        chunk: std::ops::Range<usize>,
+        rows: std::ops::Range<usize>,
+        part: &Partitioner,
         store: &mut FlatStore,
     ) -> Result<(), CommError> {
         let rank = self.comm.rank();
-        let mut at = chunk.clone();
+        let view: Vec<_> = (0..part.owners()).flat_map(|i| part.flat_ranges(i, part.chunk_slice(i, rows.clone()))).collect();
+        let mut at = 0..view.iter().map(|r| r.len()).sum();
         if let Some(first) = self.plan.peek().filter(|op| op.kind == CollectiveKind::AllGather) {
-            let own = first.own_piece(rank);
-            at = chunk.start + own.start..chunk.start + own.end;
+            at = first.own_piece(rank);
         }
-        let mut buf = store.read(at.clone());
-        let span = OpRole::Span(chunk);
+        let mut buf = store.gather(&clip(&view, at.clone()));
+        let span = OpRole::Chunk(rows);
         while let Some(kind) = self.plan.peek().filter(|op| op.role == span).map(|op| op.kind) {
             if kind == CollectiveKind::AllReduce {
                 self.all_reduce(&mut buf)?;
@@ -244,7 +247,7 @@ impl Issuer {
             };
             buf = issued.wait()?;
         }
-        store.write(at, &buf);
+        store.scatter(&clip(&view, at), &buf);
         Ok(())
     }
 }
@@ -281,7 +284,10 @@ pub struct RankEngine {
     io: Issuer,
     dp_idx: usize,
     mp_idx: usize,
+    /// The per-unit partition of the model states over the DP group (one
+    /// owner under DDP), and the flat ranges of it `master` covers.
     part: Partitioner,
+    shard: Vec<std::ops::Range<usize>>,
     /// hpZ secondary parameter store ([`ParamStore::Secondary`]): the
     /// node-local replica shard (≈ 2Ψ/G), stashed into by each unit's
     /// first fetch of the step and seeding the fetches the plan reads
@@ -290,7 +296,7 @@ pub struct RankEngine {
 
     /// Working parameters consumed by forward/backward
     /// ([`ParamStore::Primary`]): all of flat space (stages DDP/1/2) or
-    /// this rank's 1/N_d shard (stage 3).
+    /// this rank's 1/N_d per-unit shard (stage 3).
     work: FlatStore,
     /// fp32 master parameters: full (DDP) or the DP shard (stages 1–3).
     master: Vec<f32>,
@@ -357,9 +363,9 @@ impl RankEngine {
         let rank = comm.rank();
         let trace = comm.trace();
         let (dp_idx, mp_idx) = grid.coords(rank);
-        let psi = gpt.num_params();
-        let part = Partitioner::new(psi, grid.dp_degree());
-        let my_shard = part.shard_range(dp_idx);
+        let (part, full) = (Partitioner::per_unit(gpt.layout(), zcfg.dp_owners(grid)), Partitioner::new(gpt.num_params(), 1));
+        let owner = dp_idx % part.owners();
+        let shard = part.flat_ranges(owner, 0..part.counts()[owner]);
 
         let mut mem = MemoryTracker::new();
         // Arm the device budget before the first allocation: from here on
@@ -374,7 +380,7 @@ impl RankEngine {
         // Node groups are G consecutive ranks, so the slot is direct.
         let secondary = zcfg.compression.hpz.then(|| {
             let g = zcfg.node_size;
-            let sec = FlatStore::zeros(Partitioner::new(psi, g).shard_range(rank % g), zcfg.fp16);
+            let sec = FlatStore::zeros(&Partitioner::per_unit(gpt.layout(), g), rank % g, zcfg.fp16);
             mem.alloc(MemCategory::SecondaryParams, sec.bytes());
             sec
         });
@@ -382,8 +388,8 @@ impl RankEngine {
         // Working parameters. Under stage-3 offload the shard's home is
         // the host tier (every use fetches a unit's piece up), so it is
         // priced as host — not device — residency.
-        let at = if zcfg.stage.partitions_params() { my_shard.clone() } else { 0..psi };
-        let work = FlatStore::from_f32(at.clone(), &initial_params[at], zcfg.fp16);
+        let (at, of) = if zcfg.stage.partitions_params() { (&part, owner) } else { (&full, 0) };
+        let work = FlatStore::from_f32(at, of, initial_params, zcfg.fp16);
         let work_cat = if off.params {
             MemCategory::HostParamShard
         } else {
@@ -399,11 +405,7 @@ impl RankEngine {
         } else {
             [MemCategory::MasterParams, MemCategory::Momentum, MemCategory::Variance]
         };
-        let master: Vec<f32> = if zcfg.stage.partitions_optimizer() {
-            initial_params[my_shard.clone()].to_vec()
-        } else {
-            initial_params.to_vec()
-        };
+        let master: Vec<f32> = shard.iter().flat_map(|r| initial_params[r.clone()].iter().copied()).collect();
         mem.alloc(master_cat, 4 * master.len() as u64);
         let mut opt = OptState::new(master.len(), zcfg.optimizer);
         if let OptState::Adam(a) = &mut opt {
@@ -426,7 +428,7 @@ impl RankEngine {
         // host-resident (it feeds the host optimizer, spilled bucket by
         // bucket as backward reduces).
         let bucketed = zcfg.stage.partitions_grads();
-        let grads = FlatStore::zeros(if bucketed { my_shard } else { 0..psi }, zcfg.fp16);
+        let grads = if bucketed { FlatStore::zeros(&part, owner, zcfg.fp16) } else { FlatStore::zeros(&full, 0, zcfg.fp16) };
         let cat = if off.grads { MemCategory::HostGradShard } else { MemCategory::Gradients };
         mem.alloc(cat, grads.bytes());
 
@@ -450,6 +452,7 @@ impl RankEngine {
             dp_idx,
             mp_idx,
             part,
+            shard,
             secondary,
             work,
             master,
@@ -515,14 +518,10 @@ impl RankEngine {
         self.trace.timeline()
     }
 
-    /// The flat range covered by [`Self::master_params`]: the DP shard for
-    /// stages 1–3, the full space for DDP.
-    pub fn master_range(&self) -> std::ops::Range<usize> {
-        if self.zcfg.stage.partitions_optimizer() {
-            self.part.shard_range(self.dp_idx)
-        } else {
-            0..self.part.total()
-        }
+    /// The flat ranges [`Self::master_params`] covers, in order: this DP
+    /// rank's piece of every unit for stages 1–3, the full space for DDP.
+    pub fn master_ranges(&self) -> &[std::ops::Range<usize>] {
+        &self.shard
     }
 
     /// fp32 master parameters: the full buffer under DDP, the DP shard
@@ -568,7 +567,7 @@ impl RankEngine {
         let unit_range = self.gpt.layout().units()[unit].range.clone();
         let len = unit_range.len();
         self.mem.alloc(MemCategory::Buffers, 4 * len as u64);
-        let piece = self.param_store(from).piece(&unit_range);
+        let piece = self.param_store(from).read(unit_range);
         self.trace.instant(SpanCategory::Collective, "prefetch-issue");
         let issued = self.io.start(CollectiveKind::AllGather, &piece);
         PendingFetch { unit, issued, len, into }
@@ -603,7 +602,7 @@ impl RankEngine {
             if first_err.is_none() {
                 let span = self.trace.begin(SpanCategory::Wait, "drain-inflight");
                 match inf.issued.wait() {
-                    Ok(out) => self.grads.add(inf.at, &out),
+                    Ok(out) => self.grads.add(inf.span, &out),
                     Err(e) => first_err = Some(e),
                 }
                 self.trace.end(span);
@@ -704,17 +703,14 @@ impl RankEngine {
     /// the ring runs; a blocking one is settled here.
     fn flush_bucket(&mut self) -> Result<(), CommError> {
         let mut settle = false;
-        let Self { bucket, io, mem, inflight_rs, trace, .. } = self;
-        let rank = io.comm.rank();
-        bucket.flush_all(&mut |r, fused| {
+        let Self { bucket, io, mem, inflight_rs, trace, part, .. } = self;
+        bucket.flush_all(part, &mut |span, fused| {
             trace.instant(SpanCategory::Collective, "bucket-flush");
             let bytes = 4 * fused.len() as u64;
             mem.alloc(MemCategory::Buffers, bytes);
             let issued = io.start(CollectiveKind::ReduceScatter, fused);
             settle = !issued.op.nonblocking;
-            let own = issued.op.own_piece(rank);
-            let at = r.start + own.start..r.start + own.end;
-            inflight_rs.push_back(InflightReduce { at, issued, bytes });
+            inflight_rs.push_back(InflightReduce { span, issued, bytes });
         });
         if settle {
             self.drain_inflight()?;
@@ -729,9 +725,8 @@ impl RankEngine {
     /// seeded by a tier fetch under a host optimizer; DDP and stage 3 plan
     /// none, their working copy being exactly what `master` covers.
     fn publish_params(&mut self) -> Result<(), CommError> {
-        let owned = self.master_range();
-        self.work.write(owned, &self.master);
-        self.io.run_chunks(&mut self.work, &mut self.mem)
+        self.work.scatter(&self.shard, &self.master);
+        self.io.run_chunks(&self.part, &mut self.work, &mut self.mem)
     }
 
     /// Global gradient norm across the whole grid, counting every logical
@@ -742,19 +737,12 @@ impl RankEngine {
     /// the full averaged gradients. Fields replicated across MP are
     /// down-weighted by 1/N_m either way.
     fn global_grad_norm(&mut self, grads: &[f32]) -> Result<f64, CommError> {
-        let range = self.master_range();
-        let nm = self.grid.mp_degree() as f64;
+        let (nm, owner) = (self.grid.mp_degree() as f64, self.dp_idx % self.part.owners());
         let mut sq = 0.0_f64;
         if nm > 1.0 {
-            let layout = self.gpt.layout();
-            for field in layout.fields() {
-                let lo = field.range.start.max(range.start);
-                let hi = field.range.end.min(range.end);
-                if lo >= hi {
-                    continue;
-                }
+            for field in self.gpt.layout().fields() {
                 let w = if field.replicated_under_mp() { 1.0 / nm } else { 1.0 };
-                sq += w * local_sq_norm(&grads[lo - range.start..hi - range.start]);
+                sq += w * local_sq_norm(&grads[self.part.local_slice_of(owner, &field.range)]);
             }
         } else {
             sq = local_sq_norm(grads);
@@ -772,7 +760,6 @@ impl RankEngine {
     /// ZeRO's natural sharded-checkpoint layout.
     pub fn save_snapshot(&self) -> crate::snapshot::RankSnapshot {
         let span = self.trace.begin(SpanCategory::Checkpoint, "snapshot-capture");
-        let range = self.master_range();
         let (opt_m, opt_v, opt_t) = match &self.opt {
             OptState::Adam(a) => {
                 let (m, v) = a.moments();
@@ -788,8 +775,9 @@ impl RankEngine {
             rank: self.io.comm.rank() as u32,
             world: self.io.comm.world_size() as u32,
             step: self.step,
-            shard_start: range.start as u64,
-            shard_end: range.end as u64,
+            units: self.part.unit_lens().into_iter().map(|len| len as u64).collect(),
+            owners: self.part.owners() as u32,
+            owner: (self.dp_idx % self.part.owners()) as u32,
             master: self.master.clone(),
             opt_m,
             opt_v,
@@ -827,12 +815,7 @@ impl RankEngine {
             self.io.comm.world_size(),
             "snapshot world-size mismatch (resume requires the same grid)"
         );
-        let range = self.master_range();
-        assert_eq!(
-            (snap.shard_start as usize, snap.shard_end as usize),
-            (range.start, range.end),
-            "snapshot shard mismatch"
-        );
+        assert_eq!(snap.flat_ranges().ok().as_deref(), Some(&self.shard[..]), "snapshot shard mismatch");
         assert_eq!(snap.master.len(), self.master.len(), "master length mismatch");
         self.master.copy_from_slice(&snap.master);
         self.opt = match self.zcfg.optimizer {
@@ -1004,10 +987,9 @@ impl RankEngine {
         // through the bucket and have none.
         debug_assert!(self.inflight_rs.is_empty(), "in-flight reduces must drain per micro");
         assert_eq!(self.bucket.pending_elems(), 0, "comm-plan drift: gradients left unflushed");
-        self.io.run_chunks(&mut self.grads, &mut self.mem)?;
+        self.io.run_chunks(&self.part, &mut self.grads, &mut self.mem)?;
 
-        let owned = self.master_range();
-        let mut flag = [if self.grads.has_non_finite(owned.clone()) { 1.0_f32 } else { 0.0 }];
+        let mut flag = [if self.grads.has_non_finite(&self.shard) { 1.0_f32 } else { 0.0 }];
         self.io.all_reduce(&mut flag)?;
         let overflow = flag[0] > 0.0;
         // The prefix plan ends at the flag — the one data-dependent branch
@@ -1024,7 +1006,7 @@ impl RankEngine {
 
         let mut grad_norm = None;
         if !skipped {
-            let mut g = self.grads.read(owned);
+            let mut g = self.grads.gather(&self.shard);
             // The one tier movement that rides no collective, when the
             // plan has it: stage 1's host optimizer reduced gradients into
             // the full device buffer, so the owned shard region spills

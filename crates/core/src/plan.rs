@@ -121,12 +121,17 @@ pub enum Reduction {
 pub enum OpRole {
     /// A buffer the counts fully describe (activations, scalars).
     Plain,
-    /// A collective over this range of flat parameter space: one fused
-    /// gradient bucket, or one CB chunk of an end-of-step gradient
-    /// reduction or parameter publish. The engine flushes its bucket when
-    /// the pending gradients span the next planned range, and runs each
-    /// chunk's ops over one staging buffer.
+    /// One fused gradient bucket: a run of whole units of flat parameter
+    /// space, whose buffer holds every member's part of it in member order.
+    /// The engine flushes its bucket when the pending gradients span the
+    /// next planned range.
     Span(Range<usize>),
+    /// One CB chunk (§6.2) of an end-of-step gradient reduction or
+    /// parameter publish: a range of rows of the plan's partition (see
+    /// [`Partitioner::chunk_slice`]), every member contributing its slice
+    /// of them, in member order. The engine runs each chunk's ops over one
+    /// staging buffer.
+    Chunk(Range<usize>),
     /// The stage-3 materialization of one parameter unit.
     Fetch {
         /// Index of the unit in the layout.
@@ -454,9 +459,11 @@ struct Builder {
     /// Flat range of every unit: embed, blocks…, head.
     units: Vec<Range<usize>>,
     ops: Vec<PlanOp>,
+    /// The per-unit partition of the model states over the DP group — one
+    /// owner under DDP, whose states are replicated.
     part: Partitioner,
     prec: Precision,
-    /// hpZ secondary partition: the flat space over the G ranks of a node.
+    /// hpZ secondary partition: every unit over the G ranks of a node.
     sec_part: Partitioner,
     /// hpZ: units whose secondary copy is populated at this point of the
     /// step — their re-fetches resolve intra-node. Parameters only change
@@ -497,9 +504,9 @@ impl Builder {
             grid,
             units: layout.units().iter().map(|u| u.range.clone()).collect(),
             ops: Vec::new(),
-            part: Partitioner::new(layout.total_params(), grid.dp_degree()),
+            part: Partitioner::per_unit(layout, zcfg.dp_owners(grid)),
             prec: if zcfg.fp16 { Precision::Fp16 } else { Precision::Fp32 },
-            sec_part: Partitioner::new(layout.total_params(), zcfg.node_size.max(1)),
+            sec_part: Partitioner::per_unit(layout, zcfg.node_size),
             stashed: vec![false; layout.units().len()],
             slot: None,
             bucket: None,
@@ -557,8 +564,8 @@ impl Builder {
         (op.nonblocking, op.wire) = (overlap, wire);
     }
 
-    /// Issues unit `u`'s parameter all-gather (§5.3): the flat-space
-    /// intersections from every DP shard. Under hpZ the *first* fetch of a
+    /// Issues unit `u`'s parameter all-gather (§5.3): every DP shard's
+    /// piece of the unit. Under hpZ the *first* fetch of a
     /// unit in the step is the global gather (qwZ wire if enabled) that
     /// also stashes into the node-local secondary store; every later fetch
     /// of the same unit is seeded by that store and resolves inside the
@@ -658,11 +665,18 @@ impl Builder {
         }
     }
 
-    /// Flat parameter space in constant-size (CB, §6.2) chunks — the
-    /// staging granularity of every end-of-step flat-space collective.
+    /// The partition's rows in constant-size (CB, §6.2) chunks of at most
+    /// `bucket_elems` elements over all members — the staging granularity
+    /// of every end-of-step collective. One owner (DDP) has a row per flat
+    /// element.
     fn chunks(&self) -> impl Iterator<Item = Range<usize>> {
-        let (psi, step) = (self.part.total(), self.zcfg.bucket_elems);
-        (0..psi).step_by(step).map(move |start| start..(start + step).min(psi))
+        let (rows, step) = (self.part.counts()[0], (self.zcfg.bucket_elems / self.part.owners()).max(1));
+        (0..rows).step_by(step).map(move |start| start..(start + step).min(rows))
+    }
+
+    /// Every member's slice of chunk `rows`.
+    fn chunk_counts(&self, rows: &Range<usize>) -> Vec<usize> {
+        (0..self.part.owners()).map(|i| self.part.chunk_slice(i, rows.clone()).len()).collect()
     }
 
     /// End-of-step gradient reduction for the non-bucketed stages, chunk
@@ -675,12 +689,12 @@ impl Builder {
         }
         use CollectiveKind::{AllGather, AllReduce, ReduceScatter};
         let (sum, mean) = (Reduction::Reduce(ReduceOp::Sum), Reduction::Reduce(ReduceOp::Mean));
-        let average = Reduction::Average { over: self.part.owners() };
+        let average = Reduction::Average { over: self.grid.dp_degree() };
         for chunk in self.chunks() {
             let total = chunk.len();
             let ops = match (self.zcfg.stage, self.zcfg.node_size) {
                 (ZeroStage::One, _) => {
-                    let counts = CountSpec::Explicit(self.part.intersect_counts(&chunk));
+                    let counts = CountSpec::Explicit(self.chunk_counts(&chunk));
                     vec![(ReduceScatter, PlanScope::Dp, counts, mean, "grad-reduce-scatter")]
                 }
                 // DDP's two-level all-reduce: node reduce-scatter,
@@ -696,7 +710,7 @@ impl Builder {
                 }
             };
             for (kind, scope, counts, reduce, label) in ops {
-                self.op(kind, scope, counts, reduce, label, OpRole::Span(chunk.clone()));
+                self.op(kind, scope, counts, reduce, label, OpRole::Chunk(chunk.clone()));
             }
         }
     }
@@ -708,14 +722,14 @@ impl Builder {
             return;
         }
         for chunk in self.chunks() {
-            let counts = self.part.intersect_counts(&chunk);
+            let counts = self.chunk_counts(&chunk);
             if self.off.opt_state {
                 // The host optimizer's freshly updated fp16 shard piece
                 // climbs host → device to seed the publish all-gather.
                 self.tier_op(TierDir::Fetch, "tier-publish-fetch", counts.clone(), Some(self.ops.len()));
             }
             let (kind, counts) = (CollectiveKind::AllGather, CountSpec::Explicit(counts));
-            self.op(kind, PlanScope::Dp, counts, Reduction::Copy, "publish-params", OpRole::Span(chunk));
+            self.op(kind, PlanScope::Dp, counts, Reduction::Copy, "publish-params", OpRole::Chunk(chunk));
         }
     }
 
@@ -1076,6 +1090,16 @@ impl CommPlan {
         self.rank_bytes(rank).iter().sum()
     }
 
+    /// The sum over ops of the most bytes any one member sends: the plan's
+    /// critical-path volume when each rank's link is its own. Equal to the
+    /// busiest rank's [`Self::total_rank_bytes`] only when every op is
+    /// balanced; a partition that leaves an op owner-only costs it here.
+    pub fn busiest_member_bytes(&self) -> u64 {
+        let by_rank: Vec<Vec<ResolvedOp>> = (0..self.grid.world_size()).map(|r| self.resolve_for(r)).collect();
+        let busiest = |k: usize| by_rank.iter().enumerate().map(|(r, ops)| ops[k].sent_bytes(r)).max();
+        (0..self.ops.len()).filter_map(busiest).sum()
+    }
+
     /// Analytic bytes all ranks together push across the slow links of a
     /// `g`-rank-per-node topology executing this plan: the total load on
     /// the inter-node fabric — the quantity the ZeRO++ levers shrink.
@@ -1279,8 +1303,9 @@ mod tests {
                 match &op.role {
                     OpRole::Fetch { unit, ahead, .. } => {
                         assert_eq!(op.label, "fetch-unit");
-                        let counts = Partitioner::new(layout.total_params(), 2)
-                            .intersect_counts(&units[*unit].range);
+                        // Every unit is split two ways.
+                        let len = units[*unit].range.len();
+                        let counts = vec![len.div_ceil(2), len / 2];
                         assert_eq!(op.counts, CountSpec::Explicit(counts));
                         // Only the embed fetch that opens the pass is on
                         // demand under overlap, recomputing or not;
@@ -1294,25 +1319,27 @@ mod tests {
                         grads_down_to = r.start;
                     }
                     OpRole::Plain => assert_ne!(op.kind, CollectiveKind::ReduceScatter),
+                    OpRole::Chunk(_) => panic!("stage 3 plans no CB chunk"),
                 }
             }
             assert_eq!(grads_down_to, 0);
         }
-        // The CB chunk loops of stage 1 tile Ψ front to back, twice: the
-        // gradient reduce-scatters, then the publish all-gathers.
+        // The CB chunk loops of stage 1 tile the partition's rows (each
+        // owner's shard, side by side) front to back, twice: the gradient
+        // reduce-scatters, then the publish all-gathers. A chunk takes 500
+        // rows, so 1000 elements over the two owners.
         let zcfg = ZeroConfig { bucket_elems: 1000, ..cfg(ZeroStage::One) };
         let plan = CommPlan::train_step(&layout, &zcfg, grid, &shape());
         let spans: Vec<Range<usize>> = plan
             .ops()
             .iter()
             .filter_map(|op| match &op.role {
-                OpRole::Span(r) => Some(r.clone()),
+                OpRole::Chunk(r) => Some(r.clone()),
                 _ => None,
             })
             .collect();
-        let psi = layout.total_params();
-        let chunks: Vec<Range<usize>> =
-            (0..psi).step_by(1000).map(|s| s..(s + 1000).min(psi)).collect();
+        let rows: usize = units.iter().map(|u| u.range.len().div_ceil(2)).sum();
+        let chunks: Vec<Range<usize>> = (0..rows).step_by(500).map(|s| s..(s + 500).min(rows)).collect();
         assert_eq!(spans, [chunks.clone(), chunks].concat());
     }
 
@@ -1328,7 +1355,7 @@ mod tests {
         for n in [2usize, 3, 5, 8] {
             let grid = Grid::new(n, 1);
             let plan = CommPlan::train_step(&layout, &cfg(ZeroStage::Two), grid, &shape());
-            let part = Partitioner::new(psi, n);
+            let part = Partitioner::per_unit(&layout, n);
             for rank in 0..n {
                 let bytes = plan.rank_bytes(rank);
                 let shard = part.shard_range(rank).len();
@@ -1590,9 +1617,8 @@ mod tests {
     fn tier_volumes_telescope() {
         let model = tiny();
         let layout = Layout::build(&model);
-        let psi = layout.total_params();
         let grid = Grid::new(4, 1);
-        let part = Partitioner::new(psi, 4);
+        let part = Partitioner::per_unit(&layout, 4);
         for overlap in [false, true] {
             // Stages 2/3: per-step spill volume is exactly micro_batches ×
             // the rank's shard (every reduced element crosses once).

@@ -5,7 +5,9 @@
 //! optimizer states, so each rank persists only its own shard — N_d files
 //! that together hold exactly one copy of the training state, instead of
 //! N_d redundant full copies. This mirrors how DeepSpeed stores ZeRO
-//! checkpoints.
+//! checkpoints. A shard records the partition it belongs to — the unit
+//! table and owner count of the per-unit [`Partitioner`] — so any set can
+//! be reassembled and re-split without the model at hand.
 //!
 //! The format is a small self-describing binary layout (no external
 //! serialization dependency): a magic/version header followed by
@@ -26,8 +28,11 @@ use std::path::{Path, PathBuf};
 
 use zero_comm::Crc32;
 
+use crate::partition::Partitioner;
+
 const MAGIC: &[u8; 8] = b"ZEROSNAP";
-const VERSION: u32 = 2;
+/// 3: the shard names its per-unit partition; 2 recorded one flat range.
+const VERSION: u32 = 3;
 
 /// Why a snapshot failed to load (or a set failed validation).
 #[derive(Debug)]
@@ -253,9 +258,12 @@ pub struct RankSnapshot {
     pub world: u32,
     /// Optimizer steps taken.
     pub step: u64,
-    /// Flat range of the master shard within the parameter space.
-    pub shard_start: u64,
-    pub shard_end: u64,
+    /// The partition the master shard belongs to: the element count of
+    /// every layout unit, in flat order, each split over `owners` (1: a
+    /// full DDP replica); this shard is owner `owner`'s.
+    pub units: Vec<u64>,
+    pub owners: u32,
+    pub owner: u32,
     /// fp32 master parameters (full buffer under DDP, shard otherwise).
     pub master: Vec<f32>,
     /// Adam moments, or SGD velocity in `opt_m` with `opt_v` empty, or
@@ -283,8 +291,12 @@ impl RankSnapshot {
         w.raw(&self.rank.to_le_bytes())?;
         w.raw(&self.world.to_le_bytes())?;
         w.u64(self.step)?;
-        w.u64(self.shard_start)?;
-        w.u64(self.shard_end)?;
+        w.u64(self.units.len() as u64)?;
+        for &len in &self.units {
+            w.u64(len)?;
+        }
+        w.raw(&self.owners.to_le_bytes())?;
+        w.raw(&self.owner.to_le_bytes())?;
         w.f32s(&self.master)?;
         w.f32s(&self.opt_m)?;
         w.f32s(&self.opt_v)?;
@@ -326,8 +338,9 @@ impl RankSnapshot {
             rank: u32::from_le_bytes(r.raw()?),
             world: u32::from_le_bytes(r.raw()?),
             step: r.u64()?,
-            shard_start: r.u64()?,
-            shard_end: r.u64()?,
+            units: (0..r.bounded(1 << 20)?).map(|_| r.u64()).collect::<Result<_, _>>()?,
+            owners: u32::from_le_bytes(r.raw()?),
+            owner: u32::from_le_bytes(r.raw()?),
             master: r.f32s()?,
             opt_m: r.f32s()?,
             opt_v: r.f32s()?,
@@ -352,6 +365,32 @@ impl RankSnapshot {
         Ok(path)
     }
 
+    /// The flat ranges `master` covers, in order.
+    ///
+    /// # Errors
+    /// [`SnapshotError::Inconsistent`] if the recorded partition has no
+    /// such owner or does not match the shard's length.
+    pub fn flat_ranges(&self) -> Result<Vec<Range<usize>>, SnapshotError> {
+        let (owners, owner) = (self.owners as usize, self.owner as usize);
+        if owner >= owners {
+            return Err(SnapshotError::Inconsistent(format!("shard of owner {owner} among {owners} owners")));
+        }
+        let part = Partitioner::from_lens(&self.unit_lens(), owners);
+        let ranges = part.flat_ranges(owner, 0..part.counts()[owner]);
+        let held: usize = ranges.iter().map(|r| r.len()).sum();
+        if held != self.master.len() {
+            return Err(SnapshotError::Inconsistent(format!(
+                "owner {owner}'s shard has {held} elements but the snapshot holds {}",
+                self.master.len()
+            )));
+        }
+        Ok(ranges)
+    }
+
+    fn unit_lens(&self) -> Vec<usize> {
+        self.units.iter().map(|&len| len as usize).collect()
+    }
+
     /// Loads rank `rank`'s shard from `dir`.
     pub fn load(dir: &Path, rank: usize) -> Result<RankSnapshot, SnapshotError> {
         let mut f = io::BufReader::new(std::fs::File::open(Self::path_for(dir, rank))?);
@@ -370,10 +409,9 @@ impl RankSnapshot {
 }
 
 /// Cross-rank consistency check: every shard of a checkpoint must record
-/// the same step, world size, and optimizer clock, and the shard ranges
-/// must be mutually disjoint in the expected per-rank order. A set that
-/// fails this mixes cuts from different moments — resuming from it would
-/// silently diverge, so it is rejected up front.
+/// the same step, world size, optimizer clock and unit table. A set that
+/// fails this mixes cuts from different moments or models — resuming from
+/// it would silently diverge, so it is rejected up front.
 pub fn validate_consistent(snaps: &[RankSnapshot]) -> Result<(), SnapshotError> {
     let first = match snaps.first() {
         Some(s) => s,
@@ -390,6 +428,12 @@ pub fn validate_consistent(snaps: &[RankSnapshot]) -> Result<(), SnapshotError> 
             return Err(SnapshotError::Inconsistent(format!(
                 "rank {} believes world={} but rank {} believes world={}",
                 first.rank, first.world, s.rank, s.world
+            )));
+        }
+        if s.units != first.units {
+            return Err(SnapshotError::Inconsistent(format!(
+                "ranks {} and {} record different unit tables",
+                first.rank, s.rank
             )));
         }
         if s.opt_t != first.opt_t {
@@ -411,8 +455,9 @@ mod tests {
             rank: 3,
             world: 8,
             step: 1234,
-            shard_start: 100,
-            shard_end: 200,
+            units: vec![400, 400],
+            owners: 8,
+            owner: 3,
             master: (0..100).map(|i| i as f32 * 0.5 - 3.0).collect(),
             opt_m: (0..100).map(|i| (i as f32).sin()).collect(),
             opt_v: (0..100).map(|i| (i as f32).cos().abs()).collect(),
@@ -465,11 +510,14 @@ mod tests {
 
     #[test]
     fn unsupported_version_named_in_error() {
-        let mut buf = Vec::new();
-        sample().write_to(&mut buf).unwrap();
-        buf[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let err = RankSnapshot::read_from(&mut &buf[..]).unwrap_err();
-        assert!(matches!(err, SnapshotError::UnsupportedVersion(1)), "got {err}");
+        // Version 2 recorded one flat shard range: refused by number.
+        for old in [1u32, 2] {
+            let mut buf = Vec::new();
+            sample().write_to(&mut buf).unwrap();
+            buf[8..12].copy_from_slice(&old.to_le_bytes());
+            let err = RankSnapshot::read_from(&mut &buf[..]).unwrap_err();
+            assert!(matches!(err, SnapshotError::UnsupportedVersion(v) if v == old), "got {err}");
+        }
     }
 
     #[test]
@@ -527,18 +575,24 @@ mod tests {
     }
 }
 
-/// Reassembles flat parameter space from shard pieces `(range, values)`:
-/// the pieces either all cover one range (DDP replicas; the first is used)
-/// or tile `0..Σ len` without gap or overlap, in any order. The one
+/// Reassembles flat parameter space from shard pieces `(ranges, values)`:
+/// the pieces either all cover the same ranges (DDP replicas; the first is
+/// used) or tile `0..Σ len` without gap or overlap, in any order. The one
 /// assembler behind [`reshard`], [`export_inference_shards`] and
 /// [`crate::TrainReport::gather_master_mp1`].
-pub(crate) fn assemble_flat(
-    mut pieces: Vec<(Range<usize>, &[f32])>,
-) -> Result<Vec<f32>, SnapshotError> {
-    pieces.sort_by_key(|(range, _)| range.start);
+pub(crate) fn assemble_flat(pieces: Vec<(Vec<Range<usize>>, &[f32])>) -> Result<Vec<f32>, SnapshotError> {
     let replicas = pieces.windows(2).all(|w| w[0].0 == w[1].0);
+    let mut runs: Vec<(Range<usize>, &[f32])> = Vec::new();
+    for (ranges, values) in pieces.iter().take(if replicas { 1 } else { pieces.len() }) {
+        let mut at = 0;
+        for r in ranges {
+            runs.push((r.clone(), values.get(at..at + r.len()).unwrap_or_default()));
+            at += r.len();
+        }
+    }
+    runs.sort_by_key(|(range, _)| range.start);
     let mut flat = Vec::new();
-    for (range, values) in pieces.iter().take(if replicas { 1 } else { pieces.len() }) {
+    for (range, values) in runs {
         if range.start != flat.len() || values.len() != range.len() {
             return Err(SnapshotError::Inconsistent(format!(
                 "a shard holds {} values for [{}, {}) but the space is covered to {}",
@@ -553,15 +607,33 @@ pub(crate) fn assemble_flat(
     Ok(flat)
 }
 
+/// `field` of a consistent snapshot set over the whole flat space — empty
+/// when no shard keeps it (plain SGD keeps no moment, SGD-momentum one).
+fn assemble_field(snapshots: &[RankSnapshot], field: fn(&RankSnapshot) -> &[f32]) -> Result<Vec<f32>, SnapshotError> {
+    if snapshots.iter().all(|s| field(s).is_empty()) {
+        return Ok(Vec::new());
+    }
+    let pieces = snapshots.iter().map(|s| Ok((s.flat_ranges()?, field(s)))).collect::<Result<_, SnapshotError>>()?;
+    let flat = assemble_flat(pieces)?;
+    let total: u64 = snapshots[0].units.iter().sum();
+    if flat.len() as u64 != total {
+        return Err(SnapshotError::Inconsistent(format!(
+            "the unit table covers {total} elements but the shards hold {}",
+            flat.len()
+        )));
+    }
+    Ok(flat)
+}
+
 /// Reshards a complete set of rank snapshots onto a different DP degree —
 /// elastic resume: train on N ranks, continue on M.
 ///
 /// Input snapshots must be one consistent cut ([`validate_consistent`])
 /// that tiles the flat parameter space (stages 1–3) or replicates it
-/// (DDP). Output shards follow the balanced
-/// [`crate::partition::Partitioner`] layout for `new_world` ranks, moments
+/// (DDP). Output shards re-split every unit of the recorded table over
+/// `new_world` owners — the per-unit [`Partitioner`] layout — moments
 /// travelling with their parameters. The loss-scaler state is taken from
-/// the shard that starts the space.
+/// owner 0's shard.
 ///
 /// # Errors
 /// [`SnapshotError::Inconsistent`] if `new_world` is zero, the set is not
@@ -574,33 +646,25 @@ pub fn reshard(
         return Err(SnapshotError::Inconsistent("world size must be positive".into()));
     }
     validate_consistent(snapshots)?;
-    let first = snapshots.iter().min_by_key(|s| s.shard_start).expect("validated non-empty");
-    let flat = |field: fn(&RankSnapshot) -> &[f32]| {
-        let range = |s: &RankSnapshot| s.shard_start as usize..s.shard_end as usize;
-        assemble_flat(snapshots.iter().map(|s| (range(s), field(s))).collect())
-    };
-    let master = flat(|s| &s.master)?;
-    // Plain SGD keeps no moment, SGD-momentum one, Adam two.
-    let moment = |field: fn(&RankSnapshot) -> &[f32]| {
-        let kept = snapshots.iter().any(|s| !field(s).is_empty());
-        if kept { flat(field) } else { Ok(Vec::new()) }
-    };
-    let (opt_m, opt_v) = (moment(|s| &s.opt_m)?, moment(|s| &s.opt_v)?);
-    let part = crate::partition::Partitioner::new(master.len(), new_world);
-    // An absent moment stays empty on every shard.
-    let slice = |v: &[f32], range: &Range<usize>| v.get(range.clone()).unwrap_or_default().to_vec();
+    let first = snapshots.iter().min_by_key(|s| s.owner).expect("validated non-empty");
+    let master = assemble_field(snapshots, |s| &s.master)?;
+    let (opt_m, opt_v) = (assemble_field(snapshots, |s| &s.opt_m)?, assemble_field(snapshots, |s| &s.opt_v)?);
+    let part = Partitioner::from_lens(&first.unit_lens(), new_world);
     Ok((0..new_world)
         .map(|r| {
-            let range = part.shard_range(r);
+            let ranges = part.flat_ranges(r, 0..part.counts()[r]);
+            // An absent moment stays empty on every shard.
+            let pick = |v: &[f32]| ranges.iter().flat_map(|x| v.get(x.clone()).unwrap_or_default()).copied().collect();
             RankSnapshot {
                 rank: r as u32,
                 world: new_world as u32,
                 step: first.step,
-                shard_start: range.start as u64,
-                shard_end: range.end as u64,
-                master: master[range.clone()].to_vec(),
-                opt_m: slice(&opt_m, &range),
-                opt_v: slice(&opt_v, &range),
+                units: first.units.clone(),
+                owners: new_world as u32,
+                owner: r as u32,
+                master: pick(&master),
+                opt_m: pick(&opt_m),
+                opt_v: pick(&opt_v),
                 opt_t: first.opt_t,
                 scaler: first.scaler,
             }
@@ -613,45 +677,60 @@ pub fn reshard(
 /// (§5.3) applied to serving: each serving rank persists only `Ψ/N`
 /// parameters and all-gathers layers on demand.
 ///
-/// This is [`reshard`] with all optimizer and scaler state dropped
-/// (inference needs none of it); a serving frontend loads checkpoints that
-/// may be foreign or damaged, and gets the same typed errors. Shard `r` of
-/// the result is exactly what serving rank `r` hosts.
+/// Serving shards are contiguous flat ranges ([`Partitioner::new`]), not
+/// training's per-unit ones; optimizer and scaler state stay behind
+/// (inference needs none of it). A serving frontend loads checkpoints that
+/// may be foreign or damaged, and gets the same typed errors as
+/// [`reshard`]. Shard `r` of the result is exactly what serving rank `r`
+/// hosts.
 pub fn export_inference_shards(
     snapshots: &[RankSnapshot],
     serve_world: usize,
 ) -> Result<Vec<Vec<f32>>, SnapshotError> {
-    Ok(reshard(snapshots, serve_world)?.into_iter().map(|s| s.master).collect())
+    if serve_world == 0 {
+        return Err(SnapshotError::Inconsistent("world size must be positive".into()));
+    }
+    validate_consistent(snapshots)?;
+    let master = assemble_field(snapshots, |s| &s.master)?;
+    let part = Partitioner::new(master.len(), serve_world);
+    Ok((0..serve_world).map(|r| master[part.shard_range(r)].to_vec()).collect())
+}
+
+/// Owner `owner`'s shard of units `units` split `owners` ways, every value
+/// its flat index (moments 10× and 100× it), at step `step`.
+#[cfg(test)]
+pub(crate) fn test_shard(owner: u32, owners: u32, units: &[u64], step: u64) -> RankSnapshot {
+    let part = Partitioner::from_lens(&units.iter().map(|&u| u as usize).collect::<Vec<_>>(), owners as usize);
+    let flat: Vec<f32> = part.flat_ranges(owner as usize, 0..part.counts()[owner as usize]).into_iter().flatten().map(|i| i as f32).collect();
+    RankSnapshot {
+        rank: owner,
+        world: owners,
+        step,
+        units: units.to_vec(),
+        owners,
+        owner,
+        opt_m: flat.iter().map(|v| v * 10.0).collect(),
+        opt_v: flat.iter().map(|v| v * 100.0).collect(),
+        master: flat,
+        opt_t: step,
+        scaler: Some((64.0, 3, 1)),
+    }
 }
 
 #[cfg(test)]
 mod export_tests {
     use super::*;
 
-    fn shard(rank: u32, world: u32, start: u64, end: u64) -> RankSnapshot {
-        RankSnapshot {
-            rank,
-            world,
-            step: 11,
-            shard_start: start,
-            shard_end: end,
-            master: (start..end).map(|i| i as f32).collect(),
-            opt_m: (start..end).map(|i| i as f32 * 10.0).collect(),
-            opt_v: Vec::new(),
-            opt_t: 11,
-            scaler: None,
-        }
-    }
+    const UNITS: [u64; 3] = [40, 30, 30];
 
     #[test]
-    fn shards_tile_the_master_exactly() {
-        let snaps = vec![shard(0, 3, 0, 40), shard(1, 3, 40, 70), shard(2, 3, 70, 100)];
+    fn serving_shards_are_contiguous_and_tile_the_master() {
+        let snaps: Vec<_> = (0..3).map(|o| test_shard(o, 3, &UNITS, 11)).collect();
         let out = export_inference_shards(&snaps, 4).unwrap();
         assert_eq!(out.len(), 4);
-        let rebuilt: Vec<f32> = out.concat();
         let want: Vec<f32> = (0..100).map(|i| i as f32).collect();
-        assert_eq!(rebuilt, want, "export must reassemble bitwise");
-        let part = crate::partition::Partitioner::new(100, 4);
+        assert_eq!(out.concat(), want, "export must reassemble bitwise");
+        let part = Partitioner::new(100, 4);
         for (r, s) in out.iter().enumerate() {
             assert_eq!(s.len(), part.shard_range(r).len());
         }
@@ -659,25 +738,30 @@ mod export_tests {
 
     #[test]
     fn ddp_replicas_export_from_one_copy() {
-        let snaps = vec![shard(0, 2, 0, 50), shard(1, 2, 0, 50)];
+        let snaps = vec![test_shard(0, 1, &UNITS, 11), RankSnapshot { rank: 1, ..test_shard(0, 1, &UNITS, 11) }];
         let out = export_inference_shards(&snaps, 2).unwrap();
-        assert_eq!(out.concat().len(), 50);
+        assert_eq!(out.concat().len(), 100);
     }
 
     #[test]
     fn gaps_are_a_typed_error_not_a_panic() {
-        let snaps = vec![shard(0, 2, 0, 30), shard(1, 2, 40, 60)];
+        let snaps = vec![test_shard(0, 3, &UNITS, 11), test_shard(2, 3, &UNITS, 11)];
         let err = export_inference_shards(&snaps, 2).unwrap_err();
         assert!(matches!(err, SnapshotError::Inconsistent(_)), "got {err}");
         let err = export_inference_shards(&snaps, 0).unwrap_err();
         assert!(matches!(err, SnapshotError::Inconsistent(_)), "got {err}");
+        // An owner outside its partition, or a shard of the wrong length.
+        let stray = RankSnapshot { owner: 3, ..test_shard(0, 3, &UNITS, 11) };
+        let short = RankSnapshot { master: vec![0.0; 3], ..test_shard(0, 1, &UNITS, 11) };
+        for snaps in [vec![stray], vec![short]] {
+            let err = export_inference_shards(&snaps, 1).unwrap_err();
+            assert!(matches!(err, SnapshotError::Inconsistent(_)), "got {err}");
+        }
     }
 
     #[test]
     fn mixed_step_sets_rejected() {
-        let mut b = shard(1, 2, 50, 100);
-        b.step = 12;
-        let err = export_inference_shards(&[shard(0, 2, 0, 50), b], 2).unwrap_err();
+        let err = export_inference_shards(&[test_shard(0, 2, &UNITS, 11), test_shard(1, 2, &UNITS, 12)], 2).unwrap_err();
         assert!(matches!(err, SnapshotError::Inconsistent(_)), "got {err}");
     }
 }
@@ -686,70 +770,65 @@ mod export_tests {
 mod reshard_tests {
     use super::*;
 
-    fn shard(rank: u32, world: u32, start: u64, end: u64) -> RankSnapshot {
-        RankSnapshot {
-            rank,
-            world,
-            step: 7,
-            shard_start: start,
-            shard_end: end,
-            master: (start..end).map(|i| i as f32).collect(),
-            opt_m: (start..end).map(|i| i as f32 * 10.0).collect(),
-            opt_v: (start..end).map(|i| i as f32 * 100.0).collect(),
-            opt_t: 7,
-            scaler: Some((64.0, 3, 1)),
+    const UNITS: [u64; 3] = [40, 30, 30];
+
+    /// Every value of every shard sits at its flat index.
+    fn placed(snaps: &[RankSnapshot]) -> Vec<f32> {
+        let mut flat = vec![f32::NAN; 100];
+        for s in snaps {
+            let values = s.flat_ranges().unwrap().into_iter().flatten().zip(&s.master);
+            values.for_each(|(i, v)| flat[i] = *v);
         }
+        flat
     }
 
     #[test]
-    fn two_to_three_preserves_every_element() {
-        let snaps = vec![shard(0, 2, 0, 50), shard(1, 2, 50, 100)];
+    fn two_to_three_resplits_every_unit() {
+        let snaps = vec![test_shard(0, 2, &UNITS, 7), test_shard(1, 2, &UNITS, 7)];
         let out = reshard(&snaps, 3).unwrap();
         assert_eq!(out.len(), 3);
-        let mut rebuilt = Vec::new();
-        for s in &out {
-            assert_eq!(s.world, 3);
-            assert_eq!(s.step, 7);
+        for (r, s) in out.iter().enumerate() {
+            assert_eq!((s.world, s.owners, s.owner, s.step), (3, 3, r as u32, 7));
             assert_eq!(s.scaler, Some((64.0, 3, 1)));
-            rebuilt.extend_from_slice(&s.master);
+            // Moments travel with their parameters, and every shard is the
+            // per-unit one a fresh three-rank run would hold.
+            let fresh = test_shard(r as u32, 3, &UNITS, 7);
+            assert_eq!((&s.master, &s.opt_m, &s.opt_v), (&fresh.master, &fresh.opt_m, &fresh.opt_v));
         }
         let want: Vec<f32> = (0..100).map(|i| i as f32).collect();
-        assert_eq!(rebuilt, want);
-        // Moments travel with their parameters.
-        assert_eq!(out[1].opt_m[0], out[1].master[0] * 10.0);
-        assert_eq!(out[2].opt_v[0], out[2].master[0] * 100.0);
+        assert_eq!(placed(&out), want);
     }
 
     #[test]
     fn ddp_replicas_reshard_from_one_copy() {
-        let snaps = vec![shard(0, 2, 0, 40), shard(1, 2, 0, 40)];
+        let snaps = vec![test_shard(0, 1, &UNITS, 7), RankSnapshot { rank: 1, ..test_shard(0, 1, &UNITS, 7) }];
         let out = reshard(&snaps, 4).unwrap();
         assert_eq!(out.len(), 4);
-        let rebuilt: Vec<f32> = out.iter().flat_map(|s| s.master.clone()).collect();
-        assert_eq!(rebuilt.len(), 40);
-        assert_eq!(rebuilt[39], 39.0);
+        assert_eq!(out.iter().map(|s| s.master.len()).sum::<usize>(), 100);
+        assert_eq!(placed(&out)[99], 99.0);
     }
 
     #[test]
     fn reshard_to_one_concatenates() {
-        let snaps = vec![shard(0, 2, 0, 30), shard(1, 2, 30, 60)];
+        let snaps = vec![test_shard(0, 2, &UNITS, 7), test_shard(1, 2, &UNITS, 7)];
         let out = reshard(&snaps, 1).unwrap();
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].master.len(), 60);
-        assert_eq!(out[0].shard_end, 60);
+        assert_eq!(out[0].master, (0..100).map(|i| i as f32).collect::<Vec<_>>());
+        assert_eq!(out[0].flat_ranges().unwrap(), vec![0..100]);
     }
 
     #[test]
     fn gaps_rejected() {
-        let gap = vec![shard(0, 2, 0, 30), shard(1, 2, 40, 60)];
-        let overlap = vec![shard(0, 2, 0, 30), shard(1, 2, 20, 60)];
-        let mut late = shard(1, 2, 30, 60);
-        late.step += 1;
-        for snaps in [gap, overlap, vec![shard(0, 2, 0, 30), late], Vec::new()] {
+        let shard = |o| test_shard(o, 3, &UNITS, 7);
+        let gap = vec![shard(0), shard(2)];
+        let overlap = vec![shard(0), shard(1), shard(1), RankSnapshot { rank: 2, ..shard(1) }];
+        let late = RankSnapshot { step: 8, ..shard(1) };
+        let other_model = RankSnapshot { units: vec![50, 50], ..shard(1) };
+        for snaps in [gap, overlap, vec![shard(0), late, shard(2)], vec![shard(0), other_model], Vec::new()] {
             let err = reshard(&snaps, 2).unwrap_err();
             assert!(matches!(err, SnapshotError::Inconsistent(_)), "got {err}");
         }
-        let err = reshard(&[shard(0, 1, 0, 30)], 0).unwrap_err();
+        let err = reshard(&[test_shard(0, 1, &UNITS, 7)], 0).unwrap_err();
         assert!(matches!(err, SnapshotError::Inconsistent(_)), "got {err}");
     }
 }
@@ -766,8 +845,9 @@ mod corrupt_tests {
         buf.extend_from_slice(&0u32.to_le_bytes()); // rank
         buf.extend_from_slice(&1u32.to_le_bytes()); // world
         buf.extend_from_slice(&0u64.to_le_bytes()); // step
-        buf.extend_from_slice(&0u64.to_le_bytes()); // shard_start
-        buf.extend_from_slice(&0u64.to_le_bytes()); // shard_end
+        buf.extend_from_slice(&0u64.to_le_bytes()); // no units
+        buf.extend_from_slice(&1u32.to_le_bytes()); // owners
+        buf.extend_from_slice(&0u32.to_le_bytes()); // owner
         buf.extend_from_slice(&u64::MAX.to_le_bytes()); // master length: absurd
         let err = RankSnapshot::read_from(&mut &buf[..]).unwrap_err();
         assert!(matches!(err, SnapshotError::ImplausibleLength(_)), "got {err}");

@@ -7,10 +7,13 @@
 //! like the fp16 working copies in mixed-precision training; the fp32
 //! variant backs the exact-equivalence test mode.
 //!
-//! A store holds one slice of flat parameter space — all of it, a rank's
-//! 1/N_d shard, or hpZ's node-local 1/G shard — and is read and written in
-//! flat coordinates: a caller names the flat range it moves and the store
-//! places it in its own buffer. The working parameters, the hpZ secondary
+//! A store holds one owner's shard of a [`Partitioner`] — all of flat
+//! space (the one-owner partition), a rank's 1/N_d per-unit shard, or
+//! hpZ's node-local 1/G shard — and is read and written in flat
+//! coordinates: a caller names a flat range and the store moves its own
+//! part of it, which is one contiguous slice of its buffer. A list of flat
+//! ranges (a shard's, or a CB chunk's rank-major view) is gathered and
+//! scattered range by range. The working parameters, the hpZ secondary
 //! copy and the gradients are all this one kind of store.
 
 use std::ops::Range;
@@ -19,10 +22,13 @@ use zero_tensor::f16::{f16_add_slice, f16_to_f32_slice, f32_to_f16_slice};
 use zero_tensor::ops::activation::acc;
 use zero_tensor::F16;
 
-/// A slice of flat parameter/gradient space with a selectable element
-/// width.
+use crate::partition::Partitioner;
+
+/// One owner's shard of flat parameter/gradient space with a selectable
+/// element width.
 pub struct FlatStore {
-    at: Range<usize>,
+    part: Partitioner,
+    owner: usize,
     words: Words,
 }
 
@@ -35,22 +41,26 @@ enum Words {
 }
 
 impl FlatStore {
-    /// Zero-initialized storage for the flat slice `at`.
-    pub fn zeros(at: Range<usize>, fp16: bool) -> FlatStore {
-        let words = if fp16 {
-            Words::F16(vec![F16::ZERO; at.len()])
-        } else {
-            Words::F32(vec![0.0; at.len()])
-        };
-        FlatStore { at, words }
+    /// Zero-initialized storage for `owner`'s shard of `part`.
+    pub fn zeros(part: &Partitioner, owner: usize, fp16: bool) -> FlatStore {
+        let len = part.counts()[owner];
+        let words = if fp16 { Words::F16(vec![F16::ZERO; len]) } else { Words::F32(vec![0.0; len]) };
+        FlatStore { part: part.clone(), owner, words }
     }
 
-    /// The flat slice `at`, initialized from `src`, which covers it
-    /// (quantizing if fp16).
-    pub fn from_f32(at: Range<usize>, src: &[f32], fp16: bool) -> FlatStore {
-        let mut s = FlatStore::zeros(at.clone(), fp16);
-        s.write(at, src);
+    /// `owner`'s shard of `part`, initialized from `src`, which covers all
+    /// of flat space (quantizing if fp16).
+    pub fn from_f32(part: &Partitioner, owner: usize, src: &[f32], fp16: bool) -> FlatStore {
+        let mut s = FlatStore::zeros(part, owner, fp16);
+        for r in s.ranges() {
+            s.write(r.clone(), &src[r]);
+        }
         s
+    }
+
+    /// The flat ranges this store holds, in buffer order.
+    pub fn ranges(&self) -> Vec<Range<usize>> {
+        self.part.flat_ranges(self.owner, 0..self.part.counts()[self.owner])
     }
 
     /// Bytes occupied by the storage.
@@ -61,29 +71,16 @@ impl FlatStore {
         }
     }
 
-    /// The part of `span` this store holds (empty if none).
-    fn overlap(&self, span: &Range<usize>) -> Range<usize> {
-        span.start.max(self.at.start)..span.end.min(self.at.end)
+    /// Where this store's part of the flat range `span` sits in the buffer.
+    fn local(&self, span: &Range<usize>) -> Range<usize> {
+        self.part.local_slice_of(self.owner, span)
     }
 
-    /// Where the flat range `flat` sits in the buffer. An empty range maps
-    /// to an empty one wherever it lies.
-    ///
-    /// # Panics
-    /// Panics if a non-empty `flat` reaches outside the store's slice.
-    fn local(&self, flat: Range<usize>) -> Range<usize> {
-        if flat.is_empty() {
-            return 0..0;
-        }
-        let at = &self.at;
-        assert!(at.start <= flat.start && flat.end <= at.end, "flat {flat:?} outside store {at:?}");
-        flat.start - at.start..flat.end - at.start
-    }
-
-    /// Reads the flat range `flat` into a fresh `Vec<f32>` (widening if
-    /// fp16).
-    pub fn read(&self, flat: Range<usize>) -> Vec<f32> {
-        let range = self.local(flat);
+    /// Reads this store's part of `span` into a fresh `Vec<f32>` (widening
+    /// if fp16) — all of it for a full store, what a shard contributes to a
+    /// gather of it otherwise.
+    pub fn read(&self, span: Range<usize>) -> Vec<f32> {
+        let range = self.local(&span);
         match &self.words {
             Words::F32(v) => v[range].to_vec(),
             Words::F16(v) => {
@@ -94,30 +91,26 @@ impl FlatStore {
         }
     }
 
-    /// This store's piece of `span`: what it contributes to a gather of it.
-    pub fn piece(&self, span: &Range<usize>) -> Vec<f32> {
-        self.read(self.overlap(span))
-    }
-
-    /// Writes f32 values over the flat range `flat` (quantizing if fp16).
+    /// Writes f32 values over this store's part of `span` (quantizing if
+    /// fp16).
     ///
     /// # Panics
-    /// Panics if `src.len() != flat.len()`.
-    pub fn write(&mut self, flat: Range<usize>, src: &[f32]) {
-        assert_eq!(src.len(), flat.len(), "store write: length mismatch");
-        let range = self.local(flat);
+    /// Panics if `src` is not as long as that part.
+    pub fn write(&mut self, span: Range<usize>, src: &[f32]) {
+        let range = self.local(&span);
+        assert_eq!(src.len(), range.len(), "store write: length mismatch");
         match &mut self.words {
             Words::F32(v) => v[range].copy_from_slice(src),
             Words::F16(v) => f32_to_f16_slice(src, &mut v[range]),
         }
     }
 
-    /// Accumulates f32 values into the flat range `flat` (`store += src`),
-    /// performing the read-modify-write in f32 and re-quantizing — how fp16
-    /// gradient accumulation behaves in practice.
-    pub fn add(&mut self, flat: Range<usize>, src: &[f32]) {
-        assert_eq!(src.len(), flat.len(), "store add: length mismatch");
-        let range = self.local(flat);
+    /// Accumulates f32 values into this store's part of `span` (`store +=
+    /// src`), performing the read-modify-write in f32 and re-quantizing —
+    /// how fp16 gradient accumulation behaves in practice.
+    pub fn add(&mut self, span: Range<usize>, src: &[f32]) {
+        let range = self.local(&span);
+        assert_eq!(src.len(), range.len(), "store add: length mismatch");
         match &mut self.words {
             Words::F32(v) => acc(&mut v[range], src),
             Words::F16(v) => f16_add_slice(&mut v[range], src),
@@ -125,13 +118,27 @@ impl FlatStore {
     }
 
     /// Keeps the part of `span` this store holds out of `data`, which
-    /// covers all of `span`.
+    /// covers all of `span` in flat order.
     pub fn stash(&mut self, span: &Range<usize>, data: &[f32]) {
-        let mine = self.overlap(span);
-        if !mine.is_empty() {
-            let from = mine.start - span.start..mine.end - span.start;
-            self.write(mine, &data[from]);
+        for r in self.part.flat_ranges(self.owner, self.local(span)) {
+            let from = r.start - span.start..r.end - span.start;
+            self.write(r, &data[from]);
         }
+    }
+
+    /// Reads the flat `ranges` back to back.
+    pub fn gather(&self, ranges: &[Range<usize>]) -> Vec<f32> {
+        ranges.iter().flat_map(|r| self.read(r.clone())).collect()
+    }
+
+    /// Writes `src` over the flat `ranges`, back to back.
+    pub fn scatter(&mut self, ranges: &[Range<usize>], src: &[f32]) {
+        let mut at = 0;
+        for r in ranges {
+            self.write(r.clone(), &src[at..at + r.len()]);
+            at += r.len();
+        }
+        assert_eq!(at, src.len(), "store scatter: length mismatch");
     }
 
     /// Sets every element to zero.
@@ -142,24 +149,50 @@ impl FlatStore {
         }
     }
 
-    /// True if any element of the flat range `flat` is NaN or infinite.
-    pub fn has_non_finite(&self, flat: Range<usize>) -> bool {
-        let range = self.local(flat);
-        match &self.words {
-            Words::F32(v) => v[range].iter().any(|x| !x.is_finite()),
-            Words::F16(v) => v[range].iter().any(|x| !x.is_finite()),
-        }
+    /// True if any element of the flat `ranges` is NaN or infinite.
+    pub fn has_non_finite(&self, ranges: &[Range<usize>]) -> bool {
+        ranges.iter().any(|r| {
+            let range = self.local(r);
+            match &self.words {
+                Words::F32(v) => v[range].iter().any(|x| !x.is_finite()),
+                Words::F16(v) => v[range].iter().any(|x| !x.is_finite()),
+            }
+        })
     }
+}
+
+/// The flat ranges that positions `at` of a buffer laid out as `view` (flat
+/// ranges back to back) map to.
+pub(crate) fn clip(view: &[Range<usize>], at: Range<usize>) -> Vec<Range<usize>> {
+    let mut pos = 0;
+    let mut out = Vec::new();
+    for r in view {
+        let (lo, hi) = (at.start.max(pos), at.end.min(pos + r.len()));
+        if lo < hi {
+            out.push(r.start + lo - pos..r.start + hi - pos);
+        }
+        pos += r.len();
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A list holding the one flat range `r`.
+    fn one(r: Range<usize>) -> Vec<Range<usize>> {
+        vec![r]
+    }
+
+    fn full(src: &[f32], fp16: bool) -> FlatStore {
+        FlatStore::from_f32(&Partitioner::new(src.len(), 1), 0, src, fp16)
+    }
+
     #[test]
     fn f32_round_trip_is_exact() {
         let src = vec![0.1_f32, -2.7, 1e-8, 3e7];
-        let s = FlatStore::from_f32(0..4, &src, false);
+        let s = full(&src, false);
         assert_eq!(s.read(0..4), src);
         assert_eq!(s.bytes(), 16);
     }
@@ -167,7 +200,7 @@ mod tests {
     #[test]
     fn f16_quantizes_on_write() {
         let src = vec![0.1_f32, 1.0, 65504.0];
-        let s = FlatStore::from_f32(0..3, &src, true);
+        let s = full(&src, true);
         let back = s.read(0..3);
         assert_eq!(back[1], 1.0);
         assert_eq!(back[2], 65504.0);
@@ -177,7 +210,7 @@ mod tests {
 
     #[test]
     fn partial_reads_and_writes() {
-        let mut s = FlatStore::zeros(0..6, false);
+        let mut s = full(&[0.0; 6], false);
         s.write(2..5, &[1.0, 2.0, 3.0]);
         assert_eq!(s.read(0..6), vec![0.0, 0.0, 1.0, 2.0, 3.0, 0.0]);
         s.add(2..4, &[10.0, 10.0]);
@@ -188,7 +221,7 @@ mod tests {
 
     #[test]
     fn f16_accumulation_quantizes_each_step() {
-        let mut s = FlatStore::zeros(0..1, true);
+        let mut s = full(&[0.0], true);
         // 2048 + 1 is not representable in fp16 (ulp at 2048 is 2).
         s.write(0..1, &[2048.0]);
         s.add(0..1, &[1.0]);
@@ -197,35 +230,44 @@ mod tests {
 
     #[test]
     fn non_finite_detection_both_widths() {
-        let mut a = FlatStore::zeros(0..3, false);
+        let mut a = full(&[0.0; 3], false);
         a.write(1..2, &[f32::NAN]);
-        assert!(a.has_non_finite(0..3));
-        assert!(!a.has_non_finite(2..3));
-        let mut b = FlatStore::zeros(0..3, true);
+        assert!(a.has_non_finite(&one(0..3)));
+        assert!(!a.has_non_finite(&[0..1, 2..3]));
+        let mut b = full(&[0.0; 3], true);
         b.write(0..1, &[1e9]); // overflows fp16 to +inf
-        assert!(b.has_non_finite(0..3));
+        assert!(b.has_non_finite(&one(0..3)));
     }
 
     #[test]
     fn a_shard_works_in_flat_coordinates() {
-        let mut s = FlatStore::from_f32(10..14, &[1.0, 2.0, 3.0, 4.0], false);
-        assert_eq!(s.read(11..13), vec![2.0, 3.0]);
-        // A span straddling the slice contributes only the overlap, and a
+        // Units 0..4 and 4..8 over two owners: owner 1 holds 2..4 and 6..8.
+        let part = Partitioner::from_lens(&[4, 4], 2);
+        let flat: Vec<f32> = (0..8).map(|i| i as f32).collect();
+        let mut s = FlatStore::from_f32(&part, 1, &flat, false);
+        assert_eq!(s.ranges(), vec![2..4, 6..8]);
+        assert_eq!(s.read(0..8), vec![2.0, 3.0, 6.0, 7.0]);
+        // A span reaching into the shard contributes only its part, and a
         // disjoint one nothing, wherever it lies.
-        assert_eq!(s.piece(&(12..20)), vec![3.0, 4.0]);
-        assert!(s.piece(&(0..5)).is_empty() && s.piece(&(30..40)).is_empty());
-        assert!(s.read(30..30).is_empty());
+        assert_eq!(s.read(3..7), vec![3.0, 6.0]);
+        assert!(s.read(0..2).is_empty() && s.read(4..6).is_empty());
         // A gathered span keeps only this store's part of it.
-        s.stash(&(8..12), &[9.0, 9.0, 7.0, 8.0]);
-        assert_eq!(s.read(10..14), vec![7.0, 8.0, 3.0, 4.0]);
-        s.stash(&(20..22), &[5.0, 5.0]);
-        s.add(13..14, &[1.0]);
-        assert_eq!(s.read(10..14), vec![7.0, 8.0, 3.0, 5.0]);
-        s.write(10..11, &[f32::NAN]);
-        assert!(s.has_non_finite(10..12) && !s.has_non_finite(11..14));
+        s.stash(&(4..8), &[9.0, 9.0, 7.0, 8.0]);
+        assert_eq!(s.gather(&[6..8, 2..4]), vec![7.0, 8.0, 2.0, 3.0]);
+        s.scatter(&[3..4, 6..7], &[5.0, 5.0]);
+        s.add(7..8, &[1.0]);
+        assert_eq!(s.read(0..8), vec![2.0, 5.0, 5.0, 9.0]);
+        s.write(2..3, &[f32::NAN]);
+        assert!(s.has_non_finite(&one(0..3)) && !s.has_non_finite(&one(3..8)));
         s.zero();
-        assert_eq!(s.read(10..14), vec![0.0; 4]);
-        let outside = std::panic::catch_unwind(|| FlatStore::zeros(10..14, true).read(9..11));
-        assert!(outside.is_err(), "a read reaching outside the slice is refused");
+        assert_eq!(s.read(0..8), vec![0.0; 4]);
+    }
+
+    #[test]
+    fn clip_maps_buffer_positions_to_flat_ranges() {
+        let view = [10..14, 2..4, 20..23];
+        assert_eq!(clip(&view, 0..9), view.to_vec());
+        assert_eq!(clip(&view, 3..7), vec![13..14, 2..4, 20..21]);
+        assert!(clip(&view, 9..9).is_empty());
     }
 }

@@ -593,8 +593,9 @@ mod tests {
             rank: 0,
             world: 1,
             step,
-            shard_start: 0,
-            shard_end: 8,
+            units: vec![8],
+            owners: 1,
+            owner: 0,
             master: (0..8).map(|i| i as f32).collect(),
             opt_m: vec![0.5; 8],
             opt_v: vec![0.25; 8],

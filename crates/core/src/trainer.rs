@@ -67,8 +67,8 @@ pub struct RankReport {
     pub timeline: zero_trace::StepTimeline,
     /// This rank's fp32 master shard (or full buffer under DDP).
     pub master: Vec<f32>,
-    /// The flat range the master shard covers.
-    pub shard_range: std::ops::Range<usize>,
+    /// The flat ranges the master shard covers, in order.
+    pub shard_ranges: Vec<std::ops::Range<usize>>,
 }
 
 /// Results of a training run.
@@ -98,7 +98,7 @@ impl TrainReport {
     /// # Panics
     /// Panics if the shards do not tile the flat space.
     pub fn gather_master_mp1(&self) -> Vec<f32> {
-        let pieces = self.ranks.iter().map(|r| (r.shard_range.clone(), &r.master[..])).collect();
+        let pieces = self.ranks.iter().map(|r| (r.shard_ranges.clone(), &r.master[..])).collect();
         crate::snapshot::assemble_flat(pieces)
             .unwrap_or_else(|e| panic!("shards must tile the space: {e}"))
     }
@@ -210,7 +210,7 @@ fn run_training_inner(
             timing: engine.timing(),
             timeline: engine.timeline(),
             master: engine.master_params().to_vec(),
-            shard_range: engine.master_range(),
+            shard_ranges: engine.master_ranges().to_vec(),
         };
         (losses, skipped, val_losses, report)
     });

@@ -4,10 +4,8 @@
 //! bitwise *exact* for hpZ alone (the secondary replica stores genuine
 //! fp16 values, so node-scope refetches reproduce the global gather).
 
-use zero_comm::{Grid, World, WorldConfig};
-use zero_core::{
-    CompressionConfig, MemCategory, Partitioner, RankEngine, ZeroConfig, ZeroStage,
-};
+use zero_comm::{chunk_range, Grid, World, WorldConfig};
+use zero_core::{CompressionConfig, MemCategory, RankEngine, ZeroConfig, ZeroStage};
 use zero_model::{init_full_params, Gpt, ModelConfig, SyntheticCorpus};
 
 const MICROS: usize = 2;
@@ -152,11 +150,12 @@ fn hpz_alone_is_bitwise_exact_and_priced() {
         assert_eq!(x.secondary_bytes, 0, "no replica without hpZ");
     }
     // The replica is priced at 2 bytes per element of this rank's
-    // node-slot shard (fp16), and only while hpZ is on.
-    let psi = Gpt::new_mp(model(), 1).num_params();
-    let sec_part = Partitioner::new(psi, 2);
+    // node-slot shard (fp16) — its slot's chunk of every unit split over
+    // the node's 2 slots — and only while hpZ is on.
+    let gpt = Gpt::new_mp(model(), 1);
     for (rank, out) in hpz.iter().enumerate() {
-        let expect = 2 * sec_part.shard_range(rank % 2).len() as u64;
+        let slot: usize = gpt.layout().units().iter().map(|u| chunk_range(u.range.len(), 2, rank % 2).len()).sum();
+        let expect = 2 * slot as u64;
         assert_eq!(out.secondary_bytes, expect, "rank {rank} secondary bytes");
     }
 }

@@ -2,8 +2,11 @@
 //! arena invariants — the pieces whose correctness the ZeRO schedule
 //! silently relies on for every step.
 
+use std::ops::Range;
+
 use proptest::prelude::*;
 use zero_core::{reshard, ContiguousArena, FlatStore, GradBucket, Partitioner, RankSnapshot};
+use zero_model::{Layout, ModelConfig};
 
 /// Deterministic f32 fill so round-trips can be compared bitwise.
 fn fill(seed: u64, len: usize, salt: u64) -> Vec<f32> {
@@ -16,25 +19,31 @@ fn fill(seed: u64, len: usize, salt: u64) -> Vec<f32> {
         .collect()
 }
 
-/// An N-way sharded Adam checkpoint over `psi` elements, partitioned the
-/// same way the engine partitions its flat space.
-fn sharded(psi: usize, world: usize, seed: u64, scaler: Option<(f32, u32, u64)>) -> Vec<RankSnapshot> {
-    let part = Partitioner::new(psi, world);
-    let master = fill(seed, psi, 1);
-    let opt_m = fill(seed, psi, 2);
-    let opt_v = fill(seed, psi, 3);
+/// A small model's layout: its units have every parity and size mix.
+fn layout(vocab: usize, seq: usize, heads: usize, head_dim: usize, layers: usize) -> Layout {
+    Layout::build(&ModelConfig { vocab, seq, hidden: heads * head_dim, layers, heads })
+}
+
+/// An N-way sharded Adam checkpoint of `layout`'s parameters, partitioned
+/// the way the engine partitions them: every unit split N ways.
+fn sharded(layout: &Layout, world: usize, seed: u64, scaler: Option<(f32, u32, u64)>) -> Vec<RankSnapshot> {
+    let (part, psi) = (Partitioner::per_unit(layout, world), layout.total_params());
+    let units: Vec<u64> = layout.units().iter().map(|u| u.range.len() as u64).collect();
+    let fields = [fill(seed, psi, 1), fill(seed, psi, 2), fill(seed, psi, 3)];
     (0..world)
         .map(|r| {
-            let range = part.shard_range(r);
+            let ranges = part.flat_ranges(r, 0..part.shard_range(r).len());
+            let [master, opt_m, opt_v] = fields.clone().map(|v| ranges.iter().flat_map(|x| v[x.clone()].to_vec()).collect());
             RankSnapshot {
                 rank: r as u32,
                 world: world as u32,
                 step: 13,
-                shard_start: range.start as u64,
-                shard_end: range.end as u64,
-                master: master[range.clone()].to_vec(),
-                opt_m: opt_m[range.clone()].to_vec(),
-                opt_v: opt_v[range.clone()].to_vec(),
+                units: units.clone(),
+                owners: world as u32,
+                owner: r as u32,
+                master,
+                opt_m,
+                opt_v,
                 opt_t: 13,
                 scaler,
             }
@@ -42,57 +51,124 @@ fn sharded(psi: usize, world: usize, seed: u64, scaler: Option<(f32, u32, u64)>)
         .collect()
 }
 
+/// Owner `i`'s flat ranges: its whole shard.
+fn owned(p: &Partitioner, i: usize) -> Vec<Range<usize>> {
+    p.flat_ranges(i, 0..p.shard_range(i).len())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn partitioner_covers_without_overlap(total in 0usize..10_000, n in 1usize..64) {
+    fn one_unit_partitioner_is_contiguous(total in 0usize..10_000, n in 1usize..64) {
+        // `Partitioner::new` keeps its contiguous meaning: serving shards.
         let p = Partitioner::new(total, n);
         let mut cursor = 0;
         for i in 0..n {
             let r = p.shard_range(i);
             prop_assert_eq!(r.start, cursor);
+            if !r.is_empty() {
+                prop_assert_eq!(owned(&p, i), vec![r.clone()]);
+            }
             cursor = r.end;
         }
         prop_assert_eq!(cursor, total);
     }
 
     #[test]
-    fn partitioner_shards_are_balanced(total in 0usize..10_000, n in 1usize..64) {
-        let p = Partitioner::new(total, n);
-        let counts = p.counts();
-        let (min, max) = (
-            counts.iter().min().copied().unwrap_or(0),
-            counts.iter().max().copied().unwrap_or(0),
-        );
-        prop_assert!(max - min <= 1, "shards {counts:?} not balanced");
+    fn per_unit_partitioner_covers_without_overlap(
+        vocab in 1usize..40, seq in 1usize..10, heads in 1usize..4, head_dim in 1usize..6,
+        layers in 0usize..4, n in 1usize..17,
+    ) {
+        let l = layout(vocab, seq, heads, head_dim, layers);
+        let p = Partitioner::per_unit(&l, n);
+        prop_assert_eq!(p.verify_tiling(), Ok(()));
+        let mut ranges: Vec<Range<usize>> = (0..n).flat_map(|i| owned(&p, i)).collect();
+        ranges.sort_by_key(|r| r.start);
+        let mut cursor = 0;
+        for r in ranges {
+            prop_assert_eq!(r.start, cursor, "a gap or an overlap");
+            cursor = r.end;
+        }
+        prop_assert_eq!(cursor, l.total_params());
     }
 
     #[test]
-    fn owner_of_is_consistent_with_shard_range(
-        total in 1usize..5_000, n in 1usize..32, idx_seed in 0usize..5_000,
+    fn every_unit_is_balanced(
+        vocab in 1usize..40, seq in 1usize..10, heads in 1usize..4, head_dim in 1usize..6,
+        layers in 0usize..4, n in 1usize..17,
     ) {
-        let p = Partitioner::new(total, n);
-        let idx = idx_seed % total;
+        let l = layout(vocab, seq, heads, head_dim, layers);
+        let p = Partitioner::per_unit(&l, n);
+        for unit in l.units() {
+            let counts = p.intersect_counts(&unit.range);
+            let (min, max) = (counts.iter().min().copied().unwrap_or(0), counts.iter().max().copied().unwrap_or(0));
+            prop_assert!(max - min <= 1, "unit {} pieces {counts:?} not balanced", unit.name);
+        }
+        let counts = p.counts();
+        let spread = counts.iter().max().unwrap() - counts.iter().min().unwrap();
+        prop_assert!(spread <= l.units().len(), "shards {counts:?}");
+    }
+
+    #[test]
+    fn owner_of_agrees_with_the_owned_ranges(
+        vocab in 1usize..40, seq in 1usize..10, heads in 1usize..4, head_dim in 1usize..6,
+        layers in 0usize..4, n in 1usize..17, idx_seed in 0usize..100_000,
+    ) {
+        let l = layout(vocab, seq, heads, head_dim, layers);
+        let p = Partitioner::per_unit(&l, n);
+        let idx = idx_seed % l.total_params();
         let owner = p.owner_of(idx);
-        prop_assert!(p.shard_range(owner).contains(&idx));
+        prop_assert!(owned(&p, owner).iter().any(|r| r.contains(&idx)));
     }
 
     #[test]
     fn intersect_counts_match_local_slices(
-        total in 1usize..5_000, n in 1usize..16,
-        a in 0usize..5_000, b in 0usize..5_000,
+        vocab in 1usize..40, seq in 1usize..10, heads in 1usize..4, head_dim in 1usize..6,
+        layers in 0usize..4, n in 1usize..9, a in 0usize..100_000, b in 0usize..100_000,
     ) {
-        let p = Partitioner::new(total, n);
+        let l = layout(vocab, seq, heads, head_dim, layers);
+        let (p, total) = (Partitioner::per_unit(&l, n), l.total_params());
         let (lo, hi) = (a.min(b) % total, (a.max(b) % total).max(a.min(b) % total));
         let range = lo..hi;
         let counts = p.intersect_counts(&range);
         prop_assert_eq!(counts.iter().sum::<usize>(), range.len());
         for (i, cnt) in counts.iter().enumerate() {
+            // The slice holds exactly the owner's elements of the range.
             let local = p.local_slice_of(i, &range);
             prop_assert_eq!(local.len(), *cnt, "owner {}", i);
-            prop_assert!(local.end <= p.shard_range(i).len());
+            let flat = p.flat_ranges(i, local);
+            prop_assert!(flat.iter().all(|r| range.start <= r.start && r.end <= range.end));
+            prop_assert_eq!(flat.iter().map(|r| r.len()).sum::<usize>(), *cnt);
         }
+    }
+
+    #[test]
+    fn chunk_slices_are_balanced_per_unit(
+        vocab in 1usize..40, seq in 1usize..10, heads in 1usize..4, head_dim in 1usize..6,
+        layers in 0usize..4, n in 1usize..9, step in 1usize..200,
+    ) {
+        // CB chunks cut owner 0's rows; every owner's slices of successive
+        // chunks tile its shard, and one chunk's slices differ by at most
+        // one element per unit the chunk touches.
+        let l = layout(vocab, seq, heads, head_dim, layers);
+        let p = Partitioner::per_unit(&l, n);
+        let rows = p.shard_range(0).len();
+        let mut ends = vec![0; n];
+        for start in (0..rows).step_by(step) {
+            let chunk = start..(start + step).min(rows);
+            let slices: Vec<Range<usize>> = (0..n).map(|i| p.chunk_slice(i, chunk.clone())).collect();
+            for (i, s) in slices.iter().enumerate() {
+                prop_assert_eq!(s.start, ends[i]);
+                ends[i] = s.end;
+            }
+            let touched = l.units().iter().filter(|u| {
+                p.flat_ranges(0, chunk.clone()).iter().any(|r| r.start < u.range.end && u.range.start < r.end)
+            }).count();
+            let lens: Vec<usize> = slices.iter().map(|s| s.len()).collect();
+            prop_assert!(lens[0] - lens.iter().min().unwrap() <= touched, "chunk {chunk:?}: {lens:?}");
+        }
+        prop_assert_eq!(ends, p.counts());
     }
 
     #[test]
@@ -110,6 +186,8 @@ proptest! {
         }
         let mut bucket = GradBucket::new();
         let mut seen = vec![false; total];
+        // One owner fuses in flat order.
+        let one = Partitioner::new(total, 1);
         let mut flush = |r: std::ops::Range<usize>, d: &mut [f32]| {
             assert_eq!(r.len(), d.len());
             for (i, &v) in r.clone().zip(d.iter()) {
@@ -123,10 +201,10 @@ proptest! {
             let data: Vec<f32> = r.clone().map(|i| i as f32).collect();
             bucket.push(r.clone(), data);
             if bucket.pending_elems() >= capacity {
-                bucket.flush_all(&mut flush);
+                bucket.flush_all(&one, &mut flush);
             }
         }
-        bucket.flush_all(&mut flush);
+        bucket.flush_all(&one, &mut flush);
         prop_assert!(seen.iter().all(|&s| s), "not all elements flushed");
         prop_assert_eq!(bucket.pending_elems(), 0);
     }
@@ -135,7 +213,7 @@ proptest! {
     fn flat_store_write_read_round_trip_f32(
         values in prop::collection::vec(-1e6f32..1e6, 1..100),
     ) {
-        let s = FlatStore::from_f32(0..values.len(), &values, false);
+        let s = FlatStore::from_f32(&Partitioner::new(values.len(), 1), 0, &values, false);
         prop_assert_eq!(s.read(0..values.len()), values);
     }
 
@@ -143,7 +221,7 @@ proptest! {
     fn flat_store_f16_error_bounded(
         values in prop::collection::vec(-60000.0f32..60000.0, 1..100),
     ) {
-        let s = FlatStore::from_f32(0..values.len(), &values, true);
+        let s = FlatStore::from_f32(&Partitioner::new(values.len(), 1), 0, &values, true);
         let back = s.read(0..values.len());
         for (v, b) in values.iter().zip(&back) {
             let tol = (v.abs() * 2.0_f32.powi(-11)).max(2.0_f32.powi(-25));
@@ -154,13 +232,13 @@ proptest! {
 
     #[test]
     fn reshard_round_trip_is_bitwise_lossless(
-        psi in 1usize..400, n in 1usize..9, m in 1usize..9, seed in 0u64..1_000_000,
+        vocab in 1usize..20, layers in 0usize..3, n in 1usize..9, m in 1usize..9, seed in 0u64..1_000_000,
     ) {
         // Elastic recovery reshards N→M; growing back M→N must return the
         // exact original shards — master params and both Adam moments
         // bitwise, plus every piece of metadata the optimizer resumes from.
         let scaler = if seed % 2 == 0 { Some((64.0, 3, seed)) } else { None };
-        let orig = sharded(psi, n, seed, scaler);
+        let orig = sharded(&layout(vocab, 3, 1, 3, layers), n, seed, scaler);
         let mid = reshard(&orig, m).unwrap();
         prop_assert_eq!(mid.len(), m);
         let back = reshard(&mid, n).unwrap();
@@ -169,7 +247,7 @@ proptest! {
             prop_assert_eq!(a.rank, b.rank);
             prop_assert_eq!(a.world, b.world);
             prop_assert_eq!((a.step, a.opt_t), (b.step, b.opt_t));
-            prop_assert_eq!((a.shard_start, a.shard_end), (b.shard_start, b.shard_end));
+            prop_assert_eq!((&a.units, a.owners, a.owner), (&b.units, b.owners, b.owner));
             prop_assert_eq!(a.scaler.map(|(s, g, k)| (s.to_bits(), g, k)),
                             b.scaler.map(|(s, g, k)| (s.to_bits(), g, k)));
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

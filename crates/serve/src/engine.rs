@@ -848,23 +848,22 @@ mod tests {
     fn serving_from_exported_training_snapshots_is_bitwise_identical() {
         let m = model();
         let params = init_full_params(&m, 21);
-        // Fake a 3-rank stage-style training checkpoint tiling the space.
-        let part = Partitioner::new(params.len(), 3);
+        // Fake a 3-rank training checkpoint: every unit split three ways.
+        let layout = zero_model::Layout::build(&m);
+        let part = Partitioner::per_unit(&layout, 3);
         let snaps: Vec<RankSnapshot> = (0..3)
-            .map(|r| {
-                let range = part.shard_range(r);
-                RankSnapshot {
-                    rank: r as u32,
-                    world: 3,
-                    step: 40,
-                    shard_start: range.start as u64,
-                    shard_end: range.end as u64,
-                    master: params[range].to_vec(),
-                    opt_m: Vec::new(),
-                    opt_v: Vec::new(),
-                    opt_t: 40,
-                    scaler: None,
-                }
+            .map(|r| RankSnapshot {
+                rank: r as u32,
+                world: 3,
+                step: 40,
+                units: layout.units().iter().map(|u| u.range.len() as u64).collect(),
+                owners: 3,
+                owner: r as u32,
+                master: part.flat_ranges(r, 0..part.shard_range(r).len()).into_iter().flat_map(|x| params[x].to_vec()).collect(),
+                opt_m: Vec::new(),
+                opt_v: Vec::new(),
+                opt_t: 40,
+                scaler: None,
             })
             .collect();
         // Export onto a *different* world size than training used.

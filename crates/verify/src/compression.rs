@@ -171,7 +171,9 @@ fn check_compressed_config(
         let plan = CommPlan::train_step(&layout, zcfg, grid, &shape(skipped));
         check_symmetry(&plan, &what)?;
         for rank in 0..grid.world_size() {
-            for (idx, op) in plan.resolve_for(rank).iter().enumerate() {
+            let ops = plan.resolve_for(rank);
+            crate::schedule::check_balance(&layout, zcfg, grid, &ops, plan.tier_ops(), &what)?;
+            for (idx, op) in ops.iter().enumerate() {
                 if let Some(want) = independent_wire_bytes(op, rank) {
                     let got = op.sent_bytes(rank);
                     if got != want {

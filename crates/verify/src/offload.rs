@@ -247,8 +247,7 @@ fn check_offload_config(
     report: &mut OffloadReport,
 ) -> Result<(), String> {
     let layout = Layout::build_mp(&test_model(), 1);
-    let psi = layout.units().last().expect("layout units").range.end;
-    let part = Partitioner::new(psi, grid.dp_degree());
+    let part = Partitioner::per_unit(&layout, grid.dp_degree());
     let elem_bytes: u64 = if zcfg.fp16 { 2 } else { 4 };
     let what = format!(
         "offload {} dp={} overlap={} fp16={} zero++={}",
@@ -292,6 +291,7 @@ fn check_offload_config(
 
         for rank in 0..grid.world_size() {
             let ops = plan.resolve_for(rank);
+            crate::schedule::check_balance(&layout, zcfg, grid, &ops, plan.tier_ops(), &what)?;
             let tier = plan.resolve_tier_for(rank);
             check_anchors(&tier, &ops, rank, zcfg.overlap, &what, report)?;
 
@@ -614,8 +614,7 @@ mod tests {
         let zcfg = cfg(ZeroStage::Two, false, true, TierConfig::budgeted(1 << 30));
         let grid = Grid::new(2, 1);
         let plan = CommPlan::train_step(&layout, &zcfg, grid, &shape(false));
-        let psi = layout.units().last().unwrap().range.end;
-        let part = Partitioner::new(psi, 2);
+        let part = Partitioner::per_unit(&layout, 2);
         let spill: u64 = plan
             .resolve_tier_for(0)
             .iter()

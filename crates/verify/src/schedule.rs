@@ -19,6 +19,11 @@
 //!   Ψ − |shard_{i+1}|; stage 3 re-gathers each unit once per pass; the
 //!   paper's 2Ψ·(N−1)/N and ≤ 3Ψ headline numbers follow and are asserted
 //!   too.
+//! * **Balance.** Training partitions every unit N ways, so every op over
+//!   parameter space — a unit fetch, a gradient bucket, a CB chunk — and
+//!   every tier movement carrying a piece of one has member counts within
+//!   one element per unit it covers ([`check_balance`]): no member's link
+//!   carries an op alone while its peers idle.
 //! * **Issue/complete ordering (overlap).** Overlapped plans list ops in
 //!   *issue* order, and every rank's ops execute on one FIFO progress
 //!   thread — so per-rank completion order equals issue order and the
@@ -39,7 +44,10 @@
 //!   completes on the caller, off the FIFO; it has no peer to pair with.)
 
 use zero_comm::{CollectiveKind, Grid};
-use zero_core::{CkptPlace, CommPlan, OpRole, Partitioner, ResolvedOp, StepShape, ZeroConfig, ZeroStage};
+use std::ops::Range;
+
+use zero_comm::chunk_range;
+use zero_core::{CkptPlace, CommPlan, OpRole, Partitioner, ResolvedOp, StepShape, TierOp, ZeroConfig, ZeroStage};
 use zero_model::{Layout, ModelConfig};
 
 /// Counters describing how much the checker covered.
@@ -185,9 +193,10 @@ fn expected_step(layout: &Layout, zcfg: &ZeroConfig, grid: Grid, rank: usize, sk
     let world = grid.world_size();
     let (dpr, mpr) = grid.coords(rank);
     let w: u64 = if zcfg.fp16 { 2 } else { 4 };
-    let part = Partitioner::new(psi, dp);
-    let shard = part.shard_range(dpr).len() as u64;
-    let next = part.shard_range((dpr + 1) % dp).len() as u64;
+    // Every unit is split dp ways: a shard is its owner's piece of each.
+    let piece = |unit: &Range<usize>, i: usize| chunk_range(unit.len(), dp, i).len() as u64;
+    let shard: u64 = layout.units().iter().map(|u| piece(&u.range, dpr)).sum();
+    let next: u64 = layout.units().iter().map(|u| piece(&u.range, (dpr + 1) % dp)).sum();
     let layers = layout.unit_count() - 2;
 
     // --- MP traffic (identical for every stage) ---
@@ -244,9 +253,7 @@ fn expected_step(layout: &Layout, zcfg: &ZeroConfig, grid: Grid, rank: usize, sk
             let units = layout.units();
             for (ui, unit) in units.iter().enumerate() {
                 let passes: u64 = if ui == 0 || ui + 1 == units.len() { 1 } else { 2 };
-                let counts = part.intersect_counts(&unit.range);
-                let cnext = counts[(dpr + 1) % dp] as u64;
-                ag += passes * (unit.range.len() as u64 - cnext);
+                ag += passes * (unit.range.len() as u64 - piece(&unit.range, (dpr + 1) % dp));
             }
             Expected {
                 rs: w * (psi as u64 - shard),
@@ -283,8 +290,58 @@ fn shape(skipped: bool) -> StepShape {
     }
 }
 
-/// Checks one configuration: symmetry of every plan the engine can
-/// install, and exact volume agreement for the train step.
+/// The balance clause: in every op over parameter space — a unit fetch, a
+/// gradient bucket, a CB chunk of the partition's rows — and every tier
+/// movement riding one (or stage 1's whole-shard spill), member counts
+/// differ by at most one element per unit the op covers. `ops` is one
+/// rank's resolved stream, `tier` the plan's. The per-unit partition meets
+/// this by construction; a flat one leaves most units owner-only.
+pub(crate) fn check_balance(
+    layout: &Layout,
+    zcfg: &ZeroConfig,
+    grid: Grid,
+    ops: &[ResolvedOp],
+    tier: &[TierOp],
+    what: &str,
+) -> Result<(), String> {
+    let owners = if zcfg.stage.partitions_optimizer() { grid.dp_degree() } else { 1 };
+    let part = Partitioner::per_unit(layout, owners);
+    let touched = |ranges: &[Range<usize>]| {
+        let units = layout.units().iter();
+        units.filter(|u| ranges.iter().any(|r| r.start < u.range.end && u.range.start < r.end)).count()
+    };
+    let units = |role: &OpRole| match role {
+        OpRole::Fetch { .. } => Some(1),
+        OpRole::Span(r) => Some(touched(std::slice::from_ref(r))),
+        OpRole::Chunk(rows) => Some(touched(&part.flat_ranges(0, rows.clone()))),
+        OpRole::Plain => None,
+    };
+    let spread = |c: &[usize]| c.iter().max().unwrap_or(&0) - c.iter().min().unwrap_or(&0);
+    for (i, op) in ops.iter().enumerate() {
+        match units(&op.role) {
+            Some(u) if spread(&op.counts) > u.max(1) => {
+                return Err(format!(
+                    "{what}: op {i} '{}' has counts {:?} over {u} unit(s): out of balance",
+                    op.label, op.counts
+                ))
+            }
+            _ => {}
+        }
+    }
+    for t in tier {
+        let u = match t.rides {
+            Some(k) => units(&ops[k].role),
+            None => (t.label == "tier-grad-spill").then(|| layout.units().len()),
+        };
+        if u.is_some_and(|u| spread(&t.counts) > u.max(1)) {
+            return Err(format!("{what}: tier op '{}' moves {:?}: out of balance", t.label, t.counts));
+        }
+    }
+    Ok(())
+}
+
+/// Checks one configuration: symmetry and balance of every plan the
+/// engine can install, and exact volume agreement for the train step.
 fn check_config(
     zcfg: &ZeroConfig,
     grid: Grid,
@@ -311,6 +368,7 @@ fn check_config(
         report.plans += 1;
 
         for rank in 0..grid.world_size() {
+            check_balance(&layout, zcfg, grid, &plan.resolve_for(rank), plan.tier_ops(), &what)?;
             let got = plan.rank_bytes(rank);
             let want = expected_step(&layout, zcfg, grid, rank, skipped);
             if got[RS] != want.rs {
@@ -372,6 +430,9 @@ fn check_config(
         (CommPlan::publish_refresh(&layout, zcfg, grid), "refresh"),
     ] {
         let (ops, pairs) = check_symmetry(&plan, &format!("{what} [{name}]"))?;
+        for rank in 0..grid.world_size() {
+            check_balance(&layout, zcfg, grid, &plan.resolve_for(rank), plan.tier_ops(), &format!("{what} [{name}]"))?;
+        }
         report.ops_checked += ops;
         report.pair_checks += pairs;
         report.plans += 1;
@@ -839,6 +900,41 @@ mod tests {
             assert!(err.contains(&format!("'{label}'")) && err.contains("deadlock"), "{err}");
             resolved[1][i].reduce = planned;
         }
+    }
+
+    #[test]
+    fn flat_partition_counts_fail_the_balance_clause() {
+        // `train.comm`'s shape at the test model: stage 3 with overlap and
+        // a bucket under one block, so every op is one unit. The planned
+        // (per-unit) counts pass; the same stream with each fetch and
+        // bucket cut by the flat partition instead — one range of Ψ per
+        // rank — leaves units owner-only and is refused.
+        let layout = Layout::build(&test_model());
+        let zcfg = ZeroConfig { bucket_elems: 64, ..base(ZeroStage::Three).overlapped() };
+        let grid = Grid::new(2, 1);
+        let plan = CommPlan::train_step(&layout, &zcfg, grid, &shape(false));
+        let mut ops = plan.resolve_for(0);
+        check_balance(&layout, &zcfg, grid, &ops, plan.tier_ops(), "as planned").expect("balanced");
+        let flat = Partitioner::new(layout.total_params(), 2);
+        for op in &mut ops {
+            match &op.role {
+                OpRole::Fetch { unit, .. } => op.counts = flat.intersect_counts(&layout.units()[*unit].range),
+                OpRole::Span(r) => op.counts = flat.intersect_counts(r),
+                _ => {}
+            }
+        }
+        let err = check_balance(&layout, &zcfg, grid, &ops, plan.tier_ops(), "flat").unwrap_err();
+        assert!(err.contains("out of balance"), "{err}");
+        // So is a tier movement carrying a flat piece of a balanced op.
+        let tiered = ZeroConfig { tier: zero_core::TierConfig::budgeted(1 << 30), ..zcfg };
+        let plan = CommPlan::train_step(&layout, &tiered, grid, &shape(false));
+        let mut tier = plan.tier_ops().to_vec();
+        check_balance(&layout, &tiered, grid, &plan.resolve_for(0), &tier, "as planned").expect("balanced");
+        let fetch = tier.iter_mut().find(|t| t.label == "tier-param-fetch").expect("stage-3 tier fetch");
+        let total: usize = fetch.counts.iter().sum();
+        fetch.counts = vec![total, 0];
+        let err = check_balance(&layout, &tiered, grid, &plan.resolve_for(0), &tier, "flat tier").unwrap_err();
+        assert!(err.contains("'tier-param-fetch'"), "{err}");
     }
 
     #[test]

@@ -1,19 +1,23 @@
 //! The shard-tiling prover.
 //!
-//! ZeRO partitions the flat parameter space into N_d shards and carves
-//! every layer's range into per-owner pieces. The correctness of every
-//! variable-count collective in the engine rests on two tiling facts:
+//! ZeRO partitions every unit of the flat parameter space N_d ways, and
+//! an owner's shard is its pieces of the units, in unit order. The
+//! correctness of every variable-count collective in the engine rests on
+//! three tiling facts:
 //!
 //! * the shards are **exhaustive and disjoint** — every flat element is
-//!   owned by exactly one rank, with the balanced-uneven padding
-//!   accounted (shard lengths differ by at most one);
+//!   owned by exactly one rank, and `owner_of` names it;
+//! * every unit is **balanced** — its pieces differ by at most one element
+//!   (the balanced-uneven padding), so an op over a run of whole units has
+//!   member counts within one element per unit;
 //! * layer-range intersections **tile each unit exactly** — for any unit
-//!   the per-owner counts sum to the unit length and the owners' local
-//!   slices are consistent with those counts.
+//!   the per-owner counts sum to the unit length, and the owners' local
+//!   slices hold contiguous pieces of it in owner order.
 //!
-//! [`prove_all`] checks both for a sweep of sizes far wider than any
-//! training run uses, plus every real model layout; the property tests in
-//! `tests/proptest_tiling.rs` extend the sweep to arbitrary `(total, n)`.
+//! [`prove_all`] checks them for a sweep of sizes far wider than any
+//! training run uses, the one-unit (contiguous, serving) partitions among
+//! them, plus every real model layout; the property tests in
+//! `tests/proptest_tiling.rs` extend the sweep to arbitrary sizes.
 
 use zero_core::Partitioner;
 use zero_model::{Layout, ModelConfig};
@@ -21,7 +25,7 @@ use zero_model::{Layout, ModelConfig};
 /// Counters describing how much the prover covered.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TilingReport {
-    /// Distinct `(total, n)` partitions proven.
+    /// Distinct partitions proven.
     pub partitions: usize,
     /// Flat elements covered across all proven partitions.
     pub elements: u64,
@@ -31,82 +35,57 @@ pub struct TilingReport {
 
 /// Exhaustive per-element ownership check: every index belongs to exactly
 /// one shard and `owner_of` names it.
-fn prove_ownership_exhaustive(total: usize, n: usize) -> Result<(), String> {
-    let p = Partitioner::new(total, n);
-    for idx in 0..total {
-        let o = p.owner_of(idx);
-        let mut holders = 0;
-        for i in 0..n {
-            if p.shard_range(i).contains(&idx) {
-                holders += 1;
-                if i != o {
-                    return Err(format!(
-                        "element {idx} lies in shard {i} but owner_of says {o} \
-                         (total={total}, n={n})"
-                    ));
-                }
+fn prove_ownership_exhaustive(p: &Partitioner) -> Result<(), String> {
+    let (total, n) = (p.total(), p.owners());
+    let mut holders = vec![0u8; total];
+    for i in 0..n {
+        for idx in p.flat_ranges(i, 0..p.shard_range(i).len()).into_iter().flatten() {
+            holders[idx] += 1;
+            let o = p.owner_of(idx);
+            if o != i {
+                return Err(format!("element {idx} lies in shard {i} but owner_of says {o} (total={total}, n={n})"));
             }
-        }
-        if holders != 1 {
-            return Err(format!(
-                "element {idx} held by {holders} shards (total={total}, n={n})"
-            ));
         }
     }
-    Ok(())
+    match holders.iter().position(|&h| h != 1) {
+        Some(idx) => Err(format!("element {idx} held by {} shards (total={total}, n={n})", holders[idx])),
+        None => Ok(()),
+    }
 }
 
-/// Proves a model layout's unit ranges are tiled exactly by the
-/// per-owner intersections, for every dp degree in `1..=max_n`.
-fn prove_layout(layout: &Layout, max_n: usize, report: &mut TilingReport) -> Result<(), String> {
-    let psi = layout.total_params();
-    for n in 1..=max_n {
-        let p = Partitioner::new(psi, n);
-        p.verify_tiling()?;
-        report.partitions += 1;
-        report.elements += psi as u64;
-        for (ui, unit) in layout.units().iter().enumerate() {
-            let counts = p.intersect_counts(&unit.range);
-            if counts.iter().sum::<usize>() != unit.range.len() {
-                return Err(format!(
-                    "unit {ui} ({:?}): intersections sum to {} ≠ unit length {} \
-                     (Ψ={psi}, n={n})",
-                    unit.range,
-                    counts.iter().sum::<usize>(),
-                    unit.range.len()
-                ));
-            }
-            // The owners' local slices must agree with the counts and tile
-            // the unit contiguously in owner order.
-            let mut covered = unit.range.start;
-            for (i, &cnt) in counts.iter().enumerate() {
-                let local = p.local_slice_of(i, &unit.range);
-                if local.len() != cnt {
-                    return Err(format!(
-                        "unit {ui}, owner {i}: local slice {local:?} has {} elements \
-                         but intersect_counts says {cnt} (Ψ={psi}, n={n})",
-                        local.len()
-                    ));
-                }
-                if cnt > 0 {
-                    let global_lo = p.shard_range(i).start + local.start;
-                    if global_lo != covered {
-                        return Err(format!(
-                            "unit {ui}, owner {i}: piece starts at {global_lo} but \
-                             coverage reached {covered} (Ψ={psi}, n={n})"
-                        ));
-                    }
-                    covered += cnt;
-                }
-            }
-            if covered != unit.range.end {
-                return Err(format!(
-                    "unit {ui}: pieces cover ..{covered}, unit ends at {} (Ψ={psi}, n={n})",
-                    unit.range.end
-                ));
-            }
-            report.units += 1;
+/// Proves `p` tiles `layout`'s unit ranges exactly: every unit's per-owner
+/// intersections sum to its length, differ by at most one element, and
+/// are the owners' contiguous pieces of it, in owner order.
+fn prove_units(layout: &Layout, p: &Partitioner, report: &mut TilingReport) -> Result<(), String> {
+    let (psi, n) = (layout.total_params(), p.owners());
+    p.verify_tiling()?;
+    report.partitions += 1;
+    report.elements += psi as u64;
+    for (ui, unit) in layout.units().iter().enumerate() {
+        let counts = p.intersect_counts(&unit.range);
+        let (lo, hi) = (counts.iter().min().copied().unwrap_or(0), counts.iter().max().copied().unwrap_or(0));
+        if hi - lo > 1 {
+            return Err(format!("unit {ui} ({:?}): pieces {counts:?} are not balanced (Ψ={psi}, n={n})", unit.range));
         }
+        let mut covered = unit.range.start;
+        for (i, &cnt) in counts.iter().enumerate() {
+            let pieces = p.flat_ranges(i, p.local_slice_of(i, &unit.range));
+            let want: Vec<_> = (cnt > 0).then(|| covered..covered + cnt).into_iter().collect();
+            if pieces != want {
+                return Err(format!(
+                    "unit {ui}, owner {i}: holds {pieces:?} but coverage reached {covered} and \
+                     intersect_counts says {cnt} (Ψ={psi}, n={n})"
+                ));
+            }
+            covered += cnt;
+        }
+        if covered != unit.range.end {
+            return Err(format!(
+                "unit {ui}: pieces cover ..{covered}, unit ends at {} (Ψ={psi}, n={n})",
+                unit.range.end
+            ));
+        }
+        report.units += 1;
     }
     Ok(())
 }
@@ -130,20 +109,25 @@ pub fn prove_all() -> Result<TilingReport, String> {
     // Exhaustive per-element ownership for every small case.
     for total in 0..=128 {
         for n in 1..=12 {
-            prove_ownership_exhaustive(total, n)?;
+            prove_ownership_exhaustive(&Partitioner::new(total, n))?;
             report.partitions += 1;
             report.elements += total as u64;
         }
     }
 
-    // Real layouts: the test model and a wider one, flat and MP-sliced.
+    // Real layouts, every unit split per owner: the test model, a wider
+    // one and one with odd-length units, flat and MP-sliced, exhaustively.
     let models = [
         ModelConfig { vocab: 32, seq: 8, hidden: 16, layers: 2, heads: 2 },
         ModelConfig { vocab: 64, seq: 16, hidden: 32, layers: 3, heads: 4 },
+        ModelConfig { vocab: 7, seq: 3, hidden: 3, layers: 2, heads: 1 },
     ];
-    for m in &models {
-        prove_layout(&Layout::build(m), 8, &mut report)?;
-        prove_layout(&Layout::build_mp(m, 2), 8, &mut report)?;
+    for layout in models.iter().flat_map(|m| [Layout::build(m), Layout::build_mp(m, m.heads.min(2))]) {
+        for n in 1..=8 {
+            let p = Partitioner::per_unit(&layout, n);
+            prove_units(&layout, &p, &mut report)?;
+            prove_ownership_exhaustive(&p)?;
+        }
     }
 
     // hpZ secondary partitions: for every (N, G) node shape the engine
@@ -163,38 +147,18 @@ pub fn prove_all() -> Result<TilingReport, String> {
     Ok(report)
 }
 
-/// Proves the hpZ secondary partition for one (N, G) world: the G-way
-/// node-local partition tiles the flat space, every unit's secondary
-/// intersection counts sum to the unit length (the node-scope all-gather
-/// contract), and the primary + secondary tilings cover each element the
-/// same number of times (once each).
+/// Proves the hpZ secondary partition for one (N, G) world: the primary
+/// N-way and the node-local G-way per-unit partitions each tile every
+/// unit exactly and in balance — every unit's secondary counts sum to the
+/// unit length (the node-scope all-gather contract).
 fn prove_secondary(
     layout: &Layout,
     n: usize,
     g: usize,
     report: &mut TilingReport,
 ) -> Result<(), String> {
-    let psi = layout.total_params();
-    let primary = Partitioner::new(psi, n);
-    let secondary = Partitioner::new(psi, g);
-    primary.verify_tiling()?;
-    secondary.verify_tiling()?;
-    report.partitions += 2;
-    report.elements += 2 * psi as u64;
-    for (ui, unit) in layout.units().iter().enumerate() {
-        let counts = secondary.intersect_counts(&unit.range);
-        if counts.iter().sum::<usize>() != unit.range.len() {
-            return Err(format!(
-                "hpZ unit {ui} ({:?}): secondary intersections sum to {} ≠ unit \
-                 length {} (Ψ={psi}, N={n}, G={g})",
-                unit.range,
-                counts.iter().sum::<usize>(),
-                unit.range.len()
-            ));
-        }
-        report.units += 1;
-    }
-    Ok(())
+    prove_units(layout, &Partitioner::per_unit(layout, n), report)?;
+    prove_units(layout, &Partitioner::per_unit(layout, g), report)
 }
 
 #[cfg(test)]

@@ -6,9 +6,10 @@
 //! volumes, windows); a refactor of the plan builder can keep every
 //! property and still move an op. This test pins the stream itself: per
 //! rank, `(kind, members, counts, prec, wire, nonblocking)` of every
-//! resolved collective and `(dir, bytes, issue_pos, demand_pos)` of every
-//! tier movement, for `train_step` (skipped and not), `eval_pass` and
-//! `publish_refresh`. A change that means to alter a schedule replaces
+//! resolved collective — and the unit a fetch materializes, which balanced
+//! counts no longer tell apart — and `(dir, bytes, issue_pos, demand_pos)`
+//! of every tier movement, for `train_step` (skipped and not), `eval_pass`
+//! and `publish_refresh`. A change that means to alter a schedule replaces
 //! `schedule_digests.txt` with the table this test writes next to the
 //! test binaries on a mismatch; a change that does not must leave every
 //! line untouched.
@@ -18,8 +19,8 @@ use std::fmt::Write as _;
 
 use zero_comm::Grid;
 use zero_core::{
-    CkptPlace, CommPlan, CompressionConfig, StepShape, TierConfig, TierDir, WireFmt, ZeroConfig,
-    ZeroStage,
+    CkptPlace, CommPlan, CompressionConfig, OpRole, StepShape, TierConfig, TierDir, WireFmt,
+    ZeroConfig, ZeroStage,
 };
 use zero_model::{Layout, ModelConfig};
 use zero_verify::{compression, offload, schedule};
@@ -67,6 +68,9 @@ fn rank_digest(plan: &CommPlan, rank: usize) -> u64 {
             WireFmt::QgzInt8 { node_size, block } => h.words(&[2, node_size, block]),
         }
         h.word(u64::from(op.nonblocking));
+        if let OpRole::Fetch { unit, .. } = op.role {
+            h.word(unit as u64);
+        }
     }
     h.word(u64::MAX);
     for t in plan.resolve_tier_for(rank) {

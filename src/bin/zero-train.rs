@@ -355,13 +355,18 @@ fn main() {
             std::process::exit(2);
         }
         let dir = std::path::Path::new(&save_dir);
+        // The masters are the per-unit shards of the training partition:
+        // one owner under DDP, one per rank otherwise.
+        let units = zero::model::Layout::build(&model).units().iter().map(|u| u.range.len() as u64).collect::<Vec<_>>();
+        let owners = if setup.zero.stage == ZeroStage::Ddp { 1 } else { report.ranks.len() };
         for r in &report.ranks {
             let snap = zero::core::RankSnapshot {
                 rank: r.rank as u32,
                 world: report.ranks.len() as u32,
                 step: steps as u64,
-                shard_start: r.shard_range.start as u64,
-                shard_end: r.shard_range.end as u64,
+                units: units.clone(),
+                owners: owners as u32,
+                owner: (r.rank % owners) as u32,
                 master: r.master.clone(),
                 // Inference export: optimizer and scaler state stay behind.
                 opt_m: Vec::new(),

@@ -105,12 +105,23 @@ fn shards_tile_the_parameter_space() {
     });
     let a = RankSnapshot::load(&dir, 0).unwrap();
     let b = RankSnapshot::load(&dir, 1).unwrap();
-    assert_eq!(a.shard_start, 0);
-    assert_eq!(a.shard_end, b.shard_start, "shards must tile");
-    assert_eq!(b.shard_end as usize, cfg.total_params());
+    // Each shard records the layout's unit table and holds its half of
+    // every unit; laid out in flat order the halves run 0..Ψ.
+    let layout = zero::model::Layout::build(&cfg);
+    let units: Vec<u64> = layout.units().iter().map(|u| u.range.len() as u64).collect();
+    assert_eq!((&a.units, a.owners, a.owner, b.owner), (&units, 2, 0, 1));
+    let mut ranges = [a.flat_ranges().unwrap(), b.flat_ranges().unwrap()].concat();
+    assert_eq!(ranges.len(), 2 * units.len(), "one piece of every unit per shard");
+    ranges.sort_by_key(|r| r.start);
+    let mut cursor = 0;
+    for r in &ranges {
+        assert_eq!(r.start, cursor, "shards must tile");
+        cursor = r.end;
+    }
+    assert_eq!(cursor, cfg.total_params());
     assert_eq!(
-        (a.master.len() + b.master.len()) as u64,
-        b.shard_end,
+        a.master.len() + b.master.len(),
+        cfg.total_params(),
         "together the shards hold exactly one copy of the state"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -138,6 +149,47 @@ fn restore_rejects_wrong_rank() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every rank's master values placed at their flat indices.
+fn flat(masters: &[(Vec<f32>, Vec<std::ops::Range<usize>>)], total: usize) -> Vec<f32> {
+    let mut out = vec![f32::NAN; total];
+    for (m, ranges) in masters {
+        for (i, v) in ranges.iter().cloned().flatten().zip(m) {
+            out[i] = *v;
+        }
+    }
+    out
+}
+
+#[test]
+fn reshard_to_three_and_back_resumes_bit_identical() {
+    // A 2-rank checkpoint re-split per unit onto 3 ranks and back onto 2
+    // restores exactly the state it started from: the resumed run equals
+    // an uninterrupted one bit for bit, Adam moments and scaler included.
+    let cfg = model();
+    let corpus = SyntheticCorpus::generate(cfg.vocab, 5000, 56);
+    let corpus = &corpus;
+    let train = |from: Option<&[RankSnapshot]>, steps: std::ops::Range<usize>| {
+        launch(2, move |comm| {
+            let rank = comm.rank();
+            let mut engine = make_engine(cfg, ZeroStage::Two, true, comm);
+            if let Some(snaps) = from {
+                engine.restore_snapshot(&snaps[rank]);
+            }
+            for step in steps.clone() {
+                let (ids, tg) = corpus.rank_batch(step, 4, cfg.seq, 2, engine.dp_rank());
+                engine.train_step(&ids, &tg, 2);
+            }
+            engine.save_snapshot()
+        })
+    };
+    let uninterrupted = train(None, 0..8);
+    let three = zero::core::reshard(&train(None, 0..4), 3).expect("shards tile the space");
+    assert_eq!(three.iter().map(|s| s.master.len()).sum::<usize>(), cfg.total_params());
+    let back = zero::core::reshard(&three, 2).expect("shards tile the space");
+    let resumed = train(Some(&back), 4..8);
+    assert_eq!(resumed, uninterrupted, "a resharded resume must equal the unresharded run");
+}
+
 #[test]
 fn elastic_resume_on_a_different_dp_degree() {
     // Train 4 steps on 2 ranks, reshard the snapshots to 4 ranks, resume
@@ -159,12 +211,9 @@ fn elastic_resume_on_a_different_dp_degree() {
             let (ids, tg) = corpus.rank_batch(step, global_batch, cfg.seq, 2, engine.dp_rank());
             engine.train_step(&ids, &tg, global_batch / 2);
         }
-        engine.master_params().to_vec()
+        (engine.master_params().to_vec(), engine.master_ranges().to_vec())
     });
-    let mut base_full = Vec::new();
-    for m in &baseline {
-        base_full.extend_from_slice(m);
-    }
+    let base_full = flat(&baseline, cfg.total_params());
 
     // Phase 1: 2 ranks, 4 steps, snapshot.
     let snaps = launch(2, move |comm| {
@@ -194,12 +243,9 @@ fn elastic_resume_on_a_different_dp_degree() {
             let (ids, tg) = corpus.rank_batch(step, global_batch, cfg.seq, 4, engine.dp_rank());
             engine.train_step(&ids, &tg, global_batch / 4);
         }
-        engine.master_params().to_vec()
+        (engine.master_params().to_vec(), engine.master_ranges().to_vec())
     });
-    let mut res_full = Vec::new();
-    for m in &resumed {
-        res_full.extend_from_slice(m);
-    }
+    let res_full = flat(&resumed, cfg.total_params());
 
     assert_eq!(base_full.len(), res_full.len());
     let diff = base_full

@@ -137,18 +137,21 @@ fn stage3_volume_is_at_most_1_5x_baseline() {
     // every unit in forward and for each block again in backward (the head
     // is fused fwd+bwd; the embedding backward needs no parameters);
     // gradients are reduce-scattered over ranges tiling the flat space.
+    // Every unit is split n ways, so the counts of a unit's gather are its
+    // balanced chunks, and a rank's shard is its chunk of every unit.
     let layout = zero::model::Layout::build(&cfg);
-    let part = zero::core::Partitioner::new(psi, n);
+    let piece = |len: usize, i: usize| zero::comm::chunk_range(len, n, i).len();
     for r in &report.ranks {
         let idx = r.rank; // mp = 1: global rank == dp rank
         let mut ag_elems = 0usize;
+        let mut shard = 0usize;
         for (u, unit) in layout.units().iter().enumerate() {
-            let counts = part.intersect_counts(&unit.range);
-            let sent = unit.range.len() - counts[(idx + 1) % n];
+            let sent = unit.range.len() - piece(unit.range.len(), (idx + 1) % n);
             let passes = if u >= 1 && u <= cfg.layers { 2 } else { 1 };
             ag_elems += passes * sent;
+            shard += piece(unit.range.len(), idx);
         }
-        let rs_elems = psi - part.shard_range(idx).len();
+        let rs_elems = psi - shard;
         let ag = r.traffic.bytes(CollectiveKind::AllGather) as f64 / steps as f64;
         let rs = r.traffic.bytes(CollectiveKind::ReduceScatter) as f64 / steps as f64;
         let want_ag = 2.0 * ag_elems as f64; // 2 bytes per fp16 element
@@ -348,24 +351,25 @@ fn train_comm_step_ops_pin_per_member_send_bytes() {
         .map(|k| (by_rank[0][k].label, [by_rank[0][k].sent_bytes(0), by_rank[1][k].sent_bytes(1)]))
         .filter(|(_, sent)| sent.iter().any(|&b| b > 0))
         .collect();
-    // The flat partition cuts Ψ once, so nearly every unit lies inside
-    // one shard and its ops run owner-only.
+    // Every unit is split two ways, so every op is balanced: each member
+    // sends half of it (the flat partition this replaced left them
+    // owner-only, e.g. fetch-unit [396544, 0]).
     let want: Vec<(&str, [u64; 2])> = vec![
-        ("fetch-unit", [24576, 0]),
-        ("fetch-unit", [396544, 0]),
-        ("fetch-unit", [392704, 3840]),
-        ("fetch-unit", [0, 396544]),
-        ("fetch-unit", [0, 396544]),
-        ("fetch-unit", [0, 16896]),
-        ("fetch-unit", [0, 396544]),
-        ("fetch-unit", [0, 396544]),
-        ("grad-bucket", [413440, 0]),
-        ("fetch-unit", [392704, 3840]),
-        ("grad-bucket", [396544, 0]),
-        ("fetch-unit", [396544, 0]),
-        ("grad-bucket", [3840, 392704]),
-        ("grad-bucket", [0, 396544]),
-        ("grad-bucket", [0, 24576]),
+        ("fetch-unit", [12288, 12288]),
+        ("fetch-unit", [198272, 198272]),
+        ("fetch-unit", [198272, 198272]),
+        ("fetch-unit", [198272, 198272]),
+        ("fetch-unit", [198272, 198272]),
+        ("fetch-unit", [8448, 8448]),
+        ("fetch-unit", [198272, 198272]),
+        ("fetch-unit", [198272, 198272]),
+        ("grad-bucket", [206720, 206720]),
+        ("fetch-unit", [198272, 198272]),
+        ("grad-bucket", [198272, 198272]),
+        ("fetch-unit", [198272, 198272]),
+        ("grad-bucket", [198272, 198272]),
+        ("grad-bucket", [198272, 198272]),
+        ("grad-bucket", [12288, 12288]),
         ("overflow-flag", [4, 4]),
     ];
     assert_eq!(got, want, "{got:?}");

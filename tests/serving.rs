@@ -85,26 +85,28 @@ fn exported_shards_serve_bitwise_identical_tokens() {
     let reqs = requests(5, 4, model.vocab);
     let want: Vec<Vec<u32>> = reqs.iter().map(|r| reference_greedy(&model, &params, r)).collect();
 
-    // A 3-rank "training checkpoint" re-exported onto a 2-rank world.
-    let train_part = Partitioner::new(params.len(), 3);
+    // A 3-rank "training checkpoint" — every unit split three ways, as
+    // training holds it — re-exported onto a 2-rank world.
+    let layout = zero::model::Layout::build(&model);
+    let train_part = Partitioner::per_unit(&layout, 3);
+    let units: Vec<u64> = layout.units().iter().map(|u| u.range.len() as u64).collect();
     let snaps: Vec<RankSnapshot> = (0..3)
-        .map(|r| {
-            let range = train_part.shard_range(r);
-            RankSnapshot {
-                rank: r as u32,
-                world: 3,
-                step: 7,
-                shard_start: range.start as u64,
-                shard_end: range.end as u64,
-                master: params[range].to_vec(),
-                opt_m: Vec::new(),
-                opt_v: Vec::new(),
-                opt_t: 7,
-                scaler: None,
-            }
+        .map(|r| RankSnapshot {
+            rank: r as u32,
+            world: 3,
+            step: 7,
+            units: units.clone(),
+            owners: 3,
+            owner: r as u32,
+            master: train_part.flat_ranges(r, 0..train_part.shard_range(r).len()).iter().flat_map(|x| params[x.clone()].to_vec()).collect(),
+            opt_m: Vec::new(),
+            opt_v: Vec::new(),
+            opt_t: 7,
+            scaler: None,
         })
         .collect();
     let shards = export_inference_shards(&snaps, 2).expect("export tiles the master");
+    assert_eq!(shards, shard(&params, 2), "serving shards are contiguous flat ranges");
     let report = serve(&model, &shards, &reqs, &ServeConfig::default());
     report.check_ranks_agree().expect("SPMD lockstep");
     for (out, want) in report.outcomes().iter().zip(&want) {
