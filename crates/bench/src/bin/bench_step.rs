@@ -28,22 +28,24 @@
 //! `--smoke` runs ZeRO-3 at N = 2 only and leaves the results file alone.
 //! `--check-against <path>` replays at a full run's step count and
 //! compares each row with its committed counterpart: traffic and tier byte
-//! counts exactly, seconds per step loosely (see the crate docs).
+//! counts and the plan's busiest-member bytes exactly, seconds per step
+//! loosely (see the crate docs).
 
 use std::time::Duration;
 
 use serde::Serialize;
 use zero::comm::{Grid, TieredLink, WorldConfig, ALL_KINDS};
 use zero::core::{
-    run_training_world, CompressionConfig, RankReport, TierConfig, TrainSetup, ZeroConfig,
-    ZeroStage,
+    run_training_world, CommPlan, CompressionConfig, RankReport, StepShape, TierConfig, TrainSetup,
+    ZeroConfig, ZeroStage,
 };
-use zero::model::ModelConfig;
+use zero::model::{Layout, ModelConfig};
 use zero_bench::{best_of, nproc, print_row, Harness};
 
 /// What identifies a row, and what a rerun must reproduce exactly.
 const KEY: &[&str] = &["family", "stage", "nd", "overlap", "offload", "compressed"];
-const EXACT: &[&str] = &["steps", "rank0_comm_bytes", "tier_fetch_bytes", "tier_spill_bytes"];
+const EXACT: &[&str] =
+    &["steps", "rank0_comm_bytes", "busiest_member_bytes", "tier_fetch_bytes", "tier_spill_bytes"];
 
 /// Overlap is only measurable when per-rank compute is comparable to the
 /// link cost it must hide: a model this size gives each backward block
@@ -162,6 +164,9 @@ struct Row {
     tokens_per_sec: f64,
     /// Rank 0: bytes sent over the whole run.
     rank0_comm_bytes: u64,
+    /// One unskipped step's plan: Σ over ops of the most bytes any member
+    /// sends — the critical-path volume a balanced partition halves at N = 2.
+    busiest_member_bytes: u64,
     /// Max over ranks: total blocking wait on collectives, ms per step.
     comm_wait_ms_per_step: f64,
     /// Max over ranks: total progress-thread execution, ms per step.
@@ -191,6 +196,10 @@ fn measure(case: &Case, steps: usize, trials: usize) -> (Row, Vec<u32>) {
     let max_ms = |of: Nanos| per_step_ms(report.ranks.iter().map(of).max().unwrap_or(0));
     let r0 = &report.ranks[0];
     let nd = setup.grid.dp_degree();
+    let m = &setup.model;
+    let act_elems = setup.global_batch / nd * m.seq * m.hidden;
+    let shape = StepShape { micro_batches: 1, act_elems, skipped: false };
+    let plan = CommPlan::train_step(&Layout::build_mp(m, setup.grid.mp_degree()), &setup.zero, setup.grid, &shape);
     let row = Row {
         family,
         stage: setup.zero.stage.name(),
@@ -203,6 +212,7 @@ fn measure(case: &Case, steps: usize, trials: usize) -> (Row, Vec<u32>) {
         secs_per_step: secs / steps as f64,
         tokens_per_sec: (setup.global_batch * setup.model.seq * steps) as f64 / secs,
         rank0_comm_bytes: r0.traffic.total_bytes(),
+        busiest_member_bytes: plan.busiest_member_bytes(),
         comm_wait_ms_per_step: max_ms(|r| r.timing.total_wait_nanos()),
         comm_exec_ms_per_step: max_ms(|r| r.timing.total_exec_nanos()),
         rank0_wait_ms_by_kind: ALL_KINDS.iter().map(|k| per_step_ms(r0.timing.wait_nanos(*k))).collect(),

@@ -10,8 +10,11 @@
 //! [`Reduction`] it applies; its [`OpRole`] (which unit a fetch
 //! materializes, the [`ParamStore`] that seeds it and the one it stashes
 //! into, and whether it goes out ahead of the previous unit's wait; which
-//! flat range a gradient bucket or CB chunk covers); and the tier movement
-//! that rides it ([`TierOp::rides`]).
+//! flat range of whole units a gradient bucket covers, or which rows of the
+//! per-unit [`Partitioner`] a CB chunk does); and the tier movement that
+//! rides it ([`TierOp::rides`]). Counts come from that partition, which
+//! splits every unit over the DP group, so every op over parameter space is
+//! balanced across its members.
 //!
 //! Training micro-batches and evaluation passes are `crate::walk`'s one
 //! walk over the layers: the `Builder` is the walker that records each
@@ -1091,9 +1094,10 @@ impl CommPlan {
     }
 
     /// The sum over ops of the most bytes any one member sends: the plan's
-    /// critical-path volume when each rank's link is its own. Equal to the
-    /// busiest rank's [`Self::total_rank_bytes`] only when every op is
-    /// balanced; a partition that leaves an op owner-only costs it here.
+    /// critical-path volume when each rank's link is its own. With every op
+    /// balanced it is, to rounding, what each rank sends
+    /// ([`Self::total_rank_bytes`]); ops left owner-only push it toward N×
+    /// that.
     pub fn busiest_member_bytes(&self) -> u64 {
         let by_rank: Vec<Vec<ResolvedOp>> = (0..self.grid.world_size()).map(|r| self.resolve_for(r)).collect();
         let busiest = |k: usize| by_rank.iter().enumerate().map(|(r, ops)| ops[k].sent_bytes(r)).max();
