@@ -203,8 +203,11 @@ impl Issuer {
         store: &mut FlatStore,
         mem: &mut MemoryTracker,
     ) -> Result<(), CommError> {
-        while let Some(op) = self.plan.peek().filter(|op| matches!(op.role, OpRole::Chunk(_))) {
-            let (bytes, OpRole::Chunk(rows)) = (4 * op.total_elems() as u64, op.role.clone()) else { unreachable!() };
+        let chunk = |op: &ResolvedOp| match &op.role {
+            OpRole::Chunk(rows) => Some((rows.clone(), 4 * op.total_elems() as u64)),
+            _ => None,
+        };
+        while let Some((rows, bytes)) = self.plan.peek().and_then(chunk) {
             mem.alloc(MemCategory::Buffers, bytes);
             let res = self.run_chunk(rows, part, store);
             mem.free(MemCategory::Buffers, bytes);
@@ -363,8 +366,8 @@ impl RankEngine {
         let rank = comm.rank();
         let trace = comm.trace();
         let (dp_idx, mp_idx) = grid.coords(rank);
-        let (part, full) = (Partitioner::per_unit(gpt.layout(), zcfg.dp_owners(grid)), Partitioner::new(gpt.num_params(), 1));
-        let owner = dp_idx % part.owners();
+        let part = Partitioner::per_unit(gpt.layout(), zcfg.dp_owners(grid));
+        let (full, owner) = (Partitioner::new(gpt.num_params(), 1), dp_idx % part.owners());
         let shard = part.flat_ranges(owner, 0..part.counts()[owner]);
 
         let mut mem = MemoryTracker::new();
@@ -405,7 +408,7 @@ impl RankEngine {
         } else {
             [MemCategory::MasterParams, MemCategory::Momentum, MemCategory::Variance]
         };
-        let master: Vec<f32> = shard.iter().flat_map(|r| initial_params[r.clone()].iter().copied()).collect();
+        let master: Vec<f32> = shard.iter().map(|r| &initial_params[r.clone()]).collect::<Vec<_>>().concat();
         mem.alloc(master_cat, 4 * master.len() as u64);
         let mut opt = OptState::new(master.len(), zcfg.optimizer);
         if let OptState::Adam(a) = &mut opt {
@@ -522,6 +525,11 @@ impl RankEngine {
     /// rank's piece of every unit for stages 1–3, the full space for DDP.
     pub fn master_ranges(&self) -> &[std::ops::Range<usize>] {
         &self.shard
+    }
+
+    /// This rank's owner index in `part`: its DP rank, or 0 under DDP.
+    fn owner(&self) -> usize {
+        self.dp_idx % self.part.owners()
     }
 
     /// fp32 master parameters: the full buffer under DDP, the DP shard
@@ -737,7 +745,7 @@ impl RankEngine {
     /// the full averaged gradients. Fields replicated across MP are
     /// down-weighted by 1/N_m either way.
     fn global_grad_norm(&mut self, grads: &[f32]) -> Result<f64, CommError> {
-        let (nm, owner) = (self.grid.mp_degree() as f64, self.dp_idx % self.part.owners());
+        let (nm, owner) = (self.grid.mp_degree() as f64, self.owner());
         let mut sq = 0.0_f64;
         if nm > 1.0 {
             for field in self.gpt.layout().fields() {
@@ -777,7 +785,7 @@ impl RankEngine {
             step: self.step,
             units: self.part.unit_lens().into_iter().map(|len| len as u64).collect(),
             owners: self.part.owners() as u32,
-            owner: (self.dp_idx % self.part.owners()) as u32,
+            owner: self.owner() as u32,
             master: self.master.clone(),
             opt_m,
             opt_v,

@@ -372,8 +372,13 @@ impl RankSnapshot {
     /// such owner or does not match the shard's length.
     pub fn flat_ranges(&self) -> Result<Vec<Range<usize>>, SnapshotError> {
         let (owners, owner) = (self.owners as usize, self.owner as usize);
-        if owner >= owners {
-            return Err(SnapshotError::Inconsistent(format!("shard of owner {owner} among {owners} owners")));
+        // A table no training run writes is refused before it is built.
+        let total = self.units.iter().try_fold(0u64, |sum, &len| sum.checked_add(len));
+        if owner >= owners || owners > 1 << 16 || total.is_none_or(|t| t > 1 << 40) {
+            return Err(SnapshotError::Inconsistent(format!(
+                "shard of owner {owner} among {owners} owners of {} units",
+                self.units.len()
+            )));
         }
         let part = Partitioner::from_lens(&self.unit_lens(), owners);
         let ranges = part.flat_ranges(owner, 0..part.counts()[owner]);
@@ -750,10 +755,13 @@ mod export_tests {
         assert!(matches!(err, SnapshotError::Inconsistent(_)), "got {err}");
         let err = export_inference_shards(&snaps, 0).unwrap_err();
         assert!(matches!(err, SnapshotError::Inconsistent(_)), "got {err}");
-        // An owner outside its partition, or a shard of the wrong length.
+        // An owner outside its partition, an absurd owner count or unit
+        // table, or a shard of the wrong length.
         let stray = RankSnapshot { owner: 3, ..test_shard(0, 3, &UNITS, 11) };
+        let crowd = RankSnapshot { owners: u32::MAX, ..test_shard(0, 3, &UNITS, 11) };
+        let vast = RankSnapshot { units: vec![u64::MAX, 1], ..test_shard(0, 1, &UNITS, 11) };
         let short = RankSnapshot { master: vec![0.0; 3], ..test_shard(0, 1, &UNITS, 11) };
-        for snaps in [vec![stray], vec![short]] {
+        for snaps in [vec![stray], vec![crowd], vec![vast], vec![short]] {
             let err = export_inference_shards(&snaps, 1).unwrap_err();
             assert!(matches!(err, SnapshotError::Inconsistent(_)), "got {err}");
         }

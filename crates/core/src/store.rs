@@ -59,7 +59,7 @@ impl FlatStore {
     }
 
     /// The flat ranges this store holds, in buffer order.
-    pub fn ranges(&self) -> Vec<Range<usize>> {
+    fn ranges(&self) -> Vec<Range<usize>> {
         self.part.flat_ranges(self.owner, 0..self.part.counts()[self.owner])
     }
 
@@ -80,14 +80,17 @@ impl FlatStore {
     /// if fp16) — all of it for a full store, what a shard contributes to a
     /// gather of it otherwise.
     pub fn read(&self, span: Range<usize>) -> Vec<f32> {
+        let mut out = vec![0.0; self.local(&span).len()];
+        self.read_into(span, &mut out);
+        out
+    }
+
+    /// [`Self::read`] into `out`, which is exactly as long as that part.
+    fn read_into(&self, span: Range<usize>, out: &mut [f32]) {
         let range = self.local(&span);
         match &self.words {
-            Words::F32(v) => v[range].to_vec(),
-            Words::F16(v) => {
-                let mut out = vec![0.0; range.len()];
-                f16_to_f32_slice(&v[range], &mut out);
-                out
-            }
+            Words::F32(v) => out.copy_from_slice(&v[range]),
+            Words::F16(v) => f16_to_f32_slice(&v[range], out),
         }
     }
 
@@ -128,7 +131,14 @@ impl FlatStore {
 
     /// Reads the flat `ranges` back to back.
     pub fn gather(&self, ranges: &[Range<usize>]) -> Vec<f32> {
-        ranges.iter().flat_map(|r| self.read(r.clone())).collect()
+        let lens: Vec<usize> = ranges.iter().map(|r| self.local(r).len()).collect();
+        let mut out = vec![0.0; lens.iter().sum()];
+        let mut at = 0;
+        for (r, len) in ranges.iter().zip(lens) {
+            self.read_into(r.clone(), &mut out[at..at + len]);
+            at += len;
+        }
+        out
     }
 
     /// Writes `src` over the flat `ranges`, back to back.

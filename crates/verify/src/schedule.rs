@@ -22,7 +22,7 @@
 //! * **Balance.** Training partitions every unit N ways, so every op over
 //!   parameter space — a unit fetch, a gradient bucket, a CB chunk — and
 //!   every tier movement carrying a piece of one has member counts within
-//!   one element per unit it covers ([`check_balance`]): no member's link
+//!   one element per unit it covers (`check_balance`): no member's link
 //!   carries an op alone while its peers idle.
 //! * **Issue/complete ordering (overlap).** Overlapped plans list ops in
 //!   *issue* order, and every rank's ops execute on one FIFO progress

@@ -352,8 +352,7 @@ fn train_comm_step_ops_pin_per_member_send_bytes() {
         .filter(|(_, sent)| sent.iter().any(|&b| b > 0))
         .collect();
     // Every unit is split two ways, so every op is balanced: each member
-    // sends half of it (the flat partition this replaced left them
-    // owner-only, e.g. fetch-unit [396544, 0]).
+    // sends half of it.
     let want: Vec<(&str, [u64; 2])> = vec![
         ("fetch-unit", [12288, 12288]),
         ("fetch-unit", [198272, 198272]),

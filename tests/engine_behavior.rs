@@ -365,9 +365,9 @@ fn first_losses_are_pinned_bit_for_bit() {
             },
             Grid::new(4, 1),
             13,
-            // Re-blessed when every unit came to be split N ways: qwZ
-            // quantizes each member's piece in 64-element blocks and qgZ
-            // each destination's chunk, and both now start at new offsets.
+            // qwZ quantizes each member's piece of a unit in 64-element
+            // blocks and qgZ each destination's chunk, so these bits depend
+            // on where the per-unit split puts the pieces.
             [0x405cc56b, 0x405caa64, 0x405d898f, 0x405d4ee1, 0x405ef07c],
             69_696,
         ),
