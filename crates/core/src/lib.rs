@@ -14,14 +14,17 @@
 //!
 //! ```
 //! use zero_core::Partitioner;
+//! use zero_model::{Layout, ModelConfig};
 //!
-//! // ZeRO's flat-space partition: Ψ elements over N_d owners.
-//! let p = Partitioner::new(100, 8);
-//! assert_eq!(p.counts().iter().sum::<usize>(), 100);
-//! // A layer's range straddles owners; the pieces drive the
-//! // variable-count collectives.
-//! let counts = p.intersect_counts(&(10..40));
-//! assert_eq!(counts.iter().sum::<usize>(), 30);
+//! // ZeRO's partition: every unit (embedding, each block, head) split
+//! // over N_d owners, so each owner holds 1/N_d of every layer.
+//! let layout = Layout::build(&ModelConfig { vocab: 32, seq: 8, hidden: 16, layers: 2, heads: 2 });
+//! let p = Partitioner::per_unit(&layout, 4);
+//! assert_eq!(p.counts().iter().sum::<usize>(), layout.total_params());
+//! // A block's gather takes an equal piece from every owner: the counts
+//! // of the variable-count collectives.
+//! let counts = p.intersect_counts(&layout.units()[1].range);
+//! assert_eq!(counts, vec![820; 4]);
 //! ```
 
 pub mod arena;

@@ -75,7 +75,8 @@ pub enum PlanScope {
 /// How a planned op's per-member element counts are derived at resolution.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CountSpec {
-    /// Explicit per-member counts (uneven flat-space intersections).
+    /// Explicit per-member counts: each member's piece of the op's units
+    /// or rows.
     Explicit(Vec<usize>),
     /// `total` elements split evenly (balanced-uneven) over the group.
     Even {
