@@ -32,7 +32,7 @@ printf '%s\n' 'fn a() {' '}' '#[cfg(test)]' 'mod tests {' '    fn t() {' '    }'
     > "$scratch/counted.rs"
 [ "$(awk "$count_non_test" "$scratch/counted.rs")" -eq 6 ] \
     || { echo "line counter self-test failed: code after a test module must be counted in full"; exit 1; }
-line_ceiling=12638
+line_ceiling=12788
 lines=0
 split=""
 for crate in comm core serve bench; do
@@ -236,9 +236,13 @@ echo "==> bench_matmul --smoke --check-against (GEMM, GELU, fp16 and CRC bit-exa
 # gelu, f16 or crc row at 2x its committed time fails: a fall back to a
 # scalar chain or a byte-at-a-time CRC, to the portable 2x16 tier on a
 # host whose wider tier was blessed, or to a tier loop compiled without its
-# target feature (the accumulators spill).
+# target feature (the accumulators spill). Each row ends with the kernel
+# that ran; the CRC's (`clmul`, or the `table16` fallback on a CPU without
+# PCLMULQDQ) is named once more below.
+matmul_out="$scratch/bench-matmul.txt"
 cargo run -q --release -p zero-bench --bin bench_matmul -- --smoke \
-    --check-against results/BENCH_matmul.json
+    --check-against results/BENCH_matmul.json | tee "$matmul_out"
+echo "    crc kernel: $(awk '$2 == "crc" { print $NF }' "$matmul_out")"
 
 echo "==> zero_bench --smoke (the frozen benchmark builds --locked against the crates and stays correct)"
 # zero_bench/ is its own package and may not be edited alongside the crates

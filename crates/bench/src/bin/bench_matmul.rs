@@ -31,7 +31,7 @@
 
 use serde::Serialize;
 use serde_json::Value;
-use zero::comm::{crc32_f32s, Crc32};
+use zero::comm::{crc, crc32_f32s, Crc32};
 use zero::tensor::f16::{f16_add_slice, f16_round_slice, f16_to_f32_slice, f32_to_f16_slice};
 use zero::tensor::isa;
 use zero::tensor::ops::activation::{gelu_backward, gelu_forward, gelu_grad_scalar, gelu_scalar};
@@ -49,8 +49,8 @@ struct MatmulRow {
     /// `block`, `attention`, `decode`, `large`, `gelu`, `f16` or `crc`.
     group: &'static str,
     /// The tier that ran (`matmul::kernel`, e.g. `avx2 4x16`, the
-    /// `isa::selected` name for a `gelu` or `f16` row, `table16` for the
-    /// `crc` row); informational.
+    /// `isa::selected` name for a `gelu` or `f16` row, `crc::kernel` —
+    /// `clmul` or `table16` — for the `crc` row); informational.
     kernel: String,
     m: usize,
     k: usize,
@@ -195,7 +195,7 @@ fn main() {
         };
         let gemm = k > 0;
         let kernel = match group {
-            "crc" => "table16".to_string(),
+            "crc" => crc::kernel().to_string(),
             _ if gemm => kernel(),
             _ => isa::selected().name().to_string(),
         };
@@ -205,10 +205,11 @@ fn main() {
         let prior = committed.as_ref().and_then(|c| c.row("", &to_value(&row), KEY).ok());
         row.parent_gflops = prior.and_then(|r| r.get("parent_gflops")).and_then(Value::as_f64);
         println!(
-            "{variant:<13} {group:<9} {m:>4}x{k:>4}x{n:>4}  {:>9.4} ms  {gflops:>6.2} {}  (parent {})",
+            "{variant:<13} {group:<9} {m:>4}x{k:>4}x{n:>4}  {:>9.4} ms  {gflops:>6.2} {}  (parent {})  {}",
             secs * 1e3 / reps as f64,
             if gemm { "GFLOP/s" } else { "Gelem/s" },
             row.parent_gflops.map_or("-".to_string(), |g| format!("{g:.2}")),
+            row.kernel,
         );
         rows.push(row);
     }

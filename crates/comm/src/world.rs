@@ -721,14 +721,19 @@ mod tests {
 
     #[test]
     fn corrupted_payload_surfaces_as_corrupt() {
-        let config = WorldConfig::with_faults(FaultPlan::seeded(3).with_corruption(0, 0));
-        // Rank 0's one send is corrupted; its own receive is clean, so the
-        // sender is oblivious and its all-gather succeeds.
-        let out = try_launch_with_config(2, config, |mut c| gather_pair(&mut c, &[1.0; 8]));
-        assert!(out[0].as_ref().unwrap().is_ok(), "sender must not notice");
-        match out[1].as_ref().unwrap() {
-            Err(CommError::Corrupt { rank: 1, peer: 0, .. }) => {}
-            other => panic!("expected Corrupt, got {other:?}"),
+        // 8 floats take the CRC's table fold; 1 024 (a shard's bulk) take
+        // its widest fold, so a flip there must be caught just the same.
+        for len in [8, 1024] {
+            let config = WorldConfig::with_faults(FaultPlan::seeded(3).with_corruption(0, 0));
+            // Rank 0's one send is corrupted; its own receive is clean, so
+            // the sender is oblivious and its all-gather succeeds.
+            let shard: Vec<f32> = (0..len).map(|i| i as f32 * 0.25).collect();
+            let out = try_launch_with_config(2, config, move |mut c| gather_pair(&mut c, &shard));
+            assert!(out[0].as_ref().unwrap().is_ok(), "sender must not notice ({len} floats)");
+            match out[1].as_ref().unwrap() {
+                Err(CommError::Corrupt { rank: 1, peer: 0, .. }) => {}
+                other => panic!("expected Corrupt over {len} floats, got {other:?}"),
+            }
         }
     }
 
