@@ -9,10 +9,12 @@
 //! resolved collective — and the unit a fetch materializes, which balanced
 //! counts no longer tell apart — and `(dir, bytes, issue_pos, demand_pos)`
 //! of every tier movement, for `train_step` (skipped and not), `eval_pass`
-//! and `publish_refresh`. A change that means to alter a schedule replaces
-//! `schedule_digests.txt` with the table this test writes next to the
-//! test binaries on a mismatch; a change that does not must leave every
-//! line untouched.
+//! and `publish_refresh`. A second table pins `serve_step` the same way,
+//! one line per serving world size and overlap setting, each fetch also
+//! folding whether it goes out ahead. A change that means to alter a
+//! schedule replaces `schedule_digests.txt` or `serve_digests.txt` with
+//! the table this test writes next to the test binaries on a mismatch; a
+//! change that does not must leave every line untouched.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -26,6 +28,7 @@ use zero_model::{Layout, ModelConfig};
 use zero_verify::{compression, offload, schedule};
 
 const PINNED: &str = include_str!("schedule_digests.txt");
+const SERVE_PINNED: &str = include_str!("serve_digests.txt");
 
 fn model() -> ModelConfig {
     ModelConfig { vocab: 32, seq: 8, hidden: 16, layers: 2, heads: 2 }
@@ -108,6 +111,30 @@ fn config_line(zcfg: &ZeroConfig, grid: Grid, local_batch: usize) -> String {
         write!(line, " {:016x}", fold.0).unwrap();
     }
     line
+}
+
+/// One serving step's line per (N, overlap): every rank's digest of the
+/// resolved stream, each followed by its fetches' `ahead` flags, which a
+/// training line leaves to the op positions.
+fn serve_table() -> String {
+    let layout = Layout::build(&model());
+    let mut out = String::from("# serve step\n");
+    for n in 1..=8 {
+        for overlap in [false, true] {
+            let plan = CommPlan::serve_step(&layout, n, overlap);
+            let mut fold = Fnv::new();
+            for rank in 0..n {
+                fold.word(rank_digest(&plan, rank));
+                for op in plan.resolve_for(rank) {
+                    if let OpRole::Fetch { ahead, .. } = op.role {
+                        fold.word(u64::from(ahead));
+                    }
+                }
+            }
+            writeln!(out, "serve/n{n}/ov{} {:016x}", u8::from(overlap), fold.0).unwrap();
+        }
+    }
+    out
 }
 
 /// Every field a sweep varies, so distinct configurations get distinct
@@ -288,13 +315,24 @@ fn no_two_lines_share_all_four_digests() {
 
 #[test]
 fn every_schedule_digest_is_unchanged() {
-    let got = table();
-    if got == PINNED {
+    assert_pinned(&table(), PINNED, "schedule_digests.txt", entry);
+}
+
+#[test]
+fn every_serve_digest_is_unchanged() {
+    assert_pinned(&serve_table(), SERVE_PINNED, "serve_digests.txt", |line| line.rsplit_once(' '));
+}
+
+/// Fails naming every line of `got` that differs from the committed
+/// `file`, after writing `got` next to the test binaries; `entry` splits a
+/// line into its name and its digests.
+fn assert_pinned(got: &str, pinned: &str, file: &str, entry: fn(&str) -> Option<(&str, &str)>) {
+    if got == pinned {
         return;
     }
-    let actual = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("schedule_digests.actual.txt");
-    std::fs::write(&actual, &got).expect("write the actual digest table");
-    let want: BTreeMap<&str, &str> = PINNED.lines().filter_map(entry).collect();
+    let actual = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(file.replace(".txt", ".actual.txt"));
+    std::fs::write(&actual, got).expect("write the actual digest table");
+    let want: BTreeMap<&str, &str> = pinned.lines().filter_map(entry).collect();
     let have: BTreeMap<&str, &str> = got.lines().filter_map(entry).collect();
     let moved: Vec<&str> = want
         .keys()
@@ -303,8 +341,8 @@ fn every_schedule_digest_is_unchanged() {
         .copied()
         .collect();
     panic!(
-        "{} schedule digest line(s) differ from crates/verify/tests/schedule_digests.txt \
-         ({moved:?}); the table this build produces is at {}",
+        "{} digest line(s) differ from crates/verify/tests/{file} ({moved:?}); \
+         the table this build produces is at {}",
         moved.len().max(1),
         actual.display()
     );
