@@ -29,7 +29,7 @@
 
 use serde::Serialize;
 use zero::cli::usage_exit;
-use zero::core::Partitioner;
+use zero::core::{CommPlan, Partitioner};
 use zero::model::ModelConfig;
 use zero::serve::{
     generate, reference_greedy, serve, Arrivals, KvBackend, LoadConfig, ServeConfig, ServeError,
@@ -41,7 +41,6 @@ use zero_bench::{best_of, nproc, percentile, print_row, Harness};
 /// fraction of Ψ — the transient double-buffer window has to fit inside
 /// the ε of the memory bound even at N = 4.
 const MODEL: ModelConfig = ModelConfig { vocab: 64, seq: 32, hidden: 64, layers: 8, heads: 4 };
-const EPSILON: f64 = 0.10;
 
 fn requests(n_req: usize, max_new: usize, vocab: usize) -> Vec<ServeRequest> {
     let prompt = |i: usize| (0..3 + i % 4).map(|j| ((i * 11 + j * 5 + 1) % vocab) as u32).collect();
@@ -264,7 +263,7 @@ fn main() {
     let mut speedups = Vec::new();
     for &n in worlds {
         let shards = shards(&params, n);
-        let bound = (full_bytes as f64 * (2.0 / n as f64 + EPSILON)) as u64;
+        let bound = CommPlan::serve_param_bound(params.len(), n);
         // One-at-a-time (a single slot), then continuous batching.
         for slot_count in [1, slots] {
             let cfg = ServeConfig { slots: slot_count, ..ServeConfig::default() };
@@ -349,7 +348,7 @@ fn main() {
         nproc: nproc(),
         model_params: params.len(),
         full_replica_bytes: full_bytes,
-        epsilon: EPSILON,
+        epsilon: CommPlan::SERVE_EPSILON,
         max_new_tokens: max_new,
         rows,
         speedups,

@@ -209,24 +209,40 @@ impl Fabric {
     }
 
     /// Ring phase 2 — gather around the ring: this member starts with
-    /// chunk `idx` of `buf` final and ends with every chunk.
+    /// chunk `idx` of `buf` final and `own` holding it as `wire` encodes
+    /// it, and ends with every chunk. Each step forwards the payload the
+    /// step before received, so a chunk is encoded once, by its owner, and
+    /// every member decodes the same stream into `buf`; a hop is priced at
+    /// `prec` raw or at int8 wire cost (qwZ).
+    #[allow(clippy::too_many_arguments)]
     fn ring_gather(
         &mut self,
         ring: &Ring,
         buf: &mut [f32],
         chunks: &[std::ops::Range<usize>],
+        own: Vec<f32>,
         kind: CollectiveKind,
         prec: Precision,
+        wire: WireFmt,
     ) -> Result<(), CommError> {
         let Ring { n, idx, next, prev } = *ring;
+        let mut payload = own;
         for step in 0..n - 1 {
             let send_c = (idx + n - step) % n;
             let recv_c = (idx + 2 * n - 1 - step) % n;
-            let payload = buf[chunks[send_c].clone()].to_vec();
-            let bytes = prec.bytes() * payload.len() as u64;
+            let bytes = match wire {
+                WireFmt::Int8Block { block } => quant_wire_bytes(chunks[send_c].len(), block),
+                _ => prec.bytes() * chunks[send_c].len() as u64,
+            };
             self.send_raw(next, payload, kind, bytes)?;
-            let incoming = self.recv_raw(prev)?;
-            buf[chunks[recv_c].clone()].copy_from_slice(&incoming);
+            payload = self.recv_raw(prev)?;
+            let dst = &mut buf[chunks[recv_c].clone()];
+            match wire {
+                WireFmt::Int8Block { block } => {
+                    dst.copy_from_slice(&BlockQuantized::decode(&payload, dst.len(), block).dequantize());
+                }
+                _ => dst.copy_from_slice(&payload),
+            }
         }
         Ok(())
     }
@@ -244,7 +260,8 @@ impl Fabric {
         let ring = Ring::seat(group, self.rank)?;
         let chunks: Vec<_> = (0..n).map(|i| chunk_range(buf.len(), n, i)).collect();
         self.ring_reduce(&ring, &mut buf, &chunks, op, CollectiveKind::AllReduce, prec)?;
-        self.ring_gather(&ring, &mut buf, &chunks, CollectiveKind::AllReduce, prec)?;
+        let own = buf[chunks[ring.idx].clone()].to_vec();
+        self.ring_gather(&ring, &mut buf, &chunks, own, CollectiveKind::AllReduce, prec, WireFmt::Raw)?;
         finalize(op, &mut buf, n);
         Ok(buf)
     }
@@ -269,60 +286,40 @@ impl Fabric {
         Ok(out)
     }
 
-    /// Raw ring all-gather with explicit per-member chunk lengths: phase 2
-    /// over a `Σ counts` buffer seeded with this member's `shard`.
+    /// Ring all-gather with explicit per-member chunk lengths: phase 2
+    /// over a `Σ counts` buffer seeded with this member's `shard`, which
+    /// is also the first payload. Under qwZ (`Int8Block`) the wire carries
+    /// int8 codes plus per-block fp32 scale/zero-points: each rank
+    /// quantizes its own chunk exactly once, the *encoded* stream
+    /// circulates the ring verbatim, and every rank — owner included —
+    /// dequantizes from that stream, so the gathered buffer is bitwise
+    /// identical across the group and requantization error never
+    /// compounds across hops.
     fn all_gather_ring(
         &mut self,
         group: &Group,
-        shard: &[f32],
+        shard: Vec<f32>,
         counts: &[usize],
         prec: Precision,
+        wire: WireFmt,
     ) -> Result<Vec<f32>, CommError> {
         let ring = Ring::seat(group, self.rank)?;
         let chunks = ranges_from_counts(counts);
         let mut out = vec![0.0; counts.iter().sum()];
-        out[chunks[ring.idx].clone()].copy_from_slice(shard);
+        let seed = &mut out[chunks[ring.idx].clone()];
+        let own = match wire {
+            WireFmt::Int8Block { block } => {
+                let q = quantize_for_transport(&shard, block);
+                seed.copy_from_slice(&q.dequantize());
+                q.encode()
+            }
+            _ => {
+                seed.copy_from_slice(&shard);
+                shard
+            }
+        };
         self.begin_op(CollectiveKind::AllGather)?;
-        self.ring_gather(&ring, &mut out, &chunks, CollectiveKind::AllGather, prec)?;
-        Ok(out)
-    }
-
-    /// Ring all-gather with block-quantized chunks (ZeRO++ qwZ): the wire
-    /// carries int8 codes plus per-block fp32 scale/zero-points, so each
-    /// forwarded chunk costs `quant_wire_bytes(len, block)` logical bytes
-    /// instead of `prec·len`. Each rank quantizes its own chunk exactly
-    /// once, the *encoded* stream circulates the ring verbatim, and every
-    /// rank — owner included — dequantizes from that stream, so the
-    /// gathered buffer is bitwise identical across the group and
-    /// requantization error never compounds across hops.
-    fn all_gather_qwz(
-        &mut self,
-        group: &Group,
-        shard: &[f32],
-        counts: &[usize],
-        block: usize,
-    ) -> Result<Vec<f32>, CommError> {
-        let Ring { n, idx, next, prev } = Ring::seat(group, self.rank)?;
-        let ranges = ranges_from_counts(counts);
-        let own = quantize_for_transport(shard, block);
-        let mut out = vec![0.0; counts.iter().sum()];
-        out[ranges[idx].clone()].copy_from_slice(&own.dequantize());
-        self.begin_op(CollectiveKind::AllGather)?;
-        let mut streams: Vec<Option<Vec<f32>>> = vec![None; n];
-        streams[idx] = Some(own.encode());
-        for step in 0..n - 1 {
-            let send_c = (idx + n - step) % n;
-            let recv_c = (idx + 2 * n - 1 - step) % n;
-            let Some(payload) = streams[send_c].take() else {
-                unreachable!("ring all-gather forwards each chunk exactly once")
-            };
-            let logical = quant_wire_bytes(counts[send_c], block);
-            self.send_raw(next, payload, CollectiveKind::AllGather, logical)?;
-            let incoming = self.recv_raw(prev)?;
-            let decoded = BlockQuantized::decode(&incoming, counts[recv_c], block);
-            out[ranges[recv_c].clone()].copy_from_slice(&decoded.dequantize());
-            streams[recv_c] = Some(incoming);
-        }
+        self.ring_gather(&ring, &mut out, &chunks, own, CollectiveKind::AllGather, prec, wire)?;
         Ok(out)
     }
 
@@ -611,10 +608,7 @@ impl Communicator {
             }));
         }
         let (group, shard, counts) = (group.clone(), shard.to_vec(), counts.to_vec());
-        self.submit(Some(CollectiveKind::AllGather), move |f| match wire {
-            WireFmt::Int8Block { block } => f.all_gather_qwz(&group, &shard, &counts, block),
-            _ => f.all_gather_ring(&group, &shard, &counts, prec),
-        })
+        self.submit(Some(CollectiveKind::AllGather), move |f| f.all_gather_ring(&group, shard, &counts, prec, wire))
     }
 }
 

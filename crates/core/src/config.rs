@@ -201,6 +201,13 @@ impl CkptPlace {
     pub fn partitioned(self) -> bool {
         self != CkptPlace::Whole
     }
+
+    /// The elements of an `elems`-long activation that MP rank `mp_idx` of
+    /// `mp` keeps as its checkpoint: all of them whole, its 1/N_m slice
+    /// under P_a and P_a+cpu.
+    pub(crate) fn slice(self, elems: usize, mp: usize, mp_idx: usize) -> std::ops::Range<usize> {
+        if self.partitioned() { zero_comm::chunk_range(elems, mp, mp_idx) } else { 0..elems }
+    }
 }
 
 /// Full engine configuration. Every setting either changes the schedule

@@ -658,12 +658,7 @@ impl RankEngine {
         if slots == 0 {
             return;
         }
-        let slice = if zcfg.checkpoint_place.partitioned() {
-            zero_comm::chunk_range(act_elems, self.grid.mp_degree(), self.mp_idx).len()
-        } else {
-            act_elems
-        };
-        let cap = slice * slots;
+        let cap = zcfg.checkpoint_place.slice(act_elems, self.grid.mp_degree(), self.mp_idx).len() * slots;
         if self.arena.as_ref().is_none_or(|a| a.capacity() < cap) {
             self.arena = Some(ContiguousArena::new(cap));
         }
@@ -800,18 +795,11 @@ impl RankEngine {
     /// Restores training state from a snapshot and re-publishes the
     /// working parameters. **Collective**: every rank of the grid must
     /// call this (stages 1/2 all-gather the refreshed fp16 parameters).
+    /// A communication failure during the re-publish surfaces as
+    /// [`CommError`], so a supervisor can treat it as recoverable.
     ///
     /// # Panics
-    /// Panics if the snapshot's rank/world/shard do not match this engine,
-    /// or on a communication failure (see [`Self::try_restore_snapshot`]).
-    pub fn restore_snapshot(&mut self, snap: &crate::snapshot::RankSnapshot) {
-        self.try_restore_snapshot(snap)
-            .unwrap_or_else(|e| std::panic::panic_any(e));
-    }
-
-    /// Fallible [`Self::restore_snapshot`]: surfaces communication failures
-    /// during the parameter re-publish as [`CommError`] instead of
-    /// panicking, so a supervisor can treat them as recoverable.
+    /// Panics if the snapshot's rank/world/shard do not match this engine.
     pub fn try_restore_snapshot(
         &mut self,
         snap: &crate::snapshot::RankSnapshot,
@@ -868,18 +856,7 @@ impl RankEngine {
     /// panic payload, so [`zero_comm::try_launch`] recovers it typed. Use
     /// [`Self::try_train_step`] to handle failures in-line.
     pub fn train_step(&mut self, ids: &[u32], targets: &[u32], local_batch: usize) -> StepOutcome {
-        self.train_step_micro(&[(ids, targets)], local_batch)
-    }
-
-    /// Fallible [`Self::train_step`]: a dead, hung, or corrupting peer
-    /// surfaces as `Err(CommError)` instead of a panic.
-    pub fn try_train_step(
-        &mut self,
-        ids: &[u32],
-        targets: &[u32],
-        local_batch: usize,
-    ) -> Result<StepOutcome, CommError> {
-        self.try_train_step_micro(&[(ids, targets)], local_batch)
+        self.try_train_step(&[(ids, targets)], local_batch).unwrap_or_else(|e| std::panic::panic_any(e))
     }
 
     /// Runs one training step with gradient accumulation over several
@@ -889,25 +866,15 @@ impl RankEngine {
     /// large total batch sizes (Tables 5–6) are realized on limited
     /// memory: total batch = micro-batch × accumulation × N_d.
     ///
-    /// # Panics
-    /// Panics if `micros` is empty, or on a communication failure (the
-    /// [`CommError`] is the panic payload — see [`Self::try_train_step_micro`]).
-    pub fn train_step_micro(
-        &mut self,
-        micros: &[(&[u32], &[u32])],
-        local_batch: usize,
-    ) -> StepOutcome {
-        self.try_train_step_micro(micros, local_batch)
-            .unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`Self::train_step_micro`].
+    /// A dead, hung, or corrupting peer surfaces as `Err(CommError)`. The
+    /// engine's own state may then be mid-step (partially accumulated
+    /// gradients) but the master parameters and optimizer state are
+    /// untouched — recovery is "restore the last snapshot", not "patch the
+    /// wreckage".
     ///
-    /// On `Err` the engine's own state may be mid-step (partially
-    /// accumulated gradients) but the master parameters and optimizer state
-    /// are untouched — recovery is "restore the last snapshot", not "patch
-    /// the wreckage".
-    pub fn try_train_step_micro(
+    /// # Panics
+    /// Panics if `micros` is empty.
+    pub fn try_train_step(
         &mut self,
         micros: &[(&[u32], &[u32])],
         local_batch: usize,
@@ -1051,16 +1018,6 @@ impl RankEngine {
     }
 
     /// Forward-only validation loss over this rank's micro-batch.
-    ///
-    /// # Panics
-    /// Panics on a communication failure (the [`CommError`] is the panic
-    /// payload — see [`Self::try_eval_loss`]).
-    pub fn eval_loss(&mut self, ids: &[u32], targets: &[u32], local_batch: usize) -> f32 {
-        self.try_eval_loss(ids, targets, local_batch)
-            .unwrap_or_else(|e| std::panic::panic_any(e))
-    }
-
-    /// Fallible [`Self::eval_loss`].
     pub fn try_eval_loss(
         &mut self,
         ids: &[u32],
@@ -1175,8 +1132,7 @@ impl Walker for Pass<'_> {
     fn store_checkpoint(&mut self) -> Self::Ckpt {
         let e = &mut *self.e;
         let span = e.trace.begin(SpanCategory::Checkpoint, "ckpt-store");
-        let x = &self.x[..];
-        let slice = if e.zcfg.checkpoint_place.partitioned() { &x[zero_comm::chunk_range(x.len(), e.grid.mp_degree(), e.mp_idx)] } else { x };
+        let slice = &self.x[e.zcfg.checkpoint_place.slice(self.x.len(), e.grid.mp_degree(), e.mp_idx)];
         let (cat, bytes) = e.ckpt_cost(slice.len());
         e.mem.alloc(cat, bytes);
         let slot = e.arena.as_mut().expect("checkpointing sizes the arena").store(slice);

@@ -18,7 +18,8 @@
 //!
 //! Training micro-batches and evaluation passes are `crate::walk`'s one
 //! walk over the layers: the `Builder` is the walker that records each
-//! step's communication, and the engine executes the same walk.
+//! step's communication, and the engine executes the same walk. A serving
+//! step is the same walker's fetches alone, one per unit.
 //!
 //! The engine interprets this stream through a [`PlanCursor`]: it pops the
 //! next op, checks its kind against what it is about to run, and reads
@@ -792,8 +793,8 @@ impl Walker for Builder {
 
     /// P_a+cpu: each rank's 1/N_m slice spills, riding no collective.
     fn store_checkpoint(&mut self) -> Option<usize> {
-        let (grid, act_elems) = (self.grid, self.act_elems);
-        let slice = |r| zero_comm::chunk_range(act_elems, grid.mp_degree(), grid.coords(r).1).len();
+        let (grid, act_elems, place) = (self.grid, self.act_elems, self.zcfg.checkpoint_place);
+        let slice = |r| place.slice(act_elems, grid.mp_degree(), grid.coords(r).1).len();
         let counts = self.off.checkpoints.then(|| (0..grid.world_size()).map(slice).collect())?;
         Some(self.tier_op(TierDir::Spill, "tier-ckpt-spill", counts, None))
     }
@@ -930,35 +931,32 @@ impl CommPlan {
         b.finish()
     }
 
-    /// One shard-hosted *serving* step over `n` inference ranks: every
-    /// unit (embed, blocks…, head) is all-gathered from the balanced
-    /// [`Partitioner`] shards in walk order — the stage-3 fetch schedule
-    /// (§5.3) without any gradient or optimizer traffic. With `overlap`
-    /// the gathers are issued non-blocking (the serving engine runs them
-    /// one unit ahead of compute, the PR-3 double-buffer shape); issue
-    /// order is identical either way, so the same static symmetry and
-    /// volume checks apply.
+    /// One shard-hosted *serving* step over `n` inference ranks: the
+    /// stage-3 fetch schedule (§5.3) of every unit (embed, blocks…, head)
+    /// in walk order, and no gradient or optimizer traffic. The `Builder`
+    /// records it as a forward walk's fetches over the contiguous serving
+    /// partition ([`Partitioner::new`]), fp32 and raw: with `overlap` each
+    /// gather after the first goes out ahead, one unit before it is used,
+    /// through the same `Walker::fetch` that decides training's window.
     pub fn serve_step(layout: &Layout, n: usize, overlap: bool) -> CommPlan {
         assert!(n > 0, "serving world must be non-empty");
-        let grid = Grid::new(n, 1);
-        let part = Partitioner::new(layout.total_params(), n);
-        let ops = layout
-            .units()
-            .iter()
-            .enumerate()
-            .map(|(unit, u)| PlanOp {
-                kind: CollectiveKind::AllGather,
-                scope: PlanScope::Dp,
-                counts: CountSpec::Explicit(part.intersect_counts(&u.range)),
-                prec: Precision::Fp32,
-                label: "serve-fetch-unit",
-                nonblocking: overlap,
-                wire: WireFmt::Raw,
-                reduce: Reduction::Copy,
-                role: OpRole::Fetch { unit, from: ParamStore::Primary, into: None, ahead: overlap && unit > 0 },
-            })
-            .collect();
-        CommPlan { grid, ops, tier: Vec::new() }
+        let (grid, zcfg) = (Grid::new(n, 1), ZeroConfig { overlap, ..ZeroConfig::fp32_exact(ZeroStage::Three) });
+        let mut b = Builder { part: Partitioner::new(layout.total_params(), n), ..Builder::new(layout, &zcfg, grid) };
+        let units = layout.units().len();
+        for u in 0..units {
+            let Ok(()) = b.fetch(u, (u + 1 < units).then_some(u + 1));
+        }
+        b.finish()
+    }
+
+    /// The slack ε of [`Self::serve_param_bound`]: the share of a full
+    /// replica a serving rank may hold beyond its 2/N, for the unit window.
+    pub const SERVE_EPSILON: f64 = 0.10;
+
+    /// The §5.3 bound on a serving rank's parameter bytes over a model of
+    /// `params` elements: 4Ψ·(2/N + ε), truncated to whole bytes.
+    pub fn serve_param_bound(params: usize, n: usize) -> u64 {
+        (4.0 * params as f64 * (2.0 / n as f64 + Self::SERVE_EPSILON)) as u64
     }
 
     /// The grid this plan is for.
@@ -1832,5 +1830,15 @@ mod tests {
         // each owned 1/G chunk crosses the slow links.
         let flat = CommPlan::train_step(&layout, &cfg(ZeroStage::Ddp), grid, &shape());
         assert!(plan.total_inter_node_bytes(2) < flat.total_inter_node_bytes(2));
+    }
+
+    /// Known answers: the bounds `results/BENCH_serve.json` records for
+    /// its model (Ψ = 410 240) at N = 2 and 4, and one truncated from 9.2
+    /// bytes.
+    #[test]
+    fn serve_param_bound_is_four_psi_times_two_over_n_plus_epsilon() {
+        assert_eq!(CommPlan::serve_param_bound(410_240, 2), 1_805_056);
+        assert_eq!(CommPlan::serve_param_bound(410_240, 4), 984_576);
+        assert_eq!(CommPlan::serve_param_bound(3, 3), 9);
     }
 }

@@ -458,7 +458,7 @@ fn train_round(
     }
     for step in start_step as usize..cfg.steps {
         let (ids, targets) = batch(step);
-        losses.push(engine.try_train_step(&ids, &targets, local_batch)?.loss);
+        losses.push(engine.try_train_step(&[(&ids, &targets)], local_batch)?.loss);
         if (step + 1) % cfg.snapshot_every == 0 {
             snapshot(engine, step + 1);
         }

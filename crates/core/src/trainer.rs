@@ -188,7 +188,9 @@ fn run_training_inner(
             if eval_every > 0 && (step + 1) % eval_every == 0 {
                 // Held-out batch: beyond the training range.
                 let (ids, targets) = batch(steps + 1);
-                val_losses.push(engine.eval_loss(&ids, &targets, local_batch));
+                val_losses.push(
+                    engine.try_eval_loss(&ids, &targets, local_batch).unwrap_or_else(|e| std::panic::panic_any(e)),
+                );
             }
         }
         let mem = engine.memory();

@@ -79,10 +79,10 @@ fn run(zcfg: ZeroConfig, dp: usize) -> Vec<RankOut> {
                         let micros: Vec<_> = (0..MICROS).map(|m| batch(step, m)).collect();
                         let refs: Vec<(&[u32], &[u32])> =
                             micros.iter().map(|(i, t)| (i.as_slice(), t.as_slice())).collect();
-                        losses.push(engine.train_step_micro(&refs, LOCAL_BATCH).loss);
+                        losses.push(engine.try_train_step(&refs, LOCAL_BATCH).unwrap().loss);
                     }
                     let (ids, targets) = batch(STEPS, 0);
-                    losses.push(engine.eval_loss(&ids, &targets, LOCAL_BATCH));
+                    losses.push(engine.try_eval_loss(&ids, &targets, LOCAL_BATCH).unwrap());
                     RankOut {
                         losses,
                         master: engine.master_params().to_vec(),

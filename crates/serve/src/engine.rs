@@ -265,27 +265,19 @@ pub fn run_rank(
     let n = comm.world_size();
     let rank = comm.rank();
     let gpt = Gpt::new(*model);
-    let units: Vec<std::ops::Range<usize>> =
-        gpt.layout().units().iter().map(|u| u.range.clone()).collect();
     let part = Partitioner::new(gpt.num_params(), n);
-    let my_range = part.shard_range(rank);
-    assert_eq!(shard.len(), my_range.len(), "shard does not match the partition layout");
+    assert_eq!(shard.len(), part.shard_range(rank).len(), "shard does not match the partition layout");
 
-    // The per-step schedule, resolved once: one all-gather per unit.
+    // The per-step schedule, resolved once: one all-gather per unit, each
+    // seeded by this rank's slice of the unit it names.
     let plan = CommPlan::serve_step(gpt.layout(), n, cfg.overlap);
     let ops: Vec<ResolvedOp> = plan.resolve_for(rank);
     let groups: Vec<Group> = ops.iter().map(ResolvedOp::group).collect();
-    // This rank's contribution to each unit: shard ∩ unit, shard-relative.
-    let contrib: Vec<&[f32]> = units
+    let fetches: Vec<(usize, &[f32])> = ops
         .iter()
-        .map(|u| {
-            let lo = my_range.start.max(u.start);
-            let hi = my_range.end.min(u.end);
-            if hi > lo {
-                &shard[lo - my_range.start..hi - my_range.start]
-            } else {
-                &shard[0..0]
-            }
+        .map(|op| match op.role {
+            OpRole::Fetch { unit, .. } => (unit, &shard[part.local_slice_of(rank, &gpt.layout().units()[unit].range)]),
+            ref other => panic!("serve-plan drift: a serving step only fetches, plan has {other:?}"),
         })
         .collect();
 
@@ -429,34 +421,34 @@ pub fn run_rank(
 
         // One batch step: walk the units, applying each to the whole row
         // batch. A gather has one issue site and one wait site; the
-        // plan's `ahead` flag decides whether unit u+1's gather is issued
-        // before unit u's is waited (the double buffer: at most two units
+        // plan's `ahead` flag decides whether the next gather is issued
+        // before this one is waited (the double buffer: at most two units
         // materialized at once) or each is waited as it is issued.
-        let n_units = units.len();
-        let mut issue = |v: usize| -> (PendingOp, u64) {
-            let op = &ops[v];
-            let pend = comm.start_all_gather(&groups[v], contrib[v], &op.counts, op.prec, op.wire);
-            (pend, 4 * op.total_elems() as u64)
+        let n_units = gpt.layout().units().len();
+        let mut issue = |k: usize| -> (usize, PendingOp, u64) {
+            let (op, (unit, piece)) = (&ops[k], fetches[k]);
+            let pend = comm.start_all_gather(&groups[k], piece, &op.counts, op.prec, op.wire);
+            (unit, pend, 4 * op.total_elems() as u64)
         };
-        let mut ahead: Option<(PendingOp, u64)> = None;
+        let mut ahead: Option<(usize, PendingOp, u64)> = None;
         for u in 0..n_units {
-            let (pend, cur_bytes) = ahead.take().unwrap_or_else(|| issue(u));
-            let next = ops.get(u + 1).map(|op| &op.role);
-            if matches!(next, Some(OpRole::Fetch { ahead: true, .. })) {
+            let (unit, pend, cur_bytes) = ahead.take().unwrap_or_else(|| issue(u));
+            assert_eq!(unit, u, "serve-plan drift: the plan fetched a unit the engine is not at");
+            if matches!(ops.get(u + 1).map(|op| &op.role), Some(OpRole::Fetch { ahead: true, .. })) {
                 ahead = Some(issue(u + 1));
             }
             let wspan = trace.begin(SpanCategory::Wait, "gather-wait");
             let cur = pend.wait().expect("serving gather failed");
             trace.end(wspan);
-            let in_flight = ahead.as_ref().map_or(0, |(_, b)| *b);
+            let in_flight = ahead.as_ref().map_or(0, |(_, _, b)| *b);
             transient_peak = transient_peak.max(cur_bytes + in_flight);
 
-            // Advance the batch through unit u; the head reads only each
+            // Advance the batch through the unit; the head reads only each
             // request's last row, which yields its next token.
-            if u == 0 {
+            if unit == 0 {
                 embed_rows(&gpt, &cur, &mut batch).expect("validated at admission");
-            } else if u < n_units - 1 {
-                block_rows_kv(&gpt, u - 1, &cur, &mut pool, &mut batch);
+            } else if unit < n_units - 1 {
+                block_rows_kv(&gpt, unit - 1, &cur, &mut pool, &mut batch);
             } else {
                 let logits = head_rows(&gpt, &cur, &last_rows, &mut batch);
                 for (a, row) in active.iter_mut().zip(logits.chunks_exact(model.vocab)) {

@@ -9,17 +9,20 @@
 //! A trained world's fp32 master parameters are exported
 //! ([`zero_core::export_inference_shards`]) into `N` balanced shards, one
 //! per serving rank. A rank persists only its `Ψ/N` shard; each batch step
-//! walks the model's units (embed, blocks…, head) and **all-gathers one
-//! unit at a time**, double-buffered one unit ahead exactly like the
-//! training engine's stage-3 prefetch, then drops the buffer. Per-rank
-//! parameter memory is therefore
+//! runs the ops of [`zero_core::CommPlan::serve_step`] in order, which
+//! **all-gathers one unit at a time** (embed, blocks…, head) and drops it
+//! after use. The plan builder records that step with the same `fetch`
+//! that writes training's stage-3 schedule, so under overlap the next
+//! unit goes out one unit ahead exactly as in training; the engine only
+//! interprets the ops. Per-rank parameter memory is therefore
 //!
 //! ```text
 //! 4Ψ/N  (persistent shard)  +  4·(u_max + u_next)  (transient window)
 //! ```
 //!
 //! which for transformer-shaped models is within ε of the paper's `2/N`
-//! figure — measured and enforced by `bench_serve`.
+//! figure: [`zero_core::CommPlan::serve_param_bound`] is that bound, which
+//! `bench_serve`, `zero-serve --smoke` and the serving tests enforce.
 //!
 //! KV memory is one pool of **paged blocks** allocated on demand as each
 //! request's decode position advances, with hash-verified **prefix

@@ -47,7 +47,7 @@ use zero_comm::{CollectiveKind, Grid};
 use std::ops::Range;
 
 use zero_comm::chunk_range;
-use zero_core::{CkptPlace, CommPlan, OpRole, Partitioner, ResolvedOp, StepShape, TierOp, ZeroConfig, ZeroStage};
+use zero_core::{CkptPlace, CommPlan, OpRole, ParamStore, Partitioner, ResolvedOp, StepShape, TierOp, ZeroConfig, ZeroStage};
 use zero_model::{Layout, ModelConfig};
 
 /// Counters describing how much the checker covered.
@@ -515,6 +515,17 @@ fn check_fetch_chain(ahead: &[bool]) -> Result<(), String> {
     }
 }
 
+/// Every fetch's `ahead` flag, in issue order.
+fn fetch_ahead(plan: &CommPlan) -> Vec<bool> {
+    plan.ops()
+        .iter()
+        .filter_map(|op| match op.role {
+            OpRole::Fetch { ahead, .. } => Some(ahead),
+            _ => None,
+        })
+        .collect()
+}
+
 /// Proves overlap invariance for one configuration: the overlapped plan
 /// must be a pure reordering of the synchronous plan's op multiset (same
 /// per-rank bytes and messages per kind, same resolved ops up to order),
@@ -591,15 +602,7 @@ pub(crate) fn check_overlap_pair(
         }
         check_fetch_window(&sf, &of).map_err(|e| format!("{what}: {e}"))?;
         if zcfg.stage.partitions_params() {
-            let ahead: Vec<bool> = over
-                .ops()
-                .iter()
-                .filter_map(|op| match op.role {
-                    OpRole::Fetch { ahead, .. } => Some(ahead),
-                    _ => None,
-                })
-                .collect();
-            check_fetch_chain(&ahead).map_err(|e| format!("{what}: {e}"))?;
+            check_fetch_chain(&fetch_ahead(&over)).map_err(|e| format!("{what}: {e}"))?;
         }
         report.plans += 2;
     }
@@ -608,15 +611,19 @@ pub(crate) fn check_overlap_pair(
 }
 
 /// Proves the serving gather schedule (`CommPlan::serve_step`): exactly
-/// one all-gather per unit, world-scoped and rank-symmetric, with each
-/// rank's step volume matching the telescoping identity
+/// one all-gather per unit, fetching the units in walk order from the
+/// primary shards, world-scoped and rank-symmetric, with each rank's step
+/// volume matching the telescoping identity
 ///
 /// ```text
 /// Σ_u (|u| − c_u[(i+1) mod N]) = Ψ − |shard_{(i+1) mod N}|
 /// ```
 ///
 /// (the unit intersections of a shard sum to the shard, since units tile
-/// the flat space) — and *no* traffic of any other kind.
+/// the flat space) — and *no* traffic of any other kind. Its window is
+/// training's: the overlapped step against its synchronous twin through
+/// [`check_fetch_window`] and [`check_fetch_chain`], and nothing ahead
+/// without overlap.
 fn check_serve(n: usize, overlap: bool, report: &mut ScheduleReport) -> Result<(), String> {
     let layout = Layout::build(&test_model());
     let plan = CommPlan::serve_step(&layout, n, overlap);
@@ -633,16 +640,25 @@ fn check_serve(n: usize, overlap: bool, report: &mut ScheduleReport) -> Result<(
             layout.units().len()
         ));
     }
-    for op in plan.ops() {
+    for (k, op) in plan.ops().iter().enumerate() {
         if op.kind != CollectiveKind::AllGather
-            || op.label != "serve-fetch-unit"
+            || op.label != "fetch-unit"
             || op.nonblocking != overlap
+            || !matches!(op.role, OpRole::Fetch { unit, from: ParamStore::Primary, into: None, .. } if unit == k)
         {
             return Err(format!(
-                "{what}: unexpected op {:?} '{}' (nonblocking={})",
-                op.kind, op.label, op.nonblocking
+                "{what}: unexpected op {k} {:?} '{}' (nonblocking={}, {:?})",
+                op.kind, op.label, op.nonblocking, op.role
             ));
         }
+    }
+    let ahead = fetch_ahead(&plan);
+    if overlap {
+        let sync = fetch_trace(&CommPlan::serve_step(&layout, n, false));
+        check_fetch_window(&sync, &fetch_trace(&plan)).map_err(|e| format!("{what}: {e}"))?;
+        check_fetch_chain(&ahead).map_err(|e| format!("{what}: {e}"))?;
+    } else if ahead.contains(&true) {
+        return Err(format!("{what}: a synchronous step issues a fetch ahead"));
     }
 
     let psi = layout.total_params() as u64;

@@ -79,7 +79,7 @@ fn main() {
             ..ZeroConfig::default()
         };
         let mut engine = RankEngine::new(gpt, &params, zcfg, Grid::new(4, 1), comm);
-        engine.restore_snapshot(&bigger[rank]);
+        engine.try_restore_snapshot(&bigger[rank]).expect("fault-free restore");
         let mut losses = Vec::new();
         for step in 10..20 {
             let (ids, tg) = corpus.rank_batch(step, global_batch, cfg.seq, 4, engine.dp_rank());

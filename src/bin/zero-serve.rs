@@ -295,12 +295,11 @@ fn main() {
     }
 
     // 5. The §5.3 memory claim: per-rank parameter bytes ≤ 4Ψ·(2/N + ε).
-    let full_bytes = 4.0 * params.len() as f64;
-    let bound = full_bytes * (2.0 / n as f64 + 0.10);
+    let bound = CommPlan::serve_param_bound(params.len(), n);
     for r in &report.ranks {
-        if r.param_bytes_peak as f64 > bound {
+        if r.param_bytes_peak > bound {
             fail(&format!(
-                "rank {}: {} param bytes exceeds the 2Ψ/N+ε bound {:.0}",
+                "rank {}: {} param bytes exceeds the 2Ψ/N+ε bound {}",
                 r.rank, r.param_bytes_peak, bound
             ));
         }

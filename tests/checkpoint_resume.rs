@@ -46,7 +46,7 @@ fn run(stage: ZeroStage, fp16: bool, total: usize, interrupt: Option<usize>, dir
                 let comm = engine.into_comm();
                 engine = make_engine(cfg, stage, fp16, comm);
                 let snap = RankSnapshot::load(dir, rank).expect("load shard");
-                engine.restore_snapshot(&snap);
+                engine.try_restore_snapshot(&snap).unwrap();
             }
             let (ids, targets) = corpus.rank_batch(step, 2, cfg.seq, 2, engine.dp_rank());
             engine.train_step(&ids, &targets, 1);
@@ -142,7 +142,7 @@ fn restore_rejects_wrong_rank() {
             let mut engine = make_engine(cfg, ZeroStage::Two, true, comm);
             // Deliberately load the OTHER rank's shard.
             let snap = RankSnapshot::load(dir_ref, 1 - rank).unwrap();
-            engine.restore_snapshot(&snap);
+            engine.try_restore_snapshot(&snap).unwrap();
         });
     });
     assert!(caught.is_err(), "cross-rank restore must be rejected");
@@ -173,7 +173,7 @@ fn reshard_to_three_and_back_resumes_bit_identical() {
             let rank = comm.rank();
             let mut engine = make_engine(cfg, ZeroStage::Two, true, comm);
             if let Some(snaps) = from {
-                engine.restore_snapshot(&snaps[rank]);
+                engine.try_restore_snapshot(&snaps[rank]).unwrap();
             }
             for step in steps.clone() {
                 let (ids, tg) = corpus.rank_batch(step, 4, cfg.seq, 2, engine.dp_rank());
@@ -238,7 +238,7 @@ fn elastic_resume_on_a_different_dp_degree() {
         let params = init_full_params(&cfg, 15);
         let zcfg = ZeroConfig::fp32_exact(ZeroStage::Two);
         let mut engine = RankEngine::new(gpt, &params, zcfg, Grid::new(4, 1), comm);
-        engine.restore_snapshot(&resharded[rank]);
+        engine.try_restore_snapshot(&resharded[rank]).unwrap();
         for step in 4..8 {
             let (ids, tg) = corpus.rank_batch(step, global_batch, cfg.seq, 4, engine.dp_rank());
             engine.train_step(&ids, &tg, global_batch / 4);

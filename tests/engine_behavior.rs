@@ -89,7 +89,7 @@ fn gradient_accumulation_equals_bigger_batch() {
             (&ids[..half], &targets[..half]),
             (&ids[half..], &targets[half..]),
         ];
-        let out = engine.train_step_micro(&micros, 2);
+        let out = engine.try_train_step(&micros, 2).unwrap();
         (engine.master_params().to_vec(), out.loss)
     });
     let (accum_master, accum_loss) = masters[0].clone();
@@ -132,7 +132,7 @@ fn accumulation_across_stages_is_consistent() {
                 let (b_ids, b_tg) =
                     corpus.rank_batch(2 * step + 1, 4, cfg.seq, 2, engine.dp_rank());
                 let micros = [(&a_ids[..], &a_tg[..]), (&b_ids[..], &b_tg[..])];
-                engine.train_step_micro(&micros, 2);
+                engine.try_train_step(&micros, 2).unwrap();
             }
             (engine.master_params().to_vec(), engine.master_ranges().to_vec())
         });
@@ -226,8 +226,8 @@ fn eval_does_not_mutate_parameters_or_state() {
         let corpus = SyntheticCorpus::generate(cfg.vocab, 5000, 2);
         let (ids, targets) = corpus.rank_batch(0, 2, cfg.seq, 2, engine.dp_rank());
         let before = engine.master_params().to_vec();
-        let l1 = engine.eval_loss(&ids, &targets, 1);
-        let l2 = engine.eval_loss(&ids, &targets, 1);
+        let l1 = engine.try_eval_loss(&ids, &targets, 1).unwrap();
+        let l2 = engine.try_eval_loss(&ids, &targets, 1).unwrap();
         assert_eq!(l1, l2, "eval must be deterministic");
         assert_eq!(engine.master_params(), &before[..], "eval must not train");
         assert_eq!(engine.steps(), 0);

@@ -378,7 +378,7 @@ fn failed_step_returns_staging_buffers_to_the_tracker() {
                 let corpus = SyntheticCorpus::generate(cfg.vocab, 2000, 1);
                 let (ids, targets) = corpus.rank_batch(0, 2, cfg.seq, 2, engine.dp_rank());
                 let before = engine.memory().live(MemCategory::Buffers);
-                let res = engine.try_train_step(&ids, &targets, 1);
+                let res = engine.try_train_step(&[(&ids, &targets)], 1);
                 (res.is_err(), before, engine.memory().live(MemCategory::Buffers))
             });
             for (rank, r) in out.iter().enumerate() {

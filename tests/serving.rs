@@ -184,16 +184,15 @@ fn per_rank_parameter_memory_is_bounded() {
     // Deep enough that one unit is a small fraction of Ψ.
     let model = ModelConfig { vocab: 32, seq: 16, hidden: 32, layers: 8, heads: 4 };
     let params = init_full_params(&model, 3);
-    let full_bytes = 4.0 * params.len() as f64;
     let reqs = requests(3, 2, model.vocab);
     for n in [2usize, 4] {
         let report = serve(&model, &shard(&params, n), &reqs, &ServeConfig::default());
-        let bound = full_bytes * (2.0 / n as f64 + 0.10);
+        let bound = CommPlan::serve_param_bound(params.len(), n);
         for rank in &report.ranks {
             assert_eq!(rank.shard_elems, Partitioner::new(params.len(), n).shard_range(rank.rank).len());
             assert!(
-                (rank.param_bytes_peak as f64) <= bound,
-                "N={n} rank {}: {} B exceeds 4Ψ(2/N+ε) = {bound:.0} B",
+                rank.param_bytes_peak <= bound,
+                "N={n} rank {}: {} B exceeds 4Ψ(2/N+ε) = {bound} B",
                 rank.rank,
                 rank.param_bytes_peak
             );
