@@ -32,7 +32,7 @@ printf '%s\n' 'fn a() {' '}' '#[cfg(test)]' 'mod tests {' '    fn t() {' '    }'
     > "$scratch/counted.rs"
 [ "$(awk "$count_non_test" "$scratch/counted.rs")" -eq 6 ] \
     || { echo "line counter self-test failed: code after a test module must be counted in full"; exit 1; }
-line_ceiling=12739
+line_ceiling=13268
 lines=0
 split=""
 for crate in comm core serve bench; do
@@ -101,9 +101,10 @@ echo "==> zero-verify --pass offload (tier prefetch windows, byte telescoping, b
 cargo run -q --release -p zero-verify -- --pass offload
 
 echo "==> zero-verify --pass modelcheck (exhaustive protocol interleavings, explicit state budget)"
-# Three protocols (shutdown latch, socket handshake, progress queue) in 8
-# scenarios. Prints explored-state counts per scenario; exhausting the
-# budget is a hard failure (coverage incomplete), not a silent pass.
+# Three protocols (shutdown latch, socket handshake, the op desk's
+# help-first hand-off at 2 and 3 ops) in 8 scenarios. Prints explored-state
+# counts per scenario; exhausting the budget is a hard failure (coverage
+# incomplete), not a silent pass.
 cargo run -q --release -p zero-verify -- --pass modelcheck --budget 500000
 
 echo "==> cargo test -q"
@@ -229,7 +230,7 @@ echo "==> bench_step --check-against (loose time, exact bits)"
 cargo run -q --release -p zero-bench --bin bench_step -- --smoke \
     --check-against results/BENCH_step.json
 
-echo "==> bench_matmul --smoke --check-against (GEMM, GELU, fp16 and CRC bit-exactness + kernel-floor gate)"
+echo "==> bench_matmul --smoke --check-against (GEMM, GELU, fp16, CRC and all-gather exactness + kernel-floor gate)"
 # Every wrapper at the block/attention/decode/large shapes must equal
 # matmul::reference bit for bit, every GELU and fp16 row its scalar
 # function, and the CRC row the CRC fed one byte at a time; any block,
@@ -238,11 +239,15 @@ echo "==> bench_matmul --smoke --check-against (GEMM, GELU, fp16 and CRC bit-exa
 # host whose wider tier was blessed, or to a tier loop compiled without its
 # target feature (the accumulators spill). Each row ends with the kernel
 # that ran; the CRC's (`clmul`, or the `table16` fallback on a CPU without
-# PCLMULQDQ) is named once more below.
+# PCLMULQDQ) is named once more below. The comm rows (a 2-rank all-gather at
+# 8 B, one serving unit and 1 MB, and the 1 MB gather owner-only and balanced
+# on FLAT_LINK) check the gathered bits and hold the fabric's time to 2x too;
+# they are printed again beside the CRC kernel.
 matmul_out="$scratch/bench-matmul.txt"
 cargo run -q --release -p zero-bench --bin bench_matmul -- --smoke \
     --check-against results/BENCH_matmul.json | tee "$matmul_out"
 echo "    crc kernel: $(awk '$2 == "crc" { print $NF }' "$matmul_out")"
+awk '$2 == "comm" { printf "    comm %s\n", $0 }' "$matmul_out"
 
 echo "==> zero_bench --smoke (the frozen benchmark builds --locked against the crates and stays correct)"
 # zero_bench/ is its own package and may not be edited alongside the crates

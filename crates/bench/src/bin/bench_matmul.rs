@@ -15,8 +15,15 @@
 //! elements, the parameter count of `zero_bench`'s training model, each
 //! first checked bit for bit against the scalar conversions. The `crc` row
 //! times `crc32_f32s` over 98 304 floats, first checked against the CRC fed
-//! one byte at a time. Outside the GEMM rows `k` is 0 and `gflops` counts
-//! G elements/s.
+//! one byte at a time. The `comm` rows time a 2-rank fp32 all-gather
+//! (`start_all_gather(buf).wait()`, the buffer cycled through every op) of
+//! `n` floats — 2 (8 B), one average serving unit of `zero_bench`'s serving
+//! model (41 024, 164 KB) and 262 144 (1 MB) — each first checked against
+//! the concatenated shards, then the 1 MB gather on `bench_step`'s
+//! `FLAT_LINK` with every element owned by rank 0 (`owner`) and split
+//! evenly (`balanced`); `m` is the rank count. Outside the GEMM rows `k`
+//! is 0 and `gflops` counts G elements/s, except the `comm` rows', which
+//! count GB gathered per second.
 //!
 //! `parent_gflops` is the same row measured once with the code this kernel
 //! replaced (five separate loop nests for a GEMM); it is carried forward
@@ -31,7 +38,9 @@
 
 use serde::Serialize;
 use serde_json::Value;
-use zero::comm::{crc, crc32_f32s, Crc32};
+use std::time::Duration;
+
+use zero::comm::{crc, crc32_f32s, launch_with_config, Crc32, Group, Precision, TieredLink, WireFmt, WorldConfig};
 use zero::tensor::f16::{f16_add_slice, f16_round_slice, f16_to_f32_slice, f32_to_f16_slice};
 use zero::tensor::isa;
 use zero::tensor::ops::activation::{gelu_backward, gelu_forward, gelu_grad_scalar, gelu_scalar};
@@ -46,7 +55,8 @@ const KEY: &[&str] = &["variant", "m", "k", "n"];
 #[derive(Serialize)]
 struct MatmulRow {
     variant: &'static str,
-    /// `block`, `attention`, `decode`, `large`, `gelu`, `f16` or `crc`.
+    /// `block`, `attention`, `decode`, `large`, `gelu`, `f16`, `crc` or
+    /// `comm`.
     group: &'static str,
     /// The tier that ran (`matmul::kernel`, e.g. `avx2 4x16`, the
     /// `isa::selected` name for a `gelu` or `f16` row, `crc::kernel` —
@@ -84,7 +94,55 @@ fn shapes() -> Vec<(&'static str, &'static str, usize, usize, usize)> {
     }
     rows.extend(["f16_narrow", "f16_widen", "f16_add", "f16_round"].map(|v| (v, "f16", 1, 0, 813_824)));
     rows.push(("crc32_f32s", "crc", 1, 0, 98_304));
+    for n in [2, 41_024, 262_144] {
+        rows.push(("all_gather", "comm", 2, 0, n));
+    }
+    rows.extend(["all_gather_flat_owner", "all_gather_flat_balanced"].map(|v| (v, "comm", 2, 0, 262_144)));
     rows
+}
+
+/// `bench_step`'s `FLAT_LINK`: every message pays 150 µs plus its bytes
+/// at 40 MB/s.
+const FLAT_LINK: TieredLink = TieredLink {
+    node_size: 1,
+    intra_latency: Duration::ZERO,
+    intra_bytes_per_sec: 1e12,
+    inter_latency: Duration::from_micros(150),
+    inter_bytes_per_sec: 4e7,
+};
+
+/// Checks one all-gather row of `n` floats over `ranks` ranks against the
+/// concatenated shards, then times it on rank 0: `(reps, secs, bytes)`.
+/// Rank 0 owns every element under `_owner`, the split is even otherwise.
+fn comm_row(variant: &str, ranks: usize, n: usize) -> (usize, f64, usize) {
+    let flat = variant.starts_with("all_gather_flat");
+    let counts: Vec<usize> = match variant.ends_with("_owner") {
+        true => (0..ranks).map(|r| if r == 0 { n } else { 0 }).collect(),
+        false => (0..ranks).map(|r| n / ranks + usize::from(r < n % ranks)).collect(),
+    };
+    let want: Vec<f32> = (0..n).map(|i| i as f32 * 0.5).collect();
+    let reps = if flat { 3 } else { (1 << 22) / (n + 2048) + 3 };
+    let config = if flat { WorldConfig::with_tiered_link(FLAT_LINK) } else { WorldConfig::default() };
+    let (counts, want) = (&counts, &want);
+    let timed = launch_with_config(ranks, config, move |mut c| {
+        let g = Group::world(ranks);
+        let own: usize = counts[..c.rank()].iter().sum();
+        let own = own..own + counts[c.rank()];
+        let mut buf = vec![f32::NAN; n];
+        let mut gather = |mut buf: Vec<f32>| {
+            buf[own.clone()].copy_from_slice(&want[own.clone()]);
+            c.start_all_gather(&g, buf, counts, Precision::Fp32, WireFmt::Raw).wait().expect("all-gather")
+        };
+        buf = gather(buf);
+        assert!(buf.iter().zip(want).all(|(x, y)| x.to_bits() == y.to_bits()), "{variant} gathered wrong bits");
+        best_of(3, || {
+            for _ in 0..reps {
+                buf = gather(std::mem::take(&mut buf));
+            }
+        })
+        .0
+    });
+    (reps, timed[0], reps * 4 * n)
 }
 
 fn fill(len: usize, scale: f32) -> Vec<f32> {
@@ -191,11 +249,12 @@ fn main() {
             "gelu" => gelu_row(variant, m * n),
             "f16" => f16_row(variant, n),
             "crc" => crc_row(n),
+            "comm" => comm_row(variant, m, n),
             _ => gemm_row(variant, m, k, n),
         };
         let gemm = k > 0;
         let kernel = match group {
-            "crc" => crc::kernel().to_string(),
+            "crc" | "comm" => crc::kernel().to_string(),
             _ if gemm => kernel(),
             _ => isa::selected().name().to_string(),
         };
@@ -207,14 +266,18 @@ fn main() {
         println!(
             "{variant:<13} {group:<9} {m:>4}x{k:>4}x{n:>4}  {:>9.4} ms  {gflops:>6.2} {}  (parent {})  {}",
             secs * 1e3 / reps as f64,
-            if gemm { "GFLOP/s" } else { "Gelem/s" },
+            match group {
+                _ if gemm => "GFLOP/s",
+                "comm" => "GB/s",
+                _ => "Gelem/s",
+            },
             row.parent_gflops.map_or("-".to_string(), |g| format!("{g:.2}")),
             row.kernel,
         );
         rows.push(row);
     }
 
-    let gated = |r: &&MatmulRow| matches!(r.group, "block" | "gelu" | "f16" | "crc");
+    let gated = |r: &&MatmulRow| matches!(r.group, "block" | "gelu" | "f16" | "crc" | "comm");
     harness.check("", rows.iter().filter(gated), KEY, &[], Some("secs"));
     harness.finish(&rows);
 }

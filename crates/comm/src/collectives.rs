@@ -156,14 +156,16 @@ fn finalize(op: ReduceOp, buf: &mut [f32], n: usize) {
     }
 }
 
-// ----- fabric-side bodies (run on the progress thread) -----
+// ----- fabric-side bodies (run by whoever holds the fabric) -----
 //
 // Every membership check, fault trigger (`begin_op`), send, and receive
 // happens in the order the synchronous implementations had. The public
-// `Communicator` methods below move their inputs into a closure over one
-// of these bodies and submit it; argument lengths are asserted there, on
-// the caller's thread. A group of one never gets here: it exchanges
-// nothing, so those methods compute its result on the caller's thread.
+// `Communicator` methods below either run one of these bodies on the
+// caller's thread over its borrowed slices (the blocking collectives) or
+// move the op's owned buffer into a closure over one and queue it (the
+// `start_*` calls); argument lengths are asserted there, on the caller's
+// thread. A group of one never gets here: it exchanges nothing, so those
+// methods compute its result on the caller's thread.
 
 /// One member's seat on the ring a collective runs around.
 struct Ring {
@@ -185,7 +187,8 @@ impl Ring {
 impl Fabric {
     /// Ring phase 1 — reduce around the ring: after n−1 steps this member
     /// holds the fully reduced chunk `idx` of `buf` (the other chunks hold
-    /// partial sums).
+    /// partial sums). Each step receives into the fabric's scratch buffer
+    /// and reduces it into `buf`.
     fn ring_reduce(
         &mut self,
         ring: &Ring,
@@ -196,83 +199,86 @@ impl Fabric {
         prec: Precision,
     ) -> Result<(), CommError> {
         let Ring { n, idx, next, prev } = *ring;
-        for step in 0..n - 1 {
-            let send_c = (idx + 2 * n - 1 - step) % n;
-            let recv_c = (idx + 2 * n - 2 - step) % n;
-            let payload = buf[chunks[send_c].clone()].to_vec();
-            let bytes = prec.bytes() * payload.len() as u64;
-            self.send_raw(next, payload, kind, bytes)?;
-            let incoming = self.recv_raw(prev)?;
-            apply(op, &mut buf[chunks[recv_c].clone()], &incoming);
-        }
-        Ok(())
+        let mut incoming = std::mem::take(&mut self.scratch);
+        let mut steps = || -> Result<(), CommError> {
+            for step in 0..n - 1 {
+                let send_c = chunks[(idx + 2 * n - 1 - step) % n].clone();
+                let recv_c = chunks[(idx + 2 * n - 2 - step) % n].clone();
+                self.send_raw(next, &buf[send_c.clone()], kind, prec.bytes() * send_c.len() as u64)?;
+                incoming.resize(recv_c.len(), 0.0);
+                self.recv_raw(prev, &mut incoming)?;
+                apply(op, &mut buf[recv_c], &incoming);
+            }
+            Ok(())
+        };
+        let res = steps();
+        self.scratch = incoming;
+        res
     }
 
     /// Ring phase 2 — gather around the ring: this member starts with
-    /// chunk `idx` of `buf` final and `own` holding it as `wire` encodes
-    /// it, and ends with every chunk. Each step forwards the payload the
-    /// step before received, so a chunk is encoded once, by its owner, and
-    /// every member decodes the same stream into `buf`; a hop is priced at
-    /// `prec` raw or at int8 wire cost (qwZ).
+    /// chunk `idx` of `buf` final and ends with every chunk. A raw ring
+    /// forwards each chunk straight out of `buf` and receives straight
+    /// into it. Under qwZ (`Int8Block`) the encoded stream circulates
+    /// instead: `own` is this member's chunk as the wire encodes it, each
+    /// step forwards the stream the step before received, so a chunk is
+    /// encoded once, by its owner, and every member decodes the same
+    /// stream into `buf`. A hop is priced at `prec` raw or at int8 wire
+    /// cost (qwZ).
     #[allow(clippy::too_many_arguments)]
     fn ring_gather(
         &mut self,
         ring: &Ring,
         buf: &mut [f32],
         chunks: &[std::ops::Range<usize>],
-        own: Vec<f32>,
+        own: Option<Vec<f32>>,
         kind: CollectiveKind,
         prec: Precision,
         wire: WireFmt,
     ) -> Result<(), CommError> {
         let Ring { n, idx, next, prev } = *ring;
-        let mut payload = own;
+        let (mut stream, mut incoming) = (own.unwrap_or_default(), Vec::new());
         for step in 0..n - 1 {
-            let send_c = (idx + n - step) % n;
-            let recv_c = (idx + 2 * n - 1 - step) % n;
-            let bytes = match wire {
-                WireFmt::Int8Block { block } => quant_wire_bytes(chunks[send_c].len(), block),
-                _ => prec.bytes() * chunks[send_c].len() as u64,
-            };
-            self.send_raw(next, payload, kind, bytes)?;
-            payload = self.recv_raw(prev)?;
-            let dst = &mut buf[chunks[recv_c].clone()];
+            let send_c = chunks[(idx + n - step) % n].clone();
+            let recv_c = chunks[(idx + 2 * n - 1 - step) % n].clone();
             match wire {
                 WireFmt::Int8Block { block } => {
-                    dst.copy_from_slice(&BlockQuantized::decode(&payload, dst.len(), block).dequantize());
+                    self.send_raw(next, &stream, kind, quant_wire_bytes(send_c.len(), block))?;
+                    incoming.resize(2 * recv_c.len().div_ceil(block) + recv_c.len(), 0.0);
+                    self.recv_raw(prev, &mut incoming)?;
+                    let dst = &mut buf[recv_c];
+                    dst.copy_from_slice(&BlockQuantized::decode(&incoming, dst.len(), block).dequantize());
+                    std::mem::swap(&mut stream, &mut incoming);
                 }
-                _ => dst.copy_from_slice(&payload),
+                _ => {
+                    self.send_raw(next, &buf[send_c.clone()], kind, prec.bytes() * send_c.len() as u64)?;
+                    self.recv_raw(prev, &mut buf[recv_c])?;
+                }
             }
         }
         Ok(())
     }
 
-    /// Ring all-reduce within `group`: both phases over balanced chunks.
-    fn all_reduce_in(
-        &mut self,
-        group: &Group,
-        mut buf: Vec<f32>,
-        op: ReduceOp,
-        prec: Precision,
-    ) -> Result<Vec<f32>, CommError> {
+    /// Ring all-reduce within `group`, in place: both phases over balanced
+    /// chunks.
+    fn all_reduce_in(&mut self, group: &Group, buf: &mut [f32], op: ReduceOp, prec: Precision) -> Result<(), CommError> {
         let n = group.len();
         self.begin_op(CollectiveKind::AllReduce)?;
         let ring = Ring::seat(group, self.rank)?;
         let chunks: Vec<_> = (0..n).map(|i| chunk_range(buf.len(), n, i)).collect();
-        self.ring_reduce(&ring, &mut buf, &chunks, op, CollectiveKind::AllReduce, prec)?;
-        let own = buf[chunks[ring.idx].clone()].to_vec();
-        self.ring_gather(&ring, &mut buf, &chunks, own, CollectiveKind::AllReduce, prec, WireFmt::Raw)?;
-        finalize(op, &mut buf, n);
-        Ok(buf)
+        self.ring_reduce(&ring, buf, &chunks, op, CollectiveKind::AllReduce, prec)?;
+        self.ring_gather(&ring, buf, &chunks, None, CollectiveKind::AllReduce, prec, WireFmt::Raw)?;
+        finalize(op, buf, n);
+        Ok(())
     }
 
     /// Raw ring reduce-scatter with explicit per-member chunk lengths:
-    /// phase 1 with `input` as the working buffer, yielding this member's
-    /// chunk.
+    /// phase 1 with `buf` (the full input) as the working buffer, which
+    /// then shrinks, in place, to this member's reduced chunk.
     fn reduce_scatter_ring(
         &mut self,
         group: &Group,
-        mut input: Vec<f32>,
+        mut buf: Vec<f32>,
         op: ReduceOp,
         counts: &[usize],
         prec: Precision,
@@ -280,47 +286,43 @@ impl Fabric {
         let ring = Ring::seat(group, self.rank)?;
         let chunks = ranges_from_counts(counts);
         self.begin_op(CollectiveKind::ReduceScatter)?;
-        self.ring_reduce(&ring, &mut input, &chunks, op, CollectiveKind::ReduceScatter, prec)?;
-        let mut out = input[chunks[ring.idx].clone()].to_vec();
-        finalize(op, &mut out, ring.n);
-        Ok(out)
+        self.ring_reduce(&ring, &mut buf, &chunks, op, CollectiveKind::ReduceScatter, prec)?;
+        let own = chunks[ring.idx].clone();
+        buf.copy_within(own.clone(), 0);
+        buf.truncate(own.len());
+        finalize(op, &mut buf, ring.n);
+        Ok(buf)
     }
 
-    /// Ring all-gather with explicit per-member chunk lengths: phase 2
-    /// over a `Σ counts` buffer seeded with this member's `shard`, which
-    /// is also the first payload. Under qwZ (`Int8Block`) the wire carries
-    /// int8 codes plus per-block fp32 scale/zero-points: each rank
-    /// quantizes its own chunk exactly once, the *encoded* stream
-    /// circulates the ring verbatim, and every rank — owner included —
-    /// dequantizes from that stream, so the gathered buffer is bitwise
-    /// identical across the group and requantization error never
-    /// compounds across hops.
+    /// Ring all-gather with explicit per-member chunk lengths, in place:
+    /// `buf` is the `Σ counts` output, whose chunk for this member holds
+    /// its shard on entry. Under qwZ (`Int8Block`) the wire carries int8
+    /// codes plus per-block fp32 scale/zero-points: each rank quantizes
+    /// its own chunk exactly once, the *encoded* stream circulates the
+    /// ring verbatim, and every rank — owner included — dequantizes from
+    /// that stream, so the gathered buffer is bitwise identical across
+    /// the group and requantization error never compounds across hops.
     fn all_gather_ring(
         &mut self,
         group: &Group,
-        shard: Vec<f32>,
+        buf: &mut [f32],
         counts: &[usize],
         prec: Precision,
         wire: WireFmt,
-    ) -> Result<Vec<f32>, CommError> {
+    ) -> Result<(), CommError> {
         let ring = Ring::seat(group, self.rank)?;
         let chunks = ranges_from_counts(counts);
-        let mut out = vec![0.0; counts.iter().sum()];
-        let seed = &mut out[chunks[ring.idx].clone()];
         let own = match wire {
             WireFmt::Int8Block { block } => {
-                let q = quantize_for_transport(&shard, block);
+                let seed = &mut buf[chunks[ring.idx].clone()];
+                let q = quantize_for_transport(seed, block);
                 seed.copy_from_slice(&q.dequantize());
-                q.encode()
+                Some(q.encode())
             }
-            _ => {
-                seed.copy_from_slice(&shard);
-                shard
-            }
+            _ => None,
         };
         self.begin_op(CollectiveKind::AllGather)?;
-        self.ring_gather(&ring, &mut out, &chunks, own, CollectiveKind::AllGather, prec, wire)?;
-        Ok(out)
+        self.ring_gather(&ring, buf, &chunks, own, CollectiveKind::AllGather, prec, wire)
     }
 
     /// Two-phase quantized reduce-scatter (ZeRO++ qgZ) over a group whose
@@ -383,9 +385,9 @@ impl Fabric {
                 payload.extend_from_slice(&input[ranges[m * g + to_slot].clone()]);
             }
             let bytes = prec.bytes() * payload.len() as u64;
-            self.send_raw(to, payload, CollectiveKind::ReduceScatter, bytes)?;
-            let incoming = self.recv_raw(from)?;
-            assert_eq!(incoming.len(), col_len, "reduce_scatter_qgz: phase-1 chunk mismatch");
+            self.send_raw(to, &payload, CollectiveKind::ReduceScatter, bytes)?;
+            let mut incoming = vec![0.0; col_len];
+            self.recv_raw(from, &mut incoming)?;
             from_mates[from_slot] = Some(incoming);
         }
         // Node-local partials for this rank's slot column, accumulated in
@@ -425,8 +427,10 @@ impl Fabric {
             let from = group.members()[from_node * g + slot];
             let q = quantize_for_transport(&partial[to_node], block);
             let logical = quant_wire_bytes(counts[to_node * g + slot], block);
-            self.send_raw(to, q.encode(), CollectiveKind::ReduceScatter, logical)?;
-            from_nodes[from_node] = Some(self.recv_raw(from)?);
+            self.send_raw(to, &q.encode(), CollectiveKind::ReduceScatter, logical)?;
+            let mut stream = vec![0.0; 2 * counts[idx].div_ceil(block) + counts[idx]];
+            self.recv_raw(from, &mut stream)?;
+            from_nodes[from_node] = Some(stream);
         }
         // Final reduction in node order; the local partial stays full
         // precision — only the slow hop was quantized.
@@ -452,13 +456,13 @@ impl Fabric {
 }
 
 
-// ----- the public surface: submit to the progress thread -----
+// ----- the public surface: run on the caller, or queue with an owned buffer -----
 
 impl Communicator {
     /// `Some` when `group` has one member: a collective over it is not
     /// communication, so its result is computed on the caller's thread,
-    /// with no progress-thread job, span, or exec or wait time. `Ok` for
-    /// this rank, [`CommError::NotInGroup`] for any other.
+    /// with no job, span, or exec or wait time. `Ok` for this rank,
+    /// [`CommError::NotInGroup`] for any other.
     fn alone_in(&self, group: &Group) -> Option<Result<(), CommError>> {
         (group.len() == 1).then(|| member_index(group, self.rank()).map(drop))
     }
@@ -474,8 +478,9 @@ impl Communicator {
         self.all_reduce_in(&g, buf, op, prec)
     }
 
-    /// Ring reduce-scatter over the whole world. `input` has the full
-    /// length; this rank's reduced chunk is written to `out`.
+    /// Ring reduce-scatter over the whole world, run on the caller's
+    /// thread. `input` has the full length; this rank's reduced chunk is
+    /// written to `out`.
     ///
     /// # Panics
     /// Panics unless `out` has exactly `chunk_range(len, n, rank).len()`
@@ -488,14 +493,23 @@ impl Communicator {
         prec: Precision,
     ) -> Result<(), CommError> {
         let n = self.world_size();
+        let own = chunk_range(input.len(), n, self.rank());
+        assert_eq!(out.len(), own.len(), "reduce_scatter: bad output length");
+        if n == 1 {
+            out.copy_from_slice(input);
+            return Ok(());
+        }
         let (g, counts) = (Group::world(n), even_counts(input.len(), n));
-        let chunk = self.start_reduce_scatter(&g, input, op, &counts, prec, WireFmt::Raw);
-        out.copy_from_slice(&chunk.wait()?);
-        Ok(())
+        self.run_now(CollectiveKind::ReduceScatter, |f| {
+            let chunk = f.reduce_scatter_ring(&g, input.to_vec(), op, &counts, prec)?;
+            out.copy_from_slice(&chunk);
+            Ok(())
+        })
     }
 
-    /// Ring all-gather over the whole world: this rank contributes `shard`
-    /// (its chunk of `out`), and `out` receives every rank's chunk.
+    /// Ring all-gather over the whole world, run on the caller's thread:
+    /// this rank contributes `shard` (its chunk of `out`), and `out`
+    /// receives every rank's chunk, straight off the wire.
     ///
     /// # Panics
     /// Panics if `shard` is not this rank's balanced chunk of `out`.
@@ -506,13 +520,18 @@ impl Communicator {
         prec: Precision,
     ) -> Result<(), CommError> {
         let n = self.world_size();
+        let own = chunk_range(out.len(), n, self.rank());
+        assert_eq!(shard.len(), own.len(), "all_gather: bad shard length");
+        out[own].copy_from_slice(shard);
+        if n == 1 {
+            return Ok(());
+        }
         let (g, counts) = (Group::world(n), even_counts(out.len(), n));
-        let full = self.start_all_gather(&g, shard, &counts, prec, WireFmt::Raw);
-        out.copy_from_slice(&full.wait()?);
-        Ok(())
+        self.run_now(CollectiveKind::AllGather, |f| f.all_gather_ring(&g, out, &counts, prec, WireFmt::Raw))
     }
 
-    /// Ring all-reduce within `group`, in place.
+    /// Ring all-reduce within `group`, in place, run on the caller's
+    /// thread.
     ///
     /// # Errors
     /// Returns [`CommError::NotInGroup`] if this rank is not a member of
@@ -528,73 +547,70 @@ impl Communicator {
         if let Some(member) = self.alone_in(group) {
             return member;
         }
-        let (group, data) = (group.clone(), buf.to_vec());
-        let run = move |f: &mut Fabric| f.all_reduce_in(&group, data, op, prec);
-        buf.copy_from_slice(&self.submit(Some(CollectiveKind::AllReduce), run).wait()?);
-        Ok(())
+        self.run_now(CollectiveKind::AllReduce, |f| f.all_reduce_in(group, buf, op, prec))
     }
 
     /// Starts a reduce-scatter within `group` without blocking: member `i`
-    /// owns reduced chunk `i` of `input`, `counts[i]` elements long (zero
-    /// counts are allowed — ZeRO's flat-space partitioning produces uneven
-    /// and sometimes empty intersections between a layer's parameter range
-    /// and a rank's shard). `wire` picks the body: the raw ring, or qgZ's
+    /// owns reduced chunk `i` of `buf` (the full input), `counts[i]`
+    /// elements long (zero counts are allowed — ZeRO's flat-space
+    /// partitioning produces uneven and sometimes empty intersections
+    /// between a layer's parameter range and a rank's shard). `wire` picks
+    /// the body: the raw ring, which reduces in `buf` itself, or qgZ's
     /// two-phase all-to-all, whose raw intra-node phase is priced at `prec`
-    /// and inter-node phase at int8 wire cost. [`PendingOp::wait`] yields
-    /// this rank's chunk; the op advances on the progress thread while the
-    /// caller computes.
+    /// and inter-node phase at int8 wire cost. [`PendingOp::wait`] returns
+    /// this rank's chunk — for the raw ring, `buf` shrunk to it, its
+    /// capacity kept.
     ///
     /// # Panics
-    /// Panics if `counts` is inconsistent with `group` and `input`, or
+    /// Panics if `counts` is inconsistent with `group` and `buf`, or
     /// `wire` is not a reduce-scatter wire with a positive block.
     pub fn start_reduce_scatter(
         &mut self,
         group: &Group,
-        input: &[f32],
+        buf: Vec<f32>,
         op: ReduceOp,
         counts: &[usize],
         prec: Precision,
         wire: WireFmt,
     ) -> PendingOp {
         assert_eq!(counts.len(), group.len(), "reduce_scatter: counts length");
-        assert_eq!(counts.iter().sum::<usize>(), input.len(), "reduce_scatter: counts sum");
+        assert_eq!(counts.iter().sum::<usize>(), buf.len(), "reduce_scatter: counts sum");
         assert!(
             !matches!(wire, WireFmt::Int8Block { .. } | WireFmt::QgzInt8 { block: 0, .. }),
             "reduce_scatter: {wire:?} is not a reduce-scatter wire"
         );
         if let Some(member) = self.alone_in(group) {
-            return self.ready(member.map(|()| input.to_vec()));
+            return self.ready(member.map(|()| buf));
         }
-        let (group, input, counts) = (group.clone(), input.to_vec(), counts.to_vec());
+        let (group, counts) = (group.clone(), counts.to_vec());
         self.submit(Some(CollectiveKind::ReduceScatter), move |f| match wire {
             WireFmt::QgzInt8 { node_size, block } => {
-                f.reduce_scatter_qgz(&group, &input, op, &counts, node_size, block, prec)
+                f.reduce_scatter_qgz(&group, &buf, op, &counts, node_size, block, prec)
             }
-            _ => f.reduce_scatter_ring(&group, input, op, &counts, prec),
+            _ => f.reduce_scatter_ring(&group, buf, op, &counts, prec),
         })
     }
 
-    /// Starts an all-gather within `group` without blocking: member `i`
-    /// contributes `counts[i]` elements (zero allowed) and
-    /// [`PendingOp::wait`] yields the full `Σ counts` buffer. `wire` picks
-    /// the body: the raw ring, or qwZ's ring of block-quantized streams,
-    /// dequantized identically on every member.
+    /// Starts an all-gather within `group` without blocking, in place:
+    /// `buf` is the `Σ counts` output, and member `i`'s chunk of it
+    /// (`counts[i]` elements, zero allowed) holds member `i`'s shard on
+    /// its own rank. [`PendingOp::wait`] returns `buf` with every chunk
+    /// filled. `wire` picks the body: the raw ring, or qwZ's ring of
+    /// block-quantized streams, dequantized identically on every member.
     ///
     /// # Panics
-    /// Panics if `counts` is inconsistent with `group` and `shard`, or
+    /// Panics if `counts` is inconsistent with `group` and `buf`, or
     /// `wire` is not an all-gather wire with a positive block.
     pub fn start_all_gather(
         &mut self,
         group: &Group,
-        shard: &[f32],
+        mut buf: Vec<f32>,
         counts: &[usize],
         prec: Precision,
         wire: WireFmt,
     ) -> PendingOp {
         assert_eq!(counts.len(), group.len(), "all_gather: counts length");
-        if let Some(idx) = group.local_index(self.rank()) {
-            assert_eq!(shard.len(), counts[idx], "all_gather: bad shard length");
-        }
+        assert_eq!(counts.iter().sum::<usize>(), buf.len(), "all_gather: counts sum");
         assert!(
             !matches!(wire, WireFmt::QgzInt8 { .. } | WireFmt::Int8Block { block: 0 }),
             "all_gather: {wire:?} is not an all-gather wire"
@@ -602,20 +618,32 @@ impl Communicator {
         if let Some(member) = self.alone_in(group) {
             // qwZ stays lossy alone: the member keeps the shard its peers
             // would have decoded.
-            return self.ready(member.map(|()| match wire {
-                WireFmt::Int8Block { block } => quantize_for_transport(shard, block).dequantize(),
-                _ => shard.to_vec(),
+            return self.ready(member.map(|()| {
+                if let WireFmt::Int8Block { block } = wire {
+                    buf = quantize_for_transport(&buf, block).dequantize();
+                }
+                buf
             }));
         }
-        let (group, shard, counts) = (group.clone(), shard.to_vec(), counts.to_vec());
-        self.submit(Some(CollectiveKind::AllGather), move |f| f.all_gather_ring(&group, shard, &counts, prec, wire))
+        let (group, counts) = (group.clone(), counts.to_vec());
+        self.submit(Some(CollectiveKind::AllGather), move |f| {
+            f.all_gather_ring(&group, &mut buf, &counts, prec, wire).map(|()| buf)
+        })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::world::{launch, launch_with_stats};
+
+    /// An in-place all-gather buffer for member `idx`: `shard` in its
+    /// chunk, NaN in every chunk the gather must fill.
+    pub(crate) fn placed(counts: &[usize], idx: usize, shard: &[f32]) -> Vec<f32> {
+        let mut buf = vec![f32::NAN; counts.iter().sum()];
+        buf[ranges_from_counts(counts)[idx].clone()].copy_from_slice(shard);
+        buf
+    }
 
     #[test]
     fn chunk_ranges_cover_and_are_balanced() {
@@ -781,11 +809,11 @@ mod tests {
         }
         for op in ops {
             for wire in [WireFmt::Raw, WireFmt::QgzInt8 { node_size: 1, block: 4 }] {
-                out.push(c.start_reduce_scatter(g, input, op, &counts, prec, wire).wait().unwrap());
+                out.push(c.start_reduce_scatter(g, input.to_vec(), op, &counts, prec, wire).wait().unwrap());
             }
         }
         for wire in [WireFmt::Raw, WireFmt::Int8Block { block: 4 }] {
-            out.push(c.start_all_gather(g, input, &counts, prec, wire).wait().unwrap());
+            out.push(c.start_all_gather(g, input.to_vec(), &counts, prec, wire).wait().unwrap());
         }
         out
     }
@@ -827,7 +855,7 @@ mod tests {
             let input: Vec<f32> = (0..total).map(|i| (i * (c.rank() + 1)) as f32).collect();
             let g = Group::world(n);
             let (op, raw) = (ReduceOp::Sum, WireFmt::Raw);
-            c.start_reduce_scatter(&g, &input, op, &counts, Precision::Fp32, raw).wait().unwrap()
+            c.start_reduce_scatter(&g, input, op, &counts, Precision::Fp32, raw).wait().unwrap()
         });
         // Element i of the reduced buffer is i * (1+2+3+4) = 10i.
         let mut offset = 0;
@@ -850,7 +878,8 @@ mod tests {
             let offset: usize = counts[..c.rank()].iter().sum();
             let shard: Vec<f32> = (0..counts[c.rank()]).map(|j| (offset + j) as f32).collect();
             let g = Group::world(n);
-            c.start_all_gather(&g, &shard, &counts, Precision::Fp32, WireFmt::Raw).wait().unwrap()
+            let buf = placed(&counts, c.rank(), &shard);
+            c.start_all_gather(&g, buf, &counts, Precision::Fp32, WireFmt::Raw).wait().unwrap()
         });
         let want: Vec<f32> = (0..total).map(|i| i as f32).collect();
         for got in &results {
@@ -868,7 +897,7 @@ mod tests {
             c.reduce_scatter(&input, &mut out_a, ReduceOp::Mean, Precision::Fp32).unwrap();
             let (g, counts) = (Group::world(n), even_counts(len, n));
             let (op, raw) = (ReduceOp::Mean, WireFmt::Raw);
-            let out_b = c.start_reduce_scatter(&g, &input, op, &counts, Precision::Fp32, raw);
+            let out_b = c.start_reduce_scatter(&g, input.clone(), op, &counts, Precision::Fp32, raw);
             (out_a, out_b.wait().unwrap())
         });
         for (a, b) in &results {
@@ -890,9 +919,10 @@ mod tests {
         let results = launch(n, move |mut c| {
             let (g, prec) = (Group::world(n), Precision::Fp16);
             let shard = shard_of(&counts, c.rank());
-            let raw = c.start_all_gather(&g, &shard, &counts, prec, WireFmt::Raw).wait().unwrap();
+            let buf = placed(&counts, c.rank(), &shard);
+            let raw = c.start_all_gather(&g, buf.clone(), &counts, prec, WireFmt::Raw).wait().unwrap();
             let qwz = WireFmt::Int8Block { block };
-            (raw, c.start_all_gather(&g, &shard, &counts, prec, qwz).wait().unwrap())
+            (raw, c.start_all_gather(&g, buf, &counts, prec, qwz).wait().unwrap())
         });
         // All ranks see bitwise-identical gathered buffers...
         for w in results.windows(2) {
@@ -927,7 +957,8 @@ mod tests {
             let g = Group::world(n);
             let shard = shard_of(&counts, c.rank());
             let qwz = WireFmt::Int8Block { block };
-            c.start_all_gather(&g, &shard, &counts, Precision::Fp16, qwz).wait().unwrap();
+            let buf = placed(&counts, c.rank(), &shard);
+            c.start_all_gather(&g, buf, &counts, Precision::Fp16, qwz).wait().unwrap();
         });
         // Rank i forwards every chunk except its successor's.
         for (i, s) in snaps.iter().enumerate() {
@@ -952,10 +983,10 @@ mod tests {
             let input: Vec<f32> =
                 (0..total).map(|i| ((i + 3 * c.rank()) as f32 * 0.21).cos() * 2.0).collect();
             let (op, prec) = (ReduceOp::Mean, Precision::Fp16);
-            let raw = c.start_reduce_scatter(&g, &input, op, &counts, prec, WireFmt::Raw);
+            let raw = c.start_reduce_scatter(&g, input.clone(), op, &counts, prec, WireFmt::Raw);
             let raw = raw.wait().unwrap();
             let qgz = WireFmt::QgzInt8 { node_size, block };
-            (raw, c.start_reduce_scatter(&g, &input, op, &counts, prec, qgz).wait().unwrap())
+            (raw, c.start_reduce_scatter(&g, input, op, &counts, prec, qgz).wait().unwrap())
         });
         for (rank, (raw, q)) in results.iter().enumerate() {
             assert_eq!(raw.len(), q.len());
@@ -978,7 +1009,7 @@ mod tests {
                 let input: Vec<f32> =
                     (0..28).map(|i| ((i * (c.rank() + 2)) as f32 * 0.11).sin()).collect();
                 let qgz = WireFmt::QgzInt8 { node_size: 2, block: 4 };
-                c.start_reduce_scatter(&g, &input, ReduceOp::Mean, &counts, Precision::Fp16, qgz)
+                c.start_reduce_scatter(&g, input, ReduceOp::Mean, &counts, Precision::Fp16, qgz)
                     .wait()
                     .unwrap()
             })
@@ -1001,7 +1032,7 @@ mod tests {
             let g = Group::world(n);
             let input = vec![1.0_f32; total];
             let qgz = WireFmt::QgzInt8 { node_size, block };
-            c.start_reduce_scatter(&g, &input, ReduceOp::Sum, &counts, Precision::Fp16, qgz)
+            c.start_reduce_scatter(&g, input, ReduceOp::Sum, &counts, Precision::Fp16, qgz)
                 .wait()
                 .unwrap();
         });
@@ -1032,7 +1063,7 @@ mod tests {
             let g = Group::world(4);
             let input = vec![0.0_f32; 8];
             let qgz = WireFmt::QgzInt8 { node_size: 3, block: 4 };
-            c.start_reduce_scatter(&g, &input, ReduceOp::Sum, &[2, 2, 2, 2], Precision::Fp32, qgz)
+            c.start_reduce_scatter(&g, input, ReduceOp::Sum, &[2, 2, 2, 2], Precision::Fp32, qgz)
                 .wait()
                 .unwrap_err()
         });
@@ -1053,7 +1084,7 @@ mod tests {
             let g = Group::world(n);
             let input: Vec<f32> = (0..total).map(|i| (i + c.rank() * 7) as f32).collect();
             let qgz = WireFmt::QgzInt8 { node_size: n, block: 4 };
-            c.start_reduce_scatter(&g, &input, ReduceOp::Sum, &counts, Precision::Fp32, qgz)
+            c.start_reduce_scatter(&g, input, ReduceOp::Sum, &counts, Precision::Fp32, qgz)
                 .wait()
                 .unwrap()
         });

@@ -249,6 +249,19 @@ pub fn crc32_f32s(data: &[f32]) -> u32 {
     !Fold::selected().f32s(!0, data)
 }
 
+/// Hands `data` to `sink` 4 096 floats at a time and returns
+/// `crc32_f32s(data)`. Each block is folded right after `sink` has read
+/// it, while it is still in L1, so a copy and its checksum are one trip
+/// through memory: the fabric's sender copies into the message this way
+/// and its receiver copies out of it.
+pub fn crc32_f32s_through(data: &[f32], mut sink: impl FnMut(&[f32])) -> u32 {
+    let fold = Fold::selected();
+    !data.chunks(4096).fold(!0, |crc, block| {
+        sink(block);
+        fold.f32s(crc, block)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,6 +339,18 @@ mod tests {
             for fold in runnable_folds() {
                 assert_eq!(!fold.f32s(!0, &floats[..len]), want, "{} over {len} floats", fold.name());
             }
+        }
+    }
+
+    #[test]
+    fn the_copying_crc_matches_one_shot_and_sees_every_float_once() {
+        // Around the 4 096-float block edge, and one float past two blocks.
+        for len in [0, 1, 7, 4095, 4096, 4097, 8193] {
+            let data: Vec<f32> = words(len).into_iter().map(f32::from_bits).collect();
+            let mut copy = Vec::new();
+            let crc = crc32_f32s_through(&data, |b| copy.extend_from_slice(b));
+            assert_eq!(crc, crc32_f32s(&data), "{len} floats");
+            assert_eq!(copy.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), words(len), "{len} floats");
         }
     }
 

@@ -58,6 +58,19 @@ pub enum CommError {
         /// Sequence number the receiver expected.
         expected: u64,
     },
+    /// A message arrived in its schedule slot with another length than the
+    /// slot: the sender ran a different op there (it abandoned an op
+    /// mid-ring after a failure and went on to the next).
+    LengthMismatch {
+        /// The observing rank.
+        rank: usize,
+        /// The sender.
+        peer: usize,
+        /// Floats the message carried.
+        got: usize,
+        /// Floats the slot holds.
+        expected: usize,
+    },
     /// This rank's fault plan killed it at communication op `op`.
     InjectedCrash {
         /// The crashed rank.
@@ -95,15 +108,15 @@ pub enum CommError {
         /// The ranks-per-node value that does not divide `world`.
         node_size: usize,
     },
-    /// This rank's communication progress thread is gone: its job queue
-    /// disconnected before (or while) a pending op awaited its result.
-    /// The fabric endpoints died with it, so peers observe `PeerLost`.
+    /// This rank's fabric is gone: a thread panicked while running an op
+    /// on it, before (or while) a pending op awaited its result. The
+    /// fabric endpoints died with it, so peers observe `PeerLost`.
     ProgressLost {
         /// The rank whose progress thread died.
         rank: usize,
     },
-    /// A pending op's result did not arrive within its wait budget even
-    /// though the progress thread still holds the queue open. The budget
+    /// A pending op's result did not arrive within its wait budget while
+    /// the progress thread held the fabric. The budget
     /// covers every fabric timeout the op could legally consume, so this
     /// means the progress engine itself is wedged.
     ProgressStalled {
@@ -122,6 +135,7 @@ impl CommError {
             | CommError::Timeout { rank, .. }
             | CommError::Corrupt { rank, .. }
             | CommError::OutOfOrder { rank, .. }
+            | CommError::LengthMismatch { rank, .. }
             | CommError::InjectedCrash { rank, .. }
             | CommError::InjectedHang { rank, .. } => rank,
             CommError::NotInGroup { rank, .. } => rank,
@@ -159,6 +173,10 @@ impl std::fmt::Display for CommError {
                 f,
                 "rank {rank}: out-of-order message from peer {peer} \
                  (seq {got}, expected {expected})"
+            ),
+            CommError::LengthMismatch { rank, peer, got, expected } => write!(
+                f,
+                "rank {rank}: a {got}-float message from peer {peer} in a {expected}-float slot"
             ),
             CommError::InjectedCrash { rank, op } => {
                 write!(f, "rank {rank}: fault plan crashed this rank at comm op {op}")

@@ -52,9 +52,9 @@ pub use quant::{
 pub use stats::{
     CollectiveKind, TimingSnapshot, TrafficSnapshot, TrafficStats, ALL_KINDS, KIND_COUNT,
 };
-pub use transport::{Msg, ShutdownLatch, Transport};
+pub use transport::{Delivery, Flip, ShutdownLatch, Transport};
 pub use wire::{Frame, WireError, MAX_FRAME_LEN};
 pub use world::{
     launch, launch_with_config, launch_with_stats, try_launch, try_launch_with_config,
-    Communicator, RankFailure, TieredLink, World, WorldConfig,
+    Communicator, RankFailure, TieredLink, WireTap, World, WorldConfig,
 };

@@ -1,30 +1,41 @@
-//! Non-blocking collective machinery: the progress thread, its job queue,
-//! and the [`PendingOp`] completion handle.
+//! Non-blocking collective machinery: the rank's op desk, its progress
+//! thread, and the [`PendingOp`] completion handle.
 //!
-//! Every communication op a rank issues — blocking or not — is a closure
-//! over the rank's private [`Fabric`](crate::world::Fabric), enqueued on
-//! the rank's progress thread by `Communicator::submit`: the call site
-//! moves the op's inputs into the closure and names the `Fabric` body to
-//! run, so a collective is spelled twice (its `start_*`, which picks the
-//! body its wire format names, and the body) and nowhere else. The
-//! thread drains the queue in FIFO order, so the
-//! *fabric-visible* op order is exactly the issue order. That single
-//! property carries all the correctness arguments over from the
-//! synchronous engine unchanged:
+//! Every communication op a rank issues is a closure over the rank's
+//! private [`Fabric`](crate::world::Fabric). `start_*` queue it on the
+//! rank's [`Desk`] with the op's owned buffer moved in
+//! (`Communicator::submit`); the blocking collectives run their body on the
+//! caller's thread over the caller's borrowed slices
+//! (`Communicator::run_now`). Whoever holds the fabric runs the queue
+//! front to back, so the *fabric-visible* op order is exactly the issue
+//! order. That single property carries all the correctness arguments over
+//! from the synchronous engine unchanged:
 //!
 //! * **Deadlock-freedom** — ranks run an SPMD schedule; identical issue
 //!   order per rank means the rings pair up exactly as before.
 //! * **Fault coordinates** — "the Nth fabric op on rank R" counts the same
 //!   ops in the same order, so [`FaultPlan`](crate::fault::FaultPlan)
 //!   triggers hit the same message whether the caller overlapped or not.
-//! * **Volume accounting** — the same `send_raw` path records the same
+//! * **Volume accounting** — the same `Fabric::send_raw` path records the same
 //!   bytes/messages; overlap changes *when*, never *how much*.
 //!
-//! There is one way to run a collective: `start_all_gather` /
-//! `start_reduce_scatter` submit it in any wire format and return the
-//! [`PendingOp`]; *when* the caller waits is its own business. The
-//! world-wide blocking wrappers in `collectives.rs` are
-//! `start_*(…).wait()` for callers with nothing to overlap.
+//! Who holds the fabric is the hand-off protocol, whose decisions are the
+//! pure kernel [`protocol::handoff`](crate::protocol::handoff):
+//!
+//! * the **progress thread** runs queued ops back to back while the caller
+//!   computes, so an op issued ahead overlaps compute;
+//! * **help-first wait** — a caller that waits on an op nobody has started,
+//!   finding the fabric free, takes it and runs, on its own thread, every
+//!   op queued up to and including its own: a synchronous op costs no
+//!   thread hand-off. A helper that hands the fabric back with ops still
+//!   queued wakes the progress thread, so ops issued behind its own still
+//!   overlap the caller's next compute. A progress thread that is busy
+//!   keeps the fabric and goes on to the next op; the caller waits for it.
+//!
+//! Either way the op records one collective span on the progress track,
+//! byte-tagged with the traffic its execution produced, and its execution
+//! time; a wait records its blocked time, which includes the execution of
+//! whatever it helped run.
 //!
 //! A collective over a group of one is not communication, so it is not a
 //! job: `all_reduce_in` and the `start_*` calls compute its result on the
@@ -34,86 +45,320 @@
 //! FIFO's guarantees above hold unchanged: it has no peer to pair with, no
 //! fault coordinate and no bytes.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::error::CommError;
+use crate::protocol::handoff;
 use crate::stats::{CollectiveKind, TrafficStats};
+use crate::transport::lock_unpoisoned;
 use crate::world::Fabric;
 use zero_trace::{SpanCategory, TraceRecorder, TRACK_PROGRESS};
 
-/// How often the progress thread re-checks its queue for disconnection.
-/// Purely a liveness bound on thread shutdown; queued jobs wake it
-/// immediately.
-const PROGRESS_TICK: Duration = Duration::from_millis(50);
-
-/// What an op yields: its result payload, or its typed failure.
+/// What an op yields: its buffer, filled, or its typed failure.
 pub(crate) type OpResult = Result<Vec<f32>, CommError>;
 
-/// A queued op plus the channel its result is delivered on.
-pub(crate) struct Job {
-    /// The stats kind the op's execution time and bytes are attributed to
-    /// (`None` for tier moves, which send no payload).
-    pub(crate) kind: Option<CollectiveKind>,
-    /// A `Fabric` body from `collectives.rs`/`world.rs` with its inputs
-    /// moved in, yielding the op's result payload (empty for tier
-    /// moves).
-    pub(crate) run: Box<dyn FnOnce(&mut Fabric) -> OpResult + Send>,
-    pub(crate) done: Sender<OpResult>,
+/// A `Fabric` body from `collectives.rs`/`world.rs` with its inputs and
+/// its buffer moved in.
+pub(crate) type Body = Box<dyn FnOnce(&mut Fabric) -> OpResult + Send>;
+
+/// Where an op's result lands: written by whoever runs the op, taken by
+/// its [`PendingOp`] (or dropped with the last of the two).
+pub(crate) type Slot = Arc<Mutex<Option<OpResult>>>;
+
+/// A queued op: its issue number, the stats kind its execution is
+/// attributed to (`None` for tier moves), its body and its result slot.
+struct Job {
+    id: u64,
+    kind: Option<CollectiveKind>,
+    run: Body,
+    slot: Slot,
+}
+
+/// One rank's op desk: the fabric when nobody holds it and the ops issued
+/// but not started, shared by the `Communicator`, every [`PendingOp`] and
+/// the progress thread under one mutex; one condvar carries every
+/// hand-off.
+pub(crate) struct Desk {
+    rank: usize,
+    state: Mutex<DeskState>,
+    cv: Condvar,
+    /// Ops finished so far (they finish in issue order), readable without
+    /// the lock for polling.
+    finished: AtomicU64,
+    /// How long a blocked caller polls before parking: on the desk for an
+    /// op the progress thread runs, and on a pipe for a peer's message in
+    /// an op it runs itself. The progress thread never polls: its polling
+    /// would take a core from the caller's compute.
+    poll: Duration,
+}
+
+struct DeskState {
+    /// `None` while a thread runs ops on it.
+    fabric: Option<Fabric>,
+    queue: VecDeque<Job>,
+    next_id: u64,
+    /// Callers blocked in a wait.
+    waiters: usize,
+    /// The progress thread is parked on the condvar.
+    progress_idle: bool,
+    /// The `Communicator` is gone: the progress thread drains the queue
+    /// and drops the fabric.
+    closed: bool,
+    /// A thread panicked holding the fabric: it is gone.
+    lost: bool,
+}
+
+/// Marks the desk's fabric lost if the thread holding it unwinds, so
+/// waiters get [`CommError::ProgressLost`] instead of blocking.
+struct Holding<'a>(&'a Desk);
+
+impl Drop for Holding<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().lost = true;
+            self.0.cv.notify_all();
+        }
+    }
+}
+
+/// Runs one op on `fabric`, recording one collective span byte-tagged
+/// with the traffic its execution produced (only the fabric's holder
+/// records sends, so timeline bytes reconcile with `TrafficStats` by
+/// construction) and its execution time. Each receive polls for `poll`
+/// before it parks.
+fn execute<R>(fabric: &mut Fabric, poll: Duration, kind: Option<CollectiveKind>, run: impl FnOnce(&mut Fabric) -> R) -> R {
+    fabric.poll = poll;
+    let Some(kind) = kind else { return run(fabric) };
+    let span = fabric.trace.begin_on(TRACK_PROGRESS, SpanCategory::Collective, kind.name());
+    let (bytes_before, t0) = (fabric.stats.bytes(kind), Instant::now());
+    let res = run(fabric);
+    fabric.stats.record_exec(kind, t0.elapsed());
+    fabric.trace.end_with_bytes(span, fabric.stats.bytes(kind) - bytes_before);
+    res
+}
+
+impl Desk {
+    pub(crate) fn new(rank: usize, fabric: Fabric, poll: Duration) -> Arc<Desk> {
+        let state = DeskState {
+            fabric: Some(fabric),
+            queue: VecDeque::new(),
+            next_id: 0,
+            waiters: 0,
+            progress_idle: false,
+            closed: false,
+            lost: false,
+        };
+        Arc::new(Desk { rank, state: Mutex::new(state), cv: Condvar::new(), finished: AtomicU64::new(0), poll })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, DeskState> {
+        lock_unpoisoned(&self.state)
+    }
+
+    /// Publishes op `id`'s result; returns the desk locked.
+    fn finish(&self, id: u64, slot: &Slot, res: OpResult) -> MutexGuard<'_, DeskState> {
+        let st = self.lock();
+        *lock_unpoisoned(slot) = Some(res);
+        self.finished.store(id + 1, Ordering::Release);
+        st
+    }
+
+    /// Queues `run`, waking an idle progress thread. Returns the op's id
+    /// and how many ops run before it.
+    pub(crate) fn submit(&self, kind: Option<CollectiveKind>, run: Body, slot: Slot) -> (u64, usize) {
+        let mut st = self.lock();
+        let id = st.next_id;
+        st.next_id += 1;
+        let ahead = st.queue.len() + usize::from(st.fabric.is_none());
+        st.queue.push_back(Job { id, kind, run, slot });
+        let wake = st.progress_idle;
+        drop(st);
+        if wake {
+            self.cv.notify_all();
+        }
+        (id, ahead)
+    }
+
+    /// Hands the fabric back, waking the progress thread when the kernel
+    /// says ops are left for it. Every notify here is sent after the lock
+    /// is dropped, so the woken thread does not wake only to block on it.
+    fn release(&self, mut st: MutexGuard<'_, DeskState>, fabric: Fabric) {
+        st.fabric = Some(fabric);
+        let wake = handoff::wake_on_release(st.queue.len(), st.closed);
+        drop(st);
+        if wake {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Waits until op `own` has a result in its slot, running it on this
+    /// thread — after every op queued before it — if the fabric is free
+    /// and nobody has started it (help-first). With `own` `None`, returns
+    /// the fabric once every op queued so far has run.
+    fn turn(&self, own: Option<(u64, &Slot)>, budget: Duration) -> Result<Option<Fabric>, CommError> {
+        let deadline = Instant::now() + budget;
+        let (mut st, mut polled) = (self.lock(), false);
+        loop {
+            if own.is_some_and(|(_, slot)| lock_unpoisoned(slot).is_some()) {
+                return Ok(None);
+            }
+            if st.lost {
+                return Err(CommError::ProgressLost { rank: self.rank });
+            }
+            let queued = own.is_none_or(|(id, _)| st.queue.iter().any(|j| j.id == id));
+            if handoff::helper_takes(st.fabric.is_some(), queued) {
+                let mut fabric = st.fabric.take().expect("the kernel takes a free fabric");
+                let _holding = Holding(self);
+                let last = own.map_or(u64::MAX, |(id, _)| id);
+                while st.queue.front().is_some_and(|j| handoff::helper_runs(j.id, last)) {
+                    let Job { id, kind, run, slot } = st.queue.pop_front().expect("checked non-empty");
+                    drop(st);
+                    let res = execute(&mut fabric, self.poll, kind, run);
+                    st = self.finish(id, &slot, res);
+                }
+                if own.is_none() {
+                    return Ok(Some(fabric));
+                }
+                self.release(st, fabric);
+                return Ok(None);
+            }
+            if let Some((id, _)) = own.filter(|_| !queued && !polled) {
+                // The progress thread runs the op and usually finishes
+                // within microseconds of its last message: poll first.
+                drop(st);
+                let until = Instant::now() + self.poll;
+                while self.finished.load(Ordering::Acquire) <= id && Instant::now() < until {
+                    std::thread::yield_now();
+                }
+                (st, polled) = (self.lock(), true);
+                continue;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(CommError::ProgressStalled { rank: self.rank, waited: budget });
+            }
+            st.waiters += 1;
+            st = match self.cv.wait_timeout(st, deadline - now) {
+                Ok((guard, _)) => guard,
+                Err(poisoned) => poisoned.into_inner().0,
+            };
+            st.waiters -= 1;
+        }
+    }
+
+    /// Runs `body` on this thread once every op queued so far has run
+    /// (running those nobody had started first): the blocking
+    /// collectives, whose borrowed buffers never leave the caller.
+    pub(crate) fn run_now<R>(
+        &self,
+        kind: Option<CollectiveKind>,
+        budget: Duration,
+        body: impl FnOnce(&mut Fabric) -> Result<R, CommError>,
+    ) -> Result<R, CommError> {
+        let mut fabric = self.turn(None, budget)?.expect("a turn without an op of its own ends holding the fabric");
+        let res = {
+            let _holding = Holding(self);
+            execute(&mut fabric, self.poll, kind, body)
+        };
+        self.release(self.lock(), fabric);
+        res
+    }
+
+    /// The `Communicator` is gone: the progress thread finishes what is
+    /// queued, then drops the fabric.
+    pub(crate) fn close(&self) {
+        self.lock().closed = true;
+        self.cv.notify_all();
+    }
+
+    /// The per-rank progress loop: runs queued ops back to back until the
+    /// desk closes and drains; then drops the fabric, so peers observe
+    /// `PeerLost`.
+    pub(crate) fn progress_loop(&self) {
+        // Waiters to wake for the op just finished: woken once the lock is
+        // next dropped, so the next op starts without a hand-off.
+        let (mut st, mut wake) = (self.lock(), false);
+        while !st.lost {
+            if handoff::progress_takes(st.fabric.is_some(), st.queue.len()) {
+                let Job { id, kind, run, slot } = st.queue.pop_front().expect("the kernel takes a queued op");
+                let mut fabric = st.fabric.take().expect("the kernel takes a free fabric");
+                drop(st);
+                if std::mem::take(&mut wake) {
+                    self.cv.notify_all();
+                }
+                let res = {
+                    let _holding = Holding(self);
+                    execute(&mut fabric, Duration::ZERO, kind, run)
+                };
+                st = self.finish(id, &slot, res);
+                st.fabric = Some(fabric);
+                wake = st.waiters > 0;
+            } else if st.closed && st.queue.is_empty() && st.fabric.is_some() {
+                let fabric = st.fabric.take();
+                drop((st, fabric));
+                return;
+            } else {
+                if std::mem::take(&mut wake) {
+                    self.cv.notify_all();
+                }
+                st.progress_idle = true;
+                st = match self.cv.wait(st) {
+                    Ok(guard) => guard,
+                    Err(poisoned) => poisoned.into_inner(),
+                };
+                st.progress_idle = false;
+            }
+        }
+    }
 }
 
 /// Handle to an in-flight communication op.
 ///
-/// Obtained from `start_reduce_scatter` / `start_all_gather` (or
-/// internally by every blocking collective). The op advances on the
-/// rank's progress thread regardless of what the holder does (over a
-/// group of one it is complete on return); [`PendingOp::wait`] blocks
-/// until the result (or the op's typed failure) arrives.
+/// Obtained from `start_reduce_scatter` / `start_all_gather` /
+/// `start_tier_move`. The op runs on the rank's progress thread while the
+/// holder computes, or on the holder's thread if it waits first (over a
+/// group of one it is complete on return); [`PendingOp::wait`] returns
+/// the buffer the op was given, filled, or the op's typed failure.
 ///
 /// Dropping the handle without waiting does **not** cancel the op — it
 /// still executes, keeping the rank's fabric schedule aligned with its
 /// SPMD peers; only the result is discarded.
 #[must_use = "an unwaited PendingOp discards its result and any error"]
 pub struct PendingOp {
-    pub(crate) rank: usize,
     pub(crate) kind: Option<CollectiveKind>,
-    pub(crate) done: Receiver<OpResult>,
+    pub(crate) slot: Slot,
+    /// The desk the op is queued on, and its id; `None` for a result
+    /// computed on the caller's thread.
+    pub(crate) queued: Option<(Arc<Desk>, u64)>,
     pub(crate) budget: Duration,
     pub(crate) stats: Arc<TrafficStats>,
     pub(crate) trace: Arc<TraceRecorder>,
 }
 
 impl PendingOp {
-    /// Blocks until the op completes, returning its result payload (shape
-    /// depends on the op — see the `start_*` that issued it) or its typed
-    /// failure.
+    /// Blocks until the op completes, returning its buffer (shape depends
+    /// on the op — see the `start_*` that issued it) or its typed failure.
+    /// If nobody has started the op, this thread runs it, after every op
+    /// issued before it that nobody has started either.
     ///
     /// The wait is bounded: the fabric bounds every op by its receive
     /// timeouts, and the budget covers the worst legal case for this op
-    /// plus everything queued ahead of it, so exceeding it surfaces as
-    /// [`CommError::ProgressStalled`] instead of blocking forever. Caller
-    /// blocked time is recorded per kind in
-    /// [`TrafficStats::timing`](crate::stats::TrafficStats::timing).
+    /// plus everything queued ahead of it, so a progress thread that holds
+    /// the fabric past it surfaces as [`CommError::ProgressStalled`]
+    /// instead of blocking forever. Caller blocked time is recorded per
+    /// kind in [`TrafficStats::timing`](crate::stats::TrafficStats::timing).
     pub fn wait(self) -> Result<Vec<f32>, CommError> {
-        let span = match self.kind {
-            Some(kind) => self.trace.begin(SpanCategory::Wait, kind.name()),
-            None => zero_trace::SpanId::NULL,
+        let span = match (self.kind, &self.queued) {
+            (Some(kind), Some(_)) => self.trace.begin(SpanCategory::Wait, kind.name()),
+            _ => zero_trace::SpanId::NULL,
         };
         let t0 = Instant::now();
-        let res = match self.done.recv_timeout(self.budget) {
-            Ok(r) => r,
-            Err(RecvTimeoutError::Timeout) => {
-                Err(CommError::ProgressStalled { rank: self.rank, waited: self.budget })
-            }
-            // The progress thread is gone: it dropped the job unfinished,
-            // or the job could not even be enqueued.
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(CommError::ProgressLost { rank: self.rank })
-            }
-        };
-        if let Some(kind) = self.kind {
+        let turn = self.queued.as_ref().map_or(Ok(None), |(desk, id)| desk.turn(Some((*id, &self.slot)), self.budget));
+        let res = turn.and_then(|_| lock_unpoisoned(&self.slot).take().expect("a finished op left its result"));
+        if let (Some(kind), Some(_)) = (self.kind, &self.queued) {
             self.stats.record_wait(kind, t0.elapsed());
         }
         self.trace.end(span);
@@ -121,52 +366,10 @@ impl PendingOp {
     }
 }
 
-/// The per-rank progress loop: drains the FIFO job queue against the
-/// rank's fabric until every `Communicator`/`PendingOp` sender is gone.
-pub(crate) fn progress_loop(mut fabric: Fabric, jobs: Receiver<Job>, queued: Arc<AtomicUsize>) {
-    loop {
-        match jobs.recv_timeout(PROGRESS_TICK) {
-            Ok(Job { kind, run, done }) => {
-                // One collective span per executed op, byte-tagged with the
-                // traffic-counter delta its execution produced: only this
-                // thread records sends on this fabric, so the delta is
-                // exactly the op's own volume and timeline byte sums
-                // reconcile with `TrafficStats` by construction. The span
-                // is recorded before the completion send so a waiter that
-                // returns is guaranteed to see it in the timeline.
-                let (span, bytes_before) = match kind {
-                    Some(kind) => (
-                        fabric.trace.begin_on(
-                            TRACK_PROGRESS,
-                            SpanCategory::Collective,
-                            kind.name(),
-                        ),
-                        fabric.stats.bytes(kind),
-                    ),
-                    None => (zero_trace::SpanId::NULL, 0),
-                };
-                let t0 = Instant::now();
-                let res = run(&mut fabric);
-                if let Some(kind) = kind {
-                    fabric.stats.record_exec(kind, t0.elapsed());
-                    fabric.trace.end_with_bytes(span, fabric.stats.bytes(kind) - bytes_before);
-                }
-                queued.fetch_sub(1, Ordering::SeqCst);
-                // The waiter may have dropped its handle; the op already
-                // ran (keeping the SPMD schedule aligned), so a missing
-                // listener is not an error.
-                let _ = done.send(res);
-            }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    // `fabric` drops here: endpoints close and peers observe `PeerLost`.
-}
-
 #[cfg(test)]
 mod tests {
     use crate::collectives::chunk_range;
+    use crate::collectives::tests::placed;
     use crate::error::CommError;
     use crate::fault::FaultPlan;
     use crate::group::Group;
@@ -198,7 +401,7 @@ mod tests {
             let counts: Vec<usize> = (0..n).map(|i| chunk_range(len, n, i).len()).collect();
             let raw = WireFmt::Raw;
             let pending =
-                c.start_reduce_scatter(&g, &input, ReduceOp::Sum, &counts, Precision::Fp32, raw);
+                c.start_reduce_scatter(&g, input, ReduceOp::Sum, &counts, Precision::Fp32, raw);
             // "Compute" while the ring runs on the progress thread.
             let local: f32 = (0..1000).map(|x| (x as f32).sqrt()).sum();
             let chunk = pending.wait().unwrap();
@@ -226,8 +429,8 @@ mod tests {
                 let shard: Vec<f32> = chunk_range(len, n, c.rank())
                     .map(|i| (i * 10 + round) as f32)
                     .collect();
-                let raw = WireFmt::Raw;
-                pendings.push(c.start_all_gather(&g, &shard, &counts, Precision::Fp32, raw));
+                let (buf, raw) = (placed(&counts, c.rank(), &shard), WireFmt::Raw);
+                pendings.push(c.start_all_gather(&g, buf, &counts, Precision::Fp32, raw));
             }
             pendings.into_iter().map(|p| p.wait().unwrap()).collect::<Vec<_>>()
         });
@@ -258,7 +461,7 @@ mod tests {
             let counts: Vec<usize> = (0..n).map(|i| chunk_range(len, n, i).len()).collect();
             let raw = WireFmt::Raw;
             let pending =
-                c.start_reduce_scatter(&g, &input, ReduceOp::Sum, &counts, Precision::Fp32, raw);
+                c.start_reduce_scatter(&g, input, ReduceOp::Sum, &counts, Precision::Fp32, raw);
             pending.wait().map(|_| ())
         });
         assert_eq!(
@@ -284,7 +487,7 @@ mod tests {
             let input = vec![(c.rank() + 1) as f32; 4];
             let counts: Vec<usize> = (0..n).map(|i| chunk_range(4, n, i).len()).collect();
             let raw = WireFmt::Raw;
-            drop(c.start_reduce_scatter(&g, &input, ReduceOp::Sum, &counts, Precision::Fp32, raw));
+            drop(c.start_reduce_scatter(&g, input, ReduceOp::Sum, &counts, Precision::Fp32, raw));
             let mut buf = vec![c.rank() as f32; 2];
             c.all_reduce_in(&g, &mut buf, ReduceOp::Sum, Precision::Fp32).unwrap();
             buf[0]
@@ -304,12 +507,12 @@ mod tests {
         let out = try_launch_with_config(n, config, move |mut c| {
             let (world, alone) = (Group::world(n), Group::new(vec![c.rank()]));
             let (p, raw) = (Precision::Fp32, WireFmt::Raw);
-            let queued = c.start_all_gather(&world, &[c.rank() as f32], &[1, 1], p, raw);
+            let queued = c.start_all_gather(&world, placed(&[1, 1], c.rank(), &[c.rank() as f32]), &[1, 1], p, raw);
             let t0 = Instant::now();
             let mut buf = [1.5_f32, -2.0];
             c.all_reduce_in(&alone, &mut buf, ReduceOp::Mean, p).unwrap();
-            let rs = c.start_reduce_scatter(&alone, &buf, ReduceOp::Sum, &[2], p, raw).wait().unwrap();
-            let ag = c.start_all_gather(&alone, &rs, &[2], p, raw).wait().unwrap();
+            let rs = c.start_reduce_scatter(&alone, buf.to_vec(), ReduceOp::Sum, &[2], p, raw).wait().unwrap();
+            let ag = c.start_all_gather(&alone, rs, &[2], p, raw).wait().unwrap();
             let local = t0.elapsed();
             let gathered = queued.wait().unwrap();
             let timeline = c.trace().timeline();
@@ -337,9 +540,9 @@ mod tests {
             let mut buf = [1.0_f32; 3];
             let p = Precision::Fp32;
             let ar = c.all_reduce_in(&g, &mut buf, ReduceOp::Sum, p);
-            let rs = c.start_reduce_scatter(&g, &buf, ReduceOp::Sum, &[3], p, WireFmt::Raw).wait();
+            let rs = c.start_reduce_scatter(&g, buf.to_vec(), ReduceOp::Sum, &[3], p, WireFmt::Raw).wait();
             let qwz = WireFmt::Int8Block { block: 4 };
-            let ag = c.start_all_gather(&g, &buf, &[3], p, qwz).wait().map(drop);
+            let ag = c.start_all_gather(&g, buf.to_vec(), &[3], p, qwz).wait().map(drop);
             (other, [ar, rs.map(drop), ag], c.stats().timing().total_exec_nanos())
         });
         for (rank, (other, errs, exec)) in out.into_iter().enumerate() {
@@ -363,7 +566,8 @@ mod tests {
             let g = Group::world(n);
             let counts: Vec<usize> = (0..n).map(|i| chunk_range(len, n, i).len()).collect();
             let shard: Vec<f32> = chunk_range(len, n, c.rank()).map(|i| i as f32).collect();
-            let pending = c.start_all_gather(&g, &shard, &counts, Precision::Fp32, WireFmt::Raw);
+            let buf = placed(&counts, c.rank(), &shard);
+            let pending = c.start_all_gather(&g, buf, &counts, Precision::Fp32, WireFmt::Raw);
             // Sleep past the single ring send: by wait() time the result is in.
             std::thread::sleep(lat * 3);
             pending.wait().map(|out| {

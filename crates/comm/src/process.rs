@@ -43,10 +43,11 @@ use std::time::{Duration, Instant};
 
 use zero_trace::TraceRecorder;
 
+use crate::crc::crc32_f32s;
 use crate::error::CommError;
 use crate::fault::FaultPlan;
 use crate::stats::TrafficStats;
-use crate::transport::{lock_unpoisoned, Msg, ShutdownLatch, Transport};
+use crate::transport::{deliver, lock_unpoisoned, Delivery, Flip, ShutdownLatch, Transport};
 use crate::wire::{self, Frame};
 use crate::world::{Communicator, WorldConfig};
 
@@ -206,8 +207,9 @@ impl PeerHealth {
 struct PeerLink {
     /// Write half, shared with the heartbeat thread.
     writer: Arc<Mutex<UnixStream>>,
-    /// Data frames, forwarded by the reader thread.
-    data_rx: Receiver<Msg>,
+    /// Data frames — sequence number, payload CRC, payload — forwarded by
+    /// the reader thread.
+    data_rx: Receiver<(u64, u32, Vec<f32>)>,
     health: Arc<PeerHealth>,
 }
 
@@ -387,12 +389,20 @@ impl SocketTransport {
 }
 
 impl Transport for SocketTransport {
-    fn send_msg(&mut self, dst: usize, msg: Msg) -> Result<(), CommError> {
-        let frame = wire::encode_data(msg.seq, msg.crc, &msg.data);
+    fn send_msg(&mut self, dst: usize, seq: u64, data: &[f32], flip: Option<Flip>) -> Result<(), CommError> {
+        let crc = crc32_f32s(data);
+        let frame = match flip {
+            None => wire::encode_data(seq, crc, data),
+            Some((elem, bit)) => {
+                let mut damaged = data.to_vec();
+                damaged[elem] = f32::from_bits(damaged[elem].to_bits() ^ (1 << bit));
+                wire::encode_data(seq, crc, &damaged)
+            }
+        };
         self.write_frame(dst, &frame)
     }
 
-    fn recv_msg(&mut self, src: usize, timeout: Duration) -> Result<Msg, CommError> {
+    fn recv_msg(&mut self, src: usize, out: &mut [f32], timeout: Duration, _poll: Duration) -> Result<Delivery, CommError> {
         let deadline = Instant::now() + timeout;
         let link = self.link(src)?;
         loop {
@@ -406,7 +416,7 @@ impl Transport for SocketTransport {
             }
             let tick = RECV_TICK.min(deadline - now);
             match link.data_rx.recv_timeout(tick) {
-                Ok(msg) => return Ok(msg),
+                Ok((seq, declared_crc, payload)) => return Ok(deliver(seq, declared_crc, &payload, out)),
                 Err(RecvTimeoutError::Disconnected) => {
                     return Err(CommError::PeerLost {
                         rank: self.rank,
@@ -577,7 +587,7 @@ fn read_hello(stream: &UnixStream, deadline: Instant) -> Option<((u32, u32, u64)
 fn reader_loop(
     mut stream: UnixStream,
     residue: Vec<u8>,
-    data_tx: Sender<Msg>,
+    data_tx: Sender<(u64, u32, Vec<f32>)>,
     health: Arc<PeerHealth>,
     stop: Arc<AtomicBool>,
     epoch: Instant,
@@ -592,17 +602,9 @@ fn reader_loop(
                     acc.drain(..used);
                     health.touch(epoch);
                     let delivered = match frame {
-                        Frame::Data {
-                            seq,
-                            payload_crc,
-                            payload,
-                        } => data_tx
-                            .send(Msg {
-                                seq,
-                                crc: payload_crc,
-                                data: payload,
-                            })
-                            .is_ok(),
+                        Frame::Data { seq, payload_crc, payload } => {
+                            data_tx.send((seq, payload_crc, payload)).is_ok()
+                        }
                         Frame::Heartbeat => true,
                         // A Hello after the handshake is a protocol
                         // violation; treat the link as gone.

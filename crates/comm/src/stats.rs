@@ -47,7 +47,7 @@ pub const ALL_KINDS: [CollectiveKind; KIND_COUNT] = [
 /// Thread-safe per-rank traffic counters.
 ///
 /// Shared between the rank's `Communicator` handle (caller-side writer),
-/// its progress thread (fabric-side writer), and the launching code
+/// whichever thread holds its fabric (fabric-side writer), and the launching code
 /// (reader, usable while the ranks run and after they join). All counters
 /// are relaxed atomics: each is an independent monotonic sum, so no
 /// ordering between counters is ever relied on.
@@ -59,8 +59,9 @@ pub struct TrafficStats {
     /// kind. Under full overlap this approaches zero while `exec_nanos`
     /// stays constant — the gap is exactly the hidden communication.
     wait_nanos: [AtomicU64; KIND_COUNT],
-    /// Nanoseconds the progress thread spent *executing* ops per kind
-    /// (in-flight time), whether or not anyone was blocked on them.
+    /// Nanoseconds spent *executing* ops per kind (in-flight time), on the
+    /// progress thread or a helping caller, whether or not anyone was
+    /// blocked on them.
     exec_nanos: [AtomicU64; KIND_COUNT],
 }
 
@@ -186,8 +187,8 @@ impl TrafficSnapshot {
 
 /// An immutable copy of a rank's per-kind timing counters: how long the
 /// caller was *blocked* on each collective kind (`wait`) vs. how long the
-/// progress thread spent *executing* it (`exec`). `exec − wait` per kind is
-/// the communication time hidden behind computation by overlap.
+/// fabric spent *executing* it (`exec`). `exec − wait` per kind is the
+/// communication time hidden behind computation by overlap.
 ///
 /// Deliberately not part of [`TrafficSnapshot`]: timing is wall-clock and
 /// nondeterministic, while byte/message counts are exact and compared with

@@ -1,70 +1,105 @@
 //! Pluggable rank-to-rank transport: the [`Transport`] trait and the
-//! in-process channel backend.
+//! in-process pipe backend.
 //!
 //! The [`Fabric`](crate::world::Fabric) owns everything that makes the
-//! communicator *correct* — per-pair sequence numbers, payload CRCs, fault
-//! injection, traffic accounting, spans — and delegates the actual byte
-//! movement to a boxed `Transport`. Two backends implement it:
+//! communicator *correct* — per-pair sequence numbers, the checksum
+//! verdict, fault injection, traffic accounting, spans — and delegates
+//! the byte movement to a boxed `Transport`. A transport moves a slice
+//! into a slice: it sends from the caller's `&[f32]` and receives into the
+//! caller's `&mut [f32]`, and it folds the payload CRC into the pass that
+//! moves the bytes, so the fabric never makes a second pass to checksum.
+//! Two backends implement it:
 //!
-//! * [`ChannelTransport`] (here): ranks are threads in one process and a
-//!   message hop is an `mpsc` send. The fast path for tests and the
+//! * [`ChannelTransport`] (here): ranks are threads in one process and
+//!   each ordered rank pair is a [`Pipe`]. The sender copies its slice
+//!   into a message buffer the pipe recycles, checksumming each block as
+//!   it copies; the receiver copies the buffer into its destination,
+//!   checksumming again, and hands the emptied buffer back. A warm pipe
+//!   moves bytes without allocating. The fast path for tests and the
 //!   default for `launch`/`World`.
 //! * [`SocketTransport`](crate::process::SocketTransport): ranks are
 //!   separate OS processes and a hop is a CRC-framed write on a Unix
 //!   domain socket — the backend that makes `kill -9` a real experiment
 //!   rather than a simulation.
 //!
-//! Both backends speak in whole [`Msg`]s and surface failures as the same
-//! typed [`CommError`]s, so the ring collectives, the fault matrix, and
-//! the volume accounting built above the fabric are backend-agnostic.
+//! Both backends carry the sender's checksum beside the payload and
+//! surface failures as the same typed [`CommError`]s, so the ring
+//! collectives, the fault matrix, and the volume accounting built above
+//! the fabric are backend-agnostic.
 
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use crate::crc::crc32_f32s_through;
 use crate::error::CommError;
 use crate::protocol::latch;
 
-/// A message between two ranks: an opaque f32 payload, a per-channel
-/// sequence number used to detect mismatched collective schedules, and a
-/// payload checksum used to detect in-flight corruption.
-///
-/// The checksum is computed by the *sender's* fabric before any injected
-/// corruption is applied and verified by the *receiver's* fabric, so it
-/// must travel with the payload on every backend (in-process it rides the
-/// struct; on the socket backend it is a field of the `Data` frame).
-pub struct Msg {
+/// A single-bit fault the fault plan injects into one message: element
+/// index and bit. The transport flips it in the bytes it moves *after*
+/// checksumming them, so the damage is invisible to the sender, exactly
+/// like a flip on a real wire.
+pub type Flip = (usize, u32);
+
+/// What a receive reports beside the bytes it wrote: the fabric checks
+/// the sequence number against the schedule and the two checksums
+/// against each other.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Delivery {
     /// Position in the sender→receiver FIFO (per ordered pair).
     pub seq: u64,
-    /// CRC-32 of `data` as the sender intended it.
-    pub crc: u32,
-    /// The payload.
-    pub data: Vec<f32>,
+    /// CRC-32 of the payload as the sender intended it.
+    pub declared_crc: u32,
+    /// CRC-32 of the payload as it arrived.
+    pub actual_crc: u32,
+    /// The payload's length in floats. The payload was written to the
+    /// destination only if this is the destination's length.
+    pub len: usize,
 }
 
 /// One rank's view of the byte-moving layer under the fabric.
 ///
-/// Implementations move whole [`Msg`]s between ranks; they do not
-/// interpret payloads, count traffic, or inject faults — that is the
-/// fabric's job. Every blocking entry point is deadline-bounded and
-/// returns typed [`CommError`]s; none may panic on peer failure.
+/// Implementations move payloads between ranks and checksum them on the
+/// way; they do not interpret payloads, count traffic, or decide faults —
+/// that is the fabric's job. Every blocking entry point is
+/// deadline-bounded and returns typed [`CommError`]s; none may panic on
+/// peer failure.
 pub trait Transport: Send {
-    /// Delivers `msg` to `dst`'s incoming queue for this rank.
-    fn send_msg(&mut self, dst: usize, msg: Msg) -> Result<(), CommError>;
+    /// Delivers `data` to `dst` as the pair's message `seq`, with the CRC
+    /// of `data` computed in the same pass, then `flip` applied to the
+    /// bytes in flight.
+    fn send_msg(&mut self, dst: usize, seq: u64, data: &[f32], flip: Option<Flip>) -> Result<(), CommError>;
 
-    /// Next message from `src`, waiting at most `timeout`. A peer that is
-    /// provably gone surfaces as [`CommError::PeerLost`]; one that is
-    /// merely silent surfaces as [`CommError::Timeout`] after the full
-    /// wait.
-    fn recv_msg(&mut self, src: usize, timeout: Duration) -> Result<Msg, CommError>;
+    /// Writes the next message from `src` into `out`, waiting at most
+    /// `timeout`, the first `poll` of it by polling rather than parking. A
+    /// peer that is provably gone surfaces as [`CommError::PeerLost`]; one
+    /// that is merely silent surfaces as [`CommError::Timeout`] after the
+    /// full wait. A message of another length than `out` is reported,
+    /// not written: the fabric decides what the mismatch means.
+    fn recv_msg(&mut self, src: usize, out: &mut [f32], timeout: Duration, poll: Duration) -> Result<Delivery, CommError>;
 
-    /// Parks the calling (progress) thread until `deadline`, returning
-    /// early — with `true` — once the transport can prove no peer is
-    /// still waiting on this rank (their endpoints are gone). Used by the
-    /// `Hang` fault: the stall must outlive every peer's receive timeout,
-    /// but holding the thread hostage after the last peer has shut down
-    /// buys nothing, so the world's shutdown path can cancel it.
+    /// Parks the calling thread until `deadline`, returning early — with
+    /// `true` — once the transport can prove no peer is still waiting on
+    /// this rank (their endpoints are gone). Used by the `Hang` fault: the
+    /// stall must outlive every peer's receive timeout, but holding the
+    /// thread hostage after the last peer has shut down buys nothing, so
+    /// the world's shutdown path can cancel it.
     fn wait_shutdown(&mut self, deadline: Instant) -> bool;
+}
+
+/// Copies message `seq` with checksum `declared_crc` into `out`,
+/// checksumming it on the way, if it fits exactly.
+pub(crate) fn deliver(seq: u64, declared_crc: u32, payload: &[f32], out: &mut [f32]) -> Delivery {
+    let (mut at, len) = (0, payload.len());
+    let actual_crc = match len == out.len() {
+        true => crc32_f32s_through(payload, |block| {
+            out[at..at + block.len()].copy_from_slice(block);
+            at += block.len();
+        }),
+        false => 0,
+    };
+    Delivery { seq, declared_crc, actual_crc, len }
 }
 
 /// Recovers a mutex guard even if a holder panicked: the latch state
@@ -121,44 +156,160 @@ impl ShutdownLatch {
     }
 }
 
-/// The in-process backend: one `mpsc` FIFO per ordered rank pair and the
-/// world's [`ShutdownLatch`] for cancellable hang waits. This is exactly
-/// the fabric the crate has always had, now behind the trait.
+/// One message in a [`Pipe`]: its sequence number, the sender's CRC and
+/// the payload in a buffer the pipe recycles.
+struct Parcel {
+    seq: u64,
+    crc: u32,
+    data: Vec<f32>,
+}
+
+/// One ordered rank pair's FIFO of messages, plus the buffers the
+/// receiver has emptied, which the sender refills: after the first few
+/// messages a pipe moves bytes without allocating. Either end dropping
+/// closes it, as a dropped channel endpoint would.
+#[derive(Default)]
+pub(crate) struct Pipe {
+    state: Mutex<PipeState>,
+    ready: Condvar,
+    /// Messages in `state.queue`, readable without the lock.
+    queued: AtomicUsize,
+}
+
+#[derive(Default)]
+struct PipeState {
+    queue: VecDeque<Parcel>,
+    spare: Vec<Vec<f32>>,
+    sender_gone: bool,
+    receiver_gone: bool,
+    /// The receiver is parked on `ready`: only then does a send notify.
+    parked: bool,
+    /// The longest message sent so far, in floats.
+    widest: usize,
+    /// Buffers made so far.
+    made: usize,
+}
+
+impl PipeState {
+    /// An emptied buffer that holds `len` floats without growing. Every
+    /// buffer is kept as wide as the widest message the pipe has carried,
+    /// and the first send makes two — a ring step's message can be sent
+    /// before the peer has emptied the step before's — so buffers are
+    /// made and grown only while the pipe warms up.
+    fn spare_for(&mut self, len: usize) -> Vec<f32> {
+        if len > self.widest {
+            self.widest = len;
+            for b in &mut self.spare {
+                b.clear();
+                b.reserve(len);
+            }
+        }
+        if self.spare.is_empty() {
+            let fresh = if self.made == 0 { 2 } else { 1 };
+            self.spare.extend((0..fresh).map(|_| Vec::with_capacity(self.widest)));
+            self.made += fresh;
+        }
+        let mut buf = self.spare.pop().unwrap_or_default();
+        buf.clear();
+        buf.reserve(self.widest);
+        buf
+    }
+}
+
+/// The in-process backend: a [`Pipe`] per ordered rank pair and the
+/// world's [`ShutdownLatch`] for cancellable hang waits.
 pub(crate) struct ChannelTransport {
     rank: usize,
-    to_peer: Vec<Sender<Msg>>,
-    from_peer: Vec<Receiver<Msg>>,
+    /// `to_peer[dst]` carries this rank's messages to `dst`.
+    to_peer: Vec<Arc<Pipe>>,
+    /// `from_peer[src]` carries `src`'s messages to this rank.
+    from_peer: Vec<Arc<Pipe>>,
     latch: Arc<ShutdownLatch>,
 }
 
 impl ChannelTransport {
     pub(crate) fn new(
         rank: usize,
-        to_peer: Vec<Sender<Msg>>,
-        from_peer: Vec<Receiver<Msg>>,
+        to_peer: Vec<Arc<Pipe>>,
+        from_peer: Vec<Arc<Pipe>>,
         latch: Arc<ShutdownLatch>,
     ) -> ChannelTransport {
         ChannelTransport { rank, to_peer, from_peer, latch }
     }
 }
 
-impl Transport for ChannelTransport {
-    fn send_msg(&mut self, dst: usize, msg: Msg) -> Result<(), CommError> {
-        self.to_peer[dst]
-            .send(msg)
-            .map_err(|_| CommError::PeerLost { rank: self.rank, peer: dst })
-    }
-
-    fn recv_msg(&mut self, src: usize, timeout: Duration) -> Result<Msg, CommError> {
-        match self.from_peer[src].recv_timeout(timeout) {
-            Ok(msg) => Ok(msg),
-            Err(RecvTimeoutError::Timeout) => {
-                Err(CommError::Timeout { rank: self.rank, peer: src, waited: timeout })
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(CommError::PeerLost { rank: self.rank, peer: src })
+impl Drop for ChannelTransport {
+    /// Closes every pipe this rank is an end of: peers blocked on it wake
+    /// and observe `PeerLost` (after draining what was already sent).
+    fn drop(&mut self) {
+        for (pipes, sender) in [(&self.to_peer, true), (&self.from_peer, false)] {
+            for pipe in pipes {
+                let mut st = lock_unpoisoned(&pipe.state);
+                if sender { st.sender_gone = true } else { st.receiver_gone = true }
+                pipe.ready.notify_all();
             }
         }
+    }
+}
+
+impl Transport for ChannelTransport {
+    fn send_msg(&mut self, dst: usize, seq: u64, data: &[f32], flip: Option<Flip>) -> Result<(), CommError> {
+        let pipe = &self.to_peer[dst];
+        let lost = CommError::PeerLost { rank: self.rank, peer: dst };
+        let mut buf = {
+            let mut st = lock_unpoisoned(&pipe.state);
+            if st.receiver_gone {
+                return Err(lost);
+            }
+            st.spare_for(data.len())
+        };
+        let crc = crc32_f32s_through(data, |block| buf.extend_from_slice(block));
+        if let Some((elem, bit)) = flip {
+            buf[elem] = f32::from_bits(buf[elem].to_bits() ^ (1 << bit));
+        }
+        let mut st = lock_unpoisoned(&pipe.state);
+        if st.receiver_gone {
+            return Err(lost);
+        }
+        st.queue.push_back(Parcel { seq, crc, data: buf });
+        pipe.queued.fetch_add(1, Ordering::Release);
+        if st.parked {
+            pipe.ready.notify_one();
+        }
+        Ok(())
+    }
+
+    fn recv_msg(&mut self, src: usize, out: &mut [f32], timeout: Duration, poll: Duration) -> Result<Delivery, CommError> {
+        let pipe = &self.from_peer[src];
+        let start = Instant::now();
+        let deadline = start + timeout;
+        while pipe.queued.load(Ordering::Acquire) == 0 && start.elapsed() < poll {
+            std::thread::yield_now();
+        }
+        let mut st = lock_unpoisoned(&pipe.state);
+        let parcel = loop {
+            if let Some(parcel) = st.queue.pop_front() {
+                pipe.queued.fetch_sub(1, Ordering::Relaxed);
+                break parcel;
+            }
+            if st.sender_gone {
+                return Err(CommError::PeerLost { rank: self.rank, peer: src });
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(CommError::Timeout { rank: self.rank, peer: src, waited: timeout });
+            }
+            st.parked = true;
+            st = match pipe.ready.wait_timeout(st, deadline - now) {
+                Ok((guard, _)) => guard,
+                Err(poisoned) => poisoned.into_inner().0,
+            };
+            st.parked = false;
+        };
+        drop(st);
+        let got = deliver(parcel.seq, parcel.crc, &parcel.data, out);
+        lock_unpoisoned(&pipe.state).spare.push(parcel.data);
+        Ok(got)
     }
 
     fn wait_shutdown(&mut self, deadline: Instant) -> bool {

@@ -56,7 +56,7 @@ pub enum Frame {
         /// Per-run nonce; both sides must agree.
         token: u64,
     },
-    /// One fabric message (the socket form of [`crate::transport::Msg`]).
+    /// One fabric message, as [`crate::Transport::send_msg`] delivers it.
     Data {
         /// Per-pair FIFO sequence number.
         seq: u64,

@@ -3,53 +3,51 @@
 //! A rank in the paper is one GPU process talking NCCL over NVLink/IB.
 //! Here a rank is one OS thread by default, and the fabric moves messages
 //! through a pluggable [`Transport`]: the in-process backend is a matrix
-//! of `std::sync::mpsc` channels — one FIFO per ordered rank pair — while
-//! the process backend (`crate::process`) runs each rank as a separate OS
-//! process over Unix domain sockets. Because every rank issues the same
-//! sequence of collectives (SPMD), per-pair FIFO ordering plus a
-//! sequence-number check is sufficient to match sends to receives on
-//! either backend.
+//! of pipes — one FIFO per ordered rank pair — while the process backend
+//! (`crate::process`) runs each rank as a separate OS process over Unix
+//! domain sockets. Because every rank issues the same sequence of
+//! collectives (SPMD), per-pair FIFO ordering plus a sequence-number check
+//! is sufficient to match sends to receives on either backend.
 //!
 //! Failure semantics: every receive is bounded by a configurable timeout and
 //! every payload carries a CRC, so a dead peer, a hung peer, or a damaged
 //! message surfaces as a typed [`CommError`] on the observing rank instead
-//! of a deadlock or an abort. Faults can be injected deterministically via
-//! [`FaultPlan`] to exercise those paths.
+//! of a deadlock or an abort. The transport computes the CRC in the pass
+//! that moves the bytes — the sender's as it copies the payload out, the
+//! receiver's as it copies it into the destination — and the fabric
+//! compares the two (`Fabric::send_raw`/`Fabric::recv_raw`). Faults can be
+//! injected deterministically via [`FaultPlan`] to exercise those paths;
+//! an injected bit flip lands after the sender's checksum.
 //!
-//! Execution model (overlap-centric): the channel endpoints, sequence
-//! numbers, CRC checks, and fault state live in a private [`Fabric`] owned
-//! by a dedicated *progress thread* per rank. The public [`Communicator`]
-//! is a thin handle that enqueues closures over the fabric onto the
-//! progress thread's FIFO (`Communicator::submit`) and receives results
-//! through [`PendingOp`] completion channels —
-//! `start_*` returns the handle immediately (the op advances on the
-//! progress thread), while the classic blocking collectives submit and
-//! `wait()` in one call. Because the queue is FIFO and every op goes
-//! through it, the fabric executes ops in exactly the order the rank
-//! issued them — the same order the synchronous engine used — so the SPMD
-//! deadlock-freedom and fault-trigger (`the Nth op on rank R`) coordinates
-//! are unchanged.
+//! Execution model (overlap-centric): the transport, sequence numbers and
+//! fault state live in a private [`Fabric`] that one thread at a time
+//! holds. The public [`Communicator`] is a thin handle that queues
+//! closures over the fabric in issue order (`Communicator::submit`) and
+//! returns [`PendingOp`]s; a per-rank *progress thread* runs queued ops
+//! while the caller computes, and a caller that waits on an op nobody has
+//! started runs it itself (see `crate::nonblocking`). Whoever holds the
+//! fabric runs the queue front to back, so the fabric executes ops in
+//! exactly the order the rank issued them — the same order the
+//! synchronous engine used — and the SPMD deadlock-freedom and
+//! fault-trigger (`the Nth op on rank R`) coordinates are unchanged.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::crc::crc32_f32s;
 use crate::error::CommError;
 use crate::fault::{FaultKind, FaultPlan, FaultState};
-use crate::nonblocking::{progress_loop, Job, OpResult, PendingOp};
+use crate::nonblocking::{Desk, OpResult, PendingOp, Slot};
 use crate::stats::{CollectiveKind, TrafficStats};
-use crate::transport::{ChannelTransport, Msg, ShutdownLatch, Transport};
+use crate::transport::{ChannelTransport, Pipe, ShutdownLatch, Transport};
 use zero_trace::{SpanCategory, TraceRecorder, TRACK_PROGRESS};
 
 /// Modeled two-tier interconnect: fast links within a node (NVLink), a
 /// slow shared link between nodes (IB/Ethernet). Nodes are contiguous
 /// blocks of `node_size` global ranks, matching
 /// [`NodeTopology`](crate::hierarchical::NodeTopology). Costs are charged per message on
-/// the *sender's* progress thread — latency plus logical bytes over
-/// bandwidth — so compressed payloads (fewer logical bytes) genuinely
-/// serialize faster and async ops can hide the cost. The fabric's one link
+/// the sending thread — latency plus logical bytes over bandwidth — so
+/// compressed payloads (fewer logical bytes) genuinely serialize faster
+/// and ops run by the progress thread can hide the cost. The fabric's one link
 /// model; a flat network is `node_size: 1` (only `inter_*` is read).
 #[derive(Clone, Copy, Debug)]
 pub struct TieredLink {
@@ -97,11 +95,19 @@ pub struct WorldConfig {
     pub recv_timeout: Duration,
     /// Deterministic fault script (empty by default).
     pub faults: FaultPlan,
-    /// The modeled interconnect, charged per message on the sender's
-    /// progress thread where asynchronous ops can hide it (§7). `None`
+    /// The modeled interconnect, charged per message on the thread that
+    /// runs the op, which for an op issued ahead is the progress thread,
+    /// where compute hides it (§7). `None`
     /// (the default, and every test's) makes messages free.
     pub tiered_link: Option<TieredLink>,
+    /// Observer of every payload the fabric sends, with its op kind and
+    /// accounted bytes, before any injected fault: how a test reads what
+    /// crosses the wire. `None` (the default) observes nothing.
+    pub tap: Option<WireTap>,
 }
+
+/// See [`WorldConfig::tap`].
+pub type WireTap = fn(CollectiveKind, u64, &[f32]);
 
 impl Default for WorldConfig {
     fn default() -> WorldConfig {
@@ -109,6 +115,7 @@ impl Default for WorldConfig {
             recv_timeout: Duration::from_secs(30),
             faults: FaultPlan::new(),
             tiered_link: None,
+            tap: None,
         }
     }
 }
@@ -145,29 +152,18 @@ impl World {
     /// Panics if `n == 0` or `config.tiered_link` cannot price a message.
     pub fn with_config(n: usize, config: WorldConfig) -> World {
         assert!(n > 0, "world size must be positive");
-        // Grow the endpoint matrix directly in its final per-rank shape:
-        // outboxes[src][dst] pairs with inboxes[dst][src], no Option
-        // juggling and nothing to unwrap.
-        let mut outboxes: Vec<Vec<Sender<Msg>>> =
-            (0..n).map(|_| Vec::with_capacity(n)).collect();
-        let mut inboxes: Vec<Vec<Receiver<Msg>>> = Vec::with_capacity(n);
-        for _dst in 0..n {
-            let mut dst_row = Vec::with_capacity(n);
-            for src_out in outboxes.iter_mut() {
-                let (tx, rx) = channel();
-                src_out.push(tx);
-                dst_row.push(rx);
-            }
-            inboxes.push(dst_row);
-        }
+        // pipes[src][dst] carries src's messages to dst.
+        let pipes: Vec<Vec<Arc<Pipe>>> =
+            (0..n).map(|_| (0..n).map(|_| Arc::default()).collect()).collect();
         let latch = ShutdownLatch::new(n);
         // One span recorder per rank, all sharing one epoch so per-rank
         // timestamps are comparable in a merged Chrome trace.
         let epoch = Instant::now();
 
         let mut comms = Vec::with_capacity(n);
-        for (rank, (tx_row, rx_row)) in outboxes.into_iter().zip(inboxes).enumerate() {
-            let link = ChannelTransport::new(rank, tx_row, rx_row, latch.clone());
+        for rank in 0..n {
+            let from_peer = pipes.iter().map(|row| row[rank].clone()).collect();
+            let link = ChannelTransport::new(rank, pipes[rank].clone(), from_peer, latch.clone());
             comms.push(Some(Communicator::spawn(
                 rank,
                 n,
@@ -200,8 +196,8 @@ impl World {
 /// One rank's logical endpoint: per-pair sequence numbers, CRC checks,
 /// fault state, and traffic accounting over a pluggable [`Transport`]
 /// that does the actual byte moving. Ring collectives are built on top in
-/// `collectives.rs`. Owned exclusively by the rank's progress thread; the
-/// public [`Communicator`] never touches it directly.
+/// `collectives.rs`. Held by one thread at a time — the rank's progress
+/// thread, or a caller running its own op — through the rank's `Desk`.
 pub(crate) struct Fabric {
     pub(crate) rank: usize,
     pub(crate) world: usize,
@@ -212,9 +208,24 @@ pub(crate) struct Fabric {
     pub(crate) trace: Arc<TraceRecorder>,
     recv_timeout: Duration,
     tiered_link: Option<TieredLink>,
+    tap: Option<WireTap>,
     fault: FaultState,
     dead: bool,
+    /// Receive buffer of the reduce phase, grown on first use and kept.
+    pub(crate) scratch: Vec<f32>,
+    /// How long a receive polls before parking, set by whoever takes the
+    /// fabric (see `Desk::poll`).
+    pub(crate) poll: Duration,
 }
+
+/// How long a blocked caller polls (yielding its core) before parking. A
+/// peer in the same collective usually sends within microseconds, and
+/// parking costs a futex wake plus, on a VM, a vCPU wake on the far side:
+/// polling first roughly halves a small gather's latency (`bench_matmul`'s
+/// `comm` rows). Over a modeled link no message arrives sooner than the
+/// link's own latency, so there a caller parks at once: polling then only
+/// takes a core from compute (−6 % on `train.comm`).
+const POLL: Duration = Duration::from_micros(100);
 
 impl Fabric {
     /// Registers the start of one communication op of `kind`, applying any
@@ -269,77 +280,69 @@ impl Fabric {
     pub(crate) fn send_raw(
         &mut self,
         dst: usize,
-        mut data: Vec<f32>,
+        data: &[f32],
         kind: CollectiveKind,
         logical_bytes: u64,
     ) -> Result<(), CommError> {
         debug_assert!(dst < self.world && dst != self.rank, "bad dst {dst}");
         if let Some(link) = self.tiered_link {
-            // The one modeled link cost, paid on the progress thread so
-            // overlap can hide it. Charged on logical bytes: a compressed
-            // payload really does clear the slow link sooner.
+            // The one modeled link cost, paid by the thread running the op
+            // so overlap can hide it. Charged on logical bytes: a
+            // compressed payload really does clear the slow link sooner.
             std::thread::sleep(link.send_cost(self.rank, dst, logical_bytes));
         }
         let seq = self.send_seq[dst];
         self.send_seq[dst] += 1;
         self.stats.record_send(kind, logical_bytes);
-        // Checksum first, then apply any armed corruption: the damage must
-        // be invisible to the sender, exactly like a real network flip.
-        let crc = crc32_f32s(&data);
-        if let Some((elem, bit)) = self.fault.take_corruption(data.len()) {
-            data[elem] = f32::from_bits(data[elem].to_bits() ^ (1 << bit));
+        if let Some(tap) = self.tap {
+            tap(kind, logical_bytes, data);
         }
-        self.link.send_msg(dst, Msg { seq, crc, data })
+        // The transport checksums, then applies any armed corruption: the
+        // damage must be invisible to the sender, like a real network flip.
+        let flip = self.fault.take_corruption(data.len());
+        self.link.send_msg(dst, seq, data, flip)
     }
 
-    /// Receives the next message from `src`, verifying schedule agreement
-    /// and payload integrity, bounded by the receive timeout.
-    pub(crate) fn recv_raw(&mut self, src: usize) -> Result<Vec<f32>, CommError> {
+    /// Receives the next message from `src` into `out`, verifying schedule
+    /// agreement, fit and payload integrity, bounded by the receive timeout.
+    pub(crate) fn recv_raw(&mut self, src: usize, out: &mut [f32]) -> Result<(), CommError> {
         debug_assert!(src < self.world && src != self.rank, "bad src {src}");
-        let msg = self.link.recv_msg(src, self.recv_timeout)?;
+        let got = self.link.recv_msg(src, out, self.recv_timeout, self.poll)?;
         let expect = self.recv_seq[src];
-        if msg.seq != expect {
-            return Err(CommError::OutOfOrder {
-                rank: self.rank,
-                peer: src,
-                got: msg.seq,
-                expected: expect,
-            });
+        if got.seq != expect {
+            return Err(CommError::OutOfOrder { rank: self.rank, peer: src, got: got.seq, expected: expect });
         }
-        let actual = crc32_f32s(&msg.data);
-        if actual != msg.crc {
+        if got.len != out.len() {
+            return Err(CommError::LengthMismatch { rank: self.rank, peer: src, got: got.len, expected: out.len() });
+        }
+        if got.actual_crc != got.declared_crc {
             return Err(CommError::Corrupt {
                 rank: self.rank,
                 peer: src,
-                declared_crc: msg.crc,
-                actual_crc: actual,
+                declared_crc: got.declared_crc,
+                actual_crc: got.actual_crc,
             });
         }
         self.recv_seq[src] += 1;
-        Ok(msg.data)
+        Ok(())
     }
 }
 
-/// One rank's handle: submits ops to the rank's progress thread and waits
-/// on their completion channels. The collectives are its methods in
+/// One rank's handle: queues ops on the rank's desk and runs blocking
+/// ones on the caller's thread. The collectives are its methods in
 /// `collectives.rs`; the tier move is here.
 ///
 /// A `Communicator` is owned by exactly one thread (it is `Send` but not
 /// `Sync`), matching NCCL's one-communicator-per-device rule. Dropping it
-/// disconnects the job queue, which stops the progress thread and drops
-/// the fabric endpoints — peers observe the rank's death as `PeerLost`,
-/// exactly as when the rank thread owned the endpoints directly.
+/// closes the desk: the progress thread finishes the queued ops and drops
+/// the fabric endpoints — peers observe the rank's death as `PeerLost`.
 pub struct Communicator {
     rank: usize,
     world: usize,
     stats: Arc<TrafficStats>,
     trace: Arc<TraceRecorder>,
     recv_timeout: Duration,
-    jobs: Sender<Job>,
-    /// Ops submitted but not yet finished by the progress thread; sizes
-    /// the wait budget of newly submitted ops (FIFO: everything already
-    /// queued runs first).
-    queued: Arc<AtomicUsize>,
+    desk: Arc<Desk>,
     /// World-shared shutdown accounting: departed on drop so a hung
     /// peer's deadline wait can cancel once every other handle is gone.
     latch: Arc<ShutdownLatch>,
@@ -347,6 +350,7 @@ pub struct Communicator {
 
 impl Drop for Communicator {
     fn drop(&mut self) {
+        self.desk.close();
         self.latch.depart();
     }
 }
@@ -355,7 +359,7 @@ impl Communicator {
     /// Checks the modeled link, builds the rank's [`Fabric`] over `link`,
     /// starts its progress thread, and returns the public handle — the one
     /// construction path shared by every backend (`World` for
-    /// threads-over-channels, `crate::process` for processes-over-sockets).
+    /// threads-over-pipes, `crate::process` for processes-over-sockets).
     pub(crate) fn spawn(
         rank: usize,
         world: usize,
@@ -378,28 +382,19 @@ impl Communicator {
             trace: trace.clone(),
             recv_timeout: config.recv_timeout,
             tiered_link: config.tiered_link,
+            tap: config.tap,
             fault: config.faults.for_rank(rank),
             dead: false,
+            scratch: Vec::new(),
+            poll: Duration::ZERO,
         };
-        let (jobs_tx, jobs_rx) = channel::<Job>();
-        let queued = Arc::new(AtomicUsize::new(0));
-        let thread_queued = queued.clone();
-        // Detached on purpose: the thread owns only 'static state (its
-        // transport endpoints, Arc'd stats) and exits as soon as the last
-        // job sender — the Communicator handle — drops, which also drops
-        // the fabric endpoints so peers observe `PeerLost` exactly as
-        // they did when the rank thread owned them.
-        std::thread::spawn(move || progress_loop(fabric, jobs_rx, thread_queued));
-        Communicator {
-            rank,
-            world,
-            stats,
-            trace,
-            recv_timeout: config.recv_timeout,
-            jobs: jobs_tx,
-            queued,
-            latch,
-        }
+        let poll = if config.tiered_link.is_some() { Duration::ZERO } else { POLL };
+        let desk = Desk::new(rank, fabric, poll);
+        // Detached on purpose: the thread owns only 'static state and
+        // exits once the desk closes and drains, dropping the fabric.
+        let progress = desk.clone();
+        std::thread::spawn(move || progress.progress_loop());
+        Communicator { rank, world, stats, trace, recv_timeout: config.recv_timeout, desk, latch }
     }
 
     /// This rank's id in `0..world_size()`.
@@ -426,50 +421,56 @@ impl Communicator {
         self.trace.clone()
     }
 
-    /// Enqueues `run` on the progress thread, attributing its execution to
-    /// `kind`, and returns its completion handle. Never blocks; a dead
-    /// progress thread surfaces as [`CommError::ProgressLost`] when the
-    /// handle is waited.
+    /// The wait budget of an op with `ahead` ops before it: the fabric
+    /// bounds every op by its own receive timeouts — at most 2(n−1) ring
+    /// receives plus a 2× hang-fault stall — so a result slower than
+    /// (2n+6)·recv_timeout per op means the progress engine itself is
+    /// broken, not a peer.
+    fn budget(&self, ahead: usize) -> Duration {
+        let per_op = 2 * self.world + 6;
+        self.recv_timeout * (per_op * (ahead + 1).min(64)) as u32
+    }
+
+    /// Queues `run` on the rank's desk, attributing its execution to
+    /// `kind`, and returns its completion handle. Never blocks.
     pub(crate) fn submit(
         &mut self,
         kind: Option<CollectiveKind>,
         run: impl FnOnce(&mut Fabric) -> OpResult + Send + 'static,
     ) -> PendingOp {
-        let (done_tx, done_rx) = channel();
-        let behind = self.queued.fetch_add(1, Ordering::SeqCst);
-        // A failed send drops the job and with it `done_tx`: the handle's
-        // wait then reports the progress thread lost.
-        let _ = self.jobs.send(Job { kind, run: Box::new(run), done: done_tx });
-        // Budget: the fabric bounds every op by its own receive timeouts —
-        // at most 2(n−1) ring receives plus a 2× hang-fault stall — so a
-        // result slower than (2n+6)·recv_timeout per queued op means the
-        // progress engine itself is broken, not a peer.
-        let per_op = 2 * self.world + 6;
-        let depth = (behind + 1).min(64);
-        let budget = self.recv_timeout * (per_op * depth) as u32;
-        PendingOp {
-            rank: self.rank,
-            kind,
-            done: done_rx,
-            budget,
-            stats: self.stats.clone(),
-            trace: self.trace.clone(),
-        }
+        let slot = Slot::default();
+        let (id, ahead) = self.desk.submit(kind, Box::new(run), slot.clone());
+        let (queued, budget) = (Some((self.desk.clone(), id)), self.budget(ahead));
+        PendingOp { kind, slot, queued, budget, stats: self.stats.clone(), trace: self.trace.clone() }
+    }
+
+    /// Runs `body` on the caller's thread, after every op already queued
+    /// (running those nobody has started), recording its execution and the
+    /// caller's blocked time to `kind`: the blocking collectives.
+    pub(crate) fn run_now<R>(
+        &mut self,
+        kind: CollectiveKind,
+        body: impl FnOnce(&mut Fabric) -> Result<R, CommError>,
+    ) -> Result<R, CommError> {
+        let span = self.trace.begin(SpanCategory::Wait, kind.name());
+        let t0 = Instant::now();
+        let res = self.desk.run_now(Some(kind), self.budget(64), body);
+        self.stats.record_wait(kind, t0.elapsed());
+        self.trace.end(span);
+        res
     }
 
     /// A handle that already holds `res`, computed on the caller's thread:
     /// no job is queued and its wait records nothing.
     pub(crate) fn ready(&self, res: OpResult) -> PendingOp {
-        let (done_tx, done) = channel();
-        let _ = done_tx.send(res);
-        let (rank, kind, budget) = (self.rank, None, self.recv_timeout);
-        PendingOp { rank, kind, done, budget, stats: self.stats.clone(), trace: self.trace.clone() }
+        let (slot, budget) = (Arc::new(Mutex::new(Some(res))), self.recv_timeout);
+        PendingOp { kind: None, slot, queued: None, budget, stats: self.stats.clone(), trace: self.trace.clone() }
     }
 
     /// Starts a modeled host↔device memory-tier transfer of `bytes`
     /// (ZeRO-Offload traffic). No fabric messages move; the transfer
-    /// occupies this rank's FIFO progress thread for `delay` (the caller
-    /// prices it from its `TierConfig`) and records a byte-tagged `Tier`
+    /// occupies this rank's fabric for `delay` (the caller prices it from
+    /// its `TierConfig`), in issue order, and records a byte-tagged `Tier`
     /// span, so tier traffic serializes with — and can hide behind
     /// compute exactly like — the rank's collectives. Waiting the handle
     /// returns an empty payload.

@@ -1,0 +1,134 @@
+//! A warm fabric moves bytes without allocating: after warm-up, neither a
+//! 2-rank all-gather round trip at serving-unit size nor a serving step
+//! makes a heap allocation of 1 KiB or more on any thread — the rank
+//! threads, their progress threads, or anything they wake.
+//!
+//! Every allocation of at least [`BIG`] bytes made by any thread while a
+//! measurement window is open is counted. Spans are switched off in the
+//! measured worlds: the trace recorder keeps every span it is given, so
+//! its timeline grows with the run by design.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex};
+
+use zero_comm::{launch, Communicator, Group, Precision, WireFmt};
+use zero_core::Partitioner;
+use zero_model::{init_full_params, Gpt, ModelConfig};
+use zero_serve::engine::run_rank;
+use zero_serve::{ServeConfig, ServeRequest};
+
+/// The smallest allocation the gate counts.
+const BIG: usize = 1024;
+
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static BIG_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counters are plain atomics, so touching
+// them cannot allocate or re-enter.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if layout.size() >= BIG && COUNTING.load(Ordering::Relaxed) {
+            BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if new_size >= BIG && COUNTING.load(Ordering::Relaxed) {
+            BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: `ptr` came from this allocator with `layout`, as the
+        // caller guarantees; `System` handles it.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// One measurement at a time: the counter is process-wide.
+static WINDOW: Mutex<()> = Mutex::new(());
+
+/// Runs `run` on both ranks of a 2-rank world with spans off and returns
+/// the big allocations any thread made between the point where both
+/// ranks called the `open` handed to them (after their warm-up) and the
+/// point where both returned.
+fn big_allocs_in_world(run: impl Fn(&mut Communicator, &dyn Fn()) + Sync) -> usize {
+    let _one = WINDOW.lock().unwrap_or_else(|p| p.into_inner());
+    let gate = Barrier::new(2);
+    let open = || {
+        if gate.wait().is_leader() {
+            BIG_ALLOCS.store(0, Ordering::SeqCst);
+            COUNTING.store(true, Ordering::SeqCst);
+        }
+        gate.wait();
+    };
+    let counts = launch(2, |mut c| {
+        c.trace().set_enabled(false);
+        run(&mut c, &open);
+        gate.wait();
+        COUNTING.store(false, Ordering::SeqCst);
+        BIG_ALLOCS.load(Ordering::SeqCst)
+    });
+    counts[0]
+}
+
+/// 8 warm-up all-gathers of one average serving unit of `zero_bench`'s
+/// serving model (41 024 floats, 164 KB out), then `open`, then
+/// `round_trips` more, the buffer handed through every op as the serving
+/// engine hands it.
+fn gather_round_trips(c: &mut Communicator, open: &dyn Fn(), round_trips: usize) {
+    let (n, g) = (41_024, Group::world(2));
+    let counts = [n / 2, n / 2];
+    let own = c.rank() * n / 2..(c.rank() + 1) * n / 2;
+    let mut buf = vec![0.0_f32; n];
+    for k in 0..8 + round_trips {
+        if k == 8 {
+            open();
+        }
+        buf[own.clone()].iter_mut().for_each(|v| *v = k as f32);
+        buf = c.start_all_gather(&g, buf, &counts, Precision::Fp32, WireFmt::Raw).wait().unwrap();
+        assert!(buf.iter().all(|&v| v == k as f32), "round trip {k} gathered stale values");
+    }
+}
+
+#[test]
+fn warm_all_gather_round_trips_make_no_big_allocation() {
+    let big = big_allocs_in_world(|c, open| gather_round_trips(c, open, 200));
+    assert_eq!(big, 0, "200 warm serving-unit all-gathers made {big} allocations of >= {BIG} B");
+}
+
+/// A 2-rank serving run of one request generating `tokens` tokens.
+fn serve(c: &mut Communicator, tokens: usize) {
+    let model = ModelConfig { vocab: 32, seq: 40, hidden: 32, layers: 2, heads: 2 };
+    let params = init_full_params(&model, 3);
+    let shard = &params[Partitioner::new(Gpt::new(model).num_params(), 2).shard_range(c.rank())];
+    let cfg = ServeConfig { slots: 2, ..ServeConfig::default() };
+    let report = run_rank(c, &model, shard, &[ServeRequest::new(0, vec![1, 2, 3], tokens)], &cfg);
+    assert_eq!(report.batch_steps, tokens as u64);
+}
+
+#[test]
+fn serving_steps_past_warm_up_make_no_big_allocation() {
+    // Two runs that differ only in their number of steps: a step that
+    // allocated would show up as the difference.
+    let warm_then = |tokens| {
+        big_allocs_in_world(|c, open| {
+            serve(c, 4);
+            open();
+            serve(c, tokens);
+        })
+    };
+    let (short, long) = (warm_then(6), warm_then(30));
+    assert_eq!(long, short, "6 vs 30 serving steps: {short} vs {long} allocations of >= {BIG} B");
+}

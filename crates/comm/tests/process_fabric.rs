@@ -59,10 +59,11 @@ fn schedule(comm: &mut Communicator) -> Result<Vec<f32>, CommError> {
     let (g, counts) = (Group::world(n), (0..n).map(|i| chunk_range(input.len(), n, i).len()));
     let counts: Vec<usize> = counts.collect();
     let qwz = WireFmt::Int8Block { block: 4 };
-    out.extend(comm.start_all_gather(&g, &chunk, &counts, Precision::Fp16, qwz).wait()?);
+    // In place: `gathered` holds this rank's chunk where the gather puts it.
+    out.extend(comm.start_all_gather(&g, gathered.clone(), &counts, Precision::Fp16, qwz).wait()?);
     let qgz = WireFmt::QgzInt8 { node_size: 2, block: 4 };
     let (op, prec) = (ReduceOp::Sum, Precision::Fp16);
-    out.extend(comm.start_reduce_scatter(&g, &gathered, op, &counts, prec, qgz).wait()?);
+    out.extend(comm.start_reduce_scatter(&g, gathered, op, &counts, prec, qgz).wait()?);
     Ok(out)
 }
 

@@ -87,12 +87,14 @@ proptest! {
         }
         let counts_ref = &counts;
         let results = launch(n, move |mut c| {
+            // In place: this rank's chunk holds its shard, the rest is stale.
             let offset: usize = counts_ref[..c.rank()].iter().sum();
-            let shard: Vec<f32> =
-                (0..counts_ref[c.rank()]).map(|j| (offset + j) as f32).collect();
+            let own = offset..offset + counts_ref[c.rank()];
+            let buf: Vec<f32> =
+                (0..total).map(|i| if own.contains(&i) { i as f32 } else { f32::NAN }).collect();
             let g = Group::world(n);
             let raw = WireFmt::Raw;
-            c.start_all_gather(&g, &shard, counts_ref, Precision::Fp32, raw).wait().unwrap()
+            c.start_all_gather(&g, buf, counts_ref, Precision::Fp32, raw).wait().unwrap()
         });
         let want: Vec<f32> = (0..total).map(|i| i as f32).collect();
         for got in &results {
@@ -118,7 +120,7 @@ proptest! {
         let results = launch(n, move |mut c| {
             let input = data_ref[c.rank()].clone();
             let (g, op, raw) = (Group::world(n), ReduceOp::Sum, WireFmt::Raw);
-            c.start_reduce_scatter(&g, &input, op, counts_ref, Precision::Fp32, raw).wait().unwrap()
+            c.start_reduce_scatter(&g, input, op, counts_ref, Precision::Fp32, raw).wait().unwrap()
         });
         let mut offset = 0;
         for (rank, cnt) in counts.iter().enumerate() {

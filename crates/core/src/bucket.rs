@@ -74,7 +74,7 @@ impl GradBucket {
     /// contiguous flat range and the fused values, rank-major over `part`'s
     /// owners. A no-op when empty. This is the one place a flush callback
     /// is taken.
-    pub fn flush_all(&mut self, part: &Partitioner, flush: &mut dyn FnMut(Range<usize>, &mut [f32])) {
+    pub fn flush_all(&mut self, part: &Partitioner, flush: &mut dyn FnMut(Range<usize>, Vec<f32>)) {
         let Some(span) = self.span() else {
             return;
         };
@@ -88,7 +88,7 @@ impl GradBucket {
             }
         }
         self.pending.clear();
-        flush(span, &mut fused);
+        flush(span, fused);
     }
 }
 
@@ -118,7 +118,7 @@ mod tests {
     fn flush_all_drains_remainder() {
         let mut b = GradBucket::new();
         let mut count = 0;
-        let mut cb = |_: Range<usize>, _: &mut [f32]| count += 1;
+        let mut cb = |_: Range<usize>, _: Vec<f32>| count += 1;
         b.push(5..8, vec![1.0; 3]);
         b.push(0..5, vec![2.0; 5]);
         let one = Partitioner::new(8, 1);

@@ -75,11 +75,11 @@ pub struct StepOutcome {
     pub loss_scale: f32,
 }
 
-/// A planned gather or reduce-scatter handed to the progress thread,
-/// with the tier movement the plan attached to it.
+/// A planned gather or reduce-scatter queued on the rank's fabric, with
+/// the tier movement the plan attached to it.
 struct Issued {
-    /// Offload: the host→device fetch seeding the op, submitted to the
-    /// FIFO progress thread right ahead of it (so the modeled transfer
+    /// Offload: the host→device fetch seeding the op, queued on the
+    /// fabric's FIFO right ahead of it (so the modeled transfer
     /// completes before the ring starts) and waited first.
     seed: Option<PendingOp>,
     pending: PendingOp,
@@ -143,8 +143,8 @@ struct Issuer {
 
 impl Issuer {
     /// Meters a planned tier movement through the [`TierStore`] (bytes +
-    /// modeled host-link time) and submits the transfer to the FIFO
-    /// progress thread — so a fetch submitted before an all-gather
+    /// modeled host-link time) and queues the transfer on the fabric's
+    /// FIFO — so a fetch submitted before an all-gather
     /// completes before that gather starts.
     fn tier_move(&mut self, t: ResolvedTierOp) -> PendingOp {
         let store = self.tier.as_mut().expect("tier store when the plan moves tier bytes");
@@ -158,11 +158,11 @@ impl Issuer {
     /// The one place a planned all-gather or reduce-scatter is issued: pops
     /// the next op off the plan cursor (plan order is issue order, which is
     /// what the static checks verify), submits the tier fetch that seeds
-    /// it, and starts it on `input` over the op's group with the op's
-    /// counts, precision, wire format (raw ring, qwZ int8 blocks, or qgZ
-    /// two-phase) and reduction. When the caller waits is the only thing
-    /// that distinguishes synchronous from overlapped execution.
-    fn start(&mut self, kind: CollectiveKind, input: &[f32]) -> Issued {
+    /// it, and starts it on `buf`, handed back as the result, with the
+    /// op's group, counts, precision, wire format (raw ring, qwZ int8
+    /// blocks, or qgZ two-phase) and reduction. When the caller waits is
+    /// the only thing that distinguishes synchronous from overlapped runs.
+    fn start(&mut self, kind: CollectiveKind, buf: Vec<f32>) -> Issued {
         let (op, tier) = self.plan.take_riding(kind);
         // A fetch riding the op seeds it and goes first; a spill carries
         // its result and is the caller's to issue after the wait.
@@ -173,10 +173,10 @@ impl Issuer {
         let (group, counts, comm) = (op.group(), &op.counts, &mut self.comm);
         let pending = match op.reduce {
             Reduction::Reduce(r) => {
-                comm.start_reduce_scatter(&group, input, r, counts, op.prec, op.wire)
+                comm.start_reduce_scatter(&group, buf, r, counts, op.prec, op.wire)
             }
             Reduction::Copy | Reduction::Average { .. } => {
-                comm.start_all_gather(&group, input, counts, op.prec, op.wire)
+                comm.start_all_gather(&group, op.place(comm.rank(), buf), counts, op.prec, op.wire)
             }
         };
         Issued { seed, pending, spill, op }
@@ -242,7 +242,7 @@ impl Issuer {
                 self.all_reduce(&mut buf)?;
                 continue;
             }
-            let issued = self.start(kind, &buf);
+            let issued = self.start(kind, std::mem::take(&mut buf));
             let (own, total) = (issued.op.own_piece(rank), issued.op.total_elems());
             at = match kind {
                 CollectiveKind::ReduceScatter => at.start + own.start..at.start + own.end,
@@ -577,7 +577,7 @@ impl RankEngine {
         self.mem.alloc(MemCategory::Buffers, 4 * len as u64);
         let piece = self.param_store(from).read(unit_range);
         self.trace.instant(SpanCategory::Collective, "prefetch-issue");
-        let issued = self.io.start(CollectiveKind::AllGather, &piece);
+        let issued = self.io.start(CollectiveKind::AllGather, piece);
         PendingFetch { unit, issued, len, into }
     }
 
@@ -604,7 +604,7 @@ impl RankEngine {
         let mut first_err: Option<CommError> = None;
         while let Some(mut inf) = self.inflight_rs.pop_front() {
             // After an error the remaining handles are dropped unawaited —
-            // their ops still execute on the progress thread, keeping the
+            // their ops still execute in issue order, keeping the
             // SPMD schedule aligned for recovery.
             let spill = inf.issued.spill.take();
             if first_err.is_none() {
@@ -624,7 +624,7 @@ impl RankEngine {
     }
 
     /// Drops any async state left over from a failed step (handles are
-    /// dropped unawaited; the progress thread still runs the ops). Called
+    /// dropped unawaited; the fabric still runs the ops). Called
     /// on entry to every engine entry point that installs a fresh plan.
     fn clear_transients(&mut self) {
         for inf in self.inflight_rs.drain(..) {
@@ -1152,7 +1152,7 @@ impl Walker for Pass<'_> {
         let (cat, bytes) = e.ckpt_cost(slice.len());
         let res = spill.map_or(Ok(()), |s| s.wait().map(drop)).and_then(|()| {
             if e.zcfg.checkpoint_place.partitioned() {
-                e.io.start(CollectiveKind::AllGather, &slice).wait()
+                e.io.start(CollectiveKind::AllGather, slice).wait()
             } else {
                 Ok(slice)
             }

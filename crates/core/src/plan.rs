@@ -218,6 +218,17 @@ impl ResolvedOp {
         Group::new(self.members.clone())
     }
 
+    /// `rank`'s `piece`, widened in place into the op's whole buffer at
+    /// [`own_piece`](Self::own_piece): the in-place buffer an all-gather
+    /// takes.
+    pub fn place(&self, rank: usize, mut piece: Vec<f32>) -> Vec<f32> {
+        let own = self.own_piece(rank);
+        assert_eq!(piece.len(), own.len(), "planned '{}' piece", self.label);
+        piece.resize(self.total_elems(), 0.0);
+        piece.copy_within(0..own.len(), own.start);
+        piece
+    }
+
     /// Where `rank`'s piece sits in the op's buffer: what it contributes
     /// to a gather, or what a reduce-scatter leaves it.
     pub fn own_piece(&self, rank: usize) -> Range<usize> {

@@ -188,7 +188,7 @@ proptest! {
         let mut seen = vec![false; total];
         // One owner fuses in flat order.
         let one = Partitioner::new(total, 1);
-        let mut flush = |r: std::ops::Range<usize>, d: &mut [f32]| {
+        let mut flush = |r: std::ops::Range<usize>, d: Vec<f32>| {
             assert_eq!(r.len(), d.len());
             for (i, &v) in r.clone().zip(d.iter()) {
                 assert!(!seen[i], "element {i} flushed twice");

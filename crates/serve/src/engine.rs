@@ -310,6 +310,7 @@ pub fn run_rank(
     let mut clock = 0u64; // batch-step time (includes idle fast-forwards)
     let mut steps = 0u64; // executed batch steps only
     let mut transient_peak = 0u64;
+    let mut spare: Vec<Vec<f32>> = Vec::with_capacity(2);
 
     loop {
         // Deliver every request whose arrival step the clock has reached.
@@ -423,19 +424,26 @@ pub fn run_rank(
         // batch. A gather has one issue site and one wait site; the
         // plan's `ahead` flag decides whether the next gather is issued
         // before this one is waited (the double buffer: at most two units
-        // materialized at once) or each is waited as it is issued.
+        // materialized at once) or each is waited as it is issued. The two
+        // gather buffers cycle across units and steps: each is seeded with
+        // this rank's piece, gathered into in place, read, and handed back.
         let n_units = gpt.layout().units().len();
-        let mut issue = |k: usize| -> (usize, PendingOp, u64) {
+        let mut issue = |k: usize, mut buf: Vec<f32>| -> (usize, PendingOp, u64) {
             let (op, (unit, piece)) = (&ops[k], fetches[k]);
-            let pend = comm.start_all_gather(&groups[k], piece, &op.counts, op.prec, op.wire);
+            buf.resize(op.total_elems(), 0.0);
+            buf[op.own_piece(rank)].copy_from_slice(piece);
+            let pend = comm.start_all_gather(&groups[k], buf, &op.counts, op.prec, op.wire);
             (unit, pend, 4 * op.total_elems() as u64)
         };
         let mut ahead: Option<(usize, PendingOp, u64)> = None;
         for u in 0..n_units {
-            let (unit, pend, cur_bytes) = ahead.take().unwrap_or_else(|| issue(u));
+            let (unit, pend, cur_bytes) = match ahead.take() {
+                Some(issued) => issued,
+                None => issue(u, spare.pop().unwrap_or_default()),
+            };
             assert_eq!(unit, u, "serve-plan drift: the plan fetched a unit the engine is not at");
             if matches!(ops.get(u + 1).map(|op| &op.role), Some(OpRole::Fetch { ahead: true, .. })) {
-                ahead = Some(issue(u + 1));
+                ahead = Some(issue(u + 1, spare.pop().unwrap_or_default()));
             }
             let wspan = trace.begin(SpanCategory::Wait, "gather-wait");
             let cur = pend.wait().expect("serving gather failed");
@@ -456,6 +464,7 @@ pub fn run_rank(
                     trace.end(a.span);
                 }
             }
+            spare.push(cur);
         }
         // Every row's K/V is final: record its token (which registers
         // completed blocks for prefix reuse).

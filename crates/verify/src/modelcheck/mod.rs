@@ -2,7 +2,7 @@
 //! transport/overlap concurrency protocols *before they run*.
 //!
 //! `zero-comm` coordinates ranks with hand-rolled protocols — shutdown
-//! latch, socket handshake, progress-thread work queue. Their decision
+//! latch, socket handshake, the op desk's fabric hand-off. Their decision
 //! logic lives as pure kernels in [`zero_comm::protocol`]; this pass
 //! re-expresses the synchronization skeleton around those kernels
 //! against modeled primitives ([`shims`]) and hands the result to a
@@ -30,7 +30,7 @@ pub use explorer::{
     enumerate_final_states, explore, format_trace, ExploreResult, ExploreStats, Failure,
     Program, Sched, Violation,
 };
-pub use protocols::{HandshakeModel, LatchModel, ProgressModel};
+pub use protocols::{HandoffMutant, HandshakeModel, LatchModel, ProgressModel};
 pub use shims::{FaultBudget, ModelState, RaceReport, Status};
 
 /// One checked scenario: a protocol model at a world size and fault
@@ -42,10 +42,11 @@ pub struct Scenario {
     pub program: Box<dyn Program>,
 }
 
-/// The scenario matrix the pass runs: all three protocols, world sizes
-/// 2 and 3, with a one-timeout budget everywhere and additionally a
-/// one-crash budget for the cross-process handshake (a thread of an
-/// in-process primitive cannot vanish, a rank process can).
+/// The scenario matrix the pass runs: all three protocols at sizes 2 and
+/// 3 (ranks for the latch and the handshake, ops issued for the desk),
+/// with a one-timeout budget everywhere and additionally a one-crash
+/// budget for the cross-process handshake (a thread of an in-process
+/// primitive cannot vanish, a rank process can).
 pub fn scenarios() -> Vec<Scenario> {
     vec![
         Scenario { name: "latch.n2", program: Box::new(LatchModel { ranks: 2 }) },
@@ -66,14 +67,8 @@ pub fn scenarios() -> Vec<Scenario> {
             name: "handshake.n3+crash",
             program: Box::new(HandshakeModel { peers: 2, crash: true }),
         },
-        Scenario {
-            name: "progress.n2",
-            program: Box::new(ProgressModel { submitters: 1, mutant_no_close: false }),
-        },
-        Scenario {
-            name: "progress.n3",
-            program: Box::new(ProgressModel { submitters: 2, mutant_no_close: false }),
-        },
+        Scenario { name: "progress.n2", program: Box::new(ProgressModel { ops: 2, mutant: None }) },
+        Scenario { name: "progress.n3", program: Box::new(ProgressModel { ops: 3, mutant: None }) },
     ]
 }
 
@@ -201,19 +196,51 @@ mod tests {
         }
     }
 
-    /// The seeded mutation test: a progress queue nobody closes hangs its
-    /// join-on-drop — the checker must report the deadlock.
+    /// A seeded hand-off bug, explored: the checker's minimal failing
+    /// schedule.
+    fn mutant_failure(ops: usize, mutant: HandoffMutant) -> Failure {
+        let r = explore(&ProgressModel { ops, mutant: Some(mutant) }, BUDGET);
+        let f = r.failure.unwrap_or_else(|| panic!("{mutant:?} at {ops} ops went unnoticed"));
+        assert!(f.minimal, "{mutant:?}: shortest failing schedule expected from BFS shrink");
+        f
+    }
+
+    /// A desk nobody closes hangs its join-on-drop: the progress thread
+    /// parks forever.
     #[test]
     fn mutated_progress_queue_without_close_deadlocks() {
-        let r = explore(&ProgressModel { submitters: 2, mutant_no_close: true }, BUDGET);
-        let f = r.failure.expect("never-closed queue must hang the progress thread");
+        let f = mutant_failure(2, HandoffMutant::NoClose);
         match f.violation {
-            Violation::Deadlock { ref stuck } => {
-                assert_eq!(stuck, &vec![0], "only the progress thread (t0) should hang")
-            }
-            ref v => panic!("want a deadlock, got {v}"),
+            Violation::LostWakeup { tid: 0, .. } => {}
+            Violation::Deadlock { ref stuck } if stuck == &vec![0] => {}
+            ref v => panic!("want the progress thread (t0) parked forever, got {v}"),
         }
-        assert!(f.minimal, "shortest hang schedule expected from BFS shrink");
+    }
+
+    /// A helper that hands the fabric back without waking the parked
+    /// progress thread strands the ops issued behind its own.
+    #[test]
+    fn a_helper_that_skips_the_wake_strands_the_ops_issued_ahead() {
+        for ops in [2, 3] {
+            let f = mutant_failure(ops, HandoffMutant::SkipWake);
+            assert!(
+                matches!(f.violation, Violation::LostWakeup { tid: 0, .. }),
+                "{ops} ops: {} [{}]",
+                f.violation,
+                format_trace(&f.trace)
+            );
+        }
+    }
+
+    /// A helper that runs its own op ahead of an earlier queued one breaks
+    /// the fabric's issue order.
+    #[test]
+    fn a_helper_that_runs_its_own_op_first_breaks_issue_order() {
+        let f = mutant_failure(3, HandoffMutant::OwnOpFirst);
+        match f.violation {
+            Violation::Invariant(ref m) if m == "op 1 ran while op 0 was still queued" => {}
+            ref v => panic!("want the FIFO break, got {v} [{}]", format_trace(&f.trace)),
+        }
     }
 
     /// Exploration must be deterministic run to run (fixed hasher,

@@ -17,18 +17,19 @@
 //!    choices), residue bytes carried from the hello read into the
 //!    payload phase, slow/fast peers, and a sequential accept loop in
 //!    the 3-peer variant.
-//! 3. [`ProgressModel`] — the non-blocking engine's progress thread: an
-//!    unbounded work queue, completion flags published under a
-//!    mutex/condvar, timed `PendingOp` waits, and join-on-drop
-//!    quiescence (last handle closes the queue; the thread drains and
-//!    exits). The `mutant_no_close` flag drops the close — the
-//!    join-would-hang bug — for the mutation test.
+//! 3. [`ProgressModel`] — the rank's op desk: the progress thread and a
+//!    caller sharing the fabric through the [`handoff`] kernel —
+//!    help-first timed waits, ops issued ahead finishing on the progress
+//!    thread, and join-on-drop quiescence (the dropped communicator
+//!    closes the desk; the thread drains and exits). Three seeded
+//!    [`HandoffMutant`]s — no close, a skipped wake, a FIFO break — are
+//!    the mutation tests.
 //!
 //! Ghost cells carry the specification state the invariants quantify
 //! over (live sender handles, how many jobs executed); they are hashed
 //! and footprinted but race-exempt.
 
-use zero_comm::protocol::latch;
+use zero_comm::protocol::{handoff, latch};
 
 use super::explorer::Program;
 use super::shims::{ChannelId, CondvarId, DataId, FaultBudget, ModelState, MutexId, Status, Tid};
@@ -347,141 +348,286 @@ impl Program for HandshakeModel {
 }
 
 // ---------------------------------------------------------------------
-// 3. Progress thread with join-on-drop PendingOps
+// 3. The op desk: progress thread, help-first wait, join-on-drop
 // ---------------------------------------------------------------------
 
-/// The non-blocking engine's progress thread: submitters enqueue jobs
-/// on an unbounded queue and wait (timed) on a completion flag the
-/// progress thread publishes under a mutex/condvar. The last submitter
-/// to finish closes the queue — dropping the final sender — and the
-/// progress thread drains what is left and exits: join-on-drop
-/// quiescence. With `mutant_no_close` the close never happens, the
-/// model's join hangs, and the checker must report the deadlock.
+/// A seeded bug in the desk's hand-off, for the mutation tests.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum HandoffMutant {
+    /// Nobody closes the desk on drop: the progress thread never exits.
+    NoClose,
+    /// A helper hands the fabric back with ops queued without waking the
+    /// progress thread (the lost wakeup).
+    SkipWake,
+    /// A helper runs its own op ahead of an earlier queued one (the FIFO
+    /// break).
+    OwnOpFirst,
+}
+
+/// The op desk of `zero-comm`'s `nonblocking` module: t0 is the progress
+/// thread, t1 the caller. The caller issues `ops` ops, waits on op
+/// `ops − 2` with help-first (timed: `ProgressStalled`), then computes
+/// while the ops issued behind it must still finish — modeled as an
+/// untimed wait that never helps — and finally drops the communicator,
+/// closing the desk. Every decision comes from
+/// [`handoff`](zero_comm::protocol::handoff); all desk state lives
+/// under one mutex and one condvar, as in the real primitive.
+///
+/// Checked: every op runs exactly once and in issue order, whoever runs
+/// it; the ops issued ahead finish without the caller; the progress
+/// thread exits once the desk closes; a wait that no timeout cut short
+/// returns its op's result.
 pub struct ProgressModel {
-    pub submitters: usize,
-    /// Seeded bug: nobody closes the queue on drop.
-    pub mutant_no_close: bool,
+    /// Ops the caller issues (2 or 3).
+    pub ops: usize,
+    pub mutant: Option<HandoffMutant>,
 }
 
 impl ProgressModel {
     const MX: MutexId = MutexId(0);
     const CV: CondvarId = CondvarId(0);
-    const JOBS: ChannelId = ChannelId(0);
-    /// Ghost: live sender handles.
-    const SENDERS: usize = 0;
-    /// Ghost: jobs executed by the progress thread.
-    const EXECUTED: usize = 1;
+    /// 1 while nobody holds the fabric.
+    const FREE: DataId = DataId(0);
+    /// Bit `i` set: op `i` issued and not started.
+    const QUEUED: DataId = DataId(1);
+    /// Ops issued so far.
+    const ISSUED: DataId = DataId(2);
+    /// Ops finished so far.
+    const DONE: DataId = DataId(3);
+    /// Callers blocked in a wait.
+    const WAITERS: DataId = DataId(4);
+    /// 1 while the progress thread is parked.
+    const IDLE: DataId = DataId(5);
+    const CLOSED: DataId = DataId(6);
+    /// Ghost: the op that must run next (issue order).
+    const NEXT: usize = 0;
 
-    fn done_cell(i: usize) -> DataId {
-        DataId(i)
+    fn own(&self) -> i64 {
+        self.ops as i64 - 2
+    }
+
+    /// Runs op `job`: it must be the next in issue order.
+    fn run(st: &mut ModelState, job: i64) {
+        let next = st.ghost_read(Self::NEXT);
+        if job != next {
+            st.fail(format!("op {job} ran while op {next} was still queued"));
+        }
+        st.ghost_write(Self::NEXT, next + 1);
+    }
+
+    /// Records a finished op and wakes whoever waits: the progress
+    /// thread's `finish` + notify (the caller holds the mutex).
+    fn finish(st: &mut ModelState, tid: Tid) {
+        let done = st.read_data(tid, Self::DONE);
+        st.write_data(tid, Self::DONE, done + 1);
+    }
+
+    /// The help-first wait's decision, made holding the mutex.
+    fn help_wait(&self, st: &mut ModelState, tid: Tid) {
+        let own = self.own();
+        if st.read_data(tid, Self::DONE) > own {
+            st.unlock(tid, Self::MX);
+            st.set_reg(tid, 0, OK);
+            st.goto(tid, 4);
+            return;
+        }
+        let queued = (st.read_data(tid, Self::QUEUED) >> own) & 1 == 1;
+        let free = st.read_data(tid, Self::FREE) == 1;
+        if handoff::helper_takes(free, queued) {
+            st.write_data(tid, Self::FREE, 0);
+            st.goto(tid, 2);
+        } else if st.timed_out(tid) {
+            st.unlock(tid, Self::MX);
+            st.set_reg(tid, 0, TIMED_OUT); // ProgressStalled
+            st.goto(tid, 4);
+        } else {
+            let waiters = st.read_data(tid, Self::WAITERS);
+            st.write_data(tid, Self::WAITERS, waiters + 1);
+            st.goto(tid, 3);
+            st.cv_wait(tid, Self::CV, Self::MX, true);
+        }
+    }
+
+    fn caller(&self, st: &mut ModelState, tid: Tid) {
+        let own = self.own();
+        match st.pc(tid) {
+            // Issue: queue the next op, waking an idle progress thread.
+            0 => {
+                if st.lock(tid, Self::MX) {
+                    let id = st.read_data(tid, Self::ISSUED);
+                    st.write_data(tid, Self::ISSUED, id + 1);
+                    let q = st.read_data(tid, Self::QUEUED);
+                    st.write_data(tid, Self::QUEUED, q | 1 << id);
+                    let wake = st.read_data(tid, Self::IDLE) == 1;
+                    st.unlock(tid, Self::MX);
+                    st.set_reg(tid, 2, if id + 1 < self.ops as i64 { 0 } else { 1 });
+                    st.goto(tid, if wake { 8 } else { st.reg(tid, 2) as u32 });
+                }
+            }
+            // Help-first wait on op `own`.
+            1 => {
+                if st.lock(tid, Self::MX) {
+                    self.help_wait(st, tid);
+                }
+            }
+            // Holding the fabric: run the queue up to `own`, then release.
+            2 => {
+                let q = st.read_data(tid, Self::QUEUED);
+                let head = q.trailing_zeros() as i64;
+                let pick = match self.mutant {
+                    Some(HandoffMutant::OwnOpFirst) if (q >> own) & 1 == 1 => Some(own),
+                    _ => (q != 0 && handoff::helper_runs(head as u64, own as u64)).then_some(head),
+                };
+                if let Some(job) = pick {
+                    st.write_data(tid, Self::QUEUED, q & !(1 << job));
+                    st.unlock(tid, Self::MX);
+                    Self::run(st, job);
+                    st.goto(tid, 5);
+                } else {
+                    st.write_data(tid, Self::FREE, 1);
+                    let left = q.count_ones() as usize;
+                    let closed = st.read_data(tid, Self::CLOSED) == 1;
+                    let wake = handoff::wake_on_release(left, closed) && self.mutant != Some(HandoffMutant::SkipWake);
+                    st.unlock(tid, Self::MX);
+                    st.set_reg(tid, 0, OK);
+                    st.set_reg(tid, 2, 4);
+                    st.goto(tid, if wake { 8 } else { 4 });
+                }
+            }
+            // Woken in the wait (mutex re-acquired): deregister, decide.
+            3 => {
+                let waiters = st.read_data(tid, Self::WAITERS);
+                st.write_data(tid, Self::WAITERS, waiters - 1);
+                self.help_wait(st, tid);
+            }
+            // Compute: the ops issued ahead must finish without the caller.
+            4 => {
+                if st.lock(tid, Self::MX) {
+                    if st.read_data(tid, Self::DONE) == self.ops as i64 {
+                        st.unlock(tid, Self::MX);
+                        st.goto(tid, 7);
+                    } else {
+                        let waiters = st.read_data(tid, Self::WAITERS);
+                        st.write_data(tid, Self::WAITERS, waiters + 1);
+                        st.goto(tid, 6);
+                        st.cv_wait(tid, Self::CV, Self::MX, false);
+                    }
+                }
+            }
+            // Finish an op the helper ran, then back to the queue.
+            5 => {
+                if st.lock(tid, Self::MX) {
+                    Self::finish(st, tid);
+                    st.goto(tid, 2);
+                }
+            }
+            6 => {
+                let waiters = st.read_data(tid, Self::WAITERS);
+                st.write_data(tid, Self::WAITERS, waiters - 1);
+                st.goto(tid, 4);
+            }
+            // Drop the communicator: close the desk.
+            7 => {
+                if self.mutant != Some(HandoffMutant::NoClose) {
+                    if !st.lock(tid, Self::MX) {
+                        return;
+                    }
+                    st.write_data(tid, Self::CLOSED, 1);
+                    st.notify_all(tid, Self::CV);
+                    st.unlock(tid, Self::MX);
+                }
+                st.done(tid);
+            }
+            // A notify, sent after the lock is dropped; then on to reg 2.
+            8 => {
+                st.notify_all(tid, Self::CV);
+                st.goto(tid, st.reg(tid, 2) as u32);
+            }
+            pc => panic!("progress model: bad caller pc {pc}"),
+        }
+    }
+
+    fn progress(&self, st: &mut ModelState, tid: Tid) {
+        match st.pc(tid) {
+            0 => {
+                if !st.lock(tid, Self::MX) {
+                    return;
+                }
+                let q = st.read_data(tid, Self::QUEUED);
+                let free = st.read_data(tid, Self::FREE) == 1;
+                let wake = std::mem::take(&mut st.locals[tid].regs[1]) == 1;
+                if handoff::progress_takes(free, q.count_ones() as usize) {
+                    let job = q.trailing_zeros() as i64;
+                    st.write_data(tid, Self::QUEUED, q & !(1 << job));
+                    st.write_data(tid, Self::FREE, 0);
+                    st.unlock(tid, Self::MX);
+                    if wake {
+                        st.notify_all(tid, Self::CV);
+                    }
+                    Self::run(st, job);
+                    st.goto(tid, 1);
+                } else if st.read_data(tid, Self::CLOSED) == 1 && q == 0 && free {
+                    st.unlock(tid, Self::MX);
+                    st.done(tid); // drops the fabric
+                } else {
+                    if wake {
+                        st.notify_all(tid, Self::CV);
+                    }
+                    st.write_data(tid, Self::IDLE, 1);
+                    st.goto(tid, 2);
+                    st.cv_wait(tid, Self::CV, Self::MX, false);
+                }
+            }
+            // Finish the op, hand the fabric back, wake the waiters.
+            1 => {
+                if st.lock(tid, Self::MX) {
+                    Self::finish(st, tid);
+                    st.write_data(tid, Self::FREE, 1);
+                    // Keeps the mutex: the waiters are woken at pc 0, once
+                    // it is dropped (or right before parking).
+                    let wake = st.read_data(tid, Self::WAITERS) > 0;
+                    st.set_reg(tid, 1, i64::from(wake));
+                    st.goto(tid, 0);
+                }
+            }
+            // Woken (mutex re-acquired).
+            2 => {
+                st.write_data(tid, Self::IDLE, 0);
+                st.goto(tid, 0);
+            }
+            pc => panic!("progress model: bad progress pc {pc}"),
+        }
     }
 }
 
 impl Program for ProgressModel {
     fn init(&self) -> ModelState {
-        let mut st = ModelState::new(self.submitters + 1);
+        let mut st = ModelState::new(2);
         st.add_mutex();
         st.add_condvar();
-        st.add_channel();
-        for _ in 0..self.submitters {
-            st.add_data(0);
+        for value in [1, 0, 0, 0, 0, 0, 0] {
+            st.add_data(value);
         }
-        st.add_ghost(self.submitters as i64); // live senders
-        st.add_ghost(0); // executed jobs
+        st.add_ghost(0);
         st.budget = FaultBudget { crashes: 0, timeouts: 1 };
-        for tid in 1..=self.submitters {
-            st.set_reg(tid, 0, PENDING);
-        }
+        st.set_reg(1, 0, PENDING);
         st
     }
 
     fn step(&self, st: &mut ModelState, tid: Tid, _choice: usize) {
         if tid == 0 {
-            // Progress thread: drain jobs until the queue closes.
-            match st.pc(tid) {
-                0 => {
-                    st.goto(tid, 1);
-                    st.recv_into(tid, Self::JOBS, 1, false);
-                }
-                1 => {
-                    if st.was_closed(tid) {
-                        st.done(tid); // quiescent exit
-                        return;
-                    }
-                    if st.lock(tid, Self::MX) {
-                        let job = st.reg(tid, 1) as usize;
-                        st.write_data(tid, Self::done_cell(job), 1);
-                        st.ghost_add(Self::EXECUTED, 1);
-                        st.notify_all(tid, Self::CV);
-                        st.unlock(tid, Self::MX);
-                        st.goto(tid, 0);
-                    }
-                }
-                pc => panic!("progress model: bad pc {pc}"),
-            }
+            self.progress(st, tid);
         } else {
-            let job = tid - 1;
-            match st.pc(tid) {
-                // Submit.
-                0 => {
-                    st.send(tid, Self::JOBS, job as i64);
-                    st.goto(tid, 1);
-                }
-                // PendingOp::wait — timed, predicate re-checked.
-                1 => {
-                    if st.lock(tid, Self::MX) {
-                        if st.read_data(tid, Self::done_cell(job)) == 1 {
-                            st.unlock(tid, Self::MX);
-                            st.set_reg(tid, 0, OK);
-                            st.goto(tid, 2);
-                        } else if st.timed_out(tid) {
-                            st.unlock(tid, Self::MX);
-                            st.set_reg(tid, 0, TIMED_OUT); // ProgressStalled
-                            st.goto(tid, 2);
-                        } else {
-                            st.goto(tid, 1);
-                            st.cv_wait(tid, Self::CV, Self::MX, true);
-                        }
-                    }
-                }
-                // Drop the handle; the last one closes the queue.
-                2 => {
-                    let left = st.ghost_add(Self::SENDERS, -1);
-                    if left == 0 && !self.mutant_no_close {
-                        st.close(tid, Self::JOBS);
-                    }
-                    st.done(tid);
-                }
-                pc => panic!("progress model: bad pc {pc}"),
-            }
+            self.caller(st, tid);
         }
-    }
-
-    fn check(&self, st: &ModelState) -> Option<String> {
-        let executed = st.ghost[Self::EXECUTED];
-        (executed > self.submitters as i64)
-            .then(|| format!("progress thread executed {executed} jobs, submitted at most {}",
-                self.submitters))
     }
 
     fn check_final(&self, st: &ModelState) -> Option<String> {
-        // Quiescence: the progress thread drained everything before
-        // exiting, even when a submitter's wait timed out (its job still
-        // runs; only the waiting was abandoned).
-        let executed = st.ghost[Self::EXECUTED];
-        if executed != self.submitters as i64 {
-            return Some(format!(
-                "progress thread exited with {executed}/{} jobs executed",
-                self.submitters
-            ));
+        let ran = st.ghost[Self::NEXT];
+        if ran != self.ops as i64 {
+            return Some(format!("the desk closed with {ran}/{} ops run", self.ops));
         }
-        if st.budget.timeouts == 1 {
-            for tid in 1..=self.submitters {
-                if outcome(st, tid) != OK {
-                    return Some(format!("submitter {tid} stalled without any timeout"));
-                }
-            }
-        }
-        None
+        (st.budget.timeouts == 1 && outcome(st, 1) != OK)
+            .then(|| "a wait no timeout cut short returned no result".to_string())
     }
 }
