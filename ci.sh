@@ -32,7 +32,7 @@ printf '%s\n' 'fn a() {' '}' '#[cfg(test)]' 'mod tests {' '    fn t() {' '    }'
     > "$scratch/counted.rs"
 [ "$(awk "$count_non_test" "$scratch/counted.rs")" -eq 6 ] \
     || { echo "line counter self-test failed: code after a test module must be counted in full"; exit 1; }
-line_ceiling=13268
+line_ceiling=12739
 lines=0
 split=""
 for crate in comm core serve bench; do
@@ -241,8 +241,8 @@ echo "==> bench_matmul --smoke --check-against (GEMM, GELU, fp16, CRC and all-ga
 # that ran; the CRC's (`clmul`, or the `table16` fallback on a CPU without
 # PCLMULQDQ) is named once more below. The comm rows (a 2-rank all-gather at
 # 8 B, one serving unit and 1 MB, and the 1 MB gather owner-only and balanced
-# on FLAT_LINK) check the gathered bits and hold the fabric's time to 2x too;
-# they are printed again beside the CRC kernel.
+# on FLAT_LINK) check the gathered bits; their time swings 3x between runs
+# of one build, so it is printed beside the CRC kernel, not gated.
 matmul_out="$scratch/bench-matmul.txt"
 cargo run -q --release -p zero-bench --bin bench_matmul -- --smoke \
     --check-against results/BENCH_matmul.json | tee "$matmul_out"

@@ -31,7 +31,7 @@
 //!
 //! `--smoke` runs the same checks and timing without rewriting the results
 //! file. `--check-against <path>` exits non-zero if any row but the
-//! `attention`, `decode` and `large` GEMM rows takes
+//! `attention`, `decode` and `large` GEMM rows and the `comm` rows takes
 //! twice its committed time — the harness's loose factor: enough slack for
 //! a shared VM, tight enough to catch a fall back to a scalar chain or to a
 //! narrower tier. Each row's `kernel` (the tier that ran) is never compared.
@@ -277,7 +277,9 @@ fn main() {
         rows.push(row);
     }
 
-    let gated = |r: &&MatmulRow| matches!(r.group, "block" | "gelu" | "f16" | "crc" | "comm");
+    // A 2-rank gather's time swings 3x between runs of one build: the
+    // comm rows check their bits as they run, their time is not gated.
+    let gated = |r: &&MatmulRow| matches!(r.group, "block" | "gelu" | "f16" | "crc");
     harness.check("", rows.iter().filter(gated), KEY, &[], Some("secs"));
     harness.finish(&rows);
 }

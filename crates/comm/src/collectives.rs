@@ -635,7 +635,13 @@ impl Communicator {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::world::{launch, launch_with_stats};
+    use crate::stats::TrafficStats;
+    use crate::transport::{ChannelTransport, Delivery, Flip, Pipe, ShutdownLatch, Transport};
+    use crate::world::{launch, launch_with_stats, WorldConfig};
+    use std::sync::{Arc, Mutex};
+    use std::time::{Duration, Instant};
+    use zero_tensor::f16::f16_round_slice;
+    use zero_trace::TraceRecorder;
 
     /// An in-place all-gather buffer for member `idx`: `shard` in its
     /// chunk, NaN in every chunk the gather must fill.
@@ -643,6 +649,63 @@ pub(crate) mod tests {
         let mut buf = vec![f32::NAN; counts.iter().sum()];
         buf[ranges_from_counts(counts)[idx].clone()].copy_from_slice(shard);
         buf
+    }
+
+    /// A transport that records every payload it sends, as its sender
+    /// meant it, then hands it to the pipe fabric.
+    struct Recording(ChannelTransport, Arc<Mutex<Vec<f32>>>);
+
+    impl Transport for Recording {
+        fn send_msg(&mut self, dst: usize, seq: u64, data: &[f32], flip: Option<Flip>) -> Result<(), CommError> {
+            self.1.lock().unwrap().extend_from_slice(data);
+            self.0.send_msg(dst, seq, data, flip)
+        }
+        fn recv_msg(&mut self, src: usize, out: &mut [f32], timeout: Duration, poll: Duration) -> Result<Delivery, CommError> {
+            self.0.recv_msg(src, out, timeout, poll)
+        }
+        fn wait_shutdown(&mut self, deadline: Instant) -> bool {
+            self.0.wait_shutdown(deadline)
+        }
+    }
+
+    /// Every float `n` ranks send in one fp16 reduce-scatter of fp16
+    /// inputs, and how many of them are not fp16 values.
+    fn fp16_reduce_scatter_sends(n: usize) -> (usize, usize) {
+        let pipes: Vec<Vec<Arc<Pipe>>> = (0..n).map(|_| (0..n).map(|_| Arc::default()).collect()).collect();
+        let (latch, sent) = (ShutdownLatch::new(n), Arc::new(Mutex::new(Vec::new())));
+        let config = WorldConfig::default();
+        let len = 64 * n;
+        std::thread::scope(|s| {
+            for rank in 0..n {
+                let from_peer = pipes.iter().map(|row| row[rank].clone()).collect();
+                let link = ChannelTransport::new(rank, pipes[rank].clone(), from_peer, latch.clone());
+                let (stats, trace) = (TrafficStats::new(), Arc::new(TraceRecorder::new()));
+                let link = Box::new(Recording(link, sent.clone()));
+                let mut c = Communicator::spawn(rank, n, link, stats, trace, &config, latch.clone());
+                s.spawn(move || {
+                    let mut input: Vec<f32> = (0..len).map(|i| ((i * 7 + rank * 13) as f32 * 0.37).sin()).collect();
+                    f16_round_slice(&mut input);
+                    let (g, counts) = (Group::world(n), even_counts(len, n));
+                    let p = c.start_reduce_scatter(&g, input, ReduceOp::Sum, &counts, Precision::Fp16, WireFmt::Raw);
+                    p.wait().unwrap();
+                });
+            }
+        });
+        let sent = sent.lock().unwrap();
+        let mut rounded = sent.clone();
+        f16_round_slice(&mut rounded);
+        (sent.len(), rounded.iter().zip(sent.iter()).filter(|(r, s)| r.to_bits() != s.to_bits()).count())
+    }
+
+    #[test]
+    fn fp16_ring_reduce_scatter_sends_fp16_values_at_two_ranks_only() {
+        // The first hop sends the member's own fp16 inputs; every later
+        // hop an f32 partial sum of several, which fp16 cannot hold: a
+        // `u16` wire carries the ring losslessly at 2 ranks only.
+        assert_eq!(fp16_reduce_scatter_sends(2), (2 * 64, 0));
+        let (sent, not_fp16) = fp16_reduce_scatter_sends(4);
+        assert_eq!(sent, 4 * 3 * 64);
+        assert!(not_fp16 > 0, "{not_fp16} of {sent} partial sums were not fp16 values");
     }
 
     #[test]

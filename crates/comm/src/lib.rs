@@ -56,5 +56,5 @@ pub use transport::{Delivery, Flip, ShutdownLatch, Transport};
 pub use wire::{Frame, WireError, MAX_FRAME_LEN};
 pub use world::{
     launch, launch_with_config, launch_with_stats, try_launch, try_launch_with_config,
-    Communicator, RankFailure, TieredLink, WireTap, World, WorldConfig,
+    Communicator, RankFailure, TieredLink, World, WorldConfig,
 };

@@ -46,7 +46,6 @@
 //! fault coordinate and no bytes.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -85,12 +84,9 @@ pub(crate) struct Desk {
     rank: usize,
     state: Mutex<DeskState>,
     cv: Condvar,
-    /// Ops finished so far (they finish in issue order), readable without
-    /// the lock for polling.
-    finished: AtomicU64,
-    /// How long a blocked caller polls before parking: on the desk for an
-    /// op the progress thread runs, and on a pipe for a peer's message in
-    /// an op it runs itself. The progress thread never polls: its polling
+    /// How long a blocked caller polls before parking, on the desk for an
+    /// op the progress thread runs and on a pipe for a peer's message in an
+    /// op it runs itself. The progress thread parks at once: its polling
     /// would take a core from the caller's compute.
     poll: Duration,
 }
@@ -100,10 +96,6 @@ struct DeskState {
     fabric: Option<Fabric>,
     queue: VecDeque<Job>,
     next_id: u64,
-    /// Callers blocked in a wait.
-    waiters: usize,
-    /// The progress thread is parked on the condvar.
-    progress_idle: bool,
     /// The `Communicator` is gone: the progress thread drains the queue
     /// and drops the fabric.
     closed: bool,
@@ -124,128 +116,100 @@ impl Drop for Holding<'_> {
     }
 }
 
-/// Runs one op on `fabric`, recording one collective span byte-tagged
-/// with the traffic its execution produced (only the fabric's holder
-/// records sends, so timeline bytes reconcile with `TrafficStats` by
-/// construction) and its execution time. Each receive polls for `poll`
-/// before it parks.
-fn execute<R>(fabric: &mut Fabric, poll: Duration, kind: Option<CollectiveKind>, run: impl FnOnce(&mut Fabric) -> R) -> R {
-    fabric.poll = poll;
-    let Some(kind) = kind else { return run(fabric) };
-    let span = fabric.trace.begin_on(TRACK_PROGRESS, SpanCategory::Collective, kind.name());
-    let (bytes_before, t0) = (fabric.stats.bytes(kind), Instant::now());
-    let res = run(fabric);
-    fabric.stats.record_exec(kind, t0.elapsed());
-    fabric.trace.end_with_bytes(span, fabric.stats.bytes(kind) - bytes_before);
-    res
-}
-
 impl Desk {
     pub(crate) fn new(rank: usize, fabric: Fabric, poll: Duration) -> Arc<Desk> {
-        let state = DeskState {
-            fabric: Some(fabric),
-            queue: VecDeque::new(),
-            next_id: 0,
-            waiters: 0,
-            progress_idle: false,
-            closed: false,
-            lost: false,
-        };
-        Arc::new(Desk { rank, state: Mutex::new(state), cv: Condvar::new(), finished: AtomicU64::new(0), poll })
+        let state = DeskState { fabric: Some(fabric), queue: VecDeque::new(), next_id: 0, closed: false, lost: false };
+        Arc::new(Desk { rank, state: Mutex::new(state), cv: Condvar::new(), poll })
     }
 
     fn lock(&self) -> MutexGuard<'_, DeskState> {
         lock_unpoisoned(&self.state)
     }
 
-    /// Publishes op `id`'s result; returns the desk locked.
-    fn finish(&self, id: u64, slot: &Slot, res: OpResult) -> MutexGuard<'_, DeskState> {
-        let st = self.lock();
-        *lock_unpoisoned(slot) = Some(res);
-        self.finished.store(id + 1, Ordering::Release);
-        st
+    /// Runs one op on `fabric`, polling each receive for `poll`, and
+    /// records one collective span byte-tagged with the traffic its
+    /// execution produced (only the fabric's holder records sends, so
+    /// timeline bytes reconcile with `TrafficStats` by construction) and
+    /// its execution time.
+    fn execute<R>(&self, fabric: &mut Fabric, poll: Duration, kind: Option<CollectiveKind>, run: impl FnOnce(&mut Fabric) -> R) -> R {
+        let _holding = Holding(self);
+        fabric.poll = poll;
+        let Some(kind) = kind else { return run(fabric) };
+        let span = fabric.trace.begin_on(TRACK_PROGRESS, SpanCategory::Collective, kind.name());
+        let (bytes_before, t0) = (fabric.stats.bytes(kind), Instant::now());
+        let res = run(fabric);
+        fabric.stats.record_exec(kind, t0.elapsed());
+        fabric.trace.end_with_bytes(span, fabric.stats.bytes(kind) - bytes_before);
+        res
     }
 
-    /// Queues `run`, waking an idle progress thread. Returns the op's id
-    /// and how many ops run before it.
+    /// Queues `run`, waking the progress thread. Returns the op's id and
+    /// how many ops run before it.
     pub(crate) fn submit(&self, kind: Option<CollectiveKind>, run: Body, slot: Slot) -> (u64, usize) {
         let mut st = self.lock();
         let id = st.next_id;
         st.next_id += 1;
         let ahead = st.queue.len() + usize::from(st.fabric.is_none());
         st.queue.push_back(Job { id, kind, run, slot });
-        let wake = st.progress_idle;
         drop(st);
-        if wake {
-            self.cv.notify_all();
-        }
+        self.cv.notify_all();
         (id, ahead)
     }
 
-    /// Hands the fabric back, waking the progress thread when the kernel
-    /// says ops are left for it. Every notify here is sent after the lock
-    /// is dropped, so the woken thread does not wake only to block on it.
-    fn release(&self, mut st: MutexGuard<'_, DeskState>, fabric: Fabric) {
+    /// Hands the fabric back, waking the desk's sleepers when the kernel
+    /// says so; `ran_others` tells it this thread ran ops others issued.
+    fn release(&self, fabric: Fabric, ran_others: bool) {
+        let mut st = self.lock();
         st.fabric = Some(fabric);
-        let wake = handoff::wake_on_release(st.queue.len(), st.closed);
+        let wake = handoff::wake_on_release(st.queue.len(), ran_others, st.closed);
         drop(st);
         if wake {
             self.cv.notify_all();
         }
     }
 
-    /// Waits until op `own` has a result in its slot, running it on this
-    /// thread — after every op queued before it — if the fabric is free
-    /// and nobody has started it (help-first). With `own` `None`, returns
-    /// the fabric once every op queued so far has run.
-    fn turn(&self, own: Option<(u64, &Slot)>, budget: Duration) -> Result<Option<Fabric>, CommError> {
-        let deadline = Instant::now() + budget;
-        let (mut st, mut polled) = (self.lock(), false);
+    /// Waits until `done()`, or until the fabric is free while op `last`
+    /// is still queued: then this thread takes it, runs every op queued up
+    /// to `last` (help-first) and returns it with the number of ops it
+    /// ran. With `last` `u64::MAX` it waits for the fabric itself.
+    fn turn(&self, last: u64, done: impl Fn() -> bool, budget: Duration) -> Result<Option<(Fabric, usize)>, CommError> {
+        let (start, mut st) = (Instant::now(), self.lock());
         loop {
-            if own.is_some_and(|(_, slot)| lock_unpoisoned(slot).is_some()) {
+            if done() {
                 return Ok(None);
             }
             if st.lost {
                 return Err(CommError::ProgressLost { rank: self.rank });
             }
-            let queued = own.is_none_or(|(id, _)| st.queue.iter().any(|j| j.id == id));
+            let queued = last == u64::MAX || st.queue.front().is_some_and(|j| j.id <= last);
             if handoff::helper_takes(st.fabric.is_some(), queued) {
-                let mut fabric = st.fabric.take().expect("the kernel takes a free fabric");
-                let _holding = Holding(self);
-                let last = own.map_or(u64::MAX, |(id, _)| id);
+                let (mut fabric, mut ran) = (st.fabric.take().expect("the kernel takes a free fabric"), 0);
                 while st.queue.front().is_some_and(|j| handoff::helper_runs(j.id, last)) {
-                    let Job { id, kind, run, slot } = st.queue.pop_front().expect("checked non-empty");
+                    let Job { kind, run, slot, .. } = st.queue.pop_front().expect("checked non-empty");
                     drop(st);
-                    let res = execute(&mut fabric, self.poll, kind, run);
-                    st = self.finish(id, &slot, res);
+                    let res = self.execute(&mut fabric, self.poll, kind, run);
+                    st = self.lock();
+                    *lock_unpoisoned(&slot) = Some(res);
+                    ran += 1;
                 }
-                if own.is_none() {
-                    return Ok(Some(fabric));
-                }
-                self.release(st, fabric);
-                return Ok(None);
+                return Ok(Some((fabric, ran)));
             }
-            if let Some((id, _)) = own.filter(|_| !queued && !polled) {
-                // The progress thread runs the op and usually finishes
-                // within microseconds of its last message: poll first.
-                drop(st);
-                let until = Instant::now() + self.poll;
-                while self.finished.load(Ordering::Acquire) <= id && Instant::now() < until {
-                    std::thread::yield_now();
-                }
-                (st, polled) = (self.lock(), true);
-                continue;
-            }
-            let now = Instant::now();
-            if now >= deadline {
+            let waited = start.elapsed();
+            if waited >= budget {
                 return Err(CommError::ProgressStalled { rank: self.rank, waited: budget });
             }
-            st.waiters += 1;
-            st = match self.cv.wait_timeout(st, deadline - now) {
+            // The progress thread runs the op and usually finishes within
+            // microseconds of its last message: poll first.
+            if waited < self.poll {
+                drop(st);
+                std::thread::yield_now();
+                st = self.lock();
+                continue;
+            }
+            st = match self.cv.wait_timeout(st, budget - waited) {
                 Ok((guard, _)) => guard,
                 Err(poisoned) => poisoned.into_inner().0,
             };
-            st.waiters -= 1;
         }
     }
 
@@ -258,12 +222,9 @@ impl Desk {
         budget: Duration,
         body: impl FnOnce(&mut Fabric) -> Result<R, CommError>,
     ) -> Result<R, CommError> {
-        let mut fabric = self.turn(None, budget)?.expect("a turn without an op of its own ends holding the fabric");
-        let res = {
-            let _holding = Holding(self);
-            execute(&mut fabric, self.poll, kind, body)
-        };
-        self.release(self.lock(), fabric);
+        let (mut fabric, ran) = self.turn(u64::MAX, || false, budget)?.expect("a turn for the fabric ends holding it");
+        let res = self.execute(&mut fabric, self.poll, kind, body);
+        self.release(fabric, ran > 0);
         res
     }
 
@@ -278,24 +239,22 @@ impl Desk {
     /// desk closes and drains; then drops the fabric, so peers observe
     /// `PeerLost`.
     pub(crate) fn progress_loop(&self) {
-        // Waiters to wake for the op just finished: woken once the lock is
-        // next dropped, so the next op starts without a hand-off.
+        // Waiters are woken for the op just finished once the lock is next
+        // dropped, so the next op starts without a hand-off.
         let (mut st, mut wake) = (self.lock(), false);
         while !st.lost {
             if handoff::progress_takes(st.fabric.is_some(), st.queue.len()) {
-                let Job { id, kind, run, slot } = st.queue.pop_front().expect("the kernel takes a queued op");
+                let Job { kind, run, slot, .. } = st.queue.pop_front().expect("the kernel takes a queued op");
                 let mut fabric = st.fabric.take().expect("the kernel takes a free fabric");
                 drop(st);
                 if std::mem::take(&mut wake) {
                     self.cv.notify_all();
                 }
-                let res = {
-                    let _holding = Holding(self);
-                    execute(&mut fabric, Duration::ZERO, kind, run)
-                };
-                st = self.finish(id, &slot, res);
+                let res = self.execute(&mut fabric, Duration::ZERO, kind, run);
+                st = self.lock();
+                *lock_unpoisoned(&slot) = Some(res);
                 st.fabric = Some(fabric);
-                wake = st.waiters > 0;
+                wake = true;
             } else if st.closed && st.queue.is_empty() && st.fabric.is_some() {
                 let fabric = st.fabric.take();
                 drop((st, fabric));
@@ -304,12 +263,10 @@ impl Desk {
                 if std::mem::take(&mut wake) {
                     self.cv.notify_all();
                 }
-                st.progress_idle = true;
                 st = match self.cv.wait(st) {
                     Ok(guard) => guard,
                     Err(poisoned) => poisoned.into_inner(),
                 };
-                st.progress_idle = false;
             }
         }
     }
@@ -356,8 +313,11 @@ impl PendingOp {
             _ => zero_trace::SpanId::NULL,
         };
         let t0 = Instant::now();
-        let turn = self.queued.as_ref().map_or(Ok(None), |(desk, id)| desk.turn(Some((*id, &self.slot)), self.budget));
-        let res = turn.and_then(|_| lock_unpoisoned(&self.slot).take().expect("a finished op left its result"));
+        let done = || lock_unpoisoned(&self.slot).is_some();
+        let turn = self.queued.as_ref().map_or(Ok(()), |(desk, id)| {
+            desk.turn(*id, done, self.budget).map(|held| held.map_or((), |(fabric, ran)| desk.release(fabric, ran > 1)))
+        });
+        let res = turn.and_then(|()| lock_unpoisoned(&self.slot).take().expect("a finished op left its result"));
         if let (Some(kind), Some(_)) = (self.kind, &self.queued) {
             self.stats.record_wait(kind, t0.elapsed());
         }

@@ -23,6 +23,10 @@
 //!   `liveness_timeout` is declared lost without waiting out the full
 //!   `recv_timeout`. A *hung* peer keeps heartbeating, so hangs still
 //!   surface as `Timeout` — fault semantics stay backend-identical.
+//! - **One receive path.** Each peer's reader thread decodes its frames
+//!   into the same recycling [`Pipe`] the in-process backend uses, and
+//!   closes it when the peer is gone or silent, so a receive is the
+//!   in-process one.
 //! - **Orphan reaping.** [`RankProcs`] owns the spawned children and
 //!   kills + reaps every survivor on drop, so no run leaks processes.
 //!
@@ -36,7 +40,6 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -47,11 +50,11 @@ use crate::crc::crc32_f32s;
 use crate::error::CommError;
 use crate::fault::FaultPlan;
 use crate::stats::TrafficStats;
-use crate::transport::{deliver, lock_unpoisoned, Delivery, Flip, ShutdownLatch, Transport};
+use crate::transport::{lock_unpoisoned, Delivery, Flip, Pipe, ShutdownLatch, Transport};
 use crate::wire::{self, Frame};
 use crate::world::{Communicator, WorldConfig};
 
-/// How often blocked receives wake to re-check liveness and deadlines.
+/// How often a hung rank re-checks whether its peers are gone.
 const RECV_TICK: Duration = Duration::from_millis(20);
 
 /// Read-timeout granularity of the per-peer reader threads; bounds how
@@ -164,61 +167,19 @@ pub fn connect_process_rank(
     ))
 }
 
-/// Per-peer liveness ledger shared between the reader thread (which
-/// stamps it) and the transport (which judges it).
-struct PeerHealth {
-    /// Milliseconds since the transport epoch of the last frame — of any
-    /// kind — received from this peer.
-    last_seen_ms: AtomicU64,
-    /// Cleared by the reader on EOF / protocol error, and by writers on
-    /// a severed socket.
-    alive: AtomicBool,
-}
-
-impl PeerHealth {
-    fn new() -> Arc<PeerHealth> {
-        Arc::new(PeerHealth {
-            last_seen_ms: AtomicU64::new(0),
-            alive: AtomicBool::new(true),
-        })
-    }
-
-    fn touch(&self, epoch: Instant) {
-        let ms = epoch.elapsed().as_millis() as u64;
-        self.last_seen_ms.store(ms, Ordering::Relaxed);
-    }
-
-    fn mark_dead(&self) {
-        self.alive.store(false, Ordering::Relaxed);
-    }
-
-    /// True once the peer is known-dead or has been silent past the
-    /// liveness window.
-    fn lost(&self, epoch: Instant, liveness: Duration) -> bool {
-        if !self.alive.load(Ordering::Relaxed) {
-            return true;
-        }
-        let seen = Duration::from_millis(self.last_seen_ms.load(Ordering::Relaxed));
-        epoch.elapsed().saturating_sub(seen) > liveness
-    }
-}
-
 /// One fully-established link to a peer rank.
 struct PeerLink {
     /// Write half, shared with the heartbeat thread.
     writer: Arc<Mutex<UnixStream>>,
-    /// Data frames — sequence number, payload CRC, payload — forwarded by
-    /// the reader thread.
-    data_rx: Receiver<(u64, u32, Vec<f32>)>,
-    health: Arc<PeerHealth>,
+    /// Data frames, queued by the reader thread, which closes it once the
+    /// peer is gone.
+    inbox: Arc<Pipe>,
 }
 
 /// [`Transport`] implementation where every peer is another OS process on
 /// the far side of a Unix domain socket.
 pub struct SocketTransport {
     rank: usize,
-    epoch: Instant,
-    liveness_timeout: Duration,
     /// `None` at `self.rank`.
     links: Vec<Option<PeerLink>>,
     shutdown: Arc<AtomicBool>,
@@ -296,12 +257,11 @@ impl SocketTransport {
             }
         }
 
-        let epoch = Instant::now();
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut links: Vec<Option<PeerLink>> = Vec::with_capacity(cfg.world);
         let mut threads = Vec::new();
         let mut sockets = Vec::new();
-        let mut beat_targets: Vec<(Arc<Mutex<UnixStream>>, Arc<PeerHealth>)> = Vec::new();
+        let mut beat_targets: Vec<(Arc<Mutex<UnixStream>>, Arc<Pipe>)> = Vec::new();
         for (peer, slot) in streams.into_iter().enumerate() {
             let Some((stream, residue)) = slot else {
                 links.push(None);
@@ -317,28 +277,11 @@ impl SocketTransport {
                     .try_clone()
                     .map_err(|_| CommError::PeerLost { rank, peer })?,
             );
-            let health = PeerHealth::new();
-            health.touch(epoch);
-            let (data_tx, data_rx) = channel();
-            let writer = Arc::new(Mutex::new(stream));
-            beat_targets.push((writer.clone(), health.clone()));
-            let reader_health = health.clone();
-            let reader_stop = shutdown.clone();
-            threads.push(std::thread::spawn(move || {
-                reader_loop(
-                    reader,
-                    residue,
-                    data_tx,
-                    reader_health,
-                    reader_stop,
-                    epoch,
-                );
-            }));
-            links.push(Some(PeerLink {
-                writer,
-                data_rx,
-                health,
-            }));
+            let (inbox, writer) = (Arc::new(Pipe::default()), Arc::new(Mutex::new(stream)));
+            beat_targets.push((writer.clone(), inbox.clone()));
+            let (reader_inbox, reader_stop, liveness) = (inbox.clone(), shutdown.clone(), cfg.liveness_timeout);
+            threads.push(std::thread::spawn(move || reader_loop(reader, residue, &reader_inbox, &reader_stop, liveness)));
+            links.push(Some(PeerLink { writer, inbox }));
         }
         debug_assert_eq!(links.len(), cfg.world);
 
@@ -350,8 +293,6 @@ impl SocketTransport {
 
         Ok(SocketTransport {
             rank,
-            epoch,
-            liveness_timeout: cfg.liveness_timeout,
             links,
             shutdown,
             threads,
@@ -378,7 +319,7 @@ impl SocketTransport {
         match stream.write_all(frame).and_then(|()| stream.flush()) {
             Ok(()) => Ok(()),
             Err(_) => {
-                link.health.mark_dead();
+                link.inbox.close();
                 Err(CommError::PeerLost {
                     rank: self.rank,
                     peer,
@@ -402,40 +343,8 @@ impl Transport for SocketTransport {
         self.write_frame(dst, &frame)
     }
 
-    fn recv_msg(&mut self, src: usize, out: &mut [f32], timeout: Duration, _poll: Duration) -> Result<Delivery, CommError> {
-        let deadline = Instant::now() + timeout;
-        let link = self.link(src)?;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CommError::Timeout {
-                    rank: self.rank,
-                    peer: src,
-                    waited: timeout,
-                });
-            }
-            let tick = RECV_TICK.min(deadline - now);
-            match link.data_rx.recv_timeout(tick) {
-                Ok((seq, declared_crc, payload)) => return Ok(deliver(seq, declared_crc, &payload, out)),
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::PeerLost {
-                        rank: self.rank,
-                        peer: src,
-                    });
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    // Heartbeats keep `last_seen` fresh for a peer that is
-                    // alive but slow; only a genuinely silent peer trips
-                    // this before the full receive timeout elapses.
-                    if link.health.lost(self.epoch, self.liveness_timeout) {
-                        return Err(CommError::PeerLost {
-                            rank: self.rank,
-                            peer: src,
-                        });
-                    }
-                }
-            }
-        }
+    fn recv_msg(&mut self, src: usize, out: &mut [f32], timeout: Duration, poll: Duration) -> Result<Delivery, CommError> {
+        self.link(src)?.inbox.recv(self.rank, src, out, timeout, poll)
     }
 
     fn wait_shutdown(&mut self, deadline: Instant) -> bool {
@@ -444,11 +353,7 @@ impl Transport for SocketTransport {
         // the readers mark the links dead, and this wait completes well
         // before the worst-case deadline.
         loop {
-            let all_gone = self
-                .links
-                .iter()
-                .flatten()
-                .all(|l| l.health.lost(self.epoch, self.liveness_timeout));
+            let all_gone = self.links.iter().flatten().all(|l| l.inbox.is_closed());
             if all_gone {
                 return true;
             }
@@ -580,38 +485,33 @@ fn read_hello(stream: &UnixStream, deadline: Instant) -> Option<((u32, u32, u64)
     }
 }
 
-/// Per-peer reader: drains the socket into the frame decoder, stamps
-/// liveness on every frame, and forwards data frames to the transport.
-/// Exits — dropping its channel senders, which peers observe as
-/// `PeerLost` — on EOF, protocol error, or transport shutdown.
-fn reader_loop(
-    mut stream: UnixStream,
-    residue: Vec<u8>,
-    data_tx: Sender<(u64, u32, Vec<f32>)>,
-    health: Arc<PeerHealth>,
-    stop: Arc<AtomicBool>,
-    epoch: Instant,
-) {
+/// Per-peer reader: drains the socket into the frame decoder and queues
+/// data frames on `inbox`. Closes it — which the transport observes as
+/// `PeerLost` — on EOF, protocol error, `liveness` of silence (not even a
+/// heartbeat), or transport shutdown.
+fn reader_loop(mut stream: UnixStream, residue: Vec<u8>, inbox: &Pipe, stop: &AtomicBool, liveness: Duration) {
     // Seed the decoder with bytes the handshake read past its Hello frame.
     let mut acc: Vec<u8> = residue;
     let mut chunk = [0u8; 64 * 1024];
-    'outer: while !stop.load(Ordering::Relaxed) {
+    let mut seen = Instant::now();
+    'outer: while !stop.load(Ordering::Relaxed) && seen.elapsed() <= liveness {
         loop {
             match wire::decode_frame(&acc) {
                 Ok(Some((frame, used))) => {
                     acc.drain(..used);
-                    health.touch(epoch);
+                    seen = Instant::now();
                     let delivered = match frame {
-                        Frame::Data { seq, payload_crc, payload } => {
-                            data_tx.send((seq, payload_crc, payload)).is_ok()
-                        }
+                        Frame::Data { seq, payload_crc, payload } => inbox.send(seq, payload.len(), |buf| {
+                            buf.extend_from_slice(&payload);
+                            payload_crc
+                        }),
                         Frame::Heartbeat => true,
                         // A Hello after the handshake is a protocol
                         // violation; treat the link as gone.
                         Frame::Hello { .. } => break 'outer,
                     };
                     if !delivered {
-                        // The transport dropped its receivers: shutdown.
+                        // The transport closed its inbox: shutdown.
                         break 'outer;
                     }
                 }
@@ -628,26 +528,22 @@ fn reader_loop(
             Err(_) => break,
         }
     }
-    health.mark_dead();
+    inbox.close();
 }
 
 /// Beats every link at `interval` until shutdown. Runs on its own thread
 /// so a hung progress thread keeps proving the process is alive — hangs
 /// must surface as `Timeout`, not `PeerLost`, on both backends.
 fn heartbeat_loop(
-    targets: Vec<(Arc<Mutex<UnixStream>>, Arc<PeerHealth>)>,
+    targets: Vec<(Arc<Mutex<UnixStream>>, Arc<Pipe>)>,
     interval: Duration,
     stop: Arc<AtomicBool>,
 ) {
     let beat = wire::encode_heartbeat();
     while !stop.load(Ordering::Relaxed) {
-        for (writer, health) in &targets {
-            if !health.alive.load(Ordering::Relaxed) {
-                continue;
-            }
-            let mut stream = lock_unpoisoned(writer);
-            if stream.write_all(&beat).is_err() {
-                health.mark_dead();
+        for (writer, inbox) in &targets {
+            if !inbox.is_closed() && lock_unpoisoned(writer).write_all(&beat).is_err() {
+                inbox.close();
             }
         }
         // Sleep in short slices so transport drop never waits a full

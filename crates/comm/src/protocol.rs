@@ -69,11 +69,13 @@ pub mod handoff {
         fabric_free && queued > 0
     }
 
-    /// A helper handing the fabric back wakes the progress thread while
-    /// ops are left queued (ops issued ahead keep overlapping compute) or
-    /// the desk has closed (the progress thread drops the fabric).
-    pub fn wake_on_release(queued: usize, closed: bool) -> bool {
-        queued > 0 || closed
+    /// A helper handing the fabric back wakes the desk's sleepers while
+    /// ops are left queued (the progress thread runs them, so ops issued
+    /// ahead keep overlapping compute), when it ran ops others issued
+    /// (another thread may wait on one), or once the desk has closed (the
+    /// progress thread drops the fabric).
+    pub fn wake_on_release(queued: usize, ran_others: bool, closed: bool) -> bool {
+        queued > 0 || ran_others || closed
     }
 }
 
@@ -100,7 +102,7 @@ mod tests {
         assert!(handoff::helper_runs(3, 3) && handoff::helper_runs(2, 3) && !handoff::helper_runs(4, 3));
         assert!(handoff::progress_takes(true, 1));
         assert!(!handoff::progress_takes(false, 1) && !handoff::progress_takes(true, 0));
-        assert!(handoff::wake_on_release(1, false) && handoff::wake_on_release(0, true));
-        assert!(!handoff::wake_on_release(0, false));
+        assert!(handoff::wake_on_release(1, false, false) && handoff::wake_on_release(0, true, false));
+        assert!(handoff::wake_on_release(0, false, true) && !handoff::wake_on_release(0, false, false));
     }
 }

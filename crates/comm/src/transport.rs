@@ -20,7 +20,8 @@
 //! * [`SocketTransport`](crate::process::SocketTransport): ranks are
 //!   separate OS processes and a hop is a CRC-framed write on a Unix
 //!   domain socket — the backend that makes `kill -9` a real experiment
-//!   rather than a simulation.
+//!   rather than a simulation. Each peer's reader thread queues the
+//!   frames it decodes on a [`Pipe`], so a receive is the one above.
 //!
 //! Both backends carry the sender's checksum beside the payload and
 //! surface failures as the same typed [`CommError`]s, so the ring
@@ -28,7 +29,6 @@
 //! the fabric are backend-agnostic.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -88,20 +88,6 @@ pub trait Transport: Send {
     fn wait_shutdown(&mut self, deadline: Instant) -> bool;
 }
 
-/// Copies message `seq` with checksum `declared_crc` into `out`,
-/// checksumming it on the way, if it fits exactly.
-pub(crate) fn deliver(seq: u64, declared_crc: u32, payload: &[f32], out: &mut [f32]) -> Delivery {
-    let (mut at, len) = (0, payload.len());
-    let actual_crc = match len == out.len() {
-        true => crc32_f32s_through(payload, |block| {
-            out[at..at + block.len()].copy_from_slice(block);
-            at += block.len();
-        }),
-        false => 0,
-    };
-    Delivery { seq, declared_crc, actual_crc, len }
-}
-
 /// Recovers a mutex guard even if a holder panicked: the latch state
 /// below is a plain counter whose invariant is restored by the waiters
 /// themselves, so poisoning carries no information here.
@@ -156,63 +142,111 @@ impl ShutdownLatch {
     }
 }
 
-/// One message in a [`Pipe`]: its sequence number, the sender's CRC and
-/// the payload in a buffer the pipe recycles.
-struct Parcel {
-    seq: u64,
-    crc: u32,
-    data: Vec<f32>,
-}
-
-/// One ordered rank pair's FIFO of messages, plus the buffers the
-/// receiver has emptied, which the sender refills: after the first few
-/// messages a pipe moves bytes without allocating. Either end dropping
-/// closes it, as a dropped channel endpoint would.
+/// One ordered rank pair's FIFO of messages — sequence number, the
+/// sender's CRC, the payload — plus the buffers the receiver has emptied,
+/// which the sender refills: a warm pipe moves bytes without allocating.
+/// Either end closing it (dropping its transport) reads as a dropped
+/// channel endpoint would: `PeerLost`, once what was sent is drained. The
+/// in-process backend sends on it from the peer's thread, the process
+/// backend from the reader thread of the peer's socket.
 #[derive(Default)]
 pub(crate) struct Pipe {
     state: Mutex<PipeState>,
     ready: Condvar,
-    /// Messages in `state.queue`, readable without the lock.
-    queued: AtomicUsize,
 }
 
 #[derive(Default)]
 struct PipeState {
-    queue: VecDeque<Parcel>,
+    queue: VecDeque<(u64, u32, Vec<f32>)>,
+    /// Emptied buffers, each as wide as the widest message the pipe has
+    /// carried, so a pipe stops allocating once it has warmed up.
     spare: Vec<Vec<f32>>,
-    sender_gone: bool,
-    receiver_gone: bool,
-    /// The receiver is parked on `ready`: only then does a send notify.
-    parked: bool,
-    /// The longest message sent so far, in floats.
     widest: usize,
-    /// Buffers made so far.
-    made: usize,
+    closed: bool,
 }
 
-impl PipeState {
-    /// An emptied buffer that holds `len` floats without growing. Every
-    /// buffer is kept as wide as the widest message the pipe has carried,
-    /// and the first send makes two — a ring step's message can be sent
-    /// before the peer has emptied the step before's — so buffers are
-    /// made and grown only while the pipe warms up.
-    fn spare_for(&mut self, len: usize) -> Vec<f32> {
-        if len > self.widest {
-            self.widest = len;
-            for b in &mut self.spare {
-                b.clear();
-                b.reserve(len);
+impl Pipe {
+    pub(crate) fn close(&self) {
+        lock_unpoisoned(&self.state).closed = true;
+        self.ready.notify_all();
+    }
+
+    pub(crate) fn is_closed(&self) -> bool {
+        lock_unpoisoned(&self.state).closed
+    }
+
+    /// Queues message `seq` of `len` floats, which `fill` writes into an
+    /// emptied buffer, returning the CRC the sender declares for it.
+    /// `false` if the pipe is closed.
+    pub(crate) fn send(&self, seq: u64, len: usize, fill: impl FnOnce(&mut Vec<f32>) -> u32) -> bool {
+        let mut buf = {
+            let mut st = lock_unpoisoned(&self.state);
+            if st.closed {
+                return false;
             }
+            if len > st.widest {
+                // The first message makes two buffers: a ring step's can be
+                // sent before the peer has emptied the step before's.
+                if st.widest == 0 {
+                    st.spare.resize(2, Vec::new());
+                }
+                st.widest = len;
+                st.spare.iter_mut().for_each(|b| b.reserve(len));
+            }
+            let mut buf = st.spare.pop().unwrap_or_default();
+            buf.reserve(st.widest);
+            buf
+        };
+        let crc = fill(&mut buf);
+        let mut st = lock_unpoisoned(&self.state);
+        if st.closed {
+            return false;
         }
-        if self.spare.is_empty() {
-            let fresh = if self.made == 0 { 2 } else { 1 };
-            self.spare.extend((0..fresh).map(|_| Vec::with_capacity(self.widest)));
-            self.made += fresh;
-        }
-        let mut buf = self.spare.pop().unwrap_or_default();
+        st.queue.push_back((seq, crc, buf));
+        drop(st);
+        self.ready.notify_one();
+        true
+    }
+
+    /// Copies the next message into `out`, checksumming it on the way, if
+    /// it fits exactly; waits at most `timeout` for it, the first `poll` of
+    /// that by polling. `rank` observes the pipe from `src`.
+    pub(crate) fn recv(&self, rank: usize, src: usize, out: &mut [f32], timeout: Duration, poll: Duration) -> Result<Delivery, CommError> {
+        let (start, mut st) = (Instant::now(), lock_unpoisoned(&self.state));
+        let (seq, declared_crc, mut buf) = loop {
+            if let Some(msg) = st.queue.pop_front() {
+                break msg;
+            }
+            if st.closed {
+                return Err(CommError::PeerLost { rank, peer: src });
+            }
+            let waited = start.elapsed();
+            if waited >= timeout {
+                return Err(CommError::Timeout { rank, peer: src, waited: timeout });
+            }
+            if waited < poll {
+                drop(st);
+                std::thread::yield_now();
+                st = lock_unpoisoned(&self.state);
+                continue;
+            }
+            st = match self.ready.wait_timeout(st, timeout - waited) {
+                Ok((guard, _)) => guard,
+                Err(poisoned) => poisoned.into_inner().0,
+            };
+        };
+        drop(st);
+        let (mut at, len) = (0, buf.len());
+        let actual_crc = match len == out.len() {
+            true => crc32_f32s_through(&buf, |block| {
+                out[at..at + block.len()].copy_from_slice(block);
+                at += block.len();
+            }),
+            false => 0,
+        };
         buf.clear();
-        buf.reserve(self.widest);
-        buf
+        lock_unpoisoned(&self.state).spare.push(buf);
+        Ok(Delivery { seq, declared_crc, actual_crc, len })
     }
 }
 
@@ -242,74 +276,24 @@ impl Drop for ChannelTransport {
     /// Closes every pipe this rank is an end of: peers blocked on it wake
     /// and observe `PeerLost` (after draining what was already sent).
     fn drop(&mut self) {
-        for (pipes, sender) in [(&self.to_peer, true), (&self.from_peer, false)] {
-            for pipe in pipes {
-                let mut st = lock_unpoisoned(&pipe.state);
-                if sender { st.sender_gone = true } else { st.receiver_gone = true }
-                pipe.ready.notify_all();
-            }
-        }
+        self.to_peer.iter().chain(&self.from_peer).for_each(|pipe| pipe.close());
     }
 }
 
 impl Transport for ChannelTransport {
     fn send_msg(&mut self, dst: usize, seq: u64, data: &[f32], flip: Option<Flip>) -> Result<(), CommError> {
-        let pipe = &self.to_peer[dst];
-        let lost = CommError::PeerLost { rank: self.rank, peer: dst };
-        let mut buf = {
-            let mut st = lock_unpoisoned(&pipe.state);
-            if st.receiver_gone {
-                return Err(lost);
+        let sent = self.to_peer[dst].send(seq, data.len(), |buf| {
+            let crc = crc32_f32s_through(data, |block| buf.extend_from_slice(block));
+            if let Some((elem, bit)) = flip {
+                buf[elem] = f32::from_bits(buf[elem].to_bits() ^ (1 << bit));
             }
-            st.spare_for(data.len())
-        };
-        let crc = crc32_f32s_through(data, |block| buf.extend_from_slice(block));
-        if let Some((elem, bit)) = flip {
-            buf[elem] = f32::from_bits(buf[elem].to_bits() ^ (1 << bit));
-        }
-        let mut st = lock_unpoisoned(&pipe.state);
-        if st.receiver_gone {
-            return Err(lost);
-        }
-        st.queue.push_back(Parcel { seq, crc, data: buf });
-        pipe.queued.fetch_add(1, Ordering::Release);
-        if st.parked {
-            pipe.ready.notify_one();
-        }
-        Ok(())
+            crc
+        });
+        sent.then_some(()).ok_or(CommError::PeerLost { rank: self.rank, peer: dst })
     }
 
     fn recv_msg(&mut self, src: usize, out: &mut [f32], timeout: Duration, poll: Duration) -> Result<Delivery, CommError> {
-        let pipe = &self.from_peer[src];
-        let start = Instant::now();
-        let deadline = start + timeout;
-        while pipe.queued.load(Ordering::Acquire) == 0 && start.elapsed() < poll {
-            std::thread::yield_now();
-        }
-        let mut st = lock_unpoisoned(&pipe.state);
-        let parcel = loop {
-            if let Some(parcel) = st.queue.pop_front() {
-                pipe.queued.fetch_sub(1, Ordering::Relaxed);
-                break parcel;
-            }
-            if st.sender_gone {
-                return Err(CommError::PeerLost { rank: self.rank, peer: src });
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CommError::Timeout { rank: self.rank, peer: src, waited: timeout });
-            }
-            st.parked = true;
-            st = match pipe.ready.wait_timeout(st, deadline - now) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-            st.parked = false;
-        };
-        drop(st);
-        let got = deliver(parcel.seq, parcel.crc, &parcel.data, out);
-        lock_unpoisoned(&pipe.state).spare.push(parcel.data);
-        Ok(got)
+        self.from_peer[src].recv(self.rank, src, out, timeout, poll)
     }
 
     fn wait_shutdown(&mut self, deadline: Instant) -> bool {

@@ -100,14 +100,7 @@ pub struct WorldConfig {
     /// where compute hides it (§7). `None`
     /// (the default, and every test's) makes messages free.
     pub tiered_link: Option<TieredLink>,
-    /// Observer of every payload the fabric sends, with its op kind and
-    /// accounted bytes, before any injected fault: how a test reads what
-    /// crosses the wire. `None` (the default) observes nothing.
-    pub tap: Option<WireTap>,
 }
-
-/// See [`WorldConfig::tap`].
-pub type WireTap = fn(CollectiveKind, u64, &[f32]);
 
 impl Default for WorldConfig {
     fn default() -> WorldConfig {
@@ -115,7 +108,6 @@ impl Default for WorldConfig {
             recv_timeout: Duration::from_secs(30),
             faults: FaultPlan::new(),
             tiered_link: None,
-            tap: None,
         }
     }
 }
@@ -208,7 +200,6 @@ pub(crate) struct Fabric {
     pub(crate) trace: Arc<TraceRecorder>,
     recv_timeout: Duration,
     tiered_link: Option<TieredLink>,
-    tap: Option<WireTap>,
     fault: FaultState,
     dead: bool,
     /// Receive buffer of the reduce phase, grown on first use and kept.
@@ -294,9 +285,6 @@ impl Fabric {
         let seq = self.send_seq[dst];
         self.send_seq[dst] += 1;
         self.stats.record_send(kind, logical_bytes);
-        if let Some(tap) = self.tap {
-            tap(kind, logical_bytes, data);
-        }
         // The transport checksums, then applies any armed corruption: the
         // damage must be invisible to the sender, like a real network flip.
         let flip = self.fault.take_corruption(data.len());
@@ -382,7 +370,6 @@ impl Communicator {
             trace: trace.clone(),
             recv_timeout: config.recv_timeout,
             tiered_link: config.tiered_link,
-            tap: config.tap,
             fault: config.faults.for_rank(rank),
             dead: false,
             scratch: Vec::new(),

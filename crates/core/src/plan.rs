@@ -45,6 +45,7 @@ use zero_comm::{
     WireFmt, KIND_COUNT,
 };
 use zero_model::Layout;
+use zero_tensor::f16::F16;
 
 use crate::config::{ZeroConfig, ZeroStage};
 use crate::partition::Partitioner;
@@ -220,10 +221,15 @@ impl ResolvedOp {
 
     /// `rank`'s `piece`, widened in place into the op's whole buffer at
     /// [`own_piece`](Self::own_piece): the in-place buffer an all-gather
-    /// takes.
+    /// takes. An fp16 [`Reduction::Copy`] gather's piece is read out of an
+    /// fp16 store, so every float it sends is an fp16 value (checked in
+    /// debug builds); DDP's two-level node gather carries reduced sums.
     pub fn place(&self, rank: usize, mut piece: Vec<f32>) -> Vec<f32> {
         let own = self.own_piece(rank);
         assert_eq!(piece.len(), own.len(), "planned '{}' piece", self.label);
+        let fp16 = |x: &f32| F16::from_f32(*x).to_f32().to_bits() == x.to_bits();
+        let checked = self.prec == Precision::Fp16 && matches!(self.reduce, Reduction::Copy);
+        debug_assert!(!checked || piece.iter().all(fp16), "planned '{}' gathers non-fp16 values", self.label);
         piece.resize(self.total_elems(), 0.0);
         piece.copy_within(0..own.len(), own.start);
         piece

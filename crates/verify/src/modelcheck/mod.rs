@@ -205,16 +205,17 @@ mod tests {
         f
     }
 
-    /// A desk nobody closes hangs its join-on-drop: the progress thread
-    /// parks forever.
+    /// A desk nobody closes strands its progress thread: it parks on the
+    /// desk's condvar with nobody left to wake it.
     #[test]
     fn mutated_progress_queue_without_close_deadlocks() {
         let f = mutant_failure(2, HandoffMutant::NoClose);
-        match f.violation {
-            Violation::LostWakeup { tid: 0, .. } => {}
-            Violation::Deadlock { ref stuck } if stuck == &vec![0] => {}
-            ref v => panic!("want the progress thread (t0) parked forever, got {v}"),
-        }
+        assert!(
+            matches!(f.violation, Violation::LostWakeup { tid: 0, condvar: 0 }),
+            "want the progress thread (t0) parked on the desk forever, got {} [{}]",
+            f.violation,
+            format_trace(&f.trace)
+        );
     }
 
     /// A helper that hands the fabric back without waking the parked

@@ -394,11 +394,7 @@ impl ProgressModel {
     const ISSUED: DataId = DataId(2);
     /// Ops finished so far.
     const DONE: DataId = DataId(3);
-    /// Callers blocked in a wait.
-    const WAITERS: DataId = DataId(4);
-    /// 1 while the progress thread is parked.
-    const IDLE: DataId = DataId(5);
-    const CLOSED: DataId = DataId(6);
+    const CLOSED: DataId = DataId(4);
     /// Ghost: the op that must run next (issue order).
     const NEXT: usize = 0;
 
@@ -441,9 +437,7 @@ impl ProgressModel {
             st.set_reg(tid, 0, TIMED_OUT); // ProgressStalled
             st.goto(tid, 4);
         } else {
-            let waiters = st.read_data(tid, Self::WAITERS);
-            st.write_data(tid, Self::WAITERS, waiters + 1);
-            st.goto(tid, 3);
+            st.goto(tid, 1);
             st.cv_wait(tid, Self::CV, Self::MX, true);
         }
     }
@@ -451,20 +445,19 @@ impl ProgressModel {
     fn caller(&self, st: &mut ModelState, tid: Tid) {
         let own = self.own();
         match st.pc(tid) {
-            // Issue: queue the next op, waking an idle progress thread.
+            // Issue: queue the next op, waking the progress thread.
             0 => {
                 if st.lock(tid, Self::MX) {
                     let id = st.read_data(tid, Self::ISSUED);
                     st.write_data(tid, Self::ISSUED, id + 1);
                     let q = st.read_data(tid, Self::QUEUED);
                     st.write_data(tid, Self::QUEUED, q | 1 << id);
-                    let wake = st.read_data(tid, Self::IDLE) == 1;
                     st.unlock(tid, Self::MX);
                     st.set_reg(tid, 2, if id + 1 < self.ops as i64 { 0 } else { 1 });
-                    st.goto(tid, if wake { 8 } else { st.reg(tid, 2) as u32 });
+                    st.goto(tid, 8);
                 }
             }
-            // Help-first wait on op `own`.
+            // Help-first wait on op `own` (woken waits come back here).
             1 => {
                 if st.lock(tid, Self::MX) {
                     self.help_wait(st, tid);
@@ -482,23 +475,19 @@ impl ProgressModel {
                     st.write_data(tid, Self::QUEUED, q & !(1 << job));
                     st.unlock(tid, Self::MX);
                     Self::run(st, job);
+                    st.set_reg(tid, 3, st.reg(tid, 3) + 1);
                     st.goto(tid, 5);
                 } else {
                     st.write_data(tid, Self::FREE, 1);
-                    let left = q.count_ones() as usize;
+                    let (left, ran_others) = (q.count_ones() as usize, st.reg(tid, 3) > 1);
                     let closed = st.read_data(tid, Self::CLOSED) == 1;
-                    let wake = handoff::wake_on_release(left, closed) && self.mutant != Some(HandoffMutant::SkipWake);
+                    let wake = handoff::wake_on_release(left, ran_others, closed)
+                        && self.mutant != Some(HandoffMutant::SkipWake);
                     st.unlock(tid, Self::MX);
                     st.set_reg(tid, 0, OK);
                     st.set_reg(tid, 2, 4);
                     st.goto(tid, if wake { 8 } else { 4 });
                 }
-            }
-            // Woken in the wait (mutex re-acquired): deregister, decide.
-            3 => {
-                let waiters = st.read_data(tid, Self::WAITERS);
-                st.write_data(tid, Self::WAITERS, waiters - 1);
-                self.help_wait(st, tid);
             }
             // Compute: the ops issued ahead must finish without the caller.
             4 => {
@@ -507,9 +496,7 @@ impl ProgressModel {
                         st.unlock(tid, Self::MX);
                         st.goto(tid, 7);
                     } else {
-                        let waiters = st.read_data(tid, Self::WAITERS);
-                        st.write_data(tid, Self::WAITERS, waiters + 1);
-                        st.goto(tid, 6);
+                        st.goto(tid, 4);
                         st.cv_wait(tid, Self::CV, Self::MX, false);
                     }
                 }
@@ -520,11 +507,6 @@ impl ProgressModel {
                     Self::finish(st, tid);
                     st.goto(tid, 2);
                 }
-            }
-            6 => {
-                let waiters = st.read_data(tid, Self::WAITERS);
-                st.write_data(tid, Self::WAITERS, waiters - 1);
-                st.goto(tid, 4);
             }
             // Drop the communicator: close the desk.
             7 => {
@@ -573,8 +555,7 @@ impl ProgressModel {
                     if wake {
                         st.notify_all(tid, Self::CV);
                     }
-                    st.write_data(tid, Self::IDLE, 1);
-                    st.goto(tid, 2);
+                    st.goto(tid, 0);
                     st.cv_wait(tid, Self::CV, Self::MX, false);
                 }
             }
@@ -585,15 +566,9 @@ impl ProgressModel {
                     st.write_data(tid, Self::FREE, 1);
                     // Keeps the mutex: the waiters are woken at pc 0, once
                     // it is dropped (or right before parking).
-                    let wake = st.read_data(tid, Self::WAITERS) > 0;
-                    st.set_reg(tid, 1, i64::from(wake));
+                    st.set_reg(tid, 1, 1);
                     st.goto(tid, 0);
                 }
-            }
-            // Woken (mutex re-acquired).
-            2 => {
-                st.write_data(tid, Self::IDLE, 0);
-                st.goto(tid, 0);
             }
             pc => panic!("progress model: bad progress pc {pc}"),
         }
@@ -605,7 +580,7 @@ impl Program for ProgressModel {
         let mut st = ModelState::new(2);
         st.add_mutex();
         st.add_condvar();
-        for value in [1, 0, 0, 0, 0, 0, 0] {
+        for value in [1, 0, 0, 0, 0] {
             st.add_data(value);
         }
         st.add_ghost(0);
