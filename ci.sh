@@ -101,8 +101,8 @@ echo "==> zero-verify --pass offload (tier prefetch windows, byte telescoping, b
 cargo run -q --release -p zero-verify -- --pass offload
 
 echo "==> zero-verify --pass modelcheck (exhaustive protocol interleavings, explicit state budget)"
-# Three protocols (shutdown latch, socket handshake, the op desk's
-# help-first hand-off at 2 and 3 ops) in 8 scenarios. Prints explored-state
+# Two protocols (socket handshake, the op desk's help-first hand-off at 2
+# and 3 ops) in 6 scenarios. Prints explored-state
 # counts per scenario; exhausting the budget is a hard failure (coverage
 # incomplete), not a silent pass.
 cargo run -q --release -p zero-verify -- --pass modelcheck --budget 500000

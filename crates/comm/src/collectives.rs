@@ -636,10 +636,9 @@ impl Communicator {
 pub(crate) mod tests {
     use super::*;
     use crate::stats::TrafficStats;
-    use crate::transport::{ChannelTransport, Delivery, Flip, Pipe, ShutdownLatch, Transport};
+    use crate::transport::{channel_mesh, ChannelTransport, Flip, Transport};
     use crate::world::{launch, launch_with_stats, WorldConfig};
     use std::sync::{Arc, Mutex};
-    use std::time::{Duration, Instant};
     use zero_tensor::f16::f16_round_slice;
     use zero_trace::TraceRecorder;
 
@@ -660,28 +659,18 @@ pub(crate) mod tests {
             self.1.lock().unwrap().extend_from_slice(data);
             self.0.send_msg(dst, seq, data, flip)
         }
-        fn recv_msg(&mut self, src: usize, out: &mut [f32], timeout: Duration, poll: Duration) -> Result<Delivery, CommError> {
-            self.0.recv_msg(src, out, timeout, poll)
-        }
-        fn wait_shutdown(&mut self, deadline: Instant) -> bool {
-            self.0.wait_shutdown(deadline)
-        }
     }
 
     /// Every float `n` ranks send in one fp16 reduce-scatter of fp16
     /// inputs, and how many of them are not fp16 values.
     fn fp16_reduce_scatter_sends(n: usize) -> (usize, usize) {
-        let pipes: Vec<Vec<Arc<Pipe>>> = (0..n).map(|_| (0..n).map(|_| Arc::default()).collect()).collect();
-        let (latch, sent) = (ShutdownLatch::new(n), Arc::new(Mutex::new(Vec::new())));
-        let config = WorldConfig::default();
+        let (sent, config) = (Arc::new(Mutex::new(Vec::new())), WorldConfig::default());
         let len = 64 * n;
         std::thread::scope(|s| {
-            for rank in 0..n {
-                let from_peer = pipes.iter().map(|row| row[rank].clone()).collect();
-                let link = ChannelTransport::new(rank, pipes[rank].clone(), from_peer, latch.clone());
+            for (rank, (link, inbox)) in channel_mesh(n).into_iter().enumerate() {
                 let (stats, trace) = (TrafficStats::new(), Arc::new(TraceRecorder::new()));
                 let link = Box::new(Recording(link, sent.clone()));
-                let mut c = Communicator::spawn(rank, n, link, stats, trace, &config, latch.clone());
+                let mut c = Communicator::spawn(rank, n, link, inbox, stats, trace, &config);
                 s.spawn(move || {
                     let mut input: Vec<f32> = (0..len).map(|i| ((i * 7 + rank * 13) as f32 * 0.37).sin()).collect();
                     f16_round_slice(&mut input);

@@ -52,7 +52,7 @@ pub use quant::{
 pub use stats::{
     CollectiveKind, TimingSnapshot, TrafficSnapshot, TrafficStats, ALL_KINDS, KIND_COUNT,
 };
-pub use transport::{Delivery, Flip, ShutdownLatch, Transport};
+pub use transport::{Delivery, Flip, Transport};
 pub use wire::{Frame, WireError, MAX_FRAME_LEN};
 pub use world::{
     launch, launch_with_config, launch_with_stats, try_launch, try_launch_with_config,

@@ -23,10 +23,15 @@
 //!   `liveness_timeout` is declared lost without waiting out the full
 //!   `recv_timeout`. A *hung* peer keeps heartbeating, so hangs still
 //!   surface as `Timeout` — fault semantics stay backend-identical.
-//! - **One receive path.** Each peer's reader thread decodes its frames
-//!   into the same recycling [`Pipe`] the in-process backend uses, and
-//!   closes it when the peer is gone or silent, so a receive is the
-//!   in-process one.
+//! - **One receive path, one shutdown signal.** Each peer's reader thread
+//!   decodes its frames straight into an inbound [`Pipe`] that the rank's
+//!   fabric owns, as on the in-process backend, and closes it when the
+//!   peer is gone or silent. A receive is the in-process one, and a rank
+//!   hung by the fault plan is released once every peer's pipe has
+//!   closed, as in-process.
+//! - **No allocation per message.** The sender encodes each frame into
+//!   one reused buffer, and the reader decodes a payload straight into
+//!   the pipe's recycled message buffer.
 //! - **Orphan reaping.** [`RankProcs`] owns the spawned children and
 //!   kills + reaps every survivor on drop, so no run leaks processes.
 //!
@@ -46,16 +51,12 @@ use std::time::{Duration, Instant};
 
 use zero_trace::TraceRecorder;
 
-use crate::crc::crc32_f32s;
 use crate::error::CommError;
 use crate::fault::FaultPlan;
 use crate::stats::TrafficStats;
-use crate::transport::{lock_unpoisoned, Delivery, Flip, Pipe, ShutdownLatch, Transport};
+use crate::transport::{lock_unpoisoned, Flip, Pipe, Transport};
 use crate::wire::{self, Frame};
 use crate::world::{Communicator, WorldConfig};
-
-/// How often a hung rank re-checks whether its peers are gone.
-const RECV_TICK: Duration = Duration::from_millis(20);
 
 /// Read-timeout granularity of the per-peer reader threads; bounds how
 /// long transport shutdown can take.
@@ -143,45 +144,29 @@ pub fn connect_process_rank(
     rank: usize,
     cfg: &ProcessWorldConfig,
 ) -> Result<Communicator, CommError> {
-    let link = SocketTransport::connect(rank, cfg)?;
-    let stats = TrafficStats::new();
-    let trace = Arc::new(TraceRecorder::new());
+    let mut link = SocketTransport::connect(rank, cfg)?;
+    let inbox = std::mem::take(&mut link.inbox);
     let wcfg = WorldConfig {
         recv_timeout: cfg.recv_timeout,
         faults: cfg.faults.clone(),
         ..WorldConfig::default()
     };
-    // The latch only matters to the channel backend (it counts sibling
-    // threads in one process); a process rank has no in-process siblings,
-    // so a singleton latch is correct and `wait_shutdown` relies on peer
-    // liveness instead.
-    let latch = ShutdownLatch::new(1);
-    Ok(Communicator::spawn(
-        rank,
-        cfg.world,
-        Box::new(link),
-        stats,
-        trace,
-        &wcfg,
-        latch,
-    ))
-}
-
-/// One fully-established link to a peer rank.
-struct PeerLink {
-    /// Write half, shared with the heartbeat thread.
-    writer: Arc<Mutex<UnixStream>>,
-    /// Data frames, queued by the reader thread, which closes it once the
-    /// peer is gone.
-    inbox: Arc<Pipe>,
+    let trace = Arc::new(TraceRecorder::new());
+    Ok(Communicator::spawn(rank, cfg.world, Box::new(link), inbox, TrafficStats::new(), trace, &wcfg))
 }
 
 /// [`Transport`] implementation where every peer is another OS process on
 /// the far side of a Unix domain socket.
 pub struct SocketTransport {
     rank: usize,
-    /// `None` at `self.rank`.
-    links: Vec<Option<PeerLink>>,
+    /// Each peer's write half, shared with the heartbeat thread; `None`
+    /// at `self.rank`.
+    writers: Vec<Option<Arc<Mutex<UnixStream>>>>,
+    /// The pipes the reader threads decode each peer's frames into, until
+    /// the rank's fabric takes them.
+    pub(crate) inbox: Vec<Arc<Pipe>>,
+    /// The frame every send encodes into, reused.
+    frame: Vec<u8>,
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
     /// Raw socket handles kept so drop can `shutdown(2)` them and unblock
@@ -258,13 +243,14 @@ impl SocketTransport {
         }
 
         let shutdown = Arc::new(AtomicBool::new(false));
-        let mut links: Vec<Option<PeerLink>> = Vec::with_capacity(cfg.world);
+        let inbox: Vec<Arc<Pipe>> = (0..cfg.world).map(|_| Arc::default()).collect();
+        let mut writers = Vec::with_capacity(cfg.world);
         let mut threads = Vec::new();
         let mut sockets = Vec::new();
         let mut beat_targets: Vec<(Arc<Mutex<UnixStream>>, Arc<Pipe>)> = Vec::new();
         for (peer, slot) in streams.into_iter().enumerate() {
             let Some((stream, residue)) = slot else {
-                links.push(None);
+                writers.push(None);
                 continue;
             };
             let reader = stream
@@ -277,13 +263,13 @@ impl SocketTransport {
                     .try_clone()
                     .map_err(|_| CommError::PeerLost { rank, peer })?,
             );
-            let (inbox, writer) = (Arc::new(Pipe::default()), Arc::new(Mutex::new(stream)));
-            beat_targets.push((writer.clone(), inbox.clone()));
-            let (reader_inbox, reader_stop, liveness) = (inbox.clone(), shutdown.clone(), cfg.liveness_timeout);
+            let writer = Arc::new(Mutex::new(stream));
+            beat_targets.push((writer.clone(), inbox[peer].clone()));
+            let (reader_inbox, reader_stop, liveness) = (inbox[peer].clone(), shutdown.clone(), cfg.liveness_timeout);
             threads.push(std::thread::spawn(move || reader_loop(reader, residue, &reader_inbox, &reader_stop, liveness)));
-            links.push(Some(PeerLink { writer, inbox }));
+            writers.push(Some(writer));
         }
-        debug_assert_eq!(links.len(), cfg.world);
+        debug_assert_eq!(writers.len(), cfg.world);
 
         let beat_stop = shutdown.clone();
         let beat_interval = cfg.heartbeat_interval;
@@ -291,77 +277,23 @@ impl SocketTransport {
             heartbeat_loop(beat_targets, beat_interval, beat_stop);
         }));
 
-        Ok(SocketTransport {
-            rank,
-            links,
-            shutdown,
-            threads,
-            sockets,
-            own_sock,
-        })
-    }
-
-    fn link(&self, peer: usize) -> Result<&PeerLink, CommError> {
-        match self.links.get(peer).and_then(|l| l.as_ref()) {
-            Some(link) => Ok(link),
-            None => Err(CommError::PeerLost {
-                rank: self.rank,
-                peer,
-            }),
-        }
+        Ok(SocketTransport { rank, writers, inbox, frame: Vec::new(), shutdown, threads, sockets, own_sock })
     }
 
     /// Writes one pre-encoded frame to `peer`, holding the writer lock for
     /// the duration so heartbeat and data frames never interleave bytes.
     fn write_frame(&self, peer: usize, frame: &[u8]) -> Result<(), CommError> {
-        let link = self.link(peer)?;
-        let mut stream = lock_unpoisoned(&link.writer);
-        match stream.write_all(frame).and_then(|()| stream.flush()) {
-            Ok(()) => Ok(()),
-            Err(_) => {
-                link.inbox.close();
-                Err(CommError::PeerLost {
-                    rank: self.rank,
-                    peer,
-                })
-            }
-        }
+        let lost = || CommError::PeerLost { rank: self.rank, peer };
+        let writer = self.writers.get(peer).and_then(Option::as_ref).ok_or_else(lost)?;
+        let mut stream = lock_unpoisoned(writer);
+        stream.write_all(frame).and_then(|()| stream.flush()).map_err(|_| lost())
     }
 }
 
 impl Transport for SocketTransport {
     fn send_msg(&mut self, dst: usize, seq: u64, data: &[f32], flip: Option<Flip>) -> Result<(), CommError> {
-        let crc = crc32_f32s(data);
-        let frame = match flip {
-            None => wire::encode_data(seq, crc, data),
-            Some((elem, bit)) => {
-                let mut damaged = data.to_vec();
-                damaged[elem] = f32::from_bits(damaged[elem].to_bits() ^ (1 << bit));
-                wire::encode_data(seq, crc, &damaged)
-            }
-        };
-        self.write_frame(dst, &frame)
-    }
-
-    fn recv_msg(&mut self, src: usize, out: &mut [f32], timeout: Duration, poll: Duration) -> Result<Delivery, CommError> {
-        self.link(src)?.inbox.recv(self.rank, src, out, timeout, poll)
-    }
-
-    fn wait_shutdown(&mut self, deadline: Instant) -> bool {
-        // A hung process rank is released once every peer has given up on
-        // it (timed out, errored, exited): their exits sever the sockets,
-        // the readers mark the links dead, and this wait completes well
-        // before the worst-case deadline.
-        loop {
-            let all_gone = self.links.iter().flatten().all(|l| l.inbox.is_closed());
-            if all_gone {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(RECV_TICK);
-        }
+        wire::encode_data_into(&mut self.frame, seq, None, data, flip);
+        self.write_frame(dst, &self.frame)
     }
 }
 
@@ -485,10 +417,11 @@ fn read_hello(stream: &UnixStream, deadline: Instant) -> Option<((u32, u32, u64)
     }
 }
 
-/// Per-peer reader: drains the socket into the frame decoder and queues
-/// data frames on `inbox`. Closes it — which the transport observes as
-/// `PeerLost` — on EOF, protocol error, `liveness` of silence (not even a
-/// heartbeat), or transport shutdown.
+/// Per-peer reader: drains the socket into the frame decoder and decodes
+/// each data frame's payload straight into a recycled buffer of `inbox`.
+/// Closes it — which the fabric observes as `PeerLost` — on EOF, protocol
+/// error, `liveness` of silence (not even a heartbeat), or transport
+/// shutdown.
 fn reader_loop(mut stream: UnixStream, residue: Vec<u8>, inbox: &Pipe, stop: &AtomicBool, liveness: Duration) {
     // Seed the decoder with bytes the handshake read past its Hello frame.
     let mut acc: Vec<u8> = residue;
@@ -496,13 +429,12 @@ fn reader_loop(mut stream: UnixStream, residue: Vec<u8>, inbox: &Pipe, stop: &At
     let mut seen = Instant::now();
     'outer: while !stop.load(Ordering::Relaxed) && seen.elapsed() <= liveness {
         loop {
-            match wire::decode_frame(&acc) {
+            match wire::split_frame(&acc) {
                 Ok(Some((frame, used))) => {
-                    acc.drain(..used);
                     seen = Instant::now();
                     let delivered = match frame {
-                        Frame::Data { seq, payload_crc, payload } => inbox.send(seq, payload.len(), |buf| {
-                            buf.extend_from_slice(&payload);
+                        Frame::Data { seq, payload_crc, payload } => inbox.send(seq, payload.len() / 4, |buf| {
+                            buf.extend(wire::f32s(payload));
                             payload_crc
                         }),
                         Frame::Heartbeat => true,
@@ -511,9 +443,10 @@ fn reader_loop(mut stream: UnixStream, residue: Vec<u8>, inbox: &Pipe, stop: &At
                         Frame::Hello { .. } => break 'outer,
                     };
                     if !delivered {
-                        // The transport closed its inbox: shutdown.
+                        // The fabric closed its inbox: shutdown.
                         break 'outer;
                     }
+                    acc.drain(..used);
                 }
                 Ok(None) => break,
                 // Framing damage is unrecoverable on a byte stream — a
@@ -868,6 +801,30 @@ mod tests {
             "liveness took {elapsed:?}, should beat recv_timeout by a wide margin"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn hang_in_mesh(recv_timeout: Duration, linger: Duration) -> (CommError, Duration) {
+        let dir = scratch_dir("hang");
+        let mut cfg = quick_cfg(&dir, 3);
+        (cfg.recv_timeout, cfg.faults) = (recv_timeout, FaultPlan::new().with_hang(0, 0));
+        let mut outs = run_mesh(3, &cfg, move |c| crate::world::tests::hang_body(c, linger));
+        let _ = std::fs::remove_dir_all(&dir);
+        outs.swap_remove(0).expect("rank 0 reports")
+    }
+
+    #[test]
+    fn a_hung_rank_is_released_once_every_peer_process_has_left() {
+        let (err, took) = hang_in_mesh(Duration::from_secs(5), Duration::ZERO);
+        assert_eq!(err, CommError::InjectedHang { rank: 0, op: 0 });
+        assert!(took < Duration::from_secs(2), "released after {took:?}; the deadline is 10 s");
+    }
+
+    #[test]
+    fn a_hung_rank_waits_out_its_deadline_while_a_peer_process_lives() {
+        let (err, took) = hang_in_mesh(Duration::from_millis(100), Duration::from_secs(2));
+        assert_eq!(err, CommError::InjectedHang { rank: 0, op: 0 });
+        let deadline = Duration::from_millis(200);
+        assert!(took >= deadline && took < Duration::from_millis(1500), "took {took:?}; the deadline is 200 ms");
     }
 
     #[test]

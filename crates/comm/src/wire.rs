@@ -28,9 +28,11 @@
 //! asks for more bytes, everything else is a typed [`WireError`]. It
 //! never panics and never allocates more than the declared (bounded)
 //! frame length — the fuzz test feeds it truncations and bit flips to
-//! hold it to that.
+//! hold it to that. The socket backend's own encoder and splitter
+//! (`encode_data_into`, `split_frame`) reuse buffers instead.
 
-use crate::crc::crc32;
+use crate::crc::{crc32, crc32_f32s_through};
+use crate::transport::Flip;
 
 /// Hard ceiling on one frame's body length. Far above anything the
 /// engine sends (payloads are bucket-sized), far below anything that
@@ -42,9 +44,11 @@ const TAG_HELLO: u8 = 0;
 const TAG_DATA: u8 = 1;
 const TAG_HEARTBEAT: u8 = 3;
 
-/// One decoded frame.
+/// One decoded frame. A Data frame's payload is `P`: its floats, as
+/// [`decode_frame`] returns them, or its little-endian bytes left in the
+/// input, as the socket reader splits them off.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Frame {
+pub enum Frame<P = Vec<f32>> {
     /// Connection handshake: who is calling, into which world, for which
     /// run (the token is a per-world nonce so a stale process from an
     /// earlier run cannot splice into a new mesh on a reused socket dir).
@@ -64,7 +68,7 @@ pub enum Frame {
         /// any injected corruption — carried verbatim.
         payload_crc: u32,
         /// The f32 payload.
-        payload: Vec<f32>,
+        payload: P,
     },
     /// Peer-liveness beacon; carries no payload.
     Heartbeat,
@@ -111,15 +115,28 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn frame_with_body(body: &[u8]) -> Vec<u8> {
+/// Byte offset of a Data frame's payload CRC; its payload starts 8 bytes
+/// further on, after the element count.
+const DATA_CRC_AT: usize = 4 + 1 + 8;
+
+/// Fills in the length prefix of the frame `out` holds, behind which it
+/// has the frame's body, and appends the CRC of the body.
+fn close_frame(out: &mut Vec<u8>) {
     // A body past the cap is unrepresentable on the wire (peers reject it
     // as `FrameTooLarge`), so fail at the producer, where the bug is.
-    assert!(body.len() <= MAX_FRAME_LEN, "frame body exceeds MAX_FRAME_LEN");
-    let len = u32::try_from(body.len()).expect("length checked against MAX_FRAME_LEN");
+    let body = out.len() - 4;
+    assert!(body <= MAX_FRAME_LEN, "frame body exceeds MAX_FRAME_LEN");
+    let len = u32::try_from(body).expect("length checked against MAX_FRAME_LEN");
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&out[4..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
+fn frame_with_body(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + body.len());
-    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
     out.extend_from_slice(body);
-    out.extend_from_slice(&crc32(body).to_le_bytes());
+    close_frame(&mut out);
     out
 }
 
@@ -135,21 +152,41 @@ pub fn encode_hello(world: u32, rank: u32, token: u64) -> Vec<u8> {
 
 /// Encodes one fabric message.
 pub fn encode_data(seq: u64, payload_crc: u32, payload: &[f32]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_data_into(&mut out, seq, Some(payload_crc), payload, None);
+    out
+}
+
+/// Encodes one fabric message into `out`, replacing what it held and
+/// reusing its capacity. The declared payload CRC is `declared`, or else
+/// the CRC of `payload`, computed as its bytes are written. `flip` then
+/// damages the written payload and the frame CRC covers the damaged
+/// bytes, so the framing passes the flip on for the fabric's checksum to
+/// catch.
+pub(crate) fn encode_data_into(out: &mut Vec<u8>, seq: u64, declared: Option<u32>, payload: &[f32], flip: Option<Flip>) {
     let count = u32::try_from(payload.len()).expect("payload count fits the wire field");
-    let mut body = Vec::with_capacity(17 + 4 * payload.len());
-    body.push(TAG_DATA);
-    body.extend_from_slice(&seq.to_le_bytes());
-    body.extend_from_slice(&payload_crc.to_le_bytes());
-    body.extend_from_slice(&count.to_le_bytes());
-    for v in payload {
-        body.extend_from_slice(&v.to_le_bytes());
+    out.clear();
+    // The length and the payload CRC are filled in once the payload is in.
+    out.extend_from_slice(&[0, 0, 0, 0, TAG_DATA]);
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
+    out.extend_from_slice(&count.to_le_bytes());
+    let crc = crc32_f32s_through(payload, |block| block.iter().for_each(|v| out.extend_from_slice(&v.to_le_bytes())));
+    out[DATA_CRC_AT..DATA_CRC_AT + 4].copy_from_slice(&declared.unwrap_or(crc).to_le_bytes());
+    if let Some((elem, bit)) = flip {
+        out[DATA_CRC_AT + 8 + 4 * elem + bit as usize / 8] ^= 1 << (bit % 8);
     }
-    frame_with_body(&body)
+    close_frame(out);
 }
 
 /// Encodes a liveness beacon.
 pub fn encode_heartbeat() -> Vec<u8> {
     frame_with_body(&[TAG_HEARTBEAT])
+}
+
+/// The floats of a little-endian payload.
+pub(crate) fn f32s(bytes: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    bytes.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
 }
 
 fn take_u32(b: &[u8]) -> Option<(u32, &[u8])> {
@@ -162,8 +199,9 @@ fn take_u64(b: &[u8]) -> Option<(u64, &[u8])> {
     Some((u64::from_le_bytes(*head), rest))
 }
 
-/// Decodes the body of one length/CRC-verified frame.
-fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
+/// Decodes the body of one length/CRC-verified frame, leaving a Data
+/// payload in place.
+fn decode_body(body: &[u8]) -> Result<Frame<&[u8]>, WireError> {
     let (&tag, rest) = body.split_first().ok_or(WireError::BadBody("empty body"))?;
     match tag {
         TAG_HELLO => {
@@ -183,15 +221,7 @@ fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
             if rest.len() != 4 * count as usize {
                 return Err(WireError::BadBody("data payload length mismatch"));
             }
-            let payload = rest
-                .chunks_exact(4)
-                .map(|c| {
-                    let mut w = [0u8; 4];
-                    w.copy_from_slice(c);
-                    f32::from_le_bytes(w)
-                })
-                .collect();
-            Ok(Frame::Data { seq, payload_crc, payload })
+            Ok(Frame::Data { seq, payload_crc, payload: rest })
         }
         TAG_HEARTBEAT => {
             if !rest.is_empty() {
@@ -216,6 +246,19 @@ fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
 /// Total over arbitrary input: never panics, and allocation is bounded
 /// by the [`MAX_FRAME_LEN`]-checked declared length.
 pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
+    let decoded = |frame| match frame {
+        Frame::Hello { world, rank, token } => Frame::Hello { world, rank, token },
+        Frame::Data { seq, payload_crc, payload } => Frame::Data { seq, payload_crc, payload: f32s(payload).collect() },
+        Frame::Heartbeat => Frame::Heartbeat,
+    };
+    Ok(split_frame(buf)?.map(|(frame, used)| (decoded(frame), used)))
+}
+
+/// A frame whose Data payload is left in the input, and the bytes it took.
+type Split<'a> = (Frame<&'a [u8]>, usize);
+
+/// [`decode_frame`] without the copy: a Data payload is left in `buf`.
+pub(crate) fn split_frame(buf: &[u8]) -> Result<Option<Split<'_>>, WireError> {
     let Some((len_field, after_len)) = take_u32(buf) else {
         return Ok(None);
     };

@@ -1,27 +1,33 @@
 //! The communicator "world": N ranks connected all-to-all.
 //!
 //! A rank in the paper is one GPU process talking NCCL over NVLink/IB.
-//! Here a rank is one OS thread by default, and the fabric moves messages
-//! through a pluggable [`Transport`]: the in-process backend is a matrix
-//! of pipes — one FIFO per ordered rank pair — while the process backend
-//! (`crate::process`) runs each rank as a separate OS process over Unix
-//! domain sockets. Because every rank issues the same sequence of
-//! collectives (SPMD), per-pair FIFO ordering plus a sequence-number check
-//! is sufficient to match sends to receives on either backend.
+//! Here a rank is one OS thread by default. Every rank receives from one
+//! inbound pipe per peer — one FIFO per ordered rank pair, owned by the
+//! receiving [`Fabric`] — and sends through a pluggable [`Transport`]:
+//! the in-process backend fills the peer's pipe directly, while the
+//! process backend (`crate::process`) runs each rank as a separate OS
+//! process and writes frames on Unix domain sockets that the peer's
+//! reader threads decode into its pipes. Because every rank issues the
+//! same sequence of collectives (SPMD), per-pair FIFO ordering plus a
+//! sequence-number check is sufficient to match sends to receives on
+//! either backend.
 //!
 //! Failure semantics: every receive is bounded by a configurable timeout and
 //! every payload carries a CRC, so a dead peer, a hung peer, or a damaged
 //! message surfaces as a typed [`CommError`] on the observing rank instead
-//! of a deadlock or an abort. The transport computes the CRC in the pass
-//! that moves the bytes — the sender's as it copies the payload out, the
-//! receiver's as it copies it into the destination — and the fabric
-//! compares the two (`Fabric::send_raw`/`Fabric::recv_raw`). Faults can be
-//! injected deterministically via [`FaultPlan`] to exercise those paths;
-//! an injected bit flip lands after the sender's checksum.
+//! of a deadlock or an abort. The CRC is computed in the pass that moves
+//! the bytes — the sender's as it copies the payload out, the receiver's
+//! as it copies it into the destination — and the fabric compares the two
+//! (`Fabric::send_raw`/`Fabric::recv_raw`). Faults can be injected
+//! deterministically via [`FaultPlan`] to exercise those paths; an
+//! injected bit flip lands after the sender's checksum. A closed inbound
+//! pipe is the one shutdown signal on both backends: it reads as
+//! `PeerLost`, and a rank hung by the fault plan is released once every
+//! pipe into it has closed.
 //!
-//! Execution model (overlap-centric): the transport, sequence numbers and
-//! fault state live in a private [`Fabric`] that one thread at a time
-//! holds. The public [`Communicator`] is a thin handle that queues
+//! Execution model (overlap-centric): the pipes, transport, sequence
+//! numbers and fault state live in a private [`Fabric`] that one thread
+//! at a time holds. The public [`Communicator`] is a thin handle that queues
 //! closures over the fabric in issue order (`Communicator::submit`) and
 //! returns [`PendingOp`]s; a per-rank *progress thread* runs queued ops
 //! while the caller computes, and a caller that waits on an op nobody has
@@ -38,7 +44,7 @@ use crate::error::CommError;
 use crate::fault::{FaultKind, FaultPlan, FaultState};
 use crate::nonblocking::{Desk, OpResult, PendingOp, Slot};
 use crate::stats::{CollectiveKind, TrafficStats};
-use crate::transport::{ChannelTransport, Pipe, ShutdownLatch, Transport};
+use crate::transport::{channel_mesh, Pipe, Transport};
 use zero_trace::{SpanCategory, TraceRecorder, TRACK_PROGRESS};
 
 /// Modeled two-tier interconnect: fast links within a node (NVLink), a
@@ -144,29 +150,14 @@ impl World {
     /// Panics if `n == 0` or `config.tiered_link` cannot price a message.
     pub fn with_config(n: usize, config: WorldConfig) -> World {
         assert!(n > 0, "world size must be positive");
-        // pipes[src][dst] carries src's messages to dst.
-        let pipes: Vec<Vec<Arc<Pipe>>> =
-            (0..n).map(|_| (0..n).map(|_| Arc::default()).collect()).collect();
-        let latch = ShutdownLatch::new(n);
         // One span recorder per rank, all sharing one epoch so per-rank
         // timestamps are comparable in a merged Chrome trace.
         let epoch = Instant::now();
-
-        let mut comms = Vec::with_capacity(n);
-        for rank in 0..n {
-            let from_peer = pipes.iter().map(|row| row[rank].clone()).collect();
-            let link = ChannelTransport::new(rank, pipes[rank].clone(), from_peer, latch.clone());
-            comms.push(Some(Communicator::spawn(
-                rank,
-                n,
-                Box::new(link),
-                TrafficStats::new(),
-                Arc::new(TraceRecorder::with_epoch(epoch)),
-                &config,
-                latch.clone(),
-            )));
-        }
-        World { comms }
+        let comms = channel_mesh(n).into_iter().enumerate().map(|(rank, (link, inbox))| {
+            let trace = Arc::new(TraceRecorder::with_epoch(epoch));
+            Some(Communicator::spawn(rank, n, Box::new(link), inbox, TrafficStats::new(), trace, &config))
+        });
+        World { comms: comms.collect() }
     }
 
     /// Takes rank `r`'s communicator.
@@ -185,15 +176,18 @@ impl World {
     }
 }
 
-/// One rank's logical endpoint: per-pair sequence numbers, CRC checks,
-/// fault state, and traffic accounting over a pluggable [`Transport`]
-/// that does the actual byte moving. Ring collectives are built on top in
+/// One rank's logical endpoint: its inbound pipes, per-pair sequence
+/// numbers, CRC checks, fault state, and traffic accounting, sending
+/// through a pluggable [`Transport`]. Ring collectives are built on top in
 /// `collectives.rs`. Held by one thread at a time — the rank's progress
 /// thread, or a caller running its own op — through the rank's `Desk`.
 pub(crate) struct Fabric {
     pub(crate) rank: usize,
     pub(crate) world: usize,
     link: Box<dyn Transport>,
+    /// `inbox[src]` carries `src`'s messages to this rank; closed when the
+    /// fabric is dropped.
+    inbox: Vec<Arc<Pipe>>,
     send_seq: Box<[u64]>,
     recv_seq: Box<[u64]>,
     pub(crate) stats: Arc<TrafficStats>,
@@ -241,12 +235,13 @@ impl Fabric {
                 // Stall past every peer's receive timeout so they observe
                 // `Timeout`, then report this rank dead. The wait is a
                 // cancellable deadline, not a sleep: peers time out first
-                // (their recv_timeout < 2×ours), and once every one of
-                // them has shut down nobody can still be waiting on us,
-                // so the transport releases the progress thread instead
-                // of holding it hostage for the rest of the deadline.
+                // (their recv_timeout < 2×ours), and once every pipe into
+                // this rank has closed — each peer's fabric or process is
+                // gone — nobody can still be waiting on us, so the thread
+                // is released instead of held for the rest of the deadline.
                 let deadline = Instant::now() + self.recv_timeout * 2;
-                self.link.wait_shutdown(deadline);
+                let mut peers = self.inbox.iter().enumerate().filter(|&(src, _)| src != self.rank);
+                peers.all(|(_, pipe)| pipe.wait_closed(deadline));
                 self.dead = true;
                 Err(CommError::InjectedHang { rank: self.rank, op })
             }
@@ -295,7 +290,7 @@ impl Fabric {
     /// agreement, fit and payload integrity, bounded by the receive timeout.
     pub(crate) fn recv_raw(&mut self, src: usize, out: &mut [f32]) -> Result<(), CommError> {
         debug_assert!(src < self.world && src != self.rank, "bad src {src}");
-        let got = self.link.recv_msg(src, out, self.recv_timeout, self.poll)?;
+        let got = self.inbox[src].recv_into(self.rank, src, out, self.recv_timeout, self.poll)?;
         let expect = self.recv_seq[src];
         if got.seq != expect {
             return Err(CommError::OutOfOrder { rank: self.rank, peer: src, got: got.seq, expected: expect });
@@ -316,6 +311,14 @@ impl Fabric {
     }
 }
 
+impl Drop for Fabric {
+    /// Closes every pipe into this rank: peers sending to it observe
+    /// `PeerLost`, and a peer hung by the fault plan stops waiting on it.
+    fn drop(&mut self) {
+        self.inbox.iter().for_each(|pipe| pipe.close());
+    }
+}
+
 /// One rank's handle: queues ops on the rank's desk and runs blocking
 /// ones on the caller's thread. The collectives are its methods in
 /// `collectives.rs`; the tier move is here.
@@ -331,31 +334,27 @@ pub struct Communicator {
     trace: Arc<TraceRecorder>,
     recv_timeout: Duration,
     desk: Arc<Desk>,
-    /// World-shared shutdown accounting: departed on drop so a hung
-    /// peer's deadline wait can cancel once every other handle is gone.
-    latch: Arc<ShutdownLatch>,
 }
 
 impl Drop for Communicator {
     fn drop(&mut self) {
         self.desk.close();
-        self.latch.depart();
     }
 }
 
 impl Communicator {
-    /// Checks the modeled link, builds the rank's [`Fabric`] over `link`,
-    /// starts its progress thread, and returns the public handle — the one
+    /// Checks the modeled link, builds the rank's [`Fabric`] over `link`
+    /// and its inbound pipes, starts its progress thread, and returns the public handle — the one
     /// construction path shared by every backend (`World` for
     /// threads-over-pipes, `crate::process` for processes-over-sockets).
     pub(crate) fn spawn(
         rank: usize,
         world: usize,
         link: Box<dyn Transport>,
+        inbox: Vec<Arc<Pipe>>,
         stats: Arc<TrafficStats>,
         trace: Arc<TraceRecorder>,
         config: &WorldConfig,
-        latch: Arc<ShutdownLatch>,
     ) -> Communicator {
         if let Some(link) = &config.tiered_link {
             link.check();
@@ -364,6 +363,7 @@ impl Communicator {
             rank,
             world,
             link,
+            inbox,
             send_seq: vec![0; world].into(),
             recv_seq: vec![0; world].into(),
             stats: stats.clone(),
@@ -381,7 +381,7 @@ impl Communicator {
         // exits once the desk closes and drains, dropping the fabric.
         let progress = desk.clone();
         std::thread::spawn(move || progress.progress_loop());
-        Communicator { rank, world, stats, trace, recv_timeout: config.recv_timeout, desk, latch }
+        Communicator { rank, world, stats, trace, recv_timeout: config.recv_timeout, desk }
     }
 
     /// This rank's id in `0..world_size()`.
@@ -602,7 +602,7 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::Precision;
 
@@ -743,6 +743,41 @@ mod tests {
             out[1].as_ref().unwrap(),
             &Err(CommError::PeerLost { rank: 1, peer: 0 })
         );
+    }
+
+    /// What each rank of a 3-rank hang test runs: rank 0 hangs in its
+    /// first op and reports the error and how long it took, rank 1 leaves
+    /// at once and rank 2 after `linger`. Shared by both backends' tests.
+    pub(crate) fn hang_body(mut c: Communicator, linger: Duration) -> Option<(CommError, Duration)> {
+        let t0 = Instant::now();
+        match c.rank() {
+            0 => Some((c.all_gather(&[0.0; 2], &mut [0.0; 6], Precision::Fp32).unwrap_err(), t0.elapsed())),
+            1 => None,
+            _ => {
+                std::thread::sleep(linger);
+                None
+            }
+        }
+    }
+
+    fn hang_in_world(recv_timeout: Duration, linger: Duration) -> (CommError, Duration) {
+        let config = WorldConfig { recv_timeout, faults: FaultPlan::new().with_hang(0, 0), ..WorldConfig::default() };
+        launch_with_config(3, config, |c| hang_body(c, linger)).swap_remove(0).expect("rank 0 reports")
+    }
+
+    #[test]
+    fn a_hung_rank_is_released_once_every_peer_has_left() {
+        let (err, took) = hang_in_world(Duration::from_secs(5), Duration::ZERO);
+        assert_eq!(err, CommError::InjectedHang { rank: 0, op: 0 });
+        assert!(took < Duration::from_secs(2), "released after {took:?}; the deadline is 10 s");
+    }
+
+    #[test]
+    fn a_hung_rank_waits_out_its_deadline_while_a_peer_lives() {
+        let (err, took) = hang_in_world(Duration::from_millis(100), Duration::from_secs(2));
+        assert_eq!(err, CommError::InjectedHang { rank: 0, op: 0 });
+        let deadline = Duration::from_millis(200);
+        assert!(took >= deadline && took < Duration::from_millis(1500), "took {took:?}; the deadline is 200 ms");
     }
 
     #[test]

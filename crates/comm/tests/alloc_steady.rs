@@ -1,7 +1,9 @@
 //! A warm fabric moves bytes without allocating: after warm-up, neither a
-//! 2-rank all-gather round trip at serving-unit size nor a serving step
-//! makes a heap allocation of 1 KiB or more on any thread — the rank
-//! threads, their progress threads, or anything they wake.
+//! 2-rank all-gather round trip at serving-unit size — over in-process
+//! pipes or over the socket backend — nor a serving step makes a heap
+//! allocation of 1 KiB or more on any thread — the rank threads, their
+//! progress threads, the socket reader and heartbeat threads, or anything
+//! they wake.
 //!
 //! Every allocation of at least [`BIG`] bytes made by any thread while a
 //! measurement window is open is counted. Spans are switched off in the
@@ -12,7 +14,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
-use zero_comm::{launch, Communicator, Group, Precision, WireFmt};
+use zero_comm::process::fresh_token;
+use zero_comm::{connect_process_rank, launch, Communicator, Group, Precision, ProcessWorldConfig, WireFmt};
 use zero_core::Partitioner;
 use zero_model::{init_full_params, Gpt, ModelConfig};
 use zero_serve::engine::run_rank;
@@ -62,8 +65,9 @@ static WINDOW: Mutex<()> = Mutex::new(());
 /// Runs `run` on both ranks of a 2-rank world with spans off and returns
 /// the big allocations any thread made between the point where both
 /// ranks called the `open` handed to them (after their warm-up) and the
-/// point where both returned.
-fn big_allocs_in_world(run: impl Fn(&mut Communicator, &dyn Fn()) + Sync) -> usize {
+/// point where both returned. The world is a `World` of threads, or with
+/// `sockets` a socket mesh whose ranks are threads of this process.
+fn big_allocs_in_world(sockets: bool, run: impl Fn(&mut Communicator, &dyn Fn()) + Sync) -> usize {
     let _one = WINDOW.lock().unwrap_or_else(|p| p.into_inner());
     let gate = Barrier::new(2);
     let open = || {
@@ -73,13 +77,28 @@ fn big_allocs_in_world(run: impl Fn(&mut Communicator, &dyn Fn()) + Sync) -> usi
         }
         gate.wait();
     };
-    let counts = launch(2, |mut c| {
+    let rank = |mut c: Communicator| {
         c.trace().set_enabled(false);
         run(&mut c, &open);
         gate.wait();
         COUNTING.store(false, Ordering::SeqCst);
         BIG_ALLOCS.load(Ordering::SeqCst)
+    };
+    if !sockets {
+        return launch(2, rank)[0];
+    }
+    let dir = std::env::temp_dir().join(format!("zero-alloc-steady-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the socket directory");
+    let mut cfg = ProcessWorldConfig::new(&dir, 2);
+    cfg.token = fresh_token();
+    let counts: Vec<usize> = std::thread::scope(|s| {
+        let (rank, cfg) = (&rank, &cfg);
+        let ranks: Vec<_> = (0..2)
+            .map(|r| s.spawn(move || rank(connect_process_rank(r, cfg).expect("mesh handshake"))))
+            .collect();
+        ranks.into_iter().map(|h| h.join().expect("mesh rank")).collect()
     });
+    let _ = std::fs::remove_dir_all(&dir);
     counts[0]
 }
 
@@ -104,8 +123,14 @@ fn gather_round_trips(c: &mut Communicator, open: &dyn Fn(), round_trips: usize)
 
 #[test]
 fn warm_all_gather_round_trips_make_no_big_allocation() {
-    let big = big_allocs_in_world(|c, open| gather_round_trips(c, open, 200));
+    let big = big_allocs_in_world(false, |c, open| gather_round_trips(c, open, 200));
     assert_eq!(big, 0, "200 warm serving-unit all-gathers made {big} allocations of >= {BIG} B");
+}
+
+#[test]
+fn warm_all_gather_round_trips_over_sockets_make_no_big_allocation() {
+    let big = big_allocs_in_world(true, |c, open| gather_round_trips(c, open, 200));
+    assert_eq!(big, 0, "200 warm serving-unit all-gathers over sockets made {big} allocations of >= {BIG} B");
 }
 
 /// A 2-rank serving run of one request generating `tokens` tokens.
@@ -123,7 +148,7 @@ fn serving_steps_past_warm_up_make_no_big_allocation() {
     // Two runs that differ only in their number of steps: a step that
     // allocated would show up as the difference.
     let warm_then = |tokens| {
-        big_allocs_in_world(|c, open| {
+        big_allocs_in_world(false, |c, open| {
             serve(c, 4);
             open();
             serve(c, tokens);

@@ -31,8 +31,8 @@
 //!   call outside a `while`/`loop` body. Condvar waits wake spuriously
 //!   and can race a notify against the predicate check, so the wait must
 //!   sit inside a loop that re-checks its predicate — exactly the shape
-//!   `zero-verify --pass modelcheck` proves correct for the shutdown
-//!   latch. A bare `if`-guarded wait is a latent lost wakeup.
+//!   `zero-verify --pass modelcheck` proves correct for the op desk. A
+//!   bare `if`-guarded wait is a latent lost wakeup.
 //!
 //! The scanner masks comments, strings, and char literals before
 //! matching, and skips `#[cfg(test)]` regions, so the rules fire only on
@@ -112,11 +112,12 @@ const COMM_TOKENS: &[&str] = &[
     "send_raw",
     "recv_raw",
     "local_index",
-    // Transport-fabric entry points (trait methods and the socket
-    // backend's frame writer): a panic here severs the wire mid-frame
-    // and every peer observes PeerLost instead of the real error.
+    // Transport-fabric entry points (the transport's send, the receive
+    // from an inbound pipe, and the socket backend's frame writer): a
+    // panic here severs the wire mid-frame and every peer observes
+    // PeerLost instead of the real error.
     "send_msg",
-    "recv_msg",
+    "recv_into",
     "write_frame",
 ];
 
@@ -574,7 +575,7 @@ mod tests {
         // The process-fabric entry points are comm tokens too.
         let src = "fn f() { link.send_msg(dst, msg).unwrap(); }\n";
         assert_eq!(lint_str(src), vec!["comm-unwrap"]);
-        let src = "fn f() { let m = link.recv_msg(src, t).expect(\"recv\"); }\n";
+        let src = "fn f() { let m = inbox[src].recv_into(rank, src, out, t, p).expect(\"recv\"); }\n";
         assert_eq!(lint_str(src), vec!["comm-unwrap"]);
         let src = "fn f() { write_frame(&writer, &frame).unwrap(); }\n";
         assert_eq!(lint_str(src), vec!["comm-unwrap"]);
@@ -684,10 +685,10 @@ mod tests {
 
     #[test]
     fn looped_condvar_wait_is_clean() {
-        // The real ShutdownLatch's `while` shape, and a `loop` re-check.
-        let src = "fn f() {\n  while !latch::sole_survivor(*live) {\n    \
-                   let (g, _) = self.cv.wait_timeout(live, d).unwrap_or_else(|p| p.into_inner());\n    \
-                   live = g;\n  }\n}\n";
+        // The real `Pipe::wait_closed`'s `while` shape, and a `loop` re-check.
+        let src = "fn f() {\n  while !st.closed {\n    \
+                   let (g, _) = self.ready.wait_timeout(st, d).unwrap_or_else(|p| p.into_inner());\n    \
+                   st = g;\n  }\n}\n";
         assert!(lint_str(src).is_empty());
         let src = "fn f() {\n  loop {\n    if s.released(gen) { break; }\n    \
                    s = cv.wait(s);\n  }\n}\n";

@@ -1,10 +1,10 @@
 //! Protocol model checking: exhaustive bounded verification of the
 //! transport/overlap concurrency protocols *before they run*.
 //!
-//! `zero-comm` coordinates ranks with hand-rolled protocols — shutdown
-//! latch, socket handshake, the op desk's fabric hand-off. Their decision
-//! logic lives as pure kernels in [`zero_comm::protocol`]; this pass
-//! re-expresses the synchronization skeleton around those kernels
+//! `zero-comm` coordinates ranks with two hand-rolled protocols — the
+//! socket handshake and the op desk's fabric hand-off. The hand-off's
+//! decision logic lives as a pure kernel in [`zero_comm::protocol`]; this
+//! pass re-expresses the synchronization skeleton around it
 //! against modeled primitives ([`shims`]) and hands the result to a
 //! deterministic bounded interleaving explorer ([`explorer`]):
 //!
@@ -30,27 +30,25 @@ pub use explorer::{
     enumerate_final_states, explore, format_trace, ExploreResult, ExploreStats, Failure,
     Program, Sched, Violation,
 };
-pub use protocols::{HandoffMutant, HandshakeModel, LatchModel, ProgressModel};
+pub use protocols::{HandoffMutant, HandshakeModel, ProgressModel};
 pub use shims::{FaultBudget, ModelState, RaceReport, Status};
 
 /// One checked scenario: a protocol model at a world size and fault
 /// regime.
 pub struct Scenario {
-    /// Stable name, e.g. `latch.n3` or `handshake.n2+crash`.
+    /// Stable name, e.g. `progress.n3` or `handshake.n2+crash`.
     pub name: &'static str,
     /// The model under check.
     pub program: Box<dyn Program>,
 }
 
-/// The scenario matrix the pass runs: all three protocols at sizes 2 and
-/// 3 (ranks for the latch and the handshake, ops issued for the desk),
-/// with a one-timeout budget everywhere and additionally a one-crash
-/// budget for the cross-process handshake (a thread of an in-process
-/// primitive cannot vanish, a rank process can).
+/// The scenario matrix the pass runs: both protocols at sizes 2 and 3
+/// (ranks for the handshake, ops issued for the desk), with a one-timeout
+/// budget everywhere and additionally a one-crash budget for the
+/// cross-process handshake (a thread of an in-process primitive cannot
+/// vanish, a rank process can): 6 scenarios.
 pub fn scenarios() -> Vec<Scenario> {
     vec![
-        Scenario { name: "latch.n2", program: Box::new(LatchModel { ranks: 2 }) },
-        Scenario { name: "latch.n3", program: Box::new(LatchModel { ranks: 3 }) },
         Scenario {
             name: "handshake.n2",
             program: Box::new(HandshakeModel { peers: 1, crash: false }),

@@ -9,15 +9,12 @@
 //! shim operations. What the checker proves is therefore about the
 //! shipped logic, not a lookalike:
 //!
-//! 1. [`LatchModel`] — `ShutdownLatch`: departing handles decrement a
-//!    live count under a mutex and notify; a rank in the deadline wait
-//!    re-checks `latch::sole_survivor` in a timed-wait loop.
-//! 2. [`HandshakeModel`] — the connect/accept hello exchange at byte
+//! 1. [`HandshakeModel`] — the connect/accept hello exchange at byte
 //!    granularity: partial reads (every split explored via scheduler
 //!    choices), residue bytes carried from the hello read into the
 //!    payload phase, slow/fast peers, and a sequential accept loop in
 //!    the 3-peer variant.
-//! 3. [`ProgressModel`] — the rank's op desk: the progress thread and a
+//! 2. [`ProgressModel`] — the rank's op desk: the progress thread and a
 //!    caller sharing the fabric through the [`handoff`] kernel —
 //!    help-first timed waits, ops issued ahead finishing on the progress
 //!    thread, and join-on-drop quiescence (the dropped communicator
@@ -29,7 +26,7 @@
 //! over (live sender handles, how many jobs executed); they are hashed
 //! and footprinted but race-exempt.
 
-use zero_comm::protocol::{handoff, latch};
+use zero_comm::protocol::handoff;
 
 use super::explorer::Program;
 use super::shims::{ChannelId, CondvarId, DataId, FaultBudget, ModelState, MutexId, Status, Tid};
@@ -51,81 +48,7 @@ fn outcome(st: &ModelState, tid: Tid) -> i64 {
 }
 
 // ---------------------------------------------------------------------
-// 1. ShutdownLatch deadline wait
-// ---------------------------------------------------------------------
-
-/// `ShutdownLatch`: thread 0 runs `wait_sole_survivor` with a deadline
-/// (timed condvar wait re-checking [`latch::sole_survivor`]); threads
-/// `1..ranks` run `depart` (decrement live under the mutex, notify).
-///
-/// One injected timeout models the deadline expiring mid-protocol, so
-/// the checker covers "shutdown racing the deadline" exhaustively.
-pub struct LatchModel {
-    pub ranks: usize,
-}
-
-impl LatchModel {
-    const MX: MutexId = MutexId(0);
-    const CV: CondvarId = CondvarId(0);
-    const LIVE: DataId = DataId(0);
-}
-
-impl Program for LatchModel {
-    fn init(&self) -> ModelState {
-        let mut st = ModelState::new(self.ranks);
-        st.add_mutex();
-        st.add_condvar();
-        st.add_data(self.ranks as i64);
-        st.budget = FaultBudget { crashes: 0, timeouts: 1 };
-        st
-    }
-
-    fn step(&self, st: &mut ModelState, tid: Tid, _choice: usize) {
-        if tid == 0 {
-            // wait_sole_survivor: single arm; wakes re-enter it with the
-            // mutex granted (lock is idempotent for the owner).
-            if st.lock(tid, Self::MX) {
-                let live = st.read_data(tid, Self::LIVE) as usize;
-                if latch::sole_survivor(live) {
-                    st.unlock(tid, Self::MX);
-                    st.set_reg(tid, 0, OK); // cancelled: peers all gone
-                    st.done(tid);
-                } else if st.timed_out(tid) {
-                    st.unlock(tid, Self::MX);
-                    st.set_reg(tid, 0, TIMED_OUT); // deadline expired
-                    st.done(tid);
-                } else {
-                    st.goto(tid, 0);
-                    st.cv_wait(tid, Self::CV, Self::MX, true);
-                }
-            }
-        } else {
-            // depart(): the real primitive's exact critical section.
-            if st.lock(tid, Self::MX) {
-                let mut live = st.read_data(tid, Self::LIVE) as usize;
-                latch::depart(&mut live);
-                st.write_data(tid, Self::LIVE, live as i64);
-                st.notify_all(tid, Self::CV);
-                st.unlock(tid, Self::MX);
-                st.done(tid);
-            }
-        }
-    }
-
-    fn check_final(&self, st: &ModelState) -> Option<String> {
-        let live = st.data[Self::LIVE.0].value;
-        if outcome(st, 0) == OK && live > 1 {
-            return Some(format!("latch wait cancelled with {live} handles still live"));
-        }
-        if st.budget.timeouts == 1 && outcome(st, 0) != OK {
-            return Some("latch wait missed the departures without any deadline expiry".into());
-        }
-        None
-    }
-}
-
-// ---------------------------------------------------------------------
-// 2. Socket handshake with residue bytes
+// 1. Socket handshake with residue bytes
 // ---------------------------------------------------------------------
 
 /// The connect/accept hello exchange, modeled at byte granularity: each
@@ -348,7 +271,7 @@ impl Program for HandshakeModel {
 }
 
 // ---------------------------------------------------------------------
-// 3. The op desk: progress thread, help-first wait, join-on-drop
+// 2. The op desk: progress thread, help-first wait, join-on-drop
 // ---------------------------------------------------------------------
 
 /// A seeded bug in the desk's hand-off, for the mutation tests.
