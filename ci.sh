@@ -32,7 +32,7 @@ printf '%s\n' 'fn a() {' '}' '#[cfg(test)]' 'mod tests {' '    fn t() {' '    }'
     > "$scratch/counted.rs"
 [ "$(awk "$count_non_test" "$scratch/counted.rs")" -eq 6 ] \
     || { echo "line counter self-test failed: code after a test module must be counted in full"; exit 1; }
-line_ceiling=12739
+line_ceiling=13036
 lines=0
 split=""
 for crate in comm core serve bench; do
@@ -45,7 +45,7 @@ sim_ceiling=2240
 sim=$(awk "$count_non_test" $(find crates/sim/src -name '*.rs') src/bin/zero-sim.rs)
 # So has the training engine, inside the core count: it interprets the
 # plan, so a schedule decision moving back into it shows up here first.
-engine_ceiling=1226
+engine_ceiling=1223
 engine=$(awk "$count_non_test" crates/core/src/engine.rs)
 echo "    $lines non-test lines (ceiling $line_ceiling):$split; sim $sim (ceiling $sim_ceiling); engine $engine (ceiling $engine_ceiling)"
 [ "$lines" -le "$line_ceiling" ] || { echo "line budget exceeded: lower the count or raise the ceiling deliberately"; exit 1; }

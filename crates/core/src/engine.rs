@@ -40,7 +40,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use zero_comm::{CollectiveKind, CommError, Communicator, Grid, PendingOp};
+use zero_comm::{CollectiveKind, CommError, Communicator, Grid, PendingOp, Precision};
 use zero_model::{BlockSaved, Gpt};
 use zero_trace::{SpanCategory, StepTimeline, TraceRecorder};
 use zero_optim::{
@@ -111,21 +111,8 @@ impl Issued {
 struct InflightReduce {
     /// The bucket's flat range: this rank's part of it is the reduced piece.
     span: std::ops::Range<usize>,
+    /// The reduce-scatter, whose fused buffer is held until the wait.
     issued: Issued,
-    /// Fused-buffer bytes held until the wait (memory accounting).
-    bytes: u64,
-}
-
-/// A stage-3 parameter all-gather issued ahead of use (the double-buffered
-/// prefetch slot: at most one of these is outstanding).
-struct PendingFetch {
-    /// Unit index the gather materializes.
-    unit: usize,
-    issued: Issued,
-    /// Full unit length in elements.
-    len: usize,
-    /// The store the fetch op stashes the gathered unit into, if any.
-    into: Option<ParamStore>,
 }
 
 /// The rank's end of the schedule: the cursor over the installed plan,
@@ -320,7 +307,10 @@ pub struct RankEngine {
     inflight_rs: VecDeque<InflightReduce>,
     /// The stage-3 prefetch slot: a parameter all-gather the plan issued
     /// ahead of its unit's use.
-    prefetch: Option<PendingFetch>,
+    prefetch: Option<Issued>,
+    /// The stage-3 unit the plan holds into its next fetch, the precision
+    /// its op holds it at, and its buffer once the walk has released it.
+    held: Option<(usize, Precision, Vec<f32>)>,
     scaler: Option<DynamicLossScaler>,
     arena: Option<ContiguousArena>,
     mem: MemoryTracker,
@@ -442,6 +432,7 @@ impl RankEngine {
             bucket: GradBucket::new(),
             inflight_rs: VecDeque::new(),
             prefetch: None,
+            held: None,
             io: Issuer {
                 plan: PlanCursor::default(),
                 comm,
@@ -567,18 +558,25 @@ impl RankEngine {
     /// The op names the unit and the store this rank's piece is read from:
     /// the primary shard, or (hpZ) the node-local secondary store, whose
     /// gather never crosses a node boundary.
-    fn start_fetch(&mut self) -> PendingFetch {
-        let (unit, from, into) = match self.io.plan.peek().map(|op| &op.role) {
-            Some(&OpRole::Fetch { unit, from, into, .. }) => (unit, from, into),
+    fn start_fetch(&mut self) -> Issued {
+        let (unit, from) = match self.io.plan.peek().map(|op| &op.role) {
+            Some(&OpRole::Fetch { unit, from, .. }) => (unit, from),
             other => panic!("comm-plan drift: engine needs a parameter fetch, plan has {other:?}"),
         };
         let unit_range = self.gpt.layout().units()[unit].range.clone();
-        let len = unit_range.len();
-        self.mem.alloc(MemCategory::Buffers, 4 * len as u64);
+        self.mem.alloc(MemCategory::Buffers, 4 * unit_range.len() as u64);
         let piece = self.param_store(from).read(unit_range);
         self.trace.instant(SpanCategory::Collective, "prefetch-issue");
-        let issued = self.io.start(CollectiveKind::AllGather, piece);
-        PendingFetch { unit, issued, len, into }
+        self.io.start(CollectiveKind::AllGather, piece)
+    }
+
+    /// Issues the plan's next fetch into the prefetch slot if it goes out
+    /// ahead and names `next`, the unit the walk fetches after this one.
+    fn prefetch_next(&mut self, next: Option<usize>) {
+        let ahead = |op: &ResolvedOp| matches!(op.role, OpRole::Fetch { ahead: true, unit, .. } if Some(unit) == next);
+        if self.io.plan.peek().is_some_and(ahead) {
+            self.prefetch = Some(self.start_fetch());
+        }
     }
 
     /// The parameter store a fetch op names. The gathered buffer is
@@ -606,7 +604,7 @@ impl RankEngine {
             // After an error the remaining handles are dropped unawaited —
             // their ops still execute in issue order, keeping the
             // SPMD schedule aligned for recovery.
-            let spill = inf.issued.spill.take();
+            let (spill, bytes) = (inf.issued.spill.take(), 4 * inf.issued.op.total_elems() as u64);
             if first_err.is_none() {
                 let span = self.trace.begin(SpanCategory::Wait, "drain-inflight");
                 match inf.issued.wait() {
@@ -615,7 +613,7 @@ impl RankEngine {
                 }
                 self.trace.end(span);
             }
-            self.mem.free(MemCategory::Buffers, inf.bytes);
+            self.mem.free(MemCategory::Buffers, bytes);
             if let Some(t) = spill.filter(|_| first_err.is_none()) {
                 first_err = self.io.tier_move(t).wait().err();
             }
@@ -627,12 +625,10 @@ impl RankEngine {
     /// dropped unawaited; the fabric still runs the ops). Called
     /// on entry to every engine entry point that installs a fresh plan.
     fn clear_transients(&mut self) {
-        for inf in self.inflight_rs.drain(..) {
-            self.mem.free(MemCategory::Buffers, inf.bytes);
-        }
-        if let Some(pf) = self.prefetch.take() {
-            self.mem.free(MemCategory::Buffers, 4 * pf.len as u64);
-        }
+        let inflight: usize = self.inflight_rs.drain(..).map(|inf| inf.issued.op.total_elems()).sum();
+        let held = self.held.take().map_or(0, |(.., buf)| buf.len());
+        let slot = self.prefetch.take().map_or(0, |pf| pf.op.total_elems());
+        self.mem.free(MemCategory::Buffers, 4 * (inflight + held + slot) as u64);
     }
 
     /// Quantizes activations to fp16 width in mixed-precision mode, so the
@@ -709,11 +705,10 @@ impl RankEngine {
         let Self { bucket, io, mem, inflight_rs, trace, part, .. } = self;
         bucket.flush_all(part, &mut |span, fused| {
             trace.instant(SpanCategory::Collective, "bucket-flush");
-            let bytes = 4 * fused.len() as u64;
-            mem.alloc(MemCategory::Buffers, bytes);
+            mem.alloc(MemCategory::Buffers, 4 * fused.len() as u64);
             let issued = io.start(CollectiveKind::ReduceScatter, fused);
             settle = !issued.op.nonblocking;
-            inflight_rs.push_back(InflightReduce { span, issued, bytes });
+            inflight_rs.push_back(InflightReduce { span, issued });
         });
         if settle {
             self.drain_inflight()?;
@@ -1055,56 +1050,57 @@ impl Walker for Pass<'_> {
     type Ckpt = (ArenaSlot, Option<PendingOp>);
     type Error = CommError;
 
-    /// Materializes unit `u`'s parameters as an f32 buffer: read from the
-    /// working store when the plan gathers nothing here (stages below 3),
-    /// else `u`'s gather, out of the prefetch slot or issued now because
-    /// the plan's next op is its fetch. The next planned fetch goes into
-    /// the slot if the plan marks it `ahead` — so the next unit's
-    /// communication rides under this unit's compute — and then `u`'s is
-    /// waited and stashed into the store its op names.
-    fn fetch(&mut self, u: usize, _next: Option<usize>) -> Result<Vec<f32>, CommError> {
+    /// Materializes unit `u`'s parameters as an f32 buffer: the buffer the
+    /// plan held for `u`, rounded to the image its op names; read from the
+    /// working store when the plan gathers nothing (stages below 3); else
+    /// `u`'s gather, out of the prefetch slot or issued now. The next
+    /// planned fetch goes into the slot if it is `ahead` for `next` — so
+    /// it rides under this unit's compute — then `u`'s is waited, stashed
+    /// into the store its op names, and held at its release if it says so.
+    fn fetch(&mut self, u: usize, next: Option<usize>) -> Result<Vec<f32>, CommError> {
         let e = &mut *self.e;
+        if let Some((_, image, mut buf)) = e.held.take_if(|(unit, ..)| *unit == u) {
+            if image == Precision::Fp16 {
+                f16_round_slice(&mut buf);
+            }
+            e.prefetch_next(next);
+            return Ok(buf);
+        }
         let unit_range = e.gpt.layout().units()[u].range.clone();
-        let planned = matches!(
-            e.io.plan.peek().map(|op| &op.role),
-            Some(&OpRole::Fetch { unit, .. }) if unit == u
-        );
         let cur = match e.prefetch.take() {
             Some(pf) => pf,
-            None if planned => e.start_fetch(),
+            None if e.zcfg.stage.partitions_params() => e.start_fetch(),
             None => {
                 e.mem.alloc(MemCategory::Buffers, 4 * unit_range.len() as u64);
                 return Ok(e.work.read(unit_range));
             }
         };
-        assert_eq!(cur.unit, u, "comm-plan drift: the plan fetched a unit the engine is not at");
-        if matches!(e.io.plan.peek().map(|op| &op.role), Some(OpRole::Fetch { ahead: true, .. })) {
-            e.prefetch = Some(e.start_fetch());
+        let OpRole::Fetch { unit, into, hold, .. } = cur.op.role else { unreachable!("a fetch op") };
+        assert_eq!(unit, u, "comm-plan drift: the plan fetched a unit the engine is not at");
+        e.prefetch_next(next);
+        if let Some(image) = hold {
+            e.held = Some((unit, image, Vec::new()));
         }
-        match cur.issued.wait() {
-            Ok(out) => {
-                if let Some(store) = cur.into {
-                    e.param_store(store).stash(&unit_range, &out);
-                }
-                Ok(out)
-            }
-            Err(err) => {
-                e.mem.free(MemCategory::Buffers, 4 * cur.len as u64);
-                Err(err)
-            }
+        let out = cur.wait().inspect_err(|_| e.mem.free(MemCategory::Buffers, 4 * unit_range.len() as u64))?;
+        if let Some(store) = into {
+            e.param_store(store).stash(&unit_range, &out);
         }
+        Ok(out)
     }
 
-    /// The stage-3 "discard after use".
-    fn release(&mut self, p: Vec<f32>) {
-        self.e.mem.free(MemCategory::Buffers, 4 * p.len() as u64);
+    /// The stage-3 "discard after use", or the hand-over of a held unit.
+    fn release(&mut self, u: usize, p: Vec<f32>) {
+        match self.e.held.as_mut() {
+            Some((unit, _, held)) if *unit == u => *held = p,
+            _ => self.e.mem.free(MemCategory::Buffers, 4 * p.len() as u64),
+        }
     }
 
     fn embed(&mut self, p: Vec<f32>) -> Result<(), CommError> {
         let span = self.e.trace.begin(SpanCategory::Compute, "embed-fwd");
         self.x = self.e.gpt.embed(&p, self.ids, self.local_batch);
         self.e.trace.end(span);
-        self.release(p);
+        self.release(0, p);
         self.e.maybe_quantize(&mut self.x);
         Ok(())
     }
@@ -1167,19 +1163,20 @@ impl Walker for Pass<'_> {
     /// gradients dispatched. Evaluation: the loss alone.
     fn head(&mut self, p: Vec<f32>, train: bool) -> Result<(), CommError> {
         let e = &mut *self.e;
+        let head = 1 + e.gpt.config().layers;
         if !train {
             let span = e.trace.begin(SpanCategory::Compute, "head-loss");
             self.loss = e.gpt.head_loss(&p, &self.x, self.targets, self.local_batch);
             e.trace.end(span);
-            self.release(p);
+            self.release(head, p);
             return Ok(());
         }
-        let range = e.gpt.layout().units()[1 + e.gpt.config().layers].range.clone();
+        let range = e.gpt.layout().units()[head].range.clone();
         let mut grads = vec![0.0; range.len()];
         let span = e.trace.begin(SpanCategory::Compute, "head-fwd-bwd");
         (self.loss, self.dy) = e.gpt.head_fwd_bwd(&p, &self.x, self.targets, &mut grads, self.local_batch);
         e.trace.end(span);
-        self.release(p);
+        self.release(head, p);
         self.x = Vec::new();
         // Apply the loss scale to everything downstream of the loss.
         if self.scale != 1.0 {
@@ -1200,7 +1197,7 @@ impl Walker for Pass<'_> {
         let mut grads = vec![0.0; range.len()];
         let dx = e.block_pass("block-bwd", |gpt, hook| gpt.block_bwd(l, &p, &saved, dy, &mut grads, batch, hook))?;
         self.dy = dx;
-        self.release(p);
+        self.release(1 + l, p);
         self.e.dispatch_grads(range, grads)
     }
 

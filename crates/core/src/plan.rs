@@ -150,6 +150,12 @@ pub enum OpRole {
         /// and computed on — the open prefetch window. A fetch that is
         /// not `ahead` is issued on demand, when its unit is needed.
         ahead: bool,
+        /// Held past the walk's release for the unit's next fetch, which
+        /// gathers nothing (reuse distance 0), at the precision of the
+        /// store that refetch would have read: `Fp16` (an fp16 hpZ store)
+        /// rounds the buffer once, `Fp32` keeps it as gathered, as a
+        /// gather of the primary shards would gather it again.
+        hold: Option<Precision>,
     },
 }
 
@@ -493,9 +499,15 @@ struct Builder {
     /// suffices.
     stashed: Vec<bool>,
     /// The double-buffered prefetch slot: the unit whose gather was issued
-    /// ahead of use, with the index into `tier` of the fetch seeding it
-    /// (whose demand position is stamped when the unit is consumed).
-    slot: Option<(usize, Option<usize>)>,
+    /// ahead of use, with the index of that op and the index into `tier`
+    /// of the fetch seeding it (whose demand position is stamped when the
+    /// unit is consumed).
+    slot: Option<(usize, usize, Option<usize>)>,
+    /// The unit this micro-batch computed on last and the index of the
+    /// gather that materialized it: the one a hold can keep.
+    last: Option<(usize, usize)>,
+    /// The unit held for its next fetch, which gathers nothing.
+    held: Option<usize>,
     /// Effective tier-offload levers for this stage/grid.
     off: EffectiveOffload,
     /// The tier-movement stream being built alongside `ops`.
@@ -531,6 +543,8 @@ impl Builder {
             sec_part: Partitioner::per_unit(layout, zcfg.node_size),
             stashed: vec![false; layout.units().len()],
             slot: None,
+            last: None,
+            held: None,
             bucket: None,
             off,
             tier: Vec::new(),
@@ -616,7 +630,7 @@ impl Builder {
         let seed = (self.off.params && from == ParamStore::Primary).then(|| {
             self.tier_op(TierDir::Fetch, "tier-param-fetch", counts.clone(), Some(self.ops.len()))
         });
-        let role = OpRole::Fetch { unit: u, from, into, ahead };
+        let role = OpRole::Fetch { unit: u, from, into, ahead, hold: None };
         self.op_nb(CollectiveKind::AllGather, scope, counts, "fetch-unit", wire, role);
         seed
     }
@@ -756,10 +770,11 @@ impl Builder {
     }
 
     /// Seals the builder into a plan, checking the walk left nothing
-    /// half-scheduled: the prefetch slot was consumed and every overlap
-    /// spill was drained.
+    /// half-scheduled: the prefetch slot was consumed, no unit is still
+    /// held and every overlap spill was drained.
     fn finish(self) -> CommPlan {
         debug_assert!(self.slot.is_none(), "plan builder: a prefetched unit was never consumed");
+        debug_assert!(self.held.is_none(), "plan builder: a held unit was never fetched again");
         debug_assert!(
             self.pending_spills.is_empty(),
             "plan builder: pending tier spills were never drained"
@@ -784,22 +799,43 @@ impl Walker for Builder {
     /// communication rides under this unit's compute — the
     /// double-buffered one-ahead window. Without overlap the slot stays
     /// empty and every fetch is on demand.
+    ///
+    /// When `next` is the unit the micro-batch computed on just before
+    /// `u` — the last block, when the backward opens on it: without
+    /// checkpointing, or when the last segment is that block alone, as at
+    /// interval 1 — that unit's gather is marked held instead of issued
+    /// again, and its next fetch gathers nothing. The window
+    /// keeps two units, the held block and `u`, where a refetch would
+    /// keep `u` and the block in flight; without overlap the window is
+    /// one unit and nothing is held.
     fn fetch(&mut self, u: usize, next: Option<usize>) -> Result<(), Infallible> {
         if !self.zcfg.stage.partitions_params() {
             return Ok(());
         }
-        let seed = match self.slot.take() {
-            Some((unit, seed)) => {
-                assert_eq!(unit, u, "plan builder: prefetch slot holds a different unit");
-                seed
-            }
-            None => self.issue_fetch(u, false),
+        let (at, seed) = if self.held.take_if(|held| *held == u).is_some() {
+            (None, None)
+        } else if let Some((unit, at, seed)) = self.slot.take() {
+            assert_eq!(unit, u, "plan builder: prefetch slot holds a different unit");
+            (Some(at), seed)
+        } else {
+            (Some(self.ops.len()), self.issue_fetch(u, false))
         };
+        let last = std::mem::replace(&mut self.last, at.map(|at| (u, at)));
         if !self.zcfg.overlap {
             return Ok(());
         }
-        if let Some(v) = next {
-            self.slot = Some((v, self.issue_fetch(v, true)));
+        match (next, last) {
+            (Some(v), Some((w, at))) if v == w => {
+                // An hpZ refetch would read the secondary store, at the
+                // step's precision; any other would gather these values.
+                let image = if self.zcfg.compression.hpz { self.prec } else { Precision::Fp32 };
+                if let OpRole::Fetch { hold, .. } = &mut self.ops[at].role {
+                    *hold = Some(image);
+                }
+                self.held = Some(v);
+            }
+            (Some(v), _) => self.slot = Some((v, self.ops.len(), self.issue_fetch(v, true))),
+            (None, _) => {}
         }
         // The engine blocks on `u` here: its tier fetch's window closes.
         if let Some(idx) = seed {
@@ -854,6 +890,7 @@ impl Walker for Builder {
     /// every reduce-scatter still in flight is waited at the end-of-micro
     /// drain and its reduced piece spilled.
     fn embed_bwd(&mut self) -> Result<(), Infallible> {
+        self.last = None;
         self.dispatch_grads(0);
         if let Some(rest) = self.bucket.take() {
             self.grad_flush(rest);
@@ -1318,10 +1355,16 @@ mod tests {
             assert_eq!(segments, checkpoint_activations.then_some(2));
             let plan = CommPlan::train_step(&layout, &zcfg, grid, &shape());
             let mut grads_down_to = layout.total_params();
-            let mut first = true;
+            let (mut first, mut held) = (true, Vec::new());
             for op in plan.ops() {
                 match &op.role {
-                    OpRole::Fetch { unit, ahead, .. } => {
+                    OpRole::Fetch { unit, ahead, hold, .. } => {
+                        // The backward opens on the last block either way
+                        // (interval 1, or no checkpointing): overlap holds
+                        // its forward gather, as gathered at fp32.
+                        if let Some(image) = hold {
+                            held.push((*unit, *image));
+                        }
                         assert_eq!(op.label, "fetch-unit");
                         // Every unit is split two ways.
                         let len = units[*unit].range.len();
@@ -1343,6 +1386,8 @@ mod tests {
                 }
             }
             assert_eq!(grads_down_to, 0);
+            let want = if overlap { vec![(tiny().layers, Precision::Fp32)] } else { vec![] };
+            assert_eq!(held, want, "overlap {overlap} checkpointing {checkpoint_activations}");
         }
         // The CB chunk loops of stage 1 tile the partition's rows (each
         // owner's shard, side by side) front to back, twice: the gradient

@@ -31,8 +31,8 @@ pub(crate) trait Walker {
     /// Materializes unit `u`; `next` is the unit the walk fetches after it,
     /// `None` only for the pass's last fetch.
     fn fetch(&mut self, u: usize, next: Option<usize>) -> Result<Self::Unit, Self::Error>;
-    /// Discards a fetched unit.
-    fn release(&mut self, _p: Self::Unit) {}
+    /// Discards fetched unit `u`.
+    fn release(&mut self, _u: usize, _p: Self::Unit) {}
     /// Embedding forward, the first activation; releases the unit.
     fn embed(&mut self, _p: Self::Unit) -> Result<(), Self::Error> {
         Ok(())
@@ -84,7 +84,7 @@ pub(crate) fn micro<W: Walker>(w: &mut W, layers: usize, k: Option<usize>, train
             ckpts.push((seg, w.store_checkpoint()));
         }
         let saved = w.block_fwd(l, &p, false)?;
-        w.release(p);
+        w.release(1 + l, p);
         if keep {
             saveds.push(w.keep(saved));
         }
@@ -179,8 +179,8 @@ mod tests {
             Ok(Params(u))
         }
 
-        fn release(&mut self, p: Params) {
-            self.free(p);
+        fn release(&mut self, u: usize, p: Params) {
+            assert_eq!(self.free(p), u, "released under another unit's index");
         }
 
         fn embed(&mut self, p: Params) -> Result<(), Infallible> {

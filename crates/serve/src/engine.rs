@@ -310,7 +310,7 @@ pub fn run_rank(
     let mut clock = 0u64; // batch-step time (includes idle fast-forwards)
     let mut steps = 0u64; // executed batch steps only
     let mut transient_peak = 0u64;
-    let mut spare: Vec<Vec<f32>> = Vec::with_capacity(2);
+    let mut spare: Vec<Vec<f32>> = Vec::new();
 
     loop {
         // Deliver every request whose arrival step the clock has reached.
@@ -424,13 +424,17 @@ pub fn run_rank(
         // batch. A gather has one issue site and one wait site; the
         // plan's `ahead` flag decides whether the next gather is issued
         // before this one is waited (the double buffer: at most two units
-        // materialized at once) or each is waited as it is issued. The two
+        // materialized at once) or each is waited as it is issued. The
         // gather buffers cycle across units and steps: each is seeded with
         // this rank's piece, gathered into in place, read, and handed back.
+        // A unit takes a spare of exactly its length, so after the first
+        // step the pool holds one per unit size in flight and no warm step
+        // grows (zero-fills) a buffer.
         let n_units = gpt.layout().units().len();
-        let mut issue = |k: usize, mut buf: Vec<f32>| -> (usize, PendingOp, u64) {
+        let mut issue = |k: usize, spare: &mut Vec<Vec<f32>>| -> (usize, PendingOp, u64) {
             let (op, (unit, piece)) = (&ops[k], fetches[k]);
-            buf.resize(op.total_elems(), 0.0);
+            let fits = spare.iter().position(|b| b.len() == op.total_elems());
+            let mut buf = fits.map_or_else(|| vec![0.0; op.total_elems()], |i| spare.swap_remove(i));
             buf[op.own_piece(rank)].copy_from_slice(piece);
             let pend = comm.start_all_gather(&groups[k], buf, &op.counts, op.prec, op.wire);
             (unit, pend, 4 * op.total_elems() as u64)
@@ -439,11 +443,11 @@ pub fn run_rank(
         for u in 0..n_units {
             let (unit, pend, cur_bytes) = match ahead.take() {
                 Some(issued) => issued,
-                None => issue(u, spare.pop().unwrap_or_default()),
+                None => issue(u, &mut spare),
             };
             assert_eq!(unit, u, "serve-plan drift: the plan fetched a unit the engine is not at");
             if matches!(ops.get(u + 1).map(|op| &op.role), Some(OpRole::Fetch { ahead: true, .. })) {
-                ahead = Some(issue(u + 1, spare.pop().unwrap_or_default()));
+                ahead = Some(issue(u + 1, &mut spare));
             }
             let wspan = trace.begin(SpanCategory::Wait, "gather-wait");
             let cur = pend.wait().expect("serving gather failed");

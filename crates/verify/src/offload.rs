@@ -28,7 +28,10 @@
 //!   total exactly `micro_batches · shard` elements for stages 2–3 (the
 //!   buckets tile Ψ each micro-batch) and one `shard` for stage 1 on
 //!   non-skipped steps; publish-fetch bytes total one `shard` on
-//!   non-skipped steps for stages 1–2 — independently recomputed from the
+//!   non-skipped steps for stages 1–2; stage-3 parameter fetches lift
+//!   each unit's piece once per primary gather — once a step under hpZ,
+//!   else per micro-batch once for embed, head and a held last block and
+//!   twice for every other block — all independently recomputed from the
 //!   partition, not read back from the plan.
 //! * **Equivalence.** The collective stream of an offloaded plan is
 //!   bitwise identical to the tier-off baseline (offload adds a tier
@@ -332,6 +335,32 @@ fn check_offload_config(
                     "{what} skipped={skipped} rank {rank}: publish-fetch bytes \
                      {publish} != telescoped {want_publish}"
                 ));
+            }
+
+            // Stage 3: a gather of the primary shards lifts this rank's
+            // piece of its unit, so per step each unit's piece climbs once
+            // per primary gather — once in all under hpZ (refetches read
+            // the secondary store), else per micro-batch once for embed
+            // and head and twice for a block, once for the last block
+            // where the plan holds it into its backward.
+            if zcfg.stage.partitions_params() {
+                let layers = layout.unit_count() - 2;
+                let held = crate::schedule::holds_last_block(zcfg, layers).then_some(layers);
+                let lifts = |u: usize| match (zcfg.compression.hpz, u) {
+                    (true, _) => 1,
+                    (false, u) if u == 0 || u == layers + 1 || held == Some(u) => sh.micro_batches,
+                    _ => 2 * sh.micro_batches,
+                };
+                let want: u64 = layout.units().iter().enumerate().map(|(u, unit)| {
+                    elem_bytes * (lifts(u) * zero_comm::chunk_range(unit.range.len(), grid.dp_degree(), rank).len()) as u64
+                }).sum();
+                let got: u64 = tier.iter().filter(|t| t.label == "tier-param-fetch").map(|t| t.bytes).sum();
+                if got != want {
+                    return Err(format!(
+                        "{what} skipped={skipped} rank {rank}: parameter tier fetches move {got} bytes, \
+                         telescoped {want}"
+                    ));
+                }
             }
 
             // Stage 3: every planned gather seeded by the primary store has

@@ -16,9 +16,16 @@
 //! * **Volume.** Per-rank bytes are compared against independently
 //!   derived telescoping identities (exact, not bounds): one step of
 //!   stage 1/2 reduce-scatters Ψ − |shard_i| elements and all-gathers
-//!   Ψ − |shard_{i+1}|; stage 3 re-gathers each unit once per pass; the
-//!   paper's 2Ψ·(N−1)/N and ≤ 3Ψ headline numbers follow and are asserted
-//!   too.
+//!   Ψ − |shard_{i+1}|; stage 3 gathers each unit once per pass it is
+//!   computed on — every block twice, except the last block where the
+//!   plan holds it through the head into its backward (overlap, with the
+//!   backward opening on that block: [`holds_last_block`]); the paper's
+//!   2Ψ·(N−1)/N and ≤ 3Ψ headline numbers follow and are asserted too.
+//! * **Window.** Replaying each stage-3 plan's fetches against the walk,
+//!   no rank ever has more than two gathered units alive under overlap
+//!   (the unit computed on, plus the one in flight or the held one) and
+//!   more than one without, beyond the blocks a recompute segment keeps
+//!   for its backward (`check_unit_window`).
 //! * **Balance.** Training partitions every unit N ways, so every op over
 //!   parameter space — a unit fetch, a gradient bucket, a CB chunk — and
 //!   every tier movement carrying a piece of one has member counts within
@@ -34,7 +41,8 @@
 //!   bucket or chunk covers — must also agree between peers). On top,
 //!   [`check_overlap_pair`]-style invariance is proven: an overlapped
 //!   plan is a pure reordering of its synchronous twin's op multiset
-//!   (identical per-rank bytes *and* messages per kind), fetches keep
+//!   less the held block's refetch, one per micro-batch where the hold
+//!   applies (identical per-rank bytes *and* messages per kind), fetches keep
 //!   their relative issue order, and each fetch is issued no later than
 //!   its synchronous position and no earlier than its *predecessor's*
 //!   synchronous position — at most one unit ahead, which is exactly
@@ -244,15 +252,17 @@ fn expected_step(layout: &Layout, zcfg: &ZeroConfig, grid: Grid, rank: usize, sk
             ar: ArExpect::Exact(mp_ar + flag_ar),
         },
         ZeroStage::Three => {
-            // Each unit is re-gathered once per pass it participates in:
-            // embed and head once (forward only — backward reuses nothing
-            // and computes their grads without parameters re-fetched…
-            // embed) — blocks are fetched in forward and again for
-            // backward (or recompute, which subsumes the backward fetch).
+            // Each unit is gathered once per pass it is computed on: embed
+            // and head once (the head's backward runs with its forward,
+            // the embedding's needs no parameters); every block in forward
+            // and again for backward (or recompute, which subsumes the
+            // backward fetch) — except the last block where the plan holds
+            // it through the head, gathered once.
             let mut ag = 0u64;
             let units = layout.units();
+            let held = holds_last_block(zcfg, layers).then_some(layers);
             for (ui, unit) in units.iter().enumerate() {
-                let passes: u64 = if ui == 0 || ui + 1 == units.len() { 1 } else { 2 };
+                let passes: u64 = if ui == 0 || ui + 1 == units.len() || held == Some(ui) { 1 } else { 2 };
                 ag += passes * (unit.range.len() as u64 - piece(&unit.range, (dpr + 1) % dp));
             }
             Expected {
@@ -276,6 +286,111 @@ fn expected_step(layout: &Layout, zcfg: &ZeroConfig, grid: Grid, rank: usize, sk
             }
         }
     }
+}
+
+/// Whether a stage-3 plan holds the forward's last block (unit `layers`)
+/// through the head into its backward, restated from the walk rather than
+/// read off the builder: under overlap, when the backward opens on that
+/// block — without checkpointing, or when the last checkpoint segment is
+/// that block alone (every segment, at interval 1). Without overlap the
+/// window is one unit and holds nothing; a longer last segment opens its
+/// recompute on another block, which the held one would sit beside.
+pub(crate) fn holds_last_block(zcfg: &ZeroConfig, layers: usize) -> bool {
+    let one_block_segment = (layers.max(1) - 1).is_multiple_of(zcfg.checkpoint_interval.max(1));
+    let opens_on_last = !zcfg.checkpoint_activations || one_block_segment;
+    zcfg.stage.partitions_params() && zcfg.overlap && layers > 0 && opens_on_last
+}
+
+/// The units one micro-batch computes on, in walk order (§5.3, §6.1):
+/// embed, every block, head; then with `train` every checkpoint segment's
+/// blocks again from the last segment (recompute; `k` is the interval),
+/// or without checkpointing every block from the last.
+fn walk_uses(layers: usize, k: Option<usize>, train: bool) -> Vec<usize> {
+    let mut uses: Vec<usize> = (0..layers + 2).collect();
+    match k.filter(|_| train) {
+        Some(k) => {
+            for start in (0..layers).step_by(k).rev() {
+                uses.extend(1 + start..1 + (start + k).min(layers));
+            }
+        }
+        None if train => uses.extend((1..=layers).rev()),
+        None => {}
+    }
+    uses
+}
+
+/// One planned fetch as the window clause replays it.
+#[derive(Clone, Copy, Debug)]
+struct Fetch {
+    unit: usize,
+    ahead: bool,
+    held: bool,
+}
+
+/// Every fetch of `plan`, in issue order.
+fn fetches(plan: &CommPlan) -> Vec<Fetch> {
+    let fetch = |op: &zero_core::PlanOp| match op.role {
+        OpRole::Fetch { unit, ahead, hold, .. } => Some(Fetch { unit, ahead, held: hold.is_some() }),
+        _ => None,
+    };
+    plan.ops().iter().filter_map(fetch).collect()
+}
+
+/// The window clause: replays `fetches` against the walk's `uses` the way
+/// the engine interprets them — a use takes its unit from the hold, from
+/// the one fetch in flight, or gathers it on demand; a fetch marked ahead
+/// goes out during the use before the one it names — and counts the
+/// gathered units alive at every issue: the held unit, the unit being
+/// computed on and the one issued. No more than `limit` (two under
+/// overlap, one without) may be alive; the blocks a recompute segment
+/// keeps for its backward (§6.1) are not the window's and are not counted.
+fn check_unit_window(fetches: &[Fetch], uses: &[usize], limit: usize) -> Result<(), String> {
+    let mut ops = fetches.iter().copied().peekable();
+    let (mut held, mut slot): (Option<usize>, Option<Fetch>) = (None, None);
+    let window = |live: usize, i: usize, u: usize| match live > limit {
+        true => Err(format!("use {i} (unit {u}): {live} gathered units alive, the window holds {limit}")),
+        false => Ok(()),
+    };
+    for (i, &u) in uses.iter().enumerate() {
+        let live = usize::from(held.is_some());
+        let cur = if held == Some(u) {
+            held = None;
+            None
+        } else {
+            let f = match slot.take() {
+                Some(f) => f,
+                None => {
+                    window(live + 1, i, u)?;
+                    ops.next().ok_or_else(|| format!("use {i}: unit {u} is never fetched"))?
+                }
+            };
+            if f.unit != u {
+                return Err(format!("use {i}: the plan fetches unit {} where the walk computes on unit {u}", f.unit));
+            }
+            Some(f)
+        };
+        if let Some(f) = ops.next_if(|f| f.ahead && uses.get(i + 1) == Some(&f.unit)) {
+            window(usize::from(held.is_some()) + 2, i, u)?;
+            slot = Some(f);
+        }
+        if cur.is_some_and(|f| f.held) && held.replace(u).is_some() {
+            return Err(format!("use {i}: unit {u} held while another unit is held"));
+        }
+    }
+    match (ops.next(), held, slot) {
+        (None, None, None) => Ok(()),
+        left => Err(format!("the walk ends with fetches unused, a unit held or one in flight: {left:?}")),
+    }
+}
+
+/// [`check_unit_window`] over every micro-batch of a stage-3 plan.
+fn check_plan_window(plan: &CommPlan, zcfg: &ZeroConfig, layers: usize, micros: usize, train: bool) -> Result<(), String> {
+    if !zcfg.stage.partitions_params() {
+        return Ok(());
+    }
+    let k = zcfg.checkpoint_activations.then_some(zcfg.checkpoint_interval.max(1));
+    let uses = walk_uses(layers, k, train).repeat(micros);
+    check_unit_window(&fetches(plan), &uses, if zcfg.overlap { 2 } else { 1 })
 }
 
 /// The local batch all shape-dependent checks assume.
@@ -360,12 +475,14 @@ fn check_config(
         zcfg.node_size
     );
 
+    let layers = layout.unit_count() - 2;
     for skipped in [false, true] {
         let plan = CommPlan::train_step(&layout, zcfg, grid, &shape(skipped));
         let (ops, pairs) = check_symmetry(&plan, &what)?;
         report.ops_checked += ops;
         report.pair_checks += pairs;
         report.plans += 1;
+        check_plan_window(&plan, zcfg, layers, 1, true).map_err(|e| format!("{what}: {e}"))?;
 
         for rank in 0..grid.world_size() {
             check_balance(&layout, zcfg, grid, &plan.resolve_for(rank), plan.tier_ops(), &what)?;
@@ -430,6 +547,9 @@ fn check_config(
         (CommPlan::publish_refresh(&layout, zcfg, grid), "refresh"),
     ] {
         let (ops, pairs) = check_symmetry(&plan, &format!("{what} [{name}]"))?;
+        if name == "eval" {
+            check_plan_window(&plan, zcfg, layers, 1, false).map_err(|e| format!("{what} [{name}]: {e}"))?;
+        }
         for rank in 0..grid.world_size() {
             check_balance(&layout, zcfg, grid, &plan.resolve_for(rank), plan.tier_ops(), &format!("{what} [{name}]"))?;
         }
@@ -515,15 +635,20 @@ fn check_fetch_chain(ahead: &[bool]) -> Result<(), String> {
     }
 }
 
-/// Every fetch's `ahead` flag, in issue order.
-fn fetch_ahead(plan: &CommPlan) -> Vec<bool> {
-    plan.ops()
+/// Per-kind bytes and messages `rank` sends over `ops`.
+fn volume(ops: &[ResolvedOp], rank: usize) -> Vec<(CollectiveKind, u64, usize)> {
+    zero_comm::ALL_KINDS
         .iter()
-        .filter_map(|op| match op.role {
-            OpRole::Fetch { ahead, .. } => Some(ahead),
-            _ => None,
+        .map(|&kind| {
+            let of_kind = ops.iter().filter(|op| op.kind == kind);
+            (kind, of_kind.clone().map(|op| op.sent_bytes(rank)).sum(), of_kind.map(|op| op.sent_messages(rank)).sum())
         })
         .collect()
+}
+
+/// Every fetch's `ahead` flag, in issue order.
+fn fetch_ahead(plan: &CommPlan) -> Vec<bool> {
+    fetches(plan).iter().map(|f| f.ahead).collect()
 }
 
 /// Proves overlap invariance for one configuration: the overlapped plan
@@ -548,13 +673,32 @@ pub(crate) fn check_overlap_pair(
         grid.mp_degree(),
         zcfg.checkpoint_activations
     );
+    let layers = layout.unit_count() - 2;
     for skipped in [false, true] {
         let sync = CommPlan::train_step(&layout, &sync_cfg, grid, &shape(skipped));
         let over = CommPlan::train_step(&layout, &over_cfg, grid, &shape(skipped));
-        if sync.ops().len() != over.ops().len() {
+        // Where the hold applies, the overlapped plan drops the backward
+        // refetch of the last block: in the synchronous plan, every fetch
+        // of that block that comes right after the head's.
+        let units: Vec<(usize, usize)> = sync
+            .ops()
+            .iter()
+            .enumerate()
+            .filter_map(|(i, op)| match op.role {
+                OpRole::Fetch { unit, .. } => Some((i, unit)),
+                _ => None,
+            })
+            .collect();
+        let hold = holds_last_block(&over_cfg, layers);
+        let elided: Vec<usize> = (1..units.len())
+            .filter(|&j| hold && units[j].1 == layers && units[j - 1].1 == layers + 1)
+            .collect();
+        let kept = |i: &usize| !elided.iter().any(|&j| units[j].0 == *i);
+        if sync.ops().len() != over.ops().len() + elided.len() {
             return Err(format!(
-                "{what}: op count differs — sync {} vs overlapped {}",
+                "{what}: op count differs — sync {} less {} held refetch(es) vs overlapped {}",
                 sync.ops().len(),
+                elided.len(),
                 over.ops().len()
             ));
         }
@@ -562,11 +706,9 @@ pub(crate) fn check_overlap_pair(
             return Err(format!("{what}: synchronous plan carries non-blocking ops"));
         }
         for rank in 0..grid.world_size() {
-            if sync.rank_bytes(rank) != over.rank_bytes(rank) {
-                return Err(format!("{what}: rank {rank} bytes differ between schedules"));
-            }
-            if sync.rank_messages(rank) != over.rank_messages(rank) {
-                return Err(format!("{what}: rank {rank} messages differ between schedules"));
+            let sync_ops: Vec<_> = sync.resolve_for(rank).into_iter().enumerate().filter(|(i, _)| kept(i)).map(|(_, op)| op).collect();
+            if volume(&sync_ops, rank) != volume(&over.resolve_for(rank), rank) {
+                return Err(format!("{what}: rank {rank} bytes or messages differ between schedules"));
             }
             // Multiset equality of the resolved ops: the overlapped
             // schedule may only *move* fetches to their issue positions.
@@ -583,14 +725,14 @@ pub(crate) fn check_overlap_pair(
                 keys.sort();
                 keys
             };
-            if key(sync.resolve_for(rank)) != key(over.resolve_for(rank)) {
+            if key(sync_ops) != key(over.resolve_for(rank)) {
                 return Err(format!(
                     "{what}: rank {rank}: overlapped plan is not a reordering of the \
                      synchronous op multiset"
                 ));
             }
         }
-        let sf = fetch_trace(&sync);
+        let sf: Vec<_> = fetch_trace(&sync).into_iter().enumerate().filter(|(j, _)| !elided.contains(j)).map(|(_, f)| f).collect();
         let of = fetch_trace(&over);
         if zcfg.stage.partitions_params()
             && !of.is_empty()
@@ -603,6 +745,9 @@ pub(crate) fn check_overlap_pair(
         check_fetch_window(&sf, &of).map_err(|e| format!("{what}: {e}"))?;
         if zcfg.stage.partitions_params() {
             check_fetch_chain(&fetch_ahead(&over)).map_err(|e| format!("{what}: {e}"))?;
+        }
+        for (plan, cfg) in [(&sync, &sync_cfg), (&over, &over_cfg)] {
+            check_plan_window(plan, cfg, layers, 1, true).map_err(|e| format!("{what}: {e}"))?;
         }
         report.plans += 2;
     }
@@ -652,6 +797,8 @@ fn check_serve(n: usize, overlap: bool, report: &mut ScheduleReport) -> Result<(
             ));
         }
     }
+    let uses = walk_uses(layout.unit_count() - 2, None, false);
+    check_unit_window(&fetches(&plan), &uses, if overlap { 2 } else { 1 }).map_err(|e| format!("{what}: {e}"))?;
     let ahead = fetch_ahead(&plan);
     if overlap {
         let sync = fetch_trace(&CommPlan::serve_step(&layout, n, false));
@@ -849,8 +996,11 @@ mod tests {
         };
         let sync = CommPlan::train_step(&layout, &zcfg, grid, &shape(false));
         let over = CommPlan::train_step(&layout, &zcfg.overlapped(), grid, &shape(false));
-        let sf = fetch_trace(&sync);
+        let mut sf = fetch_trace(&sync);
         let of = fetch_trace(&over);
+        // The overlapped plan holds the last block through the head: the
+        // backward's first refetch is the synchronous plan's alone.
+        sf.remove(test_model().layers + 2);
         assert!(!sf.is_empty(), "stage 3 must fetch units");
         check_fetch_window(&sf, &of).expect("double-buffer window");
         let moved = sf.iter().zip(&of).filter(|(s, o)| o.1 < s.1).count();
@@ -887,6 +1037,41 @@ mod tests {
         let restarted = check_fetch_chain(&[false, true, false, true]).unwrap_err();
         assert!(restarted.contains("fetch 2"), "{restarted}");
         assert!(check_fetch_chain(&[true, true]).is_err());
+    }
+
+    #[test]
+    fn the_window_clause_catches_a_hold_in_sync_mode_and_at_interval_two() {
+        // The planned streams pass: sync and overlapped at interval 1 (the
+        // overlapped one holds the last block), overlapped at interval 2.
+        let (layout, grid, layers) = (Layout::build(&test_model()), Grid::new(2, 1), test_model().layers);
+        let ck = |k: usize| ZeroConfig { checkpoint_activations: true, checkpoint_interval: k, ..base(ZeroStage::Three) };
+        let planned = |zcfg: &ZeroConfig| fetches(&CommPlan::train_step(&layout, zcfg, grid, &shape(false)));
+        let (sync, over1, over2) = (planned(&ck(1)), planned(&ck(1).overlapped()), planned(&ck(2).overlapped()));
+        let (uses1, uses2) = (walk_uses(layers, Some(1), true), walk_uses(layers, Some(2), true));
+        assert!(check_unit_window(&sync, &uses1, 1).is_ok());
+        assert!(check_unit_window(&over1, &uses1, 2).is_ok() && over1[layers].held);
+        assert!(check_unit_window(&over2, &uses2, 2).is_ok() && over2.iter().all(|f| !f.held));
+        // Fetches: embed, the blocks, head, then the backward's. A mutant
+        // holds the forward's fetch of the last block and drops its
+        // refetch: the first one after the head's at interval 1, the last
+        // one (the recompute of the one two-block segment) at interval 2.
+        let hold = |mut f: Vec<Fetch>, refetch: usize| {
+            f[layers].held = true;
+            assert_eq!(f.remove(refetch).unit, layers);
+            f
+        };
+        // Without overlap the head is gathered beside the held block.
+        let err = check_unit_window(&hold(sync, layers + 2), &uses1, 1).unwrap_err();
+        assert!(err.contains(&format!("unit {}", layers + 1)) && err.contains("2 gathered units"), "{err}");
+        // At interval 2 the head's prefetch of the segment's first block
+        // goes out with the held block and the head alive.
+        let refetch = over2.len() - 1;
+        let err = check_unit_window(&hold(over2, refetch), &uses2, 2).unwrap_err();
+        assert!(err.contains(&format!("unit {}", layers + 1)) && err.contains("3 gathered units"), "{err}");
+        // Holding the last block at interval 2 would move no byte through
+        // the restated identity: `holds_last_block` refuses it there.
+        assert!(holds_last_block(&ck(1).overlapped(), layers) && !holds_last_block(&ck(2).overlapped(), layers));
+        assert!(!holds_last_block(&ck(1), layers) && holds_last_block(&ck(2).overlapped(), 3));
     }
 
     #[test]

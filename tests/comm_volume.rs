@@ -8,7 +8,9 @@
 //!   the baseline DP" (§7.2.1);
 //! * P_os+g+p: parameter all-gathers spread over forward and backward plus
 //!   the gradient reduce-scatter — at most 3Ψ, i.e. "a maximum of 1.5x"
-//!   (§7.2.2);
+//!   (§7.2.2); under overlap, 3Ψ less one block's gather per micro-batch,
+//!   since the plan holds the last block through the head into its
+//!   backward instead of gathering it again;
 //! * P_a: one extra all-gather of one activation per block per step across
 //!   MP — seq·hidden·batch elements per block (§8).
 //!
@@ -352,7 +354,9 @@ fn train_comm_step_ops_pin_per_member_send_bytes() {
         .filter(|(_, sent)| sent.iter().any(|&b| b > 0))
         .collect();
     // Every unit is split two ways, so every op is balanced: each member
-    // sends half of it.
+    // sends half of it. Embed, four blocks, head; the last block is held
+    // through the head into its backward, so the backward's first gather
+    // is the third block's, issued under the held block's recompute.
     let want: Vec<(&str, [u64; 2])> = vec![
         ("fetch-unit", [12288, 12288]),
         ("fetch-unit", [198272, 198272]),
@@ -360,7 +364,6 @@ fn train_comm_step_ops_pin_per_member_send_bytes() {
         ("fetch-unit", [198272, 198272]),
         ("fetch-unit", [198272, 198272]),
         ("fetch-unit", [8448, 8448]),
-        ("fetch-unit", [198272, 198272]),
         ("fetch-unit", [198272, 198272]),
         ("grad-bucket", [206720, 206720]),
         ("fetch-unit", [198272, 198272]),

@@ -235,10 +235,12 @@ fn killed_rank_with_offload_prefetch_in_flight_recovers_bitwise_identical() {
     let mut cfg = SupervisorConfig::new(tiered(4), steps, dir.clone());
     cfg.snapshot_every = 5;
     cfg.recv_timeout = Duration::from_millis(500);
-    // Stage 3 all-gathers every unit on demand; landing the crash in an
-    // all-gather past the step-5 snapshot guarantees an open prefetch
-    // window (overlap) with its tier fetch already metered.
-    cfg.faults = FaultPlan::new().with_crash_at_kind(2, CollectiveKind::AllGather, 50);
+    // Stage 3 runs 5 parameter all-gathers a step here, every one after
+    // the embedding's issued ahead (the plan holds the last block into its
+    // backward); gather 42 (from 0) is step 8's fetch of the last block,
+    // past the step-5 snapshot: an open prefetch window with its tier
+    // fetch already metered.
+    cfg.faults = FaultPlan::new().with_crash_at_kind(2, CollectiveKind::AllGather, 42);
     let recovered = run_supervised(&cfg).expect("supervised run");
 
     assert_eq!(recovered.final_world, 3);

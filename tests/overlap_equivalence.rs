@@ -159,15 +159,20 @@ fn overlapped_traffic_matches_plan_exactly() {
 }
 
 #[test]
-fn overlap_and_sync_plans_move_identical_volume() {
+fn overlap_moves_exactly_one_block_gather_less_per_micro_batch() {
     // Static half of the same claim: the overlapped plan is a reordering
-    // (fetches move to issue positions) of exactly the same op multiset.
+    // (fetches move to issue positions) of the same op multiset, less, at
+    // stage 3, the last block's backward refetch — the plan holds that
+    // block's gather through the head — once per micro-batch. Stage 2
+    // moves identical volume.
     let cfg = model();
     let layout = Layout::build(&cfg);
+    let last = layout.units()[cfg.layers].range.len();
     for stage in [ZeroStage::Two, ZeroStage::Three] {
         for n in 2..=6 {
             let grid = Grid::new(n, 1);
-            let shape = StepShape { micro_batches: 2, act_elems: cfg.seq * cfg.hidden, skipped: false };
+            let micros = 2;
+            let shape = StepShape { micro_batches: micros, act_elems: cfg.seq * cfg.hidden, skipped: false };
             let base = ZeroConfig {
                 stage,
                 fp16: true,
@@ -178,14 +183,18 @@ fn overlap_and_sync_plans_move_identical_volume() {
             };
             let sync = CommPlan::train_step(&layout, &base, grid, &shape);
             let over = CommPlan::train_step(&layout, &base.overlapped(), grid, &shape);
-            assert_eq!(sync.ops().len(), over.ops().len(), "{stage:?} n={n}: op count");
+            let held = if stage == ZeroStage::Three { micros } else { 0 };
+            assert_eq!(sync.ops().len(), over.ops().len() + held, "{stage:?} n={n}: op count");
+            let ag = CollectiveKind::AllGather as usize;
             for rank in 0..n {
-                assert_eq!(sync.rank_bytes(rank), over.rank_bytes(rank), "{stage:?} n={n} r{rank}");
-                assert_eq!(
-                    sync.rank_messages(rank),
-                    over.rank_messages(rank),
-                    "{stage:?} n={n} r{rank}"
-                );
+                // A ring all-gather of the block sends every piece but the
+                // successor's, in n - 1 messages, at 2 bytes an element.
+                let successor = zero::comm::chunk_range(last, n, (rank + 1) % n).len();
+                let (mut bytes, mut msgs) = (over.rank_bytes(rank), over.rank_messages(rank));
+                bytes[ag] += (held * 2 * (last - successor)) as u64;
+                msgs[ag] += (held * (n - 1)) as u64;
+                assert_eq!(sync.rank_bytes(rank), bytes, "{stage:?} n={n} r{rank}");
+                assert_eq!(sync.rank_messages(rank), msgs, "{stage:?} n={n} r{rank}");
             }
         }
     }
@@ -253,11 +262,16 @@ fn crash_during_inflight_prefetch_recovers() {
     let mut cfg = SupervisorConfig::new(train, 10, dir.clone());
     cfg.snapshot_every = 5;
     cfg.recv_timeout = Duration::from_millis(500);
-    // Stage 3 runs 8 fetch all-gathers per step here; the 50th lands in
-    // step 6, past the step-5 snapshot.
-    cfg.faults = FaultPlan::new().with_crash_at_kind(3, CollectiveKind::AllGather, 50);
+    // Stage 3 runs 5 fetch all-gathers per step here: embed, the two
+    // blocks, head, and the first block's recompute (the plan holds the
+    // last block into its backward). Gather 42 (from 0) is step 8's fetch
+    // of the last block, issued ahead under the first block's compute,
+    // past the step-5 snapshot.
+    cfg.faults = FaultPlan::new().with_crash_at_kind(3, CollectiveKind::AllGather, 42);
     let report = run_supervised(&cfg).expect("supervised run");
     assert_eq!(report.final_world, 3);
+    let rec = &report.recoveries[0];
+    assert_eq!((rec.resumed_from_step, rec.steps_lost), (5, 3), "the crash must land in step 8");
     assert_eq!(report.losses.len(), 10);
     assert!(report.losses.iter().all(|l| l.is_finite()));
     std::fs::remove_dir_all(&dir).ok();
