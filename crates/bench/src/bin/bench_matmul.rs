@@ -1,38 +1,39 @@
 //! GEMM, GELU, fp16 and CRC micro-benchmark over the shapes the model
 //! runs: `results/BENCH_matmul.json`.
 //!
-//! Times `sgemm`, `sgemm_nt` and `sgemm_tn` at one transformer block's
-//! real shapes (`t = 256` rows, `h = 128`: the four `_nt` forward GEMMs,
-//! the four `sgemm` input-gradient and four `_tn` weight-gradient GEMMs),
-//! the per-head attention shapes, the `m = 1` decode shapes, and four
-//! large `_tn` shapes that leave cache. Every row is first checked bit
-//! for bit against `matmul::reference`, so a speed-up cannot come from a
-//! changed summation order. The `gelu` rows time `gelu_forward` and
-//! `gelu_backward` over one block's MLP activation (`t × 4h`) and one
-//! decode row (`1 × 4h`), each first checked bit for bit against
-//! `gelu_scalar` / `gelu_grad_scalar`. The `f16` rows time the four fp16
-//! slice passes (narrow, widen, accumulate, round) over Ψ = 813 824
-//! elements, the parameter count of `zero_bench`'s training model, each
-//! first checked bit for bit against the scalar conversions. The `crc` row
-//! times `crc32_f32s` over 98 304 floats, first checked against the CRC fed
-//! one byte at a time. The `comm` rows time a 2-rank fp32 all-gather
-//! (`start_all_gather(buf).wait()`, the buffer cycled through every op) of
-//! `n` floats — 2 (8 B), one average serving unit of `zero_bench`'s serving
-//! model (41 024, 164 KB) and 262 144 (1 MB) — each first checked against
-//! the concatenated shards, then the 1 MB gather on `bench_step`'s
-//! `FLAT_LINK` with every element owned by rank 0 (`owner`) and split
-//! evenly (`balanced`); `m` is the rank count. Outside the GEMM rows `k`
-//! is 0 and `gflops` counts G elements/s, except the `comm` rows', which
-//! count GB gathered per second.
+//! Times `sgemm`, `sgemm_nt` and `sgemm_tn` at the calls the model makes on
+//! its `[in, out]` weights: one block's real shapes (`t = 256`, `h = 128`:
+//! four `sgemm` forward, four `_nt` input-gradient and four `_tn`
+//! weight-gradient GEMMs), per-head attention, the forward at serving's
+//! `m = 1` and full-slot `m = 4`, and four large `_tn` shapes that leave
+//! cache. Every row is first checked bit for bit against
+//! `matmul::reference`, so a speed-up cannot come from a changed summation
+//! order. The `gelu` rows time `gelu_forward` and `gelu_backward` over one
+//! block's MLP activation (`t × 4h`) and one decode row (`1 × 4h`), each
+//! first checked bit for bit against `gelu_scalar` / `gelu_grad_scalar`. The
+//! `f16` rows time the four fp16 slice passes (narrow, widen, accumulate,
+//! round) over Ψ = 813 824 elements, the parameter count of `zero_bench`'s
+//! training model, each first checked bit for bit against the scalar
+//! conversions. The `crc` row times `crc32_f32s` over 98 304 floats, first
+//! checked against the CRC fed one byte at a time. The `comm` rows time a
+//! 2-rank fp32 all-gather (`start_all_gather(buf).wait()`, the buffer cycled
+//! through every op) of `n` floats — 2 (8 B), one average serving unit of
+//! `zero_bench`'s serving model (41 024, 164 KB) and 262 144 (1 MB) — each
+//! first checked against the concatenated shards, then the 1 MB gather on
+//! `bench_step`'s `FLAT_LINK` with every element owned by rank 0 (`owner`)
+//! and split evenly (`balanced`); `m` is the rank count. Outside the GEMM
+//! rows `k` is 0 and `gflops` counts G elements/s, except the `comm` rows',
+//! which count GB gathered per second.
 //!
 //! `parent_gflops` is the same row measured once with the code this kernel
-//! replaced (five separate loop nests for a GEMM); it is carried forward
-//! from the existing results file on every rewrite.
+//! replaced (five loop nests; on `block` and `decode` rows, the model's call
+//! at that logical shape on `[out, in]` weights), carried forward from the
+//! existing results file on every rewrite.
 //!
 //! `--smoke` runs the same checks and timing without rewriting the results
 //! file. `--check-against <path>` exits non-zero if any row but the
-//! `attention`, `decode` and `large` GEMM rows and the `comm` rows takes
-//! twice its committed time — the harness's loose factor: enough slack for
+//! `attention` and `large` GEMM rows and the `comm` rows takes twice its
+//! committed time — the harness's loose factor: enough slack for
 //! a shared VM, tight enough to catch a fall back to a scalar chain or to a
 //! narrower tier. Each row's `kernel` (the tier that ran) is never compared.
 
@@ -75,14 +76,14 @@ struct MatmulRow {
 /// `(variant, group, m, k, n)` for every timed row.
 fn shapes() -> Vec<(&'static str, &'static str, usize, usize, usize)> {
     let (t, h, s, hd) = (256, 128, 32, 32);
-    // (k, n) of qkv, attention projection, fc1, fc2: forward `x · W^T`,
-    // then `dX = dY · W` and `dW = dY^T · X` with the roles swapped.
+    // (in, out) of qkv, attention projection, fc1, fc2: forward `X · W`,
+    // then `dX = dY · W^T` and `dW = X^T · dY`.
     let linear = [(h, 3 * h), (h, h), (h, 4 * h), (4 * h, h)];
     let mut rows = Vec::new();
-    rows.extend(linear.map(|(k, n)| ("sgemm_nt", "block", t, k, n)));
-    rows.extend(linear.map(|(k, n)| ("sgemm", "block", t, n, k)));
-    rows.extend(linear.map(|(k, n)| ("sgemm_tn", "block", n, t, k)));
-    rows.extend(linear.map(|(k, n)| ("sgemm_nt", "decode", 1, k, n)));
+    rows.extend(linear.map(|(k, n)| ("sgemm", "block", t, k, n)));
+    rows.extend(linear.map(|(k, n)| ("sgemm_nt", "block", t, n, k)));
+    rows.extend(linear.map(|(k, n)| ("sgemm_tn", "block", k, t, n)));
+    rows.extend([1, 4].into_iter().flat_map(|m| linear.map(|(k, n)| ("sgemm", "decode", m, k, n))));
     rows.push(("sgemm_nt", "attention", s, hd, s));
     rows.push(("sgemm", "attention", s, s, hd));
     rows.push(("sgemm_tn", "attention", s, s, hd));
@@ -263,14 +264,10 @@ fn main() {
         // Carried forward from the results file on every rewrite.
         let prior = committed.as_ref().and_then(|c| c.row("", &to_value(&row), KEY).ok());
         row.parent_gflops = prior.and_then(|r| r.get("parent_gflops")).and_then(Value::as_f64);
+        let unit = if gemm { "GFLOP/s" } else if group == "comm" { "GB/s" } else { "Gelem/s" };
         println!(
-            "{variant:<13} {group:<9} {m:>4}x{k:>4}x{n:>4}  {:>9.4} ms  {gflops:>6.2} {}  (parent {})  {}",
+            "{variant:<13} {group:<9} {m:>4}x{k:>4}x{n:>4}  {:>9.4} ms  {gflops:>6.2} {unit}  (parent {})  {}",
             secs * 1e3 / reps as f64,
-            match group {
-                _ if gemm => "GFLOP/s",
-                "comm" => "GB/s",
-                _ => "Gelem/s",
-            },
             row.parent_gflops.map_or("-".to_string(), |g| format!("{g:.2}")),
             row.kernel,
         );
@@ -279,7 +276,7 @@ fn main() {
 
     // A 2-rank gather's time swings 3x between runs of one build: the
     // comm rows check their bits as they run, their time is not gated.
-    let gated = |r: &&MatmulRow| matches!(r.group, "block" | "gelu" | "f16" | "crc");
+    let gated = |r: &&MatmulRow| matches!(r.group, "block" | "decode" | "gelu" | "f16" | "crc");
     harness.check("", rows.iter().filter(gated), KEY, &[], Some("secs"));
     harness.finish(&rows);
 }

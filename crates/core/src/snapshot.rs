@@ -31,8 +31,8 @@ use zero_comm::Crc32;
 use crate::partition::Partitioner;
 
 const MAGIC: &[u8; 8] = b"ZEROSNAP";
-/// 3: the shard names its per-unit partition; 2 recorded one flat range.
-const VERSION: u32 = 3;
+/// 4: linear weights `[in, out]`; 3 held them `[out, in]`; 2 had one flat range.
+const VERSION: u32 = 4;
 
 /// Why a snapshot failed to load (or a set failed validation).
 #[derive(Debug)]
@@ -515,8 +515,9 @@ mod tests {
 
     #[test]
     fn unsupported_version_named_in_error() {
-        // Version 2 recorded one flat shard range: refused by number.
-        for old in [1u32, 2] {
+        // Version 2 recorded one flat shard range and version 3 held the
+        // linear weights `[out, in]`: refused by number, never transposed.
+        for old in [1u32, 2, 3] {
             let mut buf = Vec::new();
             sample().write_to(&mut buf).unwrap();
             buf[8..12].copy_from_slice(&old.to_le_bytes());

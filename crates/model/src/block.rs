@@ -144,7 +144,7 @@ pub fn block_forward(
 
     // QKV projection (column-parallel under MP: no communication).
     let mut qkv = vec![0.0; t * 3 * aw];
-    sgemm_nt(&h1, &params[off.w_qkv.clone()], &mut qkv, t, h, 3 * aw);
+    sgemm(&h1, &params[off.w_qkv.clone()], &mut qkv, t, h, 3 * aw);
     add_bias(&mut qkv, &params[off.b_qkv.clone()]);
 
     // Per-(batch, head) causal attention.
@@ -152,7 +152,7 @@ pub fn block_forward(
 
     // Output projection (row-parallel under MP: partial sums reduced).
     let mut ao = vec![0.0; t * h];
-    sgemm_nt(&attn_out, &params[off.w_o.clone()], &mut ao, t, aw, h);
+    sgemm(&attn_out, &params[off.w_o.clone()], &mut ao, t, aw, h);
     reduce(&mut ao);
     add_bias(&mut ao, &params[off.b_o.clone()]);
 
@@ -178,12 +178,12 @@ pub fn block_forward(
 
     // MLP: fc1 (column-parallel) → GELU → fc2 (row-parallel, reduced).
     let mut fc1 = vec![0.0; t * ffn];
-    sgemm_nt(&h2, &params[off.w_fc1.clone()], &mut fc1, t, h, ffn);
+    sgemm(&h2, &params[off.w_fc1.clone()], &mut fc1, t, h, ffn);
     add_bias(&mut fc1, &params[off.b_fc1.clone()]);
     let mut gelu = vec![0.0; t * ffn];
     gelu_forward(&fc1, &mut gelu);
     let mut f2 = vec![0.0; t * h];
-    sgemm_nt(&gelu, &params[off.w_fc2.clone()], &mut f2, t, ffn, h);
+    sgemm(&gelu, &params[off.w_fc2.clone()], &mut f2, t, ffn, h);
     reduce(&mut f2);
     add_bias(&mut f2, &params[off.b_fc2.clone()]);
 
@@ -238,19 +238,19 @@ pub fn block_backward(
     // y = x2 + f2: dL/d(fc2 out) = dL/dx2 = dy.
     let df2 = dy;
     let mut dgelu = vec![0.0; t * ffn];
-    sgemm(df2, &params[off.w_fc2.clone()], &mut dgelu, t, h, ffn);
-    weight_grad(&mut grads[off.w_fc2.clone()], df2, &saved.gelu, h, t, ffn);
+    sgemm_nt(df2, &params[off.w_fc2.clone()], &mut dgelu, t, h, ffn);
+    weight_grad(&mut grads[off.w_fc2.clone()], &saved.gelu, df2, ffn, t, h);
     bias_grad(df2, &mut grads[off.b_fc2.clone()]);
 
     // GELU.
     let mut dfc1 = vec![0.0; t * ffn];
     gelu_backward(&saved.fc1, &dgelu, &mut dfc1);
 
-    // fc1: fc1 = h2 · W1^T + b1.
+    // fc1: fc1 = h2 · W1 + b1.
     let mut dh2 = vec![0.0; t * h];
-    sgemm(&dfc1, &params[off.w_fc1.clone()], &mut dh2, t, ffn, h);
+    sgemm_nt(&dfc1, &params[off.w_fc1.clone()], &mut dh2, t, ffn, h);
     reduce_back(&mut dh2); // f-operator: sum partial dh2 across MP shards
-    weight_grad(&mut grads[off.w_fc1.clone()], &dfc1, &saved.h2, ffn, t, h);
+    weight_grad(&mut grads[off.w_fc1.clone()], &saved.h2, &dfc1, h, t, ffn);
     bias_grad(&dfc1, &mut grads[off.b_fc1.clone()]);
 
     // LN2 backward: accumulate into dx2.
@@ -279,22 +279,22 @@ pub fn block_backward(
 
     // --- Attention path ---
     // x2 = x + ao ⇒ dao = dx2; dx starts as dx2.
-    // ao = attn_out · Wo^T + bo (bias added after MP reduce; its gradient
+    // ao = attn_out · Wo + bo (bias added after MP reduce; its gradient
     // is consistent because b_o is replicated).
     let dao = &dx2;
     let mut dattn = vec![0.0; t * aw];
-    sgemm(dao, &params[off.w_o.clone()], &mut dattn, t, h, aw);
-    weight_grad(&mut grads[off.w_o.clone()], dao, &saved.attn_out, h, t, aw);
+    sgemm_nt(dao, &params[off.w_o.clone()], &mut dattn, t, h, aw);
+    weight_grad(&mut grads[off.w_o.clone()], &saved.attn_out, dao, aw, t, h);
     bias_grad(dao, &mut grads[off.b_o.clone()]);
 
     // Attention core backward.
     let dqkv = attention_backward(dims, &saved.qkv, &saved.probs, &dattn);
 
-    // QKV: qkv = h1 · Wqkv^T + bqkv.
+    // QKV: qkv = h1 · Wqkv + bqkv.
     let mut dh1 = vec![0.0; t * h];
-    sgemm(&dqkv, &params[off.w_qkv.clone()], &mut dh1, t, 3 * aw, h);
+    sgemm_nt(&dqkv, &params[off.w_qkv.clone()], &mut dh1, t, 3 * aw, h);
     reduce_back(&mut dh1); // f-operator
-    weight_grad(&mut grads[off.w_qkv.clone()], &dqkv, &saved.h1, 3 * aw, t, h);
+    weight_grad(&mut grads[off.w_qkv.clone()], &saved.h1, &dqkv, h, t, 3 * aw);
     bias_grad(&dqkv, &mut grads[off.b_qkv.clone()]);
 
     // LN1 backward.
@@ -321,10 +321,13 @@ pub fn block_backward(
     }
 }
 
-/// Weight gradient `dw += dy^T · x` where `dy` is `[t, rows]` (used
-/// transposed), `x` is `[t, cols]` and `dw` is `[rows, cols]`.
-pub(crate) fn weight_grad(dw: &mut [f32], dy: &[f32], x: &[f32], rows: usize, t: usize, cols: usize) {
-    gemm(rows, t, cols, Mat::t(dy, rows), Mat::n(x, cols), dw, cols, Store::Add);
+/// Weight gradient `dw += x^T · dy` of an input-major weight: `x` is the
+/// layer input `[t, fan_in]` (used transposed), `dy` the output gradient
+/// `[t, fan_out]` and `dw` is `[fan_in, fan_out]`. Each element sums the
+/// same products over `t` as `dy^T · x` did for an `[out, in]` weight,
+/// with the operands commuted, so its bits are unchanged.
+pub(crate) fn weight_grad(dw: &mut [f32], x: &[f32], dy: &[f32], fan_in: usize, t: usize, fan_out: usize) {
+    gemm(fan_in, t, fan_out, Mat::t(x, fan_in), Mat::n(dy, fan_out), dw, fan_out, Store::Add);
 }
 
 /// Causal multi-head attention forward over local heads.

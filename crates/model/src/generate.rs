@@ -210,7 +210,7 @@ pub fn embed_rows(gpt: &Gpt, embed_params: &[f32], b: &mut RowBatch) -> Result<(
 /// positions in [`embed_rows`] before dispatching compute.
 pub fn block_rows_kv<A: crate::kv::KvArena>(gpt: &Gpt, l: usize, p: &[f32], kv: &mut A, b: &mut RowBatch) {
     use zero_tensor::ops::activation::add_bias_gelu;
-    use zero_tensor::ops::matmul::sgemm_nt;
+    use zero_tensor::ops::matmul::sgemm;
     use zero_tensor::ops::norm::layernorm_forward;
     use zero_tensor::ops::vector::dot;
 
@@ -230,7 +230,7 @@ pub fn block_rows_kv<A: crate::kv::KvArena>(gpt: &Gpt, l: usize, p: &[f32], kv: 
 
     // LN1, then QKV for every row.
     layernorm_forward(x, &p[off.ln1_g.clone()], &p[off.ln1_b.clone()], normed, mean, rstd, n, h, 1e-5);
-    sgemm_nt(normed, &p[off.w_qkv.clone()], qkv, n, h, 3 * h);
+    sgemm(normed, &p[off.w_qkv.clone()], qkv, n, h, 3 * h);
     for row in qkv.chunks_exact_mut(3 * h) {
         for (v, bias) in row.iter_mut().zip(&p[off.b_qkv.clone()]) {
             *v += bias;
@@ -271,7 +271,7 @@ pub fn block_rows_kv<A: crate::kv::KvArena>(gpt: &Gpt, l: usize, p: &[f32], kv: 
         }
     }
     // Projection + residual.
-    sgemm_nt(attn, &p[off.w_o.clone()], mid, n, h, h);
+    sgemm(attn, &p[off.w_o.clone()], mid, n, h, h);
     for (row, x) in mid.chunks_exact_mut(h).zip(x.chunks_exact(h)) {
         for ((v, bias), xv) in row.iter_mut().zip(&p[off.b_o.clone()]).zip(x) {
             *v += bias + xv;
@@ -279,9 +279,9 @@ pub fn block_rows_kv<A: crate::kv::KvArena>(gpt: &Gpt, l: usize, p: &[f32], kv: 
     }
     // LN2 + MLP + residual, back into the residual stream.
     layernorm_forward(mid, &p[off.ln2_g.clone()], &p[off.ln2_b.clone()], normed, mean, rstd, n, h, 1e-5);
-    sgemm_nt(normed, &p[off.w_fc1.clone()], fc1, n, h, ffn);
+    sgemm(normed, &p[off.w_fc1.clone()], fc1, n, h, ffn);
     add_bias_gelu(fc1, &p[off.b_fc1.clone()]);
-    sgemm_nt(fc1, &p[off.w_fc2.clone()], x, n, ffn, h);
+    sgemm(fc1, &p[off.w_fc2.clone()], x, n, ffn, h);
     for (row, mid) in x.chunks_exact_mut(h).zip(mid.chunks_exact(h)) {
         for ((v, bias), mv) in row.iter_mut().zip(&p[off.b_fc2.clone()]).zip(mid) {
             *v += bias + mv;
@@ -294,7 +294,7 @@ pub fn block_rows_kv<A: crate::kv::KvArena>(gpt: &Gpt, l: usize, p: &[f32], kv: 
 /// projection. Returns `picks.len()` logits rows of `vocab` each.
 /// `head_params` is the *head unit's* parameter slice.
 pub fn head_rows<'b>(gpt: &Gpt, head_params: &[f32], picks: &[usize], b: &'b mut RowBatch) -> &'b [f32] {
-    use zero_tensor::ops::matmul::sgemm_nt;
+    use zero_tensor::ops::matmul::sgemm;
     use zero_tensor::ops::norm::layernorm_forward;
 
     let cfg = gpt.config();
@@ -317,7 +317,7 @@ pub fn head_rows<'b>(gpt: &Gpt, head_params: &[f32], picks: &[usize], b: &'b mut
         1e-5,
     );
     let logits = &mut b.logits[..n * cfg.vocab];
-    sgemm_nt(&b.normed[..n * h], &head_params[hoff.w_head.clone()], logits, n, h, cfg.vocab);
+    sgemm(&b.normed[..n * h], &head_params[hoff.w_head.clone()], logits, n, h, cfg.vocab);
     logits
 }
 

@@ -8,7 +8,7 @@
 //! set of unit functions (embedding, each block, head) that the training
 //! engines in `zero-core` orchestrate.
 
-use zero_tensor::init::normal_init;
+use zero_tensor::init::{normal_init, normal_samples};
 use zero_tensor::ops::embedding::{embedding_backward, embedding_forward};
 use zero_tensor::ops::loss::{cross_entropy_fused, cross_entropy_loss};
 use zero_tensor::ops::matmul::{sgemm, sgemm_nt};
@@ -186,16 +186,16 @@ impl Gpt {
         );
         let w_head = &params[off.w_head.clone()];
         let mut logits = vec![0.0; t * v];
-        sgemm_nt(&lnf_out, w_head, &mut logits, t, h, v);
+        sgemm(&lnf_out, w_head, &mut logits, t, h, v);
 
         // Fused CE: logits buffer becomes dlogits in place.
         let mut dlogits = vec![0.0; t * v];
         let loss = cross_entropy_fused(&logits, targets, &mut dlogits, t, v);
 
-        // dW_head += dlogits^T · lnf_out ; dlnf = dlogits · W_head.
-        weight_grad(&mut grads[off.w_head.clone()], &dlogits, &lnf_out, v, t, h);
+        // dW_head += lnf_out^T · dlogits ; dlnf = dlogits · W_head^T.
+        weight_grad(&mut grads[off.w_head.clone()], &lnf_out, &dlogits, h, t, v);
         let mut dlnf = vec![0.0; t * h];
-        sgemm(&dlogits, w_head, &mut dlnf, t, v, h);
+        sgemm_nt(&dlogits, w_head, &mut dlnf, t, v, h);
 
         let mut dx = vec![0.0; t * h];
         let mut dg = vec![0.0; h];
@@ -252,25 +252,45 @@ impl Gpt {
             LN_EPS,
         );
         let mut logits = vec![0.0; t * v];
-        sgemm_nt(&lnf_out, &params[off.w_head.clone()], &mut logits, t, h, v);
+        sgemm(&lnf_out, &params[off.w_head.clone()], &mut logits, t, h, v);
         logits
     }
 }
 
 /// Initializes the full (mp = 1) flat parameter buffer for `cfg`:
-/// weights ~ N(0, 0.02²), biases 0, layernorm gains 1.
+/// weights ~ N(0, 0.02²), biases 0, layernorm gains 1. A linear weight is
+/// drawn in `[out, in]` order and stored transposed, input-major, so
+/// `W[i][o]` holds the draw for output `o`, input `i`.
 pub fn init_full_params(cfg: &ModelConfig, seed: u64) -> Vec<f32> {
     let layout = Layout::build(cfg);
     let mut params = vec![0.0; layout.total_params()];
+    let mut drawn = Vec::new();
     for (i, field) in layout.fields().iter().enumerate() {
         let slice = &mut params[field.range.clone()];
+        let seed = seed.wrapping_add(i as u64 * 7919);
         if field.name.ends_with("_g") {
             // Layernorm gains start at identity.
             slice.iter_mut().for_each(|v| *v = 1.0);
         } else if field.name.ends_with("_b") || field.name.contains(".b_") {
             // All biases (layernorm shifts and linear biases) start at zero.
+        } else if field.name.contains(".w_") {
+            // 16 output rows of draws at a time, each scattered down its
+            // column (`W[i][o]` is draw `o · fan_in + i`): a whole-weight
+            // buffer transposed afterwards measured ≈ 1 ms slower set-up.
+            let (fan_in, fan_out) = (field.shape[0], field.shape[1]);
+            let mut draws = normal_samples(0.02, seed);
+            for o0 in (0..fan_out).step_by(16) {
+                let outs = 16.min(fan_out - o0);
+                drawn.clear();
+                drawn.extend(draws.by_ref().take(outs * fan_in));
+                for (i, row) in slice.chunks_exact_mut(fan_out).enumerate() {
+                    for (r, w) in row[o0..o0 + outs].iter_mut().enumerate() {
+                        *w = drawn[r * fan_in + i];
+                    }
+                }
+            }
         } else {
-            normal_init(slice, 0.02, seed.wrapping_add(i as u64 * 7919));
+            normal_init(slice, 0.02, seed);
         }
     }
     params
@@ -279,9 +299,12 @@ pub fn init_full_params(cfg: &ModelConfig, seed: u64) -> Vec<f32> {
 /// Extracts model-parallel rank `rank`'s shard (layout
 /// [`Layout::build_mp`]) from the full parameter buffer.
 ///
-/// Sharding follows Megatron: QKV and fc1 by output rows (per head group),
-/// attention projection and fc2 by input columns; embeddings, layernorms,
-/// biases of row-parallel layers, and the LM head are replicated.
+/// Sharding follows Megatron: QKV and fc1 are column-parallel, so every
+/// input row of the shard keeps its rank's output columns (one segment per
+/// Q, K and V head group); the attention projection and fc2 are
+/// row-parallel, so the shard is a contiguous run of input rows.
+/// Embeddings, layernorms, biases of row-parallel layers, and the LM head
+/// are replicated.
 pub fn shard_params(cfg: &ModelConfig, full: &[f32], mp: usize, rank: usize) -> Vec<f32> {
     assert!(rank < mp, "rank {rank} out of range for mp {mp}");
     let full_layout = Layout::build(cfg);
@@ -291,13 +314,28 @@ pub fn shard_params(cfg: &ModelConfig, full: &[f32], mp: usize, rank: usize) -> 
     let sh = h / mp; // shard attention width
     let sf = 4 * h / mp; // shard ffn width
     let mut out = vec![0.0; shard_layout.total_params()];
+    let fields = |name: &str| (full_layout.field_range(name), shard_layout.field_range(name));
 
     // Embedding and head units are replicated.
     let copy_field = |out: &mut [f32], name: &str| {
-        let src = full_layout.field_range(name);
-        let dst = shard_layout.field_range(name);
+        let (src, dst) = fields(name);
         assert_eq!(src.len(), dst.len(), "replicated field {name}");
         out[dst].copy_from_slice(&full[src]);
+    };
+    // Column-parallel: a row of `name` is `segs` segments `seg_w` wide,
+    // and the shard's row keeps `part` columns at `rank · part` of each.
+    let columns = |out: &mut [f32], name: &str, segs: usize, seg_w: usize, part: usize| {
+        let (src, dst) = fields(name);
+        for (s, d) in full[src].chunks_exact(segs * seg_w).zip(out[dst].chunks_exact_mut(segs * part)) {
+            for (seg, d) in d.chunks_exact_mut(part).enumerate() {
+                d.copy_from_slice(&s[seg * seg_w + rank * part..][..part]);
+            }
+        }
+    };
+    // Row-parallel: input rows `rank · part..` of an `[in, h]` weight.
+    let rows = |out: &mut [f32], name: &str, part: usize| {
+        let (src, dst) = fields(name);
+        out[dst].copy_from_slice(&full[src][rank * part * h..][..part * h]);
     };
     copy_field(&mut out, "embed.tok");
     copy_field(&mut out, "embed.pos");
@@ -309,63 +347,16 @@ pub fn shard_params(cfg: &ModelConfig, full: &[f32], mp: usize, rank: usize) -> 
         for name in ["ln1_g", "ln1_b", "ln2_g", "ln2_b", "b_o", "b_fc2"] {
             copy_field(&mut out, &format!("block{l}.{name}"));
         }
-        // w_qkv [3h, h] → rows: q rows rank·sh.., k rows h+rank·sh..,
-        // v rows 2h+rank·sh.. → shard [3sh, h].
-        {
-            let src = full_layout.field_range(&format!("block{l}.w_qkv"));
-            let dst = shard_layout.field_range(&format!("block{l}.w_qkv"));
-            let src_buf = &full[src];
-            let dst_buf = &mut out[dst];
-            for which in 0..3 {
-                let src_row0 = which * h + rank * sh;
-                let dst_row0 = which * sh;
-                dst_buf[dst_row0 * h..(dst_row0 + sh) * h]
-                    .copy_from_slice(&src_buf[src_row0 * h..(src_row0 + sh) * h]);
-            }
-        }
-        // b_qkv [3h] → shard [3sh] analogously.
-        {
-            let src = full_layout.field_range(&format!("block{l}.b_qkv"));
-            let dst = shard_layout.field_range(&format!("block{l}.b_qkv"));
-            let src_buf = &full[src];
-            let dst_buf = &mut out[dst];
-            for which in 0..3 {
-                dst_buf[which * sh..(which + 1) * sh]
-                    .copy_from_slice(&src_buf[which * h + rank * sh..which * h + (rank + 1) * sh]);
-            }
-        }
-        // w_o [h, h] → columns rank·sh.. → [h, sh].
-        {
-            let src = full_layout.field_range(&format!("block{l}.w_o"));
-            let dst = shard_layout.field_range(&format!("block{l}.w_o"));
-            let src_buf = &full[src];
-            let dst_buf = &mut out[dst];
-            for r in 0..h {
-                dst_buf[r * sh..(r + 1) * sh]
-                    .copy_from_slice(&src_buf[r * h + rank * sh..r * h + (rank + 1) * sh]);
-            }
-        }
-        // w_fc1 [4h, h] → rows rank·sf.. → [sf, h]; b_fc1 likewise.
-        {
-            let src = full_layout.field_range(&format!("block{l}.w_fc1"));
-            let dst = shard_layout.field_range(&format!("block{l}.w_fc1"));
-            let row0 = rank * sf;
-            out[dst].copy_from_slice(&full[src][row0 * h..(row0 + sf) * h]);
-            let src = full_layout.field_range(&format!("block{l}.b_fc1"));
-            let dst = shard_layout.field_range(&format!("block{l}.b_fc1"));
-            out[dst].copy_from_slice(&full[src][row0..row0 + sf]);
-        }
-        // w_fc2 [h, 4h] → columns rank·sf.. → [h, sf].
-        {
-            let src = full_layout.field_range(&format!("block{l}.w_fc2"));
-            let dst = shard_layout.field_range(&format!("block{l}.w_fc2"));
-            let src_buf = &full[src];
-            let dst_buf = &mut out[dst];
-            for r in 0..h {
-                dst_buf[r * sf..(r + 1) * sf]
-                    .copy_from_slice(&src_buf[r * 4 * h + rank * sf..r * 4 * h + (rank + 1) * sf]);
-            }
-        }
+        // w_qkv [h, 3h] → [h, 3sh]; b_qkv [3h] → [3sh] as one such row.
+        columns(&mut out, &format!("block{l}.w_qkv"), 3, h, sh);
+        columns(&mut out, &format!("block{l}.b_qkv"), 3, h, sh);
+        // w_o [h, h] → [sh, h].
+        rows(&mut out, &format!("block{l}.w_o"), sh);
+        // w_fc1 [h, 4h] → [h, sf]; b_fc1 [4h] → [sf].
+        columns(&mut out, &format!("block{l}.w_fc1"), 1, 4 * h, sf);
+        columns(&mut out, &format!("block{l}.b_fc1"), 1, 4 * h, sf);
+        // w_fc2 [4h, h] → [sf, h].
+        rows(&mut out, &format!("block{l}.w_fc2"), sf);
     }
     out
 }
@@ -490,32 +481,70 @@ mod tests {
     }
 
     #[test]
-    fn shard_params_partition_block_weights_exactly() {
+    fn init_stores_each_linear_weight_transposed_from_its_out_in_draw() {
         let cfg = tiny();
-        let full = init_full_params(&cfg, 5);
-        let mp = 2;
-        let shards: Vec<Vec<f32>> = (0..mp).map(|r| shard_params(&cfg, &full, mp, r)).collect();
-        let full_layout = Layout::build(&cfg);
-        let shard_layout = Layout::build_mp(&cfg, mp);
-        // Reassemble w_fc1 from shards and compare.
-        let src = &full[full_layout.field_range("block0.w_fc1")];
-        let len = shard_layout.field_range("block0.w_fc1").len();
-        let mut rebuilt = Vec::new();
-        for s in &shards {
-            rebuilt.extend_from_slice(&s[shard_layout.field_range("block0.w_fc1")]);
+        let layout = Layout::build(&cfg);
+        let seed = 9;
+        let p = init_full_params(&cfg, seed);
+        let h = cfg.hidden;
+        for (name, shape) in [("block0.w_qkv", [h, 3 * h]), ("block1.w_fc2", [4 * h, h]), ("head.w_head", [h, cfg.vocab])] {
+            let f = layout.fields().iter().find(|f| f.name == name).unwrap();
+            assert_eq!(f.shape, shape, "{name} is [in, out]");
         }
-        assert_eq!(rebuilt.len(), 2 * len);
-        assert_eq!(&rebuilt[..], src);
-        // Replicated fields identical across shards.
-        for r in 1..mp {
-            assert_eq!(
-                shards[0][shard_layout.field_range("embed.tok")],
-                shards[r][shard_layout.field_range("embed.tok")]
-            );
-            assert_eq!(
-                shards[0][shard_layout.field_range("block1.ln1_g")],
-                shards[r][shard_layout.field_range("block1.ln1_g")]
-            );
+        let mut linear = 0;
+        for (idx, f) in layout.fields().iter().enumerate().filter(|(_, f)| f.name.contains(".w_")) {
+            let (fan_in, fan_out) = (f.shape[0], f.shape[1]);
+            let mut drawn = vec![0.0; f.numel()];
+            normal_init(&mut drawn, 0.02, seed.wrapping_add(idx as u64 * 7919));
+            let w = &p[f.range.clone()];
+            for (o, i) in (0..fan_out).flat_map(|o| (0..fan_in).map(move |i| (o, i))) {
+                assert_eq!(w[i * fan_out + o].to_bits(), drawn[o * fan_in + i].to_bits(), "{name} ({o}, {i})", name = f.name);
+            }
+            linear += 1;
+        }
+        assert_eq!(linear, 4 * cfg.layers + 1);
+    }
+
+    #[test]
+    fn shard_params_partition_block_weights_exactly() {
+        // Scatter every shard's fields back into a NaN-filled full buffer:
+        // no element left unwritten, every one bitwise the full one.
+        let cfg = ModelConfig { heads: 4, ..tiny() };
+        let full = init_full_params(&cfg, 5);
+        let full_layout = Layout::build(&cfg);
+        for mp in [2, 4] {
+            let shard_layout = Layout::build_mp(&cfg, mp);
+            let mut rebuilt = vec![f32::NAN; full.len()];
+            for rank in 0..mp {
+                let shard = shard_params(&cfg, &full, mp, rank);
+                for f in full_layout.fields() {
+                    let src = &shard[shard_layout.field_range(&f.name)];
+                    let dst = &mut rebuilt[f.range.clone()];
+                    match f.name.rsplit('.').next().unwrap() {
+                        // Column-parallel: every row holds `width / mp`
+                        // columns of each of its segments (Q, K, V).
+                        kind @ ("w_qkv" | "b_qkv" | "w_fc1" | "b_fc1") => {
+                            let segs = if kind.ends_with("qkv") { 3 } else { 1 };
+                            let width = *f.shape.last().unwrap();
+                            let part = width / segs / mp;
+                            for (row, shard_row) in src.chunks_exact(segs * part).enumerate() {
+                                for (seg, piece) in shard_row.chunks_exact(part).enumerate() {
+                                    let at = row * width + seg * width / segs + rank * part;
+                                    dst[at..at + part].copy_from_slice(piece);
+                                }
+                            }
+                        }
+                        // Row-parallel: a contiguous run of input rows.
+                        "w_o" | "w_fc2" => dst[rank * src.len()..][..src.len()].copy_from_slice(src),
+                        _ => {
+                            assert_eq!(src, &full[f.range.clone()], "replicated {} at mp {mp}", f.name);
+                            dst.copy_from_slice(src);
+                        }
+                    }
+                }
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&rebuilt), bits(&full), "mp {mp}");
         }
     }
 }

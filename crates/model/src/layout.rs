@@ -6,6 +6,13 @@
 //! into *units*: the embedding, each transformer block, and the output
 //! head. Units are the granularity at which ZeRO stage 3 materializes
 //! parameters and stage 2 buckets gradients.
+//!
+//! Every linear weight (`w_qkv`, `w_o`, `w_fc1`, `w_fc2`, `w_head`) is
+//! stored input-major, `[in, out]`, so a forward GEMM `Y = X · W` reads the
+//! weight as stored: a row of W is one input's weights for every output,
+//! and a few-row serving GEMM streams the just-gathered unit in place.
+//! The embedding tables are `[vocab, h]` and `[seq, h]`, one row per
+//! token or position.
 
 use crate::config::ModelConfig;
 
@@ -14,7 +21,7 @@ use crate::config::ModelConfig;
 pub struct Field {
     /// Human-readable name, e.g. `block3.w_qkv`.
     pub name: String,
-    /// Shape (row-major).
+    /// Shape (row-major); `[in, out]` for a linear weight.
     pub shape: Vec<usize>,
     /// Range within the flat parameter buffer.
     pub range: std::ops::Range<usize>,
@@ -165,15 +172,15 @@ impl Layout {
             let s = b.begin_unit();
             b.field(format!("block{l}.ln1_g"), &[h]);
             b.field(format!("block{l}.ln1_b"), &[h]);
-            b.field(format!("block{l}.w_qkv"), &[3 * shard_h, h]);
+            b.field(format!("block{l}.w_qkv"), &[h, 3 * shard_h]);
             b.field(format!("block{l}.b_qkv"), &[3 * shard_h]);
-            b.field(format!("block{l}.w_o"), &[h, shard_h]);
+            b.field(format!("block{l}.w_o"), &[shard_h, h]);
             b.field(format!("block{l}.b_o"), &[h]);
             b.field(format!("block{l}.ln2_g"), &[h]);
             b.field(format!("block{l}.ln2_b"), &[h]);
-            b.field(format!("block{l}.w_fc1"), &[shard_ffn, h]);
+            b.field(format!("block{l}.w_fc1"), &[h, shard_ffn]);
             b.field(format!("block{l}.b_fc1"), &[shard_ffn]);
-            b.field(format!("block{l}.w_fc2"), &[h, shard_ffn]);
+            b.field(format!("block{l}.w_fc2"), &[shard_ffn, h]);
             b.field(format!("block{l}.b_fc2"), &[h]);
             b.end_unit(&format!("block{l}"), s);
         }
@@ -181,7 +188,7 @@ impl Layout {
         let s = b.begin_unit();
         b.field("head.lnf_g".into(), &[h]);
         b.field("head.lnf_b".into(), &[h]);
-        b.field("head.w_head".into(), &[cfg.vocab, h]);
+        b.field("head.w_head".into(), &[h, cfg.vocab]);
         b.end_unit("head", s);
 
         Layout {

@@ -9,11 +9,15 @@ use rand::SeedableRng;
 
 /// Fills `out` with samples from N(0, std²) using the given seed.
 pub fn normal_init(out: &mut [f32], std: f32, seed: u64) {
+    out.iter_mut().zip(normal_samples(std, seed)).for_each(|(v, z)| *v = z);
+}
+
+/// The endless sample stream [`normal_init`] writes in order, for a caller
+/// that stores the draws in another order.
+pub fn normal_samples(std: f32, seed: u64) -> impl Iterator<Item = f32> {
     let mut rng = StdRng::seed_from_u64(seed);
     let dist = NormalBoxMuller::new(0.0, std);
-    for v in out {
-        *v = dist.sample_one(&mut rng);
-    }
+    std::iter::repeat_with(move || dist.sample_one(&mut rng))
 }
 
 /// Box–Muller normal sampler. `rand` 0.8 ships `StandardNormal` only behind

@@ -45,10 +45,14 @@
 //! accumulators, so `gemm` borrows the thread-local panels and hands them
 //! to the tier.
 //!
-//! For `m < MR` (the single-row GEMV of incremental decoding) packing B
-//! would cost as much as the multiply, so those rows go to an unpacked
-//! kernel, compiled for the same tier, that keeps 16 independent in-order
-//! dot products in flight.
+//! For `m < MR` (serving's few-row batches, one row per decoding request)
+//! packing B would cost as much as the multiply, so those rows go to an
+//! unpacked kernel, compiled for the same tier, that keeps many
+//! independent in-order sums in flight. With B used as stored ([`sgemm`]:
+//! every forward linear layer, against its input-major weight) each step
+//! reads a contiguous run of one row of B for 64 sums, so the
+//! just-gathered weight is streamed in place; with B transposed
+//! ([`sgemm_nt`]) 16 sums walk 16 strided columns, at under half the rate.
 
 use std::cell::RefCell;
 
@@ -193,10 +197,15 @@ impl<const MR: usize, const NR: usize> Kernel for Tiled<'_, MR, NR> {
     }
 }
 
-/// Outputs the unpacked `m < MR` kernel keeps in flight, on every tier: its
-/// column pointers must stay in registers (32 or 64 lanes measured ≈ 3×
-/// slower on the AVX-512F tier).
+/// Outputs the unpacked `m < MR` kernel keeps in flight, on every tier,
+/// where op(B)'s columns are strided ([`sgemm_nt`]): its column pointers
+/// must stay in registers (32 or 64 lanes measured ≈ 3× slower on the
+/// AVX-512F tier).
 const FEW_ROWS: usize = 16;
+/// The same where op(B)'s rows are contiguous ([`sgemm`], [`sgemm_tn`]):
+/// each step reads one run of a row, so four AVX-512 vectors of sums are in
+/// flight, ≈ 2× the rate of 16 on that tier; 128 is no faster.
+const FEW_ROWS_CONTIGUOUS: usize = 64;
 
 /// One call at an `MR×NR` tile: rows `m < MR` unpacked, otherwise pack and
 /// run the microkernel over every tile. Always inlined, so it is compiled
@@ -205,7 +214,10 @@ const FEW_ROWS: usize = 16;
 fn tiled<const MR: usize, const NR: usize>((ap, bp): &mut Panels, call: Call<'_>, c: &mut [f32]) {
     let Call { m, k, n, a, b, ldc, store } = call;
     if m < MR {
-        return (0..m).for_each(|i| few_rows_kernel::<FEW_ROWS>(k, a, i, b, &mut c[i * ldc..][..n], store));
+        return (0..m).for_each(|i| match b.rs {
+            1 => few_rows_kernel::<FEW_ROWS>(k, a, i, b, &mut c[i * ldc..][..n], store),
+            _ => few_rows_kernel::<FEW_ROWS_CONTIGUOUS>(k, a, i, b, &mut c[i * ldc..][..n], store),
+        });
     }
     let (a_len, b_len) = (m.div_ceil(MR) * MR * k, n.div_ceil(NR) * NR * k);
     ap.resize(ap.len().max(a_len), 0.0);
@@ -306,7 +318,10 @@ fn few_rows_kernel<const NR: usize>(k: usize, a: Mat<'_>, i: usize, b: Mat<'_>, 
     }
 }
 
-/// `c[m×n] = a[m×k] · b[k×n]` (row-major).
+/// `c[m×n] = a[m×k] · b[k×n]` (row-major): the layout of every forward
+/// linear layer, `Y = X · W` with W stored input-major `[in, out]`. B is
+/// read as stored: an `m < MR` call streams its rows in place and a larger
+/// one packs it by row copies.
 ///
 /// # Panics
 /// Panics if slice lengths are inconsistent with the dimensions.
@@ -318,7 +333,9 @@ pub fn sgemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) 
 }
 
 /// `c[m×n] = a[m×k] · b[n×k]^T` — B is stored row-major as `n×k` and used
-/// transposed: the layout of `Y = X · W^T` with W stored `[out, in]`.
+/// transposed: the layout of an input gradient `dX = dY · W^T` with W
+/// stored `[in, out]`. A call of `m ≥ MR` rows transposes B into `k`-major
+/// panels; fewer rows read its `n` rows as strided columns.
 pub fn sgemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), m * k, "sgemm_nt: a has wrong length");
     assert_eq!(b.len(), n * k, "sgemm_nt: b has wrong length");
@@ -327,7 +344,7 @@ pub fn sgemm_nt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usiz
 }
 
 /// `c[m×n] = a[k×m]^T · b[k×n]` — A stored row-major as `k×m`, used
-/// transposed: the layout of weight gradients `dW = X^T · dY`.
+/// transposed: the layout of weight gradients `dW = X^T · dY`, `[in, out]`.
 pub fn sgemm_tn(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert_eq!(a.len(), k * m, "sgemm_tn: a has wrong length");
     assert_eq!(b.len(), k * n, "sgemm_tn: b has wrong length");
