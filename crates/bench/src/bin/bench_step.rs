@@ -101,7 +101,7 @@ const HOST_TIER: TierConfig = TierConfig {
     ..TierConfig::budgeted(u64::MAX)
 };
 
-const ZERO_PP: CompressionConfig = CompressionConfig { qwz: true, hpz: true, qgz: true, block: 64 };
+const ZERO_PP: CompressionConfig = CompressionConfig { qwz: true, hpz: true, qgz: true };
 
 /// A case: its family, what to train, and the fabric to train it over.
 type Case = (&'static str, TrainSetup, WorldConfig);

@@ -92,14 +92,16 @@ pub struct CompressionConfig {
     pub hpz: bool,
     /// Quantized all-to-all gradient reduce-scatter on bucket flushes.
     pub qgz: bool,
-    /// Quantization block length (elements per scale/zero pair).
-    pub block: usize,
 }
 
 impl CompressionConfig {
+    /// Quantization block length of every int8 wire (elements per
+    /// scale/zero pair).
+    pub const BLOCK: usize = 64;
+
     /// Everything off; the engine behaves exactly as without ZeRO++.
     pub const fn off() -> CompressionConfig {
-        CompressionConfig { qwz: false, hpz: false, qgz: false, block: 64 }
+        CompressionConfig { qwz: false, hpz: false, qgz: false }
     }
 
     /// True if any lever is enabled.
@@ -396,7 +398,6 @@ impl ZeroConfig {
             )?;
         }
         if comp.any() {
-            rule(comp.block >= 1, Compression, "compression block must be at least 1")?;
             rule(
                 !(comp.qwz || comp.hpz) || self.stage.partitions_params(),
                 Compression,
@@ -590,7 +591,7 @@ mod tests {
             stage: ZeroStage::Three,
             tier: TierConfig::budgeted(1 << 20),
             node_size: 2,
-            compression: CompressionConfig { qwz: true, hpz: true, qgz: true, block: 64 },
+            compression: CompressionConfig { qwz: true, hpz: true, qgz: true },
             ..ZeroConfig::default()
         };
         let tiers = zcfg.check(Grid::new(4, 1)).expect("offload and ZeRO++ stack");
@@ -602,7 +603,7 @@ mod tests {
         use ZeroStage::{Ddp, One, Three, Two};
         let lever = |qwz, hpz, qgz| ZeroConfig {
             node_size: if hpz || qgz { 2 } else { 1 },
-            compression: CompressionConfig { qwz, hpz, qgz, block: 64 },
+            compression: CompressionConfig { qwz, hpz, qgz },
             ..ZeroConfig::default()
         };
         // (lever, a configuration with it on, the stages that own it)
@@ -632,18 +633,5 @@ mod tests {
         }
         let zcfg = ZeroConfig { clip_grad_norm: Some(1.0), ..ZeroConfig::default() };
         assert!(zcfg.check(Grid::new(2, 1)).is_ok());
-    }
-
-    #[test]
-    fn zero_block_compression_rejected() {
-        let why = refusal(ZeroConfig {
-            compression: CompressionConfig {
-                qwz: true,
-                block: 0,
-                ..CompressionConfig::off()
-            },
-            ..ZeroConfig::default()
-        });
-        assert!(why.contains("block"), "{why}");
     }
 }

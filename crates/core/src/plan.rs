@@ -47,7 +47,7 @@ use zero_comm::{
 use zero_model::Layout;
 use zero_tensor::f16::F16;
 
-use crate::config::{ZeroConfig, ZeroStage};
+use crate::config::{CompressionConfig, ZeroConfig, ZeroStage};
 use crate::partition::Partitioner;
 use crate::walk::{self, Walker};
 
@@ -616,7 +616,7 @@ impl Builder {
         } else {
             self.stashed[u] = true;
             let wire = if comp.qwz {
-                WireFmt::Int8Block { block: comp.block }
+                WireFmt::Int8Block { block: CompressionConfig::BLOCK }
             } else {
                 WireFmt::Raw
             };
@@ -680,7 +680,7 @@ impl Builder {
         let counts = self.part.intersect_counts(&fused);
         let comp = self.zcfg.compression;
         let wire = if comp.qgz {
-            WireFmt::QgzInt8 { node_size: self.zcfg.node_size, block: comp.block }
+            WireFmt::QgzInt8 { node_size: self.zcfg.node_size, block: CompressionConfig::BLOCK }
         } else {
             WireFmt::Raw
         };
@@ -1469,7 +1469,6 @@ mod tests {
             qwz: true,
             hpz: true,
             qgz: true,
-            block: 64,
         }
     }
 

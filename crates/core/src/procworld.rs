@@ -470,7 +470,7 @@ macro_rules! record {
 record!(ModelConfig { vocab, seq, hidden, layers, heads });
 record!(AdamConfig { lr, beta1, beta2, eps, weight_decay });
 record!(SgdConfig { lr, momentum });
-record!(CompressionConfig { qwz, hpz, qgz, block });
+record!(CompressionConfig { qwz, hpz, qgz });
 record!(TierConfig { enabled, device_budget, host_bw, host_lat, depth });
 record!(ZeroConfig {
     stage, fp16, checkpoint_activations, checkpoint_interval, checkpoint_place, bucket_elems,

@@ -29,7 +29,7 @@ fn zcfg(comp: CompressionConfig) -> ZeroConfig {
 }
 
 fn all_on() -> CompressionConfig {
-    CompressionConfig { qwz: true, hpz: true, qgz: true, block: 64 }
+    CompressionConfig { qwz: true, hpz: true, qgz: true }
 }
 
 /// Per-rank results: train losses (with a final eval loss appended),
@@ -157,17 +157,5 @@ fn hpz_alone_is_bitwise_exact_and_priced() {
         let slot: usize = gpt.layout().units().iter().map(|u| chunk_range(u.range.len(), 2, rank % 2).len()).sum();
         let expect = 2 * slot as u64;
         assert_eq!(out.secondary_bytes, expect, "rank {rank} secondary bytes");
-    }
-}
-
-#[test]
-fn levers_off_ignore_the_quant_block() {
-    // A node size with every lever off is refused (`ZeroConfig::check`);
-    // the quantizer block is read only by a lever.
-    let base = run(zcfg(CompressionConfig::off()), 2);
-    let noop = run(zcfg(CompressionConfig { block: 32, ..CompressionConfig::off() }), 2);
-    for (x, y) in base.iter().zip(&noop) {
-        assert_eq!(bits(&x.losses), bits(&y.losses), "an unread block must not change losses");
-        assert_eq!(bits(&x.master), bits(&y.master), "an unread block must not change masters");
     }
 }

@@ -145,7 +145,7 @@ fn independent_wire_bytes(op: &zero_core::ResolvedOp, rank: usize) -> Option<u64
 /// Every lever `stage` owns: qgZ, plus qwZ and hpZ at stage 3.
 fn owned_on(stage: ZeroStage) -> CompressionConfig {
     let params = stage.partitions_params();
-    CompressionConfig { qwz: params, hpz: params, qgz: true, block: 64 }
+    CompressionConfig { qwz: params, hpz: params, qgz: true }
 }
 
 /// Checks one compressed configuration: symmetry, overlap invariance,
@@ -158,14 +158,13 @@ fn check_compressed_config(
     let layout = Layout::build_mp(&test_model(), 1);
     let c = zcfg.compression;
     let what = format!(
-        "compression {} dp={} qwz={} hpz={} qgz={} G={} block={}",
+        "compression {} dp={} qwz={} hpz={} qgz={} G={}",
         zcfg.stage.name(),
         grid.dp_degree(),
         c.qwz,
         c.hpz,
         c.qgz,
         zcfg.node_size,
-        c.block
     );
     for skipped in [false, true] {
         let plan = CommPlan::train_step(&layout, zcfg, grid, &shape(skipped));
@@ -213,7 +212,6 @@ pub fn sweep_configs() -> Vec<(ZeroConfig, Grid)> {
                     qwz: levers & 1 != 0,
                     hpz: levers & 2 != 0,
                     qgz: levers & 4 != 0,
-                    block: 64,
                 };
                 let zcfg = cfg(stage, comp, if comp.hpz || comp.qgz { g } else { 1 });
                 let grid = Grid::new(n, 1);

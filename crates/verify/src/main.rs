@@ -132,7 +132,7 @@ fn run_tracecheck() -> bool {
     let layout = zero_model::Layout::build(&model);
     let act_elems = model.seq * model.hidden;
     let raw = CompressionConfig::off();
-    let squeezed = CompressionConfig { qwz: true, hpz: true, qgz: true, block: 64 };
+    let squeezed = CompressionConfig { qwz: true, hpz: true, qgz: true };
     let mut checked_ranks = 0usize;
     for (compression, node_size, dp) in [(raw, 1, 2usize), (squeezed, 2, 4)] {
         for overlap in [false, true] {

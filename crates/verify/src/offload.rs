@@ -528,7 +528,7 @@ pub fn sweep_configs() -> Vec<(ZeroConfig, Grid)> {
     }
     for stage in [ZeroStage::Two, ZeroStage::Three] {
         let params = stage.partitions_params();
-        let compression = CompressionConfig { qwz: params, hpz: params, qgz: true, block: 64 };
+        let compression = CompressionConfig { qwz: params, hpz: params, qgz: true };
         for n in [4usize, 8] {
             for overlap in [false, true] {
                 let zcfg = ZeroConfig { node_size: 2, compression, ..cfg(stage, overlap, true, tier) };

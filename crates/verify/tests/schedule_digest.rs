@@ -178,7 +178,7 @@ fn loss_pinned_configs() -> Vec<(ZeroConfig, Grid, usize)> {
     let (two, two_by_two) = (Grid::new(2, 1), Grid::new(2, 2));
     let clipped =
         |stage| ZeroConfig { stage, initial_loss_scale: 1.0, clip_grad_norm: Some(0.5), ..ZeroConfig::default() };
-    let zeropp = CompressionConfig { qwz: true, hpz: true, qgz: true, block: 64 };
+    let zeropp = CompressionConfig { qwz: true, hpz: true, qgz: true };
     vec![
         (ZeroConfig { stage: ZeroStage::Two, initial_loss_scale: 1.0, ..ZeroConfig::default() }, two, 2),
         (ZeroConfig::fp32_exact(ZeroStage::Three).overlapped(), two, 2),

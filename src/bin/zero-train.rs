@@ -18,7 +18,7 @@ use zero::optim::AdamConfig;
 /// Options that take a value, and bare switches (see `--help`).
 const OPTIONS: &[&str] = &[
     "--stage", "--dp", "--mp", "--layers", "--hidden", "--heads", "--seq", "--vocab", "--batch",
-    "--steps", "--lr", "--seed", "--clip", "--node-size", "--quant-block", "--device-budget",
+    "--steps", "--lr", "--seed", "--clip", "--node-size", "--device-budget",
     "--host-bw", "--host-lat-us", "--fabric", "--kill", "--snapshot-every", "--run-dir",
     "--text", "--trace", "--save",
 ];
@@ -71,7 +71,6 @@ fn main() {
                             --stage 0's two-level all-reduce; must divide\n\
                             --dp, refused when none of them is on\n\
                             [2 with --hpz/--qgz, else 1]\n\
-             --quant-block N  int8 quantizer block size           [64]\n\
              --offload      memory-tier offload: optimizer state\n\
                             (stage >= 1), gradient shards (stage >= 2),\n\
                             and parameter shards (stage 3) live on the\n\
@@ -137,7 +136,6 @@ fn main() {
         qwz: args.flag("--qwz"),
         hpz: args.flag("--hpz"),
         qgz: args.flag("--qgz"),
-        block: args.get("--quant-block", 64usize),
     };
     let node_size = args.get("--node-size", if compression.hpz || compression.qgz { 2 } else { 1 });
     // Shapes the engine would meet with an `assert!`: refuse them here.
@@ -211,7 +209,7 @@ fn main() {
     if compression.any() {
         println!(
             "compression: qwZ={} hpZ={} qgZ={} (node size {node_size}, quant block {})",
-            compression.qwz, compression.hpz, compression.qgz, compression.block
+            compression.qwz, compression.hpz, compression.qgz, zero::core::CompressionConfig::BLOCK
         );
     }
 

@@ -339,7 +339,7 @@ fn first_losses_are_pinned_bit_for_bit() {
     // 0's peak device bytes, so an alloc/free reordered across the step
     // fails here.
     let two = Grid::new(2, 1);
-    let zeropp = CompressionConfig { qwz: true, hpz: true, qgz: true, block: 64 };
+    let zeropp = CompressionConfig { qwz: true, hpz: true, qgz: true };
     let pinned: [(ZeroConfig, Grid, u64, [u32; 5], u64); 12] = [
         (
             ZeroConfig { stage: ZeroStage::Two, initial_loss_scale: 1.0, ..ZeroConfig::default() },

@@ -102,7 +102,7 @@ fn offload_composes_with_zeropp_compression_bitwise() {
     // nothing.
     let cfg = model();
     let layout = Layout::build(&cfg);
-    let lever = |qwz, hpz, qgz| CompressionConfig { qwz, hpz, qgz, block: 64 };
+    let lever = |qwz, hpz, qgz| CompressionConfig { qwz, hpz, qgz };
     let mixes = [lever(true, false, false), lever(false, true, false), lever(false, false, true), lever(true, true, true)];
     for stage in [ZeroStage::Two, ZeroStage::Three] {
         for compression in mixes.into_iter().filter(|c| stage.partitions_params() || !(c.qwz || c.hpz)) {
