@@ -32,7 +32,10 @@ printf '%s\n' 'fn a() {' '}' '#[cfg(test)]' 'mod tests {' '    fn t() {' '    }'
     > "$scratch/counted.rs"
 [ "$(awk "$count_non_test" "$scratch/counted.rs")" -eq 6 ] \
     || { echo "line counter self-test failed: code after a test module must be counted in full"; exit 1; }
-line_ceiling=12930
+# Raised 12 930 -> 13 380 once, on purpose, by the memory walk
+# (core/src/footprint.rs, 359), the placement and settle rule (plan.rs,
+# engine.rs) and bench_step's full-offload row.
+line_ceiling=13380
 lines=0
 split=""
 for crate in comm core serve bench; do
@@ -45,7 +48,9 @@ sim_ceiling=2240
 sim=$(awk "$count_non_test" $(find crates/sim/src -name '*.rs') src/bin/zero-sim.rs)
 # So has the training engine, inside the core count: it interprets the
 # plan, so a schedule decision moving back into it shows up here first.
-engine_ceiling=1223
+# Raised 1 223 -> 1 261: the engine interprets two new facts of the plan,
+# each op's position (the settle rule) and the first step's placement.
+engine_ceiling=1261
 engine=$(awk "$count_non_test" crates/core/src/engine.rs)
 echo "    $lines non-test lines (ceiling $line_ceiling):$split; sim $sim (ceiling $sim_ceiling); engine $engine (ceiling $engine_ceiling)"
 [ "$lines" -le "$line_ceiling" ] || { echo "line budget exceeded: lower the count or raise the ceiling deliberately"; exit 1; }
@@ -100,6 +105,15 @@ echo "==> zero-verify --pass offload (tier prefetch windows, byte telescoping, b
 # interval, and the collective stream equals the on-device one.
 cargo run -q --release -p zero-verify -- --pass offload
 
+echo "==> zero-verify --pass memory (the memory walk over every digest plan: settle points, placements within budget)"
+# Walks every configuration schedule_digests.txt pins on every rank: each
+# bucket reduce-scatter's buffer is released where the first gather issued
+# behind it is consumed (or at the drain), every tier placement's walked
+# peak fits its budget, and keeping the stage-3 parameter shard on the
+# device costs exactly its bytes. tests/memory_accounting.rs holds the
+# walked peaks equal to the engine's.
+cargo run -q --release -p zero-verify -- --pass memory
+
 echo "==> zero-verify --pass modelcheck (exhaustive protocol interleavings, explicit state budget)"
 # Two protocols (socket handshake, the op desk's help-first hand-off at 2
 # and 3 ops) in 6 scenarios. Prints explored-state
@@ -122,10 +136,17 @@ cargo test -q --release --test offload_equivalence
 echo "==> zero-train --verify-offload smoke (train beyond the device budget, proved)"
 # 64 KiB/rank sits between the offloaded peak and the unconstrained peak
 # at this model size: the budget binds, the tracker proves peak <= budget,
-# and the offload-off rerun must produce bitwise-identical losses.
+# and the offload-off rerun must produce bitwise-identical losses. The
+# budget also holds the parameter shard beside the step, so the banner
+# names a placement where only the optimizer state and gradients cross,
+# and every rank's measured peak must be the one the memory walk predicts.
+offload_out="$scratch/verify-offload.txt"
 cargo run -q --release --bin zero-train -- \
     --stage 3 --dp 2 --layers 2 --hidden 16 --heads 2 --seq 8 --vocab 32 \
-    --batch 4 --steps 5 --device-budget 65536 --verify-offload
+    --batch 4 --steps 5 --device-budget 65536 --verify-offload > "$offload_out"
+grep -q "^offload: placement crosses \[optimizer-state, grad-shards\]; param shard on the device" "$offload_out" \
+    && grep -q "^verify-offload: PASS .*(offloaded, as walked on every rank)" "$offload_out" \
+    || { echo "expected the placement banner and a walked-peak PASS:"; cat "$offload_out"; exit 1; }
 
 echo "==> zero-train --pa-cpu smoke (P_a+cpu checkpoints cross the tier: fetch = spill > 0)"
 pa_cpu_out="$scratch/pa-cpu.txt"

@@ -10,9 +10,13 @@
 //!   (§7): under overlap, wait time collapses while execution time stays.
 //!   DDP and stage 1 reduce once at the end of the step, with nothing to
 //!   issue ahead of, so `ZeroConfig::check` refuses them overlapped.
-//! * `offload` — stage 3 unconstrained vs with optimizer, gradient and
-//!   parameter shards on a modeled host tier (ZeRO-Offload). Offload moves
-//!   residency, never values: the pair's losses must be bitwise equal, in
+//! * `offload` — stage 3 unconstrained vs on a modeled host tier
+//!   (ZeRO-Offload) with room on the device: the optimizer state and
+//!   gradient shards cross, the parameter shard stays on the device and
+//!   its updated piece climbs once a step. `full-offload` is the same at
+//!   N = 2 under the largest budget the step fits only with the parameter
+//!   shard offloaded too, fetched before every gather. Offload moves
+//!   residency, never values: each pair's losses must be bitwise equal, in
 //!   every mode.
 //! * `compression` — stage 3 over a modeled two-tier link, raw vs all
 //!   ZeRO++ levers (qwZ + hpZ + qgZ) grouped by the link's nodes. The
@@ -94,7 +98,7 @@ const TIERED_LINK: TieredLink = TieredLink {
 
 /// PCIe-gen3-ish bandwidth and a small per-transfer latency, no device cap:
 /// the budget *proof* belongs to the tests and the CLI, the bench prices
-/// the link.
+/// the link (`full-offload` sets a budget to choose the placement).
 const HOST_TIER: TierConfig = TierConfig {
     host_bw: 8 << 30,
     host_lat: Duration::from_micros(10),
@@ -145,6 +149,15 @@ fn cases(smoke: bool) -> Vec<Case> {
             setup.zero.checkpoint_activations = true;
         }
     }
+    // The overlapped offload pair at N = 2, under the largest budget that
+    // fits the step only with the parameter shard offloaded.
+    let base = step_setup(Three, 2, true);
+    let mut full = base;
+    full.zero.tier = HOST_TIER;
+    let (m, grid) = (&full.model, full.grid);
+    let act_elems = full.global_batch / grid.dp_degree() * m.seq * m.hidden;
+    full.zero.tier.device_budget = CommPlan::full_offload_budget(&Layout::build(m), &full.zero, grid, 1, act_elems);
+    cases.extend([("full-offload", base, flat.clone()), ("full-offload", full, flat)]);
     cases
 }
 
@@ -279,7 +292,7 @@ fn main() {
     for lever in cases.chunks(2) {
         let (base, base_losses) = measure(&lever[0], steps, trials);
         let (other, other_losses) = measure(&lever[1], steps, trials);
-        if other.family == "offload" {
+        if other.offload {
             assert_eq!(base_losses, other_losses, "offload moved values, not only residency");
         }
         pairs.push(pair(&base, &other));
@@ -291,7 +304,7 @@ fn main() {
 
     // `--smoke` runs the offload pair at N = 2, which a committed full run
     // (N = 4) does not carry.
-    let committed = rows.iter().filter(|r| !harness.smoke || r.family == "overlap");
+    let committed = rows.iter().filter(|r| !harness.smoke || r.family != "offload");
     harness.check("rows", committed, KEY, EXACT, Some("secs_per_step"));
     harness.finish(&BenchStep {
         nproc: nproc(),

@@ -8,11 +8,15 @@
 //! Every allocation of at least [`BIG`] bytes made by any thread while a
 //! measurement window is open is counted. Spans are switched off in the
 //! measured worlds: the trace recorder keeps every span it is given, so
-//! its timeline grows with the run by design.
+//! its timeline grows with the run by design. One world is measured at a
+//! time, and the next is not built until every thread of the last has
+//! exited: a socket reader or heartbeat thread winding down after its
+//! world returned would otherwise be counted in the next window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
+use std::time::{Duration, Instant};
 
 use zero_comm::process::fresh_token;
 use zero_comm::{connect_process_rank, launch, Communicator, Group, Precision, ProcessWorldConfig, WireFmt};
@@ -62,13 +66,46 @@ static GLOBAL: Counting = Counting;
 /// One measurement at a time: the counter is process-wide.
 static WINDOW: Mutex<()> = Mutex::new(());
 
+/// The name of the thread each measured world is built from. Linux starts
+/// a thread under its creator's name and the fabric names none of its
+/// threads, so every rank, progress, reader and heartbeat thread of the
+/// world carries it too.
+const WORLD: &str = "alloc-world";
+
+/// How long a finished world's threads get to exit.
+const THREADS_EXIT: Duration = Duration::from_secs(10);
+
+/// This process's threads that belong to a measured world. (The test
+/// harness starts a test's thread when another test finishes, so the
+/// process's whole thread count can rise while a world winds down.)
+fn world_threads() -> usize {
+    let tasks = std::fs::read_dir("/proc/self/task").into_iter().flatten().flatten();
+    let comm = |task: std::fs::DirEntry| std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+    tasks.map(comm).filter(|name| name.trim_end() == WORLD).count()
+}
+
 /// Runs `run` on both ranks of a 2-rank world with spans off and returns
 /// the big allocations any thread made between the point where both
 /// ranks called the `open` handed to them (after their warm-up) and the
 /// point where both returned. The world is a `World` of threads, or with
-/// `sockets` a socket mesh whose ranks are threads of this process.
+/// `sockets` a socket mesh whose ranks are threads of this process. The
+/// window is held until the world's threads have exited.
 fn big_allocs_in_world(sockets: bool, run: impl Fn(&mut Communicator, &dyn Fn()) + Sync) -> usize {
     let _one = WINDOW.lock().unwrap_or_else(|p| p.into_inner());
+    let world = std::thread::Builder::new().name(WORLD.into());
+    let big = std::thread::scope(|s| {
+        let measured = world.spawn_scoped(s, || measure(sockets, &run)).expect("spawn the world's thread");
+        measured.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
+    });
+    let deadline = Instant::now() + THREADS_EXIT;
+    while world_threads() > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    big
+}
+
+/// The body of [`big_allocs_in_world`], under its window.
+fn measure(sockets: bool, run: &(impl Fn(&mut Communicator, &dyn Fn()) + Sync)) -> usize {
     let gate = Barrier::new(2);
     let open = || {
         if gate.wait().is_leader() {

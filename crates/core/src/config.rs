@@ -120,8 +120,9 @@ impl Default for CompressionConfig {
 ///
 /// When enabled, the engine spills the big per-rank states to a modeled
 /// slower host tier — optimizer states + fp32 master (stage ≥ 1), the
-/// reduced gradient shard (stage ≥ 2), and the stage-3 parameter shard —
-/// and every byte crossing the tier boundary is metered, priced at
+/// reduced gradient shard (stage ≥ 2), and the stage-3 parameter shard
+/// when `device_budget` cannot hold it beside the step (the plan's
+/// placement) — and every byte crossing the tier boundary is metered, priced at
 /// `host_lat + bytes / host_bw`, and checked against the `CommPlan`'s
 /// tier-movement stream. The [`crate::MemoryTracker`] then *proves* the
 /// configured `device_budget`: any allocation that would push live device

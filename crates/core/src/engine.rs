@@ -56,7 +56,8 @@ use crate::config::{CkptPlace, ZeroConfig};
 use crate::memory::{MemCategory, MemoryTracker};
 use crate::partition::Partitioner;
 use crate::plan::{
-    CommPlan, OpRole, ParamStore, PlanCursor, Reduction, ResolvedOp, ResolvedTierOp, TierDir,
+    CommPlan, EffectiveOffload, OpRole, ParamStore, PlanCursor, Reduction, ResolvedOp, ResolvedTierOp,
+    TierDir,
 };
 use crate::store::{clip, FlatStore};
 use crate::tier::{TierStats, TierStore};
@@ -88,6 +89,9 @@ struct Issued {
     spill: Option<ResolvedTierOp>,
     /// The planned op: its group geometry, issue mode and reduction.
     op: ResolvedOp,
+    /// The op's position in the installed plan: its place in the rank's
+    /// FIFO, behind every op issued before it.
+    pos: usize,
 }
 
 impl Issued {
@@ -150,6 +154,7 @@ impl Issuer {
     /// blocks, or qgZ two-phase) and reduction. When the caller waits is
     /// the only thing that distinguishes synchronous from overlapped runs.
     fn start(&mut self, kind: CollectiveKind, buf: Vec<f32>) -> Issued {
+        let pos = self.plan.position();
         let (op, tier) = self.plan.take_riding(kind);
         // A fetch riding the op seeds it and goes first; a spill carries
         // its result and is the caller's to issue after the wait.
@@ -166,7 +171,7 @@ impl Issuer {
                 comm.start_all_gather(&group, op.place(comm.rank(), buf), counts, op.prec, op.wire)
             }
         };
-        Issued { seed, pending, spill, op }
+        Issued { seed, pending, spill, op, pos }
     }
 
     /// A planned all-reduce, in place: the Megatron hooks, DDP's gradient
@@ -298,13 +303,20 @@ pub struct RankEngine {
     /// Stages 2/3: gradients go through the bucket, reduced to their
     /// owners as backward produces them.
     bucketed: bool,
+    /// Which classes cross the tier: `check`'s until the first step's
+    /// plan fixes the placement (`placed`).
+    off: EffectiveOffload,
+    placed: bool,
 
     bucket: GradBucket,
     /// In-flight bucket reduce-scatters: issued as backward produces them
     /// and settled in FIFO order — right after the flush in synchronous
-    /// mode, at end-of-backward under overlap — so gradient accumulation
-    /// order, and therefore the loss, is bitwise identical either way.
+    /// mode, under overlap when the first gather issued behind them is
+    /// consumed — so gradient accumulation order, and therefore the loss,
+    /// is bitwise identical either way.
     inflight_rs: VecDeque<InflightReduce>,
+    /// Spills of settled reduce-scatters, due at the end-of-micro drain.
+    spills: Vec<ResolvedTierOp>,
     /// The stage-3 prefetch slot: a parameter all-gather the plan issued
     /// ahead of its unit's use.
     prefetch: Option<Issued>,
@@ -380,7 +392,7 @@ impl RankEngine {
 
         // Working parameters. Under stage-3 offload the shard's home is
         // the host tier (every use fetches a unit's piece up), so it is
-        // priced as host — not device — residency.
+        // priced as host residency until a placement keeps it (`place`).
         let (at, of) = if zcfg.stage.partitions_params() { (&part, owner) } else { (&full, 0) };
         let work = FlatStore::from_f32(at, of, initial_params, zcfg.fp16);
         let work_cat = if off.params {
@@ -431,6 +443,7 @@ impl RankEngine {
         RankEngine {
             bucket: GradBucket::new(),
             inflight_rs: VecDeque::new(),
+            spills: Vec::new(),
             prefetch: None,
             held: None,
             io: Issuer {
@@ -453,6 +466,8 @@ impl RankEngine {
             opt,
             grads,
             bucketed,
+            off,
+            placed: false,
             mem,
             trace,
             step: 0,
@@ -591,34 +606,35 @@ impl RankEngine {
         }
     }
 
-    /// Settles every in-flight bucket reduce-scatter in FIFO (issue) order:
-    /// wait, land the owner piece in the gradient shard, release the fused
-    /// buffer, and issue the spill the plan attached to it — the reduced
-    /// piece going down to the host tier, at the first point it exists.
-    /// Blocking reduce-scatters are settled right after their flush, the
-    /// rest at end-of-backward; FIFO order makes the accumulation order,
-    /// and so the loss, identical.
-    fn drain_inflight(&mut self) -> Result<(), CommError> {
-        let mut first_err: Option<CommError> = None;
-        while let Some(mut inf) = self.inflight_rs.pop_front() {
-            // After an error the remaining handles are dropped unawaited —
-            // their ops still execute in issue order, keeping the
-            // SPMD schedule aligned for recovery.
-            let (spill, bytes) = (inf.issued.spill.take(), 4 * inf.issued.op.total_elems() as u64);
-            if first_err.is_none() {
-                let span = self.trace.begin(SpanCategory::Wait, "drain-inflight");
-                match inf.issued.wait() {
-                    Ok(out) => self.grads.add(inf.span, &out),
-                    Err(e) => first_err = Some(e),
-                }
-                self.trace.end(span);
-            }
+    /// Settles, in issue order, the in-flight bucket reduce-scatters issued
+    /// before plan position `before`: wait, land the owner piece in the
+    /// gradient shard, free the fused buffer (§5.2), keep the spill for the
+    /// drain. At a consumed gather's position the wait is free: the fabric
+    /// runs the rank's ops in issue order.
+    fn settle(&mut self, before: usize) -> Result<(), CommError> {
+        while self.inflight_rs.front().is_some_and(|inf| inf.issued.pos < before) {
+            let Some(mut inf) = self.inflight_rs.pop_front() else { break };
+            self.spills.extend(inf.issued.spill.take());
+            let bytes = 4 * inf.issued.op.total_elems() as u64;
+            let span = self.trace.begin(SpanCategory::Wait, "settle-reduce");
+            let out = inf.issued.wait();
+            self.trace.end(span);
             self.mem.free(MemCategory::Buffers, bytes);
-            if let Some(t) = spill.filter(|_| first_err.is_none()) {
-                first_err = self.io.tier_move(t).wait().err();
-            }
+            self.grads.add(inf.span, &out?);
         }
-        first_err.map_or(Ok(()), Err)
+        Ok(())
+    }
+
+    /// Settles everything still in flight, then issues the due gradient
+    /// spills in plan order. After an error `clear_transients` drops the
+    /// handles left unawaited; their ops still run in issue order, keeping
+    /// the SPMD schedule aligned for recovery.
+    fn drain_inflight(&mut self) -> Result<(), CommError> {
+        self.settle(usize::MAX)?;
+        for t in std::mem::take(&mut self.spills) {
+            self.io.tier_move(t).wait()?;
+        }
+        Ok(())
     }
 
     /// Drops any async state left over from a failed step (handles are
@@ -628,6 +644,7 @@ impl RankEngine {
         let inflight: usize = self.inflight_rs.drain(..).map(|inf| inf.issued.op.total_elems()).sum();
         let held = self.held.take().map_or(0, |(.., buf)| buf.len());
         let slot = self.prefetch.take().map_or(0, |pf| pf.op.total_elems());
+        self.spills.clear();
         self.mem.free(MemCategory::Buffers, 4 * (inflight + held + slot) as u64);
     }
 
@@ -883,8 +900,9 @@ impl RankEngine {
         // Declare the step's communication schedule up front; every
         // collective below is derived from (and checked against) it.
         let act_elems = local_batch * self.gpt.config().seq * self.gpt.config().hidden;
+        let off = self.place(micros.len(), act_elems);
         let prefix =
-            CommPlan::step_prefix(self.gpt.layout(), &self.zcfg, self.grid, micros.len(), act_elems);
+            CommPlan::prefix_placed(self.gpt.layout(), &self.zcfg, self.grid, micros.len(), act_elems, off);
         self.io.plan.install(&prefix, self.io.comm.rank(), "step-prefix");
         self.size_arena(act_elems);
 
@@ -903,6 +921,21 @@ impl RankEngine {
             self.clear_transients();
         }
         res
+    }
+
+    /// The placement of every step, fixed by the first one's plan: when it
+    /// keeps the stage-3 parameter shard on the device, the shard's bytes
+    /// move from the host category to the device one.
+    fn place(&mut self, micros: usize, act_elems: usize) -> EffectiveOffload {
+        if !std::mem::replace(&mut self.placed, true) {
+            let off = CommPlan::placement(self.gpt.layout(), &self.zcfg, self.grid, micros, act_elems);
+            if off.params != self.off.params {
+                self.mem.free(MemCategory::HostParamShard, self.work.bytes());
+                self.mem.alloc(MemCategory::ParamsFp16, self.work.bytes());
+            }
+            self.off = off;
+        }
+        self.off
     }
 
     /// Runs one block pass `f` of the model under a compute span named
@@ -1077,11 +1110,16 @@ impl Walker for Pass<'_> {
         };
         let OpRole::Fetch { unit, into, hold, .. } = cur.op.role else { unreachable!("a fetch op") };
         assert_eq!(unit, u, "comm-plan drift: the plan fetched a unit the engine is not at");
-        e.prefetch_next(next);
-        if let Some(image) = hold {
-            e.held = Some((unit, image, Vec::new()));
-        }
-        let out = cur.wait().inspect_err(|_| e.mem.free(MemCategory::Buffers, 4 * unit_range.len() as u64))?;
+        // The reduce-scatters issued ahead of this gather are settled as it
+        // is consumed, before the next prefetch goes out.
+        let out = e.settle(cur.pos).and_then(|()| {
+            e.prefetch_next(next);
+            if let Some(image) = hold {
+                e.held = Some((unit, image, Vec::new()));
+            }
+            cur.wait()
+        });
+        let out = out.inspect_err(|_| e.mem.free(MemCategory::Buffers, 4 * unit_range.len() as u64))?;
         if let Some(store) = into {
             e.param_store(store).stash(&unit_range, &out);
         }
@@ -1201,11 +1239,11 @@ impl Walker for Pass<'_> {
         self.e.dispatch_grads(range, grads)
     }
 
-    /// Embedding backward, then settle every reduce-scatter still in
-    /// flight (the end-of-backward barrier overlap moves the waits to;
-    /// nothing is left in sync mode). The last planned bucket ends at
-    /// element 0, so the embedding's push flushed it and the next
-    /// micro-batch's head-first pushes start a fresh descending run.
+    /// Embedding backward, then drain: settle what no gather was issued
+    /// behind (nothing is left in sync mode) and issue the spills. The
+    /// last planned bucket ends at element 0, so the embedding's push
+    /// flushed it and the next micro-batch's head-first pushes start a
+    /// fresh descending run.
     fn embed_bwd(&mut self) -> Result<(), CommError> {
         let e = &mut *self.e;
         let range = e.gpt.layout().units()[0].range.clone();

@@ -31,6 +31,7 @@ pub mod arena;
 pub mod bucket;
 pub mod config;
 pub mod engine;
+pub mod footprint;
 pub mod memory;
 pub mod partition;
 pub mod plan;
@@ -48,6 +49,7 @@ pub use config::{
     CkptPlace, CompressionConfig, ConfigError, OptimizerKind, TierConfig, ZeroConfig, ZeroStage,
 };
 pub use engine::{RankEngine, StepOutcome};
+pub use footprint::Footprint;
 pub use memory::{MemCategory, MemoryTracker, ALL_CATEGORIES, CATEGORY_COUNT, MODEL_STATE_CATEGORIES};
 pub use partition::Partitioner;
 pub use procworld::{

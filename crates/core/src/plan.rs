@@ -453,12 +453,15 @@ pub struct CommPlan {
     tier: Vec<TierOp>,
 }
 
-/// Which state classes actually cross the memory tier — each model state by
-/// the tier flag gated by the stage that owns it (§3: optimizer states at
-/// stage ≥ 1, gradients ≥ 2, parameters 3), P_a+cpu checkpoints (§6.1) by
-/// their own switch — as resolved by [`ZeroConfig::check`]. The plan
-/// [`Builder`] turns these into tier ops; the engine only prices memory
-/// residency (host vs device) from them.
+/// Which state classes cross the memory tier. [`ZeroConfig::check`] says
+/// which *may*: each model state by the tier flag gated by the stage that
+/// owns it (§3: optimizer states at stage ≥ 1, gradients ≥ 2, parameters
+/// 3), P_a+cpu checkpoints (§6.1) by their own switch.
+/// [`CommPlan::placement`] says which *do*: the same, except that the
+/// stage-3 parameter shard stays on the device when the step's memory walk
+/// fits the budget with it there. The plan [`Builder`] turns a placement
+/// into tier ops; the engine prices memory residency (host vs device) from
+/// the placement its first step planned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EffectiveOffload {
     /// Master params + Adam moments live in the host tier; the optimizer
@@ -466,8 +469,11 @@ pub struct EffectiveOffload {
     pub opt_state: bool,
     /// Reduced gradient shards spill to the host tier bucket by bucket.
     pub grads: bool,
-    /// The stage-3 working parameter shard lives in the host tier; every
-    /// unit materialization first fetches the local piece up.
+    /// The stage-3 working parameter shard lives in the host tier: every
+    /// gather of the primary shards first fetches the local piece up.
+    /// When it does not under a host optimizer (`opt_state`), the shard
+    /// stays on the device and the updated piece climbs once a step,
+    /// riding its unit's first gather.
     pub params: bool,
     /// P_a+cpu: checkpoint slices spill when stored, fetch back at restore.
     pub checkpoints: bool,
@@ -493,11 +499,11 @@ struct Builder {
     prec: Precision,
     /// hpZ secondary partition: every unit over the G ranks of a node.
     sec_part: Partitioner,
-    /// hpZ: units whose secondary copy is populated at this point of the
-    /// step — their re-fetches resolve intra-node. Parameters only change
-    /// at the optimizer step, so one global gather per unit per step
-    /// suffices.
-    stashed: Vec<bool>,
+    /// Units gathered from the primary shards so far this step. Parameters
+    /// only change at the optimizer step, so under hpZ their secondary copy
+    /// is populated and re-fetches resolve intra-node; with the parameter
+    /// shard on the device, their updated piece has climbed from the host.
+    gathered: Vec<bool>,
     /// The double-buffered prefetch slot: the unit whose gather was issued
     /// ahead of use, with the index of that op and the index into `tier`
     /// of the fetch seeding it (whose demand position is stamped when the
@@ -508,7 +514,7 @@ struct Builder {
     last: Option<(usize, usize)>,
     /// The unit held for its next fetch, which gathers nothing.
     held: Option<usize>,
-    /// Effective tier-offload levers for this stage/grid.
+    /// The placement: which state classes cross the tier.
     off: EffectiveOffload,
     /// The tier-movement stream being built alongside `ops`.
     tier: Vec<TierOp>,
@@ -541,7 +547,7 @@ impl Builder {
             part: Partitioner::per_unit(layout, zcfg.dp_owners(grid)),
             prec: if zcfg.fp16 { Precision::Fp16 } else { Precision::Fp32 },
             sec_part: Partitioner::per_unit(layout, zcfg.node_size),
-            stashed: vec![false; layout.units().len()],
+            gathered: vec![false; layout.units().len()],
             slot: None,
             last: None,
             held: None,
@@ -605,16 +611,17 @@ impl Builder {
     /// unit in the step is the global gather (qwZ wire if enabled) that
     /// also stashes into the node-local secondary store; every later fetch
     /// of the same unit is seeded by that store and resolves inside the
-    /// node. Returns the index of the tier fetch seeding the gather, if its
-    /// pieces live in the host tier.
+    /// node. Returns the index of the tier fetch seeding the gather, if a
+    /// piece climbs from the host tier.
     fn issue_fetch(&mut self, u: usize, ahead: bool) -> Option<usize> {
         let unit = self.units[u].clone();
         let comp = self.zcfg.compression;
-        let (scope, counts, wire, from, into) = if comp.hpz && self.stashed[u] {
+        let first = !self.gathered[u];
+        let (scope, counts, wire, from, into) = if comp.hpz && !first {
             let node = PlanScope::Node { g: self.zcfg.node_size };
             (node, self.sec_part.intersect_counts(&unit), WireFmt::Raw, ParamStore::Secondary, None)
         } else {
-            self.stashed[u] = true;
+            self.gathered[u] = true;
             let wire = if comp.qwz {
                 WireFmt::Int8Block { block: CompressionConfig::BLOCK }
             } else {
@@ -625,9 +632,13 @@ impl Builder {
         };
         // The local shard piece of the unit climbs host → device right
         // before it seeds the all-gather (the FIFO serializes the two, so
-        // both hide behind compute together under overlap). An hpZ refetch
-        // reads the device-resident secondary store: nothing crosses.
-        let seed = (self.off.params && from == ParamStore::Primary).then(|| {
+        // both hide behind compute together under overlap): at every
+        // gather of a host-resident shard, else at the unit's first gather
+        // of the step, bringing up what the host optimizer updated. An hpZ
+        // refetch reads the device-resident secondary store: nothing
+        // crosses.
+        let climbs = self.off.params || (self.off.opt_state && first);
+        let seed = (climbs && from == ParamStore::Primary).then(|| {
             self.tier_op(TierDir::Fetch, "tier-param-fetch", counts.clone(), Some(self.ops.len()))
         });
         let role = OpRole::Fetch { unit: u, from, into, ahead, hold: None };
@@ -906,7 +917,8 @@ impl CommPlan {
     /// The deterministic prefix of a training step: every micro-batch's
     /// forward/backward comm, the end-of-step gradient reduction, and the
     /// world-wide overflow-flag all-reduce. Everything up to (and
-    /// including) the point where the skip decision becomes known.
+    /// including) the point where the skip decision becomes known. Its tier
+    /// stream follows the step's [`placement`](Self::placement).
     pub fn step_prefix(
         layout: &Layout,
         zcfg: &ZeroConfig,
@@ -914,8 +926,22 @@ impl CommPlan {
         micro_batches: usize,
         act_elems: usize,
     ) -> CommPlan {
+        let off = CommPlan::placement(layout, zcfg, grid, micro_batches, act_elems);
+        CommPlan::prefix_placed(layout, zcfg, grid, micro_batches, act_elems, off)
+    }
+
+    /// [`Self::step_prefix`] under a given placement: the engine's, which
+    /// its first step fixes.
+    pub(crate) fn prefix_placed(
+        layout: &Layout,
+        zcfg: &ZeroConfig,
+        grid: Grid,
+        micro_batches: usize,
+        act_elems: usize,
+        off: EffectiveOffload,
+    ) -> CommPlan {
         assert!(micro_batches > 0, "need at least one micro-batch");
-        let mut b = Builder { act_elems, ..Builder::new(layout, zcfg, grid) };
+        let mut b = Builder { act_elems, off, ..Builder::new(layout, zcfg, grid) };
         for _ in 0..micro_batches {
             let Ok(()) = walk::micro(&mut b, layout.units().len() - 2, walk::interval(zcfg), true);
         }
@@ -1211,6 +1237,12 @@ impl PlanCursor {
     /// comes next.
     pub fn peek(&self) -> Option<&ResolvedOp> {
         self.ops.front().map(|(op, _)| op)
+    }
+
+    /// The position of the next op in the installed plan: how many of its
+    /// ops have been issued.
+    pub fn position(&self) -> usize {
+        self.consumed
     }
 
     /// Pops the next planned op together with the tier movement riding
@@ -1737,9 +1769,14 @@ mod tests {
     fn cursor_hands_tier_moves_out_with_the_op_they_ride() {
         let layout = Layout::build(&tiny());
         let grid = Grid::new(2, 1);
-        // Stage 3: every parameter all-gather comes with the fetch that
+        // Stage 3 under a budget that holds the step only with the shard
+        // offloaded: every parameter all-gather comes with the fetch that
         // seeds it, every bucket reduce-scatter with its spill.
-        let plan = CommPlan::train_step(&layout, &tiered(ZeroStage::Three, false), grid, &shape());
+        let (act, zcfg) = (shape().act_elems, tiered(ZeroStage::Three, false));
+        let tight = crate::config::TierConfig::budgeted(CommPlan::full_offload_budget(&layout, &zcfg, grid, 1, act));
+        let zcfg = ZeroConfig { tier: tight, ..zcfg };
+        assert!(CommPlan::placement(&layout, &zcfg, grid, 1, act).params);
+        let plan = CommPlan::train_step(&layout, &zcfg, grid, &shape());
         let mut cur = PlanCursor::default();
         cur.install(&plan, 0, "test");
         let mut handed = 0;

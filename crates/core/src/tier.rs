@@ -4,8 +4,13 @@
 //! (ZeRO-Offload, ZeRO-Infinity) trains past even that bound by spilling
 //! optimizer states, gradients, and stage-3 parameter shards to a slower
 //! host/NVMe tier, as the paper's P_a+cpu (§6.1) does with checkpoint
-//! slices. [`TierStore`] is one rank's end of that link: a byte meter and
-//! a modeled clock. Every crossing is counted in [`TierStats`] and priced at
+//! slices. Which of them cross is the plan's placement
+//! (`CommPlan::placement`): the optimizer state and gradients always, the
+//! stage-3 parameter shard only when the device budget cannot hold it
+//! beside the step — otherwise just its updated piece climbs, once a step.
+//! [`TierStore`] is one rank's end of that link: a byte meter and a
+//! modeled clock. Every crossing is counted in [`TierStats`] (fetches and
+//! spills both: `total_bytes` is their sum) and priced at
 //! `host_lat + bytes / host_bw` ([`TierConfig::transfer_time`]).
 //!
 //! It is not a residency ledger: a page of the `alloc`/`fetch`/`spill`

@@ -48,6 +48,15 @@ impl BlockDims {
     pub fn attn_width(&self) -> usize {
         self.local_heads * self.head_dim
     }
+
+    /// Elements of the [`BlockSaved`] a forward at these dims keeps: per
+    /// row, four `h`-wide matrices, two layernorms' mean and rstd, QKV and
+    /// the context (four attention widths), a probability row per local
+    /// head and two `ffn`-wide ones.
+    pub fn saved_elems(&self) -> usize {
+        let per_row = 4 * self.hidden + 4 + 4 * self.attn_width() + self.local_heads * self.seq + 2 * self.ffn;
+        self.rows() * per_row
+    }
 }
 
 /// Activations saved by the forward pass for the exact backward pass.
@@ -548,6 +557,7 @@ mod tests {
             + dims.batch * dims.local_heads * dims.seq * dims.seq
             + 4 * t;
         assert_eq!(saved.elems(), want);
+        assert_eq!(dims.saved_elems(), want, "the size a memory walk predicts");
     }
 
     #[test]

@@ -69,14 +69,7 @@ impl Gpt {
 
     /// Block dims as seen by this shard for a given micro-batch size.
     pub fn dims(&self, batch: usize) -> BlockDims {
-        BlockDims {
-            hidden: self.cfg.hidden,
-            local_heads: self.cfg.heads / self.mp_degree,
-            head_dim: self.cfg.head_dim(),
-            ffn: 4 * self.cfg.hidden / self.mp_degree,
-            batch,
-            seq: self.cfg.seq,
-        }
+        self.layout.block_dims(batch)
     }
 
     // ----- unit functions -----

@@ -14,6 +14,7 @@
 //! The embedding tables are `[vocab, h]` and `[seq, h]`, one row per
 //! token or position.
 
+use crate::block::BlockDims;
 use crate::config::ModelConfig;
 
 /// One named parameter tensor inside the flat buffer.
@@ -66,6 +67,9 @@ pub struct Layout {
     fields: Vec<Field>,
     units: Vec<Unit>,
     total: usize,
+    /// The model this is a shard of, and the MP degree that cut it.
+    cfg: ModelConfig,
+    mp: usize,
 }
 
 /// Field offsets within one block's slice, in declaration order.
@@ -195,6 +199,21 @@ impl Layout {
             fields: b.fields,
             units: b.units,
             total: b.cursor,
+            cfg: *cfg,
+            mp,
+        }
+    }
+
+    /// Block dims as this shard computes them for a micro-batch of
+    /// `batch` sequences.
+    pub fn block_dims(&self, batch: usize) -> BlockDims {
+        BlockDims {
+            hidden: self.cfg.hidden,
+            local_heads: self.cfg.heads / self.mp,
+            head_dim: self.cfg.head_dim(),
+            ffn: 4 * self.cfg.hidden / self.mp,
+            batch,
+            seq: self.cfg.seq,
         }
     }
 

@@ -33,6 +33,10 @@
 //!    offloaded plans keep a collective stream bitwise identical to the
 //!    tier-off baseline; its checkpoint clause pairs every P_a+cpu
 //!    checkpoint spill with the fetch that seeds its gather.
+//! 6. [`memory`] — the memory clause. Walks every stage-3 plan the
+//!    schedule digests pin through `CommPlan::footprint`, proves each
+//!    bucket reduce-scatter's buffer released at the first gather issued
+//!    behind it, and each tier placement within its budget.
 //!
 //! The runtime side of the same guarantee lives in [`tracecheck`] and the
 //! trace-conformance tests (`tests/trace_conformance.rs`): a recorded
@@ -42,6 +46,7 @@
 
 pub mod compression;
 pub mod lint;
+pub mod memory;
 pub mod modelcheck;
 pub mod offload;
 pub mod schedule;
@@ -51,6 +56,7 @@ pub mod tracecheck;
 pub use compression::{check_compression, CompressionReport, RatioRow};
 pub use offload::{check_offload, OffloadReport};
 pub use lint::{lint_paths, LintHit, LintReport};
+pub use memory::{check_memory, MemoryReport};
 pub use modelcheck::{run_modelcheck, ModelcheckReport, ScenarioOutcome};
 pub use schedule::{check_all as check_schedules, ScheduleReport};
 pub use tiling::{prove_all as prove_tiling, TilingReport};

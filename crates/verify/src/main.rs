@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Passes: `schedule`, `tiling`, `lint`, `overlap`, `tracecheck`,
-//! `modelcheck`, `compression`, `offload` — run all of them when no
+//! `modelcheck`, `compression`, `offload`, `memory` — run all of them when no
 //! `--pass` is given. The legacy
 //! positional forms (`zero-verify lint`, `zero-verify all`) keep
 //! working. Exits non-zero if any selected pass fails; `--budget` caps
@@ -26,7 +26,7 @@ use zero_model::ModelConfig;
 /// genuine blowups fail loudly while normal growth has headroom.
 const DEFAULT_MODELCHECK_BUDGET: u64 = 500_000;
 
-const PASSES: [&str; 8] = [
+const PASSES: [&str; 9] = [
     "schedule",
     "tiling",
     "lint",
@@ -35,6 +35,7 @@ const PASSES: [&str; 8] = [
     "modelcheck",
     "compression",
     "offload",
+    "memory",
 ];
 
 fn repo_root() -> PathBuf {
@@ -279,6 +280,23 @@ fn run_offload() -> bool {
     }
 }
 
+fn run_memory() -> bool {
+    match zero_verify::check_memory() {
+        Ok(r) => {
+            println!(
+                "memory:     OK — {} configurations walked on every rank ({} bucket reduce-scatters \
+                 released at the first gather behind them or the drain, {} tier placements within budget)",
+                r.configs, r.settles, r.placements
+            );
+            true
+        }
+        Err(e) => {
+            eprintln!("memory:     FAIL — {e}");
+            false
+        }
+    }
+}
+
 fn run_pass(name: &str, budget: u64) -> Option<bool> {
     Some(match name {
         "schedule" => run_schedule(),
@@ -289,6 +307,7 @@ fn run_pass(name: &str, budget: u64) -> Option<bool> {
         "modelcheck" => run_modelcheck(budget),
         "compression" => run_compression(),
         "offload" => run_offload(),
+        "memory" => run_memory(),
         _ => return None,
     })
 }

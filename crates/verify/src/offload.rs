@@ -29,10 +29,16 @@
 //!   buckets tile Ψ each micro-batch) and one `shard` for stage 1 on
 //!   non-skipped steps; publish-fetch bytes total one `shard` on
 //!   non-skipped steps for stages 1–2; stage-3 parameter fetches lift
-//!   each unit's piece once per primary gather — once a step under hpZ,
-//!   else per micro-batch once for embed, head and a held last block and
-//!   twice for every other block — all independently recomputed from the
-//!   partition, not read back from the plan.
+//!   each unit's piece once per primary gather of a host-resident shard —
+//!   once a step under hpZ, else per micro-batch once for embed, head and
+//!   a held last block and twice for every other block — all independently
+//!   recomputed from the
+//!   partition, not read back from the plan — and a stage-3 plan whose
+//!   placement keeps the parameter shard on the device lifts each unit's
+//!   piece once a step, at its first gather. Stage 3 is proven at both
+//!   placements: at the swept budget, which holds the shard on the device,
+//!   and at the largest one that does not. Per rank and step, the tier
+//!   carries exactly the sum of those crossings of the placed classes.
 //! * **Equivalence.** The collective stream of an offloaded plan is
 //!   bitwise identical to the tier-off baseline (offload adds a tier
 //!   stream, it never perturbs a collective — which is why losses are
@@ -243,17 +249,45 @@ fn check_rides(plan: &CommPlan, zcfg: &ZeroConfig, what: &str) -> Result<(), Str
     Ok(())
 }
 
-/// Checks one offloaded configuration end to end.
-fn check_offload_config(
+/// `zcfg` as swept and, at stage 3, under the largest budget that fits it
+/// only with the parameter shard offloaded.
+fn placements(zcfg: &ZeroConfig, grid: Grid, layout: &Layout) -> Vec<ZeroConfig> {
+    if !zcfg.stage.partitions_params() {
+        return vec![*zcfg];
+    }
+    let sh = shape(false);
+    let tight = CommPlan::full_offload_budget(layout, zcfg, grid, sh.micro_batches, sh.act_elems);
+    vec![*zcfg, ZeroConfig { tier: TierConfig { device_budget: tight, ..zcfg.tier }, ..*zcfg }]
+}
+
+/// Checks one offloaded configuration end to end, at each placement.
+fn check_offload_config(zcfg: &ZeroConfig, grid: Grid, report: &mut OffloadReport) -> Result<(), String> {
+    let layout = Layout::build_mp(&test_model(), 1);
+    for (i, placed) in placements(zcfg, grid, &layout).iter().enumerate() {
+        let sh = shape(false);
+        let off = CommPlan::placement(&layout, placed, grid, sh.micro_batches, sh.act_elems);
+        if zcfg.stage.partitions_params() && off.params != (i == 1) {
+            return Err(format!("budget {}: the shard is placed {:?}", placed.tier.device_budget, off));
+        }
+        check_placed_config(placed, grid, &layout, off.params, report)?;
+    }
+    report.configs += 1;
+    Ok(())
+}
+
+/// Checks one offloaded configuration whose stage-3 parameter shard is
+/// (`shard_crosses`) or is not host-resident.
+fn check_placed_config(
     zcfg: &ZeroConfig,
     grid: Grid,
+    layout: &Layout,
+    shard_crosses: bool,
     report: &mut OffloadReport,
 ) -> Result<(), String> {
-    let layout = Layout::build_mp(&test_model(), 1);
-    let part = Partitioner::per_unit(&layout, grid.dp_degree());
+    let part = Partitioner::per_unit(layout, grid.dp_degree());
     let elem_bytes: u64 = if zcfg.fp16 { 2 } else { 4 };
     let what = format!(
-        "offload {} dp={} overlap={} fp16={} zero++={}",
+        "offload {} dp={} overlap={} fp16={} zero++={} shard-crosses={shard_crosses}",
         zcfg.stage.name(),
         grid.dp_degree(),
         zcfg.overlap,
@@ -262,7 +296,7 @@ fn check_offload_config(
     );
     for skipped in [false, true] {
         let sh = shape(skipped);
-        let plan = CommPlan::train_step(&layout, zcfg, grid, &sh);
+        let plan = CommPlan::train_step(layout, zcfg, grid, &sh);
         check_symmetry(&plan, &what)?;
         check_rides(&plan, zcfg, &what)?;
 
@@ -270,7 +304,7 @@ fn check_offload_config(
         // bitwise identical to the tier-off baseline.
         let mut base_cfg = *zcfg;
         base_cfg.tier = TierConfig::off();
-        let base = CommPlan::train_step(&layout, &base_cfg, grid, &sh);
+        let base = CommPlan::train_step(layout, &base_cfg, grid, &sh);
         if plan.ops() != base.ops() {
             return Err(format!(
                 "{what} skipped={skipped}: offloaded plan's collective stream \
@@ -294,7 +328,7 @@ fn check_offload_config(
 
         for rank in 0..grid.world_size() {
             let ops = plan.resolve_for(rank);
-            crate::schedule::check_balance(&layout, zcfg, grid, &ops, plan.tier_ops(), &what)?;
+            crate::schedule::check_balance(layout, zcfg, grid, &ops, plan.tier_ops(), &what)?;
             let tier = plan.resolve_tier_for(rank);
             check_anchors(&tier, &ops, rank, zcfg.overlap, &what, report)?;
 
@@ -337,16 +371,18 @@ fn check_offload_config(
                 ));
             }
 
-            // Stage 3: a gather of the primary shards lifts this rank's
+            // Stage 3: a gather of a host-resident shard lifts this rank's
             // piece of its unit, so per step each unit's piece climbs once
             // per primary gather — once in all under hpZ (refetches read
             // the secondary store), else per micro-batch once for embed
             // and head and twice for a block, once for the last block
-            // where the plan holds it into its backward.
+            // where the plan holds it into its backward. A shard kept on
+            // the device takes its updated piece once a step.
+            let mut want_params = 0;
             if zcfg.stage.partitions_params() {
                 let layers = layout.unit_count() - 2;
                 let held = crate::schedule::holds_last_block(zcfg, layers).then_some(layers);
-                let lifts = |u: usize| match (zcfg.compression.hpz, u) {
+                let lifts = |u: usize| match (zcfg.compression.hpz || !shard_crosses, u) {
                     (true, _) => 1,
                     (false, u) if u == 0 || u == layers + 1 || held == Some(u) => sh.micro_batches,
                     _ => 2 * sh.micro_batches,
@@ -355,6 +391,7 @@ fn check_offload_config(
                     elem_bytes * (lifts(u) * zero_comm::chunk_range(unit.range.len(), grid.dp_degree(), rank).len()) as u64
                 }).sum();
                 let got: u64 = tier.iter().filter(|t| t.label == "tier-param-fetch").map(|t| t.bytes).sum();
+                want_params = want;
                 if got != want {
                     return Err(format!(
                         "{what} skipped={skipped} rank {rank}: parameter tier fetches move {got} bytes, \
@@ -363,19 +400,21 @@ fn check_offload_config(
                 }
             }
 
-            // Stage 3: every planned gather seeded by the primary store has
-            // exactly one paired tier fetch (completeness of the fetch
-            // stream); hpZ's node-local refetches read the device-resident
-            // secondary store and have none.
+            // Stage 3: every planned gather seeded by a host-resident
+            // primary store has exactly one paired tier fetch (completeness
+            // of the fetch stream), and a unit's first one when the shard
+            // is on the device; hpZ's node-local refetches read the
+            // device-resident secondary store and have none.
             if zcfg.stage.partitions_params() {
                 let fetches =
                     tier.iter().filter(|t| t.label == "tier-param-fetch").count();
-                let gathers = ops
+                let primary = ops
                     .iter()
                     .filter(|o| {
                         matches!(o.role, OpRole::Fetch { from: ParamStore::Primary, .. })
                     })
                     .count();
+                let gathers = if shard_crosses { primary } else { layout.unit_count() };
                 if fetches != gathers {
                     return Err(format!(
                         "{what} skipped={skipped} rank {rank}: {gathers} parameter \
@@ -383,9 +422,18 @@ fn check_offload_config(
                     ));
                 }
             }
+
+            // The tier carries the placed classes' crossings and nothing
+            // else.
+            let total: u64 = tier.iter().map(|t| t.bytes).sum();
+            if total != want_spill + want_publish + want_params {
+                return Err(format!(
+                    "{what} skipped={skipped} rank {rank}: {total} tier bytes, the placed classes \
+                     cross {want_spill} + {want_publish} + {want_params}"
+                ));
+            }
         }
     }
-    report.configs += 1;
     Ok(())
 }
 

@@ -21,11 +21,11 @@ use std::fmt::Write as _;
 
 use zero_comm::Grid;
 use zero_core::{
-    CkptPlace, CommPlan, CompressionConfig, OpRole, StepShape, TierConfig, TierDir, WireFmt,
+    CommPlan, OpRole, StepShape, TierDir, WireFmt,
     ZeroConfig, ZeroStage,
 };
 use zero_model::{Layout, ModelConfig};
-use zero_verify::{compression, offload, schedule};
+use zero_verify::{compression, memory, offload, schedule};
 
 const PINNED: &str = include_str!("schedule_digests.txt");
 const SERVE_PINNED: &str = include_str!("serve_digests.txt");
@@ -171,112 +171,8 @@ fn name(zcfg: &ZeroConfig, grid: Grid, local_batch: usize) -> String {
     )
 }
 
-/// The eleven configurations whose losses `tests/engine_behavior.rs`
-/// (`first_losses_are_pinned_bit_for_bit`) pins, with their local batch
-/// (global batch 4 over the DP degree).
-fn loss_pinned_configs() -> Vec<(ZeroConfig, Grid, usize)> {
-    let (two, two_by_two) = (Grid::new(2, 1), Grid::new(2, 2));
-    let clipped =
-        |stage| ZeroConfig { stage, initial_loss_scale: 1.0, clip_grad_norm: Some(0.5), ..ZeroConfig::default() };
-    let zeropp = CompressionConfig { qwz: true, hpz: true, qgz: true };
-    vec![
-        (ZeroConfig { stage: ZeroStage::Two, initial_loss_scale: 1.0, ..ZeroConfig::default() }, two, 2),
-        (ZeroConfig::fp32_exact(ZeroStage::Three).overlapped(), two, 2),
-        (
-            ZeroConfig {
-                stage: ZeroStage::Three,
-                initial_loss_scale: 1.0,
-                node_size: 2,
-                compression: zeropp,
-                ..ZeroConfig::default()
-            },
-            Grid::new(4, 1),
-            1,
-        ),
-        (
-            ZeroConfig { tier: TierConfig::budgeted(1 << 20), ..ZeroConfig::fp32_exact(ZeroStage::Three) },
-            two,
-            2,
-        ),
-        (
-            ZeroConfig {
-                stage: ZeroStage::One,
-                initial_loss_scale: 1.0,
-                bucket_elems: 1000,
-                ..ZeroConfig::default()
-            },
-            two,
-            2,
-        ),
-        (
-            ZeroConfig {
-                stage: ZeroStage::Ddp,
-                initial_loss_scale: 1.0,
-                bucket_elems: 1000,
-                node_size: 2,
-                ..ZeroConfig::default()
-            },
-            Grid::new(4, 1),
-            1,
-        ),
-        (
-            ZeroConfig {
-                stage: ZeroStage::Three,
-                initial_loss_scale: 1.0,
-                checkpoint_interval: 2,
-                ..ZeroConfig::default()
-            }
-            .overlapped(),
-            two,
-            2,
-        ),
-        (
-            ZeroConfig {
-                stage: ZeroStage::Two,
-                initial_loss_scale: 1.0,
-                checkpoint_place: CkptPlace::Host,
-                ..ZeroConfig::default()
-            },
-            two_by_two,
-            2,
-        ),
-        (clipped(ZeroStage::Ddp), two_by_two, 2),
-        (clipped(ZeroStage::Two), two_by_two, 2),
-        (ZeroConfig { stage: ZeroStage::Three, initial_loss_scale: 1.0, ..ZeroConfig::default() }.overlapped(), two, 2),
-    ]
-}
-
-/// Stage 3 under a budgeted tier with P_a+cpu checkpoints at dp 2: the
-/// model-state and checkpoint tier classes in one stream.
-fn tiered_checkpoint_config() -> (ZeroConfig, Grid, usize) {
-    let zcfg = ZeroConfig {
-        tier: TierConfig::budgeted(1 << 20),
-        checkpoint_activations: true,
-        checkpoint_place: CkptPlace::Host,
-        ..ZeroConfig::fp32_exact(ZeroStage::Three)
-    };
-    (zcfg, Grid::new(2, 1), 2)
-}
-
 fn table() -> String {
-    let mut configs: Vec<(ZeroConfig, Grid, usize)> = Vec::new();
-    // The schedule and compression sweeps prove every configuration both
-    // synchronous and overlapped (`check_overlap_pair`) where the stage has
-    // something to issue ahead (2 and 3); pin both.
-    let both = schedule::sweep_configs()
-        .into_iter()
-        .chain(schedule::overlap_pair_configs())
-        .chain(compression::sweep_configs());
-    for (zcfg, grid) in both {
-        configs.push((ZeroConfig { overlap: false, ..zcfg }, grid, 2));
-        if zcfg.stage.partitions_grads() {
-            configs.push((zcfg.overlapped(), grid, 2));
-        }
-    }
-    configs.extend(offload::sweep_configs().into_iter().map(|(z, g)| (z, g, 2)));
-    configs.extend(loss_pinned_configs());
-    configs.push(tiered_checkpoint_config());
-
+    let configs = memory::digest_configs();
     let mut lines: BTreeMap<String, String> = BTreeMap::new();
     for (zcfg, grid, local_batch) in configs {
         lines

@@ -11,7 +11,7 @@
 
 use zero::cli::{usage_exit, Args};
 use zero::comm::{CollectiveKind, Grid};
-use zero::core::{run_training, CkptPlace, ConfigError, TrainSetup, ZeroConfig, ZeroStage};
+use zero::core::{run_training, CkptPlace, CommPlan, ConfigError, TrainSetup, ZeroConfig, ZeroStage};
 use zero::model::ModelConfig;
 use zero::optim::AdamConfig;
 
@@ -189,7 +189,7 @@ fn main() {
     let steps = args.get("--steps", 50usize);
 
     // One author of lever × stage × grid legality; its refusals are usage errors.
-    let off = setup.zero.check(setup.grid).unwrap_or_else(|e| {
+    setup.zero.check(setup.grid).unwrap_or_else(|e| {
         usage_exit(&match e {
             ConfigError::Switches(why) => {
                 format!("--clip must be finite and positive and --pa/--pa-cpu need checkpointing: {why}")
@@ -214,12 +214,19 @@ fn main() {
     }
 
     if tier.enabled {
+        // The plan places what crosses from the first step's memory walk.
+        let layout = zero::model::Layout::build_mp(&model, mp);
+        let off = CommPlan::placement(&layout, &setup.zero, setup.grid, 1, batch / dp * model.seq * model.hidden);
+        let classes = [(off.opt_state, "optimizer-state"), (off.grads, "grad-shards"), (off.params, "param-shards")];
+        let crossing: Vec<&str> = classes.iter().filter(|c| c.0).map(|c| c.1).collect();
         println!(
-            "offload: optimizer-state={} grad-shards={} param-shards={} | device budget {} | \
-             host link {} B/s + {:?}",
-            off.opt_state,
-            off.grads,
-            off.params,
+            "offload: placement crosses [{}]{} | device budget {} | host link {} B/s + {:?}",
+            crossing.join(", "),
+            if stage == ZeroStage::Three && !off.params {
+                "; param shard on the device, its updated piece climbing once a step"
+            } else {
+                ""
+            },
             if tier.device_budget == u64::MAX {
                 "unlimited".to_string()
             } else {
@@ -559,6 +566,20 @@ fn verify_offload(
         );
         ok = false;
     }
+    // The memory walk predicts every rank's measured peak from the plan.
+    let (m, grid) = (setup.model, setup.grid);
+    let act_elems = setup.global_batch / grid.dp_degree() * m.seq * m.hidden;
+    let layout = zero::model::Layout::build_mp(&m, grid.mp_degree());
+    for r in &offloaded.ranks {
+        let walked = CommPlan::footprint(&layout, &setup.zero, grid, 1, act_elems, r.rank).peak_device;
+        if walked != r.peak_device_bytes {
+            eprintln!(
+                "verify-offload: FAIL — rank {}: the memory walk predicts a {walked} B peak, the run measured {} B",
+                r.rank, r.peak_device_bytes
+            );
+            ok = false;
+        }
+    }
     let peak = |r: &zero::core::TrainReport| {
         r.ranks.iter().map(|k| k.peak_device_bytes).max().unwrap_or(0)
     };
@@ -585,8 +606,8 @@ fn verify_offload(
     }
     println!(
         "verify-offload: PASS — {} losses + {} eval losses bitwise-identical to the \
-         unconstrained run; peak device bytes {off_peak} (offloaded) vs {base_peak} \
-         (baseline){}",
+         unconstrained run; peak device bytes {off_peak} (offloaded, as walked on every rank) \
+         vs {base_peak} (baseline){}",
         offloaded.losses.len(),
         offloaded.val_losses.len(),
         if budget == u64::MAX {

@@ -9,6 +9,7 @@ use zero::core::{
 };
 use zero::model::{init_full_params, Gpt, ModelConfig, SyntheticCorpus};
 use zero::optim::{AdamConfig, SgdConfig};
+use zero_verify::memory::FULL_OFFLOAD_BUDGET;
 
 fn model() -> ModelConfig {
     ModelConfig {
@@ -320,8 +321,9 @@ fn first_losses_are_pinned_bit_for_bit() {
     // backward GEMMs); stage 3 runs fp32 with overlap. The last three rows
     // pin the synchronous engine paths: stage 3 fp16 with every ZeRO++
     // lever on two nodes of two (first-touch vs node-local refetch, both
-    // wire formats), stage 3 under an armed tier budget (demand tier
-    // fetches and per-flush spills), stage 1 with a bucket smaller than Ψ
+    // wire formats), stage 3 under a tier budget that fits only the
+    // offloaded parameter shard (a tier fetch at every gather, per-flush
+    // spills), stage 1 with a bucket smaller than Ψ
     // (chunked gradient reduce-scatter and parameter publish), and DDP's
     // two-level all-reduce on two nodes of two, chunked the same way. The
     // next two rows pin the checkpoint walk: stage 3 fp16 with overlap at
@@ -374,7 +376,7 @@ fn first_losses_are_pinned_bit_for_bit() {
             69_696,
         ),
         (
-            ZeroConfig { tier: TierConfig::budgeted(1 << 20), ..ZeroConfig::fp32_exact(ZeroStage::Three) },
+            ZeroConfig { tier: TierConfig::budgeted(FULL_OFFLOAD_BUDGET), ..ZeroConfig::fp32_exact(ZeroStage::Three) },
             two,
             14,
             [0x405d81d7, 0x405c724f, 0x405e1688, 0x405cc4ba, 0x405a73b4],

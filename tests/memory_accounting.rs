@@ -12,8 +12,10 @@
 //! at most one element's worth).
 
 use zero::comm::{try_launch_with_config, CollectiveKind, FaultPlan, Grid, WorldConfig};
-use zero::core::{run_training, CkptPlace, MemCategory, RankEngine, TrainSetup, ZeroConfig, ZeroStage};
-use zero::model::{init_full_params, Gpt, ModelConfig, SyntheticCorpus};
+use zero::core::{
+    run_training, CkptPlace, CommPlan, MemCategory, RankEngine, TrainSetup, ZeroConfig, ZeroStage,
+};
+use zero::model::{init_full_params, Gpt, Layout, ModelConfig, SyntheticCorpus};
 
 fn model() -> ModelConfig {
     ModelConfig {
@@ -92,21 +94,32 @@ fn stage3_model_states_are_16_over_nd() {
     }
 }
 
+fn offloaded(stage: ZeroStage, budget: u64) -> ZeroConfig {
+    ZeroConfig {
+        stage,
+        fp16: true,
+        checkpoint_activations: false,
+        tier: zero::core::TierConfig::budgeted(budget),
+        ..ZeroConfig::default()
+    }
+}
+
 fn run_offloaded(stage: ZeroStage, dp: usize, budget: u64) -> zero::core::TrainReport {
     let setup = TrainSetup {
         model: model(),
-        zero: ZeroConfig {
-            stage,
-            fp16: true,
-            checkpoint_activations: false,
-            tier: zero::core::TierConfig::budgeted(budget),
-            ..ZeroConfig::default()
-        },
+        zero: offloaded(stage, budget),
         grid: Grid::new(dp, 1),
         global_batch: 4,
         seed: 3,
     };
     run_training(&setup, 2, 0)
+}
+
+/// The largest tier budget under which stage 3 at `run_offloaded`'s shape
+/// offloads its parameter shard.
+fn full_offload_budget(dp: usize) -> u64 {
+    let (m, zcfg) = (model(), offloaded(ZeroStage::Three, u64::MAX));
+    CommPlan::full_offload_budget(&Layout::build(&m), &zcfg, Grid::new(dp, 1), 1, 4 / dp * m.seq * m.hidden)
 }
 
 #[test]
@@ -115,11 +128,12 @@ fn offload_moves_model_state_shards_to_host_categories_byte_exactly() {
     // for their Host* twins at exactly the paper's per-shard sizes:
     // 12·shard of fp32 optimizer state (stage ≥ 1), 2·shard of fp16
     // gradient shard (stage ≥ 2), 2·shard of fp16 working parameters
-    // (stage 3).
+    // (stage 3, under a budget that cannot hold it beside the step).
     let psi = model().total_params();
     let dp = 4;
     for stage in [ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
-        let report = run_offloaded(stage, dp, u64::MAX);
+        let budget = if stage == ZeroStage::Three { full_offload_budget(dp) } else { u64::MAX };
+        let report = run_offloaded(stage, dp, budget);
         for (d, r) in report.ranks.iter().enumerate() {
             let shard = shard_len(psi, dp, d);
             let host = |c: MemCategory| r.peak_by_category[c as usize];
@@ -157,6 +171,26 @@ fn offload_moves_model_state_shards_to_host_categories_byte_exactly() {
             }
         }
     }
+}
+
+#[test]
+fn a_budget_that_holds_the_parameter_shard_keeps_it_on_the_device() {
+    // The placement is the plan's: with room beside the step, the stage-3
+    // parameter shard stays a device category at the same 2·shard bytes,
+    // costing exactly those bytes of peak, and the losses do not move.
+    let (psi, dp) = (model().total_params(), 4);
+    let tight = full_offload_budget(dp);
+    let (offloaded, kept) = (run_offloaded(ZeroStage::Three, dp, tight), run_offloaded(ZeroStage::Three, dp, tight + 1));
+    for (d, (o, k)) in offloaded.ranks.iter().zip(&kept.ranks).enumerate() {
+        let shard = 2 * shard_len(psi, dp, d);
+        let cat = |r: &zero::core::RankReport, c: MemCategory| r.live_by_category[c as usize];
+        assert_eq!((cat(k, MemCategory::ParamsFp16), cat(k, MemCategory::HostParamShard)), (shard, 0), "rank {d}");
+        assert_eq!((cat(o, MemCategory::ParamsFp16), cat(o, MemCategory::HostParamShard)), (0, shard), "rank {d}");
+        assert_eq!(k.peak_device_bytes, o.peak_device_bytes + shard, "rank {d}");
+        assert!(k.peak_device_bytes <= tight + 1 && o.peak_device_bytes <= tight, "rank {d}");
+    }
+    let bits = |r: &zero::core::TrainReport| r.losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&offloaded), bits(&kept));
 }
 
 #[test]
@@ -388,6 +422,62 @@ fn failed_step_returns_staging_buffers_to_the_tracker() {
                     after, before,
                     "{stage:?} overlap={overlap} rank {rank}: Buffers leaked on the error path"
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn overlapped_stage3_settles_each_reduce_scatter_at_the_first_gather_behind_it() {
+    // `train.offload`'s shape: 4 blocks of hidden 128 (198 272 parameters
+    // each), ZeRO-3 with overlap over two ranks, checkpointing every block,
+    // bucket 65 536. Every block fills a bucket of its own; the head rides
+    // with the last block and the embedding with the first. A bucket's
+    // fp32 reduce-scatter buffer is released when the gather issued right
+    // behind it is consumed, so at most one is held beside the two units
+    // the prefetch window keeps: block 2 and block 1 gathered, head+block 3
+    // in flight. Held to the end-of-backward drain, all four (4Ψ) were.
+    let cfg = ModelConfig { vocab: 64, seq: 32, hidden: 128, layers: 4, heads: 4 };
+    let out = zero::comm::launch(2, move |comm| {
+        let zcfg = ZeroConfig {
+            stage: ZeroStage::Three,
+            overlap: true,
+            initial_loss_scale: 1.0,
+            tier: zero::core::TierConfig::budgeted(6 << 20),
+            ..ZeroConfig::default()
+        };
+        let params = init_full_params(&cfg, 41);
+        let mut engine = RankEngine::new(Gpt::new(cfg), &params, zcfg, Grid::new(2, 1), comm);
+        let corpus = SyntheticCorpus::generate(cfg.vocab, 2000, 41);
+        let (ids, targets) = corpus.rank_batch(0, 4, cfg.seq, 2, engine.dp_rank());
+        engine.train_step(&ids, &targets, 2);
+        engine.memory().peak(MemCategory::Buffers)
+    });
+    let (block, head_and_last) = (4 * 198_272, 4 * (198_272 + 8_448));
+    assert_eq!(2 * block + head_and_last, 2_413_056);
+    assert_eq!(out, [2_413_056; 2], "two gathered units plus one bucket");
+}
+
+#[test]
+fn the_memory_walk_predicts_every_peak_to_the_byte() {
+    // Every configuration the schedule digests pin (DDP and stages 1–3,
+    // tier on and off, synchronous and overlapped, ZeRO++ levers, MP
+    // grids, the two-level all-reduce, P_a and P_a+cpu), trained one step
+    // at two batch sizes: each rank's measured peak is the one
+    // `CommPlan::footprint` walks to from the plan.
+    let m = zero_verify::memory::digest_model();
+    let mut configs = zero_verify::memory::digest_configs();
+    configs.dedup_by(|a, b| (a.0, a.1) == (b.0, b.1));
+    assert!(configs.len() >= 170, "{} configurations", configs.len());
+    for (zcfg, grid, _) in configs {
+        for local_batch in [1, 2] {
+            let setup = TrainSetup { model: m, zero: zcfg, grid, global_batch: local_batch * grid.dp_degree(), seed: 3 };
+            let report = run_training(&setup, 1, 0);
+            let layout = Layout::build_mp(&m, grid.mp_degree());
+            let act_elems = local_batch * m.seq * m.hidden;
+            for r in &report.ranks {
+                let walked = CommPlan::footprint(&layout, &zcfg, grid, 1, act_elems, r.rank);
+                assert_eq!(walked.peak_device, r.peak_device_bytes, "{zcfg:?} {grid:?} batch {local_batch} rank {}", r.rank);
             }
         }
     }

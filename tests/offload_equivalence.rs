@@ -3,7 +3,8 @@
 //!
 //! * losses, validation losses, and master parameters bitwise identical
 //!   to the unconstrained run across stages 1–3 × N × sync (and overlap
-//!   at stages 2–3), and
+//!   at stages 2–3) — at stage 3 under both placements of the parameter
+//!   shard, kept on the device and offloaded — and
 //!   with every ZeRO++ lever mix on top — offload moves exact copies,
 //!   never values;
 //! * the collective schedule untouched: per-rank traffic still exactly
@@ -45,18 +46,33 @@ fn setup(stage: ZeroStage, dp: usize, overlap: bool, tier: TierConfig) -> TrainS
     }
 }
 
+/// The tiers each stage is run under: one with room on the device and,
+/// at stage 3, the largest budget the step fits only with the parameter
+/// shard offloaded, so both placements run.
+fn tiers(stage: ZeroStage, dp: usize, overlap: bool) -> Vec<TierConfig> {
+    let roomy = TierConfig::budgeted(64 << 20);
+    if stage != ZeroStage::Three {
+        return vec![roomy];
+    }
+    let (s, m) = (setup(stage, dp, overlap, roomy), model());
+    let act_elems = s.global_batch / dp * m.seq * m.hidden;
+    let tight = TierConfig::budgeted(CommPlan::full_offload_budget(&Layout::build(&m), &s.zero, s.grid, 1, act_elems));
+    assert!(CommPlan::placement(&Layout::build(&m), &ZeroConfig { tier: tight, ..s.zero }, s.grid, 1, act_elems).params);
+    vec![roomy, tight]
+}
+
 #[test]
 fn offloaded_losses_bitwise_match_unconstrained_for_all_stages() {
     for stage in [ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
         for dp in [2usize, 4] {
             // Stage 1 has nothing to issue ahead, so no overlapped form.
-            for overlap in [false, true].into_iter().filter(|&o| !o || stage.partitions_grads()) {
+            for (overlap, tier) in [false, true]
+                .into_iter()
+                .filter(|&o| !o || stage.partitions_grads())
+                .flat_map(|o| tiers(stage, dp, o).into_iter().map(move |t| (o, t)))
+            {
                 // eval_every exercises the eval pass's fetch path too.
-                let off = run_training(
-                    &setup(stage, dp, overlap, TierConfig::budgeted(64 << 20)),
-                    STEPS,
-                    2,
-                );
+                let off = run_training(&setup(stage, dp, overlap, tier), STEPS, 2);
                 let base =
                     run_training(&setup(stage, dp, overlap, TierConfig::off()), STEPS, 2);
                 for (i, (a, b)) in base.losses.iter().zip(&off.losses).enumerate() {
@@ -186,10 +202,14 @@ fn metered_tier_bytes_reconcile_with_plan_volumes_exactly() {
     let layout = Layout::build(&cfg);
     for stage in [ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
         for dp in [2usize, 4] {
-            for overlap in [false, true].into_iter().filter(|&o| !o || stage.partitions_grads()) {
-                let s = setup(stage, dp, overlap, TierConfig::budgeted(64 << 20));
+            for (overlap, tier) in [false, true]
+                .into_iter()
+                .filter(|&o| !o || stage.partitions_grads())
+                .flat_map(|o| tiers(stage, dp, o).into_iter().map(move |t| (o, t)))
+            {
+                let s = setup(stage, dp, overlap, tier);
                 let report = run_training(&s, 2, 0);
-                let act_elems = cfg.seq * cfg.hidden;
+                let act_elems = s.global_batch / dp * cfg.seq * cfg.hidden;
                 for r in &report.ranks {
                     let (mut fetch, mut spill) = (0u64, 0u64);
                     let mut ops = 0u64;
