@@ -34,8 +34,9 @@ printf '%s\n' 'fn a() {' '}' '#[cfg(test)]' 'mod tests {' '    fn t() {' '    }'
     || { echo "line counter self-test failed: code after a test module must be counted in full"; exit 1; }
 # Raised 12 930 -> 13 380 once, on purpose, by the memory walk
 # (core/src/footprint.rs, 359), the placement and settle rule (plan.rs,
-# engine.rs) and bench_step's full-offload row.
-line_ceiling=13380
+# engine.rs) and bench_step's full-offload row; lowered to 13 375 when the
+# overlapped gradient spill moved behind its reduce-scatter.
+line_ceiling=13375
 lines=0
 split=""
 for crate in comm core serve bench; do
@@ -50,7 +51,8 @@ sim=$(awk "$count_non_test" $(find crates/sim/src -name '*.rs') src/bin/zero-sim
 # plan, so a schedule decision moving back into it shows up here first.
 # Raised 1 223 -> 1 261: the engine interprets two new facts of the plan,
 # each op's position (the settle rule) and the first step's placement.
-engine_ceiling=1261
+# Lowered to 1 255: a spill is queued with its reduce-scatter, no drain.
+engine_ceiling=1255
 engine=$(awk "$count_non_test" crates/core/src/engine.rs)
 echo "    $lines non-test lines (ceiling $line_ceiling):$split; sim $sim (ceiling $sim_ceiling); engine $engine (ceiling $engine_ceiling)"
 [ "$lines" -le "$line_ceiling" ] || { echo "line budget exceeded: lower the count or raise the ceiling deliberately"; exit 1; }
@@ -123,6 +125,13 @@ cargo run -q --release -p zero-verify -- --pass modelcheck --budget 500000
 
 echo "==> cargo test -q"
 cargo test -q
+
+echo "==> cargo test -q --release --workspace (every crate's unit and integration tests)"
+# `cargo test` at the workspace root builds only the root package's tests;
+# this runs the crates' own: the schedule and serve digest pins, the
+# zero-core and zero-verify unit tests with their seeded mutants,
+# alloc_steady, and the rest of crates/*/tests.
+cargo test -q --release --workspace
 
 echo "==> overlap conformance (bitwise equivalence + exact traffic, sync vs overlapped)"
 cargo test -q --release --test overlap_equivalence
@@ -281,8 +290,8 @@ cargo run --release --offline --locked --quiet --manifest-path zero_bench/Cargo.
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc --no-deps (warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+echo "==> cargo doc --no-deps --workspace (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace
 
 echo "==> cargo test -- --ignored (fault-matrix stress)"
 cargo test -q -- --ignored

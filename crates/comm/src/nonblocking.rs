@@ -2,8 +2,8 @@
 //! thread, and the [`PendingOp`] completion handle.
 //!
 //! Every communication op a rank issues is a closure over the rank's
-//! private [`Fabric`](crate::world::Fabric). `start_*` queue it on the
-//! rank's [`Desk`] with the op's owned buffer moved in
+//! private `Fabric`. `start_*` queue it on the
+//! rank's `Desk` with the op's owned buffer moved in
 //! (`Communicator::submit`); the blocking collectives run their body on the
 //! caller's thread over the caller's borrowed slices
 //! (`Communicator::run_now`). Whoever holds the fabric runs the queue

@@ -24,7 +24,7 @@
 //!   `recv_timeout`. A *hung* peer keeps heartbeating, so hangs still
 //!   surface as `Timeout` — fault semantics stay backend-identical.
 //! - **One receive path, one shutdown signal.** Each peer's reader thread
-//!   decodes its frames straight into an inbound [`Pipe`] that the rank's
+//!   decodes its frames straight into an inbound `Pipe` that the rank's
 //!   fabric owns, as on the in-process backend, and closes it when the
 //!   peer is gone or silent. A receive is the in-process one, and a rank
 //!   hung by the fault plan is released once every peer's pipe has

@@ -1,17 +1,17 @@
 //! Pluggable rank-to-rank transport: the [`Transport`] trait, the
-//! [`Pipe`] every receive reads, and the in-process backend.
+//! `Pipe` every receive reads, and the in-process backend.
 //!
-//! The [`Fabric`](crate::world::Fabric) owns everything that makes the
+//! The `Fabric` owns everything that makes the
 //! communicator *correct* — per-pair sequence numbers, the checksum
 //! verdict, fault injection, traffic accounting, spans — and its receive
-//! side: one inbound [`Pipe`] per peer. A `Transport` only sends: it
+//! side: one inbound `Pipe` per peer. A `Transport` only sends: it
 //! moves the caller's `&[f32]` into the peer's pipe and folds the payload
 //! CRC into the pass that moves the bytes; the receiver copies the
 //! message into its `&mut [f32]`, checksumming again, and hands the
 //! emptied buffer back to the pipe. A warm pipe moves bytes without
 //! allocating. Two backends differ only in how they send:
 //!
-//! * [`ChannelTransport`] (here): ranks are threads in one process and
+//! * `ChannelTransport` (here): ranks are threads in one process and
 //!   the sender fills the peer's pipe itself. The fast path for tests and
 //!   the default for `launch`/`World`.
 //! * [`SocketTransport`](crate::process::SocketTransport): ranks are

@@ -3,7 +3,7 @@
 //! A rank in the paper is one GPU process talking NCCL over NVLink/IB.
 //! Here a rank is one OS thread by default. Every rank receives from one
 //! inbound pipe per peer — one FIFO per ordered rank pair, owned by the
-//! receiving [`Fabric`] — and sends through a pluggable [`Transport`]:
+//! receiving `Fabric` — and sends through a pluggable [`Transport`]:
 //! the in-process backend fills the peer's pipe directly, while the
 //! process backend (`crate::process`) runs each rank as a separate OS
 //! process and writes frames on Unix domain sockets that the peer's
@@ -26,7 +26,7 @@
 //! pipe into it has closed.
 //!
 //! Execution model (overlap-centric): the pipes, transport, sequence
-//! numbers and fault state live in a private [`Fabric`] that one thread
+//! numbers and fault state live in a private `Fabric` that one thread
 //! at a time holds. The public [`Communicator`] is a thin handle that queues
 //! closures over the fabric in issue order (`Communicator::submit`) and
 //! returns [`PendingOp`]s; a per-rank *progress thread* runs queued ops

@@ -4,18 +4,18 @@
 //! implements the paper's four data-parallel regimes over the same model
 //! and collectives:
 //!
-//! * [`ZeroStage::Ddp`] — replicate everything, all-reduce gradients
-//!   (the PyTorch-DDP baseline of §10.1).
-//! * [`ZeroStage::One`] — P_os (§5.1): optimizer states sharded 1/N_d;
-//!   gradients reduce-scattered so each rank owns its shard's average,
-//!   updated parameters all-gathered.
-//! * [`ZeroStage::Two`] — P_os+g (§5.2): gradients partitioned too;
-//!   per-unit gradients are bucketized (CB, §6.2) and reduce-scattered to
-//!   their owners as backward proceeds, then freed.
-//! * [`ZeroStage::Three`] — P_os+g+p (§5.3): parameters partitioned;
-//!   each unit's parameters are all-gathered right before use in forward
-//!   and again in backward, and discarded right after — the dynamic
-//!   communication schedule of §7.2.2 with its 3Ψ total volume.
+//! * [`ZeroStage::Ddp`](crate::ZeroStage::Ddp) — replicate everything,
+//!   all-reduce gradients (the PyTorch-DDP baseline of §10.1).
+//! * [`ZeroStage::One`](crate::ZeroStage::One) — P_os (§5.1): optimizer
+//!   states sharded 1/N_d; gradients reduce-scattered so each rank owns its
+//!   shard's average, updated parameters all-gathered.
+//! * [`ZeroStage::Two`](crate::ZeroStage::Two) — P_os+g (§5.2): gradients
+//!   partitioned too; per-unit gradients are bucketized (CB, §6.2) and
+//!   reduce-scattered to their owners as backward proceeds, then freed.
+//! * [`ZeroStage::Three`](crate::ZeroStage::Three) — P_os+g+p (§5.3):
+//!   parameters partitioned; each unit's are all-gathered right before use
+//!   in forward and again in backward, and discarded right after — the
+//!   dynamic communication schedule of §7.2.2 with its 3Ψ total volume.
 //!
 //! ZeRO-R is layered on top: activation checkpointing with optional
 //! MP-partitioned checkpoints P_a and CPU offload P_a+cpu (§6.1, the
@@ -29,13 +29,13 @@
 //! the plan builder records and the engine executes through a per-micro
 //! `Pass`. Every entry point installs the [`CommPlan`] for what it is
 //! about to run and then interprets it: each collective pops its op off
-//! the [`PlanCursor`](crate::plan::PlanCursor), and the op is the only
-//! source of its group, counts, precision, wire format and reduction, of
-//! the stores a fetch reads and stashes into, of whether the next unit's
-//! fetch goes out before this one is waited, where the gradient bucket is
-//! cut, which ops each CB chunk runs, whether a reduce-scatter is settled
-//! at once or left in flight, and which tier movement goes with it. The
-//! engine derives no group and picks no reduction of its own.
+//! the [`PlanCursor`], and the op is the only source of its group, counts,
+//! precision, wire format and reduction, of the stores a fetch reads and
+//! stashes into, of whether the next unit's fetch goes out before this one
+//! is waited, where the gradient bucket is cut, which ops each CB chunk
+//! runs, whether a reduce-scatter is settled at once or left in flight,
+//! and which tier movement goes ahead of it or behind it. The engine
+//! derives no group and picks no reduction of its own.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -84,9 +84,10 @@ struct Issued {
     /// completes before the ring starts) and waited first.
     seed: Option<PendingOp>,
     pending: PendingOp,
-    /// Offload: the device→host spill of the op's result, due once the op
-    /// has been waited.
-    spill: Option<ResolvedTierOp>,
+    /// Offload: the device→host spill of the op's result, queued on the
+    /// FIFO right behind it (so it leaves as soon as the ring has
+    /// produced the piece, ahead of any op issued later) and waited last.
+    spill: Option<PendingOp>,
     /// The planned op: its group geometry, issue mode and reduction.
     op: ResolvedOp,
     /// The op's position in the installed plan: its place in the rank's
@@ -95,13 +96,17 @@ struct Issued {
 }
 
 impl Issued {
-    /// Settles the seeding transfer, then the op, so failures surface in
-    /// issue order, and applies the average the op closes with, if any.
+    /// Settles the seeding transfer, then the op, then its spill, so
+    /// failures surface in FIFO order, and applies the average the op
+    /// closes with, if any.
     fn wait(self) -> Result<Vec<f32>, CommError> {
         if let Some(seed) = self.seed {
             seed.wait()?;
         }
         let mut out = self.pending.wait()?;
+        if let Some(spill) = self.spill {
+            spill.wait()?;
+        }
         if let Reduction::Average { over } = self.op.reduce {
             let inv = 1.0 / over as f32;
             out.iter_mut().for_each(|v| *v *= inv);
@@ -149,15 +154,16 @@ impl Issuer {
     /// The one place a planned all-gather or reduce-scatter is issued: pops
     /// the next op off the plan cursor (plan order is issue order, which is
     /// what the static checks verify), submits the tier fetch that seeds
-    /// it, and starts it on `buf`, handed back as the result, with the
-    /// op's group, counts, precision, wire format (raw ring, qwZ int8
-    /// blocks, or qgZ two-phase) and reduction. When the caller waits is
-    /// the only thing that distinguishes synchronous from overlapped runs.
+    /// it, starts it on `buf`, handed back as the result, with the op's
+    /// group, counts, precision, wire format (raw ring, qwZ int8 blocks,
+    /// or qgZ two-phase) and reduction, and queues the tier spill that
+    /// carries its result. When the caller waits is the only thing that
+    /// distinguishes synchronous from overlapped runs.
     fn start(&mut self, kind: CollectiveKind, buf: Vec<f32>) -> Issued {
         let pos = self.plan.position();
         let (op, tier) = self.plan.take_riding(kind);
         // A fetch riding the op seeds it and goes first; a spill carries
-        // its result and is the caller's to issue after the wait.
+        // its result and goes right behind it.
         let (seed, spill) = match tier {
             Some(t) if t.dir == TierDir::Fetch => (Some(self.tier_move(t)), None),
             spill => (None, spill),
@@ -171,6 +177,7 @@ impl Issuer {
                 comm.start_all_gather(&group, op.place(comm.rank(), buf), counts, op.prec, op.wire)
             }
         };
+        let spill = spill.map(|t| self.tier_move(t));
         Issued { seed, pending, spill, op, pos }
     }
 
@@ -309,14 +316,12 @@ pub struct RankEngine {
     placed: bool,
 
     bucket: GradBucket,
-    /// In-flight bucket reduce-scatters: issued as backward produces them
-    /// and settled in FIFO order — right after the flush in synchronous
-    /// mode, under overlap when the first gather issued behind them is
-    /// consumed — so gradient accumulation order, and therefore the loss,
-    /// is bitwise identical either way.
+    /// In-flight bucket reduce-scatters, each with the spill behind it:
+    /// issued as backward produces them and settled in FIFO order — right
+    /// after the flush in synchronous mode, under overlap when the first
+    /// gather issued behind them is consumed — so gradient accumulation
+    /// order, and therefore the loss, is bitwise identical either way.
     inflight_rs: VecDeque<InflightReduce>,
-    /// Spills of settled reduce-scatters, due at the end-of-micro drain.
-    spills: Vec<ResolvedTierOp>,
     /// The stage-3 prefetch slot: a parameter all-gather the plan issued
     /// ahead of its unit's use.
     prefetch: Option<Issued>,
@@ -443,7 +448,6 @@ impl RankEngine {
         RankEngine {
             bucket: GradBucket::new(),
             inflight_rs: VecDeque::new(),
-            spills: Vec::new(),
             prefetch: None,
             held: None,
             io: Issuer {
@@ -607,32 +611,23 @@ impl RankEngine {
     }
 
     /// Settles, in issue order, the in-flight bucket reduce-scatters issued
-    /// before plan position `before`: wait, land the owner piece in the
-    /// gradient shard, free the fused buffer (§5.2), keep the spill for the
-    /// drain. At a consumed gather's position the wait is free: the fabric
-    /// runs the rank's ops in issue order.
+    /// before plan position `before` (`usize::MAX`: all of them, the drain):
+    /// wait each and the spill behind it, land the owner piece in the
+    /// gradient shard, free the fused buffer (§5.2). At a consumed gather's
+    /// position the wait is free: the fabric runs the rank's ops in issue
+    /// order, so the reduce-scatter and its spill are done before the
+    /// gather starts. After an error `clear_transients` drops the handles
+    /// left unawaited; their ops still run in issue order, keeping the SPMD
+    /// schedule aligned for recovery.
     fn settle(&mut self, before: usize) -> Result<(), CommError> {
         while self.inflight_rs.front().is_some_and(|inf| inf.issued.pos < before) {
-            let Some(mut inf) = self.inflight_rs.pop_front() else { break };
-            self.spills.extend(inf.issued.spill.take());
+            let Some(inf) = self.inflight_rs.pop_front() else { break };
             let bytes = 4 * inf.issued.op.total_elems() as u64;
             let span = self.trace.begin(SpanCategory::Wait, "settle-reduce");
             let out = inf.issued.wait();
             self.trace.end(span);
             self.mem.free(MemCategory::Buffers, bytes);
             self.grads.add(inf.span, &out?);
-        }
-        Ok(())
-    }
-
-    /// Settles everything still in flight, then issues the due gradient
-    /// spills in plan order. After an error `clear_transients` drops the
-    /// handles left unawaited; their ops still run in issue order, keeping
-    /// the SPMD schedule aligned for recovery.
-    fn drain_inflight(&mut self) -> Result<(), CommError> {
-        self.settle(usize::MAX)?;
-        for t in std::mem::take(&mut self.spills) {
-            self.io.tier_move(t).wait()?;
         }
         Ok(())
     }
@@ -644,7 +639,6 @@ impl RankEngine {
         let inflight: usize = self.inflight_rs.drain(..).map(|inf| inf.issued.op.total_elems()).sum();
         let held = self.held.take().map_or(0, |(.., buf)| buf.len());
         let slot = self.prefetch.take().map_or(0, |pf| pf.op.total_elems());
-        self.spills.clear();
         self.mem.free(MemCategory::Buffers, 4 * (inflight + held + slot) as u64);
     }
 
@@ -728,7 +722,7 @@ impl RankEngine {
             inflight_rs.push_back(InflightReduce { span, issued });
         });
         if settle {
-            self.drain_inflight()?;
+            self.settle(usize::MAX)?;
         }
         Ok(())
     }
@@ -1240,10 +1234,10 @@ impl Walker for Pass<'_> {
     }
 
     /// Embedding backward, then drain: settle what no gather was issued
-    /// behind (nothing is left in sync mode) and issue the spills. The
-    /// last planned bucket ends at element 0, so the embedding's push
-    /// flushed it and the next micro-batch's head-first pushes start a
-    /// fresh descending run.
+    /// behind, with the spills queued behind it (nothing is left in sync
+    /// mode). The last planned bucket ends at element 0, so the
+    /// embedding's push flushed it and the next micro-batch's head-first
+    /// pushes start a fresh descending run.
     fn embed_bwd(&mut self) -> Result<(), CommError> {
         let e = &mut *self.e;
         let range = e.gpt.layout().units()[0].range.clone();
@@ -1253,7 +1247,7 @@ impl Walker for Pass<'_> {
         e.trace.end(span);
         self.dy = Vec::new();
         e.dispatch_grads(range, grads)?;
-        e.drain_inflight()?;
+        e.settle(usize::MAX)?;
         debug_assert!(e.prefetch.is_none(), "prefetch slot must drain with backward");
         Ok(())
     }

@@ -36,11 +36,12 @@ pub struct Footprint {
     /// Peak device bytes: what the engine's `MemoryTracker::peak_device`
     /// reads after the step.
     pub peak_device: u64,
-    /// Every bucket reduce-scatter of the step in plan order: its op index,
-    /// and the index of the gather at whose consumption its buffer was
+    /// Every bucket reduce-scatter of the step in plan order: its op index;
+    /// the index of the gather at whose consumption its buffer was
     /// released — `None` when it was settled at its flush (synchronous) or
-    /// at the end-of-micro drain.
-    pub settles: Vec<(usize, Option<usize>)>,
+    /// at the end-of-micro drain; and the plan position there, the number
+    /// of ops issued when the engine waits it and the spill behind it.
+    pub settles: Vec<(usize, Option<usize>, usize)>,
 }
 
 /// Walks one step of `plan` (micro-batch forward/backward passes, then the
@@ -144,7 +145,7 @@ struct Replay<'a> {
     held: Option<usize>,
     /// Bucket reduce-scatters in flight: op index and buffer bytes.
     inflight: VecDeque<(usize, u64)>,
-    settles: Vec<(usize, Option<usize>)>,
+    settles: Vec<(usize, Option<usize>, usize)>,
     /// The gradients dispatched since the last flush.
     pending: Option<Range<usize>>,
     /// Bytes of one block's kept activations, and of one checkpoint.
@@ -172,13 +173,14 @@ impl Replay<'_> {
     }
 
     /// Releases every reduce-scatter in flight issued before op `before`,
-    /// recording the gather `by` whose consumption released it.
+    /// recording the gather `by` whose consumption released it and the
+    /// current position.
     fn settle(&mut self, before: usize, by: Option<usize>) {
         while let Some(&(at, bytes)) = self.inflight.front().filter(|(at, _)| *at < before) {
             self.inflight.pop_front();
             self.mem.free(MemCategory::Buffers, bytes);
             if let Some(s) = self.settles.iter_mut().find(|s| s.0 == at) {
-                s.1 = by;
+                (s.1, s.2) = (by, self.next);
             }
         }
     }
@@ -211,7 +213,7 @@ impl Replay<'_> {
         let bytes = 4 * span.len() as u64;
         self.mem.alloc(MemCategory::Buffers, bytes);
         self.inflight.push_back((at, bytes));
-        self.settles.push((at, None));
+        self.settles.push((at, None, self.next));
         if !self.ops[at].nonblocking {
             self.settle(usize::MAX, None);
         }

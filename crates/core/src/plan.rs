@@ -410,8 +410,10 @@ pub struct TierOp {
     pub demand_pos: usize,
     /// Index of the collective this movement rides: a fetch seeds that
     /// all-gather and goes onto the FIFO right before it; a spill carries
-    /// that reduce-scatter's result and leaves once it has been waited.
-    /// `None` (stage 1's end-of-step spill, checkpoint spills): issued at `issue_pos`.
+    /// that reduce-scatter's result and goes onto the FIFO right behind it
+    /// (`issue_pos = rides + 1`), waited where the reduce-scatter is
+    /// settled. `None` (stage 1's end-of-step spill, checkpoint spills):
+    /// issued at `issue_pos`.
     pub rides: Option<usize>,
 }
 
@@ -459,7 +461,7 @@ pub struct CommPlan {
 /// 3), P_a+cpu checkpoints (§6.1) by their own switch.
 /// [`CommPlan::placement`] says which *do*: the same, except that the
 /// stage-3 parameter shard stays on the device when the step's memory walk
-/// fits the budget with it there. The plan [`Builder`] turns a placement
+/// fits the budget with it there. The plan builder turns a placement
 /// into tier ops; the engine prices memory residency (host vs device) from
 /// the placement its first step planned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -526,11 +528,6 @@ struct Builder {
     /// the engine's [`GradBucket`](crate::bucket::GradBucket) fuses
     /// whatever range the planned reduce-scatter names.
     bucket: Option<Range<usize>>,
-    /// Overlap mode: gradient spills (counts, reduce-scatter index)
-    /// recorded at their reduce-scatter but issued at the end-of-micro
-    /// drain — a spill can only leave once the bucket's reduce-scatter
-    /// has been waited, and overlap waits them all there.
-    pending_spills: Vec<(Vec<usize>, usize)>,
     /// Elements of one block activation: what every MP all-reduce and P_a
     /// gather of the walk moves.
     act_elems: usize,
@@ -554,7 +551,6 @@ impl Builder {
             bucket: None,
             off,
             tier: Vec::new(),
-            pending_spills: Vec::new(),
             act_elems: 0,
         }
     }
@@ -687,6 +683,13 @@ impl Builder {
         }
     }
 
+    /// Emits one bucket reduce-scatter of `fused`, and under gradient
+    /// offload the spill of each rank's reduced piece of it to the host
+    /// optimizer, in both modes right behind the reduce-scatter that
+    /// produces it (`issue_pos = rides + 1`): the rank's FIFO runs the
+    /// spill before any op issued later. The engine blocks on the spill
+    /// where it settles the reduce-scatter; `prefix_placed` stamps that
+    /// demand position.
     fn grad_flush(&mut self, fused: Range<usize>) {
         let counts = self.part.intersect_counts(&fused);
         let comp = self.zcfg.compression;
@@ -699,16 +702,7 @@ impl Builder {
         let kind = CollectiveKind::ReduceScatter;
         self.op_nb(kind, PlanScope::Dp, counts.clone(), "grad-bucket", wire, OpRole::Span(fused));
         if self.off.grads {
-            // Each rank spills its reduced piece of the bucket to the host
-            // optimizer. The spill can only leave once the reduce-scatter
-            // has produced it: sync mode spills right here, overlap mode
-            // at the end-of-micro drain (where the engine first waits the
-            // bucket's reduce-scatter).
-            if self.zcfg.overlap {
-                self.pending_spills.push((counts, rs));
-            } else {
-                self.tier_op(TierDir::Spill, "tier-grad-spill", counts, Some(rs));
-            }
+            self.tier_op(TierDir::Spill, "tier-grad-spill", counts, Some(rs));
         }
     }
 
@@ -781,15 +775,11 @@ impl Builder {
     }
 
     /// Seals the builder into a plan, checking the walk left nothing
-    /// half-scheduled: the prefetch slot was consumed, no unit is still
-    /// held and every overlap spill was drained.
+    /// half-scheduled: the prefetch slot was consumed and no unit is still
+    /// held.
     fn finish(self) -> CommPlan {
         debug_assert!(self.slot.is_none(), "plan builder: a prefetched unit was never consumed");
         debug_assert!(self.held.is_none(), "plan builder: a held unit was never fetched again");
-        debug_assert!(
-            self.pending_spills.is_empty(),
-            "plan builder: pending tier spills were never drained"
-        );
         CommPlan { grid: self.grid, ops: self.ops, tier: self.tier }
     }
 }
@@ -897,17 +887,14 @@ impl Walker for Builder {
         Ok(())
     }
 
-    /// Embedding backward, then drain the bucket for the next micro-batch:
-    /// every reduce-scatter still in flight is waited at the end-of-micro
-    /// drain and its reduced piece spilled.
+    /// Embedding backward, then flush what the bucket holds for the next
+    /// micro-batch: the engine waits every reduce-scatter still in flight,
+    /// and the spill queued behind each, at the end-of-micro drain.
     fn embed_bwd(&mut self) -> Result<(), Infallible> {
         self.last = None;
         self.dispatch_grads(0);
         if let Some(rest) = self.bucket.take() {
             self.grad_flush(rest);
-        }
-        for (counts, rs) in std::mem::take(&mut self.pending_spills) {
-            self.tier_op(TierDir::Spill, "tier-grad-spill", counts, Some(rs));
         }
         Ok(())
     }
@@ -947,7 +934,19 @@ impl CommPlan {
         }
         b.grad_reduce();
         b.scalar_all_reduce(PlanScope::World, ReduceOp::Max, "overflow-flag");
-        b.finish()
+        let mut plan = b.finish();
+        if off.grads {
+            // The engine blocks on a gradient spill where it settles the
+            // reduce-scatter the spill rides: the memory walk's release
+            // point, the same on every rank.
+            let settles = crate::footprint::replay(layout, zcfg, &plan.ops, grid, (micro_batches, act_elems), off, 0).settles;
+            for t in &mut plan.tier {
+                if let Some(&(.., at)) = settles.iter().find(|s| Some(s.0) == t.rides) {
+                    t.demand_pos = at;
+                }
+            }
+        }
+        plan
     }
 
     /// The data-dependent suffix of a training step, given the skip

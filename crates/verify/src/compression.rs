@@ -21,7 +21,7 @@
 //!   paper-level factor: ≥ 3.5× at stage 3 for N ≥ 4, G ≥ 2 (two
 //!   micro-batches — the gradient-accumulation regime hpZ pays off in).
 //!
-//! Overlap invariance ([`schedule::check_overlap_pair`]) is also re-run
+//! Overlap invariance (`schedule::check_overlap_pair`) is also re-run
 //! on every compressed configuration, so prefetch reordering proofs hold
 //! with mixed-wire fetches too.
 
@@ -198,7 +198,7 @@ const STAGES: [ZeroStage; 2] = [ZeroStage::Two, ZeroStage::Three];
 /// (N, G) worlds of the sweep.
 const WORLDS: [(usize, usize); 5] = [(2, 2), (4, 2), (4, 4), (8, 2), (8, 4)];
 
-/// The swept configurations: [`WORLDS`] × every lever combination its
+/// The swept configurations: `WORLDS` × every lever combination its
 /// stage owns — qgZ at stage 2, the seven non-empty ones at stage 3 —
 /// that `check` admits, each once: qwZ alone reads no node size, so it
 /// runs flat once per N, and hpZ is refused at G = N — 30 in all.

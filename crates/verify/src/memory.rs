@@ -163,14 +163,18 @@ fn settled_by(ops: &[PlanOp], rs: usize) -> Option<usize> {
 }
 
 /// The settle clause: the walk releases every bucket reduce-scatter of
-/// `ops`, once and in plan order, exactly where `settled_by` puts it.
+/// `ops`, once and in plan order, exactly where `settled_by` puts it, at a
+/// plan position after the op that releases it (the gather, or the
+/// reduce-scatter that closes its flush or micro-batch) and before the
+/// next fetch goes out. The engine waits each gradient spill there too.
 pub fn check_settles(ops: &[PlanOp], walked: &Footprint, what: &str) -> Result<usize, String> {
     let planned: Vec<usize> = (0..ops.len()).filter(|&i| matches!(ops[i].role, OpRole::Span(_))).collect();
     let walked_rs: Vec<usize> = walked.settles.iter().map(|s| s.0).collect();
     if walked_rs != planned {
         return Err(format!("{what}: the walk settles reduce-scatters {walked_rs:?}, the plan issues {planned:?}"));
     }
-    for &(rs, by) in &walked.settles {
+    let is_fetch = |op: &PlanOp| matches!(op.role, OpRole::Fetch { .. });
+    for &(rs, by, at) in &walked.settles {
         let want = settled_by(ops, rs);
         if by != want {
             return Err(format!(
@@ -178,6 +182,13 @@ pub fn check_settles(ops: &[PlanOp], walked: &Footprint, what: &str) -> Result<u
                 by.map_or("the drain".into(), |g| format!("fetch op {g}")),
                 want.map_or("the drain".into(), |g| format!("fetch op {g}")),
             ));
+        }
+        // Where the engine is when it waits: past the op that releases the
+        // buffer (a drain follows a reduce-scatter), before the next fetch.
+        let from = by.unwrap_or(rs);
+        let past = from < at && at <= ops.len() && !ops[from + 1..at].iter().any(is_fetch);
+        if !past || (by.is_none() && !matches!(ops[at - 1].role, OpRole::Span(_))) {
+            return Err(format!("{what}: reduce-scatter op {rs}'s buffer is released at plan position {at}, not right after op {from}"));
         }
     }
     Ok(planned.len())
@@ -263,7 +274,7 @@ mod tests {
         let at_gathers = walked.settles.iter().filter(|s| s.1.is_some()).count();
         assert!(at_gathers >= 2 && at_gathers < walked.settles.len(), "{:?}", walked.settles);
         // Mutant 1: every buffer held to the end-of-micro drain.
-        let drained = Footprint { settles: walked.settles.iter().map(|&(rs, _)| (rs, None)).collect(), ..walked.clone() };
+        let drained = Footprint { settles: walked.settles.iter().map(|&(rs, _, at)| (rs, None, at)).collect(), ..walked.clone() };
         let err = check_settles(plan.ops(), &drained, "drained").unwrap_err();
         assert!(err.contains("released at the drain"), "{err}");
         // Mutant 2: one buffer released a gather early, before the gather
@@ -273,7 +284,13 @@ mod tests {
         let before = plan.ops()[..by].iter().rposition(|op| matches!(op.role, OpRole::Fetch { .. })).unwrap();
         early.settles[k].1 = Some(before);
         assert!(check_settles(plan.ops(), &early, "early").is_err());
-        // Mutant 3: a reduce-scatter the walk never released.
+        // Mutant 3: a release recorded at the right gather but past the
+        // next fetch, where the engine no longer is.
+        let mut late = walked.clone();
+        let next = (by + 1..plan.ops().len()).find(|&i| matches!(plan.ops()[i].role, OpRole::Fetch { .. })).unwrap();
+        late.settles[k].2 = next + 1;
+        assert!(check_settles(plan.ops(), &late, "late").unwrap_err().contains("plan position"));
+        // Mutant 4: a reduce-scatter the walk never released.
         let mut lost = walked;
         lost.settles.pop();
         assert!(check_settles(plan.ops(), &lost, "lost").unwrap_err().contains("the plan issues"));

@@ -293,7 +293,7 @@ pub enum HandoffMutant {
 /// while the ops issued behind it must still finish — modeled as an
 /// untimed wait that never helps — and finally drops the communicator,
 /// closing the desk. Every decision comes from
-/// [`handoff`](zero_comm::protocol::handoff); all desk state lives
+/// [`handoff`]; all desk state lives
 /// under one mutex and one condvar, as in the real primitive.
 ///
 /// Checked: every op runs exactly once and in issue order, whoever runs

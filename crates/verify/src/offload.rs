@@ -14,16 +14,20 @@
 //! * **Pairing.** Every parameter fetch anchors exactly at the
 //!   all-gather it seeds, with byte-identical per-rank counts, and every
 //!   gather of the primary shards has one (an hpZ refetch reads the
-//!   device-resident secondary copy and has none); every
-//!   synchronous gradient spill anchors right after the reduce-scatter
+//!   device-resident secondary copy and has none); every gradient spill,
+//!   synchronous or overlapped, anchors right after the reduce-scatter
 //!   that produced its piece; every publish fetch anchors at its publish
-//!   all-gather. Anchors are strictly increasing — the tier stream cannot
-//!   reorder against the collective stream. The engine is handed each
-//!   movement together with the collective it `rides`, so the same
-//!   anchors are proven of that link: a fetch rides the all-gather at its
-//!   anchor, a spill rides an earlier reduce-scatter with byte-identical
-//!   counts (the one right before its anchor when synchronous), and only
-//!   stage 1's end-of-step spill and checkpoint spills ride nothing.
+//!   all-gather. Anchors never decrease — the tier stream cannot reorder
+//!   against the collective stream. The engine is handed each movement
+//!   together with the collective it `rides`, so the same anchors are
+//!   proven of that link: a fetch rides the all-gather at its anchor, a
+//!   spill rides the reduce-scatter right before its anchor with
+//!   byte-identical counts (one rule for both modes: the rank's FIFO runs
+//!   the spill before anything issued later), and only stage 1's
+//!   end-of-step spill and checkpoint spills ride nothing. Each gradient
+//!   spill is blocked on where the memory walk releases the reduce-scatter
+//!   it rides ([`CommPlan::footprint`], whose release points
+//!   `--pass memory` proves): the engine waits the two together.
 //! * **Telescoping volumes.** Per rank and step, gradient-spill bytes
 //!   total exactly `micro_batches · shard` elements for stages 2–3 (the
 //!   buckets tile Ψ each micro-batch) and one `shard` for stage 1 on
@@ -60,8 +64,8 @@
 
 use zero_comm::Grid;
 use zero_core::{
-    CkptPlace, CommPlan, CompressionConfig, OpRole, ParamStore, Partitioner, ResolvedTierOp, StepShape,
-    TierConfig, TierDir, ZeroConfig, ZeroStage,
+    CkptPlace, CommPlan, CompressionConfig, Footprint, OpRole, ParamStore, Partitioner, PlanOp, ResolvedTierOp,
+    StepShape, TierConfig, TierDir, TierOp, ZeroConfig, ZeroStage,
 };
 use zero_model::{Layout, ModelConfig};
 
@@ -102,7 +106,7 @@ fn cfg(stage: ZeroStage, overlap: bool, fp16: bool, tier: TierConfig) -> ZeroCon
 }
 
 /// Two micro-batches: the regime where per-micro spill telescoping and
-/// the drain-barrier spill placement are both visible.
+/// the spills blocked on at the end-of-micro drain are both visible.
 fn shape(skipped: bool) -> StepShape {
     let m = test_model();
     StepShape { micro_batches: 2, act_elems: 2 * m.seq * m.hidden, skipped }
@@ -161,7 +165,7 @@ fn check_anchors(
             report.windows_proven += 1;
         }
         // Anchor pairing: each movement sits against the collective that
-        // consumes (fetch) or produced (sync spill) its bytes.
+        // consumes (fetch) or produced (spill) its bytes.
         match t.label {
             "tier-param-fetch" | "tier-publish-fetch" | "tier-ckpt-fetch" => {
                 let op = ops.get(t.issue_pos).ok_or_else(|| {
@@ -189,10 +193,10 @@ fn check_anchors(
                 }
                 report.paired_ops += 1;
             }
-            "tier-grad-spill" if !overlap && t.issue_pos > 0 => {
-                // Sync spills follow their reduce-scatter immediately
-                // (stage-1's single end-of-step spill anchors at 0 in the
-                // suffix segment and is volume-checked below instead).
+            "tier-grad-spill" if t.issue_pos > 0 => {
+                // Spills follow their reduce-scatter immediately (stage
+                // 1's single end-of-step spill anchors at 0 in the suffix
+                // segment and is volume-checked below instead).
                 let op = &ops[t.issue_pos - 1];
                 if op.kind == zero_comm::CollectiveKind::ReduceScatter {
                     let want = op.prec.bytes() * op.counts[rank] as u64;
@@ -213,25 +217,24 @@ fn check_anchors(
     Ok(())
 }
 
-/// Proves the `rides` link of every tier op consistent with its anchor:
-/// the engine issues a movement with the collective it rides, so this is
-/// what makes the runtime order the planned one.
-fn check_rides(plan: &CommPlan, zcfg: &ZeroConfig, what: &str) -> Result<(), String> {
+/// Proves the `rides` link of every tier op of a plan (`tier` over `ops`)
+/// consistent with its anchor: the engine issues a movement with the
+/// collective it rides, so this is what makes the runtime order the
+/// planned one.
+fn check_rides(tier: &[TierOp], ops: &[PlanOp], zcfg: &ZeroConfig, what: &str) -> Result<(), String> {
     use zero_comm::CollectiveKind::{AllGather, ReduceScatter};
-    for (i, t) in plan.tier_ops().iter().enumerate() {
+    for (i, t) in tier.iter().enumerate() {
         let Some(r) = t.rides else {
             if t.label == "tier-ckpt-spill" || (t.dir == TierDir::Spill && !zcfg.stage.partitions_grads()) {
                 continue;
             }
             return Err(format!("{what}: tier op {i} '{}' rides no collective", t.label));
         };
-        let op = plan
-            .ops()
+        let op = ops
             .get(r)
             .ok_or_else(|| format!("{what}: tier op {i} '{}' rides op {r}, past the stream", t.label))?;
         let anchored = match t.dir {
             TierDir::Fetch => op.kind == AllGather && r == t.issue_pos,
-            TierDir::Spill if zcfg.overlap => op.kind == ReduceScatter && r < t.issue_pos,
             TierDir::Spill => op.kind == ReduceScatter && r + 1 == t.issue_pos,
         };
         // A checkpoint fetch's counts are per world rank, its MP gather's
@@ -243,6 +246,23 @@ fn check_rides(plan: &CommPlan, zcfg: &ZeroConfig, what: &str) -> Result<(), Str
                 "{what}: tier op {i} '{}' (issued at {}) rides op {r} '{}', which is not \
                  the collective it seeds or drains",
                 t.label, t.issue_pos, op.label
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Proves every gradient spill riding a reduce-scatter blocked on at that
+/// reduce-scatter's release point in `walked`: the engine waits the two
+/// together.
+fn check_spill_demands(tier: &[TierOp], walked: &Footprint, what: &str) -> Result<(), String> {
+    for (i, t) in tier.iter().enumerate().filter(|(_, t)| t.label == "tier-grad-spill") {
+        let Some(rs) = t.rides else { continue };
+        let released = walked.settles.iter().find(|s| s.0 == rs).map(|s| s.2);
+        if released != Some(t.demand_pos) {
+            return Err(format!(
+                "{what}: gradient spill {i} is blocked on at {}, its reduce-scatter op {rs} is released at {released:?}",
+                t.demand_pos
             ));
         }
     }
@@ -298,7 +318,10 @@ fn check_placed_config(
         let sh = shape(skipped);
         let plan = CommPlan::train_step(layout, zcfg, grid, &sh);
         check_symmetry(&plan, &what)?;
-        check_rides(&plan, zcfg, &what)?;
+        check_rides(plan.tier_ops(), plan.ops(), zcfg, &what)?;
+        // Release points are the same on every rank.
+        let walked = CommPlan::footprint(layout, zcfg, grid, sh.micro_batches, sh.act_elems, 0);
+        check_spill_demands(plan.tier_ops(), &walked, &what)?;
 
         // Offload must not perturb a single collective: the op stream is
         // bitwise identical to the tier-off baseline.
@@ -491,7 +514,7 @@ fn check_checkpoint_config(zcfg: &ZeroConfig, grid: Grid, report: &mut OffloadRe
         let sh = shape(skipped);
         let plan = CommPlan::train_step(&layout, zcfg, grid, &sh);
         check_symmetry(&plan, &what)?;
-        check_rides(&plan, zcfg, &what)?;
+        check_rides(plan.tier_ops(), plan.ops(), zcfg, &what)?;
         if let Some(t) = plan.tier_ops().iter().find(|t| t.label == "tier-ckpt-spill" && t.rides.is_some()) {
             return Err(format!("{what}: the checkpoint spill at {} rides a collective", t.issue_pos));
         }
@@ -633,6 +656,37 @@ mod tests {
                 .any(|t| t.demand_pos > t.issue_pos),
             "overlapped stage-3 plan must prefetch ahead of demand"
         );
+    }
+
+    #[test]
+    fn spills_moved_back_to_the_drain_are_refused() {
+        // Overlapped stage 3, two micro-batches of several buckets: each
+        // spill rides the reduce-scatter right before it.
+        let layout = Layout::build_mp(&test_model(), 1);
+        let (zcfg, grid, sh) = (cfg(ZeroStage::Three, true, true, TierConfig::budgeted(1 << 30)), Grid::new(2, 1), shape(false));
+        let plan = CommPlan::train_step(&layout, &zcfg, grid, &sh);
+        let walked = CommPlan::footprint(&layout, &zcfg, grid, sh.micro_batches, sh.act_elems, 0);
+        check_rides(plan.tier_ops(), plan.ops(), &zcfg, "healthy").expect("a healthy plan rides");
+        check_spill_demands(plan.tier_ops(), &walked, "healthy").expect("healthy demands");
+        let spills = plan.tier_ops().iter().filter(|t| t.label == "tier-grad-spill").count();
+        assert!(spills >= 4, "{spills} spills");
+        // Mutant: every spill queued and blocked on at its micro-batch's
+        // drain, the release point of the micro-batch's last bucket.
+        let mut drained: Vec<TierOp> = plan.tier_ops().to_vec();
+        for t in drained.iter_mut().filter(|t| t.label == "tier-grad-spill") {
+            let rs = t.rides.expect("a bucket spill rides its reduce-scatter");
+            let drain = walked.settles.iter().find(|s| s.0 >= rs && s.1.is_none()).expect("a drain").2;
+            (t.issue_pos, t.demand_pos) = (drain, drain);
+        }
+        let err = check_rides(&drained, plan.ops(), &zcfg, "drained").expect_err("drained spills must be refused");
+        assert!(err.contains("not the collective it seeds or drains"), "{err}");
+        // A spill left behind its reduce-scatter but blocked on at the
+        // drain, where the engine no longer is.
+        let mut late: Vec<TierOp> = plan.tier_ops().to_vec();
+        let first = late.iter().position(|t| t.label == "tier-grad-spill").expect("a spill");
+        late[first].demand_pos = drained[first].demand_pos;
+        assert_ne!(late[first].demand_pos, plan.tier_ops()[first].demand_pos, "the first bucket settles at a gather");
+        assert!(check_spill_demands(&late, &walked, "late").unwrap_err().contains("is released at"));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   Ψ − |shard_{i+1}|; stage 3 gathers each unit once per pass it is
 //!   computed on — every block twice, except the last block where the
 //!   plan holds it through the head into its backward (overlap, with the
-//!   backward opening on that block: [`holds_last_block`]); the paper's
+//!   backward opening on that block: `holds_last_block`); the paper's
 //!   2Ψ·(N−1)/N and ≤ 3Ψ headline numbers follow and are asserted too.
 //! * **Window.** Replaying each stage-3 plan's fetches against the walk,
 //!   no rank ever has more than two gathered units alive under overlap
@@ -39,7 +39,7 @@
 //!   two-level all-reduce's closing average — and the op's role — which
 //!   unit a fetch materializes between which stores, which flat range a
 //!   bucket or chunk covers — must also agree between peers). On top,
-//!   [`check_overlap_pair`]-style invariance is proven: an overlapped
+//!   `check_overlap_pair`-style invariance is proven: an overlapped
 //!   plan is a pure reordering of its synchronous twin's op multiset
 //!   less the held block's refetch, one per micro-batch where the hold
 //!   applies (identical per-rank bytes *and* messages per kind), fetches keep

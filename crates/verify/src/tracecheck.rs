@@ -5,7 +5,7 @@
 //! the op's execution. A [`CommPlan`] predicts, per rank, exactly how many
 //! collectives of each kind a step issues and how many bytes each rank
 //! sends. This module closes the triangle: for every
-//! [`CollectiveKind`], the span count must equal the plan's op count, and
+//! [`CollectiveKind`](zero_comm::CollectiveKind), the span count must equal the plan's op count, and
 //! the span byte sum must equal both the plan's per-rank volume and the
 //! communicator's [`TrafficSnapshot`] — exact equality, no tolerances.
 

@@ -26,7 +26,7 @@ use zero::core::{
     ZeroStage,
 };
 use zero::model::ModelConfig;
-use zero::trace::{Span, SpanCategory, StepTimeline, TRACK_MAIN};
+use zero::trace::{Span, SpanCategory, StepTimeline, TRACK_MAIN, TRACK_PROGRESS};
 use zero_verify::TraceExpectation;
 
 const STAGES: [ZeroStage; 4] =
@@ -148,6 +148,44 @@ fn offloaded_timeline_reconciles_tier_stream_byte_exactly() {
                 .fold((0, 0), |(f, sp), (a, b)| (f + a, sp + b));
             let metered = (r.tier.fetch_bytes, r.tier.spill_bytes);
             assert_eq!(metered, planned, "{what} rank {}: plan tier bytes", r.rank);
+        }
+    }
+}
+
+#[test]
+fn each_gradient_spill_runs_right_behind_its_reduce_scatter() {
+    // Overlapped stage 3 with the gradients offloaded: every bucket's
+    // spill is queued on the rank's FIFO right behind the reduce-scatter
+    // that produces its piece, so the progress track, which records the
+    // rank's ops in the order they run, shows each `tier-grad-spill`
+    // directly after that `reduce-scatter`, carrying the bytes its plan
+    // gives it. Spills left for the end-of-micro drain would all follow
+    // the micro-batch's last reduce-scatter instead.
+    let mut s = setup(ZeroStage::Three, 2, true);
+    s.zero.tier = zero::core::TierConfig::budgeted(64 << 20);
+    let report = run_training(&s, 2, 0);
+    for r in &report.ranks {
+        let planned: Vec<u64> = step_plans(&report, &s)
+            .iter()
+            .flat_map(|p| p.resolve_tier_for(r.rank))
+            .filter(|t| t.label == "tier-grad-spill")
+            .map(|t| t.bytes)
+            .collect();
+        let mut track: Vec<&Span> = r.timeline.spans.iter().filter(|sp| sp.track == TRACK_PROGRESS).collect();
+        track.sort_by_key(|sp| sp.start_ns);
+        let names: Vec<&str> = track.iter().map(|sp| sp.name).collect();
+        let spills: Vec<usize> = (0..track.len()).filter(|&i| track[i].name == "tier-grad-spill").collect();
+        let reduces = names.iter().filter(|&&n| n == "reduce-scatter").count();
+        assert!(spills.len() > 2, "rank {}: several buckets a micro-batch, got {names:?}", r.rank);
+        assert_eq!((spills.len(), reduces), (planned.len(), planned.len()), "rank {}: {names:?}", r.rank);
+        for (k, &i) in spills.iter().enumerate() {
+            assert!(
+                i > 0 && names[i - 1] == "reduce-scatter",
+                "rank {}: spill {k} follows {:?}, not its reduce-scatter: {names:?}",
+                r.rank,
+                names.get(i.wrapping_sub(1))
+            );
+            assert_eq!(track[i].bytes, planned[k], "rank {}: spill {k} bytes", r.rank);
         }
     }
 }
