@@ -7,8 +7,8 @@
 //! property and still move an op. This test pins the stream itself: per
 //! rank, `(kind, members, counts, prec, wire, nonblocking)` of every
 //! resolved collective — and the unit a fetch materializes, which balanced
-//! counts no longer tell apart — and `(dir, bytes, issue_pos, demand_pos)`
-//! of every tier movement, for `train_step` (skipped and not), `eval_pass`
+//! counts no longer tell apart — and `(dir, bytes, issue_pos)` of every
+//! tier movement, for `train_step` (skipped and not), `eval_pass`
 //! and `publish_refresh`. A second table pins `serve_step` the same way,
 //! one line per serving world size and overlap setting, each fetch also
 //! folding whether it goes out ahead. A change that means to alter a
@@ -82,7 +82,7 @@ fn rank_digest(plan: &CommPlan, rank: usize) -> u64 {
             TierDir::Fetch => 1,
         });
         h.word(t.bytes);
-        h.words(&[t.issue_pos, t.demand_pos]);
+        h.words(&[t.issue_pos]);
     }
     h.0
 }
