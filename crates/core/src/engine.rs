@@ -57,7 +57,6 @@ use crate::memory::{MemCategory, MemoryTracker};
 use crate::partition::Partitioner;
 use crate::plan::{
     CommPlan, EffectiveOffload, OpRole, ParamStore, PlanCursor, Reduction, ResolvedOp, ResolvedTierOp,
-    TierDir,
 };
 use crate::store::{clip, FlatStore};
 use crate::tier::{TierStats, TierStore};
@@ -144,10 +143,7 @@ impl Issuer {
     /// completes before that gather starts.
     fn tier_move(&mut self, t: ResolvedTierOp) -> PendingOp {
         let store = self.tier.as_mut().expect("tier store when the plan moves tier bytes");
-        let delay = match t.dir {
-            TierDir::Fetch => store.record_fetch(t.bytes),
-            TierDir::Spill => store.record_spill(t.bytes),
-        };
+        let delay = if t.at.is_fetch() { store.record_fetch(t.bytes) } else { store.record_spill(t.bytes) };
         self.comm.start_tier_move(t.label, t.bytes, delay)
     }
 
@@ -165,7 +161,7 @@ impl Issuer {
         // A fetch riding the op seeds it and goes first; a spill carries
         // its result and goes right behind it.
         let (seed, spill) = match tier {
-            Some(t) if t.dir == TierDir::Fetch => (Some(self.tier_move(t)), None),
+            Some(t) if t.at.is_fetch() => (Some(self.tier_move(t)), None),
             spill => (None, spill),
         };
         let (group, counts, comm) = (op.group(), &op.counts, &mut self.comm);
@@ -1004,10 +1000,11 @@ impl RankEngine {
         let mut grad_norm = None;
         if !skipped {
             let mut g = self.grads.gather(&self.shard);
-            // The one tier movement that rides no collective, when the
-            // plan has it: stage 1's host optimizer reduced gradients into
-            // the full device buffer, so the owned shard region spills
-            // down once per step, here.
+            // Stage 1's host optimizer reduced gradients into the full
+            // device buffer, so the owned shard region spills down once
+            // per step, here: the suffix opens with that spill, anchored
+            // `TierAt::Free(0)`, when the plan has it. (The other free
+            // moves, checkpoint spills, go out where each is stored.)
             if let Some(t) = self.io.plan.take_free_tier() {
                 self.io.tier_move(t).wait()?;
             }

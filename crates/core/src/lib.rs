@@ -58,7 +58,7 @@ pub use procworld::{
 };
 pub use plan::{
     CommPlan, CountSpec, EffectiveOffload, OpRole, ParamStore, PlanCursor, PlanOp, PlanScope,
-    Reduction, ResolvedOp, ResolvedTierOp, StepShape, TierDir, TierOp,
+    Reduction, ResolvedOp, ResolvedTierOp, StepShape, TierAt, TierOp,
 };
 pub use snapshot::{
     export_inference_shards, reshard, validate_consistent, RankSnapshot, SnapshotError,

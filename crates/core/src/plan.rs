@@ -12,7 +12,7 @@
 //! into, and whether it goes out ahead of the previous unit's wait; which
 //! flat range of whole units a gradient bucket covers, or which rows of the
 //! per-unit [`Partitioner`] a CB chunk does); and the tier movement that
-//! rides it ([`TierOp::rides`]). Counts come from that partition, which
+//! rides it ([`TierOp::at`]). Counts come from that partition, which
 //! splits every unit over the DP group, so every op over parameter space is
 //! balanced across its members.
 //!
@@ -377,26 +377,64 @@ impl ResolvedOp {
     }
 }
 
-/// Direction of a planned tier movement (ZeRO-Offload traffic).
+/// Where a planned tier movement is issued: against the collective it
+/// rides, which also fixes its direction. The engine queues a riding move
+/// on the rank's FIFO together with that op and waits the two together.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TierDir {
-    /// Device → host (gradient shards, P_a+cpu checkpoint slices).
-    Spill,
-    /// Host → device (parameter pieces, checkpoint slices).
-    Fetch,
+pub enum TierAt {
+    /// Host → device: a fetch queued right before the all-gather at this
+    /// op index, whose piece it brings up (parameter, publish and
+    /// checkpoint fetches).
+    Seeds(usize),
+    /// Device → host: a spill queued right behind the reduce-scatter at
+    /// this op index, whose reduced piece it takes down (gradient spills
+    /// under stages 2–3).
+    Drains(usize),
+    /// Device → host: a spill that rides nothing, issued once this many
+    /// ops have gone out (P_a+cpu checkpoint spills, stage 1's end-of-step
+    /// gradient spill).
+    Free(usize),
 }
 
-/// One planned host↔device tier movement. Tier ops form a second stream
-/// alongside the collective ops: each records *where* in the collective
-/// stream it is issued (`issue_pos`) and where its result is first needed
-/// (`demand_pos`), so the `offload` verify pass can prove the prefetch
-/// window statically — `issue_pos ≤ demand_pos` — and which collective it
-/// rides (`rides`), which is how the runtime cursor hands it to the
-/// engine: together with that op.
+impl TierAt {
+    /// True for a host → device fetch, false for a spill.
+    pub fn is_fetch(self) -> bool {
+        matches!(self, TierAt::Seeds(_))
+    }
+
+    /// The op this movement rides, if any.
+    pub fn op(self) -> Option<usize> {
+        match self {
+            TierAt::Seeds(i) | TierAt::Drains(i) => Some(i),
+            TierAt::Free(_) => None,
+        }
+    }
+
+    /// How many collective ops are issued before this movement is.
+    pub fn issue_pos(self) -> usize {
+        match self {
+            TierAt::Seeds(i) | TierAt::Free(i) => i,
+            TierAt::Drains(i) => i + 1,
+        }
+    }
+
+    /// The same anchor in a plan appended behind `base` ops.
+    fn shifted(self, base: usize) -> TierAt {
+        match self {
+            TierAt::Seeds(i) => TierAt::Seeds(i + base),
+            TierAt::Drains(i) => TierAt::Drains(i + base),
+            TierAt::Free(i) => TierAt::Free(i + base),
+        }
+    }
+}
+
+/// One planned host↔device tier movement (ZeRO-Offload traffic). Tier ops
+/// form a second stream alongside the collective ops, in issue order; each
+/// is anchored ([`TierAt`]) to the collective it seeds or drains, or to a
+/// position when it rides none, which is how the runtime cursor hands it
+/// to the engine: together with that op, or at that position.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TierOp {
-    /// Movement direction.
-    pub dir: TierDir,
     /// Schedule position, e.g. `"tier-param-fetch"`.
     pub label: &'static str,
     /// Elements moved by each world rank — a DP shard piece or a P_a
@@ -404,32 +442,19 @@ pub struct TierOp {
     pub counts: Vec<usize>,
     /// Bytes per element on the tier link.
     pub elem_bytes: u64,
-    /// Number of collective ops issued before this movement is submitted.
-    pub issue_pos: usize,
-    /// Number of collective ops issued before the engine blocks on it.
-    pub demand_pos: usize,
-    /// Index of the collective this movement rides: a fetch seeds that
-    /// all-gather and goes onto the FIFO right before it; a spill carries
-    /// that reduce-scatter's result and goes onto the FIFO right behind it
-    /// (`issue_pos = rides + 1`), waited where the reduce-scatter is
-    /// settled. `None` (stage 1's end-of-step spill, checkpoint spills):
-    /// issued at `issue_pos`.
-    pub rides: Option<usize>,
+    /// Where it is issued, and so which way it moves.
+    pub at: TierAt,
 }
 
 /// A [`TierOp`] resolved for one concrete rank.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResolvedTierOp {
-    /// Movement direction.
-    pub dir: TierDir,
     /// Schedule position label.
     pub label: &'static str,
     /// Bytes this rank moves across the tier link.
     pub bytes: u64,
-    /// Collective ops issued before submission.
-    pub issue_pos: usize,
-    /// Collective ops issued before the engine blocks on it.
-    pub demand_pos: usize,
+    /// Where it is issued (see [`TierOp::at`]).
+    pub at: TierAt,
 }
 
 /// The shape parameters a step plan depends on beyond config and layout.
@@ -507,10 +532,8 @@ struct Builder {
     /// shard on the device, their updated piece has climbed from the host.
     gathered: Vec<bool>,
     /// The double-buffered prefetch slot: the unit whose gather was issued
-    /// ahead of use, with the index of that op and the index into `tier`
-    /// of the fetch seeding it (whose demand position is stamped when the
-    /// unit is consumed).
-    slot: Option<(usize, usize, Option<usize>)>,
+    /// ahead of use, with the index of that op.
+    slot: Option<(usize, usize)>,
     /// The unit this micro-batch computed on last and the index of the
     /// gather that materialized it: the one a hold can keep.
     last: Option<(usize, usize)>,
@@ -555,20 +578,10 @@ impl Builder {
         }
     }
 
-    /// Pushes a tier movement anchored at the current op position, issued
-    /// and blocked on here (`demand = issue`) unless the builder's `fetch`
-    /// later stamps an open window. Returns its index in the tier stream.
-    fn tier_op(&mut self, dir: TierDir, label: &'static str, counts: Vec<usize>, rides: Option<usize>) -> usize {
-        let pos = self.ops.len();
-        self.tier.push(TierOp {
-            dir,
-            label,
-            counts,
-            elem_bytes: self.prec.bytes(),
-            issue_pos: pos,
-            demand_pos: pos,
-            rides,
-        });
+    /// Pushes a tier movement anchored at `at`. Returns its index in the
+    /// tier stream.
+    fn tier_op(&mut self, label: &'static str, counts: Vec<usize>, at: TierAt) -> usize {
+        self.tier.push(TierOp { label, counts, elem_bytes: self.prec.bytes(), at });
         self.tier.len() - 1
     }
 
@@ -607,9 +620,8 @@ impl Builder {
     /// unit in the step is the global gather (qwZ wire if enabled) that
     /// also stashes into the node-local secondary store; every later fetch
     /// of the same unit is seeded by that store and resolves inside the
-    /// node. Returns the index of the tier fetch seeding the gather, if a
-    /// piece climbs from the host tier.
-    fn issue_fetch(&mut self, u: usize, ahead: bool) -> Option<usize> {
+    /// node. Returns the gather's index.
+    fn issue_fetch(&mut self, u: usize, ahead: bool) -> usize {
         let unit = self.units[u].clone();
         let comp = self.zcfg.compression;
         let first = !self.gathered[u];
@@ -634,12 +646,12 @@ impl Builder {
         // refetch reads the device-resident secondary store: nothing
         // crosses.
         let climbs = self.off.params || (self.off.opt_state && first);
-        let seed = (climbs && from == ParamStore::Primary).then(|| {
-            self.tier_op(TierDir::Fetch, "tier-param-fetch", counts.clone(), Some(self.ops.len()))
-        });
+        if climbs && from == ParamStore::Primary {
+            self.tier_op("tier-param-fetch", counts.clone(), TierAt::Seeds(self.ops.len()));
+        }
         let role = OpRole::Fetch { unit: u, from, into, ahead, hold: None };
         self.op_nb(CollectiveKind::AllGather, scope, counts, "fetch-unit", wire, role);
-        seed
+        self.ops.len() - 1
     }
 
     /// An MP-group collective over one block activation buffer.
@@ -685,11 +697,10 @@ impl Builder {
 
     /// Emits one bucket reduce-scatter of `fused`, and under gradient
     /// offload the spill of each rank's reduced piece of it to the host
-    /// optimizer, in both modes right behind the reduce-scatter that
-    /// produces it (`issue_pos = rides + 1`): the rank's FIFO runs the
-    /// spill before any op issued later. The engine blocks on the spill
-    /// where it settles the reduce-scatter; `prefix_placed` stamps that
-    /// demand position.
+    /// optimizer, anchored [`TierAt::Drains`] on that reduce-scatter in
+    /// both modes: the rank's FIFO runs the spill right behind it, before
+    /// any op issued later, and the engine waits the two together where it
+    /// settles the reduce-scatter.
     fn grad_flush(&mut self, fused: Range<usize>) {
         let counts = self.part.intersect_counts(&fused);
         let comp = self.zcfg.compression;
@@ -702,7 +713,7 @@ impl Builder {
         let kind = CollectiveKind::ReduceScatter;
         self.op_nb(kind, PlanScope::Dp, counts.clone(), "grad-bucket", wire, OpRole::Span(fused));
         if self.off.grads {
-            self.tier_op(TierDir::Spill, "tier-grad-spill", counts, Some(rs));
+            self.tier_op("tier-grad-spill", counts, TierAt::Drains(rs));
         }
     }
 
@@ -767,7 +778,7 @@ impl Builder {
             if self.off.opt_state {
                 // The host optimizer's freshly updated fp16 shard piece
                 // climbs host → device to seed the publish all-gather.
-                self.tier_op(TierDir::Fetch, "tier-publish-fetch", counts.clone(), Some(self.ops.len()));
+                self.tier_op("tier-publish-fetch", counts.clone(), TierAt::Seeds(self.ops.len()));
             }
             let (kind, counts) = (CollectiveKind::AllGather, CountSpec::Explicit(counts));
             self.op(kind, PlanScope::Dp, counts, Reduction::Copy, "publish-params", OpRole::Chunk(chunk));
@@ -813,13 +824,13 @@ impl Walker for Builder {
         if !self.zcfg.stage.partitions_params() {
             return Ok(());
         }
-        let (at, seed) = if self.held.take_if(|held| *held == u).is_some() {
-            (None, None)
-        } else if let Some((unit, at, seed)) = self.slot.take() {
+        let at = if self.held.take_if(|held| *held == u).is_some() {
+            None
+        } else if let Some((unit, at)) = self.slot.take() {
             assert_eq!(unit, u, "plan builder: prefetch slot holds a different unit");
-            (Some(at), seed)
+            Some(at)
         } else {
-            (Some(self.ops.len()), self.issue_fetch(u, false))
+            Some(self.issue_fetch(u, false))
         };
         let last = std::mem::replace(&mut self.last, at.map(|at| (u, at)));
         if !self.zcfg.overlap {
@@ -835,12 +846,8 @@ impl Walker for Builder {
                 }
                 self.held = Some(v);
             }
-            (Some(v), _) => self.slot = Some((v, self.ops.len(), self.issue_fetch(v, true))),
+            (Some(v), _) => self.slot = Some((v, self.issue_fetch(v, true))),
             (None, _) => {}
-        }
-        // The engine blocks on `u` here: its tier fetch's window closes.
-        if let Some(idx) = seed {
-            self.tier[idx].demand_pos = self.ops.len();
         }
         Ok(())
     }
@@ -850,7 +857,7 @@ impl Walker for Builder {
         let (grid, act_elems, place) = (self.grid, self.act_elems, self.zcfg.checkpoint_place);
         let slice = |r| place.slice(act_elems, grid.mp_degree(), grid.coords(r).1).len();
         let counts = self.off.checkpoints.then(|| (0..grid.world_size()).map(slice).collect())?;
-        Some(self.tier_op(TierDir::Spill, "tier-ckpt-spill", counts, None))
+        Some(self.tier_op("tier-ckpt-spill", counts, TierAt::Free(self.ops.len())))
     }
 
     /// Two MP hooks per block pass, forward or recompute.
@@ -860,12 +867,12 @@ impl Walker for Builder {
     }
 
     /// P_a checkpoint re-materialization: all-gather the 1/N_m slices
-    /// across the MP group (§6.1), P_a+cpu's spill settled and fetched back.
+    /// across the MP group (§6.1), P_a+cpu's spill settled and its slice
+    /// fetched back to seed the gather.
     fn restore(&mut self, spill: Option<usize>) -> Result<(), Infallible> {
-        if let Some(spill) = spill.map(|i| &mut self.tier[i]) {
-            spill.demand_pos = self.ops.len();
-            let counts = spill.counts.clone();
-            self.tier_op(TierDir::Fetch, "tier-ckpt-fetch", counts, Some(self.ops.len()));
+        if let Some(spill) = spill {
+            let counts = self.tier[spill].counts.clone();
+            self.tier_op("tier-ckpt-fetch", counts, TierAt::Seeds(self.ops.len()));
         }
         if self.zcfg.checkpoint_place.partitioned() {
             self.mp_op(CollectiveKind::AllGather, Reduction::Copy, "ckpt-gather");
@@ -934,19 +941,7 @@ impl CommPlan {
         }
         b.grad_reduce();
         b.scalar_all_reduce(PlanScope::World, ReduceOp::Max, "overflow-flag");
-        let mut plan = b.finish();
-        if off.grads {
-            // The engine blocks on a gradient spill where it settles the
-            // reduce-scatter the spill rides: the memory walk's release
-            // point, the same on every rank.
-            let settles = crate::footprint::replay(layout, zcfg, &plan.ops, grid, (micro_batches, act_elems), off, 0).settles;
-            for t in &mut plan.tier {
-                if let Some(&(.., at)) = settles.iter().find(|s| Some(s.0) == t.rides) {
-                    t.demand_pos = at;
-                }
-            }
-        }
-        plan
+        b.finish()
     }
 
     /// The data-dependent suffix of a training step, given the skip
@@ -961,7 +956,7 @@ impl CommPlan {
                 // before the update (stages 2–3 spilled bucket by bucket
                 // during accumulation). It rides no collective.
                 let counts = b.part.counts().to_vec();
-                b.tier_op(TierDir::Spill, "tier-grad-spill", counts, None);
+                b.tier_op("tier-grad-spill", counts, TierAt::Free(0));
             }
             if zcfg.clip_grad_norm.is_some() {
                 let scope = if zcfg.stage.partitions_optimizer() {
@@ -986,12 +981,7 @@ impl CommPlan {
         let suffix = CommPlan::step_suffix(layout, zcfg, grid, shape.skipped);
         let base = plan.ops.len();
         plan.ops.extend(suffix.ops);
-        plan.tier.extend(suffix.tier.into_iter().map(|mut t| {
-            t.issue_pos += base;
-            t.demand_pos += base;
-            t.rides = t.rides.map(|i| i + base);
-            t
-        }));
+        plan.tier.extend(suffix.tier.into_iter().map(|t| TierOp { at: t.at.shifted(base), ..t }));
         plan
     }
 
@@ -1066,13 +1056,7 @@ impl CommPlan {
             .iter()
             .map(|t| {
                 assert_eq!(t.counts.len(), world, "tier counts cover every world rank");
-                ResolvedTierOp {
-                    dir: t.dir,
-                    label: t.label,
-                    bytes: t.elem_bytes * t.counts[rank] as u64,
-                    issue_pos: t.issue_pos,
-                    demand_pos: t.demand_pos,
-                }
+                ResolvedTierOp { label: t.label, bytes: t.elem_bytes * t.counts[rank] as u64, at: t.at }
             })
             .collect()
     }
@@ -1081,12 +1065,12 @@ impl CommPlan {
     /// `(fetch_bytes, spill_bytes)` — directly comparable to a
     /// [`crate::tier::TierStats`].
     pub fn rank_tier_bytes(&self, rank: usize) -> (u64, u64) {
-        let mut fetch = 0u64;
-        let mut spill = 0u64;
+        let (mut fetch, mut spill) = (0, 0);
         for t in self.resolve_tier_for(rank) {
-            match t.dir {
-                TierDir::Fetch => fetch += t.bytes,
-                TierDir::Spill => spill += t.bytes,
+            if t.at.is_fetch() {
+                fetch += t.bytes;
+            } else {
+                spill += t.bytes;
             }
         }
         (fetch, spill)
@@ -1195,10 +1179,11 @@ impl CommPlan {
 
 /// The engine's handle on the current plan: every runtime collective pops
 /// its op off this cursor — group, counts, wire format, [`Reduction`],
-/// [`OpRole`] and the tier movement riding it all come from the op — so
-/// execution cannot diverge from the declared schedule silently: a
+/// [`OpRole`] and the tier movement anchored on it all come from the op —
+/// so execution cannot diverge from the declared schedule silently: a
 /// collective of the wrong kind, and a plan left unfinished, both panic.
-/// The default cursor has no plan installed.
+/// A [`TierAt::Free`] movement is handed out by position instead. The
+/// default cursor has no plan installed.
 #[derive(Debug, Default)]
 pub struct PlanCursor {
     /// The resolved ops, each with the tier movement that rides it.
@@ -1216,13 +1201,13 @@ impl PlanCursor {
     pub fn install(&mut self, plan: &CommPlan, rank: usize, source: &'static str) {
         self.ops = plan.resolve_for(rank).into_iter().map(|op| (op, None)).collect();
         self.free_tier.clear();
-        for (t, resolved) in plan.tier.iter().zip(plan.resolve_tier_for(rank)) {
-            match t.rides {
+        for t in plan.resolve_tier_for(rank) {
+            match t.at.op() {
                 Some(i) => {
-                    let taken = self.ops[i].1.replace(resolved);
+                    let taken = self.ops[i].1.replace(t);
                     assert!(taken.is_none(), "two tier movements ride op {i} of '{source}'");
                 }
-                None => self.free_tier.push_back(resolved),
+                None => self.free_tier.push_back(t),
             }
         }
         self.source = source;
@@ -1288,7 +1273,7 @@ impl PlanCursor {
     /// one.
     pub fn take_free_tier(&mut self) -> Option<ResolvedTierOp> {
         match self.free_tier.front() {
-            Some(t) if t.issue_pos == self.consumed => self.free_tier.pop_front(),
+            Some(t) if t.at == TierAt::Free(self.consumed) => self.free_tier.pop_front(),
             _ => None,
         }
     }
@@ -1682,30 +1667,53 @@ mod tests {
     }
 
     #[test]
-    fn tier_fetches_anchor_on_their_allgathers() {
+    fn tier_moves_anchor_on_the_collectives_they_ride() {
         let layout = Layout::build(&tiny());
         let grid = Grid::new(4, 1);
         for overlap in [false, true] {
             let plan = CommPlan::train_step(&layout, &tiered(ZeroStage::Three, overlap), grid, &shape());
             let mut windows = 0usize;
             for t in plan.tier_ops() {
-                assert!(t.issue_pos <= t.demand_pos, "'{}' window inverted", t.label);
-                assert!(t.demand_pos <= plan.ops().len());
-                if t.dir == TierDir::Fetch {
-                    let anchor = &plan.ops()[t.issue_pos];
-                    assert_eq!(anchor.kind, CollectiveKind::AllGather, "'{}'", t.label);
-                    assert_eq!(anchor.counts, CountSpec::Explicit(t.counts.clone()));
-                }
-                if t.demand_pos > t.issue_pos {
-                    windows += 1;
-                }
+                let (kind, ahead) = match t.at {
+                    TierAt::Seeds(i) => (CollectiveKind::AllGather, matches!(plan.ops()[i].role, OpRole::Fetch { ahead: true, .. })),
+                    TierAt::Drains(_) => (CollectiveKind::ReduceScatter, false),
+                    TierAt::Free(_) => panic!("'{}': stage 3 has no free-standing move", t.label),
+                };
+                let anchor = &plan.ops()[t.at.op().expect("rides an op")];
+                assert_eq!(anchor.kind, kind, "'{}'", t.label);
+                assert_eq!(anchor.counts, CountSpec::Explicit(t.counts.clone()));
+                windows += usize::from(ahead);
             }
+            // A seed of an ahead gather climbs while the unit before it is
+            // computed on.
             if overlap {
                 assert!(windows > 0, "overlap mode must open real prefetch windows");
             } else {
-                assert_eq!(windows, 0, "sync mode blocks at issue");
+                assert_eq!(windows, 0, "sync mode issues every gather on demand");
             }
         }
+    }
+
+    #[test]
+    fn the_suffix_tier_stream_is_rebased_behind_the_prefix() {
+        // Stage 1 under a host optimizer: the suffix opens with the
+        // free-standing gradient spill and seeds every publish gather.
+        let layout = Layout::build(&tiny());
+        let (grid, zcfg) = (Grid::new(4, 1), tiered(ZeroStage::One, false));
+        let sh = shape();
+        let prefix = CommPlan::step_prefix(&layout, &zcfg, grid, sh.micro_batches, sh.act_elems).ops().len();
+        let plan = CommPlan::train_step(&layout, &zcfg, grid, &sh);
+        let spills: Vec<TierAt> = plan.tier_ops().iter().filter(|t| !t.at.is_fetch()).map(|t| t.at).collect();
+        assert_eq!(spills, [TierAt::Free(prefix)]);
+        let mut seeded = 0;
+        for t in plan.tier_ops().iter().filter(|t| t.label == "tier-publish-fetch") {
+            let TierAt::Seeds(i) = t.at else { panic!("a publish fetch seeds its gather") };
+            assert_eq!(plan.ops()[i].label, "publish-params");
+            assert_eq!(plan.ops()[i].counts, CountSpec::Explicit(t.counts.clone()));
+            seeded += 1;
+        }
+        assert_eq!(seeded, plan.ops().iter().filter(|op| op.label == "publish-params").count());
+        assert!(seeded > 1, "several CB chunks");
     }
 
     #[test]
@@ -1724,7 +1732,7 @@ mod tests {
                     let spilled: usize = plan
                         .tier_ops()
                         .iter()
-                        .filter(|t| t.dir == TierDir::Spill)
+                        .filter(|t| !t.at.is_fetch())
                         .map(|t| t.counts[rank])
                         .sum();
                     assert_eq!(spilled, 2 * part.shard_range(rank).len(), "{stage:?}");
@@ -1749,7 +1757,7 @@ mod tests {
         // Stage 1 spills its shard exactly once, in the suffix.
         let shape2 = StepShape { micro_batches: 2, ..shape() };
         let plan = CommPlan::train_step(&layout, &tiered(ZeroStage::One, false), grid, &shape2);
-        let spills: Vec<_> = plan.tier_ops().iter().filter(|t| t.dir == TierDir::Spill).collect();
+        let spills: Vec<_> = plan.tier_ops().iter().filter(|t| !t.at.is_fetch()).collect();
         assert_eq!(spills.len(), 1);
         assert_eq!(spills[0].counts, part.counts().to_vec());
     }
@@ -1782,8 +1790,8 @@ mod tests {
         for op in plan.resolve_for(0) {
             let (_, tier) = cur.take_riding(op.kind);
             match (op.kind, tier) {
-                (CollectiveKind::AllGather, Some(t)) => assert_eq!(t.dir, TierDir::Fetch),
-                (CollectiveKind::ReduceScatter, Some(t)) => assert_eq!(t.dir, TierDir::Spill),
+                (CollectiveKind::AllGather, Some(t)) => assert!(t.at.is_fetch()),
+                (CollectiveKind::ReduceScatter, Some(t)) => assert!(!t.at.is_fetch()),
                 (kind, tier) => assert!(tier.is_none(), "{kind:?} carries {tier:?}"),
             }
             handed += usize::from(op.kind != CollectiveKind::AllReduce);
@@ -1801,7 +1809,7 @@ mod tests {
         }));
         assert!(unfinished.is_err());
         let spill = cur.take_free_tier().expect("spill due before the first suffix op");
-        assert_eq!((spill.dir, spill.issue_pos), (TierDir::Spill, 0));
+        assert_eq!(spill.at, TierAt::Free(0));
         assert!(cur.take_free_tier().is_none());
         // A call site that cannot move tier bytes must not swallow one.
         let swallowed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

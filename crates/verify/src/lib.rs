@@ -26,9 +26,11 @@
 //!    the analytic inter-node volume reduction (≥ 3.5× at stage 3 with
 //!    all levers on, N ≥ 4, G ≥ 2).
 //! 5. [`offload`] — the memory-tier offload prover. Sweeps stages 1–3 ×
-//!    N × sync/overlap × precision, proves every tier movement's
-//!    prefetch window (`issue_pos ≤ demand_pos`, open under overlap),
-//!    pairs each movement byte-exactly with its anchor collective,
+//!    N × sync/overlap × precision, proves every tier movement anchored
+//!    byte-exactly on the collective it rides (a fetch seeds an
+//!    all-gather, a gradient spill drains a reduce-scatter; only
+//!    checkpoint and stage-1 spills ride nothing) and that overlapped
+//!    stage-3 plans seed gathers issued ahead (the prefetch window),
 //!    telescopes spill/publish volumes against the partition, and shows
 //!    offloaded plans keep a collective stream bitwise identical to the
 //!    tier-off baseline; its checkpoint clause pairs every P_a+cpu

@@ -6,28 +6,23 @@
 //! and proves four things about the tier-movement stream of every
 //! offloaded plan, all from plan arithmetic — zero training steps executed:
 //!
-//! * **Prefetch windows.** Every tier op is issued no later than it is
-//!   demanded (`issue_pos ≤ demand_pos`). Synchronous plans have zero
-//!   window everywhere; overlapped stage-3 plans must open a real window
-//!   (`demand_pos > issue_pos`) on their parameter fetches — a prefetch
-//!   that never runs ahead of demand is a bug, not a schedule.
-//! * **Pairing.** Every parameter fetch anchors exactly at the
-//!   all-gather it seeds, with byte-identical per-rank counts, and every
-//!   gather of the primary shards has one (an hpZ refetch reads the
-//!   device-resident secondary copy and has none); every gradient spill,
-//!   synchronous or overlapped, anchors right after the reduce-scatter
-//!   that produced its piece; every publish fetch anchors at its publish
-//!   all-gather. Anchors never decrease — the tier stream cannot reorder
-//!   against the collective stream. The engine is handed each movement
-//!   together with the collective it `rides`, so the same anchors are
-//!   proven of that link: a fetch rides the all-gather at its anchor, a
-//!   spill rides the reduce-scatter right before its anchor with
-//!   byte-identical counts (one rule for both modes: the rank's FIFO runs
-//!   the spill before anything issued later), and only stage 1's
-//!   end-of-step spill and checkpoint spills ride nothing. Each gradient
-//!   spill is blocked on where the memory walk releases the reduce-scatter
-//!   it rides ([`CommPlan::footprint`], whose release points
-//!   `--pass memory` proves): the engine waits the two together.
+//! * **Anchors.** Every tier movement is anchored ([`TierAt`]) on the
+//!   collective it rides, and the engine queues it with that op and waits
+//!   the two together. A fetch seeds an all-gather (`Seeds`): a parameter
+//!   fetch its unit's gather, a publish fetch its publish gather, a
+//!   checkpoint fetch its `ckpt-gather`. A gradient spill drains the
+//!   reduce-scatter that produced its piece (`Drains`), in both modes: the
+//!   rank's FIFO runs it before anything issued later. Only checkpoint
+//!   spills and stage 1's end-of-step spill ride nothing (`Free`). Each
+//!   anchored movement's counts are its op's, and per rank its bytes are
+//!   the rank's piece of that op; every gather of the primary shards has a
+//!   fetch (an hpZ refetch reads the device-resident secondary copy and
+//!   has none). Issue positions never decrease — the tier stream cannot
+//!   reorder against the collective stream.
+//! * **Prefetch windows.** A fetch seeding a gather issued `ahead` climbs
+//!   while the unit before it is computed on. Overlapped stage-3 plans
+//!   must seed such gathers — a prefetch that never runs ahead of its use
+//!   is a bug, not a schedule.
 //! * **Telescoping volumes.** Per rank and step, gradient-spill bytes
 //!   total exactly `micro_batches · shard` elements for stages 2–3 (the
 //!   buckets tile Ψ each micro-batch) and one `shard` for stage 1 on
@@ -52,8 +47,8 @@
 //! mp ∈ {1,2} × sync (and overlap at stages 2–3), plus stage 3 with the
 //! model-state tier on at mp = 1 (13 configurations), and proves that
 //! every checkpoint spill rides nothing and pairs with exactly one later
-//! fetch of equal bytes, blocked on where that fetch goes; that the fetch
-//! rides a `ckpt-gather` whose own piece is those bytes; that checkpoint
+//! fetch of equal bytes; that the fetch seeds a `ckpt-gather` whose own
+//! piece is those bytes; that checkpoint
 //! bytes telescope per rank and step to micro-batches × segments × slice
 //! × width, recomputed from the layer count and interval; and that the
 //! collective stream is bitwise the one of the same slices kept on device
@@ -64,8 +59,8 @@
 
 use zero_comm::Grid;
 use zero_core::{
-    CkptPlace, CommPlan, CompressionConfig, Footprint, OpRole, ParamStore, Partitioner, PlanOp, ResolvedTierOp,
-    StepShape, TierConfig, TierDir, TierOp, ZeroConfig, ZeroStage,
+    CkptPlace, CommPlan, CompressionConfig, CountSpec, OpRole, ParamStore, Partitioner, PlanOp, ResolvedTierOp,
+    StepShape, TierAt, TierConfig, TierOp, ZeroConfig, ZeroStage,
 };
 use zero_model::{Layout, ModelConfig};
 
@@ -76,11 +71,11 @@ use crate::schedule::check_symmetry;
 pub struct OffloadReport {
     /// (stage, N, overlap, precision) configurations proven.
     pub configs: usize,
-    /// Tier ops checked (windows + anchors + volumes).
+    /// Tier ops checked (anchors + volumes).
     pub tier_ops_checked: usize,
-    /// Tier ops paired byte-exactly with their anchor collective.
+    /// Tier ops paired byte-exactly with the collective they ride.
     pub paired_ops: usize,
-    /// Real prefetch windows (`demand_pos > issue_pos`) proven open.
+    /// Fetches proven to seed a gather issued ahead: open prefetch windows.
     pub windows_proven: usize,
     /// P_a+cpu configurations proven by the checkpoint clause.
     pub checkpoint_configs: usize,
@@ -106,163 +101,85 @@ fn cfg(stage: ZeroStage, overlap: bool, fp16: bool, tier: TierConfig) -> ZeroCon
 }
 
 /// Two micro-batches: the regime where per-micro spill telescoping and
-/// the spills blocked on at the end-of-micro drain are both visible.
+/// each micro-batch's last bucket, drained at its end, are both visible.
 fn shape(skipped: bool) -> StepShape {
     let m = test_model();
     StepShape { micro_batches: 2, act_elems: 2 * m.seq * m.hidden, skipped }
 }
 
-/// Checks windows, anchors, and strict anchor monotonicity for one
-/// rank's resolved tier stream against the resolved collective stream.
+/// Checks one rank's resolved tier stream against its resolved collective
+/// stream: issue positions never decrease, each movement riding an op
+/// moves exactly the rank's piece of it, and a fetch seeding a gather
+/// issued ahead is a proven prefetch window.
 fn check_anchors(
     tier: &[ResolvedTierOp],
     ops: &[zero_core::ResolvedOp],
     rank: usize,
-    overlap: bool,
     what: &str,
     report: &mut OffloadReport,
 ) -> Result<(), String> {
     let mut last_issue = 0usize;
     for (i, t) in tier.iter().enumerate() {
-        if t.issue_pos > t.demand_pos {
+        let issue = t.at.issue_pos();
+        if issue < last_issue {
             return Err(format!(
-                "{what} rank {rank}: tier op {i} '{}' issued at {} but demanded \
-                 earlier at {} — the transfer would arrive after its use",
-                t.label, t.issue_pos, t.demand_pos
+                "{what} rank {rank}: tier op {i} '{}' issued at {issue}, before an earlier \
+                 op's {last_issue} — the stream reorders against the collectives",
+                t.label
             ));
         }
-        if t.demand_pos > ops.len() {
+        last_issue = issue;
+        report.tier_ops_checked += 1;
+        let Some(k) = t.at.op() else { continue };
+        let op = ops.get(k).ok_or_else(|| {
+            format!("{what} rank {rank}: tier op {i} '{}' rides op {k}, past the {}-op stream", t.label, ops.len())
+        })?;
+        let want = op.prec.bytes() * op.own_piece(rank).len() as u64;
+        if t.bytes != want {
             return Err(format!(
-                "{what} rank {rank}: tier op {i} '{}' demand anchor {} beyond the \
-                 {}-op collective stream",
-                t.label,
-                t.demand_pos,
-                ops.len()
+                "{what} rank {rank}: tier op {i} '{}' moves {} bytes but its '{}' piece is {want}",
+                t.label, t.bytes, op.label
             ));
         }
-        if t.issue_pos < last_issue {
-            return Err(format!(
-                "{what} rank {rank}: tier op {i} '{}' anchor {} precedes an earlier \
-                 op's anchor {last_issue} — the stream reorders against the collectives",
-                t.label, t.issue_pos
-            ));
-        }
-        last_issue = t.issue_pos;
-        // A checkpoint spill is blocked on at its restore, not where it
-        // is issued: `check_checkpoint_pairs` places that demand.
-        if t.label == "tier-ckpt-spill" {
-            report.tier_ops_checked += 1;
-            continue;
-        }
-        if !overlap && t.demand_pos != t.issue_pos {
-            return Err(format!(
-                "{what} rank {rank}: synchronous plan opened a prefetch window on \
-                 tier op {i} '{}' ({} -> {})",
-                t.label, t.issue_pos, t.demand_pos
-            ));
-        }
-        if t.demand_pos > t.issue_pos {
+        report.paired_ops += 1;
+        if matches!(op.role, OpRole::Fetch { ahead: true, .. }) {
             report.windows_proven += 1;
         }
-        // Anchor pairing: each movement sits against the collective that
-        // consumes (fetch) or produced (spill) its bytes.
-        match t.label {
-            "tier-param-fetch" | "tier-publish-fetch" | "tier-ckpt-fetch" => {
-                let op = ops.get(t.issue_pos).ok_or_else(|| {
-                    format!(
-                        "{what} rank {rank}: tier op {i} '{}' anchors past the end of \
-                         the collective stream",
-                        t.label
-                    )
-                })?;
-                let gather = op.kind == zero_comm::CollectiveKind::AllGather;
-                if !gather || (t.label == "tier-ckpt-fetch") != (op.label == "ckpt-gather") {
-                    return Err(format!(
-                        "{what} rank {rank}: tier fetch {i} '{}' anchors at '{}' ({:?}), \
-                         not the all-gather it seeds",
-                        t.label, op.label, op.kind
-                    ));
-                }
-                let want = op.prec.bytes() * op.own_piece(rank).len() as u64;
-                if t.bytes != want {
-                    return Err(format!(
-                        "{what} rank {rank}: tier fetch {i} moves {} bytes but its \
-                         all-gather's shard piece is {want}",
-                        t.bytes
-                    ));
-                }
-                report.paired_ops += 1;
-            }
-            "tier-grad-spill" if t.issue_pos > 0 => {
-                // Spills follow their reduce-scatter immediately (stage
-                // 1's single end-of-step spill anchors at 0 in the suffix
-                // segment and is volume-checked below instead).
-                let op = &ops[t.issue_pos - 1];
-                if op.kind == zero_comm::CollectiveKind::ReduceScatter {
-                    let want = op.prec.bytes() * op.counts[rank] as u64;
-                    if t.bytes != want {
-                        return Err(format!(
-                            "{what} rank {rank}: tier spill {i} moves {} bytes but \
-                             its reduce-scatter's owner piece is {want}",
-                            t.bytes
-                        ));
-                    }
-                    report.paired_ops += 1;
-                }
-            }
-            _ => {}
-        }
-        report.tier_ops_checked += 1;
     }
     Ok(())
 }
 
-/// Proves the `rides` link of every tier op of a plan (`tier` over `ops`)
-/// consistent with its anchor: the engine issues a movement with the
-/// collective it rides, so this is what makes the runtime order the
-/// planned one.
+/// Proves every tier movement of a plan (`tier` over `ops`) anchored on a
+/// collective it can ride, with that op's counts: a fetch seeds an
+/// all-gather (a checkpoint fetch exactly a `ckpt-gather`), a gradient
+/// spill drains a reduce-scatter, and only checkpoint spills and stage 1's
+/// gradient spill ride nothing. The engine issues a movement with the op
+/// it rides, so this is what makes the runtime order the planned one.
 fn check_rides(tier: &[TierOp], ops: &[PlanOp], zcfg: &ZeroConfig, what: &str) -> Result<(), String> {
     use zero_comm::CollectiveKind::{AllGather, ReduceScatter};
     for (i, t) in tier.iter().enumerate() {
-        let Some(r) = t.rides else {
-            if t.label == "tier-ckpt-spill" || (t.dir == TierDir::Spill && !zcfg.stage.partitions_grads()) {
+        let free = t.label == "tier-ckpt-spill" || (t.label == "tier-grad-spill" && !zcfg.stage.partitions_grads());
+        let Some(k) = t.at.op() else {
+            if free {
                 continue;
             }
             return Err(format!("{what}: tier op {i} '{}' rides no collective", t.label));
         };
         let op = ops
-            .get(r)
-            .ok_or_else(|| format!("{what}: tier op {i} '{}' rides op {r}, past the stream", t.label))?;
-        let anchored = match t.dir {
-            TierDir::Fetch => op.kind == AllGather && r == t.issue_pos,
-            TierDir::Spill => op.kind == ReduceScatter && r + 1 == t.issue_pos,
+            .get(k)
+            .ok_or_else(|| format!("{what}: tier op {i} '{}' rides op {k}, past the stream", t.label))?;
+        let kind = match t.at {
+            TierAt::Seeds(_) => op.kind == AllGather && (t.label == "tier-ckpt-fetch") == (op.label == "ckpt-gather"),
+            _ => op.kind == ReduceScatter && t.label == "tier-grad-spill",
         };
         // A checkpoint fetch's counts are per world rank, its MP gather's
         // per member: `check_anchors` pairs them rank by rank.
-        let paired =
-            t.label == "tier-ckpt-fetch" || op.counts == zero_core::CountSpec::Explicit(t.counts.clone());
-        if !anchored || !paired {
+        let paired = t.label == "tier-ckpt-fetch" || op.counts == CountSpec::Explicit(t.counts.clone());
+        if free || !kind || !paired {
             return Err(format!(
-                "{what}: tier op {i} '{}' (issued at {}) rides op {r} '{}', which is not \
-                 the collective it seeds or drains",
-                t.label, t.issue_pos, op.label
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Proves every gradient spill riding a reduce-scatter blocked on at that
-/// reduce-scatter's release point in `walked`: the engine waits the two
-/// together.
-fn check_spill_demands(tier: &[TierOp], walked: &Footprint, what: &str) -> Result<(), String> {
-    for (i, t) in tier.iter().enumerate().filter(|(_, t)| t.label == "tier-grad-spill") {
-        let Some(rs) = t.rides else { continue };
-        let released = walked.settles.iter().find(|s| s.0 == rs).map(|s| s.2);
-        if released != Some(t.demand_pos) {
-            return Err(format!(
-                "{what}: gradient spill {i} is blocked on at {}, its reduce-scatter op {rs} is released at {released:?}",
-                t.demand_pos
+                "{what}: tier op {i} '{}' ({:?}) rides op {k} '{}', which is not the collective \
+                 it seeds or drains",
+                t.label, t.at, op.label
             ));
         }
     }
@@ -319,9 +236,6 @@ fn check_placed_config(
         let plan = CommPlan::train_step(layout, zcfg, grid, &sh);
         check_symmetry(&plan, &what)?;
         check_rides(plan.tier_ops(), plan.ops(), zcfg, &what)?;
-        // Release points are the same on every rank.
-        let walked = CommPlan::footprint(layout, zcfg, grid, sh.micro_batches, sh.act_elems, 0);
-        check_spill_demands(plan.tier_ops(), &walked, &what)?;
 
         // Offload must not perturb a single collective: the op stream is
         // bitwise identical to the tier-off baseline.
@@ -353,20 +267,12 @@ fn check_placed_config(
             let ops = plan.resolve_for(rank);
             crate::schedule::check_balance(layout, zcfg, grid, &ops, plan.tier_ops(), &what)?;
             let tier = plan.resolve_tier_for(rank);
-            check_anchors(&tier, &ops, rank, zcfg.overlap, &what, report)?;
+            check_anchors(&tier, &ops, rank, &what, report)?;
 
             // Independent telescoping volumes, from the partition alone.
             let shard = part.counts()[rank] as u64;
-            let spill: u64 = tier
-                .iter()
-                .filter(|t| t.dir == TierDir::Spill)
-                .map(|t| t.bytes)
-                .sum();
-            let publish: u64 = tier
-                .iter()
-                .filter(|t| t.dir == TierDir::Fetch && t.label == "tier-publish-fetch")
-                .map(|t| t.bytes)
-                .sum();
+            let spill: u64 = tier.iter().filter(|t| !t.at.is_fetch()).map(|t| t.bytes).sum();
+            let publish: u64 = tier.iter().filter(|t| t.label == "tier-publish-fetch").map(|t| t.bytes).sum();
             let want_spill = elem_bytes
                 * if zcfg.stage.partitions_grads() {
                     sh.micro_batches as u64 * shard
@@ -462,8 +368,8 @@ fn check_placed_config(
 
 /// Pairs one rank's checkpoint round trips in restore (last-in,
 /// first-out) order: each `tier-ckpt-spill` with exactly one later
-/// `tier-ckpt-fetch` of equal bytes, and blocked on where that fetch
-/// goes. Returns the pairs and the bytes spilled.
+/// `tier-ckpt-fetch` of equal bytes. Returns the pairs and the bytes
+/// spilled.
 fn check_checkpoint_pairs(tier: &[ResolvedTierOp], rank: usize, what: &str) -> Result<(usize, u64), String> {
     let (mut stored, mut pairs, mut bytes) = (Vec::new(), 0, 0);
     for t in tier {
@@ -471,13 +377,13 @@ fn check_checkpoint_pairs(tier: &[ResolvedTierOp], rank: usize, what: &str) -> R
             "tier-ckpt-spill" => stored.push(t),
             "tier-ckpt-fetch" => {
                 let spill = stored.pop().ok_or_else(|| {
-                    format!("{what} rank {rank}: checkpoint fetch at {} has no spill to pair with", t.issue_pos)
+                    format!("{what} rank {rank}: checkpoint fetch {:?} has no spill to pair with", t.at)
                 })?;
-                if spill.bytes != t.bytes || spill.demand_pos != t.issue_pos {
+                if spill.bytes != t.bytes {
                     return Err(format!(
-                        "{what} rank {rank}: checkpoint spill at {} ({} bytes, blocked on at {}) does \
-                         not pair with the fetch at {} ({} bytes)",
-                        spill.issue_pos, spill.bytes, spill.demand_pos, t.issue_pos, t.bytes
+                        "{what} rank {rank}: checkpoint spill {:?} ({} bytes) does not pair with the \
+                         fetch {:?} ({} bytes)",
+                        spill.at, spill.bytes, t.at, t.bytes
                     ));
                 }
                 (pairs, bytes) = (pairs + 1, bytes + t.bytes);
@@ -487,9 +393,9 @@ fn check_checkpoint_pairs(tier: &[ResolvedTierOp], rank: usize, what: &str) -> R
     }
     match stored.first() {
         Some(spill) => Err(format!(
-            "{what} rank {rank}: {} checkpoint spill(s) never fetched back, the first at {}",
+            "{what} rank {rank}: {} checkpoint spill(s) never fetched back, the first {:?}",
             stored.len(),
-            spill.issue_pos
+            spill.at
         )),
         None => Ok((pairs, bytes)),
     }
@@ -515,9 +421,6 @@ fn check_checkpoint_config(zcfg: &ZeroConfig, grid: Grid, report: &mut OffloadRe
         let plan = CommPlan::train_step(&layout, zcfg, grid, &sh);
         check_symmetry(&plan, &what)?;
         check_rides(plan.tier_ops(), plan.ops(), zcfg, &what)?;
-        if let Some(t) = plan.tier_ops().iter().find(|t| t.label == "tier-ckpt-spill" && t.rides.is_some()) {
-            return Err(format!("{what}: the checkpoint spill at {} rides a collective", t.issue_pos));
-        }
         let on_device_cfg = ZeroConfig { checkpoint_place: CkptPlace::Partitioned, ..*zcfg };
         let on_device = CommPlan::train_step(&layout, &on_device_cfg, grid, &sh);
         if plan.ops() != on_device.ops() {
@@ -531,7 +434,7 @@ fn check_checkpoint_config(zcfg: &ZeroConfig, grid: Grid, report: &mut OffloadRe
         }
         for rank in 0..grid.world_size() {
             let tier = plan.resolve_tier_for(rank);
-            check_anchors(&tier, &plan.resolve_for(rank), rank, zcfg.overlap, &what, report)?;
+            check_anchors(&tier, &plan.resolve_for(rank), rank, &what, report)?;
             let (pairs, bytes) = check_checkpoint_pairs(&tier, rank, &what)?;
             let slice = zero_comm::chunk_range(sh.act_elems, grid.mp_degree(), grid.coords(rank).1).len() as u64;
             let want = sh.micro_batches as u64 * segments * slice * width;
@@ -647,63 +550,65 @@ mod tests {
 
     #[test]
     fn overlapped_stage3_opens_windows() {
+        // The shard stays on the device at this budget: each unit's piece
+        // climbs once, at its first gather, and every one of those after
+        // the step's first (the embed's, on demand) is prefetched.
         let layout = Layout::build_mp(&test_model(), 1);
         let zcfg = cfg(ZeroStage::Three, true, true, TierConfig::budgeted(1 << 30));
         let plan = CommPlan::train_step(&layout, &zcfg, Grid::new(4, 1), &shape(false));
-        assert!(
-            plan.tier_ops()
-                .iter()
-                .any(|t| t.demand_pos > t.issue_pos),
-            "overlapped stage-3 plan must prefetch ahead of demand"
-        );
+        let seeds: Vec<&PlanOp> = plan
+            .tier_ops()
+            .iter()
+            .filter(|t| t.label == "tier-param-fetch")
+            .map(|t| &plan.ops()[t.at.op().expect("a parameter fetch seeds its gather")])
+            .collect();
+        assert_eq!(seeds.len(), layout.unit_count());
+        for op in &seeds[1..] {
+            assert!(
+                matches!(op.role, OpRole::Fetch { ahead: true, .. }),
+                "overlapped stage-3 plan must prefetch ahead of use: {:?}",
+                op.role
+            );
+        }
+    }
+
+    /// Overlapped stage 3 over two micro-batches of several buckets, and
+    /// its plan, checked healthy.
+    fn overlapped_stage3() -> (Layout, ZeroConfig, Grid, StepShape, CommPlan) {
+        let layout = Layout::build_mp(&test_model(), 1);
+        let (zcfg, grid, sh) = (cfg(ZeroStage::Three, true, true, TierConfig::budgeted(1 << 30)), Grid::new(2, 1), shape(false));
+        let plan = CommPlan::train_step(&layout, &zcfg, grid, &sh);
+        check_rides(plan.tier_ops(), plan.ops(), &zcfg, "healthy").expect("a healthy plan rides");
+        (layout, zcfg, grid, sh, plan)
     }
 
     #[test]
     fn spills_moved_back_to_the_drain_are_refused() {
-        // Overlapped stage 3, two micro-batches of several buckets: each
-        // spill rides the reduce-scatter right before it.
-        let layout = Layout::build_mp(&test_model(), 1);
-        let (zcfg, grid, sh) = (cfg(ZeroStage::Three, true, true, TierConfig::budgeted(1 << 30)), Grid::new(2, 1), shape(false));
-        let plan = CommPlan::train_step(&layout, &zcfg, grid, &sh);
-        let walked = CommPlan::footprint(&layout, &zcfg, grid, sh.micro_batches, sh.act_elems, 0);
-        check_rides(plan.tier_ops(), plan.ops(), &zcfg, "healthy").expect("a healthy plan rides");
-        check_spill_demands(plan.tier_ops(), &walked, "healthy").expect("healthy demands");
+        // Each spill drains the reduce-scatter right before it.
+        let (layout, zcfg, grid, sh, plan) = overlapped_stage3();
         let spills = plan.tier_ops().iter().filter(|t| t.label == "tier-grad-spill").count();
         assert!(spills >= 4, "{spills} spills");
-        // Mutant: every spill queued and blocked on at its micro-batch's
-        // drain, the release point of the micro-batch's last bucket.
+        // Mutant: every spill moved back to its micro-batch's drain, the
+        // release point of the micro-batch's last bucket, riding nothing.
+        let walked = CommPlan::footprint(&layout, &zcfg, grid, sh.micro_batches, sh.act_elems, 0);
         let mut drained: Vec<TierOp> = plan.tier_ops().to_vec();
         for t in drained.iter_mut().filter(|t| t.label == "tier-grad-spill") {
-            let rs = t.rides.expect("a bucket spill rides its reduce-scatter");
-            let drain = walked.settles.iter().find(|s| s.0 >= rs && s.1.is_none()).expect("a drain").2;
-            (t.issue_pos, t.demand_pos) = (drain, drain);
+            let TierAt::Drains(rs) = t.at else { panic!("a bucket spill drains its reduce-scatter") };
+            t.at = TierAt::Free(walked.settles.iter().find(|s| s.0 >= rs && s.1.is_none()).expect("a drain").2);
         }
         let err = check_rides(&drained, plan.ops(), &zcfg, "drained").expect_err("drained spills must be refused");
-        assert!(err.contains("not the collective it seeds or drains"), "{err}");
-        // A spill left behind its reduce-scatter but blocked on at the
-        // drain, where the engine no longer is.
-        let mut late: Vec<TierOp> = plan.tier_ops().to_vec();
-        let first = late.iter().position(|t| t.label == "tier-grad-spill").expect("a spill");
-        late[first].demand_pos = drained[first].demand_pos;
-        assert_ne!(late[first].demand_pos, plan.tier_ops()[first].demand_pos, "the first bucket settles at a gather");
-        assert!(check_spill_demands(&late, &walked, "late").unwrap_err().contains("is released at"));
+        assert!(err.contains("rides no collective"), "{err}");
     }
 
     #[test]
-    fn tampered_window_is_rejected() {
-        // Guard against the checker degenerating: an op demanded before
-        // it is issued must fail the window check.
-        let t = ResolvedTierOp {
-            dir: TierDir::Fetch,
-            label: "tier-param-fetch",
-            bytes: 64,
-            issue_pos: 3,
-            demand_pos: 1,
-        };
-        let mut report = OffloadReport::default();
-        let err = check_anchors(&[t], &[], 0, true, "tamper", &mut report)
-            .expect_err("inverted window must be rejected");
-        assert!(err.contains("demanded"), "unexpected error: {err}");
+    fn fetches_seeding_a_reduce_scatter_are_refused() {
+        let (.., zcfg, _, _, plan) = overlapped_stage3();
+        let mut seeded = plan.tier_ops().to_vec();
+        let rs = plan.ops().iter().position(|op| op.label == "grad-bucket").expect("a bucket");
+        let fetch = seeded.iter().position(|t| t.label == "tier-param-fetch").expect("a parameter fetch");
+        seeded[fetch].at = TierAt::Seeds(rs);
+        let err = check_rides(&seeded, plan.ops(), &zcfg, "seeds a reduce-scatter").expect_err("must be refused");
+        assert!(err.contains("not the collective it seeds or drains"), "{err}");
     }
 
     #[test]
@@ -722,19 +627,15 @@ mod tests {
             check_checkpoint_pairs(&t, 3, "tamper").expect_err("a tampered round trip must be rejected")
         };
         assert!(tamper(&|t| t[fetch].bytes -= 2).contains("does not pair"));
-        assert!(tamper(&|t| t[fetch].issue_pos += 1).contains("does not pair"));
-        assert!(tamper(&|t| { t.remove(fetch); }).contains("does not pair"));
+        assert!(tamper(&|t| { t.remove(fetch); }).contains("never fetched back"));
         let last = tier.iter().rposition(|t| t.label == "tier-ckpt-fetch").expect("a checkpoint fetch");
         assert!(tamper(&|t| { t.remove(last); }).contains("never fetched back"));
         // A fetch seeding a gather other than the checkpoint's.
-        let mut report = OffloadReport::default();
-        let mut moved = tier.clone();
-        moved[fetch].issue_pos = 0;
-        moved[fetch].demand_pos = 0;
-        let ops = plan.resolve_for(3);
-        let err = check_anchors(&moved[fetch..=fetch], &ops, 3, false, "tamper", &mut report)
-            .expect_err("a checkpoint fetch must seed its ckpt-gather");
-        assert!(err.contains("not the all-gather it seeds"), "{err}");
+        let mut moved = plan.tier_ops().to_vec();
+        let publish = plan.ops().iter().position(|op| op.label == "publish-params").expect("a publish gather");
+        moved[fetch].at = TierAt::Seeds(publish);
+        let err = check_rides(&moved, plan.ops(), &zcfg, "tamper").expect_err("a checkpoint fetch must seed its ckpt-gather");
+        assert!(err.contains("not the collective it seeds or drains"), "{err}");
     }
 
     #[test]
@@ -746,12 +647,7 @@ mod tests {
         let grid = Grid::new(2, 1);
         let plan = CommPlan::train_step(&layout, &zcfg, grid, &shape(false));
         let part = Partitioner::per_unit(&layout, 2);
-        let spill: u64 = plan
-            .resolve_tier_for(0)
-            .iter()
-            .filter(|t| t.dir == TierDir::Spill)
-            .map(|t| t.bytes)
-            .sum();
+        let spill: u64 = plan.resolve_tier_for(0).iter().filter(|t| !t.at.is_fetch()).map(|t| t.bytes).sum();
         let want = 2 * 2 * part.counts()[0] as u64; // elem_bytes × micros × shard
         assert_eq!(spill, want, "healthy plan telescopes");
         assert_ne!(spill.saturating_sub(2), want, "tampered volume must disagree");

@@ -444,7 +444,7 @@ pub(crate) fn check_balance(
         }
     }
     for t in tier {
-        let u = match t.rides {
+        let u = match t.at.op() {
             Some(k) => units(&ops[k].role),
             None => (t.label == "tier-grad-spill").then(|| layout.units().len()),
         };

@@ -7,8 +7,9 @@
 //! property and still move an op. This test pins the stream itself: per
 //! rank, `(kind, members, counts, prec, wire, nonblocking)` of every
 //! resolved collective — and the unit a fetch materializes, which balanced
-//! counts no longer tell apart — and `(dir, bytes, issue_pos)` of every
-//! tier movement, for `train_step` (skipped and not), `eval_pass`
+//! counts no longer tell apart — and the direction, bytes and issue
+//! position its [`TierAt`](zero_core::TierAt) anchor gives every tier
+//! movement, for `train_step` (skipped and not), `eval_pass`
 //! and `publish_refresh`. A second table pins `serve_step` the same way,
 //! one line per serving world size and overlap setting, each fetch also
 //! folding whether it goes out ahead. A change that means to alter a
@@ -20,10 +21,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use zero_comm::Grid;
-use zero_core::{
-    CommPlan, OpRole, StepShape, TierDir, WireFmt,
-    ZeroConfig, ZeroStage,
-};
+use zero_core::{CommPlan, OpRole, StepShape, WireFmt, ZeroConfig, ZeroStage};
 use zero_model::{Layout, ModelConfig};
 use zero_verify::{compression, memory, offload, schedule};
 
@@ -77,12 +75,9 @@ fn rank_digest(plan: &CommPlan, rank: usize) -> u64 {
     }
     h.word(u64::MAX);
     for t in plan.resolve_tier_for(rank) {
-        h.word(match t.dir {
-            TierDir::Spill => 0,
-            TierDir::Fetch => 1,
-        });
+        h.word(u64::from(t.at.is_fetch()));
         h.word(t.bytes);
-        h.words(&[t.issue_pos]);
+        h.words(&[t.at.issue_pos()]);
     }
     h.0
 }
