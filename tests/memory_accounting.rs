@@ -15,7 +15,7 @@ use zero::comm::{try_launch_with_config, CollectiveKind, FaultPlan, Grid, WorldC
 use zero::core::{
     run_training, CkptPlace, CommPlan, MemCategory, RankEngine, TrainSetup, ZeroConfig, ZeroStage,
 };
-use zero::model::{init_full_params, Gpt, Layout, ModelConfig, SyntheticCorpus};
+use zero::model::{init_full_params, shard_params, Gpt, Layout, ModelConfig, SyntheticCorpus};
 
 fn model() -> ModelConfig {
     ModelConfig {
@@ -458,26 +458,45 @@ fn overlapped_stage3_settles_each_reduce_scatter_at_the_first_gather_behind_it()
     assert_eq!(out, [2_413_056; 2], "two gathered units plus one bucket");
 }
 
+/// Each rank's measured peak after one training step of `micros`
+/// micro-batches of `local_batch` sequences on a fresh engine.
+fn measured_peaks(setup: &TrainSetup, micros: usize, local_batch: usize) -> Vec<u64> {
+    let (m, grid) = (setup.model, setup.grid);
+    let full = init_full_params(&m, setup.seed);
+    let corpus = setup.corpus(micros);
+    zero::comm::launch(grid.world_size(), |comm| {
+        let (dp_rank, mp_rank) = grid.coords(comm.rank());
+        let params = if grid.mp_degree() == 1 { full.clone() } else { shard_params(&m, &full, grid.mp_degree(), mp_rank) };
+        let mut engine = RankEngine::new(Gpt::new_mp(m, grid.mp_degree()), &params, setup.zero, grid, comm);
+        let batches: Vec<_> =
+            (0..micros).map(|i| corpus.rank_batch(i, setup.global_batch, m.seq, grid.dp_degree(), dp_rank)).collect();
+        let micro_refs: Vec<(&[u32], &[u32])> = batches.iter().map(|(i, t)| (&i[..], &t[..])).collect();
+        engine.try_train_step(&micro_refs, local_batch).expect("the step runs");
+        engine.memory().peak_device()
+    })
+}
+
 #[test]
 fn the_memory_walk_predicts_every_peak_to_the_byte() {
     // Every configuration the schedule digests pin (DDP and stages 1–3,
     // tier on and off, synchronous and overlapped, ZeRO++ levers, MP
     // grids, the two-level all-reduce, P_a and P_a+cpu), trained one step
-    // at two batch sizes: each rank's measured peak is the one
+    // at two batch sizes, of one micro-batch and of two (the second
+    // crosses the end-of-micro drain with reduce-scatters settled and
+    // checkpoints restored): each rank's measured peak is the one
     // `CommPlan::footprint` walks to from the plan.
     let m = zero_verify::memory::digest_model();
     let mut configs = zero_verify::memory::digest_configs();
     configs.dedup_by(|a, b| (a.0, a.1) == (b.0, b.1));
     assert!(configs.len() >= 170, "{} configurations", configs.len());
     for (zcfg, grid, _) in configs {
-        for local_batch in [1, 2] {
+        for (local_batch, micros) in [(1, 1), (2, 1), (1, 2), (2, 2)] {
             let setup = TrainSetup { model: m, zero: zcfg, grid, global_batch: local_batch * grid.dp_degree(), seed: 3 };
-            let report = run_training(&setup, 1, 0);
             let layout = Layout::build_mp(&m, grid.mp_degree());
             let act_elems = local_batch * m.seq * m.hidden;
-            for r in &report.ranks {
-                let walked = CommPlan::footprint(&layout, &zcfg, grid, 1, act_elems, r.rank);
-                assert_eq!(walked.peak_device, r.peak_device_bytes, "{zcfg:?} {grid:?} batch {local_batch} rank {}", r.rank);
+            for (rank, peak) in measured_peaks(&setup, micros, local_batch).into_iter().enumerate() {
+                let walked = CommPlan::footprint(&layout, &zcfg, grid, micros, act_elems, rank);
+                assert_eq!(walked.peak_device, peak, "{zcfg:?} {grid:?} batch {local_batch} micros {micros} rank {rank}");
             }
         }
     }
