@@ -7,7 +7,8 @@
 //! property and still move an op. This test pins the stream itself: per
 //! rank, `(kind, members, counts, prec, wire, nonblocking)` of every
 //! resolved collective — and the unit a fetch materializes, which balanced
-//! counts no longer tell apart — and the direction, bytes and issue
+//! counts no longer tell apart, and where a bucket reduce-scatter's
+//! buffer is settled — and the direction, bytes and issue
 //! position its [`TierAt`](zero_core::TierAt) anchor gives every tier
 //! movement, for `train_step` (skipped and not), `eval_pass`
 //! and `publish_refresh`. A second table pins `serve_step` the same way,
@@ -54,11 +55,16 @@ impl Fnv {
     }
 }
 
+/// Where bucket reduce-scatter `rs` of a plan is settled: `[0, 0]` at its
+/// flush, `[1, g]` when gather op `g` is consumed, `[2, 0]` at the
+/// end-of-micro drain.
+type SettlePoint<'a> = &'a dyn Fn(usize) -> [usize; 2];
+
 /// One rank's digest of one plan: the resolved collective stream, then
 /// the resolved tier stream.
-fn rank_digest(plan: &CommPlan, rank: usize) -> u64 {
+fn rank_digest(plan: &CommPlan, rank: usize, settle: SettlePoint) -> u64 {
     let mut h = Fnv::new();
-    for op in plan.resolve_for(rank) {
+    for (i, op) in plan.resolve_for(rank).into_iter().enumerate() {
         h.word(op.kind as u64);
         h.words(&op.members);
         h.words(&op.counts);
@@ -69,8 +75,10 @@ fn rank_digest(plan: &CommPlan, rank: usize) -> u64 {
             WireFmt::QgzInt8 { node_size, block } => h.words(&[2, node_size, block]),
         }
         h.word(u64::from(op.nonblocking));
-        if let OpRole::Fetch { unit, .. } = op.role {
-            h.word(unit as u64);
+        match op.role {
+            OpRole::Fetch { unit, .. } => h.word(unit as u64),
+            OpRole::Span(_) => h.words(&settle(i)),
+            _ => {}
         }
     }
     h.word(u64::MAX);
@@ -97,11 +105,20 @@ fn config_line(zcfg: &ZeroConfig, grid: Grid, local_batch: usize) -> String {
         CommPlan::eval_pass(&layout, zcfg, grid, act_elems),
         CommPlan::publish_refresh(&layout, zcfg, grid),
     ];
+    let walked = CommPlan::footprint(&layout, zcfg, grid, 2, act_elems, 0);
+    let settle = |rs: usize| {
+        let &(_, by, _) = walked.settles.iter().find(|s| s.0 == rs).expect("a walked settle");
+        match by {
+            Some(g) => [1, g],
+            None if plans[0].ops()[rs].nonblocking => [2, 0],
+            None => [0, 0],
+        }
+    };
     let mut line = String::new();
     for plan in &plans {
         let mut fold = Fnv::new();
         for rank in 0..grid.world_size() {
-            fold.word(rank_digest(plan, rank));
+            fold.word(rank_digest(plan, rank, &settle));
         }
         write!(line, " {:016x}", fold.0).unwrap();
     }
@@ -119,7 +136,7 @@ fn serve_table() -> String {
             let plan = CommPlan::serve_step(&layout, n, overlap);
             let mut fold = Fnv::new();
             for rank in 0..n {
-                fold.word(rank_digest(&plan, rank));
+                fold.word(rank_digest(&plan, rank, &|_| unreachable!("a serving step reduces nothing")));
                 for op in plan.resolve_for(rank) {
                     if let OpRole::Fetch { ahead, .. } = op.role {
                         fold.word(u64::from(ahead));
