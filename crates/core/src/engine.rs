@@ -33,9 +33,10 @@
 //! precision, wire format and reduction, of the stores a fetch reads and
 //! stashes into, of whether the next unit's fetch goes out before this one
 //! is waited, where the gradient bucket is cut, which ops each CB chunk
-//! runs, whether a reduce-scatter is settled at once or left in flight,
-//! and which tier movement goes ahead of it or behind it. The engine
-//! derives no group and picks no reduction of its own.
+//! runs, where each reduce-scatter is settled (its `Settle` stamp), and
+//! which tier movement goes ahead of it or behind it. The engine derives
+//! no group, picks no reduction and decides no buffer's lifetime of its
+//! own; the charges it makes on its `MemoryTracker` check the plan's.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -56,7 +57,7 @@ use crate::config::{CkptPlace, ZeroConfig};
 use crate::memory::{MemCategory, MemoryTracker};
 use crate::partition::Partitioner;
 use crate::plan::{
-    CommPlan, EffectiveOffload, OpRole, ParamStore, PlanCursor, Reduction, ResolvedOp, ResolvedTierOp,
+    CommPlan, EffectiveOffload, OpRole, ParamStore, PlanCursor, Reduction, ResolvedOp, ResolvedTierOp, Settle,
 };
 use crate::store::{clip, FlatStore};
 use crate::tier::{TierStats, TierStore};
@@ -313,10 +314,11 @@ pub struct RankEngine {
 
     bucket: GradBucket,
     /// In-flight bucket reduce-scatters, each with the spill behind it:
-    /// issued as backward produces them and settled in FIFO order — right
-    /// after the flush in synchronous mode, under overlap when the first
-    /// gather issued behind them is consumed — so gradient accumulation
-    /// order, and therefore the loss, is bitwise identical either way.
+    /// issued as backward produces them and settled in FIFO order where
+    /// the plan stamps them — right after the flush in synchronous mode,
+    /// under overlap when the first gather issued ahead behind them is
+    /// consumed — so gradient accumulation order, and therefore the loss,
+    /// is bitwise identical either way.
     inflight_rs: VecDeque<InflightReduce>,
     /// The stage-3 prefetch slot: a parameter all-gather the plan issued
     /// ahead of its unit's use.
@@ -606,17 +608,14 @@ impl RankEngine {
         }
     }
 
-    /// Settles, in issue order, the in-flight bucket reduce-scatters issued
-    /// before plan position `before` (`usize::MAX`: all of them, the drain):
-    /// wait each and the spill behind it, land the owner piece in the
-    /// gradient shard, free the fused buffer (§5.2). At a consumed gather's
-    /// position the wait is free: the fabric runs the rank's ops in issue
-    /// order, so the reduce-scatter and its spill are done before the
-    /// gather starts. After an error `clear_transients` drops the handles
-    /// left unawaited; their ops still run in issue order, keeping the SPMD
-    /// schedule aligned for recovery.
-    fn settle(&mut self, before: usize) -> Result<(), CommError> {
-        while self.inflight_rs.front().is_some_and(|inf| inf.issued.pos < before) {
+    /// Settles, in issue order, the in-flight bucket reduce-scatters the
+    /// plan stamps for `point`, the one the engine is at: wait each and the
+    /// spill behind it, land the owner piece in the gradient shard, free
+    /// the fused buffer (§5.2). After an error `clear_transients` drops the
+    /// handles left unawaited; their ops still run in issue order, keeping
+    /// the SPMD schedule aligned for recovery.
+    fn settle(&mut self, point: Settle) -> Result<(), CommError> {
+        while self.inflight_rs.front().is_some_and(|inf| matches!(inf.issued.op.role, OpRole::Span(_, at) if at == point)) {
             let Some(inf) = self.inflight_rs.pop_front() else { break };
             let bytes = 4 * inf.issued.op.total_elems() as u64;
             let span = self.trace.begin(SpanCategory::Wait, "settle-reduce");
@@ -629,13 +628,15 @@ impl RankEngine {
     }
 
     /// Drops any async state left over from a failed step (handles are
-    /// dropped unawaited; the fabric still runs the ops). Called
-    /// on entry to every engine entry point that installs a fresh plan.
+    /// dropped unawaited; the fabric still runs the ops) and frees every
+    /// transient byte still charged: staging buffers, kept activations
+    /// and stored checkpoints. Called on entry to every engine entry point
+    /// that installs a fresh plan.
     fn clear_transients(&mut self) {
-        let inflight: usize = self.inflight_rs.drain(..).map(|inf| inf.issued.op.total_elems()).sum();
-        let held = self.held.take().map_or(0, |(.., buf)| buf.len());
-        let slot = self.prefetch.take().map_or(0, |pf| pf.op.total_elems());
-        self.mem.free(MemCategory::Buffers, 4 * (inflight + held + slot) as u64);
+        (self.inflight_rs, self.held, self.prefetch) = (VecDeque::new(), None, None);
+        for cat in [MemCategory::Buffers, MemCategory::Activations, MemCategory::Checkpoints, MemCategory::HostCheckpoints] {
+            self.mem.free(cat, self.mem.live(cat));
+        }
     }
 
     /// Quantizes activations to fp16 width in mixed-precision mode, so the
@@ -695,7 +696,7 @@ impl RankEngine {
         // fp16 gradients: quantize before they enter the fused buffer.
         self.maybe_quantize(&mut g);
         self.bucket.push(range, g);
-        if self.io.plan.peek().map(|op| &op.role) == self.bucket.span().map(OpRole::Span).as_ref() {
+        if matches!(self.io.plan.peek().map(|op| &op.role), Some(OpRole::Span(next, _)) if Some(next) == self.bucket.span().as_ref()) {
             self.flush_bucket()?;
         }
         Ok(())
@@ -706,21 +707,16 @@ impl RankEngine {
     /// bucket contents are dropped — "after the reduction we no longer
     /// need the gradients and their memory can be released" (§5.2). A
     /// non-blocking op stays in flight so backward keeps computing while
-    /// the ring runs; a blocking one is settled here.
+    /// the ring runs; one the plan settles at its flush is settled here.
     fn flush_bucket(&mut self) -> Result<(), CommError> {
-        let mut settle = false;
         let Self { bucket, io, mem, inflight_rs, trace, part, .. } = self;
         bucket.flush_all(part, &mut |span, fused| {
             trace.instant(SpanCategory::Collective, "bucket-flush");
             mem.alloc(MemCategory::Buffers, 4 * fused.len() as u64);
             let issued = io.start(CollectiveKind::ReduceScatter, fused);
-            settle = !issued.op.nonblocking;
             inflight_rs.push_back(InflightReduce { span, issued });
         });
-        if settle {
-            self.settle(usize::MAX)?;
-        }
-        Ok(())
+        self.settle(Settle::Flush)
     }
 
     /// Publishes updated master parameters into the working copy, then
@@ -1101,16 +1097,15 @@ impl Walker for Pass<'_> {
         };
         let OpRole::Fetch { unit, into, hold, .. } = cur.op.role else { unreachable!("a fetch op") };
         assert_eq!(unit, u, "comm-plan drift: the plan fetched a unit the engine is not at");
-        // The reduce-scatters issued ahead of this gather are settled as it
-        // is consumed, before the next prefetch goes out.
-        let out = e.settle(cur.pos).and_then(|()| {
+        // The reduce-scatters the plan settles at this gather are settled
+        // as it is consumed, before the next prefetch goes out.
+        let out = e.settle(Settle::Gather(cur.pos)).and_then(|()| {
             e.prefetch_next(next);
             if let Some(image) = hold {
                 e.held = Some((unit, image, Vec::new()));
             }
             cur.wait()
-        });
-        let out = out.inspect_err(|_| e.mem.free(MemCategory::Buffers, 4 * unit_range.len() as u64))?;
+        })?;
         if let Some(store) = into {
             e.param_store(store).stash(&unit_range, &out);
         }
@@ -1230,9 +1225,9 @@ impl Walker for Pass<'_> {
         self.e.dispatch_grads(range, grads)
     }
 
-    /// Embedding backward, then drain: settle what no gather was issued
-    /// behind, with the spills queued behind it (nothing is left in sync
-    /// mode). The last planned bucket ends at element 0, so the
+    /// Embedding backward, then drain: settle what the plan stamps for the
+    /// drain, with the spills queued behind it (nothing in sync mode). The
+    /// last planned bucket ends at element 0, so the
     /// embedding's push flushed it and the next micro-batch's head-first
     /// pushes start a fresh descending run.
     fn embed_bwd(&mut self) -> Result<(), CommError> {
@@ -1244,7 +1239,7 @@ impl Walker for Pass<'_> {
         e.trace.end(span);
         self.dy = Vec::new();
         e.dispatch_grads(range, grads)?;
-        e.settle(usize::MAX)?;
+        e.settle(Settle::Drain)?;
         debug_assert!(e.prefetch.is_none(), "prefetch slot must drain with backward");
         Ok(())
     }

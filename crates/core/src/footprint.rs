@@ -5,94 +5,51 @@
 //! the model-state stores once, at construction, in the device or host
 //! category the placement names; a gathered unit from its gather's issue
 //! to its release (a held unit to its release after the next fetch); a
-//! bucket's fused reduce-scatter buffer from its flush until it is
-//! settled; kept block activations from forward to backward; a checkpoint
-//! from store to restore; a CB chunk's staging buffer for its ops. The
-//! `Replay` here is the third `Walker` beside the plan `Builder` and the
-//! engine's `Pass`: it walks the same micro-batches over the finished
-//! plan, reads every decision off the ops as the engine does, and makes
-//! the same charges in the same order on a tracker of its own. Its peak is
-//! the engine's `peak_device()` to the byte (`tests/memory_accounting.rs`
-//! holds it there over every `schedule_digest` configuration, stages 0–3,
-//! at two batch sizes), which is what lets the plan builder choose a
-//! placement before a step runs ([`CommPlan::placement`]).
+//! bucket's fused reduce-scatter buffer from its flush to the point its
+//! [`Settle`](crate::plan::Settle) stamp names; kept block activations
+//! from forward to backward; a checkpoint from store to restore; a CB
+//! chunk's staging buffer for its ops. The plan `Builder` decides each of
+//! those lifetimes and records every transient charge in walk order as it
+//! builds the plan, so the walk here is `charge_states` and a fold over
+//! that stream. Its peak is the engine's `peak_device()` to the byte
+//! (`tests/memory_accounting.rs` holds it there over every
+//! `schedule_digest` configuration, stages 0–3, at two batch sizes and
+//! two micro-batch counts, against the engine's own tracker), which is
+//! what lets the plan builder choose a placement before a step runs
+//! ([`CommPlan::placement`]).
 
-use std::collections::VecDeque;
-use std::convert::Infallible;
-use std::ops::Range;
-
-use zero_comm::{CollectiveKind, Grid};
+use zero_comm::Grid;
 use zero_model::Layout;
 
-use crate::config::{CkptPlace, OptimizerKind, ZeroConfig};
+use crate::config::{OptimizerKind, ZeroConfig};
 use crate::memory::{MemCategory, MemoryTracker};
 use crate::partition::Partitioner;
-use crate::plan::{CommPlan, CountSpec, EffectiveOffload, OpRole, PlanOp};
-use crate::walk::{self, Walker};
+use crate::plan::{CommPlan, EffectiveOffload};
 
-/// What the memory walk predicts for one rank's training step.
+/// One transient charge the engine makes on its tracker as it runs a
+/// plan: `bytes` allocated in (or freed from) `cat`, the same on every
+/// rank (one entry) or each world rank's own (a checkpoint's slice).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Footprint {
-    /// Peak device bytes: what the engine's `MemoryTracker::peak_device`
-    /// reads after the step.
-    pub peak_device: u64,
-    /// Every bucket reduce-scatter of the step in plan order: its op index;
-    /// the index of the gather at whose consumption its buffer was
-    /// released — `None` when it was settled at its flush (synchronous) or
-    /// at the end-of-micro drain; and the plan position there, the number
-    /// of ops issued when the engine waits it and the spill behind it.
-    pub settles: Vec<(usize, Option<usize>, usize)>,
+pub(crate) struct Charge {
+    pub(crate) alloc: bool,
+    pub(crate) cat: MemCategory,
+    pub(crate) bytes: Vec<u64>,
 }
 
-/// Walks one step of `plan` (micro-batch forward/backward passes, then the
-/// CB chunks) charging what rank `rank`'s engine would, under placement
-/// `off`.
-pub(crate) fn replay(
-    layout: &Layout,
-    zcfg: &ZeroConfig,
-    ops: &[PlanOp],
-    grid: Grid,
-    shape: (usize, usize),
-    off: EffectiveOffload,
-    rank: usize,
-) -> Footprint {
-    let (micro_batches, act_elems) = shape;
+/// Rank `rank`'s peak device bytes: the model-state stores under placement
+/// `off`, then `charges` in order.
+fn peak_device(layout: &Layout, zcfg: &ZeroConfig, grid: Grid, off: EffectiveOffload, charges: &[Charge], rank: usize) -> u64 {
     let mut mem = MemoryTracker::new();
     charge_states(&mut mem, layout, zcfg, grid, off, rank);
-    let dims = layout.block_dims(1);
-    let saved = 4 * layout.block_dims(act_elems / (dims.seq * dims.hidden)).saved_elems() as u64;
-    let slice = zcfg.checkpoint_place.slice(act_elems, grid.mp_degree(), grid.coords(rank).1).len() as u64;
-    let ckpt_cat = if zcfg.checkpoint_place == CkptPlace::Host { MemCategory::HostCheckpoints } else { MemCategory::Checkpoints };
-    let mut r = Replay {
-        ops,
-        next: 0,
-        units: layout.units().iter().map(|u| u.range.clone()).collect(),
-        zcfg: *zcfg,
-        mem,
-        slot: None,
-        held: None,
-        inflight: VecDeque::new(),
-        settles: Vec::new(),
-        pending: None,
-        saved,
-        ckpt: (ckpt_cat, if zcfg.fp16 { 2 } else { 4 } * slice),
-    };
-    let layers = layout.unit_count() - 2;
-    for _ in 0..micro_batches {
-        let Ok(()) = walk::micro(&mut r, layers, walk::interval(zcfg), true);
-    }
-    // The end-of-step CB chunks: each stages its rows for its ops alone.
-    while let Some(op) = r.ops.get(r.next) {
-        if let OpRole::Chunk(rows) = &op.role {
-            let bytes = 4 * elems(op) as u64;
-            r.mem.alloc(MemCategory::Buffers, bytes);
-            r.mem.free(MemCategory::Buffers, bytes);
-            r.next += ops[r.next..].iter().take_while(|o| o.role == OpRole::Chunk(rows.clone())).count();
+    for c in charges {
+        let bytes = c.bytes[if c.bytes.len() == 1 { 0 } else { rank }];
+        if c.alloc {
+            mem.alloc(c.cat, bytes);
         } else {
-            r.next += 1;
+            mem.free(c.cat, bytes);
         }
     }
-    Footprint { peak_device: r.mem.peak_device(), settles: r.settles }
+    mem.peak_device()
 }
 
 /// The model-state stores `RankEngine::new` charges, in its order and in
@@ -124,189 +81,6 @@ fn charge_states(mem: &mut MemoryTracker, layout: &Layout, zcfg: &ZeroConfig, gr
     mem.alloc(if off.grads { MemCategory::HostGradShard } else { MemCategory::Gradients }, width * grads);
 }
 
-/// Elements of a planned op's buffer (its counts summed).
-fn elems(op: &PlanOp) -> usize {
-    match &op.counts {
-        CountSpec::Explicit(v) => v.iter().sum(),
-        CountSpec::Even { total } | CountSpec::NodeChunk { total } => *total,
-    }
-}
-
-/// The replay's cursor over the plan and its tracker.
-struct Replay<'a> {
-    ops: &'a [PlanOp],
-    next: usize,
-    units: Vec<Range<usize>>,
-    zcfg: ZeroConfig,
-    mem: MemoryTracker,
-    /// The gather issued ahead: its unit and op index.
-    slot: Option<(usize, usize)>,
-    /// The unit the plan holds into its next fetch.
-    held: Option<usize>,
-    /// Bucket reduce-scatters in flight: op index and buffer bytes.
-    inflight: VecDeque<(usize, u64)>,
-    settles: Vec<(usize, Option<usize>, usize)>,
-    /// The gradients dispatched since the last flush.
-    pending: Option<Range<usize>>,
-    /// Bytes of one block's kept activations, and of one checkpoint.
-    saved: u64,
-    ckpt: (MemCategory, u64),
-}
-
-impl Replay<'_> {
-    /// Takes the next op, which must be a `kind` collective; its index.
-    fn take(&mut self, kind: CollectiveKind) -> usize {
-        let op = &self.ops[self.next];
-        assert_eq!(op.kind, kind, "memory walk drift at op {} '{}'", self.next, op.label);
-        self.next += 1;
-        self.next - 1
-    }
-
-    fn unit_bytes(&self, u: usize) -> u64 {
-        4 * self.units[u].len() as u64
-    }
-
-    /// One block pass's two Megatron hooks.
-    fn block_pass(&mut self) {
-        self.take(CollectiveKind::AllReduce);
-        self.take(CollectiveKind::AllReduce);
-    }
-
-    /// Releases every reduce-scatter in flight issued before op `before`,
-    /// recording the gather `by` whose consumption released it and the
-    /// current position.
-    fn settle(&mut self, before: usize, by: Option<usize>) {
-        while let Some(&(at, bytes)) = self.inflight.front().filter(|(at, _)| *at < before) {
-            self.inflight.pop_front();
-            self.mem.free(MemCategory::Buffers, bytes);
-            if let Some(s) = self.settles.iter_mut().find(|s| s.0 == at) {
-                (s.1, s.2) = (by, self.next);
-            }
-        }
-    }
-
-    /// Issues the next op into the slot if it is a fetch of `next` planned
-    /// ahead.
-    fn prefetch_next(&mut self, next: Option<usize>) {
-        match self.ops.get(self.next).map(|op| &op.role) {
-            Some(&OpRole::Fetch { ahead: true, unit, .. }) if Some(unit) == next => {
-                let at = self.take(CollectiveKind::AllGather);
-                self.mem.alloc(MemCategory::Buffers, self.unit_bytes(unit));
-                self.slot = Some((unit, at));
-            }
-            _ => {}
-        }
-    }
-
-    /// Pushes unit `u`'s gradients into the bucket and flushes it when the
-    /// next planned op is the reduce-scatter of what it holds.
-    fn dispatch(&mut self, u: usize) {
-        if !self.zcfg.stage.partitions_grads() {
-            return;
-        }
-        let span = self.pending.take().map_or(self.units[u].clone(), |p| self.units[u].start..p.end);
-        if self.ops.get(self.next).is_none_or(|op| op.role != OpRole::Span(span.clone())) {
-            self.pending = Some(span);
-            return;
-        }
-        let at = self.take(CollectiveKind::ReduceScatter);
-        let bytes = 4 * span.len() as u64;
-        self.mem.alloc(MemCategory::Buffers, bytes);
-        self.inflight.push_back((at, bytes));
-        self.settles.push((at, None, self.next));
-        if !self.ops[at].nonblocking {
-            self.settle(usize::MAX, None);
-        }
-    }
-}
-
-impl Walker for Replay<'_> {
-    type Unit = usize;
-    type Saved = ();
-    type Ckpt = ();
-    type Error = Infallible;
-
-    fn fetch(&mut self, u: usize, next: Option<usize>) -> Result<usize, Infallible> {
-        if !self.zcfg.stage.partitions_params() {
-            self.mem.alloc(MemCategory::Buffers, self.unit_bytes(u));
-            return Ok(u);
-        }
-        if self.held.take_if(|held| *held == u).is_some() {
-            self.prefetch_next(next);
-            return Ok(u);
-        }
-        let at = match self.slot.take() {
-            Some((_, at)) => at,
-            None => {
-                self.mem.alloc(MemCategory::Buffers, self.unit_bytes(u));
-                self.take(CollectiveKind::AllGather)
-            }
-        };
-        let OpRole::Fetch { unit, hold, .. } = self.ops[at].role else { panic!("memory walk drift: op {at} is no fetch") };
-        assert_eq!(unit, u, "memory walk drift: op {at} fetches another unit");
-        self.settle(at, Some(at));
-        self.prefetch_next(next);
-        if hold.is_some() {
-            self.held = Some(u);
-        }
-        Ok(u)
-    }
-
-    fn release(&mut self, u: usize, _: usize) {
-        if self.held != Some(u) {
-            self.mem.free(MemCategory::Buffers, self.unit_bytes(u));
-        }
-    }
-
-    fn embed(&mut self, p: usize) -> Result<(), Infallible> {
-        self.release(0, p);
-        Ok(())
-    }
-
-    fn block_fwd(&mut self, _: usize, _: &usize, _: bool) -> Result<(), Infallible> {
-        self.block_pass();
-        Ok(())
-    }
-
-    fn keep(&mut self, (): ()) {
-        self.mem.alloc(MemCategory::Activations, self.saved);
-    }
-
-    fn store_checkpoint(&mut self) {
-        self.mem.alloc(self.ckpt.0, self.ckpt.1);
-    }
-
-    fn restore(&mut self, (): ()) -> Result<(), Infallible> {
-        if self.zcfg.checkpoint_place.partitioned() {
-            self.take(CollectiveKind::AllGather);
-        }
-        self.mem.free(self.ckpt.0, self.ckpt.1);
-        Ok(())
-    }
-
-    fn head(&mut self, p: usize, train: bool) -> Result<(), Infallible> {
-        self.release(p, p);
-        if train {
-            self.dispatch(p);
-        }
-        Ok(())
-    }
-
-    fn block_bwd(&mut self, l: usize, p: usize, (): ()) -> Result<(), Infallible> {
-        self.mem.free(MemCategory::Activations, self.saved);
-        self.block_pass();
-        self.release(1 + l, p);
-        self.dispatch(1 + l);
-        Ok(())
-    }
-
-    fn embed_bwd(&mut self) -> Result<(), Infallible> {
-        self.dispatch(0);
-        self.settle(usize::MAX, None);
-        Ok(())
-    }
-}
-
 impl CommPlan {
     /// Which state classes a training step at this shape moves across the
     /// tier: what [`ZeroConfig::check`] says *may* cross, except that the
@@ -323,9 +97,9 @@ impl CommPlan {
         if !may.params {
             return may;
         }
-        let (kept, shape) = (EffectiveOffload { params: false, ..may }, (micro_batches, act_elems));
-        let ops = Self::walked_ops(layout, zcfg, grid, shape, kept);
-        let fits = |r| replay(layout, zcfg, &ops, grid, shape, kept, r).peak_device <= zcfg.tier.device_budget;
+        let kept = EffectiveOffload { params: false, ..may };
+        let charges = Self::walked_charges(layout, zcfg, grid, (micro_batches, act_elems), kept);
+        let fits = |r| peak_device(layout, zcfg, grid, kept, &charges, r) <= zcfg.tier.device_budget;
         if (0..grid.world_size()).all(fits) { kept } else { may }
     }
 
@@ -337,25 +111,27 @@ impl CommPlan {
     /// Panics if `zcfg` cannot run on `grid` (see [`ZeroConfig::check`]).
     pub fn full_offload_budget(layout: &Layout, zcfg: &ZeroConfig, grid: Grid, micro_batches: usize, act_elems: usize) -> u64 {
         let kept = EffectiveOffload { params: false, ..zcfg.check(grid).unwrap_or_else(|e| panic!("{e}")) };
-        let (shape, ops) = ((micro_batches, act_elems), Self::walked_ops(layout, zcfg, grid, (micro_batches, act_elems), kept));
-        let peak = |r| replay(layout, zcfg, &ops, grid, shape, kept, r).peak_device;
+        let charges = Self::walked_charges(layout, zcfg, grid, (micro_batches, act_elems), kept);
+        let peak = |r| peak_device(layout, zcfg, grid, kept, &charges, r);
         (0..grid.world_size()).map(peak).max().unwrap_or(1) - 1
     }
 
-    /// The memory walk's prediction for rank `rank` of a training step of
-    /// `micro_batches` micro-batches of `act_elems`-element activations,
-    /// under the step's [`placement`](Self::placement).
-    pub fn footprint(layout: &Layout, zcfg: &ZeroConfig, grid: Grid, micro_batches: usize, act_elems: usize, rank: usize) -> Footprint {
+    /// The memory walk's prediction of rank `rank`'s peak device bytes
+    /// over a training step of `micro_batches` micro-batches of
+    /// `act_elems`-element activations, under the step's
+    /// [`placement`](Self::placement): what the engine's
+    /// `MemoryTracker::peak_device` reads after the step.
+    pub fn footprint(layout: &Layout, zcfg: &ZeroConfig, grid: Grid, micro_batches: usize, act_elems: usize, rank: usize) -> u64 {
         let off = Self::placement(layout, zcfg, grid, micro_batches, act_elems);
-        let ops = Self::walked_ops(layout, zcfg, grid, (micro_batches, act_elems), off);
-        replay(layout, zcfg, &ops, grid, (micro_batches, act_elems), off, rank)
+        let charges = Self::walked_charges(layout, zcfg, grid, (micro_batches, act_elems), off);
+        peak_device(layout, zcfg, grid, off, &charges, rank)
     }
 
-    /// The collective stream of a step that updates: the prefix under
-    /// placement `off`, then the suffix.
-    fn walked_ops(layout: &Layout, zcfg: &ZeroConfig, grid: Grid, (micros, act): (usize, usize), off: EffectiveOffload) -> Vec<PlanOp> {
-        let mut ops = CommPlan::prefix_placed(layout, zcfg, grid, micros, act, off).ops().to_vec();
-        ops.extend_from_slice(CommPlan::step_suffix(layout, zcfg, grid, false).ops());
-        ops
+    /// The charges of a step that updates: the prefix's under placement
+    /// `off`, then the suffix's.
+    fn walked_charges(layout: &Layout, zcfg: &ZeroConfig, grid: Grid, (micros, act): (usize, usize), off: EffectiveOffload) -> Vec<Charge> {
+        let mut charges = CommPlan::prefix_placed(layout, zcfg, grid, micros, act, off).charges;
+        charges.extend(CommPlan::step_suffix(layout, zcfg, grid, false).charges);
+        charges
     }
 }

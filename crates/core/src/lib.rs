@@ -49,7 +49,6 @@ pub use config::{
     CkptPlace, CompressionConfig, ConfigError, OptimizerKind, TierConfig, ZeroConfig, ZeroStage,
 };
 pub use engine::{RankEngine, StepOutcome};
-pub use footprint::Footprint;
 pub use memory::{MemCategory, MemoryTracker, ALL_CATEGORIES, CATEGORY_COUNT, MODEL_STATE_CATEGORIES};
 pub use partition::Partitioner;
 pub use procworld::{
@@ -58,7 +57,7 @@ pub use procworld::{
 };
 pub use plan::{
     CommPlan, CountSpec, EffectiveOffload, OpRole, ParamStore, PlanCursor, PlanOp, PlanScope,
-    Reduction, ResolvedOp, ResolvedTierOp, StepShape, TierAt, TierOp,
+    Reduction, ResolvedOp, ResolvedTierOp, Settle, StepShape, TierAt, TierOp,
 };
 pub use snapshot::{
     export_inference_shards, reshard, validate_consistent, RankSnapshot, SnapshotError,

@@ -10,11 +10,14 @@
 //! [`Reduction`] it applies; its [`OpRole`] (which unit a fetch
 //! materializes, the [`ParamStore`] that seeds it and the one it stashes
 //! into, and whether it goes out ahead of the previous unit's wait; which
-//! flat range of whole units a gradient bucket covers, or which rows of the
-//! per-unit [`Partitioner`] a CB chunk does); and the tier movement that
-//! rides it ([`TierOp::at`]). Counts come from that partition, which
-//! splits every unit over the DP group, so every op over parameter space is
-//! balanced across its members.
+//! flat range of whole units a gradient bucket covers and where its buffer
+//! is [`Settle`]d, or which rows of the per-unit [`Partitioner`] a CB
+//! chunk does); and the tier movement that rides it ([`TierOp::at`]).
+//! Counts come from that partition, which splits every unit over the DP
+//! group, so every op over parameter space is balanced across its members.
+//! Beside the two streams the `Builder` records the transient device
+//! charges the engine makes running the plan, in walk order, which the
+//! memory walk (`crate::footprint`) folds.
 //!
 //! Training micro-batches and evaluation passes are `crate::walk`'s one
 //! walk over the layers: the `Builder` is the walker that records each
@@ -44,10 +47,12 @@ use zero_comm::{
     chunk_range, quant_wire_bytes, CollectiveKind, Grid, Group, NodeTopology, Precision, ReduceOp,
     WireFmt, KIND_COUNT,
 };
-use zero_model::Layout;
+use zero_model::{BlockDims, Layout};
 use zero_tensor::f16::F16;
 
-use crate::config::{CompressionConfig, ZeroConfig, ZeroStage};
+use crate::config::{CkptPlace, CompressionConfig, ZeroConfig, ZeroStage};
+use crate::footprint::Charge;
+use crate::memory::MemCategory;
 use crate::partition::Partitioner;
 use crate::walk::{self, Walker};
 
@@ -128,10 +133,10 @@ pub enum OpRole {
     /// A buffer the counts fully describe (activations, scalars).
     Plain,
     /// One fused gradient bucket: a run of whole units of flat parameter
-    /// space, whose buffer holds every member's part of it in member order.
-    /// The engine flushes its bucket when the pending gradients span the
-    /// next planned range.
-    Span(Range<usize>),
+    /// space, whose buffer holds every member's part of it in member order,
+    /// and where that buffer is settled. The engine flushes its bucket when
+    /// the pending gradients span the next planned range.
+    Span(Range<usize>, Settle),
     /// One CB chunk (§6.2) of an end-of-step gradient reduction or
     /// parameter publish: a range of rows of the plan's partition (see
     /// [`Partitioner::chunk_slice`]), every member contributing its slice
@@ -157,6 +162,22 @@ pub enum OpRole {
         /// gather of the primary shards would gather it again.
         hold: Option<Precision>,
     },
+}
+
+/// Where a bucket reduce-scatter is settled: waited with the spill queued
+/// behind it, its owner piece landed in the gradient shard and its fused
+/// buffer freed (§5.2). The fabric runs a rank's ops in issue order, so
+/// at a consumed gather's point the wait is free.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Settle {
+    /// Right after its flush: a blocking op.
+    Flush,
+    /// When the gather at this op index, the first one issued ahead behind
+    /// it, is consumed.
+    Gather(usize),
+    /// At the end-of-micro drain: no gather goes out ahead behind it in
+    /// its micro-batch.
+    Drain,
 }
 
 /// One planned collective: kind, scope, counts, accounting precision, and
@@ -478,6 +499,9 @@ pub struct CommPlan {
     grid: Grid,
     ops: Vec<PlanOp>,
     tier: Vec<TierOp>,
+    /// The transient device charges the engine makes executing the plan,
+    /// in walk order: what the memory walk folds.
+    pub(crate) charges: Vec<Charge>,
 }
 
 /// Which state classes cross the memory tier. [`ZeroConfig::check`] says
@@ -539,6 +563,18 @@ struct Builder {
     last: Option<(usize, usize)>,
     /// The unit held for its next fetch, which gathers nothing.
     held: Option<usize>,
+    /// The charge that released the unit computed on last: a hold takes
+    /// it back, and the buffer stays charged until the release after the
+    /// unit's next fetch.
+    released: Option<usize>,
+    /// Bucket reduce-scatters whose fused buffers are charged, in issue
+    /// order, each until the point its [`Settle`] names.
+    inflight: Vec<usize>,
+    /// Every transient device charge the engine makes as it runs the walk
+    /// recorded so far, in its order.
+    charges: Vec<Charge>,
+    /// One block's dimensions at batch 1, which size its kept activations.
+    block: BlockDims,
     /// The placement: which state classes cross the tier.
     off: EffectiveOffload,
     /// The tier-movement stream being built alongside `ops`.
@@ -571,6 +607,10 @@ impl Builder {
             slot: None,
             last: None,
             held: None,
+            released: None,
+            inflight: Vec::new(),
+            charges: Vec::new(),
+            block: layout.block_dims(1),
             bucket: None,
             off,
             tier: Vec::new(),
@@ -583,6 +623,29 @@ impl Builder {
     fn tier_op(&mut self, label: &'static str, counts: Vec<usize>, at: TierAt) -> usize {
         self.tier.push(TierOp { label, counts, elem_bytes: self.prec.bytes(), at });
         self.tier.len() - 1
+    }
+
+    /// Records `bytes` allocated in (or freed from) `cat` on every rank.
+    fn charge(&mut self, alloc: bool, cat: MemCategory, bytes: u64) {
+        self.charges.push(Charge { alloc, cat, bytes: vec![bytes] });
+    }
+
+    /// Charges a gathered unit `u`'s buffer: the whole unit, fp32.
+    fn unit_charge(&mut self, alloc: bool, u: usize) {
+        self.charge(alloc, MemCategory::Buffers, 4 * self.units[u].len() as u64);
+    }
+
+    /// Frees the fused buffers of the bucket reduce-scatters in flight
+    /// that are settled at `point`.
+    fn settle(&mut self, point: Settle) {
+        let (ops, charges) = (&self.ops, &mut self.charges);
+        self.inflight.retain(|&rs| match &ops[rs].role {
+            OpRole::Span(span, at) if *at == point => {
+                charges.push(Charge { alloc: false, cat: MemCategory::Buffers, bytes: vec![4 * span.len() as u64] });
+                false
+            }
+            _ => true,
+        });
     }
 
     /// Pushes a blocking raw-wire op at the step's precision and returns
@@ -649,9 +712,19 @@ impl Builder {
         if climbs && from == ParamStore::Primary {
             self.tier_op("tier-param-fetch", counts.clone(), TierAt::Seeds(self.ops.len()));
         }
-        let role = OpRole::Fetch { unit: u, from, into, ahead, hold: None };
+        let (at, role) = (self.ops.len(), OpRole::Fetch { unit: u, from, into, ahead, hold: None });
         self.op_nb(CollectiveKind::AllGather, scope, counts, "fetch-unit", wire, role);
-        self.ops.len() - 1
+        self.unit_charge(true, u);
+        if ahead {
+            // Every reduce-scatter in flight that no earlier gather settles
+            // is settled as this one is consumed.
+            for &rs in &self.inflight {
+                if let OpRole::Span(_, settle @ Settle::Drain) = &mut self.ops[rs].role {
+                    *settle = Settle::Gather(at);
+                }
+            }
+        }
+        at
     }
 
     /// An MP-group collective over one block activation buffer.
@@ -700,7 +773,9 @@ impl Builder {
     /// optimizer, anchored [`TierAt::Drains`] on that reduce-scatter in
     /// both modes: the rank's FIFO runs the spill right behind it, before
     /// any op issued later, and the engine waits the two together where it
-    /// settles the reduce-scatter.
+    /// settles the reduce-scatter. A blocking one is settled at its
+    /// flush; an overlapped one at the drain until a gather issued ahead
+    /// behind it takes it over.
     fn grad_flush(&mut self, fused: Range<usize>) {
         let counts = self.part.intersect_counts(&fused);
         let comp = self.zcfg.compression;
@@ -709,9 +784,13 @@ impl Builder {
         } else {
             WireFmt::Raw
         };
-        let rs = self.ops.len();
+        let (rs, bytes) = (self.ops.len(), 4 * fused.len() as u64);
+        let settle = if self.zcfg.overlap { Settle::Drain } else { Settle::Flush };
         let kind = CollectiveKind::ReduceScatter;
-        self.op_nb(kind, PlanScope::Dp, counts.clone(), "grad-bucket", wire, OpRole::Span(fused));
+        self.op_nb(kind, PlanScope::Dp, counts.clone(), "grad-bucket", wire, OpRole::Span(fused, settle));
+        self.charge(true, MemCategory::Buffers, bytes);
+        self.inflight.push(rs);
+        self.settle(Settle::Flush);
         if self.off.grads {
             self.tier_op("tier-grad-spill", counts, TierAt::Drains(rs));
         }
@@ -724,6 +803,32 @@ impl Builder {
     fn chunks(&self) -> impl Iterator<Item = Range<usize>> {
         let (rows, step) = (self.part.counts()[0], (self.zcfg.bucket_elems / self.part.owners()).max(1));
         (0..rows).step_by(step).map(move |start| start..(start + step).min(rows))
+    }
+
+    /// Charges a CB chunk's staging buffer of `elems` elements for its
+    /// ops alone.
+    fn stage_chunk(&mut self, elems: usize) {
+        self.charge(true, MemCategory::Buffers, 4 * elems as u64);
+        self.charge(false, MemCategory::Buffers, 4 * elems as u64);
+    }
+
+    /// Each world rank's slice of one checkpoint, and the charge of
+    /// storing it (`alloc`) or restoring it, in the host category under
+    /// P_a+cpu.
+    fn charge_ckpt(&mut self, alloc: bool) -> Vec<usize> {
+        let (grid, act_elems, place) = (self.grid, self.act_elems, self.zcfg.checkpoint_place);
+        let counts: Vec<usize> =
+            (0..grid.world_size()).map(|r| place.slice(act_elems, grid.mp_degree(), grid.coords(r).1).len()).collect();
+        let cat = if place == CkptPlace::Host { MemCategory::HostCheckpoints } else { MemCategory::Checkpoints };
+        let bytes = counts.iter().map(|&n| self.prec.bytes() * n as u64).collect();
+        self.charges.push(Charge { alloc, cat, bytes });
+        counts
+    }
+
+    /// Bytes of one block's kept activations.
+    fn saved_bytes(&self) -> u64 {
+        let batch = self.act_elems / (self.block.seq * self.block.hidden);
+        4 * BlockDims { batch, ..self.block }.saved_elems() as u64
     }
 
     /// Every member's slice of chunk `rows`.
@@ -761,6 +866,10 @@ impl Builder {
                     vec![(AllReduce, PlanScope::Dp, CountSpec::Even { total }, mean, "grad-allreduce")]
                 }
             };
+            self.stage_chunk(match &ops[0].2 {
+                CountSpec::Explicit(v) => v.iter().sum(),
+                _ => total,
+            });
             for (kind, scope, counts, reduce, label) in ops {
                 self.op(kind, scope, counts, reduce, label, OpRole::Chunk(chunk.clone()));
             }
@@ -780,6 +889,7 @@ impl Builder {
                 // climbs host → device to seed the publish all-gather.
                 self.tier_op("tier-publish-fetch", counts.clone(), TierAt::Seeds(self.ops.len()));
             }
+            self.stage_chunk(counts.iter().sum());
             let (kind, counts) = (CollectiveKind::AllGather, CountSpec::Explicit(counts));
             self.op(kind, PlanScope::Dp, counts, Reduction::Copy, "publish-params", OpRole::Chunk(chunk));
         }
@@ -791,13 +901,15 @@ impl Builder {
     fn finish(self) -> CommPlan {
         debug_assert!(self.slot.is_none(), "plan builder: a prefetched unit was never consumed");
         debug_assert!(self.held.is_none(), "plan builder: a held unit was never fetched again");
-        CommPlan { grid: self.grid, ops: self.ops, tier: self.tier }
+        debug_assert!(self.inflight.is_empty(), "plan builder: a reduce-scatter was never settled");
+        CommPlan { grid: self.grid, ops: self.ops, tier: self.tier, charges: self.charges }
     }
 }
 
 /// The plan side of the walk: each step records the communication it
-/// implies. Units and activations are nothing here; a checkpoint is the
-/// index of its P_a+cpu spill in the tier stream, if it has one.
+/// implies and the transient device charges the engine makes for it.
+/// Units and activations are nothing here; a checkpoint is the index of
+/// its P_a+cpu spill in the tier stream, if it has one.
 impl Walker for Builder {
     type Unit = ();
     type Saved = ();
@@ -806,11 +918,12 @@ impl Walker for Builder {
 
     /// Stage-3 materialization of unit `u` at the point the engine
     /// computes on it. `u`'s gather comes out of the prefetch slot, or is
-    /// issued now on demand; with overlap, `next`'s gather is then issued
-    /// into the slot *before* `u`'s is waited, so the next unit's
-    /// communication rides under this unit's compute — the
-    /// double-buffered one-ahead window. Without overlap the slot stays
-    /// empty and every fetch is on demand.
+    /// issued now on demand; as it is consumed, the reduce-scatters it
+    /// settles are. With overlap, `next`'s gather is then issued into the
+    /// slot *before* `u`'s is waited, so the next unit's communication
+    /// rides under this unit's compute — the double-buffered one-ahead
+    /// window. Without overlap the slot stays empty and every fetch is on
+    /// demand.
     ///
     /// When `next` is the unit the micro-batch computed on just before
     /// `u` — the last block, when the backward opens on it: without
@@ -822,6 +935,7 @@ impl Walker for Builder {
     /// one unit and nothing is held.
     fn fetch(&mut self, u: usize, next: Option<usize>) -> Result<(), Infallible> {
         if !self.zcfg.stage.partitions_params() {
+            self.unit_charge(true, u);
             return Ok(());
         }
         let at = if self.held.take_if(|held| *held == u).is_some() {
@@ -832,6 +946,9 @@ impl Walker for Builder {
         } else {
             Some(self.issue_fetch(u, false))
         };
+        if let Some(at) = at {
+            self.settle(Settle::Gather(at));
+        }
         let last = std::mem::replace(&mut self.last, at.map(|at| (u, at)));
         if !self.zcfg.overlap {
             return Ok(());
@@ -845,6 +962,7 @@ impl Walker for Builder {
                     *hold = Some(image);
                 }
                 self.held = Some(v);
+                self.charges.remove(self.released.take().expect("the walk released the unit it holds"));
             }
             (Some(v), _) => self.slot = Some((v, self.issue_fetch(v, true))),
             (None, _) => {}
@@ -852,18 +970,31 @@ impl Walker for Builder {
         Ok(())
     }
 
-    /// P_a+cpu: each rank's 1/N_m slice spills, riding no collective.
-    fn store_checkpoint(&mut self) -> Option<usize> {
-        let (grid, act_elems, place) = (self.grid, self.act_elems, self.zcfg.checkpoint_place);
-        let slice = |r| place.slice(act_elems, grid.mp_degree(), grid.coords(r).1).len();
-        let counts = self.off.checkpoints.then(|| (0..grid.world_size()).map(slice).collect())?;
-        Some(self.tier_op("tier-ckpt-spill", counts, TierAt::Free(self.ops.len())))
+    fn release(&mut self, u: usize, (): ()) {
+        self.released = Some(self.charges.len());
+        self.unit_charge(false, u);
+    }
+
+    fn embed(&mut self, (): ()) -> Result<(), Infallible> {
+        self.release(0, ());
+        Ok(())
     }
 
     /// Two MP hooks per block pass, forward or recompute.
     fn block_fwd(&mut self, _: usize, (): &(), _: bool) -> Result<(), Infallible> {
         self.mp_block_pass();
         Ok(())
+    }
+
+    fn keep(&mut self, (): ()) {
+        self.charge(true, MemCategory::Activations, self.saved_bytes());
+    }
+
+    /// P_a+cpu: each rank's 1/N_m slice spills, riding no collective.
+    fn store_checkpoint(&mut self) -> Option<usize> {
+        let counts = self.charge_ckpt(true);
+        let counts = self.off.checkpoints.then_some(counts)?;
+        Some(self.tier_op("tier-ckpt-spill", counts, TierAt::Free(self.ops.len())))
     }
 
     /// P_a checkpoint re-materialization: all-gather the 1/N_m slices
@@ -877,11 +1008,13 @@ impl Walker for Builder {
         if self.zcfg.checkpoint_place.partitioned() {
             self.mp_op(CollectiveKind::AllGather, Reduction::Copy, "ckpt-gather");
         }
+        self.charge_ckpt(false);
         Ok(())
     }
 
     /// Training: head forward+backward births the first gradients.
     fn head(&mut self, (): (), train: bool) -> Result<(), Infallible> {
+        self.release(self.units.len() - 1, ());
         if train {
             self.dispatch_grads(self.units.len() - 1);
         }
@@ -889,7 +1022,9 @@ impl Walker for Builder {
     }
 
     fn block_bwd(&mut self, l: usize, (): (), (): ()) -> Result<(), Infallible> {
+        self.charge(false, MemCategory::Activations, self.saved_bytes());
         self.mp_block_pass();
+        self.release(1 + l, ());
         self.dispatch_grads(1 + l);
         Ok(())
     }
@@ -903,6 +1038,7 @@ impl Walker for Builder {
         if let Some(rest) = self.bucket.take() {
             self.grad_flush(rest);
         }
+        self.settle(Settle::Drain);
         Ok(())
     }
 }
@@ -982,6 +1118,7 @@ impl CommPlan {
         let base = plan.ops.len();
         plan.ops.extend(suffix.ops);
         plan.tier.extend(suffix.tier.into_iter().map(|t| TierOp { at: t.at.shifted(base), ..t }));
+        plan.charges.extend(suffix.charges);
         plan
     }
 
@@ -1335,7 +1472,7 @@ mod tests {
             let zcfg = ZeroConfig { bucket_elems, ..cfg(ZeroStage::Two) };
             let plan = CommPlan::step_prefix(&layout, &zcfg, Grid::new(2, 1), 1, 64);
             let spans = plan.ops().iter().filter_map(|op| match &op.role {
-                OpRole::Span(r) => Some(r.clone()),
+                OpRole::Span(r, _) => Some(r.clone()),
                 _ => None,
             });
             spans.collect()
@@ -1392,7 +1529,7 @@ mod tests {
                         assert_eq!(*ahead, overlap && !first, "unit {unit}");
                         first = false;
                     }
-                    OpRole::Span(r) => {
+                    OpRole::Span(r, _) => {
                         assert_eq!(op.label, "grad-bucket");
                         assert_eq!(r.end, grads_down_to, "buckets tile Ψ head to embed");
                         grads_down_to = r.start;

@@ -10,9 +10,9 @@
 //! head into the backward and across segment boundaries, so the one-ahead
 //! prefetch chain runs through the whole pass and only its first fetch
 //! waits on demand. The plan builder records what each step communicates
-//! and the engine executes it, both as a [`Walker`], so the plan the
-//! engine installs is the walk it runs; [`segments`] alone knows where a
-//! segment starts.
+//! and what it charges the device, and the engine executes it, both as a
+//! [`Walker`] (the only two), so the plan the engine installs is the walk
+//! it runs; [`segments`] alone knows where a segment starts.
 
 use std::ops::Range;
 

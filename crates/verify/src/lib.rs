@@ -35,10 +35,11 @@
 //!    offloaded plans keep a collective stream bitwise identical to the
 //!    tier-off baseline; its checkpoint clause pairs every P_a+cpu
 //!    checkpoint spill with the fetch that seeds its gather.
-//! 6. [`memory`] — the memory clause. Walks every stage-3 plan the
-//!    schedule digests pin through `CommPlan::footprint`, proves each
-//!    bucket reduce-scatter's buffer released at the first gather issued
-//!    behind it, and each tier placement within its budget.
+//! 6. [`memory`] — the memory clause. Over every plan the schedule
+//!    digests pin, proves each bucket reduce-scatter's `Settle` stamp the
+//!    point its own rule derives (the first gather issued ahead behind it,
+//!    else the drain), and, through `CommPlan::footprint`, each tier
+//!    placement within its budget.
 //!
 //! The runtime side of the same guarantee lives in [`tracecheck`] and the
 //! trace-conformance tests (`tests/trace_conformance.rs`): a recorded

@@ -284,8 +284,8 @@ fn run_memory() -> bool {
     match zero_verify::check_memory() {
         Ok(r) => {
             println!(
-                "memory:     OK — {} configurations walked on every rank ({} bucket reduce-scatters \
-                 released at the first gather behind them or the drain, {} tier placements within budget)",
+                "memory:     OK — {} configurations ({} bucket reduce-scatter settle stamps at the first \
+                 gather behind them or the drain, {} tier placements walked within budget)",
                 r.configs, r.settles, r.placements
             );
             true

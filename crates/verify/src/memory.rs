@@ -1,14 +1,18 @@
-//! The memory clause: what the memory walk ([`CommPlan::footprint`])
-//! predicts of every plan the schedule digests pin, proven against the
-//! plan it walks — zero training steps executed.
+//! The memory clause: where every plan the schedule digests pin releases
+//! its transient buffers, and what the memory walk
+//! ([`CommPlan::footprint`]) predicts of it — zero training steps
+//! executed.
 //!
-//! * **Settling.** An overlapped bucket reduce-scatter's fused buffer is
-//!   released when the first gather issued behind it is consumed — the
+//! * **Settling.** The plan builder stamps each bucket reduce-scatter
+//!   with where the engine settles it ([`Settle`]). The clause derives
+//!   that point again from the op stream alone (`settled_by`), written
+//!   apart from the builder: an overlapped reduce-scatter's fused buffer
+//!   is released when the first gather issued behind it is consumed — the
 //!   fabric runs a rank's ops in issue order, so the wait costs nothing —
-//!   or, when no gather follows it in the micro-batch, at the end-of-micro
-//!   drain; a synchronous one at its flush. The clause recomputes that
-//!   position from the op stream alone ([`check_settles`]): a buffer held
-//!   past it (or released before the gather behind it exists) is refused.
+//!   or, when no gather goes out ahead behind it in the micro-batch, at the
+//!   end-of-micro drain; a synchronous one at its flush. A stamp that
+//!   holds a buffer past that point, releases it before the gather behind
+//!   it exists, or names no gather at all is refused ([`check_settles`]).
 //! * **Placement.** Under an armed tier budget the walked peak fits the
 //!   budget on every rank, and a placement that keeps the stage-3
 //!   parameter shard on the device costs exactly the shard's bytes over
@@ -20,8 +24,7 @@
 
 use zero_comm::Grid;
 use zero_core::{
-    CkptPlace, CommPlan, CompressionConfig, Footprint, OpRole, PlanOp, Partitioner, TierConfig, ZeroConfig,
-    ZeroStage,
+    CkptPlace, CommPlan, CompressionConfig, OpRole, PlanOp, Partitioner, Settle, TierConfig, ZeroConfig, ZeroStage,
 };
 use zero_model::{Layout, ModelConfig};
 
@@ -150,48 +153,40 @@ pub fn digest_configs() -> Vec<(ZeroConfig, Grid, usize)> {
     configs
 }
 
-/// Where the settle rule releases bucket reduce-scatter `rs`'s buffer in
-/// `ops`: at the first fetch issued behind it, if that fetch goes out
-/// ahead (an on-demand one opens the next micro-batch, after the drain);
-/// at the drain or its flush otherwise.
-fn settled_by(ops: &[PlanOp], rs: usize) -> Option<usize> {
+/// Where bucket reduce-scatter `rs` of `ops` is settled: at the first
+/// fetch issued behind it, if that fetch goes out ahead (an on-demand one
+/// opens the next micro-batch, after the drain); at the drain otherwise;
+/// at its flush when it blocks.
+fn settled_by(ops: &[PlanOp], rs: usize) -> Settle {
     if !ops[rs].nonblocking {
-        return None;
+        return Settle::Flush;
     }
-    let behind = ops.iter().enumerate().skip(rs + 1).find(|(_, op)| matches!(op.role, OpRole::Fetch { .. }));
-    behind.filter(|(_, op)| matches!(op.role, OpRole::Fetch { ahead: true, .. })).map(|(at, _)| at)
+    match ops.iter().enumerate().skip(rs + 1).find(|(_, op)| matches!(op.role, OpRole::Fetch { .. })) {
+        Some((at, PlanOp { role: OpRole::Fetch { ahead: true, .. }, .. })) => Settle::Gather(at),
+        _ => Settle::Drain,
+    }
 }
 
-/// The settle clause: the walk releases every bucket reduce-scatter of
-/// `ops`, once and in plan order, exactly where `settled_by` puts it, at a
-/// plan position after the op that releases it (the gather, or the
-/// reduce-scatter that closes its flush or micro-batch) and before the
-/// next fetch goes out. The engine waits each gradient spill there too.
-pub fn check_settles(ops: &[PlanOp], walked: &Footprint, what: &str) -> Result<usize, String> {
-    let planned: Vec<usize> = (0..ops.len()).filter(|&i| matches!(ops[i].role, OpRole::Span(_))).collect();
-    let walked_rs: Vec<usize> = walked.settles.iter().map(|s| s.0).collect();
-    if walked_rs != planned {
-        return Err(format!("{what}: the walk settles reduce-scatters {walked_rs:?}, the plan issues {planned:?}"));
-    }
-    let is_fetch = |op: &PlanOp| matches!(op.role, OpRole::Fetch { .. });
-    for &(rs, by, at) in &walked.settles {
+/// The settle clause: every bucket reduce-scatter of `ops` carries the
+/// stamp `settled_by` derives. Returns how many it checked.
+pub fn check_settles(ops: &[PlanOp], what: &str) -> Result<usize, String> {
+    let mut checked = 0;
+    for (rs, op) in ops.iter().enumerate() {
+        let OpRole::Span(_, stamp) = op.role else { continue };
         let want = settled_by(ops, rs);
-        if by != want {
-            return Err(format!(
-                "{what}: reduce-scatter op {rs}'s buffer is released at {}, the first gather behind it is consumed at {}",
-                by.map_or("the drain".into(), |g| format!("fetch op {g}")),
-                want.map_or("the drain".into(), |g| format!("fetch op {g}")),
-            ));
-        }
-        // Where the engine is when it waits: past the op that releases the
-        // buffer (a drain follows a reduce-scatter), before the next fetch.
-        let from = by.unwrap_or(rs);
-        let past = from < at && at <= ops.len() && !ops[from + 1..at].iter().any(is_fetch);
-        if !past || (by.is_none() && !matches!(ops[at - 1].role, OpRole::Span(_))) {
-            return Err(format!("{what}: reduce-scatter op {rs}'s buffer is released at plan position {at}, not right after op {from}"));
+        let is_gather = |g: usize| ops.get(g).is_some_and(|op| matches!(op.role, OpRole::Fetch { .. }));
+        match stamp {
+            _ if stamp == want => checked += 1,
+            Settle::Gather(g) if g <= rs || !is_gather(g) => {
+                let why = if g <= rs { "issued before it" } else { "no gather" };
+                return Err(format!("{what}: reduce-scatter op {rs} is settled at op {g}, {why}: its buffer is never released"));
+            }
+            _ => {
+                return Err(format!("{what}: reduce-scatter op {rs}'s buffer is released at {stamp:?}, the first gather behind it settles it at {want:?}"));
+            }
         }
     }
-    Ok(planned.len())
+    Ok(checked)
 }
 
 /// Counters from the memory clause.
@@ -199,7 +194,7 @@ pub fn check_settles(ops: &[PlanOp], walked: &Footprint, what: &str) -> Result<u
 pub struct MemoryReport {
     /// Configurations walked.
     pub configs: usize,
-    /// Reduce-scatter releases placed (over every rank).
+    /// Bucket reduce-scatter settle stamps checked.
     pub settles: usize,
     /// Rank placements proven within their tier budget.
     pub placements: usize,
@@ -216,15 +211,12 @@ pub fn check_memory() -> Result<MemoryReport, String> {
         let prefix = CommPlan::step_prefix(&layout, &zcfg, grid, 2, act_elems);
         let placed = CommPlan::placement(&layout, &zcfg, grid, 2, act_elems);
         let part = Partitioner::per_unit(&layout, grid.dp_degree());
-        for rank in 0..grid.world_size() {
+        report.settles += check_settles(prefix.ops(), &what)?;
+        for rank in (0..grid.world_size()).filter(|_| zcfg.tier.enabled) {
             let walked = CommPlan::footprint(&layout, &zcfg, grid, 2, act_elems, rank);
-            report.settles += check_settles(prefix.ops(), &walked, &what)?;
-            if !zcfg.tier.enabled {
-                continue;
-            }
             report.placements += 1;
-            if walked.peak_device > zcfg.tier.device_budget {
-                return Err(format!("{what} rank {rank}: walked peak {} over the budget {}", walked.peak_device, zcfg.tier.device_budget));
+            if walked > zcfg.tier.device_budget {
+                return Err(format!("{what} rank {rank}: walked peak {walked} over the budget {}", zcfg.tier.device_budget));
             }
             if zcfg.stage != ZeroStage::Three {
                 continue;
@@ -232,9 +224,9 @@ pub fn check_memory() -> Result<MemoryReport, String> {
             // The other placement, under a budget that admits it: the two
             // differ by the shard's bytes on the device.
             let other = ZeroConfig { tier: TierConfig::budgeted(if placed.params { u64::MAX } else { 1 }), ..zcfg };
-            let flipped = CommPlan::footprint(&layout, &other, grid, 2, act_elems, rank).peak_device;
+            let flipped = CommPlan::footprint(&layout, &other, grid, 2, act_elems, rank);
             let shard = if zcfg.fp16 { 2 } else { 4 } * part.counts()[grid.coords(rank).0] as u64;
-            let (kept, offloaded) = if placed.params { (flipped, walked.peak_device) } else { (walked.peak_device, flipped) };
+            let (kept, offloaded) = if placed.params { (flipped, walked) } else { (walked, flipped) };
             if kept != offloaded + shard {
                 return Err(format!("{what} rank {rank}: keeping the {shard}-byte shard walks to {kept}, offloading it to {offloaded}"));
             }
@@ -257,8 +249,8 @@ mod tests {
 
     #[test]
     fn a_buffer_held_past_the_gather_behind_it_is_refused() {
-        // Overlapped stage 3 at interval 1, two micro-batches: the walk
-        // releases every bucket but each micro-batch's last at a gather.
+        // Overlapped stage 3 at interval 1, two micro-batches: every bucket
+        // but each micro-batch's last is settled at a gather.
         let m = digest_model();
         let (layout, grid, act) = (Layout::build(&m), Grid::new(2, 1), 2 * m.seq * m.hidden);
         let zcfg = ZeroConfig {
@@ -269,30 +261,40 @@ mod tests {
             ..ZeroConfig::default()
         };
         let plan = CommPlan::step_prefix(&layout, &zcfg, grid, 2, act);
-        let walked = CommPlan::footprint(&layout, &zcfg, grid, 2, act, 0);
-        assert!(check_settles(plan.ops(), &walked, "walked").is_ok());
-        let at_gathers = walked.settles.iter().filter(|s| s.1.is_some()).count();
-        assert!(at_gathers >= 2 && at_gathers < walked.settles.len(), "{:?}", walked.settles);
+        let spans: Vec<usize> = (0..plan.ops().len()).filter(|&i| matches!(plan.ops()[i].role, OpRole::Span(..))).collect();
+        assert_eq!(check_settles(plan.ops(), "planned"), Ok(spans.len()));
+        let stamp = |ops: &[PlanOp], i: usize| match ops[i].role {
+            OpRole::Span(_, s) => s,
+            _ => unreachable!("a bucket"),
+        };
+        let at_gathers: Vec<usize> = spans.iter().copied().filter(|&i| matches!(stamp(plan.ops(), i), Settle::Gather(_))).collect();
+        assert!(at_gathers.len() >= 2 && at_gathers.len() < spans.len(), "{at_gathers:?} of {spans:?}");
+        let restamped = |i: Option<usize>, to: Settle| {
+            let mut ops = plan.ops().to_vec();
+            for (_, op) in ops.iter_mut().enumerate().filter(|(j, _)| i.is_none_or(|i| i == *j)) {
+                if let OpRole::Span(_, s) = &mut op.role {
+                    *s = to;
+                }
+            }
+            ops
+        };
         // Mutant 1: every buffer held to the end-of-micro drain.
-        let drained = Footprint { settles: walked.settles.iter().map(|&(rs, _, at)| (rs, None, at)).collect(), ..walked.clone() };
-        let err = check_settles(plan.ops(), &drained, "drained").unwrap_err();
-        assert!(err.contains("released at the drain"), "{err}");
-        // Mutant 2: one buffer released a gather early, before the gather
-        // behind it was issued.
-        let mut early = walked.clone();
-        let (k, by) = early.settles.iter().enumerate().find_map(|(k, s)| s.1.map(|g| (k, g))).unwrap();
-        let before = plan.ops()[..by].iter().rposition(|op| matches!(op.role, OpRole::Fetch { .. })).unwrap();
-        early.settles[k].1 = Some(before);
-        assert!(check_settles(plan.ops(), &early, "early").is_err());
-        // Mutant 3: a release recorded at the right gather but past the
-        // next fetch, where the engine no longer is.
-        let mut late = walked.clone();
-        let next = (by + 1..plan.ops().len()).find(|&i| matches!(plan.ops()[i].role, OpRole::Fetch { .. })).unwrap();
-        late.settles[k].2 = next + 1;
-        assert!(check_settles(plan.ops(), &late, "late").unwrap_err().contains("plan position"));
-        // Mutant 4: a reduce-scatter the walk never released.
-        let mut lost = walked;
-        lost.settles.pop();
-        assert!(check_settles(plan.ops(), &lost, "lost").unwrap_err().contains("the plan issues"));
+        let err = check_settles(&restamped(None, Settle::Drain), "drained").unwrap_err();
+        assert!(err.contains("released at Drain"), "{err}");
+        // Mutant 2: one buffer stamped a gather early, at the one issued
+        // before it, whose consumption is past before it is in flight.
+        let k = at_gathers[0];
+        let Settle::Gather(by) = stamp(plan.ops(), k) else { unreachable!("stamped at a gather") };
+        let fetches: Vec<usize> = (0..plan.ops().len()).filter(|&i| matches!(plan.ops()[i].role, OpRole::Fetch { .. })).collect();
+        let at = fetches.iter().position(|&g| g == by).unwrap();
+        let err = check_settles(&restamped(Some(k), Settle::Gather(fetches[at - 1])), "early").unwrap_err();
+        assert!(err.contains("issued before it"), "{err}");
+        // Mutant 3: one buffer held past the gather behind it, to the next.
+        let err = check_settles(&restamped(Some(k), Settle::Gather(fetches[at + 1])), "late").unwrap_err();
+        assert!(err.contains("the first gather behind it settles it"), "{err}");
+        // Mutant 4: a lost stamp, naming an op no gather consumes: the
+        // buffer would stay charged for good.
+        let err = check_settles(&restamped(Some(k), Settle::Gather(plan.ops().len())), "lost").unwrap_err();
+        assert!(err.contains("no gather: its buffer is never released"), "{err}");
     }
 }

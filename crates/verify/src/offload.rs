@@ -534,6 +534,8 @@ pub fn check_offload() -> Result<OffloadReport, String> {
 
 #[cfg(test)]
 mod tests {
+    use zero_core::Settle;
+
     use super::*;
 
     #[test]
@@ -574,27 +576,28 @@ mod tests {
 
     /// Overlapped stage 3 over two micro-batches of several buckets, and
     /// its plan, checked healthy.
-    fn overlapped_stage3() -> (Layout, ZeroConfig, Grid, StepShape, CommPlan) {
+    fn overlapped_stage3() -> (ZeroConfig, CommPlan) {
         let layout = Layout::build_mp(&test_model(), 1);
-        let (zcfg, grid, sh) = (cfg(ZeroStage::Three, true, true, TierConfig::budgeted(1 << 30)), Grid::new(2, 1), shape(false));
-        let plan = CommPlan::train_step(&layout, &zcfg, grid, &sh);
+        let zcfg = cfg(ZeroStage::Three, true, true, TierConfig::budgeted(1 << 30));
+        let plan = CommPlan::train_step(&layout, &zcfg, Grid::new(2, 1), &shape(false));
         check_rides(plan.tier_ops(), plan.ops(), &zcfg, "healthy").expect("a healthy plan rides");
-        (layout, zcfg, grid, sh, plan)
+        (zcfg, plan)
     }
 
     #[test]
     fn spills_moved_back_to_the_drain_are_refused() {
         // Each spill drains the reduce-scatter right before it.
-        let (layout, zcfg, grid, sh, plan) = overlapped_stage3();
+        let (zcfg, plan) = overlapped_stage3();
         let spills = plan.tier_ops().iter().filter(|t| t.label == "tier-grad-spill").count();
         assert!(spills >= 4, "{spills} spills");
-        // Mutant: every spill moved back to its micro-batch's drain, the
-        // release point of the micro-batch's last bucket, riding nothing.
-        let walked = CommPlan::footprint(&layout, &zcfg, grid, sh.micro_batches, sh.act_elems, 0);
+        // Mutant: every spill moved back to its micro-batch's drain, riding
+        // nothing: right behind the first reduce-scatter from it on that
+        // the plan stamps for the drain.
+        let drain = |rs: usize| (rs..).find(|&i| matches!(plan.ops()[i].role, OpRole::Span(_, Settle::Drain))).expect("a drain");
         let mut drained: Vec<TierOp> = plan.tier_ops().to_vec();
         for t in drained.iter_mut().filter(|t| t.label == "tier-grad-spill") {
             let TierAt::Drains(rs) = t.at else { panic!("a bucket spill drains its reduce-scatter") };
-            t.at = TierAt::Free(walked.settles.iter().find(|s| s.0 >= rs && s.1.is_none()).expect("a drain").2);
+            t.at = TierAt::Free(drain(rs) + 1);
         }
         let err = check_rides(&drained, plan.ops(), &zcfg, "drained").expect_err("drained spills must be refused");
         assert!(err.contains("rides no collective"), "{err}");
@@ -602,7 +605,7 @@ mod tests {
 
     #[test]
     fn fetches_seeding_a_reduce_scatter_are_refused() {
-        let (.., zcfg, _, _, plan) = overlapped_stage3();
+        let (zcfg, plan) = overlapped_stage3();
         let mut seeded = plan.tier_ops().to_vec();
         let rs = plan.ops().iter().position(|op| op.label == "grad-bucket").expect("a bucket");
         let fetch = seeded.iter().position(|t| t.label == "tier-param-fetch").expect("a parameter fetch");

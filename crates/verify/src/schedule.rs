@@ -427,7 +427,7 @@ pub(crate) fn check_balance(
     };
     let units = |role: &OpRole| match role {
         OpRole::Fetch { .. } => Some(1),
-        OpRole::Span(r) => Some(touched(std::slice::from_ref(r))),
+        OpRole::Span(r, _) => Some(touched(std::slice::from_ref(r))),
         OpRole::Chunk(rows) => Some(touched(&part.flat_ranges(0, rows.clone()))),
         OpRole::Plain => None,
     };
@@ -1120,7 +1120,7 @@ mod tests {
         for op in &mut ops {
             match &op.role {
                 OpRole::Fetch { unit, .. } => op.counts = flat.intersect_counts(&layout.units()[*unit].range),
-                OpRole::Span(r) => op.counts = flat.intersect_counts(r),
+                OpRole::Span(r, _) => op.counts = flat.intersect_counts(r),
                 _ => {}
             }
         }

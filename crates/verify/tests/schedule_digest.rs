@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use zero_comm::Grid;
-use zero_core::{CommPlan, OpRole, StepShape, WireFmt, ZeroConfig, ZeroStage};
+use zero_core::{CommPlan, OpRole, Settle, StepShape, WireFmt, ZeroConfig, ZeroStage};
 use zero_model::{Layout, ModelConfig};
 use zero_verify::{compression, memory, offload, schedule};
 
@@ -55,16 +55,11 @@ impl Fnv {
     }
 }
 
-/// Where bucket reduce-scatter `rs` of a plan is settled: `[0, 0]` at its
-/// flush, `[1, g]` when gather op `g` is consumed, `[2, 0]` at the
-/// end-of-micro drain.
-type SettlePoint<'a> = &'a dyn Fn(usize) -> [usize; 2];
-
 /// One rank's digest of one plan: the resolved collective stream, then
 /// the resolved tier stream.
-fn rank_digest(plan: &CommPlan, rank: usize, settle: SettlePoint) -> u64 {
+fn rank_digest(plan: &CommPlan, rank: usize) -> u64 {
     let mut h = Fnv::new();
-    for (i, op) in plan.resolve_for(rank).into_iter().enumerate() {
+    for op in plan.resolve_for(rank) {
         h.word(op.kind as u64);
         h.words(&op.members);
         h.words(&op.counts);
@@ -77,7 +72,13 @@ fn rank_digest(plan: &CommPlan, rank: usize, settle: SettlePoint) -> u64 {
         h.word(u64::from(op.nonblocking));
         match op.role {
             OpRole::Fetch { unit, .. } => h.word(unit as u64),
-            OpRole::Span(_) => h.words(&settle(i)),
+            // Where its buffer is settled: at its flush, when gather op
+            // `g` is consumed, or at the end-of-micro drain.
+            OpRole::Span(_, settle) => h.words(&match settle {
+                Settle::Flush => [0, 0],
+                Settle::Gather(g) => [1, g],
+                Settle::Drain => [2, 0],
+            }),
             _ => {}
         }
     }
@@ -105,20 +106,11 @@ fn config_line(zcfg: &ZeroConfig, grid: Grid, local_batch: usize) -> String {
         CommPlan::eval_pass(&layout, zcfg, grid, act_elems),
         CommPlan::publish_refresh(&layout, zcfg, grid),
     ];
-    let walked = CommPlan::footprint(&layout, zcfg, grid, 2, act_elems, 0);
-    let settle = |rs: usize| {
-        let &(_, by, _) = walked.settles.iter().find(|s| s.0 == rs).expect("a walked settle");
-        match by {
-            Some(g) => [1, g],
-            None if plans[0].ops()[rs].nonblocking => [2, 0],
-            None => [0, 0],
-        }
-    };
     let mut line = String::new();
     for plan in &plans {
         let mut fold = Fnv::new();
         for rank in 0..grid.world_size() {
-            fold.word(rank_digest(plan, rank, &settle));
+            fold.word(rank_digest(plan, rank));
         }
         write!(line, " {:016x}", fold.0).unwrap();
     }
@@ -136,7 +128,7 @@ fn serve_table() -> String {
             let plan = CommPlan::serve_step(&layout, n, overlap);
             let mut fold = Fnv::new();
             for rank in 0..n {
-                fold.word(rank_digest(&plan, rank, &|_| unreachable!("a serving step reduces nothing")));
+                fold.word(rank_digest(&plan, rank));
                 for op in plan.resolve_for(rank) {
                     if let OpRole::Fetch { ahead, .. } = op.role {
                         fold.word(u64::from(ahead));

@@ -571,7 +571,7 @@ fn verify_offload(
     let act_elems = setup.global_batch / grid.dp_degree() * m.seq * m.hidden;
     let layout = zero::model::Layout::build_mp(&m, grid.mp_degree());
     for r in &offloaded.ranks {
-        let walked = CommPlan::footprint(&layout, &setup.zero, grid, 1, act_elems, r.rank).peak_device;
+        let walked = CommPlan::footprint(&layout, &setup.zero, grid, 1, act_elems, r.rank);
         if walked != r.peak_device_bytes {
             eprintln!(
                 "verify-offload: FAIL — rank {}: the memory walk predicts a {walked} B peak, the run measured {} B",

@@ -388,40 +388,54 @@ fn checkpoint_interval_trades_checkpoint_memory_for_activation_memory() {
 
 #[test]
 fn failed_step_returns_staging_buffers_to_the_tracker() {
-    // A dead peer must not leak `Buffers` in the tracker: the victim's
-    // first stage-3 parameter all-gather (a unit fetch) and first stage-1
-    // gradient reduce-scatter (a CB chunk) each fail the step with the
-    // staging buffer charged, in synchronous and (stage 3) overlapped mode
-    // alike.
+    // A dead peer must leave no transient bytes charged in the tracker.
+    // The victim's first stage-3 parameter all-gather (a unit fetch) and
+    // first stage-1 gradient reduce-scatter (a CB chunk) fail the step with
+    // a staging buffer charged; later stage-3 gathers fail it with block
+    // activations kept (the backward's first refetch, without
+    // checkpointing), with a checkpoint stored (the second block's forward
+    // fetch at interval 2), or with a recomputed segment's units and
+    // activations held (its second recompute fetch) — in synchronous and
+    // (stage 3) overlapped mode alike.
+    let transient = [MemCategory::Buffers, MemCategory::Activations, MemCategory::Checkpoints, MemCategory::HostCheckpoints];
     let cases = [
-        (ZeroStage::Three, CollectiveKind::AllGather),
-        (ZeroStage::One, CollectiveKind::ReduceScatter),
+        (ZeroStage::Three, CollectiveKind::AllGather, 0, Some(1)),
+        (ZeroStage::One, CollectiveKind::ReduceScatter, 0, Some(1)),
+        (ZeroStage::Three, CollectiveKind::AllGather, 3, None),
+        (ZeroStage::Three, CollectiveKind::AllGather, 2, Some(2)),
+        (ZeroStage::Three, CollectiveKind::AllGather, 5, Some(2)),
     ];
-    for (stage, kind) in cases {
+    for (stage, kind, nth, interval) in cases {
         for overlap in [false, true].into_iter().filter(|&o| !o || stage.partitions_grads()) {
             let cfg = model();
             let wcfg = WorldConfig {
                 recv_timeout: std::time::Duration::from_millis(200),
-                faults: FaultPlan::new().with_crash_at_kind(0, kind, 0),
+                faults: FaultPlan::new().with_crash_at_kind(0, kind, nth),
                 ..WorldConfig::default()
             };
             let out = try_launch_with_config(2, wcfg, move |comm| {
-                let zcfg = ZeroConfig { stage, overlap, bucket_elems: 1000, ..ZeroConfig::default() };
+                let zcfg = ZeroConfig {
+                    stage,
+                    overlap,
+                    bucket_elems: 1000,
+                    checkpoint_activations: interval.is_some(),
+                    checkpoint_interval: interval.unwrap_or(1),
+                    ..ZeroConfig::default()
+                };
                 let params = init_full_params(&cfg, 4);
                 let mut engine = RankEngine::new(Gpt::new(cfg), &params, zcfg, Grid::new(2, 1), comm);
                 let corpus = SyntheticCorpus::generate(cfg.vocab, 2000, 1);
                 let (ids, targets) = corpus.rank_batch(0, 2, cfg.seq, 2, engine.dp_rank());
-                let before = engine.memory().live(MemCategory::Buffers);
+                let live = |e: &RankEngine| transient.map(|c| e.memory().live(c));
+                let before = live(&engine);
                 let res = engine.try_train_step(&[(&ids, &targets)], 1);
-                (res.is_err(), before, engine.memory().live(MemCategory::Buffers))
+                (res.is_err(), before, live(&engine))
             });
             for (rank, r) in out.iter().enumerate() {
                 let (failed, before, after) = r.as_ref().expect("no rank panics");
-                assert!(failed, "{stage:?} overlap={overlap} rank {rank}: the step must fail");
-                assert_eq!(
-                    after, before,
-                    "{stage:?} overlap={overlap} rank {rank}: Buffers leaked on the error path"
-                );
+                let what = format!("{stage:?} {kind:?} #{nth} interval {interval:?} overlap={overlap} rank {rank}");
+                assert!(failed, "{what}: the step must fail");
+                assert_eq!(after, before, "{what}: {transient:?} leaked on the error path");
             }
         }
     }
@@ -496,7 +510,7 @@ fn the_memory_walk_predicts_every_peak_to_the_byte() {
             let act_elems = local_batch * m.seq * m.hidden;
             for (rank, peak) in measured_peaks(&setup, micros, local_batch).into_iter().enumerate() {
                 let walked = CommPlan::footprint(&layout, &zcfg, grid, micros, act_elems, rank);
-                assert_eq!(walked.peak_device, peak, "{zcfg:?} {grid:?} batch {local_batch} micros {micros} rank {rank}");
+                assert_eq!(walked, peak, "{zcfg:?} {grid:?} batch {local_batch} micros {micros} rank {rank}");
             }
         }
     }
