@@ -38,10 +38,10 @@ printf '%s\n' 'fn a() {' '}' '#[cfg(test)]' 'mod tests {' '    fn t() {' '    }'
 # overlapped gradient spill moved behind its reduce-scatter, and to 13 357
 # when one anchor per tier move replaced its direction, issue and demand
 # positions and ridden op (no memory walk stamps a demand position now),
-# and to 13 264 when the plan builder came to stamp each reduce-scatter's
+# and to 13 260 when the plan builder came to stamp each reduce-scatter's
 # settle point and record the step's charges, and the memory walk's own
 # replay of the engine went.
-line_ceiling=13264
+line_ceiling=13260
 lines=0
 split=""
 for crate in comm core serve bench; do

@@ -90,8 +90,8 @@ struct Issued {
     spill: Option<PendingOp>,
     /// The planned op: its group geometry, issue mode and reduction.
     op: ResolvedOp,
-    /// The op's position in the installed plan: its place in the rank's
-    /// FIFO, behind every op issued before it.
+    /// The op's position in the installed plan: the index a
+    /// `Settle::Gather` stamp names.
     pos: usize,
 }
 

@@ -32,17 +32,13 @@ pub(crate) trait Walker {
     /// `None` only for the pass's last fetch.
     fn fetch(&mut self, u: usize, next: Option<usize>) -> Result<Self::Unit, Self::Error>;
     /// Discards fetched unit `u`.
-    fn release(&mut self, _u: usize, _p: Self::Unit) {}
+    fn release(&mut self, u: usize, p: Self::Unit);
     /// Embedding forward, the first activation; releases the unit.
-    fn embed(&mut self, _p: Self::Unit) -> Result<(), Self::Error> {
-        Ok(())
-    }
+    fn embed(&mut self, p: Self::Unit) -> Result<(), Self::Error>;
     /// Block `l` forward, advancing the activation; `recompute` in backward.
     fn block_fwd(&mut self, l: usize, p: &Self::Unit, recompute: bool) -> Result<Self::Saved, Self::Error>;
     /// Holds a block's saved activations until its backward.
-    fn keep(&mut self, saved: Self::Saved) -> Self::Saved {
-        saved
-    }
+    fn keep(&mut self, saved: Self::Saved) -> Self::Saved;
     /// Stores the current activation.
     fn store_checkpoint(&mut self) -> Self::Ckpt;
     /// Makes a stored checkpoint the current activation.
