@@ -38,10 +38,10 @@ printf '%s\n' 'fn a() {' '}' '#[cfg(test)]' 'mod tests {' '    fn t() {' '    }'
 # overlapped gradient spill moved behind its reduce-scatter, and to 13 357
 # when one anchor per tier move replaced its direction, issue and demand
 # positions and ridden op (no memory walk stamps a demand position now),
-# and to 13 260 when the plan builder came to stamp each reduce-scatter's
+# and to 13 257 when the plan builder came to stamp each reduce-scatter's
 # settle point and record the step's charges, and the memory walk's own
 # replay of the engine went.
-line_ceiling=13260
+line_ceiling=13257
 lines=0
 split=""
 for crate in comm core serve bench; do
@@ -58,8 +58,8 @@ sim=$(awk "$count_non_test" $(find crates/sim/src -name '*.rs') src/bin/zero-sim
 # each op's position (the settle rule) and the first step's placement.
 # Lowered to 1 255: a spill is queued with its reduce-scatter, no drain;
 # to 1 252 when a tier move's direction came to be read off its anchor;
-# to 1 247 when the engine came to settle where the plan stamps.
-engine_ceiling=1247
+# to 1 244 when the engine came to settle where the plan stamps.
+engine_ceiling=1244
 engine=$(awk "$count_non_test" crates/core/src/engine.rs)
 echo "    $lines non-test lines (ceiling $line_ceiling):$split; sim $sim (ceiling $sim_ceiling); engine $engine (ceiling $engine_ceiling)"
 [ "$lines" -le "$line_ceiling" ] || { echo "line budget exceeded: lower the count or raise the ceiling deliberately"; exit 1; }

@@ -901,12 +901,9 @@ impl RankEngine {
                 Ok(sum + self.walk(ids, targets, local_batch, Some(scale))?)
             })
             .and_then(|sum| self.finish_step(sum / micros.len() as f32, scale, micros.len()));
-        if res.is_err() {
-            // Release what the failed step left in flight now rather than
-            // at the next entry, so the tracker is exact on the error path.
-            self.clear_transients();
-        }
-        res
+        // Release what a failed step left in flight or charged now rather
+        // than at the next entry, so the tracker is exact on the error path.
+        res.inspect_err(|_| self.clear_transients())
     }
 
     /// The placement of every step, fixed by the first one's plan: when it
@@ -1043,7 +1040,7 @@ impl RankEngine {
         self.clear_transients();
         let eval_plan = CommPlan::eval_pass(self.gpt.layout(), &self.zcfg, self.grid, act_elems);
         self.io.plan.install(&eval_plan, self.io.comm.rank(), "eval-pass");
-        let loss = self.walk(ids, targets, local_batch, None)?;
+        let loss = self.walk(ids, targets, local_batch, None).inspect_err(|_| self.clear_transients())?;
         self.io.plan.assert_exhausted("end of eval");
         Ok(loss)
     }

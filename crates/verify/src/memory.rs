@@ -170,11 +170,11 @@ fn settled_by(ops: &[PlanOp], rs: usize) -> Settle {
 /// The settle clause: every bucket reduce-scatter of `ops` carries the
 /// stamp `settled_by` derives. Returns how many it checked.
 pub fn check_settles(ops: &[PlanOp], what: &str) -> Result<usize, String> {
+    let is_gather = |g: usize| ops.get(g).is_some_and(|op| matches!(op.role, OpRole::Fetch { .. }));
     let mut checked = 0;
     for (rs, op) in ops.iter().enumerate() {
         let OpRole::Span(_, stamp) = op.role else { continue };
         let want = settled_by(ops, rs);
-        let is_gather = |g: usize| ops.get(g).is_some_and(|op| matches!(op.role, OpRole::Fetch { .. }));
         match stamp {
             _ if stamp == want => checked += 1,
             Settle::Gather(g) if g <= rs || !is_gather(g) => {
@@ -192,7 +192,7 @@ pub fn check_settles(ops: &[PlanOp], what: &str) -> Result<usize, String> {
 /// Counters from the memory clause.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MemoryReport {
-    /// Configurations walked.
+    /// Configurations checked.
     pub configs: usize,
     /// Bucket reduce-scatter settle stamps checked.
     pub settles: usize,
