@@ -20,8 +20,8 @@
 //! through every op) of `n` floats — 2 (8 B), one average serving unit of
 //! `zero_bench`'s serving model (41 024, 164 KB) and 262 144 (1 MB) — each
 //! first checked against the concatenated shards, then the 1 MB gather on
-//! `bench_step`'s `FLAT_LINK` with every element owned by rank 0 (`owner`)
-//! and split evenly (`balanced`); `m` is the rank count. Outside the GEMM
+//! [`FLAT_LINK`] with every element owned by rank 0 (`owner`) and split
+//! evenly (`balanced`); `m` is the rank count. Outside the GEMM
 //! rows `k` is 0 and `gflops` counts G elements/s, except the `comm` rows',
 //! which count GB gathered per second.
 //!
@@ -39,15 +39,14 @@
 
 use serde::Serialize;
 use serde_json::Value;
-use std::time::Duration;
 
-use zero::comm::{crc, crc32_f32s, launch_with_config, Crc32, Group, Precision, TieredLink, WireFmt, WorldConfig};
+use zero::comm::{crc, crc32_f32s, launch_with_config, Crc32, Group, Precision, WireFmt, WorldConfig};
 use zero::tensor::f16::{f16_add_slice, f16_round_slice, f16_to_f32_slice, f32_to_f16_slice};
 use zero::tensor::isa;
 use zero::tensor::ops::activation::{gelu_backward, gelu_forward, gelu_grad_scalar, gelu_scalar};
 use zero::tensor::F16;
 use zero::tensor::ops::matmul::{kernel, reference, sgemm, sgemm_nt, sgemm_tn, Mat};
-use zero_bench::{best_of, to_value, Baseline, Harness};
+use zero_bench::{best_of, to_value, Baseline, Harness, FLAT_LINK};
 
 type Wrapper = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
 
@@ -101,16 +100,6 @@ fn shapes() -> Vec<(&'static str, &'static str, usize, usize, usize)> {
     rows.extend(["all_gather_flat_owner", "all_gather_flat_balanced"].map(|v| (v, "comm", 2, 0, 262_144)));
     rows
 }
-
-/// `bench_step`'s `FLAT_LINK`: every message pays 150 µs plus its bytes
-/// at 40 MB/s.
-const FLAT_LINK: TieredLink = TieredLink {
-    node_size: 1,
-    intra_latency: Duration::ZERO,
-    intra_bytes_per_sec: 1e12,
-    inter_latency: Duration::from_micros(150),
-    inter_bytes_per_sec: 4e7,
-};
 
 /// Checks one all-gather row of `n` floats over `ranks` ranks against the
 /// concatenated shards, then times it on rank 0: `(reps, secs, bytes)`.

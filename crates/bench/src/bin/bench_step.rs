@@ -44,7 +44,7 @@ use zero::core::{
     ZeroConfig, ZeroStage,
 };
 use zero::model::{Layout, ModelConfig};
-use zero_bench::{best_of, nproc, print_row, Harness};
+use zero_bench::{best_of, nproc, print_row, Harness, FLAT_LINK};
 
 /// What identifies a row, and what a rerun must reproduce exactly.
 const KEY: &[&str] = &["family", "stage", "nd", "overlap", "offload", "compressed"];
@@ -74,16 +74,6 @@ fn step_setup(stage: ZeroStage, dp: usize, overlap: bool) -> TrainSetup {
         seed: 1,
     }
 }
-
-/// One rank per node, so every message pays the slow price (the intra
-/// fields are never read): `zero_bench`'s `train.comm` link.
-const FLAT_LINK: TieredLink = TieredLink {
-    node_size: 1,
-    intra_latency: Duration::ZERO,
-    intra_bytes_per_sec: 1e12,
-    inter_latency: Duration::from_micros(150),
-    inter_bytes_per_sec: 4e7,
-};
 
 /// NVLink-ish inside a node, a congested shared link between nodes — slow
 /// enough that stage-3 inter-node volume is a large share of the step, the

@@ -21,11 +21,12 @@
 //! measure the scheduler, and their speedups are recorded but not printed.
 
 use std::path::PathBuf;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use serde::Serialize;
 use serde_json::Value;
 use zero::cli::{usage_exit, Args};
+use zero::comm::TieredLink;
 
 /// A timing fails `--check-against` when it is this many times worse than
 /// the committed one.
@@ -43,6 +44,18 @@ pub fn best_of<T>(trials: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     let runs = (0..trials.max(1)).map(|_| timed());
     runs.min_by(|a, b| a.0.total_cmp(&b.0)).expect("at least one trial ran")
 }
+
+/// One rank per node, so every message pays the slow price, 150 µs plus
+/// its bytes at 40 MB/s (the intra fields are never read): `zero_bench`'s
+/// `train.comm` link, which `bench_step`'s overlap rows and
+/// `bench_matmul`'s flat all-gather rows run on.
+pub const FLAT_LINK: TieredLink = TieredLink {
+    node_size: 1,
+    intra_latency: Duration::ZERO,
+    intra_bytes_per_sec: 1e12,
+    inter_latency: Duration::from_micros(150),
+    inter_bytes_per_sec: 4e7,
+};
 
 /// Hardware threads available to this process.
 pub fn nproc() -> usize {

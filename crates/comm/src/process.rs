@@ -454,7 +454,12 @@ fn reader_loop(mut stream: UnixStream, residue: Vec<u8>, inbox: &Pipe, stop: &At
                 Err(_) => break 'outer,
             }
         }
-        match stream.read(&mut chunk) {
+        // Read no further than the pending frame's end unless the decoder
+        // has room already: it grows to the widest frame while warming up,
+        // not whenever a late read straddles two frames.
+        let pending = acc.first_chunk::<4>().map_or(4, |len| 8 + u32::from_le_bytes(*len) as usize);
+        let room = (acc.capacity() - acc.len()).max(pending.saturating_sub(acc.len())).min(chunk.len());
+        match stream.read(&mut chunk[..room]) {
             Ok(0) => break,
             Ok(n) => acc.extend_from_slice(&chunk[..n]),
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}

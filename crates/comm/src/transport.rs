@@ -95,7 +95,8 @@ pub(crate) struct Pipe {
 struct PipeState {
     queue: VecDeque<(u64, u32, Vec<f32>)>,
     /// Emptied buffers, each as wide as the widest message the pipe has
-    /// carried, so a pipe stops allocating once it has warmed up.
+    /// carried (one in flight when it widened is widened as it returns),
+    /// so a pipe stops allocating once it has warmed up.
     spare: Vec<Vec<f32>>,
     widest: usize,
     closed: bool,
@@ -200,7 +201,11 @@ impl Pipe {
             false => 0,
         };
         buf.clear();
-        lock_unpoisoned(&self.state).spare.push(buf);
+        // A buffer that was out of the pool when the pipe widened comes
+        // back as wide as the rest, so no warm send grows it.
+        let mut st = lock_unpoisoned(&self.state);
+        buf.reserve(st.widest);
+        st.spare.push(buf);
         Ok(Delivery { seq, declared_crc, actual_crc, len })
     }
 }

@@ -6,7 +6,8 @@
 //! they wake.
 //!
 //! Every allocation of at least [`BIG`] bytes made by any thread while a
-//! measurement window is open is counted. Spans are switched off in the
+//! measurement window is open is counted, and the sizes of the first
+//! [`SIZES`] are kept for the failure message. Spans are switched off in the
 //! measured worlds: the trace recorder keeps every span it is given, so
 //! its timeline grows with the run by design. One world is measured at a
 //! time, and the next is not built until every thread of the last has
@@ -15,7 +16,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use zero_comm::process::fresh_token;
@@ -28,8 +29,24 @@ use zero_serve::{ServeConfig, ServeRequest};
 /// The smallest allocation the gate counts.
 const BIG: usize = 1024;
 
+/// How many counted allocations have their size kept.
+const SIZES: usize = 64;
+
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static BIG_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+/// The sizes of the first [`SIZES`] allocations counted in the window:
+/// atomics, so keeping one allocates nothing.
+static FIRST_SIZES: [AtomicUsize; SIZES] = [const { AtomicUsize::new(0) }; SIZES];
+
+/// Counts an allocation of `size` bytes if it is big and a window is open.
+fn count(size: usize) {
+    if size >= BIG && COUNTING.load(Ordering::Relaxed) {
+        let i = BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if let Some(slot) = FIRST_SIZES.get(i) {
+            slot.store(size, Ordering::Relaxed);
+        }
+    }
+}
 
 struct Counting;
 
@@ -38,17 +55,13 @@ struct Counting;
 // them cannot allocate or re-enter.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if layout.size() >= BIG && COUNTING.load(Ordering::Relaxed) {
-            BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(layout.size());
         // SAFETY: `layout` is the caller's, passed through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if new_size >= BIG && COUNTING.load(Ordering::Relaxed) {
-            BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(new_size);
         // SAFETY: `ptr` came from this allocator with `layout`, as the
         // caller guarantees; `System` handles it.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -65,6 +78,14 @@ static GLOBAL: Counting = Counting;
 
 /// One measurement at a time: the counter is process-wide.
 static WINDOW: Mutex<()> = Mutex::new(());
+
+/// Takes the one window for a whole test, its assertion included: a
+/// failing assertion's panic hook allocates (with `RUST_BACKTRACE` set,
+/// thousands of times, symbolizing its backtrace), and would otherwise do
+/// so inside the next test's window.
+fn one_window() -> MutexGuard<'static, ()> {
+    WINDOW.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 /// The name of the thread each measured world is built from. Linux starts
 /// a thread under its creator's name and the fabric names none of its
@@ -85,13 +106,13 @@ fn world_threads() -> usize {
 }
 
 /// Runs `run` on both ranks of a 2-rank world with spans off and returns
-/// the big allocations any thread made between the point where both
-/// ranks called the `open` handed to them (after their warm-up) and the
-/// point where both returned. The world is a `World` of threads, or with
-/// `sockets` a socket mesh whose ranks are threads of this process. The
-/// window is held until the world's threads have exited.
-fn big_allocs_in_world(sockets: bool, run: impl Fn(&mut Communicator, &dyn Fn()) + Sync) -> usize {
-    let _one = WINDOW.lock().unwrap_or_else(|p| p.into_inner());
+/// the number of big allocations any thread made, with the sizes of the
+/// first [`SIZES`] of them, between the point where both ranks called the
+/// `open` handed to them (after their warm-up) and the point where both
+/// returned. The world is a `World` of threads, or with `sockets` a socket
+/// mesh whose ranks are threads of this process. The caller holds
+/// [`one_window`]; this returns once the world's threads have exited.
+fn big_allocs_in_world(sockets: bool, run: impl Fn(&mut Communicator, &dyn Fn()) + Sync) -> (usize, Vec<usize>) {
     let world = std::thread::Builder::new().name(WORLD.into());
     let big = std::thread::scope(|s| {
         let measured = world.spawn_scoped(s, || measure(sockets, &run)).expect("spawn the world's thread");
@@ -105,7 +126,7 @@ fn big_allocs_in_world(sockets: bool, run: impl Fn(&mut Communicator, &dyn Fn())
 }
 
 /// The body of [`big_allocs_in_world`], under its window.
-fn measure(sockets: bool, run: &(impl Fn(&mut Communicator, &dyn Fn()) + Sync)) -> usize {
+fn measure(sockets: bool, run: &(impl Fn(&mut Communicator, &dyn Fn()) + Sync)) -> (usize, Vec<usize>) {
     let gate = Barrier::new(2);
     let open = || {
         if gate.wait().is_leader() {
@@ -119,16 +140,17 @@ fn measure(sockets: bool, run: &(impl Fn(&mut Communicator, &dyn Fn()) + Sync)) 
         run(&mut c, &open);
         gate.wait();
         COUNTING.store(false, Ordering::SeqCst);
-        BIG_ALLOCS.load(Ordering::SeqCst)
+        let big = BIG_ALLOCS.load(Ordering::SeqCst);
+        (big, FIRST_SIZES[..big.min(SIZES)].iter().map(|size| size.load(Ordering::SeqCst)).collect())
     };
     if !sockets {
-        return launch(2, rank)[0];
+        return launch(2, rank).swap_remove(0);
     }
     let dir = std::env::temp_dir().join(format!("zero-alloc-steady-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create the socket directory");
     let mut cfg = ProcessWorldConfig::new(&dir, 2);
     cfg.token = fresh_token();
-    let counts: Vec<usize> = std::thread::scope(|s| {
+    let counts: Vec<(usize, Vec<usize>)> = std::thread::scope(|s| {
         let (rank, cfg) = (&rank, &cfg);
         let ranks: Vec<_> = (0..2)
             .map(|r| s.spawn(move || rank(connect_process_rank(r, cfg).expect("mesh handshake"))))
@@ -136,7 +158,7 @@ fn measure(sockets: bool, run: &(impl Fn(&mut Communicator, &dyn Fn()) + Sync)) 
         ranks.into_iter().map(|h| h.join().expect("mesh rank")).collect()
     });
     let _ = std::fs::remove_dir_all(&dir);
-    counts[0]
+    counts.into_iter().next().expect("rank 0's count")
 }
 
 /// 8 warm-up all-gathers of one average serving unit of `zero_bench`'s
@@ -160,14 +182,16 @@ fn gather_round_trips(c: &mut Communicator, open: &dyn Fn(), round_trips: usize)
 
 #[test]
 fn warm_all_gather_round_trips_make_no_big_allocation() {
-    let big = big_allocs_in_world(false, |c, open| gather_round_trips(c, open, 200));
-    assert_eq!(big, 0, "200 warm serving-unit all-gathers made {big} allocations of >= {BIG} B");
+    let _one = one_window();
+    let (big, sizes) = big_allocs_in_world(false, |c, open| gather_round_trips(c, open, 200));
+    assert_eq!(big, 0, "200 warm serving-unit all-gathers made {big} allocations of >= {BIG} B, the first of {sizes:?} B");
 }
 
 #[test]
 fn warm_all_gather_round_trips_over_sockets_make_no_big_allocation() {
-    let big = big_allocs_in_world(true, |c, open| gather_round_trips(c, open, 200));
-    assert_eq!(big, 0, "200 warm serving-unit all-gathers over sockets made {big} allocations of >= {BIG} B");
+    let _one = one_window();
+    let (big, sizes) = big_allocs_in_world(true, |c, open| gather_round_trips(c, open, 200));
+    assert_eq!(big, 0, "200 warm serving-unit all-gathers over sockets made {big} allocations of >= {BIG} B, the first of {sizes:?} B");
 }
 
 /// A 2-rank serving run of one request generating `tokens` tokens.
@@ -184,6 +208,7 @@ fn serve(c: &mut Communicator, tokens: usize) {
 fn serving_steps_past_warm_up_make_no_big_allocation() {
     // Two runs that differ only in their number of steps: a step that
     // allocated would show up as the difference.
+    let _one = one_window();
     let warm_then = |tokens| {
         big_allocs_in_world(false, |c, open| {
             serve(c, 4);
@@ -191,6 +216,6 @@ fn serving_steps_past_warm_up_make_no_big_allocation() {
             serve(c, tokens);
         })
     };
-    let (short, long) = (warm_then(6), warm_then(30));
-    assert_eq!(long, short, "6 vs 30 serving steps: {short} vs {long} allocations of >= {BIG} B");
+    let ((short, first), (long, then)) = (warm_then(6), warm_then(30));
+    assert_eq!(long, short, "6 vs 30 serving steps: {short} vs {long} allocations of >= {BIG} B, the first of {first:?} vs {then:?} B");
 }

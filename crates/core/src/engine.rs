@@ -35,8 +35,10 @@
 //! is waited, where the gradient bucket is cut, which ops each CB chunk
 //! runs, where each reduce-scatter is settled (its `Settle` stamp), and
 //! which tier movement goes ahead of it or behind it. The engine derives
-//! no group, picks no reduction and decides no buffer's lifetime of its
-//! own; the charges it makes on its `MemoryTracker` check the plan's.
+//! no group, picks no reduction and decides no buffer's lifetime or
+//! residency of its own: the charges it makes on its `MemoryTracker` check
+//! the plan's, its model-state stores and checkpoint slices are charged
+//! where `crate::footprint` says, and its MD arena is sized from the plan.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -53,7 +55,8 @@ use crate::config::{OptimizerKind, TierConfig};
 
 use crate::arena::{ArenaSlot, ContiguousArena};
 use crate::bucket::GradBucket;
-use crate::config::{CkptPlace, ZeroConfig};
+use crate::config::ZeroConfig;
+use crate::footprint;
 use crate::memory::{MemCategory, MemoryTracker};
 use crate::partition::Partitioner;
 use crate::plan::{
@@ -266,6 +269,15 @@ impl OptState {
         }
     }
 
+    /// Bytes of the state over the master: Adam's two moments, SGD's
+    /// velocity (nothing without momentum).
+    fn moment_bytes(&self) -> [u64; 2] {
+        match self {
+            OptState::Adam(a) => [4 * a.moments().0.len() as u64, 4 * a.moments().1.len() as u64],
+            OptState::Sgd(s) => [s.state_bytes() as u64, 0],
+        }
+    }
+
     fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         match self {
             OptState::Adam(a) => a.step(params, grads),
@@ -375,70 +387,38 @@ impl RankEngine {
         let (full, owner) = (Partitioner::new(gpt.num_params(), 1), dp_idx % part.owners());
         let shard = part.flat_ranges(owner, 0..part.counts()[owner]);
 
+        // The model states are charged from the one table the memory walk
+        // also folds (`footprint::states`), in the categories `check`'s
+        // placement names until the first step's plan fixes it (`place`).
+        // Arm the device budget first: from then on the tracker panics the
+        // moment live device bytes would exceed it, so a run that completes
+        // has *proved* peak device memory fit.
+        let states = footprint::states(gpt.layout(), &zcfg, grid, off, rank);
         let mut mem = MemoryTracker::new();
-        // Arm the device budget before the first allocation: from here on
-        // the tracker panics the moment live device bytes would exceed it,
-        // so a run that completes has *proved* peak device memory fit.
         if zcfg.tier.enabled {
             mem.set_device_budget(Some(zcfg.tier.device_budget));
         }
+        states.into_iter().for_each(|(cat, bytes)| mem.alloc(cat, bytes));
 
-        // hpZ secondary store: the node-local replica shard, priced as
-        // device memory (but not a §3 model state — it is a derived cache).
-        // Node groups are G consecutive ranks, so the slot is direct.
-        let secondary = zcfg.compression.hpz.then(|| {
-            let g = zcfg.node_size;
-            let sec = FlatStore::zeros(&Partitioner::per_unit(gpt.layout(), g), rank % g, zcfg.fp16);
-            mem.alloc(MemCategory::SecondaryParams, sec.bytes());
-            sec
-        });
-
-        // Working parameters. Under stage-3 offload the shard's home is
-        // the host tier (every use fetches a unit's piece up), so it is
-        // priced as host residency until a placement keeps it (`place`).
+        // hpZ secondary store: the node-local replica shard. Node groups
+        // are G consecutive ranks, so the slot is direct.
+        let g = zcfg.node_size;
+        let secondary = zcfg.compression.hpz.then(|| FlatStore::zeros(&Partitioner::per_unit(gpt.layout(), g), rank % g, zcfg.fp16));
+        // Working parameters, the fp32 master copy (full for DDP, the
+        // shard otherwise), the optimizer state over it, and the gradient
+        // store (the reduced shard from stage 2 on).
         let (at, of) = if zcfg.stage.partitions_params() { (&part, owner) } else { (&full, 0) };
         let work = FlatStore::from_f32(at, of, initial_params, zcfg.fp16);
-        let work_cat = if off.params {
-            MemCategory::HostParamShard
-        } else {
-            MemCategory::ParamsFp16
-        };
-        mem.alloc(work_cat, work.bytes());
-
-        // fp32 master copy: full for DDP, shard otherwise. With offload
-        // the master and both moments are host-resident (ZeRO-Offload's
-        // host optimizer), collapsing into one host category.
-        let [master_cat, mom_cat, var_cat] = if off.opt_state {
-            [MemCategory::HostOptimizerStates; 3]
-        } else {
-            [MemCategory::MasterParams, MemCategory::Momentum, MemCategory::Variance]
-        };
         let master: Vec<f32> = shard.iter().map(|r| &initial_params[r.clone()]).collect::<Vec<_>>().concat();
-        mem.alloc(master_cat, 4 * master.len() as u64);
         let mut opt = OptState::new(master.len(), zcfg.optimizer);
         if let OptState::Adam(a) = &mut opt {
             a.attach_trace(trace.clone());
         }
-        // Optimizer-state accounting: Adam = momentum + variance (K = 12
-        // with the master copy); SGD-momentum = velocity only (K = 8);
-        // plain SGD = nothing (K = 4).
-        match &opt {
-            OptState::Adam(_) => {
-                mem.alloc(mom_cat, 4 * master.len() as u64);
-                mem.alloc(var_cat, 4 * master.len() as u64);
-            }
-            OptState::Sgd(s) => {
-                mem.alloc(mom_cat, s.state_bytes() as u64);
-            }
-        }
-
-        // Gradient storage. Offloaded stages 2/3 keep the reduced shard
-        // host-resident (it feeds the host optimizer, spilled bucket by
-        // bucket as backward reduces).
         let bucketed = zcfg.stage.partitions_grads();
         let grads = if bucketed { FlatStore::zeros(&part, owner, zcfg.fp16) } else { FlatStore::zeros(&full, 0, zcfg.fp16) };
-        let cat = if off.grads { MemCategory::HostGradShard } else { MemCategory::Gradients };
-        mem.alloc(cat, grads.bytes());
+        let ([mom, var], sec) = (opt.moment_bytes(), secondary.as_ref().map_or(0, FlatStore::bytes));
+        let built = [sec, work.bytes(), 4 * master.len() as u64, mom, var, grads.bytes()];
+        assert_eq!(built, states.map(|(_, bytes)| bytes), "model-state stores vs their table rows");
 
         // The host link prices tier moves only when the tier is on:
         // P_a+cpu checkpoints alone cross it for free.
@@ -650,30 +630,16 @@ impl RankEngine {
 
     // ----- checkpoints (ZeRO-R: P_a / P_a+cpu / MD) -----
 
-    /// Sizes the MD arena for a step whose block activations hold
-    /// `act_elems` elements: one slot (this rank's slice of a checkpoint
-    /// under P_a) per checkpoint the walk stores. Grow-only, so a constant
-    /// batch allocates once and a larger one re-allocates instead of
-    /// overflowing.
-    fn size_arena(&mut self, act_elems: usize) {
-        let zcfg = &self.zcfg;
-        let layers = self.gpt.config().layers;
-        let slots = walk::interval(zcfg).map_or(0, |k| walk::segments(layers, k).count());
-        if slots == 0 {
-            return;
-        }
-        let cap = zcfg.checkpoint_place.slice(act_elems, self.grid.mp_degree(), self.mp_idx).len() * slots;
-        if self.arena.as_ref().is_none_or(|a| a.capacity() < cap) {
+    /// Sizes the MD arena for the step `prefix` plans: the most checkpoint
+    /// bytes its charges hold live on this rank, at the activation width
+    /// (this rank's slice of each checkpoint under P_a). Grow-only, so a
+    /// constant batch allocates once and a larger one re-allocates instead
+    /// of overflowing.
+    fn size_arena(&mut self, prefix: &CommPlan) {
+        let cap = prefix.arena_elems(&self.zcfg, self.io.comm.rank());
+        if cap > 0 && self.arena.as_ref().is_none_or(|a| a.capacity() < cap) {
             self.arena = Some(ContiguousArena::new(cap));
         }
-    }
-
-    /// Where a checkpoint slice of `len` elements is priced, and its bytes
-    /// at the activation width: the host tier under P_a+cpu.
-    fn ckpt_cost(&self, len: usize) -> (MemCategory, u64) {
-        let bytes = if self.zcfg.fp16 { 2 } else { 4 } * len as u64;
-        let cat = if self.zcfg.checkpoint_place == CkptPlace::Host { MemCategory::HostCheckpoints } else { MemCategory::Checkpoints };
-        (cat, bytes)
     }
 
     // ----- gradient dispatch (stage-dependent) -----
@@ -890,7 +856,7 @@ impl RankEngine {
         let prefix =
             CommPlan::prefix_placed(self.gpt.layout(), &self.zcfg, self.grid, micros.len(), act_elems, off);
         self.io.plan.install(&prefix, self.io.comm.rank(), "step-prefix");
-        self.size_arena(act_elems);
+        self.size_arena(&prefix);
 
         // Zero persistent gradient storage once per optimizer step.
         self.grads.zero();
@@ -906,16 +872,16 @@ impl RankEngine {
         res.inspect_err(|_| self.clear_transients())
     }
 
-    /// The placement of every step, fixed by the first one's plan: when it
-    /// keeps the stage-3 parameter shard on the device, the shard's bytes
-    /// move from the host category to the device one.
+    /// The placement of every step, fixed by the first one's plan: the
+    /// model-state table is freed under `check`'s placement and charged
+    /// under the planned one.
     fn place(&mut self, micros: usize, act_elems: usize) -> EffectiveOffload {
         if !std::mem::replace(&mut self.placed, true) {
-            let off = CommPlan::placement(self.gpt.layout(), &self.zcfg, self.grid, micros, act_elems);
-            if off.params != self.off.params {
-                self.mem.free(MemCategory::HostParamShard, self.work.bytes());
-                self.mem.alloc(MemCategory::ParamsFp16, self.work.bytes());
-            }
+            let (layout, rank) = (self.gpt.layout(), self.io.comm.rank());
+            let off = CommPlan::placement(layout, &self.zcfg, self.grid, micros, act_elems);
+            let [was, now] = [self.off, off].map(|off| footprint::states(layout, &self.zcfg, self.grid, off, rank));
+            was.into_iter().for_each(|(cat, bytes)| self.mem.free(cat, bytes));
+            now.into_iter().for_each(|(cat, bytes)| self.mem.alloc(cat, bytes));
             self.off = off;
         }
         self.off
@@ -1150,7 +1116,7 @@ impl Walker for Pass<'_> {
         let e = &mut *self.e;
         let span = e.trace.begin(SpanCategory::Checkpoint, "ckpt-store");
         let slice = &self.x[e.zcfg.checkpoint_place.slice(self.x.len(), e.grid.mp_degree(), e.mp_idx)];
-        let (cat, bytes) = e.ckpt_cost(slice.len());
+        let (cat, bytes) = footprint::ckpt_row(&e.zcfg, slice.len());
         e.mem.alloc(cat, bytes);
         let slot = e.arena.as_mut().expect("checkpointing sizes the arena").store(slice);
         let spill = e.io.plan.take_free_tier().map(|t| e.io.tier_move(t));
@@ -1166,7 +1132,7 @@ impl Walker for Pass<'_> {
         let e = &mut *self.e;
         let span = e.trace.begin(SpanCategory::Checkpoint, "ckpt-fetch");
         let slice = e.arena.as_ref().expect("arena slot").slot(&slot).to_vec();
-        let (cat, bytes) = e.ckpt_cost(slice.len());
+        let (cat, bytes) = footprint::ckpt_row(&e.zcfg, slice.len());
         let res = spill.map_or(Ok(()), |s| s.wait().map(drop)).and_then(|()| {
             if e.zcfg.checkpoint_place.partitioned() {
                 e.io.start(CollectiveKind::AllGather, slice).wait()

@@ -1,27 +1,32 @@
-//! The memory walk: one rank's device bytes over a training step, predicted
-//! from its plan without running it.
+//! Residency: one rank's memory over a training step, written once and
+//! predicted from its plan without running it.
 //!
-//! The engine charges its [`MemoryTracker`] as it interprets a step plan:
-//! the model-state stores once, at construction, in the device or host
-//! category the placement names; a gathered unit from its gather's issue
-//! to its release (a held unit to its release after the next fetch); a
-//! bucket's fused reduce-scatter buffer from its flush to the point its
-//! [`Settle`](crate::plan::Settle) stamp names; kept block activations
-//! from forward to backward; a checkpoint from store to restore; a CB
-//! chunk's staging buffer for its ops. The plan `Builder` decides each of
-//! those lifetimes and records every transient charge in walk order as it
-//! builds the plan, so the walk here is `charge_states` and a fold over
-//! that stream. Its peak is the engine's `peak_device()` to the byte
-//! (`tests/memory_accounting.rs` holds it there over every
-//! `schedule_digest` configuration, stages 0–3, at two batch sizes and
-//! two micro-batch counts, against the engine's own tracker), which is
-//! what lets the plan builder choose a placement before a step runs
-//! ([`CommPlan::placement`]).
+//! Two things are charged to a rank's [`MemoryTracker`]. The persistent
+//! model states are one table of `(category, bytes)` rows under a
+//! placement (`states`): the engine charges it when it builds its
+//! stores, asserting each store against its row, and re-charges it when
+//! its first step's plan fixes the placement. The transient buffers are
+//! the plan `Builder`'s: it decides each lifetime and records every
+//! charge in walk order as it builds the plan — a gathered unit from its
+//! gather's issue to its release (a held unit to its release after the
+//! next fetch); a bucket's fused reduce-scatter buffer from its flush to
+//! the point its [`Settle`](crate::plan::Settle) stamp names; kept block
+//! activations from forward to backward; a checkpoint from store to
+//! restore, in the category and at the bytes `ckpt_row` gives both the
+//! builder and the engine; a CB chunk's staging buffer for its ops.
+//!
+//! The memory walk is the table and a fold over that stream. Its peak is
+//! the engine's `peak_device()` to the byte (`tests/memory_accounting.rs`
+//! holds it there over every `schedule_digest` configuration, stages
+//! 0–3, at two batch sizes and two micro-batch counts, against the
+//! engine's own tracker), which is what lets the plan builder choose a
+//! placement before a step runs ([`CommPlan::placement`]). The same
+//! stream sizes the engine's MD arena (`CommPlan::arena_elems`).
 
 use zero_comm::Grid;
 use zero_model::Layout;
 
-use crate::config::{OptimizerKind, ZeroConfig};
+use crate::config::{CkptPlace, OptimizerKind, ZeroConfig};
 use crate::memory::{MemCategory, MemoryTracker};
 use crate::partition::Partitioner;
 use crate::plan::{CommPlan, EffectiveOffload};
@@ -36,11 +41,52 @@ pub(crate) struct Charge {
     pub(crate) bytes: Vec<u64>,
 }
 
-/// Rank `rank`'s peak device bytes: the model-state stores under placement
-/// `off`, then `charges` in order.
-fn peak_device(layout: &Layout, zcfg: &ZeroConfig, grid: Grid, off: EffectiveOffload, charges: &[Charge], rank: usize) -> u64 {
+/// One row of a rank's residency table: the category a store's bytes are
+/// charged in, and the bytes.
+pub(crate) type Row = (MemCategory, u64);
+
+/// Rank `rank`'s model-state table under placement `off`: the persistent
+/// stores the engine builds, in its order — hpZ's node-local secondary
+/// parameter shard (≈ 2Ψ/G), the working parameters, the fp32 master,
+/// the optimizer's two moment slots (Adam's moments, SGD's velocity with
+/// momentum: K = 12, 8 or 4 with the master) and the gradient store —
+/// each at its bytes (§3: 2Ψ + 2Ψ + KΨ, each class cut 1/N_d by the stage
+/// that partitions it) in the device or host category the placement puts
+/// it in. A store the configuration does not build is a row of 0 bytes.
+pub(crate) fn states(layout: &Layout, zcfg: &ZeroConfig, grid: Grid, off: EffectiveOffload, rank: usize) -> [Row; 6] {
+    use MemCategory::*;
+    let part = Partitioner::per_unit(layout, zcfg.dp_owners(grid));
+    let shard = part.counts()[grid.coords(rank).0 % part.owners()] as u64;
+    let (psi, width, g) = (layout.total_params() as u64, if zcfg.fp16 { 2 } else { 4 }, zcfg.node_size);
+    let secondary = if zcfg.compression.hpz { width * Partitioner::per_unit(layout, g).counts()[rank % g] as u64 } else { 0 };
+    let [mom, var] = match zcfg.optimizer {
+        OptimizerKind::Adam(_) => [4 * shard; 2],
+        OptimizerKind::Sgd(cfg) => [if cfg.momentum != 0.0 { 4 * shard } else { 0 }, 0],
+    };
+    let opt = |cat| if off.opt_state { HostOptimizerStates } else { cat };
+    let (work, grads) = (zcfg.stage.partitions_params(), zcfg.stage.partitions_grads());
+    [
+        (SecondaryParams, secondary),
+        (if off.params { HostParamShard } else { ParamsFp16 }, width * if work { shard } else { psi }),
+        (opt(MasterParams), 4 * shard),
+        (opt(Momentum), mom),
+        (opt(Variance), var),
+        (if off.grads { HostGradShard } else { Gradients }, width * if grads { shard } else { psi }),
+    ]
+}
+
+/// Where a checkpoint slice of `elems` elements is charged, and its bytes
+/// at the activation width: the host tier under P_a+cpu.
+pub(crate) fn ckpt_row(zcfg: &ZeroConfig, elems: usize) -> Row {
+    let cat = if zcfg.checkpoint_place == CkptPlace::Host { MemCategory::HostCheckpoints } else { MemCategory::Checkpoints };
+    (cat, if zcfg.fp16 { 2 } else { 4 } * elems as u64)
+}
+
+/// Charges `rows`, then rank `rank`'s bytes of each of `charges` in order,
+/// to a fresh tracker.
+fn fold(rows: &[Row], charges: &[Charge], rank: usize) -> MemoryTracker {
     let mut mem = MemoryTracker::new();
-    charge_states(&mut mem, layout, zcfg, grid, off, rank);
+    rows.iter().for_each(|&(cat, bytes)| mem.alloc(cat, bytes));
     for c in charges {
         let bytes = c.bytes[if c.bytes.len() == 1 { 0 } else { rank }];
         if c.alloc {
@@ -49,36 +95,13 @@ fn peak_device(layout: &Layout, zcfg: &ZeroConfig, grid: Grid, off: EffectiveOff
             mem.free(c.cat, bytes);
         }
     }
-    mem.peak_device()
+    mem
 }
 
-/// The model-state stores `RankEngine::new` charges, in its order and in
-/// the categories placement `off` puts them in.
-fn charge_states(mem: &mut MemoryTracker, layout: &Layout, zcfg: &ZeroConfig, grid: Grid, off: EffectiveOffload, rank: usize) {
-    let part = Partitioner::per_unit(layout, zcfg.dp_owners(grid));
-    let shard = part.counts()[grid.coords(rank).0 % part.owners()] as u64;
-    let (psi, width) = (layout.total_params() as u64, if zcfg.fp16 { 2 } else { 4 });
-    if zcfg.compression.hpz {
-        let g = zcfg.node_size;
-        mem.alloc(MemCategory::SecondaryParams, width * Partitioner::per_unit(layout, g).counts()[rank % g] as u64);
-    }
-    let work = if zcfg.stage.partitions_params() { shard } else { psi };
-    mem.alloc(if off.params { MemCategory::HostParamShard } else { MemCategory::ParamsFp16 }, width * work);
-    let [master, mom, var] = if off.opt_state {
-        [MemCategory::HostOptimizerStates; 3]
-    } else {
-        [MemCategory::MasterParams, MemCategory::Momentum, MemCategory::Variance]
-    };
-    mem.alloc(master, 4 * shard);
-    match zcfg.optimizer {
-        OptimizerKind::Adam(_) => {
-            mem.alloc(mom, 4 * shard);
-            mem.alloc(var, 4 * shard);
-        }
-        OptimizerKind::Sgd(cfg) => mem.alloc(mom, if cfg.momentum != 0.0 { 4 * shard } else { 0 }),
-    }
-    let grads = if zcfg.stage.partitions_grads() { shard } else { psi };
-    mem.alloc(if off.grads { MemCategory::HostGradShard } else { MemCategory::Gradients }, width * grads);
+/// Rank `rank`'s peak device bytes: its model-state table under placement
+/// `off`, then `charges` in order.
+fn peak_device(layout: &Layout, zcfg: &ZeroConfig, grid: Grid, off: EffectiveOffload, charges: &[Charge], rank: usize) -> u64 {
+    fold(&states(layout, zcfg, grid, off, rank), charges, rank).peak_device()
 }
 
 impl CommPlan {
@@ -125,6 +148,17 @@ impl CommPlan {
         let off = Self::placement(layout, zcfg, grid, micro_batches, act_elems);
         let charges = Self::walked_charges(layout, zcfg, grid, (micro_batches, act_elems), off);
         peak_device(layout, zcfg, grid, off, &charges, rank)
+    }
+
+    /// Elements of the MD arena (§6.3) rank `rank` needs to run this plan
+    /// under `zcfg`: the most checkpoint bytes its charges hold live at
+    /// once (in the one category [`ckpt_row`] names: on the device, or
+    /// under P_a+cpu on their way to and from the host), at the
+    /// activation width.
+    pub(crate) fn arena_elems(&self, zcfg: &ZeroConfig, rank: usize) -> usize {
+        let mem = fold(&[], &self.charges, rank);
+        let (cat, width) = ckpt_row(zcfg, 1);
+        (mem.peak(cat) / width) as usize
     }
 
     /// The charges of a step that updates: the prefix's under placement

@@ -71,6 +71,5 @@ pub use supervisor::{
 /// A planned op's wire format; `zero-comm`'s collectives dispatch on it.
 pub use zero_comm::WireFmt;
 pub use trainer::{
-    model_state_bytes, run_training, run_training_on, run_training_world, RankReport, TrainReport,
-    TrainSetup,
+    run_training, run_training_on, run_training_world, RankReport, TrainReport, TrainSetup,
 };

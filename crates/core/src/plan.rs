@@ -50,8 +50,8 @@ use zero_comm::{
 use zero_model::{BlockDims, Layout};
 use zero_tensor::f16::F16;
 
-use crate::config::{CkptPlace, CompressionConfig, ZeroConfig, ZeroStage};
-use crate::footprint::Charge;
+use crate::config::{CompressionConfig, ZeroConfig, ZeroStage};
+use crate::footprint::{self, Charge};
 use crate::memory::MemCategory;
 use crate::partition::Partitioner;
 use crate::walk::{self, Walker};
@@ -813,14 +813,14 @@ impl Builder {
     }
 
     /// Each world rank's slice of one checkpoint, and the charge of
-    /// storing it (`alloc`) or restoring it, in the host category under
-    /// P_a+cpu.
+    /// storing it (`alloc`) or restoring it, in the category
+    /// [`footprint::ckpt_row`] names.
     fn charge_ckpt(&mut self, alloc: bool) -> Vec<usize> {
         let (grid, act_elems, place) = (self.grid, self.act_elems, self.zcfg.checkpoint_place);
         let counts: Vec<usize> =
             (0..grid.world_size()).map(|r| place.slice(act_elems, grid.mp_degree(), grid.coords(r).1).len()).collect();
-        let cat = if place == CkptPlace::Host { MemCategory::HostCheckpoints } else { MemCategory::Checkpoints };
-        let bytes = counts.iter().map(|&n| self.prec.bytes() * n as u64).collect();
+        let (cat, _) = footprint::ckpt_row(&self.zcfg, 0);
+        let bytes = counts.iter().map(|&n| footprint::ckpt_row(&self.zcfg, n).1).collect();
         self.charges.push(Charge { alloc, cat, bytes });
         counts
     }

@@ -11,7 +11,7 @@ use zero_model::{init_full_params, rank_batch, shard_params, Gpt, ModelConfig, S
 
 use crate::config::ZeroConfig;
 use crate::engine::RankEngine;
-use crate::memory::{MemCategory, ALL_CATEGORIES, CATEGORY_COUNT};
+use crate::memory::{ALL_CATEGORIES, CATEGORY_COUNT};
 
 /// A complete training-run specification.
 #[derive(Clone, Copy, Debug)]
@@ -242,15 +242,6 @@ fn run_training_inner(
         val_losses,
         ranks,
     }
-}
-
-/// Convenience: the live model-state bytes of one rank report.
-pub fn model_state_bytes(report: &RankReport) -> u64 {
-    use MemCategory::*;
-    [ParamsFp16, Gradients, MasterParams, Momentum, Variance]
-        .iter()
-        .map(|&c| report.live_by_category[c as usize])
-        .sum()
 }
 
 #[cfg(test)]

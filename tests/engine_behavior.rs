@@ -4,10 +4,10 @@
 
 use zero::comm::{launch, Grid};
 use zero::core::{
-    run_training, CkptPlace, CompressionConfig, OptimizerKind, RankEngine, TierConfig, TrainSetup,
+    run_training, CkptPlace, CommPlan, CompressionConfig, OptimizerKind, RankEngine, TierConfig, TrainSetup,
     ZeroConfig, ZeroStage,
 };
-use zero::model::{init_full_params, Gpt, ModelConfig, SyntheticCorpus};
+use zero::model::{init_full_params, Gpt, Layout, ModelConfig, SyntheticCorpus};
 use zero::optim::{AdamConfig, SgdConfig};
 use zero_verify::memory::FULL_OFFLOAD_BUDGET;
 
@@ -156,40 +156,38 @@ fn accumulation_across_stages_is_consistent() {
 
 #[test]
 fn optimizer_choice_sets_the_k_multiplier() {
-    // §2.3: the optimizer decides K. Measured model states under DDP:
-    // Adam (2+2+12)Ψ, SGD+momentum (2+2+8)Ψ, plain SGD (2+2+4)Ψ.
+    // §2.3: the optimizer decides K (Adam 12, SGD with momentum 8, plain
+    // SGD 4); the stage decides which classes are cut to this rank's shard
+    // (§5): DDP (2+2+K)Ψ, stage 1 4Ψ + K·shard, stage 2 2Ψ + (2+K)·shard,
+    // stage 3 (4+K)·shard. On the host tier stage 2's shards move to the
+    // host categories at the same bytes. Every measured peak is the
+    // memory walk's prediction to the byte.
+    use zero::core::MemCategory::{HostGradShard, HostOptimizerStates};
+    use ZeroStage::{Ddp, One, Three, Two};
     let cfg = model();
-    let psi = cfg.total_params() as u64;
-    let run = |opt: OptimizerKind| {
-        let setup = TrainSetup {
-            model: cfg,
-            zero: ZeroConfig {
-                stage: ZeroStage::Ddp,
-                fp16: true,
-                optimizer: opt,
-                ..ZeroConfig::default()
-            },
-            grid: Grid::new(2, 1),
-            global_batch: 4,
-            seed: 1,
-        };
-        run_training(&setup, 1, 0).ranks[0].peak_model_state_bytes
-    };
-    assert_eq!(run(OptimizerKind::Adam(AdamConfig::default())), 16 * psi);
-    assert_eq!(
-        run(OptimizerKind::Sgd(SgdConfig {
-            lr: 0.01,
-            momentum: 0.9
-        })),
-        12 * psi
-    );
-    assert_eq!(
-        run(OptimizerKind::Sgd(SgdConfig {
-            lr: 0.01,
-            momentum: 0.0
-        })),
-        8 * psi
-    );
+    let (layout, psi, grid) = (Layout::build(&cfg), cfg.total_params() as u64, Grid::new(2, 1));
+    let sgd = |momentum| OptimizerKind::Sgd(SgdConfig { lr: 0.01, momentum });
+    for (optimizer, k) in [(OptimizerKind::Adam(AdamConfig::default()), 12), (sgd(0.9), 8), (sgd(0.0), 4)] {
+        for (stage, on) in [(Ddp, false), (One, false), (Two, false), (Three, false), (Two, true)] {
+            let tier = if on { TierConfig::budgeted(u64::MAX) } else { TierConfig::off() };
+            let zero = ZeroConfig { stage, fp16: true, optimizer, tier, ..ZeroConfig::default() };
+            let setup = TrainSetup { model: cfg, zero, grid, global_batch: 4, seed: 1 };
+            for (d, r) in run_training(&setup, 1, 0).ranks.iter().enumerate() {
+                let (shard, what) = (r.master.len() as u64, format!("{stage:?} K = {k} tier {on} rank {d}"));
+                let (device, host) = match stage {
+                    Ddp => ((4 + k) * psi, [0, 0]),
+                    One => (4 * psi + k * shard, [0, 0]),
+                    Two if on => (2 * psi, [k * shard, 2 * shard]),
+                    Two => (2 * psi + (2 + k) * shard, [0, 0]),
+                    Three => ((4 + k) * shard, [0, 0]),
+                };
+                let host_peak = [HostOptimizerStates, HostGradShard].map(|c| r.peak_by_category[c as usize]);
+                assert_eq!((r.peak_model_state_bytes, host_peak), (device, host), "{what}");
+                let walked = CommPlan::footprint(&layout, &zero, grid, 1, 2 * cfg.seq * cfg.hidden, d);
+                assert_eq!(r.peak_device_bytes, walked, "{what}: the memory walk");
+            }
+        }
+    }
 }
 
 #[test]
