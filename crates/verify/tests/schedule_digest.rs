@@ -5,15 +5,15 @@
 //! The provers in `zero-verify` check *properties* of a plan (symmetry,
 //! volumes, windows); a refactor of the plan builder can keep every
 //! property and still move an op. This test pins the stream itself: per
-//! rank, `(kind, members, counts, prec, wire, nonblocking)` of every
-//! resolved collective — and the unit a fetch materializes, which balanced
-//! counts no longer tell apart, and where a bucket reduce-scatter's
-//! buffer is settled — and the direction, bytes and issue
-//! position its [`TierAt`](zero_core::TierAt) anchor gives every tier
-//! movement, for `train_step` (skipped and not), `eval_pass`
-//! and `publish_refresh`. A second table pins `serve_step` the same way,
-//! one line per serving world size and overlap setting, each fetch also
-//! folding whether it goes out ahead. A change that means to alter a
+//! rank, every field of every resolved collective the engine executes —
+//! kind, members, counts, precision, wire, [`Reduction`] and the whole
+//! [`OpRole`] (a fetch's unit, stores, `ahead` and `hold`; a bucket's
+//! range and settle point; a chunk's rows) — everything but its label,
+//! and the direction, bytes and issue position its
+//! [`TierAt`](zero_core::TierAt) anchor gives every tier movement, for
+//! `train_step` (skipped and not), `eval_pass` and `publish_refresh`. A
+//! second table pins `serve_step` the same way, one line per serving
+//! world size and overlap setting. A change that means to alter a
 //! schedule replaces `schedule_digests.txt` or `serve_digests.txt` with
 //! the table this test writes next to the test binaries on a mismatch; a
 //! change that does not must leave every line untouched.
@@ -21,8 +21,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use zero_comm::Grid;
-use zero_core::{CommPlan, OpRole, Settle, StepShape, WireFmt, ZeroConfig, ZeroStage};
+use zero_comm::{Grid, ReduceOp};
+use zero_core::{CommPlan, OpRole, ParamStore, Reduction, Settle, StepShape, WireFmt, ZeroConfig, ZeroStage};
 use zero_model::{Layout, ModelConfig};
 use zero_verify::{compression, memory, offload, schedule};
 
@@ -55,6 +55,15 @@ impl Fnv {
     }
 }
 
+/// A reduction operator's digest word.
+fn reduce_op(r: ReduceOp) -> usize {
+    match r {
+        ReduceOp::Sum => 0,
+        ReduceOp::Mean => 1,
+        ReduceOp::Max => 2,
+    }
+}
+
 /// One rank's digest of one plan: the resolved collective stream, then
 /// the resolved tier stream.
 fn rank_digest(plan: &CommPlan, rank: usize) -> u64 {
@@ -69,18 +78,37 @@ fn rank_digest(plan: &CommPlan, rank: usize) -> u64 {
             WireFmt::Int8Block { block } => h.words(&[1, block]),
             WireFmt::QgzInt8 { node_size, block } => h.words(&[2, node_size, block]),
         }
-        h.word(u64::from(op.nonblocking));
-        match op.role {
-            OpRole::Fetch { unit, .. } => h.word(unit as u64),
+        h.words(&match op.reduce {
+            Reduction::Copy => vec![0],
+            Reduction::Reduce(r) => vec![1, reduce_op(r)],
+            Reduction::Average { over } => vec![2, over],
+        });
+        let store = |s: ParamStore| match s {
+            ParamStore::Primary => 1,
+            ParamStore::Secondary => 2,
+        };
+        h.words(&match op.role {
+            OpRole::Plain => vec![0],
             // Where its buffer is settled: at its flush, when gather op
             // `g` is consumed, or at the end-of-micro drain.
-            OpRole::Span(_, settle) => h.words(&match settle {
-                Settle::Flush => [0, 0],
-                Settle::Gather(g) => [1, g],
-                Settle::Drain => [2, 0],
-            }),
-            _ => {}
-        }
+            OpRole::Span(range, settle) => {
+                let (at, g) = match settle {
+                    Settle::Flush => (0, 0),
+                    Settle::Gather(g) => (1, g),
+                    Settle::Drain => (2, 0),
+                };
+                vec![1, range.start, range.end, at, g]
+            }
+            OpRole::Chunk(rows) => vec![2, rows.start, rows.end],
+            OpRole::Fetch { unit, from, into, ahead, hold } => vec![
+                3,
+                unit,
+                store(from),
+                into.map_or(0, store),
+                usize::from(ahead),
+                hold.map_or(0, |p| p.bytes() as usize),
+            ],
+        });
     }
     h.word(u64::MAX);
     for t in plan.resolve_tier_for(rank) {
@@ -118,8 +146,7 @@ fn config_line(zcfg: &ZeroConfig, grid: Grid, local_batch: usize) -> String {
 }
 
 /// One serving step's line per (N, overlap): every rank's digest of the
-/// resolved stream, each followed by its fetches' `ahead` flags, which a
-/// training line leaves to the op positions.
+/// resolved stream.
 fn serve_table() -> String {
     let layout = Layout::build(&model());
     let mut out = String::from("# serve step\n");
@@ -129,11 +156,6 @@ fn serve_table() -> String {
             let mut fold = Fnv::new();
             for rank in 0..n {
                 fold.word(rank_digest(&plan, rank));
-                for op in plan.resolve_for(rank) {
-                    if let OpRole::Fetch { ahead, .. } = op.role {
-                        fold.word(u64::from(ahead));
-                    }
-                }
             }
             writeln!(out, "serve/n{n}/ov{} {:016x}", u8::from(overlap), fold.0).unwrap();
         }
@@ -216,6 +238,19 @@ fn no_two_lines_share_all_four_digests() {
 #[test]
 fn every_schedule_digest_is_unchanged() {
     assert_pinned(&table(), PINNED, "schedule_digests.txt", entry);
+}
+
+/// The overlapped serving step differs from the synchronous one only in
+/// its fetches' `ahead`: the rank digest alone must tell them apart.
+#[test]
+fn a_rank_digest_sees_the_serving_window() {
+    let layout = Layout::build(&model());
+    for n in 2..=8 {
+        let (sync, over) = (CommPlan::serve_step(&layout, n, false), CommPlan::serve_step(&layout, n, true));
+        for rank in 0..n {
+            assert_ne!(rank_digest(&sync, rank), rank_digest(&over, rank), "n={n} rank {rank}");
+        }
+    }
 }
 
 #[test]
