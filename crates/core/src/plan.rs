@@ -182,6 +182,13 @@ pub enum Settle {
 
 /// One planned collective: kind, scope, counts, accounting precision, and
 /// a stable label naming the schedule position it models.
+///
+/// Plan order is **issue order**. It is also each rank's completion
+/// order, since a rank runs its ops on one FIFO, so the static
+/// pairwise-agreement check proves deadlock-freedom for the overlapped
+/// schedule exactly as for the synchronous one. Where the engine waits
+/// an op is its role's: a fetch's `ahead` and `hold`, a bucket's
+/// [`Settle`]; every other op is waited where it is issued.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlanOp {
     /// Collective kind (the traffic-accounting category it lands in).
@@ -194,14 +201,6 @@ pub struct PlanOp {
     pub prec: Precision,
     /// Schedule position, e.g. `"fetch-unit"` or `"overflow-flag"`.
     pub label: &'static str,
-    /// Issue mode: `true` means the engine *issues* the op here (hands it
-    /// to its rank's FIFO progress thread) but completes it later — the
-    /// overlapped prefetches and bucket reduce-scatters. Plan order is
-    /// always **issue order**, which is also per-rank completion order
-    /// (one FIFO queue per rank), so the static pairwise-agreement check
-    /// proves deadlock-freedom for the async schedule exactly as for the
-    /// synchronous one.
-    pub nonblocking: bool,
     /// Wire encoding (ZeRO++ compression lever, or `Raw`).
     pub wire: WireFmt,
     /// What the op does to the values it moves.
@@ -225,8 +224,6 @@ pub struct ResolvedOp {
     pub prec: Precision,
     /// Schedule position label.
     pub label: &'static str,
-    /// Whether the engine issues this op non-blocking (see [`PlanOp`]).
-    pub nonblocking: bool,
     /// Wire encoding (ZeRO++ compression lever, or `Raw`).
     pub wire: WireFmt,
     /// What the op does to the values it moves.
@@ -270,124 +267,79 @@ impl ResolvedOp {
         start..start + self.counts[i]
     }
 
-    /// Messages this rank sends: `2(n−1)` for all-reduce, `n−1` for the
-    /// single-phase ring collectives, `(G−1) + (n/G−1)` for the two-phase
-    /// qgZ all-to-all, `0` for single-member groups. (Empty chunks still
-    /// travel as zero-length messages.)
-    pub fn sent_messages(&self, rank: usize) -> usize {
-        let n = self.members.len();
-        if n == 1 {
-            return 0;
-        }
-        let _is_member = self.member_index(rank);
-        if let WireFmt::QgzInt8 { node_size, .. } = self.wire {
-            return (node_size - 1) + (n / node_size - 1);
-        }
-        match self.kind {
-            CollectiveKind::AllReduce => 2 * (n - 1),
-            CollectiveKind::ReduceScatter | CollectiveKind::AllGather => n - 1,
-        }
-    }
-
-    /// Bytes this rank sends — the exact per-rank cost the `zero-comm`
-    /// traffic counters meter, wire-aware.
+    /// The messages `rank` sends running this op, as `(partner, logical
+    /// bytes)` in the order the `zero-comm` collective sends them: the one
+    /// description of what the op puts on the wire, which the traffic
+    /// counters meter message by message.
     ///
-    /// Raw ring algebra (n = group size, L = Σ counts, c = counts, i =
-    /// local index): all-gather sends every chunk except `c[(i+1) mod n]`;
-    /// reduce-scatter every chunk except `c[i]`; all-reduce is both phases
-    /// back to back. Single-member groups exchange nothing. Compressed ops
-    /// cost exactly what the `zero-comm` compressed collectives meter.
+    /// A ring (n members, `rank` at index i) sends every message to its
+    /// successor: a reduce-scatter the chunks i−1, i−2, …, i+1 (every
+    /// chunk but its own), an all-gather i, i−1, …, i+2 (every chunk but
+    /// the successor's), an all-reduce both back to back. Under qwZ
+    /// (`Int8Block`) an all-gather hop costs its chunk's int8 wire bytes.
+    /// qgZ's two-phase reduce-scatter (`QgzInt8`, G per node) sends, in
+    /// round d, the raw column of chunks owned by slot `slot + d` on every
+    /// node to that node-mate, then, in round d, this slot's quantized
+    /// chunk for node `node + d` to that node's same-slot owner. A
+    /// zero-length chunk is still a message; a group of one sends none.
     ///
     /// # Panics
-    /// Panics if `rank` is not a member, or an `Int8Block` wire carries
-    /// anything but an all-gather.
-    pub fn sent_bytes(&self, rank: usize) -> u64 {
-        let n = self.members.len();
+    /// Panics if `rank` is not a member, or a compressed wire carries a
+    /// kind it does not model (qwZ only all-gathers, qgZ only
+    /// reduce-scatters).
+    pub fn sends(&self, rank: usize) -> Vec<(usize, u64)> {
+        let (n, i, counts) = (self.members.len(), self.member_index(rank), &self.counts);
         if n == 1 {
-            return 0;
+            return Vec::new();
         }
-        let i = self.member_index(rank);
-        let total = self.total_elems();
+        let raw = |elems: usize| self.prec.bytes() * elems as u64;
+        // The chunk sizes of one ring phase, from chunk `first` backwards.
+        let hops = |first: usize| (0..n - 1).map(move |s| counts[(first + n - s) % n]);
+        let next = self.members[(i + 1) % n];
+        let wire_only = |kind: CollectiveKind| {
+            assert_eq!(self.kind, kind, "{:?} wire cannot carry '{}' ({:?})", self.wire, self.label, self.kind);
+        };
         match self.wire {
             WireFmt::Raw => {
-                let elems = match self.kind {
-                    CollectiveKind::AllReduce => {
-                        (total - self.counts[i]) + (total - self.counts[(i + 1) % n])
-                    }
-                    CollectiveKind::ReduceScatter => total - self.counts[i],
-                    CollectiveKind::AllGather => total - self.counts[(i + 1) % n],
-                };
-                self.prec.bytes() * elems as u64
+                let reduce = (self.kind != CollectiveKind::AllGather).then(|| hops(i + n - 1));
+                let gather = (self.kind != CollectiveKind::ReduceScatter).then(|| hops(i));
+                reduce.into_iter().flatten().chain(gather.into_iter().flatten()).map(|c| (next, raw(c))).collect()
             }
             WireFmt::Int8Block { block } => {
-                // qwZ ring all-gather of encoded streams: forward every
-                // member's stream except the successor's own.
-                assert_eq!(
-                    self.kind,
-                    CollectiveKind::AllGather,
-                    "Int8Block wire only models all-gathers ('{}')",
-                    self.label
-                );
-                self.counts
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != (i + 1) % n)
-                    .map(|(_, &c)| quant_wire_bytes(c, block))
-                    .sum()
+                wire_only(CollectiveKind::AllGather);
+                hops(i).map(|c| (next, quant_wire_bytes(c, block))).collect()
             }
-            WireFmt::QgzInt8 { node_size, block } => {
-                self.qgz_sends(i, node_size, block).map(|(_, bytes)| bytes).sum()
+            WireFmt::QgzInt8 { node_size: g, block } => {
+                wire_only(CollectiveKind::ReduceScatter);
+                let (slot, node, nodes) = (i % g, i / g, n / g);
+                let mates = (1..g).map(|d| {
+                    let s = (slot + d) % g;
+                    (self.members[node * g + s], raw((0..nodes).map(|m| counts[m * g + s]).sum()))
+                });
+                let peers = (1..nodes).map(|d| {
+                    let peer = (node + d) % nodes * g + slot;
+                    (self.members[peer], quant_wire_bytes(counts[peer], block))
+                });
+                mates.chain(peers).collect()
             }
         }
     }
 
-    /// qgZ two-phase all-to-all: every `(partner rank, bytes)` member `i`
-    /// sends. Phase 1 is the raw pairwise intra-node exchange — to each
-    /// local peer s′, the full column of chunks owned by slot s′ on any
-    /// node; phase 2 the quantized pairwise inter-node exchange of this
-    /// slot's per-node chunks.
-    fn qgz_sends(&self, i: usize, node_size: usize, block: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
-        assert_eq!(
-            self.kind,
-            CollectiveKind::ReduceScatter,
-            "QgzInt8 wire only models reduce-scatters ('{}')",
-            self.label
-        );
-        let (slot, node) = (i % node_size, i / node_size);
-        let nodes = self.members.len() / node_size;
-        let phase1 = (0..node_size).filter(move |&s| s != slot).map(move |s| {
-            let column: usize = (0..nodes).map(|m| self.counts[m * node_size + s]).sum();
-            (self.members[node * node_size + s], self.prec.bytes() * column as u64)
-        });
-        let phase2 = (0..nodes).filter(move |&m| m != node).map(move |m| {
-            let peer = m * node_size + slot;
-            (self.members[peer], quant_wire_bytes(self.counts[peer], block))
-        });
-        phase1.chain(phase2)
+    /// How many messages `rank` sends: [`Self::sends`], counted.
+    pub fn sent_messages(&self, rank: usize) -> usize {
+        self.sends(rank).len()
     }
 
-    /// Bytes this rank pushes across the slow links of a `g`-rank-per-node
-    /// topology. Ring collectives send only to the ring successor, so the
-    /// whole op is inter-node iff that successor lives on another node;
-    /// the qgZ all-to-all is split per partner (phase 1 partners share the
-    /// node, phase 2 partners never do).
+    /// Bytes `rank` sends — the exact per-rank cost the `zero-comm`
+    /// traffic counters meter: [`Self::sends`], summed.
+    pub fn sent_bytes(&self, rank: usize) -> u64 {
+        self.sends(rank).iter().map(|&(_, bytes)| bytes).sum()
+    }
+
+    /// Bytes `rank` pushes across the slow links of a `g`-rank-per-node
+    /// topology: [`Self::sends`] to partners on another node, summed.
     pub fn sent_inter_node_bytes(&self, rank: usize, g: usize) -> u64 {
-        assert!(g > 0, "node size must be positive");
-        let n = self.members.len();
-        if n == 1 {
-            return 0;
-        }
-        let i = self.member_index(rank);
-        let crosses = |partner: usize| partner / g != rank / g;
-        match self.wire {
-            WireFmt::QgzInt8 { node_size, block } => self
-                .qgz_sends(i, node_size, block)
-                .filter(|&(partner, _)| crosses(partner))
-                .map(|(_, bytes)| bytes)
-                .sum(),
-            _ if crosses(self.members[(i + 1) % n]) => self.sent_bytes(rank),
-            _ => 0,
-        }
+        self.sends(rank).iter().filter(|&&(partner, _)| partner / g != rank / g).map(|&(_, bytes)| bytes).sum()
     }
 
     fn member_index(&self, rank: usize) -> usize {
@@ -659,23 +611,20 @@ impl Builder {
         label: &'static str,
         role: OpRole,
     ) -> &mut PlanOp {
-        let (prec, nonblocking, wire) = (self.prec, false, WireFmt::Raw);
-        self.ops.push(PlanOp { kind, scope, counts, prec, label, nonblocking, wire, reduce, role });
+        let (prec, wire) = (self.prec, WireFmt::Raw);
+        self.ops.push(PlanOp { kind, scope, counts, prec, label, wire, reduce, role });
         self.ops.last_mut().expect("op just pushed")
     }
 
-    /// Pushes an op on `wire` that the engine leaves in flight when overlap
-    /// is on — a parameter fetch (copied) or a bucket reduce-scatter
-    /// (averaged over N_d). Volumes and issue order are identical either
-    /// way; the engine settles a blocking one at once.
-    fn op_nb(&mut self, kind: CollectiveKind, scope: PlanScope, counts: Vec<usize>, label: &'static str, wire: WireFmt, role: OpRole) {
-        let (overlap, counts) = (self.zcfg.overlap, CountSpec::Explicit(counts));
+    /// Pushes a parameter fetch (copied) or a bucket reduce-scatter
+    /// (averaged over N_d) on `wire`. Where the engine waits it is its
+    /// role's: a fetch's `ahead`, a bucket's [`Settle`].
+    fn shard_op(&mut self, kind: CollectiveKind, scope: PlanScope, counts: Vec<usize>, label: &'static str, wire: WireFmt, role: OpRole) {
         let reduce = match kind {
             CollectiveKind::ReduceScatter => Reduction::Reduce(ReduceOp::Mean),
             _ => Reduction::Copy,
         };
-        let op = self.op(kind, scope, counts, reduce, label, role);
-        (op.nonblocking, op.wire) = (overlap, wire);
+        self.op(kind, scope, CountSpec::Explicit(counts), reduce, label, role).wire = wire;
     }
 
     /// Issues unit `u`'s parameter all-gather (§5.3): every DP shard's
@@ -713,7 +662,7 @@ impl Builder {
             self.tier_op("tier-param-fetch", counts.clone(), TierAt::Seeds(self.ops.len()));
         }
         let (at, role) = (self.ops.len(), OpRole::Fetch { unit: u, from, into, ahead, hold: None });
-        self.op_nb(CollectiveKind::AllGather, scope, counts, "fetch-unit", wire, role);
+        self.shard_op(CollectiveKind::AllGather, scope, counts, "fetch-unit", wire, role);
         self.unit_charge(true, u);
         if ahead {
             // Every reduce-scatter in flight that no earlier gather settles
@@ -787,7 +736,7 @@ impl Builder {
         let (rs, bytes) = (self.ops.len(), 4 * fused.len() as u64);
         let settle = if self.zcfg.overlap { Settle::Drain } else { Settle::Flush };
         let kind = CollectiveKind::ReduceScatter;
-        self.op_nb(kind, PlanScope::Dp, counts.clone(), "grad-bucket", wire, OpRole::Span(fused, settle));
+        self.shard_op(kind, PlanScope::Dp, counts.clone(), "grad-bucket", wire, OpRole::Span(fused, settle));
         self.charge(true, MemCategory::Buffers, bytes);
         self.inflight.push(rs);
         self.settle(Settle::Flush);
@@ -1259,7 +1208,6 @@ impl CommPlan {
                     counts,
                     prec: op.prec,
                     label: op.label,
-                    nonblocking: op.nonblocking,
                     wire: op.wire,
                     reduce: op.reduce,
                     role: op.role.clone(),

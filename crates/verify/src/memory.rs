@@ -153,12 +153,12 @@ pub fn digest_configs() -> Vec<(ZeroConfig, Grid, usize)> {
     configs
 }
 
-/// Where bucket reduce-scatter `rs` of `ops` is settled: at the first
-/// fetch issued behind it, if that fetch goes out ahead (an on-demand one
-/// opens the next micro-batch, after the drain); at the drain otherwise;
-/// at its flush when it blocks.
-fn settled_by(ops: &[PlanOp], rs: usize) -> Settle {
-    if !ops[rs].nonblocking {
+/// Where bucket reduce-scatter `rs` of `ops` is settled: at its flush
+/// without `overlap`; with it at the first fetch issued behind it, if that
+/// fetch goes out ahead (an on-demand one opens the next micro-batch,
+/// after the drain), at the drain otherwise.
+fn settled_by(ops: &[PlanOp], rs: usize, overlap: bool) -> Settle {
+    if !overlap {
         return Settle::Flush;
     }
     match ops.iter().enumerate().skip(rs + 1).find(|(_, op)| matches!(op.role, OpRole::Fetch { .. })) {
@@ -167,14 +167,15 @@ fn settled_by(ops: &[PlanOp], rs: usize) -> Settle {
     }
 }
 
-/// The settle clause: every bucket reduce-scatter of `ops` carries the
-/// stamp `settled_by` derives. Returns how many it checked.
-pub fn check_settles(ops: &[PlanOp], what: &str) -> Result<usize, String> {
+/// The settle clause: every bucket reduce-scatter of `ops`, planned with
+/// or without `overlap`, carries the stamp `settled_by` derives. Returns
+/// how many it checked.
+pub fn check_settles(ops: &[PlanOp], overlap: bool, what: &str) -> Result<usize, String> {
     let is_gather = |g: usize| ops.get(g).is_some_and(|op| matches!(op.role, OpRole::Fetch { .. }));
     let mut checked = 0;
     for (rs, op) in ops.iter().enumerate() {
         let OpRole::Span(_, stamp) = op.role else { continue };
-        let want = settled_by(ops, rs);
+        let want = settled_by(ops, rs, overlap);
         match stamp {
             _ if stamp == want => checked += 1,
             Settle::Gather(g) if g <= rs || !is_gather(g) => {
@@ -211,7 +212,7 @@ pub fn check_memory() -> Result<MemoryReport, String> {
         let prefix = CommPlan::step_prefix(&layout, &zcfg, grid, 2, act_elems);
         let placed = CommPlan::placement(&layout, &zcfg, grid, 2, act_elems);
         let part = Partitioner::per_unit(&layout, grid.dp_degree());
-        report.settles += check_settles(prefix.ops(), &what)?;
+        report.settles += check_settles(prefix.ops(), zcfg.overlap, &what)?;
         for rank in (0..grid.world_size()).filter(|_| zcfg.tier.enabled) {
             let walked = CommPlan::footprint(&layout, &zcfg, grid, 2, act_elems, rank);
             report.placements += 1;
@@ -262,7 +263,7 @@ mod tests {
         };
         let plan = CommPlan::step_prefix(&layout, &zcfg, grid, 2, act);
         let spans: Vec<usize> = (0..plan.ops().len()).filter(|&i| matches!(plan.ops()[i].role, OpRole::Span(..))).collect();
-        assert_eq!(check_settles(plan.ops(), "planned"), Ok(spans.len()));
+        assert_eq!(check_settles(plan.ops(), true, "planned"), Ok(spans.len()));
         let stamp = |ops: &[PlanOp], i: usize| match ops[i].role {
             OpRole::Span(_, s) => s,
             _ => unreachable!("a bucket"),
@@ -279,7 +280,7 @@ mod tests {
             ops
         };
         // Mutant 1: every buffer held to the end-of-micro drain.
-        let err = check_settles(&restamped(None, Settle::Drain), "drained").unwrap_err();
+        let err = check_settles(&restamped(None, Settle::Drain), true, "drained").unwrap_err();
         assert!(err.contains("released at Drain"), "{err}");
         // Mutant 2: one buffer stamped a gather early, at the one issued
         // before it, whose consumption is past before it is in flight.
@@ -287,14 +288,14 @@ mod tests {
         let Settle::Gather(by) = stamp(plan.ops(), k) else { unreachable!("stamped at a gather") };
         let fetches: Vec<usize> = (0..plan.ops().len()).filter(|&i| matches!(plan.ops()[i].role, OpRole::Fetch { .. })).collect();
         let at = fetches.iter().position(|&g| g == by).unwrap();
-        let err = check_settles(&restamped(Some(k), Settle::Gather(fetches[at - 1])), "early").unwrap_err();
+        let err = check_settles(&restamped(Some(k), Settle::Gather(fetches[at - 1])), true, "early").unwrap_err();
         assert!(err.contains("issued before it"), "{err}");
         // Mutant 3: one buffer held past the gather behind it, to the next.
-        let err = check_settles(&restamped(Some(k), Settle::Gather(fetches[at + 1])), "late").unwrap_err();
+        let err = check_settles(&restamped(Some(k), Settle::Gather(fetches[at + 1])), true, "late").unwrap_err();
         assert!(err.contains("the first gather behind it settles it"), "{err}");
         // Mutant 4: a lost stamp, naming an op no gather consumes: the
         // buffer would stay charged for good.
-        let err = check_settles(&restamped(Some(k), Settle::Gather(plan.ops().len())), "lost").unwrap_err();
+        let err = check_settles(&restamped(Some(k), Settle::Gather(plan.ops().len())), true, "lost").unwrap_err();
         assert!(err.contains("no gather: its buffer is never released"), "{err}");
     }
 }

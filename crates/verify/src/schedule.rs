@@ -35,10 +35,11 @@
 //!   *issue* order, and every rank's ops execute on one FIFO progress
 //!   thread — so per-rank completion order equals issue order and the
 //!   pairwise-agreement proof above covers the async schedule verbatim
-//!   (the `nonblocking` flag, the reduction — Sum, Mean, Max, or the
-//!   two-level all-reduce's closing average — and the op's role — which
-//!   unit a fetch materializes between which stores, which flat range a
-//!   bucket or chunk covers — must also agree between peers). On top,
+//!   (the reduction — Sum, Mean, Max, or the two-level all-reduce's
+//!   closing average — and the op's role — which unit a fetch
+//!   materializes between which stores, whether it goes out ahead or is
+//!   held, which flat range a bucket or chunk covers and where a bucket
+//!   settles — must also agree between peers). On top,
 //!   `check_overlap_pair`-style invariance is proven: an overlapped
 //!   plan is a pure reordering of its synchronous twin's op multiset
 //!   less the held block's refetch, one per micro-batch where the hold
@@ -131,7 +132,6 @@ fn check_resolved_symmetry(
                     || peer.members != op.members
                     || peer.counts != op.counts
                     || peer.prec != op.prec
-                    || peer.nonblocking != op.nonblocking
                     || peer.wire != op.wire
                     || peer.reduce != op.reduce
                     || peer.role != op.role
@@ -654,7 +654,7 @@ fn fetch_ahead(plan: &CommPlan) -> Vec<bool> {
 /// Proves overlap invariance for one configuration: the overlapped plan
 /// must be a pure reordering of the synchronous plan's op multiset (same
 /// per-rank bytes and messages per kind, same resolved ops up to order),
-/// the synchronous plan must contain no non-blocking issues, and the
+/// the synchronous plan must issue no fetch ahead, and the
 /// overlapped plan's fetch issue positions must respect the
 /// double-buffered window ([`check_fetch_window`]).
 pub(crate) fn check_overlap_pair(
@@ -702,8 +702,8 @@ pub(crate) fn check_overlap_pair(
                 over.ops().len()
             ));
         }
-        if sync.ops().iter().any(|op| op.nonblocking) {
-            return Err(format!("{what}: synchronous plan carries non-blocking ops"));
+        if fetch_ahead(&sync).contains(&true) {
+            return Err(format!("{what}: a synchronous plan issues a fetch ahead"));
         }
         for rank in 0..grid.world_size() {
             let sync_ops: Vec<_> = sync.resolve_for(rank).into_iter().enumerate().filter(|(i, _)| kept(i)).map(|(_, op)| op).collect();
@@ -734,14 +734,6 @@ pub(crate) fn check_overlap_pair(
         }
         let sf: Vec<_> = fetch_trace(&sync).into_iter().enumerate().filter(|(j, _)| !elided.contains(j)).map(|(_, f)| f).collect();
         let of = fetch_trace(&over);
-        if zcfg.stage.partitions_params()
-            && !of.is_empty()
-            && !over.ops().iter().any(|op| op.nonblocking && op.label == "fetch-unit")
-        {
-            return Err(format!(
-                "{what}: overlapped stage-3 plan carries no non-blocking fetches"
-            ));
-        }
         check_fetch_window(&sf, &of).map_err(|e| format!("{what}: {e}"))?;
         if zcfg.stage.partitions_params() {
             check_fetch_chain(&fetch_ahead(&over)).map_err(|e| format!("{what}: {e}"))?;
@@ -788,12 +780,11 @@ fn check_serve(n: usize, overlap: bool, report: &mut ScheduleReport) -> Result<(
     for (k, op) in plan.ops().iter().enumerate() {
         if op.kind != CollectiveKind::AllGather
             || op.label != "fetch-unit"
-            || op.nonblocking != overlap
             || !matches!(op.role, OpRole::Fetch { unit, from: ParamStore::Primary, into: None, .. } if unit == k)
         {
             return Err(format!(
-                "{what}: unexpected op {k} {:?} '{}' (nonblocking={}, {:?})",
-                op.kind, op.label, op.nonblocking, op.role
+                "{what}: unexpected op {k} {:?} '{}' ({:?})",
+                op.kind, op.label, op.role
             ));
         }
     }
@@ -1005,9 +996,9 @@ mod tests {
         check_fetch_window(&sf, &of).expect("double-buffer window");
         let moved = sf.iter().zip(&of).filter(|(s, o)| o.1 < s.1).count();
         assert!(moved > 0, "no fetch was issued ahead of its sync position");
-        // And the engine's real plans do mark fetches non-blocking.
-        assert!(over.ops().iter().any(|op| op.nonblocking && op.label == "fetch-unit"));
-        assert!(sync.ops().iter().all(|op| !op.nonblocking));
+        // And the engine's real plans issue fetches ahead only overlapped.
+        assert!(fetch_ahead(&over).contains(&true));
+        assert!(!fetch_ahead(&sync).contains(&true));
     }
 
     #[test]
