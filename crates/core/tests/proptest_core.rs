@@ -5,7 +5,8 @@
 use std::ops::Range;
 
 use proptest::prelude::*;
-use zero_core::{reshard, ContiguousArena, FlatStore, GradBucket, Partitioner, RankSnapshot};
+use zero_comm::{chunk_range, launch, CollectiveKind, Precision, ReduceOp, WireFmt};
+use zero_core::{reshard, ContiguousArena, FlatStore, GradBucket, OpRole, Partitioner, RankSnapshot, Reduction, ResolvedOp};
 use zero_model::{Layout, ModelConfig};
 
 /// Deterministic f32 fill so round-trips can be compared bitwise.
@@ -273,5 +274,80 @@ proptest! {
             prop_assert!(got.iter().all(|&v| v == *i as f32), "slot {i} corrupted");
         }
         prop_assert_eq!(arena.used(), total);
+    }
+}
+
+/// One op of every kind and wire a plan issues over `n` ranks: raw and
+/// qwZ all-gathers and a raw reduce-scatter of `counts`, an all-reduce of
+/// `total` elements (the ring's own balanced chunks), and at n = 4 a qgZ
+/// reduce-scatter of `counts` over two nodes of two.
+fn one_of_each(n: usize, counts: &[usize], total: usize, prec: Precision, block: usize) -> Vec<ResolvedOp> {
+    use CollectiveKind::{AllGather, AllReduce, ReduceScatter};
+    let members: Vec<usize> = (0..n).collect();
+    let op = |kind, counts: Vec<usize>, wire, reduce| {
+        let members = members.clone();
+        ResolvedOp { kind, members, counts, prec, label: "probe", wire, reduce, role: OpRole::Plain }
+    };
+    let sum = Reduction::Reduce(ReduceOp::Sum);
+    let balanced = (0..n).map(|i| chunk_range(total, n, i).len()).collect();
+    let mut ops = vec![
+        op(AllGather, counts.to_vec(), WireFmt::Raw, Reduction::Copy),
+        op(AllGather, counts.to_vec(), WireFmt::Int8Block { block }, Reduction::Copy),
+        op(ReduceScatter, counts.to_vec(), WireFmt::Raw, sum),
+        op(AllReduce, balanced, WireFmt::Raw, sum),
+    ];
+    if n == 4 {
+        ops.push(op(ReduceScatter, counts.to_vec(), WireFmt::QgzInt8 { node_size: 2, block }, sum));
+    }
+    ops
+}
+
+/// Runs each of `ops` once on a launched world of `n` ranks and returns,
+/// per rank and op, the messages and bytes the fabric metered for it.
+fn metered(n: usize, ops: &[ResolvedOp]) -> Vec<Vec<(u64, u64)>> {
+    launch(n, |mut c| {
+        let mut out = Vec::new();
+        for op in ops {
+            let (group, buf) = (op.group(), fill(c.rank() as u64, op.total_elems(), 7));
+            let before = c.stats().snapshot();
+            match op.kind {
+                CollectiveKind::AllGather => drop(c.start_all_gather(&group, buf, &op.counts, op.prec, op.wire).wait().unwrap()),
+                CollectiveKind::ReduceScatter => {
+                    drop(c.start_reduce_scatter(&group, buf, ReduceOp::Sum, &op.counts, op.prec, op.wire).wait().unwrap())
+                }
+                CollectiveKind::AllReduce => c.all_reduce_in(&group, &mut buf.clone(), ReduceOp::Sum, op.prec).unwrap(),
+            }
+            let d = c.stats().snapshot().delta_since(&before);
+            out.push((d.messages(op.kind), d.bytes(op.kind)));
+        }
+        out
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `ResolvedOp::sends` is what the fabric meters: for every rank of
+    /// every group size 1..=5, as many messages and as many bytes as the
+    /// collective really sent, zero-length chunks included.
+    #[test]
+    fn sends_are_the_metered_messages(
+        counts in prop::collection::vec(0usize..6, 5..6),
+        total in 0usize..12,
+        block in 1usize..5,
+        fp16 in 0u8..2,
+    ) {
+        let prec = if fp16 == 1 { Precision::Fp16 } else { Precision::Fp32 };
+        for n in 1..=5 {
+            let ops = one_of_each(n, &counts[..n], total, prec, block);
+            for (rank, got) in metered(n, &ops).into_iter().enumerate() {
+                for (op, (messages, bytes)) in ops.iter().zip(got) {
+                    let sends = op.sends(rank);
+                    let what = format!("{:?} {:?} counts {:?} rank {rank}", op.kind, op.wire, op.counts);
+                    prop_assert_eq!(sends.len() as u64, messages, "{} messages", what);
+                    prop_assert_eq!(sends.iter().map(|&(_, b)| b).sum::<u64>(), bytes, "{} bytes", what);
+                }
+            }
+        }
     }
 }
