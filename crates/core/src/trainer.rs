@@ -167,13 +167,11 @@ fn run_training_inner(
         let (dp_rank, mp_rank) = setup.grid.coords(rank);
         let mp = setup.grid.mp_degree();
         let gpt = Gpt::new_mp(setup.model, mp);
-        let my_params = if mp == 1 {
-            full.clone()
-        } else {
-            shard_params(&setup.model, &full, mp, mp_rank)
-        };
-        let mut engine = RankEngine::new(gpt, &my_params, setup.zero, setup.grid, comm);
-        drop(my_params);
+        // At mp = 1 every rank borrows the one replica; an MP rank copies
+        // its column of it.
+        let sharded = (mp > 1).then(|| shard_params(&setup.model, &full, mp, mp_rank));
+        let mut engine = RankEngine::new(gpt, sharded.as_deref().unwrap_or(&full), setup.zero, setup.grid, comm);
+        drop(sharded);
 
         let batch =
             |index| rank_batch(tokens, index, setup.global_batch, setup.model.seq, dp, dp_rank);
