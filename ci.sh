@@ -143,17 +143,15 @@ echo "==> cargo test -q --release --workspace (every crate's unit and integratio
 # `cargo test` at the workspace root builds only the root package's tests;
 # this runs the crates' own: the schedule and serve digest pins, the
 # zero-core and zero-verify unit tests with their seeded mutants,
-# alloc_steady, and the rest of crates/*/tests.
+# alloc_steady, and the rest of crates/*/tests. It also runs every root
+# integration test in release, each once, among them the conformance and
+# fabric suites: overlap_equivalence (bitwise + exact traffic, sync vs
+# overlapped), trace_conformance (spans and bytes vs plan and counters),
+# offload_equivalence (tier on vs off, exact tier bytes), zero-comm's
+# wire_fuzz and process_fabric (socket parity with threads), process_world
+# (SIGKILL recovery matches a clean resume) and saturation (open-loop
+# serving: FIFO fairness, shedding, every KV geometry bitwise).
 cargo test -q --release --workspace
-
-echo "==> overlap conformance (bitwise equivalence + exact traffic, sync vs overlapped)"
-cargo test -q --release --test overlap_equivalence
-
-echo "==> trace conformance (span/byte reconciliation vs plan + traffic counters)"
-cargo test -q --release --test trace_conformance
-
-echo "==> offload conformance (bitwise equivalence + exact tier-byte reconciliation, tier on vs off)"
-cargo test -q --release --test offload_equivalence
 
 echo "==> zero-train --verify-offload smoke (train beyond the device budget, proved)"
 # 64 KiB/rank sits between the offloaded peak and the unconstrained peak
@@ -186,14 +184,6 @@ trace_out="$scratch/smoke-trace.json"
 cargo run -q --release --bin zero-train -- \
     --stage 3 --dp 2 --steps 2 --batch 4 --overlap --trace "$trace_out"
 test -s "$trace_out" || { echo "trace file missing or empty"; exit 1; }
-
-echo "==> process fabric (socket transport parity + process-world recovery)"
-# Cross-backend contract: same collectives, bitwise-identical results and
-# per-kind traffic on Unix-socket ranks vs in-process threads; wire
-# decoder survives fuzzing; SIGKILL recovery matches a clean resume.
-cargo test -q --release -p zero-comm --test wire_fuzz
-cargo test -q --release -p zero-comm --test process_fabric
-cargo test -q --release --test process_world
 
 echo "==> kill -9 smoke (real process death, bitwise-verified recovery)"
 procworld_dir="$scratch/procworld"
@@ -233,9 +223,6 @@ cargo run -q --release --bin zero-serve -- --snapshots "$serve_ckpt" --ranks 2 \
 # >=8 concurrent requests incl. malformed ones that must get typed
 # rejections; trace/traffic must reconcile byte-exactly with the plan.
 cargo run -q --release --bin zero-serve -- --smoke
-
-echo "==> saturation suite (open-loop load: FIFO fairness, deterministic shedding, every KV geometry bitwise, prefix-reuse bytes)"
-cargo test -q --release --test saturation
 
 # The five bench stages share one harness (crates/bench/src/lib.rs): what a
 # run computes is gated exactly, how long it took only at 2x the committed
