@@ -1,13 +1,15 @@
 //! The transport/overlap concurrency protocols, re-expressed against
 //! the modeling shims.
 //!
-//! Each model is a faithful pc-machine transcription of one of the
-//! hand-rolled protocols in `zero-comm`, with the *decision logic*
-//! imported verbatim from [`zero_comm::protocol`] — the same pure
-//! kernels the real primitives run — and only the synchronization
-//! skeleton (mutexes, condvars, channels, timeouts) re-expressed as
-//! shim operations. What the checker proves is therefore about the
-//! shipped logic, not a lookalike:
+//! Each model is a pc-machine transcription of one of the hand-rolled
+//! protocols in `zero-comm`, its synchronization skeleton (mutexes,
+//! condvars, channels, timeouts) re-expressed as shim operations. Only
+//! [`ProgressModel`] imports its *decision logic* verbatim, from
+//! [`zero_comm::protocol`] (the [`handoff`] kernel the real op desk
+//! runs), so what the checker proves of it is about the shipped logic.
+//! [`HandshakeModel`] is a transcription of `process.rs`'s hello
+//! exchange: its logic is written again here, and what it proves holds
+//! for the code only as far as the transcription is faithful.
 //!
 //! 1. [`HandshakeModel`] — the connect/accept hello exchange at byte
 //!    granularity: partial reads (every split explored via scheduler

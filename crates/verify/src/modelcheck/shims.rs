@@ -3,8 +3,8 @@
 //!
 //! A protocol model is a set of threads written as explicit program
 //! counters stepping against a [`ModelState`] — a plain, cloneable,
-//! hashable value holding modeled mutexes, condvars, channels, atomics,
-//! and race-checked data cells. Every shim operation is one *atomic*
+//! hashable value holding modeled mutexes, condvars, channels, ghost
+//! cells and race-checked data cells. Every shim operation is one *atomic*
 //! transition; between two operations the scheduler (the explorer) may
 //! run any other thread, so the explored interleavings are exactly the
 //! interleavings the real primitives permit at the same granularity.
@@ -18,9 +18,8 @@
 //!   the condvar; a woken (or timed-out) waiter must re-acquire the
 //!   mutex before its program resumes, exactly like
 //!   `Condvar::wait_timeout`.
-//! * [`ModelState::notify_one`]/[`notify_all`](ModelState::notify_all)
-//!   on an empty waiter set are lost — no memory — which is precisely
-//!   how real lost wakeups arise.
+//! * [`ModelState::notify_all`] on an empty waiter set is lost — no
+//!   memory — which is precisely how real lost wakeups arise.
 //! * [`ModelState::recv_into`] delivers in FIFO order, reports a closed
 //!   channel, and parks on empty; timed parks can *time out*, gated by
 //!   the scenario's injected-fault budget.
@@ -54,8 +53,6 @@ pub struct CondvarId(pub usize);
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ChannelId(pub usize);
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct AtomicId(pub usize);
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct DataId(pub usize);
 
 /// Footprint bit layout over the 64-bit object universe. Each class
@@ -66,9 +63,6 @@ pub fn mutex_bit(m: MutexId) -> u64 {
 }
 pub fn condvar_bit(c: CondvarId) -> u64 {
     1 << (8 + c.0 % 8)
-}
-pub fn atomic_bit(a: AtomicId) -> u64 {
-    1 << (16 + a.0 % 8)
 }
 pub fn data_bit(d: DataId) -> u64 {
     1 << (24 + d.0 % 10)
@@ -158,13 +152,6 @@ pub struct MChannel {
     pub closed: bool,
 }
 
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct MAtomic {
-    pub value: i64,
-    /// Release clock (SeqCst ops both publish and acquire it).
-    clock: VClock,
-}
-
 /// Epoch of one access to a data cell: who, at what clock value.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 struct Epoch {
@@ -220,7 +207,6 @@ pub struct ModelState {
     pub mutexes: Vec<MMutex>,
     pub condvars: Vec<MCondvar>,
     pub channels: Vec<MChannel>,
-    pub atomics: Vec<MAtomic>,
     pub data: Vec<MData>,
     /// Ghost cells for specification bookkeeping: hashed (they are part
     /// of the checked state) but exempt from the race detector, since
@@ -246,7 +232,6 @@ impl ModelState {
             mutexes: Vec::new(),
             condvars: Vec::new(),
             channels: Vec::new(),
-            atomics: Vec::new(),
             data: Vec::new(),
             ghost: Vec::new(),
             status: vec![Status::Runnable; threads],
@@ -277,11 +262,6 @@ impl ModelState {
         ChannelId(self.channels.len() - 1)
     }
 
-    pub fn add_atomic(&mut self, value: i64) -> AtomicId {
-        self.atomics.push(MAtomic { value, clock: VClock::default() });
-        AtomicId(self.atomics.len() - 1)
-    }
-
     pub fn add_data(&mut self, value: i64) -> DataId {
         self.data.push(MData { value, last_write: None, reads: Vec::new() });
         DataId(self.data.len() - 1)
@@ -305,12 +285,6 @@ impl ModelState {
     pub fn ghost_write(&mut self, g: usize, value: i64) {
         self.touch(ghost_bit(g));
         self.ghost[g] = value;
-    }
-
-    pub fn ghost_add(&mut self, g: usize, delta: i64) -> i64 {
-        self.touch(ghost_bit(g));
-        self.ghost[g] += delta;
-        self.ghost[g]
     }
 
     fn touch(&mut self, bit: u64) {
@@ -442,22 +416,6 @@ impl ModelState {
         }
     }
 
-    /// Wakes the waiter selected by `pick` (the program exposes the
-    /// waiter count through its `choices`, so every target is explored).
-    /// Lost with no memory when nobody waits.
-    pub fn notify_one(&mut self, tid: Tid, cv: CondvarId, pick: usize) {
-        self.touch(condvar_bit(cv));
-        let clock = self.clocks[tid];
-        self.condvars[cv.0].clock.join(&clock);
-        self.condvars[cv.0].notifies += 1;
-        if self.condvars[cv.0].waiters.is_empty() {
-            return;
-        }
-        let idx = pick.min(self.condvars[cv.0].waiters.len() - 1);
-        let w = self.condvars[cv.0].waiters.remove(idx);
-        self.wake_waiter(w, cv);
-    }
-
     /// Fires the timeout of a thread parked on a condvar or receive:
     /// the injected-fault transition (or the forced drain at otherwise
     /// stuck states).
@@ -547,26 +505,6 @@ impl ModelState {
     /// multi-frame reads).
     pub fn queued(&self, ch: ChannelId) -> usize {
         self.channels[ch.0].queue.len()
-    }
-
-    // ---- atomics (SeqCst: both acquire and release) -------------------
-
-    pub fn atomic_load(&mut self, tid: Tid, a: AtomicId) -> i64 {
-        self.touch(atomic_bit(a));
-        let clock = self.atomics[a.0].clock;
-        self.clocks[tid].join(&clock);
-        self.atomics[a.0].value
-    }
-
-    pub fn atomic_add(&mut self, tid: Tid, a: AtomicId, delta: i64) -> i64 {
-        self.touch(atomic_bit(a));
-        let clock = self.clocks[tid];
-        self.atomics[a.0].clock.join(&clock);
-        let prev = self.atomics[a.0].value;
-        self.atomics[a.0].value = prev + delta;
-        let obj = self.atomics[a.0].clock;
-        self.clocks[tid].join(&obj);
-        prev
     }
 
     // ---- race-checked data cells --------------------------------------
@@ -686,12 +624,6 @@ impl ModelState {
                 if race_active {
                     clock.hash(&mut h);
                 }
-            }
-        }
-        for a in &self.atomics {
-            a.value.hash(&mut h);
-            if race_active {
-                a.clock.hash(&mut h);
             }
         }
         self.data.hash(&mut h);
