@@ -13,8 +13,13 @@
 //! flat range of whole units a gradient bucket covers and where its buffer
 //! is [`Settle`]d, or which rows of the per-unit [`Partitioner`] a CB
 //! chunk does); and the tier movement that rides it ([`TierOp::at`]).
-//! Counts come from that partition, which splits every unit over the DP
-//! group, so every op over parameter space is balanced across its members.
+//! No field says whether an op blocks: the engine waits a fetch where its
+//! `ahead` and `hold` say, a bucket where its [`Settle`] stamp says, and
+//! every other op where it is issued. Counts come from that partition,
+//! which splits every unit over the DP group, so every op over parameter
+//! space is balanced across its members. What an op sends is described
+//! once, message by message ([`ResolvedOp::sends`]); every byte and
+//! message count the plan reports is a fold of that list.
 //! Beside the two streams the `Builder` records the transient device
 //! charges the engine makes running the plan, in walk order, which the
 //! memory walk (`crate::footprint`) folds.
@@ -186,9 +191,7 @@ pub enum Settle {
 /// Plan order is **issue order**. It is also each rank's completion
 /// order, since a rank runs its ops on one FIFO, so the static
 /// pairwise-agreement check proves deadlock-freedom for the overlapped
-/// schedule exactly as for the synchronous one. Where the engine waits
-/// an op is its role's: a fetch's `ahead` and `hold`, a bucket's
-/// [`Settle`]; every other op is waited where it is issued.
+/// schedule exactly as for the synchronous one.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlanOp {
     /// Collective kind (the traffic-accounting category it lands in).
