@@ -296,7 +296,7 @@ impl ResolvedOp {
             return Vec::new();
         }
         let raw = |elems: usize| self.prec.bytes() * elems as u64;
-        // The chunk sizes of one ring phase, from chunk `first` backwards.
+        // One ring phase's n − 1 chunk sizes, from chunk `first` backwards.
         let hops = |first: usize| (0..n - 1).map(move |s| counts[(first + n - s) % n]);
         let next = self.members[(i + 1) % n];
         let wire_only = |kind: CollectiveKind| {
@@ -304,9 +304,9 @@ impl ResolvedOp {
         };
         match self.wire {
             WireFmt::Raw => {
-                let reduce = (self.kind != CollectiveKind::AllGather).then(|| hops(i + n - 1));
-                let gather = (self.kind != CollectiveKind::ReduceScatter).then(|| hops(i));
-                reduce.into_iter().flatten().chain(gather.into_iter().flatten()).map(|c| (next, raw(c))).collect()
+                let reduce = (self.kind != CollectiveKind::AllGather).then_some(i + n - 1);
+                let gather = (self.kind != CollectiveKind::ReduceScatter).then_some(i);
+                reduce.into_iter().chain(gather).flat_map(hops).map(|c| (next, raw(c))).collect()
             }
             WireFmt::Int8Block { block } => {
                 wire_only(CollectiveKind::AllGather);
