@@ -308,14 +308,14 @@ fn metered(n: usize, ops: &[ResolvedOp]) -> Vec<Vec<(u64, u64)>> {
     launch(n, |mut c| {
         let mut out = Vec::new();
         for op in ops {
-            let (group, buf) = (op.group(), fill(c.rank() as u64, op.total_elems(), 7));
+            let (group, mut buf) = (op.group(), fill(c.rank() as u64, op.total_elems(), 7));
             let before = c.stats().snapshot();
             match op.kind {
                 CollectiveKind::AllGather => drop(c.start_all_gather(&group, buf, &op.counts, op.prec, op.wire).wait().unwrap()),
                 CollectiveKind::ReduceScatter => {
                     drop(c.start_reduce_scatter(&group, buf, ReduceOp::Sum, &op.counts, op.prec, op.wire).wait().unwrap())
                 }
-                CollectiveKind::AllReduce => c.all_reduce_in(&group, &mut buf.clone(), ReduceOp::Sum, op.prec).unwrap(),
+                CollectiveKind::AllReduce => c.all_reduce_in(&group, &mut buf, ReduceOp::Sum, op.prec).unwrap(),
             }
             let d = c.stats().snapshot().delta_since(&before);
             out.push((d.messages(op.kind), d.bytes(op.kind)));
