@@ -47,8 +47,13 @@ printf '%s\n' 'fn a() {' '}' '#[cfg(test)]' 'mod tests {' '    fn t() {' '    }'
 # took 10 of the lines this freed); to 13 198 when each planned op came to
 # describe what it sends once, as one per-message list that the byte,
 # message and inter-node counts fold, and the `nonblocking` flag no engine
-# path read went.
-line_ceiling=13198
+# path read went. Raised 13 198 -> 13 449 on purpose by the host-link lane:
+# each rank's tier moves run on a thread of their own beside the progress
+# thread (comm/src/nonblocking.rs `Lane`, the desk's finished count and
+# the lane's wait on it, `TierOrder`, `protocol::lane`, net of the desk
+# closure and the optional kinds it replaced), and a planned all-reduce's
+# counts are checked against its ring chunks.
+line_ceiling=13449
 lines=0
 split=""
 for crate in comm core serve bench; do
@@ -133,8 +138,9 @@ echo "==> zero-verify --pass memory (every digest plan: settle stamps, placement
 cargo run -q --release -p zero-verify -- --pass memory
 
 echo "==> zero-verify --pass modelcheck (exhaustive protocol interleavings, explicit state budget)"
-# Two protocols (socket handshake, the op desk's help-first hand-off at 2
-# and 3 ops) in 6 scenarios. Prints explored-state
+# Three protocols (socket handshake, the op desk's help-first hand-off at 2
+# and 3 ops, the desk's hand-off with its host-link lane) in 10 scenarios.
+# Prints explored-state
 # counts per scenario; exhausting the budget is a hard failure (coverage
 # incomplete), not a silent pass.
 cargo run -q --release -p zero-verify -- --pass modelcheck --budget 500000

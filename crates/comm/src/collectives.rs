@@ -474,8 +474,8 @@ impl Communicator {
         op: ReduceOp,
         prec: Precision,
     ) -> Result<(), CommError> {
-        let g = Group::world(self.world_size());
-        self.all_reduce_in(&g, buf, op, prec)
+        let n = self.world_size();
+        self.all_reduce_in(&Group::world(n), buf, &even_counts(buf.len(), n), op, prec)
     }
 
     /// Ring reduce-scatter over the whole world, run on the caller's
@@ -531,7 +531,12 @@ impl Communicator {
     }
 
     /// Ring all-reduce within `group`, in place, run on the caller's
-    /// thread.
+    /// thread. Member `i` reduces chunk `i` of `buf`, `counts[i]` elements
+    /// long: the ring's balanced chunks, which a planned all-reduce names.
+    ///
+    /// # Panics
+    /// Panics unless `counts[i]` is `chunk_range(buf.len(), group.len(),
+    /// i).len()` for every member `i`.
     ///
     /// # Errors
     /// Returns [`CommError::NotInGroup`] if this rank is not a member of
@@ -540,9 +545,16 @@ impl Communicator {
         &mut self,
         group: &Group,
         buf: &mut [f32],
+        counts: &[usize],
         op: ReduceOp,
         prec: Precision,
     ) -> Result<(), CommError> {
+        let (len, n) = (buf.len(), group.len());
+        let ring = |(i, &count): (usize, &usize)| count == chunk_range(len, n, i).len();
+        assert!(
+            counts.len() == n && counts.iter().enumerate().all(ring),
+            "all_reduce: counts {counts:?} are not the ring's chunks of {len} elements over {n} members"
+        );
         // Alone, every reduction (Mean divides by one) leaves `buf` as is.
         if let Some(member) = self.alone_in(group) {
             return member;
@@ -583,7 +595,7 @@ impl Communicator {
             return self.ready(member.map(|()| buf));
         }
         let (group, counts) = (group.clone(), counts.to_vec());
-        self.submit(Some(CollectiveKind::ReduceScatter), move |f| match wire {
+        self.submit(CollectiveKind::ReduceScatter, move |f| match wire {
             WireFmt::QgzInt8 { node_size, block } => {
                 f.reduce_scatter_qgz(&group, &buf, op, &counts, node_size, block, prec)
             }
@@ -626,7 +638,7 @@ impl Communicator {
             }));
         }
         let (group, counts) = (group.clone(), counts.to_vec());
-        self.submit(Some(CollectiveKind::AllGather), move |f| {
+        self.submit(CollectiveKind::AllGather, move |f| {
             f.all_gather_ring(&group, &mut buf, &counts, prec, wire).map(|()| buf)
         })
     }
@@ -847,6 +859,14 @@ pub(crate) mod tests {
         assert_eq!(snaps[0].total_bytes(), 0, "no traffic for world of 1");
     }
 
+    #[test]
+    #[should_panic(expected = "all_reduce: counts [3, 1] are not the ring's chunks of 4 elements over 2 members")]
+    fn uneven_planned_all_reduce_counts_are_refused() {
+        // The sum is right; member 0's count is not its ring chunk.
+        let mut c = crate::world::World::new(2).take(0);
+        let _ = c.all_reduce_in(&Group::world(2), &mut [0.0; 4], &[3, 1], ReduceOp::Sum, Precision::Fp32);
+    }
+
     /// Every op over a group of one, in every reduction and wire format,
     /// on `input`: the all-reduce, the reduce-scatter and the all-gather,
     /// each result in that order.
@@ -856,7 +876,7 @@ pub(crate) mod tests {
         let mut out = Vec::new();
         for op in ops {
             let mut buf = input.to_vec();
-            c.all_reduce_in(g, &mut buf, op, prec).unwrap();
+            c.all_reduce_in(g, &mut buf, &counts, op, prec).unwrap();
             out.push(buf);
         }
         for op in ops {

@@ -1,7 +1,7 @@
 //! Non-blocking collective machinery: the rank's op desk, its progress
-//! thread, and the [`PendingOp`] completion handle.
+//! thread, its host-link lane, and the [`PendingOp`] completion handle.
 //!
-//! Every communication op a rank issues is a closure over the rank's
+//! Every collective a rank issues is a closure over the rank's
 //! private `Fabric`. `start_*` queue it on the
 //! rank's `Desk` with the op's owned buffer moved in
 //! (`Communicator::submit`); the blocking collectives run their body on the
@@ -37,6 +37,16 @@
 //! time; a wait records its blocked time, which includes the execution of
 //! whatever it helped run.
 //!
+//! Tier moves do not touch the fabric: each is a modeled host-link
+//! transfer, run in issue order by the rank's `Lane` thread beside the
+//! progress thread, so the host link, the network and compute work at
+//! once. The two queues meet only where the plan anchors a move
+//! ([`protocol::lane`](crate::protocol::lane)): a gather whose piece a
+//! fetch brings up starts its ring once the lane has finished that fetch,
+//! and a spill that drains a reduce-scatter starts once the desk has
+//! finished it. Neither wait can close a cycle: each names an op issued
+//! earlier.
+//!
 //! A collective over a group of one is not communication, so it is not a
 //! job: `all_reduce_in` and the `start_*` calls compute its result on the
 //! caller's thread (a `start_*` returns a [`PendingOp`] that already holds
@@ -50,7 +60,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::error::CommError;
-use crate::protocol::handoff;
+use crate::protocol::{handoff, lane};
 use crate::stats::{CollectiveKind, TrafficStats};
 use crate::transport::lock_unpoisoned;
 use crate::world::Fabric;
@@ -68,12 +78,14 @@ pub(crate) type Body = Box<dyn FnOnce(&mut Fabric) -> OpResult + Send>;
 pub(crate) type Slot = Arc<Mutex<Option<OpResult>>>;
 
 /// A queued op: its issue number, the stats kind its execution is
-/// attributed to (`None` for tier moves), its body and its result slot.
+/// attributed to, its body, its result slot, and the lane move that seeds
+/// it with the budget of the wait on that move.
 struct Job {
     id: u64,
-    kind: Option<CollectiveKind>,
+    kind: CollectiveKind,
     run: Body,
     slot: Slot,
+    seed: Option<(u64, Duration)>,
 }
 
 /// One rank's op desk: the fabric when nobody holds it and the ops issued
@@ -89,6 +101,8 @@ pub(crate) struct Desk {
     /// op it runs itself. The progress thread parks at once: its polling
     /// would take a core from the caller's compute.
     poll: Duration,
+    /// The rank's host-link lane, which seeded ops wait on.
+    lane: Arc<Lane>,
 }
 
 struct DeskState {
@@ -96,6 +110,10 @@ struct DeskState {
     fabric: Option<Fabric>,
     queue: VecDeque<Job>,
     next_id: u64,
+    /// Ops finished so far; they finish in id order.
+    finished: u64,
+    /// The lane is parked until `finished` passes a spill's op.
+    watched: bool,
     /// The `Communicator` is gone: the progress thread drains the queue
     /// and drops the fabric.
     closed: bool,
@@ -117,9 +135,10 @@ impl Drop for Holding<'_> {
 }
 
 impl Desk {
-    pub(crate) fn new(rank: usize, fabric: Fabric, poll: Duration) -> Arc<Desk> {
-        let state = DeskState { fabric: Some(fabric), queue: VecDeque::new(), next_id: 0, closed: false, lost: false };
-        Arc::new(Desk { rank, state: Mutex::new(state), cv: Condvar::new(), poll })
+    pub(crate) fn new(rank: usize, fabric: Fabric, poll: Duration, lane: Arc<Lane>) -> Arc<Desk> {
+        let (fabric, queue) = (Some(fabric), VecDeque::new());
+        let state = DeskState { fabric, queue, next_id: 0, finished: 0, watched: false, closed: false, lost: false };
+        Arc::new(Desk { rank, state: Mutex::new(state), cv: Condvar::new(), poll, lane })
     }
 
     fn lock(&self) -> MutexGuard<'_, DeskState> {
@@ -131,10 +150,9 @@ impl Desk {
     /// execution produced (only the fabric's holder records sends, so
     /// timeline bytes reconcile with `TrafficStats` by construction) and
     /// its execution time.
-    fn execute<R>(&self, fabric: &mut Fabric, poll: Duration, kind: Option<CollectiveKind>, run: impl FnOnce(&mut Fabric) -> R) -> R {
+    fn execute<R>(&self, fabric: &mut Fabric, poll: Duration, kind: CollectiveKind, run: impl FnOnce(&mut Fabric) -> R) -> R {
         let _holding = Holding(self);
         fabric.poll = poll;
-        let Some(kind) = kind else { return run(fabric) };
         let span = fabric.trace.begin_on(TRACK_PROGRESS, SpanCategory::Collective, kind.name());
         let (bytes_before, t0) = (fabric.stats.bytes(kind), Instant::now());
         let res = run(fabric);
@@ -143,17 +161,61 @@ impl Desk {
         res
     }
 
+    /// Runs a queued job: once the lane has finished the move that seeds
+    /// it, if any, so a gather's ring starts with its piece brought up.
+    fn run_job(&self, fabric: &mut Fabric, poll: Duration, kind: CollectiveKind, seed: Option<(u64, Duration)>, run: Body) -> OpResult {
+        seed.map_or(Ok(()), |(move_id, budget)| self.lane.wait(move_id, budget))?;
+        self.execute(fabric, poll, kind, run)
+    }
+
+    /// Records a finished job's result; the caller holds the desk's lock.
+    fn finish(st: &mut DeskState, slot: &Slot, res: OpResult) {
+        *lock_unpoisoned(slot) = Some(res);
+        st.finished += 1;
+    }
+
     /// Queues `run`, waking the progress thread. Returns the op's id and
     /// how many ops run before it.
-    pub(crate) fn submit(&self, kind: Option<CollectiveKind>, run: Body, slot: Slot) -> (u64, usize) {
+    pub(crate) fn submit(&self, kind: CollectiveKind, run: Body, slot: Slot, seed: Option<(u64, Duration)>) -> (u64, usize) {
         let mut st = self.lock();
         let id = st.next_id;
         st.next_id += 1;
         let ahead = st.queue.len() + usize::from(st.fabric.is_none());
-        st.queue.push_back(Job { id, kind, run, slot });
+        st.queue.push_back(Job { id, kind, run, slot, seed });
         drop(st);
         self.cv.notify_all();
         (id, ahead)
+    }
+
+    /// The id of the op issued last, if any, and how many ops are queued
+    /// or running.
+    pub(crate) fn backlog(&self) -> (Option<u64>, usize) {
+        let st = self.lock();
+        (st.next_id.checked_sub(1), st.queue.len() + usize::from(st.fabric.is_none()))
+    }
+
+    /// Blocks the lane until op `id` has finished, or the desk is lost, or
+    /// `budget` runs out.
+    fn wait_through(&self, id: u64, budget: Duration) -> Result<(), CommError> {
+        let (start, mut st) = (Instant::now(), self.lock());
+        loop {
+            if lane::through(st.finished, id) {
+                return Ok(());
+            }
+            if st.lost {
+                return Err(CommError::ProgressLost { rank: self.rank });
+            }
+            let waited = start.elapsed();
+            if waited >= budget {
+                return Err(CommError::ProgressStalled { rank: self.rank, waited: budget });
+            }
+            st.watched = true;
+            st = match self.cv.wait_timeout(st, budget - waited) {
+                Ok((guard, _)) => guard,
+                Err(poisoned) => poisoned.into_inner().0,
+            };
+            st.watched = false;
+        }
     }
 
     /// Hands the fabric back, waking the desk's sleepers when the kernel
@@ -161,7 +223,7 @@ impl Desk {
     fn release(&self, fabric: Fabric, ran_others: bool) {
         let mut st = self.lock();
         st.fabric = Some(fabric);
-        let wake = handoff::wake_on_release(st.queue.len(), ran_others, st.closed);
+        let wake = handoff::wake_on_release(st.queue.len(), ran_others, st.watched, st.closed);
         drop(st);
         if wake {
             self.cv.notify_all();
@@ -185,11 +247,11 @@ impl Desk {
             if handoff::helper_takes(st.fabric.is_some(), queued) {
                 let (mut fabric, mut ran) = (st.fabric.take().expect("the kernel takes a free fabric"), 0);
                 while st.queue.front().is_some_and(|j| handoff::helper_runs(j.id, last)) {
-                    let Job { kind, run, slot, .. } = st.queue.pop_front().expect("checked non-empty");
+                    let Job { kind, run, slot, seed, .. } = st.queue.pop_front().expect("checked non-empty");
                     drop(st);
-                    let res = self.execute(&mut fabric, self.poll, kind, run);
+                    let res = self.run_job(&mut fabric, self.poll, kind, seed, run);
                     st = self.lock();
-                    *lock_unpoisoned(&slot) = Some(res);
+                    Self::finish(&mut st, &slot, res);
                     ran += 1;
                 }
                 return Ok(Some((fabric, ran)));
@@ -218,7 +280,7 @@ impl Desk {
     /// collectives, whose borrowed buffers never leave the caller.
     pub(crate) fn run_now<R>(
         &self,
-        kind: Option<CollectiveKind>,
+        kind: CollectiveKind,
         budget: Duration,
         body: impl FnOnce(&mut Fabric) -> Result<R, CommError>,
     ) -> Result<R, CommError> {
@@ -244,15 +306,15 @@ impl Desk {
         let (mut st, mut wake) = (self.lock(), false);
         while !st.lost {
             if handoff::progress_takes(st.fabric.is_some(), st.queue.len()) {
-                let Job { kind, run, slot, .. } = st.queue.pop_front().expect("the kernel takes a queued op");
+                let Job { kind, run, slot, seed, .. } = st.queue.pop_front().expect("the kernel takes a queued op");
                 let mut fabric = st.fabric.take().expect("the kernel takes a free fabric");
                 drop(st);
                 if std::mem::take(&mut wake) {
                     self.cv.notify_all();
                 }
-                let res = self.execute(&mut fabric, Duration::ZERO, kind, run);
+                let res = self.run_job(&mut fabric, Duration::ZERO, kind, seed, run);
                 st = self.lock();
-                *lock_unpoisoned(&slot) = Some(res);
+                Self::finish(&mut st, &slot, res);
                 st.fabric = Some(fabric);
                 wake = true;
             } else if st.closed && st.queue.is_empty() && st.fabric.is_some() {
@@ -272,55 +334,177 @@ impl Desk {
     }
 }
 
-/// Handle to an in-flight communication op.
+/// A queued tier move: its trace label and bytes, its modeled host-link
+/// time, the desk op it drains (it starts once the desk has finished
+/// that op), and the budget of that wait.
+struct Move {
+    label: &'static str,
+    bytes: u64,
+    delay: Duration,
+    drains: Option<u64>,
+    budget: Duration,
+}
+
+/// One rank's host-link lane: the tier moves the rank issued and has not
+/// finished, run by the lane thread in issue order. No fabric message
+/// moves: a move is the modeled time its bytes take on the link, recorded
+/// as a byte-tagged `Tier` span on the progress track.
+pub(crate) struct Lane {
+    rank: usize,
+    state: Mutex<LaneState>,
+    cv: Condvar,
+}
+
+struct LaneState {
+    queue: VecDeque<Move>,
+    next_id: u64,
+    /// Moves finished so far; they finish in id order.
+    finished: u64,
+    /// The first move whose wait on the desk failed, and how: it and every
+    /// move behind it report the error and move nothing.
+    failed: Option<(u64, CommError)>,
+    /// The `Communicator` is gone: the lane thread drains and exits.
+    closed: bool,
+}
+
+impl Lane {
+    pub(crate) fn new(rank: usize) -> Arc<Lane> {
+        let state = LaneState { queue: VecDeque::new(), next_id: 0, finished: 0, failed: None, closed: false };
+        Arc::new(Lane { rank, state: Mutex::new(state), cv: Condvar::new() })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, LaneState> {
+        lock_unpoisoned(&self.state)
+    }
+
+    /// Queues a move of `bytes` taking `delay` on the link, after desk op
+    /// `drains` if given, waking the lane thread. Returns the move's id.
+    pub(crate) fn submit(&self, label: &'static str, bytes: u64, delay: Duration, drains: Option<u64>, budget: Duration) -> u64 {
+        let mut st = self.lock();
+        let id = st.next_id;
+        st.next_id += 1;
+        st.queue.push_back(Move { label, bytes, delay, drains, budget });
+        drop(st);
+        self.cv.notify_all();
+        id
+    }
+
+    /// Blocks until move `id` has finished, returning how it ended, or
+    /// until `budget` runs out.
+    pub(crate) fn wait(&self, id: u64, budget: Duration) -> Result<(), CommError> {
+        let (start, mut st) = (Instant::now(), self.lock());
+        loop {
+            if lane::through(st.finished, id) {
+                return match &st.failed {
+                    Some((first, err)) if *first <= id => Err(err.clone()),
+                    _ => Ok(()),
+                };
+            }
+            let waited = start.elapsed();
+            if waited >= budget {
+                return Err(CommError::ProgressStalled { rank: self.rank, waited: budget });
+            }
+            st = match self.cv.wait_timeout(st, budget - waited) {
+                Ok((guard, _)) => guard,
+                Err(poisoned) => poisoned.into_inner().0,
+            };
+        }
+    }
+
+    /// The `Communicator` is gone: the lane thread finishes what is
+    /// queued, then exits.
+    pub(crate) fn close(&self) {
+        self.lock().closed = true;
+        self.cv.notify_all();
+    }
+
+    /// The lane thread: runs queued moves back to back, each once the desk
+    /// has finished the op it drains, until the lane closes and drains.
+    /// Once a move has failed, the moves behind it move nothing.
+    pub(crate) fn run(&self, desk: &Desk, trace: &TraceRecorder) {
+        let mut st = self.lock();
+        loop {
+            if let Some(m) = st.queue.pop_front() {
+                let (id, failed) = (st.finished, st.failed.is_some());
+                drop(st);
+                let res = m.drains.filter(|_| !failed).map_or(Ok(()), |op| desk.wait_through(op, m.budget));
+                if res.is_ok() && !failed {
+                    let span = trace.begin_on(TRACK_PROGRESS, SpanCategory::Tier, m.label);
+                    std::thread::sleep(m.delay);
+                    trace.end_with_bytes(span, m.bytes);
+                }
+                st = self.lock();
+                st.failed = st.failed.take().or(res.err().map(|err| (id, err)));
+                st.finished += 1;
+                self.cv.notify_all();
+            } else if st.closed {
+                return;
+            } else {
+                st = match self.cv.wait(st) {
+                    Ok(guard) => guard,
+                    Err(poisoned) => poisoned.into_inner(),
+                };
+            }
+        }
+    }
+}
+
+/// Handle to an in-flight communication op or tier move.
 ///
 /// Obtained from `start_reduce_scatter` / `start_all_gather` /
-/// `start_tier_move`. The op runs on the rank's progress thread while the
-/// holder computes, or on the holder's thread if it waits first (over a
-/// group of one it is complete on return); [`PendingOp::wait`] returns
-/// the buffer the op was given, filled, or the op's typed failure.
+/// `start_tier_move`. A collective runs on the rank's progress thread
+/// while the holder computes, or on the holder's thread if it waits first
+/// (over a group of one it is complete on return); a tier move runs on
+/// the rank's lane thread. [`PendingOp::wait`] returns the buffer the op
+/// was given, filled (a tier move's is empty), or the op's typed failure.
 ///
 /// Dropping the handle without waiting does **not** cancel the op — it
 /// still executes, keeping the rank's fabric schedule aligned with its
 /// SPMD peers; only the result is discarded.
 #[must_use = "an unwaited PendingOp discards its result and any error"]
 pub struct PendingOp {
-    pub(crate) kind: Option<CollectiveKind>,
-    pub(crate) slot: Slot,
-    /// The desk the op is queued on, and its id; `None` for a result
-    /// computed on the caller's thread.
-    pub(crate) queued: Option<(Arc<Desk>, u64)>,
+    pub(crate) queued: Queued,
     pub(crate) budget: Duration,
     pub(crate) stats: Arc<TrafficStats>,
     pub(crate) trace: Arc<TraceRecorder>,
 }
 
+/// Where a [`PendingOp`]'s result comes from.
+pub(crate) enum Queued {
+    /// Computed on the caller's thread: no job was queued.
+    Ready(OpResult),
+    /// Op `id` on the desk, attributed to `kind`, its result landing in
+    /// `slot`.
+    Desk { desk: Arc<Desk>, id: u64, kind: CollectiveKind, slot: Slot },
+    /// Move `id` on the lane.
+    Lane { lane: Arc<Lane>, id: u64 },
+}
+
 impl PendingOp {
     /// Blocks until the op completes, returning its buffer (shape depends
     /// on the op — see the `start_*` that issued it) or its typed failure.
-    /// If nobody has started the op, this thread runs it, after every op
-    /// issued before it that nobody has started either.
+    /// If nobody has started a collective, this thread runs it, after
+    /// every op issued before it that nobody has started either.
     ///
     /// The wait is bounded: the fabric bounds every op by its receive
     /// timeouts, and the budget covers the worst legal case for this op
     /// plus everything queued ahead of it, so a progress thread that holds
     /// the fabric past it surfaces as [`CommError::ProgressStalled`]
-    /// instead of blocking forever. Caller blocked time is recorded per
-    /// kind in [`TrafficStats::timing`](crate::stats::TrafficStats::timing).
+    /// instead of blocking forever. Caller blocked time on a collective is
+    /// recorded per kind in
+    /// [`TrafficStats::timing`](crate::stats::TrafficStats::timing).
     pub fn wait(self) -> Result<Vec<f32>, CommError> {
-        let span = match (self.kind, &self.queued) {
-            (Some(kind), Some(_)) => self.trace.begin(SpanCategory::Wait, kind.name()),
-            _ => zero_trace::SpanId::NULL,
+        let (desk, id, kind, slot) = match self.queued {
+            Queued::Ready(res) => return res,
+            Queued::Lane { lane, id } => return lane.wait(id, self.budget).map(|()| Vec::new()),
+            Queued::Desk { desk, id, kind, slot } => (desk, id, kind, slot),
         };
+        let span = self.trace.begin(SpanCategory::Wait, kind.name());
         let t0 = Instant::now();
-        let done = || lock_unpoisoned(&self.slot).is_some();
-        let turn = self.queued.as_ref().map_or(Ok(()), |(desk, id)| {
-            desk.turn(*id, done, self.budget).map(|held| held.map_or((), |(fabric, ran)| desk.release(fabric, ran > 1)))
-        });
-        let res = turn.and_then(|()| lock_unpoisoned(&self.slot).take().expect("a finished op left its result"));
-        if let (Some(kind), Some(_)) = (self.kind, &self.queued) {
-            self.stats.record_wait(kind, t0.elapsed());
-        }
+        let done = || lock_unpoisoned(&slot).is_some();
+        let turn = desk.turn(id, done, self.budget).map(|held| held.map_or((), |(fabric, ran)| desk.release(fabric, ran > 1)));
+        let res = turn.and_then(|()| lock_unpoisoned(&slot).take().expect("a finished op left its result"));
+        self.stats.record_wait(kind, t0.elapsed());
         self.trace.end(span);
         res
     }
@@ -334,7 +518,7 @@ mod tests {
     use crate::fault::FaultPlan;
     use crate::group::Group;
     use crate::stats::CollectiveKind;
-    use crate::world::{launch, try_launch_with_config, TieredLink, WorldConfig};
+    use crate::world::{launch, try_launch_with_config, TierOrder, TieredLink, World, WorldConfig};
     use crate::{Precision, ReduceOp, WireFmt};
     use std::time::{Duration, Instant};
     use zero_trace::SpanCategory;
@@ -449,7 +633,7 @@ mod tests {
             let raw = WireFmt::Raw;
             drop(c.start_reduce_scatter(&g, input, ReduceOp::Sum, &counts, Precision::Fp32, raw));
             let mut buf = vec![c.rank() as f32; 2];
-            c.all_reduce_in(&g, &mut buf, ReduceOp::Sum, Precision::Fp32).unwrap();
+            c.all_reduce_in(&g, &mut buf, &[1, 1], ReduceOp::Sum, Precision::Fp32).unwrap();
             buf[0]
         });
         assert_eq!(results, vec![1.0; n]);
@@ -470,7 +654,7 @@ mod tests {
             let queued = c.start_all_gather(&world, placed(&[1, 1], c.rank(), &[c.rank() as f32]), &[1, 1], p, raw);
             let t0 = Instant::now();
             let mut buf = [1.5_f32, -2.0];
-            c.all_reduce_in(&alone, &mut buf, ReduceOp::Mean, p).unwrap();
+            c.all_reduce_in(&alone, &mut buf, &[2], ReduceOp::Mean, p).unwrap();
             let rs = c.start_reduce_scatter(&alone, buf.to_vec(), ReduceOp::Sum, &[2], p, raw).wait().unwrap();
             let ag = c.start_all_gather(&alone, rs, &[2], p, raw).wait().unwrap();
             let local = t0.elapsed();
@@ -499,7 +683,7 @@ mod tests {
             let g = Group::new(vec![other]);
             let mut buf = [1.0_f32; 3];
             let p = Precision::Fp32;
-            let ar = c.all_reduce_in(&g, &mut buf, ReduceOp::Sum, p);
+            let ar = c.all_reduce_in(&g, &mut buf, &[3], ReduceOp::Sum, p);
             let rs = c.start_reduce_scatter(&g, buf.to_vec(), ReduceOp::Sum, &[3], p, WireFmt::Raw).wait();
             let qwz = WireFmt::Int8Block { block: 4 };
             let ag = c.start_all_gather(&g, buf.to_vec(), &[3], p, qwz).wait().map(drop);
@@ -546,6 +730,77 @@ mod tests {
                 *wait_ns < exec_ns / 2,
                 "rank {rank}: wait {wait_ns}ns not hidden vs exec {exec_ns}ns"
             );
+        }
+    }
+
+    /// A one-rank communicator whose receives time out after 10 ms, so an
+    /// op's wait budget is (2·1 + 6)·10 ms per op queued through it.
+    fn lone_rank() -> crate::world::Communicator {
+        World::with_config(1, WorldConfig { recv_timeout: Duration::from_millis(10), ..WorldConfig::default() }).take(0)
+    }
+
+    #[test]
+    fn a_spill_behind_a_lost_desk_reports_progress_lost() {
+        let mut c = lone_rank();
+        let lost = c.submit(CollectiveKind::ReduceScatter, |_| panic!("the progress thread dies holding the fabric"));
+        let spill = c.start_tier_move("tier-grad-spill", 8, Duration::ZERO, TierOrder::Drains);
+        let behind = c.start_tier_move("tier-ckpt-spill", 8, Duration::ZERO, TierOrder::Free);
+        let t0 = Instant::now();
+        assert_eq!(spill.wait(), Err(CommError::ProgressLost { rank: 0 }));
+        // The failure is sticky: the move behind it moved nothing either.
+        assert_eq!(behind.wait(), Err(CommError::ProgressLost { rank: 0 }));
+        assert!(t0.elapsed() < Duration::from_secs(1), "the lane waited {:?} on a lost desk", t0.elapsed());
+        assert_eq!(lost.wait(), Err(CommError::ProgressLost { rank: 0 }));
+        assert_eq!(c.trace().timeline().count(SpanCategory::Tier), 0);
+    }
+
+    #[test]
+    fn a_spill_behind_a_stalled_desk_reports_progress_stalled_within_its_budget() {
+        let mut c = lone_rank();
+        let stuck = c.submit(CollectiveKind::ReduceScatter, |_| {
+            std::thread::sleep(Duration::from_millis(600));
+            Ok(Vec::new())
+        });
+        let t0 = Instant::now();
+        let spill = c.start_tier_move("tier-grad-spill", 8, Duration::ZERO, TierOrder::Drains);
+        // One op queued or running ahead of the spill: a 2 · 80 ms budget.
+        let budget = Duration::from_millis(160);
+        assert_eq!(spill.wait(), Err(CommError::ProgressStalled { rank: 0, waited: budget }));
+        let took = t0.elapsed();
+        assert!(took >= budget && took < Duration::from_millis(500), "the lane gave up after {took:?}");
+        let waited = Duration::from_millis(80);
+        assert_eq!(stuck.wait(), Err(CommError::ProgressStalled { rank: 0, waited }));
+    }
+
+    #[test]
+    fn the_lane_runs_beside_the_desk_and_meets_it_only_at_anchors() {
+        // Each rank: a 30 ms reduce-scatter, a free spill, a spill that
+        // drains the reduce-scatter, then a fetch seeding a 30 ms
+        // all-gather, each move 20 ms. The free spill runs while the
+        // reduce-scatter does; the drain waits for the reduce-scatter, the
+        // gather for its fetch.
+        let n = 2;
+        let out = try_launch_with_config(n, flat_link(Duration::from_millis(30)), move |mut c| {
+            let (g, p, raw, ms) = (Group::world(n), Precision::Fp32, WireFmt::Raw, Duration::from_millis(20));
+            let rs = c.start_reduce_scatter(&g, vec![1.0; 2], ReduceOp::Sum, &[1, 1], p, raw);
+            let free = c.start_tier_move("tier-ckpt-spill", 4, ms, TierOrder::Free);
+            let drain = c.start_tier_move("tier-grad-spill", 4, ms, TierOrder::Drains);
+            let fetch = c.start_tier_move("tier-param-fetch", 4, ms, TierOrder::Seeds);
+            let ag = c.start_all_gather(&g, placed(&[1, 1], c.rank(), &[7.0]), &[1, 1], p, raw);
+            let waited = [fetch.wait(), ag.wait(), rs.wait(), drain.wait(), free.wait()];
+            (waited, c.trace().timeline())
+        });
+        for (rank, r) in out.iter().enumerate() {
+            let (waited, tl) = r.as_ref().unwrap();
+            assert_eq!(waited[1], Ok(vec![7.0, 7.0]), "rank {rank}");
+            assert_eq!(waited[2], Ok(vec![2.0]), "rank {rank}");
+            let span = |name| tl.spans.iter().find(|s| s.name == name).unwrap_or_else(|| panic!("rank {rank}: no {name}"));
+            let (rs, ag) = (span("reduce-scatter"), span("all-gather"));
+            let (drain, free, fetch) = (span("tier-grad-spill"), span("tier-ckpt-spill"), span("tier-param-fetch"));
+            assert!(free.start_ns < rs.end_ns, "rank {rank}: the free spill waited for the reduce-scatter");
+            assert!(drain.start_ns >= rs.end_ns, "rank {rank}: the drain started before its reduce-scatter ended");
+            assert!(ag.start_ns >= fetch.end_ns, "rank {rank}: the gather started before its fetch ended");
+            assert!(free.end_ns <= drain.start_ns && drain.end_ns <= fetch.start_ns, "rank {rank}: one host link, in issue order");
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Pure decision kernels of the hand-rolled concurrency protocols.
 //!
 //! Each rank's op desk (`crate::nonblocking`) hands its fabric between
-//! the progress thread and a caller that runs its own op. The protocol is
+//! the progress thread and a caller that runs its own op, and orders its
+//! collectives against the rank's host-link lane. The protocol is
 //! a *pure state machine* wrapped in synchronization: every decision
 //! ("who runs the next op?", "wake the sleepers?") is a function of plain
 //! counters, not of the mutex carrying them.
@@ -48,10 +49,25 @@ pub mod handoff {
     /// A helper handing the fabric back wakes the desk's sleepers while
     /// ops are left queued (the progress thread runs them, so ops issued
     /// ahead keep overlapping compute), when it ran ops others issued
-    /// (another thread may wait on one), or once the desk has closed (the
-    /// progress thread drops the fabric).
-    pub fn wake_on_release(queued: usize, ran_others: bool, closed: bool) -> bool {
-        queued > 0 || ran_others || closed
+    /// (another thread may wait on one), while the host-link lane watches
+    /// the desk's finished count (a spill waits on an op the helper may
+    /// have run), or once the desk has closed (the progress thread drops
+    /// the fabric).
+    pub fn wake_on_release(queued: usize, ran_others: bool, watched: bool, closed: bool) -> bool {
+        queued > 0 || ran_others || watched || closed
+    }
+}
+
+/// The order between a rank's op desk and its host-link lane. Each queue
+/// finishes its ops in id order and counts them, so every wait from one
+/// queue on the other is "until the other has finished everything through
+/// op `id`": a gather waits on the fetch that seeds it, a spill on the
+/// reduce-scatter it drains. Each such wait names an op issued before the
+/// waiter, so the two queues never wait on each other in a cycle.
+pub mod lane {
+    /// A queue that has finished `finished` ops has finished op `id`.
+    pub fn through(finished: u64, id: u64) -> bool {
+        finished > id
     }
 }
 
@@ -66,7 +82,14 @@ mod tests {
         assert!(handoff::helper_runs(3, 3) && handoff::helper_runs(2, 3) && !handoff::helper_runs(4, 3));
         assert!(handoff::progress_takes(true, 1));
         assert!(!handoff::progress_takes(false, 1) && !handoff::progress_takes(true, 0));
-        assert!(handoff::wake_on_release(1, false, false) && handoff::wake_on_release(0, true, false));
-        assert!(handoff::wake_on_release(0, false, true) && !handoff::wake_on_release(0, false, false));
+        assert!(handoff::wake_on_release(1, false, false, false) && handoff::wake_on_release(0, true, false, false));
+        assert!(handoff::wake_on_release(0, false, true, false) && handoff::wake_on_release(0, false, false, true));
+        assert!(!handoff::wake_on_release(0, false, false, false));
+    }
+
+    #[test]
+    fn a_queue_has_finished_an_op_once_its_count_passes_the_ops_id() {
+        assert!(lane::through(1, 0) && lane::through(5, 3));
+        assert!(!lane::through(0, 0) && !lane::through(3, 3));
     }
 }

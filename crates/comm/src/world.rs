@@ -36,13 +36,16 @@
 //! exactly the order the rank issued them — the same order the
 //! synchronous engine used — and the SPMD deadlock-freedom and
 //! fault-trigger (`the Nth op on rank R`) coordinates are unchanged.
+//! Tier moves never touch the fabric: a per-rank *lane thread* runs them
+//! in issue order on the rank's modeled host link, ordered against the
+//! collectives only where a move seeds or drains one.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::CommError;
 use crate::fault::{FaultKind, FaultPlan, FaultState};
-use crate::nonblocking::{Desk, OpResult, PendingOp, Slot};
+use crate::nonblocking::{Desk, Lane, OpResult, PendingOp, Queued, Slot};
 use crate::stats::{CollectiveKind, TrafficStats};
 use crate::transport::{channel_mesh, Pipe, Transport};
 use zero_trace::{SpanCategory, TraceRecorder, TRACK_PROGRESS};
@@ -319,14 +322,29 @@ impl Drop for Fabric {
     }
 }
 
-/// One rank's handle: queues ops on the rank's desk and runs blocking
-/// ones on the caller's thread. The collectives are its methods in
-/// `collectives.rs`; the tier move is here.
+/// How a tier move is ordered against the rank's collectives. Among
+/// themselves, tier moves run in issue order: the rank has one host link.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TierOrder {
+    /// A fetch that seeds the next collective the rank starts: that
+    /// collective's ring starts once the fetch has finished.
+    Seeds,
+    /// A spill that drains the collective the rank started last: it starts
+    /// once that collective has finished.
+    Drains,
+    /// A spill that rides no collective: it goes out when it is issued.
+    Free,
+}
+
+/// One rank's handle: queues collectives on the rank's desk, tier moves on
+/// its lane, and runs blocking collectives on the caller's thread. The
+/// collectives are its methods in `collectives.rs`; the tier move is here.
 ///
 /// A `Communicator` is owned by exactly one thread (it is `Send` but not
 /// `Sync`), matching NCCL's one-communicator-per-device rule. Dropping it
-/// closes the desk: the progress thread finishes the queued ops and drops
-/// the fabric endpoints — peers observe the rank's death as `PeerLost`.
+/// closes the desk and the lane: the progress thread finishes the queued
+/// ops and drops the fabric endpoints — peers observe the rank's death as
+/// `PeerLost` — and the lane thread finishes the queued moves and exits.
 pub struct Communicator {
     rank: usize,
     world: usize,
@@ -334,17 +352,21 @@ pub struct Communicator {
     trace: Arc<TraceRecorder>,
     recv_timeout: Duration,
     desk: Arc<Desk>,
+    lane: Arc<Lane>,
+    /// A fetch the next collective started waits for (`TierOrder::Seeds`).
+    seed: Option<u64>,
 }
 
 impl Drop for Communicator {
     fn drop(&mut self) {
         self.desk.close();
+        self.lane.close();
     }
 }
 
 impl Communicator {
     /// Checks the modeled link, builds the rank's [`Fabric`] over `link`
-    /// and its inbound pipes, starts its progress thread, and returns the public handle — the one
+    /// and its inbound pipes, starts its progress and lane threads, and returns the public handle — the one
     /// construction path shared by every backend (`World` for
     /// threads-over-pipes, `crate::process` for processes-over-sockets).
     pub(crate) fn spawn(
@@ -376,12 +398,16 @@ impl Communicator {
             poll: Duration::ZERO,
         };
         let poll = if config.tiered_link.is_some() { Duration::ZERO } else { POLL };
-        let desk = Desk::new(rank, fabric, poll);
-        // Detached on purpose: the thread owns only 'static state and
-        // exits once the desk closes and drains, dropping the fabric.
+        let lane = Lane::new(rank);
+        let desk = Desk::new(rank, fabric, poll, lane.clone());
+        // Detached on purpose: each thread owns only 'static state and
+        // exits once its queue closes and drains; the progress thread drops
+        // the fabric.
         let progress = desk.clone();
         std::thread::spawn(move || progress.progress_loop());
-        Communicator { rank, world, stats, trace, recv_timeout: config.recv_timeout, desk }
+        let (moves, watched, spans) = (lane.clone(), desk.clone(), trace.clone());
+        std::thread::spawn(move || moves.run(&watched, &spans));
+        Communicator { rank, world, stats, trace, recv_timeout: config.recv_timeout, desk, lane, seed: None }
     }
 
     /// This rank's id in `0..world_size()`.
@@ -419,16 +445,21 @@ impl Communicator {
     }
 
     /// Queues `run` on the rank's desk, attributing its execution to
-    /// `kind`, and returns its completion handle. Never blocks.
+    /// `kind`, behind the fetch that seeds it if one was issued, and
+    /// returns its completion handle. Never blocks.
     pub(crate) fn submit(
         &mut self,
-        kind: Option<CollectiveKind>,
+        kind: CollectiveKind,
         run: impl FnOnce(&mut Fabric) -> OpResult + Send + 'static,
     ) -> PendingOp {
-        let slot = Slot::default();
-        let (id, ahead) = self.desk.submit(kind, Box::new(run), slot.clone());
-        let (queued, budget) = (Some((self.desk.clone(), id)), self.budget(ahead));
-        PendingOp { kind, slot, queued, budget, stats: self.stats.clone(), trace: self.trace.clone() }
+        let (slot, seed) = (Slot::default(), self.seed.take().map(|f| (f, self.budget(64))));
+        let (id, ahead) = self.desk.submit(kind, Box::new(run), slot.clone(), seed);
+        let (queued, budget) = (Queued::Desk { desk: self.desk.clone(), id, kind, slot }, self.budget(ahead));
+        self.handle(queued, budget)
+    }
+
+    fn handle(&self, queued: Queued, budget: Duration) -> PendingOp {
+        PendingOp { queued, budget, stats: self.stats.clone(), trace: self.trace.clone() }
     }
 
     /// Runs `body` on the caller's thread, after every op already queued
@@ -441,40 +472,37 @@ impl Communicator {
     ) -> Result<R, CommError> {
         let span = self.trace.begin(SpanCategory::Wait, kind.name());
         let t0 = Instant::now();
-        let res = self.desk.run_now(Some(kind), self.budget(64), body);
+        let res = self.desk.run_now(kind, self.budget(64), body);
         self.stats.record_wait(kind, t0.elapsed());
         self.trace.end(span);
         res
     }
 
     /// A handle that already holds `res`, computed on the caller's thread:
-    /// no job is queued and its wait records nothing.
-    pub(crate) fn ready(&self, res: OpResult) -> PendingOp {
-        let (slot, budget) = (Arc::new(Mutex::new(Some(res))), self.recv_timeout);
-        PendingOp { kind: None, slot, queued: None, budget, stats: self.stats.clone(), trace: self.trace.clone() }
+    /// no job is queued and its wait records nothing. It is the collective
+    /// started next, so a fetch issued to seed it seeds nothing now.
+    pub(crate) fn ready(&mut self, res: OpResult) -> PendingOp {
+        self.seed = None;
+        self.handle(Queued::Ready(res), self.recv_timeout)
     }
 
     /// Starts a modeled host↔device memory-tier transfer of `bytes`
-    /// (ZeRO-Offload traffic). No fabric messages move; the transfer
-    /// occupies this rank's fabric for `delay` (the caller prices it from
-    /// its `TierConfig`), in issue order, and records a byte-tagged `Tier`
-    /// span, so tier traffic serializes with — and can hide behind
-    /// compute exactly like — the rank's collectives. Waiting the handle
-    /// returns an empty payload.
-    pub fn start_tier_move(
-        &mut self,
-        label: &'static str,
-        bytes: u64,
-        delay: Duration,
-    ) -> PendingOp {
-        self.submit(None, move |f| {
-            let span = f.trace.begin_on(TRACK_PROGRESS, SpanCategory::Tier, label);
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
-            f.trace.end_with_bytes(span, bytes);
-            Ok(Vec::new())
-        })
+    /// (ZeRO-Offload traffic) on the rank's host-link lane. No fabric
+    /// message moves: the lane thread spends `delay` on it (the caller
+    /// prices it from its `TierConfig`) and records a byte-tagged `Tier`
+    /// span on the progress track. Moves run in issue order, beside the
+    /// collectives, which meet them only as `order` says: a seeding fetch
+    /// holds back the next collective's ring, a draining spill waits for
+    /// the last collective to finish. Waiting the handle returns an empty
+    /// payload.
+    pub fn start_tier_move(&mut self, label: &'static str, bytes: u64, delay: Duration, order: TierOrder) -> PendingOp {
+        let (last, ahead) = self.desk.backlog();
+        let drains = last.filter(|_| order == TierOrder::Drains);
+        let id = self.lane.submit(label, bytes, delay, drains, self.budget(ahead));
+        if order == TierOrder::Seeds {
+            self.seed = Some(id);
+        }
+        self.handle(Queued::Lane { lane: self.lane.clone(), id }, self.budget(64))
     }
 }
 

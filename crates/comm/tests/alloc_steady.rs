@@ -1,9 +1,11 @@
 //! A warm fabric moves bytes without allocating: after warm-up, neither a
 //! 2-rank all-gather round trip at serving-unit size — over in-process
-//! pipes or over the socket backend — nor a serving step makes a heap
+//! pipes or over the socket backend — nor a serving step, nor an
+//! offloaded step's tier moves on the host-link lane, makes a heap
 //! allocation of 1 KiB or more on any thread — the rank threads, their
-//! progress threads, the socket reader and heartbeat threads, or anything
-//! they wake.
+//! progress and lane threads, the socket reader and heartbeat threads, or
+//! anything they wake. Every thread of a measured world exits once its
+//! ranks have returned.
 //!
 //! Every allocation of at least [`BIG`] bytes made by any thread while a
 //! measurement window is open is counted, and the sizes of the first
@@ -20,7 +22,9 @@ use std::sync::{Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use zero_comm::process::fresh_token;
-use zero_comm::{connect_process_rank, launch, Communicator, Group, Precision, ProcessWorldConfig, WireFmt};
+use zero_comm::{
+    connect_process_rank, launch, Communicator, Group, Precision, ProcessWorldConfig, ReduceOp, TierOrder, WireFmt,
+};
 use zero_core::Partitioner;
 use zero_model::{init_full_params, Gpt, ModelConfig};
 use zero_serve::engine::run_rank;
@@ -89,8 +93,8 @@ fn one_window() -> MutexGuard<'static, ()> {
 
 /// The name of the thread each measured world is built from. Linux starts
 /// a thread under its creator's name and the fabric names none of its
-/// threads, so every rank, progress, reader and heartbeat thread of the
-/// world carries it too.
+/// threads, so every rank, progress, lane, reader and heartbeat thread of
+/// the world carries it too.
 const WORLD: &str = "alloc-world";
 
 /// How long a finished world's threads get to exit.
@@ -122,6 +126,7 @@ fn big_allocs_in_world(sockets: bool, run: impl Fn(&mut Communicator, &dyn Fn())
     while world_threads() > 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));
     }
+    assert_eq!(world_threads(), 0, "a thread of the finished world outlived it by {THREADS_EXIT:?}");
     big
 }
 
@@ -192,6 +197,38 @@ fn warm_all_gather_round_trips_over_sockets_make_no_big_allocation() {
     let _one = one_window();
     let (big, sizes) = big_allocs_in_world(true, |c, open| gather_round_trips(c, open, 200));
     assert_eq!(big, 0, "200 warm serving-unit all-gathers over sockets made {big} allocations of >= {BIG} B, the first of {sizes:?} B");
+}
+
+/// 8 warm-up rounds, then `open`, then `rounds` more of an offloaded
+/// step's pattern on the host-link lane: a fetch seeding a gather, a
+/// reduce-scatter with the spill that drains it, and a free spill.
+fn tier_rounds(c: &mut Communicator, open: &dyn Fn(), rounds: usize) {
+    let (g, p, raw) = (Group::world(2), Precision::Fp32, WireFmt::Raw);
+    let mut buf = vec![0.0_f32; 64];
+    for k in 0..8 + rounds {
+        if k == 8 {
+            open();
+        }
+        let fetch = c.start_tier_move("tier-param-fetch", 128, Duration::ZERO, TierOrder::Seeds);
+        let gather = c.start_all_gather(&g, buf, &[32, 32], p, raw);
+        fetch.wait().unwrap();
+        buf = gather.wait().unwrap();
+        let reduce = c.start_reduce_scatter(&g, buf, ReduceOp::Sum, &[32, 32], p, raw);
+        let spill = c.start_tier_move("tier-grad-spill", 128, Duration::ZERO, TierOrder::Drains);
+        let free = c.start_tier_move("tier-ckpt-spill", 128, Duration::ZERO, TierOrder::Free);
+        let mut piece = reduce.wait().unwrap();
+        spill.wait().unwrap();
+        free.wait().unwrap();
+        piece.resize(64, 0.0);
+        buf = piece;
+    }
+}
+
+#[test]
+fn warm_tier_moves_on_the_lane_make_no_big_allocation() {
+    let _one = one_window();
+    let (big, sizes) = big_allocs_in_world(false, |c, open| tier_rounds(c, open, 200));
+    assert_eq!(big, 0, "200 warm rounds of tier moves made {big} allocations of >= {BIG} B, the first of {sizes:?} B");
 }
 
 /// A 2-rank serving run of one request generating `tokens` tokens.

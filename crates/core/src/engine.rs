@@ -83,13 +83,13 @@ pub struct StepOutcome {
 /// the tier movement the plan attached to it.
 struct Issued {
     /// Offload: the host→device fetch seeding the op, queued on the
-    /// fabric's FIFO right ahead of it (so the modeled transfer
-    /// completes before the ring starts) and waited first.
+    /// rank's host-link lane right before it (the op's ring starts once
+    /// the modeled transfer has finished) and waited first.
     seed: Option<PendingOp>,
     pending: PendingOp,
     /// Offload: the device→host spill of the op's result, queued on the
-    /// FIFO right behind it (so it leaves as soon as the ring has
-    /// produced the piece, ahead of any op issued later) and waited last.
+    /// lane right behind it (it leaves as soon as the ring has produced
+    /// the piece, while later collectives run) and waited last.
     spill: Option<PendingOp>,
     /// The planned op: its group geometry, issue mode and reduction.
     op: ResolvedOp,
@@ -100,7 +100,7 @@ struct Issued {
 
 impl Issued {
     /// Settles the seeding transfer, then the op, then its spill, so
-    /// failures surface in FIFO order, and applies the average the op
+    /// failures surface in issue order, and applies the average the op
     /// closes with, if any.
     fn wait(self) -> Result<Vec<f32>, CommError> {
         if let Some(seed) = self.seed {
@@ -142,13 +142,13 @@ struct Issuer {
 
 impl Issuer {
     /// Meters a planned tier movement through the [`TierStore`] (bytes +
-    /// modeled host-link time) and queues the transfer on the fabric's
-    /// FIFO — so a fetch submitted before an all-gather
-    /// completes before that gather starts.
+    /// modeled host-link time) and queues the transfer on the rank's
+    /// host-link lane, which its anchor orders against the collectives
+    /// (`TierAt::order`: a seeded gather waits for it, it for a drained op).
     fn tier_move(&mut self, t: ResolvedTierOp) -> PendingOp {
         let store = self.tier.as_mut().expect("tier store when the plan moves tier bytes");
         let delay = if t.at.is_fetch() { store.record_fetch(t.bytes) } else { store.record_spill(t.bytes) };
-        self.comm.start_tier_move(t.label, t.bytes, delay)
+        self.comm.start_tier_move(t.label, t.bytes, delay, t.at.order())
     }
 
     /// The one place a planned all-gather or reduce-scatter is issued: pops
@@ -183,14 +183,14 @@ impl Issuer {
 
     /// A planned all-reduce, in place: the Megatron hooks, DDP's gradient
     /// chunks, the two-level reduction's cross-node phase, the overflow
-    /// flag and the grad norm.
+    /// flag and the grad norm. The communicator holds each member's
+    /// planned count to its ring chunk of `buf`.
     fn all_reduce(&mut self, buf: &mut [f32]) -> Result<(), CommError> {
         let op = self.plan.take(CollectiveKind::AllReduce);
-        assert_eq!(op.total_elems(), buf.len(), "planned '{}' size", op.label);
         let Reduction::Reduce(reduce) = op.reduce else {
             panic!("planned '{}' reduces nothing", op.label)
         };
-        self.comm.all_reduce_in(&op.group(), buf, reduce, op.prec)
+        self.comm.all_reduce_in(&op.group(), buf, &op.counts, reduce, op.prec)
     }
 
     /// Runs the CB chunks of `part`'s rows the plan lists next, charging

@@ -49,7 +49,7 @@ use std::convert::Infallible;
 use std::ops::Range;
 
 use zero_comm::{
-    chunk_range, quant_wire_bytes, CollectiveKind, Grid, Group, NodeTopology, Precision, ReduceOp,
+    chunk_range, quant_wire_bytes, CollectiveKind, Grid, Group, NodeTopology, Precision, ReduceOp, TierOrder,
     WireFmt, KIND_COUNT,
 };
 use zero_model::{BlockDims, Layout};
@@ -354,17 +354,18 @@ impl ResolvedOp {
 }
 
 /// Where a planned tier movement is issued: against the collective it
-/// rides, which also fixes its direction. The engine queues a riding move
-/// on the rank's FIFO together with that op and waits the two together.
+/// rides, which also fixes its direction and its order on the rank's
+/// host-link lane. The engine issues a riding move together with that op
+/// and waits the two together.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TierAt {
-    /// Host → device: a fetch queued right before the all-gather at this
+    /// Host → device: a fetch issued right before the all-gather at this
     /// op index, whose piece it brings up (parameter, publish and
-    /// checkpoint fetches).
+    /// checkpoint fetches): the gather's ring starts once it has finished.
     Seeds(usize),
-    /// Device → host: a spill queued right behind the reduce-scatter at
+    /// Device → host: a spill issued right behind the reduce-scatter at
     /// this op index, whose reduced piece it takes down (gradient spills
-    /// under stages 2–3).
+    /// under stages 2–3): it starts once the reduce-scatter has finished.
     Drains(usize),
     /// Device → host: a spill that rides nothing, issued once this many
     /// ops have gone out (P_a+cpu checkpoint spills, stage 1's end-of-step
@@ -376,6 +377,16 @@ impl TierAt {
     /// True for a host → device fetch, false for a spill.
     pub fn is_fetch(self) -> bool {
         matches!(self, TierAt::Seeds(_))
+    }
+
+    /// How the host-link lane orders this movement against the rank's
+    /// collectives.
+    pub fn order(self) -> TierOrder {
+        match self {
+            TierAt::Seeds(_) => TierOrder::Seeds,
+            TierAt::Drains(_) => TierOrder::Drains,
+            TierAt::Free(_) => TierOrder::Free,
+        }
     }
 
     /// The op this movement rides, if any.

@@ -315,7 +315,7 @@ fn metered(n: usize, ops: &[ResolvedOp]) -> Vec<Vec<(u64, u64)>> {
                 CollectiveKind::ReduceScatter => {
                     drop(c.start_reduce_scatter(&group, buf, ReduceOp::Sum, &op.counts, op.prec, op.wire).wait().unwrap())
                 }
-                CollectiveKind::AllReduce => c.all_reduce_in(&group, &mut buf, ReduceOp::Sum, op.prec).unwrap(),
+                CollectiveKind::AllReduce => c.all_reduce_in(&group, &mut buf, &op.counts, ReduceOp::Sum, op.prec).unwrap(),
             }
             let d = c.stats().snapshot().delta_since(&before);
             out.push((d.messages(op.kind), d.bytes(op.kind)));

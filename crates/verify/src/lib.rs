@@ -63,4 +63,4 @@ pub use memory::{check_memory, MemoryReport};
 pub use modelcheck::{run_modelcheck, ModelcheckReport, ScenarioOutcome};
 pub use schedule::{check_all as check_schedules, ScheduleReport};
 pub use tiling::{prove_all as prove_tiling, TilingReport};
-pub use tracecheck::{check_timeline, TraceExpectation, TIER_LABELS};
+pub use tracecheck::{check_tier_order, check_timeline, TraceExpectation, TIER_LABELS};

@@ -15,15 +15,17 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Duration;
 
 use zero_core::{
-    run_training, CommPlan, CompressionConfig, StepShape, TrainSetup, ZeroConfig, ZeroStage,
+    run_training, CommPlan, CompressionConfig, StepShape, TierConfig, TrainSetup, ZeroConfig, ZeroStage,
 };
 use zero_model::ModelConfig;
 
-/// Default per-scenario state budget for the modelcheck pass: an order
-/// of magnitude above the largest scenario's measured state count, so
-/// genuine blowups fail loudly while normal growth has headroom.
+/// Default per-scenario state budget for the modelcheck pass: about three
+/// times the largest scenario's measured state count (`lane.drain`,
+/// ~170k), so genuine blowups fail loudly while normal growth has
+/// headroom.
 const DEFAULT_MODELCHECK_BUDGET: u64 = 500_000;
 
 const PASSES: [&str; 9] = [
@@ -121,13 +123,15 @@ fn run_overlap() -> bool {
     }
 }
 
-/// Runs tiny real training jobs (stage 3, raw N=2 and all-levers
-/// compressed N=4/G=2, two steps, sync+overlap) and reconciles every
-/// rank's recorded timeline byte-exactly against the analytic plan and
-/// the metered traffic — the runtime face of the schedule pass. With
-/// compression on, the plan's byte tags are compressed wire bytes, so
-/// this also proves the runtime sends exactly the quantized volume the
-/// plan promises.
+/// Runs tiny real training jobs (stage 3, raw N=2, all-levers
+/// compressed N=4/G=2 and offloaded N=2, two steps, sync+overlap) and
+/// reconciles every rank's recorded timeline byte-exactly against the
+/// analytic plan and the metered traffic — the runtime face of the
+/// schedule pass. With compression on, the plan's byte tags are
+/// compressed wire bytes, so this also proves the runtime sends exactly
+/// the quantized volume the plan promises. Offloaded, it also holds each
+/// rank's host-link lane to the plan's anchors: every spill starts after
+/// the reduce-scatter it drains, every seeded gather after its fetch.
 fn run_tracecheck() -> bool {
     let model = ModelConfig { vocab: 32, seq: 8, hidden: 16, layers: 2, heads: 2 };
     let layout = zero_model::Layout::build(&model);
@@ -135,7 +139,12 @@ fn run_tracecheck() -> bool {
     let raw = CompressionConfig::off();
     let squeezed = CompressionConfig { qwz: true, hpz: true, qgz: true };
     let mut checked_ranks = 0usize;
-    for (compression, node_size, dp) in [(raw, 1, 2usize), (squeezed, 2, 4)] {
+    // Every tier move costs 200 µs on the host link, so the order the lane
+    // keeps shows in the spans' times.
+    let offloaded = TierConfig { host_lat: Duration::from_micros(200), ..TierConfig::budgeted(64 << 20) };
+    for (compression, node_size, dp, tier) in
+        [(raw, 1, 2usize, TierConfig::off()), (squeezed, 2, 4, TierConfig::off()), (raw, 1, 2, offloaded)]
+    {
         for overlap in [false, true] {
             let setup = TrainSetup {
                 model,
@@ -148,6 +157,7 @@ fn run_tracecheck() -> bool {
                     overlap,
                     node_size,
                     compression,
+                    tier,
                     ..ZeroConfig::default()
                 },
                 grid: zero_comm::Grid::new(dp, 1),
@@ -155,23 +165,24 @@ fn run_tracecheck() -> bool {
                 seed: 5,
             };
             let report = run_training(&setup, 2, 0);
+            let plans: Vec<CommPlan> = report
+                .skipped
+                .iter()
+                .map(|&skipped| {
+                    let shape = StepShape { micro_batches: 1, act_elems, skipped };
+                    CommPlan::train_step(&layout, &setup.zero, setup.grid, &shape)
+                })
+                .collect();
             for r in &report.ranks {
                 let mut want = zero_verify::TraceExpectation::default();
-                for &skipped in &report.skipped {
-                    let plan = CommPlan::train_step(
-                        &layout,
-                        &setup.zero,
-                        setup.grid,
-                        &StepShape { micro_batches: 1, act_elems, skipped },
-                    );
-                    want.add_plan(&plan, r.rank, 1);
-                }
-                if let Err(e) =
-                    zero_verify::check_timeline(&r.timeline, &want, Some(&r.traffic))
-                {
+                plans.iter().for_each(|plan| want.add_plan(plan, r.rank, 1));
+                let checked = zero_verify::check_timeline(&r.timeline, &want, Some(&r.traffic))
+                    .and_then(|()| zero_verify::check_tier_order(&r.timeline, &plans, r.rank));
+                if let Err(e) = checked {
                     eprintln!(
-                        "tracecheck: FAIL — compression={} overlap={overlap} rank {}: {e}",
+                        "tracecheck: FAIL — compression={} offload={} overlap={overlap} rank {}: {e}",
                         compression.any(),
+                        tier.enabled,
                         r.rank
                     );
                     return false;
@@ -182,7 +193,8 @@ fn run_tracecheck() -> bool {
     }
     println!(
         "tracecheck: OK — {checked_ranks} rank timelines reconciled against plan and \
-         metered traffic (stage 3, raw N=2 + qwZ/hpZ/qgZ N=4 G=2, sync+overlap)"
+         metered traffic, each host-link lane against the plan's anchors \
+         (stage 3, raw N=2 + qwZ/hpZ/qgZ N=4 G=2 + offloaded N=2, sync+overlap)"
     );
     true
 }

@@ -1,9 +1,10 @@
 //! Protocol model checking: exhaustive bounded verification of the
 //! transport/overlap concurrency protocols *before they run*.
 //!
-//! `zero-comm` coordinates ranks with two hand-rolled protocols — the
-//! socket handshake and the op desk's fabric hand-off. The hand-off's
-//! decision logic lives as a pure kernel in [`zero_comm::protocol`]; this
+//! `zero-comm` coordinates ranks with hand-rolled protocols — the socket
+//! handshake, the op desk's fabric hand-off, and the order between the
+//! desk and the rank's host-link lane. The desk's decision logic lives as
+//! a pure kernel in [`zero_comm::protocol`]; this
 //! pass re-expresses the synchronization skeleton around it
 //! against modeled primitives ([`shims`]) and hands the result to a
 //! deterministic bounded interleaving explorer ([`explorer`]):
@@ -30,7 +31,7 @@ pub use explorer::{
     enumerate_final_states, explore, format_trace, ExploreResult, ExploreStats, Failure,
     Program, Sched, Violation,
 };
-pub use protocols::{HandoffMutant, HandshakeModel, ProgressModel};
+pub use protocols::{HandoffMutant, HandshakeModel, LaneModel, LaneMutant, LaneScript, ProgressModel};
 pub use shims::{FaultBudget, ModelState, RaceReport, Status};
 
 /// One checked scenario: a protocol model at a world size and fault
@@ -42,12 +43,15 @@ pub struct Scenario {
     pub program: Box<dyn Program>,
 }
 
-/// The scenario matrix the pass runs: both protocols at sizes 2 and 3
-/// (ranks for the handshake, ops issued for the desk), with a one-timeout
-/// budget everywhere and additionally a one-crash budget for the
+/// The scenario matrix the pass runs: the handshake and the desk at sizes
+/// 2 and 3 (ranks for the handshake, ops issued for the desk), with a
+/// one-timeout budget and additionally a one-crash budget for the
 /// cross-process handshake (a thread of an in-process primitive cannot
-/// vanish, a rank process can): 6 scenarios.
+/// vanish, a rank process can); and the desk with its host-link lane on
+/// each anchor, whole and with the progress thread lost, its waits
+/// modeled untimed (see [`LaneModel`]): 10 scenarios.
 pub fn scenarios() -> Vec<Scenario> {
+    use LaneScript::{Drain, Seed};
     vec![
         Scenario {
             name: "handshake.n2",
@@ -67,6 +71,10 @@ pub fn scenarios() -> Vec<Scenario> {
         },
         Scenario { name: "progress.n2", program: Box::new(ProgressModel { ops: 2, mutant: None }) },
         Scenario { name: "progress.n3", program: Box::new(ProgressModel { ops: 3, mutant: None }) },
+        Scenario { name: "lane.drain", program: Box::new(LaneModel { script: Drain, lost: false, mutant: None }) },
+        Scenario { name: "lane.drain+lost", program: Box::new(LaneModel { script: Drain, lost: true, mutant: None }) },
+        Scenario { name: "lane.seed", program: Box::new(LaneModel { script: Seed, lost: false, mutant: None }) },
+        Scenario { name: "lane.seed+lost", program: Box::new(LaneModel { script: Seed, lost: true, mutant: None }) },
     ]
 }
 
@@ -240,6 +248,47 @@ mod tests {
             Violation::Invariant(ref m) if m == "op 1 ran while op 0 was still queued" => {}
             ref v => panic!("want the FIFO break, got {v} [{}]", format_trace(&f.trace)),
         }
+    }
+
+    /// A seeded desk/lane hand-off bug, explored: the checker's minimal
+    /// failing schedule.
+    fn lane_mutant_failure(script: LaneScript, mutant: LaneMutant) -> Failure {
+        let r = explore(&LaneModel { script, lost: false, mutant: Some(mutant) }, BUDGET);
+        let f = r.failure.unwrap_or_else(|| panic!("{mutant:?} went unnoticed"));
+        assert!(f.minimal, "{mutant:?}: shortest failing schedule expected from BFS shrink");
+        f
+    }
+
+    #[test]
+    fn a_desk_that_skips_the_seed_wait_starts_a_gather_before_its_fetch() {
+        let f = lane_mutant_failure(LaneScript::Seed, LaneMutant::GatherBeforeSeed);
+        match f.violation {
+            Violation::Invariant(ref m) if m == "the gather started before the fetch that seeds it finished" => {}
+            ref v => panic!("want the unseeded gather, got {v} [{}]", format_trace(&f.trace)),
+        }
+    }
+
+    #[test]
+    fn a_lane_that_skips_the_desk_wait_starts_a_spill_before_its_reduce_scatter() {
+        let f = lane_mutant_failure(LaneScript::Drain, LaneMutant::SpillBeforeReduce);
+        match f.violation {
+            Violation::Invariant(ref m) if m == "the spill started before the reduce-scatter it drains finished" => {}
+            ref v => panic!("want the early spill, got {v} [{}]", format_trace(&f.trace)),
+        }
+    }
+
+    /// A helper that finishes the reduce-scatter itself and hands the
+    /// fabric back without waking the watching lane strands the spill's
+    /// wait on the desk.
+    #[test]
+    fn a_helper_that_skips_the_watched_wake_strands_the_spill() {
+        let f = lane_mutant_failure(LaneScript::Drain, LaneMutant::SkipWatchedWake);
+        assert!(
+            matches!(f.violation, Violation::LostWakeup { condvar: 0, .. }),
+            "want the desk's sleepers, the lane thread among them, parked forever, got {} [{}]",
+            f.violation,
+            format_trace(&f.trace)
+        );
     }
 
     /// Exploration must be deterministic run to run (fixed hasher,

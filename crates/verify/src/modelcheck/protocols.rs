@@ -4,9 +4,10 @@
 //! Each model is a pc-machine transcription of one of the hand-rolled
 //! protocols in `zero-comm`, its synchronization skeleton (mutexes,
 //! condvars, channels, timeouts) re-expressed as shim operations. Only
-//! [`ProgressModel`] imports its *decision logic* verbatim, from
-//! [`zero_comm::protocol`] (the [`handoff`] kernel the real op desk
-//! runs), so what the checker proves of it is about the shipped logic.
+//! [`ProgressModel`] and [`LaneModel`] import their *decision logic*
+//! verbatim, from [`zero_comm::protocol`] (the [`handoff`] kernel the
+//! real op desk runs and the [`lane`] order it keeps with the host-link
+//! lane), so what the checker proves of them is about the shipped logic.
 //! [`HandshakeModel`] is a transcription of `process.rs`'s hello
 //! exchange: its logic is written again here, and what it proves holds
 //! for the code only as far as the transcription is faithful.
@@ -23,12 +24,20 @@
 //!    closes the desk; the thread drains and exits). Three seeded
 //!    [`HandoffMutant`]s — no close, a skipped wake, a FIFO break — are
 //!    the mutation tests.
+//! 3. [`LaneModel`] — the desk beside the rank's host-link lane: a spill
+//!    that waits on the desk's finished count for its reduce-scatter, a
+//!    gather that waits on the lane's for its fetch (run by the progress
+//!    thread or a helper), the helper's wake of the watching lane,
+//!    close-and-drain of both threads on drop, and a lost desk. Three
+//!    seeded [`LaneMutant`]s — a gather before its seed, a spill before
+//!    its reduce-scatter, a skipped watched wake — are its mutation
+//!    tests.
 //!
 //! Ghost cells carry the specification state the invariants quantify
 //! over (live sender handles, how many jobs executed); they are hashed
 //! and footprinted but race-exempt.
 
-use zero_comm::protocol::handoff;
+use zero_comm::protocol::{handoff, lane};
 
 use super::explorer::Program;
 use super::shims::{ChannelId, CondvarId, DataId, FaultBudget, ModelState, MutexId, Status, Tid};
@@ -406,7 +415,7 @@ impl ProgressModel {
                     st.write_data(tid, Self::FREE, 1);
                     let (left, ran_others) = (q.count_ones() as usize, st.reg(tid, 3) > 1);
                     let closed = st.read_data(tid, Self::CLOSED) == 1;
-                    let wake = handoff::wake_on_release(left, ran_others, closed)
+                    let wake = handoff::wake_on_release(left, ran_others, false, closed)
                         && self.mutant != Some(HandoffMutant::SkipWake);
                     st.unlock(tid, Self::MX);
                     st.set_reg(tid, 0, OK);
@@ -529,5 +538,496 @@ impl Program for ProgressModel {
         }
         (st.budget.timeouts == 1 && outcome(st, 1) != OK)
             .then(|| "a wait no timeout cut short returned no result".to_string())
+    }
+}
+
+// ---------------------------------------------------------------------
+// 3. The desk and the host-link lane: cross-queue hand-off
+// ---------------------------------------------------------------------
+
+/// A seeded bug in the hand-off between the desk and the lane, for the
+/// mutation tests.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LaneMutant {
+    /// The desk starts a seeded gather without waiting for its fetch.
+    GatherBeforeSeed,
+    /// The lane starts a spill without waiting for the reduce-scatter it
+    /// drains.
+    SpillBeforeReduce,
+    /// A helper hands the fabric back without waking the lane that
+    /// watches the desk's finished count.
+    SkipWatchedWake,
+}
+
+/// Which of the two anchors a [`LaneModel`] caller exercises.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LaneScript {
+    /// Issue a reduce-scatter and the spill that drains it; wait the
+    /// reduce-scatter help-first, then the spill.
+    Drain,
+    /// Issue a fetch and the gather it seeds; wait the fetch, then the
+    /// gather help-first.
+    Seed,
+}
+
+/// The rank's op desk and its host-link lane (`zero-comm`'s
+/// `nonblocking`): t0 is the progress thread, t1 the lane thread, t2 the
+/// caller. The caller issues desk op 0 and lane move 0 as its
+/// [`LaneScript`] says, waits both as `Issued::wait` does, and drops the
+/// communicator, closing the desk and the lane. Each queue
+/// counts the ops it has finished, in id order, under its own mutex and
+/// condvar; a wait on the other queue is "until it has finished through
+/// op k" ([`zero_comm::protocol::lane`]), and a helper handing the
+/// fabric back wakes the desk's sleepers as [`handoff`] says, the
+/// watching lane included. With `lost`, the progress thread dies holding
+/// the fabric at the first op it takes (a panicked progress thread).
+///
+/// Every wait is modeled untimed and no timeout is injected: the explorer
+/// expires a stuck timed wait for free, so a lost wake-up of a timed wait
+/// would read as a wait that ran its budget out and then found its op
+/// done. Waited untimed, it shows as the lost wake-up it is. The timed
+/// waits' stall path is [`ProgressModel`]'s.
+///
+/// Checked: each queue runs its ops once and in issue order; no gather
+/// starts before its seed has finished and no spill before its
+/// reduce-scatter has; no wake-up is lost; both threads exit once the
+/// communicator drops, a lost desk included; and, with the desk whole,
+/// every wait returns its op's result.
+pub struct LaneModel {
+    pub script: LaneScript,
+    pub lost: bool,
+    pub mutant: Option<LaneMutant>,
+}
+
+impl LaneModel {
+    const DESK: MutexId = MutexId(0);
+    const DESK_CV: CondvarId = CondvarId(0);
+    const LANE: MutexId = MutexId(1);
+    const LANE_CV: CondvarId = CondvarId(1);
+    /// Desk cells: 1 while nobody holds the fabric; bit `i` set while op
+    /// `i` is queued and not started; ops finished; 1 while the lane
+    /// waits on `D_DONE`; closed; lost.
+    const FREE: DataId = DataId(0);
+    const QUEUED: DataId = DataId(1);
+    const D_DONE: DataId = DataId(2);
+    const WATCHED: DataId = DataId(3);
+    const D_CLOSED: DataId = DataId(4);
+    const LOST: DataId = DataId(5);
+    /// Lane cells: moves issued, moves started, moves finished, 1 + the
+    /// first failed move (0 for none), closed.
+    const L_ISSUED: DataId = DataId(6);
+    const L_STARTED: DataId = DataId(7);
+    const L_DONE: DataId = DataId(8);
+    const L_FAILED: DataId = DataId(9);
+    const L_CLOSED: DataId = DataId(10);
+    /// Bit `i` set: desk op `i` finished with an error.
+    const D_FAILED: DataId = DataId(11);
+    /// Ghosts: ops each queue has run, and finished.
+    const D_RAN: usize = 0;
+    const L_RAN: usize = 1;
+    const D_FIN: usize = 2;
+    const L_FIN: usize = 3;
+
+    /// The caller's registers: its outcome, the op a wait is on, the pc
+    /// it resumes at, the ops it ran holding the fabric, and the outcome
+    /// of the job it is running.
+    const OUTCOME: usize = 0;
+    const OWN: usize = 1;
+    const NEXT: usize = 2;
+    const RAN: usize = 3;
+    const JOB: usize = 4;
+
+    /// Records a failed wait: the first failure is the caller's outcome.
+    fn failed(st: &mut ModelState, tid: Tid, class: i64) {
+        if st.reg(tid, Self::OUTCOME) == OK {
+            st.set_reg(tid, Self::OUTCOME, class);
+        }
+    }
+
+    /// Runs desk op `job` (ghost checks only): issue order, and a gather
+    /// after its seed.
+    fn run_desk_job(&self, st: &mut ModelState, job: i64) {
+        let ran = st.ghost_read(Self::D_RAN);
+        if job != ran {
+            st.fail(format!("desk op {job} ran while op {ran} was still queued"));
+        }
+        st.ghost_write(Self::D_RAN, ran + 1);
+        if job == 0 && st.ghost_read(Self::L_FIN) < 1 && self.script == LaneScript::Seed {
+            st.fail("the gather started before the fetch that seeds it finished");
+        }
+    }
+
+    /// The seeded gather's wait on the lane, holding the fabric: resumes
+    /// at `here` while parked; once the seed has finished it runs the
+    /// gather, and then (or once the seed failed) goes to `finish` with
+    /// the job's outcome in `JOB`.
+    fn seed_wait(&self, st: &mut ModelState, tid: Tid, job: i64, here: u32, finish: u32) {
+        if !st.lock(tid, Self::LANE) {
+            return;
+        }
+        if lane::through(st.read_data(tid, Self::L_DONE) as u64, 0) {
+            let failed = st.read_data(tid, Self::L_FAILED);
+            st.unlock(tid, Self::LANE);
+            if failed == 0 {
+                self.run_desk_job(st, job);
+            } else {
+                st.set_reg(tid, Self::JOB, ABORTED);
+            }
+            st.goto(tid, finish);
+        } else {
+            st.goto(tid, here);
+            st.cv_wait(tid, Self::LANE_CV, Self::LANE, false);
+        }
+    }
+
+    /// Runs lane move `m` (ghost checks only): issue order, and a spill
+    /// after the reduce-scatter it drains.
+    fn run_move(&self, st: &mut ModelState, m: i64) {
+        let ran = st.ghost_read(Self::L_RAN);
+        if m != ran {
+            st.fail(format!("lane move {m} ran while move {ran} was still queued"));
+        }
+        st.ghost_write(Self::L_RAN, ran + 1);
+        if m == 0 && st.ghost_read(Self::D_FIN) < 1 && self.script == LaneScript::Drain {
+            st.fail("the spill started before the reduce-scatter it drains finished");
+        }
+    }
+
+    /// Records desk op `job` finished, with its outcome in `JOB`: the
+    /// thread holds the desk's mutex.
+    fn finish_desk_job(st: &mut ModelState, tid: Tid, job: i64) {
+        if st.reg(tid, Self::JOB) != OK {
+            let failed = st.read_data(tid, Self::D_FAILED);
+            st.write_data(tid, Self::D_FAILED, failed | 1 << job);
+        }
+        let done = st.read_data(tid, Self::D_DONE) + 1;
+        st.write_data(tid, Self::D_DONE, done);
+        st.ghost_write(Self::D_FIN, done);
+    }
+
+    /// Whether desk op `job` waits for the fetch that seeds it: the
+    /// seeded gather does, unless the mutant skips the wait.
+    fn seeded(&self, job: i64) -> bool {
+        job == 0 && self.script == LaneScript::Seed && self.mutant != Some(LaneMutant::GatherBeforeSeed)
+    }
+
+    fn progress(&self, st: &mut ModelState, tid: Tid) {
+        match st.pc(tid) {
+            0 => {
+                if !st.lock(tid, Self::DESK) {
+                    return;
+                }
+                let q = st.read_data(tid, Self::QUEUED);
+                let free = st.read_data(tid, Self::FREE) == 1;
+                if handoff::progress_takes(free, q.count_ones() as usize) {
+                    let job = q.trailing_zeros() as i64;
+                    st.write_data(tid, Self::QUEUED, q & !(1 << job));
+                    st.write_data(tid, Self::FREE, 0);
+                    st.unlock(tid, Self::DESK);
+                    st.set_reg(tid, 0, job);
+                    st.set_reg(tid, Self::JOB, OK);
+                    if self.lost {
+                        st.goto(tid, 9);
+                    } else if self.seeded(job) {
+                        st.goto(tid, 1);
+                    } else {
+                        self.run_desk_job(st, job);
+                        st.goto(tid, 3);
+                    }
+                } else if st.read_data(tid, Self::D_CLOSED) == 1 && q == 0 && free {
+                    st.unlock(tid, Self::DESK);
+                    st.done(tid); // drops the fabric
+                } else {
+                    st.goto(tid, 0);
+                    st.cv_wait(tid, Self::DESK_CV, Self::DESK, false);
+                }
+            }
+            1 => self.seed_wait(st, tid, st.reg(tid, 0), 1, 3),
+            // Finish the op, hand the fabric back, wake the waiters.
+            3 => {
+                if st.lock(tid, Self::DESK) {
+                    Self::finish_desk_job(st, tid, st.reg(tid, 0));
+                    st.write_data(tid, Self::FREE, 1);
+                    st.unlock(tid, Self::DESK);
+                    st.notify_all(tid, Self::DESK_CV);
+                    st.goto(tid, 0);
+                }
+            }
+            // A panic holding the fabric: mark the desk lost, wake all.
+            9 => {
+                if st.lock(tid, Self::DESK) {
+                    st.write_data(tid, Self::LOST, 1);
+                    st.unlock(tid, Self::DESK);
+                    st.notify_all(tid, Self::DESK_CV);
+                    st.done(tid);
+                }
+            }
+            pc => panic!("lane model: bad progress pc {pc}"),
+        }
+    }
+
+    fn lane_thread(&self, st: &mut ModelState, tid: Tid) {
+        match st.pc(tid) {
+            // Take the next move, or exit once closed and drained.
+            0 => {
+                if !st.lock(tid, Self::LANE) {
+                    return;
+                }
+                let started = st.read_data(tid, Self::L_STARTED);
+                if started < st.read_data(tid, Self::L_ISSUED) {
+                    st.write_data(tid, Self::L_STARTED, started + 1);
+                    let failed = st.read_data(tid, Self::L_FAILED) != 0;
+                    st.unlock(tid, Self::LANE);
+                    st.set_reg(tid, 0, started);
+                    st.set_reg(tid, Self::JOB, OK);
+                    let drains = self.script == LaneScript::Drain && self.mutant != Some(LaneMutant::SpillBeforeReduce);
+                    if !failed && !drains {
+                        self.run_move(st, started);
+                    }
+                    st.goto(tid, if !failed && drains { 1 } else { 3 });
+                } else if st.read_data(tid, Self::L_CLOSED) == 1 {
+                    st.unlock(tid, Self::LANE);
+                    st.done(tid);
+                } else {
+                    st.goto(tid, 0);
+                    st.cv_wait(tid, Self::LANE_CV, Self::LANE, false);
+                }
+            }
+            // The spill's wait on the desk: through op 0, or a lost desk.
+            1 => {
+                if !st.lock(tid, Self::DESK) {
+                    return;
+                }
+                st.write_data(tid, Self::WATCHED, 0);
+                let outcome = if lane::through(st.read_data(tid, Self::D_DONE) as u64, 0) {
+                    Some(OK)
+                } else if st.read_data(tid, Self::LOST) == 1 {
+                    Some(ABORTED) // ProgressLost
+                } else {
+                    None
+                };
+                match outcome {
+                    Some(class) => {
+                        st.unlock(tid, Self::DESK);
+                        st.set_reg(tid, Self::JOB, class);
+                        if class == OK {
+                            self.run_move(st, st.reg(tid, 0));
+                        }
+                        st.goto(tid, 3);
+                    }
+                    None => {
+                        st.write_data(tid, Self::WATCHED, 1);
+                        st.goto(tid, 1);
+                        st.cv_wait(tid, Self::DESK_CV, Self::DESK, false);
+                    }
+                }
+            }
+            // Finish it: count it, keep the first failure, wake waiters.
+            3 => {
+                if !st.lock(tid, Self::LANE) {
+                    return;
+                }
+                if st.reg(tid, Self::JOB) != OK && st.read_data(tid, Self::L_FAILED) == 0 {
+                    st.write_data(tid, Self::L_FAILED, st.reg(tid, 0) + 1);
+                }
+                let done = st.read_data(tid, Self::L_DONE) + 1;
+                st.write_data(tid, Self::L_DONE, done);
+                st.ghost_write(Self::L_FIN, done);
+                st.unlock(tid, Self::LANE);
+                st.notify_all(tid, Self::LANE_CV);
+                st.goto(tid, 0);
+            }
+            pc => panic!("lane model: bad lane pc {pc}"),
+        }
+    }
+
+    /// Queues desk op `job` and wakes the progress thread.
+    fn issue_desk(st: &mut ModelState, tid: Tid, job: i64, next: u32) {
+        if st.lock(tid, Self::DESK) {
+            let q = st.read_data(tid, Self::QUEUED);
+            st.write_data(tid, Self::QUEUED, q | 1 << job);
+            st.unlock(tid, Self::DESK);
+            st.notify_all(tid, Self::DESK_CV);
+            st.goto(tid, next);
+        }
+    }
+
+    /// Queues the next lane move and wakes the lane thread.
+    fn issue_lane(st: &mut ModelState, tid: Tid, next: u32) {
+        if st.lock(tid, Self::LANE) {
+            let issued = st.read_data(tid, Self::L_ISSUED);
+            st.write_data(tid, Self::L_ISSUED, issued + 1);
+            st.unlock(tid, Self::LANE);
+            st.notify_all(tid, Self::LANE_CV);
+            st.goto(tid, next);
+        }
+    }
+
+    /// Enters a help-first wait on desk op `own`, resuming at `next`.
+    fn wait_desk(st: &mut ModelState, tid: Tid, own: i64, next: u32) {
+        st.set_reg(tid, Self::OWN, own);
+        st.set_reg(tid, Self::NEXT, next as i64);
+        st.set_reg(tid, Self::RAN, 0);
+        st.goto(tid, 10);
+    }
+
+    /// The caller's wait on lane move `id`, resuming at `next`.
+    fn wait_lane(st: &mut ModelState, tid: Tid, id: i64, here: u32, next: u32) {
+        if !st.lock(tid, Self::LANE) {
+            return;
+        }
+        if lane::through(st.read_data(tid, Self::L_DONE) as u64, id as u64) {
+            let failed = st.read_data(tid, Self::L_FAILED);
+            st.unlock(tid, Self::LANE);
+            if failed != 0 && failed <= id + 1 {
+                Self::failed(st, tid, ABORTED);
+            }
+            st.goto(tid, next);
+        } else {
+            st.goto(tid, here);
+            st.cv_wait(tid, Self::LANE_CV, Self::LANE, false);
+        }
+    }
+
+    fn caller(&self, st: &mut ModelState, tid: Tid) {
+        let next = st.reg(tid, Self::NEXT) as u32;
+        match st.pc(tid) {
+            // The script, then the drop.
+            0 if self.script == LaneScript::Drain => Self::issue_desk(st, tid, 0, 1),
+            1 if self.script == LaneScript::Drain => Self::issue_lane(st, tid, 2),
+            2 if self.script == LaneScript::Drain => Self::wait_desk(st, tid, 0, 3),
+            3 if self.script == LaneScript::Drain => Self::wait_lane(st, tid, 0, 3, 8),
+            0 => Self::issue_lane(st, tid, 1),
+            1 => Self::issue_desk(st, tid, 0, 2),
+            2 => Self::wait_lane(st, tid, 0, 2, 3),
+            3 => Self::wait_desk(st, tid, 0, 8),
+            8 => {
+                if st.lock(tid, Self::DESK) {
+                    st.write_data(tid, Self::D_CLOSED, 1);
+                    st.unlock(tid, Self::DESK);
+                    st.notify_all(tid, Self::DESK_CV);
+                    st.goto(tid, 9);
+                }
+            }
+            9 => {
+                if st.lock(tid, Self::LANE) {
+                    st.write_data(tid, Self::L_CLOSED, 1);
+                    st.unlock(tid, Self::LANE);
+                    st.notify_all(tid, Self::LANE_CV);
+                    st.done(tid);
+                }
+            }
+            // Help-first wait on op `OWN` (woken waits come back here).
+            10 => {
+                if !st.lock(tid, Self::DESK) {
+                    return;
+                }
+                let own = st.reg(tid, Self::OWN);
+                let queued = (st.read_data(tid, Self::QUEUED) >> own) & 1 == 1;
+                let free = st.read_data(tid, Self::FREE) == 1;
+                if lane::through(st.read_data(tid, Self::D_DONE) as u64, own as u64) {
+                    let failed = (st.read_data(tid, Self::D_FAILED) >> own) & 1 == 1;
+                    st.unlock(tid, Self::DESK);
+                    if failed {
+                        Self::failed(st, tid, ABORTED);
+                    }
+                    st.goto(tid, next);
+                } else if st.read_data(tid, Self::LOST) == 1 {
+                    st.unlock(tid, Self::DESK);
+                    Self::failed(st, tid, ABORTED); // ProgressLost
+                    st.goto(tid, next);
+                } else if handoff::helper_takes(free, queued) {
+                    st.write_data(tid, Self::FREE, 0);
+                    st.goto(tid, 11);
+                } else {
+                    st.goto(tid, 10);
+                    st.cv_wait(tid, Self::DESK_CV, Self::DESK, false);
+                }
+            }
+            // Holding the fabric and the desk's mutex: run the queue up to
+            // `OWN`, then release.
+            11 => {
+                let (q, own) = (st.read_data(tid, Self::QUEUED), st.reg(tid, Self::OWN));
+                let head = q.trailing_zeros() as i64;
+                if q != 0 && handoff::helper_runs(head as u64, own as u64) {
+                    st.write_data(tid, Self::QUEUED, q & !(1 << head));
+                    st.unlock(tid, Self::DESK);
+                    st.set_reg(tid, 5, head);
+                    st.set_reg(tid, Self::RAN, st.reg(tid, Self::RAN) + 1);
+                    st.set_reg(tid, Self::JOB, OK);
+                    if self.seeded(head) {
+                        st.goto(tid, 12);
+                    } else {
+                        self.run_desk_job(st, head);
+                        st.goto(tid, 14);
+                    }
+                } else {
+                    st.write_data(tid, Self::FREE, 1);
+                    let (left, ran_others) = (q.count_ones() as usize, st.reg(tid, Self::RAN) > 1);
+                    let watched = st.read_data(tid, Self::WATCHED) == 1
+                        && self.mutant != Some(LaneMutant::SkipWatchedWake);
+                    let closed = st.read_data(tid, Self::D_CLOSED) == 1;
+                    st.unlock(tid, Self::DESK);
+                    if handoff::wake_on_release(left, ran_others, watched, closed) {
+                        st.notify_all(tid, Self::DESK_CV);
+                    }
+                    st.goto(tid, next);
+                }
+            }
+            12 => self.seed_wait(st, tid, st.reg(tid, 5), 12, 14),
+            // Finish a helped op (its outcome is the wait's if it is
+            // `OWN`), then back to the queue holding the mutex.
+            14 => {
+                if st.lock(tid, Self::DESK) {
+                    Self::finish_desk_job(st, tid, st.reg(tid, 5));
+                    let job = st.reg(tid, Self::JOB);
+                    if st.reg(tid, 5) == st.reg(tid, Self::OWN) && job != OK {
+                        Self::failed(st, tid, job);
+                    }
+                    st.goto(tid, 11);
+                }
+            }
+            pc => panic!("lane model: bad caller pc {pc}"),
+        }
+    }
+}
+
+impl Program for LaneModel {
+    fn init(&self) -> ModelState {
+        let mut st = ModelState::new(3);
+        for _ in 0..2 {
+            st.add_mutex();
+            st.add_condvar();
+        }
+        for value in [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] {
+            st.add_data(value);
+        }
+        for _ in 0..4 {
+            st.add_ghost(0);
+        }
+        st.budget = FaultBudget { crashes: 0, timeouts: 0 };
+        st.set_reg(2, Self::OUTCOME, OK);
+        st
+    }
+
+    fn step(&self, st: &mut ModelState, tid: Tid, _choice: usize) {
+        match tid {
+            0 => self.progress(st, tid),
+            1 => self.lane_thread(st, tid),
+            _ => self.caller(st, tid),
+        }
+    }
+
+    fn check_final(&self, st: &ModelState) -> Option<String> {
+        let (desk_ran, lane_ran) = (st.ghost[Self::D_RAN], st.ghost[Self::L_RAN]);
+        if !self.lost {
+            if (desk_ran, lane_ran) != (1, 1) {
+                return Some(format!("the queues closed with {desk_ran}/1 ops and {lane_ran}/1 moves run"));
+            }
+            if outcome(st, 2) != OK {
+                return Some("a wait on a whole desk returned no result".to_string());
+            }
+        }
+        None
     }
 }

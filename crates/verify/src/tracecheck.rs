@@ -8,6 +8,8 @@
 //! [`CollectiveKind`](zero_comm::CollectiveKind), the span count must equal the plan's op count, and
 //! the span byte sum must equal both the plan's per-rank volume and the
 //! communicator's [`TrafficSnapshot`] — exact equality, no tolerances.
+//! [`check_tier_order`] then holds the rank's host-link lane to the order
+//! the plan's anchors give it against the collectives.
 
 use zero_comm::{TrafficSnapshot, ALL_KINDS, KIND_COUNT};
 use zero_core::CommPlan;
@@ -146,6 +148,60 @@ pub fn check_timeline(
     Ok(())
 }
 
+/// Checks the order the rank's host-link lane kept against its collective
+/// desk, over the plans a run executed in turn. Tier spans (in start
+/// order) must be the plans' tier streams in issue order, each carrying
+/// its planned bytes; a spill that drains a reduce-scatter must start no
+/// earlier than that reduce-scatter's span ends, and an all-gather a fetch
+/// seeds must start no earlier than the fetch's span ends. Ops over a
+/// group of one record no span and so pin no order.
+pub fn check_tier_order(tl: &StepTimeline, plans: &[CommPlan], rank: usize) -> Result<(), String> {
+    let sorted = |cat| {
+        let mut spans: Vec<_> = tl.spans_in(cat).collect();
+        spans.sort_by_key(|s| s.start_ns);
+        spans
+    };
+    let (ops, moves) = (sorted(SpanCategory::Collective), sorted(SpanCategory::Tier));
+    let (mut next_op, mut k) = (0, 0);
+    for plan in plans {
+        // The index of each of this plan's ops among the collective spans.
+        let spanned: Vec<Option<usize>> = plan
+            .resolve_for(rank)
+            .iter()
+            .map(|op| {
+                let has_span = op.members.len() > 1;
+                next_op += usize::from(has_span);
+                has_span.then_some(next_op - 1)
+            })
+            .collect();
+        for t in plan.resolve_tier_for(rank) {
+            let span = moves.get(k).ok_or_else(|| format!("tier op {k} '{}': no span recorded", t.label))?;
+            if (span.name, span.bytes) != (t.label, t.bytes) {
+                return Err(format!(
+                    "tier op {k}: span '{}' of {} B ran where the plan has '{}' of {} B",
+                    span.name, span.bytes, t.label, t.bytes
+                ));
+            }
+            let rides = t.at.op().and_then(|i| spanned.get(i).copied().flatten());
+            let rides = rides.map(|i| ops.get(i).ok_or(format!("collective span {i}: none recorded"))).transpose()?;
+            match rides {
+                Some(op) if !t.at.is_fetch() && span.start_ns < op.end_ns => {
+                    return Err(format!("tier op {k} '{}' started before the {} it drains ended", t.label, op.name));
+                }
+                Some(op) if t.at.is_fetch() && op.start_ns < span.end_ns => {
+                    return Err(format!("the {} tier op {k} '{}' seeds started before it ended", op.name, t.label));
+                }
+                _ => {}
+            }
+            k += 1;
+        }
+    }
+    if k != moves.len() {
+        return Err(format!("{} tier spans recorded, the plans have {k}", moves.len()));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,6 +331,87 @@ mod tests {
         tl.spans.push(Span { bytes: dropped.bytes + 8, ..dropped });
         let err = check_timeline(&tl, &want, None).unwrap_err();
         assert!(err.contains("tier span byte tags"), "{err}");
+    }
+
+    /// A synthetic timeline laying out the plan's collective and tier spans
+    /// one after another in issue order: each fetch right before the op it
+    /// seeds, each spill right behind the op it drains.
+    fn issue_ordered_timeline(plan: &CommPlan, rank: usize) -> StepTimeline {
+        use zero_core::TierAt;
+        let ops = plan.resolve_for(rank);
+        let mut events: Vec<((usize, u8), Span)> = Vec::new();
+        let span = |name, cat, bytes| Span { name, cat, start_ns: 0, end_ns: 0, track: 1, bytes };
+        for (i, op) in ops.iter().enumerate().filter(|(_, op)| op.members.len() > 1) {
+            events.push(((i, 1), span(op.kind.name(), SpanCategory::Collective, 0)));
+        }
+        for t in plan.resolve_tier_for(rank) {
+            let key = match t.at {
+                TierAt::Seeds(i) | TierAt::Free(i) => (i, 0),
+                TierAt::Drains(i) => (i, 2),
+            };
+            events.push((key, span(t.label, SpanCategory::Tier, t.bytes)));
+        }
+        events.sort_by_key(|(key, _)| *key);
+        let spans = events
+            .into_iter()
+            .enumerate()
+            .map(|(j, (_, s))| Span { start_ns: 10 * j as u64, end_ns: 10 * j as u64 + 10, ..s })
+            .collect();
+        StepTimeline { spans, instants: Vec::new(), counters: Vec::new() }
+    }
+
+    fn offloaded_plan() -> CommPlan {
+        let model = ModelConfig { vocab: 32, seq: 8, hidden: 16, layers: 2, heads: 2 };
+        let zcfg = ZeroConfig {
+            stage: ZeroStage::Three,
+            bucket_elems: 512,
+            overlap: true,
+            tier: zero_core::TierConfig::budgeted(1 << 30),
+            ..ZeroConfig::default()
+        };
+        let shape = StepShape { micro_batches: 1, act_elems: 8 * 16, skipped: false };
+        CommPlan::train_step(&Layout::build_mp(&model, 1), &zcfg, Grid::new(2, 1), &shape)
+    }
+
+    /// Index of the first span with this name.
+    fn first(tl: &StepTimeline, name: &str) -> usize {
+        tl.spans.iter().position(|s| s.name == name).unwrap_or_else(|| panic!("no '{name}' span"))
+    }
+
+    #[test]
+    fn the_lane_order_holds_on_an_issue_ordered_timeline_and_breaks_where_tampered() {
+        let plan = offloaded_plan();
+        let one = std::slice::from_ref(&plan);
+        let tl = issue_ordered_timeline(&plan, 1);
+        check_tier_order(&tl, one, 1).expect("issue order keeps every anchor");
+        // Two steps are two plans run one after the other.
+        let mut twice = tl.clone();
+        let end = tl.spans.iter().map(|s| s.end_ns).max().unwrap();
+        twice.spans.extend(tl.spans.iter().map(|s| Span { start_ns: s.start_ns + end, end_ns: s.end_ns + end, ..*s }));
+        check_tier_order(&twice, &[plan.clone(), plan.clone()], 1).expect("two steps in turn");
+
+        // A spill that starts while its reduce-scatter still runs.
+        let mut early = tl.clone();
+        let spill = first(&early, "tier-grad-spill");
+        early.spans[spill].start_ns -= 15;
+        let err = check_tier_order(&early, one, 1).unwrap_err();
+        assert!(err.contains("before the reduce-scatter it drains ended"), "{err}");
+
+        // A gather that starts before the fetch that seeds it has ended.
+        let mut unseeded = tl.clone();
+        let fetch = first(&unseeded, "tier-param-fetch");
+        unseeded.spans[fetch].end_ns += 15;
+        let err = check_tier_order(&unseeded, one, 1).unwrap_err();
+        assert!(err.contains("all-gather tier op 0 'tier-param-fetch' seeds started before it ended"), "{err}");
+
+        // A spill carrying another spill's bytes, and a lost tier span.
+        let mut swapped = tl.clone();
+        swapped.spans[spill].bytes += 2;
+        let err = check_tier_order(&swapped, one, 1).unwrap_err();
+        assert!(err.contains("where the plan has 'tier-grad-spill'"), "{err}");
+        let mut lost = tl.clone();
+        lost.spans.remove(spill);
+        assert!(check_tier_order(&lost, one, 1).is_err());
     }
 
     #[test]

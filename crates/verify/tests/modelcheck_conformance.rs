@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use zero_comm::World;
+use zero_comm::{launch_with_config, Communicator, Group, PendingOp, Precision, TieredLink, WireFmt, WorldConfig};
 use zero_trace::SpanCategory;
 use zero_verify::modelcheck::protocols::{ProgressModel, OK, TIMED_OUT};
 use zero_verify::modelcheck::enumerate_final_states;
@@ -20,26 +20,40 @@ use zero_verify::modelcheck::enumerate_final_states;
 /// plain state counts of the desk model at 2 and 3 ops.
 const BUDGET: u64 = 2_000_000;
 
-/// Starts of the tier spans named `name` on the rank's timeline.
-fn tier_starts(c: &zero_comm::Communicator, name: &str) -> Vec<u64> {
+/// Starts of the collective spans on the rank's timeline that moved
+/// `bytes`: op `a` sends 4 B, op `b` 8 B.
+fn op_starts(c: &Communicator, bytes: u64) -> Vec<u64> {
     let timeline = c.trace().timeline();
-    timeline.spans_in(SpanCategory::Tier).filter(|s| s.name == name).map(|s| s.start_ns).collect()
+    timeline.spans_in(SpanCategory::Collective).filter(|s| s.bytes == bytes).map(|s| s.start_ns).collect()
 }
 
-/// Both mutant counterexamples start here: the caller queues 1 ms ops `a`
-/// and `b` on a fresh rank and at once waits on one of them, while the
-/// progress thread is still parked (the first queued op only wakes it).
-/// The caller usually finds the fabric free and helps; when the progress
-/// thread wins the race instead, the round checks the same outcome on the
-/// other schedule, so every round must pass and twenty rounds drive the
-/// helper's schedule many times over.
+/// Both mutant counterexamples start here: each rank of a fresh 2-rank
+/// world, whose every message costs 1 ms on its sender's thread, queues
+/// all-gathers `a` (one float a member) and `b` (two) and at once waits
+/// on one of them, while its progress thread is still parked (the first
+/// queued op only wakes it). The caller usually finds the fabric free and
+/// helps; when the progress thread wins the race instead, the round
+/// checks the same outcome on the other schedule, so every round must
+/// pass and twenty rounds drive the helper's schedule many times over.
 const ROUNDS: usize = 20;
 
-fn fresh_desk() -> (zero_comm::Communicator, [zero_comm::PendingOp; 2]) {
-    let mut c = World::new(1).take(0);
-    let a = c.start_tier_move("a", 0, Duration::from_millis(1));
-    let b = c.start_tier_move("b", 0, Duration::from_millis(1));
-    (c, [a, b])
+fn on_fresh_desks<R: Send>(body: impl Fn(&Communicator, [PendingOp; 2]) -> R + Sync) -> Vec<R> {
+    let link = TieredLink {
+        node_size: 1,
+        intra_latency: Duration::ZERO,
+        intra_bytes_per_sec: f64::INFINITY,
+        inter_latency: Duration::from_millis(1),
+        inter_bytes_per_sec: f64::INFINITY,
+    };
+    launch_with_config(2, WorldConfig::with_tiered_link(link), |mut c| {
+        let g = Group::world(2);
+        let mut gather = |n: usize| {
+            let buf = vec![c.rank() as f32; 2 * n];
+            c.start_all_gather(&g, buf, &[n, n], Precision::Fp32, WireFmt::Raw)
+        };
+        let ops = [gather(1), gather(2)];
+        body(&c, ops)
+    })
 }
 
 #[test]
@@ -53,9 +67,9 @@ fn real_desk_outcomes_lie_in_the_models_classes() {
         assert_eq!(classes, BTreeSet::from([TIMED_OUT, OK]), "{ops} ops");
     }
     // Class OK on the real desk: a help-first wait returns its op's result.
-    let (_c, [a, b]) = fresh_desk();
-    assert_eq!(a.wait(), Ok(Vec::new()));
-    drop(b);
+    for got in on_fresh_desks(|_, [a, b]| (a.wait(), b.wait())) {
+        assert_eq!(got, (Ok(vec![0.0, 1.0]), Ok(vec![0.0, 0.0, 1.0, 1.0])));
+    }
 }
 
 #[test]
@@ -64,14 +78,15 @@ fn real_desk_wakes_the_progress_thread_for_ops_left_queued() {
     // fabric back with `b` queued. `b` must then finish without the
     // caller waiting on it.
     for round in 0..ROUNDS {
-        let (c, [a, b]) = fresh_desk();
-        a.wait().expect("a");
-        drop(b);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while tier_starts(&c, "b").is_empty() {
-            assert!(Instant::now() < deadline, "round {round}: the op left queued behind the helper never ran");
-            thread::sleep(Duration::from_millis(1));
-        }
+        on_fresh_desks(|c, [a, b]| {
+            a.wait().expect("a");
+            drop(b);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while op_starts(c, 8).is_empty() {
+                assert!(Instant::now() < deadline, "round {round}: the op left queued behind the helper never ran");
+                thread::sleep(Duration::from_millis(1));
+            }
+        });
     }
 }
 
@@ -80,10 +95,11 @@ fn real_desk_runs_a_helpers_queue_in_issue_order() {
     // The FIFO-break counterexample: the caller waits on `b` with `a`
     // queued ahead of it; whoever runs them, `a` runs first.
     for round in 0..ROUNDS {
-        let (c, [a, b]) = fresh_desk();
-        b.wait().expect("b");
-        drop(a);
-        let (at, bt) = (tier_starts(&c, "a"), tier_starts(&c, "b"));
-        assert!(at.len() == 1 && bt.len() == 1 && at[0] < bt[0], "round {round}: a at {at:?}, b at {bt:?}");
+        on_fresh_desks(|c, [a, b]| {
+            b.wait().expect("b");
+            drop(a);
+            let (at, bt) = (op_starts(c, 4), op_starts(c, 8));
+            assert!(at.len() == 1 && bt.len() == 1 && at[0] < bt[0], "round {round}: a at {at:?}, b at {bt:?}");
+        });
     }
 }

@@ -8,10 +8,10 @@ use std::time::Duration;
 use zero::comm::{CollectiveKind, FaultPlan, Grid};
 use zero::core::supervisor::snapshot_dir_for;
 use zero::core::{
-    resume_from_snapshot, run_supervised, SuperviseError, SupervisorConfig, TierConfig,
-    TrainSetup, ZeroConfig, ZeroStage,
+    resume_from_snapshot, run_supervised, CommPlan, StepShape, SuperviseError, SupervisorConfig,
+    TierConfig, TrainSetup, ZeroConfig, ZeroStage,
 };
-use zero::model::ModelConfig;
+use zero::model::{Layout, ModelConfig};
 
 fn unique_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("zero-fault-{tag}-{}", std::process::id()))
@@ -210,37 +210,26 @@ fn stage3_crash_recovers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The offload corner of the matrix, with the strongest oracle: rank 2
-/// dies while a memory-tier prefetch is in flight. Stage 3 with overlap
-/// issues each unit's parameter all-gather one unit ahead of compute,
-/// and under offload every fetch is *preceded* on the FIFO by the
-/// host-tier `tier-param-fetch` movement — crashing inside an all-gather
-/// therefore kills the rank with tier traffic pending settlement. The
-/// supervisor must roll back, reshard to 3 survivors (whose engines
-/// rebuild their tier stores from the snapshot), and finish bitwise
-/// identical to a clean offloaded 3-rank run resumed from the same
-/// snapshot files.
-#[test]
-fn killed_rank_with_offload_prefetch_in_flight_recovers_bitwise_identical() {
-    let dir = unique_dir("offload");
+/// An offloaded stage-3 run with overlap over 4 ranks, in which `faults`
+/// kills rank 2 past the step-5 snapshot: the supervisor must roll back,
+/// reshard to 3 survivors (whose engines rebuild their tier stores from
+/// the snapshot), and finish bitwise identical to a clean offloaded 3-rank
+/// run resumed from the same snapshot files.
+fn offloaded_crash_recovers_bitwise_identical(tag: &str, tier: TierConfig, faults: FaultPlan) {
+    let dir = unique_dir(tag);
     std::fs::remove_dir_all(&dir).ok();
     let steps = 12;
 
     let tiered = |dp: usize| {
         let mut s = setup(dp, ZeroStage::Three);
         s.zero.overlap = true;
-        s.zero.tier = TierConfig::budgeted(64 << 20);
+        s.zero.tier = tier;
         s
     };
     let mut cfg = SupervisorConfig::new(tiered(4), steps, dir.clone());
     cfg.snapshot_every = 5;
     cfg.recv_timeout = Duration::from_millis(500);
-    // Stage 3 runs 5 parameter all-gathers a step here, every one after
-    // the embedding's issued ahead (the plan holds the last block into its
-    // backward); gather 42 (from 0) is step 8's fetch of the last block,
-    // past the step-5 snapshot: an open prefetch window with its tier
-    // fetch already metered.
-    cfg.faults = FaultPlan::new().with_crash_at_kind(2, CollectiveKind::AllGather, 42);
+    cfg.faults = faults;
     let recovered = run_supervised(&cfg).expect("supervised run");
 
     assert_eq!(recovered.final_world, 3);
@@ -275,6 +264,44 @@ fn killed_rank_with_offload_prefetch_in_flight_recovers_bitwise_identical() {
         control_eval
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The offload corner of the matrix, with the strongest oracle: rank 2
+/// dies while a memory-tier prefetch is in flight. Stage 3 with overlap
+/// issues each unit's parameter all-gather one unit ahead of compute,
+/// and under offload every such gather is seeded by a host-tier
+/// `tier-param-fetch` on the rank's host-link lane — crashing inside an
+/// all-gather therefore kills the rank with tier traffic pending
+/// settlement.
+#[test]
+fn killed_rank_with_offload_prefetch_in_flight_recovers_bitwise_identical() {
+    // Stage 3 runs 5 parameter all-gathers a step here, every one after
+    // the embedding's issued ahead (the plan holds the last block into its
+    // backward); gather 42 (from 0) is step 8's fetch of the last block,
+    // past the step-5 snapshot: an open prefetch window with its tier
+    // fetch already metered.
+    let faults = FaultPlan::new().with_crash_at_kind(2, CollectiveKind::AllGather, 42);
+    offloaded_crash_recovers_bitwise_identical("offload", TierConfig::budgeted(64 << 20), faults);
+}
+
+/// Rank 2 dies in a reduce-scatter in the middle of step 8's backward,
+/// with every tier move priced at 1 ms: the gradient spills of the
+/// buckets reduced before it are on the rank's host-link lane, each
+/// waiting on its reduce-scatter or running beside the collectives that
+/// follow it. The crash is reported and recovered as it is where spills
+/// share the collectives' queue.
+#[test]
+fn killed_rank_mid_offloaded_backward_recovers_bitwise_identical() {
+    let tier = TierConfig { host_lat: Duration::from_millis(1), ..TierConfig::budgeted(64 << 20) };
+    let mut s = setup(4, ZeroStage::Three);
+    (s.zero.overlap, s.zero.tier) = (true, tier);
+    let shape = StepShape { micro_batches: 1, act_elems: 3 * s.model.seq * s.model.hidden, skipped: false };
+    let plan = CommPlan::train_step(&Layout::build_mp(&s.model, 1), &s.zero, s.grid, &shape);
+    let reduces = plan.ops().iter().filter(|op| op.kind == CollectiveKind::ReduceScatter).count() as u64;
+    let spills = plan.tier_ops().iter().filter(|t| t.label == "tier-grad-spill").count() as u64;
+    assert!(reduces > 2 && spills == reduces, "a spill behind each of several reduce-scatters a step");
+    let faults = FaultPlan::new().with_crash_at_kind(2, CollectiveKind::ReduceScatter, 7 * reduces + reduces / 2);
+    offloaded_crash_recovers_bitwise_identical("offload-backward", tier, faults);
 }
 
 /// Runs one cell of the randomized fault matrix: deterministic

@@ -22,8 +22,8 @@ use std::time::Duration;
 
 use zero::comm::{Grid, TieredLink, WorldConfig};
 use zero::core::{
-    run_training, run_training_world, CommPlan, StepShape, TrainReport, TrainSetup, ZeroConfig,
-    ZeroStage,
+    run_training, run_training_world, CommPlan, StepShape, TierConfig, TrainReport, TrainSetup,
+    ZeroConfig, ZeroStage,
 };
 use zero::model::ModelConfig;
 use zero::trace::{Span, SpanCategory, StepTimeline, TRACK_MAIN, TRACK_PROGRESS};
@@ -153,40 +153,60 @@ fn offloaded_timeline_reconciles_tier_stream_byte_exactly() {
 }
 
 #[test]
-fn each_gradient_spill_runs_right_behind_its_reduce_scatter() {
-    // Overlapped stage 3 with the gradients offloaded: every bucket's
-    // spill is queued on the rank's FIFO right behind the reduce-scatter
-    // that produces its piece, so the progress track, which records the
-    // rank's ops in the order they run, shows each `tier-grad-spill`
-    // directly after that `reduce-scatter`, carrying the bytes its plan
-    // gives it. Spills left for the end-of-micro drain would all follow
-    // the micro-batch's last reduce-scatter instead.
+fn each_spill_waits_for_its_reduce_scatter_and_each_seeded_gather_for_its_fetch() {
+    // Overlapped stage 3 with the gradients offloaded, every tier move
+    // priced at 500 µs and every message at 1 ms, so a collective outlasts
+    // a move. The rank's host-link lane runs the moves in issue order
+    // beside its collectives, which meet them only at the plan's anchors:
+    // each bucket's `tier-grad-spill` starts once the reduce-scatter that
+    // produces its piece has ended, and each all-gather a fetch seeds
+    // starts once that fetch has ended. Spills left for the end-of-micro
+    // drain would all follow the micro-batch's last reduce-scatter instead.
     let mut s = setup(ZeroStage::Three, 2, true);
-    s.zero.tier = zero::core::TierConfig::budgeted(64 << 20);
-    let report = run_training(&s, 2, 0);
+    s.zero.tier = TierConfig { host_lat: Duration::from_micros(500), ..TierConfig::budgeted(64 << 20) };
+    let link = TieredLink {
+        node_size: 1,
+        intra_latency: Duration::ZERO,
+        intra_bytes_per_sec: f64::INFINITY,
+        inter_latency: Duration::from_millis(1),
+        inter_bytes_per_sec: f64::INFINITY,
+    };
+    let report = run_training_world(&s, 2, 0, WorldConfig::with_tiered_link(link));
+    let plans = step_plans(&report, &s);
+    let planned = |rank, label| -> Vec<u64> {
+        plans.iter().flat_map(|p| p.resolve_tier_for(rank)).filter(|t| t.label == label).map(|t| t.bytes).collect()
+    };
     for r in &report.ranks {
-        let planned: Vec<u64> = step_plans(&report, &s)
-            .iter()
-            .flat_map(|p| p.resolve_tier_for(r.rank))
-            .filter(|t| t.label == "tier-grad-spill")
-            .map(|t| t.bytes)
-            .collect();
-        let mut track: Vec<&Span> = r.timeline.spans.iter().filter(|sp| sp.track == TRACK_PROGRESS).collect();
-        track.sort_by_key(|sp| sp.start_ns);
-        let names: Vec<&str> = track.iter().map(|sp| sp.name).collect();
-        let spills: Vec<usize> = (0..track.len()).filter(|&i| track[i].name == "tier-grad-spill").collect();
-        let reduces = names.iter().filter(|&&n| n == "reduce-scatter").count();
-        assert!(spills.len() > 2, "rank {}: several buckets a micro-batch, got {names:?}", r.rank);
-        assert_eq!((spills.len(), reduces), (planned.len(), planned.len()), "rank {}: {names:?}", r.rank);
-        for (k, &i) in spills.iter().enumerate() {
-            assert!(
-                i > 0 && names[i - 1] == "reduce-scatter",
-                "rank {}: spill {k} follows {:?}, not its reduce-scatter: {names:?}",
-                r.rank,
-                names.get(i.wrapping_sub(1))
-            );
-            assert_eq!(track[i].bytes, planned[k], "rank {}: spill {k} bytes", r.rank);
+        let sorted = |name| {
+            let ran = |sp: &&Span| sp.name == name && sp.cat != SpanCategory::Wait;
+            let mut spans: Vec<&Span> = r.timeline.spans.iter().filter(ran).collect();
+            spans.sort_by_key(|sp| sp.start_ns);
+            spans
+        };
+        let (spills, reduces) = (sorted("tier-grad-spill"), sorted("reduce-scatter"));
+        assert!(!sorted("tier-param-fetch").is_empty(), "rank {}: the parameter shard climbs", r.rank);
+        // Spills run in plan order, each with its planned bytes, on the
+        // progress track; the k-th drains the k-th reduce-scatter.
+        let bytes: Vec<u64> = spills.iter().map(|sp| sp.bytes).collect();
+        assert_eq!(bytes, planned(r.rank, "tier-grad-spill"), "rank {}: spill bytes in plan order", r.rank);
+        assert!(spills.iter().all(|sp| sp.track == TRACK_PROGRESS), "rank {}: tier spans stay on the progress track", r.rank);
+        assert!(spills.iter().all(|sp| sp.duration_ns() >= 500_000), "rank {}: every move takes its 500 µs", r.rank);
+        assert_eq!(reduces.len(), spills.len(), "rank {}", r.rank);
+        for (k, (rs, spill)) in reduces.iter().zip(&spills).enumerate() {
+            assert!(spill.start_ns >= rs.end_ns, "rank {}: spill {k} starts before its reduce-scatter ends", r.rank);
         }
+        // The spill stream runs under the backward: each step's first spill
+        // starts before that step's last reduce-scatter has ended.
+        let mut first = 0;
+        for (step, plan) in plans.iter().enumerate() {
+            let n = plan.resolve_tier_for(r.rank).iter().filter(|t| t.label == "tier-grad-spill").count();
+            assert!(n > 1, "rank {}: step {step} spills several buckets, got {n}", r.rank);
+            let last_rs = reduces[first + n - 1];
+            assert!(spills[first].start_ns < last_rs.end_ns, "rank {}: step {step}'s spills wait for its drain", r.rank);
+            first += n;
+        }
+        // The same, and every seeded gather against its fetch, by anchor.
+        zero_verify::check_tier_order(&r.timeline, &plans, r.rank).unwrap_or_else(|e| panic!("rank {}: {e}", r.rank));
     }
 }
 
