@@ -774,13 +774,13 @@ mod tests {
 
     #[test]
     fn the_lane_runs_beside_the_desk_and_meets_it_only_at_anchors() {
-        // Each rank: a 30 ms reduce-scatter, a free spill, a spill that
-        // drains the reduce-scatter, then a fetch seeding a 30 ms
+        // Each rank: a 100 ms reduce-scatter, a free spill, a spill that
+        // drains the reduce-scatter, then a fetch seeding a 100 ms
         // all-gather, each move 20 ms. The free spill runs while the
         // reduce-scatter does; the drain waits for the reduce-scatter, the
         // gather for its fetch.
         let n = 2;
-        let out = try_launch_with_config(n, flat_link(Duration::from_millis(30)), move |mut c| {
+        let out = try_launch_with_config(n, flat_link(Duration::from_millis(100)), move |mut c| {
             let (g, p, raw, ms) = (Group::world(n), Precision::Fp32, WireFmt::Raw, Duration::from_millis(20));
             let rs = c.start_reduce_scatter(&g, vec![1.0; 2], ReduceOp::Sum, &[1, 1], p, raw);
             let free = c.start_tier_move("tier-ckpt-spill", 4, ms, TierOrder::Free);

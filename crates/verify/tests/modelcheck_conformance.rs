@@ -5,13 +5,17 @@
 //! models. These tests close the loop on the real op desk: every outcome
 //! a real communicator's desk shows must lie inside the model's feasible
 //! classes, and the desk is driven through the schedules that catch the
-//! two seeded hand-off mutants (a skipped wake, a FIFO break).
+//! two seeded hand-off mutants (a skipped wake, a FIFO break) and the
+//! lane model's skipped wake of the watching lane.
 
 use std::collections::BTreeSet;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use zero_comm::{launch_with_config, Communicator, Group, PendingOp, Precision, TieredLink, WireFmt, WorldConfig};
+use zero_comm::{
+    launch_with_config, Communicator, Group, PendingOp, Precision, ReduceOp, TierOrder, TieredLink, WireFmt,
+    WorldConfig,
+};
 use zero_trace::SpanCategory;
 use zero_verify::modelcheck::protocols::{ProgressModel, OK, TIMED_OUT};
 use zero_verify::modelcheck::enumerate_final_states;
@@ -37,15 +41,19 @@ fn op_starts(c: &Communicator, bytes: u64) -> Vec<u64> {
 /// pass and twenty rounds drive the helper's schedule many times over.
 const ROUNDS: usize = 20;
 
-fn on_fresh_desks<R: Send>(body: impl Fn(&Communicator, [PendingOp; 2]) -> R + Sync) -> Vec<R> {
-    let link = TieredLink {
+/// A 2-rank world whose every message costs 1 ms on its sender's thread.
+fn linked() -> WorldConfig {
+    WorldConfig::with_tiered_link(TieredLink {
         node_size: 1,
         intra_latency: Duration::ZERO,
         intra_bytes_per_sec: f64::INFINITY,
         inter_latency: Duration::from_millis(1),
         inter_bytes_per_sec: f64::INFINITY,
-    };
-    launch_with_config(2, WorldConfig::with_tiered_link(link), |mut c| {
+    })
+}
+
+fn on_fresh_desks<R: Send>(body: impl Fn(&Communicator, [PendingOp; 2]) -> R + Sync) -> Vec<R> {
+    launch_with_config(2, linked(), |mut c| {
         let g = Group::world(2);
         let mut gather = |n: usize| {
             let buf = vec![c.rank() as f32; 2 * n];
@@ -100,6 +108,29 @@ fn real_desk_runs_a_helpers_queue_in_issue_order() {
             drop(a);
             let (at, bt) = (op_starts(c, 4), op_starts(c, 8));
             assert!(at.len() == 1 && bt.len() == 1 && at[0] < bt[0], "round {round}: a at {at:?}, b at {bt:?}");
+        });
+    }
+}
+
+#[test]
+fn real_desk_wakes_the_lane_watching_an_op_its_helper_ran() {
+    // The skipped-watched-wake counterexample: each rank issues a
+    // reduce-scatter and the spill that drains it, then waits the
+    // reduce-scatter, usually running it itself while the lane waits on
+    // the desk's finished count. Handing the fabric back must wake the
+    // lane, so the spill finishes right behind the reduce-scatter; left
+    // parked, the lane would report `ProgressStalled` after its budget
+    // (2 s at this receive timeout).
+    let config = WorldConfig { recv_timeout: Duration::from_millis(100), ..linked() };
+    for round in 0..ROUNDS {
+        launch_with_config(2, config.clone(), |mut c| {
+            let (g, p, raw) = (Group::world(2), Precision::Fp32, WireFmt::Raw);
+            let rs = c.start_reduce_scatter(&g, vec![1.0; 2], ReduceOp::Sum, &[1, 1], p, raw);
+            let spill = c.start_tier_move("tier-grad-spill", 4, Duration::ZERO, TierOrder::Drains);
+            let t0 = Instant::now();
+            assert_eq!(rs.wait(), Ok(vec![2.0]), "round {round}");
+            assert_eq!(spill.wait(), Ok(Vec::new()), "round {round}: the lane missed the wake");
+            assert!(t0.elapsed() < Duration::from_secs(1), "round {round}: the spill took {:?}", t0.elapsed());
         });
     }
 }
