@@ -52,8 +52,13 @@ printf '%s\n' 'fn a() {' '}' '#[cfg(test)]' 'mod tests {' '    fn t() {' '    }'
 # thread (comm/src/nonblocking.rs `Lane`, the desk's finished count and
 # the lane's wait on it, `TierOrder`, `protocol::lane`, net of the desk
 # closure and the optional kinds it replaced), and a planned all-reduce's
-# counts are checked against its ring chunks.
-line_ceiling=13449
+# counts are checked against its ring chunks. Lowered to 13 429 when
+# zero-comm's five hand-written bounded condvar loops (the pipe's receive
+# and close waits, the desk's help-first turn and its wait for the lane,
+# the lane's wait) became one `transport::wait_for`, a desk op came to be
+# done once the finished count passes it (no completion closure), and the
+# engine came to wait a bucket's spill outside its settle span.
+line_ceiling=13429
 lines=0
 split=""
 for crate in comm core serve bench; do
@@ -72,8 +77,10 @@ sim=$(awk "$count_non_test" $(find crates/sim/src -name '*.rs') src/bin/zero-sim
 # to 1 252 when a tier move's direction came to be read off its anchor;
 # to 1 244 when the engine came to settle where the plan stamps; to 1 210
 # when it came to charge the model-state table `footprint` writes, take a
-# checkpoint's category from it and size its MD arena from the plan.
-engine_ceiling=1210
+# checkpoint's category from it and size its MD arena from the plan; to
+# 1 209 when `Issued::wait` stopped waiting spills (only a bucket
+# reduce-scatter carries one, and `settle` waits it).
+engine_ceiling=1209
 engine=$(awk "$count_non_test" crates/core/src/engine.rs)
 echo "    $lines non-test lines (ceiling $line_ceiling):$split; sim $sim (ceiling $sim_ceiling); engine $engine (ceiling $engine_ceiling)"
 [ "$lines" -le "$line_ceiling" ] || { echo "line budget exceeded: lower the count or raise the ceiling deliberately"; exit 1; }
@@ -138,8 +145,9 @@ echo "==> zero-verify --pass memory (every digest plan: settle stamps, placement
 cargo run -q --release -p zero-verify -- --pass memory
 
 echo "==> zero-verify --pass modelcheck (exhaustive protocol interleavings, explicit state budget)"
-# Three protocols (socket handshake, the op desk's help-first hand-off at 2
-# and 3 ops, the desk's hand-off with its host-link lane) in 10 scenarios.
+# Two models in 10 scenarios: the socket handshake, and one model of the op
+# desk driven by a caller's script (its help-first hand-off at 2 and 3 ops,
+# and the desk beside its host-link lane on each anchor, whole and lost).
 # Prints explored-state
 # counts per scenario; exhausting the budget is a hard failure (coverage
 # incomplete), not a silent pass.

@@ -62,7 +62,7 @@ use std::time::{Duration, Instant};
 use crate::error::CommError;
 use crate::protocol::{handoff, lane};
 use crate::stats::{CollectiveKind, TrafficStats};
-use crate::transport::lock_unpoisoned;
+use crate::transport::{lock_unpoisoned, wait_for};
 use crate::world::Fabric;
 use zero_trace::{SpanCategory, TraceRecorder, TRACK_PROGRESS};
 
@@ -73,8 +73,9 @@ pub(crate) type OpResult = Result<Vec<f32>, CommError>;
 /// its buffer moved in.
 pub(crate) type Body = Box<dyn FnOnce(&mut Fabric) -> OpResult + Send>;
 
-/// Where an op's result lands: written by whoever runs the op, taken by
-/// its [`PendingOp`] (or dropped with the last of the two).
+/// Where an op's result lands: written by whoever runs the op before the
+/// desk counts it finished, taken by its [`PendingOp`] (or dropped with the
+/// last of the two).
 pub(crate) type Slot = Arc<Mutex<Option<OpResult>>>;
 
 /// A queued op: its issue number, the stats kind its execution is
@@ -110,7 +111,8 @@ struct DeskState {
     fabric: Option<Fabric>,
     queue: VecDeque<Job>,
     next_id: u64,
-    /// Ops finished so far; they finish in id order.
+    /// Ops finished so far; they finish in id order, so op `id` is done
+    /// once this passes it (`lane::through`).
     finished: u64,
     /// The lane is parked until `finished` passes a spill's op.
     watched: bool,
@@ -168,10 +170,13 @@ impl Desk {
         self.execute(fabric, poll, kind, run)
     }
 
-    /// Records a finished job's result; the caller holds the desk's lock.
-    fn finish(st: &mut DeskState, slot: &Slot, res: OpResult) {
+    /// Records a finished job's result in its slot and counts the job
+    /// finished, returning the desk's lock.
+    fn finish(&self, slot: &Slot, res: OpResult) -> MutexGuard<'_, DeskState> {
         *lock_unpoisoned(slot) = Some(res);
+        let mut st = self.lock();
         st.finished += 1;
+        st
     }
 
     /// Queues `run`, waking the progress thread. Returns the op's id and
@@ -195,27 +200,24 @@ impl Desk {
     }
 
     /// Blocks the lane until op `id` has finished, or the desk is lost, or
-    /// `budget` runs out.
+    /// `budget` runs out. While it is parked, `watched` asks whoever hands
+    /// the fabric back to wake it.
     fn wait_through(&self, id: u64, budget: Duration) -> Result<(), CommError> {
-        let (start, mut st) = (Instant::now(), self.lock());
-        loop {
+        let ended = wait_for(&self.state, &self.cv, budget, Duration::ZERO, |st| {
+            st.watched = false;
             if lane::through(st.finished, id) {
-                return Ok(());
+                return Some(Ok(()));
             }
             if st.lost {
-                return Err(CommError::ProgressLost { rank: self.rank });
-            }
-            let waited = start.elapsed();
-            if waited >= budget {
-                return Err(CommError::ProgressStalled { rank: self.rank, waited: budget });
+                return Some(Err(CommError::ProgressLost { rank: self.rank }));
             }
             st.watched = true;
-            st = match self.cv.wait_timeout(st, budget - waited) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-            st.watched = false;
-        }
+            None
+        });
+        ended.unwrap_or_else(|| {
+            self.lock().watched = false;
+            Err(CommError::ProgressStalled { rank: self.rank, waited: budget })
+        })
     }
 
     /// Hands the fabric back, waking the desk's sleepers when the kernel
@@ -230,49 +232,35 @@ impl Desk {
         }
     }
 
-    /// Waits until `done()`, or until the fabric is free while op `last`
-    /// is still queued: then this thread takes it, runs every op queued up
-    /// to `last` (help-first) and returns it with the number of ops it
-    /// ran. With `last` `u64::MAX` it waits for the fabric itself.
-    fn turn(&self, last: u64, done: impl Fn() -> bool, budget: Duration) -> Result<Option<(Fabric, usize)>, CommError> {
-        let (start, mut st) = (Instant::now(), self.lock());
-        loop {
-            if done() {
-                return Ok(None);
+    /// Waits until op `last` has finished, or until the fabric is free
+    /// while it is still queued: then this thread takes it, runs every op
+    /// queued up to `last` (help-first) and returns it with the number of
+    /// ops it ran. With `last` `u64::MAX` it waits for the fabric itself.
+    /// The progress thread runs an op and usually finishes within
+    /// microseconds of its last message, so the wait polls first.
+    fn turn(&self, last: u64, budget: Duration) -> Result<Option<(Fabric, usize)>, CommError> {
+        let taken = wait_for(&self.state, &self.cv, budget, self.poll, |st| {
+            if lane::through(st.finished, last) {
+                return Some(Ok(None));
             }
             if st.lost {
-                return Err(CommError::ProgressLost { rank: self.rank });
+                return Some(Err(CommError::ProgressLost { rank: self.rank }));
             }
             let queued = last == u64::MAX || st.queue.front().is_some_and(|j| j.id <= last);
-            if handoff::helper_takes(st.fabric.is_some(), queued) {
-                let (mut fabric, mut ran) = (st.fabric.take().expect("the kernel takes a free fabric"), 0);
-                while st.queue.front().is_some_and(|j| handoff::helper_runs(j.id, last)) {
-                    let Job { kind, run, slot, seed, .. } = st.queue.pop_front().expect("checked non-empty");
-                    drop(st);
-                    let res = self.run_job(&mut fabric, self.poll, kind, seed, run);
-                    st = self.lock();
-                    Self::finish(&mut st, &slot, res);
-                    ran += 1;
-                }
-                return Ok(Some((fabric, ran)));
-            }
-            let waited = start.elapsed();
-            if waited >= budget {
-                return Err(CommError::ProgressStalled { rank: self.rank, waited: budget });
-            }
-            // The progress thread runs the op and usually finishes within
-            // microseconds of its last message: poll first.
-            if waited < self.poll {
-                drop(st);
-                std::thread::yield_now();
-                st = self.lock();
-                continue;
-            }
-            st = match self.cv.wait_timeout(st, budget - waited) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
+            handoff::helper_takes(st.fabric.is_some(), queued).then(|| Ok(st.fabric.take()))
+        });
+        let Some(mut fabric) = taken.unwrap_or(Err(CommError::ProgressStalled { rank: self.rank, waited: budget }))? else {
+            return Ok(None);
+        };
+        let (mut st, mut ran) = (self.lock(), 0);
+        while st.queue.front().is_some_and(|j| handoff::helper_runs(j.id, last)) {
+            let Job { kind, run, slot, seed, .. } = st.queue.pop_front().expect("checked non-empty");
+            drop(st);
+            let res = self.run_job(&mut fabric, self.poll, kind, seed, run);
+            st = self.finish(&slot, res);
+            ran += 1;
         }
+        Ok(Some((fabric, ran)))
     }
 
     /// Runs `body` on this thread once every op queued so far has run
@@ -284,7 +272,7 @@ impl Desk {
         budget: Duration,
         body: impl FnOnce(&mut Fabric) -> Result<R, CommError>,
     ) -> Result<R, CommError> {
-        let (mut fabric, ran) = self.turn(u64::MAX, || false, budget)?.expect("a turn for the fabric ends holding it");
+        let (mut fabric, ran) = self.turn(u64::MAX, budget)?.expect("a turn for the fabric ends holding it");
         let res = self.execute(&mut fabric, self.poll, kind, body);
         self.release(fabric, ran > 0);
         res
@@ -313,8 +301,7 @@ impl Desk {
                     self.cv.notify_all();
                 }
                 let res = self.run_job(&mut fabric, Duration::ZERO, kind, seed, run);
-                st = self.lock();
-                Self::finish(&mut st, &slot, res);
+                st = self.finish(&slot, res);
                 st.fabric = Some(fabric);
                 wake = true;
             } else if st.closed && st.queue.is_empty() && st.fabric.is_some() {
@@ -392,23 +379,13 @@ impl Lane {
     /// Blocks until move `id` has finished, returning how it ended, or
     /// until `budget` runs out.
     pub(crate) fn wait(&self, id: u64, budget: Duration) -> Result<(), CommError> {
-        let (start, mut st) = (Instant::now(), self.lock());
-        loop {
-            if lane::through(st.finished, id) {
-                return match &st.failed {
-                    Some((first, err)) if *first <= id => Err(err.clone()),
-                    _ => Ok(()),
-                };
-            }
-            let waited = start.elapsed();
-            if waited >= budget {
-                return Err(CommError::ProgressStalled { rank: self.rank, waited: budget });
-            }
-            st = match self.cv.wait_timeout(st, budget - waited) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-        }
+        let ended = wait_for(&self.state, &self.cv, budget, Duration::ZERO, |st| {
+            lane::through(st.finished, id).then(|| match &st.failed {
+                Some((first, err)) if *first <= id => Err(err.clone()),
+                _ => Ok(()),
+            })
+        });
+        ended.unwrap_or(Err(CommError::ProgressStalled { rank: self.rank, waited: budget }))
     }
 
     /// The `Communicator` is gone: the lane thread finishes what is
@@ -501,8 +478,7 @@ impl PendingOp {
         };
         let span = self.trace.begin(SpanCategory::Wait, kind.name());
         let t0 = Instant::now();
-        let done = || lock_unpoisoned(&slot).is_some();
-        let turn = desk.turn(id, done, self.budget).map(|held| held.map_or((), |(fabric, ran)| desk.release(fabric, ran > 1)));
+        let turn = desk.turn(id, self.budget).map(|held| held.map_or((), |(fabric, ran)| desk.release(fabric, ran > 1)));
         let res = turn.and_then(|()| lock_unpoisoned(&slot).take().expect("a finished op left its result"));
         self.stats.record_wait(kind, t0.elapsed());
         self.trace.end(span);

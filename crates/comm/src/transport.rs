@@ -78,6 +78,40 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
+/// The one bounded condvar wait: runs `check` on `m`'s state under the
+/// lock each time the thread wakes, until it answers; yields the core
+/// instead of parking for the first `poll` of the wait, and returns `None`
+/// once `budget` is spent. A notify that leaves `check` unanswered parks
+/// the thread again.
+pub(crate) fn wait_for<T, R>(
+    m: &Mutex<T>,
+    cv: &Condvar,
+    budget: Duration,
+    poll: Duration,
+    mut check: impl FnMut(&mut T) -> Option<R>,
+) -> Option<R> {
+    let (start, mut st) = (Instant::now(), lock_unpoisoned(m));
+    loop {
+        if let Some(answer) = check(&mut st) {
+            return Some(answer);
+        }
+        let waited = start.elapsed();
+        if waited >= budget {
+            return None;
+        }
+        if waited < poll {
+            drop(st);
+            std::thread::yield_now();
+            st = lock_unpoisoned(m);
+            continue;
+        }
+        st = match cv.wait_timeout(st, budget - waited) {
+            Ok((guard, _)) => guard,
+            Err(poisoned) => poisoned.into_inner().0,
+        };
+    }
+}
+
 /// One ordered rank pair's FIFO of messages — sequence number, the
 /// sender's CRC, the payload — plus the buffers the receiver has emptied,
 /// which the sender refills: a warm pipe moves bytes without allocating.
@@ -148,18 +182,8 @@ impl Pipe {
     /// Waits until the pipe is closed or `deadline` passes; `true` if it
     /// closed.
     pub(crate) fn wait_closed(&self, deadline: Instant) -> bool {
-        let mut st = lock_unpoisoned(&self.state);
-        while !st.closed {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            st = match self.ready.wait_timeout(st, deadline - now) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-        }
-        true
+        let budget = deadline.saturating_duration_since(Instant::now());
+        wait_for(&self.state, &self.ready, budget, Duration::ZERO, |st| st.closed.then_some(())).is_some()
     }
 
     /// Copies the next message into `out`, checksumming it on the way, if
@@ -168,30 +192,11 @@ impl Pipe {
     /// another length than `out` is reported, not written: the fabric
     /// decides what the mismatch means.
     pub(crate) fn recv_into(&self, rank: usize, src: usize, out: &mut [f32], timeout: Duration, poll: Duration) -> Result<Delivery, CommError> {
-        let (start, mut st) = (Instant::now(), lock_unpoisoned(&self.state));
-        let (seq, declared_crc, mut buf) = loop {
-            if let Some(msg) = st.queue.pop_front() {
-                break msg;
-            }
-            if st.closed {
-                return Err(CommError::PeerLost { rank, peer: src });
-            }
-            let waited = start.elapsed();
-            if waited >= timeout {
-                return Err(CommError::Timeout { rank, peer: src, waited: timeout });
-            }
-            if waited < poll {
-                drop(st);
-                std::thread::yield_now();
-                st = lock_unpoisoned(&self.state);
-                continue;
-            }
-            st = match self.ready.wait_timeout(st, timeout - waited) {
-                Ok((guard, _)) => guard,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-        };
-        drop(st);
+        let next = wait_for(&self.state, &self.ready, timeout, poll, |st| match st.queue.pop_front() {
+            Some(msg) => Some(Ok(msg)),
+            None => st.closed.then_some(Err(CommError::PeerLost { rank, peer: src })),
+        });
+        let (seq, declared_crc, mut buf) = next.unwrap_or(Err(CommError::Timeout { rank, peer: src, waited: timeout }))?;
         let (mut at, len) = (0, buf.len());
         let actual_crc = match len == out.len() {
             true => crc32_f32s_through(&buf, |block| {
@@ -260,5 +265,66 @@ mod tests {
         pipe.close(); // closing twice is closing once
         assert!(pipe.wait_closed(t0), "a closed pipe is closed, even past the deadline");
         assert!(t0.elapsed() < Duration::from_millis(100), "neither answer may wait");
+    }
+
+    /// How many times a waiter has run its check, and what was published
+    /// for it.
+    #[derive(Default)]
+    struct Board {
+        checks: u32,
+        answer: Option<u32>,
+    }
+
+    fn checked(board: &mut Board) -> Option<u32> {
+        board.checks += 1;
+        board.answer
+    }
+
+    #[test]
+    fn wait_for_gives_up_no_earlier_than_its_budget() {
+        let (m, cv) = (Mutex::new(Board::default()), Condvar::new());
+        for poll in [Duration::ZERO, Duration::from_millis(10), Duration::from_secs(1)] {
+            let (budget, t0) = (Duration::from_millis(40), Instant::now());
+            assert_eq!(wait_for(&m, &cv, budget, poll, checked), None, "poll {poll:?}");
+            assert!(t0.elapsed() >= budget, "poll {poll:?}: gave up after {:?}", t0.elapsed());
+        }
+    }
+
+    #[test]
+    fn wait_for_returns_what_another_thread_published_and_parks_again_on_an_empty_notify() {
+        let (m, cv) = (Mutex::new(Board::default()), Condvar::new());
+        // Once the waiter has checked `n` times it is parked: it checks
+        // and parks under the lock the publisher takes.
+        let after_checks = |n: u32| {
+            while lock_unpoisoned(&m).checks < n {
+                std::thread::yield_now();
+            }
+        };
+        let got = std::thread::scope(|s| {
+            let waiter = s.spawn(|| wait_for(&m, &cv, Duration::from_secs(10), Duration::ZERO, checked));
+            after_checks(1);
+            cv.notify_all(); // leaves the check unanswered
+            after_checks(2);
+            lock_unpoisoned(&m).answer = Some(7);
+            cv.notify_all();
+            waiter.join().expect("the waiter returns")
+        });
+        assert_eq!(got, Some(7));
+        assert!(lock_unpoisoned(&m).checks >= 3, "the empty notify woke the waiter, which checked and parked again");
+    }
+
+    #[test]
+    fn wait_for_sees_a_change_without_a_notify_while_it_polls() {
+        let (m, cv) = (Mutex::new(Board::default()), Condvar::new());
+        let (poll, t0) = (Duration::from_secs(5), Instant::now());
+        let got = std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(10));
+                lock_unpoisoned(&m).answer = Some(3); // and no notify
+            });
+            wait_for(&m, &cv, Duration::from_secs(10), poll, checked)
+        });
+        assert_eq!(got, Some(3));
+        assert!(t0.elapsed() < poll, "the poll saw the change after {:?}", t0.elapsed());
     }
 }

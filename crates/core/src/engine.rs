@@ -89,7 +89,8 @@ struct Issued {
     pending: PendingOp,
     /// Offload: the device→host spill of the op's result, queued on the
     /// lane right behind it (it leaves as soon as the ring has produced
-    /// the piece, while later collectives run) and waited last.
+    /// the piece, while later collectives run). Only a bucket
+    /// reduce-scatter carries one; `RankEngine::settle` waits it last.
     spill: Option<PendingOp>,
     /// The planned op: its group geometry, issue mode and reduction.
     op: ResolvedOp,
@@ -99,17 +100,13 @@ struct Issued {
 }
 
 impl Issued {
-    /// Settles the seeding transfer, then the op, then its spill, so
-    /// failures surface in issue order, and applies the average the op
-    /// closes with, if any.
+    /// Settles the seeding transfer, then the op, so failures surface in
+    /// issue order, and applies the average the op closes with, if any.
     fn wait(self) -> Result<Vec<f32>, CommError> {
         if let Some(seed) = self.seed {
             seed.wait()?;
         }
         let mut out = self.pending.wait()?;
-        if let Some(spill) = self.spill {
-            spill.wait()?;
-        }
         if let Reduction::Average { over } = self.op.reduce {
             let inv = 1.0 / over as f32;
             out.iter_mut().for_each(|v| *v *= inv);
@@ -589,18 +586,20 @@ impl RankEngine {
     }
 
     /// Settles, in issue order, the in-flight bucket reduce-scatters the
-    /// plan stamps for `point`, the one the engine is at: wait each and the
-    /// spill behind it, land the owner piece in the gradient shard, free
+    /// plan stamps for `point`, the one the engine is at: wait each, then
+    /// its spill outside the `settle-reduce` span (host-link time, not
+    /// collective wait), land the owner piece in the gradient shard, free
     /// the fused buffer (§5.2). After an error `clear_transients` drops the
     /// handles left unawaited; their ops still run in issue order, keeping
     /// the SPMD schedule aligned for recovery.
     fn settle(&mut self, point: Settle) -> Result<(), CommError> {
         while self.inflight_rs.front().is_some_and(|inf| matches!(inf.issued.op.role, OpRole::Span(_, at) if at == point)) {
-            let Some(inf) = self.inflight_rs.pop_front() else { break };
-            let bytes = 4 * inf.issued.op.total_elems() as u64;
+            let Some(mut inf) = self.inflight_rs.pop_front() else { break };
+            let (bytes, spill) = (4 * inf.issued.op.total_elems() as u64, inf.issued.spill.take());
             let span = self.trace.begin(SpanCategory::Wait, "settle-reduce");
             let out = inf.issued.wait();
             self.trace.end(span);
+            let out = if let (Ok(_), Some(spill)) = (&out, spill) { spill.wait().and(out) } else { out };
             self.mem.free(MemCategory::Buffers, bytes);
             self.grads.add(inf.span, &out?);
         }

@@ -734,9 +734,9 @@ impl Builder {
     /// Emits one bucket reduce-scatter of `fused`, and under gradient
     /// offload the spill of each rank's reduced piece of it to the host
     /// optimizer, anchored [`TierAt::Drains`] on that reduce-scatter in
-    /// both modes: the rank's FIFO runs the spill right behind it, before
-    /// any op issued later, and the engine waits the two together where it
-    /// settles the reduce-scatter. A blocking one is settled at its
+    /// both modes: the host-link lane starts the spill once the
+    /// reduce-scatter has finished, and the engine waits the spill right
+    /// after it, where it settles the reduce-scatter. A blocking one is settled at its
     /// flush; an overlapped one at the drain until a gather issued ahead
     /// behind it takes it over.
     fn grad_flush(&mut self, fused: Range<usize>) {

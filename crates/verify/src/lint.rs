@@ -23,10 +23,11 @@
 //!   a gradient-bucket flush closure (a `.flush_all(…)` call region). The
 //!   flush closure is the single code path for both synchronous and
 //!   overlapped execution: it must launch the reduce-scatter through the
-//!   non-blocking `start_*` API and park the handle (sync mode settles it
-//!   right after the flush, overlap mode at end-of-backward), so a direct
-//!   `.reduce_scatter(…)` there silently forfeits
-//!   backward/communication overlap.
+//!   non-blocking `start_*` API and park the handle, which the engine
+//!   settles where the plan stamps each bucket's `Settle` point (`Flush`
+//!   right after it, `Gather` at the first gather issued ahead behind it,
+//!   or `Drain` at end-of-micro-batch), so a direct `.reduce_scatter(…)`
+//!   there silently forfeits backward/communication overlap.
 //! * **`condvar-wait-unlooped`** — a `Condvar` `wait(…)`/`wait_timeout(…)`
 //!   call outside a `while`/`loop` body. Condvar waits wake spuriously
 //!   and can race a notify against the predicate check, so the wait must

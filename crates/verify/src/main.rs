@@ -22,10 +22,10 @@ use zero_core::{
 };
 use zero_model::ModelConfig;
 
-/// Default per-scenario state budget for the modelcheck pass: about three
-/// times the largest scenario's measured state count (`lane.drain`,
-/// ~170k), so genuine blowups fail loudly while normal growth has
-/// headroom.
+/// Default per-scenario state budget for the modelcheck pass: over ten
+/// times the largest scenario's measured state count
+/// (`handshake.n3+crash`, ~31k; the desk's largest, `lane.drain`, ~24k),
+/// so genuine blowups fail loudly while normal growth has headroom.
 const DEFAULT_MODELCHECK_BUDGET: u64 = 500_000;
 
 const PASSES: [&str; 9] = [

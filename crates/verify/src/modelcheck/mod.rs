@@ -4,10 +4,13 @@
 //! `zero-comm` coordinates ranks with hand-rolled protocols — the socket
 //! handshake, the op desk's fabric hand-off, and the order between the
 //! desk and the rank's host-link lane. The desk's decision logic lives as
-//! a pure kernel in [`zero_comm::protocol`]; this
-//! pass re-expresses the synchronization skeleton around it
-//! against modeled primitives ([`shims`]) and hands the result to a
-//! deterministic bounded interleaving explorer ([`explorer`]):
+//! a pure kernel in [`zero_comm::protocol`]; this pass re-expresses the
+//! synchronization skeleton around it against modeled primitives
+//! ([`shims`]) — one model of the desk, [`DeskModel`], whose progress
+//! loop, lane loop and help-first wait are each transcribed once and
+//! driven by a caller's script of [`Call`]s, beside the handshake's
+//! [`HandshakeModel`] — and hands the result to a deterministic bounded
+//! interleaving explorer ([`explorer`]):
 //!
 //! * a DFS over schedule choices with **sleep-set partial-order
 //!   reduction** and a **visited-state hash table**, so each
@@ -18,8 +21,10 @@
 //!   **lock-order cyclic-acquisition pass** over the same event graph;
 //! * violations reported as **minimal replayable schedules**.
 //!
-//! [`run_modelcheck`] checks every protocol at world sizes 2 and 3,
-//! proving: no deadlock, no lost wakeup, and quiescent shutdown. The
+//! [`run_modelcheck`] checks every scenario of [`scenarios`] — the
+//! handshake at world sizes 2 and 3, the desk alone at 2 and 3 ops, the
+//! desk beside its lane on each anchor — proving: no deadlock, no lost
+//! wakeup, and quiescent shutdown. The
 //! CLI exposes it as `zero-verify --pass modelcheck`; `ci.sh` runs it
 //! with an explicit state budget.
 
@@ -31,7 +36,7 @@ pub use explorer::{
     enumerate_final_states, explore, format_trace, ExploreResult, ExploreStats, Failure,
     Program, Sched, Violation,
 };
-pub use protocols::{HandoffMutant, HandshakeModel, LaneModel, LaneMutant, LaneScript, ProgressModel};
+pub use protocols::{Call, DeskModel, DeskMutant, HandshakeModel};
 pub use shims::{FaultBudget, ModelState, RaceReport, Status};
 
 /// One checked scenario: a protocol model at a world size and fault
@@ -43,15 +48,14 @@ pub struct Scenario {
     pub program: Box<dyn Program>,
 }
 
-/// The scenario matrix the pass runs: the handshake and the desk at sizes
-/// 2 and 3 (ranks for the handshake, ops issued for the desk), with a
-/// one-timeout budget and additionally a one-crash budget for the
+/// The scenario matrix the pass runs: the handshake and the desk alone at
+/// sizes 2 and 3 (ranks for the handshake, ops issued for the desk), with
+/// a one-timeout budget and additionally a one-crash budget for the
 /// cross-process handshake (a thread of an in-process primitive cannot
 /// vanish, a rank process can); and the desk with its host-link lane on
 /// each anchor, whole and with the progress thread lost, its waits
-/// modeled untimed (see [`LaneModel`]): 10 scenarios.
+/// modeled untimed (see [`DeskModel`]): 10 scenarios.
 pub fn scenarios() -> Vec<Scenario> {
-    use LaneScript::{Drain, Seed};
     vec![
         Scenario {
             name: "handshake.n2",
@@ -69,12 +73,12 @@ pub fn scenarios() -> Vec<Scenario> {
             name: "handshake.n3+crash",
             program: Box::new(HandshakeModel { peers: 2, crash: true }),
         },
-        Scenario { name: "progress.n2", program: Box::new(ProgressModel { ops: 2, mutant: None }) },
-        Scenario { name: "progress.n3", program: Box::new(ProgressModel { ops: 3, mutant: None }) },
-        Scenario { name: "lane.drain", program: Box::new(LaneModel { script: Drain, lost: false, mutant: None }) },
-        Scenario { name: "lane.drain+lost", program: Box::new(LaneModel { script: Drain, lost: true, mutant: None }) },
-        Scenario { name: "lane.seed", program: Box::new(LaneModel { script: Seed, lost: false, mutant: None }) },
-        Scenario { name: "lane.seed+lost", program: Box::new(LaneModel { script: Seed, lost: true, mutant: None }) },
+        Scenario { name: "progress.n2", program: Box::new(DeskModel::progress(2)) },
+        Scenario { name: "progress.n3", program: Box::new(DeskModel::progress(3)) },
+        Scenario { name: "lane.drain", program: Box::new(DeskModel::drain(false)) },
+        Scenario { name: "lane.drain+lost", program: Box::new(DeskModel::drain(true)) },
+        Scenario { name: "lane.seed", program: Box::new(DeskModel::seed(false)) },
+        Scenario { name: "lane.seed+lost", program: Box::new(DeskModel::seed(true)) },
     ]
 }
 
@@ -202,11 +206,11 @@ mod tests {
         }
     }
 
-    /// A seeded hand-off bug, explored: the checker's minimal failing
+    /// A seeded desk or lane bug, explored: the checker's minimal failing
     /// schedule.
-    fn mutant_failure(ops: usize, mutant: HandoffMutant) -> Failure {
-        let r = explore(&ProgressModel { ops, mutant: Some(mutant) }, BUDGET);
-        let f = r.failure.unwrap_or_else(|| panic!("{mutant:?} at {ops} ops went unnoticed"));
+    fn mutant_failure(model: DeskModel, mutant: DeskMutant) -> Failure {
+        let r = explore(&DeskModel { mutant: Some(mutant), ..model }, BUDGET);
+        let f = r.failure.unwrap_or_else(|| panic!("{mutant:?} went unnoticed"));
         assert!(f.minimal, "{mutant:?}: shortest failing schedule expected from BFS shrink");
         f
     }
@@ -215,7 +219,7 @@ mod tests {
     /// desk's condvar with nobody left to wake it.
     #[test]
     fn mutated_progress_queue_without_close_deadlocks() {
-        let f = mutant_failure(2, HandoffMutant::NoClose);
+        let f = mutant_failure(DeskModel::progress(2), DeskMutant::NoClose);
         assert!(
             matches!(f.violation, Violation::LostWakeup { tid: 0, condvar: 0 }),
             "want the progress thread (t0) parked on the desk forever, got {} [{}]",
@@ -229,7 +233,7 @@ mod tests {
     #[test]
     fn a_helper_that_skips_the_wake_strands_the_ops_issued_ahead() {
         for ops in [2, 3] {
-            let f = mutant_failure(ops, HandoffMutant::SkipWake);
+            let f = mutant_failure(DeskModel::progress(ops), DeskMutant::SkipWake);
             assert!(
                 matches!(f.violation, Violation::LostWakeup { tid: 0, .. }),
                 "{ops} ops: {} [{}]",
@@ -243,25 +247,16 @@ mod tests {
     /// the fabric's issue order.
     #[test]
     fn a_helper_that_runs_its_own_op_first_breaks_issue_order() {
-        let f = mutant_failure(3, HandoffMutant::OwnOpFirst);
+        let f = mutant_failure(DeskModel::progress(3), DeskMutant::OwnOpFirst);
         match f.violation {
             Violation::Invariant(ref m) if m == "op 1 ran while op 0 was still queued" => {}
             ref v => panic!("want the FIFO break, got {v} [{}]", format_trace(&f.trace)),
         }
     }
 
-    /// A seeded desk/lane hand-off bug, explored: the checker's minimal
-    /// failing schedule.
-    fn lane_mutant_failure(script: LaneScript, mutant: LaneMutant) -> Failure {
-        let r = explore(&LaneModel { script, lost: false, mutant: Some(mutant) }, BUDGET);
-        let f = r.failure.unwrap_or_else(|| panic!("{mutant:?} went unnoticed"));
-        assert!(f.minimal, "{mutant:?}: shortest failing schedule expected from BFS shrink");
-        f
-    }
-
     #[test]
     fn a_desk_that_skips_the_seed_wait_starts_a_gather_before_its_fetch() {
-        let f = lane_mutant_failure(LaneScript::Seed, LaneMutant::GatherBeforeSeed);
+        let f = mutant_failure(DeskModel::seed(false), DeskMutant::GatherBeforeSeed);
         match f.violation {
             Violation::Invariant(ref m) if m == "the gather started before the fetch that seeds it finished" => {}
             ref v => panic!("want the unseeded gather, got {v} [{}]", format_trace(&f.trace)),
@@ -270,7 +265,7 @@ mod tests {
 
     #[test]
     fn a_lane_that_skips_the_desk_wait_starts_a_spill_before_its_reduce_scatter() {
-        let f = lane_mutant_failure(LaneScript::Drain, LaneMutant::SpillBeforeReduce);
+        let f = mutant_failure(DeskModel::drain(false), DeskMutant::SpillBeforeReduce);
         match f.violation {
             Violation::Invariant(ref m) if m == "the spill started before the reduce-scatter it drains finished" => {}
             ref v => panic!("want the early spill, got {v} [{}]", format_trace(&f.trace)),
@@ -282,7 +277,7 @@ mod tests {
     /// wait on the desk.
     #[test]
     fn a_helper_that_skips_the_watched_wake_strands_the_spill() {
-        let f = lane_mutant_failure(LaneScript::Drain, LaneMutant::SkipWatchedWake);
+        let f = mutant_failure(DeskModel::drain(false), DeskMutant::SkipWatchedWake);
         assert!(
             matches!(f.violation, Violation::LostWakeup { condvar: 0, .. }),
             "want the desk's sleepers, the lane thread among them, parked forever, got {} [{}]",

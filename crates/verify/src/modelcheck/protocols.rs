@@ -4,34 +4,28 @@
 //! Each model is a pc-machine transcription of one of the hand-rolled
 //! protocols in `zero-comm`, its synchronization skeleton (mutexes,
 //! condvars, channels, timeouts) re-expressed as shim operations. Only
-//! [`ProgressModel`] and [`LaneModel`] import their *decision logic*
-//! verbatim, from [`zero_comm::protocol`] (the [`handoff`] kernel the
-//! real op desk runs and the [`lane`] order it keeps with the host-link
-//! lane), so what the checker proves of them is about the shipped logic.
-//! [`HandshakeModel`] is a transcription of `process.rs`'s hello
-//! exchange: its logic is written again here, and what it proves holds
-//! for the code only as far as the transcription is faithful.
+//! [`DeskModel`] imports its *decision logic* verbatim, from
+//! [`zero_comm::protocol`] (the [`handoff`] kernel the real op desk runs
+//! and the [`lane`] order it keeps with the host-link lane), so what the
+//! checker proves of it is about the shipped logic. [`HandshakeModel`] is
+//! a transcription of `process.rs`'s hello exchange: its logic is written
+//! again here, and what it proves holds for the code only as far as the
+//! transcription is faithful.
 //!
 //! 1. [`HandshakeModel`] — the connect/accept hello exchange at byte
 //!    granularity: partial reads (every split explored via scheduler
 //!    choices), residue bytes carried from the hello read into the
 //!    payload phase, slow/fast peers, and a sequential accept loop in
 //!    the 3-peer variant.
-//! 2. [`ProgressModel`] — the rank's op desk: the progress thread and a
-//!    caller sharing the fabric through the [`handoff`] kernel —
-//!    help-first timed waits, ops issued ahead finishing on the progress
-//!    thread, and join-on-drop quiescence (the dropped communicator
-//!    closes the desk; the thread drains and exits). Three seeded
-//!    [`HandoffMutant`]s — no close, a skipped wake, a FIFO break — are
-//!    the mutation tests.
-//! 3. [`LaneModel`] — the desk beside the rank's host-link lane: a spill
-//!    that waits on the desk's finished count for its reduce-scatter, a
-//!    gather that waits on the lane's for its fetch (run by the progress
-//!    thread or a helper), the helper's wake of the watching lane,
-//!    close-and-drain of both threads on drop, and a lost desk. Three
-//!    seeded [`LaneMutant`]s — a gather before its seed, a spill before
-//!    its reduce-scatter, a skipped watched wake — are its mutation
-//!    tests.
+//! 2. [`DeskModel`] — the rank's op desk and its host-link lane, driven
+//!    by a caller's script of [`Call`]s: the progress loop and the
+//!    help-first wait, each transcribed once, ops issued ahead finishing on
+//!    the progress thread, a spill that waits on the desk's finished count
+//!    for its reduce-scatter and a gather that waits on the lane's for its
+//!    fetch, close-and-drain of every thread on drop, and a lost desk.
+//!    Six seeded [`DeskMutant`]s — no close, a skipped wake, a FIFO break,
+//!    a gather before its seed, a spill before its reduce-scatter, a
+//!    skipped wake of the watching lane — are the mutation tests.
 //!
 //! Ghost cells carry the specification state the invariants quantify
 //! over (live sender handles, how many jobs executed); they are hashed
@@ -282,12 +276,12 @@ impl Program for HandshakeModel {
 }
 
 // ---------------------------------------------------------------------
-// 2. The op desk: progress thread, help-first wait, join-on-drop
+// 2. The op desk and its host-link lane, driven by a caller's script
 // ---------------------------------------------------------------------
 
-/// A seeded bug in the desk's hand-off, for the mutation tests.
+/// A seeded bug in the desk or the lane, for the mutation tests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HandoffMutant {
+pub enum DeskMutant {
     /// Nobody closes the desk on drop: the progress thread never exits.
     NoClose,
     /// A helper hands the fabric back with ops queued without waking the
@@ -296,259 +290,6 @@ pub enum HandoffMutant {
     /// A helper runs its own op ahead of an earlier queued one (the FIFO
     /// break).
     OwnOpFirst,
-}
-
-/// The op desk of `zero-comm`'s `nonblocking` module: t0 is the progress
-/// thread, t1 the caller. The caller issues `ops` ops, waits on op
-/// `ops − 2` with help-first (timed: `ProgressStalled`), then computes
-/// while the ops issued behind it must still finish — modeled as an
-/// untimed wait that never helps — and finally drops the communicator,
-/// closing the desk. Every decision comes from
-/// [`handoff`]; all desk state lives
-/// under one mutex and one condvar, as in the real primitive.
-///
-/// Checked: every op runs exactly once and in issue order, whoever runs
-/// it; the ops issued ahead finish without the caller; the progress
-/// thread exits once the desk closes; a wait that no timeout cut short
-/// returns its op's result.
-pub struct ProgressModel {
-    /// Ops the caller issues (2 or 3).
-    pub ops: usize,
-    pub mutant: Option<HandoffMutant>,
-}
-
-impl ProgressModel {
-    const MX: MutexId = MutexId(0);
-    const CV: CondvarId = CondvarId(0);
-    /// 1 while nobody holds the fabric.
-    const FREE: DataId = DataId(0);
-    /// Bit `i` set: op `i` issued and not started.
-    const QUEUED: DataId = DataId(1);
-    /// Ops issued so far.
-    const ISSUED: DataId = DataId(2);
-    /// Ops finished so far.
-    const DONE: DataId = DataId(3);
-    const CLOSED: DataId = DataId(4);
-    /// Ghost: the op that must run next (issue order).
-    const NEXT: usize = 0;
-
-    fn own(&self) -> i64 {
-        self.ops as i64 - 2
-    }
-
-    /// Runs op `job`: it must be the next in issue order.
-    fn run(st: &mut ModelState, job: i64) {
-        let next = st.ghost_read(Self::NEXT);
-        if job != next {
-            st.fail(format!("op {job} ran while op {next} was still queued"));
-        }
-        st.ghost_write(Self::NEXT, next + 1);
-    }
-
-    /// Records a finished op and wakes whoever waits: the progress
-    /// thread's `finish` + notify (the caller holds the mutex).
-    fn finish(st: &mut ModelState, tid: Tid) {
-        let done = st.read_data(tid, Self::DONE);
-        st.write_data(tid, Self::DONE, done + 1);
-    }
-
-    /// The help-first wait's decision, made holding the mutex.
-    fn help_wait(&self, st: &mut ModelState, tid: Tid) {
-        let own = self.own();
-        if st.read_data(tid, Self::DONE) > own {
-            st.unlock(tid, Self::MX);
-            st.set_reg(tid, 0, OK);
-            st.goto(tid, 4);
-            return;
-        }
-        let queued = (st.read_data(tid, Self::QUEUED) >> own) & 1 == 1;
-        let free = st.read_data(tid, Self::FREE) == 1;
-        if handoff::helper_takes(free, queued) {
-            st.write_data(tid, Self::FREE, 0);
-            st.goto(tid, 2);
-        } else if st.timed_out(tid) {
-            st.unlock(tid, Self::MX);
-            st.set_reg(tid, 0, TIMED_OUT); // ProgressStalled
-            st.goto(tid, 4);
-        } else {
-            st.goto(tid, 1);
-            st.cv_wait(tid, Self::CV, Self::MX, true);
-        }
-    }
-
-    fn caller(&self, st: &mut ModelState, tid: Tid) {
-        let own = self.own();
-        match st.pc(tid) {
-            // Issue: queue the next op, waking the progress thread.
-            0 => {
-                if st.lock(tid, Self::MX) {
-                    let id = st.read_data(tid, Self::ISSUED);
-                    st.write_data(tid, Self::ISSUED, id + 1);
-                    let q = st.read_data(tid, Self::QUEUED);
-                    st.write_data(tid, Self::QUEUED, q | 1 << id);
-                    st.unlock(tid, Self::MX);
-                    st.set_reg(tid, 2, if id + 1 < self.ops as i64 { 0 } else { 1 });
-                    st.goto(tid, 8);
-                }
-            }
-            // Help-first wait on op `own` (woken waits come back here).
-            1 => {
-                if st.lock(tid, Self::MX) {
-                    self.help_wait(st, tid);
-                }
-            }
-            // Holding the fabric: run the queue up to `own`, then release.
-            2 => {
-                let q = st.read_data(tid, Self::QUEUED);
-                let head = q.trailing_zeros() as i64;
-                let pick = match self.mutant {
-                    Some(HandoffMutant::OwnOpFirst) if (q >> own) & 1 == 1 => Some(own),
-                    _ => (q != 0 && handoff::helper_runs(head as u64, own as u64)).then_some(head),
-                };
-                if let Some(job) = pick {
-                    st.write_data(tid, Self::QUEUED, q & !(1 << job));
-                    st.unlock(tid, Self::MX);
-                    Self::run(st, job);
-                    st.set_reg(tid, 3, st.reg(tid, 3) + 1);
-                    st.goto(tid, 5);
-                } else {
-                    st.write_data(tid, Self::FREE, 1);
-                    let (left, ran_others) = (q.count_ones() as usize, st.reg(tid, 3) > 1);
-                    let closed = st.read_data(tid, Self::CLOSED) == 1;
-                    let wake = handoff::wake_on_release(left, ran_others, false, closed)
-                        && self.mutant != Some(HandoffMutant::SkipWake);
-                    st.unlock(tid, Self::MX);
-                    st.set_reg(tid, 0, OK);
-                    st.set_reg(tid, 2, 4);
-                    st.goto(tid, if wake { 8 } else { 4 });
-                }
-            }
-            // Compute: the ops issued ahead must finish without the caller.
-            4 => {
-                if st.lock(tid, Self::MX) {
-                    if st.read_data(tid, Self::DONE) == self.ops as i64 {
-                        st.unlock(tid, Self::MX);
-                        st.goto(tid, 7);
-                    } else {
-                        st.goto(tid, 4);
-                        st.cv_wait(tid, Self::CV, Self::MX, false);
-                    }
-                }
-            }
-            // Finish an op the helper ran, then back to the queue.
-            5 => {
-                if st.lock(tid, Self::MX) {
-                    Self::finish(st, tid);
-                    st.goto(tid, 2);
-                }
-            }
-            // Drop the communicator: close the desk.
-            7 => {
-                if self.mutant != Some(HandoffMutant::NoClose) {
-                    if !st.lock(tid, Self::MX) {
-                        return;
-                    }
-                    st.write_data(tid, Self::CLOSED, 1);
-                    st.notify_all(tid, Self::CV);
-                    st.unlock(tid, Self::MX);
-                }
-                st.done(tid);
-            }
-            // A notify, sent after the lock is dropped; then on to reg 2.
-            8 => {
-                st.notify_all(tid, Self::CV);
-                st.goto(tid, st.reg(tid, 2) as u32);
-            }
-            pc => panic!("progress model: bad caller pc {pc}"),
-        }
-    }
-
-    fn progress(&self, st: &mut ModelState, tid: Tid) {
-        match st.pc(tid) {
-            0 => {
-                if !st.lock(tid, Self::MX) {
-                    return;
-                }
-                let q = st.read_data(tid, Self::QUEUED);
-                let free = st.read_data(tid, Self::FREE) == 1;
-                let wake = std::mem::take(&mut st.locals[tid].regs[1]) == 1;
-                if handoff::progress_takes(free, q.count_ones() as usize) {
-                    let job = q.trailing_zeros() as i64;
-                    st.write_data(tid, Self::QUEUED, q & !(1 << job));
-                    st.write_data(tid, Self::FREE, 0);
-                    st.unlock(tid, Self::MX);
-                    if wake {
-                        st.notify_all(tid, Self::CV);
-                    }
-                    Self::run(st, job);
-                    st.goto(tid, 1);
-                } else if st.read_data(tid, Self::CLOSED) == 1 && q == 0 && free {
-                    st.unlock(tid, Self::MX);
-                    st.done(tid); // drops the fabric
-                } else {
-                    if wake {
-                        st.notify_all(tid, Self::CV);
-                    }
-                    st.goto(tid, 0);
-                    st.cv_wait(tid, Self::CV, Self::MX, false);
-                }
-            }
-            // Finish the op, hand the fabric back, wake the waiters.
-            1 => {
-                if st.lock(tid, Self::MX) {
-                    Self::finish(st, tid);
-                    st.write_data(tid, Self::FREE, 1);
-                    // Keeps the mutex: the waiters are woken at pc 0, once
-                    // it is dropped (or right before parking).
-                    st.set_reg(tid, 1, 1);
-                    st.goto(tid, 0);
-                }
-            }
-            pc => panic!("progress model: bad progress pc {pc}"),
-        }
-    }
-}
-
-impl Program for ProgressModel {
-    fn init(&self) -> ModelState {
-        let mut st = ModelState::new(2);
-        st.add_mutex();
-        st.add_condvar();
-        for value in [1, 0, 0, 0, 0] {
-            st.add_data(value);
-        }
-        st.add_ghost(0);
-        st.budget = FaultBudget { crashes: 0, timeouts: 1 };
-        st.set_reg(1, 0, PENDING);
-        st
-    }
-
-    fn step(&self, st: &mut ModelState, tid: Tid, _choice: usize) {
-        if tid == 0 {
-            self.progress(st, tid);
-        } else {
-            self.caller(st, tid);
-        }
-    }
-
-    fn check_final(&self, st: &ModelState) -> Option<String> {
-        let ran = st.ghost[Self::NEXT];
-        if ran != self.ops as i64 {
-            return Some(format!("the desk closed with {ran}/{} ops run", self.ops));
-        }
-        (st.budget.timeouts == 1 && outcome(st, 1) != OK)
-            .then(|| "a wait no timeout cut short returned no result".to_string())
-    }
-}
-
-// ---------------------------------------------------------------------
-// 3. The desk and the host-link lane: cross-queue hand-off
-// ---------------------------------------------------------------------
-
-/// A seeded bug in the hand-off between the desk and the lane, for the
-/// mutation tests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LaneMutant {
     /// The desk starts a seeded gather without waiting for its fetch.
     GatherBeforeSeed,
     /// The lane starts a spill without waiting for the reduce-scatter it
@@ -559,124 +300,170 @@ pub enum LaneMutant {
     SkipWatchedWake,
 }
 
-/// Which of the two anchors a [`LaneModel`] caller exercises.
+/// One step of a [`DeskModel`] caller's script. Ops and moves are
+/// numbered in issue order, each queue from 0.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LaneScript {
-    /// Issue a reduce-scatter and the spill that drains it; wait the
-    /// reduce-scatter help-first, then the spill.
-    Drain,
-    /// Issue a fetch and the gather it seeds; wait the fetch, then the
-    /// gather help-first.
-    Seed,
+pub enum Call {
+    /// Queue the next desk op, which waits for lane move `seed` (a gather
+    /// whose piece a fetch brings up), and wake the progress thread.
+    Op { seed: Option<usize> },
+    /// Queue the next lane move, which waits for desk op `drains` (a
+    /// spill of a reduce-scatter's piece), and wake the lane thread.
+    Move { drains: Option<usize> },
+    /// Wait on desk op `i`, help-first.
+    WaitOp(usize),
+    /// Wait on lane move `i`.
+    WaitMove(usize),
+    /// Compute while every op issued so far finishes without this
+    /// thread: a wait that never helps, untimed.
+    Compute,
 }
 
-/// The rank's op desk and its host-link lane (`zero-comm`'s
-/// `nonblocking`): t0 is the progress thread, t1 the lane thread, t2 the
-/// caller. The caller issues desk op 0 and lane move 0 as its
-/// [`LaneScript`] says, waits both as `Issued::wait` does, and drops the
-/// communicator, closing the desk and the lane. Each queue
+/// The rank's op desk and, when the script issues moves, its host-link
+/// lane (`zero-comm`'s `nonblocking`): t0 is the progress thread, t1 the
+/// caller, t2 the lane thread. The caller runs its script of [`Call`]s,
+/// then drops the communicator, closing the desk and the lane. Each queue
 /// counts the ops it has finished, in id order, under its own mutex and
-/// condvar; a wait on the other queue is "until it has finished through
-/// op k" ([`zero_comm::protocol::lane`]), and a helper handing the
-/// fabric back wakes the desk's sleepers as [`handoff`] says, the
-/// watching lane included. With `lost`, the progress thread dies holding
-/// the fabric at the first op it takes (a panicked progress thread).
+/// condvar, and an op is done once its queue's count passes its id
+/// ([`lane::through`]); every hand-off decision comes from [`handoff`].
+/// With `lost`, the progress thread dies holding the fabric at the first
+/// op it takes (a panicked progress thread).
 ///
-/// Every wait is modeled untimed and no timeout is injected: the explorer
-/// expires a stuck timed wait for free, so a lost wake-up of a timed wait
-/// would read as a wait that ran its budget out and then found its op
-/// done. Waited untimed, it shows as the lost wake-up it is. The timed
-/// waits' stall path is [`ProgressModel`]'s.
+/// The waits are `timed` or not. The explorer expires a stuck timed wait
+/// for free, so a lost wake-up of a timed wait reads as a wait that ran
+/// its budget out; waited untimed, it shows as the lost wake-up it is. The
+/// desk alone ([`DeskModel::progress`]) is timed, with one timeout
+/// injected (`ProgressStalled`); the desk beside its lane
+/// ([`DeskModel::drain`], [`DeskModel::seed`]) is untimed.
 ///
-/// Checked: each queue runs its ops once and in issue order; no gather
-/// starts before its seed has finished and no spill before its
-/// reduce-scatter has; no wake-up is lost; both threads exit once the
+/// Checked: each queue runs its ops once and in issue order, whoever runs
+/// them; no gather starts before its seed has finished and no spill before
+/// its reduce-scatter has; no wake-up is lost; every thread exits once the
 /// communicator drops, a lost desk included; and, with the desk whole,
-/// every wait returns its op's result.
-pub struct LaneModel {
-    pub script: LaneScript,
+/// every wait no timeout cut short returns its op's result.
+pub struct DeskModel {
+    pub script: Vec<Call>,
+    pub timed: bool,
     pub lost: bool,
-    pub mutant: Option<LaneMutant>,
+    pub mutant: Option<DeskMutant>,
 }
 
-impl LaneModel {
+impl DeskModel {
     const DESK: MutexId = MutexId(0);
     const DESK_CV: CondvarId = CondvarId(0);
     const LANE: MutexId = MutexId(1);
     const LANE_CV: CondvarId = CondvarId(1);
     /// Desk cells: 1 while nobody holds the fabric; bit `i` set while op
-    /// `i` is queued and not started; ops finished; 1 while the lane
-    /// waits on `D_DONE`; closed; lost.
+    /// `i` is queued and not started; ops finished; 1 while the lane waits
+    /// on the finished count; closed; lost; bit `i` set once op `i`
+    /// finished with an error.
     const FREE: DataId = DataId(0);
     const QUEUED: DataId = DataId(1);
-    const D_DONE: DataId = DataId(2);
+    const DONE: DataId = DataId(2);
     const WATCHED: DataId = DataId(3);
-    const D_CLOSED: DataId = DataId(4);
+    const CLOSED: DataId = DataId(4);
     const LOST: DataId = DataId(5);
-    /// Lane cells: moves issued, moves started, moves finished, 1 + the
-    /// first failed move (0 for none), closed.
-    const L_ISSUED: DataId = DataId(6);
-    const L_STARTED: DataId = DataId(7);
-    const L_DONE: DataId = DataId(8);
-    const L_FAILED: DataId = DataId(9);
-    const L_CLOSED: DataId = DataId(10);
-    /// Bit `i` set: desk op `i` finished with an error.
-    const D_FAILED: DataId = DataId(11);
+    const FAILED: DataId = DataId(6);
+    /// Lane cells: moves issued, started, finished; 1 + the first failed
+    /// move (0 for none); closed.
+    const L_ISSUED: DataId = DataId(7);
+    const L_STARTED: DataId = DataId(8);
+    const L_DONE: DataId = DataId(9);
+    const L_FAILED: DataId = DataId(10);
+    const L_CLOSED: DataId = DataId(11);
     /// Ghosts: ops each queue has run, and finished.
-    const D_RAN: usize = 0;
+    const RAN: usize = 0;
     const L_RAN: usize = 1;
-    const D_FIN: usize = 2;
+    const FIN: usize = 2;
     const L_FIN: usize = 3;
 
-    /// The caller's registers: its outcome, the op a wait is on, the pc
-    /// it resumes at, the ops it ran holding the fabric, and the outcome
-    /// of the job it is running.
+    /// Registers: the caller's outcome, its place in the script and the
+    /// ops it ran holding the fabric; every thread's running job and that
+    /// job's outcome; the progress thread's pending wake.
     const OUTCOME: usize = 0;
-    const OWN: usize = 1;
-    const NEXT: usize = 2;
-    const RAN: usize = 3;
-    const JOB: usize = 4;
+    const AT: usize = 1;
+    const HELPED: usize = 2;
+    const JOB: usize = 3;
+    const JOB_OK: usize = 4;
+    const WAKE: usize = 5;
 
-    /// Records a failed wait: the first failure is the caller's outcome.
-    fn failed(st: &mut ModelState, tid: Tid, class: i64) {
-        if st.reg(tid, Self::OUTCOME) == OK {
+    /// The desk alone: the caller issues `ops` ops, waits op `ops − 2`
+    /// help-first, then computes while the ops issued behind it finish.
+    pub fn progress(ops: usize) -> DeskModel {
+        let issue = (0..ops).map(|_| Call::Op { seed: None });
+        let script = issue.chain([Call::WaitOp(ops - 2), Call::Compute]).collect();
+        DeskModel { script, timed: true, lost: false, mutant: None }
+    }
+
+    /// A reduce-scatter and the spill that drains it: the caller waits
+    /// the reduce-scatter help-first, then the spill.
+    pub fn drain(lost: bool) -> DeskModel {
+        let script = vec![Call::Op { seed: None }, Call::Move { drains: Some(0) }, Call::WaitOp(0), Call::WaitMove(0)];
+        DeskModel { script, timed: false, lost, mutant: None }
+    }
+
+    /// A fetch and the gather it seeds: the caller waits the fetch, then
+    /// the gather help-first.
+    pub fn seed(lost: bool) -> DeskModel {
+        let script = vec![Call::Move { drains: None }, Call::Op { seed: Some(0) }, Call::WaitMove(0), Call::WaitOp(0)];
+        DeskModel { script, timed: false, lost, mutant: None }
+    }
+
+    fn mutant(&self, m: DeskMutant) -> bool {
+        self.mutant == Some(m)
+    }
+
+    /// One queue's calls in issue order: each op's seed (`ops`) or each
+    /// move's drained op.
+    fn anchors(&self, ops: bool) -> impl Iterator<Item = Option<usize>> + '_ {
+        self.script.iter().filter_map(move |c| match *c {
+            Call::Op { seed } if ops => Some(seed),
+            Call::Move { drains } if !ops => Some(drains),
+            _ => None,
+        })
+    }
+
+    /// What op `i` (`ops`) or move `i` waits for on the other queue.
+    fn anchor(&self, ops: bool, i: i64) -> Option<i64> {
+        self.anchors(ops).nth(i as usize).flatten().map(|at| at as i64)
+    }
+
+    fn has_lane(&self) -> bool {
+        self.anchors(false).next().is_some()
+    }
+
+    /// The op the caller's current call waits on, help-first.
+    fn own(&self, st: &ModelState, tid: Tid) -> i64 {
+        match self.script[st.reg(tid, Self::AT) as usize] {
+            Call::WaitOp(own) => own as i64,
+            call => panic!("desk model: helping in {call:?}"),
+        }
+    }
+
+    /// Records a wait's answer: the first failure is the caller's outcome.
+    fn answer(st: &mut ModelState, tid: Tid, class: i64) {
+        if matches!(st.reg(tid, Self::OUTCOME), PENDING | OK) {
             st.set_reg(tid, Self::OUTCOME, class);
         }
     }
 
-    /// Runs desk op `job` (ghost checks only): issue order, and a gather
-    /// after its seed.
-    fn run_desk_job(&self, st: &mut ModelState, job: i64) {
-        let ran = st.ghost_read(Self::D_RAN);
-        if job != ran {
-            st.fail(format!("desk op {job} ran while op {ran} was still queued"));
-        }
-        st.ghost_write(Self::D_RAN, ran + 1);
-        if job == 0 && st.ghost_read(Self::L_FIN) < 1 && self.script == LaneScript::Seed {
-            st.fail("the gather started before the fetch that seeds it finished");
-        }
+    /// On to the caller's next call.
+    fn advance(st: &mut ModelState, tid: Tid) {
+        st.set_reg(tid, Self::AT, st.reg(tid, Self::AT) + 1);
+        st.locals[tid].timed_out = false;
+        st.goto(tid, 0);
     }
 
-    /// The seeded gather's wait on the lane, holding the fabric: resumes
-    /// at `here` while parked; once the seed has finished it runs the
-    /// gather, and then (or once the seed failed) goes to `finish` with
-    /// the job's outcome in `JOB`.
-    fn seed_wait(&self, st: &mut ModelState, tid: Tid, job: i64, here: u32, finish: u32) {
-        if !st.lock(tid, Self::LANE) {
-            return;
+    /// Runs desk op `job` (ghost checks only): issue order, and a gather
+    /// after its seed.
+    fn run_op(&self, st: &mut ModelState, job: i64) {
+        let ran = st.ghost_read(Self::RAN);
+        if job != ran {
+            st.fail(format!("op {job} ran while op {ran} was still queued"));
         }
-        if lane::through(st.read_data(tid, Self::L_DONE) as u64, 0) {
-            let failed = st.read_data(tid, Self::L_FAILED);
-            st.unlock(tid, Self::LANE);
-            if failed == 0 {
-                self.run_desk_job(st, job);
-            } else {
-                st.set_reg(tid, Self::JOB, ABORTED);
-            }
-            st.goto(tid, finish);
-        } else {
-            st.goto(tid, here);
-            st.cv_wait(tid, Self::LANE_CV, Self::LANE, false);
+        st.ghost_write(Self::RAN, ran + 1);
+        if self.anchor(true, job).is_some_and(|seed| st.ghost_read(Self::L_FIN) <= seed) {
+            st.fail("the gather started before the fetch that seeds it finished");
         }
     }
 
@@ -688,30 +475,73 @@ impl LaneModel {
             st.fail(format!("lane move {m} ran while move {ran} was still queued"));
         }
         st.ghost_write(Self::L_RAN, ran + 1);
-        if m == 0 && st.ghost_read(Self::D_FIN) < 1 && self.script == LaneScript::Drain {
+        if self.anchor(false, m).is_some_and(|op| st.ghost_read(Self::FIN) <= op) {
             st.fail("the spill started before the reduce-scatter it drains finished");
         }
     }
 
-    /// Records desk op `job` finished, with its outcome in `JOB`: the
-    /// thread holds the desk's mutex.
-    fn finish_desk_job(st: &mut ModelState, tid: Tid, job: i64) {
-        if st.reg(tid, Self::JOB) != OK {
-            let failed = st.read_data(tid, Self::D_FAILED);
-            st.write_data(tid, Self::D_FAILED, failed | 1 << job);
+    /// Starts desk op `job` on the thread holding the fabric: it waits for
+    /// its seed at `seed_pc` (unless the mutant skips the wait), or runs at
+    /// once and goes to `finish_pc`.
+    fn start_op(&self, st: &mut ModelState, tid: Tid, job: i64, seed_pc: u32, finish_pc: u32) {
+        st.set_reg(tid, Self::JOB, job);
+        st.set_reg(tid, Self::JOB_OK, OK);
+        if self.anchor(true, job).is_some() && !self.mutant(DeskMutant::GatherBeforeSeed) {
+            st.goto(tid, seed_pc);
+        } else {
+            self.run_op(st, job);
+            st.goto(tid, finish_pc);
         }
-        let done = st.read_data(tid, Self::D_DONE) + 1;
-        st.write_data(tid, Self::D_DONE, done);
-        st.ghost_write(Self::D_FIN, done);
     }
 
-    /// Whether desk op `job` waits for the fetch that seeds it: the
-    /// seeded gather does, unless the mutant skips the wait.
-    fn seeded(&self, job: i64) -> bool {
-        job == 0 && self.script == LaneScript::Seed && self.mutant != Some(LaneMutant::GatherBeforeSeed)
+    /// Whether lane move `m` has finished (`Some`), and if so whether it
+    /// or a move before it failed; the thread holds the lane's mutex.
+    fn lane_through(st: &mut ModelState, tid: Tid, m: i64) -> Option<bool> {
+        let failed = st.read_data(tid, Self::L_FAILED);
+        lane::through(st.read_data(tid, Self::L_DONE) as u64, m as u64).then_some(failed != 0 && failed <= m + 1)
     }
 
-    fn progress(&self, st: &mut ModelState, tid: Tid) {
+    /// The running op's wait on the lane for its seed, holding the fabric:
+    /// parks at `here`; once the seed has finished it runs the op (or
+    /// records the seed's failure) and goes to `finish_pc`.
+    fn seed_wait(&self, st: &mut ModelState, tid: Tid, here: u32, finish_pc: u32) {
+        if !st.lock(tid, Self::LANE) {
+            return;
+        }
+        let job = st.reg(tid, Self::JOB);
+        match Self::lane_through(st, tid, self.anchor(true, job).expect("a seeded op")) {
+            Some(failed) => {
+                st.unlock(tid, Self::LANE);
+                if failed {
+                    st.set_reg(tid, Self::JOB_OK, ABORTED);
+                } else {
+                    self.run_op(st, job);
+                }
+                st.goto(tid, finish_pc);
+            }
+            None => {
+                st.goto(tid, here);
+                st.cv_wait(tid, Self::LANE_CV, Self::LANE, self.timed);
+            }
+        }
+    }
+
+    /// Counts the running op finished, with its outcome; the thread holds
+    /// the desk's mutex.
+    fn finish_op(st: &mut ModelState, tid: Tid) {
+        if st.reg(tid, Self::JOB_OK) != OK {
+            let failed = st.read_data(tid, Self::FAILED);
+            st.write_data(tid, Self::FAILED, failed | 1 << st.reg(tid, Self::JOB));
+        }
+        let done = st.read_data(tid, Self::DONE) + 1;
+        st.write_data(tid, Self::DONE, done);
+        st.ghost_write(Self::FIN, done);
+    }
+
+    /// `Desk::progress_loop`: it keeps the mutex from finishing one op to
+    /// taking the next, and wakes the waiters for the op just finished
+    /// once it drops the mutex (or right before it parks).
+    fn progress_thread(&self, st: &mut ModelState, tid: Tid) {
         match st.pc(tid) {
             0 => {
                 if !st.lock(tid, Self::DESK) {
@@ -719,42 +549,43 @@ impl LaneModel {
                 }
                 let q = st.read_data(tid, Self::QUEUED);
                 let free = st.read_data(tid, Self::FREE) == 1;
+                let wake = std::mem::take(&mut st.locals[tid].regs[Self::WAKE]) == 1;
                 if handoff::progress_takes(free, q.count_ones() as usize) {
                     let job = q.trailing_zeros() as i64;
                     st.write_data(tid, Self::QUEUED, q & !(1 << job));
                     st.write_data(tid, Self::FREE, 0);
                     st.unlock(tid, Self::DESK);
-                    st.set_reg(tid, 0, job);
-                    st.set_reg(tid, Self::JOB, OK);
-                    if self.lost {
-                        st.goto(tid, 9);
-                    } else if self.seeded(job) {
-                        st.goto(tid, 1);
-                    } else {
-                        self.run_desk_job(st, job);
-                        st.goto(tid, 3);
+                    if wake {
+                        st.notify_all(tid, Self::DESK_CV);
                     }
-                } else if st.read_data(tid, Self::D_CLOSED) == 1 && q == 0 && free {
+                    if self.lost {
+                        st.goto(tid, 3);
+                    } else {
+                        self.start_op(st, tid, job, 1, 2);
+                    }
+                } else if st.read_data(tid, Self::CLOSED) == 1 && q == 0 && free {
                     st.unlock(tid, Self::DESK);
                     st.done(tid); // drops the fabric
                 } else {
+                    if wake {
+                        st.notify_all(tid, Self::DESK_CV);
+                    }
                     st.goto(tid, 0);
                     st.cv_wait(tid, Self::DESK_CV, Self::DESK, false);
                 }
             }
-            1 => self.seed_wait(st, tid, st.reg(tid, 0), 1, 3),
-            // Finish the op, hand the fabric back, wake the waiters.
-            3 => {
+            1 => self.seed_wait(st, tid, 1, 2),
+            // Finish the op and hand the fabric back, keeping the mutex.
+            2 => {
                 if st.lock(tid, Self::DESK) {
-                    Self::finish_desk_job(st, tid, st.reg(tid, 0));
+                    Self::finish_op(st, tid);
                     st.write_data(tid, Self::FREE, 1);
-                    st.unlock(tid, Self::DESK);
-                    st.notify_all(tid, Self::DESK_CV);
+                    st.set_reg(tid, Self::WAKE, 1);
                     st.goto(tid, 0);
                 }
             }
             // A panic holding the fabric: mark the desk lost, wake all.
-            9 => {
+            3 => {
                 if st.lock(tid, Self::DESK) {
                     st.write_data(tid, Self::LOST, 1);
                     st.unlock(tid, Self::DESK);
@@ -762,13 +593,14 @@ impl LaneModel {
                     st.done(tid);
                 }
             }
-            pc => panic!("lane model: bad progress pc {pc}"),
+            pc => panic!("desk model: bad progress pc {pc}"),
         }
     }
 
+    /// `Lane::run`: like the progress loop, it keeps the mutex from
+    /// finishing one move to taking the next.
     fn lane_thread(&self, st: &mut ModelState, tid: Tid) {
         match st.pc(tid) {
-            // Take the next move, or exit once closed and drained.
             0 => {
                 if !st.lock(tid, Self::LANE) {
                     return;
@@ -778,13 +610,13 @@ impl LaneModel {
                     st.write_data(tid, Self::L_STARTED, started + 1);
                     let failed = st.read_data(tid, Self::L_FAILED) != 0;
                     st.unlock(tid, Self::LANE);
-                    st.set_reg(tid, 0, started);
-                    st.set_reg(tid, Self::JOB, OK);
-                    let drains = self.script == LaneScript::Drain && self.mutant != Some(LaneMutant::SpillBeforeReduce);
+                    st.set_reg(tid, Self::JOB, started);
+                    st.set_reg(tid, Self::JOB_OK, OK);
+                    let drains = self.anchor(false, started).is_some() && !self.mutant(DeskMutant::SpillBeforeReduce);
                     if !failed && !drains {
                         self.run_move(st, started);
                     }
-                    st.goto(tid, if !failed && drains { 1 } else { 3 });
+                    st.goto(tid, if !failed && drains { 1 } else { 2 });
                 } else if st.read_data(tid, Self::L_CLOSED) == 1 {
                     st.unlock(tid, Self::LANE);
                     st.done(tid);
@@ -793,123 +625,203 @@ impl LaneModel {
                     st.cv_wait(tid, Self::LANE_CV, Self::LANE, false);
                 }
             }
-            // The spill's wait on the desk: through op 0, or a lost desk.
+            // `Desk::wait_through`: the spill waits for the op it drains,
+            // watched, or for a lost desk.
             1 => {
                 if !st.lock(tid, Self::DESK) {
                     return;
                 }
-                st.write_data(tid, Self::WATCHED, 0);
-                let outcome = if lane::through(st.read_data(tid, Self::D_DONE) as u64, 0) {
-                    Some(OK)
-                } else if st.read_data(tid, Self::LOST) == 1 {
-                    Some(ABORTED) // ProgressLost
-                } else {
-                    None
-                };
-                match outcome {
-                    Some(class) => {
-                        st.unlock(tid, Self::DESK);
-                        st.set_reg(tid, Self::JOB, class);
-                        if class == OK {
-                            self.run_move(st, st.reg(tid, 0));
-                        }
-                        st.goto(tid, 3);
-                    }
-                    None => {
-                        st.write_data(tid, Self::WATCHED, 1);
-                        st.goto(tid, 1);
-                        st.cv_wait(tid, Self::DESK_CV, Self::DESK, false);
-                    }
+                let m = st.reg(tid, Self::JOB);
+                let op = self.anchor(false, m).expect("a draining move");
+                let through = lane::through(st.read_data(tid, Self::DONE) as u64, op as u64);
+                let watched = !through && st.read_data(tid, Self::LOST) == 0;
+                st.write_data(tid, Self::WATCHED, i64::from(watched));
+                if watched {
+                    st.goto(tid, 1);
+                    st.cv_wait(tid, Self::DESK_CV, Self::DESK, self.timed);
+                    return;
                 }
+                st.unlock(tid, Self::DESK);
+                if through {
+                    self.run_move(st, m);
+                } else {
+                    st.set_reg(tid, Self::JOB_OK, ABORTED); // ProgressLost
+                }
+                st.goto(tid, 2);
             }
-            // Finish it: count it, keep the first failure, wake waiters.
-            3 => {
+            // Count it, keep the first failure, wake the waiters, and go on
+            // holding the mutex.
+            2 => {
                 if !st.lock(tid, Self::LANE) {
                     return;
                 }
-                if st.reg(tid, Self::JOB) != OK && st.read_data(tid, Self::L_FAILED) == 0 {
-                    st.write_data(tid, Self::L_FAILED, st.reg(tid, 0) + 1);
+                if st.reg(tid, Self::JOB_OK) != OK && st.read_data(tid, Self::L_FAILED) == 0 {
+                    st.write_data(tid, Self::L_FAILED, st.reg(tid, Self::JOB) + 1);
                 }
                 let done = st.read_data(tid, Self::L_DONE) + 1;
                 st.write_data(tid, Self::L_DONE, done);
                 st.ghost_write(Self::L_FIN, done);
-                st.unlock(tid, Self::LANE);
                 st.notify_all(tid, Self::LANE_CV);
                 st.goto(tid, 0);
             }
-            pc => panic!("lane model: bad lane pc {pc}"),
+            pc => panic!("desk model: bad lane pc {pc}"),
         }
     }
 
-    /// Queues desk op `job` and wakes the progress thread.
-    fn issue_desk(st: &mut ModelState, tid: Tid, job: i64, next: u32) {
-        if st.lock(tid, Self::DESK) {
-            let q = st.read_data(tid, Self::QUEUED);
-            st.write_data(tid, Self::QUEUED, q | 1 << job);
+    /// The caller's help-first wait on its op (`PendingOp::wait` and
+    /// `Desk::turn`): done, a lost desk, the free fabric taken while the op
+    /// is queued, a spent budget, or park.
+    fn help_wait(&self, st: &mut ModelState, tid: Tid) {
+        if !st.lock(tid, Self::DESK) {
+            return;
+        }
+        let own = self.own(st, tid);
+        let queued = (st.read_data(tid, Self::QUEUED) >> own) & 1 == 1;
+        let free = st.read_data(tid, Self::FREE) == 1;
+        if lane::through(st.read_data(tid, Self::DONE) as u64, own as u64) {
+            let failed = (st.read_data(tid, Self::FAILED) >> own) & 1 == 1;
             st.unlock(tid, Self::DESK);
-            st.notify_all(tid, Self::DESK_CV);
-            st.goto(tid, next);
+            Self::answer(st, tid, if failed { ABORTED } else { OK });
+            Self::advance(st, tid);
+        } else if st.read_data(tid, Self::LOST) == 1 {
+            st.unlock(tid, Self::DESK);
+            Self::answer(st, tid, ABORTED); // ProgressLost
+            Self::advance(st, tid);
+        } else if handoff::helper_takes(free, queued) {
+            st.write_data(tid, Self::FREE, 0);
+            st.set_reg(tid, Self::HELPED, 0);
+            st.goto(tid, 3);
+        } else if st.timed_out(tid) {
+            st.unlock(tid, Self::DESK);
+            Self::answer(st, tid, TIMED_OUT); // ProgressStalled
+            Self::advance(st, tid);
+        } else {
+            st.cv_wait(tid, Self::DESK_CV, Self::DESK, self.timed);
         }
     }
 
-    /// Queues the next lane move and wakes the lane thread.
-    fn issue_lane(st: &mut ModelState, tid: Tid, next: u32) {
-        if st.lock(tid, Self::LANE) {
-            let issued = st.read_data(tid, Self::L_ISSUED);
-            st.write_data(tid, Self::L_ISSUED, issued + 1);
-            st.unlock(tid, Self::LANE);
-            st.notify_all(tid, Self::LANE_CV);
-            st.goto(tid, next);
-        }
-    }
-
-    /// Enters a help-first wait on desk op `own`, resuming at `next`.
-    fn wait_desk(st: &mut ModelState, tid: Tid, own: i64, next: u32) {
-        st.set_reg(tid, Self::OWN, own);
-        st.set_reg(tid, Self::NEXT, next as i64);
-        st.set_reg(tid, Self::RAN, 0);
-        st.goto(tid, 10);
-    }
-
-    /// The caller's wait on lane move `id`, resuming at `next`.
-    fn wait_lane(st: &mut ModelState, tid: Tid, id: i64, here: u32, next: u32) {
+    /// The caller's wait on lane move `m` (`Lane::wait`).
+    fn move_wait(&self, st: &mut ModelState, tid: Tid, m: i64) {
         if !st.lock(tid, Self::LANE) {
             return;
         }
-        if lane::through(st.read_data(tid, Self::L_DONE) as u64, id as u64) {
-            let failed = st.read_data(tid, Self::L_FAILED);
-            st.unlock(tid, Self::LANE);
-            if failed != 0 && failed <= id + 1 {
-                Self::failed(st, tid, ABORTED);
+        match Self::lane_through(st, tid, m) {
+            Some(failed) => {
+                st.unlock(tid, Self::LANE);
+                Self::answer(st, tid, if failed { ABORTED } else { OK });
+                Self::advance(st, tid);
             }
-            st.goto(tid, next);
+            None => st.cv_wait(tid, Self::LANE_CV, Self::LANE, self.timed),
+        }
+    }
+
+    /// Compute: parks, never helping, until every op issued so far has
+    /// finished.
+    fn compute(&self, st: &mut ModelState, tid: Tid, issued: i64) {
+        if !st.lock(tid, Self::DESK) {
+            return;
+        }
+        if st.read_data(tid, Self::DONE) == issued {
+            st.unlock(tid, Self::DESK);
+            Self::advance(st, tid);
         } else {
-            st.goto(tid, here);
-            st.cv_wait(tid, Self::LANE_CV, Self::LANE, false);
+            st.cv_wait(tid, Self::DESK_CV, Self::DESK, false);
+        }
+    }
+
+    /// The caller's next call; a woken wait resumes here too.
+    fn call(&self, st: &mut ModelState, tid: Tid) {
+        let at = st.reg(tid, Self::AT) as usize;
+        let ops = self.script[..at].iter().filter(|c| matches!(c, Call::Op { .. })).count() as i64;
+        match self.script.get(at) {
+            // Queue the op; the wake follows once the mutex is dropped.
+            Some(Call::Op { .. }) => {
+                if st.lock(tid, Self::DESK) {
+                    let q = st.read_data(tid, Self::QUEUED);
+                    st.write_data(tid, Self::QUEUED, q | 1 << ops);
+                    st.unlock(tid, Self::DESK);
+                    st.goto(tid, 1);
+                }
+            }
+            Some(Call::Move { .. }) => {
+                if st.lock(tid, Self::LANE) {
+                    let issued = st.read_data(tid, Self::L_ISSUED);
+                    st.write_data(tid, Self::L_ISSUED, issued + 1);
+                    st.unlock(tid, Self::LANE);
+                    st.goto(tid, 2);
+                }
+            }
+            Some(Call::WaitOp(_)) => self.help_wait(st, tid),
+            Some(&Call::WaitMove(m)) => self.move_wait(st, tid, m as i64),
+            Some(Call::Compute) => self.compute(st, tid, ops),
+            // Drop the communicator: close the desk, then the lane.
+            None => {
+                if !self.mutant(DeskMutant::NoClose) {
+                    if !st.lock(tid, Self::DESK) {
+                        return;
+                    }
+                    st.write_data(tid, Self::CLOSED, 1);
+                    st.unlock(tid, Self::DESK);
+                    st.notify_all(tid, Self::DESK_CV);
+                }
+                if self.has_lane() {
+                    st.goto(tid, 6);
+                } else {
+                    st.done(tid);
+                }
+            }
         }
     }
 
     fn caller(&self, st: &mut ModelState, tid: Tid) {
-        let next = st.reg(tid, Self::NEXT) as u32;
         match st.pc(tid) {
-            // The script, then the drop.
-            0 if self.script == LaneScript::Drain => Self::issue_desk(st, tid, 0, 1),
-            1 if self.script == LaneScript::Drain => Self::issue_lane(st, tid, 2),
-            2 if self.script == LaneScript::Drain => Self::wait_desk(st, tid, 0, 3),
-            3 if self.script == LaneScript::Drain => Self::wait_lane(st, tid, 0, 3, 8),
-            0 => Self::issue_lane(st, tid, 1),
-            1 => Self::issue_desk(st, tid, 0, 2),
-            2 => Self::wait_lane(st, tid, 0, 2, 3),
-            3 => Self::wait_desk(st, tid, 0, 8),
-            8 => {
-                if st.lock(tid, Self::DESK) {
-                    st.write_data(tid, Self::D_CLOSED, 1);
+            0 => self.call(st, tid),
+            // A wake, sent after the mutex is dropped; then the next call.
+            1 | 2 => {
+                st.notify_all(tid, if st.pc(tid) == 1 { Self::DESK_CV } else { Self::LANE_CV });
+                Self::advance(st, tid);
+            }
+            // Holding the fabric and the desk's mutex: run the queue up to
+            // the op waited on, then hand the fabric back (`Desk::release`).
+            3 => {
+                let (q, own) = (st.read_data(tid, Self::QUEUED), self.own(st, tid));
+                let head = q.trailing_zeros() as i64;
+                let pick = match self.mutant {
+                    Some(DeskMutant::OwnOpFirst) if (q >> own) & 1 == 1 => Some(own),
+                    _ => (q != 0 && handoff::helper_runs(head as u64, own as u64)).then_some(head),
+                };
+                if let Some(job) = pick {
+                    st.write_data(tid, Self::QUEUED, q & !(1 << job));
                     st.unlock(tid, Self::DESK);
-                    st.notify_all(tid, Self::DESK_CV);
-                    st.goto(tid, 9);
+                    st.set_reg(tid, Self::HELPED, st.reg(tid, Self::HELPED) + 1);
+                    self.start_op(st, tid, job, 4, 5);
+                } else {
+                    st.write_data(tid, Self::FREE, 1);
+                    let (left, ran_others) = (q.count_ones() as usize, st.reg(tid, Self::HELPED) > 1);
+                    let watched = st.read_data(tid, Self::WATCHED) == 1 && !self.mutant(DeskMutant::SkipWatchedWake);
+                    let closed = st.read_data(tid, Self::CLOSED) == 1;
+                    st.unlock(tid, Self::DESK);
+                    Self::answer(st, tid, OK);
+                    if handoff::wake_on_release(left, ran_others, watched, closed) && !self.mutant(DeskMutant::SkipWake) {
+                        st.goto(tid, 1);
+                    } else {
+                        Self::advance(st, tid);
+                    }
                 }
             }
-            9 => {
+            4 => self.seed_wait(st, tid, 4, 5),
+            // Finish a helped op (its outcome is the wait's if it is the
+            // op waited on), then back to the queue holding the mutex.
+            5 => {
+                if st.lock(tid, Self::DESK) {
+                    Self::finish_op(st, tid);
+                    if st.reg(tid, Self::JOB) == self.own(st, tid) {
+                        Self::answer(st, tid, st.reg(tid, Self::JOB_OK));
+                    }
+                    st.goto(tid, 3);
+                }
+            }
+            6 => {
                 if st.lock(tid, Self::LANE) {
                     st.write_data(tid, Self::L_CLOSED, 1);
                     st.unlock(tid, Self::LANE);
@@ -917,85 +829,16 @@ impl LaneModel {
                     st.done(tid);
                 }
             }
-            // Help-first wait on op `OWN` (woken waits come back here).
-            10 => {
-                if !st.lock(tid, Self::DESK) {
-                    return;
-                }
-                let own = st.reg(tid, Self::OWN);
-                let queued = (st.read_data(tid, Self::QUEUED) >> own) & 1 == 1;
-                let free = st.read_data(tid, Self::FREE) == 1;
-                if lane::through(st.read_data(tid, Self::D_DONE) as u64, own as u64) {
-                    let failed = (st.read_data(tid, Self::D_FAILED) >> own) & 1 == 1;
-                    st.unlock(tid, Self::DESK);
-                    if failed {
-                        Self::failed(st, tid, ABORTED);
-                    }
-                    st.goto(tid, next);
-                } else if st.read_data(tid, Self::LOST) == 1 {
-                    st.unlock(tid, Self::DESK);
-                    Self::failed(st, tid, ABORTED); // ProgressLost
-                    st.goto(tid, next);
-                } else if handoff::helper_takes(free, queued) {
-                    st.write_data(tid, Self::FREE, 0);
-                    st.goto(tid, 11);
-                } else {
-                    st.goto(tid, 10);
-                    st.cv_wait(tid, Self::DESK_CV, Self::DESK, false);
-                }
-            }
-            // Holding the fabric and the desk's mutex: run the queue up to
-            // `OWN`, then release.
-            11 => {
-                let (q, own) = (st.read_data(tid, Self::QUEUED), st.reg(tid, Self::OWN));
-                let head = q.trailing_zeros() as i64;
-                if q != 0 && handoff::helper_runs(head as u64, own as u64) {
-                    st.write_data(tid, Self::QUEUED, q & !(1 << head));
-                    st.unlock(tid, Self::DESK);
-                    st.set_reg(tid, 5, head);
-                    st.set_reg(tid, Self::RAN, st.reg(tid, Self::RAN) + 1);
-                    st.set_reg(tid, Self::JOB, OK);
-                    if self.seeded(head) {
-                        st.goto(tid, 12);
-                    } else {
-                        self.run_desk_job(st, head);
-                        st.goto(tid, 14);
-                    }
-                } else {
-                    st.write_data(tid, Self::FREE, 1);
-                    let (left, ran_others) = (q.count_ones() as usize, st.reg(tid, Self::RAN) > 1);
-                    let watched = st.read_data(tid, Self::WATCHED) == 1
-                        && self.mutant != Some(LaneMutant::SkipWatchedWake);
-                    let closed = st.read_data(tid, Self::D_CLOSED) == 1;
-                    st.unlock(tid, Self::DESK);
-                    if handoff::wake_on_release(left, ran_others, watched, closed) {
-                        st.notify_all(tid, Self::DESK_CV);
-                    }
-                    st.goto(tid, next);
-                }
-            }
-            12 => self.seed_wait(st, tid, st.reg(tid, 5), 12, 14),
-            // Finish a helped op (its outcome is the wait's if it is
-            // `OWN`), then back to the queue holding the mutex.
-            14 => {
-                if st.lock(tid, Self::DESK) {
-                    Self::finish_desk_job(st, tid, st.reg(tid, 5));
-                    let job = st.reg(tid, Self::JOB);
-                    if st.reg(tid, 5) == st.reg(tid, Self::OWN) && job != OK {
-                        Self::failed(st, tid, job);
-                    }
-                    st.goto(tid, 11);
-                }
-            }
-            pc => panic!("lane model: bad caller pc {pc}"),
+            pc => panic!("desk model: bad caller pc {pc}"),
         }
     }
 }
 
-impl Program for LaneModel {
+impl Program for DeskModel {
     fn init(&self) -> ModelState {
-        let mut st = ModelState::new(3);
-        for _ in 0..2 {
+        let lane = self.has_lane();
+        let mut st = ModelState::new(if lane { 3 } else { 2 });
+        for _ in 0..if lane { 2 } else { 1 } {
             st.add_mutex();
             st.add_condvar();
         }
@@ -1005,29 +848,29 @@ impl Program for LaneModel {
         for _ in 0..4 {
             st.add_ghost(0);
         }
-        st.budget = FaultBudget { crashes: 0, timeouts: 0 };
-        st.set_reg(2, Self::OUTCOME, OK);
+        st.budget = FaultBudget { crashes: 0, timeouts: u8::from(self.timed) };
+        st.set_reg(1, Self::OUTCOME, PENDING);
         st
     }
 
     fn step(&self, st: &mut ModelState, tid: Tid, _choice: usize) {
         match tid {
-            0 => self.progress(st, tid),
-            1 => self.lane_thread(st, tid),
-            _ => self.caller(st, tid),
+            0 => self.progress_thread(st, tid),
+            1 => self.caller(st, tid),
+            _ => self.lane_thread(st, tid),
         }
     }
 
     fn check_final(&self, st: &ModelState) -> Option<String> {
-        let (desk_ran, lane_ran) = (st.ghost[Self::D_RAN], st.ghost[Self::L_RAN]);
-        if !self.lost {
-            if (desk_ran, lane_ran) != (1, 1) {
-                return Some(format!("the queues closed with {desk_ran}/1 ops and {lane_ran}/1 moves run"));
-            }
-            if outcome(st, 2) != OK {
-                return Some("a wait on a whole desk returned no result".to_string());
-            }
+        let (ops, moves) = (self.anchors(true).count() as i64, self.anchors(false).count() as i64);
+        let (ran, lane_ran) = (st.ghost[Self::RAN], st.ghost[Self::L_RAN]);
+        if self.lost {
+            return None;
         }
-        None
+        if (ran, lane_ran) != (ops, moves) {
+            return Some(format!("the queues closed with {ran}/{ops} ops and {lane_ran}/{moves} moves run"));
+        }
+        (st.budget.timeouts == u8::from(self.timed) && outcome(st, 1) != OK)
+            .then(|| "a wait no timeout cut short returned no result".to_string())
     }
 }

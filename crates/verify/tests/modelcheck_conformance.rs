@@ -5,8 +5,9 @@
 //! models. These tests close the loop on the real op desk: every outcome
 //! a real communicator's desk shows must lie inside the model's feasible
 //! classes, and the desk is driven through the schedules that catch the
-//! two seeded hand-off mutants (a skipped wake, a FIFO break) and the
-//! lane model's skipped wake of the watching lane.
+//! seeded mutants that break the hand-off on the desk alone (a skipped
+//! wake, a FIFO break) and the one that skips the wake of the watching
+//! lane.
 
 use std::collections::BTreeSet;
 use std::thread;
@@ -17,7 +18,7 @@ use zero_comm::{
     WorldConfig,
 };
 use zero_trace::SpanCategory;
-use zero_verify::modelcheck::protocols::{ProgressModel, OK, TIMED_OUT};
+use zero_verify::modelcheck::protocols::{DeskModel, OK, TIMED_OUT};
 use zero_verify::modelcheck::enumerate_final_states;
 
 /// Plain (reduction-free) enumeration budget; far above the measured
@@ -67,7 +68,7 @@ fn on_fresh_desks<R: Send>(body: impl Fn(&Communicator, [PendingOp; 2]) -> R + S
 #[test]
 fn real_desk_outcomes_lie_in_the_models_classes() {
     for ops in [2usize, 3] {
-        let classes: BTreeSet<i64> = enumerate_final_states(&ProgressModel { ops, mutant: None }, BUDGET)
+        let classes: BTreeSet<i64> = enumerate_final_states(&DeskModel::progress(ops), BUDGET)
             .expect("progress enumeration must fit the budget")
             .iter()
             .map(|st| st.locals[1].regs[0])

@@ -152,6 +152,32 @@ fn offloaded_timeline_reconciles_tier_stream_byte_exactly() {
     }
 }
 
+/// Overlapped stage 3 on two ranks with the gradients offloaded and every
+/// tier move priced at `host_lat`.
+fn priced_offload(host_lat: Duration) -> TrainSetup {
+    let mut s = setup(ZeroStage::Three, 2, true);
+    s.zero.tier = TierConfig { host_lat, ..TierConfig::budgeted(64 << 20) };
+    s
+}
+
+/// A flat link on which every message costs 1 ms.
+fn one_ms_link() -> WorldConfig {
+    WorldConfig::with_tiered_link(TieredLink {
+        node_size: 1,
+        intra_latency: Duration::ZERO,
+        intra_bytes_per_sec: f64::INFINITY,
+        inter_latency: Duration::from_millis(1),
+        inter_bytes_per_sec: f64::INFINITY,
+    })
+}
+
+/// The spans of `name` that ran (not the waits on them), by start.
+fn ran<'a>(timeline: &'a StepTimeline, name: &str) -> Vec<&'a Span> {
+    let mut spans: Vec<&Span> = timeline.spans.iter().filter(|sp| sp.name == name && sp.cat != SpanCategory::Wait).collect();
+    spans.sort_by_key(|sp| sp.start_ns);
+    spans
+}
+
 #[test]
 fn each_spill_waits_for_its_reduce_scatter_and_each_seeded_gather_for_its_fetch() {
     // Overlapped stage 3 with the gradients offloaded, every tier move
@@ -162,29 +188,15 @@ fn each_spill_waits_for_its_reduce_scatter_and_each_seeded_gather_for_its_fetch(
     // produces its piece has ended, and each all-gather a fetch seeds
     // starts once that fetch has ended. Spills left for the end-of-micro
     // drain would all follow the micro-batch's last reduce-scatter instead.
-    let mut s = setup(ZeroStage::Three, 2, true);
-    s.zero.tier = TierConfig { host_lat: Duration::from_micros(500), ..TierConfig::budgeted(64 << 20) };
-    let link = TieredLink {
-        node_size: 1,
-        intra_latency: Duration::ZERO,
-        intra_bytes_per_sec: f64::INFINITY,
-        inter_latency: Duration::from_millis(1),
-        inter_bytes_per_sec: f64::INFINITY,
-    };
-    let report = run_training_world(&s, 2, 0, WorldConfig::with_tiered_link(link));
+    let s = priced_offload(Duration::from_micros(500));
+    let report = run_training_world(&s, 2, 0, one_ms_link());
     let plans = step_plans(&report, &s);
     let planned = |rank, label| -> Vec<u64> {
         plans.iter().flat_map(|p| p.resolve_tier_for(rank)).filter(|t| t.label == label).map(|t| t.bytes).collect()
     };
     for r in &report.ranks {
-        let sorted = |name| {
-            let ran = |sp: &&Span| sp.name == name && sp.cat != SpanCategory::Wait;
-            let mut spans: Vec<&Span> = r.timeline.spans.iter().filter(ran).collect();
-            spans.sort_by_key(|sp| sp.start_ns);
-            spans
-        };
-        let (spills, reduces) = (sorted("tier-grad-spill"), sorted("reduce-scatter"));
-        assert!(!sorted("tier-param-fetch").is_empty(), "rank {}: the parameter shard climbs", r.rank);
+        let (spills, reduces) = (ran(&r.timeline, "tier-grad-spill"), ran(&r.timeline, "reduce-scatter"));
+        assert!(!ran(&r.timeline, "tier-param-fetch").is_empty(), "rank {}: the parameter shard climbs", r.rank);
         // Spills run in plan order, each with its planned bytes, on the
         // progress track; the k-th drains the k-th reduce-scatter.
         let bytes: Vec<u64> = spills.iter().map(|sp| sp.bytes).collect();
@@ -207,6 +219,34 @@ fn each_spill_waits_for_its_reduce_scatter_and_each_seeded_gather_for_its_fetch(
         }
         // The same, and every seeded gather against its fetch, by anchor.
         zero_verify::check_tier_order(&r.timeline, &plans, r.rank).unwrap_or_else(|e| panic!("rank {}: {e}", r.rank));
+    }
+}
+
+#[test]
+fn each_settle_reduce_span_ends_before_the_spill_of_the_reduce_scatter_it_settles() {
+    // Every tier move priced at 20 ms, every message at 1 ms. The k-th
+    // `settle-reduce` wait settles the k-th bucket reduce-scatter, whose
+    // spill the lane starts once the reduce-scatter has ended. The span is
+    // collective wait alone, so it ends while that 20 ms spill still runs;
+    // a span that also waited the spill would end after it, and the
+    // step's exposed host-link time would read as collective wait.
+    let s = priced_offload(Duration::from_millis(20));
+    let report = run_training_world(&s, 2, 0, one_ms_link());
+    for r in &report.ranks {
+        let spills = ran(&r.timeline, "tier-grad-spill");
+        let mut settles: Vec<&Span> = r.timeline.spans_in(SpanCategory::Wait).filter(|sp| sp.name == "settle-reduce").collect();
+        settles.sort_by_key(|sp| sp.start_ns);
+        assert!(!spills.is_empty(), "rank {}: the gradients spill", r.rank);
+        assert_eq!(settles.len(), spills.len(), "rank {}: one settle per spilled reduce-scatter", r.rank);
+        for (k, (settle, spill)) in settles.iter().zip(&spills).enumerate() {
+            assert!(
+                settle.end_ns < spill.end_ns,
+                "rank {}: settle {k} ends at {} ns, after its spill ({} ns): it waited the host link",
+                r.rank,
+                settle.end_ns,
+                spill.end_ns
+            );
+        }
     }
 }
 
